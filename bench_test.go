@@ -5,6 +5,7 @@
 package cheetah_test
 
 import (
+	"fmt"
 	"io"
 	"testing"
 
@@ -235,6 +236,56 @@ func BenchmarkExecDirectDistinct100k(b *testing.B) {
 		if _, err := cheetah.ExecDirect(q); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// join100kQuery is visits ⋈ rankings on URL at the benchmark's shape: a
+// quarter as many distinct URLs as visits, and rankings covering more
+// URLs than are ever visited, so both Bloom passes have rows to prune.
+func join100kQuery(b *testing.B) *cheetah.Query {
+	uv := buildUserVisits(b, 100_000)
+	return &cheetah.Query{
+		Kind: cheetah.KindJoin, Table: uv, Right: workload.Rankings(60_000, 1),
+		LeftKey: "destURL", RightKey: "pageURL",
+	}
+}
+
+func BenchmarkExecCheetahJoin100k(b *testing.B) {
+	benchExecCheetah(b, join100kQuery(b), 160_000, cheetah.CheetahOptions{})
+}
+
+func BenchmarkExecCheetahJoin100kBatch(b *testing.B) {
+	benchExecCheetah(b, join100kQuery(b), 160_000, cheetah.CheetahOptions{NoFuse: true})
+}
+
+func BenchmarkExecDirectJoin100k(b *testing.B) {
+	q := join100kQuery(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := cheetah.ExecDirect(q); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkResultSort sorts a JOIN-shaped result: 79k two-column rows
+// whose keys share a long prefix, shuffled.
+func BenchmarkResultSort(b *testing.B) {
+	const n = 79_000
+	rows := make([][]string, n)
+	for i := range rows {
+		// A multiplicative permutation of the key space stands in for a
+		// hash table's iteration order.
+		k := i * 48_271 % n
+		rows[i] = []string{fmt.Sprintf("url-%08d.example.com/page", k), fmt.Sprint(k%7 + 1)}
+	}
+	res := &cheetah.Result{Columns: []string{"destURL", "pairs"}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res.Rows = append(res.Rows[:0], rows...)
+		res.Sort()
 	}
 }
 

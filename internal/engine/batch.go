@@ -23,9 +23,7 @@ package engine
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"strconv"
-	"strings"
 	"sync"
 
 	"cheetah/internal/hashutil"
@@ -473,53 +471,6 @@ func (s *survivorSet) add(fwd []uint64, chunkN int) {
 	}
 }
 
-// --- sorted result assembly -------------------------------------------
-
-// lexRows sorts rows in the exact order of Result.Sort (lexicographic on
-// the \x00-joined row key) without allocating per comparison: cells
-// never contain \x00, so element-wise comparison is equivalent.
-type lexRows [][]string
-
-func (r lexRows) Len() int      { return len(r) }
-func (r lexRows) Swap(i, j int) { r[i], r[j] = r[j], r[i] }
-func (r lexRows) Less(i, j int) bool {
-	a, b := r[i], r[j]
-	for k := 0; k < len(a) && k < len(b); k++ {
-		if c := compareStrings(a[k], b[k]); c != 0 {
-			return c < 0
-		}
-	}
-	return len(a) < len(b)
-}
-
-// sortedResult builds a Result whose rows are already in Result.Sort
-// order. Cells containing NUL collide with Result.Sort's join
-// separator, where element-wise comparison can disagree; that rare
-// shape falls back to the legacy sort.
-func sortedResult(columns []string, rows [][]string) *Result {
-	res := &Result{Columns: columns, Rows: rows}
-	for _, row := range rows {
-		for _, cell := range row {
-			if strings.IndexByte(cell, 0) >= 0 {
-				res.Sort()
-				return res
-			}
-		}
-	}
-	sort.Sort(lexRows(rows))
-	return res
-}
-
-// singleCellRows wraps already-sorted cell values as single-column
-// result rows backed by one allocation.
-func singleCellRows(cells []string) [][]string {
-	rows := make([][]string, len(cells))
-	for i := range cells {
-		rows[i] = cells[i : i+1 : i+1]
-	}
-	return rows
-}
-
 // --- per-kind batched executions --------------------------------------
 
 // batchRun bundles the state shared by every batched execution.
@@ -566,32 +517,13 @@ func batchFilter(q *Query, opts CheetahOptions) (*CheetahRun, error) {
 		spans, br.run.Skipped = filterSpans(q, q.Table, cols)
 	}
 	encFor := func(t *table.Table) partEncoder { return encFilter(t, q.Predicates, cols) }
-	// With the engine's own default pruner, every survivor passed the
-	// full switch formula (precomputed bits included) — the same formula
-	// the master would re-check — so the completion materializes rows
-	// (or the count) directly. A caller-supplied pruner may forward
-	// false positives (pruning is best-effort by design), so that case
-	// keeps the scalar path's exact master completion.
-	trusted := opts.Pruner == nil
-	if !trusted {
-		sv := survivorSet{remaining: q.Table.NumRows()}
-		err := spanPass(q.Table, spans, opts.Workers, len(cols), true, br.buf, encFor, dp,
-			func(b *switchsim.Batch, dec []switchsim.Decision, ids []uint64) {
-				br.run.Traffic.EntriesSent += b.N
-				fwd := br.buf.compactForwarded(ids, dec, b.N)
-				br.run.Traffic.Forwarded += len(fwd)
-				sv.add(fwd, b.N)
-			})
-		if err == nil {
-			var res *Result
-			if res, err = completeOnRows(q, sv.rows); err == nil {
-				return br.finish(pruner, res, len(sv.rows)), nil
-			}
-		}
-		putStreamBuf(br.buf)
-		return nil, err
-	}
-	if q.CountOnly {
+	// An exact filter's survivors passed the very formula the master
+	// would re-check (filterExact), so the completion materializes the
+	// rows — or just the count — directly. Any other caller-supplied
+	// pruner may forward false positives (pruning is best-effort by
+	// design) and keeps the exact master completion.
+	exact := opts.Pruner == nil || filterExact(q, pruner)
+	if exact && q.CountOnly {
 		// COUNT(*) needs no row ids at all: the forward count is the
 		// answer.
 		count := 0
@@ -602,42 +534,36 @@ func batchFilter(q *Query, opts CheetahOptions) (*CheetahRun, error) {
 				for _, d := range dec[:b.N] {
 					n -= int(d)
 				}
-				br.run.Traffic.Forwarded += n
 				count += n
 			})
 		if err != nil {
 			putStreamBuf(br.buf)
 			return nil, err
 		}
-		res := &Result{Columns: []string{"count"}, Rows: [][]string{{strconv.Itoa(count)}}}
-		return br.finish(pruner, res, count), nil
+		br.run.Traffic.Forwarded = count
+		return br.finish(pruner, filterResult(q, count, nil), count), nil
 	}
 	sv := survivorSet{remaining: q.Table.NumRows()}
-	if err := spanPass(q.Table, spans, opts.Workers, len(cols), true, br.buf, encFor, dp,
+	err := spanPass(q.Table, spans, opts.Workers, len(cols), true, br.buf, encFor, dp,
 		func(b *switchsim.Batch, dec []switchsim.Decision, ids []uint64) {
 			br.run.Traffic.EntriesSent += b.N
 			fwd := br.buf.compactForwarded(ids, dec, b.N)
 			br.run.Traffic.Forwarded += len(fwd)
 			sv.add(fwd, b.N)
-		}); err != nil {
+		})
+	var res *Result
+	if err == nil {
+		if exact {
+			res = filterResult(q, len(sv.rows), appendFilterRows(nil, q.Table, sv.rows))
+		} else {
+			res, err = completeOnRows(q, sv.rows)
+		}
+	}
+	if err != nil {
 		putStreamBuf(br.buf)
 		return nil, err
 	}
-	t := q.Table
-	names := make([]string, t.NumCols())
-	for i, d := range t.Schema() {
-		names[i] = d.Name
-	}
-	rows := make([][]string, len(sv.rows))
-	backing := make([]string, len(sv.rows)*t.NumCols())
-	for i, r := range sv.rows {
-		row := backing[i*t.NumCols() : (i+1)*t.NumCols() : (i+1)*t.NumCols()]
-		for c := range row {
-			row[c] = cellString(t, c, r)
-		}
-		rows[i] = row
-	}
-	return br.finish(pruner, sortedResult(names, rows), len(sv.rows)), nil
+	return br.finish(pruner, res, len(sv.rows)), nil
 }
 
 // distinctScratch is the pooled master-side dedup state of one DISTINCT
@@ -706,7 +632,8 @@ func batchDistinct(q *Query, opts CheetahOptions) (*CheetahRun, error) {
 			}
 			rows[i] = row
 		}
-		res = sortedResult(append([]string(nil), q.DistinctCols...), rows)
+		res = &Result{Columns: append([]string(nil), q.DistinctCols...), Rows: rows}
+		res.Sort()
 	}
 	distinctScratchPool.Put(ds)
 	return br.finish(pruner, res, forwarded), nil
@@ -756,16 +683,7 @@ func batchTopN(q *Query, opts CheetahOptions) (*CheetahRun, error) {
 		batchPass(q.Table.NumRows(), opts.Workers, 1, false, br.buf, encInt64(q.Table, col), dp, nil, sink)
 	}
 	br.run.Traffic.Forwarded = forwarded
-	// The scalar completion sorts values descending and then re-sorts
-	// the formatted rows lexicographically; only the final order is
-	// observable, so format straight from the heap.
-	cells := make([]string, len(h))
-	for i, v := range h {
-		cells[i] = strconv.FormatInt(v, 10)
-	}
-	radixSortStrings(cells)
-	res := &Result{Columns: []string{q.OrderCol}, Rows: singleCellRows(cells)}
-	return br.finish(pruner, res, forwarded), nil
+	return br.finish(pruner, topNResult(q, h), forwarded), nil
 }
 
 func batchGroupByMax(q *Query, opts CheetahOptions) (*CheetahRun, error) {
@@ -814,7 +732,8 @@ func batchGroupByMax(q *Query, opts CheetahOptions) (*CheetahRun, error) {
 		row[1] = strconv.FormatInt(maxs[i], 10)
 		rows[i] = row
 	}
-	res := sortedResult([]string{q.KeyCol, "max(" + q.AggCol + ")"}, rows)
+	res := &Result{Columns: []string{q.KeyCol, "max(" + q.AggCol + ")"}, Rows: rows}
+	res.Sort()
 	return br.finish(pruner, res, forwarded), nil
 }
 
@@ -867,7 +786,8 @@ func batchGroupBySum(q *Query, opts CheetahOptions) (*CheetahRun, error) {
 	for fp, v := range sums {
 		rows = append(rows, []string{fpToKey[fp], strconv.FormatInt(v, 10)})
 	}
-	res := sortedResult([]string{q.KeyCol, "sum(" + q.AggCol + ")"}, rows)
+	res := &Result{Columns: []string{q.KeyCol, "sum(" + q.AggCol + ")"}, Rows: rows}
+	res.Sort()
 	return br.finish(pruner, res, len(sums)), nil
 }
 
@@ -928,7 +848,8 @@ func batchHaving(q *Query, opts CheetahOptions) (*CheetahRun, error) {
 			rows = append(rows, []string{k})
 		}
 	}
-	res := sortedResult([]string{q.KeyCol}, rows)
+	res := &Result{Columns: []string{q.KeyCol}, Rows: rows}
+	res.Sort()
 	return br.finish(pruner, res, br.run.Traffic.SecondPassSent), nil
 }
 
@@ -947,81 +868,19 @@ func batchJoin(q *Query, opts CheetahOptions) (*CheetahRun, error) {
 		}
 		pruner = j
 	}
-	lc := q.Table.Schema().MustIndex(q.LeftKey)
-	rc := q.Right.Schema().MustIndex(q.RightKey)
 	br := newBatchRun(pruner)
-	dp := opts.dataplaneFor(pruner)
-	// Probe-side block skipping (skip.go): a right block where every
-	// distinct left key tests Bloom-negative holds no joinable row.
-	// Every right pass — including the symmetric build pass — uses the
-	// same spans: a key that would train the B-side filter out of a
-	// skipped block cannot exist on the left, so no left row loses its
-	// forward, and the master's execJoin re-check stays exact.
-	leftSpans := fullSpans(q.Table)
-	rightSpans := fullSpans(q.Right)
-	if opts.Skip {
-		rightSpans, br.run.Skipped = joinRightSpans(q.Table, lc, q.Right, rc)
-	}
-	encAFor := func(t *table.Table) partEncoder { return encSide(t, lc, prune.SideA, opts.Seed) }
-	encBFor := func(t *table.Table) partEncoder { return encSide(t, rc, prune.SideB, opts.Seed) }
-
-	pass := func(t *table.Table, spans []span, encFor func(*table.Table) partEncoder, sv *survivorSet) error {
-		return spanPass(t, spans, opts.Workers, 2, sv != nil, br.buf, encFor, dp,
-			func(b *switchsim.Batch, dec []switchsim.Decision, ids []uint64) {
-				br.run.Traffic.EntriesSent += b.N
-				if sv == nil {
-					// Build pass: count forwards without collecting.
-					n := b.N
-					for _, d := range dec[:b.N] {
-						n -= int(d)
-					}
-					br.run.Traffic.Forwarded += n
-					return
-				}
-				fwd := br.buf.compactForwarded(ids, dec, b.N)
-				br.run.Traffic.Forwarded += len(fwd)
-				sv.add(fwd, b.N)
-			})
-	}
-	var left, right survivorSet
-	var err error
-	if pruner.Asymmetric() {
-		// §4.3's small-table optimization: side A streams once, unpruned,
-		// while its filter trains; then side B is pruned against it.
-		left.remaining = q.Table.NumRows()
-		err = pass(q.Table, leftSpans, encAFor, &left)
-		pruner.StartProbe()
-		right.remaining = q.Right.NumRows()
-		if err == nil {
-			err = pass(q.Right, rightSpans, encBFor, &right)
-		}
-	} else {
-		// Pass 1: both key columns build the filters; packets terminate
-		// at the switch. Pass 2: full entries, pruned by the other side.
-		err = pass(q.Table, leftSpans, encAFor, nil)
-		if err == nil {
-			err = pass(q.Right, rightSpans, encBFor, nil)
-		}
-		pruner.StartProbe()
-		left.remaining = q.Table.NumRows()
-		if err == nil {
-			err = pass(q.Table, leftSpans, encAFor, &left)
-		}
-		right.remaining = q.Right.NumRows()
-		if err == nil {
-			err = pass(q.Right, rightSpans, encBFor, &right)
-		}
-	}
+	left, right, tr, skipped, err := batchJoinPasses(q, pruner, opts.dataplaneFor(pruner), opts.Workers, opts.Seed, opts.Skip, br.buf)
 	if err != nil {
 		putStreamBuf(br.buf)
 		return nil, err
 	}
-	res, err := execJoin(q, left.rows, right.rows)
+	br.run.Traffic, br.run.Skipped = tr, skipped
+	rows, err := completeJoinRows(q, opts.Seed, left, right)
 	if err != nil {
 		putStreamBuf(br.buf)
 		return nil, err
 	}
-	return br.finish(pruner, res, len(left.rows)+len(right.rows)), nil
+	return br.finish(pruner, joinResult(q, rows), len(left)+len(right)), nil
 }
 
 func batchSkyline(q *Query, opts CheetahOptions) (*CheetahRun, error) {

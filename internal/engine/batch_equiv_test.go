@@ -187,6 +187,48 @@ func TestBatchAsymmetricJoin(t *testing.T) {
 	}
 }
 
+// TestBatchJoinEdgeCases runs the chunked JOIN passes and their
+// completion (fingerprints recomputed from the survivor row lists) over
+// the degenerate input shapes: identical Result, Traffic and Stats to
+// the scalar path, and — Skip being batched-only — the same Result as
+// ExecDirect with skipping on.
+func TestBatchJoinEdgeCases(t *testing.T) {
+	for _, intKeys := range []bool{false, true} {
+		for _, c := range joinEdgeCases() {
+			q := joinEdgeQuery(t, c, intKeys)
+			direct, err := ExecDirect(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, asym := range []bool{false, true} {
+				label := fmt.Sprintf("%s int=%v asym=%v", c.name, intKeys, asym)
+				run := func(opts CheetahOptions) *CheetahRun {
+					p, err := newTestJoinPruner(asym, 7)
+					if err != nil {
+						t.Fatal(err)
+					}
+					opts.Workers, opts.Seed, opts.Pruner = 3, 7, p
+					r, err := ExecCheetah(q, opts)
+					if err != nil {
+						t.Fatalf("%s %+v: %v", label, opts, err)
+					}
+					return r
+				}
+				scalar, batch := run(CheetahOptions{Scalar: true}), run(CheetahOptions{NoFuse: true})
+				if batch.Traffic != scalar.Traffic || batch.Stats != scalar.Stats || !batch.Result.Equal(scalar.Result) {
+					t.Fatalf("%s: batch diverges from scalar: traffic %+v vs %+v", label, scalar.Traffic, batch.Traffic)
+				}
+				if !batch.Result.Equal(direct) {
+					t.Fatalf("%s: batch join wrong vs direct\ndirect:\n%s\nbatch:\n%s", label, direct, batch.Result)
+				}
+				if skip := run(CheetahOptions{NoFuse: true, Skip: true}); !skip.Result.Equal(direct) {
+					t.Fatalf("%s: batch join with skipping wrong vs direct\ndirect:\n%s\nbatch:\n%s", label, direct, skip.Result)
+				}
+			}
+		}
+	}
+}
+
 // TestBatchMultiChunk shrinks the chunk size so the 5000-row stream
 // spans many chunks, checking state carry-over and the partial final
 // cycle across chunk boundaries for every kind.

@@ -63,7 +63,7 @@ func execFilter(q *Query, t *table.Table, rows []int) (*Result, error) {
 		cols[i] = t.Schema().MustIndex(p.Col)
 	}
 	count := 0
-	var out [][]string
+	var matched []int
 	for _, r := range rows {
 		ok := q.Formula.Eval(func(v int) bool {
 			return q.Predicates[v].Eval(t, cols[v], r)
@@ -72,55 +72,81 @@ func execFilter(q *Query, t *table.Table, rows []int) (*Result, error) {
 			continue
 		}
 		count++
-		if q.CountOnly {
-			continue
+		if !q.CountOnly {
+			matched = append(matched, r)
 		}
-		row := make([]string, t.NumCols())
+	}
+	return filterResult(q, count, appendFilterRows(nil, t, matched)), nil
+}
+
+// appendFilterRows renders rows of t, every column, onto out — FILTER's
+// result rows for rows known to match — backed by one allocation.
+func appendFilterRows(out [][]string, t *table.Table, rows []int) [][]string {
+	nc := t.NumCols()
+	backing := make([]string, len(rows)*nc)
+	for i, r := range rows {
+		row := backing[i*nc : (i+1)*nc : (i+1)*nc]
 		for c := range row {
 			row[c] = cellString(t, c, r)
 		}
 		out = append(out, row)
 	}
+	return out
+}
+
+// filterResult wraps FILTER's exact output as the query's result: the
+// match count for CountOnly, the sorted rows otherwise.
+func filterResult(q *Query, count int, rows [][]string) *Result {
 	if q.CountOnly {
-		return &Result{Columns: []string{"count"}, Rows: [][]string{{strconv.Itoa(count)}}}, nil
+		return &Result{Columns: []string{"count"}, Rows: [][]string{{strconv.Itoa(count)}}}
 	}
-	names := make([]string, t.NumCols())
-	for i, d := range t.Schema() {
+	names := make([]string, q.Table.NumCols())
+	for i, d := range q.Table.Schema() {
 		names[i] = d.Name
 	}
-	res := &Result{Columns: names, Rows: out}
+	res := &Result{Columns: names, Rows: rows}
 	res.Sort()
-	return res, nil
+	return res
 }
 
 // execDistinct returns the distinct value tuples of the requested columns.
+// A repeated tuple costs one map lookup: a single column is keyed on the
+// cell itself, several on their "\x00"-terminated concatenation built in
+// a reused buffer, and a row is allocated only the first time its key is
+// seen.
 func execDistinct(q *Query, t *table.Table, rows []int) (*Result, error) {
 	cols := make([]int, len(q.DistinctCols))
 	for i, c := range q.DistinctCols {
 		cols[i] = t.Schema().MustIndex(c)
 	}
-	seen := map[string][]string{}
+	res := &Result{Columns: append([]string(nil), q.DistinctCols...)}
+	seen := map[string]struct{}{}
+	var key []byte
 	for _, r := range rows {
+		if len(cols) == 1 {
+			cell := cellString(t, cols[0], r)
+			if _, dup := seen[cell]; !dup {
+				seen[cell] = struct{}{}
+				res.Rows = append(res.Rows, []string{cell})
+			}
+			continue
+		}
+		key = key[:0]
+		for _, c := range cols {
+			key = append(append(key, cellString(t, c, r)...), 0)
+		}
+		if _, dup := seen[string(key)]; dup {
+			continue
+		}
+		seen[string(key)] = struct{}{}
 		row := make([]string, len(cols))
 		for i, c := range cols {
 			row[i] = cellString(t, c, r)
 		}
-		seen[rowKeyOf(row)] = row
-	}
-	res := &Result{Columns: append([]string(nil), q.DistinctCols...)}
-	for _, row := range seen {
 		res.Rows = append(res.Rows, row)
 	}
 	res.Sort()
 	return res, nil
-}
-
-func rowKeyOf(row []string) string {
-	k := ""
-	for _, c := range row {
-		k += c + "\x00"
-	}
-	return k
 }
 
 // int64Heap is a min-heap used by execTopN.
@@ -147,15 +173,19 @@ func execTopN(q *Query, t *table.Table, rows []int) (*Result, error) {
 			heap.Fix(h, 0)
 		}
 	}
-	vals := make([]int64, h.Len())
-	copy(vals, *h)
-	sort.Slice(vals, func(i, j int) bool { return vals[i] > vals[j] })
-	res := &Result{Columns: []string{q.OrderCol}}
-	for _, v := range vals {
-		res.Rows = append(res.Rows, []string{strconv.FormatInt(v, 10)})
+	return topNResult(q, *h), nil
+}
+
+// topNResult renders the master heap's values as the sorted TOP N
+// result. Only the canonical (textual) order is observable, so the
+// values are formatted straight from the heap and sorted once.
+func topNResult(q *Query, vals []int64) *Result {
+	cells := make([]string, len(vals))
+	for i, v := range vals {
+		cells[i] = strconv.FormatInt(v, 10)
 	}
-	res.Sort()
-	return res, nil
+	radixSortStrings(cells)
+	return &Result{Columns: []string{q.OrderCol}, Rows: singleCellRows(cells)}
 }
 
 // execGroupByMax returns (key, MAX(val)) per key.

@@ -44,7 +44,6 @@ import (
 	"cheetah/internal/cache"
 	"cheetah/internal/hashutil"
 	"cheetah/internal/prune"
-	"cheetah/internal/sketch"
 	"cheetah/internal/switchsim"
 	"cheetah/internal/table"
 )
@@ -303,14 +302,48 @@ func fusedFilterScan(t *table.Table, preds []FilterPred, cols []int, f *prune.Fi
 	return sent, fwd, true
 }
 
+// filterExact reports whether pruner forwards exactly the rows q's
+// formula accepts, so that the switch verdict needs no master recheck:
+// it must be a *prune.Filter whose compiled predicates and truth table
+// equal what DefaultPruner compiles from the query. Any other program —
+// different constants, a weaker formula, a foreign type — may forward
+// false positives (pruning is best-effort by design) and keeps the exact
+// master completion.
+func filterExact(q *Query, pruner prune.Pruner) bool {
+	f, ok := pruner.(*prune.Filter)
+	if !ok {
+		return false
+	}
+	d, err := DefaultPruner(q, 0)
+	if err != nil {
+		return false
+	}
+	wantPreds, wantTT := d.(*prune.Filter).FusedSpec()
+	preds, tt := f.FusedSpec()
+	if len(preds) != len(wantPreds) {
+		return false
+	}
+	for i := range preds {
+		if preds[i] != wantPreds[i] {
+			return false
+		}
+	}
+	// Equal predicate counts mean equal table widths.
+	for idx := 0; idx < wantTT.Entries(); idx++ {
+		if tt.Lookup(uint32(idx)) != wantTT.Lookup(uint32(idx)) {
+			return false
+		}
+	}
+	return true
+}
+
 func fusedFilter(q *Query, opts CheetahOptions) (*CheetahRun, bool, error) {
 	cols := make([]int, len(q.Predicates))
 	for i, p := range q.Predicates {
 		cols[i] = q.Table.Schema().MustIndex(p.Col)
 	}
-	trusted := opts.Pruner == nil
 	var f *prune.Filter
-	if trusted {
+	if opts.Pruner == nil {
 		p, err := DefaultPruner(q, opts.Seed)
 		if err != nil {
 			return nil, true, err
@@ -322,6 +355,9 @@ func fusedFilter(q *Query, opts CheetahOptions) (*CheetahRun, bool, error) {
 			return nil, false, nil
 		}
 	}
+	// An exact filter's survivors are the answer: the count needs no row
+	// list and the rows no recheck.
+	exact := opts.Pruner == nil || filterExact(q, f)
 	run := &CheetahRun{PrunerName: f.Name()}
 	spans := fullSpans(q.Table)
 	if opts.Skip {
@@ -329,7 +365,7 @@ func fusedFilter(q *Query, opts CheetahOptions) (*CheetahRun, bool, error) {
 	}
 	var survivors []int
 	rowsPtr := &survivors
-	if trusted && q.CountOnly {
+	if exact && q.CountOnly {
 		rowsPtr = nil
 	}
 	sent, fwd, ok := fusedFilterScan(q.Table, q.Predicates, cols, f, spans, rowsPtr)
@@ -339,39 +375,17 @@ func fusedFilter(q *Query, opts CheetahOptions) (*CheetahRun, bool, error) {
 	f.AddStats(uint64(sent), uint64(sent-fwd))
 	run.Traffic.EntriesSent = sent
 	run.Traffic.Forwarded = fwd
+	run.Traffic.MasterProcessed = fwd
 	run.Stats = f.Stats()
-	if trusted && q.CountOnly {
-		run.Result = &Result{Columns: []string{"count"}, Rows: [][]string{{strconv.Itoa(fwd)}}}
-		run.Traffic.MasterProcessed = fwd
+	if exact {
+		run.Result = filterResult(q, fwd, appendFilterRows(nil, q.Table, survivors))
 		return run, true, nil
 	}
-	if !trusted {
-		// A caller-supplied pruner may forward false positives; keep the
-		// exact master completion.
-		res, err := completeOnRows(q, survivors)
-		if err != nil {
-			return nil, true, err
-		}
-		run.Result = res
-		run.Traffic.MasterProcessed = len(survivors)
-		return run, true, nil
+	res, err := completeOnRows(q, survivors)
+	if err != nil {
+		return nil, true, err
 	}
-	t := q.Table
-	names := make([]string, t.NumCols())
-	for i, d := range t.Schema() {
-		names[i] = d.Name
-	}
-	rows := make([][]string, len(survivors))
-	backing := make([]string, len(survivors)*t.NumCols())
-	for i, r := range survivors {
-		row := backing[i*t.NumCols() : (i+1)*t.NumCols() : (i+1)*t.NumCols()]
-		for c := range row {
-			row[c] = cellString(t, c, r)
-		}
-		rows[i] = row
-	}
-	run.Result = sortedResult(names, rows)
-	run.Traffic.MasterProcessed = len(survivors)
+	run.Result = res
 	return run, true, nil
 }
 
@@ -458,7 +472,8 @@ func fusedDistinct(q *Query, opts CheetahOptions) (*CheetahRun, bool, error) {
 			}
 			rows[i] = row
 		}
-		res = sortedResult(append([]string(nil), q.DistinctCols...), rows)
+		res = &Result{Columns: append([]string(nil), q.DistinctCols...), Rows: rows}
+		res.Sort()
 	}
 	distinctScratchPool.Put(ds)
 	run.Result = res
@@ -638,12 +653,7 @@ func fusedTopN(q *Query, opts CheetahOptions) (*CheetahRun, bool, error) {
 	}
 	run.Traffic.EntriesSent = sent
 	run.Traffic.Forwarded = fwd
-	cells := make([]string, len(h))
-	for i, v := range h {
-		cells[i] = strconv.FormatInt(v, 10)
-	}
-	radixSortStrings(cells)
-	run.Result = &Result{Columns: []string{q.OrderCol}, Rows: singleCellRows(cells)}
+	run.Result = topNResult(q, h)
 	run.Traffic.MasterProcessed = fwd
 	run.Stats = pr.Stats()
 	return run, true, nil
@@ -731,7 +741,8 @@ func fusedGroupByMax(q *Query, opts CheetahOptions) (*CheetahRun, bool, error) {
 		row[1] = strconv.FormatInt(maxs[i], 10)
 		rows[i] = row
 	}
-	run.Result = sortedResult([]string{q.KeyCol, "max(" + q.AggCol + ")"}, rows)
+	run.Result = &Result{Columns: []string{q.KeyCol, "max(" + q.AggCol + ")"}, Rows: rows}
+	run.Result.Sort()
 	run.Traffic.MasterProcessed = fwd
 	run.Stats = g.Stats()
 	return run, true, nil
@@ -808,7 +819,8 @@ func fusedGroupBySum(q *Query, opts CheetahOptions) (*CheetahRun, bool, error) {
 	for fp, v := range sums {
 		rows = append(rows, []string{fpToKey[fp], strconv.FormatInt(v, 10)})
 	}
-	run.Result = sortedResult([]string{q.KeyCol, "sum(" + q.AggCol + ")"}, rows)
+	run.Result = &Result{Columns: []string{q.KeyCol, "sum(" + q.AggCol + ")"}, Rows: rows}
+	run.Result.Sort()
 	run.Traffic.MasterProcessed = len(sums)
 	run.Stats = gs.Stats()
 	return run, true, nil
@@ -897,55 +909,14 @@ func fusedHaving(q *Query, opts CheetahOptions) (*CheetahRun, bool, error) {
 			rows = append(rows, []string{k})
 		}
 	}
-	run.Result = sortedResult([]string{q.KeyCol}, rows)
+	run.Result = &Result{Columns: []string{q.KeyCol}, Rows: rows}
+	run.Result.Sort()
 	run.Traffic.MasterProcessed = resent
 	run.Stats = h.Stats()
 	return run, true, nil
 }
 
 // --- JOIN --------------------------------------------------------------
-
-// fusedJoinBuild trains mem with one side's key fingerprints. Bloom Add
-// is commutative, so plain row order over the spans suffices. rows
-// non-nil marks the asymmetric build: every entry forwards (and
-// collects) while the filter trains.
-func fusedJoinBuild(t *table.Table, kc int, seed uint64, mem sketch.Membership,
-	spans []span, rows *[]int) (sent, fwd int) {
-	fpr := newRowFP(t, []int{kc}, seed)
-	for _, sp := range spans {
-		sent += sp.hi - sp.lo
-		for r := sp.lo; r < sp.hi; r++ {
-			mem.Add(fpr.fp(r))
-		}
-	}
-	if rows != nil {
-		for _, sp := range spans {
-			for r := sp.lo; r < sp.hi; r++ {
-				*rows = append(*rows, r)
-			}
-		}
-		fwd = sent
-	}
-	return sent, fwd
-}
-
-// fusedJoinProbe collects the rows of one side whose key fingerprint
-// tests positive in the other side's filter. Contains does not mutate,
-// so plain row order over the spans suffices.
-func fusedJoinProbe(t *table.Table, kc int, seed uint64, mem sketch.Membership,
-	spans []span, rows *[]int) (sent, fwd int) {
-	fpr := newRowFP(t, []int{kc}, seed)
-	for _, sp := range spans {
-		sent += sp.hi - sp.lo
-		for r := sp.lo; r < sp.hi; r++ {
-			if mem.Contains(fpr.fp(r)) {
-				fwd++
-				*rows = append(*rows, r)
-			}
-		}
-	}
-	return sent, fwd
-}
 
 func fusedJoin(q *Query, opts CheetahOptions) (*CheetahRun, bool, error) {
 	var j *prune.Join
@@ -961,59 +932,22 @@ func fusedJoin(q *Query, opts CheetahOptions) (*CheetahRun, bool, error) {
 		}
 		j = p
 	}
-	// The fused passes hard-code which filter each pass trains or probes;
+	// fusedJoinPasses hard-codes which filter each pass trains or probes;
 	// that only matches the batched path when the pruner starts in the
 	// build phase (a mid-phase standing pruner keeps the batched path,
 	// whose passes consult the live phase).
 	if j.Phase() != prune.PhaseBuild {
 		return nil, false, nil
 	}
-	lc := q.Table.Schema().MustIndex(q.LeftKey)
-	rc := q.Right.Schema().MustIndex(q.RightKey)
 	run := &CheetahRun{PrunerName: j.Name()}
-	leftSpans := fullSpans(q.Table)
-	rightSpans := fullSpans(q.Right)
-	if opts.Skip {
-		rightSpans, run.Skipped = joinRightSpans(q.Table, lc, q.Right, rc)
-	}
-	fa, fb := j.FusedFilters()
-	var left, right []int
-	sent, fwd, pruned := 0, 0, 0
-	if j.Asymmetric() {
-		s, f := fusedJoinBuild(q.Table, lc, opts.Seed, fa, leftSpans, &left)
-		sent += s
-		fwd += f
-		j.StartProbe()
-		s, f = fusedJoinProbe(q.Right, rc, opts.Seed, fa, rightSpans, &right)
-		sent += s
-		fwd += f
-		pruned += s - f
-	} else {
-		s, _ := fusedJoinBuild(q.Table, lc, opts.Seed, fa, leftSpans, nil)
-		sent += s
-		pruned += s
-		s, _ = fusedJoinBuild(q.Right, rc, opts.Seed, fb, rightSpans, nil)
-		sent += s
-		pruned += s
-		j.StartProbe()
-		s, f := fusedJoinProbe(q.Table, lc, opts.Seed, fb, leftSpans, &left)
-		sent += s
-		fwd += f
-		pruned += s - f
-		s, f = fusedJoinProbe(q.Right, rc, opts.Seed, fa, rightSpans, &right)
-		sent += s
-		fwd += f
-		pruned += s - f
-	}
-	j.AddStats(uint64(sent), uint64(pruned))
-	run.Traffic.EntriesSent = sent
-	run.Traffic.Forwarded = fwd
-	res, err := execJoin(q, left, right)
+	sc := joinScratchPool.Get().(*joinScratch)
+	defer joinScratchPool.Put(sc)
+	run.Traffic, run.Skipped = fusedJoinPasses(q, j, opts.Seed, opts.Skip, sc)
+	rows, err := completeJoin(q, sc)
 	if err != nil {
 		return nil, true, err
 	}
-	run.Result = res
-	run.Traffic.MasterProcessed = len(left) + len(right)
+	run.Result = joinResult(q, rows)
 	run.Stats = j.Stats()
 	return run, true, nil
 }

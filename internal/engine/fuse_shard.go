@@ -28,8 +28,9 @@ func (se *shardExec) fusable(opts ShardedOptions) bool {
 
 // fusedGatherPass runs one FILTER or SKYLINE shard stream (including
 // SKYLINE's control-plane drain) and returns the shard's surviving row
-// ids in shard-local coordinates.
-func (se *shardExec) fusedGatherPass(opts ShardedOptions) ([]int, bool) {
+// ids in shard-local coordinates — or, with countOnly (an exact FILTER
+// count), no rows at all: the shard's forward count is its answer.
+func (se *shardExec) fusedGatherPass(opts ShardedOptions, countOnly bool) ([]int, bool) {
 	if !se.fusable(opts) {
 		return nil, false
 	}
@@ -49,14 +50,18 @@ func (se *shardExec) fusedGatherPass(opts ShardedOptions) ([]int, bool) {
 			spans, se.skipped = filterSpans(q, q.Table, cols)
 		}
 		var rows []int
-		sent, fwd, ok := fusedFilterScan(q.Table, q.Predicates, cols, f, spans, &rows)
+		rowsPtr := &rows
+		if countOnly {
+			rowsPtr = nil
+		}
+		sent, fwd, ok := fusedFilterScan(q.Table, q.Predicates, cols, f, spans, rowsPtr)
 		if !ok {
 			return nil, false
 		}
 		f.AddStats(uint64(sent), uint64(sent-fwd))
 		se.traffic.EntriesSent = sent
 		se.traffic.Forwarded = fwd
-		se.traffic.MasterProcessed = len(rows)
+		se.traffic.MasterProcessed = fwd
 		return rows, true
 	case KindSkyline:
 		sk, isS := se.pruner.(*prune.Skyline)
@@ -224,52 +229,16 @@ func (se *shardExec) fusedHavingCandidates(opts ShardedOptions, kc, vc int) (map
 }
 
 // fusedJoinPass runs one shard's whole Bloom join (build and probe
-// passes over the co-located shard pair) and returns the surviving rows
-// of both sides.
-func (se *shardExec) fusedJoinPass(opts ShardedOptions, lc, rc int) (left, right []int, ok bool) {
+// passes over the co-located shard pair), leaving the surviving rows of
+// both sides in sc.
+func (se *shardExec) fusedJoinPass(opts ShardedOptions, sc *joinScratch) bool {
 	if !se.fusable(opts) {
-		return nil, nil, false
+		return false
 	}
 	j, isJ := se.pruner.(*prune.Join)
 	if !isJ || j.Phase() != prune.PhaseBuild {
-		return nil, nil, false
+		return false
 	}
-	q := se.q
-	leftSpans := fullSpans(q.Table)
-	rightSpans := fullSpans(q.Right)
-	if opts.Skip {
-		rightSpans, se.skipped = joinRightSpans(q.Table, lc, q.Right, rc)
-	}
-	fa, fb := j.FusedFilters()
-	sent, fwd, pruned := 0, 0, 0
-	if j.Asymmetric() {
-		s, f := fusedJoinBuild(q.Table, lc, opts.Seed, fa, leftSpans, &left)
-		sent += s
-		fwd += f
-		j.StartProbe()
-		s, f = fusedJoinProbe(q.Right, rc, opts.Seed, fa, rightSpans, &right)
-		sent += s
-		fwd += f
-		pruned += s - f
-	} else {
-		s, _ := fusedJoinBuild(q.Table, lc, opts.Seed, fa, leftSpans, nil)
-		sent += s
-		pruned += s
-		s, _ = fusedJoinBuild(q.Right, rc, opts.Seed, fb, rightSpans, nil)
-		sent += s
-		pruned += s
-		j.StartProbe()
-		s, f := fusedJoinProbe(q.Table, lc, opts.Seed, fb, leftSpans, &left)
-		sent += s
-		fwd += f
-		pruned += s - f
-		s, f = fusedJoinProbe(q.Right, rc, opts.Seed, fa, rightSpans, &right)
-		sent += s
-		fwd += f
-		pruned += s - f
-	}
-	j.AddStats(uint64(sent), uint64(pruned))
-	se.traffic.EntriesSent = sent
-	se.traffic.Forwarded = fwd
-	return left, right, true
+	se.traffic, se.skipped = fusedJoinPasses(se.q, j, opts.Seed, opts.Skip, sc)
+	return true
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"testing"
 
 	"cheetah/internal/boolexpr"
@@ -197,6 +198,137 @@ func TestFusedCustomPrunerFilter(t *testing.T) {
 	}
 	if fused.Traffic != batch.Traffic || fused.Stats != batch.Stats || !fused.Result.Equal(batch.Result) {
 		t.Fatalf("custom-pruner filter diverges\nbatch: %+v\nfused: %+v", batch.Traffic, fused.Traffic)
+	}
+}
+
+// TestFusedJoinEdgeCases drives the fused JOIN (hash-once passes, then
+// the fingerprint completion) over the degenerate input shapes, with
+// the symmetric and the asymmetric program and Skip on and off: Results
+// equal ExecDirect, Traffic, Stats and skip counts equal the batched
+// path's.
+func TestFusedJoinEdgeCases(t *testing.T) {
+	for _, intKeys := range []bool{false, true} {
+		for _, c := range joinEdgeCases() {
+			q := joinEdgeQuery(t, c, intKeys)
+			direct, err := ExecDirect(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, asym := range []bool{false, true} {
+				for _, skip := range []bool{false, true} {
+					label := fmt.Sprintf("%s int=%v asym=%v skip=%v", c.name, intKeys, asym, skip)
+					run := func(noFuse bool) *CheetahRun {
+						p, err := newTestJoinPruner(asym, 7)
+						if err != nil {
+							t.Fatal(err)
+						}
+						r, err := ExecCheetah(q, CheetahOptions{Workers: 3, Seed: 7, Pruner: p, Skip: skip, NoFuse: noFuse})
+						if err != nil {
+							t.Fatalf("%s noFuse=%v: %v", label, noFuse, err)
+						}
+						return r
+					}
+					fused, batch := run(false), run(true)
+					if !fused.Result.Equal(direct) {
+						t.Fatalf("%s: fused join wrong vs direct\ndirect:\n%s\nfused:\n%s", label, direct, fused.Result)
+					}
+					if fused.Traffic != batch.Traffic || fused.Stats != batch.Stats || fused.Skipped != batch.Skipped {
+						t.Fatalf("%s: fused and batched accounting diverge\nbatch: %+v %+v %+v\nfused: %+v %+v %+v",
+							label, batch.Traffic, batch.Stats, batch.Skipped, fused.Traffic, fused.Stats, fused.Skipped)
+					}
+				}
+			}
+		}
+	}
+}
+
+// exactnessFilters returns caller-built switch programs for q (two
+// comparison predicates under AND) by name, with whether each one is the
+// query's exact filter.
+func exactnessFilters(t *testing.T, q *Query) map[string]struct {
+	cfg   prune.FilterConfig
+	exact bool
+} {
+	t.Helper()
+	p0 := prune.Predicate{ValIdx: 0, Op: q.Predicates[0].Op, Const: q.Predicates[0].Const}
+	p1 := prune.Predicate{ValIdx: 1, Op: q.Predicates[1].Op, Const: q.Predicates[1].Const}
+	looser := p1
+	looser.Const += 200 // val < c+200 forwards a superset of val < c
+	and := boolexpr.And{boolexpr.Leaf{V: 0}, boolexpr.Leaf{V: 1}}
+	return map[string]struct {
+		cfg   prune.FilterConfig
+		exact bool
+	}{
+		"same-spec":       {prune.FilterConfig{Predicates: []prune.Predicate{p0, p1}, Formula: and}, true},
+		"looser-constant": {prune.FilterConfig{Predicates: []prune.Predicate{p0, looser}, Formula: and}, false},
+		"weaker-formula":  {prune.FilterConfig{Predicates: []prune.Predicate{p0, p1}, Formula: boolexpr.Leaf{V: 0}}, false},
+		"swapped-predicates": {prune.FilterConfig{Predicates: []prune.Predicate{p1, p0},
+			Formula: boolexpr.And{boolexpr.Leaf{V: 1}, boolexpr.Leaf{V: 0}}}, false},
+	}
+}
+
+// TestFilterExactnessGate: the master recheck is dropped only for a
+// supplied filter whose compiled spec equals the query's own; a program
+// with other constants or another formula — even an equivalent one —
+// forwards false positives or cannot be told apart from one that does,
+// so it is rechecked, and every path still equals ExecDirect.
+func TestFilterExactnessGate(t *testing.T) {
+	tb := equivTable(t, 3000, 0x61)
+	for _, countOnly := range []bool{false, true} {
+		q := &Query{
+			Kind:  KindFilter,
+			Table: tb,
+			Predicates: []FilterPred{
+				{Col: "score", Op: prune.OpGT, Const: 50_000},
+				{Col: "val", Op: prune.OpLT, Const: 500},
+			},
+			Formula:   boolexpr.And{boolexpr.Leaf{V: 0}, boolexpr.Leaf{V: 1}},
+			CountOnly: countOnly,
+		}
+		direct, err := ExecDirect(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		matches := len(direct.Rows)
+		if countOnly {
+			if _, err := fmt.Sscan(direct.Rows[0][0], &matches); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for name, tc := range exactnessFilters(t, q) {
+			mk := func() prune.Pruner {
+				f, err := prune.NewFilter(tc.cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return f
+			}
+			if got := filterExact(q, mk()); got != tc.exact {
+				t.Fatalf("%s: filterExact = %v, want %v", name, got, tc.exact)
+			}
+			for _, noFuse := range []bool{false, true} {
+				label := fmt.Sprintf("%s countOnly=%v noFuse=%v", name, countOnly, noFuse)
+				run, err := ExecCheetah(q, CheetahOptions{Workers: 3, Seed: 5, Pruner: mk(), NoFuse: noFuse})
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if !run.Result.Equal(direct) {
+					t.Fatalf("%s: result wrong vs direct\ndirect:\n%s\ngot:\n%s", label, direct, run.Result)
+				}
+				if !tc.exact && name != "swapped-predicates" && run.Traffic.Forwarded <= matches {
+					t.Fatalf("%s: forwarded %d ≤ %d true matches; the recheck was not exercised", label, run.Traffic.Forwarded, matches)
+				}
+				sharded, err := ExecSharded(q, ShardedOptions{
+					Shards: 2, Workers: 3, Seed: 5, NoFuse: noFuse, Pruners: []prune.Pruner{mk(), mk()},
+				})
+				if err != nil {
+					t.Fatalf("%s sharded: %v", label, err)
+				}
+				if !sharded.Result.Equal(direct) {
+					t.Fatalf("%s: sharded result wrong vs direct\ndirect:\n%s\ngot:\n%s", label, direct, sharded.Result)
+				}
+			}
+		}
 	}
 }
 

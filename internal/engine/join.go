@@ -1,0 +1,373 @@
+package engine
+
+// JOIN's way through the pruned executors. The worker side fingerprints
+// every key once: the build pass stores each scanned row's fingerprint,
+// the probe pass reads it back, and survivors reach the master as
+// (row, fingerprint) pairs. The master joins on those fingerprints in a
+// uint64-keyed table — O(forwarded) typed work, no string hashing — and
+// compares the key cells themselves on every fingerprint match, so two
+// keys that collide on a fingerprint stay two keys and the answer is
+// exact. One completion (completeJoin) serves the fused, batched and
+// sharded paths; execJoin, the plain string-keyed join, stays what
+// ExecDirect runs and what the tests compare against.
+
+import (
+	"strconv"
+	"sync"
+
+	"cheetah/internal/prune"
+	"cheetah/internal/sketch"
+	"cheetah/internal/switchsim"
+	"cheetah/internal/table"
+)
+
+// joinSide is one JOIN input as the master receives it: rows[i] survived
+// the switch and its key fingerprints to fps[i]. During the fused passes
+// fps doubles as the side's hash-once buffer, indexed by row.
+type joinSide struct {
+	rows []int
+	fps  []uint64
+}
+
+// hash fingerprints the key of every row in spans into fps at the row's
+// own index, training mem (when non-nil) with each. Bloom Add is
+// commutative, so plain row order suffices.
+func (s *joinSide) hash(t *table.Table, kc int, seed uint64, spans []span, mem sketch.Membership) (sent int) {
+	s.fps = growU64(s.fps, t.NumRows())
+	fps := s.fps
+	fpr := newRowFP(t, []int{kc}, seed)
+	for _, sp := range spans {
+		sent += sp.hi - sp.lo
+		for r := sp.lo; r < sp.hi; r++ {
+			fp := fpr.fp(r)
+			fps[r] = fp
+			if mem != nil {
+				mem.Add(fp)
+			}
+		}
+	}
+	return sent
+}
+
+// probe keeps the hashed rows of spans whose fingerprint tests positive
+// in mem (every row when mem is nil — the asymmetric build side, which
+// forwards unpruned), compacting their fingerprints to the front of fps:
+// survivor k never sits past row k, so the compaction cannot overwrite
+// a fingerprint it has yet to read. Contains does not mutate, so plain
+// row order suffices.
+func (s *joinSide) probe(spans []span, mem sketch.Membership) (sent, fwd int) {
+	fps, rows := s.fps, s.rows[:0]
+	for _, sp := range spans {
+		sent += sp.hi - sp.lo
+		for r := sp.lo; r < sp.hi; r++ {
+			fp := fps[r]
+			if mem == nil || mem.Contains(fp) {
+				fps[len(rows)] = fp
+				rows = append(rows, r)
+			}
+		}
+	}
+	s.rows, s.fps = rows, fps[:len(rows)]
+	return sent, len(rows)
+}
+
+// fingerprint fills fps from rows — the batched paths collect survivor
+// row ids only, so their fingerprints are recomputed here.
+func (s *joinSide) fingerprint(t *table.Table, kc int, seed uint64) {
+	s.fps = growU64(s.fps, len(s.rows))
+	fpr := newRowFP(t, []int{kc}, seed)
+	for i, r := range s.rows {
+		s.fps[i] = fpr.fp(r)
+	}
+}
+
+// joinScratch is the pooled state of one pruned JOIN: both sides'
+// survivor buffers and the master's table (one per key type).
+type joinScratch struct {
+	left, right joinSide
+	strs        joinTable[string]
+	ints        joinTable[int64]
+}
+
+var joinScratchPool = sync.Pool{New: func() any { return new(joinScratch) }}
+
+// fusedJoinPasses runs the whole Bloom join of q's table pair on j —
+// build, switchover, probe — as fused loops and leaves both sides'
+// survivors in sc. It serves the single-switch path and every shard of
+// the sharded one. j must be in its build phase: the loops hard-code
+// which filter each pass trains or probes.
+func fusedJoinPasses(q *Query, j *prune.Join, seed uint64, skip bool, sc *joinScratch) (tr Traffic, skipped SkipStats) {
+	lc := q.Table.Schema().MustIndex(q.LeftKey)
+	rc := q.Right.Schema().MustIndex(q.RightKey)
+	leftSpans := fullSpans(q.Table)
+	rightSpans := fullSpans(q.Right)
+	if skip {
+		rightSpans, skipped = joinRightSpans(q.Table, lc, q.Right, rc)
+	}
+	fa, fb := j.FusedFilters()
+	var sent, fl, fr, pruned int
+	if j.Asymmetric() {
+		// §4.3's small-table optimization: side A streams once, unpruned,
+		// while its filter trains; only side B is pruned against it.
+		sc.left.hash(q.Table, lc, seed, leftSpans, fa)
+		sent, fl = sc.left.probe(leftSpans, nil)
+		j.StartProbe()
+		sc.right.hash(q.Right, rc, seed, rightSpans, nil)
+		var s int
+		s, fr = sc.right.probe(rightSpans, fa)
+		sent += s
+		pruned = s - fr
+	} else {
+		// Build-pass packets terminate at the switch: all pruned.
+		pruned = sc.left.hash(q.Table, lc, seed, leftSpans, fa)
+		pruned += sc.right.hash(q.Right, rc, seed, rightSpans, fb)
+		j.StartProbe()
+		var sl, sr int
+		sl, fl = sc.left.probe(leftSpans, fb)
+		sr, fr = sc.right.probe(rightSpans, fa)
+		sent = pruned + sl + sr
+		pruned += sl - fl + sr - fr
+	}
+	j.AddStats(uint64(sent), uint64(pruned))
+	tr.EntriesSent = sent
+	tr.Forwarded = fl + fr
+	tr.MasterProcessed = fl + fr
+	return tr, skipped
+}
+
+// joinTable maps key fingerprints to per-key join counts: open
+// addressing over a power-of-two slot array with linear probing. A slot
+// holds the fingerprint and the index of its entry; two keys that share
+// a fingerprint simply occupy two slots on the same probe run, told
+// apart by comparing the keys themselves.
+type joinTable[K comparable] struct {
+	slots []joinSlot
+	ents  []joinEntry[K]
+}
+
+type joinSlot struct {
+	fp  uint64
+	ent int // entry index + 1; 0 marks an empty slot
+}
+
+// joinEntry is one distinct key of the build side. The key sits in the
+// entry so that confirming a fingerprint match costs no detour through
+// the key column.
+type joinEntry[K comparable] struct {
+	key   K
+	build int // build-side survivors with the key
+	pairs int // joined row pairs: build × matching probe survivors
+}
+
+// joinTableMinSlots is the slot count a fresh table starts from.
+const joinTableMinSlots = 1 << 10
+
+// reset empties the table, keeping its capacity.
+func (t *joinTable[K]) reset() {
+	if t.slots == nil {
+		t.slots = make([]joinSlot, joinTableMinSlots)
+	}
+	clear(t.slots)
+	t.ents = t.ents[:0]
+}
+
+// grow doubles the slot array. Entries are distinct keys, so re-placing
+// them needs no key comparison.
+func (t *joinTable[K]) grow() {
+	old := t.slots
+	t.slots = make([]joinSlot, 2*len(old))
+	mask := uint64(len(t.slots) - 1)
+	for _, s := range old {
+		if s.ent == 0 {
+			continue
+		}
+		h := s.fp & mask
+		for t.slots[h].ent != 0 {
+			h = (h + 1) & mask
+		}
+		t.slots[h] = s
+	}
+}
+
+// count fills the table with one entry per distinct key among build's
+// survivors, then adds up each entry's row pairs over probe's. bk and pk
+// are the two sides' key columns. A slot's fingerprint only preselects:
+// every match is confirmed on the keys. Fingerprints are Mix64 outputs,
+// so their low bits index the table directly.
+func (t *joinTable[K]) count(bk, pk []K, build, probe *joinSide) {
+	t.reset()
+	mask := uint64(len(t.slots) - 1)
+	for i, r := range build.rows {
+		fp, key := build.fps[i], bk[r]
+		for h := fp & mask; ; h = (h + 1) & mask {
+			s := &t.slots[h]
+			if s.ent == 0 {
+				t.ents = append(t.ents, joinEntry[K]{key: key, build: 1})
+				*s = joinSlot{fp: fp, ent: len(t.ents)}
+				break
+			}
+			if e := &t.ents[s.ent-1]; s.fp == fp && e.key == key {
+				e.build++
+				break
+			}
+		}
+		if 2*len(t.ents) > len(t.slots) {
+			t.grow()
+			mask = uint64(len(t.slots) - 1)
+		}
+	}
+	for i, r := range probe.rows {
+		fp, key := probe.fps[i], pk[r]
+		for h := fp & mask; ; h = (h + 1) & mask {
+			s := &t.slots[h]
+			if s.ent == 0 {
+				break
+			}
+			if e := &t.ents[s.ent-1]; s.fp == fp && e.key == key {
+				e.pairs += e.build
+				break
+			}
+		}
+	}
+}
+
+// joinRows joins the two survivor lists in t and renders one (key, pair
+// count) row per joined key into a single backing array, in the build
+// side's first-seen order. As a hash join does, it builds on the smaller
+// list; pair counts are products, so the roles do not show in the
+// answer (and when that list comes from a key-ordered table — a
+// dimension table — the rows come out in order and the final sort is
+// one pass).
+func joinRows[K comparable](t *joinTable[K], lk, rk []K, left, right *joinSide, render func(K) string) [][]string {
+	if len(right.rows) < len(left.rows) {
+		t.count(rk, lk, right, left)
+	} else {
+		t.count(lk, rk, left, right)
+	}
+	n := 0
+	for i := range t.ents {
+		if t.ents[i].pairs > 0 {
+			n++
+		}
+	}
+	rows := make([][]string, 0, n)
+	backing := make([]string, 2*n)
+	for i := range t.ents {
+		e := &t.ents[i]
+		if e.pairs == 0 {
+			continue
+		}
+		row := backing[2*len(rows) : 2*len(rows)+2 : 2*len(rows)+2]
+		row[0], row[1] = render(e.key), strconv.Itoa(e.pairs)
+		rows = append(rows, row)
+	}
+	return rows
+}
+
+// completeJoin is the master's completion of every pruned JOIN: it joins
+// sc's two survivor lists on their fingerprints and returns execJoin's
+// rows — (key, pair count) per joined key — unsorted; joinResult sorts
+// them.
+func completeJoin(q *Query, sc *joinScratch) ([][]string, error) {
+	lc := q.Table.Schema().MustIndex(q.LeftKey)
+	rc := q.Right.Schema().MustIndex(q.RightKey)
+	switch lt := q.Table.ColumnType(lc); {
+	case lt != q.Right.ColumnType(rc):
+		// Keys of different types meet only through their rendered text,
+		// which is execJoin's business.
+		res, err := execJoin(q, sc.left.rows, sc.right.rows)
+		if err != nil {
+			return nil, err
+		}
+		return res.Rows, nil
+	case lt == table.String:
+		return joinRows(&sc.strs, q.Table.StringCol(lc), q.Right.StringCol(rc), &sc.left, &sc.right,
+			func(s string) string { return s }), nil
+	default:
+		return joinRows(&sc.ints, q.Table.Int64Col(lc), q.Right.Int64Col(rc), &sc.left, &sc.right,
+			func(v int64) string { return strconv.FormatInt(v, 10) }), nil
+	}
+}
+
+// joinResult wraps completeJoin's rows — one execution's, or the
+// concatenation of every shard's — as the sorted JOIN result.
+func joinResult(q *Query, rows [][]string) *Result {
+	res := &Result{Columns: []string{q.LeftKey, "pairs"}, Rows: rows}
+	res.Sort()
+	return res
+}
+
+// batchJoinPasses is fusedJoinPasses on the chunked pipeline — the same
+// build → switchover → probe sequence streamed through dp, whose passes
+// consult j's live phase — for dataplanes that withhold direct program
+// access. It returns the surviving row ids of both sides.
+func batchJoinPasses(q *Query, j *prune.Join, dp BatchDataplane, workers int, seed uint64, skip bool,
+	buf *streamBuf) (left, right []int, tr Traffic, skipped SkipStats, err error) {
+	lc := q.Table.Schema().MustIndex(q.LeftKey)
+	rc := q.Right.Schema().MustIndex(q.RightKey)
+	// Probe-side block skipping (skip.go): a right block where every
+	// distinct left key tests Bloom-negative holds no joinable row.
+	// Every right pass — including the symmetric build pass — uses the
+	// same spans: a key that would train the B-side filter out of a
+	// skipped block cannot exist on the left, so no left row loses its
+	// forward, and the master's completion stays exact.
+	leftSpans := fullSpans(q.Table)
+	rightSpans := fullSpans(q.Right)
+	if skip {
+		rightSpans, skipped = joinRightSpans(q.Table, lc, q.Right, rc)
+	}
+	encAFor := func(t *table.Table) partEncoder { return encSide(t, lc, prune.SideA, seed) }
+	encBFor := func(t *table.Table) partEncoder { return encSide(t, rc, prune.SideB, seed) }
+	// pass streams one side; a nil sv is a build pass, which counts
+	// forwards without collecting.
+	pass := func(t *table.Table, spans []span, encFor func(*table.Table) partEncoder, sv *survivorSet) {
+		if err != nil {
+			return
+		}
+		if sv != nil {
+			sv.remaining = t.NumRows()
+		}
+		err = spanPass(t, spans, workers, 2, sv != nil, buf, encFor, dp,
+			func(b *switchsim.Batch, dec []switchsim.Decision, ids []uint64) {
+				tr.EntriesSent += b.N
+				if sv == nil {
+					n := b.N
+					for _, d := range dec[:b.N] {
+						n -= int(d)
+					}
+					tr.Forwarded += n
+					return
+				}
+				fwd := buf.compactForwarded(ids, dec, b.N)
+				tr.Forwarded += len(fwd)
+				sv.add(fwd, b.N)
+			})
+	}
+	var l, r survivorSet
+	if j.Asymmetric() {
+		// §4.3's small-table optimization: side A streams once, unpruned,
+		// while its filter trains; then side B is pruned against it.
+		pass(q.Table, leftSpans, encAFor, &l)
+		j.StartProbe()
+		pass(q.Right, rightSpans, encBFor, &r)
+	} else {
+		// Pass 1: both key columns build the filters; packets terminate
+		// at the switch. Pass 2: full entries, pruned by the other side.
+		pass(q.Table, leftSpans, encAFor, nil)
+		pass(q.Right, rightSpans, encBFor, nil)
+		j.StartProbe()
+		pass(q.Table, leftSpans, encAFor, &l)
+		pass(q.Right, rightSpans, encBFor, &r)
+	}
+	tr.MasterProcessed = len(l.rows) + len(r.rows)
+	return l.rows, r.rows, tr, skipped, err
+}
+
+// completeJoinRows is completeJoin for the batched paths, which collect
+// survivor row ids only: it fingerprints them first.
+func completeJoinRows(q *Query, seed uint64, left, right []int) ([][]string, error) {
+	sc := &joinScratch{left: joinSide{rows: left}, right: joinSide{rows: right}}
+	sc.left.fingerprint(q.Table, q.Table.Schema().MustIndex(q.LeftKey), seed)
+	sc.right.fingerprint(q.Right, q.Right.Schema().MustIndex(q.RightKey), seed)
+	return completeJoin(q, sc)
+}

@@ -9,7 +9,6 @@ package engine
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"cheetah/internal/boolexpr"
@@ -276,11 +275,14 @@ type Result struct {
 	Rows    [][]string
 }
 
-// Sort orders rows lexicographically, making results comparable.
-func (r *Result) Sort() {
-	rowKey := func(row []string) string { return strings.Join(row, "\x00") }
-	sort.Slice(r.Rows, func(i, j int) bool { return rowKey(r.Rows[i]) < rowKey(r.Rows[j]) })
-}
+// Sort puts the rows into the canonical order, ascending by the
+// "\x00"-joined row key, which makes results comparable. It is the one
+// result sort: the ExecDirect oracle, every engine completion and the
+// stream mergers' snapshots call it. No key is built per comparison —
+// rows compare cell by cell, which is the same order while no cell
+// contains NUL, and only a result with a NUL inside a cell pays for
+// joined keys, built once per row (see sortRows).
+func (r *Result) Sort() { sortRows(r.Rows) }
 
 // Equal reports whether two sorted results match exactly.
 func (r *Result) Equal(o *Result) bool {

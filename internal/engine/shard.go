@@ -14,7 +14,9 @@ package engine
 //   - FILTER / SKYLINE: each switch forwards a superset of its shard's
 //     matching/non-dominated rows; the master gathers survivors and
 //     re-runs the exact completion over the union. skyline(S) =
-//     skyline(T) whenever skyline(T) ⊆ S ⊆ T.
+//     skyline(T) whenever skyline(T) ⊆ S ⊆ T. When every switch runs the
+//     query's exact filter the superset is the answer, and FILTER needs
+//     neither the gather nor the recheck (filterExact).
 //   - TOP N: every global top-N value is in its shard's local top N, so
 //     per-shard N-heaps followed by a tightened global N-heap re-check
 //     lose nothing.
@@ -28,11 +30,11 @@ package engine
 //     guarantee shape as §4.3's partial second pass).
 //   - JOIN: the executor hash-shards both tables on the join keys, so
 //     matching keys are co-located and per-switch Bloom joins compose
-//     by concatenation.
+//     by concatenation, sorted once.
 
 import (
 	"fmt"
-
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -595,13 +597,24 @@ func (se *shardExec) shardSurvivors(opts ShardedOptions, collect func(fwd []uint
 }
 
 // shardedGather serves FILTER and SKYLINE: per-shard survivor streams,
-// then an exact master completion over the gathered union.
+// then an exact master completion over the gathered union. A FILTER
+// whose every shard runs the query's exact filter (filterExact) needs
+// neither the gather nor the recheck: its survivors are the answer, so
+// the count is the forwards summed and the rows render straight from
+// their shard tables.
 func shardedGather(q *Query, execs []*shardExec, opts ShardedOptions) (*ShardedRun, error) {
+	exact := q.Kind == KindFilter
+	for _, se := range execs {
+		exact = exact && filterExact(se.q, se.pruner)
+	}
 	survivors := make([][]int, len(execs))
 	err := forEachShard(len(execs), func(s int) error {
 		se := execs[s]
 		return se.run(opts, func() error {
-			if rows, ok := se.fusedGatherPass(opts); ok {
+			if exact && se.attempts > 0 && !filterExact(se.q, se.pruner) {
+				return fmt.Errorf("engine: shard %d: failover replaced the query's exact filter with a different program", s)
+			}
+			if rows, ok := se.fusedGatherPass(opts, exact && q.CountOnly); ok {
 				survivors[s] = rows
 				return nil
 			}
@@ -631,17 +644,27 @@ func shardedGather(q *Query, execs []*shardExec, opts ShardedOptions) (*ShardedR
 	if err != nil {
 		return nil, err
 	}
+	run := &ShardedRun{}
+	if exact {
+		var rows [][]string
+		for s, se := range execs {
+			run.Traffic.MasterProcessed += se.traffic.Forwarded
+			if !q.CountOnly {
+				rows = appendFilterRows(rows, se.q.Table, survivors[s])
+			}
+		}
+		run.Result = filterResult(q, run.Traffic.MasterProcessed, rows)
+		return run, nil
+	}
 	g, err := gatherSurvivors(execs, survivors)
 	if err != nil {
 		return nil, err
 	}
 	qg := *q
 	qg.Table = g
-	res, err := completeOnRows(&qg, allRows(g))
-	if err != nil {
+	if run.Result, err = completeOnRows(&qg, allRows(g)); err != nil {
 		return nil, err
 	}
-	run := &ShardedRun{Result: res}
 	run.Traffic.MasterProcessed = g.NumRows()
 	return run, nil
 }
@@ -714,7 +737,8 @@ func shardedDistinct(q *Query, execs []*shardExec, opts ShardedOptions) (*Sharde
 			rows = append(rows, row)
 		}
 	}
-	run := &ShardedRun{Result: sortedResult(append([]string(nil), q.DistinctCols...), rows)}
+	run := &ShardedRun{Result: &Result{Columns: append([]string(nil), q.DistinctCols...), Rows: rows}}
+	run.Result.Sort()
 	for _, se := range execs {
 		run.Traffic.MasterProcessed += se.traffic.Forwarded
 	}
@@ -786,12 +810,7 @@ func shardedTopN(q *Query, execs []*shardExec, opts ShardedOptions) (*ShardedRun
 			}
 		}
 	}
-	cells := make([]string, len(g))
-	for i, v := range g {
-		cells[i] = strconv.FormatInt(v, 10)
-	}
-	radixSortStrings(cells)
-	run := &ShardedRun{Result: &Result{Columns: []string{q.OrderCol}, Rows: singleCellRows(cells)}}
+	run := &ShardedRun{Result: topNResult(q, g)}
 	run.Traffic.MasterProcessed = forwarded
 	return run, nil
 }
@@ -874,7 +893,8 @@ func shardedGroupByMax(q *Query, execs []*shardExec, opts ShardedOptions) (*Shar
 		kc := t.Schema().MustIndex(q.KeyCol)
 		rows = append(rows, []string{cellString(t, kc, e.rep), strconv.FormatInt(e.max, 10)})
 	}
-	run := &ShardedRun{Result: sortedResult([]string{q.KeyCol, "max(" + q.AggCol + ")"}, rows)}
+	run := &ShardedRun{Result: &Result{Columns: []string{q.KeyCol, "max(" + q.AggCol + ")"}, Rows: rows}}
+	run.Result.Sort()
 	for _, se := range execs {
 		run.Traffic.MasterProcessed += se.traffic.Forwarded
 	}
@@ -955,7 +975,8 @@ func shardedGroupBySum(q *Query, execs []*shardExec, opts ShardedOptions) (*Shar
 	for fp, v := range sums {
 		rows = append(rows, []string{fpToKey[fp], strconv.FormatInt(v, 10)})
 	}
-	run := &ShardedRun{Result: sortedResult([]string{q.KeyCol, "sum(" + q.AggCol + ")"}, rows)}
+	run := &ShardedRun{Result: &Result{Columns: []string{q.KeyCol, "sum(" + q.AggCol + ")"}, Rows: rows}}
+	run.Result.Sort()
 	run.Traffic.MasterProcessed = len(sums)
 	return run, nil
 }
@@ -1059,7 +1080,8 @@ func shardedHaving(q *Query, execs []*shardExec, opts ShardedOptions) (*ShardedR
 			rows = append(rows, []string{k})
 		}
 	}
-	run := &ShardedRun{Result: sortedResult([]string{q.KeyCol}, rows)}
+	run := &ShardedRun{Result: &Result{Columns: []string{q.KeyCol}, Rows: rows}}
+	run.Result.Sort()
 	for _, se := range execs {
 		run.Traffic.MasterProcessed += se.traffic.SecondPassSent
 	}
@@ -1068,106 +1090,45 @@ func shardedHaving(q *Query, execs []*shardExec, opts ShardedOptions) (*ShardedR
 
 // shardedJoin runs one Bloom join per switch over the co-located shard
 // pair and concatenates the per-key summaries (hash co-location means no
-// key spans switches).
+// key spans switches): each shard completes to unsorted rows and the
+// union is sorted once.
 func shardedJoin(q *Query, execs []*shardExec, opts ShardedOptions) (*ShardedRun, error) {
-	results := make([]*Result, len(execs))
+	partials := make([][][]string, len(execs))
 	err := forEachShard(len(execs), func(s int) error {
 		se := execs[s]
-		qs := se.q
-		lc := qs.Table.Schema().MustIndex(qs.LeftKey)
-		rc := qs.Right.Schema().MustIndex(qs.RightKey)
 		// The build and probe passes share the program's Bloom state, so
 		// the retry unit is the whole build→probe sequence: a switch that
 		// dies anywhere inside it invalidates the filter, never just one
 		// pass.
-		return se.run(opts, func() error {
+		return se.run(opts, func() (err error) {
 			j, ok := se.pruner.(*prune.Join)
 			if !ok {
 				return fmt.Errorf("engine: join needs a *prune.Join, got %T", se.pruner)
 			}
-			if fl, fr, ok := se.fusedJoinPass(opts, lc, rc); ok {
-				res, err := execJoin(qs, fl, fr)
-				if err != nil {
-					return err
-				}
-				se.traffic.MasterProcessed = len(fl) + len(fr)
-				results[s] = res
-				return nil
+			sc := joinScratchPool.Get().(*joinScratch)
+			defer joinScratchPool.Put(sc)
+			if se.fusedJoinPass(opts, sc) {
+				partials[s], err = completeJoin(se.q, sc)
+				return err
 			}
 			buf := getStreamBuf()
 			defer putStreamBuf(buf)
-			// Probe-side skipping per shard: exact for the same reason as
-			// the single-switch path (skip.go) — a key absent from every
-			// scanned right block is absent from the shard's left too.
-			leftSpans := fullSpans(qs.Table)
-			rightSpans := fullSpans(qs.Right)
-			if opts.Skip {
-				rightSpans, se.skipped = joinRightSpans(qs.Table, lc, qs.Right, rc)
-			}
-			encAFor := func(t *table.Table) partEncoder { return encSide(t, lc, prune.SideA, opts.Seed) }
-			encBFor := func(t *table.Table) partEncoder { return encSide(t, rc, prune.SideB, opts.Seed) }
-			pass := func(t *table.Table, spans []span, encFor func(*table.Table) partEncoder, sv *survivorSet) error {
-				return spanPass(t, spans, opts.Workers, 2, sv != nil, buf, encFor, se.dp,
-					func(b *switchsim.Batch, dec []switchsim.Decision, ids []uint64) {
-						se.traffic.EntriesSent += b.N
-						if sv == nil {
-							n := b.N
-							for _, d := range dec[:b.N] {
-								n -= int(d)
-							}
-							se.traffic.Forwarded += n
-							return
-						}
-						fwd := buf.compactForwarded(ids, dec, b.N)
-						se.traffic.Forwarded += len(fwd)
-						sv.add(fwd, b.N)
-					})
-			}
-			var left, right survivorSet
-			var err error
-			if j.Asymmetric() {
-				left.remaining = qs.Table.NumRows()
-				err = pass(qs.Table, leftSpans, encAFor, &left)
-				j.StartProbe()
-				right.remaining = qs.Right.NumRows()
-				if err == nil {
-					err = pass(qs.Right, rightSpans, encBFor, &right)
-				}
-			} else {
-				err = pass(qs.Table, leftSpans, encAFor, nil)
-				if err == nil {
-					err = pass(qs.Right, rightSpans, encBFor, nil)
-				}
-				j.StartProbe()
-				left.remaining = qs.Table.NumRows()
-				if err == nil {
-					err = pass(qs.Table, leftSpans, encAFor, &left)
-				}
-				right.remaining = qs.Right.NumRows()
-				if err == nil {
-					err = pass(qs.Right, rightSpans, encBFor, &right)
-				}
-			}
+			// Probe-side skipping per shard is exact for the same reason
+			// as on the single-switch path (skip.go): a key absent from
+			// every scanned right block is absent from the shard's left too.
+			left, right, tr, skipped, err := batchJoinPasses(se.q, j, se.dp, opts.Workers, opts.Seed, opts.Skip, buf)
 			if err != nil {
 				return err
 			}
-			res, err := execJoin(qs, left.rows, right.rows)
-			if err != nil {
-				return err
-			}
-			se.traffic.MasterProcessed = len(left.rows) + len(right.rows)
-			results[s] = res
-			return nil
+			se.traffic, se.skipped = tr, skipped
+			partials[s], err = completeJoinRows(se.q, opts.Seed, left, right)
+			return err
 		})
 	})
 	if err != nil {
 		return nil, err
 	}
-	var rows [][]string
-	for _, r := range results {
-		rows = append(rows, r.Rows...)
-	}
-	run := &ShardedRun{Result: sortedResult([]string{q.LeftKey, "pairs"}, rows)}
+	run := &ShardedRun{Result: joinResult(q, slices.Concat(partials...))}
 	for _, se := range execs {
 		run.Traffic.MasterProcessed += se.traffic.MasterProcessed
 	}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -61,6 +62,34 @@ func assertShardedRun(t *testing.T, name string, shards int, run *ShardedRun, di
 	}
 	if run.Stats.Processed == 0 && run.Traffic.EntriesSent > 0 {
 		t.Fatalf("%s shards=%d: empty aggregate stats", name, shards)
+	}
+}
+
+// TestShardedJoinEdgeCases scatters the degenerate JOIN shapes over 1, 2
+// and 7 switches — more shards than some inputs have keys, so shards go
+// empty on one side or both — on the fused and the batched shard pass,
+// Skip on and off: per-shard completions concatenated and sorted once
+// must equal ExecDirect row for row.
+func TestShardedJoinEdgeCases(t *testing.T) {
+	for _, intKeys := range []bool{false, true} {
+		for _, c := range joinEdgeCases() {
+			q := joinEdgeQuery(t, c, intKeys)
+			direct, err := ExecDirect(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, shards := range []int{1, 2, 7} {
+				for _, noFuse := range []bool{false, true} {
+					for _, skip := range []bool{false, true} {
+						run, err := ExecSharded(q, ShardedOptions{Shards: shards, Workers: 3, Seed: 7, NoFuse: noFuse, Skip: skip})
+						if err != nil {
+							t.Fatalf("%s int=%v shards=%d noFuse=%v skip=%v: %v", c.name, intKeys, shards, noFuse, skip, err)
+						}
+						assertShardedRun(t, fmt.Sprintf("%s int=%v noFuse=%v skip=%v", c.name, intKeys, noFuse, skip), shards, run, direct)
+					}
+				}
+			}
+		}
 	}
 }
 

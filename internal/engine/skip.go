@@ -37,8 +37,6 @@ package engine
 
 import (
 	"container/heap"
-	"sort"
-	"strconv"
 	"strings"
 
 	"cheetah/internal/prune"
@@ -345,15 +343,7 @@ func execTopNSkip(q *Query, t *table.Table) (*Result, SkipStats, error) {
 			}
 		}
 	})
-	vals := make([]int64, h.Len())
-	copy(vals, *h)
-	sort.Slice(vals, func(i, j int) bool { return vals[i] > vals[j] })
-	res := &Result{Columns: []string{q.OrderCol}}
-	for _, v := range vals {
-		res.Rows = append(res.Rows, []string{strconv.FormatInt(v, 10)})
-	}
-	res.Sort()
-	return res, st, nil
+	return topNResult(q, *h), st, nil
 }
 
 // ExecDirectSkip is ExecDirect with block skipping: bit-identical

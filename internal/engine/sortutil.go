@@ -1,17 +1,71 @@
 package engine
 
 import (
+	"slices"
 	"sort"
 	"strings"
 )
 
-// compareStrings is strings.Compare under a local name so lexRows reads
-// naturally; the standard implementation is intrinsified to a single
-// byte-wise compare.
-func compareStrings(a, b string) int { return strings.Compare(a, b) }
+// compareRows orders rows cell by cell, a shorter row first when one is
+// a prefix of the other. While no cell contains NUL that is exactly the
+// order of the "\x00"-joined row keys (a cell that is a proper prefix of
+// its counterpart meets the separator or the key's end, and both sort
+// below any cell byte), so Result.Sort uses it without building a key
+// per comparison.
+func compareRows(a, b []string) int {
+	for k := 0; k < len(a) && k < len(b); k++ {
+		if c := strings.Compare(a[k], b[k]); c != 0 {
+			return c
+		}
+	}
+	return len(a) - len(b)
+}
+
+// keyedRows sorts rows by their precomputed "\x00"-joined keys — the
+// canonical order spelled out, for results where a cell contains the
+// separator and cell-wise comparison can disagree with it.
+type keyedRows struct {
+	keys []string
+	rows [][]string
+}
+
+func (k keyedRows) Len() int           { return len(k.rows) }
+func (k keyedRows) Less(i, j int) bool { return k.keys[i] < k.keys[j] }
+func (k keyedRows) Swap(i, j int) {
+	k.keys[i], k.keys[j] = k.keys[j], k.keys[i]
+	k.rows[i], k.rows[j] = k.rows[j], k.rows[i]
+}
+
+// sortRows puts rows into the canonical result order (see Result.Sort),
+// in place and without allocating unless a cell contains NUL.
+func sortRows(rows [][]string) {
+	for _, row := range rows {
+		for _, cell := range row {
+			if strings.IndexByte(cell, 0) >= 0 {
+				keys := make([]string, len(rows))
+				for i, r := range rows {
+					keys[i] = strings.Join(r, "\x00")
+				}
+				sort.Sort(keyedRows{keys, rows})
+				return
+			}
+		}
+	}
+	slices.SortFunc(rows, compareRows)
+}
+
+// singleCellRows wraps already-sorted cell values as single-column
+// result rows backed by one allocation.
+func singleCellRows(cells []string) [][]string {
+	rows := make([][]string, len(cells))
+	for i := range cells {
+		rows[i] = cells[i : i+1 : i+1]
+	}
+	return rows
+}
 
 // radixSortStrings sorts cells byte-wise lexicographically — the exact
-// order of sort.Strings and Result.Sort for single-column rows — using
+// order of sort.Strings, and Result.Sort's for single-column rows — using
 // MSD radix bucketing. Result sets routinely share long prefixes
 // (generated keys, formatted integers), where comparison sorts pay
 // O(prefix) per comparison; the radix pass walks each prefix byte once

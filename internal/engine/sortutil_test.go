@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -74,29 +75,105 @@ func TestRadixSortStringsMatchesSortStrings(t *testing.T) {
 	}
 }
 
+// legacySortKeys is the canonical order's definition: the row keys —
+// cells joined with "\x00" — in ascending order. Rows with equal keys
+// (possible only with a NUL inside a cell, or between an empty row and
+// a row of one empty cell) may come out in either order, so two sorts
+// agree when their key sequences do.
+func legacySortKeys(rows [][]string) []string {
+	keys := make([]string, len(rows))
+	for i, r := range rows {
+		keys[i] = strings.Join(r, "\x00")
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// checkCanonicalSort sorts a copy of rows with Result.Sort and checks
+// the outcome against the legacy definition: same key sequence, same
+// multiset of rows.
+func checkCanonicalSort(t *testing.T, rows [][]string) {
+	t.Helper()
+	res := &Result{Rows: append([][]string(nil), rows...)}
+	res.Sort()
+	if len(res.Rows) != len(rows) {
+		t.Fatalf("sorted %d rows into %d", len(rows), len(res.Rows))
+	}
+	want := legacySortKeys(rows)
+	left := map[string]int{}
+	for _, r := range rows {
+		left[fmt.Sprintf("%q", r)]++
+	}
+	for i, r := range res.Rows {
+		if got := strings.Join(r, "\x00"); got != want[i] {
+			t.Fatalf("row %d: key %q, legacy order has %q", i, got, want[i])
+		}
+		left[fmt.Sprintf("%q", r)]--
+	}
+	for r, n := range left {
+		if n != 0 {
+			t.Fatalf("row %s: count off by %d after sorting", r, n)
+		}
+	}
+}
+
 func TestLexRowsMatchesResultSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	rows := make([][]string, 300)
-	for i := range rows {
-		row := make([]string, 3)
-		for c := range row {
-			row[c] = fmt.Sprintf("v%02d", rng.Intn(12))
-		}
-		rows[i] = row
-	}
-	viaResult := &Result{Columns: []string{"a", "b", "c"}}
-	for _, r := range rows {
-		viaResult.Rows = append(viaResult.Rows, append([]string(nil), r...))
-	}
-	viaResult.Sort()
-	viaLex := make([][]string, len(rows))
-	copy(viaLex, rows)
-	sort.Sort(lexRows(viaLex))
-	for i := range viaLex {
-		for c := range viaLex[i] {
-			if viaLex[i][c] != viaResult.Rows[i][c] {
-				t.Fatalf("row %d col %d: %q vs %q", i, c, viaLex[i][c], viaResult.Rows[i][c])
+	for _, width := range []int{1, 2, 3} {
+		for _, n := range []int{0, 1, 2, 47, 48, 300} {
+			rows := make([][]string, n)
+			for i := range rows {
+				row := make([]string, width)
+				for c := range row {
+					row[c] = fmt.Sprintf("v%02d", rng.Intn(12))
+				}
+				rows[i] = row
 			}
+			checkCanonicalSort(t, rows)
 		}
 	}
+}
+
+// fuzzRows decodes fuzz input into result rows: ';' ends a row and ','
+// a cell; every cell gets prefix prepended (a long shared prefix makes
+// every comparison reach the cells' tails). Unless ragged, the cells are
+// re-dealt into rows of width cells.
+func fuzzRows(data []byte, width uint8, ragged bool, prefix string) [][]string {
+	var rows [][]string
+	var flat []string
+	for _, line := range strings.Split(string(data), ";") {
+		var row []string
+		for _, cell := range strings.Split(line, ",") {
+			row = append(row, prefix+cell)
+		}
+		rows = append(rows, row)
+		flat = append(flat, row...)
+	}
+	if ragged {
+		return rows
+	}
+	w := int(width%3) + 1
+	rows = rows[:0]
+	for ; len(flat) >= w; flat = flat[w:] {
+		rows = append(rows, flat[:w:w])
+	}
+	return rows
+}
+
+// FuzzResultSortOrder pins Result.Sort — cell-wise comparison and the
+// NUL-cell fallback — to the legacy definition of the canonical order
+// on generated rows: NUL cells, empty cells, ragged rows, long shared
+// prefixes, one to three columns.
+func FuzzResultSortOrder(f *testing.F) {
+	f.Add([]byte("b,a;a,b;a,a"), uint8(1), false, uint8(0))
+	f.Add([]byte("a\x00,b;a,\x00b;a;a\x00"), uint8(1), true, uint8(0))
+	f.Add([]byte(",;;,a;a,;"), uint8(0), true, uint8(0))
+	f.Add([]byte("3,1,2,10,1,,02"), uint8(0), false, uint8(40))
+	f.Add([]byte("k1,7;k0,9;k1,3;k0"), uint8(2), true, uint8(17))
+	f.Fuzz(func(t *testing.T, data []byte, width uint8, ragged bool, prefix uint8) {
+		if len(data) > 1<<12 {
+			return
+		}
+		checkCanonicalSort(t, fuzzRows(data, width, ragged, strings.Repeat("p", int(prefix%64))))
+	})
 }
