@@ -259,7 +259,22 @@ func BenchmarkExecCheetahJoin100kBatch(b *testing.B) {
 }
 
 func BenchmarkExecDirectJoin100k(b *testing.B) {
-	q := join100kQuery(b)
+	benchExecDirect(b, join100kQuery(b))
+}
+
+// The aggregation kinds, keyed on userAgent: 8 192 Zipfian string keys
+// behind a shared prefix, the shape on which the master's completion —
+// fingerprint table, late key rendering, key-only sort — is the cost.
+func agg100kQuery(b *testing.B, kind cheetah.QueryKind) *cheetah.Query {
+	q := &cheetah.Query{Kind: kind, Table: buildUserVisits(b, 100_000), KeyCol: "userAgent", AggCol: "adRevenue"}
+	if kind == cheetah.KindHaving {
+		q.AggCol, q.Threshold = "duration", 100_000
+	}
+	return q
+}
+
+func benchExecDirect(b *testing.B, q *cheetah.Query) {
+	b.Helper()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -267,6 +282,68 @@ func BenchmarkExecDirectJoin100k(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+func BenchmarkExecCheetahHaving100k(b *testing.B) {
+	benchExecCheetah(b, agg100kQuery(b, cheetah.KindHaving), 100_000, cheetah.CheetahOptions{})
+}
+
+func BenchmarkExecCheetahHaving100kBatch(b *testing.B) {
+	benchExecCheetah(b, agg100kQuery(b, cheetah.KindHaving), 100_000, cheetah.CheetahOptions{NoFuse: true})
+}
+
+func BenchmarkExecDirectHaving100k(b *testing.B) {
+	benchExecDirect(b, agg100kQuery(b, cheetah.KindHaving))
+}
+
+func BenchmarkExecCheetahGroupBySum100k(b *testing.B) {
+	benchExecCheetah(b, agg100kQuery(b, cheetah.KindGroupBySum), 100_000, cheetah.CheetahOptions{})
+}
+
+func BenchmarkExecCheetahGroupBySum100kBatch(b *testing.B) {
+	benchExecCheetah(b, agg100kQuery(b, cheetah.KindGroupBySum), 100_000, cheetah.CheetahOptions{NoFuse: true})
+}
+
+func BenchmarkExecDirectGroupBySum100k(b *testing.B) {
+	benchExecDirect(b, agg100kQuery(b, cheetah.KindGroupBySum))
+}
+
+func BenchmarkExecCheetahGroupByMax100k(b *testing.B) {
+	benchExecCheetah(b, agg100kQuery(b, cheetah.KindGroupByMax), 100_000, cheetah.CheetahOptions{})
+}
+
+func BenchmarkExecCheetahGroupByMax100kBatch(b *testing.B) {
+	benchExecCheetah(b, agg100kQuery(b, cheetah.KindGroupByMax), 100_000, cheetah.CheetahOptions{NoFuse: true})
+}
+
+func BenchmarkExecDirectGroupByMax100k(b *testing.B) {
+	benchExecDirect(b, agg100kQuery(b, cheetah.KindGroupByMax))
+}
+
+// benchPlan plans q over and over on one session: what a served or
+// subscribed query pays again on every repeat.
+func benchPlan(b *testing.B, q *cheetah.Query) {
+	b.Helper()
+	db, err := cheetah.Open(q.Table, cheetah.SessionOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer db.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := db.Plan(q); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkPlanTopN(b *testing.B) {
+	benchPlan(b, &cheetah.Query{Kind: cheetah.KindTopN, Table: buildUserVisits(b, 2_000), OrderCol: "adRevenue", N: 250})
+}
+
+func BenchmarkPlanSkyline(b *testing.B) {
+	benchPlan(b, &cheetah.Query{Kind: cheetah.KindSkyline, Table: buildUserVisits(b, 2_000), SkylineCols: []string{"adRevenue", "duration"}})
 }
 
 // BenchmarkResultSort sorts a JOIN-shaped result: 79k two-column rows

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"sync"
 )
 
 // DefaultBeta is the default fixed-point scale for the fractional part of
@@ -37,12 +38,30 @@ type Projector struct {
 	table []uint64 // table[a] = round(beta*log2(a)) for a in [1, 65535]; table[0] = 0
 }
 
-// New builds an APH projector with the given β. β must be positive and at
-// most 2³² so that table values fit the switch's 64-bit metadata slots
-// with headroom for summation.
+// shared remembers the most recent projectors. A projector is a pure
+// function of β and immutable, and building its table is most of the
+// cost of a SKYLINE plan, so pruners of one β share one; β is caller
+// input, so the memo is a fixed-size ring, not a map that grows.
+var shared struct {
+	sync.Mutex
+	next int
+	ring [4]*Projector
+}
+
+// New returns an APH projector with the given β, shared with other
+// callers of the same β. β must be positive and at most 2³² so that
+// table values fit the switch's 64-bit metadata slots with headroom for
+// summation.
 func New(beta uint64) (*Projector, error) {
 	if beta == 0 || beta > 1<<32 {
 		return nil, fmt.Errorf("aph: beta %d out of range [1, 2^32]", beta)
+	}
+	shared.Lock()
+	defer shared.Unlock()
+	for _, p := range shared.ring {
+		if p != nil && p.beta == beta {
+			return p, nil
+		}
 	}
 	p := &Projector{beta: beta, table: make([]uint64, TableEntries)}
 	for a := 1; a < TableEntries; a++ {
@@ -50,6 +69,8 @@ func New(beta uint64) (*Projector, error) {
 	}
 	// table[0] stays 0: a zero coordinate contributes nothing. This keeps
 	// the projection total and monotone (0 ≤ any positive score).
+	shared.ring[shared.next] = p
+	shared.next = (shared.next + 1) % len(shared.ring)
 	return p, nil
 }
 

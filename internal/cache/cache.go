@@ -55,7 +55,7 @@ type Matrix struct {
 	policy Policy
 	vals   []uint64 // row-major d rows × w cols
 	fill   []int    // number of occupied columns in each row
-	seed   uint64
+	mixed  uint64   // SplitMix64(seed): the seed half of the row hash
 }
 
 // NewMatrix creates a d-row, w-column cache with the given replacement
@@ -73,7 +73,7 @@ func NewMatrix(d, w int, policy Policy, seed uint64) (*Matrix, error) {
 		policy: policy,
 		vals:   make([]uint64, d*w),
 		fill:   make([]int, d),
-		seed:   seed,
+		mixed:  hashutil.SplitMix64(seed),
 	}, nil
 }
 
@@ -86,9 +86,10 @@ func (m *Matrix) Cols() int { return m.w }
 // PolicyKind returns the replacement policy.
 func (m *Matrix) PolicyKind() Policy { return m.policy }
 
-// RowOf returns the row index value maps to.
+// RowOf returns the row index value maps to: HashUint64(value, seed)
+// reduced to d, with the seed's mixing done once at construction.
 func (m *Matrix) RowOf(value uint64) int {
-	return hashutil.Reduce(hashutil.HashUint64(value, m.seed), m.d)
+	return hashutil.Reduce(hashutil.Mix64(value^m.mixed), m.d)
 }
 
 // Insert looks value up in its row and inserts it on a miss.
@@ -310,7 +311,8 @@ type KeyedMax struct {
 	keys []uint64
 	vals []int64
 	fill []int
-	seed uint64
+	// mixed is SplitMix64(seed), the seed half of the row hash.
+	mixed uint64
 }
 
 // NewKeyedMax creates the matrix.
@@ -320,10 +322,10 @@ func NewKeyedMax(d, w int, seed uint64) (*KeyedMax, error) {
 	}
 	return &KeyedMax{
 		d: d, w: w,
-		keys: make([]uint64, d*w),
-		vals: make([]int64, d*w),
-		fill: make([]int, d),
-		seed: seed,
+		keys:  make([]uint64, d*w),
+		vals:  make([]int64, d*w),
+		fill:  make([]int, d),
+		mixed: hashutil.SplitMix64(seed),
 	}, nil
 }
 
@@ -337,7 +339,8 @@ func (k *KeyedMax) Cols() int { return k.w }
 // redundant (a same-key entry with value ≥ this one was already
 // forwarded) and false when the entry must be forwarded.
 func (k *KeyedMax) Offer(key uint64, value int64) (prune bool) {
-	row := hashutil.Reduce(hashutil.HashUint64(key, k.seed), k.d)
+	// HashUint64(key, seed) reduced to d.
+	row := hashutil.Reduce(hashutil.Mix64(key^k.mixed), k.d)
 	base := row * k.w
 	n := k.fill[row]
 	for i := 0; i < n; i++ {

@@ -9,9 +9,9 @@ package engine
 // The master completes queries straight from the encoded columns where
 // it can (late materialization): survivors are collected branchlessly
 // through preallocated index buffers sized from the running prune rate,
-// DISTINCT and GROUP BY dedupe survivors by the fingerprints the workers
-// already computed, and TOP N feeds forwarded values into its heap
-// without materializing a survivor list at all.
+// the aggregation kinds' survivors are absorbed by fingerprint into the
+// kind's partial (agg.go, partial.go), and TOP N feeds forwarded values
+// into its heap without materializing a survivor list at all.
 //
 // Results, Traffic and Stats are bit-identical to the scalar path (the
 // equivalence suite in batch_equiv_test.go asserts it for every query
@@ -23,7 +23,6 @@ package engine
 import (
 	"fmt"
 	"runtime"
-	"strconv"
 	"sync"
 
 	"cheetah/internal/hashutil"
@@ -108,11 +107,9 @@ type partEncoder func(dst [][]uint64, ids []uint64, lo, hi, pos0, stride int)
 // concurrently, scattering values into the merged round-robin stream;
 // each chunk is then processed (when dp is non-nil) and handed to
 // sink. dp is a flow-scoped handle — the execution's own program on the
-// exclusive path, the shared pipeline's per-flow mux when serving. pre,
-// when non-nil, sees each encoded chunk before the program runs —
-// needed by emitters that rewrite packets in place.
+// exclusive path, the shared pipeline's per-flow mux when serving.
 func batchPass(n, workers, width int, needIDs bool, buf *streamBuf, enc partEncoder,
-	dp BatchDataplane, pre func(*switchsim.Batch, []uint64), sink batchSink) {
+	dp BatchDataplane, sink batchSink) {
 	if n == 0 {
 		return
 	}
@@ -184,9 +181,6 @@ func batchPass(n, workers, width int, needIDs bool, buf *streamBuf, enc partEnco
 			}
 		}
 		b := &switchsim.Batch{Cols: cols, N: m}
-		if pre != nil {
-			pre(b, ids)
-		}
 		if cap(buf.dec) < m {
 			buf.dec = make([]switchsim.Decision, m)
 		}
@@ -566,79 +560,6 @@ func batchFilter(q *Query, opts CheetahOptions) (*CheetahRun, error) {
 	return br.finish(pruner, res, len(sv.rows)), nil
 }
 
-// distinctScratch is the pooled master-side dedup state of one DISTINCT
-// run.
-type distinctScratch struct {
-	seen       map[uint64]struct{}
-	uniqueRows []int
-}
-
-var distinctScratchPool = sync.Pool{New: func() any {
-	return &distinctScratch{seen: make(map[uint64]struct{}, 4096)}
-}}
-
-func batchDistinct(q *Query, opts CheetahOptions) (*CheetahRun, error) {
-	pruner := opts.Pruner
-	if pruner == nil {
-		var err error
-		if pruner, err = DefaultPruner(q, opts.Seed); err != nil {
-			return nil, err
-		}
-	}
-	cols := make([]int, len(q.DistinctCols))
-	for i, c := range q.DistinctCols {
-		cols[i] = q.Table.Schema().MustIndex(c)
-	}
-	br := newBatchRun(pruner)
-	dp := opts.dataplaneFor(pruner)
-	// Fused master-side dedup: survivors dedupe on the worker-computed
-	// fingerprint in stream order, so only first-seen rows materialize.
-	ds := distinctScratchPool.Get().(*distinctScratch)
-	clear(ds.seen)
-	ds.uniqueRows = ds.uniqueRows[:0]
-	forwarded := 0
-	batchPass(q.Table.NumRows(), opts.Workers, 1, true, br.buf, encFingerprint(q.Table, cols, opts.Seed), dp, nil,
-		func(b *switchsim.Batch, dec []switchsim.Decision, ids []uint64) {
-			br.run.Traffic.EntriesSent += b.N
-			fps := b.Cols[0]
-			idx := br.buf.compactIndices(dec, b.N)
-			forwarded += len(idx)
-			for _, j := range idx {
-				fp := fps[j]
-				if _, ok := ds.seen[fp]; !ok {
-					ds.seen[fp] = struct{}{}
-					ds.uniqueRows = append(ds.uniqueRows, int(ids[j]))
-				}
-			}
-		})
-	br.run.Traffic.Forwarded = forwarded
-	var res *Result
-	if len(cols) == 1 {
-		// Single-column DISTINCT: sort the cell values directly (radix
-		// for the string-heavy case) and wrap them as rows.
-		cells := make([]string, len(ds.uniqueRows))
-		for i, r := range ds.uniqueRows {
-			cells[i] = cellString(q.Table, cols[0], r)
-		}
-		radixSortStrings(cells)
-		res = &Result{Columns: append([]string(nil), q.DistinctCols...), Rows: singleCellRows(cells)}
-	} else {
-		rows := make([][]string, len(ds.uniqueRows))
-		backing := make([]string, len(ds.uniqueRows)*len(cols))
-		for i, r := range ds.uniqueRows {
-			row := backing[i*len(cols) : (i+1)*len(cols) : (i+1)*len(cols)]
-			for k, c := range cols {
-				row[k] = cellString(q.Table, c, r)
-			}
-			rows[i] = row
-		}
-		res = &Result{Columns: append([]string(nil), q.DistinctCols...), Rows: rows}
-		res.Sort()
-	}
-	distinctScratchPool.Put(ds)
-	return br.finish(pruner, res, forwarded), nil
-}
-
 func batchTopN(q *Query, opts CheetahOptions) (*CheetahRun, error) {
 	pruner := opts.Pruner
 	if pruner == nil {
@@ -677,180 +598,13 @@ func batchTopN(q *Query, opts CheetahOptions) (*CheetahRun, error) {
 			if err != nil {
 				return
 			}
-			batchPass(v.NumRows(), opts.Workers, 1, false, br.buf, encInt64(v, col), dp, nil, sink)
+			batchPass(v.NumRows(), opts.Workers, 1, false, br.buf, encInt64(v, col), dp, sink)
 		})
 	} else {
-		batchPass(q.Table.NumRows(), opts.Workers, 1, false, br.buf, encInt64(q.Table, col), dp, nil, sink)
+		batchPass(q.Table.NumRows(), opts.Workers, 1, false, br.buf, encInt64(q.Table, col), dp, sink)
 	}
 	br.run.Traffic.Forwarded = forwarded
 	return br.finish(pruner, topNResult(q, h), forwarded), nil
-}
-
-func batchGroupByMax(q *Query, opts CheetahOptions) (*CheetahRun, error) {
-	pruner := opts.Pruner
-	if pruner == nil {
-		var err error
-		if pruner, err = DefaultPruner(q, opts.Seed); err != nil {
-			return nil, err
-		}
-	}
-	kc := q.Table.Schema().MustIndex(q.KeyCol)
-	vc := q.Table.Schema().MustIndex(q.AggCol)
-	br := newBatchRun(pruner)
-	dp := opts.dataplaneFor(pruner)
-	// Fingerprint-keyed master aggregation with one representative row
-	// per key for late materialization of the key string.
-	keyIdx := make(map[uint64]int, 1024)
-	var maxs []int64
-	var reps []int
-	forwarded := 0
-	batchPass(q.Table.NumRows(), opts.Workers, 2, true, br.buf, encKeyVal(q.Table, kc, vc, opts.Seed), dp, nil,
-		func(b *switchsim.Batch, dec []switchsim.Decision, ids []uint64) {
-			br.run.Traffic.EntriesSent += b.N
-			fps, vals := b.Cols[0], b.Cols[1]
-			idx := br.buf.compactIndices(dec, b.N)
-			forwarded += len(idx)
-			for _, j := range idx {
-				v := int64(vals[j])
-				if i, ok := keyIdx[fps[j]]; ok {
-					if v > maxs[i] {
-						maxs[i] = v
-					}
-				} else {
-					keyIdx[fps[j]] = len(maxs)
-					maxs = append(maxs, v)
-					reps = append(reps, int(ids[j]))
-				}
-			}
-		})
-	br.run.Traffic.Forwarded = forwarded
-	rows := make([][]string, len(maxs))
-	backing := make([]string, len(maxs)*2)
-	for i := range maxs {
-		row := backing[i*2 : i*2+2 : i*2+2]
-		row[0] = cellString(q.Table, kc, reps[i])
-		row[1] = strconv.FormatInt(maxs[i], 10)
-		rows[i] = row
-	}
-	res := &Result{Columns: []string{q.KeyCol, "max(" + q.AggCol + ")"}, Rows: rows}
-	res.Sort()
-	return br.finish(pruner, res, forwarded), nil
-}
-
-func batchGroupBySum(q *Query, opts CheetahOptions) (*CheetahRun, error) {
-	var pruner *prune.GroupBySum
-	if opts.Pruner != nil {
-		gs, ok := opts.Pruner.(*prune.GroupBySum)
-		if !ok {
-			return nil, fmt.Errorf("engine: group-by-sum needs a *prune.GroupBySum, got %T", opts.Pruner)
-		}
-		pruner = gs
-	} else {
-		gs, err := prune.NewGroupBySum(prune.GroupBySumConfig{Rows: 4096, Cols: 8, Seed: opts.Seed})
-		if err != nil {
-			return nil, err
-		}
-		pruner = gs
-	}
-	kc := q.Table.Schema().MustIndex(q.KeyCol)
-	vc := q.Table.Schema().MustIndex(q.AggCol)
-	br := newBatchRun(pruner)
-	dp := opts.dataplaneFor(pruner)
-	sums := map[uint64]int64{}
-	fpToKey := map[uint64]string{}
-	batchPass(q.Table.NumRows(), opts.Workers, 2, true, br.buf, encKeyVal(q.Table, kc, vc, opts.Seed), dp,
-		func(b *switchsim.Batch, ids []uint64) {
-			// The key dictionary must be read before the program rewrites
-			// forwarded slots with evicted aggregates.
-			fps := b.Cols[0]
-			for j := 0; j < b.N; j++ {
-				if _, ok := fpToKey[fps[j]]; !ok {
-					fpToKey[fps[j]] = cellString(q.Table, kc, int(ids[j]))
-				}
-			}
-		},
-		func(b *switchsim.Batch, dec []switchsim.Decision, _ []uint64) {
-			br.run.Traffic.EntriesSent += b.N
-			fps, vals := b.Cols[0], b.Cols[1]
-			idx := br.buf.compactIndices(dec, b.N)
-			br.run.Traffic.Forwarded += len(idx)
-			for _, j := range idx {
-				sums[fps[j]] += int64(vals[j])
-			}
-		})
-	for _, e := range pruner.Drain() {
-		br.run.Traffic.Forwarded++
-		sums[e[0]] += int64(e[1])
-	}
-	rows := make([][]string, 0, len(sums))
-	for fp, v := range sums {
-		rows = append(rows, []string{fpToKey[fp], strconv.FormatInt(v, 10)})
-	}
-	res := &Result{Columns: []string{q.KeyCol, "sum(" + q.AggCol + ")"}, Rows: rows}
-	res.Sort()
-	return br.finish(pruner, res, len(sums)), nil
-}
-
-func batchHaving(q *Query, opts CheetahOptions) (*CheetahRun, error) {
-	var pruner *prune.Having
-	if opts.Pruner != nil {
-		h, ok := opts.Pruner.(*prune.Having)
-		if !ok {
-			return nil, fmt.Errorf("engine: having needs a *prune.Having, got %T", opts.Pruner)
-		}
-		pruner = h
-	} else {
-		h, err := prune.NewHaving(prune.HavingConfig{
-			Agg: prune.HavingSum, Threshold: q.Threshold,
-			Rows: 3, CountersPerRow: 1024, Seed: opts.Seed,
-		})
-		if err != nil {
-			return nil, err
-		}
-		pruner = h
-	}
-	kc := q.Table.Schema().MustIndex(q.KeyCol)
-	vc := q.Table.Schema().MustIndex(q.AggCol)
-	br := newBatchRun(pruner)
-	dp := opts.dataplaneFor(pruner)
-	enc := encKeyVal(q.Table, kc, vc, opts.Seed)
-	// Pass 1: stream through the sketch, collecting candidate key
-	// fingerprints.
-	candidates := map[uint64]bool{}
-	batchPass(q.Table.NumRows(), opts.Workers, 2, false, br.buf, enc, dp, nil,
-		func(b *switchsim.Batch, dec []switchsim.Decision, _ []uint64) {
-			br.run.Traffic.EntriesSent += b.N
-			fps := b.Cols[0]
-			idx := br.buf.compactIndices(dec, b.N)
-			br.run.Traffic.Forwarded += len(idx)
-			for _, j := range idx {
-				candidates[fps[j]] = true
-			}
-		})
-	// Pass 2 (partial): only candidate keys' entries re-stream; the
-	// master computes exact sums and drops false positives (§4.3).
-	sums := map[string]int64{}
-	batchPass(q.Table.NumRows(), opts.Workers, 2, true, br.buf, enc, nil, nil,
-		func(b *switchsim.Batch, dec []switchsim.Decision, ids []uint64) {
-			fps, vals := b.Cols[0], b.Cols[1]
-			for j := 0; j < b.N; j++ {
-				if !candidates[fps[j]] {
-					continue
-				}
-				br.run.Traffic.EntriesSent++
-				br.run.Traffic.SecondPassSent++
-				sums[cellString(q.Table, kc, int(ids[j]))] += int64(vals[j])
-			}
-		})
-	rows := make([][]string, 0, len(sums))
-	for k, v := range sums {
-		if v > q.Threshold {
-			rows = append(rows, []string{k})
-		}
-	}
-	res := &Result{Columns: []string{q.KeyCol}, Rows: rows}
-	res.Sort()
-	return br.finish(pruner, res, br.run.Traffic.SecondPassSent), nil
 }
 
 func batchJoin(q *Query, opts CheetahOptions) (*CheetahRun, error) {
@@ -907,7 +661,7 @@ func batchSkyline(q *Query, opts CheetahOptions) (*CheetahRun, error) {
 	br := newBatchRun(pruner)
 	dp := opts.dataplaneFor(pruner)
 	sv := survivorSet{remaining: q.Table.NumRows()}
-	batchPass(q.Table.NumRows(), opts.Workers, len(cols)+1, false, br.buf, encCols64(q.Table, cols), dp, nil,
+	batchPass(q.Table.NumRows(), opts.Workers, len(cols)+1, false, br.buf, encCols64(q.Table, cols), dp,
 		func(b *switchsim.Batch, dec []switchsim.Decision, _ []uint64) {
 			br.run.Traffic.EntriesSent += b.N
 			// The entry id is a real header value (the last column).
@@ -957,16 +711,11 @@ func execCheetahBatchDispatch(q *Query, opts CheetahOptions) (*CheetahRun, error
 	switch q.Kind {
 	case KindFilter:
 		return batchFilter(q, opts)
-	case KindDistinct:
-		return batchDistinct(q, opts)
 	case KindTopN:
 		return batchTopN(q, opts)
-	case KindGroupByMax:
-		return batchGroupByMax(q, opts)
-	case KindGroupBySum:
-		return batchGroupBySum(q, opts)
-	case KindHaving:
-		return batchHaving(q, opts)
+	case KindDistinct, KindGroupByMax, KindGroupBySum, KindHaving:
+		run, _, err := execAggregation(q, opts, false)
+		return run, err
 	case KindJoin:
 		return batchJoin(q, opts)
 	case KindSkyline:

@@ -90,7 +90,7 @@ func equivQueries(tb, rt *table.Table) map[string]*Query {
 func TestBatchMatchesScalarExec(t *testing.T) {
 	tb := equivTable(t, 5000, 0x5eed)
 	rt := equivTable(t, 1777, 0x0dd)
-	queries := equivQueries(tb, rt)
+	queries := withAggEdges(equivQueries(tb, rt))
 	// Worker counts straddle the partition-size edge cases: 1 (no
 	// interleave), even/odd splits, and more workers than divides
 	// evenly (unequal partitions with a partial final cycle).
@@ -238,7 +238,7 @@ func TestBatchMultiChunk(t *testing.T) {
 	defer func() { chunkEntries = old }()
 	tb := equivTable(t, 5000, 0x41)
 	rt := equivTable(t, 1777, 0x42)
-	for name, q := range equivQueries(tb, rt) {
+	for name, q := range withAggEdges(equivQueries(tb, rt)) {
 		for _, workers := range []int{1, 5, 7} {
 			scalar, err := ExecCheetah(q, CheetahOptions{Workers: workers, Seed: 11, Scalar: true})
 			if err != nil {

@@ -10,7 +10,9 @@ package engine
 // loop reads table columns directly, inlines the pruner's core state
 // transition through the concrete type's Fused* entry points
 // (prune/fused.go), and consumes survivors in place — no wire buffers,
-// no Decision slice, no per-chunk dispatch.
+// no Decision slice, no per-chunk dispatch. The aggregation kinds'
+// survivors are absorbed by the kind's partial (partial.go), which agg.go
+// drives for the fused and the batched stream alike.
 //
 // Equivalence contract. For every kind the fused loop visits entries in
 // the exact arrival order of the batched/scalar paths (the round-robin
@@ -20,8 +22,10 @@ package engine
 // relaxations, both invisible in Results:
 //
 //   - Stateless or order-insensitive passes (FILTER's predicate sweeps,
-//     JOIN's Bloom build/probe, HAVING's exact second pass) run in plain
-//     row order: their totals and final state cannot depend on order.
+//     JOIN's Bloom build/probe, HAVING's exact second pass, and the
+//     up-front fingerprinting of a key column, partial.hashKeys) run in
+//     plain row order: their totals and final state cannot depend on
+//     order.
 //   - Randomized TOP N draws its row choices from a counter-indexed RNG
 //     stream (prune.FusedRandState) instead of the scalar path's serial
 //     chain, so its prune decisions — and hence Traffic/Stats — differ
@@ -38,7 +42,6 @@ package engine
 // layout — falls back to the batched pipeline untouched.
 
 import (
-	"strconv"
 	"sync"
 
 	"cheetah/internal/cache"
@@ -392,94 +395,24 @@ func fusedFilter(q *Query, opts CheetahOptions) (*CheetahRun, bool, error) {
 // --- DISTINCT ----------------------------------------------------------
 
 // fusedDistinctScan streams every row's key fingerprint through the
-// cache matrix in worker-interleave order and dedupes survivors on the
-// fly: first-seen fingerprints land in seen/rows (the master's unique
-// list), later duplicates only count as forwarded.
-func fusedDistinctScan(t *table.Table, cols []int, seed uint64, m *cache.Matrix, workers int,
-	seen map[uint64]struct{}, rows *[]int) (sent, fwd int) {
-	n := t.NumRows()
-	if n == 0 {
-		return 0, 0
-	}
-	if workers <= 0 {
-		workers = 1
-	}
-	starts := rrStarts(0, n, workers)
-	fpr := newRowFP(t, cols, seed)
-	for k, done := 0, 0; done < n; k++ {
-		for w := 0; w < workers; w++ {
-			r := starts[w] + k
-			if r >= starts[w+1] {
-				continue
-			}
-			done++
-			fp := fpr.fp(r)
-			if m.Insert(fp) {
-				continue
-			}
-			fwd++
-			if _, dup := seen[fp]; !dup {
-				seen[fp] = struct{}{}
-				*rows = append(*rows, r)
-			}
+// cache matrix in worker-interleave order (partial.arrival); survivors
+// absorb into p, which keeps the first row of each fingerprint (later
+// duplicates only count as forwarded).
+func fusedDistinctScan(seed uint64, m *cache.Matrix, workers int, p *partial) (sent, fwd int) {
+	fps, order := p.hashKeys(seed), p.arrival(workers)
+	for i := range fps {
+		r := i
+		if order != nil {
+			r = order[i]
 		}
-	}
-	return n, fwd
-}
-
-func fusedDistinct(q *Query, opts CheetahOptions) (*CheetahRun, bool, error) {
-	var d *prune.Distinct
-	if opts.Pruner != nil {
-		var ok bool
-		if d, ok = opts.Pruner.(*prune.Distinct); !ok || !fuseGate(opts, d) {
-			return nil, false, nil
+		fp := fps[r]
+		if m.Insert(fp) {
+			continue
 		}
-	} else {
-		p, err := DefaultPruner(q, opts.Seed)
-		if err != nil {
-			return nil, true, err
-		}
-		d = p.(*prune.Distinct)
+		fwd++
+		p.absorbFirst(fp, r)
 	}
-	cols := make([]int, len(q.DistinctCols))
-	for i, c := range q.DistinctCols {
-		cols[i] = q.Table.Schema().MustIndex(c)
-	}
-	run := &CheetahRun{PrunerName: d.Name()}
-	ds := distinctScratchPool.Get().(*distinctScratch)
-	clear(ds.seen)
-	ds.uniqueRows = ds.uniqueRows[:0]
-	sent, fwd := fusedDistinctScan(q.Table, cols, opts.Seed, d.FusedMatrix(), opts.Workers,
-		ds.seen, &ds.uniqueRows)
-	d.AddStats(uint64(sent), uint64(sent-fwd))
-	run.Traffic.EntriesSent = sent
-	run.Traffic.Forwarded = fwd
-	var res *Result
-	if len(cols) == 1 {
-		cells := make([]string, len(ds.uniqueRows))
-		for i, r := range ds.uniqueRows {
-			cells[i] = cellString(q.Table, cols[0], r)
-		}
-		radixSortStrings(cells)
-		res = &Result{Columns: append([]string(nil), q.DistinctCols...), Rows: singleCellRows(cells)}
-	} else {
-		rows := make([][]string, len(ds.uniqueRows))
-		backing := make([]string, len(ds.uniqueRows)*len(cols))
-		for i, r := range ds.uniqueRows {
-			row := backing[i*len(cols) : (i+1)*len(cols) : (i+1)*len(cols)]
-			for k, c := range cols {
-				row[k] = cellString(q.Table, c, r)
-			}
-			rows[i] = row
-		}
-		res = &Result{Columns: append([]string(nil), q.DistinctCols...), Rows: rows}
-		res.Sort()
-	}
-	distinctScratchPool.Put(ds)
-	run.Result = res
-	run.Traffic.MasterProcessed = fwd
-	run.Stats = d.Stats()
-	return run, true, nil
+	return len(fps), fwd
 }
 
 // --- TOP N -------------------------------------------------------------
@@ -662,258 +595,75 @@ func fusedTopN(q *Query, opts CheetahOptions) (*CheetahRun, bool, error) {
 // --- GROUP BY MAX ------------------------------------------------------
 
 // fusedGroupByMaxScan streams (key fingerprint, value) through the
-// keyed-max matrix in worker-interleave order, folding survivors into
-// the master's fingerprint-keyed maxima with one representative row per
-// key for late materialization.
-func fusedGroupByMaxScan(t *table.Table, kc, vc int, seed uint64, g *prune.GroupBy, workers int,
-	keyIdx map[uint64]int, maxs *[]int64, reps *[]int) (sent, fwd int) {
-	n := t.NumRows()
-	if n == 0 {
-		return 0, 0
-	}
-	if workers <= 0 {
-		workers = 1
-	}
-	starts := rrStarts(0, n, workers)
-	fpr := newRowFP(t, []int{kc}, seed)
+// keyed-max matrix in worker-interleave order; survivors absorb into p.
+func fusedGroupByMaxScan(t *table.Table, vc int, seed uint64, g *prune.GroupBy, workers int, p *partial) (sent, fwd int) {
+	fps, order := p.hashKeys(seed), p.arrival(workers)
 	vals := t.Int64Col(vc)
 	m, neg := g.FusedMatrix()
-	for k, done := 0, 0; done < n; k++ {
-		for w := 0; w < workers; w++ {
-			r := starts[w] + k
-			if r >= starts[w+1] {
-				continue
-			}
-			done++
-			fp := fpr.fp(r)
-			v := vals[r]
-			ov := v
-			if neg {
-				ov = -v
-			}
-			if m.Offer(fp, ov) {
-				continue
-			}
-			fwd++
-			if i, ok := keyIdx[fp]; ok {
-				if v > (*maxs)[i] {
-					(*maxs)[i] = v
-				}
-			} else {
-				keyIdx[fp] = len(*maxs)
-				*maxs = append(*maxs, v)
-				*reps = append(*reps, r)
-			}
+	for i := range fps {
+		r := i
+		if order != nil {
+			r = order[i]
 		}
-	}
-	return n, fwd
-}
-
-func fusedGroupByMax(q *Query, opts CheetahOptions) (*CheetahRun, bool, error) {
-	var g *prune.GroupBy
-	if opts.Pruner != nil {
-		var ok bool
-		if g, ok = opts.Pruner.(*prune.GroupBy); !ok || !fuseGate(opts, g) {
-			return nil, false, nil
+		fp, v := fps[r], vals[r]
+		ov := v
+		if neg {
+			ov = -v
 		}
-	} else {
-		p, err := DefaultPruner(q, opts.Seed)
-		if err != nil {
-			return nil, true, err
+		if m.Offer(fp, ov) {
+			continue
 		}
-		g = p.(*prune.GroupBy)
+		fwd++
+		p.absorbMax(fp, v, r)
 	}
-	kc := q.Table.Schema().MustIndex(q.KeyCol)
-	vc := q.Table.Schema().MustIndex(q.AggCol)
-	run := &CheetahRun{PrunerName: g.Name()}
-	keyIdx := make(map[uint64]int, 1024)
-	var maxs []int64
-	var reps []int
-	sent, fwd := fusedGroupByMaxScan(q.Table, kc, vc, opts.Seed, g, opts.Workers, keyIdx, &maxs, &reps)
-	g.AddStats(uint64(sent), uint64(sent-fwd))
-	run.Traffic.EntriesSent = sent
-	run.Traffic.Forwarded = fwd
-	rows := make([][]string, len(maxs))
-	backing := make([]string, len(maxs)*2)
-	for i := range maxs {
-		row := backing[i*2 : i*2+2 : i*2+2]
-		row[0] = cellString(q.Table, kc, reps[i])
-		row[1] = strconv.FormatInt(maxs[i], 10)
-		rows[i] = row
-	}
-	run.Result = &Result{Columns: []string{q.KeyCol, "max(" + q.AggCol + ")"}, Rows: rows}
-	run.Result.Sort()
-	run.Traffic.MasterProcessed = fwd
-	run.Stats = g.Stats()
-	return run, true, nil
+	return len(fps), fwd
 }
 
 // --- GROUP BY SUM ------------------------------------------------------
 
 // fusedGroupBySumScan streams (key fingerprint, value) through the
-// in-switch aggregation matrix in worker-interleave order. The key
-// dictionary entry is recorded before ProcessEmit, which may rewrite the
-// forwarded pair with an evicted aggregate (batchGroupBySum's pre-hook).
-func fusedGroupBySumScan(t *table.Table, kc, vc int, seed uint64, gs *prune.GroupBySum, workers int,
-	fpToKey map[uint64]string, sums map[uint64]int64) (sent, fwd int) {
-	n := t.NumRows()
-	if n == 0 {
-		return 0, 0
-	}
-	if workers <= 0 {
-		workers = 1
-	}
-	starts := rrStarts(0, n, workers)
-	fpr := newRowFP(t, []int{kc}, seed)
+// in-switch aggregation matrix in worker-interleave order; evicted
+// aggregates absorb into p. Each row's fingerprint is kept in p's
+// hash-once column, from which p.resolve finds the surviving
+// fingerprints' keys after the drain.
+func fusedGroupBySumScan(t *table.Table, vc int, seed uint64, gs *prune.GroupBySum, workers int, p *partial) (sent, fwd int) {
+	fps, order := p.hashKeys(seed), p.arrival(workers)
 	vals := t.Int64Col(vc)
-	var vbuf [2]uint64
-	for k, done := 0, 0; done < n; k++ {
-		for w := 0; w < workers; w++ {
-			r := starts[w] + k
-			if r >= starts[w+1] {
-				continue
-			}
-			done++
-			fp := fpr.fp(r)
-			if _, ok := fpToKey[fp]; !ok {
-				fpToKey[fp] = cellString(t, kc, r)
-			}
-			vbuf[0] = fp
-			vbuf[1] = uint64(vals[r])
-			if d, out := gs.ProcessEmit(vbuf[:]); d == switchsim.Forward {
-				fwd++
-				sums[out[0]] += int64(out[1])
-			}
+	for i := range fps {
+		r := i
+		if order != nil {
+			r = order[i]
+		}
+		if ek, es, evicted := gs.FusedAdd(fps[r], vals[r]); evicted {
+			fwd++
+			p.absorbSum(ek, es)
 		}
 	}
-	return n, fwd
-}
-
-func fusedGroupBySum(q *Query, opts CheetahOptions) (*CheetahRun, bool, error) {
-	var gs *prune.GroupBySum
-	if opts.Pruner != nil {
-		var ok bool
-		if gs, ok = opts.Pruner.(*prune.GroupBySum); !ok || !fuseGate(opts, gs) {
-			return nil, false, nil
-		}
-	} else {
-		p, err := prune.NewGroupBySum(prune.DefaultGroupBySumConfig(opts.Seed))
-		if err != nil {
-			return nil, true, err
-		}
-		gs = p
-	}
-	kc := q.Table.Schema().MustIndex(q.KeyCol)
-	vc := q.Table.Schema().MustIndex(q.AggCol)
-	run := &CheetahRun{PrunerName: gs.Name()}
-	sums := map[uint64]int64{}
-	fpToKey := map[uint64]string{}
-	sent, fwd := fusedGroupBySumScan(q.Table, kc, vc, opts.Seed, gs, opts.Workers, fpToKey, sums)
-	run.Traffic.EntriesSent = sent
-	run.Traffic.Forwarded = fwd
-	for _, e := range gs.Drain() {
-		run.Traffic.Forwarded++
-		sums[e[0]] += int64(e[1])
-	}
-	rows := make([][]string, 0, len(sums))
-	for fp, v := range sums {
-		rows = append(rows, []string{fpToKey[fp], strconv.FormatInt(v, 10)})
-	}
-	run.Result = &Result{Columns: []string{q.KeyCol, "sum(" + q.AggCol + ")"}, Rows: rows}
-	run.Result.Sort()
-	run.Traffic.MasterProcessed = len(sums)
-	run.Stats = gs.Stats()
-	return run, true, nil
+	return len(fps), fwd
 }
 
 // --- HAVING ------------------------------------------------------------
 
 // fusedHavingPass1 streams (key fingerprint, value) through the
-// Count-Min sketch in worker-interleave order, collecting candidate key
-// fingerprints.
-func fusedHavingPass1(t *table.Table, kc, vc int, seed uint64, h *prune.Having, workers int,
-	candidates map[uint64]bool) (sent, fwd int) {
-	n := t.NumRows()
-	if n == 0 {
-		return 0, 0
-	}
-	if workers <= 0 {
-		workers = 1
-	}
-	starts := rrStarts(0, n, workers)
-	fpr := newRowFP(t, []int{kc}, seed)
+// Count-Min sketch in worker-interleave order; a forwarded entry makes
+// its fingerprint a candidate of p. Each row's fingerprint is kept in p's
+// hash-once column for the second pass (partial.sumCandidates).
+func fusedHavingPass1(t *table.Table, vc int, seed uint64, h *prune.Having, workers int, p *partial) (sent, fwd int) {
+	fps, order := p.hashKeys(seed), p.arrival(workers)
 	vals := t.Int64Col(vc)
-	for k, done := 0, 0; done < n; k++ {
-		for w := 0; w < workers; w++ {
-			r := starts[w] + k
-			if r >= starts[w+1] {
-				continue
-			}
-			done++
-			fp := fpr.fp(r)
-			if h.FusedOffer(fp, vals[r]) {
-				continue
-			}
-			fwd++
-			candidates[fp] = true
+	for i := range fps {
+		r := i
+		if order != nil {
+			r = order[i]
 		}
-	}
-	return n, fwd
-}
-
-// fusedHavingPass2 is the exact partial second pass: candidate keys'
-// entries re-stream and the master sums them exactly. No pruner state is
-// touched, so plain row order gives identical sums and counts.
-func fusedHavingPass2(t *table.Table, kc int, vals []int64, fpr *rowFP,
-	candidates map[uint64]bool, sums map[string]int64) (resent int) {
-	for r := 0; r < t.NumRows(); r++ {
-		if !candidates[fpr.fp(r)] {
+		fp := fps[r]
+		if h.FusedOffer(fp, vals[r]) {
 			continue
 		}
-		resent++
-		sums[cellString(t, kc, r)] += vals[r]
+		fwd++
+		p.slot(fp)
 	}
-	return resent
-}
-
-func fusedHaving(q *Query, opts CheetahOptions) (*CheetahRun, bool, error) {
-	var h *prune.Having
-	if opts.Pruner != nil {
-		var ok bool
-		if h, ok = opts.Pruner.(*prune.Having); !ok || !fuseGate(opts, h) {
-			return nil, false, nil
-		}
-	} else {
-		p, err := prune.NewHaving(prune.DefaultHavingConfig(q.Threshold, opts.Seed))
-		if err != nil {
-			return nil, true, err
-		}
-		h = p
-	}
-	kc := q.Table.Schema().MustIndex(q.KeyCol)
-	vc := q.Table.Schema().MustIndex(q.AggCol)
-	run := &CheetahRun{PrunerName: h.Name()}
-	candidates := map[uint64]bool{}
-	sent, fwd := fusedHavingPass1(q.Table, kc, vc, opts.Seed, h, opts.Workers, candidates)
-	h.AddStats(uint64(sent), uint64(sent-fwd))
-	run.Traffic.EntriesSent = sent
-	run.Traffic.Forwarded = fwd
-	sums := map[string]int64{}
-	fpr := newRowFP(q.Table, []int{kc}, opts.Seed)
-	resent := fusedHavingPass2(q.Table, kc, q.Table.Int64Col(vc), &fpr, candidates, sums)
-	run.Traffic.EntriesSent += resent
-	run.Traffic.SecondPassSent = resent
-	rows := make([][]string, 0, len(sums))
-	for k, v := range sums {
-		if v > q.Threshold {
-			rows = append(rows, []string{k})
-		}
-	}
-	run.Result = &Result{Columns: []string{q.KeyCol}, Rows: rows}
-	run.Result.Sort()
-	run.Traffic.MasterProcessed = resent
-	run.Stats = h.Stats()
-	return run, true, nil
+	return len(fps), fwd
 }
 
 // --- JOIN --------------------------------------------------------------
@@ -1046,16 +796,10 @@ func execCheetahFused(q *Query, opts CheetahOptions) (*CheetahRun, bool, error) 
 	switch q.Kind {
 	case KindFilter:
 		return fusedFilter(q, opts)
-	case KindDistinct:
-		return fusedDistinct(q, opts)
 	case KindTopN:
 		return fusedTopN(q, opts)
-	case KindGroupByMax:
-		return fusedGroupByMax(q, opts)
-	case KindGroupBySum:
-		return fusedGroupBySum(q, opts)
-	case KindHaving:
-		return fusedHaving(q, opts)
+	case KindDistinct, KindGroupByMax, KindGroupBySum, KindHaving:
+		return execAggregation(q, opts, true)
 	case KindJoin:
 		return fusedJoin(q, opts)
 	case KindSkyline:

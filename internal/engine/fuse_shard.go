@@ -1,11 +1,13 @@
 package engine
 
-// Sharded-path bindings of the fused compiler (fuse.go): each helper
-// runs one shard's whole pruning pass as fused loops when the shard's
-// dataplane grants direct program access and the pruner is a shipped
-// concrete type, returning ok=false to keep the shard on the chunked
-// batch pipeline. Traffic, Stats and the shard partials handed to the
-// global combine are bit-identical to the batched shard pass (with the
+// Sharded-path bindings of the fused compiler (fuse.go) for FILTER,
+// SKYLINE, TOP N and JOIN — the aggregation kinds need none: aggPass
+// (agg.go) is their shard pass. Each helper runs one shard's whole
+// pruning pass as fused loops when the shard's dataplane grants direct
+// program access and the pruner is a shipped concrete type, returning
+// ok=false to keep the shard on the chunked batch pipeline. Traffic,
+// Stats and the shard partials handed to the global combine are
+// bit-identical to the batched shard pass (with the
 // same single sanctioned deviation as the single-switch path: the
 // randomized TOP N RNG stream). Failover composes unchanged — these run
 // inside shardExec.run, so a pass that crossed its switch's death is
@@ -86,33 +88,6 @@ func (se *shardExec) fusedGatherPass(opts ShardedOptions, countOnly bool) ([]int
 	return nil, false
 }
 
-// fusedDistinctPass runs one DISTINCT shard stream and returns the
-// shard's first-seen unique rows with their fingerprints (the global
-// combine's dedupe keys).
-func (se *shardExec) fusedDistinctPass(opts ShardedOptions, cols []int) (fps []uint64, rows []int, ok bool) {
-	if !se.fusable(opts) {
-		return nil, nil, false
-	}
-	d, isD := se.pruner.(*prune.Distinct)
-	if !isD {
-		return nil, nil, false
-	}
-	seen := make(map[uint64]struct{}, 1024)
-	sent, fwd := fusedDistinctScan(se.q.Table, cols, opts.Seed, d.FusedMatrix(), opts.Workers, seen, &rows)
-	d.AddStats(uint64(sent), uint64(sent-fwd))
-	se.traffic.EntriesSent = sent
-	se.traffic.Forwarded = fwd
-	se.traffic.MasterProcessed = fwd
-	// The scan dedupes by fingerprint but keeps only rows; recompute the
-	// fingerprints of the (few) unique rows for the cross-shard combine.
-	fpr := newRowFP(se.q.Table, cols, opts.Seed)
-	fps = make([]uint64, len(rows))
-	for i, r := range rows {
-		fps[i] = fpr.fp(r)
-	}
-	return fps, rows, true
-}
-
 // fusedTopNPass runs one TOP N shard stream into the shard-local N-heap.
 func (se *shardExec) fusedTopNPass(opts ShardedOptions, col int) (int64Heap, bool) {
 	if !se.fusable(opts) {
@@ -156,76 +131,6 @@ func (se *shardExec) fusedTopNPass(opts ShardedOptions, col int) (int64Heap, boo
 	se.traffic.Forwarded = fwd
 	se.traffic.MasterProcessed = len(h)
 	return h, true
-}
-
-// fusedGroupByMaxPass runs one GROUP BY MAX shard stream and returns the
-// shard's fingerprint-keyed partial maxima (fps in first-seen order,
-// with one representative row per key).
-func (se *shardExec) fusedGroupByMaxPass(opts ShardedOptions, kc, vc int) (fps []uint64, maxs []int64, reps []int, ok bool) {
-	if !se.fusable(opts) {
-		return nil, nil, nil, false
-	}
-	g, isG := se.pruner.(*prune.GroupBy)
-	if !isG {
-		return nil, nil, nil, false
-	}
-	keyIdx := make(map[uint64]int, 1024)
-	sent, fwd := fusedGroupByMaxScan(se.q.Table, kc, vc, opts.Seed, g, opts.Workers, keyIdx, &maxs, &reps)
-	g.AddStats(uint64(sent), uint64(sent-fwd))
-	se.traffic.EntriesSent = sent
-	se.traffic.Forwarded = fwd
-	se.traffic.MasterProcessed = len(maxs)
-	// keyIdx assigns dense first-seen indices; inverting it recovers the
-	// fingerprint list in exactly the batched partial's order.
-	fps = make([]uint64, len(maxs))
-	for fp, i := range keyIdx {
-		fps[i] = fp
-	}
-	return fps, maxs, reps, true
-}
-
-// fusedGroupBySumPass runs one GROUP BY SUM shard stream (including the
-// end-of-stream drain) and returns the shard's partial sums and key
-// dictionary.
-func (se *shardExec) fusedGroupBySumPass(opts ShardedOptions, kc, vc int) (sums map[uint64]int64, fpToKey map[uint64]string, ok bool) {
-	if !se.fusable(opts) {
-		return nil, nil, false
-	}
-	gs, isGS := se.pruner.(*prune.GroupBySum)
-	if !isGS {
-		return nil, nil, false
-	}
-	sums = make(map[uint64]int64, 1024)
-	fpToKey = make(map[uint64]string, 1024)
-	sent, fwd := fusedGroupBySumScan(se.q.Table, kc, vc, opts.Seed, gs, opts.Workers, fpToKey, sums)
-	se.traffic.EntriesSent = sent
-	se.traffic.Forwarded = fwd
-	for _, e := range gs.Drain() {
-		se.traffic.Forwarded++
-		sums[e[0]] += int64(e[1])
-	}
-	se.traffic.MasterProcessed = len(sums)
-	return sums, fpToKey, true
-}
-
-// fusedHavingCandidates runs one HAVING first-pass shard stream through
-// the shard's (threshold-tightened) sketch and returns its candidate
-// fingerprints. The exact second pass is pruner-free and shared with the
-// single-switch path (fusedHavingPass2).
-func (se *shardExec) fusedHavingCandidates(opts ShardedOptions, kc, vc int) (map[uint64]bool, bool) {
-	if !se.fusable(opts) {
-		return nil, false
-	}
-	h, isH := se.pruner.(*prune.Having)
-	if !isH {
-		return nil, false
-	}
-	cand := make(map[uint64]bool, 1024)
-	sent, fwd := fusedHavingPass1(se.q.Table, kc, vc, opts.Seed, h, opts.Workers, cand)
-	h.AddStats(uint64(sent), uint64(sent-fwd))
-	se.traffic.EntriesSent = sent
-	se.traffic.Forwarded = fwd
-	return cand, true
 }
 
 // fusedJoinPass runs one shard's whole Bloom join (build and probe

@@ -25,7 +25,7 @@ func fusedTrafficExempt(name string) bool { return name == "topn" }
 func TestFusedMatchesBatchExec(t *testing.T) {
 	tb := equivTable(t, 4000, 0x5eed)
 	rt := equivTable(t, 1500, 0x0dd)
-	for name, q := range equivQueries(tb, rt) {
+	for name, q := range withAggEdges(equivQueries(tb, rt)) {
 		for _, workers := range []int{1, 3, 5} {
 			for _, seed := range []uint64{1, 0xfeed, 42} {
 				fused, err := ExecCheetah(q, CheetahOptions{Workers: workers, Seed: seed})
@@ -66,7 +66,7 @@ func TestFusedMatchesBatchExec(t *testing.T) {
 func TestFusedMatchesDirect(t *testing.T) {
 	tb := equivTable(t, 4000, 0x71)
 	rt := equivTable(t, 1500, 0x72)
-	for name, q := range equivQueries(tb, rt) {
+	for name, q := range withAggEdges(equivQueries(tb, rt)) {
 		fused, err := ExecCheetah(q, CheetahOptions{Workers: 4, Seed: 0xfeed})
 		if err != nil {
 			t.Fatalf("%s fused: %v", name, err)
@@ -87,7 +87,7 @@ func TestFusedMatchesDirect(t *testing.T) {
 func TestFusedSharded(t *testing.T) {
 	tb := equivTable(t, 4000, 0x81)
 	rt := equivTable(t, 1500, 0x82)
-	for name, q := range equivQueries(tb, rt) {
+	for name, q := range withAggEdges(equivQueries(tb, rt)) {
 		for _, shards := range []int{2, 4} {
 			fused, err := ExecSharded(q, ShardedOptions{Shards: shards, Workers: 3, Seed: 0xfeed})
 			if err != nil {

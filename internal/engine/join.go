@@ -135,19 +135,14 @@ func fusedJoinPasses(q *Query, j *prune.Join, seed uint64, skip bool, sc *joinSc
 	return tr, skipped
 }
 
-// joinTable maps key fingerprints to per-key join counts: open
-// addressing over a power-of-two slot array with linear probing. A slot
-// holds the fingerprint and the index of its entry; two keys that share
-// a fingerprint simply occupy two slots on the same probe run, told
-// apart by comparing the keys themselves.
+// joinTable maps key fingerprints to per-key join counts over an fpTable
+// (partial.go). Unlike the aggregation partials it may hold several
+// entries per fingerprint: two keys that share one simply occupy two
+// slots on the same probe run, told apart by comparing the keys
+// themselves.
 type joinTable[K comparable] struct {
-	slots []joinSlot
-	ents  []joinEntry[K]
-}
-
-type joinSlot struct {
-	fp  uint64
-	ent int // entry index + 1; 0 marks an empty slot
+	fpTable
+	ents []joinEntry[K]
 }
 
 // joinEntry is one distinct key of the build side. The key sits in the
@@ -159,43 +154,13 @@ type joinEntry[K comparable] struct {
 	pairs int // joined row pairs: build × matching probe survivors
 }
 
-// joinTableMinSlots is the slot count a fresh table starts from.
-const joinTableMinSlots = 1 << 10
-
-// reset empties the table, keeping its capacity.
-func (t *joinTable[K]) reset() {
-	if t.slots == nil {
-		t.slots = make([]joinSlot, joinTableMinSlots)
-	}
-	clear(t.slots)
-	t.ents = t.ents[:0]
-}
-
-// grow doubles the slot array. Entries are distinct keys, so re-placing
-// them needs no key comparison.
-func (t *joinTable[K]) grow() {
-	old := t.slots
-	t.slots = make([]joinSlot, 2*len(old))
-	mask := uint64(len(t.slots) - 1)
-	for _, s := range old {
-		if s.ent == 0 {
-			continue
-		}
-		h := s.fp & mask
-		for t.slots[h].ent != 0 {
-			h = (h + 1) & mask
-		}
-		t.slots[h] = s
-	}
-}
-
 // count fills the table with one entry per distinct key among build's
 // survivors, then adds up each entry's row pairs over probe's. bk and pk
 // are the two sides' key columns. A slot's fingerprint only preselects:
-// every match is confirmed on the keys. Fingerprints are Mix64 outputs,
-// so their low bits index the table directly.
+// every match is confirmed on the keys.
 func (t *joinTable[K]) count(bk, pk []K, build, probe *joinSide) {
 	t.reset()
+	t.ents = t.ents[:0]
 	mask := uint64(len(t.slots) - 1)
 	for i, r := range build.rows {
 		fp, key := build.fps[i], bk[r]
@@ -203,7 +168,7 @@ func (t *joinTable[K]) count(bk, pk []K, build, probe *joinSide) {
 			s := &t.slots[h]
 			if s.ent == 0 {
 				t.ents = append(t.ents, joinEntry[K]{key: key, build: 1})
-				*s = joinSlot{fp: fp, ent: len(t.ents)}
+				*s = fpSlot{fp: fp, ent: len(t.ents)}
 				break
 			}
 			if e := &t.ents[s.ent-1]; s.fp == fp && e.key == key {

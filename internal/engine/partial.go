@@ -1,0 +1,519 @@
+package engine
+
+// The master-side partial result of the four aggregation kinds —
+// DISTINCT, GROUP BY MAX, GROUP BY SUM, HAVING — and the only place
+// their completion is written. A partial is a set of entries keyed by
+// key fingerprint with three operations: absorb one survivor of the
+// switch, merge another partial, render the sorted Result. Every
+// executor feeds it: the fused loops and the batch sinks absorb, the
+// sharded path builds one partial per shard and merges them, and all of
+// them render the same way. Absorb and merge commute and associate up to
+// entry order, which render's sort erases, so any split of the survivors
+// over any number of partials, merged in any order, renders the same
+// Result.
+//
+// What an entry holds, per kind (val / representative row):
+//
+//	DISTINCT      —          / first survivor carrying the fingerprint
+//	GROUP BY MAX  maximum    / first survivor carrying the fingerprint
+//	GROUP BY SUM  sum        / resolved after the drain (resolve)
+//	HAVING        exact sum  / first row the second pass re-streamed
+//
+// Keys are rendered late, from representative rows, so a key string is
+// touched once per result row and never per stream entry.
+//
+// Exactness. DISTINCT, GROUP BY MAX and GROUP BY SUM identify a key with
+// its fingerprint, as the switch that pruned (or, for SUM, already
+// summed) the stream did: two keys sharing a fingerprint were merged
+// before the master saw them, and no master-side check can take that
+// back (Theorem 4's 1-δ guarantee covers it). HAVING's switch only
+// nominates candidates; the sums are the master's own, so its second
+// pass compares every row's key with the entry's representative and
+// keeps a key that merely shares a candidate's fingerprint apart
+// (spill) — HAVING stays exact under collisions.
+
+import (
+	"maps"
+	"strconv"
+	"sync"
+
+	"cheetah/internal/table"
+)
+
+// fpSlot is one slot of an fpTable: a fingerprint and the index of its
+// entry.
+type fpSlot struct {
+	fp  uint64
+	ent int // entry index + 1; 0 marks an empty slot
+}
+
+// fpTable indexes entries by key fingerprint: open addressing over a
+// power-of-two slot array with linear probing. Fingerprints are Mix64
+// outputs, so their low bits index the table directly. The entries live
+// with the owner (partial, joinTable), which keeps the table at most
+// half full by calling grow.
+type fpTable struct {
+	slots []fpSlot
+}
+
+// fpTableMinSlots is the slot count a fresh table starts from.
+const fpTableMinSlots = 1 << 10
+
+// reset empties the table, keeping its capacity.
+func (t *fpTable) reset() {
+	if t.slots == nil {
+		t.slots = make([]fpSlot, fpTableMinSlots)
+	}
+	clear(t.slots)
+}
+
+// grow doubles the slot array. Entries are distinct, so re-placing them
+// needs no comparison.
+func (t *fpTable) grow() {
+	old := t.slots
+	t.slots = make([]fpSlot, 2*len(old))
+	mask := uint64(len(t.slots) - 1)
+	for _, s := range old {
+		if s.ent == 0 {
+			continue
+		}
+		h := s.fp & mask
+		for t.slots[h].ent != 0 {
+			h = (h + 1) & mask
+		}
+		t.slots[h] = s
+	}
+}
+
+// find returns the entry (index + 1) of the first slot holding fp, 0
+// when there is none.
+func (t *fpTable) find(fp uint64) int {
+	mask := uint64(len(t.slots) - 1)
+	for h := fp & mask; ; h = (h + 1) & mask {
+		if s := &t.slots[h]; s.ent == 0 || s.fp == fp {
+			return s.ent
+		}
+	}
+}
+
+// partialEnt is one fingerprint's entry. row < 0 means no representative
+// row yet.
+type partialEnt struct {
+	fp  uint64
+	val int64
+	tbl int // index into partial.tables
+	row int
+}
+
+// partial is one kind's partial result over one table — or, after
+// merges, over several tables of one schema (a sharded table's shards).
+type partial struct {
+	kind   QueryKind
+	cols   []int          // the key column(s), at the same index in every table
+	tables []*table.Table // what entries' representative rows point into
+	tab    fpTable
+	ents   []partialEnt
+	// spill holds HAVING's sums for keys whose fingerprint is another
+	// candidate's; nil until the first collision.
+	spill map[string]int64
+	// fps is the hash-once column of tables[0]: fps[r] is row r's key
+	// fingerprint, valid while hashed is set (hashKeys). HAVING's second
+	// pass and GROUP BY SUM's key resolution read the fused scan's
+	// fingerprints back from it instead of hashing again.
+	fps    []uint64
+	hashed bool
+	order  []int // arrival's scratch
+	// Render scratch: keys and their entry indices, sorted in lock-step,
+	// and the value cells' digits with where each cell's end.
+	sorter radixSorter
+	keys   []string
+	idx    []int32
+	digits []byte
+	ends   []int
+}
+
+var partialPool = sync.Pool{New: func() any { return new(partial) }}
+
+// partialPoolMax is the capacity, in elements, above which release
+// drops a scratch slice instead of pooling it: one huge result must not
+// pin its scratch for the life of the process.
+const partialPoolMax = 1 << 20
+
+// newPartial returns an empty pooled partial of q's kind over q.Table.
+func newPartial(q *Query) *partial {
+	p := partialPool.Get().(*partial)
+	p.kind = q.Kind
+	names := q.DistinctCols
+	if q.Kind != KindDistinct {
+		names = []string{q.KeyCol}
+	}
+	p.cols = p.cols[:0]
+	for _, name := range names {
+		p.cols = append(p.cols, q.Table.Schema().MustIndex(name))
+	}
+	p.reset(q.Table)
+	return p
+}
+
+// reset empties p for a fresh pass over t — a failover redo starts
+// here. A table that one large result grew is wiped entry by entry when
+// few slots are occupied, not as a whole on every small query after it.
+func (p *partial) reset(t *table.Table) {
+	p.tables = append(p.tables[:0], t)
+	if slots := p.tab.slots; 8*len(p.ents) < len(slots) {
+		mask := uint64(len(slots) - 1)
+		for i := range p.ents {
+			h := p.ents[i].fp & mask
+			for slots[h].ent != i+1 {
+				h = (h + 1) & mask
+			}
+			slots[h] = fpSlot{}
+		}
+	} else {
+		p.tab.reset()
+	}
+	p.ents = p.ents[:0]
+	p.spill = nil
+	p.hashed = false
+}
+
+// release returns p to the pool. Nothing rendered from p refers to its
+// scratch, so the Result outlives it.
+func (p *partial) release() {
+	clear(p.tables)
+	p.spill = nil
+	if cap(p.tab.slots) > partialPoolMax || cap(p.fps) > partialPoolMax {
+		*p = partial{}
+	}
+	partialPool.Put(p)
+}
+
+// slot returns fp's entry, adding an empty one (no row, zero val) when
+// the fingerprint is new. The pointer is good until the next slot call.
+func (p *partial) slot(fp uint64) *partialEnt {
+	if i := p.tab.find(fp); i != 0 {
+		return &p.ents[i-1]
+	}
+	p.ents = append(p.ents, partialEnt{fp: fp, row: -1})
+	mask := uint64(len(p.tab.slots) - 1)
+	h := fp & mask
+	for p.tab.slots[h].ent != 0 {
+		h = (h + 1) & mask
+	}
+	p.tab.slots[h] = fpSlot{fp: fp, ent: len(p.ents)}
+	if 2*len(p.ents) > len(p.tab.slots) {
+		p.tab.grow()
+	}
+	return &p.ents[len(p.ents)-1]
+}
+
+// absorbFirst is DISTINCT's absorb: the first survivor carrying a
+// fingerprint represents it.
+func (p *partial) absorbFirst(fp uint64, row int) {
+	if e := p.slot(fp); e.row < 0 {
+		e.row = row
+	}
+}
+
+// absorbMax is GROUP BY MAX's absorb.
+func (p *partial) absorbMax(fp uint64, v int64, row int) {
+	if e := p.slot(fp); e.row < 0 {
+		e.row, e.val = row, v
+	} else if v > e.val {
+		e.val = v
+	}
+}
+
+// absorbSum is GROUP BY SUM's absorb: v is an evicted or drained partial
+// aggregate of the key fingerprinted fp. The packet carries no row — the
+// switch summed many — so the entry's key waits for resolve.
+func (p *partial) absorbSum(fp uint64, v int64) { p.slot(fp).val += v }
+
+// hashKeys returns the hash-once column, filling it first unless a scan
+// of this pass already has: every row of tables[0] fingerprinted on p's
+// key columns, in one tight loop that no stream loop's branches stall.
+// The fused scans start from it; the batch fallbacks, which stream
+// fingerprints through chunk buffers and keep no column, only get here
+// through resolve or sumCandidates.
+func (p *partial) hashKeys(seed uint64) []uint64 {
+	if !p.hashed {
+		p.fps = growU64(p.fps, p.tables[0].NumRows())
+		fpr := newRowFP(p.tables[0], p.cols, seed)
+		for r := range p.fps {
+			p.fps[r] = fpr.fp(r)
+		}
+		p.hashed = true
+	}
+	return p.fps
+}
+
+// arrival returns the rows of tables[0] in the order their entries reach
+// the switch — partitions stream concurrently, so entries arrive
+// round-robin across the workers' partitions, exactly interleave's and
+// batchPass's schedule — or nil for one worker, whose arrival order is
+// the row order. The fused aggregation scans replay it as one flat loop.
+func (p *partial) arrival(workers int) []int {
+	if workers <= 1 {
+		return nil
+	}
+	n := p.tables[0].NumRows()
+	if cap(p.order) < n {
+		p.order = make([]int, n)
+	}
+	order, starts := p.order[:0], rrStarts(0, n, workers)
+	for k := 0; len(order) < n; k++ {
+		for w := 0; w < workers; w++ {
+			if r := starts[w] + k; r < starts[w+1] {
+				order = append(order, r)
+			}
+		}
+	}
+	return order
+}
+
+// resolve gives every entry still without a representative row the first
+// row of tables[0] whose key has the entry's fingerprint — GROUP BY
+// SUM's late key lookup, run once after the drain over the handful of
+// fingerprints that survived instead of once per stream entry. It stops
+// at the row that resolves the last one. An entry no row resolves (a
+// standing program drained state older than this table) renders an empty
+// key.
+func (p *partial) resolve(seed uint64) {
+	missing := 0
+	for i := range p.ents {
+		if p.ents[i].row < 0 {
+			missing++
+		}
+	}
+	if missing == 0 {
+		return
+	}
+	for r, fp := range p.hashKeys(seed) {
+		if i := p.tab.find(fp); i != 0 && p.ents[i-1].row < 0 {
+			p.ents[i-1].row = r
+			if missing--; missing == 0 {
+				return
+			}
+		}
+	}
+}
+
+// sumCandidates is HAVING's exact second pass over tables[0]: the rows
+// whose key fingerprint is a candidate's re-stream, and each adds its
+// value to its key's sum. It returns how many re-streamed. A candidate's
+// first row becomes its representative; a later row whose key differs
+// from the representative's shares only the fingerprint and is summed
+// apart. No pruner state is touched, so plain row order gives the sums
+// and counts any arrival order would.
+func (p *partial) sumCandidates(vc int, seed uint64) (resent int) {
+	t := p.tables[0]
+	key := accessorFor(t, p.cols[0])
+	vals := t.Int64Col(vc)
+	for r, fp := range p.hashKeys(seed) {
+		i := p.tab.find(fp)
+		if i == 0 {
+			continue
+		}
+		resent++
+		e := &p.ents[i-1]
+		switch {
+		case e.row < 0:
+			e.row, e.val = r, vals[r]
+		case key.isStr && key.strs[r] == key.strs[e.row], !key.isStr && key.ints[r] == key.ints[e.row]:
+			e.val += vals[r]
+		default:
+			p.spillAdd(cellString(t, p.cols[0], r), vals[r])
+		}
+	}
+	return resent
+}
+
+func (p *partial) spillAdd(key string, v int64) {
+	if p.spill == nil {
+		p.spill = map[string]int64{}
+	}
+	p.spill[key] += v
+}
+
+// copyCandidates makes p's entries a copy of g's — every shard starts
+// HAVING's second pass from the union of all shards' candidates — and
+// keeps p's own table and hash-once column.
+func (p *partial) copyCandidates(g *partial) {
+	p.tab.slots = append(p.tab.slots[:0], g.tab.slots...)
+	p.ents = append(p.ents[:0], g.ents...)
+}
+
+// sameKey reports whether row ra of a and row rb of b hold the same key
+// in column c.
+func sameKey(a *table.Table, ra int, b *table.Table, rb, c int) bool {
+	if a.ColumnType(c) == table.String {
+		return a.StringAt(c, ra) == b.StringAt(c, rb)
+	}
+	return a.Int64At(c, ra) == b.Int64At(c, rb)
+}
+
+// merge folds o into p; o is left untouched. An entry new to p brings
+// its representative row along (the first partial to name a fingerprint
+// keeps it: any row of the same key renders the same).
+func (p *partial) merge(o *partial) {
+	base := len(p.tables)
+	p.tables = append(p.tables, o.tables...)
+	for i := range o.ents {
+		oe := &o.ents[i]
+		e := p.slot(oe.fp)
+		fresh := e.row < 0
+		if fresh && oe.row >= 0 {
+			e.tbl, e.row = base+oe.tbl, oe.row
+		}
+		switch p.kind {
+		case KindGroupByMax:
+			if fresh || oe.val > e.val {
+				e.val = oe.val
+			}
+		case KindGroupBySum:
+			e.val += oe.val
+		case KindHaving:
+			// A rowless entry is a bare candidate: its sum is still zero.
+			if fresh || oe.row < 0 || sameKey(p.tables[e.tbl], e.row, o.tables[oe.tbl], oe.row, p.cols[0]) {
+				e.val += oe.val
+			} else {
+				p.spillAdd(cellString(o.tables[oe.tbl], p.cols[0], oe.row), oe.val)
+			}
+		}
+	}
+	for k, v := range o.spill {
+		p.spillAdd(k, v)
+	}
+}
+
+// key renders entry e's key cell in column c.
+func (p *partial) key(e *partialEnt, c int) string {
+	if e.row < 0 {
+		return ""
+	}
+	return cellString(p.tables[e.tbl], c, e.row)
+}
+
+// render returns the kind's Result over p's entries, in Result.Sort's
+// order, holding no reference to p.
+func (p *partial) render(q *Query) *Result {
+	switch p.kind {
+	case KindDistinct:
+		res := &Result{Columns: append([]string(nil), q.DistinctCols...)}
+		if len(p.cols) == 1 {
+			cells := make([]string, len(p.ents))
+			for i := range p.ents {
+				cells[i] = p.key(&p.ents[i], p.cols[0])
+			}
+			p.sorter.sort(cells, nil)
+			res.Rows = singleCellRows(cells)
+			return res
+		}
+		nc := len(p.cols)
+		res.Rows = make([][]string, len(p.ents))
+		backing := make([]string, len(p.ents)*nc)
+		for i := range p.ents {
+			row := backing[i*nc : (i+1)*nc : (i+1)*nc]
+			for k, c := range p.cols {
+				row[k] = p.key(&p.ents[i], c)
+			}
+			res.Rows[i] = row
+		}
+		res.Sort()
+		return res
+	case KindHaving:
+		var cells []string
+		if p.spill == nil {
+			for i := range p.ents {
+				if e := &p.ents[i]; e.row >= 0 && e.val > q.Threshold {
+					cells = append(cells, p.key(e, p.cols[0]))
+				}
+			}
+		} else {
+			// Fingerprints collided, and merges may have left one key's sum
+			// part in an entry and part spilt: total by key string.
+			totals := maps.Clone(p.spill)
+			for i := range p.ents {
+				if e := &p.ents[i]; e.row >= 0 {
+					totals[p.key(e, p.cols[0])] += e.val
+				}
+			}
+			for k, v := range totals {
+				if v > q.Threshold {
+					cells = append(cells, k)
+				}
+			}
+		}
+		p.sorter.sort(cells, nil)
+		return &Result{Columns: []string{q.KeyCol}, Rows: singleCellRows(cells)}
+	case KindGroupByMax:
+		return p.renderKeyed(q, "max(")
+	default:
+		return p.renderKeyed(q, "sum(")
+	}
+}
+
+// renderKeyed renders GROUP BY's (key, aggregate) rows. The keys are
+// unique, so the rows' canonical order is the keys' order: keys and entry
+// indices sort together by one radix pass over the keys alone, and the
+// rows are then built in place, in order — two cells each in one backing
+// array, every value cell a slice of one digit string. Key order and
+// Result.Sort disagree in one case only: Result.Sort compares
+// "\x00"-joined rows once a cell contains NUL, and a key followed by NUL
+// is another key's prefix (keyOrderExact). That, and unresolved entries
+// sharing the empty key, sort through Result.Sort itself.
+func (p *partial) renderKeyed(q *Query, agg string) *Result {
+	n := len(p.ents)
+	if cap(p.keys) < n {
+		p.keys, p.idx, p.ends = make([]string, n), make([]int32, n), make([]int, n)
+	}
+	keys, idx, ends := p.keys[:n], p.idx[:n], p.ends[:n]
+	exact := true
+	for i := range p.ents {
+		e := &p.ents[i]
+		keys[i], idx[i] = p.key(e, p.cols[0]), int32(i)
+		exact = exact && e.row >= 0
+	}
+	if exact {
+		p.sorter.sort(keys, idx)
+		exact = keyOrderExact(keys)
+	}
+	digits := p.digits[:0]
+	for i, j := range idx {
+		digits = strconv.AppendInt(digits, p.ents[j].val, 10)
+		ends[i] = len(digits)
+	}
+	p.digits = digits
+	vals := string(digits)
+	rows := make([][]string, n)
+	backing := make([]string, 2*n)
+	lo := 0
+	for i := range rows {
+		row := backing[2*i : 2*i+2 : 2*i+2]
+		row[0], row[1] = keys[i], vals[lo:ends[i]]
+		rows[i], lo = row, ends[i]
+	}
+	clear(keys) // the pooled scratch must not pin the tables' strings
+	res := &Result{Columns: []string{q.KeyCol, agg + q.AggCol + ")"}, Rows: rows}
+	if !exact {
+		res.Sort()
+	}
+	return res
+}
+
+// keyOrderExact reports whether sorted, unique keys are also in the order
+// of their "\x00"-joined rows whatever the other cells hold. They are
+// unless some key is another key followed by NUL: then the separator
+// ties with that NUL and the next cell decides. In sorted order such a
+// pair has the shorter key first and nothing but keys of that shape
+// between them, so checking neighbours finds it — at the cost of a byte,
+// and only where a key is longer than its predecessor.
+func keyOrderExact(keys []string) bool {
+	for i := 1; i < len(keys); i++ {
+		a, b := keys[i-1], keys[i]
+		if len(b) > len(a) && b[len(a)] == 0 && b[:len(a)] == a {
+			return false
+		}
+	}
+	return true
+}

@@ -20,13 +20,14 @@ package engine
 //   - TOP N: every global top-N value is in its shard's local top N, so
 //     per-shard N-heaps followed by a tightened global N-heap re-check
 //     lose nothing.
-//   - DISTINCT / GROUP BY: partials merge by the worker-computed
-//     fingerprint, which is seed-consistent across shards; merging is
-//     dedupe / max / sum respectively.
+//   - DISTINCT / GROUP BY: partials (partial.go) merge by the
+//     worker-computed fingerprint, which is seed-consistent across
+//     shards; merging is dedupe / max / sum respectively.
 //   - HAVING: a key with global sum S > T has some shard with local sum
 //     ≥ ⌈S/k⌉ > ⌊T/k⌋, so per-shard sketches thresholded at ⌊T/k⌋
 //     surface every true positive; the global second pass re-computes
-//     exact sums and drops the extra false positives (the same
+//     exact sums per shard against the union of all shards' candidates,
+//     merges them, and drops the extra false positives (the same
 //     guarantee shape as §4.3's partial second pass).
 //   - JOIN: the executor hash-shards both tables on the join keys, so
 //     matching keys are co-located and per-switch Bloom joins compose
@@ -35,7 +36,6 @@ package engine
 import (
 	"fmt"
 	"slices"
-	"strconv"
 	"sync"
 	"time"
 
@@ -247,10 +247,6 @@ func shardTables(q *Query, k int, strategy ShardStrategy) (left, right []*table.
 // default configuration, tightened per shard where the merge needs it.
 func defaultShardPruner(q *Query, shards int, seed uint64) (prune.Pruner, error) {
 	switch q.Kind {
-	case KindGroupBySum:
-		return prune.NewGroupBySum(prune.DefaultGroupBySumConfig(seed))
-	case KindHaving:
-		return prune.NewHaving(prune.DefaultHavingConfig(q.Threshold/int64(shards), seed))
 	case KindJoin:
 		return prune.NewJoin(prune.DefaultJoinConfig(seed))
 	case KindTopN:
@@ -260,7 +256,7 @@ func defaultShardPruner(q *Query, shards int, seed uint64) (prune.Pruner, error)
 		// the single-switch default δ.
 		return prune.NewRandTopN(prune.LegacyRandTopNConfig(q.N, 1e-4/float64(shards), seed))
 	default:
-		return DefaultPruner(q, seed)
+		return defaultAggPruner(q, q.Threshold/int64(shards), seed)
 	}
 }
 
@@ -488,16 +484,10 @@ func execSharded(q *Query, opts ShardedOptions) (*ShardedRun, error) {
 	switch q.Kind {
 	case KindFilter, KindSkyline:
 		run, err = shardedGather(q, execs, opts)
-	case KindDistinct:
-		run, err = shardedDistinct(q, execs, opts)
 	case KindTopN:
 		run, err = shardedTopN(q, execs, opts)
-	case KindGroupByMax:
-		run, err = shardedGroupByMax(q, execs, opts)
-	case KindGroupBySum:
-		run, err = shardedGroupBySum(q, execs, opts)
-	case KindHaving:
-		run, err = shardedHaving(q, execs, opts)
+	case KindDistinct, KindGroupByMax, KindGroupBySum, KindHaving:
+		run, err = shardedAggregation(q, execs, opts)
 	case KindJoin:
 		run, err = shardedJoin(q, execs, opts)
 	default:
@@ -669,82 +659,6 @@ func shardedGather(q *Query, execs []*shardExec, opts ShardedOptions) (*ShardedR
 	return run, nil
 }
 
-// shardedDistinct dedupes per shard on the worker-computed fingerprint,
-// then globally across shards.
-func shardedDistinct(q *Query, execs []*shardExec, opts ShardedOptions) (*ShardedRun, error) {
-	type uniq struct {
-		fps  []uint64
-		rows []int
-	}
-	partials := make([]uniq, len(execs))
-	err := forEachShard(len(execs), func(s int) error {
-		se := execs[s]
-		qs := se.q
-		cols := make([]int, len(qs.DistinctCols))
-		for i, c := range qs.DistinctCols {
-			cols[i] = qs.Table.Schema().MustIndex(c)
-		}
-		return se.run(opts, func() error {
-			if fps, rows, ok := se.fusedDistinctPass(opts, cols); ok {
-				partials[s] = uniq{fps: fps, rows: rows}
-				return nil
-			}
-			buf := getStreamBuf()
-			defer putStreamBuf(buf)
-			seen := make(map[uint64]struct{}, 1024)
-			u := &partials[s]
-			*u = uniq{}
-			batchPass(qs.Table.NumRows(), opts.Workers, 1, true, buf, encFingerprint(qs.Table, cols, opts.Seed), se.dp, nil,
-				func(b *switchsim.Batch, dec []switchsim.Decision, ids []uint64) {
-					se.traffic.EntriesSent += b.N
-					fps := b.Cols[0]
-					idx := buf.compactIndices(dec, b.N)
-					se.traffic.Forwarded += len(idx)
-					for _, j := range idx {
-						if _, ok := seen[fps[j]]; !ok {
-							seen[fps[j]] = struct{}{}
-							u.fps = append(u.fps, fps[j])
-							u.rows = append(u.rows, int(ids[j]))
-						}
-					}
-				})
-			se.traffic.MasterProcessed = se.traffic.Forwarded
-			return nil
-		})
-	})
-	if err != nil {
-		return nil, err
-	}
-	// Global combine: first shard to claim a fingerprint keeps it (any
-	// representative row of the same value tuple renders identically).
-	global := make(map[uint64]struct{}, 1024)
-	cols := make([]int, len(q.DistinctCols))
-	for i, c := range q.DistinctCols {
-		cols[i] = q.Table.Schema().MustIndex(c)
-	}
-	var rows [][]string
-	for s := range partials {
-		t := execs[s].q.Table
-		for i, fp := range partials[s].fps {
-			if _, ok := global[fp]; ok {
-				continue
-			}
-			global[fp] = struct{}{}
-			row := make([]string, len(cols))
-			for k, c := range cols {
-				row[k] = cellString(t, c, partials[s].rows[i])
-			}
-			rows = append(rows, row)
-		}
-	}
-	run := &ShardedRun{Result: &Result{Columns: append([]string(nil), q.DistinctCols...), Rows: rows}}
-	run.Result.Sort()
-	for _, se := range execs {
-		run.Traffic.MasterProcessed += se.traffic.Forwarded
-	}
-	return run, nil
-}
-
 // shardedTopN keeps an N-heap per shard (the shard-local threshold),
 // then re-checks the union in a global N-heap at the master.
 func shardedTopN(q *Query, execs []*shardExec, opts ShardedOptions) (*ShardedRun, error) {
@@ -784,10 +698,10 @@ func shardedTopN(q *Query, execs []*shardExec, opts ShardedOptions) (*ShardedRun
 					if err != nil {
 						return
 					}
-					batchPass(v.NumRows(), opts.Workers, 1, false, buf, encInt64(v, col), se.dp, nil, sink)
+					batchPass(v.NumRows(), opts.Workers, 1, false, buf, encInt64(v, col), se.dp, sink)
 				})
 			} else {
-				batchPass(qs.Table.NumRows(), opts.Workers, 1, false, buf, encInt64(qs.Table, col), se.dp, nil, sink)
+				batchPass(qs.Table.NumRows(), opts.Workers, 1, false, buf, encInt64(qs.Table, col), se.dp, sink)
 			}
 			se.traffic.MasterProcessed = len(h)
 			heaps[s] = h
@@ -815,276 +729,68 @@ func shardedTopN(q *Query, execs []*shardExec, opts ShardedOptions) (*ShardedRun
 	return run, nil
 }
 
-// shardedGroupByMax merges per-shard fingerprint-keyed maxima.
-func shardedGroupByMax(q *Query, execs []*shardExec, opts ShardedOptions) (*ShardedRun, error) {
-	type partial struct {
-		fps  []uint64
-		maxs []int64
-		reps []int
+// shardedAggregation serves DISTINCT, GROUP BY MAX, GROUP BY SUM and
+// HAVING: every shard streams into its own partial (aggPass), and the
+// master merges the partials — by fingerprint, which is seed-consistent
+// across shards — into shard 0's and renders it. HAVING inserts a
+// barrier: the shards' candidates are unioned before any shard sums, a
+// key's sum may cross the global threshold only in aggregate.
+func shardedAggregation(q *Query, execs []*shardExec, opts ShardedOptions) (*ShardedRun, error) {
+	partials := make([]*partial, len(execs))
+	for s, se := range execs {
+		partials[s] = newPartial(se.q)
+		defer partials[s].release()
 	}
-	partials := make([]partial, len(execs))
 	err := forEachShard(len(execs), func(s int) error {
-		se := execs[s]
-		qs := se.q
-		kc := qs.Table.Schema().MustIndex(qs.KeyCol)
-		vc := qs.Table.Schema().MustIndex(qs.AggCol)
-		return se.run(opts, func() error {
-			if fps, maxs, reps, ok := se.fusedGroupByMaxPass(opts, kc, vc); ok {
-				partials[s] = partial{fps: fps, maxs: maxs, reps: reps}
-				return nil
+		se, p := execs[s], partials[s]
+		return se.run(opts, func() (err error) {
+			p.reset(se.q.Table)
+			se.traffic.EntriesSent, se.traffic.Forwarded, err = aggPass(se.q, se.pruner, se.dp,
+				se.fusable(opts), opts.Seed, opts.Workers, p)
+			se.traffic.MasterProcessed = len(p.ents)
+			if q.Kind == KindDistinct {
+				se.traffic.MasterProcessed = se.traffic.Forwarded
 			}
-			buf := getStreamBuf()
-			defer putStreamBuf(buf)
-			keyIdx := make(map[uint64]int, 1024)
-			p := &partials[s]
-			*p = partial{}
-			batchPass(qs.Table.NumRows(), opts.Workers, 2, true, buf, encKeyVal(qs.Table, kc, vc, opts.Seed), se.dp, nil,
-				func(b *switchsim.Batch, dec []switchsim.Decision, ids []uint64) {
-					se.traffic.EntriesSent += b.N
-					fps, vals := b.Cols[0], b.Cols[1]
-					idx := buf.compactIndices(dec, b.N)
-					se.traffic.Forwarded += len(idx)
-					for _, j := range idx {
-						v := int64(vals[j])
-						if i, ok := keyIdx[fps[j]]; ok {
-							if v > p.maxs[i] {
-								p.maxs[i] = v
-							}
-						} else {
-							keyIdx[fps[j]] = len(p.maxs)
-							p.fps = append(p.fps, fps[j])
-							p.maxs = append(p.maxs, v)
-							p.reps = append(p.reps, int(ids[j]))
-						}
-					}
-				})
-			se.traffic.MasterProcessed = len(p.maxs)
-			return nil
+			return err
 		})
 	})
 	if err != nil {
 		return nil, err
 	}
-	type entry struct {
-		max   int64
-		shard int
-		rep   int
+	g := partials[0]
+	for _, p := range partials[1:] {
+		g.merge(p)
 	}
-	global := make(map[uint64]entry, 1024)
-	var order []uint64
-	for s := range partials {
-		p := &partials[s]
-		for i, fp := range p.fps {
-			if e, ok := global[fp]; ok {
-				if p.maxs[i] > e.max {
-					e.max = p.maxs[i]
-					global[fp] = e
-				}
-			} else {
-				global[fp] = entry{max: p.maxs[i], shard: s, rep: p.reps[i]}
-				order = append(order, fp)
-			}
+	run := &ShardedRun{}
+	switch q.Kind {
+	case KindGroupBySum:
+		run.Traffic.MasterProcessed = len(g.ents)
+	case KindHaving:
+		// The exact pass is pruner-free, so it runs the same whatever the
+		// shard's dataplane, and no switch can die under it.
+		for _, p := range partials[1:] {
+			p.copyCandidates(g)
 		}
-	}
-	rows := make([][]string, 0, len(order))
-	for _, fp := range order {
-		e := global[fp]
-		t := execs[e.shard].q.Table
-		kc := t.Schema().MustIndex(q.KeyCol)
-		rows = append(rows, []string{cellString(t, kc, e.rep), strconv.FormatInt(e.max, 10)})
-	}
-	run := &ShardedRun{Result: &Result{Columns: []string{q.KeyCol, "max(" + q.AggCol + ")"}, Rows: rows}}
-	run.Result.Sort()
-	for _, se := range execs {
-		run.Traffic.MasterProcessed += se.traffic.Forwarded
-	}
-	return run, nil
-}
-
-// shardedGroupBySum adds per-shard fingerprint-keyed partial sums
-// (forwarded evictions plus the end-of-stream drains).
-func shardedGroupBySum(q *Query, execs []*shardExec, opts ShardedOptions) (*ShardedRun, error) {
-	type partial struct {
-		sums    map[uint64]int64
-		fpToKey map[uint64]string
-	}
-	partials := make([]partial, len(execs))
-	err := forEachShard(len(execs), func(s int) error {
-		se := execs[s]
-		qs := se.q
-		kc := qs.Table.Schema().MustIndex(qs.KeyCol)
-		vc := qs.Table.Schema().MustIndex(qs.AggCol)
-		return se.run(opts, func() error {
-			if sums, fpToKey, ok := se.fusedGroupBySumPass(opts, kc, vc); ok {
-				partials[s] = partial{sums: sums, fpToKey: fpToKey}
-				return nil
-			}
-			gs, ok := se.pruner.(*prune.GroupBySum)
-			if !ok {
-				return fmt.Errorf("engine: group-by-sum needs a *prune.GroupBySum, got %T", se.pruner)
-			}
-			buf := getStreamBuf()
-			defer putStreamBuf(buf)
-			p := &partials[s]
-			p.sums = make(map[uint64]int64, 1024)
-			p.fpToKey = make(map[uint64]string, 1024)
-			batchPass(qs.Table.NumRows(), opts.Workers, 2, true, buf, encKeyVal(qs.Table, kc, vc, opts.Seed), se.dp,
-				func(b *switchsim.Batch, ids []uint64) {
-					// Key dictionary before the program rewrites forwarded
-					// slots with evicted aggregates.
-					fps := b.Cols[0]
-					for j := 0; j < b.N; j++ {
-						if _, ok := p.fpToKey[fps[j]]; !ok {
-							p.fpToKey[fps[j]] = cellString(qs.Table, kc, int(ids[j]))
-						}
-					}
-				},
-				func(b *switchsim.Batch, dec []switchsim.Decision, _ []uint64) {
-					se.traffic.EntriesSent += b.N
-					fps, vals := b.Cols[0], b.Cols[1]
-					idx := buf.compactIndices(dec, b.N)
-					se.traffic.Forwarded += len(idx)
-					for _, j := range idx {
-						p.sums[fps[j]] += int64(vals[j])
-					}
-				})
-			for _, e := range gs.Drain() {
-				se.traffic.Forwarded++
-				p.sums[e[0]] += int64(e[1])
-			}
-			se.traffic.MasterProcessed = len(p.sums)
+		vc := q.Table.Schema().MustIndex(q.AggCol)
+		_ = forEachShard(len(execs), func(s int) error {
+			tr := &execs[s].traffic
+			tr.SecondPassSent = partials[s].sumCandidates(vc, opts.Seed)
+			tr.EntriesSent += tr.SecondPassSent
+			tr.MasterProcessed = tr.SecondPassSent
 			return nil
 		})
-	})
-	if err != nil {
-		return nil, err
-	}
-	sums := make(map[uint64]int64, 1024)
-	fpToKey := make(map[uint64]string, 1024)
-	for s := range partials {
-		for fp, v := range partials[s].sums {
-			sums[fp] += v
-		}
-		for fp, k := range partials[s].fpToKey {
-			if _, ok := fpToKey[fp]; !ok {
-				fpToKey[fp] = k
+		for s, p := range partials {
+			if s > 0 {
+				g.merge(p)
 			}
+			run.Traffic.MasterProcessed += execs[s].traffic.SecondPassSent
+		}
+	default:
+		for _, se := range execs {
+			run.Traffic.MasterProcessed += se.traffic.Forwarded
 		}
 	}
-	rows := make([][]string, 0, len(sums))
-	for fp, v := range sums {
-		rows = append(rows, []string{fpToKey[fp], strconv.FormatInt(v, 10)})
-	}
-	run := &ShardedRun{Result: &Result{Columns: []string{q.KeyCol, "sum(" + q.AggCol + ")"}, Rows: rows}}
-	run.Result.Sort()
-	run.Traffic.MasterProcessed = len(sums)
-	return run, nil
-}
-
-// shardedHaving runs per-shard sketches at the tightened ⌊T/k⌋
-// threshold, unions the candidate fingerprints, and re-streams every
-// shard against the global candidate set for exact sums.
-func shardedHaving(q *Query, execs []*shardExec, opts ShardedOptions) (*ShardedRun, error) {
-	candidateSets := make([]map[uint64]bool, len(execs))
-	err := forEachShard(len(execs), func(s int) error {
-		se := execs[s]
-		qs := se.q
-		kc := qs.Table.Schema().MustIndex(qs.KeyCol)
-		vc := qs.Table.Schema().MustIndex(qs.AggCol)
-		return se.run(opts, func() error {
-			if _, ok := se.pruner.(*prune.Having); !ok {
-				return fmt.Errorf("engine: having needs a *prune.Having, got %T", se.pruner)
-			}
-			if cand, ok := se.fusedHavingCandidates(opts, kc, vc); ok {
-				candidateSets[s] = cand
-				return nil
-			}
-			buf := getStreamBuf()
-			defer putStreamBuf(buf)
-			cand := make(map[uint64]bool, 1024)
-			batchPass(qs.Table.NumRows(), opts.Workers, 2, false, buf, encKeyVal(qs.Table, kc, vc, opts.Seed), se.dp, nil,
-				func(b *switchsim.Batch, dec []switchsim.Decision, _ []uint64) {
-					se.traffic.EntriesSent += b.N
-					fps := b.Cols[0]
-					idx := buf.compactIndices(dec, b.N)
-					se.traffic.Forwarded += len(idx)
-					for _, j := range idx {
-						cand[fps[j]] = true
-					}
-				})
-			candidateSets[s] = cand
-			return nil
-		})
-	})
-	if err != nil {
-		return nil, err
-	}
-	// Barrier: the second pass needs the union of every switch's
-	// candidates — a key's sum may cross the global threshold only in
-	// aggregate.
-	candidates := make(map[uint64]bool, 1024)
-	for _, cand := range candidateSets {
-		for fp := range cand {
-			candidates[fp] = true
-		}
-	}
-	sumsPer := make([]map[string]int64, len(execs))
-	err = forEachShard(len(execs), func(s int) error {
-		se := execs[s]
-		qs := se.q
-		kc := qs.Table.Schema().MustIndex(qs.KeyCol)
-		vc := qs.Table.Schema().MustIndex(qs.AggCol)
-		if !opts.NoFuse {
-			// The exact pass is pruner-free (dp is nil below), so the fused
-			// loop applies regardless of the shard's dataplane.
-			fpr := newRowFP(qs.Table, []int{kc}, opts.Seed)
-			sums := make(map[string]int64, len(candidates))
-			resent := fusedHavingPass2(qs.Table, kc, qs.Table.Int64Col(vc), &fpr, candidates, sums)
-			se.traffic.EntriesSent += resent
-			se.traffic.SecondPassSent += resent
-			se.traffic.MasterProcessed = se.traffic.SecondPassSent
-			sumsPer[s] = sums
-			return nil
-		}
-		buf := getStreamBuf()
-		defer putStreamBuf(buf)
-		sums := make(map[string]int64, len(candidates))
-		batchPass(qs.Table.NumRows(), opts.Workers, 2, true, buf, encKeyVal(qs.Table, kc, vc, opts.Seed), nil, nil,
-			func(b *switchsim.Batch, dec []switchsim.Decision, ids []uint64) {
-				fps, vals := b.Cols[0], b.Cols[1]
-				for j := 0; j < b.N; j++ {
-					if !candidates[fps[j]] {
-						continue
-					}
-					se.traffic.EntriesSent++
-					se.traffic.SecondPassSent++
-					sums[cellString(qs.Table, kc, int(ids[j]))] += int64(vals[j])
-				}
-			})
-		se.traffic.MasterProcessed = se.traffic.SecondPassSent
-		sumsPer[s] = sums
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	sums := make(map[string]int64, len(candidates))
-	for _, m := range sumsPer {
-		for k, v := range m {
-			sums[k] += v
-		}
-	}
-	rows := make([][]string, 0, len(sums))
-	for k, v := range sums {
-		if v > q.Threshold {
-			rows = append(rows, []string{k})
-		}
-	}
-	run := &ShardedRun{Result: &Result{Columns: []string{q.KeyCol}, Rows: rows}}
-	run.Result.Sort()
-	for _, se := range execs {
-		run.Traffic.MasterProcessed += se.traffic.SecondPassSent
-	}
+	run.Result = g.render(q)
 	return run, nil
 }
 

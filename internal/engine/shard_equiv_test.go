@@ -15,7 +15,7 @@ import (
 func TestShardedMatchesDirect(t *testing.T) {
 	tb := equivTable(t, 5000, 0x5eed)
 	rt := equivTable(t, 1777, 0x0dd)
-	queries := equivQueries(tb, rt)
+	queries := withAggEdges(equivQueries(tb, rt))
 	for name, q := range queries {
 		direct, err := ExecDirect(q)
 		if err != nil {
@@ -98,7 +98,7 @@ func TestShardedJoinEdgeCases(t *testing.T) {
 func TestShardedStrategies(t *testing.T) {
 	tb := equivTable(t, 3000, 0xabc)
 	rt := equivTable(t, 900, 0xdef)
-	queries := equivQueries(tb, rt)
+	queries := withAggEdges(equivQueries(tb, rt))
 	for name, q := range queries {
 		direct, err := ExecDirect(q)
 		if err != nil {

@@ -286,7 +286,7 @@ func offsetIDs(enc partEncoder, base uint64) partEncoder {
 func spanPass(t *table.Table, spans []span, workers, width int, needIDs bool, buf *streamBuf,
 	encFor func(*table.Table) partEncoder, dp BatchDataplane, sink batchSink) error {
 	if len(spans) == 1 && spans[0].lo == 0 && spans[0].hi == t.NumRows() {
-		batchPass(t.NumRows(), workers, width, needIDs, buf, encFor(t), dp, nil, sink)
+		batchPass(t.NumRows(), workers, width, needIDs, buf, encFor(t), dp, sink)
 		return nil
 	}
 	for _, sp := range spans {
@@ -298,7 +298,7 @@ func spanPass(t *table.Table, spans []span, workers, width int, needIDs bool, bu
 		if needIDs {
 			enc = offsetIDs(enc, uint64(sp.lo))
 		}
-		batchPass(v.NumRows(), workers, width, needIDs, buf, enc, dp, nil, sink)
+		batchPass(v.NumRows(), workers, width, needIDs, buf, enc, dp, sink)
 	}
 	return nil
 }

@@ -65,51 +65,49 @@ func singleCellRows(cells []string) [][]string {
 }
 
 // radixSortStrings sorts cells byte-wise lexicographically — the exact
-// order of sort.Strings, and Result.Sort's for single-column rows — using
-// MSD radix bucketing. Result sets routinely share long prefixes
-// (generated keys, formatted integers), where comparison sorts pay
-// O(prefix) per comparison; the radix pass walks each prefix byte once
-// per level instead.
-func radixSortStrings(cells []string) {
-	if len(cells) < radixMinSize {
-		sort.Strings(cells)
-		return
-	}
-	scratch := make([]string, len(cells))
-	radixSortRange(cells, scratch, 0)
-}
+// order of sort.Strings, and Result.Sort's for single-column rows.
+func radixSortStrings(cells []string) { new(radixSorter).sort(cells, nil) }
 
-// radixMinSize is the bucket size below which comparison sort wins.
+// radixMinSize is the segment size below which comparison sort wins.
 const radixMinSize = 48
 
-type radixFrame struct {
-	lo, hi, depth int
+// radixSorter sorts strings byte-wise lexicographically by MSD radix
+// bucketing; it is the sort's scratch memory, reusable across calls.
+// Result sets routinely share long prefixes (generated keys, formatted
+// integers), where comparison sorts pay O(prefix) per comparison; here a
+// level whose strings all continue with the same byte measures the
+// segment's whole common prefix once and skips it in one step, instead
+// of re-counting the segment once per shared byte.
+type radixSorter struct {
+	keys []string
+	idx  []int32
 }
 
-// insertionSortSuffix sorts a small segment whose strings agree on the
-// first depth bytes, comparing only the suffixes so the shared prefix is
-// not re-scanned on every compare. Allocation-free.
-func insertionSortSuffix(seg []string, depth int) {
-	for i := 1; i < len(seg); i++ {
-		s := seg[i]
-		suf := s[depth:]
-		j := i - 1
-		for j >= 0 && seg[j][depth:] > suf {
-			seg[j+1] = seg[j]
-			j--
-		}
-		seg[j+1] = s
+// sort sorts keys. A non-nil idx is a payload moved in lock-step with
+// them: rows whose first cell is a unique key are sorted by sorting (key,
+// row index) pairs on the key alone.
+func (rs *radixSorter) sort(keys []string, idx []int32) {
+	n := len(keys)
+	if n < radixMinSize {
+		insertionSortSuffix(keys, idx, 0)
+		return
 	}
-}
-
-func radixSortRange(cells, scratch []string, depth int) {
-	stack := []radixFrame{{0, len(cells), depth}}
+	if cap(rs.keys) < n {
+		rs.keys, rs.idx = make([]string, n), make([]int32, n)
+	}
+	type frame struct{ lo, hi, depth int }
+	var buf [64]frame
+	stack := append(buf[:0], frame{0, n, 0})
 	for len(stack) > 0 {
 		f := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		seg := cells[f.lo:f.hi]
+		seg := keys[f.lo:f.hi]
+		var iseg []int32
+		if idx != nil {
+			iseg = idx[f.lo:f.hi]
+		}
 		if len(seg) < radixMinSize {
-			insertionSortSuffix(seg, f.depth)
+			insertionSortSuffix(seg, iseg, f.depth)
 			continue
 		}
 		// Bucket 0 holds strings that end at this depth; bucket b+1
@@ -125,20 +123,10 @@ func radixSortRange(cells, scratch []string, depth int) {
 		if counts[0] == len(seg) {
 			continue // all strings end here: segment is all-equal
 		}
-		// Single-bucket level (a shared prefix byte): descend one byte
-		// without scattering.
-		single := -1
-		for b, c := range counts {
-			if c == 0 {
-				continue
-			}
-			if c == len(seg) {
-				single = b
-			}
-			break
-		}
-		if single > 0 {
-			stack = append(stack, radixFrame{f.lo, f.hi, f.depth + 1})
+		if s0 := seg[0]; len(s0) > f.depth && counts[int(s0[f.depth])+1] == len(seg) {
+			// One bucket: every string continues with the same byte.
+			d := f.depth + 1
+			stack = append(stack, frame{f.lo, f.hi, d + commonPrefix(seg, d)})
 			continue
 		}
 		var offsets [257]int
@@ -147,23 +135,72 @@ func radixSortRange(cells, scratch []string, depth int) {
 			offsets[b] = sum
 			sum += counts[b]
 		}
-		sub := scratch[:len(seg)]
-		for _, s := range seg {
+		for j, s := range seg {
 			b := 0
 			if len(s) > f.depth {
 				b = int(s[f.depth]) + 1
 			}
-			sub[offsets[b]] = s
+			rs.keys[offsets[b]] = s
+			if iseg != nil {
+				rs.idx[offsets[b]] = iseg[j]
+			}
 			offsets[b]++
 		}
-		copy(seg, sub)
+		copy(seg, rs.keys)
+		copy(iseg, rs.idx)
 		// Recurse into buckets with ≥ 2 strings (bucket 0 is all-equal).
 		pos := f.lo + counts[0]
 		for b := 1; b < 257; b++ {
 			if counts[b] > 1 {
-				stack = append(stack, radixFrame{pos, pos + counts[b], f.depth + 1})
+				stack = append(stack, frame{pos, pos + counts[b], f.depth + 1})
 			}
 			pos += counts[b]
+		}
+	}
+	clear(rs.keys[:n]) // pooled scratch must not pin the caller's strings
+}
+
+// commonPrefix returns how many bytes from depth on every string of seg
+// shares; all of them are at least depth long.
+func commonPrefix(seg []string, depth int) int {
+	first := seg[0][depth:]
+	n := len(first)
+	for _, s := range seg[1:] {
+		s = s[depth:]
+		if len(s) < n {
+			n = len(s)
+		}
+		for i := 0; i < n; i++ {
+			if s[i] != first[i] {
+				n = i
+				break
+			}
+		}
+		if n == 0 {
+			break
+		}
+	}
+	return n
+}
+
+// insertionSortSuffix sorts a small segment whose strings agree on the
+// first depth bytes, comparing only the suffixes so the shared prefix is
+// not re-scanned on every compare; iseg, when non-nil, moves with it.
+// Allocation-free.
+func insertionSortSuffix(seg []string, iseg []int32, depth int) {
+	for i := 1; i < len(seg); i++ {
+		s := seg[i]
+		suf := s[depth:]
+		j := i - 1
+		for j >= 0 && seg[j][depth:] > suf {
+			seg[j+1] = seg[j]
+			j--
+		}
+		seg[j+1] = s
+		if iseg != nil {
+			v := iseg[i]
+			copy(iseg[j+2:i+1], iseg[j+1:i])
+			iseg[j+1] = v
 		}
 	}
 }

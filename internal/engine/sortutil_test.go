@@ -71,6 +71,20 @@ func TestRadixSortStringsMatchesSortStrings(t *testing.T) {
 			got := append([]string(nil), in...)
 			radixSortStrings(got)
 			checkSorted(t, fmt.Sprintf("%s/%d", name, n), got, want)
+			// With a payload: the same order, every index still beside
+			// its string.
+			keyed := append([]string(nil), in...)
+			idx := make([]int32, n)
+			for i := range idx {
+				idx[i] = int32(i)
+			}
+			new(radixSorter).sort(keyed, idx)
+			checkSorted(t, fmt.Sprintf("%s/%d keyed", name, n), keyed, want)
+			for i, j := range idx {
+				if in[j] != keyed[i] {
+					t.Fatalf("%s/%d: payload %d sits beside %q, belongs to %q", name, n, j, keyed[i], in[j])
+				}
+			}
 		}
 	}
 }
@@ -175,5 +189,53 @@ func FuzzResultSortOrder(f *testing.F) {
 			return
 		}
 		checkCanonicalSort(t, fuzzRows(data, width, ragged, strings.Repeat("p", int(prefix%64))))
+	})
+}
+
+// FuzzKeySortOrder pins the key-only order GROUP BY results are built
+// in (partial.renderKeyed: radix sort of the unique keys with their row
+// indices, keyOrderExact, Result.Sort when that says no) to Result.Sort
+// on generated rows of a unique key and one or two value cells: NUL in
+// keys and values, the empty key, keys that are prefixes of one another,
+// long shared prefixes.
+func FuzzKeySortOrder(f *testing.F) {
+	f.Add([]byte("b,1;a,2;ab,3;,4"), uint8(0), uint8(0))
+	f.Add([]byte("a,z;a\x00,y;a\x00b,x;\x00,w"), uint8(0), uint8(0))
+	f.Add([]byte("a,\x00b,c;a\x00,b,c;ab,,\x00"), uint8(1), uint8(0))
+	f.Add([]byte("0007,4;0003,1;0010,1;0001,1;00,5;000,6"), uint8(0), uint8(47))
+	f.Fuzz(func(t *testing.T, data []byte, values uint8, prefix uint8) {
+		if len(data) > 1<<12 {
+			return
+		}
+		// fuzzRows deals rows of width%3+1 cells: two or three here.
+		var rows [][]string
+		seen := map[string]bool{}
+		for _, row := range fuzzRows(data, 1+values%2, false, strings.Repeat("p", int(prefix%64))) {
+			if !seen[row[0]] {
+				seen[row[0]] = true
+				rows = append(rows, row)
+			}
+		}
+		keys := make([]string, len(rows))
+		idx := make([]int32, len(rows))
+		for i, row := range rows {
+			keys[i], idx[i] = row[0], int32(i)
+		}
+		new(radixSorter).sort(keys, idx)
+		got := &Result{Rows: make([][]string, len(rows))}
+		for i, j := range idx {
+			if rows[j][0] != keys[i] {
+				t.Fatalf("index %d sits beside key %q, belongs to %q", j, keys[i], rows[j][0])
+			}
+			got.Rows[i] = rows[j]
+		}
+		if !keyOrderExact(keys) {
+			got.Sort()
+		}
+		for i, want := range legacySortKeys(rows) {
+			if key := strings.Join(got.Rows[i], "\x00"); key != want {
+				t.Fatalf("row %d: key %q, legacy order has %q", i, key, want)
+			}
+		}
 	})
 }

@@ -169,6 +169,9 @@ func le32String(s string) uint32 {
 // independently mixed seed.
 type Family struct {
 	seeds []uint64
+	// mixed[i] is SplitMix64(seeds[i]), the seed half of HashUint64:
+	// computed once here instead of once per Uint64 call.
+	mixed []uint64
 }
 
 // NewFamily returns a family of h hash functions derived from seed.
@@ -177,11 +180,12 @@ func NewFamily(h int, seed uint64) *Family {
 	if h <= 0 {
 		panic("hashutil: family size must be positive")
 	}
-	f := &Family{seeds: make([]uint64, h)}
+	f := &Family{seeds: make([]uint64, h), mixed: make([]uint64, h)}
 	s := seed
 	for i := range f.seeds {
 		s = SplitMix64(s)
 		f.seeds[i] = s
+		f.mixed[i] = SplitMix64(s)
 	}
 	return f
 }
@@ -189,10 +193,15 @@ func NewFamily(h int, seed uint64) *Family {
 // Size returns the number of functions in the family.
 func (f *Family) Size() int { return len(f.seeds) }
 
-// Uint64 returns the i-th hash of value x.
+// Uint64 returns the i-th hash of value x: HashUint64(x, seed i).
 func (f *Family) Uint64(i int, x uint64) uint64 {
-	return HashUint64(x, f.seeds[i])
+	return Mix64(x ^ f.mixed[i])
 }
+
+// Mixed returns the family's pre-mixed seeds: Uint64(i, x) is
+// Mix64(x ^ Mixed()[i]). Hot loops range over it to hash without a call
+// or an index check per function.
+func (f *Family) Mixed() []uint64 { return f.mixed }
 
 // Bytes returns the i-th hash of b.
 func (f *Family) Bytes(i int, b []byte) uint64 {

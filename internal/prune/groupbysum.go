@@ -41,12 +41,13 @@ type GroupBySumConfig struct {
 // a still-cached partial sum (drained at FIN) or in an emitted aggregate
 // packet, so the master's per-key totals equal the true sums.
 type GroupBySum struct {
-	cfg   GroupBySumConfig
-	keys  []uint64
-	sums  []int64
-	used  []bool
-	emit  []uint64 // scratch for the emitted (key, sum) pair
-	stats Stats
+	cfg     GroupBySumConfig
+	rowSeed uint64 // SplitMix64(cfg.Seed): the seed half of the row hash
+	keys    []uint64
+	sums    []int64
+	used    []bool
+	emit    []uint64 // scratch for the emitted (key, sum) pair
+	stats   Stats
 }
 
 // NewGroupBySum builds the pruner.
@@ -56,11 +57,12 @@ func NewGroupBySum(cfg GroupBySumConfig) (*GroupBySum, error) {
 	}
 	n := cfg.Rows * cfg.Cols
 	return &GroupBySum{
-		cfg:  cfg,
-		keys: make([]uint64, n),
-		sums: make([]int64, n),
-		used: make([]bool, n),
-		emit: make([]uint64, 2),
+		cfg:     cfg,
+		rowSeed: hashutil.SplitMix64(cfg.Seed),
+		keys:    make([]uint64, n),
+		sums:    make([]int64, n),
+		used:    make([]bool, n),
+		emit:    make([]uint64, 2),
 	}, nil
 }
 
@@ -94,43 +96,52 @@ func (p *GroupBySum) Process(vals []uint64) switchsim.Decision {
 // ProcessEmit implements Emitter. vals[0] is the (fingerprinted) group
 // key, vals[1] the summand as int64.
 func (p *GroupBySum) ProcessEmit(vals []uint64) (switchsim.Decision, []uint64) {
+	ek, es, evicted := p.FusedAdd(vals[0], int64(vals[1]))
+	if !evicted {
+		return switchsim.Prune, nil
+	}
+	p.emit[0], p.emit[1] = ek, uint64(es)
+	return switchsim.Forward, p.emit
+}
+
+// FusedAdd is ProcessEmit on plain values (stats included — an absorbed
+// entry is a pruned one): the entry (key, v) joins the aggregation
+// matrix, and when that displaces an aggregate, evicted is set and
+// (evKey, evSum) is the pair the rewritten packet carries to the master.
+func (p *GroupBySum) FusedAdd(key uint64, v int64) (evKey uint64, evSum int64, evicted bool) {
 	p.stats.Processed++
-	key := vals[0]
-	v := int64(vals[1])
-	row := hashutil.Reduce(hashutil.HashUint64(key, p.cfg.Seed), p.cfg.Rows)
-	base := row * p.cfg.Cols
+	// HashUint64(key, Seed) with the seed's mixing hoisted.
+	base := hashutil.Reduce(hashutil.Mix64(key^p.rowSeed), p.cfg.Rows) * p.cfg.Cols
+	keys, sums, used := p.keys[base:base+p.cfg.Cols], p.sums[base:base+p.cfg.Cols], p.used[base:base+p.cfg.Cols]
 	free := -1
-	for i := base; i < base+p.cfg.Cols; i++ {
-		if !p.used[i] {
+	for i, u := range used {
+		if !u {
 			if free < 0 {
 				free = i
 			}
 			continue
 		}
-		if p.keys[i] == key {
+		if keys[i] == key {
 			// Absorb: the entry's value joins the cached partial sum and
 			// the packet is pruned (and ACKed by the reliability layer).
-			p.sums[i] += v
+			sums[i] += v
 			p.stats.Pruned++
-			return switchsim.Prune, nil
+			return 0, 0, false
 		}
 	}
 	if free >= 0 {
-		p.used[free] = true
-		p.keys[free] = key
-		p.sums[free] = v
+		used[free], keys[free], sums[free] = true, key, v
 		p.stats.Pruned++
-		return switchsim.Prune, nil
+		return 0, 0, false
 	}
 	// Row full: evict the first slot (rolling replacement), forwarding
 	// the evicted aggregate in the rewritten packet.
-	p.emit[0] = p.keys[base]
-	p.emit[1] = uint64(p.sums[base])
-	copy(p.keys[base:base+p.cfg.Cols-1], p.keys[base+1:base+p.cfg.Cols])
-	copy(p.sums[base:base+p.cfg.Cols-1], p.sums[base+1:base+p.cfg.Cols])
-	p.keys[base+p.cfg.Cols-1] = key
-	p.sums[base+p.cfg.Cols-1] = v
-	return switchsim.Forward, p.emit
+	evKey, evSum = keys[0], sums[0]
+	last := len(keys) - 1
+	copy(keys[:last], keys[1:])
+	copy(sums[:last], sums[1:])
+	keys[last], sums[last] = key, v
+	return evKey, evSum, true
 }
 
 // ProcessBatch implements switchsim.BatchProgram with the batch's packet
@@ -156,15 +167,30 @@ func (p *GroupBySum) ProcessBatch(b *switchsim.Batch, decisions []switchsim.Deci
 // Drain implements Drainer: the cached partial sums leave the switch as
 // (key, sum) pairs at end-of-stream.
 func (p *GroupBySum) Drain() [][]uint64 {
-	var out [][]uint64
-	for i, u := range p.used {
-		if !u {
-			continue
+	n := 0
+	for _, u := range p.used {
+		if u {
+			n++
 		}
-		out = append(out, []uint64{p.keys[i], uint64(p.sums[i])})
-		p.used[i] = false
 	}
+	out := make([][]uint64, 0, n)
+	backing := make([]uint64, 0, 2*n)
+	p.DrainTo(func(key uint64, sum int64) {
+		backing = append(backing, key, uint64(sum))
+		out = append(out, backing[len(backing)-2:len(backing):len(backing)])
+	})
 	return out
+}
+
+// DrainTo is Drain handing each pair to emit, for callers that fold the
+// pairs and have no use for a slice per slot.
+func (p *GroupBySum) DrainTo(emit func(key uint64, sum int64)) {
+	for i, u := range p.used {
+		if u {
+			emit(p.keys[i], p.sums[i])
+			p.used[i] = false
+		}
+	}
 }
 
 // Reset implements switchsim.Program.

@@ -287,8 +287,10 @@ func (p *Skyline) StoredPoints() [][]uint64 {
 // merge them into the survivor set. The switch state is cleared.
 func (p *Skyline) Drain() [][]uint64 {
 	out := make([][]uint64, p.fill)
-	for i := 0; i < p.fill; i++ {
-		e := make([]uint64, p.cfg.Dims+1)
+	w := p.cfg.Dims + 1
+	backing := make([]uint64, p.fill*w)
+	for i := range out {
+		e := backing[i*w : (i+1)*w : (i+1)*w]
 		copy(e, p.pts[i])
 		e[p.cfg.Dims] = p.ids[i]
 		out[i] = e

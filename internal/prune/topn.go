@@ -3,6 +3,7 @@ package prune
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"cheetah/internal/cache"
 	"cheetah/internal/hashutil"
@@ -344,17 +345,51 @@ func topNColumnsReal(d, n, delta float64) float64 {
 	return 1.3 * lnD / denom
 }
 
+// optimalRowsMemo remembers OptimalTopNRows' most recent answers. The
+// search is a pure function of (N, δ) and most of a TOP N plan's cost,
+// and served and subscribed queries repeat their N; but N arrives from
+// the wire, so the memo is a fixed-size ring, not a map that grows.
+var optimalRowsMemo struct {
+	sync.Mutex
+	next int
+	ring [16]struct {
+		n     int
+		delta float64
+		d, w  int
+	}
+}
+
 // OptimalTopNRows jointly optimizes space and pruning rate (§5): both the
 // memory Θ(w·d) and the unpruned bound of Theorem 3 are monotone in w·d,
 // so the best configuration minimizes f(d) = d·w(d). The paper expresses
 // the minimizer through the Lambert W function; this implementation
 // minimizes f numerically over the feasible range (reproducing the
 // paper's example: N=1000, δ=1e-4 → d=481, w=19) with the Lambert form as
-// the scan pivot.
+// the scan pivot. Recent answers are memoised.
 func OptimalTopNRows(n int, delta float64) (d, w int, err error) {
 	if n <= 0 || delta <= 0 || delta >= 1 {
 		return 0, 0, fmt.Errorf("prune: invalid OptimalTopNRows(N=%d, delta=%v)", n, delta)
 	}
+	m := &optimalRowsMemo
+	m.Lock()
+	defer m.Unlock()
+	for i := range m.ring {
+		if e := &m.ring[i]; e.n == n && e.delta == delta {
+			return e.d, e.w, nil
+		}
+	}
+	if d, w, err = searchTopNRows(n, delta); err != nil {
+		return 0, 0, err
+	}
+	e := &m.ring[m.next]
+	e.n, e.delta, e.d, e.w = n, delta, d, w
+	m.next = (m.next + 1) % len(m.ring)
+	return d, w, nil
+}
+
+// searchTopNRows is OptimalTopNRows' numeric minimization, for valid
+// (n, delta).
+func searchTopNRows(n int, delta float64) (d, w int, err error) {
 	dMin := int(math.Ceil(float64(n) * math.E / math.Log(1/delta)))
 	if dMin < 1 {
 		dMin = 1

@@ -55,12 +55,17 @@ func DimensionsForError(epsilon, delta float64) (depth, width int, err error) {
 // one-sided guarantee to hold) and returns the updated estimate.
 func (cm *CountMin) Add(key uint64, v int64) int64 {
 	est := int64(math.MaxInt64)
-	for i := 0; i < cm.depth; i++ {
-		idx := i*cm.width + hashutil.Reduce(cm.family.Uint64(i, key), cm.width)
-		cm.counters[idx] += v
-		if cm.counters[idx] < est {
-			est = cm.counters[idx]
+	counters, w := cm.counters, uint64(uint32(cm.width))
+	base := uint64(0)
+	for _, m := range cm.family.Mixed() {
+		// hashutil.Reduce(family.Uint64(i, key), width), inlined.
+		idx := base + uint64(uint32(hashutil.Mix64(key^m)))*w>>32
+		c := counters[idx] + v
+		counters[idx] = c
+		if c < est {
+			est = c
 		}
+		base += w
 	}
 	return est
 }
