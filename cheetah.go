@@ -340,11 +340,9 @@ const (
 	KindSkyline    = engine.KindSkyline
 )
 
-// ExecDirect runs a query exactly on one node (the ground truth).
-//
-// Deprecated: prefer the session API (Open + DB.Exec), which plans,
-// admission-checks and reports through one entrypoint. ExecDirect stays
-// as the ground-truth reference for equivalence checks.
+// ExecDirect runs a query exactly on one node: the ground truth every
+// other execution mode must reproduce, and what to compare a session's
+// (Open + DB.Exec) answers against.
 func ExecDirect(q *Query) (*Result, error) { return engine.ExecDirect(q) }
 
 // ExecCheetah runs a query along the pruned path: CWorkers serialize the

@@ -1,17 +1,18 @@
 package engine
 
-// This file implements the batched Cheetah execution pipeline — the
-// default path of ExecCheetah. The legacy path (cheetah.go) dispatches
-// one closure call and one Program.Process per entry; here each CWorker
-// encodes its partition into reusable column-major batch buffers, a
-// round-robin scatter reproduces the exact arrival order of interleave,
-// and the switch program runs its native batch loop over whole chunks.
-// The master completes queries straight from the encoded columns where
-// it can (late materialization): survivors are collected branchlessly
-// through preallocated index buffers sized from the running prune rate,
-// the aggregation kinds' survivors are absorbed by fingerprint into the
-// kind's partial (agg.go, partial.go), and TOP N feeds forwarded values
-// into its heap without materializing a survivor list at all.
+// This file implements the chunked pipeline — what a pass (pass.go,
+// agg.go) streams through when it may not drive its program directly
+// (NoFuse, a third-party program, a dataplane that withholds it). The
+// scalar path (cheetah.go) dispatches one closure call and one
+// Program.Process per entry; here each CWorker encodes its partition into
+// reusable column-major batch buffers, a round-robin scatter reproduces
+// the exact arrival order of interleave, and the switch program runs its
+// native batch loop over whole chunks. The pass consumes survivors
+// straight from the encoded columns where it can (late materialization):
+// they are collected branchlessly through preallocated index buffers
+// sized from the running prune rate, the aggregation kinds' are absorbed
+// by fingerprint into the kind's partial, and TOP N feeds forwarded
+// values into its heap without materializing a survivor list at all.
 //
 // Results, Traffic and Stats are bit-identical to the scalar path (the
 // equivalence suite in batch_equiv_test.go asserts it for every query
@@ -21,12 +22,10 @@ package engine
 // already performs on the stream.
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 
 	"cheetah/internal/hashutil"
-	"cheetah/internal/obs"
 	"cheetah/internal/prune"
 	"cheetah/internal/switchsim"
 	"cheetah/internal/table"
@@ -465,265 +464,7 @@ func (s *survivorSet) add(fwd []uint64, chunkN int) {
 	}
 }
 
-// --- per-kind batched executions --------------------------------------
-
-// batchRun bundles the state shared by every batched execution.
-type batchRun struct {
-	run *CheetahRun
-	buf *streamBuf
-}
-
-func newBatchRun(pruner prune.Pruner) *batchRun {
-	return &batchRun{
-		run: &CheetahRun{PrunerName: pruner.Name()},
-		buf: getStreamBuf(),
-	}
-}
-
-func (b *batchRun) finish(pruner prune.Pruner, res *Result, masterProcessed int) *CheetahRun {
-	b.run.Result = res
-	b.run.Traffic.MasterProcessed = masterProcessed
-	b.run.Stats = pruner.Stats()
-	putStreamBuf(b.buf)
-	return b.run
-}
-
-func batchFilter(q *Query, opts CheetahOptions) (*CheetahRun, error) {
-	cols := make([]int, len(q.Predicates))
-	for i, p := range q.Predicates {
-		cols[i] = q.Table.Schema().MustIndex(p.Col)
-	}
-	pruner := opts.Pruner
-	if pruner == nil {
-		var err error
-		if pruner, err = DefaultPruner(q, opts.Seed); err != nil {
-			return nil, err
-		}
-	}
-	br := newBatchRun(pruner)
-	dp := opts.dataplaneFor(pruner)
-	// Skipping is exact for FILTER (monotone formula over block bounds;
-	// skip.go): a skipped block contains no matching row, so both the
-	// trusted materialization and the exact master re-check below stay
-	// bit-identical to ExecDirect.
-	spans := fullSpans(q.Table)
-	if opts.Skip {
-		spans, br.run.Skipped = filterSpans(q, q.Table, cols)
-	}
-	encFor := func(t *table.Table) partEncoder { return encFilter(t, q.Predicates, cols) }
-	// An exact filter's survivors passed the very formula the master
-	// would re-check (filterExact), so the completion materializes the
-	// rows — or just the count — directly. Any other caller-supplied
-	// pruner may forward false positives (pruning is best-effort by
-	// design) and keeps the exact master completion.
-	exact := opts.Pruner == nil || filterExact(q, pruner)
-	if exact && q.CountOnly {
-		// COUNT(*) needs no row ids at all: the forward count is the
-		// answer.
-		count := 0
-		err := spanPass(q.Table, spans, opts.Workers, len(cols), false, br.buf, encFor, dp,
-			func(b *switchsim.Batch, dec []switchsim.Decision, _ []uint64) {
-				br.run.Traffic.EntriesSent += b.N
-				n := b.N
-				for _, d := range dec[:b.N] {
-					n -= int(d)
-				}
-				count += n
-			})
-		if err != nil {
-			putStreamBuf(br.buf)
-			return nil, err
-		}
-		br.run.Traffic.Forwarded = count
-		return br.finish(pruner, filterResult(q, count, nil), count), nil
-	}
-	sv := survivorSet{remaining: q.Table.NumRows()}
-	err := spanPass(q.Table, spans, opts.Workers, len(cols), true, br.buf, encFor, dp,
-		func(b *switchsim.Batch, dec []switchsim.Decision, ids []uint64) {
-			br.run.Traffic.EntriesSent += b.N
-			fwd := br.buf.compactForwarded(ids, dec, b.N)
-			br.run.Traffic.Forwarded += len(fwd)
-			sv.add(fwd, b.N)
-		})
-	var res *Result
-	if err == nil {
-		if exact {
-			res = filterResult(q, len(sv.rows), appendFilterRows(nil, q.Table, sv.rows))
-		} else {
-			res, err = completeOnRows(q, sv.rows)
-		}
-	}
-	if err != nil {
-		putStreamBuf(br.buf)
-		return nil, err
-	}
-	return br.finish(pruner, res, len(sv.rows)), nil
-}
-
-func batchTopN(q *Query, opts CheetahOptions) (*CheetahRun, error) {
-	pruner := opts.Pruner
-	if pruner == nil {
-		var err error
-		if pruner, err = DefaultPruner(q, opts.Seed); err != nil {
-			return nil, err
-		}
-	}
-	col := q.Table.Schema().MustIndex(q.OrderCol)
-	br := newBatchRun(pruner)
-	dp := opts.dataplaneFor(pruner)
-	// Fused completion: forwarded values feed the master's N-heap
-	// directly from the stream buffer; no survivor list materializes.
-	h := make(int64Heap, 0, q.N)
-	forwarded := 0
-	sink := func(b *switchsim.Batch, dec []switchsim.Decision, _ []uint64) {
-		br.run.Traffic.EntriesSent += b.N
-		fwd := br.buf.compactForwarded(b.Cols[0], dec, b.N)
-		forwarded += len(fwd)
-		for _, raw := range fwd {
-			v := int64(raw)
-			if len(h) < q.N {
-				h.push(v)
-			} else if v > h[0] {
-				h[0] = v
-				h.fixRoot()
-			}
-		}
-	}
-	if opts.Skip && q.Table.SkipIndex() != nil {
-		// Block threshold bound (skip.go): once the heap is full, a
-		// block whose max ≤ h[0] cannot change the final multiset. The
-		// heap tightens between spans, so the bound is dynamic.
-		topNSpanScan(q.Table, col, q.N, &h, &br.run.Skipped, func(lo, hi int) {
-			v, err := q.Table.View(lo, hi)
-			if err != nil {
-				return
-			}
-			batchPass(v.NumRows(), opts.Workers, 1, false, br.buf, encInt64(v, col), dp, sink)
-		})
-	} else {
-		batchPass(q.Table.NumRows(), opts.Workers, 1, false, br.buf, encInt64(q.Table, col), dp, sink)
-	}
-	br.run.Traffic.Forwarded = forwarded
-	return br.finish(pruner, topNResult(q, h), forwarded), nil
-}
-
-func batchJoin(q *Query, opts CheetahOptions) (*CheetahRun, error) {
-	var pruner *prune.Join
-	if opts.Pruner != nil {
-		j, ok := opts.Pruner.(*prune.Join)
-		if !ok {
-			return nil, fmt.Errorf("engine: join needs a *prune.Join, got %T", opts.Pruner)
-		}
-		pruner = j
-	} else {
-		j, err := prune.NewJoin(prune.JoinConfig{FilterBits: 4 << 23, Hashes: 3, Seed: opts.Seed})
-		if err != nil {
-			return nil, err
-		}
-		pruner = j
-	}
-	br := newBatchRun(pruner)
-	left, right, tr, skipped, err := batchJoinPasses(q, pruner, opts.dataplaneFor(pruner), opts.Workers, opts.Seed, opts.Skip, br.buf)
-	if err != nil {
-		putStreamBuf(br.buf)
-		return nil, err
-	}
-	br.run.Traffic, br.run.Skipped = tr, skipped
-	rows, err := completeJoinRows(q, opts.Seed, left, right)
-	if err != nil {
-		putStreamBuf(br.buf)
-		return nil, err
-	}
-	return br.finish(pruner, joinResult(q, rows), len(left)+len(right)), nil
-}
-
-func batchSkyline(q *Query, opts CheetahOptions) (*CheetahRun, error) {
-	var pruner *prune.Skyline
-	if opts.Pruner != nil {
-		s, ok := opts.Pruner.(*prune.Skyline)
-		if !ok {
-			return nil, fmt.Errorf("engine: skyline needs a *prune.Skyline, got %T", opts.Pruner)
-		}
-		pruner = s
-	} else {
-		s, err := prune.NewSkyline(prune.SkylineConfig{
-			Dims: len(q.SkylineCols), Points: 10, Heuristic: prune.SkylineAPH,
-		})
-		if err != nil {
-			return nil, err
-		}
-		pruner = s
-	}
-	cols := make([]int, len(q.SkylineCols))
-	for i, c := range q.SkylineCols {
-		cols[i] = q.Table.Schema().MustIndex(c)
-	}
-	br := newBatchRun(pruner)
-	dp := opts.dataplaneFor(pruner)
-	sv := survivorSet{remaining: q.Table.NumRows()}
-	batchPass(q.Table.NumRows(), opts.Workers, len(cols)+1, false, br.buf, encCols64(q.Table, cols), dp,
-		func(b *switchsim.Batch, dec []switchsim.Decision, _ []uint64) {
-			br.run.Traffic.EntriesSent += b.N
-			// The entry id is a real header value (the last column).
-			fwd := br.buf.compactForwarded(b.Cols[len(cols)], dec, b.N)
-			br.run.Traffic.Forwarded += len(fwd)
-			sv.add(fwd, b.N)
-		})
-	// Control-plane drain of the stored points at FIN (ids rode along
-	// through swaps, so the master late-materializes them).
-	for _, e := range pruner.Drain() {
-		br.run.Traffic.Forwarded++
-		sv.rows = append(sv.rows, int(e[len(cols)]))
-	}
-	res, err := completeOnRows(q, sv.rows)
-	if err != nil {
-		putStreamBuf(br.buf)
-		return nil, err
-	}
-	return br.finish(pruner, res, len(sv.rows)), nil
-}
-
-// execCheetahBatch dispatches the batched pipeline, trying the fused
-// compiler first: when the query's pruner is a shipped type the fused
-// layer knows (and the dataplane grants direct program access), the
-// whole execution runs as monomorphic per-kind loops (fuse.go).
-func execCheetahBatch(q *Query, opts CheetahOptions) (*CheetahRun, error) {
-	if !opts.NoFuse {
-		tm := opts.Trace.Begin(obs.StageFused, opts.TraceSwitch)
-		if run, ok, err := execCheetahFused(q, opts); ok {
-			if err == nil && run != nil {
-				// One span covers the fused encode→prune→compact loop and
-				// its in-loop completion — the phases are interleaved by
-				// construction, so they cannot be timed apart.
-				tm.End(int64(run.Traffic.EntriesSent), int64(run.Traffic.Forwarded))
-			}
-			return run, err
-		}
-	}
-	if opts.Trace != nil && opts.traceAcc == nil {
-		return execCheetahBatchTraced(q, opts)
-	}
-	return execCheetahBatchDispatch(q, opts)
-}
-
-// execCheetahBatchDispatch routes to the per-kind batched execution.
-func execCheetahBatchDispatch(q *Query, opts CheetahOptions) (*CheetahRun, error) {
-	switch q.Kind {
-	case KindFilter:
-		return batchFilter(q, opts)
-	case KindTopN:
-		return batchTopN(q, opts)
-	case KindDistinct, KindGroupByMax, KindGroupBySum, KindHaving:
-		run, _, err := execAggregation(q, opts, false)
-		return run, err
-	case KindJoin:
-		return batchJoin(q, opts)
-	case KindSkyline:
-		return batchSkyline(q, opts)
-	default:
-		return nil, fmt.Errorf("engine: unknown kind %v", q.Kind)
-	}
-}
+// --- the master's N-heap ------------------------------------------------
 
 // push adds v to the heap (sift-up), replicating container/heap.Push for
 // the master's int64 N-heap without the interface boxing.

@@ -23,9 +23,9 @@ type CheetahOptions struct {
 	// Seed drives fingerprinting and any randomized pruner defaults.
 	Seed uint64
 	// Scalar forces the legacy per-row execution path (one closure call
-	// and one Program.Process per entry). The default is the batched
-	// columnar pipeline (batch.go); the scalar path is kept frozen as
-	// the equivalence-test reference and benchmark baseline.
+	// and one Program.Process per entry). The default is the pruned
+	// executor (pass.go); the scalar path is kept frozen as the
+	// equivalence-test reference and benchmark baseline.
 	Scalar bool
 	// Flow, when non-nil, processes batches through a shared switch
 	// pipeline under the query's assigned QueryID instead of invoking
@@ -43,8 +43,8 @@ type CheetahOptions struct {
 	// scalar path is the frozen equivalence oracle.
 	Skip bool
 	// NoFuse opts out of the fused execution loops (fuse.go) and keeps
-	// the chunked batch pipeline. The fused path is the default when the
-	// query's pruner is a shipped type the compiler knows; Results are
+	// the chunked batch pipeline. The fused loops are the default when the
+	// query's pruner is a shipped type they know (pass.fuse); Results are
 	// always bit-identical to ExecDirect either way. Traffic and Stats
 	// are also identical for every kind except randomized TOP N, whose
 	// fused RNG draws from a counter-indexed stream (prune decisions may
@@ -60,7 +60,7 @@ type CheetahOptions struct {
 	// index the flow is placed on (0 for an unplaced local execution).
 	TraceSwitch int
 
-	// traceAcc, set only by the traced dispatch, makes dataplaneFor
+	// traceAcc, set only by a traced execSinglePass, makes dataplaneFor
 	// wrap the resolved dataplane with ProcessBatch timing.
 	traceAcc *traceAcc
 }
@@ -93,7 +93,7 @@ func (d progDataplane) ProcessBatch(b *switchsim.Batch, decisions []switchsim.De
 	switchsim.ProcessBatchOf(d.prog, b, decisions)
 }
 
-// FusedProgram implements the fused-capability probe (fuse.go): on the
+// FusedProgram implements the fused-capability probe (pass.fuse): on the
 // exclusive path the execution owns the program outright, so direct
 // access is always allowed.
 func (d progDataplane) FusedProgram() switchsim.Program { return d.prog }
@@ -177,7 +177,7 @@ func execCheetah(q *Query, opts CheetahOptions) (*CheetahRun, error) {
 		opts.Workers = 1
 	}
 	if !opts.Scalar {
-		return execCheetahBatch(q, opts)
+		return execSinglePass(q, opts)
 	}
 	if opts.Flow != nil {
 		return nil, fmt.Errorf("engine: a flow-scoped dataplane requires the batched path, not Scalar")
@@ -205,6 +205,42 @@ func execCheetah(q *Query, opts CheetahOptions) (*CheetahRun, error) {
 	default:
 		return nil, fmt.Errorf("engine: unknown kind %v", q.Kind)
 	}
+}
+
+// execSinglePass is the pruned single-switch driver: ExecSharded with one
+// shard and no failover of its own — the same pass (pass.go) runs once
+// over the unsplit table, and the liveness of a served Flow is its
+// caller's to check after the run. A traced run records one fused span
+// when the pass took the fused loops — they interleave encode, prune and
+// completion by construction, so the phases cannot be timed apart — and
+// encode/prune/merge spans otherwise.
+func execSinglePass(q *Query, opts CheetahOptions) (*CheetahRun, error) {
+	pruner := opts.Pruner
+	if pruner == nil {
+		var err error
+		if pruner, err = defaultShardPruner(q, 1, opts.Seed); err != nil {
+			return nil, err
+		}
+	}
+	tr, base := opts.Trace, opts.Trace.Elapsed()
+	if tr != nil {
+		opts.traceAcc = &traceAcc{base: time.Now()}
+	}
+	fusedSpan := tr.Begin(obs.StageFused, opts.TraceSwitch)
+	ps := &pass{q: q, pruner: pruner, dp: opts.dataplaneFor(pruner), workers: opts.Workers,
+		seed: opts.Seed, skip: opts.Skip, noFuse: opts.NoFuse}
+	res, err := execPasses(q, []*pass{ps}, func(_ int, attempt func() error) error { return attempt() })
+	if err != nil {
+		return nil, err
+	}
+	run := &CheetahRun{Result: res, Traffic: ps.traffic, Stats: pruner.Stats(),
+		PrunerName: pruner.Name(), Skipped: ps.skipped}
+	if ps.fused {
+		fusedSpan.End(int64(run.Traffic.EntriesSent), int64(run.Traffic.Forwarded))
+	} else if tr != nil {
+		opts.traceAcc.addSpans(tr, opts.TraceSwitch, base, run)
+	}
+	return run, nil
 }
 
 // interleave yields global row indices of t in the order the switch sees

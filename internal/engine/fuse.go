@@ -1,25 +1,24 @@
 package engine
 
-// This file is the fused query compiler — the default execution layer of
-// ExecCheetah. The batched pipeline (batch.go) is already columnar, but
-// it still round-trips every chunk through three materialized passes
-// (encode into stream buffers → BatchProgram.ProcessBatch filling a
-// Decision slice → compact survivors), with an interface dispatch per
-// chunk and the pruner's per-entry state transition hidden behind it.
-// Here each query kind compiles to one monomorphic loop instead: the
-// loop reads table columns directly, inlines the pruner's core state
-// transition through the concrete type's Fused* entry points
-// (prune/fused.go), and consumes survivors in place — no wire buffers,
-// no Decision slice, no per-chunk dispatch. The aggregation kinds'
-// survivors are absorbed by the kind's partial (partial.go), which agg.go
-// drives for the fused and the batched stream alike.
+// This file holds the fused loops — the scan kernels a pass (pass.go,
+// agg.go) runs when it may drive its program directly. The chunked
+// pipeline (batch.go) is already columnar, but it still round-trips every
+// chunk through three materialized passes (encode into stream buffers →
+// BatchProgram.ProcessBatch filling a Decision slice → compact
+// survivors), with an interface dispatch per chunk and the pruner's
+// per-entry state transition hidden behind it. Here each query kind is
+// one monomorphic loop instead: the loop reads table columns directly,
+// inlines the pruner's core state transition through the concrete type's
+// Fused* entry points (prune/fused.go), and consumes survivors in place —
+// no wire buffers, no Decision slice, no per-chunk dispatch. (JOIN's
+// loops are in join.go.)
 //
 // Equivalence contract. For every kind the fused loop visits entries in
-// the exact arrival order of the batched/scalar paths (the round-robin
-// worker interleave — see rrStarts), drives the same state transitions,
-// and deposits the same Stats via AddStats, so Results, Traffic and
-// Stats are bit-identical to the batched path — with two deliberate
-// relaxations, both invisible in Results:
+// the exact arrival order of the chunked and scalar paths (the
+// round-robin worker interleave — see rrStarts), drives the same state
+// transitions, and deposits the same Stats via AddStats, so Results,
+// Traffic and Stats are bit-identical to the chunked pipeline — with two
+// deliberate relaxations, both invisible in Results:
 //
 //   - Stateless or order-insensitive passes (FILTER's predicate sweeps,
 //     JOIN's Bloom build/probe, HAVING's exact second pass, and the
@@ -32,14 +31,11 @@ package engine
 //     from the scalar oracle, while final Results stay bit-identical
 //     (the master's heap completion is exact on whatever survives).
 //
-// Gating. The compiler only engages when it can own the program for the
-// whole run: the pruner must be one of the shipped concrete types, and
-// the dataplane must grant direct access through FusedProgram() — the
-// exclusive progDataplane always does; a serve.Lease does only while its
-// pipeline is healthy and no fault injector is armed (chaos runs keep
-// the batched per-batch kill semantics). Anything else — a third-party
-// pruner, a wrong concrete type for the kind, an exotic predicate
-// layout — falls back to the batched pipeline untouched.
+// Gating is the pass's (pass.fuse): the loops only run when the pass can
+// own the program for the whole stream. Anything else — a third-party
+// pruner, a wrong concrete type for the kind, an exotic predicate layout,
+// a dataplane that withholds the program — streams through the chunked
+// pipeline untouched.
 
 import (
 	"sync"
@@ -50,17 +46,6 @@ import (
 	"cheetah/internal/switchsim"
 	"cheetah/internal/table"
 )
-
-// fuseGate reports whether the execution may drive pruner's state
-// directly: the resolved dataplane must expose direct program access and
-// hand back the very same program the options carry.
-func fuseGate(opts CheetahOptions, pruner prune.Pruner) bool {
-	fp, ok := opts.dataplaneFor(pruner).(interface{ FusedProgram() switchsim.Program })
-	if !ok {
-		return false
-	}
-	return fp.FusedProgram() == switchsim.Program(pruner)
-}
 
 // rrStarts returns the worker partition boundaries of rows
 // [lo, lo+n): partition w is [starts[w], starts[w+1]), identical to
@@ -340,58 +325,6 @@ func filterExact(q *Query, pruner prune.Pruner) bool {
 	return true
 }
 
-func fusedFilter(q *Query, opts CheetahOptions) (*CheetahRun, bool, error) {
-	cols := make([]int, len(q.Predicates))
-	for i, p := range q.Predicates {
-		cols[i] = q.Table.Schema().MustIndex(p.Col)
-	}
-	var f *prune.Filter
-	if opts.Pruner == nil {
-		p, err := DefaultPruner(q, opts.Seed)
-		if err != nil {
-			return nil, true, err
-		}
-		f = p.(*prune.Filter)
-	} else {
-		var ok bool
-		if f, ok = opts.Pruner.(*prune.Filter); !ok || !fuseGate(opts, f) {
-			return nil, false, nil
-		}
-	}
-	// An exact filter's survivors are the answer: the count needs no row
-	// list and the rows no recheck.
-	exact := opts.Pruner == nil || filterExact(q, f)
-	run := &CheetahRun{PrunerName: f.Name()}
-	spans := fullSpans(q.Table)
-	if opts.Skip {
-		spans, run.Skipped = filterSpans(q, q.Table, cols)
-	}
-	var survivors []int
-	rowsPtr := &survivors
-	if exact && q.CountOnly {
-		rowsPtr = nil
-	}
-	sent, fwd, ok := fusedFilterScan(q.Table, q.Predicates, cols, f, spans, rowsPtr)
-	if !ok {
-		return nil, false, nil
-	}
-	f.AddStats(uint64(sent), uint64(sent-fwd))
-	run.Traffic.EntriesSent = sent
-	run.Traffic.Forwarded = fwd
-	run.Traffic.MasterProcessed = fwd
-	run.Stats = f.Stats()
-	if exact {
-		run.Result = filterResult(q, fwd, appendFilterRows(nil, q.Table, survivors))
-		return run, true, nil
-	}
-	res, err := completeOnRows(q, survivors)
-	if err != nil {
-		return nil, true, err
-	}
-	run.Result = res
-	return run, true, nil
-}
-
 // --- DISTINCT ----------------------------------------------------------
 
 // fusedDistinctScan streams every row's key fingerprint through the
@@ -535,63 +468,6 @@ func fusedTopNDetSpan(ints []int64, lo, hi, workers int, p *prune.DetTopN,
 	return n, fwd
 }
 
-func fusedTopN(q *Query, opts CheetahOptions) (*CheetahRun, bool, error) {
-	var rnd *prune.RandTopN
-	var det *prune.DetTopN
-	var pr prune.Pruner
-	if opts.Pruner != nil {
-		switch p := opts.Pruner.(type) {
-		case *prune.RandTopN:
-			rnd, pr = p, p
-		case *prune.DetTopN:
-			det, pr = p, p
-		default:
-			return nil, false, nil
-		}
-		if !fuseGate(opts, pr) {
-			return nil, false, nil
-		}
-	} else {
-		p, err := DefaultPruner(q, opts.Seed)
-		if err != nil {
-			return nil, true, err
-		}
-		rnd = p.(*prune.RandTopN)
-		pr = rnd
-	}
-	col := q.Table.Schema().MustIndex(q.OrderCol)
-	ints := q.Table.Int64Col(col)
-	run := &CheetahRun{PrunerName: pr.Name()}
-	h := make(int64Heap, 0, q.N)
-	sent, fwd := 0, 0
-	scan := func(lo, hi int) {
-		var s, f int
-		if rnd != nil {
-			s, f = fusedTopNRandSpan(ints, lo, hi, rnd, &h, q.N)
-		} else {
-			s, f = fusedTopNDetSpan(ints, lo, hi, opts.Workers, det, &h, q.N)
-		}
-		sent += s
-		fwd += f
-	}
-	if opts.Skip && q.Table.SkipIndex() != nil {
-		topNSpanScan(q.Table, col, q.N, &h, &run.Skipped, scan)
-	} else {
-		scan(0, q.Table.NumRows())
-	}
-	if rnd != nil {
-		rnd.AddStats(uint64(sent), uint64(sent-fwd))
-	} else {
-		det.AddStats(uint64(sent), uint64(sent-fwd))
-	}
-	run.Traffic.EntriesSent = sent
-	run.Traffic.Forwarded = fwd
-	run.Result = topNResult(q, h)
-	run.Traffic.MasterProcessed = fwd
-	run.Stats = pr.Stats()
-	return run, true, nil
-}
-
 // --- GROUP BY MAX ------------------------------------------------------
 
 // fusedGroupByMaxScan streams (key fingerprint, value) through the
@@ -666,42 +542,6 @@ func fusedHavingPass1(t *table.Table, vc int, seed uint64, h *prune.Having, work
 	return len(fps), fwd
 }
 
-// --- JOIN --------------------------------------------------------------
-
-func fusedJoin(q *Query, opts CheetahOptions) (*CheetahRun, bool, error) {
-	var j *prune.Join
-	if opts.Pruner != nil {
-		var ok bool
-		if j, ok = opts.Pruner.(*prune.Join); !ok || !fuseGate(opts, j) {
-			return nil, false, nil
-		}
-	} else {
-		p, err := prune.NewJoin(prune.DefaultJoinConfig(opts.Seed))
-		if err != nil {
-			return nil, true, err
-		}
-		j = p
-	}
-	// fusedJoinPasses hard-codes which filter each pass trains or probes;
-	// that only matches the batched path when the pruner starts in the
-	// build phase (a mid-phase standing pruner keeps the batched path,
-	// whose passes consult the live phase).
-	if j.Phase() != prune.PhaseBuild {
-		return nil, false, nil
-	}
-	run := &CheetahRun{PrunerName: j.Name()}
-	sc := joinScratchPool.Get().(*joinScratch)
-	defer joinScratchPool.Put(sc)
-	run.Traffic, run.Skipped = fusedJoinPasses(q, j, opts.Seed, opts.Skip, sc)
-	rows, err := completeJoin(q, sc)
-	if err != nil {
-		return nil, true, err
-	}
-	run.Result = joinResult(q, rows)
-	run.Stats = j.Stats()
-	return run, true, nil
-}
-
 // --- SKYLINE -----------------------------------------------------------
 
 // fusedSkylineScan streams the dimension tuples through the skyline
@@ -741,70 +581,4 @@ func fusedSkylineScan(t *table.Table, cols []int, s *prune.Skyline, workers int,
 		}
 	}
 	return n, fwd
-}
-
-func fusedSkyline(q *Query, opts CheetahOptions) (*CheetahRun, bool, error) {
-	var s *prune.Skyline
-	if opts.Pruner != nil {
-		var ok bool
-		if s, ok = opts.Pruner.(*prune.Skyline); !ok || !fuseGate(opts, s) {
-			return nil, false, nil
-		}
-	} else {
-		p, err := DefaultPruner(q, opts.Seed)
-		if err != nil {
-			return nil, true, err
-		}
-		s = p.(*prune.Skyline)
-	}
-	cols := make([]int, len(q.SkylineCols))
-	for i, c := range q.SkylineCols {
-		cols[i] = q.Table.Schema().MustIndex(c)
-	}
-	run := &CheetahRun{PrunerName: s.Name()}
-	var survivors []int
-	sent, fwd := fusedSkylineScan(q.Table, cols, s, opts.Workers, &survivors)
-	run.Traffic.EntriesSent = sent
-	run.Traffic.Forwarded = fwd
-	for _, e := range s.Drain() {
-		run.Traffic.Forwarded++
-		survivors = append(survivors, int(e[len(cols)]))
-	}
-	res, err := completeOnRows(q, survivors)
-	if err != nil {
-		return nil, true, err
-	}
-	run.Result = res
-	run.Traffic.MasterProcessed = len(survivors)
-	run.Stats = s.Stats()
-	return run, true, nil
-}
-
-// --- dispatch ----------------------------------------------------------
-
-// execCheetahFused compiles and runs the query as one fused loop per
-// pass. ok=false means the compiler cannot own this execution (foreign
-// pruner type, no direct program access, mid-phase join state) and the
-// batched pipeline must run instead; when ok=true the run (or error) is
-// final.
-func execCheetahFused(q *Query, opts CheetahOptions) (*CheetahRun, bool, error) {
-	if opts.Pruner == nil && opts.Flow != nil {
-		// The flow's installed program is not in our hands; only the
-		// batched mux may drive it.
-		return nil, false, nil
-	}
-	switch q.Kind {
-	case KindFilter:
-		return fusedFilter(q, opts)
-	case KindTopN:
-		return fusedTopN(q, opts)
-	case KindDistinct, KindGroupByMax, KindGroupBySum, KindHaving:
-		return execAggregation(q, opts, true)
-	case KindJoin:
-		return fusedJoin(q, opts)
-	case KindSkyline:
-		return fusedSkyline(q, opts)
-	default:
-		return nil, false, nil
-	}
 }

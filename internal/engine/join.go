@@ -7,9 +7,10 @@ package engine
 // uint64-keyed table — O(forwarded) typed work, no string hashing — and
 // compares the key cells themselves on every fingerprint match, so two
 // keys that collide on a fingerprint stay two keys and the answer is
-// exact. One completion (completeJoin) serves the fused, batched and
-// sharded paths; execJoin, the plain string-keyed join, stays what
-// ExecDirect runs and what the tests compare against.
+// exact. One completion (completeJoin) serves the one JOIN pass
+// (pass.join), fused or chunked, single-switch or per shard; execJoin, the
+// plain string-keyed join, stays what ExecDirect runs and what the tests
+// compare against.
 
 import (
 	"strconv"
@@ -71,8 +72,8 @@ func (s *joinSide) probe(spans []span, mem sketch.Membership) (sent, fwd int) {
 	return sent, len(rows)
 }
 
-// fingerprint fills fps from rows — the batched paths collect survivor
-// row ids only, so their fingerprints are recomputed here.
+// fingerprint fills fps from rows — the chunked pipeline collects
+// survivor row ids only, so their fingerprints are recomputed here.
 func (s *joinSide) fingerprint(t *table.Table, kc int, seed uint64) {
 	s.fps = growU64(s.fps, len(s.rows))
 	fpr := newRowFP(t, []int{kc}, seed)
@@ -296,11 +297,7 @@ func batchJoinPasses(q *Query, j *prune.Join, dp BatchDataplane, workers int, se
 			func(b *switchsim.Batch, dec []switchsim.Decision, ids []uint64) {
 				tr.EntriesSent += b.N
 				if sv == nil {
-					n := b.N
-					for _, d := range dec[:b.N] {
-						n -= int(d)
-					}
-					tr.Forwarded += n
+					tr.Forwarded += forwardedIn(dec[:b.N])
 					return
 				}
 				fwd := buf.compactForwarded(ids, dec, b.N)
@@ -328,8 +325,8 @@ func batchJoinPasses(q *Query, j *prune.Join, dp BatchDataplane, workers int, se
 	return l.rows, r.rows, tr, skipped, err
 }
 
-// completeJoinRows is completeJoin for the batched paths, which collect
-// survivor row ids only: it fingerprints them first.
+// completeJoinRows is completeJoin for the chunked pipeline, which
+// collects survivor row ids only: it fingerprints them first.
 func completeJoinRows(q *Query, seed uint64, left, right []int) ([][]string, error) {
 	sc := &joinScratch{left: joinSide{rows: left}, right: joinSide{rows: right}}
 	sc.left.fingerprint(q.Table, q.Table.Schema().MustIndex(q.LeftKey), seed)

@@ -1,13 +1,12 @@
 package engine
 
-// This file implements the multi-switch scatter/gather execution path:
-// the table is sharded across N switches (the paper's deployment shape,
-// where each rack's ToR switch prunes its own workers' streams), each
-// shard runs the batched pruning pipeline concurrently on its own
-// switch program, and the master performs a two-level merge — shard-
-// local partials first (fingerprint dedupe, TOP N heaps, aggregate
-// maps), then a global combine — that reproduces ExecDirect's result
-// exactly for every query kind.
+// This file implements the multi-switch scatter/gather driver: the table
+// is sharded across N switches (the paper's deployment shape, where each
+// rack's ToR switch prunes its own workers' streams), each shard runs the
+// kind's pass (pass.go) concurrently on its own switch program — redone
+// through a replacement when its switch dies mid-stream — and the kind's
+// completion merges the shards' parts into a result that reproduces
+// ExecDirect's exactly for every query kind.
 //
 // Correctness per kind under arbitrary sharding:
 //
@@ -35,13 +34,11 @@ package engine
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 	"time"
 
 	"cheetah/internal/obs"
 	"cheetah/internal/prune"
-	"cheetah/internal/switchsim"
 	"cheetah/internal/table"
 )
 
@@ -89,9 +86,10 @@ type ShardedOptions struct {
 	// shards share it, so fingerprints agree at the global combine.
 	Seed uint64
 	// Pruners, when non-nil, supplies one program per shard (len must
-	// equal Shards) — the planner's per-switch sizing. Defaults follow
-	// the batched path's per-kind configurations, with HAVING's sketch
-	// threshold tightened to ⌊threshold/Shards⌋.
+	// equal Shards) — the planner's per-switch sizing. Defaults are the
+	// single-switch configurations (defaultShardPruner), with HAVING's
+	// sketch threshold tightened to ⌊threshold/Shards⌋ and randomized TOP
+	// N's δ to δ/Shards.
 	Pruners []prune.Pruner
 	// Flows, when non-nil, routes shard i's batches through Flows[i] (a
 	// flow-scoped handle on shard i's shared pipeline) instead of
@@ -140,11 +138,14 @@ type ShardedOptions struct {
 // ShardedRun is the outcome of a scatter/gather execution.
 type ShardedRun struct {
 	Result *Result
-	// Traffic aggregates all switches (MasterProcessed is the global
-	// combine's input size).
+	// Traffic aggregates all switches: every field, MasterProcessed
+	// included, is the sum of PerSwitch, and with one shard it is what
+	// ExecCheetah reports.
 	Traffic Traffic
-	// PerSwitch is each switch's own traffic (MasterProcessed is that
-	// shard's contribution to the combine).
+	// PerSwitch is each switch's own traffic — what the single-switch
+	// execution of that shard, with that switch's program, reports.
+	// (HAVING's second pass re-streams each shard's rows of every shard's
+	// candidates, so that part depends on the other shards.)
 	PerSwitch []Traffic
 	// Stats sums the shard programs' pruning statistics.
 	Stats prune.Stats
@@ -243,41 +244,10 @@ func shardTables(q *Query, k int, strategy ShardStrategy) (left, right []*table.
 	return left, nil, err
 }
 
-// defaultShardPruner builds shard s's program with the batched path's
-// default configuration, tightened per shard where the merge needs it.
-func defaultShardPruner(q *Query, shards int, seed uint64) (prune.Pruner, error) {
-	switch q.Kind {
-	case KindJoin:
-		return prune.NewJoin(prune.DefaultJoinConfig(seed))
-	case KindTopN:
-		// Each shard's randomized program gets δ/k: a global top-N value
-		// lives in exactly one shard, so the union bound over k
-		// independent programs keeps the fabric-wide miss probability at
-		// the single-switch default δ.
-		return prune.NewRandTopN(prune.LegacyRandTopNConfig(q.N, 1e-4/float64(shards), seed))
-	default:
-		return defaultAggPruner(q, q.Threshold/int64(shards), seed)
-	}
-}
-
-// shardPruner resolves shard s's program: the caller's when supplied
-// (with a kind-specific type check where the executor needs the concrete
-// interface), a tightened default otherwise.
-func shardPruner(q *Query, opts ShardedOptions, s int) (prune.Pruner, error) {
-	if opts.Pruners != nil {
-		return opts.Pruners[s], nil
-	}
-	return defaultShardPruner(q, opts.Shards, opts.Seed)
-}
-
-// shardExec bundles one shard's execution context.
+// shardExec is one shard's pass plus its failover bookkeeping.
 type shardExec struct {
+	pass
 	idx      int
-	q        *Query // per-shard query (shard tables substituted)
-	pruner   prune.Pruner
-	dp       BatchDataplane
-	traffic  Traffic
-	skipped  SkipStats
 	attempts int  // failover replacements taken
 	degraded bool // fell back to master-side execution
 }
@@ -327,18 +297,18 @@ func (se *shardExec) ensureHealthy(opts ShardedOptions) {
 // run executes one shard's whole stream (pass) with §7.2-exact
 // failover: a pass that crossed its switch's death is discarded — the
 // registers backing its pruning decisions are gone, so partial results
-// cannot be trusted — and redone through a replacement dataplane. pass
+// cannot be trusted — and redone through a replacement dataplane. attempt
 // must (re)initialize all per-attempt state it accumulates, including
-// reading se.pruner/se.dp at call time; se.traffic is reset here. The
-// loop terminates: every retry either replaces the switch (capped) or
-// lands on the master-side backstop, which cannot fail.
-func (se *shardExec) run(opts ShardedOptions, pass func() error) error {
+// reading se.pruner/se.dp at call time; se.traffic and se.skipped are
+// reset here. The loop terminates: every retry either replaces the switch
+// (capped) or lands on the master-side backstop, which cannot fail.
+func (se *shardExec) run(opts ShardedOptions, attempt func() error) error {
 	for {
 		se.ensureHealthy(opts)
 		se.traffic = Traffic{}
 		se.skipped = SkipStats{}
 		tm := opts.Trace.Begin(obs.StageShard, se.idx).Attempt(se.attempts)
-		if err := pass(); err != nil {
+		if err := attempt(); err != nil {
 			return err
 		}
 		if se.healthErr() == nil {
@@ -392,40 +362,21 @@ func newShardExecs(q *Query, opts ShardedOptions) ([]*shardExec, error) {
 		if right != nil {
 			qs.Right = right[s]
 		}
-		pruner, err := shardPruner(q, opts, s)
-		if err != nil {
+		se := &shardExec{idx: s, pass: pass{q: &qs, workers: opts.Workers, seed: opts.Seed,
+			skip: opts.Skip, noFuse: opts.NoFuse}}
+		if opts.Pruners != nil {
+			se.pruner = opts.Pruners[s]
+		} else if se.pruner, err = defaultShardPruner(q, opts.Shards, opts.Seed); err != nil {
 			return nil, err
 		}
-		se := &shardExec{idx: s, q: &qs, pruner: pruner}
 		if opts.Flows != nil {
 			se.dp = opts.Flows[s]
 		} else {
-			se.dp = progDataplane{prog: pruner}
+			se.dp = progDataplane{prog: se.pruner}
 		}
 		execs[s] = se
 	}
 	return execs, nil
-}
-
-// gatherSurvivors copies each shard's surviving rows into one master-
-// side table (late materialization of the gather step), one columnar
-// sweep per shard.
-func gatherSurvivors(execs []*shardExec, survivors [][]int) (*table.Table, error) {
-	g, err := table.New(execs[0].q.Table.Schema())
-	if err != nil {
-		return nil, err
-	}
-	total := 0
-	for _, rows := range survivors {
-		total += len(rows)
-	}
-	g.Grow(total)
-	for s, rows := range survivors {
-		if err := g.AppendRowsFrom(execs[s].q.Table, rows); err != nil {
-			return nil, err
-		}
-	}
-	return g, nil
 }
 
 // ExecSharded runs the query across a fabric of Shards switches: the
@@ -480,22 +431,15 @@ func execSharded(q *Query, opts ShardedOptions) (*ShardedRun, error) {
 		return nil, err
 	}
 	traceBase := opts.Trace.Elapsed()
-	var run *ShardedRun
-	switch q.Kind {
-	case KindFilter, KindSkyline:
-		run, err = shardedGather(q, execs, opts)
-	case KindTopN:
-		run, err = shardedTopN(q, execs, opts)
-	case KindDistinct, KindGroupByMax, KindGroupBySum, KindHaving:
-		run, err = shardedAggregation(q, execs, opts)
-	case KindJoin:
-		run, err = shardedJoin(q, execs, opts)
-	default:
-		return nil, fmt.Errorf("engine: unknown kind %v", q.Kind)
+	passes := make([]*pass, len(execs))
+	for s, se := range execs {
+		passes[s] = &se.pass
 	}
+	res, err := execPasses(q, passes, func(s int, attempt func() error) error { return execs[s].run(opts, attempt) })
 	if err != nil {
 		return nil, err
 	}
+	run := &ShardedRun{Result: res}
 	run.PrunerName = execs[0].pruner.Name()
 	run.PerSwitch = make([]Traffic, len(execs))
 	for s, se := range execs {
@@ -503,6 +447,7 @@ func execSharded(q *Query, opts ShardedOptions) (*ShardedRun, error) {
 		run.Traffic.EntriesSent += se.traffic.EntriesSent
 		run.Traffic.Forwarded += se.traffic.Forwarded
 		run.Traffic.SecondPassSent += se.traffic.SecondPassSent
+		run.Traffic.MasterProcessed += se.traffic.MasterProcessed
 		st := se.pruner.Stats()
 		run.Stats.Processed += st.Processed
 		run.Stats.Pruned += st.Pruned
@@ -529,314 +474,6 @@ func execSharded(q *Query, opts ShardedOptions) (*ShardedRun, error) {
 		}
 		tr.Add(obs.Span{Stage: obs.StageMerge, Switch: -1, Start: mergeStart,
 			Dur: now - mergeStart, Entries: int64(run.Traffic.MasterProcessed)})
-	}
-	return run, nil
-}
-
-// shardSurvivors runs shard se's single-pass pruning stream and returns
-// the shard-local surviving row ids, using the pruner's batched
-// execution (ExecCheetah on the shard with the shard's own program).
-// Kinds whose batched completion fuses away the survivor list (TOP N)
-// have their own shard pass below.
-func (se *shardExec) shardSurvivors(opts ShardedOptions, collect func(fwd []uint64, ids []uint64, b int)) error {
-	q := se.q
-	buf := getStreamBuf()
-	defer putStreamBuf(buf)
-	var encFor func(*table.Table) partEncoder
-	var width int
-	needIDs := true
-	spans := fullSpans(q.Table)
-	switch q.Kind {
-	case KindFilter:
-		cols := make([]int, len(q.Predicates))
-		for i, p := range q.Predicates {
-			cols[i] = q.Table.Schema().MustIndex(p.Col)
-		}
-		width = len(cols)
-		if opts.Skip {
-			// Contiguous shards are views of the indexed root and skip
-			// against its (root-aligned) blocks; materialized hash/range
-			// shards have no index and get the full span back.
-			spans, se.skipped = filterSpans(q, q.Table, cols)
-		}
-		encFor = func(t *table.Table) partEncoder { return encFilter(t, q.Predicates, cols) }
-	case KindSkyline:
-		cols := make([]int, len(q.SkylineCols))
-		for i, c := range q.SkylineCols {
-			cols[i] = q.Table.Schema().MustIndex(c)
-		}
-		width = len(cols) + 1
-		needIDs = false
-		encFor = func(t *table.Table) partEncoder { return encCols64(t, cols) }
-	default:
-		return fmt.Errorf("engine: shardSurvivors does not handle %v", q.Kind)
-	}
-	return spanPass(q.Table, spans, opts.Workers, width, needIDs, buf, encFor, se.dp,
-		func(b *switchsim.Batch, dec []switchsim.Decision, ids []uint64) {
-			se.traffic.EntriesSent += b.N
-			src := ids
-			if q.Kind == KindSkyline {
-				// The entry id rides as the last header column through
-				// swaps.
-				src = b.Cols[width-1]
-			}
-			fwd := buf.compactForwarded(src, dec, b.N)
-			se.traffic.Forwarded += len(fwd)
-			collect(fwd, ids, b.N)
-		})
-}
-
-// shardedGather serves FILTER and SKYLINE: per-shard survivor streams,
-// then an exact master completion over the gathered union. A FILTER
-// whose every shard runs the query's exact filter (filterExact) needs
-// neither the gather nor the recheck: its survivors are the answer, so
-// the count is the forwards summed and the rows render straight from
-// their shard tables.
-func shardedGather(q *Query, execs []*shardExec, opts ShardedOptions) (*ShardedRun, error) {
-	exact := q.Kind == KindFilter
-	for _, se := range execs {
-		exact = exact && filterExact(se.q, se.pruner)
-	}
-	survivors := make([][]int, len(execs))
-	err := forEachShard(len(execs), func(s int) error {
-		se := execs[s]
-		return se.run(opts, func() error {
-			if exact && se.attempts > 0 && !filterExact(se.q, se.pruner) {
-				return fmt.Errorf("engine: shard %d: failover replaced the query's exact filter with a different program", s)
-			}
-			if rows, ok := se.fusedGatherPass(opts, exact && q.CountOnly); ok {
-				survivors[s] = rows
-				return nil
-			}
-			sv := survivorSet{remaining: se.q.Table.NumRows()}
-			if err := se.shardSurvivors(opts, func(fwd []uint64, _ []uint64, chunkN int) {
-				sv.add(fwd, chunkN)
-			}); err != nil {
-				return err
-			}
-			if q.Kind == KindSkyline {
-				// Control-plane drain of the stored points at FIN.
-				dr, ok := se.pruner.(prune.Drainer)
-				if !ok {
-					return fmt.Errorf("engine: skyline needs a draining pruner, got %T", se.pruner)
-				}
-				width := len(q.SkylineCols)
-				for _, e := range dr.Drain() {
-					se.traffic.Forwarded++
-					sv.rows = append(sv.rows, int(e[width]))
-				}
-			}
-			se.traffic.MasterProcessed = len(sv.rows)
-			survivors[s] = sv.rows
-			return nil
-		})
-	})
-	if err != nil {
-		return nil, err
-	}
-	run := &ShardedRun{}
-	if exact {
-		var rows [][]string
-		for s, se := range execs {
-			run.Traffic.MasterProcessed += se.traffic.Forwarded
-			if !q.CountOnly {
-				rows = appendFilterRows(rows, se.q.Table, survivors[s])
-			}
-		}
-		run.Result = filterResult(q, run.Traffic.MasterProcessed, rows)
-		return run, nil
-	}
-	g, err := gatherSurvivors(execs, survivors)
-	if err != nil {
-		return nil, err
-	}
-	qg := *q
-	qg.Table = g
-	if run.Result, err = completeOnRows(&qg, allRows(g)); err != nil {
-		return nil, err
-	}
-	run.Traffic.MasterProcessed = g.NumRows()
-	return run, nil
-}
-
-// shardedTopN keeps an N-heap per shard (the shard-local threshold),
-// then re-checks the union in a global N-heap at the master.
-func shardedTopN(q *Query, execs []*shardExec, opts ShardedOptions) (*ShardedRun, error) {
-	heaps := make([]int64Heap, len(execs))
-	err := forEachShard(len(execs), func(s int) error {
-		se := execs[s]
-		qs := se.q
-		col := qs.Table.Schema().MustIndex(qs.OrderCol)
-		return se.run(opts, func() error {
-			if h, ok := se.fusedTopNPass(opts, col); ok {
-				heaps[s] = h
-				return nil
-			}
-			buf := getStreamBuf()
-			defer putStreamBuf(buf)
-			h := make(int64Heap, 0, qs.N)
-			sink := func(b *switchsim.Batch, dec []switchsim.Decision, _ []uint64) {
-				se.traffic.EntriesSent += b.N
-				fwd := buf.compactForwarded(b.Cols[0], dec, b.N)
-				se.traffic.Forwarded += len(fwd)
-				for _, raw := range fwd {
-					v := int64(raw)
-					if len(h) < qs.N {
-						h.push(v)
-					} else if v > h[0] {
-						h[0] = v
-						h.fixRoot()
-					}
-				}
-			}
-			if opts.Skip && qs.Table.SkipIndex() != nil {
-				// Shard-local threshold bound: the shard heap's h[0] is a
-				// valid (if looser) lower bound for its own top N, which
-				// is all the global merge consumes from this shard.
-				topNSpanScan(qs.Table, col, qs.N, &h, &se.skipped, func(lo, hi int) {
-					v, err := qs.Table.View(lo, hi)
-					if err != nil {
-						return
-					}
-					batchPass(v.NumRows(), opts.Workers, 1, false, buf, encInt64(v, col), se.dp, sink)
-				})
-			} else {
-				batchPass(qs.Table.NumRows(), opts.Workers, 1, false, buf, encInt64(qs.Table, col), se.dp, sink)
-			}
-			se.traffic.MasterProcessed = len(h)
-			heaps[s] = h
-			return nil
-		})
-	})
-	if err != nil {
-		return nil, err
-	}
-	g := make(int64Heap, 0, q.N)
-	forwarded := 0
-	for _, h := range heaps {
-		forwarded += len(h)
-		for _, v := range h {
-			if len(g) < q.N {
-				g.push(v)
-			} else if v > g[0] {
-				g[0] = v
-				g.fixRoot()
-			}
-		}
-	}
-	run := &ShardedRun{Result: topNResult(q, g)}
-	run.Traffic.MasterProcessed = forwarded
-	return run, nil
-}
-
-// shardedAggregation serves DISTINCT, GROUP BY MAX, GROUP BY SUM and
-// HAVING: every shard streams into its own partial (aggPass), and the
-// master merges the partials — by fingerprint, which is seed-consistent
-// across shards — into shard 0's and renders it. HAVING inserts a
-// barrier: the shards' candidates are unioned before any shard sums, a
-// key's sum may cross the global threshold only in aggregate.
-func shardedAggregation(q *Query, execs []*shardExec, opts ShardedOptions) (*ShardedRun, error) {
-	partials := make([]*partial, len(execs))
-	for s, se := range execs {
-		partials[s] = newPartial(se.q)
-		defer partials[s].release()
-	}
-	err := forEachShard(len(execs), func(s int) error {
-		se, p := execs[s], partials[s]
-		return se.run(opts, func() (err error) {
-			p.reset(se.q.Table)
-			se.traffic.EntriesSent, se.traffic.Forwarded, err = aggPass(se.q, se.pruner, se.dp,
-				se.fusable(opts), opts.Seed, opts.Workers, p)
-			se.traffic.MasterProcessed = len(p.ents)
-			if q.Kind == KindDistinct {
-				se.traffic.MasterProcessed = se.traffic.Forwarded
-			}
-			return err
-		})
-	})
-	if err != nil {
-		return nil, err
-	}
-	g := partials[0]
-	for _, p := range partials[1:] {
-		g.merge(p)
-	}
-	run := &ShardedRun{}
-	switch q.Kind {
-	case KindGroupBySum:
-		run.Traffic.MasterProcessed = len(g.ents)
-	case KindHaving:
-		// The exact pass is pruner-free, so it runs the same whatever the
-		// shard's dataplane, and no switch can die under it.
-		for _, p := range partials[1:] {
-			p.copyCandidates(g)
-		}
-		vc := q.Table.Schema().MustIndex(q.AggCol)
-		_ = forEachShard(len(execs), func(s int) error {
-			tr := &execs[s].traffic
-			tr.SecondPassSent = partials[s].sumCandidates(vc, opts.Seed)
-			tr.EntriesSent += tr.SecondPassSent
-			tr.MasterProcessed = tr.SecondPassSent
-			return nil
-		})
-		for s, p := range partials {
-			if s > 0 {
-				g.merge(p)
-			}
-			run.Traffic.MasterProcessed += execs[s].traffic.SecondPassSent
-		}
-	default:
-		for _, se := range execs {
-			run.Traffic.MasterProcessed += se.traffic.Forwarded
-		}
-	}
-	run.Result = g.render(q)
-	return run, nil
-}
-
-// shardedJoin runs one Bloom join per switch over the co-located shard
-// pair and concatenates the per-key summaries (hash co-location means no
-// key spans switches): each shard completes to unsorted rows and the
-// union is sorted once.
-func shardedJoin(q *Query, execs []*shardExec, opts ShardedOptions) (*ShardedRun, error) {
-	partials := make([][][]string, len(execs))
-	err := forEachShard(len(execs), func(s int) error {
-		se := execs[s]
-		// The build and probe passes share the program's Bloom state, so
-		// the retry unit is the whole build→probe sequence: a switch that
-		// dies anywhere inside it invalidates the filter, never just one
-		// pass.
-		return se.run(opts, func() (err error) {
-			j, ok := se.pruner.(*prune.Join)
-			if !ok {
-				return fmt.Errorf("engine: join needs a *prune.Join, got %T", se.pruner)
-			}
-			sc := joinScratchPool.Get().(*joinScratch)
-			defer joinScratchPool.Put(sc)
-			if se.fusedJoinPass(opts, sc) {
-				partials[s], err = completeJoin(se.q, sc)
-				return err
-			}
-			buf := getStreamBuf()
-			defer putStreamBuf(buf)
-			// Probe-side skipping per shard is exact for the same reason
-			// as on the single-switch path (skip.go): a key absent from
-			// every scanned right block is absent from the shard's left too.
-			left, right, tr, skipped, err := batchJoinPasses(se.q, j, se.dp, opts.Workers, opts.Seed, opts.Skip, buf)
-			if err != nil {
-				return err
-			}
-			se.traffic, se.skipped = tr, skipped
-			partials[s], err = completeJoinRows(se.q, opts.Seed, left, right)
-			return err
-		})
-	})
-	if err != nil {
-		return nil, err
-	}
-	run := &ShardedRun{Result: joinResult(q, slices.Concat(partials...))}
-	for _, se := range execs {
-		run.Traffic.MasterProcessed += se.traffic.MasterProcessed
 	}
 	return run, nil
 }

@@ -50,18 +50,83 @@ func assertShardedRun(t *testing.T, name string, shards int, run *ShardedRun, di
 	if len(run.PerSwitch) != shards {
 		t.Fatalf("%s: %d per-switch reports for %d shards", name, len(run.PerSwitch), shards)
 	}
-	sent, fwd, second := 0, 0, 0
+	var sum Traffic
 	for _, tr := range run.PerSwitch {
-		sent += tr.EntriesSent
-		fwd += tr.Forwarded
-		second += tr.SecondPassSent
+		sum.EntriesSent += tr.EntriesSent
+		sum.Forwarded += tr.Forwarded
+		sum.SecondPassSent += tr.SecondPassSent
+		sum.MasterProcessed += tr.MasterProcessed
 	}
-	if sent != run.Traffic.EntriesSent || fwd != run.Traffic.Forwarded || second != run.Traffic.SecondPassSent {
+	if sum != run.Traffic {
 		t.Fatalf("%s shards=%d: per-switch traffic does not sum to the aggregate: %+v vs %+v",
 			name, shards, run.PerSwitch, run.Traffic)
 	}
 	if run.Stats.Processed == 0 && run.Traffic.EntriesSent > 0 {
 		t.Fatalf("%s shards=%d: empty aggregate stats", name, shards)
+	}
+}
+
+// TestSingleIsOneShard pins the pruned executor's shape: ExecCheetah is
+// ExecSharded with one shard. Result, Traffic, Stats and SkipStats agree
+// for every kind and edge case, on the fused loops and the chunked
+// pipeline, with block skipping off and on over indexed tables, with the
+// default program and a caller-supplied one.
+func TestSingleIsOneShard(t *testing.T) {
+	tb := equivTable(t, 6000, 0x51)
+	rt := equivTable(t, 2000, 0x52)
+	for _, x := range []*table.Table{tb, rt} {
+		if err := x.BuildSkipIndex(128); err != nil {
+			t.Fatal(err)
+		}
+	}
+	queries := withAggEdges(equivQueries(tb, rt))
+	for _, intKeys := range []bool{false, true} {
+		for _, c := range joinEdgeCases() {
+			queries[fmt.Sprintf("join-edge/%s/int=%v", c.name, intKeys)] = joinEdgeQuery(t, c, intKeys)
+		}
+	}
+	const seed = 0xfeed
+	for name, q := range queries {
+		for _, noFuse := range []bool{false, true} {
+			for _, skip := range []bool{false, true} {
+				for _, supplied := range []bool{false, true} {
+					label := fmt.Sprintf("%s noFuse=%v skip=%v supplied=%v", name, noFuse, skip, supplied)
+					co := CheetahOptions{Workers: 3, Seed: seed, NoFuse: noFuse, Skip: skip}
+					so := ShardedOptions{Shards: 1, Workers: 3, Seed: seed, NoFuse: noFuse, Skip: skip}
+					if supplied {
+						// Two programs of one configuration: each execution
+						// needs fresh register state.
+						var err error
+						if co.Pruner, err = defaultShardPruner(q, 1, seed); err != nil {
+							t.Fatalf("%s: %v", label, err)
+						}
+						p, err := defaultShardPruner(q, 1, seed)
+						if err != nil {
+							t.Fatalf("%s: %v", label, err)
+						}
+						so.Pruners = []prune.Pruner{p}
+					}
+					single, err := ExecCheetah(q, co)
+					if err != nil {
+						t.Fatalf("%s single: %v", label, err)
+					}
+					sharded, err := ExecSharded(q, so)
+					if err != nil {
+						t.Fatalf("%s one shard: %v", label, err)
+					}
+					if !single.Result.Equal(sharded.Result) {
+						t.Fatalf("%s: results diverge\nsingle:\n%s\none shard:\n%s", label, single.Result, sharded.Result)
+					}
+					if single.Traffic != sharded.Traffic {
+						t.Fatalf("%s: traffic diverges\nsingle:    %+v\none shard: %+v", label, single.Traffic, sharded.Traffic)
+					}
+					if single.Stats != sharded.Stats || single.Skipped != sharded.Skipped || single.PrunerName != sharded.PrunerName {
+						t.Fatalf("%s: stats %+v vs %+v, skipped %+v vs %+v, pruner %q vs %q", label,
+							single.Stats, sharded.Stats, single.Skipped, sharded.Skipped, single.PrunerName, sharded.PrunerName)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -3,12 +3,12 @@ package engine
 // Trace plumbing and the engine's single wall-clock capture point.
 //
 // Instrumentation is deliberately central: rather than sprinkling
-// timestamps through the eight per-kind executions, the engine
-// measures at the three places every execution funnels through —
-// dataplaneFor (every batch crosses the resolved dataplane), the
-// execCheetahBatch/execCheetahFused dispatch, and shardExec.run (every
-// sharded pass, including failover redos). A nil trace keeps all of it
-// disabled at the cost of one pointer check.
+// timestamps through the per-kind passes, the engine measures at the
+// three places every execution funnels through — dataplaneFor (every
+// batch crosses the resolved dataplane), the single-switch driver
+// (execSinglePass), and shardExec.run (every sharded pass, including
+// failover redos). A nil trace keeps all of it disabled at the cost of
+// one pointer check.
 
 import (
 	"sync/atomic"
@@ -42,12 +42,20 @@ type traceAcc struct {
 }
 
 // traceDataplane wraps the resolved dataplane and accumulates its
-// processing time. It intentionally does not forward FusedProgram —
-// the fused gate probes opts.Flow before the batch path resolves a
-// dataplane, so the wrapper never participates in that decision.
+// processing time.
 type traceDataplane struct {
 	inner BatchDataplane
 	acc   *traceAcc
+}
+
+// FusedProgram forwards the fused-capability probe (pass.fuse), so that
+// tracing never changes which loops a pass takes; a dataplane without the
+// probe grants no program.
+func (d traceDataplane) FusedProgram() switchsim.Program {
+	if fp, ok := d.inner.(interface{ FusedProgram() switchsim.Program }); ok {
+		return fp.FusedProgram()
+	}
+	return nil
 }
 
 func (d traceDataplane) ProcessBatch(b *switchsim.Batch, decisions []switchsim.Decision) {
@@ -67,21 +75,13 @@ func (d traceDataplane) Err() error {
 	return nil
 }
 
-// execCheetahBatchTraced runs the batch pipeline with the trace's
-// stage spans derived from one accumulator: the stream phase splits
-// into encode (worker-side encode + collection minus dataplane time)
-// and prune (accumulated ProcessBatch time); everything after the last
-// batch is the master's merge.
-func execCheetahBatchTraced(q *Query, opts CheetahOptions) (*CheetahRun, error) {
-	tr, sw := opts.Trace, opts.TraceSwitch
-	base := tr.Elapsed()
-	acc := &traceAcc{base: time.Now()}
-	opts.traceAcc = acc
-	run, err := execCheetahBatchDispatch(q, opts)
+// addSpans records the stage spans of one chunked single-switch
+// execution that started at trace offset base, all derived from the
+// accumulator: the stream phase splits into encode (worker-side encode +
+// collection minus dataplane time) and prune (accumulated ProcessBatch
+// time); everything after the last batch is the master's merge.
+func (acc *traceAcc) addSpans(tr *obs.Trace, sw int, base time.Duration, run *CheetahRun) {
 	total := tr.Elapsed() - base
-	if err != nil || run == nil {
-		return run, err
-	}
 	pruneNs := time.Duration(acc.pruneNs.Load())
 	streamEnd := time.Duration(acc.lastEnd.Load())
 	if streamEnd > total {
@@ -98,5 +98,4 @@ func execCheetahBatchTraced(q *Query, opts CheetahOptions) (*CheetahRun, error) 
 		Note: run.PrunerName})
 	tr.Add(obs.Span{Stage: obs.StageMerge, Switch: sw, Start: base + streamEnd, Dur: total - streamEnd,
 		Entries: int64(run.Traffic.MasterProcessed)})
-	return run, nil
 }
