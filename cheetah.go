@@ -18,9 +18,10 @@
 //
 //   - Queries and tables: declarative query specs over columnar tables.
 //   - Execution: ExecDirect (exact single-node ground truth), ExecCheetah
-//     (workers → switch pruner → master completion), and RunCluster (the
-//     same over a simulated lossy network with the §7.2 reliability
-//     protocol).
+//     (workers → switch pruner → master completion) and ExecSharded (the
+//     same across a fabric of switches); SessionOptions.UseCluster routes
+//     a session over a simulated lossy network with the §7.2 reliability
+//     protocol.
 //   - Pruners: every §4/§5 algorithm, constructible with paper or custom
 //     parameters, each declaring its Table 2 resource profile.
 //   - The switch model: PISA resource admission and multi-query packing.
@@ -369,22 +370,10 @@ func ExecSharded(q *Query, opts ShardedOptions) (*ShardedRun, error) {
 // DefaultCostModel returns the calibrated completion-time model.
 func DefaultCostModel() CostModel { return engine.DefaultCostModel() }
 
-// Cluster execution over the simulated network.
-type (
-	// ClusterConfig shapes an end-to-end cluster run.
-	ClusterConfig = cluster.Config
-	// ClusterReport summarizes protocol behaviour of a run.
-	ClusterReport = cluster.Report
-)
-
-// RunCluster executes a single-pass query end-to-end over the simulated
-// lossy network with the reliability protocol of §7.2.
-//
-// Deprecated: prefer the session API with SessionOptions.UseCluster,
-// which plans the pruner and routes automatically.
-func RunCluster(q *Query, p Pruner, cfg ClusterConfig) (*Result, *ClusterReport, error) {
-	return cluster.Run(q, p, cfg)
-}
+// ClusterReport summarizes the §7.2 reliability protocol's behaviour on
+// a run over the simulated lossy network (SessionOptions.UseCluster):
+// Execution.ClusterReport.
+type ClusterReport = cluster.Report
 
 // Pruners.
 type (

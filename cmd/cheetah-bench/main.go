@@ -2,7 +2,7 @@
 //
 // Usage:
 //
-//	cheetah-bench [-scale N] [-seeds K] [-switches W] [-chaos] [-trace] [table2|table3|fig5|fig6|fig7|fig8|fig9|fig10|fig11|baseline|serve|stream|net|skip|all]
+//	cheetah-bench [-scale N] [-seeds K] [-switches W] [-chaos] [-trace] [table2|table3|fig5|fig6|fig7|fig8|fig9|fig10|fig11|serve|stream|net|skip|all]
 //
 // Scale divides the paper's dataset sizes (scale=1 reproduces paper
 // scale and takes minutes; the default 50 finishes in seconds). Output
@@ -12,17 +12,8 @@
 // runtime/pprof and the profile written on exit — point `go tool pprof`
 // at the output to see where a target spends its time or memory.
 //
-// The baseline target measures the ExecCheetah micro-benchmarks (fused,
-// batch and scalar paths) and writes machine-readable JSON to -baseline-out,
-// giving future changes a perf trajectory to compare against. The diff
-// target re-measures the same benchmarks and compares entries/s against
-// the committed reference (-baseline-ref), exiting non-zero when any
-// benchmark regresses more than -regress-threshold; when the
-// GITHUB_STEP_SUMMARY environment variable points at a writable file
-// (GitHub Actions sets it), the comparison is also appended there as a
-// markdown table. The serve target drives the multi-tenant mixed
-// workload through the concurrent serving layer and prints a scaling
-// table over fabric widths (1/2/4 switches, capped by -switches) ×
+// The serve target drives the multi-tenant mixed workload through the
+// concurrent serving layer and prints a scaling table over fabric widths (1/2/4 switches, capped by -switches) ×
 // client counts (1/8/64), reporting aggregate entries/s and p50/p99
 // latency per row; with -chaos a switch is killed and restored every
 // ~50 submissions and the failover/shed columns show the absorbed
@@ -41,8 +32,6 @@
 package main
 
 import (
-	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -51,19 +40,6 @@ import (
 
 	"cheetah/internal/bench"
 )
-
-// appendFile appends content to path, creating it if needed.
-func appendFile(path, content string) error {
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.WriteString(content); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
 
 func main() { os.Exit(run()) }
 
@@ -78,10 +54,6 @@ func run() int {
 	trace := flag.Bool("trace", false, "print ExplainAnalyze span trees for every query kind across execution paths (standalone unless targets are also given)")
 	addr := flag.String("addr", "", "net target: drive an external cheetahd at this address (empty = in-process loopback server)")
 	conns := flag.Int("conns", 1000, "net target: simulated connection count for the churn loop")
-	baselineOut := flag.String("baseline-out", "BENCH_baseline.json", "output file for the baseline target")
-	baselineRows := flag.Int("baseline-rows", 100_000, "benchmark table rows for the baseline target (diff follows the reference's recorded rows)")
-	baselineRef := flag.String("baseline-ref", "BENCH_baseline.json", "reference file for the diff target")
-	regressThreshold := flag.Float64("regress-threshold", 0.15, "entries/s regression fraction that fails the diff target")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile at run end to this file")
 	flag.Parse()
@@ -146,53 +118,6 @@ func run() int {
 		"stream": func() error { return bench.Stream(os.Stdout, o, *switches) },
 		"net":    func() error { return bench.Net(os.Stdout, o, *addr, *conns) },
 		"skip":   func() error { return bench.Skip(os.Stdout, o) },
-		"baseline": func() error {
-			// Measure first, write after: a failed run must not clobber
-			// an existing baseline file.
-			var buf bytes.Buffer
-			if err := bench.Baseline(&buf, *baselineRows); err != nil {
-				return err
-			}
-			if err := os.WriteFile(*baselineOut, buf.Bytes(), 0o644); err != nil {
-				return err
-			}
-			fmt.Printf("baseline written to %s\n", *baselineOut)
-			return nil
-		},
-		"diff": func() error {
-			ref, err := bench.LoadBaseline(*baselineRef)
-			if err != nil {
-				return err
-			}
-			// Measure at the reference's recorded row count — entries/s
-			// is only comparable at matching table scale.
-			rows := ref.Rows
-			if rows <= 0 {
-				rows = *baselineRows
-			}
-			var buf bytes.Buffer
-			if err := bench.Baseline(&buf, rows); err != nil {
-				return err
-			}
-			var cur bench.BaselineReport
-			if err := json.Unmarshal(buf.Bytes(), &cur); err != nil {
-				return err
-			}
-			if summary := os.Getenv("GITHUB_STEP_SUMMARY"); summary != "" {
-				md, _ := bench.DiffMarkdown(ref, cur, *regressThreshold)
-				if err := appendFile(summary, md); err != nil {
-					fmt.Fprintf(os.Stderr, "warning: step summary %s: %v\n", summary, err)
-				} else {
-					fmt.Println("bench diff appended to step summary")
-				}
-			}
-			if regressed := bench.Diff(os.Stdout, ref, cur, *regressThreshold); len(regressed) > 0 {
-				return fmt.Errorf("%d benchmark(s) regressed >%.0f%% vs %s: %v",
-					len(regressed), 100**regressThreshold, *baselineRef, regressed)
-			}
-			fmt.Printf("no regressions >%.0f%% vs %s\n", 100**regressThreshold, *baselineRef)
-			return nil
-		},
 	}
 	order := []string{"table2", "table3", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11"}
 	for _, t := range selected {
@@ -208,7 +133,7 @@ func run() int {
 		}
 		f, ok := targets[t]
 		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown target %q (want one of %v, baseline, serve, stream, net, skip, or diff)\n", t, order)
+			fmt.Fprintf(os.Stderr, "unknown target %q (want one of %v, serve, stream, net or skip)\n", t, order)
 			return 2
 		}
 		if err := f(); err != nil {

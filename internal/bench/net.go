@@ -7,8 +7,7 @@ package bench
 // percentiles over real TCP. With -addr it drives an external cheetahd
 // (the CI e2e job builds one, drives it, then SIGTERMs it and asserts a
 // clean drain); without, it spins an in-process server on a loopback
-// port, which is also how the baseline's informational net snapshot is
-// measured.
+// port.
 //
 // The churn loop bounds concurrently-open connections (min(256, conns))
 // so thousand-connection runs stay inside default fd limits — and

@@ -34,20 +34,6 @@ type SkipLevel struct {
 	MatchedRows int
 }
 
-// SkipBaselineEntry is one skip-sweep measurement for the baseline
-// file. Informational context like the serve/stream/net rows: the skip
-// rate is deterministic but entries/s is wall-clock; the diff target
-// compares only Benchmarks.
-type SkipBaselineEntry struct {
-	Selectivity   float64 `json:"selectivity"`
-	BlocksSeen    int     `json:"blocks_seen"`
-	BlocksSkipped int     `json:"blocks_skipped"`
-	RowsSkipped   int     `json:"rows_skipped"`
-	SkipRate      float64 `json:"skip_rate"`
-	EntriesPerSec float64 `json:"entries_per_sec"`
-	ScanPerSec    float64 `json:"scan_entries_per_sec"`
-}
-
 // skipTable builds the benchmark table: "ts" is clustered (row index,
 // the append-order layout of an ingest log), "val" is random noise so
 // the scan path has real column work. The skip index is built at the

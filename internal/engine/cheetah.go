@@ -27,14 +27,6 @@ type CheetahOptions struct {
 	// executor (pass.go); the scalar path is kept frozen as the
 	// equivalence-test reference and benchmark baseline.
 	Scalar bool
-	// Flow, when non-nil, processes batches through a shared switch
-	// pipeline under the query's assigned QueryID instead of invoking
-	// Pruner directly — the serving layer's multiplexed dataplane, where
-	// the execution no longer owns the pipeline. Pruner must be the very
-	// program installed for that flow: control-plane operations (probe
-	// switchover, end-of-stream drains) still address it directly.
-	// Batched path only; combining Flow with Scalar is an error.
-	Flow BatchDataplane
 	// Skip enables storage-side block skipping (skip.go) for kinds with
 	// a sound block bound (FILTER, TOP N, JOIN) when the table carries a
 	// skip index (table.BuildSkipIndex). Results stay bit-identical to
@@ -56,19 +48,12 @@ type CheetahOptions struct {
 	// results, traffic or stats. The scalar path — the frozen
 	// equivalence oracle — is never traced.
 	Trace *obs.Trace
-	// TraceSwitch labels this execution's spans with the fabric switch
-	// index the flow is placed on (0 for an unplaced local execution).
-	TraceSwitch int
-
-	// traceAcc, set only by a traced execSinglePass, makes dataplaneFor
-	// wrap the resolved dataplane with ProcessBatch timing.
-	traceAcc *traceAcc
 }
 
 // BatchDataplane processes one batch of entries for an already-admitted
 // query flow. serve.Lease implements it by routing through the shared
-// pipeline's per-flow program table; the engine's default implementation
-// simply runs the execution's own pruner.
+// pipeline's per-flow program table (ShardedOptions.Flows); the engine's
+// default implementation simply runs the execution's own pruner.
 type BatchDataplane interface {
 	ProcessBatch(b *switchsim.Batch, decisions []switchsim.Decision)
 }
@@ -97,21 +82,6 @@ func (d progDataplane) ProcessBatch(b *switchsim.Batch, decisions []switchsim.De
 // exclusive path the execution owns the program outright, so direct
 // access is always allowed.
 func (d progDataplane) FusedProgram() switchsim.Program { return d.prog }
-
-// dataplaneFor resolves the batch dataplane of one execution: the
-// caller's flow-scoped handle when serving, the pruner itself otherwise.
-func (o CheetahOptions) dataplaneFor(pruner prune.Pruner) BatchDataplane {
-	var dp BatchDataplane
-	if o.Flow != nil {
-		dp = o.Flow
-	} else {
-		dp = progDataplane{prog: pruner}
-	}
-	if o.traceAcc != nil {
-		return traceDataplane{inner: dp, acc: o.traceAcc}
-	}
-	return dp
-}
 
 // Traffic counts the data movement of one Cheetah execution; the cost
 // model converts it to time.
@@ -179,9 +149,6 @@ func execCheetah(q *Query, opts CheetahOptions) (*CheetahRun, error) {
 	if !opts.Scalar {
 		return execSinglePass(q, opts)
 	}
-	if opts.Flow != nil {
-		return nil, fmt.Errorf("engine: a flow-scoped dataplane requires the batched path, not Scalar")
-	}
 	if opts.Skip {
 		return nil, fmt.Errorf("engine: block skipping requires the batched path, not Scalar")
 	}
@@ -208,12 +175,12 @@ func execCheetah(q *Query, opts CheetahOptions) (*CheetahRun, error) {
 }
 
 // execSinglePass is the pruned single-switch driver: ExecSharded with one
-// shard and no failover of its own — the same pass (pass.go) runs once
-// over the unsplit table, and the liveness of a served Flow is its
-// caller's to check after the run. A traced run records one fused span
-// when the pass took the fused loops — they interleave encode, prune and
-// completion by construction, so the phases cannot be timed apart — and
-// encode/prune/merge spans otherwise.
+// shard and nothing to fail over — the same pass (pass.go) runs once over
+// the unsplit table on a program the execution owns outright, so there is
+// no switch to lose (leased runs are ExecSharded runs, at every width). A
+// traced run records one fused span when the pass took the fused loops —
+// they interleave encode, prune and completion by construction, so the
+// phases cannot be timed apart — and encode/prune/merge spans otherwise.
 func execSinglePass(q *Query, opts CheetahOptions) (*CheetahRun, error) {
 	pruner := opts.Pruner
 	if pruner == nil {
@@ -223,11 +190,15 @@ func execSinglePass(q *Query, opts CheetahOptions) (*CheetahRun, error) {
 		}
 	}
 	tr, base := opts.Trace, opts.Trace.Elapsed()
+	var dp BatchDataplane = progDataplane{prog: pruner}
+	var acc *traceAcc
 	if tr != nil {
-		opts.traceAcc = &traceAcc{base: time.Now()}
+		// A traced run times every batch crossing the dataplane.
+		acc = &traceAcc{base: time.Now()}
+		dp = traceDataplane{inner: dp, acc: acc}
 	}
-	fusedSpan := tr.Begin(obs.StageFused, opts.TraceSwitch)
-	ps := &pass{q: q, pruner: pruner, dp: opts.dataplaneFor(pruner), workers: opts.Workers,
+	fusedSpan := tr.Begin(obs.StageFused, 0)
+	ps := &pass{q: q, pruner: pruner, dp: dp, workers: opts.Workers,
 		seed: opts.Seed, skip: opts.Skip, noFuse: opts.NoFuse}
 	res, err := execPasses(q, []*pass{ps}, func(_ int, attempt func() error) error { return attempt() })
 	if err != nil {
@@ -238,7 +209,7 @@ func execSinglePass(q *Query, opts CheetahOptions) (*CheetahRun, error) {
 	if ps.fused {
 		fusedSpan.End(int64(run.Traffic.EntriesSent), int64(run.Traffic.Forwarded))
 	} else if tr != nil {
-		opts.traceAcc.addSpans(tr, opts.TraceSwitch, base, run)
+		acc.addSpans(tr, base, run)
 	}
 	return run, nil
 }

@@ -250,6 +250,11 @@ type shardExec struct {
 	idx      int
 	attempts int  // failover replacements taken
 	degraded bool // fell back to master-side execution
+	// tm is the first attempt's span, opened with the shard's context so
+	// that it covers what the shard sets up before it streams (its part,
+	// its health check) — time a one-shard leased run would otherwise
+	// spend under no span at all.
+	tm obs.Timer
 }
 
 // maxFailoverAttempts caps per-shard switch replacements before the
@@ -303,11 +308,14 @@ func (se *shardExec) ensureHealthy(opts ShardedOptions) {
 // reset here. The loop terminates: every retry either replaces the switch
 // (capped) or lands on the master-side backstop, which cannot fail.
 func (se *shardExec) run(opts ShardedOptions, attempt func() error) error {
-	for {
+	for redo := false; ; redo = true {
 		se.ensureHealthy(opts)
 		se.traffic = Traffic{}
 		se.skipped = SkipStats{}
-		tm := opts.Trace.Begin(obs.StageShard, se.idx).Attempt(se.attempts)
+		if redo {
+			se.tm = opts.Trace.Begin(obs.StageShard, se.idx)
+		}
+		tm := se.tm.Attempt(se.attempts)
 		if err := attempt(); err != nil {
 			return err
 		}
@@ -362,8 +370,8 @@ func newShardExecs(q *Query, opts ShardedOptions) ([]*shardExec, error) {
 		if right != nil {
 			qs.Right = right[s]
 		}
-		se := &shardExec{idx: s, pass: pass{q: &qs, workers: opts.Workers, seed: opts.Seed,
-			skip: opts.Skip, noFuse: opts.NoFuse}}
+		se := &shardExec{idx: s, tm: opts.Trace.Begin(obs.StageShard, s),
+			pass: pass{q: &qs, workers: opts.Workers, seed: opts.Seed, skip: opts.Skip, noFuse: opts.NoFuse}}
 		if opts.Pruners != nil {
 			se.pruner = opts.Pruners[s]
 		} else if se.pruner, err = defaultShardPruner(q, opts.Shards, opts.Seed); err != nil {
@@ -426,11 +434,11 @@ func execSharded(q *Query, opts ShardedOptions) (*ShardedRun, error) {
 			return nil, fmt.Errorf("engine: shard flows require the matching Pruners (control-plane operations address programs directly)")
 		}
 	}
+	traceBase := opts.Trace.Elapsed()
 	execs, err := newShardExecs(q, opts)
 	if err != nil {
 		return nil, err
 	}
-	traceBase := opts.Trace.Elapsed()
 	passes := make([]*pass, len(execs))
 	for s, se := range execs {
 		passes[s] = &se.pass

@@ -4,11 +4,10 @@ package engine
 //
 // Instrumentation is deliberately central: rather than sprinkling
 // timestamps through the per-kind passes, the engine measures at the
-// three places every execution funnels through — dataplaneFor (every
-// batch crosses the resolved dataplane), the single-switch driver
-// (execSinglePass), and shardExec.run (every sharded pass, including
-// failover redos). A nil trace keeps all of it disabled at the cost of
-// one pointer check.
+// two places every execution funnels through — the single-switch driver
+// (execSinglePass, which also times every batch crossing its dataplane)
+// and shardExec.run (every sharded pass, including failover redos). A
+// nil trace keeps all of it disabled at the cost of one pointer check.
 
 import (
 	"sync/atomic"
@@ -41,8 +40,8 @@ type traceAcc struct {
 	lastEnd atomic.Int64 // ns offset of the last ProcessBatch return
 }
 
-// traceDataplane wraps the resolved dataplane and accumulates its
-// processing time.
+// traceDataplane wraps a single-switch execution's dataplane and
+// accumulates its processing time.
 type traceDataplane struct {
 	inner BatchDataplane
 	acc   *traceAcc
@@ -66,21 +65,12 @@ func (d traceDataplane) ProcessBatch(b *switchsim.Batch, decisions []switchsim.D
 	d.acc.lastEnd.Store(now.Sub(d.acc.base).Nanoseconds())
 }
 
-// Err forwards health so the serving path's failover detection still
-// sees the underlying lease through the wrapper.
-func (d traceDataplane) Err() error {
-	if h, ok := d.inner.(HealthDataplane); ok {
-		return h.Err()
-	}
-	return nil
-}
-
 // addSpans records the stage spans of one chunked single-switch
 // execution that started at trace offset base, all derived from the
 // accumulator: the stream phase splits into encode (worker-side encode +
 // collection minus dataplane time) and prune (accumulated ProcessBatch
 // time); everything after the last batch is the master's merge.
-func (acc *traceAcc) addSpans(tr *obs.Trace, sw int, base time.Duration, run *CheetahRun) {
+func (acc *traceAcc) addSpans(tr *obs.Trace, base time.Duration, run *CheetahRun) {
 	total := tr.Elapsed() - base
 	pruneNs := time.Duration(acc.pruneNs.Load())
 	streamEnd := time.Duration(acc.lastEnd.Load())
@@ -91,11 +81,11 @@ func (acc *traceAcc) addSpans(tr *obs.Trace, sw int, base time.Duration, run *Ch
 	if encode < 0 {
 		encode = 0
 	}
-	tr.Add(obs.Span{Stage: obs.StageEncode, Switch: sw, Start: base, Dur: encode,
+	tr.Add(obs.Span{Stage: obs.StageEncode, Switch: 0, Start: base, Dur: encode,
 		Entries: int64(run.Traffic.EntriesSent)})
-	tr.Add(obs.Span{Stage: obs.StagePrune, Switch: sw, Start: base + encode, Dur: pruneNs,
+	tr.Add(obs.Span{Stage: obs.StagePrune, Switch: 0, Start: base + encode, Dur: pruneNs,
 		Entries: int64(run.Traffic.EntriesSent), Forwarded: int64(run.Traffic.Forwarded),
 		Note: run.PrunerName})
-	tr.Add(obs.Span{Stage: obs.StageMerge, Switch: sw, Start: base + streamEnd, Dur: total - streamEnd,
+	tr.Add(obs.Span{Stage: obs.StageMerge, Switch: 0, Start: base + streamEnd, Dur: total - streamEnd,
 		Entries: int64(run.Traffic.MasterProcessed)})
 }

@@ -11,7 +11,9 @@ package plan
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -20,6 +22,7 @@ import (
 	"cheetah/internal/engine"
 	"cheetah/internal/fabric"
 	"cheetah/internal/prune"
+	"cheetah/internal/serve"
 	"cheetah/internal/switchsim"
 	"cheetah/internal/table"
 	"cheetah/internal/workload/multitenant"
@@ -82,7 +85,10 @@ func assertFabricDrained(t *testing.T, fab *fabric.Fabric) {
 // a fault injector takes the placed switch down in the middle of the
 // query's stream (the result must be discarded and failed over, not
 // patched), then the whole fabric dies (the §7.2 direct backstop), then
-// a hot-added switch takes over. Every answer is exact throughout.
+// a hot-added switch takes over; then a mid-query death with no survivor
+// (the master-side backstop) and one whose re-admission misses the
+// query's deadline (an error, not a degradation). Every answer is exact
+// throughout.
 func TestChaosServed(t *testing.T) {
 	mix := chaosMix(t, 1)
 	for kind := 0; kind < multitenant.NumKinds; kind++ {
@@ -176,16 +182,83 @@ func TestChaosServed(t *testing.T) {
 				t.Fatalf("post-add result diverged\n got: %v\nwant: %v", ex.Result, want)
 			}
 			assertFabricDrained(t, fab)
+
+			// No survivor mid-query: the only switch of a one-switch fabric
+			// dies at the query's first batch and re-admission finds the
+			// fabric dead, so the engine's master-side backstop finishes the
+			// query — still the pruned plan, still exact.
+			db1, err := Open(mix.Visits, Options{Workers: 2, Seed: 1, Switches: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db1.Close()
+			sv1, err := db1.Serve(context.Background(), ServeOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sv1.Close()
+			sv1.Fabric().Server(0).Pipeline().SetFaultInjector(func(uint32, int) bool { return true })
+			ex, err = sv1.Submit(context.Background(), q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ex.Plan.Mode != ModeCheetah || !strings.Contains(ex.Plan.Reason, "backstop") {
+				t.Fatalf("no-survivor submit: mode=%v reason=%q, want cheetah finished on the backstop", ex.Plan.Mode, ex.Plan.Reason)
+			}
+			if !want.Equal(ex.Result) {
+				t.Fatalf("no-survivor result diverged\n got: %v\nwant: %v", ex.Result, want)
+			}
+			if ex.FailedOver < 1 || sv1.Stats().FailedOver < 1 {
+				t.Fatalf("no-survivor submit: FailedOver=%d, fabric counter=%d, want both >= 1", ex.FailedOver, sv1.Stats().FailedOver)
+			}
+			assertFabricDrained(t, sv1.Fabric())
+
+			// A deadline on re-admission is still an error: the placed
+			// switch dies mid-query, the survivor is quota-blocked for the
+			// query's tenant, and the deadline expires in its queue — the
+			// Submit fails with ErrDeadline instead of degrading, and
+			// nothing leaks.
+			db2, err := Open(mix.Visits, Options{Workers: 2, Seed: 1, Switches: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db2.Close()
+			sv2, err := db2.Serve(context.Background(), ServeOptions{TenantQuota: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sv2.Close()
+			fab2 := sv2.Fabric()
+			blocker, err := prune.NewDistinct(prune.DefaultDistinctConfig(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			held, err := fab2.Server(1).AdmitQoS(context.Background(), blocker, serve.QoS{Tenant: "t"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			fab2.Server(0).Pipeline().SetFaultInjector(func(uint32, int) bool { return true })
+			_, err = sv2.SubmitQoS(context.Background(), q, serve.QoS{Tenant: "t", Deadline: time.Now().Add(30 * time.Millisecond)})
+			if !errors.Is(err, serve.ErrDeadline) {
+				t.Fatalf("deadline on re-admission: err = %v, want serve.ErrDeadline", err)
+			}
+			if got := sv2.Stats().FailedOver; got < 1 {
+				t.Fatalf("deadline on re-admission: fabric FailedOver counter = %d, want >= 1", got)
+			}
+			held.Release()
+			assertFabricDrained(t, fab2)
 		})
 	}
 }
 
 // TestChaosStreamingPlaced drives single-switch subscriptions of every
 // kind through the full failure lifecycle: the placed switch dies with
-// no survivor (deltas degrade to exact direct, one at a time), a
-// hot-added switch picks the program up (warm for the monotone kinds),
-// and a second death re-places it onto the restored original. The
-// standing result equals a from-scratch run at every step.
+// no survivor (deltas finish on the exact master-side backstop, one at a
+// time), a hot-added switch picks the program up (warm for the monotone
+// kinds), a second death re-places it onto the restored original, and a
+// death in the middle of a delta with no survivor is ridden out until
+// the switch is restored. The standing result equals a from-scratch run
+// at every step.
 func TestChaosStreamingPlaced(t *testing.T) {
 	mix := chaosMix(t, 2)
 	for kind := 0; kind < multitenant.NumKinds; kind++ {
@@ -220,7 +293,7 @@ func TestChaosStreamingPlaced(t *testing.T) {
 				t.Fatalf("initial placement on switch %d, want 0", sub.Switch())
 			}
 			total := mix.Visits.NumRows()
-			marks := []int{total / 3, 2 * total / 3, total - 200, total}
+			marks := []int{total / 4, total / 2, total - 600, total - 400, total - 200, total}
 			appendTo := func(lo, hi int) {
 				t.Helper()
 				v, err := mix.Visits.View(lo, hi)
@@ -263,8 +336,24 @@ func TestChaosStreamingPlaced(t *testing.T) {
 			if sub.Replaced() != 2 || sub.Switch() != 0 {
 				t.Fatalf("after second death: Replaced=%d Switch=%d, want 2 on 0", sub.Replaced(), sub.Switch())
 			}
-			if got := fab.Metrics().Total("replaced"); got < 2 {
-				t.Fatalf("replaced metric = %d, want >= 2", got)
+			// The last live switch dies in the middle of a delta: with no
+			// survivor that delta (and every one until capacity returns)
+			// finishes on the engine's master-side backstop, exact.
+			fab.Server(0).Pipeline().SetFaultInjector(func(uint32, int) bool { return true })
+			appendTo(marks[3], marks[4])
+			if sub.Replaced() != 2 {
+				t.Fatalf("Replaced = %d after a mid-delta death with no survivor, want 2", sub.Replaced())
+			}
+			// Once a switch is restored the next delta re-places the program.
+			if err := fab.Restore(0); err != nil {
+				t.Fatal(err)
+			}
+			appendTo(marks[4], marks[5])
+			if sub.Replaced() != 3 || sub.Switch() != 0 {
+				t.Fatalf("after restore: Replaced=%d Switch=%d, want 3 on 0", sub.Replaced(), sub.Switch())
+			}
+			if got := fab.Metrics().Total("replaced"); got < 3 {
+				t.Fatalf("replaced metric = %d, want >= 3", got)
 			}
 			sub.Close()
 			assertFabricDrained(t, fab)

@@ -2,17 +2,27 @@ package plan
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"cheetah/internal/engine"
+	"cheetah/internal/obs"
 	"cheetah/internal/prune"
+	"cheetah/internal/table"
 	"cheetah/internal/workload"
 )
 
-// TestExecEquivalenceAllKinds is the acceptance criterion: for every
-// QueryKind and several seeds, the session Exec, the direct executor and
-// the legacy free-function ExecCheetah return the same result.
-func TestExecEquivalenceAllKinds(t *testing.T) {
+// equivCase is one query of the equivalence mix with its session.
+type equivCase struct {
+	label string
+	s     *Session
+	b     *Builder
+}
+
+// equivMix opens sessions over the shared test tables with opts and
+// returns one query builder per kind.
+func equivMix(t *testing.T, opts Options) []equivCase {
+	t.Helper()
 	uv, err := workload.UserVisits(workload.DefaultUserVisits(4000, 1))
 	if err != nil {
 		t.Fatal(err)
@@ -22,38 +32,36 @@ func TestExecEquivalenceAllKinds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	open := func(tb *table.Table) *Session {
+		s, err := Open(tb, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(s.Close)
+		return s
+	}
+	sUV, sRK, sOrd := open(uv), open(rk), open(orders)
+	return []equivCase{
+		{"filter", sUV, sUV.Select().
+			Where("adRevenue", prune.OpGT, 300_000).
+			Where("duration", prune.OpLE, 150).
+			WhereLike("userAgent", "agent/0_%")},
+		{"distinct", sUV, sUV.Select().Distinct("userAgent")},
+		{"topn", sUV, sUV.Select().TopN("adRevenue", 100)},
+		{"groupby-max", sUV, sUV.Select().GroupByMax("userAgent", "adRevenue")},
+		{"groupby-sum", sUV, sUV.Select().GroupBySum("languageCode", "adRevenue")},
+		{"having", sUV, sUV.Select().GroupBySum("languageCode", "adRevenue").Having(500_000)},
+		{"join", sOrd, sOrd.Select().Join(lineitem, "o_orderkey", "l_orderkey")},
+		{"skyline", sRK, sRK.Select().Skyline("pageRank", "avgDuration")},
+	}
+}
 
+// TestExecEquivalenceAllKinds is the acceptance criterion: for every
+// QueryKind and several seeds, the session Exec, the direct executor and
+// the legacy free-function ExecCheetah return the same result.
+func TestExecEquivalenceAllKinds(t *testing.T) {
 	for _, seed := range []uint64{1, 7, 42} {
-		sUV, err := Open(uv, Options{Workers: 3, Seed: seed})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sRK, err := Open(rk, Options{Workers: 3, Seed: seed})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sOrd, err := Open(orders, Options{Workers: 3, Seed: seed})
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		cases := []struct {
-			label string
-			s     *Session
-			b     *Builder
-		}{
-			{"filter", sUV, sUV.Select().
-				Where("adRevenue", prune.OpGT, 300_000).
-				Where("duration", prune.OpLE, 150).
-				WhereLike("userAgent", "agent/0_%")},
-			{"distinct", sUV, sUV.Select().Distinct("userAgent")},
-			{"topn", sUV, sUV.Select().TopN("adRevenue", 100)},
-			{"groupby-max", sUV, sUV.Select().GroupByMax("userAgent", "adRevenue")},
-			{"groupby-sum", sUV, sUV.Select().GroupBySum("languageCode", "adRevenue")},
-			{"having", sUV, sUV.Select().GroupBySum("languageCode", "adRevenue").Having(500_000)},
-			{"join", sOrd, sOrd.Select().Join(lineitem, "o_orderkey", "l_orderkey")},
-			{"skyline", sRK, sRK.Select().Skyline("pageRank", "avgDuration")},
-		}
+		cases := equivMix(t, Options{Workers: 3, Seed: seed})
 		for _, c := range cases {
 			q, err := c.b.Build()
 			if err != nil {
@@ -90,6 +98,92 @@ func TestExecEquivalenceAllKinds(t *testing.T) {
 			if ex.Stats.Processed == 0 && ex.RowsSkipped == 0 {
 				t.Errorf("seed %d %s: pruner processed nothing and nothing was skipped", seed, c.label)
 			}
+		}
+	}
+}
+
+// TestFrontDoorsAgree drives every kind through the three front doors —
+// Session.Exec, Serving.Submit, and a subscription fed by chunked appends
+// — at fabric widths 1 and 2: all run the one pruned driver (Session.run)
+// and all equal ExecDirect. At one switch a served run is the in-process
+// run through a lease, so its Traffic and Stats are Exec's (randomized
+// TOP N's RNG stream aside).
+func TestFrontDoorsAgree(t *testing.T) {
+	ctx := streamCtx(t)
+	for _, k := range []int{1, 2} {
+		opts := Options{Workers: 3, Seed: 7, Switches: k}
+		for _, c := range equivMix(t, opts) {
+			label := fmt.Sprintf("k=%d %s", k, c.label)
+			q, err := c.b.Build()
+			if err != nil {
+				t.Fatalf("%s: build: %v", label, err)
+			}
+			want, err := engine.ExecDirect(q)
+			if err != nil {
+				t.Fatalf("%s: direct: %v", label, err)
+			}
+			local, err := c.s.Exec(ctx, q)
+			if err != nil {
+				t.Fatalf("%s: Exec: %v", label, err)
+			}
+			sv, err := c.s.Serve(ctx, ServeOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			served, err := sv.Submit(ctx, q)
+			sv.Close()
+			if err != nil {
+				t.Fatalf("%s: Submit: %v", label, err)
+			}
+			for door, ex := range map[string]*Execution{"Exec": local, "Submit": served} {
+				if ex.Plan.Mode != ModeCheetah {
+					t.Fatalf("%s: %s planned %v (%s), want cheetah", label, door, ex.Plan.Mode, ex.Plan.Reason)
+				}
+				if !want.Equal(ex.Result) {
+					t.Errorf("%s: %s diverges from direct", label, door)
+				}
+			}
+			// A leased pass reports like every other leased pass: shard and
+			// merge spans, whatever the fabric width — never fused.
+			if spans := planStages(served); len(spans[obs.StageShard]) == 0 || len(spans[obs.StageMerge]) == 0 || len(spans[obs.StageFused]) != 0 {
+				t.Errorf("%s: served trace is not a leased pass's (shard + merge):\n%s", label, served.Trace())
+			}
+			if k == 1 && q.Kind != engine.KindTopN && (served.Traffic != local.Traffic || served.Stats != local.Stats) {
+				t.Errorf("%s: Submit accounts %+v %+v, Exec %+v %+v", label, served.Traffic, served.Stats, local.Traffic, local.Stats)
+			}
+
+			// The same query as a standing one over an empty copy of the
+			// session's table, fed the rows in batches misaligned with
+			// everything.
+			target, err := table.New(q.Table.Schema())
+			if err != nil {
+				t.Fatal(err)
+			}
+			db, err := Open(target, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, err := db.Stream(ctx, StreamOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sq := *q
+			sq.Table = target
+			sub, err := st.Subscribe(ctx, &sq)
+			if err != nil {
+				t.Fatalf("%s: Subscribe: %v", label, err)
+			}
+			if sub.Plan().Mode != ModeCheetah {
+				t.Fatalf("%s: Subscribe planned %v (%s), want cheetah", label, sub.Plan().Mode, sub.Plan().Reason)
+			}
+			appendInChunks(t, st, q.Table, 613)
+			if err := sub.Flush(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if got := firstResult(sub); !want.Equal(got) {
+				t.Errorf("%s: standing result diverges from direct", label)
+			}
+			db.Close()
 		}
 	}
 }

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"time"
@@ -222,46 +223,35 @@ func (s *Session) execPlanModes(ctx context.Context, p *Plan, tr *obs.Trace) (*E
 	q := p.Query
 	switch p.Mode {
 	case ModeDirect:
-		var res *engine.Result
-		var err error
-		tm := tr.Begin(obs.StageScan, -1)
-		start := tr.Elapsed()
-		if p.Skip {
-			res, ex.SkipStats, err = engine.ExecDirectSkip(q)
-		} else {
-			res, err = engine.ExecDirect(q)
-		}
+		res, skipped, err := direct(q, p, tr)
 		if err != nil {
 			return nil, err
 		}
-		tm.End(int64(queryRows(q)), int64(len(res.Rows)))
-		addSkipSpan(tr, start, ex.SkipStats)
-		ex.Result = res
-		// Direct execution is single-node: all rows on one machine.
+		ex.Result, ex.SkipStats = res, skipped
+		// Direct execution is single-node: all rows on one machine — and
+		// its baseline is a single rack's workers, whatever the session's
+		// fabric width.
 		ex.Estimate = s.cost.SparkTime(q.Kind, []int{queryRows(q)}, len(res.Rows), false, s.opts.NICGbps)
+		ex.SparkEstimate = s.sparkEstimate(q, len(res.Rows), 1)
 	case ModeCheetah:
+		pruners, err := p.NewShardPruners()
+		if err != nil {
+			return nil, err
+		}
+		run, err := s.run(q, p, pruners, nil, nil, tr)
+		if err != nil {
+			return nil, err
+		}
+		s.fill(ex, run)
+		// All of the plan's programs are identically configured, so one
+		// dedicated-pipeline model covers every switch.
+		ex.PipelineUtil = dedicatedUtil(p.Model, pruners[0])
 		if p.Switches > 1 {
-			return s.execShardedCheetah(ex, p)
+			ex.PerSwitch = make([]SwitchReport, p.Switches)
+			for i := range ex.PerSwitch {
+				ex.PerSwitch[i] = SwitchReport{Traffic: run.PerSwitch[i], Util: ex.PipelineUtil}
+			}
 		}
-		pruner, err := p.NewPruner()
-		if err != nil {
-			return nil, err
-		}
-		ex.PipelineUtil = dedicatedUtil(p.Model, pruner)
-		start := tr.Elapsed()
-		run, err := engine.ExecCheetah(q, engine.CheetahOptions{
-			Workers: p.Workers, Pruner: pruner, Seed: p.Seed, Skip: p.Skip,
-			Trace: tr, TraceSwitch: 0,
-		})
-		if err != nil {
-			return nil, err
-		}
-		addSkipSpan(tr, start, run.Skipped)
-		ex.Result = run.Result
-		ex.Traffic = run.Traffic
-		ex.Stats = run.Stats
-		ex.SkipStats = run.Skipped
-		ex.Estimate = s.cost.CheetahTime(q.Kind, run.Traffic, s.opts.NICGbps)
 	case ModeCluster:
 		if p.Switches > 1 {
 			return s.execShardedCluster(ex, p)
@@ -290,56 +280,117 @@ func (s *Session) execPlanModes(ctx context.Context, p *Plan, tr *obs.Trace) (*E
 			MasterProcessed: int(rep.Delivered),
 		}
 		ex.Estimate = s.cost.CheetahTime(q.Kind, ex.Traffic, s.opts.NICGbps)
+		ex.SparkEstimate = s.sparkEstimate(q, len(res.Rows), p.Switches)
 	default:
 		return nil, fmt.Errorf("plan: unknown mode %v", p.Mode)
 	}
-	// A direct execution ran on one node regardless of the session's
-	// fabric width; its baseline is a single rack's workers (matching
-	// the serving fallback, which pins Switches to 1).
-	sw := p.Switches
-	if p.Mode == ModeDirect {
-		sw = 1
-	}
-	ex.SparkEstimate = s.sparkEstimate(q, len(ex.Result.Rows), sw)
 	return ex, nil
 }
 
-// execShardedCheetah runs the scatter/gather path: one program per
-// switch, per-shard streams pruned concurrently, two-level merge at the
-// master. The completion-time estimate uses the fabric's bottleneck
-// shape — racks stream in parallel (the busiest switch's entries bound
-// the worker→switch leg) while the master still touches every
-// forwarded entry.
-func (s *Session) execShardedCheetah(ex *Execution, p *Plan) (*Execution, error) {
-	q := p.Query
-	pruners, err := p.NewShardPruners()
-	if err != nil {
-		return nil, err
+// direct runs q exactly on one node — the oracle every pruned path
+// equals — under a scan span. It still consults the skip index when the
+// plan enabled skipping: skipping is storage-side, independent of whether
+// a switch program runs.
+func direct(q *engine.Query, p *Plan, tr *obs.Trace) (res *engine.Result, skipped engine.SkipStats, err error) {
+	tm := tr.Begin(obs.StageScan, -1)
+	start := tr.Elapsed()
+	if p.Skip {
+		res, skipped, err = engine.ExecDirectSkip(q)
+	} else {
+		res, err = engine.ExecDirect(q)
 	}
-	start := ex.trace.Elapsed()
-	run, err := engine.ExecSharded(q, engine.ShardedOptions{
-		Shards: p.Switches, Workers: p.Workers, Seed: p.Seed, Pruners: pruners,
-		Skip: p.Skip, Trace: ex.trace,
-	})
 	if err != nil {
-		return nil, err
+		return nil, skipped, err
 	}
-	addSkipSpan(ex.trace, start, run.Skipped)
+	tm.End(int64(queryRows(q)), int64(len(res.Rows)))
+	addSkipSpan(tr, start, skipped)
+	return res, skipped, nil
+}
+
+// fallbackServing reports whether a fabric admission failure means "run
+// exactly, without the switch" (§7.2: the servers keep results exact on
+// their own — serve.ErrFailed is a fully dead fabric) rather than "fail
+// the call". Deadline misses are deliberately NOT in the list: a
+// deadline-shed query is dropped, not silently retried on the slower
+// path its deadline already couldn't afford.
+func fallbackServing(err error) bool {
+	return errors.Is(err, serve.ErrNeverFits) ||
+		errors.Is(err, serve.ErrQueueFull) ||
+		errors.Is(err, serve.ErrClosed) ||
+		errors.Is(err, serve.ErrFailed)
+}
+
+// fallbackPlan is the exact direct plan a front door degrades to when the
+// fabric refuses it a seat at admission (fallbackServing).
+func fallbackPlan(p *Plan, door string, err error) *Plan {
+	return &Plan{
+		Query:    p.Query,
+		Mode:     ModeDirect,
+		Model:    p.Model,
+		Workers:  p.Workers,
+		Seed:     p.Seed,
+		Switches: 1,
+		Skip:     p.Skip,
+		Reason:   fmt.Sprintf("%s fallback: %v", door, err),
+	}
+}
+
+// run is the planning layer's one pruned execution: q (the plan's query,
+// or a streaming delta of it) through pruners, instances of p's program
+// in shard order. flows are the leases a front door already holds for
+// them — nil for Session.Exec, one for a served query, one per switch for
+// a standing subscription — and replace re-seats a shard whose switch
+// died (engine.ShardedOptions.Failover).
+//
+// Every leased run, at every width, is an engine.ExecSharded run, so the
+// one §7.2 loop — discard a pass that crossed its switch's death, ask
+// replace, redo, and past the cap or without a survivor finish the shard
+// on the master-side backstop — is shardExec.run's. Without leases the
+// programs are dedicated and there is no switch to lose: one program runs
+// ExecCheetah's single pass over the unsplit table, and reads as the
+// one-shard run it equals (engine.TestSingleIsOneShard).
+func (s *Session) run(q *engine.Query, p *Plan, pruners []prune.Pruner, flows []engine.BatchDataplane,
+	replace func(shard, attempt int) (prune.Pruner, engine.BatchDataplane, error), tr *obs.Trace) (*engine.ShardedRun, error) {
+	start := tr.Elapsed()
+	var run *engine.ShardedRun
+	if flows == nil && len(pruners) == 1 {
+		one, err := engine.ExecCheetah(q, engine.CheetahOptions{
+			Workers: p.Workers, Pruner: pruners[0], Seed: p.Seed, Skip: p.Skip, Trace: tr,
+		})
+		if err != nil {
+			return nil, err
+		}
+		run = &engine.ShardedRun{
+			Result: one.Result, Traffic: one.Traffic, PerSwitch: []engine.Traffic{one.Traffic},
+			Stats: one.Stats, PrunerName: one.PrunerName, Skipped: one.Skipped, Wall: one.Wall,
+		}
+	} else {
+		var err error
+		run, err = engine.ExecSharded(q, engine.ShardedOptions{
+			Shards: len(pruners), Workers: p.Workers, Seed: p.Seed, Skip: p.Skip, Trace: tr,
+			Pruners: pruners, Flows: flows, Failover: replace,
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	addSkipSpan(tr, start, run.Skipped)
+	return run, nil
+}
+
+// fill populates the execution report from a pruned run. The
+// completion-time estimate uses the fabric's bottleneck shape — racks
+// stream in parallel while the master still touches every forwarded entry
+// (fabricBottleneck, the identity at one switch).
+func (s *Session) fill(ex *Execution, run *engine.ShardedRun) {
+	q := ex.Plan.Query
 	ex.Result = run.Result
 	ex.Traffic = run.Traffic
 	ex.Stats = run.Stats
 	ex.SkipStats = run.Skipped
-	// All N programs are identically configured, so one dedicated-
-	// pipeline model covers every switch.
-	util := dedicatedUtil(p.Model, pruners[0])
-	ex.PerSwitch = make([]SwitchReport, p.Switches)
-	for i := range ex.PerSwitch {
-		ex.PerSwitch[i] = SwitchReport{Traffic: run.PerSwitch[i], Util: util}
-	}
-	ex.PipelineUtil = util
+	ex.FailedOver = run.FailedOver
 	ex.Estimate = s.cost.CheetahTime(q.Kind, fabricBottleneck(run.Traffic, run.PerSwitch), s.opts.NICGbps)
-	ex.SparkEstimate = s.sparkEstimate(q, len(ex.Result.Rows), p.Switches)
-	return ex, nil
+	ex.SparkEstimate = s.sparkEstimate(q, len(run.Result.Rows), ex.Plan.Switches)
 }
 
 // execShardedCluster runs the scatter/gather path over the simulated

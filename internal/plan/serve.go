@@ -12,13 +12,13 @@ package plan
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 
 	"cheetah/internal/engine"
 	"cheetah/internal/fabric"
 	"cheetah/internal/obs"
+	"cheetah/internal/prune"
 	"cheetah/internal/serve"
 	"cheetah/internal/switchsim"
 )
@@ -131,23 +131,6 @@ func (sv *Serving) Submit(ctx context.Context, q *engine.Query) (*Execution, err
 	return sv.SubmitQoS(ctx, q, serve.QoS{})
 }
 
-// maxSubmitFailovers caps how many replacement switches one served
-// query tries after mid-query switch deaths before degrading to exact
-// direct execution (the §7.2 backstop).
-const maxSubmitFailovers = 3
-
-// fallbackServing reports whether a fabric admission failure means
-// "run the query exactly without the switch" rather than "fail the
-// Submit". Deadline misses are deliberately NOT in the list: a
-// deadline-shed query is dropped, not silently retried on the slower
-// path its deadline already couldn't afford.
-func fallbackServing(err error) bool {
-	return errors.Is(err, serve.ErrNeverFits) ||
-		errors.Is(err, serve.ErrQueueFull) ||
-		errors.Is(err, serve.ErrClosed) ||
-		errors.Is(err, serve.ErrFailed)
-}
-
 // SubmitQoS plans and executes q through the fabric under the given
 // QoS. The query is placed whole on one switch — least-loaded first,
 // the least-contended FIFO queue when all are busy — and blocks while
@@ -156,9 +139,10 @@ func fallbackServing(err error) bool {
 // admit first; a tenant at its quota waits without blocking others; a
 // submission whose qos.Deadline passes while queued fails with
 // serve.ErrDeadline (deadline-based shedding — the query is dropped,
-// not degraded). If the placed switch dies mid-query the execution is
-// redone on a replacement switch (capped, then exact direct), so a
-// Submit never returns a result tainted by a failure. Concurrent
+// not degraded). If the placed switch dies mid-query the pass is
+// discarded and redone on a replacement switch admitted under the same
+// QoS (Session.run; capped, then finished on the master-side backstop),
+// so a Submit never returns a result tainted by a failure. Concurrent
 // submissions multiplex their batches through per-query programs
 // selected by QueryID on their placed switch.
 func (sv *Serving) SubmitQoS(ctx context.Context, q *engine.Query, qos serve.QoS) (*Execution, error) {
@@ -179,15 +163,6 @@ func (sv *Serving) SubmitQoS(ctx context.Context, q *engine.Query, qos serve.QoS
 		return nil, err
 	}
 	ptm.EndNote(p.Mode.String())
-	// The planner's own fallback (no program fits the model) bypasses
-	// admission entirely — the oversized-query bypass.
-	if p.Mode == ModeDirect {
-		ex, err := sv.s.execPlan(ctx, p, tr)
-		if ex != nil {
-			ex.Wall = clock.Elapsed()
-		}
-		return ex, err
-	}
 	// Serving always executes in-process through a shared pipeline — the
 	// cluster transport has no multiplexed path — so a UseCluster plan
 	// is rewritten to the mode that actually runs (the plan is fresh
@@ -196,109 +171,95 @@ func (sv *Serving) SubmitQoS(ctx context.Context, q *engine.Query, qos serve.QoS
 		p.Mode = ModeCheetah
 		p.Reason += "; serving executes in-process (cluster transport has no multiplexed path)"
 	}
-	for attempt := 0; ; attempt++ {
-		// A fresh program every attempt: register state a dead switch
-		// held is unrecoverable, so a retried query replays its whole
-		// stream through clean state (§7.2).
-		pruner, err := p.NewPruner()
-		if err != nil {
-			tr.Release()
-			return nil, err
-		}
-		admitStart := tr.Elapsed()
-		placement, err := sv.fab.AdmitQoS(ctx, pruner, qos)
-		if err != nil {
-			tr.Add(obs.Span{
-				Stage: obs.StageAdmit, Switch: -1, Attempt: attempt,
-				Start: admitStart, Dur: tr.Elapsed() - admitStart,
-				Note: fmt.Sprintf("not admitted: %v", err),
-			})
-			if fallbackServing(err) {
-				fb := &Plan{
-					Query:    q,
-					Mode:     ModeDirect,
-					Model:    p.Model,
-					Workers:  p.Workers,
-					Seed:     p.Seed,
-					Switches: 1,
-					Reason:   fmt.Sprintf("serving fallback: %v", err),
-				}
-				ex, err := sv.s.execPlan(ctx, fb, tr)
-				if ex != nil {
-					// Failovers taken before the fabric ran out of
-					// switches still count.
-					ex.FailedOver = attempt
-					ex.Wall = clock.Elapsed()
-				}
-				return ex, err
+	var pruner prune.Pruner
+	var placement *fabric.Placement
+	if p.Mode == ModeCheetah {
+		if placement, pruner, err = sv.admit(ctx, p, qos, 0, tr); err != nil {
+			if !fallbackServing(err) {
+				tr.Release()
+				return nil, err
 			}
-			tr.Release()
-			return nil, err
+			p = fallbackPlan(p, "serving", err)
 		}
-		tr.SetQueryID(placement.QueryID())
-		tr.Add(obs.Span{
-			Stage: obs.StageAdmit, Switch: placement.Switch, Attempt: attempt,
-			Start: admitStart, Dur: tr.Elapsed() - admitStart,
-		})
-		passStart := tr.Elapsed()
-		run, err := engine.ExecCheetah(q, engine.CheetahOptions{
-			Workers: p.Workers, Pruner: pruner, Seed: p.Seed, Flow: placement.Lease,
-			Trace: tr, TraceSwitch: placement.Switch,
-		})
-		if err != nil {
-			placement.Release()
-			tr.Release()
-			return nil, err
-		}
-		if placement.Err() != nil {
-			// The placed switch died while the query streamed through it:
-			// the attempt's result cannot be trusted (drained register
-			// state died with the switch), so fail over to another
-			// placement — or to exact direct execution past the cap.
-			tr.Add(obs.Span{
-				Stage: obs.StageFailover, Switch: placement.Switch, Attempt: attempt,
-				Start: passStart, Dur: tr.Elapsed() - passStart,
-				Note: "pass discarded: placed switch died mid-query",
-			})
-			sv.fab.Server(placement.Switch).NoteFailedOver(qos.Tenant)
-			placement.Release()
-			if attempt >= maxSubmitFailovers {
-				fb := &Plan{
-					Query:    q,
-					Mode:     ModeDirect,
-					Model:    p.Model,
-					Workers:  p.Workers,
-					Seed:     p.Seed,
-					Switches: 1,
-					Reason:   "serving fallback: failover attempts exhausted",
-				}
-				ex, err := sv.s.execPlan(ctx, fb, tr)
-				if ex != nil {
-					ex.FailedOver = attempt + 1
-					ex.Wall = clock.Elapsed()
-				}
-				return ex, err
-			}
-			continue
-		}
-		ex := &Execution{
-			Plan:         p,
-			Result:       run.Result,
-			Traffic:      run.Traffic,
-			Stats:        run.Stats,
-			QueryID:      placement.QueryID(),
-			Switch:       placement.Switch,
-			FailedOver:   attempt,
-			PerSwitch:    sv.perSwitch(placement.Switch, run.Traffic),
-			PipelineUtil: placement.Utilization(),
-			Estimate:     sv.s.cost.CheetahTime(q.Kind, run.Traffic, sv.s.opts.NICGbps),
-			Wall:         clock.Elapsed(),
-			trace:        tr,
-		}
-		ex.SparkEstimate = sv.s.sparkEstimate(q, len(ex.Result.Rows), p.Switches)
-		placement.Release()
-		return ex, nil
 	}
+	// The planner's own fallback (no program fits the model) bypasses
+	// admission entirely — the oversized-query bypass — and a refused
+	// admission joins it.
+	if p.Mode == ModeDirect {
+		ex, err := sv.s.execPlan(ctx, p, tr)
+		if ex != nil {
+			ex.Wall = clock.Elapsed()
+		}
+		return ex, err
+	}
+	// The placed switch died under the query: its counters record the
+	// failover, the revoked lease releases, and a fresh program — the
+	// dead switch's register state is unrecoverable, so the redone pass
+	// replays the whole stream through clean state (§7.2) — is admitted
+	// under the same ctx and QoS. A refusal the fallback predicate lists
+	// leaves the engine's master-side backstop to finish the query; any
+	// other (a missed deadline, a cancelled ctx) fails the Submit.
+	var refused error
+	replace := func(_, attempt int) (prune.Pruner, engine.BatchDataplane, error) {
+		sv.fab.Server(placement.Switch).NoteFailedOver(qos.Tenant)
+		placement.Release()
+		npl, npr, err := sv.admit(ctx, p, qos, attempt, tr)
+		if err != nil {
+			if !fallbackServing(err) {
+				refused = err
+			}
+			return nil, nil, err
+		}
+		placement = npl
+		return npr, npl, nil
+	}
+	run, err := sv.s.run(q, p, []prune.Pruner{pruner}, []engine.BatchDataplane{placement}, replace, tr)
+	// Uninstalling is not the caller's wait: the lease the run ended on
+	// releases after the report, and its Wall, are complete.
+	defer placement.Release()
+	if err == nil {
+		err = refused
+	}
+	if err != nil {
+		tr.Release()
+		return nil, err
+	}
+	if run.Degraded > 0 {
+		p.Reason += "; placed switch lost with no replacement to be had: finished on the master-side backstop (§7.2)"
+	}
+	ex := &Execution{
+		Plan:         p,
+		QueryID:      placement.QueryID(),
+		Switch:       placement.Switch,
+		PerSwitch:    sv.perSwitch(placement.Switch, run.Traffic),
+		PipelineUtil: placement.Utilization(),
+		trace:        tr,
+	}
+	sv.s.fill(ex, run)
+	ex.Wall = clock.Elapsed()
+	return ex, nil
+}
+
+// admit takes one seat for p's program under the query's QoS — a fresh
+// program instance per admission — and records the admission (attempt 0)
+// or re-admission as an admit span carrying the placed switch.
+func (sv *Serving) admit(ctx context.Context, p *Plan, qos serve.QoS, attempt int, tr *obs.Trace) (*fabric.Placement, prune.Pruner, error) {
+	pruner, err := p.NewPruner()
+	if err != nil {
+		return nil, nil, err
+	}
+	span := obs.Span{Stage: obs.StageAdmit, Switch: -1, Attempt: attempt, Start: tr.Elapsed()}
+	placement, err := sv.fab.AdmitQoS(ctx, pruner, qos)
+	span.Dur = tr.Elapsed() - span.Start
+	if err != nil {
+		span.Note = fmt.Sprintf("not admitted: %v", err)
+		tr.Add(span)
+		return nil, nil, err
+	}
+	span.Switch = placement.Switch
+	tr.Add(span)
+	tr.SetQueryID(placement.QueryID())
+	return placement, pruner, nil
 }
 
 // perSwitch snapshots each fabric switch's serving counters and

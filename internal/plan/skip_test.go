@@ -2,6 +2,7 @@ package plan
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -137,5 +138,87 @@ func TestStreamingSkipStats(t *testing.T) {
 	}
 	if sk := sub.Skipped(); sk.RowsSkipped == 0 {
 		t.Fatalf("subscription deltas skipped nothing: %+v", sk)
+	}
+}
+
+// TestServedSkipStats pins that the served path consults the skip index
+// like every other path that reads the table: over a clustered, indexed
+// table a range FILTER, a TOP N and a JOIN submitted through a serving
+// handle skip blocks, account for exactly what Session.Exec accounts for
+// at one switch, and equal ExecDirect.
+func TestServedSkipStats(t *testing.T) {
+	// score falls monotonically, so zone maps partition the value space
+	// cleanly across blocks and the first block saturates a TOP N heap.
+	tb := table.MustNew(table.Schema{
+		{Name: "score", Type: table.Int64},
+		{Name: "key", Type: table.String},
+	})
+	for i := 0; i < 4096; i++ {
+		if err := tb.AppendRow(int64(4096-i), fmt.Sprintf("k%05d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The JOIN's build side covers one probe block's score range.
+	small := table.MustNew(tb.Schema())
+	for i := 0; i < 256; i++ {
+		if err := small.AppendRow(int64(i), fmt.Sprintf("k%05d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx := context.Background()
+	opts := Options{Workers: 2, Seed: 7, SkipBlockRows: 256}
+	db, err := Open(tb, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	dbSmall, err := Open(small, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dbSmall.Close()
+	for _, c := range []struct {
+		label string
+		s     *Session
+		b     *Builder
+	}{
+		{"filter-range", db, db.Select().Where("score", prune.OpGE, 100).Where("score", prune.OpLT, 400)},
+		{"topn", db, db.Select().TopN("score", 10)},
+		{"join", dbSmall, dbSmall.Select().Join(tb, "score", "score")},
+	} {
+		q, err := c.b.Build()
+		if err != nil {
+			t.Fatalf("%s: %v", c.label, err)
+		}
+		want, err := engine.ExecDirect(q)
+		if err != nil {
+			t.Fatalf("%s: %v", c.label, err)
+		}
+		local, err := c.s.Exec(ctx, q)
+		if err != nil {
+			t.Fatalf("%s: Exec: %v", c.label, err)
+		}
+		sv, err := c.s.Serve(ctx, ServeOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		served, err := sv.Submit(ctx, q)
+		sv.Close()
+		if err != nil {
+			t.Fatalf("%s: Submit: %v", c.label, err)
+		}
+		if !served.Plan.Skip || served.Plan.Mode != ModeCheetah || served.QueryID == 0 {
+			t.Fatalf("%s: served plan did not run pruned with skipping: %s", c.label, served.Plan)
+		}
+		if !want.Equal(served.Result) || !want.Equal(local.Result) {
+			t.Fatalf("%s: result diverges from ExecDirect", c.label)
+		}
+		if served.BlocksSkipped == 0 || served.RowsSkipped == 0 {
+			t.Fatalf("%s: served execution skipped nothing: %+v\n%s", c.label, served.SkipStats, served.Explain())
+		}
+		if served.SkipStats != local.SkipStats || served.Traffic != local.Traffic || served.Stats != local.Stats {
+			t.Fatalf("%s: served accounting differs from Exec at one switch\nserved: %+v %+v %+v\n  exec: %+v %+v %+v",
+				c.label, served.SkipStats, served.Traffic, served.Stats, local.SkipStats, local.Traffic, local.Stats)
+		}
 	}
 }

@@ -29,23 +29,22 @@ package plan
 //     standing query).
 //
 // Failure handling (§7.2): a switch death never breaks a subscription —
-// the master's merge state is the exactness backstop. A single-switch
-// subscription whose switch dies is re-placed on the least-loaded
-// survivor before its next delta, warm-rebuilding the replacement
-// program from the standing result for the monotone kinds
-// (engine.WarmPruner); a death in the middle of a delta discards that
-// attempt and redoes the delta (bounded, then exact direct) because
-// register state absorbed by a drained program dies with the switch. A
-// sharded subscription hands engine.ExecSharded a Failover hook that
-// re-places the dead shard the same way. When no switch can host the
-// program right now, the delta (alone) runs exact and unpruned and the
-// next delta retries — continuous-query results stay bit-identical to a
-// from-scratch run throughout.
+// the master's merge state is the exactness backstop. Every delta is a
+// leased Session.run, so a standing program whose switch is found dead
+// before a delta, or dies in the middle of one (that pass is discarded
+// and redone: register state absorbed by a drained program dies with the
+// switch), is re-placed by the subscription's replace hook on the
+// least-loaded survivor, warm-rebuilt from the standing result for the
+// monotone kinds (engine.WarmPruner). When no switch can host the
+// program right now, the engine finishes that delta on its master-side
+// backstop — exact, unpruned by any standing state — and the next delta
+// retries the re-placement; continuous-query results stay bit-identical
+// to a from-scratch run throughout.
 
 import (
 	"context"
-	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"cheetah/internal/engine"
@@ -150,19 +149,23 @@ type Subscription struct {
 	*stream.Subscription
 	st   *Streaming
 	plan *Plan
+	// windowed deltas must not carry switch state across executions: a
+	// value pruned by a cache warmed OUTSIDE the window could be part of
+	// the window's true result, so every windowed delta resets the
+	// program(s) first.
+	windowed bool
 
 	mu sync.Mutex
-	// placements are the fabric holds backing the standing program: one
-	// for a single-switch placement, one per switch for scatter/gather,
-	// nil for a direct (unpruned) subscription. Entries move between
-	// switches when re-placement routes around a failed switch.
+	// placements are the fabric holds backing the standing program, held
+	// across deltas: one per switch of the plan's width, nil for a direct
+	// (unpruned) subscription; pruners[i] is the program installed under
+	// placements[i]. Entries move between switches when re-placement
+	// routes around a failed switch.
 	placements []*fabric.Placement
-	// swIdx is the placed switch for single-switch placements (-1 for
-	// sharded and direct subscriptions).
-	swIdx    int
-	replaced int
-	traffic  engine.Traffic
-	skipped  engine.SkipStats
+	pruners    []prune.Pruner
+	replaced   int
+	traffic    engine.Traffic
+	skipped    engine.SkipStats
 	// lastTrace is the most recently completed delta's lifecycle trace
 	// (nil before the first delta, or with tracing disabled). Traces are
 	// handed out to callers, so they are never pooled back — dropped
@@ -182,28 +185,26 @@ func (ss *Subscription) Trace() *obs.Trace {
 	return ss.lastTrace
 }
 
-// tracedDelta wraps a delta executor body so every delta runs under its
-// own trace: a top-level delta span brackets the whole execution
+// exec is the subscription's stream.DeltaExec. Every delta runs under
+// its own trace: a top-level delta span brackets the whole execution
 // (redos included) and the completed trace publishes via Trace.
-func (ss *Subscription) tracedDelta(inner func(dq *engine.Query, standing func() *engine.Result, tr *obs.Trace) (*engine.Result, error)) stream.DeltaExec {
-	return func(dq *engine.Query, standing func() *engine.Result) (*engine.Result, error) {
-		clock := engine.StartClock()
-		tr := ss.st.s.newTrace()
-		tm := tr.Begin(obs.StageDelta, -1)
-		res, err := inner(dq, standing, tr)
-		if err != nil {
-			tm.EndNote("error: " + err.Error())
-		} else {
-			tm.End(int64(dq.Table.NumRows()), int64(len(res.Rows)))
-		}
-		// Delta freshness: how long a committed batch took to fold into
-		// the standing result (redos and failover re-placements included).
-		ss.st.fab.Metrics().Histogram("delta_latency").Observe(clock.Elapsed().Nanoseconds())
-		ss.mu.Lock()
-		ss.lastTrace = tr
-		ss.mu.Unlock()
-		return res, err
+func (ss *Subscription) exec(dq *engine.Query, standing func() *engine.Result) (*engine.Result, error) {
+	clock := engine.StartClock()
+	tr := ss.st.s.newTrace()
+	tm := tr.Begin(obs.StageDelta, -1)
+	res, err := ss.delta(dq, standing, tr)
+	if err != nil {
+		tm.EndNote("error: " + err.Error())
+	} else {
+		tm.End(int64(dq.Table.NumRows()), int64(len(res.Rows)))
 	}
+	// Delta freshness: how long a committed batch took to fold into
+	// the standing result (redos and failover re-placements included).
+	ss.st.fab.Metrics().Histogram("delta_latency").Observe(clock.Elapsed().Nanoseconds())
+	ss.mu.Lock()
+	ss.lastTrace = tr
+	ss.mu.Unlock()
+	return res, err
 }
 
 // Plan returns the plan backing the subscription's delta executions.
@@ -218,7 +219,10 @@ func (ss *Subscription) Plan() *Plan { return ss.plan }
 func (ss *Subscription) Switch() int {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
-	return ss.swIdx
+	if len(ss.placements) != 1 {
+		return -1
+	}
+	return ss.placements[0].Switch
 }
 
 // Replaced returns how many times the subscription's standing
@@ -237,15 +241,6 @@ func (ss *Subscription) Traffic() engine.Traffic {
 	return ss.traffic
 }
 
-func (ss *Subscription) addTraffic(t engine.Traffic) {
-	ss.mu.Lock()
-	ss.traffic.EntriesSent += t.EntriesSent
-	ss.traffic.Forwarded += t.Forwarded
-	ss.traffic.SecondPassSent += t.SecondPassSent
-	ss.traffic.MasterProcessed += t.MasterProcessed
-	ss.mu.Unlock()
-}
-
 // Skipped returns the cumulative block-skip statistics of the
 // subscription's delta executions: blocks (and their rows) the skip
 // index proved irrelevant, so the delta never read or encoded them.
@@ -256,9 +251,14 @@ func (ss *Subscription) Skipped() engine.SkipStats {
 	return ss.skipped
 }
 
-func (ss *Subscription) addSkipped(st engine.SkipStats) {
+// account adds one delta execution's traffic and skip statistics.
+func (ss *Subscription) account(t engine.Traffic, sk engine.SkipStats) {
 	ss.mu.Lock()
-	ss.skipped.Add(st)
+	ss.traffic.EntriesSent += t.EntriesSent
+	ss.traffic.Forwarded += t.Forwarded
+	ss.traffic.SecondPassSent += t.SecondPassSent
+	ss.traffic.MasterProcessed += t.MasterProcessed
+	ss.skipped.Add(sk)
 	ss.mu.Unlock()
 }
 
@@ -336,25 +336,13 @@ func (st *Streaming) subscribe(ctx context.Context, q *engine.Query, window, sli
 		p.Mode = ModeCheetah
 		p.Reason += "; streaming executes in-process (cluster transport has no incremental path)"
 	}
-	ss := &Subscription{st: st, plan: p, swIdx: -1}
-	// windowed deltas must not carry switch state across executions: a
-	// value pruned by a cache warmed OUTSIDE the window could be part of
-	// the window's true result, so every windowed delta exec resets the
-	// program(s) first.
-	windowed := window != 0 || slide != 0
-	var exec stream.DeltaExec
-	switch {
-	case p.Mode == ModeDirect:
-		exec = ss.directExec()
-	case p.Switches > 1:
-		exec, err = st.shardedExec(ctx, ss, p, windowed)
-	default:
-		exec, err = st.placedExec(ctx, ss, p, windowed)
+	ss := &Subscription{st: st, plan: p, windowed: window != 0 || slide != 0}
+	if p.Mode != ModeDirect {
+		if err := ss.admit(ctx); err != nil {
+			return nil, err
+		}
 	}
-	if err != nil {
-		return nil, err
-	}
-	sub, err := st.ing.Subscribe(q, stream.SubOptions{Exec: exec, Window: window, Slide: slide})
+	sub, err := st.ing.Subscribe(q, stream.SubOptions{Exec: ss.exec, Window: window, Slide: slide})
 	if err != nil {
 		for _, pl := range ss.placements {
 			pl.Release()
@@ -373,229 +361,87 @@ func (st *Streaming) subscribe(ctx context.Context, q *engine.Query, window, sli
 	return ss, nil
 }
 
-// directExec is the delta executor for unpruned subscriptions: exact
-// direct execution of each delta, still consulting the skip index when
-// the plan enabled skipping (skipping is storage-side, independent of
-// whether a switch program runs).
-func (ss *Subscription) directExec() stream.DeltaExec {
-	return ss.tracedDelta(func(dq *engine.Query, _ func() *engine.Result, tr *obs.Trace) (*engine.Result, error) {
-		tm := tr.Begin(obs.StageScan, -1)
-		start := tr.Elapsed()
-		if !ss.plan.Skip {
-			res, err := engine.ExecDirect(dq)
-			if err == nil {
-				tm.End(int64(dq.Table.NumRows()), int64(len(res.Rows)))
-			}
-			return res, err
-		}
-		res, st, err := engine.ExecDirectSkip(dq)
-		if err == nil {
-			ss.addSkipped(st)
-			tm.End(int64(dq.Table.NumRows()), int64(len(res.Rows)))
-			addSkipSpan(tr, start, st)
-		}
-		return res, err
-	})
-}
-
-// fallbackDirect reports whether a fabric admission failure means "run
-// the deltas unpruned" rather than "fail the subscribe".
-// serve.ErrFailed is in the list because a fully dead fabric is exactly
-// the §7.2 degraded case: the servers keep results exact on their own.
-func fallbackDirect(err error) bool {
-	return errors.Is(err, serve.ErrNeverFits) ||
-		errors.Is(err, serve.ErrQueueFull) ||
-		errors.Is(err, serve.ErrClosed) ||
-		errors.Is(err, serve.ErrFailed)
-}
-
-// maxDeltaRedos bounds how many times one delta execution is redone
-// after mid-delta switch deaths before it degrades to exact direct
-// execution for that delta.
-const maxDeltaRedos = 3
-
-// replacement builds the successor program for a standing placement
-// whose switch died: a fresh instance of the plan's program,
-// warm-rebuilt from the standing result for the monotone kinds (an
-// unwindowed standing result is a faithful summary of everything the
-// lost register state could prune with), admitted non-blocking on the
-// least-loaded survivor. Windowed subscriptions always re-admit cold —
-// their programs reset every delta anyway.
-func (st *Streaming) replacement(p *Plan, dq *engine.Query, standing func() *engine.Result, windowed bool) (*fabric.Placement, prune.Pruner, error) {
-	pruner, err := p.NewPruner()
+// admit places the plan's standing programs — one per switch of the
+// plan's width — to be held across deltas. A fabric that refuses them at
+// admission (fallbackServing) leaves an exact direct subscription.
+func (ss *Subscription) admit(ctx context.Context) error {
+	pruners, err := ss.plan.NewShardPruners()
 	if err != nil {
-		return nil, nil, err
-	}
-	if !windowed {
-		if _, err := engine.WarmPruner(dq, p.Seed, standing(), pruner); err != nil {
-			return nil, nil, err
-		}
-	}
-	placement, err := st.fab.TryAdmit(pruner)
-	if err != nil {
-		return nil, nil, err
-	}
-	return placement, pruner, nil
-}
-
-// noteReplaced retires a dead placement: the failed switch's counters
-// record the migration and the (already revoked) lease releases.
-func (st *Streaming) noteReplaced(old *fabric.Placement) {
-	st.fab.Server(old.Switch).NoteReplaced(old.Tenant())
-	old.Release()
-}
-
-// placedExec admits one standing program on the least-loaded switch and
-// returns the delta executor running through its lease. A dead switch
-// is detected before (and after) every delta: the program is re-placed
-// on a survivor — warm for the monotone kinds — and a delta whose
-// execution crossed the death is redone, because drained register state
-// absorbed before the death is lost with the switch.
-func (st *Streaming) placedExec(ctx context.Context, ss *Subscription, p *Plan, windowed bool) (stream.DeltaExec, error) {
-	pruner, err := p.NewPruner()
-	if err != nil {
-		return nil, err
-	}
-	placement, err := st.fab.Admit(ctx, pruner)
-	if err != nil {
-		if fallbackDirect(err) {
-			p.Mode = ModeDirect
-			p.Reason = fmt.Sprintf("streaming fallback: %v", err)
-			return ss.directExec(), nil
-		}
-		return nil, err
-	}
-	ss.mu.Lock()
-	ss.placements = []*fabric.Placement{placement}
-	ss.swIdx = placement.Switch
-	ss.mu.Unlock()
-	workers, seed := p.Workers, p.Seed
-	// cur/curPruner are only touched by the subscription's pump
-	// goroutine (one delta executes at a time); ss.placements mirrors
-	// cur under ss.mu for Close and Switch.
-	cur, curPruner := placement, pruner
-	return ss.tracedDelta(func(dq *engine.Query, standing func() *engine.Result, tr *obs.Trace) (*engine.Result, error) {
-		for redo := 0; ; redo++ {
-			if cur.Err() != nil {
-				npl, npr, rerr := st.replacement(p, dq, standing, windowed)
-				if rerr != nil {
-					// No survivor can host the program right now: this
-					// delta (alone) runs exact and unpruned; the next
-					// delta retries re-placement.
-					return engine.ExecDirect(dq)
-				}
-				old := cur
-				cur, curPruner = npl, npr
-				ss.mu.Lock()
-				ss.placements = []*fabric.Placement{npl}
-				ss.swIdx = npl.Switch
-				ss.replaced++
-				ss.mu.Unlock()
-				st.noteReplaced(old)
-			}
-			resetForDelta([]prune.Pruner{curPruner}, windowed)
-			passStart := tr.Elapsed()
-			run, err := engine.ExecCheetah(dq, engine.CheetahOptions{
-				Workers: workers, Pruner: curPruner, Seed: seed, Flow: cur.Lease,
-				Skip: p.Skip, Trace: tr, TraceSwitch: cur.Switch,
-			})
-			if err != nil {
-				return nil, err
-			}
-			if cur.Err() == nil {
-				addSkipSpan(tr, passStart, run.Skipped)
-				ss.addTraffic(run.Traffic)
-				ss.addSkipped(run.Skipped)
-				return run.Result, nil
-			}
-			// The switch died while the delta was streaming through it:
-			// rows absorbed into (drained) register state before the death
-			// are gone, so the attempt's result cannot be trusted — discard
-			// it and redo the delta, degrading to exact direct execution
-			// when deaths keep chasing the re-placements.
-			tr.Add(obs.Span{
-				Stage: obs.StageFailover, Switch: cur.Switch, Attempt: redo,
-				Start: passStart, Dur: tr.Elapsed() - passStart,
-				Note: "pass discarded: switch died mid-delta",
-			})
-			if redo >= maxDeltaRedos {
-				return engine.ExecDirect(dq)
-			}
-		}
-	}), nil
-}
-
-// shardedExec admits one standing program per switch and returns the
-// delta executor scattering each delta across the fabric. Shard
-// failover is delegated to engine.ExecSharded: the Failover hook
-// re-places a dead shard's program on a surviving switch (warm for the
-// monotone kinds) and the engine redoes that shard's pass; when no
-// survivor has room the engine falls back to master-side execution of
-// the shard — exact either way.
-func (st *Streaming) shardedExec(ctx context.Context, ss *Subscription, p *Plan, windowed bool) (stream.DeltaExec, error) {
-	pruners, err := p.NewShardPruners()
-	if err != nil {
-		return nil, err
+		return err
 	}
 	progs := make([]switchsim.Program, len(pruners))
 	for i, pr := range pruners {
 		progs[i] = pr
 	}
-	placements, err := st.fab.AdmitShards(ctx, progs)
+	placements, err := ss.st.fab.AdmitShards(ctx, progs)
 	if err != nil {
-		if fallbackDirect(err) {
-			p.Mode = ModeDirect
-			p.Reason = fmt.Sprintf("streaming fallback: %v", err)
-			return ss.directExec(), nil
+		if !fallbackServing(err) {
+			return err
 		}
-		return nil, err
+		ss.plan = fallbackPlan(ss.plan, "streaming", err)
+		return nil
 	}
-	ss.mu.Lock()
-	ss.placements = placements
-	ss.mu.Unlock()
-	flows := make([]engine.BatchDataplane, len(placements))
-	for i, pl := range placements {
-		flows[i] = pl
+	ss.placements, ss.pruners = placements, pruners
+	return nil
+}
+
+// delta executes one committed batch: exactly (direct) for an unpruned
+// subscription, as a leased Session.run over the standing programs
+// otherwise. Its replace hook gives a dead seat a fresh instance of the
+// plan's program, warm-rebuilt from the standing result (an unwindowed
+// standing result is a faithful summary of everything the lost register
+// state could prune with; windowed programs reset every delta anyway)
+// and admitted non-blocking — a standing query must move now or ride the
+// engine's backstop for this delta, never queue behind other queries.
+func (ss *Subscription) delta(dq *engine.Query, standing func() *engine.Result, tr *obs.Trace) (*engine.Result, error) {
+	st, p := ss.st, ss.plan
+	if p.Mode == ModeDirect {
+		res, skipped, err := direct(dq, p, tr)
+		ss.account(engine.Traffic{}, skipped)
+		return res, err
 	}
-	shards, workers, seed := p.Switches, p.Workers, p.Seed
-	return ss.tracedDelta(func(dq *engine.Query, standing func() *engine.Result, tr *obs.Trace) (*engine.Result, error) {
-		// The hook runs on the engine's per-shard goroutines; distinct
-		// shards re-place concurrently, so the shared slices and the
-		// subscription's placement list update under ss.mu.
-		failover := func(shard, attempt int) (prune.Pruner, engine.BatchDataplane, error) {
-			npl, npr, rerr := st.replacement(p, dq, standing, windowed)
-			if rerr != nil {
-				return nil, nil, rerr
+	// The hook runs on the engine's per-shard goroutines; distinct shards
+	// re-place concurrently, so the subscription's lists update under
+	// ss.mu.
+	replace := func(shard, _ int) (prune.Pruner, engine.BatchDataplane, error) {
+		pruner, err := p.NewPruner()
+		if err != nil {
+			return nil, nil, err
+		}
+		if !ss.windowed {
+			if _, err := engine.WarmPruner(dq, p.Seed, standing(), pruner); err != nil {
+				return nil, nil, err
 			}
-			ss.mu.Lock()
-			old := ss.placements[shard]
-			ss.placements[shard] = npl
-			pruners[shard] = npr
-			flows[shard] = npl
-			ss.replaced++
-			ss.mu.Unlock()
-			st.noteReplaced(old)
-			return npr, npl, nil
+		}
+		placement, err := st.fab.TryAdmit(pruner)
+		if err != nil {
+			return nil, nil, err
 		}
 		ss.mu.Lock()
-		curPruners := append([]prune.Pruner(nil), pruners...)
-		curFlows := append([]engine.BatchDataplane(nil), flows...)
+		old := ss.placements[shard]
+		ss.placements[shard], ss.pruners[shard] = placement, pruner
+		ss.replaced++
 		ss.mu.Unlock()
-		resetForDelta(curPruners, windowed)
-		passStart := tr.Elapsed()
-		run, err := engine.ExecSharded(dq, engine.ShardedOptions{
-			Shards: shards, Workers: workers, Seed: seed,
-			Pruners: curPruners, Flows: curFlows, Failover: failover,
-			Skip: p.Skip, Trace: tr,
-		})
-		if err != nil {
-			return nil, err
-		}
-		addSkipSpan(tr, passStart, run.Skipped)
-		ss.addTraffic(run.Traffic)
-		ss.addSkipped(run.Skipped)
-		return run.Result, nil
-	}), nil
+		// Retire the dead placement: the failed switch's counters record
+		// the migration and the (already revoked) lease releases.
+		st.fab.Server(old.Switch).NoteReplaced(old.Tenant())
+		old.Release()
+		return pruner, placement, nil
+	}
+	ss.mu.Lock()
+	pruners := slices.Clone(ss.pruners)
+	flows := make([]engine.BatchDataplane, len(ss.placements))
+	for i, pl := range ss.placements {
+		flows[i] = pl
+	}
+	ss.mu.Unlock()
+	resetForDelta(pruners, ss.windowed)
+	run, err := st.s.run(dq, p, pruners, flows, replace, tr)
+	if err != nil {
+		return nil, err
+	}
+	ss.account(run.Traffic, run.Skipped)
+	return run.Result, nil
 }
 
 // resetForDelta clears switch state before a delta execution where
