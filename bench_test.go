@@ -258,6 +258,21 @@ func BenchmarkExecCheetahJoin100kBatch(b *testing.B) {
 	benchExecCheetah(b, join100kQuery(b), 160_000, cheetah.CheetahOptions{NoFuse: true})
 }
 
+// BenchmarkExecShardedJoin100k is the same join scattered over two
+// switches: key-only shards memoised on the tables after the first
+// iteration, one sorted run per shard, merged at the master.
+func BenchmarkExecShardedJoin100k(b *testing.B) {
+	q := join100kQuery(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := cheetah.ExecSharded(q, cheetah.ShardedOptions{Shards: 2, Workers: 5, Seed: uint64(i)}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(160_000*b.N)/b.Elapsed().Seconds(), "entries/s")
+}
+
 func BenchmarkExecDirectJoin100k(b *testing.B) {
 	benchExecDirect(b, join100kQuery(b))
 }

@@ -8,11 +8,14 @@ package engine
 // compares the key cells themselves on every fingerprint match, so two
 // keys that collide on a fingerprint stay two keys and the answer is
 // exact. One completion (completeJoin) serves the one JOIN pass
-// (pass.join), fused or chunked, single-switch or per shard; execJoin, the
+// (pass.join), fused or chunked, single-switch or per shard, and reads
+// nothing of either table but its key column — which is why a sharded
+// JOIN's shards carry only that (shardTables); execJoin, the
 // plain string-keyed join, stays what ExecDirect runs and what the tests
 // compare against.
 
 import (
+	"slices"
 	"strconv"
 	"sync"
 
@@ -232,8 +235,8 @@ func joinRows[K comparable](t *joinTable[K], lk, rk []K, left, right *joinSide, 
 
 // completeJoin is the master's completion of every pruned JOIN: it joins
 // sc's two survivor lists on their fingerprints and returns execJoin's
-// rows — (key, pair count) per joined key — unsorted; joinResult sorts
-// them.
+// rows — (key, pair count) per joined key — unsorted; pass.join sorts
+// them into its part.
 func completeJoin(q *Query, sc *joinScratch) ([][]string, error) {
 	lc := q.Table.Schema().MustIndex(q.LeftKey)
 	rc := q.Right.Schema().MustIndex(q.RightKey)
@@ -255,11 +258,41 @@ func completeJoin(q *Query, sc *joinScratch) ([][]string, error) {
 	}
 }
 
-// joinResult wraps completeJoin's rows — one execution's, or the
-// concatenation of every shard's — as the sorted JOIN result.
-func joinResult(q *Query, rows [][]string) *Result {
-	res := &Result{Columns: []string{q.LeftKey, "pairs"}, Rows: rows}
-	res.Sort()
+// joinPart is one pass's completed join: completeJoin's rows in the
+// canonical result order, sorted where they were produced — in the
+// shard's own goroutine when there are several.
+type joinPart struct {
+	rows [][]string
+	// keyed: a cell contains NUL, so the order is the joined-key one
+	// (sortRows), which merging cell by cell can contradict.
+	keyed bool
+}
+
+// sortedJoinPart sorts completeJoin's rows into a part.
+func sortedJoinPart(rows [][]string) joinPart {
+	return joinPart{rows: rows, keyed: sortRows(rows)}
+}
+
+// joinResult merges the passes' parts into the sorted JOIN result.
+// Matching keys are co-located in one pass's table pair, so the parts'
+// keys are disjoint and the sorted runs merge k-way, one comparison per
+// row at two shards where a sort of the concatenation pays log n; one
+// part merges to itself. Only when a part took the joined-key order is
+// the concatenation sorted whole instead.
+func joinResult(q *Query, parts []joinPart) *Result {
+	res := &Result{Columns: []string{q.LeftKey, "pairs"}}
+	runs := make([][][]string, len(parts))
+	keyed := false
+	for i, p := range parts {
+		runs[i] = p.rows
+		keyed = keyed || p.keyed
+	}
+	if keyed && len(parts) > 1 {
+		res.Rows = slices.Concat(runs...)
+		res.Sort()
+		return res
+	}
+	res.Rows = mergeSortedRows(runs)
 	return res
 }
 

@@ -9,8 +9,9 @@ import (
 )
 
 // joinKeyTable builds a table of a key column "name" (String, or Int64
-// with intKeys) and a payload column, whose row i carries key keys[i].
-func joinKeyTable(t *testing.T, intKeys bool, keys []int) *table.Table {
+// with intKeys) and a payload column, whose row i carries key keys[i] —
+// as a string, words[keys[i]] when the case spells its keys out.
+func joinKeyTable(t *testing.T, intKeys bool, keys []int, words []string) *table.Table {
 	t.Helper()
 	schema := table.Schema{{Name: "name", Type: table.String}, {Name: "pay", Type: table.Int64}}
 	if intKeys {
@@ -21,6 +22,8 @@ func joinKeyTable(t *testing.T, intKeys bool, keys []int) *table.Table {
 		var key any = fmt.Sprintf("user%04d", k)
 		if intKeys {
 			key = int64(k)
+		} else if words != nil {
+			key = words[k]
 		}
 		if err := tb.AppendRow(key, int64(i)); err != nil {
 			t.Fatal(err)
@@ -38,37 +41,61 @@ func seqKeys(n, base, distinct int) []int {
 	return keys
 }
 
-// joinEdgeCase is one degenerate JOIN input shape.
+// joinEdgeCase is one degenerate JOIN input shape. words, when set,
+// spells out the string form of keys 0..len(words)-1 (distinct words, so
+// integer and string keys join alike).
 type joinEdgeCase struct {
 	name        string
 	left, right []int
+	words       []string
 }
 
 // joinEdgeCases are the shapes where a completion is likeliest to slip:
-// an empty side, no common key, every row on one key, and the planner's
-// asymmetric shape (left·8 ≤ right).
+// an empty side, no common key, every row on one key, the planner's
+// asymmetric shape (left·8 ≤ right) — and string keys whose canonical
+// order is where a merge of per-shard sorted runs can go wrong: the empty
+// key, keys that are prefixes of one another, and NUL inside keys, where
+// the canonical (joined-key) order is not the cell-wise one ("a\x00"
+// sorts before "a" once the pair count follows it).
 func joinEdgeCases() []joinEdgeCase {
 	return []joinEdgeCase{
-		{"empty-left", nil, seqKeys(300, 0, 40)},
-		{"empty-right", seqKeys(300, 0, 40), nil},
-		{"both-empty", nil, nil},
-		{"no-common-key", seqKeys(400, 0, 50), seqKeys(300, 1000, 60)},
-		{"one-key", seqKeys(350, 7, 1), seqKeys(90, 7, 1)},
-		{"small-left", seqKeys(60, 20, 30), seqKeys(900, 0, 200)},
-		{"partial-overlap", seqKeys(700, 0, 120), seqKeys(500, 80, 150)},
+		{name: "empty-left", right: seqKeys(300, 0, 40)},
+		{name: "empty-right", left: seqKeys(300, 0, 40)},
+		{name: "both-empty"},
+		{name: "no-common-key", left: seqKeys(400, 0, 50), right: seqKeys(300, 1000, 60)},
+		{name: "one-key", left: seqKeys(350, 7, 1), right: seqKeys(90, 7, 1)},
+		{name: "small-left", left: seqKeys(60, 20, 30), right: seqKeys(900, 0, 200)},
+		{name: "partial-overlap", left: seqKeys(700, 0, 120), right: seqKeys(500, 80, 150)},
+		{name: "prefix-keys", left: seqKeys(90, 0, 7), right: seqKeys(60, 0, 7),
+			words: []string{"", "a", "ab", "abc", "b", "a b", "aa"}},
+		{name: "nul-keys", left: seqKeys(120, 0, 9), right: seqKeys(70, 0, 9),
+			words: []string{"", "a", "a\x00", "a\x00b", "ab", "\x00", "\x00a", "b", "a\x00\x00"}},
+		{name: "one-nul-key", left: seqKeys(200, 0, 24), right: seqKeys(150, 0, 24),
+			words: nulAmong(24)},
 	}
+}
+
+// nulAmong spells n keys of which exactly one contains NUL, so that at
+// several shards most sorted runs are cell-wise and one is not.
+func nulAmong(n int) []string {
+	words := make([]string, n)
+	for i := range words {
+		words[i] = fmt.Sprintf("k%02d", i)
+	}
+	words[n/2] = "k0\x005"
+	return words
 }
 
 // joinEdgeQuery binds an edge case to tables, the right one carrying a
 // skip index of several blocks so Skip has something to decide.
 func joinEdgeQuery(t *testing.T, c joinEdgeCase, intKeys bool) *Query {
 	t.Helper()
-	right := joinKeyTable(t, intKeys, c.right)
+	right := joinKeyTable(t, intKeys, c.right, c.words)
 	if err := right.BuildSkipIndex(64); err != nil {
 		t.Fatal(err)
 	}
 	return &Query{
-		Kind: KindJoin, Table: joinKeyTable(t, intKeys, c.left), Right: right,
+		Kind: KindJoin, Table: joinKeyTable(t, intKeys, c.left, c.words), Right: right,
 		LeftKey: "name", RightKey: "name",
 	}
 }
@@ -104,7 +131,7 @@ func TestCompleteJoinCollisions(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got := joinResult(q, rows); !got.Equal(want) {
+				if got := joinResult(q, []joinPart{sortedJoinPart(rows)}); !got.Equal(want) {
 					t.Fatalf("%s int=%v fingerprints=%s: completeJoin diverges from execJoin\nwant:\n%s\ngot:\n%s",
 						c.name, intKeys, fname, want, got)
 				}
@@ -116,7 +143,7 @@ func TestCompleteJoinCollisions(t *testing.T) {
 // TestCompleteJoinMixedKeyTypes: keys of different column types join
 // through their rendered text, which only execJoin implements.
 func TestCompleteJoinMixedKeyTypes(t *testing.T) {
-	ints := joinKeyTable(t, true, seqKeys(50, 0, 10))
+	ints := joinKeyTable(t, true, seqKeys(50, 0, 10), nil)
 	strs := table.MustNew(table.Schema{{Name: "name", Type: table.String}})
 	for i := 0; i < 30; i++ {
 		if err := strs.AppendRow(fmt.Sprint(i % 15)); err != nil {
@@ -132,7 +159,7 @@ func TestCompleteJoinMixedKeyTypes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := joinResult(q, rows); !got.Equal(want) || len(want.Rows) == 0 {
+	if got := joinResult(q, []joinPart{sortedJoinPart(rows)}); !got.Equal(want) || len(want.Rows) == 0 {
 		t.Fatalf("mixed key types diverge\nwant:\n%s\ngot:\n%s", want, got)
 	}
 }

@@ -203,7 +203,7 @@ func TestHavingCollisions(t *testing.T) {
 	}
 	for _, intKeys := range []bool{false, true} {
 		keys := seqKeys(600, 0, 37)
-		tb := joinKeyTable(t, intKeys, keys)
+		tb := joinKeyTable(t, intKeys, keys, nil)
 		q := &Query{Kind: KindHaving, Table: tb, KeyCol: "name", AggCol: "pay", Threshold: 4800}
 		want, err := execHaving(q, tb, allRows(tb))
 		if err != nil {

@@ -11,7 +11,7 @@ package engine
 //	family               pass       part                   completion
 //	FILTER, SKYLINE      survivors  surviving row ids      completeSurvivors
 //	TOP N                topN       N-heap                 completeTopN
-//	JOIN                 join       unsorted joined rows   joinResult
+//	JOIN                 join       sorted joined rows     joinResult
 //	DISTINCT, GROUP BY   agg        partial (partial.go)   completeAgg
 //	MAX/SUM, HAVING      (agg.go)
 //
@@ -28,7 +28,6 @@ package engine
 
 import (
 	"fmt"
-	"slices"
 
 	"cheetah/internal/prune"
 	"cheetah/internal/switchsim"
@@ -300,11 +299,22 @@ func completeTopN(q *Query, heaps []int64Heap) *Result {
 }
 
 // join is JOIN's pass: the whole Bloom join of the pass's table pair —
-// build, switchover, probe — completed to unsorted (key, pair count) rows.
-// The build and probe passes share the program's Bloom state, so this
-// whole sequence is also the failover retry unit: a switch that dies
-// anywhere inside it invalidates the filter, never just one pass.
-func (ps *pass) join() ([][]string, error) {
+// build, switchover, probe — completed to (key, pair count) rows and
+// sorted here, in the pass's own goroutine, so that k shards sort k runs
+// side by side and the master only merges them. The build and probe passes
+// share the program's Bloom state, so this whole sequence is also the
+// failover retry unit: a switch that dies anywhere inside it invalidates
+// the filter, never just one pass.
+func (ps *pass) join() (joinPart, error) {
+	rows, err := ps.joinRows()
+	if err != nil {
+		return joinPart{}, err
+	}
+	return sortedJoinPart(rows), nil
+}
+
+// joinRows runs the pass's join to completeJoin's unsorted rows.
+func (ps *pass) joinRows() ([][]string, error) {
 	j, ok := ps.pruner.(*prune.Join)
 	if !ok {
 		return nil, fmt.Errorf("engine: join needs a *prune.Join, got %T", ps.pruner)
@@ -410,8 +420,8 @@ func execPasses(q *Query, passes []*pass, run func(s int, attempt func() error) 
 	case KindJoin:
 		// Matching keys are co-located in one pass's table pair (the
 		// sharded driver hash-shards both sides on the keys), so per-pass
-		// joins compose by concatenation, sorted once.
-		parts := make([][][]string, len(passes))
+		// joins are disjoint sorted runs and compose by one merge.
+		parts := make([]joinPart, len(passes))
 		err := forEachShard(len(passes), func(s int) error {
 			return run(s, func() (err error) {
 				parts[s], err = passes[s].join()
@@ -421,11 +431,7 @@ func execPasses(q *Query, passes []*pass, run func(s int, attempt func() error) 
 		if err != nil {
 			return nil, err
 		}
-		rows := parts[0]
-		if len(parts) > 1 {
-			rows = slices.Concat(parts...)
-		}
-		return joinResult(q, rows), nil
+		return joinResult(q, parts), nil
 	default: // DISTINCT, GROUP BY MAX, GROUP BY SUM, HAVING
 		partials := make([]*partial, len(passes))
 		for s, ps := range passes {

@@ -29,8 +29,11 @@ package engine
 //     merges them, and drops the extra false positives (the same
 //     guarantee shape as §4.3's partial second pass).
 //   - JOIN: the executor hash-shards both tables on the join keys, so
-//     matching keys are co-located and per-switch Bloom joins compose
-//     by concatenation, sorted once.
+//     matching keys are co-located and per-switch Bloom joins are
+//     disjoint: each shard sorts its own rows and the master merges the
+//     sorted runs. The shards carry the key column only — all a JOIN pass
+//     and its completion read — and an unchanged table hands back the
+//     co-partition it built last time (table.ShardKeys).
 
 import (
 	"fmt"
@@ -118,8 +121,9 @@ type ShardedOptions struct {
 	// Skip enables storage-side block skipping on each shard (skip.go)
 	// for kinds with a sound block bound (FILTER, TOP N, JOIN). Shards
 	// that are contiguous views of an indexed table inherit its skip
-	// index; hash/range shards are freshly materialized tables without
-	// one and simply scan. Results stay bit-identical to ExecDirect.
+	// index; hash/range shards — materialized per query, or JOIN's
+	// key-only ones the table memoises — are tables without one and
+	// simply scan. Results stay bit-identical to ExecDirect.
 	Skip bool
 	// NoFuse opts shards out of the fused compiled loops (fuse.go) and
 	// back onto the chunked batch pipeline, mirroring
@@ -194,7 +198,9 @@ func shardKeyCol(q *Query) (string, error) {
 
 // shardTables splits the query's input tables into k shards according to
 // the strategy. For JOIN both sides are hash-sharded on their keys; any
-// other strategy would break key co-location and is rejected.
+// other strategy would break key co-location and is rejected. JOIN's hash
+// shards hold the key column alone and are shared read-only between the
+// queries that find them memoised on the table (table.ShardKeys).
 func shardTables(q *Query, k int, strategy ShardStrategy) (left, right []*table.Table, err error) {
 	if q.Kind == KindJoin {
 		if strategy != ShardAuto && strategy != ShardHash {
@@ -217,10 +223,10 @@ func shardTables(q *Query, k int, strategy ShardStrategy) (left, right []*table.
 			return nil, nil, fmt.Errorf("engine: sharded join needs same-typed keys, %q is %s and %q is %s",
 				q.LeftKey, ls[li].Type, q.RightKey, rs[ri].Type)
 		}
-		if left, err = q.Table.ShardBy(q.LeftKey, k); err != nil {
+		if left, err = q.Table.ShardKeys(q.LeftKey, k); err != nil {
 			return nil, nil, err
 		}
-		if right, err = q.Right.ShardBy(q.RightKey, k); err != nil {
+		if right, err = q.Right.ShardKeys(q.RightKey, k); err != nil {
 			return nil, nil, err
 		}
 		return left, right, nil
@@ -357,21 +363,26 @@ func forEachShard(n int, f func(s int) error) error {
 	return nil
 }
 
-// newShardExecs shards the tables and builds each shard's context.
+// newShardExecs shards the tables and builds each shard's context. The
+// shards' spans open before the split, so that a split which rebuilds
+// column storage (a hash or range scatter, a JOIN co-partition the table
+// had not memoised) is time under the shard spans, not under none.
 func newShardExecs(q *Query, opts ShardedOptions) ([]*shardExec, error) {
+	execs := make([]*shardExec, opts.Shards)
+	for s := range execs {
+		execs[s] = &shardExec{idx: s, tm: opts.Trace.Begin(obs.StageShard, s)}
+	}
 	left, right, err := shardTables(q, opts.Shards, opts.Strategy)
 	if err != nil {
 		return nil, err
 	}
-	execs := make([]*shardExec, opts.Shards)
-	for s := 0; s < opts.Shards; s++ {
+	for s, se := range execs {
 		qs := *q
 		qs.Table = left[s]
 		if right != nil {
 			qs.Right = right[s]
 		}
-		se := &shardExec{idx: s, tm: opts.Trace.Begin(obs.StageShard, s),
-			pass: pass{q: &qs, workers: opts.Workers, seed: opts.Seed, skip: opts.Skip, noFuse: opts.NoFuse}}
+		se.pass = pass{q: &qs, workers: opts.Workers, seed: opts.Seed, skip: opts.Skip, noFuse: opts.NoFuse}
 		if opts.Pruners != nil {
 			se.pruner = opts.Pruners[s]
 		} else if se.pruner, err = defaultShardPruner(q, opts.Shards, opts.Seed); err != nil {
@@ -382,7 +393,6 @@ func newShardExecs(q *Query, opts ShardedOptions) ([]*shardExec, error) {
 		} else {
 			se.dp = progDataplane{prog: se.pruner}
 		}
-		execs[s] = se
 	}
 	return execs, nil
 }

@@ -130,11 +130,12 @@ func TestSingleIsOneShard(t *testing.T) {
 	}
 }
 
-// TestShardedJoinEdgeCases scatters the degenerate JOIN shapes over 1, 2
-// and 7 switches — more shards than some inputs have keys, so shards go
+// TestShardedJoinEdgeCases scatters the degenerate JOIN shapes over 1, 2,
+// 4 and 7 switches — more shards than some inputs have keys, so shards go
 // empty on one side or both — on the fused and the batched shard pass,
-// Skip on and off: per-shard completions concatenated and sorted once
-// must equal ExecDirect row for row.
+// Skip on and off: the per-shard completions, each sorted in its shard and
+// merged at the master (re-sorted whole when a key contains NUL), must
+// equal ExecDirect row for row.
 func TestShardedJoinEdgeCases(t *testing.T) {
 	for _, intKeys := range []bool{false, true} {
 		for _, c := range joinEdgeCases() {
@@ -143,7 +144,7 @@ func TestShardedJoinEdgeCases(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, shards := range []int{1, 2, 7} {
+			for _, shards := range []int{1, 2, 4, 7} {
 				for _, noFuse := range []bool{false, true} {
 					for _, skip := range []bool{false, true} {
 						run, err := ExecSharded(q, ShardedOptions{Shards: shards, Workers: 3, Seed: 7, NoFuse: noFuse, Skip: skip})
@@ -154,6 +155,98 @@ func TestShardedJoinEdgeCases(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestShardedJoinMemoFollowsMutations: a sharded JOIN leaves its key-only
+// co-partition memoised on both inputs (table.ShardKeys), and the next one
+// must not be answered from it once an input changed. Between two runs one
+// input is appended to, shuffled or sorted: the second run equals
+// ExecDirect on the mutated tables, rebuilt that input's co-partition and
+// kept the other's — on the fused and the chunked pass.
+func TestShardedJoinMemoFollowsMutations(t *testing.T) {
+	const shards = 2
+	extra := equivTable(t, 700, 0x73)
+	for _, noFuse := range []bool{false, true} {
+		tb := equivTable(t, 1500, 0x71)
+		rt := equivTable(t, 600, 0x72)
+		q := equivQueries(tb, rt)["join"]
+		run := func(label string) (left, right []*table.Table) {
+			t.Helper()
+			direct, err := ExecDirect(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			run, err := ExecSharded(q, ShardedOptions{Shards: shards, Workers: 2, Seed: 7, NoFuse: noFuse})
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			assertShardedRun(t, label, shards, run, direct)
+			// What the run sharded on, read back as memo hits.
+			if left, err = tb.ShardKeys(q.LeftKey, shards); err != nil {
+				t.Fatal(err)
+			}
+			if right, err = rt.ShardKeys(q.RightKey, shards); err != nil {
+				t.Fatal(err)
+			}
+			return left, right
+		}
+		for _, m := range []struct {
+			name        string
+			left, right bool // which input the mutation touches
+			mutate      func() error
+		}{
+			{"nothing", false, false, func() error { return nil }},
+			{"append-left", true, false, func() error { return tb.AppendRowsFrom(extra, allRows(extra)[:300]) }},
+			{"append-right", false, true, func() error { return rt.AppendRowsFrom(extra, allRows(extra)[300:]) }},
+			{"shuffle-left", true, false, func() error { return tb.Shuffle(5) }},
+			{"shuffle-right", false, true, func() error { return rt.Shuffle(6) }},
+			{"sort-left", true, false, func() error { return tb.SortByInt64("score") }},
+			{"sort-right", false, true, func() error { return rt.SortByInt64("val") }},
+		} {
+			label := fmt.Sprintf("join after %s noFuse=%v", m.name, noFuse)
+			l0, r0 := run(label + " (before)")
+			if err := m.mutate(); err != nil {
+				t.Fatal(err)
+			}
+			l1, r1 := run(label)
+			if rebuilt := &l0[0] != &l1[0]; rebuilt != m.left {
+				t.Fatalf("%s: left co-partition rebuilt=%v, want %v", label, rebuilt, m.left)
+			}
+			if rebuilt := &r0[0] != &r1[0]; rebuilt != m.right {
+				t.Fatalf("%s: right co-partition rebuilt=%v, want %v", label, rebuilt, m.right)
+			}
+		}
+	}
+}
+
+// TestShardedJoinOverViews: views and snapshots shard key-only per call —
+// nothing is memoised for them — and join exactly like the tables they
+// window.
+func TestShardedJoinOverViews(t *testing.T) {
+	tb := equivTable(t, 1500, 0x81)
+	rt := equivTable(t, 600, 0x82)
+	left, err := tb.SnapshotPrefix(1200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	right, err := rt.View(50, 550)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := &Query{Kind: KindJoin, Table: left, Right: right, LeftKey: "name", RightKey: "name"}
+	direct, err := ExecDirect(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{2, 2, 5} {
+		for _, noFuse := range []bool{false, true} {
+			run, err := ExecSharded(q, ShardedOptions{Shards: shards, Workers: 2, Seed: 3, NoFuse: noFuse})
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertShardedRun(t, fmt.Sprintf("join over views noFuse=%v", noFuse), shards, run, direct)
 		}
 	}
 }

@@ -37,8 +37,9 @@ func (k keyedRows) Swap(i, j int) {
 }
 
 // sortRows puts rows into the canonical result order (see Result.Sort),
-// in place and without allocating unless a cell contains NUL.
-func sortRows(rows [][]string) {
+// in place and without allocating unless a cell contains NUL. It reports
+// whether one did, i.e. whether the order is the joined-key one.
+func sortRows(rows [][]string) (keyed bool) {
 	for _, row := range rows {
 		for _, cell := range row {
 			if strings.IndexByte(cell, 0) >= 0 {
@@ -47,11 +48,38 @@ func sortRows(rows [][]string) {
 					keys[i] = strings.Join(r, "\x00")
 				}
 				sort.Sort(keyedRows{keys, rows})
-				return
+				return true
 			}
 		}
 	}
 	slices.SortFunc(rows, compareRows)
+	return false
+}
+
+// mergeSortedRows k-way merges runs that are each in compareRows order
+// into one slice in that order, consuming runs; rows that compare equal
+// keep their runs' order. One run merges to itself. The head scan is
+// linear in the number of runs — a switch count, so a handful.
+func mergeSortedRows(runs [][][]string) [][]string {
+	if len(runs) == 1 {
+		return runs[0]
+	}
+	total := 0
+	for _, run := range runs {
+		total += len(run)
+	}
+	out := make([][]string, 0, total)
+	for len(out) < total {
+		best := -1
+		for i, run := range runs {
+			if len(run) > 0 && (best < 0 || compareRows(run[0], runs[best][0]) < 0) {
+				best = i
+			}
+		}
+		out = append(out, runs[best][0])
+		runs[best] = runs[best][1:]
+	}
+	return out
 }
 
 // singleCellRows wraps already-sorted cell values as single-column

@@ -104,29 +104,35 @@ func legacySortKeys(rows [][]string) []string {
 }
 
 // checkCanonicalSort sorts a copy of rows with Result.Sort and checks
-// the outcome against the legacy definition: same key sequence, same
-// multiset of rows.
+// the outcome against the legacy definition.
 func checkCanonicalSort(t *testing.T, rows [][]string) {
 	t.Helper()
 	res := &Result{Rows: append([][]string(nil), rows...)}
 	res.Sort()
-	if len(res.Rows) != len(rows) {
-		t.Fatalf("sorted %d rows into %d", len(rows), len(res.Rows))
+	checkCanonicalOrder(t, "Result.Sort", res.Rows, rows)
+}
+
+// checkCanonicalOrder checks that got is rows in the legacy definition's
+// order: same key sequence, same multiset of rows.
+func checkCanonicalOrder(t *testing.T, how string, got, rows [][]string) {
+	t.Helper()
+	if len(got) != len(rows) {
+		t.Fatalf("%s: %d rows became %d", how, len(rows), len(got))
 	}
 	want := legacySortKeys(rows)
 	left := map[string]int{}
 	for _, r := range rows {
 		left[fmt.Sprintf("%q", r)]++
 	}
-	for i, r := range res.Rows {
-		if got := strings.Join(r, "\x00"); got != want[i] {
-			t.Fatalf("row %d: key %q, legacy order has %q", i, got, want[i])
+	for i, r := range got {
+		if key := strings.Join(r, "\x00"); key != want[i] {
+			t.Fatalf("%s: row %d: key %q, legacy order has %q", how, i, key, want[i])
 		}
 		left[fmt.Sprintf("%q", r)]--
 	}
 	for r, n := range left {
 		if n != 0 {
-			t.Fatalf("row %s: count off by %d after sorting", r, n)
+			t.Fatalf("%s: row %s: count off by %d", how, r, n)
 		}
 	}
 }
@@ -174,21 +180,79 @@ func fuzzRows(data []byte, width uint8, ragged bool, prefix string) [][]string {
 	return rows
 }
 
+// checkRunsMerge deals rows into k runs, sorts each the way a JOIN pass
+// sorts its part and merges them the way joinResult does — cell-wise k-way
+// merge, the whole-result sort when a run met a NUL cell — and checks the
+// outcome against the legacy definition like checkCanonicalSort: the merge
+// of sorted runs is Result.Sort of their concatenation.
+func checkRunsMerge(t *testing.T, rows [][]string, k int) {
+	t.Helper()
+	runs := make([][][]string, k)
+	for i, r := range rows {
+		runs[i%k] = append(runs[i%k], r)
+	}
+	parts := make([]joinPart, k)
+	for i, run := range runs {
+		parts[i] = sortedJoinPart(run)
+	}
+	checkCanonicalOrder(t, fmt.Sprintf("merge of %d runs", k), joinResult(&Query{LeftKey: "k"}, parts).Rows, rows)
+}
+
+// sortOrderSeeds are FuzzResultSortOrder's corpus shapes: plain cells, NUL
+// cells against their prefixes, empty and ragged rows, numeric cells of
+// unequal length behind a long shared prefix, rows one cell short.
+var sortOrderSeeds = []struct {
+	data   []byte
+	width  uint8
+	ragged bool
+	prefix uint8
+}{
+	{[]byte("b,a;a,b;a,a"), 1, false, 0},
+	{[]byte("a\x00,b;a,\x00b;a;a\x00"), 1, true, 0},
+	{[]byte(",;;,a;a,;"), 0, true, 0},
+	{[]byte("3,1,2,10,1,,02"), 0, false, 40},
+	{[]byte("k1,7;k0,9;k1,3;k0"), 2, true, 17},
+	{[]byte("a,1;a\x00,1;a\x00b,1;ab,1;,1;b,1;\x00,1"), 1, false, 0},
+}
+
+// TestSortedRunsMergeMatchesResultSort: over the fuzz corpus's shapes and
+// over JOIN-shaped rows (unique key, count), the k-way merge of sorted
+// runs is Result.Sort of the concatenation, at every run count — one run
+// and more runs than rows included.
+func TestSortedRunsMergeMatchesResultSort(t *testing.T) {
+	shapes := make([][][]string, 0, len(sortOrderSeeds)+1)
+	for _, s := range sortOrderSeeds {
+		shapes = append(shapes, fuzzRows(s.data, s.width, s.ragged, strings.Repeat("p", int(s.prefix%64))))
+	}
+	rng := rand.New(rand.NewSource(21))
+	joined := make([][]string, 500)
+	for i := range joined {
+		joined[i] = []string{fmt.Sprintf("user%04d", rng.Intn(1<<20)), fmt.Sprint(rng.Intn(300))}
+	}
+	shapes = append(shapes, joined, nil)
+	for _, rows := range shapes {
+		for _, k := range []int{1, 2, 3, 4, 7, 16} {
+			checkRunsMerge(t, rows, k)
+		}
+	}
+}
+
 // FuzzResultSortOrder pins Result.Sort — cell-wise comparison and the
 // NUL-cell fallback — to the legacy definition of the canonical order
 // on generated rows: NUL cells, empty cells, ragged rows, long shared
-// prefixes, one to three columns.
+// prefixes, one to three columns. The same rows, dealt into sorted runs
+// and merged (checkRunsMerge), must land in that order too.
 func FuzzResultSortOrder(f *testing.F) {
-	f.Add([]byte("b,a;a,b;a,a"), uint8(1), false, uint8(0))
-	f.Add([]byte("a\x00,b;a,\x00b;a;a\x00"), uint8(1), true, uint8(0))
-	f.Add([]byte(",;;,a;a,;"), uint8(0), true, uint8(0))
-	f.Add([]byte("3,1,2,10,1,,02"), uint8(0), false, uint8(40))
-	f.Add([]byte("k1,7;k0,9;k1,3;k0"), uint8(2), true, uint8(17))
+	for _, s := range sortOrderSeeds {
+		f.Add(s.data, s.width, s.ragged, s.prefix)
+	}
 	f.Fuzz(func(t *testing.T, data []byte, width uint8, ragged bool, prefix uint8) {
 		if len(data) > 1<<12 {
 			return
 		}
-		checkCanonicalSort(t, fuzzRows(data, width, ragged, strings.Repeat("p", int(prefix%64))))
+		rows := fuzzRows(data, width, ragged, strings.Repeat("p", int(prefix%64)))
+		checkCanonicalSort(t, rows)
+		checkRunsMerge(t, rows, 2+int(width>>2)%6)
 	})
 }
 

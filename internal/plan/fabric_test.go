@@ -108,6 +108,48 @@ func TestExecShardedEquivalence(t *testing.T) {
 	}
 }
 
+// TestExecShardedJoinConcurrent: concurrent JOINs on one multi-switch
+// session share the inputs' memoised key-only co-partition (table.ShardKeys)
+// read-only — the first ones race to build it, the rest hit it — and every
+// one of them returns ExecDirect's result. Run under -race.
+func TestExecShardedJoinConcurrent(t *testing.T) {
+	orders, lineitem, err := workload.TPCHQ3(600, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := Open(orders, Options{Workers: 2, Seed: 11, Switches: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := db.Select().Join(lineitem, "o_orderkey", "l_orderkey").Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := engine.ExecDirect(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 5; i++ {
+				ex, err := db.Exec(context.Background(), q)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if len(ex.PerSwitch) != 2 || !want.Equal(ex.Result) {
+					t.Errorf("concurrent sharded join diverges from direct (%d switches)", len(ex.PerSwitch))
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // TestExecShardedCluster routes a single-pass kind over the simulated
 // network on every switch of the fabric.
 func TestExecShardedCluster(t *testing.T) {

@@ -14,6 +14,12 @@ package table
 // scattered, so the column storage must be rebuilt per shard. Sharding
 // is deterministic — the same table, column and k always produce the
 // same shards.
+//
+// A JOIN's scatter needs less than that: its passes and its completion
+// read the key column only. ShardKeys shards the one-column projection —
+// same placement, same in-shard row order as ShardBy — and a table that
+// is not a view remembers its latest co-partition, so a repeated JOIN
+// over unchanged inputs re-hashes and copies nothing.
 
 import (
 	"fmt"
@@ -21,6 +27,16 @@ import (
 
 	"cheetah/internal/hashutil"
 )
+
+// keyShards is a table's memoised key-only co-partition (ShardKeys):
+// immutable once published, valid while the table still has the version
+// and row count it was built at.
+type keyShards struct {
+	version uint64
+	rows    int
+	col, k  int
+	shards  []*Table
+}
 
 // shardSeed fixes the hash-sharding placement function. It is a package
 // constant, not a caller seed: two tables sharded on same-typed key
@@ -108,41 +124,86 @@ func (t *Table) ShardByRange(col string, k int) ([]*Table, error) {
 	return t.buildShards(assign, k)
 }
 
-// buildShards materializes k shard tables from per-row assignments,
-// copying column storage shard-by-shard (one pre-sized allocation per
-// shard column).
+// ShardKeys hash-shards the table's projection on the named column: k
+// one-column tables whose shard s holds, in the table's row order, the
+// keys of exactly the rows ShardBy(col, k) places in shard s. The strings
+// themselves stay shared with the table; only their headers are copied.
+//
+// A table that is not a view keeps the latest result in one slot beside
+// its skip index and returns it again — the same slice, shared read-only
+// between callers — while Version, NumRows, column and k are unchanged;
+// appends and in-place reorders move Version, so they invalidate by
+// construction, and another column or k replaces the slot. Views and
+// snapshots (Version stays 0 on those) shard per call.
+func (t *Table) ShardKeys(col string, k int) ([]*Table, error) {
+	ci := t.schema.Index(col)
+	if ci < 0 {
+		return nil, fmt.Errorf("table: unknown shard column %q", col)
+	}
+	if t.parent == nil {
+		if m := t.keyShards.Load(); m != nil && m.version == t.version && m.rows == t.n && m.col == ci && m.k == k {
+			return m.shards, nil
+		}
+	}
+	keys, err := t.Project(col)
+	if err != nil {
+		return nil, err
+	}
+	shards, err := keys.ShardBy(col, k)
+	if err != nil {
+		return nil, err
+	}
+	if t.parent == nil {
+		t.keyShards.Store(&keyShards{version: t.version, rows: t.n, col: ci, k: k, shards: shards})
+	}
+	return shards, nil
+}
+
+// buildShards materializes k shard tables from per-row assignments: each
+// shard column is allocated once at its final size and filled in one
+// sweep of the source column (scatter).
 func (t *Table) buildShards(assign []int, k int) ([]*Table, error) {
 	counts := make([]int, k)
 	for _, s := range assign {
 		counts[s]++
 	}
 	shards := make([]*Table, k)
-	for s := 0; s < k; s++ {
+	for s := range shards {
 		sh, err := New(t.schema)
 		if err != nil {
 			return nil, err
 		}
-		sh.Grow(counts[s])
+		sh.n = counts[s]
 		shards[s] = sh
 	}
 	for c, src := range t.cols {
 		switch src.typ {
 		case Int64:
-			vals := src.ints[t.off : t.off+t.n]
-			for r, s := range assign {
-				dst := shards[s].cols[c]
-				dst.ints = append(dst.ints, vals[r])
+			for s, vals := range scatter(src.ints[t.off:t.off+t.n], assign, counts) {
+				shards[s].cols[c].ints = vals
 			}
 		case String:
-			vals := src.strs[t.off : t.off+t.n]
-			for r, s := range assign {
-				dst := shards[s].cols[c]
-				dst.strs = append(dst.strs, vals[r])
+			for s, vals := range scatter(src.strs[t.off:t.off+t.n], assign, counts) {
+				shards[s].cols[c].strs = vals
 			}
 		}
 	}
-	for s := range shards {
-		shards[s].n = counts[s]
-	}
 	return shards, nil
+}
+
+// scatter deals vals[r] to slice assign[r] of the result, in order;
+// counts[s] is how many land in slice s. Each slice is written through
+// its own cursor into storage sized up front.
+func scatter[T any](vals []T, assign, counts []int) [][]T {
+	dst := make([][]T, len(counts))
+	for s, n := range counts {
+		dst[s] = make([]T, n)
+	}
+	next := make([]int, len(counts))
+	for r, v := range vals {
+		s := assign[r]
+		dst[s][next[s]] = v
+		next[s]++
+	}
+	return dst
 }

@@ -284,3 +284,183 @@ func TestAppendRowsFrom(t *testing.T) {
 		t.Fatal("type mismatch: want error")
 	}
 }
+
+// assertKeyShards checks ShardKeys' contract against ShardBy: shard s is
+// the one-column projection of ShardBy's shard s, row for row.
+func assertKeyShards(t *testing.T, label string, src *Table, col string, got []*Table) {
+	t.Helper()
+	want, err := src.ShardBy(col, len(got))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s, sh := range got {
+		if sc := sh.Schema(); len(sc) != 1 || sc[0] != src.Schema()[src.Schema().Index(col)] {
+			t.Fatalf("%s shard %d: schema %v, want only %q", label, s, sc, col)
+		}
+		keys, err := want[s].Project(col)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, w := rowStrings(sh), rowStrings(keys)
+		if len(g) != len(w) {
+			t.Fatalf("%s shard %d: %d rows, ShardBy places %d", label, s, len(g), len(w))
+		}
+		for r := range g {
+			if g[r] != w[r] {
+				t.Fatalf("%s shard %d row %d: key %q, ShardBy has %q", label, s, r, g[r], w[r])
+			}
+		}
+	}
+}
+
+// TestShardKeysMatchesShardBy: key-only shards carry the same placement
+// and in-shard row order as ShardBy, from a table, a view and a snapshot,
+// memoised or not, more shards than rows included.
+func TestShardKeysMatchesShardBy(t *testing.T) {
+	tbl := testTable(t, 300)
+	view, err := tbl.View(17, 230)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := tbl.SnapshotPrefix(120)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srcs := map[string]*Table{"table": tbl, "view": view, "snapshot": snap, "tiny": testTable(t, 3), "empty": MustNew(tbl.Schema())}
+	for name, src := range srcs {
+		for _, col := range []string{"id", "name"} {
+			for _, k := range []int{1, 2, 4, 7} {
+				for pass := 0; pass < 2; pass++ { // the second call may be a memo hit
+					got, err := src.ShardKeys(col, k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(got) != k {
+						t.Fatalf("%s %s k=%d: %d shards", name, col, k, len(got))
+					}
+					assertKeyShards(t, fmt.Sprintf("%s %s k=%d pass=%d", name, col, k, pass), src, col, got)
+				}
+			}
+		}
+	}
+	if _, err := tbl.ShardKeys("nope", 2); err == nil {
+		t.Fatal("ShardKeys(unknown column): want error")
+	}
+	fresh := testTable(t, 5)
+	if _, err := fresh.ShardKeys("id", 0); err == nil || fresh.keyShards.Load() != nil {
+		t.Fatalf("ShardKeys(k=0): err %v, slot %v; want an error and no memo", err, fresh.keyShards.Load())
+	}
+}
+
+// TestShardKeysMemo pins the memo's life cycle: a repeat returns the very
+// same shards and allocates nothing; another column or k replaces the
+// slot; every mutation of the table invalidates it, and what is rebuilt
+// describes the mutated table.
+func TestShardKeysMemo(t *testing.T) {
+	tbl := testTable(t, 400)
+	first, err := tbl.ShardKeys("name", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := tbl.ShardKeys("name", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &first[0] != &again[0] {
+		t.Fatal("memo hit returned a different shard slice")
+	}
+	if allocs := testing.AllocsPerRun(20, func() {
+		if _, err := tbl.ShardKeys("name", 2); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("memo hit allocates %v times, want 0", allocs)
+	}
+
+	// Another k, then another column: each replaces the one slot.
+	for _, c := range []struct {
+		col string
+		k   int
+	}{{"name", 4}, {"id", 4}, {"name", 2}} {
+		got, err := tbl.ShardKeys(c.col, c.k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := tbl.keyShards.Load()
+		if m == nil || &m.shards[0] != &got[0] || m.k != c.k || m.col != tbl.Schema().Index(c.col) {
+			t.Fatalf("%s k=%d: slot %+v does not hold what was returned", c.col, c.k, m)
+		}
+		assertKeyShards(t, fmt.Sprintf("%s k=%d", c.col, c.k), tbl, c.col, got)
+	}
+
+	mutations := map[string]func() error{
+		"AppendRowsFrom": func() error { return tbl.AppendRowsFrom(testTable(t, 9), []int{0, 3, 8}) },
+		"AppendRow":      func() error { return tbl.AppendRow(int64(-1), "fresh", int64(5)) },
+		"Shuffle":        func() error { return tbl.Shuffle(99) },
+		"SortByInt64":    func() error { return tbl.SortByInt64("score") },
+	}
+	for name, mutate := range mutations {
+		before, err := tbl.ShardKeys("name", 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := mutate(); err != nil {
+			t.Fatal(err)
+		}
+		after, err := tbl.ShardKeys("name", 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if &before[0] == &after[0] {
+			t.Fatalf("%s: stale co-partition served after the mutation", name)
+		}
+		if m := tbl.keyShards.Load(); m == nil || m.version != tbl.Version() || m.rows != tbl.NumRows() || &m.shards[0] != &after[0] {
+			t.Fatalf("%s: slot %+v not rebuilt at version %d, %d rows", name, m, tbl.Version(), tbl.NumRows())
+		}
+		assertKeyShards(t, name, tbl, "name", after)
+	}
+}
+
+// TestShardKeysViewsDoNotMemoise: a view or snapshot — Version pinned at
+// 0, rows a window of someone else's storage — neither reads a slot nor
+// writes one, its own or its parent's.
+func TestShardKeysViewsDoNotMemoise(t *testing.T) {
+	tbl := testTable(t, 200)
+	view, err := tbl.View(0, tbl.NumRows())
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := tbl.SnapshotPrefix(tbl.NumRows())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, v := range map[string]*Table{"view": view, "snapshot": snap} {
+		if _, err := v.ShardKeys("name", 2); err != nil {
+			t.Fatal(err)
+		}
+		if v.keyShards.Load() != nil || tbl.keyShards.Load() != nil {
+			t.Fatalf("%s: ShardKeys wrote a memo slot", name)
+		}
+	}
+	rooted, err := tbl.ShardKeys("name", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slot := tbl.keyShards.Load()
+	for name, v := range map[string]*Table{"view": view, "snapshot": snap} {
+		a, err := v.ShardKeys("name", 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := v.ShardKeys("name", 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if &a[0] == &rooted[0] || &a[0] == &b[0] {
+			t.Fatalf("%s: ShardKeys served a memoised co-partition", name)
+		}
+		if tbl.keyShards.Load() != slot || v.keyShards.Load() != nil {
+			t.Fatalf("%s: ShardKeys touched a memo slot", name)
+		}
+	}
+}

@@ -124,6 +124,11 @@ type Table struct {
 	// both directions (skip.go), unlike every other Table field, which
 	// needs external synchronization against mutation.
 	skip atomic.Pointer[SkipIndex]
+	// keyShards memoises the latest key-only hash co-partition (ShardKeys;
+	// shard.go) of a table that is not a view. The slot is atomic and what
+	// it holds immutable, so concurrent queries may read and replace it;
+	// an entry is checked against version and n before it is used.
+	keyShards atomic.Pointer[keyShards]
 }
 
 // New creates an empty table with the given schema.
