@@ -301,18 +301,8 @@ type (
 	// ShardedRun reports a scatter/gather execution (aggregate plus
 	// per-switch traffic).
 	ShardedRun = engine.ShardedRun
-	// ShardStrategy selects how a sharded execution splits the table.
-	ShardStrategy = engine.ShardStrategy
 	// CostModel converts traffic into completion-time estimates.
 	CostModel = engine.CostModel
-)
-
-// Shard strategies for ExecSharded (the session API picks automatically).
-const (
-	ShardAuto       = engine.ShardAuto
-	ShardContiguous = engine.ShardContiguous
-	ShardHash       = engine.ShardHash
-	ShardRange      = engine.ShardRange
 )
 
 // CmpOp is a comparison operator usable in WHERE predicates (and the

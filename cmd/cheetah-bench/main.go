@@ -2,7 +2,7 @@
 //
 // Usage:
 //
-//	cheetah-bench [-scale N] [-seeds K] [-switches W] [-chaos] [-trace] [table2|table3|fig5|fig6|fig7|fig8|fig9|fig10|fig11|serve|stream|net|skip|all]
+//	cheetah-bench [-scale N] [-seeds K] [-switches W] [-chaos] [-trace] [table2|table3|fig5|fig6|fig7|fig8|fig9|fig10|fig11|serve|stream|net|all]
 //
 // Scale divides the paper's dataset sizes (scale=1 reproduces paper
 // scale and takes minutes; the default 50 finishes in seconds). Output
@@ -20,15 +20,13 @@
 // fault-tolerance work (results stay exact either way — the run errors
 // out otherwise). The stream target drives concurrent appenders
 // (1/8/64) into a streaming session with standing continuous queries,
-// reporting ingest rows/s and result-freshness p50/p99. The skip
-// target sweeps a clustered-column filter across selectivities
-// (0.1/1/10/50%) and reports the exact block-skip rate plus entries/s
-// with skipping on vs a full scan. None of these is part of "all".
+// reporting ingest rows/s and result-freshness p50/p99. None of these is
+// part of "all".
 //
 // -trace prints measured ExplainAnalyze span trees — every query kind
 // run once per execution path (single-switch, sharded, exact direct),
-// each with its lifecycle trace (plan, skip, encode, prune, per-switch
-// passes, merge) — then exits unless explicit targets follow.
+// each with its lifecycle trace (plan, skip, per-switch shard passes,
+// merge) — then exits unless explicit targets follow.
 package main
 
 import (
@@ -117,7 +115,6 @@ func run() int {
 		"serve":  func() error { return bench.Serve(os.Stdout, o, *switches, *chaos) },
 		"stream": func() error { return bench.Stream(os.Stdout, o, *switches) },
 		"net":    func() error { return bench.Net(os.Stdout, o, *addr, *conns) },
-		"skip":   func() error { return bench.Skip(os.Stdout, o) },
 	}
 	order := []string{"table2", "table3", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11"}
 	for _, t := range selected {
@@ -133,7 +130,7 @@ func run() int {
 		}
 		f, ok := targets[t]
 		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown target %q (want one of %v, serve, stream, net or skip)\n", t, order)
+			fmt.Fprintf(os.Stderr, "unknown target %q (want one of %v, serve, stream or net)\n", t, order)
 			return 2
 		}
 		if err := f(); err != nil {

@@ -2,11 +2,11 @@ package bench
 
 // The trace target (cheetah-bench -trace) prints measured execution
 // span trees: each of the eight mix kinds runs once per execution path
-// — the planner's single-switch choice (fused or batched), sharded
-// across the fabric, and forced exact direct — and each execution's
-// ExplainAnalyze is printed: the plan banner plus the lifecycle trace
-// (plan, skip, encode, prune, per-switch passes, merge) with wall-clock
-// durations and entry counts. This is the human entry point to the
+// — the planner's choice at one switch, the same sharded across the
+// fabric, and forced exact direct — and each execution's ExplainAnalyze
+// is printed: the plan banner plus the lifecycle trace (plan, skip, one
+// shard span per switch pass noted fused or chunked, merge; scan when
+// direct) with wall-clock durations and entry counts. This is the human entry point to the
 // internal/obs tracing the serving stack records on every query.
 
 import (

@@ -42,10 +42,11 @@ type CheetahOptions struct {
 	// fused RNG draws from a counter-indexed stream (prune decisions may
 	// differ; final Results do not).
 	NoFuse bool
-	// Trace, when non-nil, collects per-stage spans (encode/prune/merge
-	// on the batched path, one fused span on the fused path) into the
-	// query's lifecycle trace. Tracing observes only: it never changes
-	// results, traffic or stats. The scalar path — the frozen
+	// Trace, when non-nil, collects the run's spans — one shard span for
+	// the pass, noted fused or chunked, and one merge span for the
+	// master's completion, like every pruned run (ShardedOptions.Trace) —
+	// into the query's lifecycle trace. Tracing observes only: it never
+	// changes results, traffic or stats. The scalar path — the frozen
 	// equivalence oracle — is never traced.
 	Trace *obs.Trace
 }
@@ -126,7 +127,9 @@ func (c *CheetahRun) UnprunedFraction() float64 {
 // ExecCheetah runs the query along the Cheetah path: partition the table
 // across CWorkers, stream the relevant columns through the (simulated)
 // switch pruner, and complete the query at the master on the survivors
-// via late materialization (row ids travel in the packets).
+// via late materialization (row ids travel in the packets). Unless
+// opts.Scalar asks for the per-row reference, that is ExecSharded at one
+// shard.
 func ExecCheetah(q *Query, opts CheetahOptions) (*CheetahRun, error) {
 	clock := StartClock()
 	run, err := execCheetah(q, opts)
@@ -140,14 +143,26 @@ func ExecCheetah(q *Query, opts CheetahOptions) (*CheetahRun, error) {
 }
 
 func execCheetah(q *Query, opts CheetahOptions) (*CheetahRun, error) {
+	if !opts.Scalar {
+		// The pruned run at one switch is the sharded run at one shard
+		// (shard.go): this is its adapter, not a second driver.
+		so := ShardedOptions{Shards: 1, Workers: opts.Workers, Seed: opts.Seed,
+			Skip: opts.Skip, NoFuse: opts.NoFuse, Trace: opts.Trace}
+		if opts.Pruner != nil {
+			so.Pruners = []prune.Pruner{opts.Pruner}
+		}
+		one, err := execSharded(q, so)
+		if err != nil {
+			return nil, err
+		}
+		return &CheetahRun{Result: one.Result, Traffic: one.Traffic, Stats: one.Stats,
+			PrunerName: one.PrunerName, Skipped: one.Skipped}, nil
+	}
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
 	if opts.Workers <= 0 {
 		opts.Workers = 1
-	}
-	if !opts.Scalar {
-		return execSinglePass(q, opts)
 	}
 	if opts.Skip {
 		return nil, fmt.Errorf("engine: block skipping requires the batched path, not Scalar")
@@ -172,46 +187,6 @@ func execCheetah(q *Query, opts CheetahOptions) (*CheetahRun, error) {
 	default:
 		return nil, fmt.Errorf("engine: unknown kind %v", q.Kind)
 	}
-}
-
-// execSinglePass is the pruned single-switch driver: ExecSharded with one
-// shard and nothing to fail over — the same pass (pass.go) runs once over
-// the unsplit table on a program the execution owns outright, so there is
-// no switch to lose (leased runs are ExecSharded runs, at every width). A
-// traced run records one fused span when the pass took the fused loops —
-// they interleave encode, prune and completion by construction, so the
-// phases cannot be timed apart — and encode/prune/merge spans otherwise.
-func execSinglePass(q *Query, opts CheetahOptions) (*CheetahRun, error) {
-	pruner := opts.Pruner
-	if pruner == nil {
-		var err error
-		if pruner, err = defaultShardPruner(q, 1, opts.Seed); err != nil {
-			return nil, err
-		}
-	}
-	tr, base := opts.Trace, opts.Trace.Elapsed()
-	var dp BatchDataplane = progDataplane{prog: pruner}
-	var acc *traceAcc
-	if tr != nil {
-		// A traced run times every batch crossing the dataplane.
-		acc = &traceAcc{base: time.Now()}
-		dp = traceDataplane{inner: dp, acc: acc}
-	}
-	fusedSpan := tr.Begin(obs.StageFused, 0)
-	ps := &pass{q: q, pruner: pruner, dp: dp, workers: opts.Workers,
-		seed: opts.Seed, skip: opts.Skip, noFuse: opts.NoFuse}
-	res, err := execPasses(q, []*pass{ps}, func(_ int, attempt func() error) error { return attempt() })
-	if err != nil {
-		return nil, err
-	}
-	run := &CheetahRun{Result: res, Traffic: ps.traffic, Stats: pruner.Stats(),
-		PrunerName: pruner.Name(), Skipped: ps.skipped}
-	if ps.fused {
-		fusedSpan.End(int64(run.Traffic.EntriesSent), int64(run.Traffic.Forwarded))
-	} else if tr != nil {
-		acc.addSpans(tr, base, run)
-	}
-	return run, nil
 }
 
 // interleave yields global row indices of t in the order the switch sees

@@ -12,9 +12,11 @@ import (
 
 // EncodeEntries serializes the query's relevant columns into per-worker
 // entry streams, one []uint64 per row with the global row id appended as
-// the final value (the late-materialization handle). Only single-pass
-// query kinds are supported here; JOIN and HAVING run their multi-pass
-// protocols inside ExecCheetah.
+// the final value (the late-materialization handle). Only kinds whose
+// one stream a switch answers by forwarding or dropping each packet are
+// supported here: JOIN and HAVING stream two passes, and GROUP BY SUM's
+// program answers by rewriting the packet (the evicted aggregate; agg.go),
+// which a forward-or-drop consumer such as the §7.2 switch would lose.
 func EncodeEntries(q *Query, workers int, seed uint64) ([][][]uint64, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
@@ -95,17 +97,19 @@ func rowEncoder(q *Query, seed uint64) (func(r int, vals []uint64), int, error) 
 				vals[i] = uint64(q.Table.Int64At(c, r))
 			}
 		}, len(cols), nil
+	case KindGroupBySum:
+		return nil, 0, fmt.Errorf("engine: EncodeEntries does not support %v (its program rewrites packets; the entry stream is forwarded unmodified)", q.Kind)
 	default:
-		return nil, 0, fmt.Errorf("engine: EncodeEntries does not support %v (multi-pass kind)", q.Kind)
+		return nil, 0, fmt.Errorf("engine: EncodeEntries does not support %v (two passes)", q.Kind)
 	}
 }
 
-// DefaultPruner builds the default switch program for a single-pass
-// query kind, matching ExecCheetah's defaults.
+// DefaultPruner builds the default switch program for a kind
+// EncodeEntries supports, matching ExecCheetah's defaults.
 func DefaultPruner(q *Query, seed uint64) (prune.Pruner, error) {
 	switch q.Kind {
 	case KindGroupBySum, KindHaving, KindJoin:
-		return nil, fmt.Errorf("engine: no default single-pass pruner for %v", q.Kind)
+		return nil, fmt.Errorf("engine: no default forward-or-drop pruner for %v", q.Kind)
 	}
 	return defaultShardPruner(q, 1, seed)
 }

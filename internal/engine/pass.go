@@ -15,11 +15,10 @@ package engine
 //	DISTINCT, GROUP BY   agg        partial (partial.go)   completeAgg
 //	MAX/SUM, HAVING      (agg.go)
 //
-// ExecCheetah and ExecSharded are two drivers over execPasses:
-// ExecCheetah runs one pass over the unsplit table, ExecSharded one per
-// shard under shardExec.run's failover, so the single-switch execution is
-// the sharded one with one shard — same Result, Traffic, Stats and
-// SkipStats — and a one-part completion merges nothing.
+// execPasses has one driver, ExecSharded (shard.go): one pass per shard
+// under shardExec.run's failover, then the completion. ExecCheetah is that
+// driver at one shard — same Result, Traffic, Stats and SkipStats by
+// construction — and a one-part completion merges nothing.
 //
 // A pass chooses between the fused loops (fuse.go) and the chunked
 // pipeline (batch.go) itself, from what it can observe: see fuse. Results
@@ -29,6 +28,7 @@ package engine
 import (
 	"fmt"
 
+	"cheetah/internal/obs"
 	"cheetah/internal/prune"
 	"cheetah/internal/switchsim"
 	"cheetah/internal/table"
@@ -105,8 +105,7 @@ func (ps *pass) survivors(countOnly bool) (rows []int, err error) {
 			// Skipping is exact for FILTER (monotone formula over block
 			// bounds; skip.go): a skipped block holds no matching row.
 			// Contiguous shards are views of the indexed root and skip
-			// against its blocks; materialized hash/range shards have no
-			// index and get the full span back.
+			// against its blocks.
 			spans, ps.skipped = filterSpans(q, t, cols)
 		}
 		if f, ok := ps.pruner.(*prune.Filter); ps.fuse(ok) {
@@ -372,78 +371,89 @@ func completeAgg(q *Query, passes []*pass, partials []*partial) *Result {
 	return g.render(q)
 }
 
-// execPasses runs every pass and completes q from their parts. run is
-// handed each pass's attempt and is where the two drivers differ:
-// ExecCheetah just calls it; ExecSharded redoes it through a replacement
-// switch when the pass crossed its switch's death (shardExec.run), so an
-// attempt (re)initializes everything it accumulates and reads its program
-// and dataplane at call time.
-func execPasses(q *Query, passes []*pass, run func(s int, attempt func() error) error) (*Result, error) {
+// execPasses runs every shard's pass and completes q from their parts.
+// Each pass runs under its shard's failover loop (shardExec.run), which
+// redoes it through a replacement switch when it crossed its switch's
+// death, so an attempt (re)initializes everything it accumulates and reads
+// its program and dataplane at call time. This is also where a traced run
+// draws the switch/master line: the shard spans are the passes, and the
+// merge span opens when the last pass returns and closes when the
+// completion does.
+func execPasses(q *Query, execs []*shardExec, opts ShardedOptions) (res *Result, err error) {
+	passes := make([]*pass, len(execs))
+	for s, se := range execs {
+		passes[s] = &se.pass
+	}
+	var merge obs.Timer
+	scatter := func(attempt func(s int) error) error {
+		failed := forEachShard(len(execs), func(s int) error { return execs[s].run(opts, attempt) })
+		merge = opts.Trace.Begin(obs.StageMerge, -1)
+		return failed
+	}
 	switch q.Kind {
 	case KindFilter, KindSkyline:
 		// A FILTER whose every pass runs the query's own filter is exact:
 		// the completion takes the forwards for the answer, and a count
 		// collects no rows at all.
 		exact := q.Kind == KindFilter
-		for _, ps := range passes {
+		planned := make([]prune.Pruner, len(passes))
+		for s, ps := range passes {
+			planned[s] = ps.pruner
 			exact = exact && filterExact(ps.q, ps.pruner)
 		}
 		parts := make([][]int, len(passes))
-		err := forEachShard(len(passes), func(s int) error {
-			ps, planned := passes[s], passes[s].pruner
-			return run(s, func() (err error) {
-				// A failover hands the pass a new program, and the completion
-				// is already planned around exact ones.
-				if exact && ps.pruner != planned && !filterExact(ps.q, ps.pruner) {
-					return fmt.Errorf("engine: shard %d: failover replaced the query's exact filter with a different program", s)
-				}
-				parts[s], err = ps.survivors(exact && q.CountOnly)
-				return err
-			})
+		err = scatter(func(s int) (err error) {
+			// A failover hands the pass a new program, and the completion
+			// is already planned around exact ones.
+			ps := passes[s]
+			if exact && ps.pruner != planned[s] && !filterExact(ps.q, ps.pruner) {
+				return fmt.Errorf("engine: shard %d: failover replaced the query's exact filter with a different program", s)
+			}
+			parts[s], err = ps.survivors(exact && q.CountOnly)
+			return err
 		})
-		if err != nil {
-			return nil, err
+		if err == nil {
+			res, err = completeSurvivors(q, passes, parts, exact)
 		}
-		return completeSurvivors(q, passes, parts, exact)
 	case KindTopN:
 		heaps := make([]int64Heap, len(passes))
-		err := forEachShard(len(passes), func(s int) error {
-			return run(s, func() (err error) {
-				heaps[s], err = passes[s].topN()
-				return err
-			})
+		err = scatter(func(s int) (err error) {
+			heaps[s], err = passes[s].topN()
+			return err
 		})
-		if err != nil {
-			return nil, err
+		if err == nil {
+			res = completeTopN(q, heaps)
 		}
-		return completeTopN(q, heaps), nil
 	case KindJoin:
 		// Matching keys are co-located in one pass's table pair (the
-		// sharded driver hash-shards both sides on the keys), so per-pass
-		// joins are disjoint sorted runs and compose by one merge.
+		// driver hash-shards both sides on the keys), so per-pass joins are
+		// disjoint sorted runs and compose by one merge.
 		parts := make([]joinPart, len(passes))
-		err := forEachShard(len(passes), func(s int) error {
-			return run(s, func() (err error) {
-				parts[s], err = passes[s].join()
-				return err
-			})
+		err = scatter(func(s int) (err error) {
+			parts[s], err = passes[s].join()
+			return err
 		})
-		if err != nil {
-			return nil, err
+		if err == nil {
+			res = joinResult(q, parts)
 		}
-		return joinResult(q, parts), nil
 	default: // DISTINCT, GROUP BY MAX, GROUP BY SUM, HAVING
 		partials := make([]*partial, len(passes))
 		for s, ps := range passes {
 			partials[s] = newPartial(ps.q)
 			defer partials[s].release()
 		}
-		err := forEachShard(len(passes), func(s int) error {
-			return run(s, func() error { return passes[s].agg(partials[s]) })
-		})
-		if err != nil {
-			return nil, err
+		err = scatter(func(s int) error { return passes[s].agg(partials[s]) })
+		if err == nil {
+			res = completeAgg(q, passes, partials)
 		}
-		return completeAgg(q, passes, partials), nil
 	}
+	if err != nil {
+		return nil, err
+	}
+	touched := 0
+	for _, ps := range passes {
+		touched += ps.traffic.MasterProcessed
+	}
+	merge.End(int64(touched), 0)
+	return res, nil
 }

@@ -1,14 +1,17 @@
 package engine
 
-// This file implements the multi-switch scatter/gather driver: the table
-// is sharded across N switches (the paper's deployment shape, where each
+// This file implements the pruned driver — the only one: the table is
+// sharded across k switches (the paper's deployment shape, where each
 // rack's ToR switch prunes its own workers' streams), each shard runs the
 // kind's pass (pass.go) concurrently on its own switch program — redone
 // through a replacement when its switch dies mid-stream — and the kind's
 // completion merges the shards' parts into a result that reproduces
-// ExecDirect's exactly for every query kind.
+// ExecDirect's exactly for every query kind. The single-switch run
+// (ExecCheetah) is this driver at k = 1: one view of the whole table, one
+// pass, a one-part completion that merges nothing.
 //
-// Correctness per kind under arbitrary sharding:
+// Correctness per kind under the split (contiguous row ranges, JOIN's
+// key-hashed co-partition):
 //
 //   - FILTER / SKYLINE: each switch forwards a superset of its shard's
 //     matching/non-dominated rows; the master gathers survivors and
@@ -45,40 +48,6 @@ import (
 	"cheetah/internal/table"
 )
 
-// ShardStrategy selects how ExecSharded splits the table across
-// switches.
-type ShardStrategy uint8
-
-const (
-	// ShardAuto hash-shards JOIN inputs on their keys (required for
-	// co-location) and splits everything else contiguously — the
-	// cheapest correct default.
-	ShardAuto ShardStrategy = iota
-	// ShardContiguous splits into contiguous row ranges (zero-copy
-	// views), like assigning Spark partitions to racks in file order.
-	ShardContiguous
-	// ShardHash hash-shards on the query's key column (DISTINCT's first
-	// column, GROUP BY/HAVING's key, TOP N's order column, FILTER's
-	// first predicate column, SKYLINE's first dimension).
-	ShardHash
-	// ShardRange range-shards on the query's key column (Int64 only).
-	ShardRange
-)
-
-// String renders the strategy.
-func (s ShardStrategy) String() string {
-	switch s {
-	case ShardContiguous:
-		return "contiguous"
-	case ShardHash:
-		return "hash"
-	case ShardRange:
-		return "range"
-	default:
-		return "auto"
-	}
-}
-
 // ShardedOptions configures the multi-switch scatter/gather path.
 type ShardedOptions struct {
 	// Shards is the switch count; ≤ 0 selects 1.
@@ -99,8 +68,6 @@ type ShardedOptions struct {
 	// invoking the shard's pruner directly. Requires Pruners: control-
 	// plane operations still address the programs directly.
 	Flows []BatchDataplane
-	// Strategy selects the sharding scheme; see ShardAuto.
-	Strategy ShardStrategy
 	// Failover, when non-nil, is consulted after a shard's switch dies
 	// (its Flow implements HealthDataplane and reports failure): it
 	// returns a fresh program and dataplane for the shard — typically a
@@ -113,16 +80,10 @@ type ShardedOptions struct {
 	// the servers-are-the-backstop guarantee: switch loss costs
 	// performance, never correctness.
 	Failover func(shard, attempt int) (prune.Pruner, BatchDataplane, error)
-	// Backoff, when positive, is the base delay before the first
-	// failover attempt; each further attempt on the same shard doubles
-	// it (capped exponential backoff — the cap is maxFailoverAttempts
-	// itself). Zero retries immediately, which is what tests want.
-	Backoff time.Duration
 	// Skip enables storage-side block skipping on each shard (skip.go)
 	// for kinds with a sound block bound (FILTER, TOP N, JOIN). Shards
 	// that are contiguous views of an indexed table inherit its skip
-	// index; hash/range shards — materialized per query, or JOIN's
-	// key-only ones the table memoises — are tables without one and
+	// index; JOIN's key-only hash shards are tables without one and
 	// simply scan. Results stay bit-identical to ExecDirect.
 	Skip bool
 	// NoFuse opts shards out of the fused compiled loops (fuse.go) and
@@ -131,11 +92,13 @@ type ShardedOptions struct {
 	// program access (chaos-armed pipelines) fall back per shard
 	// automatically; Results are identical either way.
 	NoFuse bool
-	// Trace, when non-nil, collects one span per shard pass (plus a
-	// failover span per discarded attempt and a global merge span) into
-	// the query's lifecycle trace. Span recording is mutex-guarded, so
-	// concurrent shard goroutines may share the trace. Tracing observes
-	// only — results, traffic and stats are unchanged.
+	// Trace, when non-nil, collects one span per shard pass — noted with
+	// the stream it took, fused or chunked — plus a failover span per
+	// discarded attempt and one merge span for the master's completion
+	// into the query's lifecycle trace: the span scheme of every pruned
+	// run, in process or leased, at every width. Span recording is
+	// mutex-guarded, so concurrent shard goroutines may share the trace.
+	// Tracing observes only — results, traffic and stats are unchanged.
 	Trace *obs.Trace
 }
 
@@ -178,45 +141,14 @@ func (s *ShardedRun) UnprunedFraction() float64 {
 	return float64(s.Traffic.Forwarded) / float64(s.Traffic.EntriesSent)
 }
 
-// shardKeyCol picks the column ShardHash/ShardRange split on.
-func shardKeyCol(q *Query) (string, error) {
-	switch q.Kind {
-	case KindFilter:
-		return q.Predicates[0].Col, nil
-	case KindDistinct:
-		return q.DistinctCols[0], nil
-	case KindTopN:
-		return q.OrderCol, nil
-	case KindGroupByMax, KindGroupBySum, KindHaving:
-		return q.KeyCol, nil
-	case KindSkyline:
-		return q.SkylineCols[0], nil
-	default:
-		return "", fmt.Errorf("engine: no shard key column for %v", q.Kind)
-	}
-}
-
-// shardTables splits the query's input tables into k shards according to
-// the strategy. For JOIN both sides are hash-sharded on their keys; any
-// other strategy would break key co-location and is rejected. JOIN's hash
-// shards hold the key column alone and are shared read-only between the
-// queries that find them memoised on the table (table.ShardKeys).
-func shardTables(q *Query, k int, strategy ShardStrategy) (left, right []*table.Table, err error) {
-	if q.Kind == KindJoin {
-		if strategy != ShardAuto && strategy != ShardHash {
-			return nil, nil, fmt.Errorf("engine: sharded join requires hash sharding on the keys, not %v", strategy)
-		}
-		if k == 1 {
-			// One shard needs no co-location: zero-copy views beat
-			// rebuilding both tables' column storage.
-			if left, err = q.Table.Partition(1); err != nil {
-				return nil, nil, err
-			}
-			if right, err = q.Right.Partition(1); err != nil {
-				return nil, nil, err
-			}
-			return left, right, nil
-		}
+// shardTables splits the query's input tables into k shards. JOIN's
+// sides are hash-sharded on their keys, so that matching keys are
+// co-located: the shards hold the key column alone and are shared
+// read-only between the queries that find them memoised on the table
+// (table.ShardKeys). Everything else — and a one-shard JOIN, which has
+// nothing to co-locate — splits into contiguous zero-copy views.
+func shardTables(q *Query, k int) (left, right []*table.Table, err error) {
+	if q.Kind == KindJoin && k > 1 {
 		ls, li := q.Table.Schema(), q.Table.Schema().Index(q.LeftKey)
 		rs, ri := q.Right.Schema(), q.Right.Schema().Index(q.RightKey)
 		if ls[li].Type != rs[ri].Type {
@@ -226,28 +158,16 @@ func shardTables(q *Query, k int, strategy ShardStrategy) (left, right []*table.
 		if left, err = q.Table.ShardKeys(q.LeftKey, k); err != nil {
 			return nil, nil, err
 		}
-		if right, err = q.Right.ShardKeys(q.RightKey, k); err != nil {
-			return nil, nil, err
-		}
-		return left, right, nil
+		right, err = q.Right.ShardKeys(q.RightKey, k)
+		return left, right, err
 	}
-	switch strategy {
-	case ShardAuto, ShardContiguous:
-		left, err = q.Table.Partition(k)
-	case ShardHash:
-		var col string
-		if col, err = shardKeyCol(q); err == nil {
-			left, err = q.Table.ShardBy(col, k)
-		}
-	case ShardRange:
-		var col string
-		if col, err = shardKeyCol(q); err == nil {
-			left, err = q.Table.ShardByRange(col, k)
-		}
-	default:
-		err = fmt.Errorf("engine: unknown shard strategy %d", uint8(strategy))
+	if left, err = q.Table.Partition(k); err != nil {
+		return nil, nil, err
 	}
-	return left, nil, err
+	if q.Kind == KindJoin {
+		right, err = q.Right.Partition(k)
+	}
+	return left, right, err
 }
 
 // shardExec is one shard's pass plus its failover bookkeeping.
@@ -291,9 +211,6 @@ func (se *shardExec) ensureHealthy(opts ShardedOptions) {
 			return
 		}
 		se.attempts++
-		if opts.Backoff > 0 {
-			time.Sleep(opts.Backoff << (se.attempts - 1))
-		}
 		p, dp, err := opts.Failover(se.idx, se.attempts)
 		if err != nil || p == nil || dp == nil {
 			se.pruner.Reset()
@@ -309,11 +226,12 @@ func (se *shardExec) ensureHealthy(opts ShardedOptions) {
 // failover: a pass that crossed its switch's death is discarded — the
 // registers backing its pruning decisions are gone, so partial results
 // cannot be trusted — and redone through a replacement dataplane. attempt
-// must (re)initialize all per-attempt state it accumulates, including
-// reading se.pruner/se.dp at call time; se.traffic and se.skipped are
-// reset here. The loop terminates: every retry either replaces the switch
-// (capped) or lands on the master-side backstop, which cannot fail.
-func (se *shardExec) run(opts ShardedOptions, attempt func() error) error {
+// is handed the shard's index and must (re)initialize all per-attempt
+// state it accumulates, including reading se.pruner/se.dp at call time;
+// se.traffic and se.skipped are reset here. The loop terminates: every
+// retry either replaces the switch (capped) or lands on the master-side
+// backstop, which cannot fail.
+func (se *shardExec) run(opts ShardedOptions, attempt func(s int) error) error {
 	for redo := false; ; redo = true {
 		se.ensureHealthy(opts)
 		se.traffic = Traffic{}
@@ -322,13 +240,17 @@ func (se *shardExec) run(opts ShardedOptions, attempt func() error) error {
 			se.tm = opts.Trace.Begin(obs.StageShard, se.idx)
 		}
 		tm := se.tm.Attempt(se.attempts)
-		if err := attempt(); err != nil {
+		if err := attempt(se.idx); err != nil {
 			return err
 		}
 		if se.healthErr() == nil {
-			note := ""
+			// The note names the stream the pass took (pass.fuse).
+			note := "chunked"
+			if se.fused {
+				note = "fused"
+			}
 			if se.degraded {
-				note = "degraded: master-side backstop"
+				note += "; degraded: master-side backstop"
 			}
 			tm.Counts(int64(se.traffic.EntriesSent), int64(se.traffic.Forwarded)).EndNote(note)
 			return nil
@@ -365,14 +287,14 @@ func forEachShard(n int, f func(s int) error) error {
 
 // newShardExecs shards the tables and builds each shard's context. The
 // shards' spans open before the split, so that a split which rebuilds
-// column storage (a hash or range scatter, a JOIN co-partition the table
-// had not memoised) is time under the shard spans, not under none.
+// column storage (a JOIN co-partition the table had not memoised) is time
+// under the shard spans, not under none.
 func newShardExecs(q *Query, opts ShardedOptions) ([]*shardExec, error) {
 	execs := make([]*shardExec, opts.Shards)
 	for s := range execs {
 		execs[s] = &shardExec{idx: s, tm: opts.Trace.Begin(obs.StageShard, s)}
 	}
-	left, right, err := shardTables(q, opts.Shards, opts.Strategy)
+	left, right, err := shardTables(q, opts.Shards)
 	if err != nil {
 		return nil, err
 	}
@@ -444,16 +366,11 @@ func execSharded(q *Query, opts ShardedOptions) (*ShardedRun, error) {
 			return nil, fmt.Errorf("engine: shard flows require the matching Pruners (control-plane operations address programs directly)")
 		}
 	}
-	traceBase := opts.Trace.Elapsed()
 	execs, err := newShardExecs(q, opts)
 	if err != nil {
 		return nil, err
 	}
-	passes := make([]*pass, len(execs))
-	for s, se := range execs {
-		passes[s] = &se.pass
-	}
-	res, err := execPasses(q, passes, func(s int, attempt func() error) error { return execs[s].run(opts, attempt) })
+	res, err := execPasses(q, execs, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -474,24 +391,6 @@ func execSharded(q *Query, opts ShardedOptions) (*ShardedRun, error) {
 			run.Degraded++
 		}
 		run.Skipped.Add(se.skipped)
-	}
-	if tr := opts.Trace; tr != nil {
-		// The global combine is everything after the last shard pass
-		// finished: shard-local partials merged into the exact result.
-		mergeStart := traceBase
-		for _, s := range tr.Spans() {
-			if (s.Stage == obs.StageShard || s.Stage == obs.StageFailover) && s.Start >= traceBase {
-				if end := s.Start + s.Dur; end > mergeStart {
-					mergeStart = end
-				}
-			}
-		}
-		now := tr.Elapsed()
-		if now < mergeStart {
-			mergeStart = now
-		}
-		tr.Add(obs.Span{Stage: obs.StageMerge, Switch: -1, Start: mergeStart,
-			Dur: now - mergeStart, Entries: int64(run.Traffic.MasterProcessed)})
 	}
 	return run, nil
 }

@@ -251,38 +251,6 @@ func TestShardedJoinOverViews(t *testing.T) {
 	}
 }
 
-// TestShardedStrategies pins the hash and range strategies (Auto covers
-// contiguous above) to the same exactness bar.
-func TestShardedStrategies(t *testing.T) {
-	tb := equivTable(t, 3000, 0xabc)
-	rt := equivTable(t, 900, 0xdef)
-	queries := withAggEdges(equivQueries(tb, rt))
-	for name, q := range queries {
-		direct, err := ExecDirect(q)
-		if err != nil {
-			t.Fatalf("%s direct: %v", name, err)
-		}
-		for _, strat := range []ShardStrategy{ShardHash, ShardRange} {
-			if q.Kind == KindJoin {
-				continue // joins force hash-on-key; covered by the main suite
-			}
-			if strat == ShardRange {
-				col, err := shardKeyCol(q)
-				if err != nil || q.Table.Schema()[q.Table.Schema().Index(col)].Type != table.Int64 {
-					continue // range sharding is Int64-only
-				}
-			}
-			run, err := ExecSharded(q, ShardedOptions{Shards: 4, Workers: 2, Seed: 7, Strategy: strat})
-			if err != nil {
-				t.Fatalf("%s strategy=%v: %v", name, strat, err)
-			}
-			if !run.Result.Equal(direct) {
-				t.Fatalf("%s strategy=%v: results diverge\ndirect:\n%s\nsharded:\n%s", name, strat, direct, run.Result)
-			}
-		}
-	}
-}
-
 // TestShardedPlannerPruners exercises the caller-supplied per-switch
 // programs path (the planner's sizing) for the kinds needing concrete
 // pruner types.
@@ -336,12 +304,6 @@ func TestShardedOptionValidation(t *testing.T) {
 	}
 	if _, err := ExecSharded(q, ShardedOptions{Shards: 2, Flows: make([]BatchDataplane, 2)}); err == nil {
 		t.Fatal("flows without pruners: want error")
-	}
-	if _, err := ExecSharded(queries["join"], ShardedOptions{Shards: 2, Strategy: ShardContiguous}); err == nil {
-		t.Fatal("contiguous sharded join: want error")
-	}
-	if _, err := ExecSharded(queries["distinct-string"], ShardedOptions{Shards: 2, Strategy: ShardRange}); err == nil {
-		t.Fatal("range sharding a string column: want error")
 	}
 
 	// Shards exceeding the row count still execute exactly.

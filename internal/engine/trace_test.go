@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"fmt"
 	"testing"
+	"time"
 
 	"cheetah/internal/obs"
 	"cheetah/internal/switchsim"
@@ -139,74 +141,92 @@ func TestTracingDoesNotPerturbExecution(t *testing.T) {
 	}
 }
 
-// TestTraceSpansPerPath pins which stages each execution path records:
-// encode/prune/merge on the batched path, one fused span on the fused
-// path, per-shard + merge spans on the sharded path.
+// TestTraceSpansPerPath pins which spans each pruned path records — the
+// same ones: at every width, fused or chunked, exactly one shard span per
+// pass — labeled with its switch, noted with the stream it took, carrying
+// the pass's stream counts — and one merge span that starts after the last
+// pass ended. No run records a fused, encode or prune span. At one shard
+// the two spans tile the run's Wall.
 func TestTraceSpansPerPath(t *testing.T) {
 	tb := equivTable(t, 3000, 0x111)
 	rt := equivTable(t, 900, 0x222)
+	type outcome struct {
+		traffic Traffic
+		wall    time.Duration
+	}
 	for name, q := range equivQueries(tb, rt) {
-		// Batched path: the stream splits into encode and prune, then the
-		// master merge.
-		tr := obs.New()
-		run, err := ExecCheetah(q, CheetahOptions{Workers: 2, Seed: 7, NoFuse: true, Trace: tr})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		st := stagesOf(tr)
-		for _, want := range []obs.Stage{obs.StageEncode, obs.StagePrune, obs.StageMerge} {
-			if len(st[want]) == 0 {
-				t.Fatalf("%s batched: missing %v span; got:\n%s", name, want, tr)
+		for _, noFuse := range []bool{false, true} {
+			for _, k := range []int{1, 2, 3} {
+				label := fmt.Sprintf("%s noFuse=%v k=%d", name, noFuse, k)
+				exec := func(tr *obs.Trace) outcome {
+					if k == 1 {
+						// The single-switch front door is the one-shard run.
+						run, err := ExecCheetah(q, CheetahOptions{Workers: 2, Seed: 7, NoFuse: noFuse, Trace: tr})
+						if err != nil {
+							t.Fatalf("%s: %v", label, err)
+						}
+						return outcome{run.Traffic, run.Wall}
+					}
+					run, err := ExecSharded(q, ShardedOptions{Shards: k, Workers: 2, Seed: 7, NoFuse: noFuse, Trace: tr})
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					return outcome{run.Traffic, run.Wall}
+				}
+				tr := obs.New()
+				got := exec(tr)
+				st := stagesOf(tr)
+				if len(st[obs.StageShard]) != k || len(st[obs.StageMerge]) != 1 || len(tr.Spans()) != k+1 {
+					t.Fatalf("%s: want %d shard spans + one merge and nothing else; got:\n%s", label, k, tr)
+				}
+				merge := st[obs.StageMerge][0]
+				seen := map[int]bool{}
+				var sent, fwd int64
+				for _, s := range st[obs.StageShard] {
+					seen[s.Switch] = true
+					sent += s.Entries
+					fwd += s.Forwarded
+					if merge.Start < s.Start+s.Dur {
+						t.Fatalf("%s: merge starts at %v, before shard %d ended at %v", label, merge.Start, s.Switch, s.Start+s.Dur)
+					}
+					if s.Note != "chunked" && (noFuse || s.Note != "fused") {
+						t.Fatalf("%s: shard %d noted %q", label, s.Switch, s.Note)
+					}
+				}
+				if len(seen) != k {
+					t.Fatalf("%s: shard spans not labeled per switch: %v", label, seen)
+				}
+				// HAVING's partial second pass re-streams under the merge
+				// span, after the passes returned.
+				if want := int64(got.traffic.EntriesSent - got.traffic.SecondPassSent); sent != want || fwd != int64(got.traffic.Forwarded) {
+					t.Fatalf("%s: shard spans carry %d entries / %d forwarded, traffic %+v", label, sent, fwd, got.traffic)
+				}
+				if merge.Entries != int64(got.traffic.MasterProcessed) {
+					t.Fatalf("%s: merge span entries %d != master processed %d", label, merge.Entries, got.traffic.MasterProcessed)
+				}
+				tr.Release()
+				if k != 1 {
+					continue
+				}
+				// The tiling identity where it already holds: at one shard
+				// the pass, then the completion, and next to nothing outside
+				// the two. A descheduling between the spans is noise, so the
+				// best of a few runs counts.
+				var gap, tol time.Duration
+				for try := 0; try < 5; try++ {
+					tr := obs.New()
+					wall := exec(tr).wall
+					st := stagesOf(tr)
+					tr.Release()
+					gap = (wall - st[obs.StageShard][0].Dur - st[obs.StageMerge][0].Dur).Abs()
+					if tol = max(wall/20, 50*time.Microsecond); gap <= tol {
+						break
+					}
+				}
+				if gap > tol {
+					t.Fatalf("%s: shard + merge miss Wall by %v (tolerance %v)", label, gap, tol)
+				}
 			}
 		}
-		if got := st[obs.StagePrune][0].Entries; got != int64(run.Traffic.EntriesSent) {
-			t.Fatalf("%s: prune span entries %d != traffic %d", name, got, run.Traffic.EntriesSent)
-		}
-		tr.Release()
-
-		// Fused path (default): one fused span carrying the traffic.
-		tr = obs.New()
-		run, err = ExecCheetah(q, CheetahOptions{Workers: 2, Seed: 7, Trace: tr})
-		if err != nil {
-			t.Fatalf("%s fused: %v", name, err)
-		}
-		st = stagesOf(tr)
-		if len(st[obs.StageFused]) == 0 {
-			t.Fatalf("%s: fused path recorded no fused span; got:\n%s", name, tr)
-		}
-		if got := st[obs.StageFused][0].Entries; got != int64(run.Traffic.EntriesSent) {
-			t.Fatalf("%s: fused span entries %d != traffic %d", name, got, run.Traffic.EntriesSent)
-		}
-		tr.Release()
-
-		// Sharded path: one span per shard plus the global merge.
-		tr = obs.New()
-		const shards = 3
-		srun, err := ExecSharded(q, ShardedOptions{Shards: shards, Workers: 2, Seed: 7, Trace: tr})
-		if err != nil {
-			t.Fatalf("%s sharded: %v", name, err)
-		}
-		st = stagesOf(tr)
-		if len(st[obs.StageShard]) < shards {
-			t.Fatalf("%s: %d shard spans for %d shards; got:\n%s", name, len(st[obs.StageShard]), shards, tr)
-		}
-		seen := map[int]bool{}
-		var sent int64
-		for _, s := range st[obs.StageShard] {
-			seen[s.Switch] = true
-			sent += s.Entries
-		}
-		if len(seen) != shards {
-			t.Fatalf("%s: shard spans not labeled per switch: %v", name, seen)
-		}
-		// HAVING's partial second pass streams outside se.run, so span
-		// entries bound the traffic from below.
-		if sent == 0 || sent > int64(srun.Traffic.EntriesSent) {
-			t.Fatalf("%s: shard span entries %d outside (0, %d]", name, sent, srun.Traffic.EntriesSent)
-		}
-		if len(st[obs.StageMerge]) == 0 {
-			t.Fatalf("%s sharded: missing merge span; got:\n%s", name, tr)
-		}
-		tr.Release()
 	}
 }

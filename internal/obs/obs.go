@@ -46,16 +46,22 @@ const (
 	StageSkip
 	// StageScan covers a direct master-side scan+complete pass.
 	StageScan
-	// StageEncode covers worker-side entry encoding for a switch pass.
+	// StageEncode covered worker-side entry encoding for a switch pass.
+	// Retired: nothing emits it — every pruned run records shard + merge
+	// — and the constant only holds its name and wire number.
 	StageEncode
-	// StagePrune covers the switch dataplane's pruning of a pass.
+	// StagePrune covered the switch dataplane's pruning of a pass.
+	// Retired like StageEncode.
 	StagePrune
-	// StageFused covers a fused encode→prune→compact loop, where the
-	// encode and prune phases are a single interleaved scan.
+	// StageFused covered an in-process fused loop together with its
+	// completion. Retired like StageEncode: a shard span's note says
+	// whether the pass took the fused or the chunked stream.
 	StageFused
-	// StageMerge covers the master's completion over survivors.
+	// StageMerge covers the master's completion over the passes' parts:
+	// it opens when the last pass returns.
 	StageMerge
-	// StageShard covers one shard's whole pass in sharded execution.
+	// StageShard covers one switch's whole pass of a pruned run, at every
+	// width (a single-switch run is one shard).
 	StageShard
 	// StageDelta covers one streaming delta's execution.
 	StageDelta
@@ -103,7 +109,8 @@ type Span struct {
 	// the stage has no stream.
 	Entries   int64
 	Forwarded int64
-	// Note carries low-cardinality context ("degraded", a pruner name).
+	// Note carries low-cardinality context (the stream a pass took, a
+	// degraded shard, a plan's mode).
 	Note string
 }
 
@@ -228,8 +235,8 @@ func (m Timer) EndNote(note string) {
 	m.t.Add(m.span)
 }
 
-// Add appends a completed span (used for derived spans whose bounds
-// were measured elsewhere, e.g. accumulated dataplane time).
+// Add appends a completed span (used for spans whose bounds were
+// measured elsewhere, e.g. an admission wait).
 func (t *Trace) Add(s Span) {
 	if t == nil {
 		return

@@ -506,7 +506,6 @@ func TestChaosOneShotSharded(t *testing.T) {
 			run, err := engine.ExecSharded(q, engine.ShardedOptions{
 				Shards: 3, Workers: p.Workers, Seed: p.Seed,
 				Pruners: pruners, Flows: flows, Failover: failover,
-				Backoff: time.Microsecond,
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"cheetah/internal/engine"
-	"cheetah/internal/obs"
 	"cheetah/internal/prune"
 	"cheetah/internal/table"
 	"cheetah/internal/workload"
@@ -143,10 +142,13 @@ func TestFrontDoorsAgree(t *testing.T) {
 					t.Errorf("%s: %s diverges from direct", label, door)
 				}
 			}
-			// A leased pass reports like every other leased pass: shard and
-			// merge spans, whatever the fabric width — never fused.
-			if spans := planStages(served); len(spans[obs.StageShard]) == 0 || len(spans[obs.StageMerge]) == 0 || len(spans[obs.StageFused]) != 0 {
-				t.Errorf("%s: served trace is not a leased pass's (shard + merge):\n%s", label, served.Trace())
+			// Every pruned run reports alike, leased or in process: Exec's k
+			// passes, and the served query's one on its placed switch.
+			if bad := prunedScheme(local, k); bad != "" {
+				t.Errorf("%s: Exec trace: %s:\n%s", label, bad, local.Trace())
+			}
+			if bad := prunedScheme(served, 1); bad != "" {
+				t.Errorf("%s: Submit trace: %s:\n%s", label, bad, served.Trace())
 			}
 			if k == 1 && q.Kind != engine.KindTopN && (served.Traffic != local.Traffic || served.Stats != local.Stats) {
 				t.Errorf("%s: Submit accounts %+v %+v, Exec %+v %+v", label, served.Traffic, served.Stats, local.Traffic, local.Stats)

@@ -177,8 +177,10 @@ func addSkipSpan(tr *obs.Trace, start time.Duration, st engine.SkipStats) {
 // direct, batched-Cheetah and cluster execution, and always returns the
 // full Execution report. Unless the session disabled tracing, the
 // returned execution carries a lifecycle trace whose plan span covers
-// the planner call itself.
+// the planner call itself — inside Execution.Wall, as on SubmitQoS: the
+// one clock starts before planning.
 func (s *Session) Exec(ctx context.Context, q *engine.Query) (*Execution, error) {
+	clock := engine.StartClock()
 	tr := s.newTrace()
 	tm := tr.Begin(obs.StagePlan, -1)
 	p, err := s.Plan(q)
@@ -187,7 +189,7 @@ func (s *Session) Exec(ctx context.Context, q *engine.Query) (*Execution, error)
 		return nil, err
 	}
 	tm.EndNote(p.Mode.String())
-	return s.execPlan(ctx, p, tr)
+	return s.execPlan(ctx, p, tr, clock)
 }
 
 // ExecPlan executes a previously computed plan, allowing one plan to be
@@ -195,14 +197,16 @@ func (s *Session) Exec(ctx context.Context, q *engine.Query) (*Execution, error)
 // trace of a pre-planned execution has no plan span — planning happened
 // outside the call.
 func (s *Session) ExecPlan(ctx context.Context, p *Plan) (*Execution, error) {
-	return s.execPlan(ctx, p, s.newTrace())
+	clock := engine.StartClock()
+	return s.execPlan(ctx, p, s.newTrace(), clock)
 }
 
 // execPlan runs a plan under an already-started trace and stamps the
-// execution's Wall once around the whole call — the single wall-clock
-// capture point every execution path shares (engine.Stopwatch).
-func (s *Session) execPlan(ctx context.Context, p *Plan, tr *obs.Trace) (*Execution, error) {
-	clock := engine.StartClock()
+// execution's Wall once, from the clock its front door started before the
+// trace — so every span ends inside Wall — around the whole call: the
+// single wall-clock capture point every execution path shares
+// (engine.Stopwatch).
+func (s *Session) execPlan(ctx context.Context, p *Plan, tr *obs.Trace, clock engine.Stopwatch) (*Execution, error) {
 	ex, err := s.execPlanModes(ctx, p, tr)
 	if err != nil {
 		tr.Release()
@@ -338,41 +342,26 @@ func fallbackPlan(p *Plan, door string, err error) *Plan {
 // run is the planning layer's one pruned execution: q (the plan's query,
 // or a streaming delta of it) through pruners, instances of p's program
 // in shard order. flows are the leases a front door already holds for
-// them — nil for Session.Exec, one for a served query, one per switch for
-// a standing subscription — and replace re-seats a shard whose switch
-// died (engine.ShardedOptions.Failover).
+// them — nil for Session.Exec, whose programs are dedicated and have no
+// switch to lose, one for a served query, one per switch for a standing
+// subscription — and replace re-seats a shard whose switch died
+// (engine.ShardedOptions.Failover).
 //
-// Every leased run, at every width, is an engine.ExecSharded run, so the
-// one §7.2 loop — discard a pass that crossed its switch's death, ask
-// replace, redo, and past the cap or without a survivor finish the shard
-// on the master-side backstop — is shardExec.run's. Without leases the
-// programs are dedicated and there is no switch to lose: one program runs
-// ExecCheetah's single pass over the unsplit table, and reads as the
-// one-shard run it equals (engine.TestSingleIsOneShard).
+// Every pruned run, leased or not, at every width, is an
+// engine.ExecSharded run, so the one §7.2 loop — discard a pass that
+// crossed its switch's death, ask replace, redo, and past the cap or
+// without a survivor finish the shard on the master-side backstop — is
+// shardExec.run's, and every trace draws the switch/master line in the
+// same place: shard spans, then merge.
 func (s *Session) run(q *engine.Query, p *Plan, pruners []prune.Pruner, flows []engine.BatchDataplane,
 	replace func(shard, attempt int) (prune.Pruner, engine.BatchDataplane, error), tr *obs.Trace) (*engine.ShardedRun, error) {
 	start := tr.Elapsed()
-	var run *engine.ShardedRun
-	if flows == nil && len(pruners) == 1 {
-		one, err := engine.ExecCheetah(q, engine.CheetahOptions{
-			Workers: p.Workers, Pruner: pruners[0], Seed: p.Seed, Skip: p.Skip, Trace: tr,
-		})
-		if err != nil {
-			return nil, err
-		}
-		run = &engine.ShardedRun{
-			Result: one.Result, Traffic: one.Traffic, PerSwitch: []engine.Traffic{one.Traffic},
-			Stats: one.Stats, PrunerName: one.PrunerName, Skipped: one.Skipped, Wall: one.Wall,
-		}
-	} else {
-		var err error
-		run, err = engine.ExecSharded(q, engine.ShardedOptions{
-			Shards: len(pruners), Workers: p.Workers, Seed: p.Seed, Skip: p.Skip, Trace: tr,
-			Pruners: pruners, Flows: flows, Failover: replace,
-		})
-		if err != nil {
-			return nil, err
-		}
+	run, err := engine.ExecSharded(q, engine.ShardedOptions{
+		Shards: len(pruners), Workers: p.Workers, Seed: p.Seed, Skip: p.Skip, Trace: tr,
+		Pruners: pruners, Flows: flows, Failover: replace,
+	})
+	if err != nil {
+		return nil, err
 	}
 	addSkipSpan(tr, start, run.Skipped)
 	return run, nil

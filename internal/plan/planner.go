@@ -191,10 +191,10 @@ func (s *Session) planFor(q *engine.Query, switches int) (*Plan, error) {
 		p.Reason += fmt.Sprintf("; ×%d switches (one program per switch, two-level merge)", switches)
 	}
 	if s.opts.UseCluster {
-		if singlePass(q.Kind) {
+		if why := offRack(q.Kind); why == "" {
 			p.Mode = ModeCluster
 		} else {
-			p.Reason += "; cluster transport supports single-pass kinds only, running in-process"
+			p.Reason += "; " + why + ", running in-process"
 		}
 	}
 	s.planSkip(p)
@@ -228,17 +228,24 @@ func (s *Session) planSkip(p *Plan) {
 	}
 }
 
-// singlePass reports whether the kind streams the table once — the
-// shapes engine.EncodeEntries serializes and the cluster transport can
-// carry (SKYLINE's end-of-stream state drain is handled by the cluster's
-// control plane).
-func singlePass(k engine.QueryKind) bool {
+// offRack says why a kind cannot ride the cluster transport, "" when it
+// can — the shapes engine.EncodeEntries serializes (SKYLINE's
+// end-of-stream state drain is handled by the cluster's control plane).
+// The rack streams a table once and its switch forwards or drops the very
+// bytes it received (transport.Switch.handleData), fresh or
+// retransmitted. JOIN and HAVING need a second stream. GROUP BY SUM
+// streams once but its program answers by rewriting the packet with the
+// aggregate it evicted: the evicted sum would never reach the master, and
+// a retransmitted value the switch had already absorbed would be counted
+// twice.
+func offRack(k engine.QueryKind) string {
 	switch k {
-	case engine.KindFilter, engine.KindDistinct, engine.KindTopN,
-		engine.KindGroupByMax, engine.KindSkyline:
-		return true
+	case engine.KindJoin, engine.KindHaving:
+		return "two passes; the cluster transport streams one"
+	case engine.KindGroupBySum:
+		return "program rewrites packets; the §7.2 switch forwards them unmodified"
 	}
-	return false
+	return ""
 }
 
 // candidates lists the programs that could serve the query, best first,

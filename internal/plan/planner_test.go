@@ -259,8 +259,9 @@ func TestPlannerTinyModelFallsBackToDirect(t *testing.T) {
 	}
 }
 
-// TestPlannerClusterRouting: UseCluster routes single-pass kinds over
-// the network path and keeps multi-pass kinds in-process with a note.
+// TestPlannerClusterRouting: UseCluster routes the kinds the rack can
+// carry over the network path and keeps the others in-process, each with
+// its own reason.
 func TestPlannerClusterRouting(t *testing.T) {
 	uv, err := workload.UserVisits(workload.DefaultUserVisits(400, 1))
 	if err != nil {
@@ -293,12 +294,23 @@ func TestPlannerClusterRouting(t *testing.T) {
 		t.Fatal("cluster result diverges from direct")
 	}
 
-	ph, err := s.Select().GroupBySum("languageCode", "adRevenue").Having(50_000).Plan()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ph.Mode != ModeCheetah || !strings.Contains(ph.Reason, "single-pass") {
-		t.Fatalf("having mode=%v reason=%q, want in-process with single-pass note", ph.Mode, ph.Reason)
+	// The kinds the rack cannot carry stay in process, each saying why.
+	rk := workload.Rankings(300, 2)
+	for _, c := range []struct {
+		b   *Builder
+		why string
+	}{
+		{s.Select().GroupBySum("languageCode", "adRevenue").Having(50_000), "two passes; the cluster transport streams one"},
+		{s.Select().Join(rk, "destURL", "pageURL"), "two passes; the cluster transport streams one"},
+		{s.Select().GroupBySum("languageCode", "adRevenue"), "program rewrites packets; the §7.2 switch forwards them unmodified"},
+	} {
+		p, err := c.b.Plan()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Mode != ModeCheetah || !strings.Contains(p.Reason, c.why+", running in-process") {
+			t.Fatalf("%v mode=%v reason=%q, want in-process because %q", p.Query.Kind, p.Mode, p.Reason, c.why)
+		}
 	}
 }
 

@@ -186,11 +186,7 @@ func (sv *Serving) SubmitQoS(ctx context.Context, q *engine.Query, qos serve.QoS
 	// admission entirely — the oversized-query bypass — and a refused
 	// admission joins it.
 	if p.Mode == ModeDirect {
-		ex, err := sv.s.execPlan(ctx, p, tr)
-		if ex != nil {
-			ex.Wall = clock.Elapsed()
-		}
-		return ex, err
+		return sv.s.execPlan(ctx, p, tr, clock)
 	}
 	// The placed switch died under the query: its counters record the
 	// failover, the revoked lease releases, and a fresh program — the

@@ -45,11 +45,12 @@ type Options struct {
 	// Delta is the failure probability budget δ for randomized pruners
 	// (TOP N's Theorem 2/3 configuration); ≤ 0 selects 1e-4.
 	Delta float64
-	// UseCluster routes single-pass queries over the simulated lossy
-	// network with the §7.2 reliability protocol instead of the
-	// in-process batched path. Multi-pass kinds (JOIN, HAVING,
-	// GROUP-BY-SUM) fall back to in-process execution with a note in the
-	// plan's Reason.
+	// UseCluster routes queries over the simulated lossy network with the
+	// §7.2 reliability protocol instead of the in-process path. Three kinds
+	// stay in process, with a note in the plan's Reason: JOIN and HAVING
+	// take two passes where the rack streams one, and GROUP BY SUM's
+	// program rewrites packets (the evicted aggregate) while the §7.2
+	// switch forwards the bytes it received.
 	UseCluster bool
 	// LossRate injects packet loss on cluster links (UseCluster only).
 	LossRate float64
@@ -79,8 +80,8 @@ type Options struct {
 	Metrics *stats.Registry
 	// DisableTracing turns query lifecycle tracing off. By default every
 	// Exec/Submit/delta execution carries an obs.Trace collecting
-	// per-stage spans (plan, admission, skip, encode, prune, merge,
-	// per-switch passes), surfaced via Execution.Trace and
+	// per-stage spans (plan, admission, skip, one shard span per switch
+	// pass, the master's merge), surfaced via Execution.Trace and
 	// Execution.ExplainAnalyze. Tracing times whole stages — never
 	// per-entry work — and carries nothing back into the execution, so
 	// results stay bit-identical either way; the knob exists for

@@ -176,7 +176,7 @@ type Subscription struct {
 
 // Trace returns the lifecycle trace of the most recently completed
 // delta execution: the delta span plus the engine stages that ran
-// beneath it (encode/prune/merge, per-shard passes, failovers). Nil
+// beneath it (per-shard passes, failovers, the merge). Nil
 // before the first delta completes or when the session disabled
 // tracing.
 func (ss *Subscription) Trace() *obs.Trace {

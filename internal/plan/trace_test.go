@@ -2,6 +2,7 @@ package plan
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -62,72 +63,64 @@ func planStages(ex *Execution) map[obs.Stage][]obs.Span {
 	return out
 }
 
-// TestExplainAnalyzeAllKindsAcrossPaths is the tentpole's rendering
-// acceptance: for every kind, the default (fused) path, the sharded
-// path and the direct path each produce a trace whose span tree renders
-// the stages that actually ran — plan and the per-switch engine stages —
+// prunedScheme reports how ex's trace departs from the one span scheme of
+// a pruned run — a shard span on each of k switches, then one merge, and
+// never a fused, encode or prune span — or "" when it does not.
+func prunedScheme(ex *Execution, k int) string {
+	st := planStages(ex)
+	seen := map[int]bool{}
+	for _, s := range st[obs.StageShard] {
+		seen[s.Switch] = true
+	}
+	switch {
+	case len(seen) != k:
+		return fmt.Sprintf("shard spans on %d switches, want %d", len(seen), k)
+	case len(st[obs.StageMerge]) != 1:
+		return fmt.Sprintf("%d merge spans, want 1", len(st[obs.StageMerge]))
+	case len(st[obs.StageFused])+len(st[obs.StageEncode])+len(st[obs.StagePrune]) != 0:
+		return "a retired fused/encode/prune span"
+	}
+	return ""
+}
+
+// TestExplainAnalyzeAllKindsAcrossPaths is the tracing layer's rendering
+// acceptance: for every kind, the pruned path at one switch and at three
+// and the direct path each produce a trace whose span tree renders the
+// stages that actually ran — plan and the per-switch engine stages —
 // plus a measured wall clock.
 func TestExplainAnalyzeAllKindsAcrossPaths(t *testing.T) {
 	ctx := context.Background()
 
-	// Default single-switch path: plan span + one fused engine span.
-	for _, c := range traceKindCases(t, 1) {
-		q, err := c.b.Build()
-		if err != nil {
-			t.Fatalf("%s: %v", c.label, err)
-		}
-		ex, err := c.s.Exec(ctx, q)
-		if err != nil {
-			t.Fatalf("%s: %v", c.label, err)
-		}
-		if ex.Wall <= 0 {
-			t.Fatalf("%s fused: Wall not captured", c.label)
-		}
-		st := planStages(ex)
-		if len(st[obs.StagePlan]) == 0 {
-			t.Fatalf("%s fused: no plan span:\n%s", c.label, ex.Trace())
-		}
-		if len(st[obs.StageFused]) == 0 {
-			t.Fatalf("%s fused: no fused span:\n%s", c.label, ex.Trace())
-		}
-		if ex.RowsSkipped > 0 && len(st[obs.StageSkip]) == 0 {
-			t.Fatalf("%s fused: rows skipped but no skip span:\n%s", c.label, ex.Trace())
-		}
-		out := ex.ExplainAnalyze()
-		for _, want := range []string{"wall:", "trace:", "plan", "fused"} {
-			if !strings.Contains(out, want) {
-				t.Fatalf("%s fused: ExplainAnalyze missing %q:\n%s", c.label, want, out)
+	// Pruned path, in process: plan span + per-switch shard spans + the
+	// master's merge, at every width.
+	for _, k := range []int{1, 3} {
+		for _, c := range traceKindCases(t, k) {
+			q, err := c.b.Build()
+			if err != nil {
+				t.Fatalf("%s: %v", c.label, err)
 			}
-		}
-	}
-
-	// Sharded path: per-switch shard spans + the global merge.
-	const shards = 3
-	for _, c := range traceKindCases(t, shards) {
-		q, err := c.b.Build()
-		if err != nil {
-			t.Fatalf("%s: %v", c.label, err)
-		}
-		ex, err := c.s.Exec(ctx, q)
-		if err != nil {
-			t.Fatalf("%s sharded: %v", c.label, err)
-		}
-		st := planStages(ex)
-		seen := map[int]bool{}
-		for _, s := range st[obs.StageShard] {
-			seen[s.Switch] = true
-		}
-		if len(seen) != shards {
-			t.Fatalf("%s sharded: shard spans on %d switches, want %d:\n%s",
-				c.label, len(seen), shards, ex.Trace())
-		}
-		if len(st[obs.StageMerge]) == 0 {
-			t.Fatalf("%s sharded: no merge span:\n%s", c.label, ex.Trace())
-		}
-		out := ex.ExplainAnalyze()
-		for _, want := range []string{"wall:", "shard", "merge", "switch="} {
-			if !strings.Contains(out, want) {
-				t.Fatalf("%s sharded: ExplainAnalyze missing %q:\n%s", c.label, want, out)
+			ex, err := c.s.Exec(ctx, q)
+			if err != nil {
+				t.Fatalf("%s k=%d: %v", c.label, k, err)
+			}
+			if ex.Wall <= 0 {
+				t.Fatalf("%s k=%d: Wall not captured", c.label, k)
+			}
+			st := planStages(ex)
+			if len(st[obs.StagePlan]) == 0 {
+				t.Fatalf("%s k=%d: no plan span:\n%s", c.label, k, ex.Trace())
+			}
+			if bad := prunedScheme(ex, k); bad != "" {
+				t.Fatalf("%s k=%d: %s:\n%s", c.label, k, bad, ex.Trace())
+			}
+			if ex.RowsSkipped > 0 && len(st[obs.StageSkip]) == 0 {
+				t.Fatalf("%s k=%d: rows skipped but no skip span:\n%s", c.label, k, ex.Trace())
+			}
+			out := ex.ExplainAnalyze()
+			for _, want := range []string{"wall:", "trace:", "plan", "shard", "merge", "switch="} {
+				if !strings.Contains(out, want) {
+					t.Fatalf("%s k=%d: ExplainAnalyze missing %q:\n%s", c.label, k, want, out)
+				}
 			}
 		}
 	}
@@ -264,6 +257,42 @@ func TestSubmitQoSTrace(t *testing.T) {
 	}
 }
 
+// TestSpansInsideWall pins where the one clock starts: before the trace
+// and before planning, on Session.Exec as on Submit, so that for every
+// kind every span — the plan span included — ends inside Execution.Wall.
+func TestSpansInsideWall(t *testing.T) {
+	ctx := context.Background()
+	for _, c := range traceKindCases(t, 1) {
+		q, err := c.b.Build()
+		if err != nil {
+			t.Fatalf("%s: %v", c.label, err)
+		}
+		local, err := c.s.Exec(ctx, q)
+		if err != nil {
+			t.Fatalf("%s: Exec: %v", c.label, err)
+		}
+		sv, err := c.s.Serve(ctx, ServeOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		served, err := sv.Submit(ctx, q)
+		sv.Close()
+		if err != nil {
+			t.Fatalf("%s: Submit: %v", c.label, err)
+		}
+		for door, ex := range map[string]*Execution{"Exec": local, "Submit": served} {
+			if len(planStages(ex)[obs.StagePlan]) == 0 {
+				t.Fatalf("%s: %s: no plan span:\n%s", c.label, door, ex.Trace())
+			}
+			for _, sp := range ex.Trace().Spans() {
+				if end := sp.Start + sp.Dur; end > ex.Wall {
+					t.Errorf("%s: %s: %v span ends at %v, outside Wall %v:\n%s", c.label, door, sp.Stage, end, ex.Wall, ex.Trace())
+				}
+			}
+		}
+	}
+}
+
 // TestSubscriptionDeltaTrace pins the streaming path: every completed
 // delta publishes a fresh trace with a top-level delta span bracketing
 // the engine stages that ran beneath it.
@@ -314,7 +343,7 @@ func TestSubscriptionDeltaTrace(t *testing.T) {
 			if sp.Entries <= 0 {
 				t.Fatalf("delta span carries no entries:\n%s", tr)
 			}
-		case obs.StageFused, obs.StageEncode, obs.StagePrune, obs.StageMerge, obs.StageScan:
+		case obs.StageShard, obs.StageMerge, obs.StageScan:
 			engineStages++
 		}
 	}
