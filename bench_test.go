@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"testing"
+	"time"
 
 	"cheetah"
 	"cheetah/internal/bench"
@@ -154,7 +155,9 @@ func buildUserVisits(b *testing.B, rows int) *cheetah.Table {
 // benchExecCheetah runs q through ExecCheetah with the given path and
 // reports entries/s; the fused (default), batch (NoFuse) and scalar
 // variants of each benchmark share it so the speedup criteria are
-// measurable in one build.
+// measurable in one build. Every iteration takes a new seed, so for the
+// keyed kinds it is the cold query — the table's fingerprint column is
+// hashed again under each seed; BenchmarkKeyedKindsWarm is the warm one.
 func benchExecCheetah(b *testing.B, q *cheetah.Query, rows int, opts cheetah.CheetahOptions) {
 	b.Helper()
 	b.ReportAllocs()
@@ -333,6 +336,38 @@ func BenchmarkExecCheetahGroupByMax100kBatch(b *testing.B) {
 
 func BenchmarkExecDirectGroupByMax100k(b *testing.B) {
 	benchExecDirect(b, agg100kQuery(b, cheetah.KindGroupByMax))
+}
+
+// BenchmarkKeyedKindsWarm runs DISTINCT and HAVING over userAgent twice
+// per iteration under a seed the table has not hashed under yet: the first
+// pair builds the table's fingerprint column (once — HAVING already reads
+// what DISTINCT hashed), the second pair only reads it. cold/warm is the
+// whole point of the memo in one number: near 1 means a reader lost its
+// hit and is hashing per query again.
+func BenchmarkKeyedKindsWarm(b *testing.B) {
+	distinct := distinct100kQuery(b)
+	having := agg100kQuery(b, cheetah.KindHaving)
+	having.Table = distinct.Table
+	pair := func(seed uint64) time.Duration {
+		start := time.Now()
+		for _, q := range []*cheetah.Query{distinct, having} {
+			if _, err := cheetah.ExecCheetah(q, cheetah.CheetahOptions{Workers: 5, Seed: seed}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		return time.Since(start)
+	}
+	var cold, warm time.Duration
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		seed := uint64(i) + 1
+		cold += pair(seed)
+		warm += pair(seed)
+	}
+	b.ReportMetric(float64(cold.Nanoseconds())/float64(b.N), "cold-ns/op")
+	b.ReportMetric(float64(warm.Nanoseconds())/float64(b.N), "warm-ns/op")
+	b.ReportMetric(float64(cold)/float64(warm), "cold/warm")
 }
 
 // benchPlan plans q over and over on one session: what a served or

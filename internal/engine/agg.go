@@ -60,10 +60,12 @@ func (ps *pass) agg(p *partial) error {
 		}
 	} else {
 		// The chunked pipeline: packets are (fingerprint) or (fingerprint,
-		// value) columns; absorb sees each chunk's forwarded indices.
-		enc, width := encFingerprint(t, p.cols, seed), 1
+		// value) columns, the fingerprints copied from the same column the
+		// fused scans read; absorb sees each chunk's forwarded indices.
+		fps := p.hashKeys(seed)
+		enc, width := encFingerprint(fps), 1
 		if vc >= 0 {
-			enc, width = encKeyVal(t, p.cols[0], vc, seed), 2
+			enc, width = encKeyVal(fps, t.Int64Col(vc)), 2
 		}
 		var absorb func(cols [][]uint64, ids []uint64, j uint64)
 		switch q.Kind {
@@ -105,6 +107,7 @@ func (ps *pass) agg(p *partial) error {
 		p.resolve(seed)
 		ps.traffic.MasterProcessed = len(p.ents)
 	}
+	ps.keys = keysNote(p.hashedRows)
 	return nil
 }
 

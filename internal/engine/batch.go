@@ -23,6 +23,7 @@ package engine
 
 import (
 	"runtime"
+	"strconv"
 	"sync"
 
 	"cheetah/internal/hashutil"
@@ -237,7 +238,33 @@ func accessorFor(t *table.Table, c int) colAcc {
 	return colAcc{ints: t.Int64Col(c)}
 }
 
-// fingerprintAccs is fingerprintRow over hoisted accessors; it must stay
+// keyColumn returns the key fingerprints of column c of t under seed, one
+// per row, and how many rows this call hashed: the table's memoised column
+// (table.KeyFingerprints), shared with every other reader of it, or — for
+// a handle the memo turns away — *scratch, filled by the same hasher. Read
+// it, never write it, and do not pool it: only *scratch is the caller's.
+func keyColumn(t *table.Table, c int, seed uint64, scratch *[]uint64) (fps []uint64, hashed int) {
+	if fps, hashed, ok := t.KeyFingerprints(c, seed); ok {
+		return fps, hashed
+	}
+	*scratch = growU64(*scratch, t.NumRows())
+	t.HashKeys(c, seed, *scratch)
+	return *scratch, t.NumRows()
+}
+
+// keysNote is what a traced pass says about the key fingerprints it read:
+// that it found them all on the table, or how many rows it hashed first —
+// why the first query after Open, an append burst or a reorder is slower
+// than the second.
+func keysNote(hashed int) string {
+	if hashed == 0 {
+		return "keys: memo"
+	}
+	return "keys: hashed " + strconv.Itoa(hashed)
+}
+
+// fingerprintAccs is fingerprintRow over hoisted accessors — the
+// multi-column arm, hashed per query (partial.hashKeys); it must stay
 // bit-identical to fingerprintRow.
 func fingerprintAccs(accs []colAcc, r int, seed uint64) uint64 {
 	h := seed ^ 0xfeedface
@@ -253,57 +280,14 @@ func fingerprintAccs(accs []colAcc, r int, seed uint64) uint64 {
 	return h
 }
 
-// encFingerprint encodes dst[0] = fingerprintRow over cols, with
-// closure-free inner loops for the dominant single-column cases.
-func encFingerprint(t *table.Table, cols []int, seed uint64) partEncoder {
-	accs := make([]colAcc, len(cols))
-	for i, c := range cols {
-		accs[i] = accessorFor(t, c)
-	}
-	h0 := seed ^ 0xfeedface
-	if len(accs) == 1 && accs[0].isStr {
-		strs := accs[0].strs
-		return func(dst [][]uint64, ids []uint64, lo, hi, pos0, stride int) {
-			out := dst[0]
-			p := pos0
-			if ids != nil {
-				for r := lo; r < hi; r++ {
-					out[p] = hashutil.Mix64(h0 ^ hashutil.HashString64(strs[r], seed))
-					ids[p] = uint64(r)
-					p += stride
-				}
-				return
-			}
-			for r := lo; r < hi; r++ {
-				out[p] = hashutil.Mix64(h0 ^ hashutil.HashString64(strs[r], seed))
-				p += stride
-			}
-		}
-	}
-	if len(accs) == 1 {
-		ints := accs[0].ints
-		return func(dst [][]uint64, ids []uint64, lo, hi, pos0, stride int) {
-			out := dst[0]
-			p := pos0
-			if ids != nil {
-				for r := lo; r < hi; r++ {
-					out[p] = hashutil.Mix64(h0 ^ hashutil.HashUint64(uint64(ints[r]), seed))
-					ids[p] = uint64(r)
-					p += stride
-				}
-				return
-			}
-			for r := lo; r < hi; r++ {
-				out[p] = hashutil.Mix64(h0 ^ hashutil.HashUint64(uint64(ints[r]), seed))
-				p += stride
-			}
-		}
-	}
+// encFingerprint encodes dst[0] = fps[r], the row's key fingerprint read
+// from its table's fingerprint column (keyColumn, partial.hashKeys).
+func encFingerprint(fps []uint64) partEncoder {
 	return func(dst [][]uint64, ids []uint64, lo, hi, pos0, stride int) {
 		out := dst[0]
 		p := pos0
-		for r := lo; r < hi; r++ {
-			out[p] = fingerprintAccs(accs, r, seed)
+		for _, fp := range fps[lo:hi] {
+			out[p] = fp
 			p += stride
 		}
 		fillIDs(ids, lo, hi, pos0, stride)
@@ -339,9 +323,8 @@ func encInt64(t *table.Table, col int) partEncoder {
 
 // encKeyVal encodes dst[0] = fingerprint(key), dst[1] = uint64(value) —
 // the GROUP BY / HAVING packet layout.
-func encKeyVal(t *table.Table, keyCol, valCol int, seed uint64) partEncoder {
-	fpEnc := encFingerprint(t, []int{keyCol}, seed)
-	vals := t.Int64Col(valCol)
+func encKeyVal(fps []uint64, vals []int64) partEncoder {
+	fpEnc := encFingerprint(fps)
 	return func(dst [][]uint64, ids []uint64, lo, hi, pos0, stride int) {
 		fpEnc(dst[:1], ids, lo, hi, pos0, stride)
 		out := dst[1]
@@ -355,8 +338,8 @@ func encKeyVal(t *table.Table, keyCol, valCol int, seed uint64) partEncoder {
 
 // encSide encodes dst[0] = side marker, dst[1] = fingerprint(key) — the
 // join packet layout.
-func encSide(t *table.Table, keyCol int, side prune.JoinSide, seed uint64) partEncoder {
-	fpEnc := encFingerprint(t, []int{keyCol}, seed)
+func encSide(fps []uint64, side prune.JoinSide) partEncoder {
+	fpEnc := encFingerprint(fps)
 	return func(dst [][]uint64, ids []uint64, lo, hi, pos0, stride int) {
 		sides := dst[0]
 		sv := uint64(side)

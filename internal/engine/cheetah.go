@@ -214,7 +214,11 @@ func interleave(t *table.Table, workers int, visit func(globalRow int)) {
 }
 
 // fingerprintRow hashes the named columns of row r into one 64-bit
-// fingerprint, the CWorker-side encoding for wide/multi-column keys.
+// fingerprint, the CWorker-side encoding for wide/multi-column keys. It is
+// the scalar reference's own, cell by cell: the pruned passes read a
+// single-column key's fingerprints off the table instead
+// (table.KeyFingerprints), and this path never does, so that it can check
+// them.
 func fingerprintRow(t *table.Table, cols []int, r int, seed uint64) uint64 {
 	h := seed ^ 0xfeedface
 	for _, c := range cols {

@@ -22,7 +22,7 @@ package engine
 //
 //   - Stateless or order-insensitive passes (FILTER's predicate sweeps,
 //     JOIN's Bloom build/probe, HAVING's exact second pass, and the
-//     up-front fingerprinting of a key column, partial.hashKeys) run in
+//     fingerprinting of a key column, table.KeyFingerprints) run in
 //     plain row order: their totals and final state cannot depend on
 //     order.
 //   - Randomized TOP N draws its row choices from a counter-indexed RNG
@@ -69,44 +69,6 @@ func rrStarts(lo, n, workers int) []int {
 		starts[i] = lo + i*n/workers
 	}
 	return starts
-}
-
-// rowFP is fingerprintRow compiled to a direct (devirtualized) per-row
-// call, with the dominant single-column cases hoisted to a raw column
-// slice; it must stay bit-identical to fingerprintRow / encFingerprint.
-type rowFP struct {
-	strs []string
-	ints []int64
-	accs []colAcc
-	seed uint64
-	h0   uint64
-}
-
-func newRowFP(t *table.Table, cols []int, seed uint64) rowFP {
-	f := rowFP{seed: seed, h0: seed ^ 0xfeedface}
-	if len(cols) == 1 {
-		if t.ColumnType(cols[0]) == table.String {
-			f.strs = t.StringCol(cols[0])
-		} else {
-			f.ints = t.Int64Col(cols[0])
-		}
-		return f
-	}
-	f.accs = make([]colAcc, len(cols))
-	for i, c := range cols {
-		f.accs[i] = accessorFor(t, c)
-	}
-	return f
-}
-
-func (f *rowFP) fp(r int) uint64 {
-	if f.strs != nil {
-		return hashutil.Mix64(f.h0 ^ hashutil.HashString64(f.strs[r], f.seed))
-	}
-	if f.ints != nil {
-		return hashutil.Mix64(f.h0 ^ hashutil.HashUint64(uint64(f.ints[r]), f.seed))
-	}
-	return fingerprintAccs(f.accs, r, f.seed)
 }
 
 // --- FILTER ------------------------------------------------------------
@@ -499,9 +461,8 @@ func fusedGroupByMaxScan(t *table.Table, vc int, seed uint64, g *prune.GroupBy, 
 
 // fusedGroupBySumScan streams (key fingerprint, value) through the
 // in-switch aggregation matrix in worker-interleave order; evicted
-// aggregates absorb into p. Each row's fingerprint is kept in p's
-// hash-once column, from which p.resolve finds the surviving
-// fingerprints' keys after the drain.
+// aggregates absorb into p. p.resolve reads the same fingerprint column
+// again to find the surviving fingerprints' keys after the drain.
 func fusedGroupBySumScan(t *table.Table, vc int, seed uint64, gs *prune.GroupBySum, workers int, p *partial) (sent, fwd int) {
 	fps, order := p.hashKeys(seed), p.arrival(workers)
 	vals := t.Int64Col(vc)
@@ -522,8 +483,8 @@ func fusedGroupBySumScan(t *table.Table, vc int, seed uint64, gs *prune.GroupByS
 
 // fusedHavingPass1 streams (key fingerprint, value) through the
 // Count-Min sketch in worker-interleave order; a forwarded entry makes
-// its fingerprint a candidate of p. Each row's fingerprint is kept in p's
-// hash-once column for the second pass (partial.sumCandidates).
+// its fingerprint a candidate of p. The second pass
+// (partial.sumCandidates) reads the same fingerprint column again.
 func fusedHavingPass1(t *table.Table, vc int, seed uint64, h *prune.Having, workers int, p *partial) (sent, fwd int) {
 	fps, order := p.hashKeys(seed), p.arrival(workers)
 	vals := t.Int64Col(vc)

@@ -201,7 +201,7 @@ func TestFusedCustomPrunerFilter(t *testing.T) {
 	}
 }
 
-// TestFusedJoinEdgeCases drives the fused JOIN (hash-once passes, then
+// TestFusedJoinEdgeCases drives the fused JOIN (train and probe passes, then
 // the fingerprint completion) over the degenerate input shapes, with
 // the symmetric and the asymmetric program and Skip on and off: Results
 // equal ExecDirect, Traffic, Stats and skip counts equal the batched

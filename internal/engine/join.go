@@ -1,9 +1,10 @@
 package engine
 
-// JOIN's way through the pruned executors. The worker side fingerprints
-// every key once: the build pass stores each scanned row's fingerprint,
-// the probe pass reads it back, and survivors reach the master as
-// (row, fingerprint) pairs. The master joins on those fingerprints in a
+// JOIN's way through the pruned executors. The worker side hashes no key
+// a pass before it has hashed: each side's key fingerprints are a column
+// the table keeps (table.KeyFingerprints), the build pass trains on it,
+// the probe pass tests it, and survivors reach the master as (row,
+// fingerprint) pairs. The master joins on those fingerprints in a
 // uint64-keyed table — O(forwarded) typed work, no string hashing — and
 // compares the key cells themselves on every fingerprint match, so two
 // keys that collide on a fingerprint stay two keys and the answer is
@@ -25,68 +26,71 @@ import (
 	"cheetah/internal/table"
 )
 
-// joinSide is one JOIN input as the master receives it: rows[i] survived
-// the switch and its key fingerprints to fps[i]. During the fused passes
-// fps doubles as the side's hash-once buffer, indexed by row.
+// joinSide is one JOIN input: on the worker side col, its key column's
+// fingerprints by row — the table's memoised column or scratch (keyColumn)
+// — and on the master side what survived the switch, rows[i] with its
+// fingerprint fps[i].
 type joinSide struct {
-	rows []int
-	fps  []uint64
+	rows    []int
+	fps     []uint64
+	col     []uint64 // shared with the table: read-only, dropped before pooling
+	scratch []uint64
 }
 
-// hash fingerprints the key of every row in spans into fps at the row's
-// own index, training mem (when non-nil) with each. Bloom Add is
-// commutative, so plain row order suffices.
-func (s *joinSide) hash(t *table.Table, kc int, seed uint64, spans []span, mem sketch.Membership) (sent int) {
-	s.fps = growU64(s.fps, t.NumRows())
-	fps := s.fps
-	fpr := newRowFP(t, []int{kc}, seed)
+// load fetches the side's fingerprint column for a pass over t and
+// returns how many rows that hashed.
+func (s *joinSide) load(t *table.Table, kc int, seed uint64) (hashed int) {
+	s.col, hashed = keyColumn(t, kc, seed, &s.scratch)
+	return hashed
+}
+
+// train adds the fingerprint of every row in spans to mem (a nil mem
+// trains nothing: the rows still stream). Bloom Add is commutative, so
+// plain row order suffices.
+func (s *joinSide) train(spans []span, mem sketch.Membership) (sent int) {
 	for _, sp := range spans {
 		sent += sp.hi - sp.lo
-		for r := sp.lo; r < sp.hi; r++ {
-			fp := fpr.fp(r)
-			fps[r] = fp
-			if mem != nil {
-				mem.Add(fp)
-			}
+		if mem == nil {
+			continue
+		}
+		for _, fp := range s.col[sp.lo:sp.hi] {
+			mem.Add(fp)
 		}
 	}
 	return sent
 }
 
-// probe keeps the hashed rows of spans whose fingerprint tests positive
-// in mem (every row when mem is nil — the asymmetric build side, which
-// forwards unpruned), compacting their fingerprints to the front of fps:
-// survivor k never sits past row k, so the compaction cannot overwrite
-// a fingerprint it has yet to read. Contains does not mutate, so plain
-// row order suffices.
+// probe keeps the rows of spans whose fingerprint tests positive in mem
+// (every row when mem is nil — the asymmetric build side, which forwards
+// unpruned), copying each survivor's fingerprint out of the column, which
+// is not this pass's to compact. Contains does not mutate, so plain row
+// order suffices.
 func (s *joinSide) probe(spans []span, mem sketch.Membership) (sent, fwd int) {
-	fps, rows := s.fps, s.rows[:0]
+	rows, fps := s.rows[:0], s.fps[:0]
 	for _, sp := range spans {
 		sent += sp.hi - sp.lo
 		for r := sp.lo; r < sp.hi; r++ {
-			fp := fps[r]
-			if mem == nil || mem.Contains(fp) {
-				fps[len(rows)] = fp
-				rows = append(rows, r)
+			if fp := s.col[r]; mem == nil || mem.Contains(fp) {
+				rows, fps = append(rows, r), append(fps, fp)
 			}
 		}
 	}
-	s.rows, s.fps = rows, fps[:len(rows)]
+	s.rows, s.fps = rows, fps
 	return sent, len(rows)
 }
 
-// fingerprint fills fps from rows — the chunked pipeline collects
-// survivor row ids only, so their fingerprints are recomputed here.
-func (s *joinSide) fingerprint(t *table.Table, kc int, seed uint64) {
-	s.fps = growU64(s.fps, len(s.rows))
-	fpr := newRowFP(t, []int{kc}, seed)
-	for i, r := range s.rows {
-		s.fps[i] = fpr.fp(r)
+// gather fills fps from rows — the chunked pipeline collects survivor row
+// ids only, so their fingerprints are read back from the column here.
+func (s *joinSide) gather(rows []int) {
+	s.rows = rows
+	s.fps = growU64(s.fps, len(rows))
+	for i, r := range rows {
+		s.fps[i] = s.col[r]
 	}
 }
 
 // joinScratch is the pooled state of one pruned JOIN: both sides'
-// survivor buffers and the master's table (one per key type).
+// buffers and the master's table (one per key type).
 type joinScratch struct {
 	left, right joinSide
 	strs        joinTable[string]
@@ -95,12 +99,27 @@ type joinScratch struct {
 
 var joinScratchPool = sync.Pool{New: func() any { return new(joinScratch) }}
 
+// load fetches both sides' fingerprint columns for a pass over q's table
+// pair and returns how many rows that hashed.
+func (sc *joinScratch) load(q *Query, seed uint64) (hashed int) {
+	return sc.left.load(q.Table, q.Table.Schema().MustIndex(q.LeftKey), seed) +
+		sc.right.load(q.Right, q.Right.Schema().MustIndex(q.RightKey), seed)
+}
+
+// release returns sc to the pool without the tables' columns, which the
+// pool must not pin.
+func (sc *joinScratch) release() {
+	sc.left.col, sc.right.col = nil, nil
+	joinScratchPool.Put(sc)
+}
+
 // fusedJoinPasses runs the whole Bloom join of q's table pair on j —
-// build, switchover, probe — as fused loops and leaves both sides'
-// survivors in sc. It serves the single-switch path and every shard of
-// the sharded one. j must be in its build phase: the loops hard-code
-// which filter each pass trains or probes.
-func fusedJoinPasses(q *Query, j *prune.Join, seed uint64, skip bool, sc *joinScratch) (tr Traffic, skipped SkipStats) {
+// build, switchover, probe — as fused loops over the fingerprint columns
+// sc has loaded, and leaves both sides' survivors in sc. It serves the
+// single-switch path and every shard of the sharded one. j must be in its
+// build phase: the loops hard-code which filter each pass trains or
+// probes.
+func fusedJoinPasses(q *Query, j *prune.Join, skip bool, sc *joinScratch) (tr Traffic, skipped SkipStats) {
 	lc := q.Table.Schema().MustIndex(q.LeftKey)
 	rc := q.Right.Schema().MustIndex(q.RightKey)
 	leftSpans := fullSpans(q.Table)
@@ -113,18 +132,17 @@ func fusedJoinPasses(q *Query, j *prune.Join, seed uint64, skip bool, sc *joinSc
 	if j.Asymmetric() {
 		// §4.3's small-table optimization: side A streams once, unpruned,
 		// while its filter trains; only side B is pruned against it.
-		sc.left.hash(q.Table, lc, seed, leftSpans, fa)
+		sc.left.train(leftSpans, fa)
 		sent, fl = sc.left.probe(leftSpans, nil)
 		j.StartProbe()
-		sc.right.hash(q.Right, rc, seed, rightSpans, nil)
 		var s int
 		s, fr = sc.right.probe(rightSpans, fa)
 		sent += s
 		pruned = s - fr
 	} else {
 		// Build-pass packets terminate at the switch: all pruned.
-		pruned = sc.left.hash(q.Table, lc, seed, leftSpans, fa)
-		pruned += sc.right.hash(q.Right, rc, seed, rightSpans, fb)
+		pruned = sc.left.train(leftSpans, fa)
+		pruned += sc.right.train(rightSpans, fb)
 		j.StartProbe()
 		var sl, sr int
 		sl, fl = sc.left.probe(leftSpans, fb)
@@ -299,9 +317,9 @@ func joinResult(q *Query, parts []joinPart) *Result {
 // batchJoinPasses is fusedJoinPasses on the chunked pipeline — the same
 // build → switchover → probe sequence streamed through dp, whose passes
 // consult j's live phase — for dataplanes that withhold direct program
-// access. It returns the surviving row ids of both sides.
-func batchJoinPasses(q *Query, j *prune.Join, dp BatchDataplane, workers int, seed uint64, skip bool,
-	buf *streamBuf) (left, right []int, tr Traffic, skipped SkipStats, err error) {
+// access. It leaves both sides' survivors in sc, like the fused passes.
+func batchJoinPasses(q *Query, j *prune.Join, dp BatchDataplane, workers int, skip bool,
+	buf *streamBuf, sc *joinScratch) (tr Traffic, skipped SkipStats, err error) {
 	lc := q.Table.Schema().MustIndex(q.LeftKey)
 	rc := q.Right.Schema().MustIndex(q.RightKey)
 	// Probe-side block skipping (skip.go): a right block where every
@@ -315,8 +333,16 @@ func batchJoinPasses(q *Query, j *prune.Join, dp BatchDataplane, workers int, se
 	if skip {
 		rightSpans, skipped = joinRightSpans(q.Table, lc, q.Right, rc)
 	}
-	encAFor := func(t *table.Table) partEncoder { return encSide(t, lc, prune.SideA, seed) }
-	encBFor := func(t *table.Table) partEncoder { return encSide(t, rc, prune.SideB, seed) }
+	// A span streams as a view of its table (spanPass), and its packets
+	// carry the view's rows of the table's fingerprint column.
+	encFor := func(t *table.Table, s *joinSide, side prune.JoinSide) func(*table.Table) partEncoder {
+		return func(v *table.Table) partEncoder {
+			lo := v.RootOffset() - t.RootOffset()
+			return encSide(s.col[lo:lo+v.NumRows()], side)
+		}
+	}
+	encAFor := encFor(q.Table, &sc.left, prune.SideA)
+	encBFor := encFor(q.Right, &sc.right, prune.SideB)
 	// pass streams one side; a nil sv is a build pass, which counts
 	// forwards without collecting.
 	pass := func(t *table.Table, spans []span, encFor func(*table.Table) partEncoder, sv *survivorSet) {
@@ -354,15 +380,11 @@ func batchJoinPasses(q *Query, j *prune.Join, dp BatchDataplane, workers int, se
 		pass(q.Table, leftSpans, encAFor, &l)
 		pass(q.Right, rightSpans, encBFor, &r)
 	}
+	if err != nil {
+		return tr, skipped, err
+	}
 	tr.MasterProcessed = len(l.rows) + len(r.rows)
-	return l.rows, r.rows, tr, skipped, err
-}
-
-// completeJoinRows is completeJoin for the chunked pipeline, which
-// collects survivor row ids only: it fingerprints them first.
-func completeJoinRows(q *Query, seed uint64, left, right []int) ([][]string, error) {
-	sc := &joinScratch{left: joinSide{rows: left}, right: joinSide{rows: right}}
-	sc.left.fingerprint(q.Table, q.Table.Schema().MustIndex(q.LeftKey), seed)
-	sc.right.fingerprint(q.Right, q.Right.Schema().MustIndex(q.RightKey), seed)
-	return completeJoin(q, sc)
+	sc.left.gather(l.rows)
+	sc.right.gather(r.rows)
+	return tr, skipped, nil
 }

@@ -155,7 +155,13 @@ func TestCompleteJoinMixedKeyTypes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := completeJoinRows(q, 3, allRows(ints), allRows(strs))
+	// The chunked pipeline's hand-over: survivor row ids, their
+	// fingerprints read back from the loaded columns.
+	sc := new(joinScratch)
+	sc.load(q, 3)
+	sc.left.gather(allRows(ints))
+	sc.right.gather(allRows(strs))
+	rows, err := completeJoin(q, sc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -116,13 +116,16 @@ type partial struct {
 	// spill holds HAVING's sums for keys whose fingerprint is another
 	// candidate's; nil until the first collision.
 	spill map[string]int64
-	// fps is the hash-once column of tables[0]: fps[r] is row r's key
-	// fingerprint, valid while hashed is set (hashKeys). HAVING's second
-	// pass and GROUP BY SUM's key resolution read the fused scan's
-	// fingerprints back from it instead of hashing again.
-	fps    []uint64
-	hashed bool
-	order  []int // arrival's scratch
+	// fps is the fingerprint column of tables[0] — fps[r] is row r's key
+	// fingerprint — once a pass has asked for it (hashKeys): the table's
+	// own memoised column, shared and read-only, or scratch when the table
+	// keeps none for this key (several columns, a handle its memo turns
+	// away). hashedRows is how many rows asking cost.
+	fps        []uint64
+	hashed     bool
+	hashedRows int
+	scratch    []uint64
+	order      []int // arrival's scratch
 	// Render scratch: keys and their entry indices, sorted in lock-step,
 	// and the value cells' digits with where each cell's end.
 	sorter radixSorter
@@ -174,15 +177,17 @@ func (p *partial) reset(t *table.Table) {
 	}
 	p.ents = p.ents[:0]
 	p.spill = nil
-	p.hashed = false
+	p.fps, p.hashed, p.hashedRows = nil, false, 0
 }
 
 // release returns p to the pool. Nothing rendered from p refers to its
-// scratch, so the Result outlives it.
+// scratch, so the Result outlives it; the pool must not pin a table's
+// rows or its fingerprint column, so those references are dropped.
 func (p *partial) release() {
 	clear(p.tables)
 	p.spill = nil
-	if cap(p.tab.slots) > partialPoolMax || cap(p.fps) > partialPoolMax {
+	p.fps = nil
+	if cap(p.tab.slots) > partialPoolMax || cap(p.scratch) > partialPoolMax {
 		*p = partial{}
 	}
 	partialPool.Put(p)
@@ -229,20 +234,30 @@ func (p *partial) absorbMax(fp uint64, v int64, row int) {
 // switch summed many — so the entry's key waits for resolve.
 func (p *partial) absorbSum(fp uint64, v int64) { p.slot(fp).val += v }
 
-// hashKeys returns the hash-once column, filling it first unless a scan
-// of this pass already has: every row of tables[0] fingerprinted on p's
-// key columns, in one tight loop that no stream loop's branches stall.
-// The fused scans start from it; the batch fallbacks, which stream
-// fingerprints through chunk buffers and keep no column, only get here
-// through resolve or sumCandidates.
+// hashKeys returns the fingerprint column of tables[0], fetching it on the
+// pass's first call: a single key column's is the table's to keep
+// (keyColumn) — hashed once per table, not per query, and read here; a
+// multi-column key has no column to memoise on and is hashed per query, in
+// one tight loop that no stream loop's branches stall. The scans of both
+// streams start from it, and resolve and sumCandidates read it again.
 func (p *partial) hashKeys(seed uint64) []uint64 {
-	if !p.hashed {
-		p.fps = growU64(p.fps, p.tables[0].NumRows())
-		fpr := newRowFP(p.tables[0], p.cols, seed)
-		for r := range p.fps {
-			p.fps[r] = fpr.fp(r)
+	if p.hashed {
+		return p.fps
+	}
+	p.hashed = true
+	t := p.tables[0]
+	if len(p.cols) == 1 {
+		p.fps, p.hashedRows = keyColumn(t, p.cols[0], seed, &p.scratch)
+	} else {
+		p.scratch = growU64(p.scratch, t.NumRows())
+		accs := make([]colAcc, len(p.cols))
+		for i, c := range p.cols {
+			accs[i] = accessorFor(t, c)
 		}
-		p.hashed = true
+		for r := range p.scratch {
+			p.scratch[r] = fingerprintAccs(accs, r, seed)
+		}
+		p.fps, p.hashedRows = p.scratch, t.NumRows()
 	}
 	return p.fps
 }
@@ -337,7 +352,7 @@ func (p *partial) spillAdd(key string, v int64) {
 
 // copyCandidates makes p's entries a copy of g's — every shard starts
 // HAVING's second pass from the union of all shards' candidates — and
-// keeps p's own table and hash-once column.
+// keeps p's own table and fingerprint column.
 func (p *partial) copyCandidates(g *partial) {
 	p.tab.slots = append(p.tab.slots[:0], g.tab.slots...)
 	p.ents = append(p.ents[:0], g.ents...)

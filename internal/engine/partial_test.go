@@ -101,13 +101,13 @@ func withAggEdges(queries map[string]*Query) map[string]*Query {
 // keys afterwards.
 func absorbAll(q *Query, p *partial, seed uint64) {
 	t := p.tables[0]
-	fpr := newRowFP(t, p.cols, seed)
+	fps := p.hashKeys(seed)
 	vc := -1
 	if q.Kind != KindDistinct {
 		vc = t.Schema().MustIndex(q.AggCol)
 	}
 	for r := 0; r < t.NumRows(); r++ {
-		switch fp := fpr.fp(r); q.Kind {
+		switch fp := fps[r]; q.Kind {
 		case KindDistinct:
 			p.absorbFirst(fp, r)
 		case KindGroupByMax:

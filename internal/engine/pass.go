@@ -45,6 +45,9 @@ type pass struct {
 	skip    bool // block skipping (skip.go) for the kinds with a sound bound
 	noFuse  bool
 	fused   bool // the latest run took the fused loops
+	// keys is the latest run's keysNote — whether its key fingerprints came
+	// off the table or were hashed first; empty for the kinds that read none.
+	keys string
 	// traffic.MasterProcessed is what the master touches to complete this
 	// pass's part, defined by the scalar reference (cheetah.go): the
 	// forwarded entries, but GROUP BY SUM's distinct forwarded keys and
@@ -318,24 +321,25 @@ func (ps *pass) joinRows() ([][]string, error) {
 	if !ok {
 		return nil, fmt.Errorf("engine: join needs a *prune.Join, got %T", ps.pruner)
 	}
+	sc := joinScratchPool.Get().(*joinScratch)
+	defer sc.release()
+	ps.keys = keysNote(sc.load(ps.q, ps.seed))
 	// fusedJoinPasses hard-codes which filter each pass trains or probes,
 	// which only matches the chunked passes — they consult the live phase —
 	// when the program starts in its build phase (a mid-phase standing
 	// program keeps the chunked pipeline).
 	if ps.fuse(j.Phase() == prune.PhaseBuild) {
-		sc := joinScratchPool.Get().(*joinScratch)
-		defer joinScratchPool.Put(sc)
-		ps.traffic, ps.skipped = fusedJoinPasses(ps.q, j, ps.seed, ps.skip, sc)
+		ps.traffic, ps.skipped = fusedJoinPasses(ps.q, j, ps.skip, sc)
 		return completeJoin(ps.q, sc)
 	}
 	buf := getStreamBuf()
 	defer putStreamBuf(buf)
-	left, right, tr, skipped, err := batchJoinPasses(ps.q, j, ps.dp, ps.workers, ps.seed, ps.skip, buf)
+	tr, skipped, err := batchJoinPasses(ps.q, j, ps.dp, ps.workers, ps.skip, buf, sc)
 	if err != nil {
 		return nil, err
 	}
 	ps.traffic, ps.skipped = tr, skipped
-	return completeJoinRows(ps.q, ps.seed, left, right)
+	return completeJoin(ps.q, sc)
 }
 
 // completeAgg is the aggregation kinds' completion: the partials merge —

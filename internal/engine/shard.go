@@ -93,7 +93,8 @@ type ShardedOptions struct {
 	// automatically; Results are identical either way.
 	NoFuse bool
 	// Trace, when non-nil, collects one span per shard pass — noted with
-	// the stream it took, fused or chunked — plus a failover span per
+	// the stream it took, fused or chunked, and with where its key
+	// fingerprints came from (keysNote) — plus a failover span per
 	// discarded attempt and one merge span for the master's completion
 	// into the query's lifecycle trace: the span scheme of every pruned
 	// run, in process or leased, at every width. Span recording is
@@ -236,6 +237,7 @@ func (se *shardExec) run(opts ShardedOptions, attempt func(s int) error) error {
 		se.ensureHealthy(opts)
 		se.traffic = Traffic{}
 		se.skipped = SkipStats{}
+		se.keys = ""
 		if redo {
 			se.tm = opts.Trace.Begin(obs.StageShard, se.idx)
 		}
@@ -244,10 +246,14 @@ func (se *shardExec) run(opts ShardedOptions, attempt func(s int) error) error {
 			return err
 		}
 		if se.healthErr() == nil {
-			// The note names the stream the pass took (pass.fuse).
+			// The note names the stream the pass took (pass.fuse) and where
+			// its key fingerprints came from (keysNote).
 			note := "chunked"
 			if se.fused {
 				note = "fused"
+			}
+			if se.keys != "" {
+				note += "; " + se.keys
 			}
 			if se.degraded {
 				note += "; degraded: master-side backstop"

@@ -2,6 +2,8 @@ package engine
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -141,12 +143,28 @@ func TestTracingDoesNotPerturbExecution(t *testing.T) {
 	}
 }
 
+// keyRowsOf returns how many rows of key fingerprints a pass over q reads
+// — 0 for the kinds that read none — and whether the table can keep them
+// (a single key column; a multi-column key is hashed per query).
+func keyRowsOf(q *Query) (rows int, memoised bool) {
+	switch q.Kind {
+	case KindDistinct:
+		return q.Table.NumRows(), len(q.DistinctCols) == 1
+	case KindGroupByMax, KindGroupBySum, KindHaving:
+		return q.Table.NumRows(), true
+	case KindJoin:
+		return q.Table.NumRows() + q.Right.NumRows(), true
+	}
+	return 0, false
+}
+
 // TestTraceSpansPerPath pins which spans each pruned path records — the
 // same ones: at every width, fused or chunked, exactly one shard span per
-// pass — labeled with its switch, noted with the stream it took, carrying
-// the pass's stream counts — and one merge span that starts after the last
-// pass ended. No run records a fused, encode or prune span. At one shard
-// the two spans tile the run's Wall.
+// pass — labeled with its switch, noted with the stream it took and, for
+// the kinds that read key fingerprints, with where those came from,
+// carrying the pass's stream counts — and one merge span that starts after
+// the last pass ended. No run records a fused, encode or prune span. At
+// one shard the two spans tile the run's Wall.
 func TestTraceSpansPerPath(t *testing.T) {
 	tb := equivTable(t, 3000, 0x111)
 	rt := equivTable(t, 900, 0x222)
@@ -189,8 +207,12 @@ func TestTraceSpansPerPath(t *testing.T) {
 					if merge.Start < s.Start+s.Dur {
 						t.Fatalf("%s: merge starts at %v, before shard %d ended at %v", label, merge.Start, s.Switch, s.Start+s.Dur)
 					}
-					if s.Note != "chunked" && (noFuse || s.Note != "fused") {
+					stream, keys, _ := strings.Cut(s.Note, "; ")
+					if stream != "chunked" && (noFuse || stream != "fused") {
 						t.Fatalf("%s: shard %d noted %q", label, s.Switch, s.Note)
+					}
+					if keyRows, _ := keyRowsOf(q); (keyRows > 0) != (keys == "keys: memo" || strings.HasPrefix(keys, "keys: hashed ")) {
+						t.Fatalf("%s: shard %d reads %d rows of key fingerprints, noted %q", label, s.Switch, keyRows, s.Note)
 					}
 				}
 				if len(seen) != k {
@@ -225,6 +247,35 @@ func TestTraceSpansPerPath(t *testing.T) {
 				}
 				if gap > tol {
 					t.Fatalf("%s: shard + merge miss Wall by %v (tolerance %v)", label, gap, tol)
+				}
+			}
+		}
+	}
+	// The keys note explains a slow first query: cold tables hash every
+	// key row once, whichever stream runs, and the same query again reads
+	// them all off the table — unless the key spans columns, which is
+	// hashed per query.
+	for _, noFuse := range []bool{false, true} {
+		for name := range equivQueries(tb, rt) {
+			// Tables no query has read yet.
+			q := equivQueries(equivTable(t, 3000, 0x111), equivTable(t, 900, 0x222))[name]
+			keyRows, memoised := keyRowsOf(q)
+			if keyRows == 0 {
+				continue
+			}
+			hashed := "keys: hashed " + strconv.Itoa(keyRows)
+			for run, want := range []string{hashed, "keys: memo"} {
+				if !memoised {
+					want = hashed
+				}
+				tr := obs.New()
+				if _, err := ExecCheetah(q, CheetahOptions{Workers: 2, Seed: 7, NoFuse: noFuse, Trace: tr}); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				note := stagesOf(tr)[obs.StageShard][0].Note
+				tr.Release()
+				if _, keys, _ := strings.Cut(note, "; "); keys != want {
+					t.Fatalf("%s noFuse=%v run %d: shard noted %q, want %q", name, noFuse, run, note, want)
 				}
 			}
 		}

@@ -28,14 +28,14 @@ import (
 	"cheetah/internal/hashutil"
 )
 
-// keyShards is a table's memoised key-only co-partition (ShardKeys):
-// immutable once published, valid while the table still has the version
-// and row count it was built at.
+// keyShards is a root's memoised key-only co-partition (ShardKeys) of its
+// first rows rows as they stood at reorder epoch epoch: immutable once
+// published, and true of those rows for as long as the epoch lasts.
 type keyShards struct {
-	version uint64
-	rows    int
-	col, k  int
-	shards  []*Table
+	epoch  uint64
+	rows   int
+	col, k int
+	shards []*Table
 }
 
 // shardSeed fixes the hash-sharding placement function. It is a package
@@ -129,19 +129,23 @@ func (t *Table) ShardByRange(col string, k int) ([]*Table, error) {
 // keys of exactly the rows ShardBy(col, k) places in shard s. The strings
 // themselves stay shared with the table; only their headers are copied.
 //
-// A table that is not a view keeps the latest result in one slot beside
-// its skip index and returns it again — the same slice, shared read-only
-// between callers — while Version, NumRows, column and k are unchanged;
-// appends and in-place reorders move Version, so they invalidate by
-// construction, and another column or k replaces the slot. Views and
-// snapshots (Version stays 0 on those) shard per call.
+// The root keeps the latest result in one slot beside its skip index, and
+// any handle that starts at the root's first row — the table itself, a
+// SnapshotPrefix of it — gets it back, the same slice, shared read-only
+// between callers, while the handle covers exactly the rows it was built
+// over and the root has not been reordered since (the table's one validity
+// rule; table.go). An append moves the row count, a reorder the epoch, and
+// another column or k replaces the slot. A view that starts further in
+// shards per call.
 func (t *Table) ShardKeys(col string, k int) ([]*Table, error) {
 	ci := t.schema.Index(col)
 	if ci < 0 {
 		return nil, fmt.Errorf("table: unknown shard column %q", col)
 	}
-	if t.parent == nil {
-		if m := t.keyShards.Load(); m != nil && m.version == t.version && m.rows == t.n && m.col == ci && m.k == k {
+	root := t.root()
+	memo := t.off == 0 && t.sameOrder(root)
+	if memo {
+		if m := root.keyShards.Load(); m != nil && m.epoch == t.epoch && m.rows == t.n && m.col == ci && m.k == k {
 			return m.shards, nil
 		}
 	}
@@ -153,8 +157,8 @@ func (t *Table) ShardKeys(col string, k int) ([]*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	if t.parent == nil {
-		t.keyShards.Store(&keyShards{version: t.version, rows: t.n, col: ci, k: k, shards: shards})
+	if memo {
+		root.keyShards.Store(&keyShards{epoch: t.epoch, rows: t.n, col: ci, k: k, shards: shards})
 	}
 	return shards, nil
 }

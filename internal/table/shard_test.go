@@ -9,7 +9,7 @@ import (
 )
 
 // testTable builds a small mixed-type table with deterministic contents.
-func testTable(t *testing.T, rows int) *Table {
+func testTable(t testing.TB, rows int) *Table {
 	t.Helper()
 	tbl := MustNew(Schema{
 		{Name: "id", Type: Int64},
@@ -414,17 +414,19 @@ func TestShardKeysMemo(t *testing.T) {
 		if &before[0] == &after[0] {
 			t.Fatalf("%s: stale co-partition served after the mutation", name)
 		}
-		if m := tbl.keyShards.Load(); m == nil || m.version != tbl.Version() || m.rows != tbl.NumRows() || &m.shards[0] != &after[0] {
-			t.Fatalf("%s: slot %+v not rebuilt at version %d, %d rows", name, m, tbl.Version(), tbl.NumRows())
+		if m := tbl.keyShards.Load(); m == nil || m.epoch != tbl.epoch || m.rows != tbl.NumRows() || &m.shards[0] != &after[0] {
+			t.Fatalf("%s: slot %+v not rebuilt at epoch %d, %d rows", name, m, tbl.epoch, tbl.NumRows())
 		}
 		assertKeyShards(t, name, tbl, "name", after)
 	}
 }
 
-// TestShardKeysViewsDoNotMemoise: a view or snapshot — Version pinned at
-// 0, rows a window of someone else's storage — neither reads a slot nor
-// writes one, its own or its parent's.
-func TestShardKeysViewsDoNotMemoise(t *testing.T) {
+// TestShardKeysHandlesShareRootMemo: a handle that starts at the root's
+// first row — a snapshot, a whole-table view — reads and publishes the
+// root's slot under (rows, reorder epoch, column, k), never a slot of its
+// own; a handle that starts further in, or was made before a reorder,
+// neither reads nor writes one.
+func TestShardKeysHandlesShareRootMemo(t *testing.T) {
 	tbl := testTable(t, 200)
 	view, err := tbl.View(0, tbl.NumRows())
 	if err != nil {
@@ -434,33 +436,70 @@ func TestShardKeysViewsDoNotMemoise(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, v := range map[string]*Table{"view": view, "snapshot": snap} {
-		if _, err := v.ShardKeys("name", 2); err != nil {
-			t.Fatal(err)
-		}
-		if v.keyShards.Load() != nil || tbl.keyShards.Load() != nil {
-			t.Fatalf("%s: ShardKeys wrote a memo slot", name)
-		}
-	}
-	rooted, err := tbl.ShardKeys("name", 2)
+	// The snapshot builds; the table and the view get the same shards back.
+	built, err := snap.ShardKeys("name", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	slot := tbl.keyShards.Load()
-	for name, v := range map[string]*Table{"view": view, "snapshot": snap} {
-		a, err := v.ShardKeys("name", 2)
+	if m := tbl.keyShards.Load(); m == nil || &m.shards[0] != &built[0] || snap.keyShards.Load() != nil {
+		t.Fatal("a snapshot's co-partition did not land in the root's slot (or landed in its own)")
+	}
+	for name, h := range map[string]*Table{"table": tbl, "view": view, "snapshot": snap} {
+		got, err := h.ShardKeys("name", 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := v.ShardKeys("name", 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if &a[0] == &rooted[0] || &a[0] == &b[0] {
-			t.Fatalf("%s: ShardKeys served a memoised co-partition", name)
-		}
-		if tbl.keyShards.Load() != slot || v.keyShards.Load() != nil {
-			t.Fatalf("%s: ShardKeys touched a memo slot", name)
+		if &got[0] != &built[0] {
+			t.Fatalf("%s: covers the memoised rows, yet sharded again", name)
 		}
 	}
+	// An append moves the row count: the old snapshot still covers the
+	// rows the memo describes, the table no longer does.
+	if err := tbl.AppendRow(int64(-1), "fresh", int64(5)); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := snap.ShardKeys("name", 2); &got[0] != &built[0] {
+		t.Fatal("an append invalidated the co-partition of the rows before it")
+	}
+	grown, err := tbl.ShardKeys("name", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &grown[0] == &built[0] {
+		t.Fatal("the grown table was served the shorter prefix's co-partition")
+	}
+	assertKeyShards(t, "grown", tbl, "name", grown)
+	// A handle that starts further in shards per call and touches no slot.
+	slot := tbl.keyShards.Load()
+	inner, err := tbl.View(17, 150)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := inner.ShardKeys("name", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _ := inner.ShardKeys("name", 2)
+	if &a[0] == &b[0] || tbl.keyShards.Load() != slot || inner.keyShards.Load() != nil {
+		t.Fatal("an inner view read or wrote a memo slot")
+	}
+	assertKeyShards(t, "inner view", inner, "name", a)
+	// A reorder moves the epoch: the snapshot keeps its own rows and must
+	// neither be served the reordered table's shards nor leave its own.
+	if err := tbl.Shuffle(5); err != nil {
+		t.Fatal(err)
+	}
+	reordered, err := tbl.ShardKeys("name", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slot = tbl.keyShards.Load()
+	stale, err := snap.ShardKeys("name", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &stale[0] == &reordered[0] || tbl.keyShards.Load() != slot {
+		t.Fatal("a pre-reorder snapshot read or replaced the reordered root's co-partition")
+	}
+	assertKeyShards(t, "pre-reorder snapshot", snap, "name", stale)
 }

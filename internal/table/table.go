@@ -9,17 +9,31 @@
 // zero-copy views that share column storage, the same way Spark partitions
 // reference blocks of a parent dataset.
 //
-// Tables optionally carry a block skip index (skip.go): per-column
-// min/max zone maps and Bloom filters over fixed-size row blocks, built
-// by BuildSkipIndex and extended over appended rows by RefreshSkipIndex
-// under the same copy-on-write discipline as SnapshotPrefix. The engine
-// consults it to prove whole blocks irrelevant to a query — storage-side
-// skipping that composes with the switch's in-flight pruning.
+// Beside its columns a root table carries three derived structures, all
+// optional, all immutable once published through an atomic slot, and all
+// standing on one validity rule — appends never rewrite committed rows, so
+// what was derived from a prefix stays true of it; only an in-place
+// reorder (SortByInt64, Shuffle) falsifies, and a reorder clears the slots
+// and moves the reorder epoch that views and snapshots captured when they
+// were made:
+//
+//   - the block skip index (skip.go): per-column min/max zone maps and
+//     Bloom filters over fixed-size row blocks, built by BuildSkipIndex and
+//     extended over appended rows by RefreshSkipIndex. The engine consults
+//     it to prove whole blocks irrelevant to a query — storage-side
+//     skipping that composes with the switch's in-flight pruning.
+//   - the key-only hash co-partition of a sharded JOIN (ShardKeys;
+//     shard.go), valid for the rows it was built over.
+//   - one key-fingerprint column per column (KeyFingerprints; keyfp.go):
+//     what a CWorker sends the switch in place of a wide key, hashed once
+//     per row for every query, handle and shard that reads the column, and
+//     extended — never rebuilt — over appended rows.
 package table
 
 import (
 	"fmt"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"cheetah/internal/hashutil"
@@ -115,6 +129,13 @@ type Table struct {
 	// version counts mutations applied through this handle (appends,
 	// sorts, shuffles). Views and snapshots start at 0 and stay there.
 	version uint64
+	// epoch counts the in-place reorders of the root (SortByInt64, Shuffle);
+	// appends leave it alone. A view or snapshot keeps the epoch of the
+	// handle it was made from, and reads or publishes the root's derived
+	// structures below only while that is still the root's (sameOrder): a
+	// handle from before a reorder derives nothing from, and leaves nothing
+	// for, the rows that replaced its own.
+	epoch uint64
 	// skip is the block skip metadata (zone maps + Blooms; skip.go), nil
 	// until BuildSkipIndex. Immutable once published: refreshes swap in
 	// a new index, views and snapshots capture the pointer at creation.
@@ -124,19 +145,40 @@ type Table struct {
 	// both directions (skip.go), unlike every other Table field, which
 	// needs external synchronization against mutation.
 	skip atomic.Pointer[SkipIndex]
-	// keyShards memoises the latest key-only hash co-partition (ShardKeys;
-	// shard.go) of a table that is not a view. The slot is atomic and what
-	// it holds immutable, so concurrent queries may read and replace it;
-	// an entry is checked against version and n before it is used.
+	// keyShards memoises, on a root, the latest key-only hash co-partition
+	// (ShardKeys; shard.go) of a prefix of its rows. The slot is atomic and
+	// what it holds immutable, so concurrent queries may read and replace
+	// it; an entry is checked against the handle's rows and epoch before it
+	// is used.
 	keyShards atomic.Pointer[keyShards]
+	// keyFPs holds, on a root, one slot per column for the column's
+	// memoised key fingerprints (keyfp.go). Slots are atomic and a
+	// published prefix is never rewritten, so readers need no lock; fpMu
+	// serialises the handles that extend or replace an entry.
+	keyFPs []atomic.Pointer[keyFPs]
+	fpMu   sync.Mutex
 }
+
+// root returns the table that owns t's storage and derived structures: t
+// itself unless t is a view or snapshot.
+func (t *Table) root() *Table {
+	if t.parent != nil {
+		return t.parent
+	}
+	return t
+}
+
+// sameOrder reports whether t's rows are still in the order root holds
+// them in — no reorder since t was made — which is what lets t read and
+// publish root's derived structures.
+func (t *Table) sameOrder(root *Table) bool { return t.epoch == root.epoch }
 
 // New creates an empty table with the given schema.
 func New(schema Schema) (*Table, error) {
 	if err := schema.Validate(); err != nil {
 		return nil, err
 	}
-	t := &Table{schema: append(Schema(nil), schema...)}
+	t := &Table{schema: append(Schema(nil), schema...), keyFPs: make([]atomic.Pointer[keyFPs], len(schema))}
 	t.cols = make([]*column, len(schema))
 	for i, c := range schema {
 		t.cols[i] = &column{typ: c.Type}
@@ -185,10 +227,6 @@ func (t *Table) SnapshotPrefix(n int) (*Table, error) {
 	if n < 0 || n > t.n {
 		return nil, fmt.Errorf("table: snapshot prefix %d out of range (rows=%d)", n, t.n)
 	}
-	root := t
-	if t.parent != nil {
-		root = t.parent
-	}
 	cols := make([]*column, len(t.cols))
 	for i, c := range t.cols {
 		nc := &column{typ: c.typ}
@@ -200,7 +238,7 @@ func (t *Table) SnapshotPrefix(n int) (*Table, error) {
 		}
 		cols[i] = nc
 	}
-	snap := &Table{schema: t.schema, cols: cols, off: t.off, n: n, parent: root}
+	snap := &Table{schema: t.schema, cols: cols, off: t.off, n: n, parent: t.root(), epoch: t.epoch}
 	snap.skip.Store(t.skip.Load())
 	return snap, nil
 }
@@ -337,16 +375,13 @@ func (t *Table) View(lo, hi int) (*Table, error) {
 	if lo < 0 || hi < lo || hi > t.n {
 		return nil, fmt.Errorf("table: view [%d,%d) out of range (rows=%d)", lo, hi, t.n)
 	}
-	root := t
-	if t.parent != nil {
-		root = t.parent
-	}
 	v := &Table{
 		schema: t.schema,
 		cols:   t.cols,
 		off:    t.off + lo,
 		n:      hi - lo,
-		parent: root,
+		parent: t.root(),
+		epoch:  t.epoch,
 	}
 	v.skip.Store(t.skip.Load())
 	return v, nil
@@ -385,7 +420,7 @@ func (t *Table) Project(names ...string) (*Table, error) {
 		defs = append(defs, t.schema[i])
 		idx = append(idx, i)
 	}
-	out := &Table{schema: defs, n: t.n}
+	out := &Table{schema: defs, n: t.n, keyFPs: make([]atomic.Pointer[keyFPs], len(defs))}
 	out.cols = make([]*column, len(idx))
 	for j, i := range idx {
 		src := t.cols[i]
@@ -451,10 +486,17 @@ func (t *Table) Shuffle(seed uint64) error {
 }
 
 // applyPermutation reorders every column so row i becomes old row perm[i].
-// Reordering invalidates the skip index: its block summaries describe
-// positional row ranges that no longer hold.
+// Reordering invalidates everything derived from row positions — the skip
+// index's block summaries, the co-partition's in-shard order, the
+// fingerprint columns — so the slots are cleared, and the epoch moves so
+// that no handle made before the reorder fills them again.
 func (t *Table) applyPermutation(perm []int) {
+	t.epoch++
 	t.skip.Store(nil)
+	t.keyShards.Store(nil)
+	for c := range t.keyFPs {
+		t.keyFPs[c].Store(nil)
+	}
 	for _, c := range t.cols {
 		switch c.typ {
 		case Int64:
