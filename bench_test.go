@@ -338,19 +338,23 @@ func BenchmarkExecDirectGroupByMax100k(b *testing.B) {
 	benchExecDirect(b, agg100kQuery(b, cheetah.KindGroupByMax))
 }
 
-// BenchmarkKeyedKindsWarm runs DISTINCT and HAVING over userAgent twice
-// per iteration under a seed the table has not hashed under yet: the first
-// pair builds the table's fingerprint column (once — HAVING already reads
-// what DISTINCT hashed), the second pair only reads it. cold/warm is the
-// whole point of the memo in one number: near 1 means a reader lost its
-// hit and is hashing per query again.
+// BenchmarkKeyedKindsWarm runs DISTINCT, GROUP BY MAX, HAVING and JOIN —
+// the first three over userAgent — twice per iteration under a seed the
+// tables have not hashed under yet: the first round builds the tables' key
+// fingerprint columns and key dictionaries (once per column — GROUP BY MAX
+// and HAVING read what DISTINCT built), the second round only reads them.
+// cold/warm is the whole point of the memos in one number: near 1 means a
+// reader lost its hit and is hashing keys, or comparing them, per query
+// again.
 func BenchmarkKeyedKindsWarm(b *testing.B) {
 	distinct := distinct100kQuery(b)
 	having := agg100kQuery(b, cheetah.KindHaving)
-	having.Table = distinct.Table
-	pair := func(seed uint64) time.Duration {
+	groupByMax := agg100kQuery(b, cheetah.KindGroupByMax)
+	join := join100kQuery(b)
+	having.Table, groupByMax.Table, join.Table = distinct.Table, distinct.Table, distinct.Table
+	round := func(seed uint64) time.Duration {
 		start := time.Now()
-		for _, q := range []*cheetah.Query{distinct, having} {
+		for _, q := range []*cheetah.Query{distinct, groupByMax, having, join} {
 			if _, err := cheetah.ExecCheetah(q, cheetah.CheetahOptions{Workers: 5, Seed: seed}); err != nil {
 				b.Fatal(err)
 			}
@@ -362,8 +366,8 @@ func BenchmarkKeyedKindsWarm(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		seed := uint64(i) + 1
-		cold += pair(seed)
-		warm += pair(seed)
+		cold += round(seed)
+		warm += round(seed)
 	}
 	b.ReportMetric(float64(cold.Nanoseconds())/float64(b.N), "cold-ns/op")
 	b.ReportMetric(float64(warm.Nanoseconds())/float64(b.N), "warm-ns/op")

@@ -238,6 +238,23 @@ func accessorFor(t *table.Table, c int) colAcc {
 	return colAcc{ints: t.Int64Col(c)}
 }
 
+// same reports whether row r of a and row o of b, a column of a's type,
+// hold equal cells.
+func (a colAcc) same(r int, b colAcc, o int) bool {
+	if a.isStr {
+		return a.strs[r] == b.strs[o]
+	}
+	return a.ints[r] == b.ints[o]
+}
+
+// cell renders row r's cell, as cellString does.
+func (a colAcc) cell(r int) string {
+	if a.isStr {
+		return a.strs[r]
+	}
+	return strconv.FormatInt(a.ints[r], 10)
+}
+
 // keyColumn returns the key fingerprints of column c of t under seed, one
 // per row, and how many rows this call hashed: the table's memoised column
 // (table.KeyFingerprints), shared with every other reader of it, or — for
@@ -252,6 +269,19 @@ func keyColumn(t *table.Table, c int, seed uint64, scratch *[]uint64) (fps []uin
 	return *scratch, t.NumRows()
 }
 
+// keyIDs returns the key ids of column c of t under seed, and how many
+// rows this call built: read off the table's dictionary (table.KeyIDs),
+// shared with every other reader of it, or — for a handle the dictionary
+// turns away — built into *scratch from fps, t's key fingerprints of the
+// column, by the dictionary's own build. Read the ids, never write them, and do not
+// pool them: only *scratch is the caller's.
+func keyIDs(t *table.Table, c int, seed uint64, fps []uint64, scratch *table.KeyIDScratch) (table.KeyIDs, int) {
+	if k, built, ok := t.KeyIDs(c, seed); ok {
+		return k, built
+	}
+	return t.BuildKeyIDs(c, fps, scratch), t.NumRows()
+}
+
 // keysNote is what a traced pass says about the key fingerprints it read:
 // that it found them all on the table, or how many rows it hashed first —
 // why the first query after Open, an append burst or a reorder is slower
@@ -261,6 +291,15 @@ func keysNote(hashed int) string {
 		return "keys: memo"
 	}
 	return "keys: hashed " + strconv.Itoa(hashed)
+}
+
+// idsNote is keysNote for the key dictionary: whether a reader found its
+// rows' key ids on the table or built n rows of them first.
+func idsNote(built int) string {
+	if built == 0 {
+		return "ids: memo"
+	}
+	return "ids: built " + strconv.Itoa(built)
 }
 
 // fingerprintAccs is fingerprintRow over hoisted accessors — the

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strconv"
 
+	"cheetah/internal/radix"
 	"cheetah/internal/table"
 )
 
@@ -184,7 +185,7 @@ func topNResult(q *Query, vals []int64) *Result {
 	for i, v := range vals {
 		cells[i] = strconv.FormatInt(v, 10)
 	}
-	radixSortStrings(cells)
+	radix.Strings(cells)
 	return &Result{Columns: []string{q.OrderCol}, Rows: singleCellRows(cells)}
 }
 

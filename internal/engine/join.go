@@ -3,17 +3,19 @@ package engine
 // JOIN's way through the pruned executors. The worker side hashes no key
 // a pass before it has hashed: each side's key fingerprints are a column
 // the table keeps (table.KeyFingerprints), the build pass trains on it,
-// the probe pass tests it, and survivors reach the master as (row,
-// fingerprint) pairs. The master joins on those fingerprints in a
-// uint64-keyed table — O(forwarded) typed work, no string hashing — and
-// compares the key cells themselves on every fingerprint match, so two
-// keys that collide on a fingerprint stay two keys and the answer is
-// exact. One completion (completeJoin) serves the one JOIN pass
+// the probe pass tests it, and survivor row ids reach the master. The
+// master reads no key byte per survivor either: each side's table keeps a
+// key dictionary too (table.KeyIDs), so the master counts each side's
+// survivors per key id, matches the two sides' distinct keys on their
+// fingerprints, and confirms every fingerprint match with one comparison
+// of the two key cells — so two keys that collide on a fingerprint stay
+// two keys and the answer is exact, at one comparison per distinct joined
+// key. One completion (completeJoin) serves the one JOIN pass
 // (pass.join), fused or chunked, single-switch or per shard, and reads
 // nothing of either table but its key column — which is why a sharded
 // JOIN's shards carry only that (shardTables); execJoin, the
-// plain string-keyed join, stays what ExecDirect runs and what the tests
-// compare against.
+// plain string-keyed join, stays what ExecDirect runs, what the tests
+// compare against, and what joins keys of two column types.
 
 import (
 	"slices"
@@ -28,20 +30,35 @@ import (
 
 // joinSide is one JOIN input: on the worker side col, its key column's
 // fingerprints by row — the table's memoised column or scratch (keyColumn)
-// — and on the master side what survived the switch, rows[i] with its
-// fingerprint fps[i].
+// — and ids, its key ids by row (keyIDs); on the master side rows, what
+// survived the switch, and keys, those rows counted per key.
 type joinSide struct {
-	rows    []int
-	fps     []uint64
-	col     []uint64 // shared with the table: read-only, dropped before pooling
-	scratch []uint64
+	rows      []int
+	col       []uint64 // shared with the table: read-only, dropped before pooling
+	scratch   []uint64
+	ids       []uint32 // likewise: the table's dictionary, or idScratch
+	idScratch table.KeyIDScratch
+	keys      joinKeys
 }
 
-// load fetches the side's fingerprint column for a pass over t and
-// returns how many rows that hashed.
-func (s *joinSide) load(t *table.Table, kc int, seed uint64) (hashed int) {
+// load fetches the side's fingerprint column for a pass over t — and,
+// when withIDs, its key ids — and returns how many rows that hashed and
+// built.
+func (s *joinSide) load(t *table.Table, kc int, seed uint64, withIDs bool) (hashed, built int) {
 	s.col, hashed = keyColumn(t, kc, seed, &s.scratch)
-	return hashed
+	s.ids = nil
+	if withIDs {
+		var k table.KeyIDs
+		k, built = keyIDs(t, kc, seed, s.col, &s.idScratch)
+		s.ids = k.IDs
+	}
+	return hashed, built
+}
+
+// poolable reports whether s's scratch is within the pools' bound.
+func (s *joinSide) poolable() bool {
+	return poolable(cap(s.rows), cap(s.scratch), s.idScratch.Cap(), cap(s.keys.keys),
+		cap(s.keys.byID), cap(s.keys.byFP))
 }
 
 // train adds the fingerprint of every row in spans to mem (a nil mem
@@ -62,54 +79,54 @@ func (s *joinSide) train(spans []span, mem sketch.Membership) (sent int) {
 
 // probe keeps the rows of spans whose fingerprint tests positive in mem
 // (every row when mem is nil — the asymmetric build side, which forwards
-// unpruned), copying each survivor's fingerprint out of the column, which
-// is not this pass's to compact. Contains does not mutate, so plain row
-// order suffices.
+// unpruned). Contains does not mutate, so plain row order suffices.
 func (s *joinSide) probe(spans []span, mem sketch.Membership) (sent, fwd int) {
-	rows, fps := s.rows[:0], s.fps[:0]
+	rows := s.rows[:0]
 	for _, sp := range spans {
 		sent += sp.hi - sp.lo
 		for r := sp.lo; r < sp.hi; r++ {
-			if fp := s.col[r]; mem == nil || mem.Contains(fp) {
-				rows, fps = append(rows, r), append(fps, fp)
+			if mem == nil || mem.Contains(s.col[r]) {
+				rows = append(rows, r)
 			}
 		}
 	}
-	s.rows, s.fps = rows, fps
+	s.rows = rows
 	return sent, len(rows)
 }
 
-// gather fills fps from rows — the chunked pipeline collects survivor row
-// ids only, so their fingerprints are read back from the column here.
-func (s *joinSide) gather(rows []int) {
-	s.rows = rows
-	s.fps = growU64(s.fps, len(rows))
-	for i, r := range rows {
-		s.fps[i] = s.col[r]
-	}
-}
-
 // joinScratch is the pooled state of one pruned JOIN: both sides'
-// buffers and the master's table (one per key type).
+// buffers, the master's per-key counts included.
 type joinScratch struct {
 	left, right joinSide
-	strs        joinTable[string]
-	ints        joinTable[int64]
 }
 
 var joinScratchPool = sync.Pool{New: func() any { return new(joinScratch) }}
 
 // load fetches both sides' fingerprint columns for a pass over q's table
-// pair and returns how many rows that hashed.
-func (sc *joinScratch) load(q *Query, seed uint64) (hashed int) {
-	return sc.left.load(q.Table, q.Table.Schema().MustIndex(q.LeftKey), seed) +
-		sc.right.load(q.Right, q.Right.Schema().MustIndex(q.RightKey), seed)
+// pair — and their key ids, which completeJoin reads when the keys are of
+// one type — and returns the pass's keysNote (and idsNote).
+func (sc *joinScratch) load(q *Query, seed uint64) (note string) {
+	lc := q.Table.Schema().MustIndex(q.LeftKey)
+	rc := q.Right.Schema().MustIndex(q.RightKey)
+	withIDs := q.Table.ColumnType(lc) == q.Right.ColumnType(rc)
+	lh, lb := sc.left.load(q.Table, lc, seed, withIDs)
+	rh, rb := sc.right.load(q.Right, rc, seed, withIDs)
+	note = keysNote(lh + rh)
+	if withIDs {
+		note += "; " + idsNote(lb+rb)
+	}
+	return note
 }
 
-// release returns sc to the pool without the tables' columns, which the
-// pool must not pin.
+// release returns sc to the pool without the tables' columns and ids,
+// which the pool must not pin — and drops it whole when one huge JOIN
+// grew its scratch past the pools' bound.
 func (sc *joinScratch) release() {
 	sc.left.col, sc.right.col = nil, nil
+	sc.left.ids, sc.right.ids = nil, nil
+	if !sc.left.poolable() || !sc.right.poolable() {
+		*sc = joinScratch{}
+	}
 	joinScratchPool.Put(sc)
 }
 
@@ -157,109 +174,152 @@ func fusedJoinPasses(q *Query, j *prune.Join, skip bool, sc *joinScratch) (tr Tr
 	return tr, skipped
 }
 
-// joinTable maps key fingerprints to per-key join counts over an fpTable
-// (partial.go). Unlike the aggregation partials it may hold several
-// entries per fingerprint: two keys that share one simply occupy two
-// slots on the same probe run, told apart by comparing the keys
-// themselves.
-type joinTable[K comparable] struct {
-	fpTable
-	ents []joinEntry[K]
+// joinKey is one distinct key among a side's survivors.
+type joinKey struct {
+	fp  uint64 // the key's fingerprint
+	id  uint32 // the key's id in the side's table
+	row int32  // the first survivor with the key
+	n   int32  // survivors with the key
+	m   int32  // on the build side: the joined probe-side key's n, or 0
 }
 
-// joinEntry is one distinct key of the build side. The key sits in the
-// entry so that confirming a fingerprint match costs no detour through
-// the key column.
-type joinEntry[K comparable] struct {
-	key   K
-	build int // build-side survivors with the key
-	pairs int // joined row pairs: build × matching probe survivors
+// idCount is one slot of joinKeys.byID: a key id + 1 (0: empty) and how
+// many survivors carry the key.
+type idCount struct{ id, n uint32 }
+
+// joinKeys counts one side's survivors per key: keys lists the distinct
+// keys in first-seen order; byID counts survivors per key id — open
+// addressing on the id itself, which is dense from 0, so over a whole
+// table the slots are all but direct-mapped — and, on the build side,
+// byFP finds keys (index + 1) by fingerprint. byFP may hold several keys
+// per fingerprint: two keys that share one sit on one probe run, told
+// apart by their cells.
+type joinKeys struct {
+	keys      []joinKey
+	byID      []idCount // at most 3/4 full
+	byFP      []int32   // at most half full
+	fpIndexed bool      // byFP holds keys
 }
 
-// count fills the table with one entry per distinct key among build's
-// survivors, then adds up each entry's row pairs over probe's. bk and pk
-// are the two sides' key columns. A slot's fingerprint only preselects:
-// every match is confirmed on the keys.
-func (t *joinTable[K]) count(bk, pk []K, build, probe *joinSide) {
-	t.reset()
-	t.ents = t.ents[:0]
-	mask := uint64(len(t.slots) - 1)
-	for i, r := range build.rows {
-		fp, key := build.fps[i], bk[r]
-		for h := fp & mask; ; h = (h + 1) & mask {
-			s := &t.slots[h]
-			if s.ent == 0 {
-				t.ents = append(t.ents, joinEntry[K]{key: key, build: 1})
-				*s = fpSlot{fp: fp, ent: len(t.ents)}
-				break
-			}
-			if e := &t.ents[s.ent-1]; s.fp == fp && e.key == key {
-				e.build++
-				break
-			}
-		}
-		if 2*len(t.ents) > len(t.slots) {
-			t.grow()
-			mask = uint64(len(t.slots) - 1)
-		}
+// idSlot returns the slot of byID holding id + 1 — the table holds it.
+func (k *joinKeys) idSlot(id uint32) *idCount {
+	mask := uint32(len(k.byID) - 1)
+	h := (id + 1) & mask
+	for k.byID[h].id != id+1 {
+		h = (h + 1) & mask
 	}
-	for i, r := range probe.rows {
-		fp, key := probe.fps[i], pk[r]
-		for h := fp & mask; ; h = (h + 1) & mask {
-			s := &t.slots[h]
-			if s.ent == 0 {
-				break
-			}
-			if e := &t.ents[s.ent-1]; s.fp == fp && e.key == key {
-				e.pairs += e.build
-				break
-			}
-		}
-	}
+	return &k.byID[h]
 }
 
-// joinRows joins the two survivor lists in t and renders one (key, pair
-// count) row per joined key into a single backing array, in the build
-// side's first-seen order. As a hash join does, it builds on the smaller
-// list; pair counts are products, so the roles do not show in the
-// answer (and when that list comes from a key-ordered table — a
-// dimension table — the rows come out in order and the final sort is
-// one pass).
-func joinRows[K comparable](t *joinTable[K], lk, rk []K, left, right *joinSide, render func(K) string) [][]string {
-	if len(right.rows) < len(left.rows) {
-		t.count(rk, lk, right, left)
-	} else {
-		t.count(lk, rk, left, right)
-	}
-	n := 0
-	for i := range t.ents {
-		if t.ents[i].pairs > 0 {
-			n++
+// reset empties k — slot by slot where its last keys took few slots.
+func (k *joinKeys) reset() {
+	switch {
+	case k.byID == nil:
+		k.byID = make([]idCount, fpTableMinSlots)
+	case 8*len(k.keys) >= len(k.byID):
+		clear(k.byID)
+	default:
+		for i := range k.keys {
+			*k.idSlot(k.keys[i].id) = idCount{}
 		}
 	}
-	rows := make([][]string, 0, n)
-	backing := make([]string, 2*n)
-	for i := range t.ents {
-		e := &t.ents[i]
-		if e.pairs == 0 {
+	if k.fpIndexed {
+		if 8*len(k.keys) >= len(k.byFP) {
+			clear(k.byFP)
+		} else {
+			mask := uint64(len(k.byFP) - 1)
+			for i := range k.keys {
+				h := k.keys[i].fp & mask
+				for k.byFP[h] != int32(i+1) {
+					h = (h + 1) & mask
+				}
+				k.byFP[h] = 0
+			}
+		}
+		k.fpIndexed = false
+	}
+	k.keys = k.keys[:0]
+}
+
+// growIDs doubles byID; ids are distinct, so re-placing them needs no
+// comparison.
+func (k *joinKeys) growIDs() {
+	old := k.byID
+	k.byID = make([]idCount, 2*len(old))
+	mask := uint32(len(k.byID) - 1)
+	for _, s := range old {
+		if s.id == 0 {
 			continue
 		}
-		row := backing[2*len(rows) : 2*len(rows)+2 : 2*len(rows)+2]
-		row[0], row[1] = render(e.key), strconv.Itoa(e.pairs)
-		rows = append(rows, row)
+		h := s.id & mask
+		for k.byID[h].id != 0 {
+			h = (h + 1) & mask
+		}
+		k.byID[h] = s
 	}
-	return rows
+}
+
+// tally fills k with s's survivors: per row one id lookup, no key byte.
+func (k *joinKeys) tally(s *joinSide) {
+	k.reset()
+	mask := uint32(len(k.byID) - 1)
+	for _, r := range s.rows {
+		id := s.ids[r] + 1
+		h := id & mask
+		for k.byID[h].id != id && k.byID[h].id != 0 {
+			h = (h + 1) & mask
+		}
+		if sl := &k.byID[h]; sl.id != 0 {
+			sl.n++
+			continue
+		}
+		k.byID[h] = idCount{id: id, n: 1}
+		k.keys = append(k.keys, joinKey{id: id - 1, row: int32(r)})
+		if 4*len(k.keys) > 3*len(k.byID) {
+			k.growIDs()
+			mask = uint32(len(k.byID) - 1)
+		}
+	}
+	for i := range k.keys {
+		e := &k.keys[i]
+		e.fp, e.n = s.col[e.row], int32(k.idSlot(e.id).n)
+	}
+}
+
+// indexFPs fills byFP with k's keys.
+func (k *joinKeys) indexFPs() {
+	n := fpTableMinSlots
+	for n < 2*len(k.keys) {
+		n *= 2
+	}
+	if len(k.byFP) < n {
+		k.byFP = make([]int32, n) // a larger one is empty, and serves
+	}
+	k.fpIndexed = true
+	mask := uint64(len(k.byFP) - 1)
+	for i := range k.keys {
+		h := k.keys[i].fp & mask
+		for k.byFP[h] != 0 {
+			h = (h + 1) & mask
+		}
+		k.byFP[h] = int32(i + 1)
+	}
 }
 
 // completeJoin is the master's completion of every pruned JOIN: it joins
-// sc's two survivor lists on their fingerprints and returns execJoin's
-// rows — (key, pair count) per joined key — unsorted; pass.join sorts
-// them into its part.
+// sc's two survivor lists and returns execJoin's rows — (key, pair count)
+// per joined key — unsorted; pass.join sorts them into its part. Each
+// side's survivors are counted per key id; the build side's distinct keys
+// are indexed by fingerprint, and each probe-side key that meets one is
+// confirmed by comparing the two cells once. As a hash join does, it
+// builds on the shorter survivor list and emits in that list's
+// first-seen order; pair counts are products, so the roles do not show in
+// the answer (and when that list comes from a key-ordered table — a
+// dimension table — the rows come out in order and the sort is one pass).
 func completeJoin(q *Query, sc *joinScratch) ([][]string, error) {
 	lc := q.Table.Schema().MustIndex(q.LeftKey)
 	rc := q.Right.Schema().MustIndex(q.RightKey)
-	switch lt := q.Table.ColumnType(lc); {
-	case lt != q.Right.ColumnType(rc):
+	if q.Table.ColumnType(lc) != q.Right.ColumnType(rc) {
 		// Keys of different types meet only through their rendered text,
 		// which is execJoin's business.
 		res, err := execJoin(q, sc.left.rows, sc.right.rows)
@@ -267,13 +327,39 @@ func completeJoin(q *Query, sc *joinScratch) ([][]string, error) {
 			return nil, err
 		}
 		return res.Rows, nil
-	case lt == table.String:
-		return joinRows(&sc.strs, q.Table.StringCol(lc), q.Right.StringCol(rc), &sc.left, &sc.right,
-			func(s string) string { return s }), nil
-	default:
-		return joinRows(&sc.ints, q.Table.Int64Col(lc), q.Right.Int64Col(rc), &sc.left, &sc.right,
-			func(v int64) string { return strconv.FormatInt(v, 10) }), nil
 	}
+	build, probe := &sc.left, &sc.right
+	bc, pc := accessorFor(q.Table, lc), accessorFor(q.Right, rc)
+	if len(probe.rows) < len(build.rows) {
+		build, probe, bc, pc = probe, build, pc, bc
+	}
+	build.keys.tally(build)
+	probe.keys.tally(probe)
+	bk := &build.keys
+	bk.indexFPs()
+	mask := uint64(len(bk.byFP) - 1)
+	joined := 0
+	for _, pk := range probe.keys.keys {
+		for h := pk.fp & mask; bk.byFP[h] != 0; h = (h + 1) & mask {
+			if e := &bk.keys[bk.byFP[h]-1]; e.fp == pk.fp && bc.same(int(e.row), pc, int(pk.row)) {
+				e.m = pk.n
+				joined++
+				break
+			}
+		}
+	}
+	rows := make([][]string, 0, joined)
+	backing := make([]string, 2*joined)
+	for i := range bk.keys {
+		e := &bk.keys[i]
+		if e.m == 0 {
+			continue
+		}
+		row := backing[2*len(rows) : 2*len(rows)+2 : 2*len(rows)+2]
+		row[0], row[1] = bc.cell(int(e.row)), strconv.Itoa(int(e.n)*int(e.m))
+		rows = append(rows, row)
+	}
+	return rows, nil
 }
 
 // joinPart is one pass's completed join: completeJoin's rows in the
@@ -384,7 +470,6 @@ func batchJoinPasses(q *Query, j *prune.Join, dp BatchDataplane, workers int, sk
 		return tr, skipped, err
 	}
 	tr.MasterProcessed = len(l.rows) + len(r.rows)
-	sc.left.gather(l.rows)
-	sc.right.gather(r.rows)
+	sc.left.rows, sc.right.rows = l.rows, r.rows
 	return tr, skipped, nil
 }

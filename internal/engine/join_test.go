@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"cheetah/internal/hashutil"
@@ -10,8 +11,8 @@ import (
 
 // joinKeyTable builds a table of a key column "name" (String, or Int64
 // with intKeys) and a payload column, whose row i carries key keys[i] —
-// as a string, words[keys[i]] when the case spells its keys out.
-func joinKeyTable(t *testing.T, intKeys bool, keys []int, words []string) *table.Table {
+// words[keys[i]] or ints[keys[i]] when the case spells its keys out.
+func joinKeyTable(t *testing.T, intKeys bool, keys []int, words []string, ints ...int64) *table.Table {
 	t.Helper()
 	schema := table.Schema{{Name: "name", Type: table.String}, {Name: "pay", Type: table.Int64}}
 	if intKeys {
@@ -20,7 +21,9 @@ func joinKeyTable(t *testing.T, intKeys bool, keys []int, words []string) *table
 	tb := table.MustNew(schema)
 	for i, k := range keys {
 		var key any = fmt.Sprintf("user%04d", k)
-		if intKeys {
+		if intKeys && ints != nil {
+			key = ints[k]
+		} else if intKeys {
 			key = int64(k)
 		} else if words != nil {
 			key = words[k]
@@ -41,13 +44,15 @@ func seqKeys(n, base, distinct int) []int {
 	return keys
 }
 
-// joinEdgeCase is one degenerate JOIN input shape. words, when set,
-// spells out the string form of keys 0..len(words)-1 (distinct words, so
-// integer and string keys join alike).
+// joinEdgeCase is one degenerate JOIN input shape. words and ints, when
+// set, spell out the string and the integer form of keys
+// 0..len(words)-1 (distinct values, so integer and string keys join
+// alike).
 type joinEdgeCase struct {
 	name        string
 	left, right []int
 	words       []string
+	ints        []int64
 }
 
 // joinEdgeCases are the shapes where a completion is likeliest to slip:
@@ -72,6 +77,9 @@ func joinEdgeCases() []joinEdgeCase {
 			words: []string{"", "a", "a\x00", "a\x00b", "ab", "\x00", "\x00a", "b", "a\x00\x00"}},
 		{name: "one-nul-key", left: seqKeys(200, 0, 24), right: seqKeys(150, 0, 24),
 			words: nulAmong(24)},
+		{name: "int-extremes", left: seqKeys(90, 0, 7), right: seqKeys(60, 0, 7),
+			words: []string{"-9223372036854775808", "9223372036854775807", "0", "-1", "-10", "9", "10"},
+			ints:  []int64{math.MinInt64, math.MaxInt64, 0, -1, -10, 9, 10}},
 	}
 }
 
@@ -90,12 +98,12 @@ func nulAmong(n int) []string {
 // skip index of several blocks so Skip has something to decide.
 func joinEdgeQuery(t *testing.T, c joinEdgeCase, intKeys bool) *Query {
 	t.Helper()
-	right := joinKeyTable(t, intKeys, c.right, c.words)
+	right := joinKeyTable(t, intKeys, c.right, c.words, c.ints...)
 	if err := right.BuildSkipIndex(64); err != nil {
 		t.Fatal(err)
 	}
 	return &Query{
-		Kind: KindJoin, Table: joinKeyTable(t, intKeys, c.left, c.words), Right: right,
+		Kind: KindJoin, Table: joinKeyTable(t, intKeys, c.left, c.words, c.ints...), Right: right,
 		LeftKey: "name", RightKey: "name",
 	}
 }
@@ -103,7 +111,8 @@ func joinEdgeQuery(t *testing.T, c joinEdgeCase, intKeys bool) *Query {
 // TestCompleteJoinCollisions hands completeJoin fingerprints that
 // collide — all equal, pairwise equal, and honest — and requires
 // execJoin's answer each time: the fingerprint may only preselect, the
-// key cells decide.
+// key cells decide. The key ids are the tables' own, so keys that share a
+// forced fingerprint are distinct keys to them, as they must be.
 func TestCompleteJoinCollisions(t *testing.T) {
 	fingerprints := map[string]func(key int) uint64{
 		"all-equal": func(int) uint64 { return 7 },
@@ -120,12 +129,16 @@ func TestCompleteJoinCollisions(t *testing.T) {
 				t.Fatal(err)
 			}
 			for fname, fp := range fingerprints {
-				sc := &joinScratch{left: joinSide{rows: left}, right: joinSide{rows: right}}
+				sc := new(joinScratch)
+				sc.load(q, 3)
+				sc.left.rows, sc.right.rows = left, right
+				// Every row survives, and carries the forced fingerprint.
+				sc.left.col, sc.right.col = nil, nil
 				for _, k := range c.left {
-					sc.left.fps = append(sc.left.fps, fp(k))
+					sc.left.col = append(sc.left.col, fp(k))
 				}
 				for _, k := range c.right {
-					sc.right.fps = append(sc.right.fps, fp(k))
+					sc.right.col = append(sc.right.col, fp(k))
 				}
 				rows, err := completeJoin(q, sc)
 				if err != nil {
@@ -155,12 +168,10 @@ func TestCompleteJoinMixedKeyTypes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The chunked pipeline's hand-over: survivor row ids, their
-	// fingerprints read back from the loaded columns.
+	// The chunked pipeline's hand-over: survivor row ids.
 	sc := new(joinScratch)
 	sc.load(q, 3)
-	sc.left.gather(allRows(ints))
-	sc.right.gather(allRows(strs))
+	sc.left.rows, sc.right.rows = allRows(ints), allRows(strs)
 	rows, err := completeJoin(q, sc)
 	if err != nil {
 		t.Fatal(err)

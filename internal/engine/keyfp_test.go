@@ -3,9 +3,14 @@ package engine
 import (
 	"fmt"
 	"math"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"cheetah/internal/obs"
 	"cheetah/internal/prune"
+	"cheetah/internal/radix"
 	"cheetah/internal/table"
 )
 
@@ -127,19 +132,41 @@ func (f *memoFixture) reorder(t *testing.T) {
 	f.index(t)
 }
 
-// queries are the kinds that read key fingerprints: the five keyed kinds,
-// a DISTINCT whose key spans columns (hashed per query, never memoised),
-// an integer-keyed GROUP BY, and a JOIN whose probe side skips blocks.
+// queries are every kind — the keyed ones read key fingerprints and key
+// ids, the others must not notice either — plus a DISTINCT whose key spans
+// columns (hashed per query, no dictionary), an integer-keyed GROUP BY
+// whose result is ranked in rendered order, and a JOIN whose probe side
+// skips blocks.
 func (f *memoFixture) queries() map[string]*Query {
-	out := map[string]*Query{}
-	for name, q := range equivQueries(f.tb, f.rt) {
-		if rows, _ := keyRowsOf(q); rows > 0 {
-			out[name] = q
-		}
-	}
+	out := equivQueries(f.tb, f.rt)
 	out["groupby-max-intkey"] = &Query{Kind: KindGroupByMax, Table: f.tb, KeyCol: "val", AggCol: "score"}
 	out["join-skipping"] = &Query{Kind: KindJoin, Table: f.lo, Right: f.hi, LeftKey: "score", RightKey: "score"}
 	return out
+}
+
+// dictColumns returns the key columns whose dictionary a run over q
+// builds on q's own tables, at k switches: JOIN's two at one switch (at
+// more, they sit on the key-only shards), HAVING's, and a single-column
+// DISTINCT's or GROUP BY's when its result is large enough to be ranked.
+func dictColumns(q *Query, k int, resultRows int) (cols map[*table.Table]int) {
+	one := func(t *table.Table, name string) map[*table.Table]int {
+		return map[*table.Table]int{t: t.Schema().MustIndex(name)}
+	}
+	switch {
+	case q.Kind == KindJoin && k == 1:
+		cols = one(q.Table, q.LeftKey)
+		cols[q.Right] = q.Right.Schema().MustIndex(q.RightKey)
+		return cols
+	case q.Kind == KindHaving:
+		return one(q.Table, q.KeyCol)
+	case resultRows < radix.MinSize:
+		return nil
+	case q.Kind == KindDistinct && len(q.DistinctCols) == 1:
+		return one(q.Table, q.DistinctCols[0])
+	case q.Kind == KindGroupByMax || q.Kind == KindGroupBySum:
+		return one(q.Table, q.KeyCol)
+	}
+	return nil
 }
 
 // memoOutcome is everything of a pruned run that must not depend on
@@ -161,15 +188,17 @@ func (o memoOutcome) String() string {
 	return fmt.Sprintf("traffic %+v stats %+v skipped %+v pruner %q, %d rows", o.traffic, o.stats, o.skipped, o.pruner, len(o.result.Rows))
 }
 
-// TestKeyMemoReaders is the readers' equivalence suite. For every keyed
-// query × {fused, chunked} × block skipping off/on × k ∈ {1, 2, 3}, over
-// tables no query has read: the cold run (which builds the memo), the
-// warm runs (which read it), a run after an append (which extends it) and
-// a run after a Shuffle (which starts over) all reproduce ExecDirect's
-// Result, and agree bit for bit — Result, Traffic, Stats, SkipStats,
-// PrunerName — with the cold run of an identical copy of the tables. At
-// one switch without skipping that is also the scalar reference's Traffic
-// and Stats, which never reads the memo.
+// TestKeyMemoReaders is the readers' equivalence suite. For every query
+// kind × {fused, chunked} × block skipping off/on × k ∈ {1, 2, 3}, over
+// tables no query has read: the cold run (which builds the memos — key
+// fingerprints and key dictionaries), the warm runs (which read them), a
+// run after an append (which extends them) and a run after a Shuffle
+// (which starts over) all reproduce ExecDirect's Result, and agree bit for
+// bit — Result, Traffic, Stats, SkipStats, PrunerName — with the cold run
+// of an identical copy of the tables. At one switch without skipping that
+// is also the scalar reference's Traffic and Stats, which never reads the
+// memos. And the warm runs left each dictionary a reader uses covering
+// its whole table, so the next run builds nothing.
 func TestKeyMemoReaders(t *testing.T) {
 	const seed = 0xfeed
 	for name := range newMemoFixture(t).queries() {
@@ -213,9 +242,12 @@ func TestKeyMemoReaders(t *testing.T) {
 						if !ref.result.Equal(direct) {
 							t.Fatalf("%s %s: a cold run diverges from ExecDirect", label, st.name)
 						}
+						// Randomized TOP N's fused stream draws its own row
+						// choices (fuse.go): only its Result is the others'.
+						sameStreams := q.Kind != KindTopN
 						if !noFuse {
 							fused = append(fused, ref)
-						} else if !ref.sameAs(fused[i]) {
+						} else if sameStreams && !ref.sameAs(fused[i]) {
 							t.Fatalf("%s %s: the two streams disagree\nfused:   %v\nchunked: %v", label, st.name, fused[i], ref)
 						}
 						if name == "join-skipping" && skip && k == 1 && i == 0 {
@@ -250,7 +282,12 @@ func TestKeyMemoReaders(t *testing.T) {
 								t.Fatalf("%s %s: %d key rows read three times, yet %d still to hash (ok=%v)", label, st.name, rows, hashed, ok)
 							}
 						}
-						if k == 1 && !skip {
+						for x, c := range dictColumns(q, k, len(direct.Rows)) {
+							if _, built, ok := x.KeyIDs(c, seed); !ok || built != 0 {
+								t.Fatalf("%s %s: a key column read three times, yet %d rows still without an id (ok=%v)", label, st.name, built, ok)
+							}
+						}
+						if k == 1 && !skip && (sameStreams || noFuse) {
 							scalar, err := ExecCheetah(q, CheetahOptions{Workers: 3, Seed: seed, Scalar: true})
 							if err != nil {
 								t.Fatal(err)
@@ -267,10 +304,10 @@ func TestKeyMemoReaders(t *testing.T) {
 }
 
 // TestOraclesReadNoKeyMemo: ExecDirect, its skipping variant, the scalar
-// reference and the cluster path's entry encoder hash for themselves — the
-// oracle and the Traffic/Stats reference stay independent of what they
-// check — so after they ran every query, every fingerprint column is
-// still to build.
+// reference and the cluster path's entry encoder hash and compare keys for
+// themselves — the oracle and the Traffic/Stats reference stay independent
+// of what they check — so after they ran every query, every fingerprint
+// column is still to build and every dictionary slot is empty.
 func TestOraclesReadNoKeyMemo(t *testing.T) {
 	const seed = 0xfeed
 	f := newMemoFixture(t)
@@ -296,6 +333,9 @@ func TestOraclesReadNoKeyMemo(t *testing.T) {
 	}
 	for i, x := range f.tables() {
 		for c := 0; c < x.NumCols(); c++ {
+			if n := x.KeyDictLen(c, seed); n != 0 {
+				t.Fatalf("table %d column %d: the oracles left a dictionary of %d keys", i, c, n)
+			}
 			if _, hashed, ok := x.KeyFingerprints(c, seed); !ok || hashed != x.NumRows() {
 				t.Fatalf("table %d column %d: %d of %d rows still to hash after the oracles ran", i, c, hashed, x.NumRows())
 			}
@@ -331,4 +371,131 @@ func TestPartialDropsTableColumn(t *testing.T) {
 		t.Fatalf("multi-column key hashed %d rows of %d", p2.hashedRows, tb.NumRows())
 	}
 	p2.release()
+}
+
+// TestKeyDictConcurrentJoinHaving is the key dictionary's concurrency
+// shape, for the race detector: one appender commits 256-row batches to
+// a table pair under a lock, while readers take snapshots under the lock
+// and, outside it, run JOIN and HAVING over them at one and two switches —
+// all of them reading, and whoever gets there first extending, the same
+// fingerprint columns and dictionaries. Every answer equals ExecDirect
+// over its snapshots.
+func TestKeyDictConcurrentJoinHaving(t *testing.T) {
+	tb, rt := equivTable(t, 1024, 0x91), equivTable(t, 512, 0x92)
+	donor := equivTable(t, 256, 0x93)
+	var mu sync.Mutex // the ingestor's: commits and snapshots
+	var answered atomic.Int64
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				mu.Lock()
+				left, err := tb.SnapshotPrefix(tb.NumRows())
+				if err == nil {
+					var right *table.Table
+					right, err = rt.SnapshotPrefix(rt.NumRows())
+					mu.Unlock()
+					q := &Query{Kind: KindHaving, Table: left, KeyCol: "name", AggCol: "val", Threshold: 2000}
+					if (g+i)%2 == 0 {
+						q = &Query{Kind: KindJoin, Table: left, Right: right, LeftKey: "name", RightKey: "name"}
+					}
+					var want *Result
+					if want, err = ExecDirect(q); err == nil {
+						var run *ShardedRun
+						if run, err = ExecSharded(q, ShardedOptions{Shards: 1 + i%2, Workers: 2, Seed: 7}); err == nil && !want.Equal(run.Result) {
+							err = fmt.Errorf("%v at %d switches over %d rows diverges from ExecDirect", q.Kind, 1+i%2, left.NumRows())
+						}
+					}
+				} else {
+					mu.Unlock()
+				}
+				if err != nil {
+					t.Errorf("reader %d: %v", g, err)
+					return
+				}
+				answered.Add(1)
+			}
+		}(g)
+	}
+	for b := 0; b < 16; b++ {
+		mu.Lock()
+		err := tb.AppendRowsFrom(donor, allRows(donor))
+		if err == nil {
+			err = rt.AppendRowsFrom(donor, allRows(donor)[:b*16])
+		}
+		mu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Let the readers see this batch before the next one lands.
+		for seen := answered.Load(); answered.Load() < seen+3 && !t.Failed(); {
+			time.Sleep(50 * time.Microsecond)
+		}
+	}
+	close(done)
+	wg.Wait()
+}
+
+// TestRankedRenderGate: a render ranks its keys only when its result holds
+// at least a quarter of the dictionary as published, and weighs that
+// before extending anything — so a subscription's 256-row delta over a
+// large table keeps the radix sort and leaves the dictionary as it found
+// it, while a one-shot over the whole grown table extends and ranks it.
+// Every answer is ExecDirect's.
+func TestRankedRenderGate(t *testing.T) {
+	const rows, seed = 4000, 7
+	tb := table.MustNew(table.Schema{{Name: "key", Type: table.String}, {Name: "val", Type: table.Int64}})
+	for i := 0; i < rows; i++ {
+		if err := tb.AppendRow(fmt.Sprintf("k%05d", (i*7919)%rows), int64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	exec := func(q *Query) (mergeNote string) {
+		t.Helper()
+		want, err := ExecDirect(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := obs.New()
+		defer tr.Release()
+		run, err := ExecCheetah(q, CheetahOptions{Workers: 2, Seed: seed, Trace: tr})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !run.Result.Equal(want) {
+			t.Fatalf("%v over %d rows diverges from ExecDirect", q.Kind, q.Table.NumRows())
+		}
+		return stagesOf(tr)[obs.StageMerge][0].Note
+	}
+	distinct := func(x *table.Table) *Query {
+		return &Query{Kind: KindDistinct, Table: x, DistinctCols: []string{"key"}}
+	}
+	if note := exec(distinct(tb)); note != "ids: built 4000" || tb.KeyDictLen(0, seed) != rows {
+		t.Fatalf("cold DISTINCT over the table: merge noted %q, dictionary of %d keys", note, tb.KeyDictLen(0, seed))
+	}
+	for i := 0; i < 256; i++ {
+		if err := tb.AppendRow(fmt.Sprintf("late%03d", i%200), int64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	delta, err := tb.View(rows, rows+256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []*Query{distinct(delta), {Kind: KindGroupByMax, Table: delta, KeyCol: "key", AggCol: "val"}} {
+		if note := exec(q); note != "" || tb.KeyDictLen(0, seed) != rows {
+			t.Fatalf("%v over the delta: merge noted %q, dictionary of %d keys; want no ids read and %d keys", q.Kind, note, tb.KeyDictLen(0, seed), rows)
+		}
+	}
+	if note := exec(distinct(tb)); note != "ids: built 256" || tb.KeyDictLen(0, seed) != rows+200 {
+		t.Fatalf("DISTINCT over the grown table: merge noted %q, dictionary of %d keys", note, tb.KeyDictLen(0, seed))
+	}
 }

@@ -20,7 +20,9 @@ package engine
 //	HAVING        exact sum  / first row the second pass re-streamed
 //
 // Keys are rendered late, from representative rows, so a key string is
-// touched once per result row and never per stream entry.
+// touched once per result row and never per stream entry; and where the
+// table's key dictionary allows (table.KeyIDs), the rows are put in order
+// by the keys' ranks, not by comparing key bytes (orderKeys).
 //
 // Exactness. DISTINCT, GROUP BY MAX and GROUP BY SUM identify a key with
 // its fingerprint, as the switch that pruned (or, for SUM, already
@@ -28,7 +30,7 @@ package engine
 // before the master saw them, and no master-side check can take that
 // back (Theorem 4's 1-δ guarantee covers it). HAVING's switch only
 // nominates candidates; the sums are the master's own, so its second
-// pass compares every row's key with the entry's representative and
+// pass compares every row's key id with the entry's representative's and
 // keeps a key that merely shares a candidate's fingerprint apart
 // (spill) — HAVING stays exact under collisions.
 
@@ -37,6 +39,7 @@ import (
 	"strconv"
 	"sync"
 
+	"cheetah/internal/radix"
 	"cheetah/internal/table"
 )
 
@@ -50,8 +53,8 @@ type fpSlot struct {
 // fpTable indexes entries by key fingerprint: open addressing over a
 // power-of-two slot array with linear probing. Fingerprints are Mix64
 // outputs, so their low bits index the table directly. The entries live
-// with the owner (partial, joinTable), which keeps the table at most
-// half full by calling grow.
+// with the owner (partial), which keeps the table at most half full by
+// calling grow.
 type fpTable struct {
 	slots []fpSlot
 }
@@ -120,27 +123,51 @@ type partial struct {
 	// fingerprint — once a pass has asked for it (hashKeys): the table's
 	// own memoised column, shared and read-only, or scratch when the table
 	// keeps none for this key (several columns, a handle its memo turns
-	// away). hashedRows is how many rows asking cost.
+	// away). hashedRows is how many rows asking cost. seed is the latest
+	// seed asked with, which the dictionary is read under too.
 	fps        []uint64
 	hashed     bool
 	hashedRows int
+	seed       uint64
 	scratch    []uint64
-	order      []int // arrival's scratch
+	// ids[i] is tables[i]'s key ids (keyIDs), once HAVING's second pass or
+	// a ranked render asked; zero until then. A table the dictionary turns
+	// away builds into idScratch — tables[0] only. idsRead and idsBuilt say
+	// whether any asking happened and how many rows it built: the merge
+	// span's note.
+	ids       []table.KeyIDs
+	idScratch table.KeyIDScratch
+	idsRead   bool
+	idsBuilt  int
+	order     []int // arrival's scratch
 	// Render scratch: keys and their entry indices, sorted in lock-step,
-	// and the value cells' digits with where each cell's end.
-	sorter radixSorter
+	// the value cells' digits with where each cell ends, and one slot per
+	// dictionary rank for the ranked placement.
+	sorter radix.Sorter
 	keys   []string
 	idx    []int32
 	digits []byte
 	ends   []int
+	place  []int32
 }
 
 var partialPool = sync.Pool{New: func() any { return new(partial) }}
 
-// partialPoolMax is the capacity, in elements, above which release
-// drops a scratch slice instead of pooling it: one huge result must not
-// pin its scratch for the life of the process.
-const partialPoolMax = 1 << 20
+// poolMax is the capacity, in elements, above which a pooled completion's
+// scratch — a partial's, a JOIN's — is dropped instead of pooled: one
+// huge query must not pin its scratch for the life of the process. A
+// variable only so that a test can reach it with small slices.
+var poolMax = 1 << 20
+
+// poolable reports whether every capacity is within poolMax.
+func poolable(caps ...int) bool {
+	for _, c := range caps {
+		if c > poolMax {
+			return false
+		}
+	}
+	return true
+}
 
 // newPartial returns an empty pooled partial of q's kind over q.Table.
 func newPartial(q *Query) *partial {
@@ -163,6 +190,8 @@ func newPartial(q *Query) *partial {
 // few slots are occupied, not as a whole on every small query after it.
 func (p *partial) reset(t *table.Table) {
 	p.tables = append(p.tables[:0], t)
+	clear(p.ids)
+	p.ids = append(p.ids[:0], table.KeyIDs{})
 	if slots := p.tab.slots; 8*len(p.ents) < len(slots) {
 		mask := uint64(len(slots) - 1)
 		for i := range p.ents {
@@ -178,16 +207,21 @@ func (p *partial) reset(t *table.Table) {
 	p.ents = p.ents[:0]
 	p.spill = nil
 	p.fps, p.hashed, p.hashedRows = nil, false, 0
+	p.idsRead, p.idsBuilt = false, 0
 }
 
 // release returns p to the pool. Nothing rendered from p refers to its
 // scratch, so the Result outlives it; the pool must not pin a table's
-// rows or its fingerprint column, so those references are dropped.
+// rows, its fingerprint column or its dictionary, so those references are
+// dropped, and a partial one huge query grew is dropped whole.
 func (p *partial) release() {
 	clear(p.tables)
+	clear(p.ids)
 	p.spill = nil
 	p.fps = nil
-	if cap(p.tab.slots) > partialPoolMax || cap(p.scratch) > partialPoolMax {
+	if !poolable(cap(p.cols), cap(p.tables), cap(p.tab.slots), cap(p.ents), cap(p.scratch), cap(p.ids),
+		p.idScratch.Cap(), cap(p.order), p.sorter.Cap(), cap(p.keys), cap(p.idx), cap(p.digits),
+		cap(p.ends), cap(p.place)) {
 		*p = partial{}
 	}
 	partialPool.Put(p)
@@ -241,6 +275,7 @@ func (p *partial) absorbSum(fp uint64, v int64) { p.slot(fp).val += v }
 // one tight loop that no stream loop's branches stall. The scans of both
 // streams start from it, and resolve and sumCandidates read it again.
 func (p *partial) hashKeys(seed uint64) []uint64 {
+	p.seed = seed
 	if p.hashed {
 		return p.fps
 	}
@@ -260,6 +295,28 @@ func (p *partial) hashKeys(seed uint64) []uint64 {
 		p.fps, p.hashedRows = p.scratch, t.NumRows()
 	}
 	return p.fps
+}
+
+// keyIDs returns tables[i]'s key ids under the seed the pass hashed with,
+// asking the table on first use (single key column only). Only tables[0],
+// the pass's own table, may build into scratch when the dictionary turns
+// it away; a table a merge brought in is read off the dictionary or not
+// at all (ok false).
+func (p *partial) keyIDs(i int) (k table.KeyIDs, ok bool) {
+	if k = p.ids[i]; !k.IsZero() {
+		return k, true
+	}
+	t, c := p.tables[i], p.cols[0]
+	k, built, ok := t.KeyIDs(c, p.seed)
+	if !ok {
+		if i != 0 {
+			return table.KeyIDs{}, false
+		}
+		k, built = t.BuildKeyIDs(c, p.hashKeys(p.seed), &p.idScratch), t.NumRows()
+	}
+	p.ids[i], p.idsRead = k, true
+	p.idsBuilt += built
+	return k, true
 }
 
 // arrival returns the rows of tables[0] in the order their entries reach
@@ -316,15 +373,22 @@ func (p *partial) resolve(seed uint64) {
 // sumCandidates is HAVING's exact second pass over tables[0]: the rows
 // whose key fingerprint is a candidate's re-stream, and each adds its
 // value to its key's sum. It returns how many re-streamed. A candidate's
-// first row becomes its representative; a later row whose key differs
+// first row becomes its representative; a later row whose key id differs
 // from the representative's shares only the fingerprint and is summed
-// apart. No pruner state is touched, so plain row order gives the sums
-// and counts any arrival order would.
+// apart — the dictionary compared the cells once, when the table's rows
+// got their ids, so no key byte is read here. No pruner state is touched,
+// so plain row order gives the sums and counts any arrival order would.
+// Without candidates — most of a subscription's small deltas — nothing
+// re-streams and the dictionary is not touched.
 func (p *partial) sumCandidates(vc int, seed uint64) (resent int) {
+	if len(p.ents) == 0 {
+		return 0
+	}
 	t := p.tables[0]
-	key := accessorFor(t, p.cols[0])
-	vals := t.Int64Col(vc)
-	for r, fp := range p.hashKeys(seed) {
+	fps := p.hashKeys(seed)
+	k, _ := p.keyIDs(0)
+	ids, vals := k.IDs, t.Int64Col(vc)
+	for r, fp := range fps {
 		i := p.tab.find(fp)
 		if i == 0 {
 			continue
@@ -334,7 +398,7 @@ func (p *partial) sumCandidates(vc int, seed uint64) (resent int) {
 		switch {
 		case e.row < 0:
 			e.row, e.val = r, vals[r]
-		case key.isStr && key.strs[r] == key.strs[e.row], !key.isStr && key.ints[r] == key.ints[e.row]:
+		case ids[r] == ids[e.row]:
 			e.val += vals[r]
 		default:
 			p.spillAdd(cellString(t, p.cols[0], r), vals[r])
@@ -358,13 +422,18 @@ func (p *partial) copyCandidates(g *partial) {
 	p.ents = append(p.ents[:0], g.ents...)
 }
 
-// sameKey reports whether row ra of a and row rb of b hold the same key
-// in column c.
-func sameKey(a *table.Table, ra int, b *table.Table, rb, c int) bool {
-	if a.ColumnType(c) == table.String {
-		return a.StringAt(c, ra) == b.StringAt(c, rb)
+// sameKey reports whether entry e of p and entry oe of o hold one key:
+// by id when both tables' ids come from one dictionary — shards are views
+// of one root — and by the cells otherwise.
+func (p *partial) sameKey(e *partialEnt, o *partial, oe *partialEnt) bool {
+	if a, b := p.ids[e.tbl], o.ids[oe.tbl]; a.SameDict(b) {
+		return a.IDs[e.row] == b.IDs[oe.row]
 	}
-	return a.Int64At(c, ra) == b.Int64At(c, rb)
+	a, b, c := p.tables[e.tbl], o.tables[oe.tbl], p.cols[0]
+	if a.ColumnType(c) == table.String {
+		return a.StringAt(c, e.row) == b.StringAt(c, oe.row)
+	}
+	return a.Int64At(c, e.row) == b.Int64At(c, oe.row)
 }
 
 // merge folds o into p; o is left untouched. An entry new to p brings
@@ -373,6 +442,7 @@ func sameKey(a *table.Table, ra int, b *table.Table, rb, c int) bool {
 func (p *partial) merge(o *partial) {
 	base := len(p.tables)
 	p.tables = append(p.tables, o.tables...)
+	p.ids = append(p.ids, o.ids...)
 	for i := range o.ents {
 		oe := &o.ents[i]
 		e := p.slot(oe.fp)
@@ -389,7 +459,7 @@ func (p *partial) merge(o *partial) {
 			e.val += oe.val
 		case KindHaving:
 			// A rowless entry is a bare candidate: its sum is still zero.
-			if fresh || oe.row < 0 || sameKey(p.tables[e.tbl], e.row, o.tables[oe.tbl], oe.row, p.cols[0]) {
+			if fresh || oe.row < 0 || p.sameKey(e, o, oe) {
 				e.val += oe.val
 			} else {
 				p.spillAdd(cellString(o.tables[oe.tbl], p.cols[0], oe.row), oe.val)
@@ -409,6 +479,108 @@ func (p *partial) key(e *partialEnt, c int) string {
 	return cellString(p.tables[e.tbl], c, e.row)
 }
 
+// rankedOrder puts idx — entries of p, each with a representative row —
+// into the canonical order of their keys by the dictionary's ranks
+// (placeByRank). That costs O(dictionary + entries), so it is taken only
+// when the entries are at least a quarter of the dictionary's keys —
+// weighed against the dictionary as published, before anything is
+// extended or ranked, so that a small result over a large table (a
+// subscription's 256-row delta) keeps the radix sort and never touches
+// the dictionary — and more than the radix sort leaves to its insertion
+// sort, which a dictionary would not beat. ok reports whether idx was
+// ordered; nul whether a ranked key contains NUL.
+func (p *partial) rankedOrder(idx []int32) (ok, nul bool) {
+	if len(p.cols) != 1 || !p.hashed || len(idx) < radix.MinSize ||
+		4*len(idx) < p.tables[0].KeyDictLen(p.cols[0], p.seed) {
+		return false, false
+	}
+	return p.placeByRank(idx)
+}
+
+// placeByRank orders idx by rank: one slot per rank, each entry dropped
+// into its key's, then one pass over the slots — no key byte touched.
+// Every entry's table must read its ids from one dictionary; ok is false,
+// and idx untouched, when one does not.
+func (p *partial) placeByRank(idx []int32) (ok, nul bool) {
+	if len(idx) == 0 {
+		return true, false
+	}
+	var dict table.KeyIDs
+	for _, j := range idx {
+		e := &p.ents[j]
+		k, ok := p.keyIDs(e.tbl)
+		if !ok || e.row < 0 || !dict.IsZero() && !k.SameDict(dict) {
+			return false, false
+		}
+		if dict.IsZero() || k.Len() > dict.Len() {
+			dict = k // the ids reaching furthest: its ranks cover every id
+		}
+	}
+	rank, nul := dict.Ranks()
+	if cap(p.place) < len(rank) {
+		p.place = make([]int32, len(rank))
+	}
+	place := p.place[:len(rank)]
+	clear(place)
+	for _, j := range idx {
+		e := &p.ents[j]
+		place[rank[p.ids[e.tbl].IDs[e.row]]] = j + 1
+	}
+	w := 0
+	for _, j := range place {
+		if j != 0 {
+			idx[w], w = j-1, w+1
+		}
+	}
+	return true, nul
+}
+
+// orderKeys renders the key cells of entries idx (single key column) into
+// keys and puts both into the canonical order of the keys: by rank when
+// rankedOrder can, by the radix sort otherwise. exact reports whether, as
+// the first cells of rows, the keys are also in Result.Sort's order
+// whatever the other cells hold (keyOrderExact) — which needs no key byte
+// when no ranked key holds NUL. Entries still without a row render empty
+// keys in no particular order, and exact is false.
+func (p *partial) orderKeys(idx []int32, keys []string) (exact bool) {
+	resolved := true
+	for _, j := range idx {
+		resolved = resolved && p.ents[j].row >= 0
+	}
+	ranked, nul := false, false
+	if resolved {
+		ranked, nul = p.rankedOrder(idx)
+	}
+	for i, j := range idx {
+		keys[i] = p.key(&p.ents[j], p.cols[0])
+	}
+	switch {
+	case !resolved:
+		return false
+	case ranked && !nul:
+		return true
+	case !ranked:
+		p.sorter.Sort(keys, idx)
+	}
+	return keyOrderExact(keys)
+}
+
+// anyEntry accepts every entry.
+func anyEntry(*partialEnt) bool { return true }
+
+// entries returns p.idx filled with the indices of the entries keep
+// accepts.
+func (p *partial) entries(keep func(e *partialEnt) bool) []int32 {
+	idx := p.idx[:0]
+	for i := range p.ents {
+		if keep(&p.ents[i]) {
+			idx = append(idx, int32(i))
+		}
+	}
+	p.idx = idx
+	return idx
+}
+
 // render returns the kind's Result over p's entries, in Result.Sort's
 // order, holding no reference to p.
 func (p *partial) render(q *Query) *Result {
@@ -416,11 +588,9 @@ func (p *partial) render(q *Query) *Result {
 	case KindDistinct:
 		res := &Result{Columns: append([]string(nil), q.DistinctCols...)}
 		if len(p.cols) == 1 {
-			cells := make([]string, len(p.ents))
-			for i := range p.ents {
-				cells[i] = p.key(&p.ents[i], p.cols[0])
-			}
-			p.sorter.sort(cells, nil)
+			idx := p.entries(anyEntry)
+			cells := make([]string, len(idx))
+			p.orderKeys(idx, cells)
 			res.Rows = singleCellRows(cells)
 			return res
 		}
@@ -439,11 +609,9 @@ func (p *partial) render(q *Query) *Result {
 	case KindHaving:
 		var cells []string
 		if p.spill == nil {
-			for i := range p.ents {
-				if e := &p.ents[i]; e.row >= 0 && e.val > q.Threshold {
-					cells = append(cells, p.key(e, p.cols[0]))
-				}
-			}
+			idx := p.entries(func(e *partialEnt) bool { return e.row >= 0 && e.val > q.Threshold })
+			cells = make([]string, len(idx))
+			p.orderKeys(idx, cells)
 		} else {
 			// Fingerprints collided, and merges may have left one key's sum
 			// part in an entry and part spilt: total by key string.
@@ -458,8 +626,8 @@ func (p *partial) render(q *Query) *Result {
 					cells = append(cells, k)
 				}
 			}
+			p.sorter.Sort(cells, nil)
 		}
-		p.sorter.sort(cells, nil)
 		return &Result{Columns: []string{q.KeyCol}, Rows: singleCellRows(cells)}
 	case KindGroupByMax:
 		return p.renderKeyed(q, "max(")
@@ -470,29 +638,21 @@ func (p *partial) render(q *Query) *Result {
 
 // renderKeyed renders GROUP BY's (key, aggregate) rows. The keys are
 // unique, so the rows' canonical order is the keys' order: keys and entry
-// indices sort together by one radix pass over the keys alone, and the
-// rows are then built in place, in order — two cells each in one backing
-// array, every value cell a slice of one digit string. Key order and
-// Result.Sort disagree in one case only: Result.Sort compares
-// "\x00"-joined rows once a cell contains NUL, and a key followed by NUL
-// is another key's prefix (keyOrderExact). That, and unresolved entries
-// sharing the empty key, sort through Result.Sort itself.
+// indices are put in order together (orderKeys), and the rows are then
+// built in place, in order — two cells each in one backing array, every
+// value cell a slice of one digit string. Key order and Result.Sort
+// disagree in one case only: Result.Sort compares "\x00"-joined rows once
+// a cell contains NUL, and a key followed by NUL is another key's prefix
+// (keyOrderExact). That, and unresolved entries sharing the empty key,
+// sort through Result.Sort itself.
 func (p *partial) renderKeyed(q *Query, agg string) *Result {
 	n := len(p.ents)
 	if cap(p.keys) < n {
-		p.keys, p.idx, p.ends = make([]string, n), make([]int32, n), make([]int, n)
+		p.keys, p.ends = make([]string, n), make([]int, n)
 	}
-	keys, idx, ends := p.keys[:n], p.idx[:n], p.ends[:n]
-	exact := true
-	for i := range p.ents {
-		e := &p.ents[i]
-		keys[i], idx[i] = p.key(e, p.cols[0]), int32(i)
-		exact = exact && e.row >= 0
-	}
-	if exact {
-		p.sorter.sort(keys, idx)
-		exact = keyOrderExact(keys)
-	}
+	keys, ends := p.keys[:n], p.ends[:n]
+	idx := p.entries(anyEntry)
+	exact := p.orderKeys(idx, keys)
 	digits := p.digits[:0]
 	for i, j := range idx {
 		digits = strconv.AppendInt(digits, p.ents[j].val, 10)

@@ -2,8 +2,11 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
+	"unsafe"
 
 	"cheetah/internal/hashutil"
 	"cheetah/internal/table"
@@ -48,6 +51,20 @@ func aggEdgeCases() []aggEdgeCase {
 		{name: "one-key", keys: cycle(300, "k"), vals: ramp(300, positive), threshold: 100},
 		{name: "every-row-its-own-key", keys: own, vals: ramp(300, positive), threshold: 6},
 		{name: "int-key", ints: ramp(400, func(i int) int64 { return int64(i*7%23) - 11 }), vals: ramp(400, positive), threshold: 120},
+		// Extremes and signs whose rendered order is not their numeric one
+		// ("-1" < "-10" < "-9223372036854775808" < "0" < "10" < "9"), and
+		// over radix.MinSize keys, so the ranked render orders them.
+		{name: "int-extremes", ints: ramp(600, func(i int) int64 {
+			switch i % 80 {
+			case 0:
+				return math.MinInt64
+			case 1:
+				return math.MaxInt64
+			case 2:
+				return math.MinInt64 + 1
+			}
+			return int64(i%80-40) * int64(1+i%80%7*1000)
+		}), vals: ramp(600, positive), threshold: 40},
 		{name: "empty-string-key", keys: cycle(200, "", "a", "b"), vals: ramp(200, positive), threshold: 300},
 		{name: "prefix-keys", keys: cycle(300, "a", "ab", "abc", "abcd", "abcd0", "b"), vals: ramp(300, positive), threshold: 340},
 		{name: "nul-key", keys: cycle(300, "a", "a\x00", "a\x00b", "b\x00", "\x00", "ab"), vals: ramp(300, positive), threshold: 340},
@@ -241,6 +258,72 @@ func TestHavingCollisions(t *testing.T) {
 			merged.merge(forced(255, len(keys)))
 			if got := merged.render(q); !got.Equal(want) {
 				t.Fatalf("int=%v fingerprints=%s: merged HAVING partials diverge from execHaving\nwant:\n%s\ngot:\n%s", intKeys, fname, want, got)
+			}
+		}
+	}
+}
+
+// sliceFields calls f with every slice field of the struct v, through
+// nested struct fields (not through pointers or slice elements), as a
+// settable value — unexported fields included.
+func sliceFields(v reflect.Value, path string, f func(path string, s reflect.Value)) {
+	for i := 0; i < v.NumField(); i++ {
+		fv := reflect.NewAt(v.Field(i).Type(), unsafe.Pointer(v.Field(i).UnsafeAddr())).Elem()
+		name := path + "." + v.Type().Field(i).Name
+		switch fv.Kind() {
+		case reflect.Slice:
+			f(name, fv)
+		case reflect.Struct:
+			sliceFields(fv, name, f)
+		}
+	}
+}
+
+// TestPooledScratchBounded: the two pooled completions — a partial and a
+// JOIN's scratch — never go back to their pool holding a slice past
+// poolMax, whichever of their slices one query grew (every slice field
+// is tried, nested ones included, so a field added later is covered too);
+// and an object within the bound keeps its scratch.
+func TestPooledScratchBounded(t *testing.T) {
+	defer func(n int) { poolMax = n }(poolMax)
+	poolMax = 8
+	pooled := map[string]func() (obj any, release func()){
+		"partial": func() (any, func()) {
+			p := new(partial)
+			return p, p.release
+		},
+		"joinScratch": func() (any, func()) {
+			sc := new(joinScratch)
+			return sc, sc.release
+		},
+	}
+	for name, mk := range pooled {
+		obj, _ := mk()
+		var fields []string
+		sliceFields(reflect.ValueOf(obj).Elem(), name, func(path string, _ reflect.Value) { fields = append(fields, path) })
+		if len(fields) < 8 {
+			t.Fatalf("%s: found only %d slice fields: %v", name, len(fields), fields)
+		}
+		for _, grown := range append(fields, "") {
+			obj, release := mk()
+			// grown past the bound ("" grows nothing: every slice sits at it).
+			sliceFields(reflect.ValueOf(obj).Elem(), name, func(path string, s reflect.Value) {
+				n := poolMax
+				if path == grown {
+					n++
+				}
+				s.Set(reflect.MakeSlice(s.Type(), 0, n))
+			})
+			release()
+			kept := 0
+			sliceFields(reflect.ValueOf(obj).Elem(), name, func(path string, s reflect.Value) {
+				if s.Cap() > poolMax {
+					t.Fatalf("%s grew to %d: pooled with %s at capacity %d", grown, poolMax+1, path, s.Cap())
+				}
+				kept += s.Cap()
+			})
+			if grown == "" && kept == 0 {
+				t.Fatalf("%s within the bound: release dropped all its scratch", name)
 			}
 		}
 	}

@@ -46,7 +46,8 @@ type pass struct {
 	noFuse  bool
 	fused   bool // the latest run took the fused loops
 	// keys is the latest run's keysNote — whether its key fingerprints came
-	// off the table or were hashed first; empty for the kinds that read none.
+	// off the table or were hashed first, and for JOIN its idsNote likewise;
+	// empty for the kinds that read none.
 	keys string
 	// traffic.MasterProcessed is what the master touches to complete this
 	// pass's part, defined by the scalar reference (cheetah.go): the
@@ -323,7 +324,7 @@ func (ps *pass) joinRows() ([][]string, error) {
 	}
 	sc := joinScratchPool.Get().(*joinScratch)
 	defer sc.release()
-	ps.keys = keysNote(sc.load(ps.q, ps.seed))
+	ps.keys = sc.load(ps.q, ps.seed)
 	// fusedJoinPasses hard-codes which filter each pass trains or probes,
 	// which only matches the chunked passes — they consult the live phase —
 	// when the program starts in its build phase (a mid-phase standing
@@ -348,8 +349,10 @@ func (ps *pass) joinRows() ([][]string, error) {
 // unioned before any pass sums, because a key's sum may cross the query's
 // threshold only in aggregate; then every pass re-streams the union's
 // rows for exact sums (§4.3's partial second pass), accounting the
-// re-streamed entries to its own traffic, and the sums merge.
-func completeAgg(q *Query, passes []*pass, partials []*partial) *Result {
+// re-streamed entries to its own traffic, and the sums merge. note is the
+// merge span's: where the key ids HAVING's second pass and a ranked render
+// read came from (idsNote), empty when nothing read any.
+func completeAgg(q *Query, passes []*pass, partials []*partial) (res *Result, note string) {
 	g := partials[0]
 	for _, p := range partials[1:] {
 		g.merge(p)
@@ -372,7 +375,15 @@ func completeAgg(q *Query, passes []*pass, partials []*partial) *Result {
 			g.merge(p)
 		}
 	}
-	return g.render(q)
+	res = g.render(q)
+	read, built := false, 0
+	for _, p := range partials {
+		read, built = read || p.idsRead, built+p.idsBuilt
+	}
+	if read {
+		note = idsNote(built)
+	}
+	return res, note
 }
 
 // execPasses runs every shard's pass and completes q from their parts.
@@ -389,6 +400,7 @@ func execPasses(q *Query, execs []*shardExec, opts ShardedOptions) (res *Result,
 		passes[s] = &se.pass
 	}
 	var merge obs.Timer
+	var mergeNote string
 	scatter := func(attempt func(s int) error) error {
 		failed := forEachShard(len(execs), func(s int) error { return execs[s].run(opts, attempt) })
 		merge = opts.Trace.Begin(obs.StageMerge, -1)
@@ -448,7 +460,7 @@ func execPasses(q *Query, execs []*shardExec, opts ShardedOptions) (res *Result,
 		}
 		err = scatter(func(s int) error { return passes[s].agg(partials[s]) })
 		if err == nil {
-			res = completeAgg(q, passes, partials)
+			res, mergeNote = completeAgg(q, passes, partials)
 		}
 	}
 	if err != nil {
@@ -458,6 +470,6 @@ func execPasses(q *Query, execs []*shardExec, opts ShardedOptions) (res *Result,
 	for _, ps := range passes {
 		touched += ps.traffic.MasterProcessed
 	}
-	merge.End(int64(touched), 0)
+	merge.Counts(int64(touched), 0).EndNote(mergeNote)
 	return res, nil
 }

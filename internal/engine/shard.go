@@ -93,13 +93,15 @@ type ShardedOptions struct {
 	// automatically; Results are identical either way.
 	NoFuse bool
 	// Trace, when non-nil, collects one span per shard pass — noted with
-	// the stream it took, fused or chunked, and with where its key
-	// fingerprints came from (keysNote) — plus a failover span per
-	// discarded attempt and one merge span for the master's completion
-	// into the query's lifecycle trace: the span scheme of every pruned
-	// run, in process or leased, at every width. Span recording is
-	// mutex-guarded, so concurrent shard goroutines may share the trace.
-	// Tracing observes only — results, traffic and stats are unchanged.
+	// the stream it took, fused or chunked, with where its key
+	// fingerprints came from (keysNote) and, for JOIN, its key ids
+	// (idsNote) — plus a failover span per discarded attempt and one merge
+	// span for the master's completion, noted with where the key ids
+	// HAVING's second pass or a ranked render read came from, into the
+	// query's lifecycle trace: the span scheme of every pruned run, in
+	// process or leased, at every width. Span recording is mutex-guarded,
+	// so concurrent shard goroutines may share the trace. Tracing observes
+	// only — results, traffic and stats are unchanged.
 	Trace *obs.Trace
 }
 
@@ -247,7 +249,7 @@ func (se *shardExec) run(opts ShardedOptions, attempt func(s int) error) error {
 		}
 		if se.healthErr() == nil {
 			// The note names the stream the pass took (pass.fuse) and where
-			// its key fingerprints came from (keysNote).
+			// its key fingerprints and ids came from (keysNote, idsNote).
 			note := "chunked"
 			if se.fused {
 				note = "fused"

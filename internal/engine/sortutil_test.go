@@ -2,92 +2,16 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
+
+	"cheetah/internal/radix"
+	"cheetah/internal/table"
 )
-
-func checkSorted(t *testing.T, name string, got, want []string) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: length %d vs %d", name, len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("%s: index %d: %q vs %q", name, i, got[i], want[i])
-		}
-	}
-}
-
-func TestRadixSortStringsMatchesSortStrings(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	cases := map[string]func(n int) []string{
-		"random": func(n int) []string {
-			out := make([]string, n)
-			for i := range out {
-				b := make([]byte, rng.Intn(20))
-				for j := range b {
-					b[j] = byte(rng.Intn(256))
-				}
-				out[i] = string(b)
-			}
-			return out
-		},
-		"shared-prefix": func(n int) []string {
-			out := make([]string, n)
-			for i := range out {
-				out[i] = fmt.Sprintf("agent/%06d (Cheetah; rv:%d)", rng.Intn(n), i%7)
-			}
-			return out
-		},
-		"numeric": func(n int) []string {
-			out := make([]string, n)
-			for i := range out {
-				out[i] = fmt.Sprintf("%d", rng.Int63n(1<<40))
-			}
-			return out
-		},
-		"duplicates": func(n int) []string {
-			out := make([]string, n)
-			for i := range out {
-				out[i] = fmt.Sprintf("key-%02d", rng.Intn(10))
-			}
-			return out
-		},
-		"prefix-of-each-other": func(n int) []string {
-			out := make([]string, n)
-			for i := range out {
-				out[i] = "aaaaaaaaaa"[:rng.Intn(11)]
-			}
-			return out
-		},
-	}
-	for name, gen := range cases {
-		for _, n := range []int{0, 1, 5, 47, 48, 500, 5000} {
-			in := gen(n)
-			want := append([]string(nil), in...)
-			sort.Strings(want)
-			got := append([]string(nil), in...)
-			radixSortStrings(got)
-			checkSorted(t, fmt.Sprintf("%s/%d", name, n), got, want)
-			// With a payload: the same order, every index still beside
-			// its string.
-			keyed := append([]string(nil), in...)
-			idx := make([]int32, n)
-			for i := range idx {
-				idx[i] = int32(i)
-			}
-			new(radixSorter).sort(keyed, idx)
-			checkSorted(t, fmt.Sprintf("%s/%d keyed", name, n), keyed, want)
-			for i, j := range idx {
-				if in[j] != keyed[i] {
-					t.Fatalf("%s/%d: payload %d sits beside %q, belongs to %q", name, n, j, keyed[i], in[j])
-				}
-			}
-		}
-	}
-}
 
 // legacySortKeys is the canonical order's definition: the row keys —
 // cells joined with "\x00" — in ascending order. Rows with equal keys
@@ -256,12 +180,57 @@ func FuzzResultSortOrder(f *testing.F) {
 	})
 }
 
+// checkRankedOrder puts the keys of a one-key-column table holding cells
+// (unique, all of one type) in order the two ways a partial does — by the
+// key dictionary's ranks (placeByRank) and through the whole GROUP BY
+// render, which takes whichever way its result's size calls for — and
+// checks both against the legacy definition, on the rendered cells.
+func checkRankedOrder(t *testing.T, typ table.Type, cells []any) {
+	t.Helper()
+	tb := table.MustNew(table.Schema{{Name: "key", Type: typ}, {Name: "val", Type: table.Int64}})
+	rows := make([][]string, len(cells))
+	for i, c := range cells {
+		v := int64(i*7 - 3)
+		if err := tb.AppendRow(c, v); err != nil {
+			t.Fatal(err)
+		}
+		rows[i] = []string{cellString(tb, 0, i), strconv.FormatInt(v, 10)}
+	}
+	q := &Query{Kind: KindGroupByMax, Table: tb, KeyCol: "key", AggCol: "val"}
+	p := newPartial(q)
+	defer p.release()
+	for r, fp := range p.hashKeys(5) {
+		p.absorbMax(fp, tb.Int64At(1, r), r)
+	}
+	if len(p.ents) != len(cells) {
+		t.Skipf("%d unique keys share %d fingerprints", len(cells), len(p.ents))
+	}
+	idx := p.entries(anyEntry)
+	if ok, _ := p.placeByRank(idx); !ok {
+		t.Fatal("one table's entries could not be ranked")
+	}
+	want := make([]string, len(rows))
+	for i, r := range rows {
+		want[i] = r[0]
+	}
+	sort.Strings(want)
+	for i, j := range idx {
+		if got := p.key(&p.ents[j], 0); got != want[i] {
+			t.Fatalf("%v keys: rank %d is %q, the rendered order has %q", typ, i, got, want[i])
+		}
+	}
+	checkCanonicalOrder(t, fmt.Sprintf("%v GROUP BY render", typ), p.render(q).Rows, rows)
+}
+
 // FuzzKeySortOrder pins the key-only order GROUP BY results are built
-// in (partial.renderKeyed: radix sort of the unique keys with their row
-// indices, keyOrderExact, Result.Sort when that says no) to Result.Sort
-// on generated rows of a unique key and one or two value cells: NUL in
-// keys and values, the empty key, keys that are prefixes of one another,
-// long shared prefixes.
+// in to Result.Sort on generated rows of a unique key and one or two
+// value cells: NUL in keys and values, the empty key, keys that are
+// prefixes of one another, long shared prefixes. Both ways a partial
+// orders keys are driven: the radix sort of the keys with their row
+// indices (keyOrderExact, Result.Sort when that says no), and the key
+// dictionary's ranks (checkRankedOrder) — over the keys as strings, and
+// over integers derived from them, whose rendered order is not their
+// numeric one, math.MinInt64 included.
 func FuzzKeySortOrder(f *testing.F) {
 	f.Add([]byte("b,1;a,2;ab,3;,4"), uint8(0), uint8(0))
 	f.Add([]byte("a,z;a\x00,y;a\x00b,x;\x00,w"), uint8(0), uint8(0))
@@ -285,7 +254,7 @@ func FuzzKeySortOrder(f *testing.F) {
 		for i, row := range rows {
 			keys[i], idx[i] = row[0], int32(i)
 		}
-		new(radixSorter).sort(keys, idx)
+		new(radix.Sorter).Sort(keys, idx)
 		got := &Result{Rows: make([][]string, len(rows))}
 		for i, j := range idx {
 			if rows[j][0] != keys[i] {
@@ -301,5 +270,26 @@ func FuzzKeySortOrder(f *testing.F) {
 				t.Fatalf("row %d: key %q, legacy order has %q", i, key, want)
 			}
 		}
+		strs := make([]any, len(rows))
+		ints := []any{}
+		seenInt := map[int64]bool{}
+		for i, row := range rows {
+			strs[i] = row[0]
+			// An integer per key: the bytes folded in, signed, every
+			// digit count reached; the empty key stands for the extreme.
+			v := int64(math.MinInt64)
+			if row[0] != "" {
+				v = 0
+				for _, b := range []byte(row[0]) {
+					v = v*131 + int64(b) - 96
+				}
+			}
+			if !seenInt[v] {
+				seenInt[v] = true
+				ints = append(ints, v)
+			}
+		}
+		checkRankedOrder(t, table.String, strs)
+		checkRankedOrder(t, table.Int64, ints)
 	})
 }

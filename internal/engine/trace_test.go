@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"cheetah/internal/obs"
+	"cheetah/internal/radix"
 	"cheetah/internal/switchsim"
 )
 
@@ -158,13 +159,35 @@ func keyRowsOf(q *Query) (rows int, memoised bool) {
 	return 0, false
 }
 
+// isNote reports whether note is "<what>: memo" or "<what>: <verb> <n>".
+func isNote(note, what, verb string) bool {
+	return note == what+": memo" || strings.HasPrefix(note, what+": "+verb+" ")
+}
+
+// idsReadAt says where a run over q may read key ids: JOIN's pass, on
+// both sides; the merge of HAVING (its second pass) and of a single-column
+// DISTINCT or GROUP BY (its ranked render, which the result's size may
+// decline); nowhere else.
+func idsReadAt(q *Query) (pass, merge bool) {
+	switch q.Kind {
+	case KindJoin:
+		return true, false
+	case KindDistinct:
+		return false, len(q.DistinctCols) == 1
+	case KindGroupByMax, KindGroupBySum, KindHaving:
+		return false, true
+	}
+	return false, false
+}
+
 // TestTraceSpansPerPath pins which spans each pruned path records — the
 // same ones: at every width, fused or chunked, exactly one shard span per
 // pass — labeled with its switch, noted with the stream it took and, for
-// the kinds that read key fingerprints, with where those came from,
-// carrying the pass's stream counts — and one merge span that starts after
-// the last pass ended. No run records a fused, encode or prune span. At
-// one shard the two spans tile the run's Wall.
+// the kinds that read key fingerprints and key ids, with where those came
+// from, carrying the pass's stream counts — and one merge span that starts
+// after the last pass ended, noted with where the ids the completion read
+// came from. No run records a fused, encode or prune span. At one shard
+// the two spans tile the run's Wall.
 func TestTraceSpansPerPath(t *testing.T) {
 	tb := equivTable(t, 3000, 0x111)
 	rt := equivTable(t, 900, 0x222)
@@ -198,6 +221,11 @@ func TestTraceSpansPerPath(t *testing.T) {
 					t.Fatalf("%s: want %d shard spans + one merge and nothing else; got:\n%s", label, k, tr)
 				}
 				merge := st[obs.StageMerge][0]
+				idsInPass, idsInMerge := idsReadAt(q)
+				if merge.Note != "" && !isNote(merge.Note, "ids", "built") || q.Kind == KindHaving && merge.Note == "" ||
+					!idsInMerge && merge.Note != "" {
+					t.Fatalf("%s: merge noted %q", label, merge.Note)
+				}
 				seen := map[int]bool{}
 				var sent, fwd int64
 				for _, s := range st[obs.StageShard] {
@@ -207,12 +235,16 @@ func TestTraceSpansPerPath(t *testing.T) {
 					if merge.Start < s.Start+s.Dur {
 						t.Fatalf("%s: merge starts at %v, before shard %d ended at %v", label, merge.Start, s.Switch, s.Start+s.Dur)
 					}
-					stream, keys, _ := strings.Cut(s.Note, "; ")
+					stream, rest, _ := strings.Cut(s.Note, "; ")
+					keys, ids, _ := strings.Cut(rest, "; ")
 					if stream != "chunked" && (noFuse || stream != "fused") {
 						t.Fatalf("%s: shard %d noted %q", label, s.Switch, s.Note)
 					}
-					if keyRows, _ := keyRowsOf(q); (keyRows > 0) != (keys == "keys: memo" || strings.HasPrefix(keys, "keys: hashed ")) {
+					if keyRows, _ := keyRowsOf(q); (keyRows > 0) != isNote(keys, "keys", "hashed") {
 						t.Fatalf("%s: shard %d reads %d rows of key fingerprints, noted %q", label, s.Switch, keyRows, s.Note)
+					}
+					if idsInPass != isNote(ids, "ids", "built") {
+						t.Fatalf("%s: shard %d noted %q", label, s.Switch, s.Note)
 					}
 				}
 				if len(seen) != k {
@@ -251,10 +283,12 @@ func TestTraceSpansPerPath(t *testing.T) {
 			}
 		}
 	}
-	// The keys note explains a slow first query: cold tables hash every
-	// key row once, whichever stream runs, and the same query again reads
-	// them all off the table — unless the key spans columns, which is
-	// hashed per query.
+	// The keys and ids notes explain a slow first query: cold tables hash
+	// every key row once and give every key row its id once, whichever
+	// stream runs, and the same query again reads both off the table —
+	// unless the key spans columns, which is hashed per query and has no
+	// dictionary. JOIN reads ids in its pass, the aggregation kinds in the
+	// master's completion.
 	for _, noFuse := range []bool{false, true} {
 		for name := range equivQueries(tb, rt) {
 			// Tables no query has read yet.
@@ -263,19 +297,39 @@ func TestTraceSpansPerPath(t *testing.T) {
 			if keyRows == 0 {
 				continue
 			}
-			hashed := "keys: hashed " + strconv.Itoa(keyRows)
-			for run, want := range []string{hashed, "keys: memo"} {
-				if !memoised {
-					want = hashed
+			idsInPass, idsInMerge := idsReadAt(q)
+			if q.Kind != KindHaving {
+				// A render ranks only results the radix sort would not
+				// settle by insertion sort alone; HAVING's second pass
+				// always reads ids.
+				direct, err := ExecDirect(q)
+				if err != nil {
+					t.Fatal(err)
 				}
+				idsInMerge = idsInMerge && len(direct.Rows) >= radix.MinSize
+			}
+			type notes struct{ shard, merge string }
+			cold := notes{shard: "keys: hashed " + strconv.Itoa(keyRows)}
+			warm := notes{shard: "keys: memo"}
+			switch {
+			case !memoised:
+				warm = cold
+			case idsInPass:
+				cold.shard += "; ids: built " + strconv.Itoa(keyRows)
+				warm.shard += "; ids: memo"
+			case idsInMerge:
+				cold.merge, warm.merge = "ids: built "+strconv.Itoa(keyRows), "ids: memo"
+			}
+			for run, want := range []notes{cold, warm} {
 				tr := obs.New()
 				if _, err := ExecCheetah(q, CheetahOptions{Workers: 2, Seed: 7, NoFuse: noFuse, Trace: tr}); err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
-				note := stagesOf(tr)[obs.StageShard][0].Note
+				st := stagesOf(tr)
 				tr.Release()
-				if _, keys, _ := strings.Cut(note, "; "); keys != want {
-					t.Fatalf("%s noFuse=%v run %d: shard noted %q, want %q", name, noFuse, run, note, want)
+				_, shard, _ := strings.Cut(st[obs.StageShard][0].Note, "; ")
+				if got := (notes{shard, st[obs.StageMerge][0].Note}); got != want {
+					t.Fatalf("%s noFuse=%v run %d: noted %+v, want %+v", name, noFuse, run, got, want)
 				}
 			}
 		}

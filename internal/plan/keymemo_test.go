@@ -12,10 +12,12 @@ import (
 	"cheetah/internal/workload/multitenant"
 )
 
-// keyNotes returns the keys part of every shard span's note.
+// keyNotes returns the keys part of every shard span's note (JOIN's goes
+// on with its ids part).
 func keyNotes(ex *Execution) (notes []string) {
 	for _, s := range planStages(ex)[obs.StageShard] {
-		_, keys, _ := strings.Cut(s.Note, "; ")
+		_, rest, _ := strings.Cut(s.Note, "; ")
+		keys, _, _ := strings.Cut(rest, "; ")
 		notes = append(notes, keys)
 	}
 	return notes

@@ -1,9 +1,11 @@
 package table
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"slices"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -24,28 +26,36 @@ func refFingerprint(t *Table, c, r int, seed uint64) uint64 {
 
 // fpSchedule runs a schedule of table operations, decoded from data, over
 // one root and the handles derived from it, and after every step asks
-// every live handle for a fingerprint column and checks it — the property
-// test, the hand cases and the fuzz target are all this interpreter.
+// every live handle for a fingerprint column and for key ids and checks
+// them — the property test, the hand cases and the fuzz target are all
+// this interpreter.
 //
 // What must hold at every step, for every handle h of the root:
 //
 //   - a column h gets (from the memo, or hashed into scratch when the memo
 //     turns it away) equals a fresh hash of h's own rows;
+//   - key ids h gets (from the dictionary, or built into scratch when the
+//     dictionary turns it away) are equal exactly where h's cells are;
+//     every id's first row comes no later than any row carrying it and
+//     holds the same cell; and the ids' ranks order their cells byte-wise
+//     as rendered (keyIDsError);
 //   - a handle made before the root's latest reorder is turned away;
 //   - a turned-away handle leaves the slot as it found it, and a served
-//     one moves it by exactly the rows it reports hashed;
+//     one moves it by exactly the rows it reports hashed or built;
 //   - a slice served earlier still holds what it held (extension never
 //     rewrites or pulls away a published prefix);
-//   - the memo holds at most 8 bytes per row per column, an eighth of
-//     growing room aside.
+//   - the fingerprint memo holds at most 8 bytes per row per column, the
+//     dictionary at most 4.5 bytes per row plus 48 per key and half a
+//     kilobyte, growing room included.
 type fpSchedule struct {
 	t       testing.TB
 	root    *Table
 	handles []*Table
 	donor   *Table
-	// served remembers slices handed out earlier with a copy of their
-	// contents at the time.
-	served [][2][]uint64
+	// served and servedIDs remember slices handed out earlier with a copy
+	// of their contents at the time.
+	served    [][2][]uint64
+	servedIDs [][2][]uint32
 }
 
 var fpSeeds = [2]uint64{7, 0xfeedbeef}
@@ -118,7 +128,9 @@ func (s *fpSchedule) step(op, a, b byte) {
 		// The root stays; the oldest derived handles go.
 		s.handles = append(s.handles[:1], s.handles[1+extra:]...)
 	}
-	s.check(pick(a+b, s.root.NumCols()), fpSeeds[pick(op>>3, len(fpSeeds))])
+	c, seed := pick(a+b, s.root.NumCols()), fpSeeds[pick(op>>3, len(fpSeeds))]
+	s.check(c, seed)
+	s.checkIDs(c, seed)
 }
 
 // check asks every live handle for column c under seed.
@@ -180,6 +192,121 @@ func (s *fpSchedule) check(c int, seed uint64) {
 	if bound := 8 * root.NumRows() * root.NumCols(); held > bound {
 		t.Fatalf("memo holds %d bytes, bound %d", held, bound)
 	}
+}
+
+// checkIDs asks every live handle for column c's key ids under seed.
+func (s *fpSchedule) checkIDs(c int, seed uint64) {
+	t, root := s.t, s.root
+	for i, h := range s.handles {
+		before := root.keyDicts[c].Load()
+		covered := before.valid(root.epoch, seed).rows()
+		k, built, ok := h.KeyIDs(c, seed)
+		after := root.keyDicts[c].Load()
+		label := fmt.Sprintf("handle %d [%d,%d) col %d seed %#x", i, h.off, h.off+h.n, c, seed)
+		if h.epoch != root.epoch && ok {
+			t.Fatalf("%s: made at epoch %d, served ids at epoch %d", label, h.epoch, root.epoch)
+		}
+		if !ok {
+			if after != before {
+				t.Fatalf("%s: turned away, yet the dictionary moved", label)
+			}
+			if h.epoch == root.epoch && h.off <= covered {
+				t.Fatalf("%s: turned away though the dictionary reaches row %d", label, covered)
+			}
+			fps := make([]uint64, h.NumRows())
+			h.HashKeys(c, seed, fps)
+			k = h.BuildKeyIDs(c, fps, new(KeyIDScratch))
+		} else {
+			if len(k.IDs) != h.NumRows() || cap(k.IDs) != len(k.IDs) {
+				t.Fatalf("%s: served len %d cap %d for %d rows", label, len(k.IDs), cap(k.IDs), h.NumRows())
+			}
+			if want := max(h.off+h.n-covered, 0); built != want {
+				t.Fatalf("%s: reports %d rows built, dictionary reached %d", label, built, covered)
+			}
+			if reached := after.valid(root.epoch, seed).rows(); reached != max(covered, h.off+h.n) {
+				t.Fatalf("%s: dictionary reaches %d after the call, want %d", label, reached, max(covered, h.off+h.n))
+			}
+			s.servedIDs = append(s.servedIDs, [2][]uint32{k.IDs, slices.Clone(k.IDs)})
+		}
+		if err := keyIDsError(h, c, k); err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+	}
+	for _, sv := range s.servedIDs {
+		if !slices.Equal(sv[0], sv[1]) {
+			t.Fatal("key ids served earlier changed under their reader")
+		}
+	}
+	if len(s.servedIDs) > 64 {
+		s.servedIDs = s.servedIDs[len(s.servedIDs)-64:]
+	}
+	for c := range root.keyDicts {
+		d := root.keyDicts[c].Load()
+		if d == nil {
+			continue
+		}
+		held := 4*cap(d.ids) + 4*cap(d.first) + 8*len(d.lin.index.slots)
+		if r := d.lin.ranks.Load(); r != nil {
+			held += 4*cap(r.order) + 4*cap(r.rank)
+		}
+		if bound := 4*root.NumRows() + root.NumRows()/2 + 48*len(d.first) + 512; held > bound {
+			t.Fatalf("col %d: dictionary of %d keys over %d rows holds %d bytes, bound %d", c, len(d.first), root.NumRows(), held, bound)
+		}
+	}
+}
+
+// rendered is row r's cell of col as a result renders it.
+func rendered(col column, r int) string {
+	if col.typ == String {
+		return col.strs[r]
+	}
+	return strconv.FormatInt(col.ints[r], 10)
+}
+
+// keyIDsError checks k, h's key ids of column c: equal ids exactly where
+// the cells are equal, every id below Len, its first row no later than
+// any row carrying it and holding the same cell, and ranks ordering the
+// ids below Len strictly by rendered cell, byte-wise.
+func keyIDsError(h *Table, c int, k KeyIDs) error {
+	byCell, byID := map[string]uint32{}, map[uint32]string{}
+	col := h.colPrefix(c, h.off+h.n)
+	for r, id := range k.IDs {
+		cell := rendered(col, h.off+r)
+		if other, seen := byCell[cell]; seen && other != id {
+			return fmt.Errorf("row %d: cell %q has ids %d and %d", r, cell, other, id)
+		}
+		if other, seen := byID[id]; seen && other != cell {
+			return fmt.Errorf("row %d: id %d has cells %q and %q", r, id, other, cell)
+		}
+		byCell[cell], byID[id] = id, cell
+		if int(id) >= k.Len() {
+			return fmt.Errorf("row %d: id %d, dictionary of %d", r, id, k.Len())
+		}
+		if f := int(k.first[id]); f > h.off+r || rendered(col, f) != cell {
+			return fmt.Errorf("row %d: id %d first seen at row %d", r, id, f-h.off)
+		}
+	}
+	if k.Len() == 0 {
+		return nil
+	}
+	rank, nul := k.Ranks()
+	byRank := make([]int, k.Len())
+	for i := range byRank {
+		byRank[i] = i
+	}
+	slices.SortFunc(byRank, func(a, b int) int { return int(rank[a]) - int(rank[b]) })
+	anyNUL := false
+	for i, id := range byRank {
+		cell := rendered(col, int(k.first[id]))
+		anyNUL = anyNUL || slices.Contains([]byte(cell), 0)
+		if i > 0 && rendered(col, int(k.first[byRank[i-1]])) >= cell {
+			return fmt.Errorf("ranks put %q before %q", rendered(col, int(k.first[byRank[i-1]])), cell)
+		}
+	}
+	if anyNUL && !nul {
+		return errors.New("a ranked key holds NUL, ranks say none does")
+	}
+	return nil
 }
 
 // run interprets data three bytes at a time.
@@ -358,7 +485,8 @@ func TestKeyFingerprintExtensionKeepsOldReaders(t *testing.T) {
 // TestKeyFingerprintConcurrentAppend is the ingestor's shape under the
 // race detector: one appender commits 256-row batches under a lock while
 // readers snapshot under the same lock and then, outside it, ask the
-// snapshot and a delta view of it for the same columns.
+// snapshot and a delta view of it for the same columns' fingerprints, key
+// ids and ranks.
 func TestKeyFingerprintConcurrentAppend(t *testing.T) {
 	tb := testTable(t, 512)
 	var mu sync.Mutex // the ingestor's: commits and snapshots
@@ -406,6 +534,14 @@ func TestKeyFingerprintConcurrentAppend(t *testing.T) {
 							return
 						}
 					}
+					k, _, ok := h.KeyIDs(c, 7)
+					if !ok {
+						k = h.BuildKeyIDs(c, fps, new(KeyIDScratch))
+					}
+					if err := keyIDsError(h, c, k); err != nil {
+						t.Errorf("reader %d rows [%d,%d): %v", g, h.off, h.off+h.n, err)
+						return
+					}
 				}
 			}
 		}(g)
@@ -425,6 +561,77 @@ func TestKeyFingerprintConcurrentAppend(t *testing.T) {
 	for c := 1; c <= 2; c++ {
 		if m := tb.keyFPs[c].Load(); m == nil || len(m.fps) != tb.NumRows() {
 			t.Fatalf("col %d: the readers' last look did not bring the memo to %d rows", c, tb.NumRows())
+		}
+	}
+}
+
+// TestKeyIDsCollisions builds key ids from forced fingerprints — all
+// equal, pairwise equal, equal in the high half the index is placed by,
+// honest — over the cells where building ids is likeliest to slip, and
+// requires ids equal exactly where the cells are: a fingerprint only
+// preselects, the cells decide.
+func TestKeyIDsCollisions(t *testing.T) {
+	tb := MustNew(Schema{{Name: "s", Type: String}, {Name: "i", Type: Int64}})
+	strs := []string{"", "a", "a\x00", "\x00", "a\x00b", "ab", "b", "user0042", "user00420"}
+	ints := []int64{0, 1, -1, math.MinInt64, math.MaxInt64, -10, 10, 9, -9}
+	for rep := 0; rep < 7; rep++ {
+		for i := range strs {
+			j := (i*5 + rep) % len(strs)
+			if err := tb.AppendRow(strs[j], ints[j]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	forced := map[string]func(c, r int) uint64{
+		"all-equal": func(int, int) uint64 { return 7 },
+		"pairwise":  func(c, r int) uint64 { return hashutil.Mix64(uint64(keyIndex(tb, c, r) / 2)) },
+		"high-half": func(c, r int) uint64 { return uint64(keyIndex(tb, c, r)) },
+		"honest":    func(c, r int) uint64 { return refFingerprint(tb, c, r, 3) },
+	}
+	for name, fp := range forced {
+		for c := 0; c < tb.NumCols(); c++ {
+			fps := make([]uint64, tb.NumRows())
+			for r := range fps {
+				fps[r] = fp(c, r)
+			}
+			k := tb.BuildKeyIDs(c, fps, new(KeyIDScratch))
+			if err := keyIDsError(tb, c, k); err != nil {
+				t.Fatalf("%s col %d: %v", name, c, err)
+			}
+			if k.Len() != len(strs) {
+				t.Fatalf("%s col %d: %d ids for %d keys", name, c, k.Len(), len(strs))
+			}
+		}
+	}
+}
+
+// keyIndex is the position of row r's cell of column c among the first
+// distinct cells of tb — a stand-in key number to force fingerprints from.
+func keyIndex(tb *Table, c, r int) int {
+	col := tb.colPrefix(c, tb.NumRows())
+	for i := 0; ; i++ {
+		if col.same(i, r) {
+			return i
+		}
+	}
+}
+
+// TestCompareRendered pins compareRendered to the byte-wise order of the
+// rendered integers.
+func TestCompareRendered(t *testing.T) {
+	vals := []int64{0, 1, -1, 9, 10, -9, -10, 99, 100, math.MinInt64, math.MaxInt64, math.MinInt64 + 1, 123456789, -123456789}
+	for _, a := range vals {
+		for _, b := range vals {
+			sa, sb := strconv.FormatInt(a, 10), strconv.FormatInt(b, 10)
+			want := 0
+			if sa < sb {
+				want = -1
+			} else if sa > sb {
+				want = 1
+			}
+			if got := compareRendered(a, b); got != want {
+				t.Fatalf("compareRendered(%d, %d) = %d, rendered order says %d", a, b, got, want)
+			}
 		}
 	}
 }

@@ -9,7 +9,7 @@
 // zero-copy views that share column storage, the same way Spark partitions
 // reference blocks of a parent dataset.
 //
-// Beside its columns a root table carries three derived structures, all
+// Beside its columns a root table carries four derived structures, all
 // optional, all immutable once published through an atomic slot, and all
 // standing on one validity rule — appends never rewrite committed rows, so
 // what was derived from a prefix stays true of it; only an in-place
@@ -28,6 +28,15 @@
 //     what a CWorker sends the switch in place of a wide key, hashed once
 //     per row for every query, handle and shard that reads the column, and
 //     extended — never rebuilt — over appended rows.
+//   - one key dictionary per column (KeyIDs; keyids.go): a key id per row,
+//     equal exactly where the cells are, built from the fingerprint column
+//     with one cell comparison per row, and the keys' canonical ranks — so
+//     that the master groups, matches and orders keys by id, not by bytes.
+//     Extended like the fingerprint column, under the same lock.
+//
+// The last two are contiguous-only: a handle whose rows start past what
+// the root has derived is turned away and derives its own rows into
+// scratch, so that no reader pays for rows it does not read.
 package table
 
 import (
@@ -151,12 +160,14 @@ type Table struct {
 	// it; an entry is checked against the handle's rows and epoch before it
 	// is used.
 	keyShards atomic.Pointer[keyShards]
-	// keyFPs holds, on a root, one slot per column for the column's
-	// memoised key fingerprints (keyfp.go). Slots are atomic and a
-	// published prefix is never rewritten, so readers need no lock; fpMu
-	// serialises the handles that extend or replace an entry.
-	keyFPs []atomic.Pointer[keyFPs]
-	fpMu   sync.Mutex
+	// keyFPs and keyDicts hold, on a root, one slot per column for the
+	// column's memoised key fingerprints (keyfp.go) and key dictionary
+	// (keyids.go). Slots are atomic and a published prefix is never
+	// rewritten, so readers need no lock; fpMu serialises the handles that
+	// extend or replace an entry of either.
+	keyFPs   []atomic.Pointer[keyFPs]
+	keyDicts []atomic.Pointer[keyDict]
+	fpMu     sync.Mutex
 }
 
 // root returns the table that owns t's storage and derived structures: t
@@ -173,12 +184,19 @@ func (t *Table) root() *Table {
 // publish root's derived structures.
 func (t *Table) sameOrder(root *Table) bool { return t.epoch == root.epoch }
 
+// initDerived gives a new root its per-column derived-structure slots.
+func (t *Table) initDerived() {
+	t.keyFPs = make([]atomic.Pointer[keyFPs], len(t.schema))
+	t.keyDicts = make([]atomic.Pointer[keyDict], len(t.schema))
+}
+
 // New creates an empty table with the given schema.
 func New(schema Schema) (*Table, error) {
 	if err := schema.Validate(); err != nil {
 		return nil, err
 	}
-	t := &Table{schema: append(Schema(nil), schema...), keyFPs: make([]atomic.Pointer[keyFPs], len(schema))}
+	t := &Table{schema: append(Schema(nil), schema...)}
+	t.initDerived()
 	t.cols = make([]*column, len(schema))
 	for i, c := range schema {
 		t.cols[i] = &column{typ: c.Type}
@@ -420,7 +438,8 @@ func (t *Table) Project(names ...string) (*Table, error) {
 		defs = append(defs, t.schema[i])
 		idx = append(idx, i)
 	}
-	out := &Table{schema: defs, n: t.n, keyFPs: make([]atomic.Pointer[keyFPs], len(defs))}
+	out := &Table{schema: defs, n: t.n}
+	out.initDerived()
 	out.cols = make([]*column, len(idx))
 	for j, i := range idx {
 		src := t.cols[i]
@@ -488,14 +507,15 @@ func (t *Table) Shuffle(seed uint64) error {
 // applyPermutation reorders every column so row i becomes old row perm[i].
 // Reordering invalidates everything derived from row positions — the skip
 // index's block summaries, the co-partition's in-shard order, the
-// fingerprint columns — so the slots are cleared, and the epoch moves so
-// that no handle made before the reorder fills them again.
+// fingerprint columns and dictionaries — so the slots are cleared, and the
+// epoch moves so that no handle made before the reorder fills them again.
 func (t *Table) applyPermutation(perm []int) {
 	t.epoch++
 	t.skip.Store(nil)
 	t.keyShards.Store(nil)
 	for c := range t.keyFPs {
 		t.keyFPs[c].Store(nil)
+		t.keyDicts[c].Store(nil)
 	}
 	for _, c := range t.cols {
 		switch c.typ {
