@@ -280,6 +280,46 @@ func BenchmarkExecDirectJoin100k(b *testing.B) {
 	benchExecDirect(b, join100kQuery(b))
 }
 
+// BenchmarkExecShardedScaling runs GROUP BY SUM and SKYLINE over one
+// 300k-row table on one switch and on two, alternating, and reports the
+// two-switch wall over the one-switch wall. Each of two switches prunes
+// half the table, so with two idle CPUs the ratio should sit near 0.5; a
+// ratio near 1 or above means the shard passes contend for something —
+// a cache line two switch programs share was the cause once.
+func BenchmarkExecShardedScaling(b *testing.B) {
+	uv := buildUserVisits(b, 300_000)
+	for _, q := range []*cheetah.Query{
+		{Kind: cheetah.KindGroupBySum, Table: uv, KeyCol: "countryCode", AggCol: "adRevenue"},
+		{Kind: cheetah.KindSkyline, Table: uv, SkylineCols: []string{"adRevenue", "duration"}},
+	} {
+		b.Run(q.Kind.String(), func(b *testing.B) {
+			var wall [3]time.Duration // by shard count
+			run := func(k int) {
+				start := time.Now()
+				if _, err := cheetah.ExecSharded(q, cheetah.ShardedOptions{Shards: k, Workers: 1, Seed: 1}); err != nil {
+					b.Fatal(err)
+				}
+				wall[k] += time.Since(start)
+			}
+			run(1) // the table's key fingerprint column, built once
+			wall[1] = 0
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i%2 == 0 {
+					run(1)
+					run(2)
+				} else {
+					run(2)
+					run(1)
+				}
+			}
+			b.ReportMetric(float64(wall[1].Microseconds())/float64(b.N)/1e3, "k1-ms")
+			b.ReportMetric(float64(wall[2].Microseconds())/float64(b.N)/1e3, "k2-ms")
+			b.ReportMetric(float64(wall[2])/float64(wall[1]), "k2_over_k1")
+		})
+	}
+}
+
 // The aggregation kinds, keyed on userAgent: 8 192 Zipfian string keys
 // behind a shared prefix, the shape on which the master's completion —
 // fingerprint table, late key rendering, key-only sort — is the cost.

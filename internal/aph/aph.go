@@ -15,6 +15,8 @@ import (
 	"math"
 	"math/bits"
 	"sync"
+
+	"cheetah/internal/cacheline"
 )
 
 // DefaultBeta is the default fixed-point scale for the fractional part of
@@ -63,7 +65,11 @@ func New(beta uint64) (*Projector, error) {
 			return p, nil
 		}
 	}
-	p := &Projector{beta: beta, table: make([]uint64, TableEntries)}
+	// Every SKYLINE program of this β reads the projector on every entry,
+	// each shard's on its own core: it must not share a line with what
+	// any of them writes.
+	p := cacheline.New[Projector]()
+	*p = Projector{beta: beta, table: cacheline.Make[uint64](TableEntries)}
 	for a := 1; a < TableEntries; a++ {
 		p.table[a] = uint64(math.Round(float64(beta) * math.Log2(float64(a))))
 	}

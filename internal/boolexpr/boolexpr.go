@@ -13,6 +13,8 @@ package boolexpr
 import (
 	"fmt"
 	"strings"
+
+	"cheetah/internal/cacheline"
 )
 
 // Expr is a boolean formula over numbered predicate variables.
@@ -260,9 +262,12 @@ func Compile(e Expr, vars []int) (*TruthTable, error) {
 	}
 	n := len(vars)
 	size := 1 << n
-	tt := &TruthTable{
-		vars:  append([]int(nil), vars...),
-		table: make([]uint64, (size+63)/64),
+	// The table is a filter program's register, read on every entry: it
+	// must not share a line with what another shard's program writes.
+	tt := cacheline.New[TruthTable]()
+	*tt = TruthTable{
+		vars:  append(cacheline.Make[int](n)[:0], vars...),
+		table: cacheline.Make[uint64]((size + 63) / 64),
 	}
 	for idx := 0; idx < size; idx++ {
 		ok := e.Eval(func(v int) bool {

@@ -6,13 +6,16 @@
 // Layout mirrors the hardware: each of the w columns is one pipeline stage
 // holding a d-entry register array; a packet visits the columns of its row
 // in stage order. All structures use flat backing arrays and allocate
-// nothing per entry.
+// nothing per entry; each structure and each backing array is allocated
+// alone on its cache lines (package cacheline), so the matrices of
+// concurrently running shards never write to one line.
 package cache
 
 import (
 	"fmt"
 	"math"
 
+	"cheetah/internal/cacheline"
 	"cheetah/internal/hashutil"
 )
 
@@ -67,14 +70,16 @@ func NewMatrix(d, w int, policy Policy, seed uint64) (*Matrix, error) {
 	if policy != FIFO && policy != LRU {
 		return nil, fmt.Errorf("cache: unknown policy %v", policy)
 	}
-	return &Matrix{
+	m := cacheline.New[Matrix]()
+	*m = Matrix{
 		d:      d,
 		w:      w,
 		policy: policy,
-		vals:   make([]uint64, d*w),
-		fill:   make([]int, d),
+		vals:   cacheline.Make[uint64](d * w),
+		fill:   cacheline.Make[int](d),
 		mixed:  hashutil.SplitMix64(seed),
-	}, nil
+	}
+	return m, nil
 }
 
 // Rows returns d. Cols returns w.
@@ -176,7 +181,8 @@ func NewRollingMin(d, w int) (*RollingMin, error) {
 	if d <= 0 || w <= 0 {
 		return nil, fmt.Errorf("cache: rolling-min dimensions %dx%d must be positive", d, w)
 	}
-	r := &RollingMin{d: d, w: w, vals: make([]int64, d*w), mins: make([]int64, d)}
+	r := cacheline.New[RollingMin]()
+	*r = RollingMin{d: d, w: w, vals: cacheline.Make[int64](d * w), mins: cacheline.Make[int64](d)}
 	fillSentinel(r.vals)
 	fillSentinel(r.mins)
 	return r, nil
@@ -320,13 +326,15 @@ func NewKeyedMax(d, w int, seed uint64) (*KeyedMax, error) {
 	if d <= 0 || w <= 0 {
 		return nil, fmt.Errorf("cache: keyed-max dimensions %dx%d must be positive", d, w)
 	}
-	return &KeyedMax{
+	k := cacheline.New[KeyedMax]()
+	*k = KeyedMax{
 		d: d, w: w,
-		keys:  make([]uint64, d*w),
-		vals:  make([]int64, d*w),
-		fill:  make([]int, d),
+		keys:  cacheline.Make[uint64](d * w),
+		vals:  cacheline.Make[int64](d * w),
+		fill:  cacheline.Make[int](d),
 		mixed: hashutil.SplitMix64(seed),
-	}, nil
+	}
+	return k, nil
 }
 
 // Rows returns d. Cols returns w.

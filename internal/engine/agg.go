@@ -54,6 +54,7 @@ func (ps *pass) agg(p *partial) error {
 			pr.AddStats(uint64(sent), uint64(sent-fwd))
 		case *prune.GroupBySum:
 			sent, fwd = fusedGroupBySumScan(t, vc, seed, pr, workers, p)
+			pr.AddStats(uint64(sent), uint64(sent-fwd))
 		case *prune.Having:
 			sent, fwd = fusedHavingPass1(t, vc, seed, pr, workers, p)
 			pr.AddStats(uint64(sent), uint64(sent-fwd))

@@ -43,7 +43,6 @@ import (
 	"cheetah/internal/cache"
 	"cheetah/internal/hashutil"
 	"cheetah/internal/prune"
-	"cheetah/internal/switchsim"
 	"cheetah/internal/table"
 )
 
@@ -183,17 +182,17 @@ func evalLikePred(bits []uint32, col []string, like string, pr *prune.Predicate,
 // fusedFilterScan runs the whole FILTER dataplane over spans of t as
 // chunked column sweeps: each filter predicate ORs its bit into a pooled
 // bit-vector straight from its wire column (raw int64, or LIKE evaluated
-// on the fly), then one truth-table sweep counts — and, when rows is
-// non-nil, collects — the survivors. Filtering is stateless, so plain
-// row order yields the same totals as the worker interleave, and the
-// result assembly sorts. ok=false means the pruner's predicate layout
-// does not match the query's wire format; the caller falls back.
+// on the fly), then one truth-table sweep counts — and, with collect,
+// returns — the survivors. Filtering is stateless, so plain row order
+// yields the same totals as the worker interleave, and the result
+// assembly sorts. ok=false means the pruner's predicate layout does not
+// match the query's wire format; the caller falls back.
 func fusedFilterScan(t *table.Table, preds []FilterPred, cols []int, f *prune.Filter,
-	spans []span, rows *[]int) (sent, fwd int, ok bool) {
+	spans []span, collect bool) (rows []int, sent, fwd int, ok bool) {
 	sPreds, tt := f.FusedSpec()
 	for i := range sPreds {
 		if sPreds[i].ValIdx >= len(preds) {
-			return 0, 0, false
+			return nil, 0, 0, false
 		}
 	}
 	type wire struct {
@@ -231,7 +230,7 @@ func fusedFilterScan(t *table.Table, preds []FilterPred, cols []int, f *prune.Fi
 				}
 			}
 			sent += m
-			if rows == nil {
+			if !collect {
 				for _, bv := range bits {
 					if tt.Lookup(bv) {
 						fwd++
@@ -242,14 +241,14 @@ func fusedFilterScan(t *table.Table, preds []FilterPred, cols []int, f *prune.Fi
 			for j, bv := range bits {
 				if tt.Lookup(bv) {
 					fwd++
-					*rows = append(*rows, lo+j)
+					rows = append(rows, lo+j)
 				}
 			}
 		}
 	}
 	*bp = bits
 	filterBitsPool.Put(bp)
-	return sent, fwd, true
+	return rows, sent, fwd, true
 }
 
 // filterExact reports whether pruner forwards exactly the rows q's
@@ -327,10 +326,10 @@ func fusedDistinctScan(seed uint64, m *cache.Matrix, workers int, p *partial) (s
 // stream at all, so fused TOP N traffic is reproducible across worker
 // counts too.
 func fusedTopNRandSpan(ints []int64, lo, hi int, p *prune.RandTopN,
-	h *int64Heap, topN int) (sent, fwd int) {
+	h int64Heap, topN int) (_ int64Heap, sent, fwd int) {
 	n := hi - lo
 	if n == 0 {
-		return 0, 0
+		return h, 0, 0
 	}
 	m, d, base, pos0 := p.FusedRandState(n)
 	mins := m.Mins()
@@ -392,16 +391,16 @@ func fusedTopNRandSpan(ints []int64, lo, hi int, p *prune.RandTopN,
 			h.offer(v, topN)
 		}
 	}
-	return n, fwd
+	return h, n, fwd
 }
 
 // fusedTopNDetSpan is fusedTopNRandSpan for the deterministic threshold
 // pruner: the per-entry transition is DetTopN.FusedOffer.
 func fusedTopNDetSpan(ints []int64, lo, hi, workers int, p *prune.DetTopN,
-	h *int64Heap, topN int) (sent, fwd int) {
+	h int64Heap, topN int) (_ int64Heap, sent, fwd int) {
 	n := hi - lo
 	if n == 0 {
-		return 0, 0
+		return h, 0, 0
 	}
 	if workers <= 0 {
 		workers = 1
@@ -419,15 +418,10 @@ func fusedTopNDetSpan(ints []int64, lo, hi, workers int, p *prune.DetTopN,
 				continue
 			}
 			fwd++
-			if len(*h) < topN {
-				h.push(v)
-			} else if v > (*h)[0] {
-				(*h)[0] = v
-				(*h).fixRoot()
-			}
+			h.offer(v, topN)
 		}
 	}
-	return n, fwd
+	return h, n, fwd
 }
 
 // --- GROUP BY MAX ------------------------------------------------------
@@ -461,8 +455,9 @@ func fusedGroupByMaxScan(t *table.Table, vc int, seed uint64, g *prune.GroupBy, 
 
 // fusedGroupBySumScan streams (key fingerprint, value) through the
 // in-switch aggregation matrix in worker-interleave order; evicted
-// aggregates absorb into p. p.resolve reads the same fingerprint column
-// again to find the surviving fingerprints' keys after the drain.
+// aggregates absorb into p, and every other entry was absorbed by the
+// switch (pruned). p.resolve reads the same fingerprint column again to
+// find the surviving fingerprints' keys after the drain.
 func fusedGroupBySumScan(t *table.Table, vc int, seed uint64, gs *prune.GroupBySum, workers int, p *partial) (sent, fwd int) {
 	fps, order := p.hashKeys(seed), p.arrival(workers)
 	vals := t.Int64Col(vc)
@@ -506,14 +501,15 @@ func fusedHavingPass1(t *table.Table, vc int, seed uint64, h *prune.Having, work
 // --- SKYLINE -----------------------------------------------------------
 
 // fusedSkylineScan streams the dimension tuples through the skyline
-// pool in worker-interleave order. The pool's swap/drop logic (and its
-// stats) live in Process; the fused win is the devirtualized call and
-// the in-loop survivor collection.
-func fusedSkylineScan(t *table.Table, cols []int, s *prune.Skyline, workers int,
-	rows *[]int) (sent, fwd int) {
+// pool in worker-interleave order and returns the forwarded rows. The
+// pool's swap/drop logic lives in FusedOffer; the fused win is the
+// devirtualized call and the in-loop survivor collection. The entry being
+// offered is gathered on the stack, where no other goroutine's writes can
+// reach its line.
+func fusedSkylineScan(t *table.Table, cols []int, s *prune.Skyline, workers int) (rows []int, sent, fwd int) {
 	n := t.NumRows()
 	if n == 0 {
-		return 0, 0
+		return nil, 0, 0
 	}
 	if workers <= 0 {
 		workers = 1
@@ -523,7 +519,12 @@ func fusedSkylineScan(t *table.Table, cols []int, s *prune.Skyline, workers int,
 	for i, c := range cols {
 		ints[i] = t.Int64Col(c)
 	}
-	vals := make([]uint64, len(cols)+1)
+	var entry [16]uint64
+	vals := entry[:]
+	if len(cols) >= len(entry) {
+		vals = make([]uint64, len(cols)+1)
+	}
+	vals = vals[:len(cols)+1]
 	for k, done := 0, 0; done < n; k++ {
 		for w := 0; w < workers; w++ {
 			r := starts[w] + k
@@ -535,11 +536,11 @@ func fusedSkylineScan(t *table.Table, cols []int, s *prune.Skyline, workers int,
 				vals[i] = uint64(src[r])
 			}
 			vals[len(ints)] = uint64(r)
-			if s.Process(vals) == switchsim.Forward {
+			if !s.FusedOffer(vals) {
 				fwd++
-				*rows = append(*rows, r)
+				rows = append(rows, r)
 			}
 		}
 	}
-	return n, fwd
+	return rows, n, fwd
 }

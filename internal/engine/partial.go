@@ -39,6 +39,7 @@ import (
 	"strconv"
 	"sync"
 
+	"cheetah/internal/cacheline"
 	"cheetah/internal/radix"
 	"cheetah/internal/table"
 )
@@ -62,9 +63,10 @@ type fpTable struct {
 // fpTableMinSlots is the slot count a fresh table starts from.
 const fpTableMinSlots = 1 << 10
 
-// reset empties the table, keeping its capacity.
+// reset empties the table, keeping its capacity. Probing needs at least
+// one slot, whatever left the slice empty.
 func (t *fpTable) reset() {
-	if t.slots == nil {
+	if len(t.slots) == 0 {
 		t.slots = make([]fpSlot, fpTableMinSlots)
 	}
 	clear(t.slots)
@@ -151,7 +153,10 @@ type partial struct {
 	place  []int32
 }
 
-var partialPool = sync.Pool{New: func() any { return new(partial) }}
+// partialPool's partials are allocated alone on their cache lines: the k
+// partials of a sharded run are taken one after another by the master and
+// then absorbed into on k cores, once per forwarded entry.
+var partialPool = sync.Pool{New: func() any { return cacheline.New[partial]() }}
 
 // poolMax is the capacity, in elements, above which a pooled completion's
 // scratch — a partial's, a JOIN's — is dropped instead of pooled: one

@@ -328,3 +328,15 @@ func TestPooledScratchBounded(t *testing.T) {
 		}
 	}
 }
+
+// TestFpTableResetEmptySlots: a pooled partial can come back with an
+// empty but non-nil slot slice (TestPooledScratchBounded pools exactly
+// that), and reset must still leave slots to probe — a probe of zero
+// slots indexes out of range.
+func TestFpTableResetEmptySlots(t *testing.T) {
+	tab := fpTable{slots: make([]fpSlot, 0, 8)}
+	tab.reset()
+	if len(tab.slots) == 0 || tab.find(42) != 0 {
+		t.Fatalf("reset left %d slots", len(tab.slots))
+	}
+}

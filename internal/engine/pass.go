@@ -98,7 +98,8 @@ func (ps *pass) survivors(countOnly bool) (rows []int, err error) {
 			cols[i] = t.Schema().MustIndex(c)
 		}
 		if sk, ok := ps.pruner.(*prune.Skyline); ps.fuse(ok) {
-			tr.EntriesSent, tr.Forwarded = fusedSkylineScan(t, cols, sk, ps.workers, &rows)
+			rows, tr.EntriesSent, tr.Forwarded = fusedSkylineScan(t, cols, sk, ps.workers)
+			sk.AddStats(uint64(tr.EntriesSent), uint64(tr.EntriesSent-tr.Forwarded))
 		}
 	} else {
 		cols = make([]int, len(q.Predicates))
@@ -113,13 +114,10 @@ func (ps *pass) survivors(countOnly bool) (rows []int, err error) {
 			spans, ps.skipped = filterSpans(q, t, cols)
 		}
 		if f, ok := ps.pruner.(*prune.Filter); ps.fuse(ok) {
-			rowsPtr := &rows
-			if countOnly {
-				rowsPtr = nil
-			}
 			// ok=false: the program's predicate layout is not the query's
 			// wire format, and the stream is the dataplane's after all.
-			sent, fwd, ok := fusedFilterScan(t, q.Predicates, cols, f, spans, rowsPtr)
+			var sent, fwd int
+			rows, sent, fwd, ok = fusedFilterScan(t, q.Predicates, cols, f, spans, !countOnly)
 			if ps.fused = ok; ok {
 				f.AddStats(uint64(sent), uint64(sent-fwd))
 				tr.EntriesSent, tr.Forwarded = sent, fwd
@@ -246,10 +244,10 @@ func (ps *pass) topN() (h int64Heap, err error) {
 		scan = func(lo, hi int) {
 			var sent, fwd int
 			if isRnd {
-				sent, fwd = fusedTopNRandSpan(ints, lo, hi, rnd, &h, q.N)
+				h, sent, fwd = fusedTopNRandSpan(ints, lo, hi, rnd, h, q.N)
 				rnd.AddStats(uint64(sent), uint64(sent-fwd))
 			} else {
-				sent, fwd = fusedTopNDetSpan(ints, lo, hi, ps.workers, det, &h, q.N)
+				h, sent, fwd = fusedTopNDetSpan(ints, lo, hi, ps.workers, det, h, q.N)
 				det.AddStats(uint64(sent), uint64(sent-fwd))
 			}
 			tr.EntriesSent += sent
@@ -351,8 +349,9 @@ func (ps *pass) joinRows() ([][]string, error) {
 // rows for exact sums (§4.3's partial second pass), accounting the
 // re-streamed entries to its own traffic, and the sums merge. note is the
 // merge span's: where the key ids HAVING's second pass and a ranked render
-// read came from (idsNote), empty when nothing read any.
-func completeAgg(q *Query, passes []*pass, partials []*partial) (res *Result, note string) {
+// read came from (idsNote), empty when nothing read any. err is a second
+// pass's panic (forEachShard).
+func completeAgg(q *Query, passes []*pass, partials []*partial) (res *Result, note string, err error) {
 	g := partials[0]
 	for _, p := range partials[1:] {
 		g.merge(p)
@@ -364,13 +363,16 @@ func completeAgg(q *Query, passes []*pass, partials []*partial) (res *Result, no
 		vc := q.Table.Schema().MustIndex(q.AggCol)
 		// The exact pass is pruner-free, so it runs the same whatever the
 		// pass's dataplane, and no switch can die under it.
-		_ = forEachShard(len(passes), func(s int) error {
+		err = forEachShard(len(passes), func(s int) error {
 			tr := &passes[s].traffic
 			tr.SecondPassSent = partials[s].sumCandidates(vc, passes[s].seed)
 			tr.EntriesSent += tr.SecondPassSent
 			tr.MasterProcessed = tr.SecondPassSent
 			return nil
 		})
+		if err != nil {
+			return nil, "", err
+		}
 		for _, p := range partials[1:] {
 			g.merge(p)
 		}
@@ -383,7 +385,7 @@ func completeAgg(q *Query, passes []*pass, partials []*partial) (res *Result, no
 	if read {
 		note = idsNote(built)
 	}
-	return res, note
+	return res, note, nil
 }
 
 // execPasses runs every shard's pass and completes q from their parts.
@@ -460,7 +462,7 @@ func execPasses(q *Query, execs []*shardExec, opts ShardedOptions) (res *Result,
 		}
 		err = scatter(func(s int) error { return passes[s].agg(partials[s]) })
 		if err == nil {
-			res, mergeNote = completeAgg(q, passes, partials)
+			res, mergeNote, err = completeAgg(q, passes, partials)
 		}
 	}
 	if err != nil {

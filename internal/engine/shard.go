@@ -40,6 +40,7 @@ package engine
 
 import (
 	"fmt"
+	"runtime/debug"
 	"sync"
 	"time"
 
@@ -270,10 +271,14 @@ func (se *shardExec) run(opts ShardedOptions, attempt func(s int) error) error {
 }
 
 // forEachShard runs f concurrently for every shard and returns the first
-// error. Each shard's pruning is one switch's independent dataplane.
+// error. Each shard's pruning is one switch's independent dataplane. A
+// panic in f costs the query, not the process: no caller can recover a
+// panic in another goroutine, so it is recovered in the shard's own and
+// returned as the shard's error — inline at one shard too, so that both
+// widths fail alike.
 func forEachShard(n int, f func(s int) error) error {
 	if n == 1 {
-		return f(0)
+		return runShard(0, f)
 	}
 	errs := make([]error, n)
 	var wg sync.WaitGroup
@@ -281,7 +286,7 @@ func forEachShard(n int, f func(s int) error) error {
 	for s := 0; s < n; s++ {
 		go func(s int) {
 			defer wg.Done()
-			errs[s] = f(s)
+			errs[s] = runShard(s, f)
 		}(s)
 	}
 	wg.Wait()
@@ -291,6 +296,17 @@ func forEachShard(n int, f func(s int) error) error {
 		}
 	}
 	return nil
+}
+
+// runShard is f(s) with a panic turned into the shard's error, stack
+// included.
+func runShard(s int, f func(s int) error) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("engine: shard %d panicked: %v\n%s", s, r, debug.Stack())
+		}
+	}()
+	return f(s)
 }
 
 // newShardExecs shards the tables and builds each shard's context. The

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"cheetah/internal/prune"
+	"cheetah/internal/switchsim"
 	"cheetah/internal/table"
 )
 
@@ -334,5 +335,119 @@ func TestShardedNilPrunerRejected(t *testing.T) {
 	_, err = ExecSharded(q, ShardedOptions{Shards: 2, Pruners: []prune.Pruner{good, nil}})
 	if err == nil || !strings.Contains(err.Error(), "nil pruner") {
 		t.Fatalf("nil pruner element: got %v", err)
+	}
+}
+
+// TestShardedStatsGolden pins a two-switch run's Stats and PerSwitch, on
+// the fused loops and the chunked pipeline, to the numbers the programs
+// reported when they still counted every entry in their own fields: the
+// fused loops now count in locals and deposit once per span (AddStats),
+// and nothing may be lost on the way. groupby-sum-evicting runs a matrix
+// small enough that aggregates are evicted mid-stream.
+func TestShardedStatsGolden(t *testing.T) {
+	tb := equivTable(t, 5000, 0x5eed)
+	rt := equivTable(t, 1777, 0x0dd)
+	queries := equivQueries(tb, rt)
+	queries["groupby-sum-evicting"] = queries["groupby-sum"]
+	golden := []struct {
+		name      string
+		noFuse    bool
+		stats     prune.Stats
+		perSwitch []Traffic
+	}{
+		{"distinct-multi", false, prune.Stats{Processed: 5000, Pruned: 138}, []Traffic{{2500, 2429, 0, 2429}, {2500, 2433, 0, 2433}}},
+		{"distinct-string", false, prune.Stats{Processed: 5000, Pruned: 3974}, []Traffic{{2500, 516, 0, 516}, {2500, 510, 0, 510}}},
+		{"filter", false, prune.Stats{Processed: 5000, Pruned: 0}, []Traffic{{2500, 2500, 0, 2500}, {2500, 2500, 0, 2500}}},
+		{"filter-count", false, prune.Stats{Processed: 5000, Pruned: 2957}, []Traffic{{2500, 1011, 0, 1011}, {2500, 1032, 0, 1032}}},
+		{"groupby-max", false, prune.Stats{Processed: 5000, Pruned: 4625}, []Traffic{{2500, 184, 0, 184}, {2500, 191, 0, 191}}},
+		{"groupby-sum", false, prune.Stats{Processed: 5000, Pruned: 5000}, []Traffic{{2500, 37, 0, 37}, {2500, 37, 0, 37}}},
+		{"groupby-sum-evicting", false, prune.Stats{Processed: 5000, Pruned: 1054}, []Traffic{{2500, 1969, 0, 37}, {2500, 1993, 0, 37}}},
+		{"having", false, prune.Stats{Processed: 5000, Pruned: 1659}, []Traffic{{4987, 1683, 2487, 2487}, {4993, 1658, 2493, 2493}}},
+		{"join", false, prune.Stats{Processed: 13554, Pruned: 6934}, []Traffic{{6688, 3286, 0, 3286}, {6866, 3334, 0, 3334}}},
+		{"skyline", false, prune.Stats{Processed: 5000, Pruned: 4819}, []Traffic{{2500, 104, 0, 104}, {2500, 97, 0, 97}}},
+		{"topn", false, prune.Stats{Processed: 5000, Pruned: 6}, []Traffic{{2500, 2497, 0, 2497}, {2500, 2497, 0, 2497}}},
+		{"distinct-multi", true, prune.Stats{Processed: 5000, Pruned: 138}, []Traffic{{2500, 2429, 0, 2429}, {2500, 2433, 0, 2433}}},
+		{"distinct-string", true, prune.Stats{Processed: 5000, Pruned: 3974}, []Traffic{{2500, 516, 0, 516}, {2500, 510, 0, 510}}},
+		{"filter", true, prune.Stats{Processed: 5000, Pruned: 0}, []Traffic{{2500, 2500, 0, 2500}, {2500, 2500, 0, 2500}}},
+		{"filter-count", true, prune.Stats{Processed: 5000, Pruned: 2957}, []Traffic{{2500, 1011, 0, 1011}, {2500, 1032, 0, 1032}}},
+		{"groupby-max", true, prune.Stats{Processed: 5000, Pruned: 4625}, []Traffic{{2500, 184, 0, 184}, {2500, 191, 0, 191}}},
+		{"groupby-sum", true, prune.Stats{Processed: 5000, Pruned: 5000}, []Traffic{{2500, 37, 0, 37}, {2500, 37, 0, 37}}},
+		{"groupby-sum-evicting", true, prune.Stats{Processed: 5000, Pruned: 1054}, []Traffic{{2500, 1969, 0, 37}, {2500, 1993, 0, 37}}},
+		{"having", true, prune.Stats{Processed: 5000, Pruned: 1659}, []Traffic{{4987, 1683, 2487, 2487}, {4993, 1658, 2493, 2493}}},
+		{"join", true, prune.Stats{Processed: 13554, Pruned: 6934}, []Traffic{{6688, 3286, 0, 3286}, {6866, 3334, 0, 3334}}},
+		{"skyline", true, prune.Stats{Processed: 5000, Pruned: 4819}, []Traffic{{2500, 104, 0, 104}, {2500, 97, 0, 97}}},
+		{"topn", true, prune.Stats{Processed: 5000, Pruned: 5}, []Traffic{{2500, 2498, 0, 2498}, {2500, 2497, 0, 2497}}},
+	}
+	for _, g := range golden {
+		opts := ShardedOptions{Shards: 2, Workers: 3, Seed: 0xfeed, NoFuse: g.noFuse}
+		if g.name == "groupby-sum-evicting" {
+			for range opts.Shards {
+				p, err := prune.NewGroupBySum(prune.GroupBySumConfig{Rows: 2, Cols: 4, Seed: 0xfeed})
+				if err != nil {
+					t.Fatal(err)
+				}
+				opts.Pruners = append(opts.Pruners, p)
+			}
+		}
+		run, err := ExecSharded(queries[g.name], opts)
+		if err != nil {
+			t.Fatalf("%s noFuse=%v: %v", g.name, g.noFuse, err)
+		}
+		if run.Stats != g.stats || fmt.Sprint(run.PerSwitch) != fmt.Sprint(g.perSwitch) {
+			t.Errorf("%s noFuse=%v: stats %+v per switch %v, want %+v %v",
+				g.name, g.noFuse, run.Stats, run.PerSwitch, g.stats, g.perSwitch)
+		}
+	}
+}
+
+// panicPruner is a third-party program — the passes stream it through the
+// chunked pipeline — that panics at its second batch, mid-stream.
+type panicPruner struct {
+	prune.Pruner
+	batches int
+}
+
+func (p *panicPruner) ProcessBatch(b *switchsim.Batch, decisions []switchsim.Decision) {
+	if p.batches++; p.batches == 2 {
+		panic("test: program fault")
+	}
+	p.Pruner.(switchsim.BatchProgram).ProcessBatch(b, decisions)
+}
+
+// TestShardPanicIsQueryError: a program that panics in a shard's pass
+// costs that query an error naming the shard and its stack, on the inline
+// one-shard path and in a shard goroutine alike — and the process lives
+// on to run the next query.
+func TestShardPanicIsQueryError(t *testing.T) {
+	tb := equivTable(t, 3000, 0x99)
+	q := equivQueries(tb, nil)["distinct-string"]
+	defer func(n int) { chunkEntries = n }(chunkEntries)
+	chunkEntries = 256
+	for _, shards := range []int{1, 2} {
+		pruners := make([]prune.Pruner, shards)
+		for s := range pruners {
+			p, err := defaultShardPruner(q, shards, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pruners[s] = &panicPruner{Pruner: p}
+		}
+		_, err := ExecSharded(q, ShardedOptions{Shards: shards, Seed: 1, Pruners: pruners})
+		if err == nil || !strings.Contains(err.Error(), "panicked: test: program fault") ||
+			!strings.Contains(err.Error(), "panicPruner") {
+			t.Fatalf("shards=%d: got %v, want the shard's panic with its stack", shards, err)
+		}
+		if !strings.HasPrefix(err.Error(), "engine: shard ") {
+			t.Fatalf("shards=%d: error %q does not name the shard", shards, err)
+		}
+		direct, err := ExecDirect(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run, err := ExecSharded(q, ShardedOptions{Shards: shards, Seed: 1})
+		if err != nil {
+			t.Fatalf("shards=%d: the query after the panic: %v", shards, err)
+		}
+		assertShardedRun(t, "after panic", shards, run, direct)
 	}
 }

@@ -9,7 +9,11 @@
 // reproducible across runs and platforms. Only the standard library is used.
 package hashutil
 
-import "math/bits"
+import (
+	"math/bits"
+
+	"cheetah/internal/cacheline"
+)
 
 // SplitMix64 advances the SplitMix64 sequence from state x and returns the
 // next pseudo-random value. It is the standard finalizer-quality mixer used
@@ -180,7 +184,10 @@ func NewFamily(h int, seed uint64) *Family {
 	if h <= 0 {
 		panic("hashutil: family size must be positive")
 	}
-	f := &Family{seeds: make([]uint64, h), mixed: make([]uint64, h)}
+	// A family is read on every entry a sketch hashes: it must not share a
+	// line with what another shard's program writes.
+	f := cacheline.New[Family]()
+	*f = Family{seeds: cacheline.Make[uint64](h), mixed: cacheline.Make[uint64](h)}
 	s := seed
 	for i := range f.seeds {
 		s = SplitMix64(s)

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"cheetah/internal/cache"
+	"cheetah/internal/cacheline"
 	"cheetah/internal/sketch"
 	"cheetah/internal/switchsim"
 )
@@ -56,7 +57,9 @@ func NewDistinct(cfg DistinctConfig) (*Distinct, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Distinct{cfg: cfg, matrix: m}, nil
+	p := cacheline.New[Distinct]()
+	*p = Distinct{cfg: cfg, matrix: m}
+	return p, nil
 }
 
 // Name implements Pruner.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"cheetah/internal/boolexpr"
+	"cheetah/internal/cacheline"
 	"cheetah/internal/switchsim"
 )
 
@@ -128,7 +129,10 @@ func NewFilter(cfg FilterConfig) (*Filter, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Filter{cfg: cfg, tt: tt}, nil
+	p := cacheline.New[Filter]()
+	*p = Filter{cfg: cfg, tt: tt}
+	p.cfg.Predicates = append(cacheline.Make[Predicate](len(cfg.Predicates))[:0], cfg.Predicates...)
+	return p, nil
 }
 
 // Name implements Pruner.
@@ -178,7 +182,7 @@ func (p *Filter) Process(vals []uint64) switchsim.Decision {
 func (p *Filter) ProcessBatch(b *switchsim.Batch, decisions []switchsim.Decision) {
 	n := b.N
 	if cap(p.idx) < n {
-		p.idx = make([]uint32, n)
+		p.idx = cacheline.Make[uint32](n)
 	}
 	idx := p.idx[:n]
 	for j := range idx {

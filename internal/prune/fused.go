@@ -68,6 +68,18 @@ func (p *Join) AddStats(processed, pruned uint64) {
 	p.stats.Pruned += pruned
 }
 
+// AddStats deposits a fused pass's locally accumulated counters.
+func (p *GroupBySum) AddStats(processed, pruned uint64) {
+	p.stats.Processed += processed
+	p.stats.Pruned += pruned
+}
+
+// AddStats deposits a fused pass's locally accumulated counters.
+func (p *Skyline) AddStats(processed, pruned uint64) {
+	p.stats.Processed += processed
+	p.stats.Pruned += pruned
+}
+
 // FusedSpec exposes the compiled predicate list and truth table so the
 // fused FILTER loop can evaluate the formula straight off the table
 // columns (bit i of the lookup index is Predicates[i]'s verdict, as in

@@ -2,6 +2,7 @@ package prune
 
 import (
 	"cheetah/internal/cache"
+	"cheetah/internal/cacheline"
 	"cheetah/internal/switchsim"
 )
 
@@ -37,7 +38,9 @@ func NewGroupBy(cfg GroupByConfig) (*GroupBy, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &GroupBy{cfg: cfg, matrix: m}, nil
+	p := cacheline.New[GroupBy]()
+	*p = GroupBy{cfg: cfg, matrix: m}
+	return p, nil
 }
 
 // Name implements Pruner.

@@ -1,6 +1,7 @@
 package prune
 
 import (
+	"cheetah/internal/cacheline"
 	"cheetah/internal/hashutil"
 	"cheetah/internal/switchsim"
 )
@@ -56,14 +57,16 @@ func NewGroupBySum(cfg GroupBySumConfig) (*GroupBySum, error) {
 		return nil, err
 	}
 	n := cfg.Rows * cfg.Cols
-	return &GroupBySum{
+	p := cacheline.New[GroupBySum]()
+	*p = GroupBySum{
 		cfg:     cfg,
 		rowSeed: hashutil.SplitMix64(cfg.Seed),
-		keys:    make([]uint64, n),
-		sums:    make([]int64, n),
-		used:    make([]bool, n),
-		emit:    make([]uint64, 2),
-	}, nil
+		keys:    cacheline.Make[uint64](n),
+		sums:    cacheline.Make[int64](n),
+		used:    cacheline.Make[bool](n),
+		emit:    cacheline.Make[uint64](2),
+	}
+	return p, nil
 }
 
 // Name implements Pruner.
@@ -96,20 +99,23 @@ func (p *GroupBySum) Process(vals []uint64) switchsim.Decision {
 // ProcessEmit implements Emitter. vals[0] is the (fingerprinted) group
 // key, vals[1] the summand as int64.
 func (p *GroupBySum) ProcessEmit(vals []uint64) (switchsim.Decision, []uint64) {
+	p.stats.Processed++
 	ek, es, evicted := p.FusedAdd(vals[0], int64(vals[1]))
 	if !evicted {
+		p.stats.Pruned++
 		return switchsim.Prune, nil
 	}
 	p.emit[0], p.emit[1] = ek, uint64(es)
 	return switchsim.Forward, p.emit
 }
 
-// FusedAdd is ProcessEmit on plain values (stats included — an absorbed
-// entry is a pruned one): the entry (key, v) joins the aggregation
-// matrix, and when that displaces an aggregate, evicted is set and
-// (evKey, evSum) is the pair the rewritten packet carries to the master.
+// FusedAdd is ProcessEmit on plain values, without the stats update (an
+// absorbed entry is a pruned one, an eviction a forwarded one; the fused
+// loop counts both and deposits them through AddStats): the entry (key, v)
+// joins the aggregation matrix, and when that displaces an aggregate,
+// evicted is set and (evKey, evSum) is the pair the rewritten packet
+// carries to the master.
 func (p *GroupBySum) FusedAdd(key uint64, v int64) (evKey uint64, evSum int64, evicted bool) {
-	p.stats.Processed++
 	// HashUint64(key, Seed) with the seed's mixing hoisted.
 	base := hashutil.Reduce(hashutil.Mix64(key^p.rowSeed), p.cfg.Rows) * p.cfg.Cols
 	keys, sums, used := p.keys[base:base+p.cfg.Cols], p.sums[base:base+p.cfg.Cols], p.used[base:base+p.cfg.Cols]
@@ -125,13 +131,11 @@ func (p *GroupBySum) FusedAdd(key uint64, v int64) (evKey uint64, evSum int64, e
 			// Absorb: the entry's value joins the cached partial sum and
 			// the packet is pruned (and ACKed by the reliability layer).
 			sums[i] += v
-			p.stats.Pruned++
 			return 0, 0, false
 		}
 	}
 	if free >= 0 {
 		used[free], keys[free], sums[free] = true, key, v
-		p.stats.Pruned++
 		return 0, 0, false
 	}
 	// Row full: evict the first slot (rolling replacement), forwarding

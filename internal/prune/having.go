@@ -3,6 +3,7 @@ package prune
 import (
 	"fmt"
 
+	"cheetah/internal/cacheline"
 	"cheetah/internal/sketch"
 	"cheetah/internal/switchsim"
 )
@@ -71,7 +72,9 @@ func NewHaving(cfg HavingConfig) (*Having, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Having{cfg: cfg, cms: cms}, nil
+	p := cacheline.New[Having]()
+	*p = Having{cfg: cfg, cms: cms}
+	return p, nil
 }
 
 // Name implements Pruner.

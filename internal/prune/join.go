@@ -3,6 +3,7 @@ package prune
 import (
 	"fmt"
 
+	"cheetah/internal/cacheline"
 	"cheetah/internal/sketch"
 	"cheetah/internal/switchsim"
 )
@@ -99,7 +100,9 @@ func NewJoin(cfg JoinConfig) (*Join, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Join{cfg: cfg, fa: fa, fb: fb}, nil
+	p := cacheline.New[Join]()
+	*p = Join{cfg: cfg, fa: fa, fb: fb}
+	return p, nil
 }
 
 // Name implements Pruner.

@@ -5,6 +5,7 @@ import (
 	"math/bits"
 
 	"cheetah/internal/aph"
+	"cheetah/internal/cacheline"
 	"cheetah/internal/switchsim"
 )
 
@@ -89,16 +90,22 @@ func NewSkyline(cfg SkylineConfig) (*Skyline, error) {
 	if cfg.Dims > cfg.ALUsPerStage {
 		return nil, fmt.Errorf("prune: skyline needs D=%d ≤ A=%d comparisons per stage (Table 2)", cfg.Dims, cfg.ALUsPerStage)
 	}
-	s := &Skyline{
+	s := cacheline.New[Skyline]()
+	*s = Skyline{
 		cfg:    cfg,
-		scores: make([]uint64, cfg.Points),
-		pts:    make([][]uint64, cfg.Points),
-		ids:    make([]uint64, cfg.Points),
-		carry:  make([]uint64, cfg.Dims),
+		scores: cacheline.Make[uint64](cfg.Points),
+		pts:    cacheline.Make[[]uint64](cfg.Points),
+		ids:    cacheline.Make[uint64](cfg.Points),
 	}
+	// The stored points and the carried one swap places on every
+	// replacement, so they are carved from one array: a swap moves slices
+	// within it, never onto a line another allocation shares.
+	d := cfg.Dims
+	coords := cacheline.Make[uint64]((cfg.Points + 1) * d)
 	for i := range s.pts {
-		s.pts[i] = make([]uint64, cfg.Dims)
+		s.pts[i] = coords[i*d : (i+1)*d : (i+1)*d]
 	}
+	s.carry = coords[cfg.Points*d:]
 	if cfg.Heuristic == SkylineAPH {
 		beta := cfg.Beta
 		if beta == 0 {
@@ -181,6 +188,17 @@ func (p *Skyline) Process(vals []uint64) switchsim.Decision {
 		// Malformed entry: forward untouched, never risk wrong pruning.
 		return switchsim.Forward
 	}
+	if p.FusedOffer(vals) {
+		p.stats.Pruned++
+		return switchsim.Prune
+	}
+	return switchsim.Forward
+}
+
+// FusedOffer is Process without the stats update, for an entry of at
+// least Dims values: it returns true when the entry is pruned. The fused
+// SKYLINE loop counts in locals and deposits through AddStats.
+func (p *Skyline) FusedOffer(vals []uint64) (pruned bool) {
 	id := uint64(0)
 	if len(vals) > p.cfg.Dims {
 		id = vals[p.cfg.Dims]
@@ -188,8 +206,7 @@ func (p *Skyline) Process(vals []uint64) switchsim.Decision {
 	if p.cfg.Heuristic == SkylineBaseline {
 		for i := 0; i < p.fill; i++ {
 			if dominates(p.pts[i], vals[:p.cfg.Dims]) {
-				p.stats.Pruned++
-				return switchsim.Prune
+				return true
 			}
 		}
 		// "w arbitrary points": the first w points of the stream, with
@@ -199,12 +216,24 @@ func (p *Skyline) Process(vals []uint64) switchsim.Decision {
 			p.ids[p.fill] = id
 			p.fill++
 		}
-		return switchsim.Forward
+		return false
 	}
 
+	carryScore := p.score(vals[:p.cfg.Dims])
+	if w := p.cfg.Points; p.fill == w && carryScore <= p.scores[w-1] {
+		// The stored scores descend — an entry is inserted where its
+		// score belongs and the rest shift down — so an entry scoring no
+		// higher than the lowest displaces nothing: it is pruned exactly
+		// when a stored point dominates it, and the switch writes nothing.
+		for _, pt := range p.pts {
+			if dominates(pt, vals[:p.cfg.Dims]) {
+				return true
+			}
+		}
+		return false
+	}
 	copy(p.carry, vals[:p.cfg.Dims])
 	p.carryID = id
-	carryScore := p.score(p.carry)
 	marked := false
 	for i := 0; i < p.cfg.Points; i++ {
 		if i >= p.fill {
@@ -216,7 +245,7 @@ func (p *Skyline) Process(vals []uint64) switchsim.Decision {
 			p.scores[i] = carryScore
 			p.ids[i] = p.carryID
 			p.fill++
-			return switchsim.Forward
+			return false
 		}
 		if carryScore > p.scores[i] {
 			// Swap: the stored point continues down the pipeline.
@@ -235,11 +264,7 @@ func (p *Skyline) Process(vals []uint64) switchsim.Decision {
 			marked = true
 		}
 	}
-	if marked {
-		p.stats.Pruned++
-		return switchsim.Prune
-	}
-	return switchsim.Forward
+	return marked
 }
 
 // ProcessBatch implements switchsim.BatchProgram. SKYLINE's per-entry
@@ -249,7 +274,7 @@ func (p *Skyline) Process(vals []uint64) switchsim.Decision {
 func (p *Skyline) ProcessBatch(b *switchsim.Batch, decisions []switchsim.Decision) {
 	width := len(b.Cols)
 	if cap(p.gather) < width {
-		p.gather = make([]uint64, width)
+		p.gather = cacheline.Make[uint64](width)
 	}
 	vals := p.gather[:width]
 	for j := 0; j < b.N; j++ {

@@ -98,6 +98,70 @@ func TestSkylineSumCorrectness(t *testing.T)      { testSkylineCorrectness(t, Sk
 func TestSkylineAPHCorrectness(t *testing.T)      { testSkylineCorrectness(t, SkylineAPH) }
 func TestSkylineBaselineCorrectness(t *testing.T) { testSkylineCorrectness(t, SkylineBaseline) }
 
+// sweepSkyline is §4.4's pipeline sweep written literally — every stage
+// compares the carried score, swaps or marks, for every entry — with no
+// shortcut, as the reference Skyline's decisions and stored points must
+// equal.
+type sweepSkyline struct {
+	score  func([]uint64) uint64
+	w      int
+	pts    [][]uint64
+	scores []uint64
+}
+
+func (r *sweepSkyline) prune(vals []uint64) bool {
+	carry := append([]uint64(nil), vals...)
+	cs := r.score(carry)
+	marked := false
+	for i := 0; i < r.w; i++ {
+		if i == len(r.pts) {
+			r.pts, r.scores = append(r.pts, carry), append(r.scores, cs)
+			return false
+		}
+		if cs > r.scores[i] {
+			r.pts[i], carry = carry, r.pts[i]
+			r.scores[i], cs = cs, r.scores[i]
+			marked = false
+		} else if !marked && dominates(r.pts[i], carry) {
+			marked = true
+		}
+	}
+	return marked
+}
+
+// TestSkylineMatchesSweep: Process (the entry that displaces nothing skips
+// the sweep) decides every entry as the literal sweep does and ends with
+// the same stored points, in order — on value ranges narrow enough for
+// ties in scores and coordinates to be the rule.
+func TestSkylineMatchesSweep(t *testing.T) {
+	for _, h := range []SkylineHeuristic{SkylineSum, SkylineAPH} {
+		for _, dims := range []int{1, 2, 3} {
+			for _, w := range []int{1, 3, 10} {
+				for _, maxVal := range []uint64{4, 64, 1 << 20} {
+					p, err := NewSkyline(SkylineConfig{Dims: dims, Points: w, Heuristic: h})
+					if err != nil {
+						t.Fatal(err)
+					}
+					ref := &sweepSkyline{score: p.score, w: w}
+					for i, pt := range randomPoints(3000, dims, maxVal+uint64(w), maxVal) {
+						got, want := p.Process(pt) == switchsim.Prune, ref.prune(pt)
+						if got != want {
+							t.Fatalf("%v D=%d w=%d max=%d: entry %d %v pruned=%v, the sweep says %v",
+								h, dims, w, maxVal, i, pt, got, want)
+						}
+					}
+					stored := p.StoredPoints()
+					for i := range ref.pts {
+						if !equalPoint(stored[i], ref.pts[i]) {
+							t.Fatalf("%v D=%d w=%d max=%d: stored %v, the sweep stored %v", h, dims, w, maxVal, stored, ref.pts)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestSkylineAPHBeatsSumOnSkewedRanges(t *testing.T) {
 	// Fig. 10b: with unbalanced dimension ranges (0..255 vs 0..65535) the
 	// APH projection retains better prune points than Sum.

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"cheetah/internal/cache"
+	"cheetah/internal/cacheline"
 	"cheetah/internal/hashutil"
 	"cheetah/internal/stats"
 	"cheetah/internal/switchsim"
@@ -45,12 +46,14 @@ func NewDetTopN(cfg DetTopNConfig) (*DetTopN, error) {
 	if cfg.Thresholds <= 0 || cfg.Thresholds > 62 {
 		return nil, fmt.Errorf("prune: top-n thresholds w=%d out of range 1..62", cfg.Thresholds)
 	}
-	return &DetTopN{
+	p := cacheline.New[DetTopN]()
+	*p = DetTopN{
 		cfg:    cfg,
 		t0:     math.MaxInt64,
-		counts: make([]int64, cfg.Thresholds),
+		counts: cacheline.Make[int64](cfg.Thresholds),
 		cur:    -1,
-	}, nil
+	}
+	return p, nil
 }
 
 // Name implements Pruner.
@@ -220,7 +223,9 @@ func NewRandTopN(cfg RandTopNConfig) (*RandTopN, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &RandTopN{cfg: cfg, matrix: m, rng: cfg.Seed ^ 0x6d6f746f726f6c61}, nil
+	p := cacheline.New[RandTopN]()
+	*p = RandTopN{cfg: cfg, matrix: m, rng: cfg.Seed ^ 0x6d6f746f726f6c61}
+	return p, nil
 }
 
 // Name implements Pruner.

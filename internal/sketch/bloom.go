@@ -6,13 +6,17 @@
 //
 // All structures are deterministic given a seed and allocate nothing on
 // their per-entry hot paths, matching the switch model where the memory is
-// laid out once at rule-installation time.
+// laid out once at rule-installation time. The switch programs' filters
+// and sketches are allocated alone on their cache lines (package
+// cacheline), so those of concurrently running shards never write to one
+// line.
 package sketch
 
 import (
 	"fmt"
 	"math"
 
+	"cheetah/internal/cacheline"
 	"cheetah/internal/hashutil"
 )
 
@@ -36,11 +40,13 @@ func NewBloom(sizeBits int, h int, seed uint64) (*Bloom, error) {
 		return nil, fmt.Errorf("sketch: bloom hash count %d must be positive", h)
 	}
 	words := (sizeBits + 63) / 64
-	return &Bloom{
-		bits:   make([]uint64, words),
+	b := cacheline.New[Bloom]()
+	*b = Bloom{
+		bits:   cacheline.Make[uint64](words),
 		mBits:  uint64(words) * 64,
 		family: hashutil.NewFamily(h, seed),
-	}, nil
+	}
+	return b, nil
 }
 
 // Add inserts key into the filter.
@@ -120,7 +126,9 @@ func NewRegisterBloom(sizeBits int, h int, seed uint64) (*RegisterBloom, error) 
 		return nil, fmt.Errorf("sketch: register bloom needs 1..16 bits per key, got %d", h)
 	}
 	words := (sizeBits + 63) / 64
-	return &RegisterBloom{words: make([]uint64, words), h: h, seed: seed}, nil
+	rb := cacheline.New[RegisterBloom]()
+	*rb = RegisterBloom{words: cacheline.Make[uint64](words), h: h, seed: seed}
+	return rb, nil
 }
 
 // mask derives the word index and the h-bit in-word mask for key in one

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"cheetah/internal/cacheline"
 	"cheetah/internal/hashutil"
 )
 
@@ -28,12 +29,14 @@ func NewCountMin(depth, width int, seed uint64) (*CountMin, error) {
 	if depth <= 0 || width <= 0 {
 		return nil, fmt.Errorf("sketch: count-min dimensions %dx%d must be positive", depth, width)
 	}
-	return &CountMin{
+	cm := cacheline.New[CountMin]()
+	*cm = CountMin{
 		depth:    depth,
 		width:    width,
-		counters: make([]int64, depth*width),
+		counters: cacheline.Make[int64](depth * width),
 		family:   hashutil.NewFamily(depth, seed),
-	}, nil
+	}
+	return cm, nil
 }
 
 // DimensionsForError returns the textbook (ε, δ) sizing: width = ⌈e/ε⌉,
