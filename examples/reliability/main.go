@@ -1,8 +1,9 @@
 // Command reliability runs a DISTINCT query end-to-end over the
 // simulated lossy network — five CWorkers, the switch dataplane, and the
 // CMaster speaking the §7.2 reliability protocol — at increasing loss
-// rates, verifying the result stays exact while retransmissions grow.
-// The session API routes to the cluster path via UseCluster.
+// rates, verifying the result stays exact while retransmissions grow. The
+// session API sends each switch's entries through the rack via UseCluster.
+// It exits non-zero if any run's result is not exact.
 package main
 
 import (
@@ -10,6 +11,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"os"
 	"time"
 
 	"cheetah"
@@ -34,6 +36,7 @@ func main() {
 	fmt.Printf("ground truth: %d distinct user agents over %d rows\n\n", len(truth.Rows), *rows)
 	fmt.Printf("%-8s %8s %8s %10s %12s %8s\n",
 		"loss", "sent", "pruned", "delivered", "retransmits", "exact")
+	inexact := 0
 	for _, loss := range []float64{0, 0.05, 0.15, 0.25} {
 		db, err := cheetah.Open(uv, cheetah.SessionOptions{
 			Workers:    5,
@@ -53,10 +56,15 @@ func main() {
 		exact := "yes"
 		if !truth.Equal(ex.Result) {
 			exact = "NO"
+			inexact++
 		}
 		fmt.Printf("%-8.2f %8d %8d %10d %12d %8s\n",
 			loss, rep.EntriesSent, rep.Pruned, rep.Delivered, rep.Retransmissions, exact)
 	}
 	fmt.Println("\nEvery packet is either pruned-and-ACKed by the switch or delivered")
 	fmt.Println("to the master; duplicates from retransmission are harmless (§7.2).")
+	if inexact > 0 {
+		fmt.Fprintf(os.Stderr, "%d of the runs returned a wrong result\n", inexact)
+		os.Exit(1)
+	}
 }

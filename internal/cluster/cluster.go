@@ -1,9 +1,10 @@
-// Package cluster wires the full Cheetah deployment of Figure 1 over the
-// simulated network: CWorkers send their partitions through the
-// reliability protocol, the switch node runs the admitted pruning
-// program, and the CMaster collects survivors and completes the query —
-// exactly the paper's rack-scale topology (five workers, one ToR switch,
-// one master), with injectable packet loss.
+// Package cluster is the Figure-1 rack as a dataplane: CWorkers send
+// their entries through the §7.2 reliability protocol over the simulated
+// lossy network, the ToR switch runs the query's admitted program, and the
+// CMaster receives the survivors. A Rack implements engine.BatchDataplane,
+// so the engine's one pruned driver streams through it exactly as through
+// a leased switch: the rack changes how entries travel, never what the
+// switch decides or how the master completes the query.
 package cluster
 
 import (
@@ -12,37 +13,29 @@ import (
 	"sync"
 	"time"
 
-	"cheetah/internal/engine"
 	"cheetah/internal/netsim"
 	"cheetah/internal/prune"
 	"cheetah/internal/switchsim"
 	"cheetah/internal/transport"
 )
 
-// Config shapes a cluster run.
+// Config shapes a rack.
 type Config struct {
-	// Workers is the CWorker count (default 5, the paper's testbed).
+	// Workers is the CWorker flow count a chunk is spread over (default 5,
+	// the paper's testbed).
 	Workers int
 	// LossRate injects loss on every link (0 for a clean fabric).
 	LossRate float64
-	// Seed drives fingerprints, pruner randomness and loss decisions.
+	// Seed drives the loss decisions.
 	Seed uint64
 	// RTO overrides the protocol retransmission timeout.
 	RTO time.Duration
 	// Model is the switch hardware model (zero value selects Tofino).
-	// Ignored when Pipeline is set.
 	Model switchsim.Model
-	// Pipeline, when non-nil, is a shared switch pipeline the run
-	// installs its program into (and uninstalls from on every exit path)
-	// instead of building a dedicated one — the serving layer's reuse
-	// path. Other queries' programs stay untouched.
-	Pipeline *switchsim.Pipeline
-	// FlowID is the query id the program installs under (default 1).
-	// With a shared Pipeline it must be unused.
-	FlowID uint32
 }
 
-// Report summarizes a run's protocol-level behaviour.
+// Report summarizes a rack's protocol-level behaviour over every chunk it
+// carried.
 type Report struct {
 	EntriesSent     int
 	Pruned          uint64
@@ -55,321 +48,226 @@ type Report struct {
 	Util switchsim.Utilization
 }
 
-// queryFlow routes every worker's transport flow to one query's program
-// in the pipeline, the way the Cheetah header's query id selects the
-// query's register partition regardless of ingress port (§5).
-type queryFlow struct {
-	pipe   *switchsim.Pipeline
-	flowID uint32
+// The rack's addresses, the query id its one program is installed under,
+// and an endpoint inbox deep enough that the switch's never overflows with
+// every worker's window (transport.DefaultWindow) in flight.
+const (
+	switchAddr = "switch"
+	masterAddr = "master"
+	queryID    = 1
+	inboxSize  = 1 << 16
+)
+
+// query routes every worker flow to the rack's one program, the way the
+// Cheetah header's query id selects a query's registers whatever flow a
+// packet arrives on (§5).
+type query struct{ pipe *switchsim.Pipeline }
+
+func (q query) Process(_ uint32, vals []uint64) switchsim.Decision {
+	return q.pipe.Process(queryID, vals)
 }
 
-// Process implements transport.Dataplane.
-func (f queryFlow) Process(_ uint32, vals []uint64) switchsim.Decision {
-	return f.pipe.Process(f.flowID, vals)
+// Rack is one ToR switch with its workers and master. The engine drives it
+// from one goroutine (the shard's): ProcessBatch, Err and, once the run is
+// over, Close and Report are not safe to call concurrently.
+type Rack struct {
+	rto     time.Duration
+	pipe    *switchsim.Pipeline
+	sw      *transport.Switch
+	master  *transport.Master
+	workers []*netsim.Endpoint // reused by every chunk's flows
+	name    string
+	util    switchsim.Utilization
+
+	stop    context.CancelFunc
+	running sync.WaitGroup // the switch and master goroutines
+
+	nextFlow uint32
+	sent     int
+	retrans  uint64
+	err      error
+	closed   bool
 }
 
-// Run executes a single-pass query end-to-end over the simulated
-// network and returns the master's result. The pruner defaults to the
-// query kind's standard configuration; pass one explicitly to ablate.
-func Run(q *engine.Query, pruner prune.Pruner, cfg Config) (*engine.Result, *Report, error) {
-	survivors, report, err := runSurvivors(q, pruner, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := engine.CompleteOnRows(q, dedupeInts(survivors))
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, report, nil
-}
-
-// resolveFlow validates the Config.Pipeline/FlowID pairing and returns
-// the pipeline and flow id a run installs under. A dedicated pipeline
-// defaults to flow 1; a shared pipeline never derives a flow id — the
-// caller owns the id space there, so a missing or already-occupied id
-// is a descriptive error instead of a silent collision (or a confusing
-// "does not fit" from the duplicate install).
-func resolveFlow(cfg *Config) (*switchsim.Pipeline, uint32, error) {
-	if cfg.Pipeline == nil {
-		flowID := cfg.FlowID
-		if flowID == 0 {
-			flowID = 1
-		}
-		pl, err := switchsim.NewPipeline(cfg.Model)
-		if err != nil {
-			return nil, 0, err
-		}
-		return pl, flowID, nil
-	}
-	if cfg.FlowID == 0 {
-		return nil, 0, fmt.Errorf("cluster: a shared Pipeline requires an explicit FlowID " +
-			"(the dedicated-pipeline default of 1 would collide with other queries' flows)")
-	}
-	if cfg.Pipeline.FlowInstalled(cfg.FlowID) {
-		return nil, 0, fmt.Errorf("cluster: flow %d already carries a program on the shared pipeline; "+
-			"choose an unused flow id per concurrent query", cfg.FlowID)
-	}
-	return cfg.Pipeline, cfg.FlowID, nil
-}
-
-// runSurvivors executes the worker → switch → master protocol and
-// returns the surviving row ids (of q.Table's row space) before master
-// completion — the shared core of Run and RunSharded.
-func runSurvivors(q *engine.Query, pruner prune.Pruner, cfg Config) ([]int, *Report, error) {
+// NewRack installs prog into the rack's own pipeline — the control-plane
+// admission of §3, an error when the program does not fit — and starts the
+// switch and the master.
+func NewRack(prog prune.Pruner, cfg Config) (*Rack, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 5
 	}
 	if cfg.Model.Stages == 0 {
 		cfg.Model = switchsim.Tofino()
 	}
-	if pruner == nil {
-		p, err := engine.DefaultPruner(q, cfg.Seed)
-		if err != nil {
-			return nil, nil, err
-		}
-		pruner = p
-	}
-	// Install into the pipeline before going anywhere near the network —
-	// the control-plane admission step of §3. The deferred uninstall
-	// covers every exit path, so an early error (encode failure, a
-	// mis-wired transport) cannot leave the program behind and poison a
-	// shared pipeline for the queries after it.
-	pipe, flowID, err := resolveFlow(&cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := pipe.Install(flowID, pruner); err != nil {
-		return nil, nil, fmt.Errorf("cluster: query does not fit the switch: %w", err)
-	}
-	defer func() {
-		if err := pipe.Uninstall(flowID); err != nil {
-			panic(fmt.Sprintf("cluster: uninstall flow %d: %v", flowID, err))
-		}
-	}()
-	util := pipe.Utilization()
-
-	entries, err := engine.EncodeEntries(q, cfg.Workers, cfg.Seed)
-	if err != nil {
-		return nil, nil, err
-	}
-
 	net := netsim.New(cfg.Seed)
-	swEp := net.Endpoint("switch", 1<<16)
-	maEp := net.Endpoint("master", 1<<16)
-	sw, err := transport.NewSwitch(swEp, "master", queryFlow{pipe: pipe, flowID: flowID})
-	if err != nil {
-		return nil, nil, err
+	r := &Rack{rto: cfg.RTO, name: prog.Name(), nextFlow: 1}
+	for i := 0; i < cfg.Workers; i++ {
+		ep := net.Endpoint(fmt.Sprintf("worker%d", i+1), inboxSize)
+		if err := net.SetLossBoth(ep.Name(), switchAddr, cfg.LossRate); err != nil {
+			return nil, err
+		}
+		r.workers = append(r.workers, ep)
 	}
-	master, err := transport.NewMaster(maEp, "switch")
-	if err != nil {
-		return nil, nil, err
+	swEp, maEp := net.Endpoint(switchAddr, inboxSize), net.Endpoint(masterAddr, inboxSize)
+	if err := net.SetLossBoth(switchAddr, masterAddr, cfg.LossRate); err != nil {
+		return nil, err
 	}
+	var err error
+	if r.pipe, err = switchsim.NewPipeline(cfg.Model); err != nil {
+		return nil, err
+	}
+	if err := r.pipe.Install(queryID, prog); err != nil {
+		return nil, fmt.Errorf("cluster: query does not fit the switch: %w", err)
+	}
+	r.util = r.pipe.Utilization()
+	if r.sw, err = transport.NewSwitch(swEp, masterAddr, query{r.pipe}); err != nil {
+		return nil, err
+	}
+	if r.master, err = transport.NewMaster(maEp, switchAddr); err != nil {
+		return nil, err
+	}
+	ctx, stop := context.WithCancel(context.Background())
+	r.stop = stop
+	r.running.Add(2)
+	go func() { defer r.running.Done(); r.sw.Run(ctx) }()
+	go func() { defer r.running.Done(); r.master.Run(ctx) }()
+	return r, nil
+}
 
+// ProcessBatch implements engine.BatchDataplane: it sends the chunk's
+// entries as DATA packets, entry j on flow j mod W with sequence number
+// ⌊j/W⌋+1, and runs the §7.2 protocol until every packet is either pruned
+// and ACKed by the switch or delivered to the master. An entry is marked
+// Forward exactly when the master received it — a superset of what the
+// program forwarded, since a retransmission of a packet the switch
+// already pruned travels on raw (Y ≤ X). A dead rack forwards everything.
+func (r *Rack) ProcessBatch(b *switchsim.Batch, dec []switchsim.Decision) {
+	n := b.N
+	if r.err != nil {
+		forwardAll(dec[:n])
+		return
+	}
+	w := min(len(r.workers), n)
+	// Fresh flow ids per chunk: late packets of an earlier chunk's flows
+	// reach neither this chunk's workers nor its marks.
+	base := r.nextFlow
+	r.nextFlow += uint32(w)
+	width := len(b.Cols)
+	backing := make([]uint64, n*width)
+	flows := make([][][]uint64, w)
+	for j := 0; j < n; j++ {
+		e := backing[j*width : (j+1)*width : (j+1)*width]
+		for i, c := range b.Cols {
+			e[i] = c[j]
+		}
+		flows[j%w] = append(flows[j%w], e)
+		dec[j] = switchsim.Prune
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	go sw.Run(ctx)
-	go master.Run(ctx)
-
-	workers := make([]*transport.Worker, cfg.Workers)
-	total := 0
-	for i := 0; i < cfg.Workers; i++ {
-		name := fmt.Sprintf("worker%d", i+1)
-		ep := net.Endpoint(name, 1<<16)
-		if cfg.LossRate > 0 {
-			for _, pair := range [][2]string{{name, "switch"}, {"switch", name}} {
-				if err := net.SetLoss(pair[0], pair[1], cfg.LossRate); err != nil {
-					return nil, nil, err
-				}
-			}
-		}
-		w, err := transport.NewWorker(ep, transport.WorkerConfig{
-			FlowID:     uint32(i + 1),
-			SwitchAddr: "switch",
-			RTO:        cfg.RTO,
+	workers := make([]*transport.Worker, w)
+	done := make(chan error, w)
+	for f := range workers {
+		id := base + uint32(f)
+		wk, err := transport.NewWorker(r.workers[f], transport.WorkerConfig{
+			FlowID: id, SwitchAddr: switchAddr, RTO: r.rto,
 		})
 		if err != nil {
-			return nil, nil, err
+			done <- err
+			continue
 		}
-		sw.Register(uint32(i+1), name)
-		workers[i] = w
-		total += len(entries[i])
+		r.sw.Register(id, r.workers[f].Name())
+		workers[f] = wk
+		go func() { done <- wk.Run(ctx, flows[f]) }()
 	}
-	if cfg.LossRate > 0 {
-		if err := net.SetLossBoth("switch", "master", cfg.LossRate); err != nil {
-			return nil, nil, err
-		}
-	}
-
-	// Launch the workers.
-	var wg sync.WaitGroup
-	errs := make([]error, cfg.Workers)
-	for i, w := range workers {
-		wg.Add(1)
-		go func(i int, w *transport.Worker) {
-			defer wg.Done()
-			errs[i] = w.Run(ctx, entries[i])
-		}(i, w)
-	}
-
-	// Master: collect survivor row ids until every flow FINs.
-	rowsCh := make(chan []int, 1)
-	go func() {
-		var survivors []int
-		finished := 0
-		for finished < cfg.Workers {
-			select {
-			case d := <-master.Deliveries:
-				if len(d.Values) > 0 {
-					survivors = append(survivors, int(d.Values[len(d.Values)-1]))
-				}
-			case <-master.FlowDone:
-				finished++
-			case <-ctx.Done():
-				rowsCh <- survivors
-				return
-			}
-		}
-		// Drain anything already queued.
-		for {
-			select {
-			case d := <-master.Deliveries:
-				if len(d.Values) > 0 {
-					survivors = append(survivors, int(d.Values[len(d.Values)-1]))
-				}
-			default:
-				rowsCh <- survivors
-				return
-			}
-		}
-	}()
-
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, nil, fmt.Errorf("cluster: worker %d: %w", i+1, err)
-		}
-	}
-	survivors := <-rowsCh
-
-	// Control-plane drain for pruners holding switch state (SKYLINE).
-	// The entry width comes from the first non-empty worker stream; when
-	// every stream is empty the program stored nothing to drain.
-	if dr, ok := pruner.(prune.Drainer); ok {
-		width := -1
-		for _, part := range entries {
-			if len(part) > 0 {
-				width = len(part[0]) - 1
-				break
-			}
-		}
-		if width >= 0 {
-			for _, e := range dr.Drain() {
-				if len(e) > width {
-					survivors = append(survivors, int(e[width]))
-				}
+	mark := func(d transport.Delivery) {
+		f := d.FlowID - base
+		if f < uint32(w) && d.Seq >= 1 {
+			if j := int(d.Seq-1)*w + int(f); j < n {
+				dec[j] = switchsim.Forward
 			}
 		}
 	}
-
-	report := &Report{
-		EntriesSent: total,
-		Pruned:      sw.Pruned,
-		Delivered:   sw.ForwardedOK + sw.ForwardedRetransmit,
-		DroppedGaps: sw.DroppedGap,
-		PrunerName:  pruner.Name(),
-		Util:        util,
+	var broken error
+	for pending := w; pending > 0; {
+		select {
+		case d := <-r.master.Deliveries:
+			mark(d)
+		case err := <-done:
+			pending--
+			if err != nil && broken == nil {
+				broken = err
+				cancel()
+			}
+		}
 	}
-	for _, w := range workers {
-		report.Retransmissions += w.Retransmissions
+	// A worker returns only after its FINACK, and the master answers FIN
+	// only after delivering every DATA it ACKed: all marks are queued.
+	for drained := false; !drained; {
+		select {
+		case d := <-r.master.Deliveries:
+			mark(d)
+		default:
+			drained = true
+		}
 	}
-	return survivors, report, nil
+	r.sent += n
+	for _, wk := range workers {
+		if wk != nil {
+			r.retrans += wk.Retransmissions
+		}
+	}
+	if broken != nil {
+		// A link that exhausts its retries costs the switch, never the
+		// query: the rack stops — its program is no longer touched — and
+		// reports the death, and the engine redoes the pass elsewhere.
+		r.shutdown()
+		r.err = fmt.Errorf("cluster: rack link broken, switch declared dead: %w", broken)
+		forwardAll(dec[:n])
+	}
 }
 
-// RunSharded executes a single-pass query across a fabric of N racks:
-// the table is split contiguously, each shard runs the full worker →
-// ToR-switch → master protocol on its own simulated network and
-// pipeline concurrently, and the master completes the query exactly on
-// the union of the shards' survivors. pruners supplies one program per
-// switch (nil selects each kind's default); per-shard reports come back
-// indexed by switch.
-func RunSharded(q *engine.Query, pruners []prune.Pruner, cfg Config, switches int) (*engine.Result, []*Report, error) {
-	if switches <= 0 {
-		switches = 1
+func forwardAll(dec []switchsim.Decision) {
+	for j := range dec {
+		dec[j] = switchsim.Forward
 	}
-	if cfg.Pipeline != nil {
-		return nil, nil, fmt.Errorf("cluster: RunSharded builds one pipeline per switch; Config.Pipeline must be nil")
-	}
-	if pruners != nil && len(pruners) != switches {
-		return nil, nil, fmt.Errorf("cluster: got %d pruners for %d switches", len(pruners), switches)
-	}
-	if err := q.Validate(); err != nil {
-		return nil, nil, err
-	}
-	shards, err := q.Table.Partition(switches)
-	if err != nil {
-		return nil, nil, err
-	}
-	n := q.Table.NumRows()
-	reports := make([]*Report, switches)
-	perShard := make([][]int, switches)
-	errs := make([]error, switches)
-	var wg sync.WaitGroup
-	wg.Add(switches)
-	for s := 0; s < switches; s++ {
-		go func(s int) {
-			defer wg.Done()
-			qs := *q
-			qs.Table = shards[s]
-			cfgs := cfg
-			// Independent loss/retransmission randomness per rack; the
-			// pruner seed stays the caller's.
-			cfgs.Seed = cfg.Seed + uint64(s)*0x9e3779b97f4a7c15
-			var pruner prune.Pruner
-			if pruners != nil {
-				pruner = pruners[s]
-			}
-			local, rep, err := runSurvivors(&qs, pruner, cfgs)
-			if err != nil {
-				errs[s] = fmt.Errorf("cluster: switch %d: %w", s, err)
-				return
-			}
-			// Contiguous shard s covers global rows [s·n/k, (s+1)·n/k).
-			off := s * n / switches
-			global := make([]int, len(local))
-			for i, r := range local {
-				global[i] = off + r
-			}
-			perShard[s] = global
-			reports[s] = rep
-		}(s)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	var survivors []int
-	for _, rows := range perShard {
-		survivors = append(survivors, rows...)
-	}
-	res, err := engine.CompleteOnRows(q, dedupeInts(survivors))
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, reports, nil
 }
 
-// dedupeInts removes duplicate row ids (retransmissions of pruned packets
-// may be delivered, §7.2) while preserving order.
-func dedupeInts(xs []int) []int {
-	seen := make(map[int]bool, len(xs))
-	out := xs[:0]
-	for _, x := range xs {
-		if !seen[x] {
-			seen[x] = true
-			out = append(out, x)
-		}
+// Err implements engine.HealthDataplane: nil while every flow got through,
+// the broken link's error once one exhausted its retransmissions.
+func (r *Rack) Err() error { return r.err }
+
+// shutdown stops the switch and the master and waits for them.
+func (r *Rack) shutdown() {
+	r.stop()
+	r.running.Wait()
+}
+
+// Close stops the rack and uninstalls its program. Extra Closes are
+// no-ops.
+func (r *Rack) Close() error {
+	r.shutdown()
+	if r.closed {
+		return nil
 	}
-	return out
+	r.closed = true
+	if err := r.pipe.Uninstall(queryID); err != nil {
+		return fmt.Errorf("cluster: uninstall: %w", err)
+	}
+	return nil
+}
+
+// Report returns the protocol counters summed over every chunk the rack
+// carried. Read it after Close: until the switch stops, late duplicates
+// may still move its counters.
+func (r *Rack) Report() *Report {
+	return &Report{
+		EntriesSent:     r.sent,
+		Pruned:          r.sw.Pruned,
+		Delivered:       r.sw.ForwardedOK + r.sw.ForwardedRetransmit,
+		Retransmissions: r.retrans,
+		DroppedGaps:     r.sw.DroppedGap,
+		PrunerName:      r.name,
+		Util:            r.util,
+	}
 }

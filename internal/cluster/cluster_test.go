@@ -1,10 +1,10 @@
 package cluster
 
 import (
-	"strings"
 	"testing"
 	"time"
 
+	"cheetah/internal/boolexpr"
 	"cheetah/internal/engine"
 	"cheetah/internal/prune"
 	"cheetah/internal/switchsim"
@@ -20,19 +20,63 @@ func distinctQuery(t *testing.T, rows int, seed uint64) *engine.Query {
 	return &engine.Query{Kind: engine.KindDistinct, Table: uv, DistinctCols: []string{"userAgent"}}
 }
 
+// defaults returns k instances of q's default program.
+func defaults(t *testing.T, q *engine.Query, k int, seed uint64) []prune.Pruner {
+	t.Helper()
+	progs := make([]prune.Pruner, k)
+	for i := range progs {
+		p, err := engine.DefaultPruner(q, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		progs[i] = p
+	}
+	return progs
+}
+
+// execRacks runs q through the engine's pruned driver with one rack per
+// program as the shards' dataplanes, closes the racks and returns the run
+// and their reports.
+func execRacks(t *testing.T, q *engine.Query, progs []prune.Pruner, cfg Config) (*engine.ShardedRun, []*Report) {
+	t.Helper()
+	racks := make([]*Rack, len(progs))
+	flows := make([]engine.BatchDataplane, len(progs))
+	for i, p := range progs {
+		c := cfg
+		c.Seed = cfg.Seed + uint64(i)
+		r, err := NewRack(p, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		racks[i], flows[i] = r, r
+	}
+	run, err := engine.ExecSharded(q, engine.ShardedOptions{
+		Shards: len(progs), Workers: cfg.Workers, Seed: cfg.Seed, Pruners: progs, Flows: flows,
+	})
+	reps := make([]*Report, len(racks))
+	for i, r := range racks {
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
+		reps[i] = r.Report()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return run, reps
+}
+
 func TestClusterDistinctLossless(t *testing.T) {
 	q := distinctQuery(t, 3000, 1)
 	want, err := engine.ExecDirect(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, rep, err := Run(q, nil, Config{Workers: 5, Seed: 42, RTO: 10 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
+	run, reps := execRacks(t, q, defaults(t, q, 1, 42), Config{Workers: 5, Seed: 42, RTO: 10 * time.Millisecond})
+	if !want.Equal(run.Result) {
+		t.Fatalf("cluster result diverges: want %d rows got %d", len(want.Rows), len(run.Result.Rows))
 	}
-	if !want.Equal(res) {
-		t.Fatalf("cluster result diverges: want %d rows got %d", len(want.Rows), len(res.Rows))
-	}
+	rep := reps[0]
 	if rep.Pruned == 0 {
 		t.Fatal("switch pruned nothing on a Zipfian distinct stream")
 	}
@@ -51,17 +95,17 @@ func TestClusterDistinctUnderLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, rep, err := Run(q, nil, Config{
+	run, reps := execRacks(t, q, defaults(t, q, 1, 7), Config{
 		Workers: 3, Seed: 7, LossRate: 0.1, RTO: 8 * time.Millisecond,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !want.Equal(res) {
+	if !want.Equal(run.Result) {
 		t.Fatal("lossy cluster run diverges from ground truth")
 	}
-	if rep.Retransmissions == 0 {
+	if reps[0].Retransmissions == 0 {
 		t.Fatal("10% loss with no retransmissions")
+	}
+	if run.Degraded != 0 {
+		t.Fatalf("a 10%% lossy rack degraded to the backstop (%d)", run.Degraded)
 	}
 }
 
@@ -72,15 +116,12 @@ func TestClusterTopN(t *testing.T) {
 	}
 	q := &engine.Query{Kind: engine.KindTopN, Table: uv, OrderCol: "adRevenue", N: 100}
 	want, _ := engine.ExecDirect(q)
-	res, rep, err := Run(q, nil, Config{Workers: 4, Seed: 9, RTO: 10 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !want.Equal(res) {
+	run, reps := execRacks(t, q, defaults(t, q, 1, 9), Config{Workers: 4, Seed: 9, RTO: 10 * time.Millisecond})
+	if !want.Equal(run.Result) {
 		t.Fatal("top-n cluster run diverges")
 	}
-	if rep.PrunerName != "topn-rand" {
-		t.Fatalf("pruner = %s", rep.PrunerName)
+	if reps[0].PrunerName != "topn-rand" {
+		t.Fatalf("pruner = %s", reps[0].PrunerName)
 	}
 }
 
@@ -91,11 +132,8 @@ func TestClusterSkylineWithDrain(t *testing.T) {
 	}
 	q := &engine.Query{Kind: engine.KindSkyline, Table: rank, SkylineCols: []string{"pageRank", "avgDuration"}}
 	want, _ := engine.ExecDirect(q)
-	res, _, err := Run(q, nil, Config{Workers: 2, Seed: 13, RTO: 10 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !want.Equal(res) {
+	run, _ := execRacks(t, q, defaults(t, q, 1, 13), Config{Workers: 2, Seed: 13, RTO: 10 * time.Millisecond})
+	if !want.Equal(run.Result) {
 		t.Fatal("skyline cluster run diverges (drain path broken?)")
 	}
 }
@@ -107,11 +145,8 @@ func TestClusterGroupByMax(t *testing.T) {
 	}
 	q := &engine.Query{Kind: engine.KindGroupByMax, Table: uv, KeyCol: "languageCode", AggCol: "adRevenue"}
 	want, _ := engine.ExecDirect(q)
-	res, _, err := Run(q, nil, Config{Workers: 5, Seed: 3, RTO: 10 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !want.Equal(res) {
+	run, _ := execRacks(t, q, defaults(t, q, 1, 3), Config{Workers: 5, Seed: 3, RTO: 10 * time.Millisecond})
+	if !want.Equal(run.Result) {
 		t.Fatal("group-by cluster run diverges")
 	}
 }
@@ -124,152 +159,30 @@ func TestClusterCustomPruner(t *testing.T) {
 		t.Fatal(err)
 	}
 	want, _ := engine.ExecDirect(q)
-	res, rep, err := Run(q, p, Config{Workers: 2, Seed: 21, RTO: 10 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !want.Equal(res) {
+	run, reps := execRacks(t, q, []prune.Pruner{p}, Config{Workers: 2, Seed: 21, RTO: 10 * time.Millisecond})
+	if !want.Equal(run.Result) {
 		t.Fatal("custom pruner run diverges")
 	}
-	if rep.PrunerName != "distinct-FIFO" {
-		t.Fatalf("pruner = %s", rep.PrunerName)
-	}
-}
-
-func TestClusterRejectsMultiPassKinds(t *testing.T) {
-	orders, lineitem, err := workload.TPCHQ3(100, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := &engine.Query{Kind: engine.KindJoin, Table: orders, Right: lineitem,
-		LeftKey: "o_orderkey", RightKey: "l_orderkey"}
-	if _, _, err := Run(q, nil, Config{Workers: 1}); err == nil {
-		t.Fatal("multi-pass kind accepted by single-pass cluster runner")
+	if reps[0].PrunerName != "distinct-FIFO" {
+		t.Fatalf("pruner = %s", reps[0].PrunerName)
 	}
 }
 
 func TestClusterRejectsOversizedProgram(t *testing.T) {
-	q := distinctQuery(t, 100, 23)
 	// A matrix too large for the per-stage SRAM of the model.
 	p, err := prune.NewDistinct(prune.DistinctConfig{Rows: 1 << 22, Cols: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Run(q, p, Config{Workers: 1}); err == nil {
+	if r, err := NewRack(p, Config{Workers: 1}); err == nil {
+		r.Close()
 		t.Fatal("oversized program admitted")
 	}
 }
 
-// TestRunUninstallsOnEarlyError pins the shared-pipeline contract: a run
-// that fails after its program was installed (here: a multi-pass kind
-// the single-pass encoder rejects) must uninstall on the way out, so a
-// failed query cannot poison a shared pipeline for the ones after it.
-func TestRunUninstallsOnEarlyError(t *testing.T) {
-	pl, err := switchsim.NewPipeline(switchsim.Tofino())
-	if err != nil {
-		t.Fatal(err)
-	}
-	uv, err := workload.UserVisits(workload.DefaultUserVisits(500, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := &engine.Query{Kind: engine.KindHaving, Table: uv,
-		KeyCol: "languageCode", AggCol: "duration", Threshold: 10}
-	h, err := prune.NewHaving(prune.DefaultHavingConfig(10, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := Run(q, h, Config{Workers: 2, Pipeline: pl, FlowID: 7}); err == nil {
-		t.Fatal("multi-pass kind accepted")
-	}
-	if u := pl.Utilization(); u.StagesUsed != 0 || u.ALUsUsed != 0 {
-		t.Fatalf("failed run leaked its program: %v", u)
-	}
-}
-
-// TestRunSharedPipelineCleanExit checks the success path over a shared
-// pipeline: the query runs against its own flow, reports the occupancy
-// it saw, and leaves the pipeline empty for the next tenant.
-func TestRunSharedPipelineCleanExit(t *testing.T) {
-	pl, err := switchsim.NewPipeline(switchsim.Tofino())
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := distinctQuery(t, 1000, 11)
-	want, err := engine.ExecDirect(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, rep, err := Run(q, nil, Config{Workers: 3, Seed: 5, Pipeline: pl, FlowID: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !want.Equal(res) {
-		t.Fatal("shared-pipeline run diverges from direct")
-	}
-	if rep.Util.StagesUsed == 0 {
-		t.Fatalf("report missing per-query utilization: %v", rep.Util)
-	}
-	if u := pl.Utilization(); u.StagesUsed != 0 {
-		t.Fatalf("successful run left its program installed: %v", u)
-	}
-}
-
-// TestSharedPipelineFlowValidation pins the descriptive errors of the
-// Config.Pipeline/FlowID pairing: a shared pipeline never derives a
-// flow id, and an occupied id is rejected before install.
-func TestSharedPipelineFlowValidation(t *testing.T) {
-	q := distinctQuery(t, 200, 11)
-	pl, err := switchsim.NewPipeline(switchsim.Tofino())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Shared pipeline without an explicit flow id.
-	_, _, err = Run(q, nil, Config{Workers: 2, Pipeline: pl})
-	if err == nil || !strings.Contains(err.Error(), "explicit FlowID") {
-		t.Fatalf("shared pipeline without FlowID: got %v", err)
-	}
-
-	// Shared pipeline with an already-occupied flow id.
-	resident, err := engine.DefaultPruner(q, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := pl.Install(7, resident); err != nil {
-		t.Fatal(err)
-	}
-	_, _, err = Run(q, nil, Config{Workers: 2, Pipeline: pl, FlowID: 7})
-	if err == nil || !strings.Contains(err.Error(), "already carries a program") {
-		t.Fatalf("occupied flow id: got %v", err)
-	}
-	// The resident program must be untouched by the rejected run.
-	if !pl.FlowInstalled(7) {
-		t.Fatal("validation removed the resident program")
-	}
-
-	// An unused explicit id works and cleans up after itself.
-	res, _, err := Run(q, nil, Config{Workers: 2, Pipeline: pl, FlowID: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _ := engine.ExecDirect(q)
-	if !want.Equal(res) {
-		t.Fatal("shared-pipeline run diverges")
-	}
-	if pl.FlowInstalled(8) {
-		t.Fatal("run leaked its program on the shared pipeline")
-	}
-
-	// Dedicated pipelines still accept an external id without re-deriving.
-	if _, _, err := Run(q, nil, Config{Workers: 2, FlowID: 42}); err != nil {
-		t.Fatalf("dedicated pipeline with explicit FlowID: %v", err)
-	}
-}
-
-// TestRunShardedMatchesDirect runs every single-pass kind across 1, 2
-// and 4 switches (own network + pipeline each) and checks the merged
-// completion against ground truth, clean and lossy.
+// TestRunShardedMatchesDirect runs single-stream kinds across 1, 2 and 4
+// racks (own network + pipeline each) and checks the merged completion
+// against ground truth, clean and lossy.
 func TestRunShardedMatchesDirect(t *testing.T) {
 	uv, err := workload.UserVisits(workload.DefaultUserVisits(2400, 21))
 	if err != nil {
@@ -287,22 +200,16 @@ func TestRunShardedMatchesDirect(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, switches := range []int{1, 2, 4} {
-			res, reps, err := RunSharded(q, nil, Config{Workers: 2, Seed: 13, RTO: 10 * time.Millisecond}, switches)
-			if err != nil {
-				t.Fatalf("%s switches=%d: %v", name, switches, err)
-			}
-			if !want.Equal(res) {
+			run, reps := execRacks(t, q, defaults(t, q, switches, 13), Config{Workers: 2, Seed: 13, RTO: 10 * time.Millisecond})
+			if !want.Equal(run.Result) {
 				t.Fatalf("%s switches=%d: sharded cluster run diverges", name, switches)
-			}
-			if len(reps) != switches {
-				t.Fatalf("%s: %d reports for %d switches", name, len(reps), switches)
 			}
 			sent := 0
 			for _, r := range reps {
 				sent += r.EntriesSent
 			}
 			if sent != q.Table.NumRows() {
-				t.Fatalf("%s switches=%d: per-switch EntriesSent sums to %d, want %d",
+				t.Fatalf("%s switches=%d: per-rack EntriesSent sums to %d, want %d",
 					name, switches, sent, q.Table.NumRows())
 			}
 		}
@@ -311,13 +218,10 @@ func TestRunShardedMatchesDirect(t *testing.T) {
 	// Lossy fabric: retransmissions per rack, result still exact.
 	q := queries["distinct"]
 	want, _ := engine.ExecDirect(q)
-	res, reps, err := RunSharded(q, nil, Config{
+	run, reps := execRacks(t, q, defaults(t, q, 3, 17), Config{
 		Workers: 2, Seed: 17, LossRate: 0.08, RTO: 8 * time.Millisecond,
-	}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !want.Equal(res) {
+	})
+	if !want.Equal(run.Result) {
 		t.Fatal("lossy sharded run diverges from ground truth")
 	}
 	retrans := uint64(0)
@@ -327,13 +231,119 @@ func TestRunShardedMatchesDirect(t *testing.T) {
 	if retrans == 0 {
 		t.Fatal("8% loss across 3 racks with no retransmissions")
 	}
+}
 
-	// Config misuse is rejected descriptively.
-	pl, _ := switchsim.NewPipeline(switchsim.Tofino())
-	if _, _, err := RunSharded(q, nil, Config{Pipeline: pl, FlowID: 1}, 2); err == nil {
-		t.Fatal("RunSharded with a shared pipeline: want error")
+// TestRackMarksWhatTheMasterReceived drives ProcessBatch directly with a
+// stateless program, whose verdicts do not depend on arrival order: over
+// chunks of every shape (fewer entries than flows, one flow's worth, many)
+// each entry is marked Forward at least when the program forwards it —
+// exactly then on a clean link — and the rack's counters add up.
+func TestRackMarksWhatTheMasterReceived(t *testing.T) {
+	filter := func() prune.Pruner {
+		f, err := prune.NewFilter(prune.FilterConfig{
+			Predicates: []prune.Predicate{{ValIdx: 0, Op: prune.OpGT, Const: 60}},
+			Formula:    boolexpr.Leaf{V: 0},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
 	}
-	if _, _, err := RunSharded(q, make([]prune.Pruner, 3), Config{}, 2); err == nil {
-		t.Fatal("RunSharded pruner count mismatch: want error")
+	for _, loss := range []float64{0, 0.2} {
+		// A clean link needs no timer, and a long one cannot fire early on
+		// a loaded machine and forward a pruned entry's retransmission.
+		rto := time.Second
+		if loss > 0 {
+			rto = 4 * time.Millisecond
+		}
+		twin := filter()
+		r, err := NewRack(filter(), Config{Workers: 3, Seed: 5, LossRate: loss, RTO: rto})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sent := 0
+		for c, n := range []int{1, 2, 3, 7, 400} {
+			b := &switchsim.Batch{Cols: [][]uint64{make([]uint64, n), make([]uint64, n)}, N: n}
+			for j := 0; j < n; j++ {
+				b.Cols[0][j] = uint64((j*37 + c) % 100)
+				b.Cols[1][j] = uint64(j) // a column the program never reads
+			}
+			got := make([]switchsim.Decision, n)
+			want := make([]switchsim.Decision, n)
+			r.ProcessBatch(b, got)
+			twin.(switchsim.BatchProgram).ProcessBatch(b, want)
+			sent += n
+			for j := range got {
+				if want[j] == switchsim.Forward && got[j] != switchsim.Forward {
+					t.Fatalf("loss %v chunk %d entry %d: the program forwarded it, the rack did not", loss, c, j)
+				}
+				if loss == 0 && got[j] != want[j] {
+					t.Fatalf("clean link chunk %d entry %d: rack %v, program %v", c, j, got[j], want[j])
+				}
+			}
+		}
+		if r.Err() != nil {
+			t.Fatalf("loss %v: %v", loss, r.Err())
+		}
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
+		rep := r.Report()
+		if rep.EntriesSent != sent || rep.Pruned+rep.Delivered < uint64(sent) {
+			t.Fatalf("loss %v: report %+v for %d entries", loss, rep, sent)
+		}
+		if loss > 0 && rep.Retransmissions == 0 {
+			t.Fatalf("loss %v with no retransmissions", loss)
+		}
+	}
+}
+
+// TestRackDeadLinkDegrades: a link that loses everything breaks its rack's
+// switch, not the query — each shard finishes on the master-side backstop
+// and the result stays exact.
+func TestRackDeadLinkDegrades(t *testing.T) {
+	q := distinctQuery(t, 300, 29)
+	want, _ := engine.ExecDirect(q)
+	const switches = 2
+	run, _ := execRacks(t, q, defaults(t, q, switches, 31), Config{
+		Workers: 2, Seed: 31, LossRate: 1, RTO: time.Millisecond,
+	})
+	if !want.Equal(run.Result) {
+		t.Fatal("dead-link run diverges from ground truth")
+	}
+	if run.Degraded != switches {
+		t.Fatalf("Degraded = %d, want %d", run.Degraded, switches)
+	}
+}
+
+// TestRackCloseUninstalls: a rack reports the occupancy its program took
+// and leaves its pipeline empty on Close; a failed uninstall is Close's
+// error, not a panic; and a second Close is a no-op.
+func TestRackCloseUninstalls(t *testing.T) {
+	q := distinctQuery(t, 10, 1)
+	r, err := NewRack(defaults(t, q, 1, 1)[0], Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if u := r.Report().Util; u.StagesUsed == 0 {
+		t.Fatalf("report missing per-query utilization: %v", u)
+	}
+	if u := r.pipe.Utilization(); u.StagesUsed != 0 {
+		t.Fatalf("Close left the program installed: %v", u)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
+	}
+
+	failed, err := NewRack(defaults(t, q, 1, 1)[0], Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	failed.pipe.Fail()
+	if err := failed.Close(); err == nil {
+		t.Fatal("uninstall from a failed pipeline reported no error")
 	}
 }

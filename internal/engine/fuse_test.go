@@ -6,6 +6,7 @@ import (
 
 	"cheetah/internal/boolexpr"
 	"cheetah/internal/prune"
+	"cheetah/internal/switchsim"
 )
 
 // This file is the fused-vs-batched equivalence suite (the fused-vs-
@@ -327,6 +328,60 @@ func TestFilterExactnessGate(t *testing.T) {
 				if !sharded.Result.Equal(direct) {
 					t.Fatalf("%s: sharded result wrong vs direct\ndirect:\n%s\ngot:\n%s", label, direct, sharded.Result)
 				}
+			}
+		}
+	}
+}
+
+// supersetDP runs its program and then forwards every third entry the
+// program pruned too, as a rack forwards the retransmission of a packet
+// its switch already pruned; it declines the FusedProgram probe.
+type supersetDP struct{ prog switchsim.Program }
+
+func (d supersetDP) ProcessBatch(b *switchsim.Batch, dec []switchsim.Decision) {
+	switchsim.ProcessBatchOf(d.prog, b, dec)
+	for j := 0; j < b.N; j += 3 {
+		dec[j] = switchsim.Forward
+	}
+}
+
+// TestSupersetDataplaneKeepsFilterExact: a dataplane that forwards more
+// than its program decides gets the master recheck even when its program
+// is the query's own filter — at every width, counting or collecting.
+func TestSupersetDataplaneKeepsFilterExact(t *testing.T) {
+	tb := equivTable(t, 3000, 0x62)
+	for _, countOnly := range []bool{false, true} {
+		q := &Query{
+			Kind:  KindFilter,
+			Table: tb,
+			Predicates: []FilterPred{
+				{Col: "score", Op: prune.OpGT, Const: 50_000},
+				{Col: "val", Op: prune.OpLT, Const: 500},
+			},
+			Formula:   boolexpr.And{boolexpr.Leaf{V: 0}, boolexpr.Leaf{V: 1}},
+			CountOnly: countOnly,
+		}
+		direct, err := ExecDirect(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range []int{1, 2} {
+			progs := make([]prune.Pruner, k)
+			flows := make([]BatchDataplane, k)
+			for i := range progs {
+				p, err := DefaultPruner(q, 5)
+				if err != nil {
+					t.Fatal(err)
+				}
+				progs[i], flows[i] = p, supersetDP{prog: p}
+			}
+			run, err := ExecSharded(q, ShardedOptions{Shards: k, Workers: 3, Seed: 5, Pruners: progs, Flows: flows})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !run.Result.Equal(direct) {
+				t.Fatalf("countOnly=%v k=%d: a superset dataplane's forwards were taken for the answer\ndirect:\n%s\ngot:\n%s",
+					countOnly, k, direct, run.Result)
 			}
 		}
 	}

@@ -303,8 +303,8 @@ func TestKeyMemoReaders(t *testing.T) {
 	}
 }
 
-// TestOraclesReadNoKeyMemo: ExecDirect, its skipping variant, the scalar
-// reference and the cluster path's entry encoder hash and compare keys for
+// TestOraclesReadNoKeyMemo: ExecDirect, its skipping variant and the
+// scalar reference hash and compare keys for
 // themselves — the oracle and the Traffic/Stats reference stay independent
 // of what they check — so after they ran every query, every fingerprint
 // column is still to build and every dictionary slot is empty.
@@ -324,11 +324,6 @@ func TestOraclesReadNoKeyMemo(t *testing.T) {
 		}
 		if _, err := ExecCheetah(q, CheetahOptions{Workers: 3, Seed: seed, Scalar: true}); err != nil {
 			t.Fatalf("%s: %v", name, err)
-		}
-		if q.Kind == KindDistinct || q.Kind == KindGroupByMax {
-			if _, err := EncodeEntries(q, 3, seed); err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
 		}
 	}
 	for i, x := range f.tables() {

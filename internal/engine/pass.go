@@ -61,18 +61,23 @@ type pass struct {
 // directly through the fused loops instead of chunking batches through
 // the dataplane. ok is the family's own condition — the program is a
 // shipped concrete type the loops know, JOIN starts in its build phase.
-// Beyond it the dataplane must grant direct access to the very program
-// the pass holds: the exclusive progDataplane always does; a serve.Lease
-// does only while its pipeline is healthy and no fault injector is armed
-// (chaos runs keep the chunked per-batch kill semantics), and never to a
-// program other than the one installed for the flow.
+// Beyond it the dataplane must grant direct access to the program.
 func (ps *pass) fuse(ok bool) bool {
-	ps.fused = false
-	if ok && !ps.noFuse {
-		fp, grants := ps.dp.(interface{ FusedProgram() switchsim.Program })
-		ps.fused = grants && fp.FusedProgram() == switchsim.Program(ps.pruner)
-	}
+	ps.fused = ok && !ps.noFuse && ps.grants()
 	return ps.fused
+}
+
+// grants reports whether the dataplane offers the very program the pass
+// holds through the FusedProgram probe — which also vouches that what it
+// forwards is exactly what that program decides. The exclusive
+// progDataplane always does; a serve.Lease does only while its pipeline
+// is healthy and no fault injector is armed (chaos runs keep the chunked
+// per-batch kill semantics), and never for a program other than the one
+// installed for the flow; a cluster.Rack, which forwards a superset, never
+// does.
+func (ps *pass) grants() bool {
+	fp, ok := ps.dp.(interface{ FusedProgram() switchsim.Program })
+	return ok && fp.FusedProgram() == switchsim.Program(ps.pruner)
 }
 
 // forwardedIn counts the chunk's forwarded entries, branchlessly.
@@ -199,7 +204,8 @@ func gatherSurvivors(passes []*pass, parts [][]int) (*table.Table, error) {
 // skyline(S) = skyline(T) whenever skyline(T) ⊆ S ⊆ T, so the exact
 // direct completion over the union of the parts is the answer: in place
 // over a single part, over a gathered table otherwise. When every pass ran
-// the query's own filter (exact) the superset is the answer itself and
+// the query's own filter on a dataplane that forwards exactly its verdicts
+// (exact), the superset is the answer itself and
 // needs neither the gather nor the recheck: the count is the forwards
 // summed, and the rows render straight from the passes' tables.
 func completeSurvivors(q *Query, passes []*pass, parts [][]int, exact bool) (*Result, error) {
@@ -410,19 +416,22 @@ func execPasses(q *Query, execs []*shardExec, opts ShardedOptions) (res *Result,
 	}
 	switch q.Kind {
 	case KindFilter, KindSkyline:
-		// A FILTER whose every pass runs the query's own filter is exact:
+		// A FILTER whose every pass runs the query's own filter on a
+		// dataplane that forwards exactly its verdicts (grants) is exact:
 		// the completion takes the forwards for the answer, and a count
 		// collects no rows at all.
 		exact := q.Kind == KindFilter
 		planned := make([]prune.Pruner, len(passes))
 		for s, ps := range passes {
 			planned[s] = ps.pruner
-			exact = exact && filterExact(ps.q, ps.pruner)
+			exact = exact && filterExact(ps.q, ps.pruner) && ps.grants()
 		}
 		parts := make([][]int, len(passes))
 		err = scatter(func(s int) (err error) {
 			// A failover hands the pass a new program, and the completion
-			// is already planned around exact ones.
+			// is already planned around exact ones. (Its dataplane is a
+			// lease, whose forwards are its program's verdicts even when a
+			// fault injector makes it decline the probe.)
 			ps := passes[s]
 			if exact && ps.pruner != planned[s] && !filterExact(ps.q, ps.pruner) {
 				return fmt.Errorf("engine: shard %d: failover replaced the query's exact filter with a different program", s)

@@ -17,8 +17,9 @@ package engine
 //     matching/non-dominated rows; the master gathers survivors and
 //     re-runs the exact completion over the union. skyline(S) =
 //     skyline(T) whenever skyline(T) ⊆ S ⊆ T. When every switch runs the
-//     query's exact filter the superset is the answer, and FILTER needs
-//     neither the gather nor the recheck (filterExact).
+//     query's exact filter on a dataplane that forwards exactly its
+//     verdicts the superset is the answer, and FILTER needs neither the
+//     gather nor the recheck (filterExact, pass.grants).
 //   - TOP N: every global top-N value is in its shard's local top N, so
 //     per-shard N-heaps followed by a tightened global N-heap re-check
 //     lose nothing.
@@ -65,9 +66,12 @@ type ShardedOptions struct {
 	// N's δ to δ/Shards.
 	Pruners []prune.Pruner
 	// Flows, when non-nil, routes shard i's batches through Flows[i] (a
-	// flow-scoped handle on shard i's shared pipeline) instead of
-	// invoking the shard's pruner directly. Requires Pruners: control-
-	// plane operations still address the programs directly.
+	// flow-scoped handle on shard i's shared pipeline, or a whole rack
+	// over a lossy network) instead of invoking the shard's pruner
+	// directly. Requires Pruners: control-plane operations still address
+	// the programs directly. A flow may forward a superset of what its
+	// program decides; only one that offers its program through the
+	// FusedProgram probe is trusted to forward exactly that.
 	Flows []BatchDataplane
 	// Failover, when non-nil, is consulted after a shard's switch dies
 	// (its Flow implements HealthDataplane and reports failure): it
@@ -90,7 +94,7 @@ type ShardedOptions struct {
 	// NoFuse opts shards out of the fused compiled loops (fuse.go) and
 	// back onto the chunked batch pipeline, mirroring
 	// CheetahOptions.NoFuse. Shards whose dataplane withholds direct
-	// program access (chaos-armed pipelines) fall back per shard
+	// program access (chaos-armed pipelines, racks) fall back per shard
 	// automatically; Results are identical either way.
 	NoFuse bool
 	// Trace, when non-nil, collects one span per shard pass — noted with

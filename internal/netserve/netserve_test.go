@@ -17,6 +17,7 @@ import (
 
 	"cheetah/internal/engine"
 	"cheetah/internal/plan"
+	"cheetah/internal/serve"
 	"cheetah/internal/table"
 	"cheetah/internal/wire"
 	"cheetah/internal/workload/multitenant"
@@ -427,5 +428,91 @@ func TestPingAndBadFrame(t *testing.T) {
 			t.Fatal("protocol violation not surfaced")
 		case <-time.After(5 * time.Millisecond):
 		}
+	}
+}
+
+// waitUntil polls cond until it holds, failing the test after ten seconds.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestDisconnectDropsQueuedQuery pins the disconnect path of a query still
+// waiting for admission: the client goes away while its query is queued
+// behind a full switch, the admission returns the connection's cancelled
+// context, the server's in-flight work drains although the switch never
+// frees, and the query is never admitted.
+func TestDisconnectDropsQueuedQuery(t *testing.T) {
+	mix, err := multitenant.NewMix(multitenant.MixConfig{VisitRows: 500, RankRows: 250, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := Listen("127.0.0.1:0", Options{
+		Tables:  map[string]*table.Table{"visits": mix.Visits, "rankings": mix.Rankings},
+		Primary: "visits",
+		Plan:    plan.Options{Seed: 11},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+
+	// Fill the one switch with copies of the query's own program.
+	q := mix.Query(1) // DISTINCT
+	p, err := srv.Session().Plan(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fab := srv.Serving().Fabric()
+	for {
+		prog, err := p.NewPruner()
+		if err != nil {
+			t.Fatal(err)
+		}
+		pl, err := fab.TryAdmit(prog)
+		if errors.Is(err, serve.ErrBusy) {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(pl.Release)
+	}
+	admitted := srv.Stats().Admitted
+
+	cl, err := Dial(srv.Addr().String(), "tenant-0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := wire.SpecOf(q, "visits", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := wire.QueryReq{ID: 1, Spec: *spec}
+	if err := cl.writeFrame(wire.FrameQuery, req.EncodeBody(nil)); err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, "the query to queue", func() bool { return srv.Stats().Queued == 1 })
+	cl.nc.Close() // hard disconnect, no Goodbye
+	waitUntil(t, "the disconnect to withdraw the queued admission", func() bool { return srv.Stats().Queued == 0 })
+	if got := srv.Metrics().Total("query_errors"); got != 1 {
+		t.Fatalf("query_errors = %d, want 1 (the cancelled admission)", got)
+	}
+
+	// Nothing is in flight any more, so the drain converges with the
+	// switch still full.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatalf("drain after the disconnect: %v", err)
+	}
+	if got := srv.Stats().Admitted; got != admitted {
+		t.Fatalf("Admitted went %d → %d: the abandoned query was admitted", admitted, got)
 	}
 }

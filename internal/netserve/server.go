@@ -229,6 +229,7 @@ func (s *Server) acceptLoop() {
 			return // listener closed: drain in progress
 		}
 		c := &conn{srv: s, nc: nc, subs: make(map[uint64]*subState)}
+		c.ctx, c.cancel = context.WithCancel(context.Background())
 		s.mu.Lock()
 		if s.draining || s.closed {
 			s.mu.Unlock()
@@ -349,6 +350,11 @@ type conn struct {
 	srv    *Server
 	nc     net.Conn
 	tenant string
+	// ctx is the connection's lifetime, cancelled by teardown: a query or
+	// subscription still waiting for admission when its client goes away
+	// gives up its place in the queue instead of running for nobody.
+	ctx    context.Context
+	cancel context.CancelFunc
 
 	// wmu serializes frame writes: query goroutines, subscription
 	// forwarders and the read loop all answer on the same socket.
@@ -404,9 +410,11 @@ func (c *conn) serve() {
 	}
 }
 
-// teardown closes every subscription the connection holds, releasing
-// their standing programs' fabric leases and stopping the forwarders.
+// teardown cancels the connection's queued admissions and closes every
+// subscription it holds, releasing their standing programs' fabric leases
+// and stopping the forwarders.
 func (c *conn) teardown() {
+	c.cancel()
 	c.mu.Lock()
 	c.closed = true
 	subs := make([]*subState, 0, len(c.subs))
@@ -574,7 +582,7 @@ func (c *conn) handleQuery(req *wire.QueryReq) {
 		if req.DeadlineMicros != 0 {
 			qos.Deadline = time.Now().Add(time.Duration(req.DeadlineMicros) * time.Microsecond)
 		}
-		ex, err := c.srv.serving.SubmitQoS(context.Background(), q, qos)
+		ex, err := c.srv.serving.SubmitQoS(c.ctx, q, qos)
 		if err != nil {
 			code := wire.CodeInternal
 			if errors.Is(err, serve.ErrDeadline) || errors.Is(err, serve.ErrBusy) {
@@ -689,9 +697,9 @@ func (c *conn) handleSubscribe(req *wire.SubscribeReq) {
 	}
 	var sub *plan.Subscription
 	if req.Window != 0 || req.Slide != 0 {
-		sub, err = c.srv.strm.SubscribeWindow(context.Background(), q, int(req.Window), int(req.Slide))
+		sub, err = c.srv.strm.SubscribeWindow(c.ctx, q, int(req.Window), int(req.Slide))
 	} else {
-		sub, err = c.srv.strm.Subscribe(context.Background(), q)
+		sub, err = c.srv.strm.Subscribe(c.ctx, q)
 	}
 	if err != nil {
 		c.writeError(req.ID, wire.CodeInvalid, err.Error())

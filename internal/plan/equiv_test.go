@@ -103,89 +103,106 @@ func TestExecEquivalenceAllKinds(t *testing.T) {
 
 // TestFrontDoorsAgree drives every kind through the three front doors —
 // Session.Exec, Serving.Submit, and a subscription fed by chunked appends
-// — at fabric widths 1 and 2: all run the one pruned driver (Session.run)
-// and all equal ExecDirect. At one switch a served run is the in-process
-// run through a lease, so its Traffic and Stats are Exec's (randomized
-// TOP N's RNG stream aside).
+// — at fabric widths 1 and 2, in process and with UseCluster: all run the
+// one pruned driver (Session.run) and all equal ExecDirect. UseCluster
+// sends Exec's entries through one rack per switch (GROUP BY SUM aside),
+// while serving and streaming run in process whatever it says. At one
+// switch a served run is the in-process run through a lease, so its
+// Traffic and Stats are Exec's (randomized TOP N's RNG stream aside).
 func TestFrontDoorsAgree(t *testing.T) {
 	ctx := streamCtx(t)
-	for _, k := range []int{1, 2} {
-		opts := Options{Workers: 3, Seed: 7, Switches: k}
-		for _, c := range equivMix(t, opts) {
-			label := fmt.Sprintf("k=%d %s", k, c.label)
-			q, err := c.b.Build()
-			if err != nil {
-				t.Fatalf("%s: build: %v", label, err)
-			}
-			want, err := engine.ExecDirect(q)
-			if err != nil {
-				t.Fatalf("%s: direct: %v", label, err)
-			}
-			local, err := c.s.Exec(ctx, q)
-			if err != nil {
-				t.Fatalf("%s: Exec: %v", label, err)
-			}
-			sv, err := c.s.Serve(ctx, ServeOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			served, err := sv.Submit(ctx, q)
-			sv.Close()
-			if err != nil {
-				t.Fatalf("%s: Submit: %v", label, err)
-			}
-			for door, ex := range map[string]*Execution{"Exec": local, "Submit": served} {
-				if ex.Plan.Mode != ModeCheetah {
-					t.Fatalf("%s: %s planned %v (%s), want cheetah", label, door, ex.Plan.Mode, ex.Plan.Reason)
-				}
-				if !want.Equal(ex.Result) {
-					t.Errorf("%s: %s diverges from direct", label, door)
-				}
-			}
-			// Every pruned run reports alike, leased or in process: Exec's k
-			// passes, and the served query's one on its placed switch.
-			if bad := prunedScheme(local, k); bad != "" {
-				t.Errorf("%s: Exec trace: %s:\n%s", label, bad, local.Trace())
-			}
-			if bad := prunedScheme(served, 1); bad != "" {
-				t.Errorf("%s: Submit trace: %s:\n%s", label, bad, served.Trace())
-			}
-			if k == 1 && q.Kind != engine.KindTopN && (served.Traffic != local.Traffic || served.Stats != local.Stats) {
-				t.Errorf("%s: Submit accounts %+v %+v, Exec %+v %+v", label, served.Traffic, served.Stats, local.Traffic, local.Stats)
-			}
-
-			// The same query as a standing one over an empty copy of the
-			// session's table, fed the rows in batches misaligned with
-			// everything.
-			target, err := table.New(q.Table.Schema())
-			if err != nil {
-				t.Fatal(err)
-			}
-			db, err := Open(target, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			st, err := db.Stream(ctx, StreamOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			sq := *q
-			sq.Table = target
-			sub, err := st.Subscribe(ctx, &sq)
-			if err != nil {
-				t.Fatalf("%s: Subscribe: %v", label, err)
-			}
-			if sub.Plan().Mode != ModeCheetah {
-				t.Fatalf("%s: Subscribe planned %v (%s), want cheetah", label, sub.Plan().Mode, sub.Plan().Reason)
-			}
-			appendInChunks(t, st, q.Table, 613)
-			if err := sub.Flush(ctx); err != nil {
-				t.Fatal(err)
-			}
-			if got := firstResult(sub); !want.Equal(got) {
-				t.Errorf("%s: standing result diverges from direct", label)
-			}
-			db.Close()
+	for _, cluster := range []bool{false, true} {
+		for _, k := range []int{1, 2} {
+			testFrontDoorsAgree(t, ctx, Options{Workers: 3, Seed: 7, Switches: k, UseCluster: cluster})
 		}
+	}
+}
+
+func testFrontDoorsAgree(t *testing.T, ctx context.Context, opts Options) {
+	k := opts.Switches
+	for _, c := range equivMix(t, opts) {
+		label := fmt.Sprintf("k=%d cluster=%v %s", k, opts.UseCluster, c.label)
+		q, err := c.b.Build()
+		if err != nil {
+			t.Fatalf("%s: build: %v", label, err)
+		}
+		want, err := engine.ExecDirect(q)
+		if err != nil {
+			t.Fatalf("%s: direct: %v", label, err)
+		}
+		local, err := c.s.Exec(ctx, q)
+		if err != nil {
+			t.Fatalf("%s: Exec: %v", label, err)
+		}
+		sv, err := c.s.Serve(ctx, ServeOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		served, err := sv.Submit(ctx, q)
+		sv.Close()
+		if err != nil {
+			t.Fatalf("%s: Submit: %v", label, err)
+		}
+		execMode := ModeCheetah
+		if opts.UseCluster && q.Kind != engine.KindGroupBySum {
+			execMode = ModeCluster
+		}
+		for door, ex := range map[string]*Execution{"Exec": local, "Submit": served} {
+			mode := ModeCheetah
+			if door == "Exec" {
+				mode = execMode
+			}
+			if ex.Plan.Mode != mode {
+				t.Fatalf("%s: %s planned %v (%s), want %v", label, door, ex.Plan.Mode, ex.Plan.Reason, mode)
+			}
+			if !want.Equal(ex.Result) {
+				t.Errorf("%s: %s diverges from direct", label, door)
+			}
+		}
+		// Every pruned run reports alike, leased, racked or in process:
+		// Exec's k passes, and the served query's one on its placed switch.
+		if bad := prunedScheme(local, k); bad != "" {
+			t.Errorf("%s: Exec trace: %s:\n%s", label, bad, local.Trace())
+		}
+		if bad := prunedScheme(served, 1); bad != "" {
+			t.Errorf("%s: Submit trace: %s:\n%s", label, bad, served.Trace())
+		}
+		if k == 1 && execMode == ModeCheetah && q.Kind != engine.KindTopN &&
+			(served.Traffic != local.Traffic || served.Stats != local.Stats) {
+			t.Errorf("%s: Submit accounts %+v %+v, Exec %+v %+v", label, served.Traffic, served.Stats, local.Traffic, local.Stats)
+		}
+
+		// The same query as a standing one over an empty copy of the
+		// session's table, fed the rows in batches misaligned with
+		// everything.
+		target, err := table.New(q.Table.Schema())
+		if err != nil {
+			t.Fatal(err)
+		}
+		db, err := Open(target, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := db.Stream(ctx, StreamOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sq := *q
+		sq.Table = target
+		sub, err := st.Subscribe(ctx, &sq)
+		if err != nil {
+			t.Fatalf("%s: Subscribe: %v", label, err)
+		}
+		if sub.Plan().Mode != ModeCheetah {
+			t.Fatalf("%s: Subscribe planned %v (%s), want cheetah", label, sub.Plan().Mode, sub.Plan().Reason)
+		}
+		appendInChunks(t, st, q.Table, 613)
+		if err := sub.Flush(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if got := firstResult(sub); !want.Equal(got) {
+			t.Errorf("%s: standing result diverges from direct", label)
+		}
+		db.Close()
 	}
 }

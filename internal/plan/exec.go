@@ -237,54 +237,44 @@ func (s *Session) execPlanModes(ctx context.Context, p *Plan, tr *obs.Trace) (*E
 		// fabric width.
 		ex.Estimate = s.cost.SparkTime(q.Kind, []int{queryRows(q)}, len(res.Rows), false, s.opts.NICGbps)
 		ex.SparkEstimate = s.sparkEstimate(q, len(res.Rows), 1)
-	case ModeCheetah:
+	case ModeCheetah, ModeCluster:
 		pruners, err := p.NewShardPruners()
 		if err != nil {
 			return nil, err
 		}
-		run, err := s.run(q, p, pruners, nil, nil, tr)
-		if err != nil {
+		// ModeCluster is this same run with one rack per switch as the
+		// shards' dataplanes: the rack changes how entries travel, never
+		// what the switch decides or how the master completes.
+		var racks []*cluster.Rack
+		var flows []engine.BatchDataplane
+		if p.Mode == ModeCluster {
+			if racks, err = s.openRacks(p, pruners); err != nil {
+				return nil, err
+			}
+			for _, r := range racks {
+				flows = append(flows, r)
+			}
+		}
+		run, err := s.run(q, p, pruners, flows, nil, tr)
+		rep, closeErr := closeRacks(racks)
+		if err = errors.Join(err, closeErr); err != nil {
 			return nil, err
 		}
 		s.fill(ex, run)
 		// All of the plan's programs are identically configured, so one
-		// dedicated-pipeline model covers every switch.
-		ex.PipelineUtil = dedicatedUtil(p.Model, pruners[0])
+		// pipeline's occupancy — rack 0's, or a dedicated-pipeline model —
+		// covers every switch.
+		if rep != nil {
+			ex.ClusterReport, ex.PipelineUtil = rep, rep.Util
+		} else {
+			ex.PipelineUtil = dedicatedUtil(p.Model, pruners[0])
+		}
 		if p.Switches > 1 {
 			ex.PerSwitch = make([]SwitchReport, p.Switches)
 			for i := range ex.PerSwitch {
 				ex.PerSwitch[i] = SwitchReport{Traffic: run.PerSwitch[i], Util: ex.PipelineUtil}
 			}
 		}
-	case ModeCluster:
-		if p.Switches > 1 {
-			return s.execShardedCluster(ex, p)
-		}
-		pruner, err := p.NewPruner()
-		if err != nil {
-			return nil, err
-		}
-		res, rep, err := cluster.Run(q, pruner, cluster.Config{
-			Workers:  p.Workers,
-			LossRate: s.opts.LossRate,
-			Seed:     p.Seed,
-			RTO:      s.opts.RTO,
-			Model:    p.Model,
-		})
-		if err != nil {
-			return nil, err
-		}
-		ex.Result = res
-		ex.ClusterReport = rep
-		ex.PipelineUtil = rep.Util
-		ex.Stats = pruner.Stats()
-		ex.Traffic = engine.Traffic{
-			EntriesSent:     rep.EntriesSent,
-			Forwarded:       int(rep.Delivered),
-			MasterProcessed: int(rep.Delivered),
-		}
-		ex.Estimate = s.cost.CheetahTime(q.Kind, ex.Traffic, s.opts.NICGbps)
-		ex.SparkEstimate = s.sparkEstimate(q, len(res.Rows), p.Switches)
 	default:
 		return nil, fmt.Errorf("plan: unknown mode %v", p.Mode)
 	}
@@ -341,13 +331,14 @@ func fallbackPlan(p *Plan, door string, err error) *Plan {
 
 // run is the planning layer's one pruned execution: q (the plan's query,
 // or a streaming delta of it) through pruners, instances of p's program
-// in shard order. flows are the leases a front door already holds for
+// in shard order. flows are the dataplanes a front door already holds for
 // them — nil for Session.Exec, whose programs are dedicated and have no
-// switch to lose, one for a served query, one per switch for a standing
-// subscription — and replace re-seats a shard whose switch died
-// (engine.ShardedOptions.Failover).
+// switch to lose, one rack per switch for its ModeCluster plans (a rack
+// whose link breaks degrades its shard to the backstop), one lease for a
+// served query, one per switch for a standing subscription — and replace
+// re-seats a shard whose switch died (engine.ShardedOptions.Failover).
 //
-// Every pruned run, leased or not, at every width, is an
+// Every pruned run, leased, racked or neither, at every width, is an
 // engine.ExecSharded run, so the one §7.2 loop — discard a pass that
 // crossed its switch's death, ask replace, redo, and past the cap or
 // without a survivor finish the shard on the master-side backstop — is
@@ -382,55 +373,48 @@ func (s *Session) fill(ex *Execution, run *engine.ShardedRun) {
 	ex.SparkEstimate = s.sparkEstimate(q, len(run.Result.Rows), ex.Plan.Switches)
 }
 
-// execShardedCluster runs the scatter/gather path over the simulated
-// network: one rack (workers + network + pipeline) per switch.
-func (s *Session) execShardedCluster(ex *Execution, p *Plan) (*Execution, error) {
-	q := p.Query
-	pruners, err := p.NewShardPruners()
-	if err != nil {
-		return nil, err
-	}
-	res, reps, err := cluster.RunSharded(q, pruners, cluster.Config{
-		Workers:  p.Workers,
-		LossRate: s.opts.LossRate,
-		Seed:     p.Seed,
-		RTO:      s.opts.RTO,
-		Model:    p.Model,
-	}, p.Switches)
-	if err != nil {
-		return nil, err
-	}
-	ex.Result = res
-	ex.PerSwitch = make([]SwitchReport, p.Switches)
-	perTraffic := make([]engine.Traffic, p.Switches)
-	merged := &cluster.Report{PrunerName: reps[0].PrunerName, Util: reps[0].Util}
-	for i, rep := range reps {
-		tr := engine.Traffic{
-			EntriesSent:     rep.EntriesSent,
-			Forwarded:       int(rep.Delivered),
-			MasterProcessed: int(rep.Delivered),
+// openRacks builds one Figure-1 rack per shard program, each on its own
+// simulated network with independent loss randomness.
+func (s *Session) openRacks(p *Plan, pruners []prune.Pruner) ([]*cluster.Rack, error) {
+	racks := make([]*cluster.Rack, 0, len(pruners))
+	for i, pr := range pruners {
+		r, err := cluster.NewRack(pr, cluster.Config{
+			Workers:  p.Workers,
+			LossRate: s.opts.LossRate,
+			Seed:     p.Seed + uint64(i)*0x9e3779b97f4a7c15,
+			RTO:      s.opts.RTO,
+			Model:    p.Model,
+		})
+		if err != nil {
+			_, closeErr := closeRacks(racks)
+			return nil, errors.Join(err, closeErr)
 		}
-		ex.PerSwitch[i] = SwitchReport{Traffic: tr, Util: rep.Util}
-		perTraffic[i] = tr
-		ex.Traffic.EntriesSent += tr.EntriesSent
-		ex.Traffic.Forwarded += tr.Forwarded
-		ex.Traffic.MasterProcessed += tr.MasterProcessed
-		merged.EntriesSent += rep.EntriesSent
-		merged.Pruned += rep.Pruned
-		merged.Delivered += rep.Delivered
-		merged.Retransmissions += rep.Retransmissions
-		merged.DroppedGaps += rep.DroppedGaps
+		racks = append(racks, r)
 	}
-	ex.ClusterReport = merged
-	ex.PipelineUtil = reps[0].Util
-	for _, pr := range pruners {
-		st := pr.Stats()
-		ex.Stats.Processed += st.Processed
-		ex.Stats.Pruned += st.Pruned
+	return racks, nil
+}
+
+// closeRacks closes every rack and sums their reports, the pipeline
+// occupancy and program name taken from rack 0; nil without racks.
+func closeRacks(racks []*cluster.Rack) (*cluster.Report, error) {
+	if len(racks) == 0 {
+		return nil, nil
 	}
-	ex.Estimate = s.cost.CheetahTime(q.Kind, fabricBottleneck(ex.Traffic, perTraffic), s.opts.NICGbps)
-	ex.SparkEstimate = s.sparkEstimate(q, len(ex.Result.Rows), p.Switches)
-	return ex, nil
+	var errs []error
+	sum := &cluster.Report{}
+	for i, r := range racks {
+		errs = append(errs, r.Close())
+		rep := r.Report()
+		if i == 0 {
+			sum.PrunerName, sum.Util = rep.PrunerName, rep.Util
+		}
+		sum.EntriesSent += rep.EntriesSent
+		sum.Pruned += rep.Pruned
+		sum.Delivered += rep.Delivered
+		sum.Retransmissions += rep.Retransmissions
+		sum.DroppedGaps += rep.DroppedGaps
+	}
+	return sum, errors.Join(errs...)
 }
 
 // fabricBottleneck reshapes a sharded execution's traffic for the cost

@@ -32,9 +32,9 @@ func TestKeyMemoAcrossFrontDoors(t *testing.T) {
 	ctx := context.Background()
 	keyed := map[string]bool{"distinct": true, "groupby-max": true, "groupby-sum": true, "having": true, "join": true}
 	for _, k := range []int{1, 2} {
-		for i := range traceKindCases(t, k) {
+		for i := range traceKindCases(t, Options{Workers: 2, Seed: 7, Switches: k}) {
 			// Fresh tables for every case: several share a key column.
-			c := traceKindCases(t, k)[i]
+			c := traceKindCases(t, Options{Workers: 2, Seed: 7, Switches: k})[i]
 			if !keyed[c.label] {
 				continue
 			}

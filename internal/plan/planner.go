@@ -19,8 +19,9 @@ const (
 	ModeDirect Mode = iota
 	// ModeCheetah runs the in-process batched pruned path.
 	ModeCheetah
-	// ModeCluster runs the pruned path over the simulated lossy network
-	// with the §7.2 reliability protocol.
+	// ModeCluster runs the same pruned path with each switch's batches
+	// sent over the simulated lossy network with the §7.2 reliability
+	// protocol (one cluster.Rack per switch).
 	ModeCluster
 )
 
@@ -60,9 +61,10 @@ type Plan struct {
 	// Skip reports that execution will consult the table's block skip
 	// index (zone maps + Blooms) to avoid reading blocks that provably
 	// hold no relevant row. Set for WHERE, TOP N and JOIN plans on
-	// indexed tables unless the session disables skipping; never set for
-	// ModeCluster (the network transport streams whole tables). Skipping
-	// is exact: results are bit-identical with it on or off.
+	// indexed tables unless the session disables skipping, in every
+	// pruned mode: a skipped block is never encoded, so it is never sent
+	// into the rack either. Skipping is exact: results are bit-identical
+	// with it on or off.
 	Skip bool
 	// Reason explains the planning outcome: the parameter derivation for
 	// admitted programs, the admission failure chain for fallbacks.
@@ -203,12 +205,11 @@ func (s *Session) planFor(q *engine.Query, switches int) (*Plan, error) {
 
 // planSkip decides whether the plan consults the block skip index. Only
 // WHERE, TOP N and JOIN derive block-level bounds (the other kinds need
-// every row's exact value); the cluster transport streams whole tables,
-// so skipping stays in-process. A JOIN additionally wants an index on
-// the probe (right) table — the session only indexed its own table at
-// Open, so build one here on first use.
+// every row's exact value). A JOIN additionally wants an index on the
+// probe (right) table — the session only indexed its own table at Open,
+// so build one here on first use.
 func (s *Session) planSkip(p *Plan) {
-	if s.opts.DisableSkipping || p.Mode == ModeCluster {
+	if s.opts.DisableSkipping {
 		return
 	}
 	q := p.Query
@@ -229,20 +230,15 @@ func (s *Session) planSkip(p *Plan) {
 }
 
 // offRack says why a kind cannot ride the cluster transport, "" when it
-// can — the shapes engine.EncodeEntries serializes (SKYLINE's
-// end-of-stream state drain is handled by the cluster's control plane).
-// The rack streams a table once and its switch forwards or drops the very
-// bytes it received (transport.Switch.handleData), fresh or
-// retransmitted. JOIN and HAVING need a second stream. GROUP BY SUM
-// streams once but its program answers by rewriting the packet with the
-// aggregate it evicted: the evicted sum would never reach the master, and
-// a retransmitted value the switch had already absorbed would be counted
-// twice.
+// can. The rack's switch forwards or drops the very bytes it received
+// (transport.Switch.handleData), fresh or retransmitted, so every program
+// that answers by forwarding or dropping rides it, over as many streams as
+// its pass takes. GROUP BY SUM's program answers by rewriting the packet
+// with the aggregate it evicted: the evicted sum would never reach the
+// master, and a retransmitted value the switch had already absorbed would
+// be counted twice.
 func offRack(k engine.QueryKind) string {
-	switch k {
-	case engine.KindJoin, engine.KindHaving:
-		return "two passes; the cluster transport streams one"
-	case engine.KindGroupBySum:
+	if k == engine.KindGroupBySum {
 		return "program rewrites packets; the §7.2 switch forwards them unmodified"
 	}
 	return ""

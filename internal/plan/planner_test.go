@@ -294,23 +294,34 @@ func TestPlannerClusterRouting(t *testing.T) {
 		t.Fatal("cluster result diverges from direct")
 	}
 
-	// The kinds the rack cannot carry stay in process, each saying why.
+	// The two-stream kinds ride the rack too: a pass streams as many times
+	// as it needs through the same dataplane.
 	rk := workload.Rankings(300, 2)
-	for _, c := range []struct {
-		b   *Builder
-		why string
-	}{
-		{s.Select().GroupBySum("languageCode", "adRevenue").Having(50_000), "two passes; the cluster transport streams one"},
-		{s.Select().Join(rk, "destURL", "pageURL"), "two passes; the cluster transport streams one"},
-		{s.Select().GroupBySum("languageCode", "adRevenue"), "program rewrites packets; the §7.2 switch forwards them unmodified"},
+	for _, b := range []*Builder{
+		s.Select().GroupBySum("languageCode", "adRevenue").Having(50_000),
+		s.Select().Join(rk, "destURL", "pageURL"),
 	} {
-		p, err := c.b.Plan()
+		ex, err := b.Exec(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if p.Mode != ModeCheetah || !strings.Contains(p.Reason, c.why+", running in-process") {
-			t.Fatalf("%v mode=%v reason=%q, want in-process because %q", p.Query.Kind, p.Mode, p.Reason, c.why)
+		if ex.Plan.Mode != ModeCluster || ex.ClusterReport == nil {
+			t.Fatalf("%v mode=%v (%s), want cluster with a protocol report", ex.Plan.Query.Kind, ex.Plan.Mode, ex.Plan.Reason)
 		}
+		if want, _ := engine.ExecDirect(ex.Plan.Query); !want.Equal(ex.Result) {
+			t.Fatalf("%v over the rack diverges from direct", ex.Plan.Query.Kind)
+		}
+	}
+
+	// GROUP BY SUM, whose program rewrites packets, stays in process and
+	// says why.
+	p, err = s.Select().GroupBySum("languageCode", "adRevenue").Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	why := "program rewrites packets; the §7.2 switch forwards them unmodified"
+	if p.Mode != ModeCheetah || !strings.Contains(p.Reason, why+", running in-process") {
+		t.Fatalf("group-by-sum mode=%v reason=%q, want in-process because %q", p.Mode, p.Reason, why)
 	}
 }
 

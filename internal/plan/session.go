@@ -45,16 +45,20 @@ type Options struct {
 	// Delta is the failure probability budget δ for randomized pruners
 	// (TOP N's Theorem 2/3 configuration); ≤ 0 selects 1e-4.
 	Delta float64
-	// UseCluster routes queries over the simulated lossy network with the
-	// §7.2 reliability protocol instead of the in-process path. Three kinds
-	// stay in process, with a note in the plan's Reason: JOIN and HAVING
-	// take two passes where the rack streams one, and GROUP BY SUM's
+	// UseCluster makes Exec send every switch's entries over the simulated
+	// lossy network with the §7.2 reliability protocol — one rack of
+	// Workers flows per switch — instead of handing them to the program in
+	// process; planning, skipping, completion and spans are unchanged. GROUP
+	// BY SUM stays in process, with a note in the plan's Reason: its
 	// program rewrites packets (the evicted aggregate) while the §7.2
-	// switch forwards the bytes it received.
+	// switch forwards the bytes it received. Serve and Stream run in
+	// process whatever this says.
 	UseCluster bool
-	// LossRate injects packet loss on cluster links (UseCluster only).
+	// LossRate injects packet loss on every rack link (UseCluster only). A
+	// link that loses a packet past the retry limit breaks its switch, and
+	// that shard finishes on the master-side backstop.
 	LossRate float64
-	// RTO overrides the cluster retransmission timeout (UseCluster only).
+	// RTO overrides the rack's retransmission timeout (UseCluster only).
 	RTO time.Duration
 	// NICGbps is the NIC speed assumed by completion-time estimates;
 	// ≤ 0 selects 10.

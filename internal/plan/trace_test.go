@@ -12,9 +12,9 @@ import (
 	"cheetah/internal/workload"
 )
 
-// traceKindCases opens sessions at the given width and builds one query
-// per kind — the same 8-kind matrix the equivalence tests pin.
-func traceKindCases(t *testing.T, switches int) []struct {
+// traceKindCases opens sessions with opts and builds one query per kind —
+// the same 8-kind matrix the equivalence tests pin.
+func traceKindCases(t *testing.T, opts Options) []struct {
 	label string
 	s     *Session
 	b     *Builder
@@ -30,7 +30,7 @@ func traceKindCases(t *testing.T, switches int) []struct {
 		t.Fatal(err)
 	}
 	open := func(tb *table.Table) *Session {
-		s, err := Open(tb, Options{Workers: 2, Seed: 7, Switches: switches})
+		s, err := Open(tb, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,16 +65,22 @@ func planStages(ex *Execution) map[obs.Stage][]obs.Span {
 
 // prunedScheme reports how ex's trace departs from the one span scheme of
 // a pruned run — a shard span on each of k switches, then one merge, and
-// never a fused, encode or prune span — or "" when it does not.
+// never a fused, encode or prune span; over racks exactly k shard spans,
+// each on the chunked stream — or "" when it does not.
 func prunedScheme(ex *Execution, k int) string {
 	st := planStages(ex)
 	seen := map[int]bool{}
 	for _, s := range st[obs.StageShard] {
 		seen[s.Switch] = true
+		if ex.Plan.Mode == ModeCluster && !strings.HasPrefix(s.Note, "chunked") {
+			return fmt.Sprintf("a rack's shard span noted %q, want chunked", s.Note)
+		}
 	}
 	switch {
 	case len(seen) != k:
 		return fmt.Sprintf("shard spans on %d switches, want %d", len(seen), k)
+	case ex.Plan.Mode == ModeCluster && len(st[obs.StageShard]) != k:
+		return fmt.Sprintf("%d shard spans over %d racks", len(st[obs.StageShard]), k)
 	case len(st[obs.StageMerge]) != 1:
 		return fmt.Sprintf("%d merge spans, want 1", len(st[obs.StageMerge]))
 	case len(st[obs.StageFused])+len(st[obs.StageEncode])+len(st[obs.StagePrune]) != 0:
@@ -94,7 +100,7 @@ func TestExplainAnalyzeAllKindsAcrossPaths(t *testing.T) {
 	// Pruned path, in process: plan span + per-switch shard spans + the
 	// master's merge, at every width.
 	for _, k := range []int{1, 3} {
-		for _, c := range traceKindCases(t, k) {
+		for _, c := range traceKindCases(t, Options{Workers: 2, Seed: 7, Switches: k}) {
 			q, err := c.b.Build()
 			if err != nil {
 				t.Fatalf("%s: %v", c.label, err)
@@ -127,7 +133,7 @@ func TestExplainAnalyzeAllKindsAcrossPaths(t *testing.T) {
 
 	// Direct path: the scan span (ExecPlan on a direct plan — no plan
 	// span, planning happened outside the call).
-	for _, c := range traceKindCases(t, 1) {
+	for _, c := range traceKindCases(t, Options{Workers: 2, Seed: 7}) {
 		q, err := c.b.Build()
 		if err != nil {
 			t.Fatalf("%s: %v", c.label, err)
@@ -259,34 +265,46 @@ func TestSubmitQoSTrace(t *testing.T) {
 
 // TestSpansInsideWall pins where the one clock starts: before the trace
 // and before planning, on Session.Exec as on Submit, so that for every
-// kind every span — the plan span included — ends inside Execution.Wall.
+// kind every span — the plan span included — ends inside Execution.Wall;
+// over racks too, where Exec opens and closes them inside the call, and
+// the k passes keep the one pruned span scheme.
 func TestSpansInsideWall(t *testing.T) {
 	ctx := context.Background()
-	for _, c := range traceKindCases(t, 1) {
-		q, err := c.b.Build()
-		if err != nil {
-			t.Fatalf("%s: %v", c.label, err)
-		}
-		local, err := c.s.Exec(ctx, q)
-		if err != nil {
-			t.Fatalf("%s: Exec: %v", c.label, err)
-		}
-		sv, err := c.s.Serve(ctx, ServeOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		served, err := sv.Submit(ctx, q)
-		sv.Close()
-		if err != nil {
-			t.Fatalf("%s: Submit: %v", c.label, err)
-		}
-		for door, ex := range map[string]*Execution{"Exec": local, "Submit": served} {
-			if len(planStages(ex)[obs.StagePlan]) == 0 {
-				t.Fatalf("%s: %s: no plan span:\n%s", c.label, door, ex.Trace())
+	for _, opts := range []Options{
+		{Workers: 2, Seed: 7, Switches: 1},
+		{Workers: 2, Seed: 7, Switches: 1, UseCluster: true},
+		{Workers: 2, Seed: 7, Switches: 2, UseCluster: true},
+	} {
+		for _, c := range traceKindCases(t, opts) {
+			label := fmt.Sprintf("k=%d cluster=%v %s", opts.Switches, opts.UseCluster, c.label)
+			q, err := c.b.Build()
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
 			}
-			for _, sp := range ex.Trace().Spans() {
-				if end := sp.Start + sp.Dur; end > ex.Wall {
-					t.Errorf("%s: %s: %v span ends at %v, outside Wall %v:\n%s", c.label, door, sp.Stage, end, ex.Wall, ex.Trace())
+			local, err := c.s.Exec(ctx, q)
+			if err != nil {
+				t.Fatalf("%s: Exec: %v", label, err)
+			}
+			if bad := prunedScheme(local, opts.Switches); bad != "" {
+				t.Errorf("%s: Exec trace: %s:\n%s", label, bad, local.Trace())
+			}
+			sv, err := c.s.Serve(ctx, ServeOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			served, err := sv.Submit(ctx, q)
+			sv.Close()
+			if err != nil {
+				t.Fatalf("%s: Submit: %v", label, err)
+			}
+			for door, ex := range map[string]*Execution{"Exec": local, "Submit": served} {
+				if len(planStages(ex)[obs.StagePlan]) == 0 {
+					t.Fatalf("%s: %s: no plan span:\n%s", label, door, ex.Trace())
+				}
+				for _, sp := range ex.Trace().Spans() {
+					if end := sp.Start + sp.Dur; end > ex.Wall {
+						t.Errorf("%s: %s: %v span ends at %v, outside Wall %v:\n%s", label, door, sp.Stage, end, ex.Wall, ex.Trace())
+					}
 				}
 			}
 		}

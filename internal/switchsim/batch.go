@@ -14,10 +14,10 @@ import "sync"
 // Batch is a column-major block of entries flowing through the pipeline.
 // Cols[i][j] holds value i of entry j — the same values, in the same
 // order, that Process would receive as vals[i] for each entry. All
-// columns have length ≥ N; entries 0..N-1 are valid. By the engine's
-// wire convention the last column carries the global row id of each
-// entry (the late-materialization handle appended by EncodeEntries);
-// programs that do not use it simply never index it.
+// columns have length ≥ N; entries 0..N-1 are valid. A column may carry
+// what the program never reads — SKYLINE's last column is each entry's
+// row id, the late-materialization handle riding through its swaps —
+// and programs simply never index it.
 //
 // Programs with in-flight packet rewriting (switchsim's Emitter-style
 // aggregation) may overwrite a forwarded entry's column values in place:

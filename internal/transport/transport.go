@@ -358,14 +358,13 @@ type Master struct {
 	switchAddr string
 
 	mu        sync.Mutex
-	finSeen   map[uint32]uint64
 	delivered map[uint32]uint64
 
 	// Deliveries receives entries in arrival order. The channel is owned
-	// by the Master and closed when Run returns.
+	// by the Master and closed when Run returns. A DATA packet is ACKed
+	// before it is delivered and a FIN is answered only after, so once a
+	// worker's Run has returned, every delivery of its flow is queued.
 	Deliveries chan Delivery
-	// FlowDone receives each flow's ID once its FIN arrives.
-	FlowDone chan uint32
 }
 
 // NewMaster creates the protocol receiver. ACKs return through
@@ -378,10 +377,8 @@ func NewMaster(ep *netsim.Endpoint, switchAddr string) (*Master, error) {
 	return &Master{
 		ep:         ep,
 		switchAddr: switchAddr,
-		finSeen:    make(map[uint32]uint64),
 		delivered:  make(map[uint32]uint64),
 		Deliveries: make(chan Delivery, 4096),
-		FlowDone:   make(chan uint32, 64),
 	}, nil
 }
 
@@ -429,16 +426,6 @@ func (m *Master) Run(ctx context.Context) {
 				if err == nil {
 					buf = b
 					_ = m.ep.Send(m.switchAddr, b)
-				}
-				m.mu.Lock()
-				_, seen := m.finSeen[p.FlowID]
-				m.finSeen[p.FlowID] = p.Seq
-				m.mu.Unlock()
-				if !seen {
-					select {
-					case m.FlowDone <- p.FlowID:
-					default:
-					}
 				}
 			}
 		}

@@ -2,7 +2,6 @@ package transport
 
 import (
 	"context"
-	"sync"
 	"testing"
 	"time"
 
@@ -85,23 +84,31 @@ func entriesMod(n int, mod uint64) [][]uint64 {
 	return out
 }
 
-// collect drains deliveries until the flow-done signal and quiescence.
-func collect(t *testing.T, m *Master, wantFlows int, timeout time.Duration) map[uint32][]Delivery {
+// collect runs each worker's flow and drains deliveries until every Run
+// returned: a worker finishes only after its FIN is answered, and the
+// master answers a FIN only after delivering every DATA it ACKed, so what
+// is queued then is everything.
+func collect(t *testing.T, m *Master, timeout time.Duration, runs ...func() error) map[uint32][]Delivery {
 	t.Helper()
+	errs := make(chan error, len(runs))
+	for _, run := range runs {
+		go func(run func() error) { errs <- run() }(run)
+	}
 	got := map[uint32][]Delivery{}
-	done := 0
 	deadline := time.After(timeout)
-	for done < wantFlows {
+	for done := 0; done < len(runs); {
 		select {
 		case d := <-m.Deliveries:
 			got[d.FlowID] = append(got[d.FlowID], d)
-		case <-m.FlowDone:
+		case err := <-errs:
+			if err != nil {
+				t.Fatalf("worker: %v", err)
+			}
 			done++
 		case <-deadline:
-			t.Fatalf("timeout waiting for %d flows (done=%d)", wantFlows, done)
+			t.Fatalf("timeout waiting for %d flows (done=%d)", len(runs), done)
 		}
 	}
-	// Drain whatever already arrived.
 	for {
 		select {
 		case d := <-m.Deliveries:
@@ -117,12 +124,7 @@ func TestLosslessEndToEnd(t *testing.T) {
 	w := h.addWorker(t, 1)
 	const n = 2000
 	entries := entriesMod(n, 100) // 100 distinct values, heavy duplication
-	errCh := make(chan error, 1)
-	go func() { errCh <- w.Run(context.Background(), entries) }()
-	got := collect(t, h.master, 1, 5*time.Second)
-	if err := <-errCh; err != nil {
-		t.Fatalf("worker: %v", err)
-	}
+	got := collect(t, h.master, 5*time.Second, func() error { return w.Run(context.Background(), entries) })
 	// Conservation: every packet either pruned at switch or delivered.
 	if h.sw.Pruned+uint64(len(got[1])) != n {
 		t.Fatalf("pruned %d + delivered %d != %d", h.sw.Pruned, len(got[1]), n)
@@ -156,12 +158,7 @@ func TestLossyEndToEndCorrectness(t *testing.T) {
 	const n = 1000
 	const distinct = 50
 	entries := entriesMod(n, distinct)
-	errCh := make(chan error, 1)
-	go func() { errCh <- w.Run(context.Background(), entries) }()
-	got := collect(t, h.master, 1, 20*time.Second)
-	if err := <-errCh; err != nil {
-		t.Fatalf("worker: %v", err)
-	}
+	got := collect(t, h.master, 20*time.Second, func() error { return w.Run(context.Background(), entries) })
 	if w.Retransmissions == 0 {
 		t.Fatal("15%% loss produced no retransmissions")
 	}
@@ -186,23 +183,12 @@ func TestLossyEndToEndCorrectness(t *testing.T) {
 func TestMultipleFlowsConcurrently(t *testing.T) {
 	const flows = 3
 	h := newHarness(t, 3, flows)
-	var wg sync.WaitGroup
-	errs := make([]error, flows)
+	var runs []func() error
 	for f := 1; f <= flows; f++ {
 		w := h.addWorker(t, uint32(f))
-		wg.Add(1)
-		go func(i int, w *Worker) {
-			defer wg.Done()
-			errs[i] = w.Run(context.Background(), entriesMod(500, 40))
-		}(f-1, w)
+		runs = append(runs, func() error { return w.Run(context.Background(), entriesMod(500, 40)) })
 	}
-	got := collect(t, h.master, flows, 10*time.Second)
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("worker %d: %v", i+1, err)
-		}
-	}
+	got := collect(t, h.master, 10*time.Second, runs...)
 	for f := 1; f <= flows; f++ {
 		seen := map[uint64]bool{}
 		for _, d := range got[uint32(f)] {
@@ -273,12 +259,7 @@ func TestUnregisteredFlowPassesThrough(t *testing.T) {
 	// but must route back through the switch, which needs the reverse
 	// path. Register only the reverse path (no pruner on the pipeline).
 	h.sw.Register(99, name)
-	errCh := make(chan error, 1)
-	go func() { errCh <- w.Run(context.Background(), entriesMod(50, 50)) }()
-	got := collect(t, h.master, 1, 5*time.Second)
-	if err := <-errCh; err != nil {
-		t.Fatal(err)
-	}
+	got := collect(t, h.master, 5*time.Second, func() error { return w.Run(context.Background(), entriesMod(50, 50)) })
 	if len(got[99]) != 50 {
 		t.Fatalf("delivered %d, want all 50 (no pruner installed)", len(got[99]))
 	}
@@ -287,12 +268,7 @@ func TestUnregisteredFlowPassesThrough(t *testing.T) {
 func TestMasterDeliveredCount(t *testing.T) {
 	h := newHarness(t, 13, 1)
 	w := h.addWorker(t, 1)
-	errCh := make(chan error, 1)
-	go func() { errCh <- w.Run(context.Background(), entriesMod(100, 100)) }()
-	collect(t, h.master, 1, 5*time.Second)
-	if err := <-errCh; err != nil {
-		t.Fatal(err)
-	}
+	collect(t, h.master, 5*time.Second, func() error { return w.Run(context.Background(), entriesMod(100, 100)) })
 	if h.master.DeliveredCount(1) != 100 {
 		t.Fatalf("DeliveredCount = %d", h.master.DeliveredCount(1))
 	}
