@@ -2,7 +2,7 @@
 //
 // Usage:
 //
-//	cheetah-bench [-scale N] [-seeds K] [-switches W] [-chaos] [-trace] [table2|table3|fig5|fig6|fig7|fig8|fig9|fig10|fig11|serve|stream|net|all]
+//	cheetah-bench [-scale N] [-seeds K] [-seed S] [table2|table3|fig5|fig6|fig7|fig8|fig9|fig10|fig11|all]
 //
 // Scale divides the paper's dataset sizes (scale=1 reproduces paper
 // scale and takes minutes; the default 50 finishes in seconds). Output
@@ -12,21 +12,10 @@
 // runtime/pprof and the profile written on exit — point `go tool pprof`
 // at the output to see where a target spends its time or memory.
 //
-// The serve target drives the multi-tenant mixed workload through the
-// concurrent serving layer and prints a scaling table over fabric widths (1/2/4 switches, capped by -switches) ×
-// client counts (1/8/64), reporting aggregate entries/s and p50/p99
-// latency per row; with -chaos a switch is killed and restored every
-// ~50 submissions and the failover/shed columns show the absorbed
-// fault-tolerance work (results stay exact either way — the run errors
-// out otherwise). The stream target drives concurrent appenders
-// (1/8/64) into a streaming session with standing continuous queries,
-// reporting ingest rows/s and result-freshness p50/p99. None of these is
-// part of "all".
-//
-// -trace prints measured ExplainAnalyze span trees — every query kind
-// run once per execution path (single-switch, sharded, exact direct),
-// each with its lifecycle trace (plan, skip, per-switch shard passes,
-// merge) — then exits unless explicit targets follow.
+// The system beyond the paper is measured elsewhere: the repo benchmark
+// (`bash benchmark/run.sh`) gates in-process, sharded, remote and
+// streaming workloads, and the race-detector tests soak the serving,
+// streaming and daemon paths.
 package main
 
 import (
@@ -47,11 +36,6 @@ func run() int {
 	scale := flag.Int("scale", 50, "divide paper dataset sizes by this factor (1 = paper scale)")
 	seeds := flag.Int("seeds", 5, "runs per randomized algorithm (95% CIs)")
 	seed := flag.Uint64("seed", 0xc0ffee, "base RNG seed")
-	switches := flag.Int("switches", 4, "fabric width for the serve target (scaling table measures 1, 2, 4, ... up to this)")
-	chaos := flag.Bool("chaos", false, "serve target only: kill/restore a switch every ~50 queries (fault-tolerance soak; results stay exact)")
-	trace := flag.Bool("trace", false, "print ExplainAnalyze span trees for every query kind across execution paths (standalone unless targets are also given)")
-	addr := flag.String("addr", "", "net target: drive an external cheetahd at this address (empty = in-process loopback server)")
-	conns := flag.Int("conns", 1000, "net target: simulated connection count for the churn loop")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile at run end to this file")
 	flag.Parse()
@@ -88,17 +72,6 @@ func run() int {
 
 	o := bench.Options{Scale: *scale, Seeds: *seeds, BaseSeed: *seed}
 	selected := flag.Args()
-	if *trace {
-		if err := bench.Trace(os.Stdout, o, *switches); err != nil {
-			fmt.Fprintf(os.Stderr, "trace: %v\n", err)
-			return 1
-		}
-		// `cheetah-bench -trace` alone prints traces and exits; with
-		// explicit targets the traces print first, then the targets run.
-		if len(selected) == 0 {
-			return 0
-		}
-	}
 	if len(selected) == 0 {
 		selected = []string{"all"}
 	}
@@ -112,9 +85,6 @@ func run() int {
 		"fig9":   func() error { _, err := bench.Fig9(os.Stdout, o); return err },
 		"fig10":  func() error { _, err := bench.Fig10(os.Stdout, o); return err },
 		"fig11":  func() error { _, err := bench.Fig11(os.Stdout, o); return err },
-		"serve":  func() error { return bench.Serve(os.Stdout, o, *switches, *chaos) },
-		"stream": func() error { return bench.Stream(os.Stdout, o, *switches) },
-		"net":    func() error { return bench.Net(os.Stdout, o, *addr, *conns) },
 	}
 	order := []string{"table2", "table3", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11"}
 	for _, t := range selected {
@@ -130,7 +100,7 @@ func run() int {
 		}
 		f, ok := targets[t]
 		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown target %q (want one of %v, serve, stream or net)\n", t, order)
+			fmt.Fprintf(os.Stderr, "unknown target %q (want one of %v or all)\n", t, order)
 			return 2
 		}
 		if err := f(); err != nil {

@@ -12,9 +12,9 @@
 //	         [-metrics addr] [-pprof] [-slow-query D]
 //	         [-source spec]... [-pipe kind=KIND,sink=SPEC]...
 //
-// The served catalog is the benchmark mix ("visits" + "rankings", the
-// same tables `cheetah-bench net -scale N` queries); -rows/-rank-rows
-// override the sizes directly. Streaming over "visits" is always on:
+// The served catalog is the multi-tenant mix ("visits" + "rankings",
+// the paper's table sizes divided by -scale); -rows/-rank-rows override
+// the sizes directly. Streaming over "visits" is always on:
 // -backlog/-shed set the ingestor's backpressure policy.
 //
 // Connector topology comes from repeatable flags: each -source spec
@@ -35,7 +35,7 @@
 // On SIGTERM/SIGINT the server drains: new work is refused with a
 // retryable error, in-flight queries finish, subscriptions close after
 // a final update, connector pumps stop, and the process exits 0 — the
-// contract the CI e2e job asserts.
+// contract TestDaemonChurnScrapeDrain asserts.
 package main
 
 import (
@@ -73,32 +73,39 @@ const (
 )
 
 func main() {
-	if err := run(); err != nil {
+	stop := make(chan os.Signal, 1)
+	signal.Notify(stop, syscall.SIGTERM, syscall.SIGINT)
+	if err := run(os.Args[1:], stop, nil); err != nil {
 		fmt.Fprintln(os.Stderr, "cheetahd:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	listen := flag.String("listen", "127.0.0.1:4780", "TCP listen address")
-	scale := flag.Int("scale", 200, "divide paper dataset sizes by this factor (matches cheetah-bench -scale)")
-	rows := flag.Int("rows", 0, "visits table rows (0 = paper rows / scale)")
-	rankRows := flag.Int("rank-rows", 0, "rankings table rows (0 = paper rows / scale)")
-	switches := flag.Int("switches", 2, "fabric width (switch pipelines)")
-	workers := flag.Int("workers", 1, "CWorkers per query")
-	seed := flag.Uint64("seed", 0xc0ffee, "RNG seed for tables and pruners")
-	queueLimit := flag.Int("queue-limit", 0, "per-switch admission queue cap (0 = unbounded)")
-	tenantQuota := flag.Int("tenant-quota", 0, "per-tenant concurrent lease cap per switch (0 = unlimited)")
-	backlog := flag.Int("backlog", 0, "ingest backlog cap in rows ahead of the slowest subscription (0 = unbounded)")
-	shed := flag.Bool("shed", false, "shed over-backlog appends instead of blocking")
-	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful drain budget on SIGTERM")
-	metricsAddr := flag.String("metrics", "", "HTTP address serving /metrics (Prometheus text) and /healthz (empty = disabled)")
-	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof handlers under /debug/pprof/ on the -metrics server")
-	slowQuery := flag.Duration("slow-query", 0, "log queries slower than this wall-clock threshold (0 = disabled)")
+// run is the daemon: it parses args, serves until a signal arrives on
+// stop, then drains. ready, when non-nil, is called with the bound
+// server and metrics addresses ("" without -metrics) once the connector
+// topology stands.
+func run(args []string, stop <-chan os.Signal, ready func(addr, metricsAddr string)) error {
+	fs := flag.NewFlagSet("cheetahd", flag.ExitOnError)
+	listen := fs.String("listen", "127.0.0.1:4780", "TCP listen address")
+	scale := fs.Int("scale", 200, "divide paper dataset sizes by this factor (matches cheetah-bench -scale)")
+	rows := fs.Int("rows", 0, "visits table rows (0 = paper rows / scale)")
+	rankRows := fs.Int("rank-rows", 0, "rankings table rows (0 = paper rows / scale)")
+	switches := fs.Int("switches", 2, "fabric width (switch pipelines)")
+	workers := fs.Int("workers", 1, "CWorkers per query")
+	seed := fs.Uint64("seed", 0xc0ffee, "RNG seed for tables and pruners")
+	queueLimit := fs.Int("queue-limit", 0, "per-switch admission queue cap (0 = unbounded)")
+	tenantQuota := fs.Int("tenant-quota", 0, "per-tenant concurrent lease cap per switch (0 = unlimited)")
+	backlog := fs.Int("backlog", 0, "ingest backlog cap in rows ahead of the slowest subscription (0 = unbounded)")
+	shed := fs.Bool("shed", false, "shed over-backlog appends instead of blocking")
+	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "graceful drain budget on SIGTERM")
+	metricsAddr := fs.String("metrics", "", "HTTP address serving /metrics (Prometheus text) and /healthz (empty = disabled)")
+	pprofOn := fs.Bool("pprof", false, "mount net/http/pprof handlers under /debug/pprof/ on the -metrics server")
+	slowQuery := fs.Duration("slow-query", 0, "log queries slower than this wall-clock threshold (0 = disabled)")
 	var sources, pipes stringList
-	flag.Var(&sources, "source", "connector source spec feeding the served table (repeatable), e.g. gen:rows=100000,batch=256")
-	flag.Var(&pipes, "pipe", "server-side continuous query piped to a sink (repeatable), e.g. kind=topn,sink=log:path=-")
-	flag.Parse()
+	fs.Var(&sources, "source", "connector source spec feeding the served table (repeatable), e.g. gen:rows=100000,batch=256")
+	fs.Var(&pipes, "pipe", "server-side continuous query piped to a sink (repeatable), e.g. kind=topn,sink=log:path=-")
+	_ = fs.Parse(args) // ExitOnError: a bad flag exits 2, -h exits 0
 
 	uvRows := *rows
 	if uvRows <= 0 {
@@ -132,8 +139,9 @@ func run() error {
 	// metrics registry as Prometheus text plus a fabric-backed health
 	// probe; pprof mounts only when asked for.
 	var obsSrv *http.Server
+	var obsAddr string
 	if *metricsAddr != "" {
-		obsSrv, err = serveObs(srv, *metricsAddr, *pprofOn)
+		obsSrv, obsAddr, err = serveObs(srv, *metricsAddr, *pprofOn)
 		if err != nil {
 			return err
 		}
@@ -168,11 +176,12 @@ func run() error {
 		fmt.Printf("cheetahd: pipe %q standing\n", spec)
 	}
 
+	if ready != nil {
+		ready(srv.Addr().String(), obsAddr)
+	}
 	// SIGTERM/SIGINT → graceful drain: in-flight work finishes, every
 	// client gets a result, a retryable error, or a Goodbye.
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGTERM, syscall.SIGINT)
-	sig := <-sigc
+	sig := <-stop
 	fmt.Printf("cheetahd: %v, draining\n", sig)
 	if obsSrv != nil {
 		// The probe endpoint goes down with the drain: /healthz flips to
@@ -199,11 +208,12 @@ func run() error {
 // the server's shared registry in Prometheus text exposition format,
 // GET /healthz answers 200 while the fabric can place queries (503
 // once draining or every switch is down), and -pprof mounts the
-// standard net/http/pprof handlers under /debug/pprof/.
-func serveObs(srv *netserve.Server, addr string, withPprof bool) (*http.Server, error) {
+// standard net/http/pprof handlers under /debug/pprof/. It returns the
+// listener's bound address.
+func serveObs(srv *netserve.Server, addr string, withPprof bool) (*http.Server, string, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		return nil, fmt.Errorf("metrics listener: %w", err)
+		return nil, "", fmt.Errorf("metrics listener: %w", err)
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
@@ -230,7 +240,7 @@ func serveObs(srv *netserve.Server, addr string, withPprof bool) (*http.Server, 
 	go func() { _ = hs.Serve(ln) }()
 	fmt.Printf("cheetahd: metrics on http://%s/metrics (healthz%s)\n",
 		ln.Addr(), map[bool]string{true: ", pprof", false: ""}[withPprof])
-	return hs, nil
+	return hs, ln.Addr().String(), nil
 }
 
 // buildPipe parses a "kind=KIND,sink=SPEC" pipe flag into a continuous
@@ -275,11 +285,4 @@ func buildPipe(reg *connector.Registry, mix *multitenant.Mix, spec string) (*eng
 		return nil, nil, err
 	}
 	return mix.Query(ki), sink, nil
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

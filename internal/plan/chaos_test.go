@@ -251,6 +251,90 @@ func TestChaosServed(t *testing.T) {
 	}
 }
 
+// TestChaosServedUnderLoad is the served chaos soak: sixteen clients
+// submit the mix under its tenants' QoS to a four-switch fabric while,
+// every killEvery submissions, the previous victim is restored and the
+// next switch round-robin is killed — one switch is down at any moment,
+// and each takes its turn dying with queries in flight. Every result
+// must equal ExecDirect of the same index, some query must have been
+// redone on a replacement switch, and the fabric must drain clean.
+func TestChaosServedUnderLoad(t *testing.T) {
+	const clients, total, killEvery = 16, 16 * multitenant.NumKinds, 8
+	mix := chaosMix(t, 5)
+	db, err := Open(mix.Visits, Options{Workers: 1, Seed: 5, Switches: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	sv, err := db.Serve(context.Background(), ServeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sv.Close()
+	fab := sv.Fabric()
+
+	// A victim dies at the next batch that crosses it, so its death always
+	// lands in the middle of some query's stream; one whose injector never
+	// fired is disarmed before the restore.
+	var mu sync.Mutex
+	submitted, victim := 0, -1
+	tick := func() {
+		mu.Lock()
+		defer mu.Unlock()
+		if submitted++; submitted%killEvery != 0 {
+			return
+		}
+		if victim >= 0 {
+			fab.Server(victim).Pipeline().SetFaultInjector(nil)
+			if err := fab.Restore(victim); err != nil {
+				t.Error(err)
+			}
+		}
+		victim = (victim + 1) % fab.Size()
+		var died atomic.Bool
+		fab.Server(victim).Pipeline().SetFaultInjector(func(uint32, int) bool {
+			return died.CompareAndSwap(false, true)
+		})
+	}
+
+	jobs := make(chan int, total)
+	for i := 0; i < total; i++ {
+		jobs <- i
+	}
+	close(jobs)
+	var failedOver atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(clients)
+	for c := 0; c < clients; c++ {
+		go func() {
+			defer wg.Done()
+			for i := range jobs {
+				q := mix.Query(i)
+				tick()
+				ex, err := sv.SubmitQoS(context.Background(), q, serve.QoS{Tenant: mix.Tenant(i), Priority: mix.Priority(i)})
+				if err != nil {
+					t.Errorf("query %d (%v): %v", i, q.Kind, err)
+					continue
+				}
+				want, err := engine.ExecDirect(q)
+				if err != nil {
+					t.Errorf("query %d (%v): direct: %v", i, q.Kind, err)
+					continue
+				}
+				if !want.Equal(ex.Result) {
+					t.Errorf("query %d (%v): result under chaos diverges from ExecDirect", i, q.Kind)
+				}
+				failedOver.Add(int64(ex.FailedOver))
+			}
+		}()
+	}
+	wg.Wait()
+	if failedOver.Load() < 1 {
+		t.Fatalf("no query failed over in %d kills under %d clients", total/killEvery, clients)
+	}
+	assertFabricDrained(t, fab)
+}
+
 // TestChaosStreamingPlaced drives single-switch subscriptions of every
 // kind through the full failure lifecycle: the placed switch dies with
 // no survivor (deltas finish on the exact master-side backstop, one at a

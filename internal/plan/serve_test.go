@@ -2,6 +2,7 @@ package plan
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -12,73 +13,78 @@ import (
 
 // TestServeConcurrentEquivalence is the serving acceptance bar: N
 // goroutine clients multiplexing the full mixed workload through one
-// shared switch must produce, for every query, exactly the result of
-// exact direct execution.
+// shared switch — and through four, where least-loaded placement races
+// the queue fallback — must produce, for every query, exactly the result
+// of exact direct execution.
 func TestServeConcurrentEquivalence(t *testing.T) {
 	mix, err := multitenant.NewMix(multitenant.MixConfig{VisitRows: 4000, RankRows: 3000, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := Open(mix.Visits, Options{Workers: 3, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sv, err := db.Serve(context.Background(), ServeOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sv.Close()
-
-	const clients = 8
-	const total = 3 * multitenant.NumKinds
-	jobs := make(chan int, total)
-	for i := 0; i < total; i++ {
-		jobs <- i
-	}
-	close(jobs)
-
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	sawQueryIDs := false
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				q := mix.Query(i)
-				ex, err := sv.Submit(context.Background(), q)
-				if err != nil {
-					t.Errorf("query %d (%s): %v", i, q.Kind, err)
-					continue
-				}
-				direct, err := engine.ExecDirect(q)
-				if err != nil {
-					t.Errorf("query %d (%s): direct: %v", i, q.Kind, err)
-					continue
-				}
-				if !direct.Equal(ex.Result) {
-					t.Errorf("query %d (%s): served result diverges from ExecDirect", i, q.Kind)
-				}
-				mu.Lock()
-				if ex.QueryID != 0 {
-					sawQueryIDs = true
-					if ex.PipelineUtil.StagesUsed == 0 {
-						t.Errorf("query %d (%s): served execution reports empty pipeline utilization", i, q.Kind)
-					}
-				}
-				mu.Unlock()
+	for _, switches := range []int{1, 4} {
+		t.Run(fmt.Sprintf("switches=%d", switches), func(t *testing.T) {
+			db, err := Open(mix.Visits, Options{Workers: 3, Seed: 9, Switches: switches})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}()
-	}
-	wg.Wait()
-	if !sawQueryIDs {
-		t.Fatal("no query executed through the shared pipeline")
-	}
-	if st := sv.Stats(); st.Active != 0 || st.Queued != 0 {
-		t.Fatalf("serving handle not drained: %+v", st)
-	}
-	if u := sv.Utilization(); u.ALUsUsed != 0 {
-		t.Fatalf("shared pipeline not empty after serving: %v", u)
+			sv, err := db.Serve(context.Background(), ServeOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sv.Close()
+
+			const clients = 8
+			const total = 3 * multitenant.NumKinds
+			jobs := make(chan int, total)
+			for i := 0; i < total; i++ {
+				jobs <- i
+			}
+			close(jobs)
+
+			var wg sync.WaitGroup
+			var mu sync.Mutex
+			sawQueryIDs := false
+			for c := 0; c < clients; c++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := range jobs {
+						q := mix.Query(i)
+						ex, err := sv.Submit(context.Background(), q)
+						if err != nil {
+							t.Errorf("query %d (%s): %v", i, q.Kind, err)
+							continue
+						}
+						direct, err := engine.ExecDirect(q)
+						if err != nil {
+							t.Errorf("query %d (%s): direct: %v", i, q.Kind, err)
+							continue
+						}
+						if !direct.Equal(ex.Result) {
+							t.Errorf("query %d (%s): served result diverges from ExecDirect", i, q.Kind)
+						}
+						mu.Lock()
+						if ex.QueryID != 0 {
+							sawQueryIDs = true
+							if ex.PipelineUtil.StagesUsed == 0 {
+								t.Errorf("query %d (%s): served execution reports empty pipeline utilization", i, q.Kind)
+							}
+						}
+						mu.Unlock()
+					}
+				}()
+			}
+			wg.Wait()
+			if !sawQueryIDs {
+				t.Fatal("no query executed through the shared pipeline")
+			}
+			if st := sv.Stats(); st.Active != 0 || st.Queued != 0 {
+				t.Fatalf("serving handle not drained: %+v", st)
+			}
+			if u := sv.Utilization(); u.ALUsUsed != 0 {
+				t.Fatalf("shared pipeline not empty after serving: %v", u)
+			}
+		})
 	}
 }
 

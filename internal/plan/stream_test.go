@@ -139,6 +139,111 @@ func TestStreamSubscriptionEquivalence(t *testing.T) {
 	}
 }
 
+// TestStreamConcurrentAppenders is the streaming soak: sixteen appenders
+// commit 256-row batches concurrently into a two-switch streaming handle
+// while the mix's FILTER count, DISTINCT, TOP N and HAVING stay
+// subscribed and a reader renders one of them on every update. After a
+// Flush, each standing result equals ExecDirect over the committed
+// prefix; the standing programs hold one lease per switch while open and
+// none after Close.
+func TestStreamConcurrentAppenders(t *testing.T) {
+	const switches, appenders, batchRows = 2, 16, 256
+	mix, err := multitenant.NewMix(multitenant.MixConfig{VisitRows: 2 * appenders * batchRows, RankRows: 500, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := streamCtx(t)
+	target, err := table.New(mix.Visits.Schema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := Open(target, Options{Workers: 1, Seed: 11, Switches: switches})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	st, err := db.Stream(ctx, StreamOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	var subs []*Subscription
+	for _, kind := range []int{0, 1, 2, 5} { // FILTER count, DISTINCT, TOP N, HAVING
+		q := *mix.Query(kind)
+		q.Table = target
+		sub, err := st.Subscribe(ctx, &q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sub.Plan().Mode != ModeCheetah {
+			t.Fatalf("%v: plan mode = %v (%s), want cheetah", q.Kind, sub.Plan().Mode, sub.Plan().Reason)
+		}
+		subs = append(subs, sub)
+	}
+	read := make(chan struct{})
+	go func() {
+		defer close(read)
+		for range subs[2].Updates() {
+			subs[2].Results()
+		}
+	}()
+
+	batches := make(chan *table.Table, mix.Visits.NumRows()/batchRows)
+	for lo := 0; lo < mix.Visits.NumRows(); lo += batchRows {
+		v, err := mix.Visits.View(lo, lo+batchRows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		batches <- v
+	}
+	close(batches)
+	var wg sync.WaitGroup
+	wg.Add(appenders)
+	for a := 0; a < appenders; a++ {
+		go func() {
+			defer wg.Done()
+			for b := range batches {
+				if err := st.AppendBatch(b); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	for _, sub := range subs {
+		if err := sub.Flush(ctx); err != nil {
+			t.Fatal(err)
+		}
+		got, ver := sub.Results()
+		if ver != uint64(mix.Visits.NumRows()) {
+			t.Fatalf("%v: version = %d, want %d", sub.Query().Kind, ver, mix.Visits.NumRows())
+		}
+		want, err := engine.ExecDirect(sub.Query())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !want.Equal(got) {
+			t.Fatalf("%v: standing result diverged from the committed prefix\n got: %v\nwant: %v", sub.Query().Kind, got, want)
+		}
+	}
+	active := func() (n int) {
+		for _, c := range st.Stats() {
+			n += c.Active
+		}
+		return n
+	}
+	if got := active(); got != switches*len(subs) {
+		t.Fatalf("active leases = %d while subscribed, want %d (one per switch per subscription)", got, switches*len(subs))
+	}
+	st.Close()
+	<-read
+	if got := active(); got != 0 {
+		t.Fatalf("active leases = %d after Close, want 0", got)
+	}
+}
+
 // TestStreamWindowedThroughFabric pins the windowed variants on the
 // planned path: the fired window equals a from-scratch run over
 // exactly the window's rows, through a held (and per-delta reset)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -423,6 +424,75 @@ func TestFailedSubscriptionLeavesBacklog(t *testing.T) {
 		t.Fatalf("Wait err = %v, want the executor error", err)
 	}
 	sub.Close()
+}
+
+// TestDeltaPanicFailsOnlyItsSubscription pins that a panicking delta
+// executor costs its own subscription, not the process, pumped or
+// stepped: the panic becomes the delta's terminal error (value and
+// stack), the failed subscription leaves the backlog accounting, and a
+// second subscription on the same ingestor stays exact.
+func TestDeltaPanicFailsOnlyItsSubscription(t *testing.T) {
+	for _, noPump := range []bool{false, true} {
+		t.Run(fmt.Sprintf("NoPump=%v", noPump), func(t *testing.T) {
+			tb := table.MustNew(table.Schema{{Name: "v", Type: table.Int64}})
+			in, err := NewIngestor(tb, Config{Backlog: 64, OnFull: Shed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer in.Close()
+			q := &engine.Query{Kind: engine.KindTopN, Table: tb, OrderCol: "v", N: 2}
+			bad, err := in.Subscribe(q, SubOptions{NoPump: noPump, Exec: func(*engine.Query, func() *engine.Result) (*engine.Result, error) {
+				panic("delta exec broke")
+			}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			good, err := in.Subscribe(q, SubOptions{NoPump: noPump})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := in.Append(int64(1)); err != nil {
+				t.Fatal(err)
+			}
+			if noPump {
+				if _, err := bad.Step(); err == nil {
+					t.Fatal("Step over a panicking executor returned no error")
+				}
+			} else {
+				for range bad.Updates() { // the pump fails and closes updates
+				}
+			}
+			if err := bad.Err(); err == nil || !strings.Contains(err.Error(), "delta exec broke") ||
+				!strings.Contains(err.Error(), "goroutine ") {
+				t.Fatalf("Err() = %v, want the panic value and its stack", err)
+			}
+			for i := 2; i <= 40; i++ {
+				if err := in.Append(int64(i)); err != nil {
+					t.Fatalf("append %d after the panic: %v", i, err)
+				}
+			}
+			if noPump {
+				if _, err := good.Step(); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+				defer cancel()
+				if err := good.Flush(ctx); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if st := in.Stats(); st.Subscriptions != 1 || st.Backlog != 0 {
+				t.Fatalf("ingestor stats %+v, want only the healthy subscription, caught up", st)
+			}
+			want, err := engine.ExecDirect(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _ := good.Results()
+			mustEqual(t, "healthy subscription beside a panicking one", got, want)
+		})
+	}
 }
 
 // TestManualStepCloseRace pins that Close racing an in-flight Step on

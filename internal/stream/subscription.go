@@ -3,6 +3,7 @@ package stream
 import (
 	"context"
 	"fmt"
+	"runtime/debug"
 	"sync"
 
 	"cheetah/internal/engine"
@@ -283,11 +284,23 @@ func (s *Subscription) absorbSpan(snap *table.Table, lo, hi uint64, m merger) er
 	if err != nil {
 		return err
 	}
-	res, err := s.exec(deltaQuery(s.q, delta), m.snapshot)
+	res, err := s.execDelta(deltaQuery(s.q, delta), m)
 	if err != nil {
 		return err
 	}
 	return m.absorb(res)
+}
+
+// execDelta runs the executor on one delta with a panic turned into the
+// delta's error, stack included: a panicking executor fails its own
+// subscription (step's fail path), not the pump's process.
+func (s *Subscription) execDelta(dq *engine.Query, m merger) (res *engine.Result, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("stream: delta exec panicked: %v\n%s", r, debug.Stack())
+		}
+	}()
+	return s.exec(dq, m.snapshot)
 }
 
 // absorbWindowed splits the delta at pane boundaries: each pane-aligned

@@ -1,22 +1,18 @@
-// Package multitenant is the multi-tenant serving driver: the query mix
-// and the open-loop arrival process behind `cheetah-bench serve` and the
-// serving equivalence tests. One Mix holds the benchmark tables
+// Package multitenant is the multi-tenant query mix the serving,
+// streaming and network tests share. One Mix holds the benchmark tables
 // (UserVisits + Rankings) and deterministically derives, for any query
 // index i, one of the eight offloadable query shapes with per-instance
-// parameter jitter — many concurrent clients drawing from the same mix
-// exercise every pruner family against the shared switch at once.
+// parameter jitter, plus the index's tenant and admission priority —
+// many concurrent clients drawing from the same mix exercise every
+// pruner family against the shared switches at once.
 //
 // It lives as a subpackage of workload because, unlike the raw table
-// generators, the driver builds engine.Query values (engine's own tests
+// generators, the mix builds engine.Query values (engine's own tests
 // consume the generators, so the parent package must not import engine).
 package multitenant
 
 import (
-	"context"
 	"fmt"
-	"math"
-	"sync"
-	"time"
 
 	"cheetah/internal/boolexpr"
 	"cheetah/internal/engine"
@@ -152,153 +148,4 @@ func (m *Mix) Priority(i int) int {
 		return 1
 	}
 	return 0
-}
-
-// DriveConfig shapes one open-loop serving run.
-type DriveConfig struct {
-	// Clients is the concurrent client count draining the arrival queue.
-	Clients int
-	// Queries is the workload length (mix indices 0..Queries-1).
-	Queries int
-	// Lambda is the Poisson arrival rate in queries per second.
-	Lambda float64
-	// Seed drives the arrival process.
-	Seed uint64
-}
-
-// DriveResult is the measurement of one run.
-type DriveResult struct {
-	// Wall is the makespan from first arrival to last completion.
-	Wall time.Duration
-	// Entries counts worker→switch entries across all queries.
-	Entries int
-	// LatencyMS holds one per-query latency (milliseconds, admission
-	// queueing included), in completion order.
-	LatencyMS []float64
-	// Fallbacks counts queries that ran direct (shed or unservable).
-	Fallbacks int
-}
-
-// Submit executes one query of the mix and reports the entries it
-// streamed and whether it fell back to direct execution. i is the
-// query's mix index, so drivers can derive its QoS (Tenant(i),
-// Priority(i)) without re-deriving the query. The serving benchmark
-// passes a closure over plan.Serving.SubmitQoS; tests pass fakes. (A
-// function type keeps this package independent of the planning layer.)
-type Submit func(ctx context.Context, i int, q *engine.Query) (entries int, direct bool, err error)
-
-// Drive runs the mix open-loop: arrivals follow a Poisson process that
-// never waits for completions, cfg.Clients workers drain the arrival
-// queue concurrently, and every query goes through submit. It is the
-// shared driver of `cheetah-bench serve` (at every fabric width) and
-// the serving race smokes.
-func (m *Mix) Drive(ctx context.Context, cfg DriveConfig, submit Submit) (*DriveResult, error) {
-	if cfg.Clients <= 0 {
-		cfg.Clients = 1
-	}
-	if cfg.Queries <= 0 {
-		return nil, fmt.Errorf("workload: Drive needs a positive query count, got %d", cfg.Queries)
-	}
-	if submit == nil {
-		return nil, fmt.Errorf("workload: Drive needs a submit function")
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	arrivals := PoissonArrivals(cfg.Queries, cfg.Lambda, cfg.Seed)
-	jobs := make(chan int, cfg.Queries)
-	start := time.Now()
-	go func() {
-		// Cancellation stops the arrival process mid-schedule; clients
-		// drain whatever already arrived and Drive returns ctx.Err().
-		defer close(jobs)
-		for i := 0; i < cfg.Queries; i++ {
-			if d := time.Until(start.Add(arrivals[i])); d > 0 {
-				t := time.NewTimer(d)
-				select {
-				case <-t.C:
-				case <-ctx.Done():
-					t.Stop()
-					return
-				}
-			}
-			select {
-			case jobs <- i:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-
-	res := &DriveResult{LatencyMS: make([]float64, 0, cfg.Queries)}
-	var mu sync.Mutex
-	var firstErr error
-	var wg sync.WaitGroup
-	wg.Add(cfg.Clients)
-	for c := 0; c < cfg.Clients; c++ {
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				q := m.Query(i)
-				t0 := time.Now()
-				entries, direct, err := submit(ctx, i, q)
-				lat := float64(time.Since(t0)) / float64(time.Millisecond)
-				mu.Lock()
-				if err != nil {
-					if firstErr == nil {
-						firstErr = fmt.Errorf("workload: query %d (%s): %w", i, q.Kind, err)
-					}
-				} else {
-					res.LatencyMS = append(res.LatencyMS, lat)
-					res.Entries += entries
-					if direct {
-						res.Fallbacks++
-					}
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	res.Wall = time.Since(start)
-	if firstErr == nil {
-		firstErr = ctx.Err()
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return res, nil
-}
-
-// EntriesPerSec is the run's aggregate pruning throughput.
-func (r *DriveResult) EntriesPerSec() float64 {
-	if r.Wall <= 0 {
-		return 0
-	}
-	return float64(r.Entries) / r.Wall.Seconds()
-}
-
-// PoissonArrivals returns n arrival offsets of an open-loop Poisson
-// process with rate lambda (arrivals per second): exponential
-// interarrival gaps, deterministic in seed, non-decreasing offsets.
-// The open-loop property — arrivals do not wait for completions — is
-// what distinguishes a serving benchmark from a closed-loop one.
-func PoissonArrivals(n int, lambda float64, seed uint64) []time.Duration {
-	if n <= 0 {
-		return nil
-	}
-	if lambda <= 0 {
-		lambda = 1
-	}
-	out := make([]time.Duration, n)
-	var t float64 // seconds
-	s := seed | 1
-	for i := 0; i < n; i++ {
-		s = hashutil.SplitMix64(s)
-		// Uniform in (0,1]: avoid log(0).
-		u := (float64(s>>11) + 1) / (1 << 53)
-		t += -math.Log(u) / lambda
-		out[i] = time.Duration(t * float64(time.Second))
-	}
-	return out
 }

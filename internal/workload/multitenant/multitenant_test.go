@@ -1,12 +1,7 @@
 package multitenant
 
 import (
-	"context"
-	"errors"
-	"math"
-	"sync"
 	"testing"
-	"time"
 
 	"cheetah/internal/engine"
 )
@@ -47,107 +42,5 @@ func TestMixDeterministicAndJittered(t *testing.T) {
 	// The next cycle's TOP N instance must differ in its parameter.
 	if c := m.Query(2 + NumKinds); c.N == a.N {
 		t.Fatalf("no parameter jitter across cycles: N=%d twice", a.N)
-	}
-}
-
-func TestPoissonArrivals(t *testing.T) {
-	const n, lambda = 2000, 50.0
-	a := PoissonArrivals(n, lambda, 99)
-	b := PoissonArrivals(n, lambda, 99)
-	var prev time.Duration
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("arrival %d not deterministic", i)
-		}
-		if a[i] < prev {
-			t.Fatalf("arrival %d decreases: %v < %v", i, a[i], prev)
-		}
-		prev = a[i]
-	}
-	// Mean interarrival ≈ 1/λ (law of large numbers, loose 15% band).
-	mean := a[n-1].Seconds() / float64(n)
-	if math.Abs(mean-1/lambda) > 0.15/lambda {
-		t.Fatalf("mean interarrival %.4fs, want ≈ %.4fs", mean, 1/lambda)
-	}
-}
-
-// TestDriveRunsEveryQuery checks the open-loop driver: every query is
-// submitted exactly once, metrics accumulate, and errors surface.
-func TestDriveRunsEveryQuery(t *testing.T) {
-	mix, err := NewMix(MixConfig{VisitRows: 2000, RankRows: 1000, Seed: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const queries = 2 * NumKinds
-	var mu sync.Mutex
-	seen := map[engine.QueryKind]int{}
-	res, err := mix.Drive(context.Background(), DriveConfig{
-		Clients: 4, Queries: queries, Lambda: 10_000, Seed: 1,
-	}, func(_ context.Context, _ int, q *engine.Query) (int, bool, error) {
-		mu.Lock()
-		seen[q.Kind]++
-		mu.Unlock()
-		return 10, q.Kind == engine.KindSkyline, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.LatencyMS) != queries {
-		t.Fatalf("%d latencies, want %d", len(res.LatencyMS), queries)
-	}
-	if res.Entries != 10*queries {
-		t.Fatalf("entries = %d, want %d", res.Entries, 10*queries)
-	}
-	if res.Fallbacks != 2 {
-		t.Fatalf("fallbacks = %d, want 2 (one skyline per cycle)", res.Fallbacks)
-	}
-	if res.EntriesPerSec() <= 0 {
-		t.Fatal("non-positive throughput")
-	}
-	for kind, n := range seen {
-		if n != 2 {
-			t.Fatalf("kind %v submitted %d times, want 2", kind, n)
-		}
-	}
-
-	// A submit error aborts with context.
-	if _, err := mix.Drive(context.Background(), DriveConfig{Clients: 2, Queries: 4, Lambda: 10_000},
-		func(context.Context, int, *engine.Query) (int, bool, error) {
-			return 0, false, errors.New("boom")
-		}); err == nil {
-		t.Fatal("submit error not propagated")
-	}
-
-	// Config validation.
-	if _, err := mix.Drive(context.Background(), DriveConfig{Clients: 1}, nil); err == nil {
-		t.Fatal("nil submit accepted")
-	}
-	if _, err := mix.Drive(context.Background(), DriveConfig{Clients: 1, Queries: 0},
-		func(context.Context, int, *engine.Query) (int, bool, error) { return 0, false, nil }); err == nil {
-		t.Fatal("zero queries accepted")
-	}
-}
-
-// TestDriveHonorsCancellation: cancelling the context stops the
-// arrival process mid-schedule instead of sleeping it out.
-func TestDriveHonorsCancellation(t *testing.T) {
-	mix, err := NewMix(MixConfig{VisitRows: 2000, RankRows: 1000, Seed: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(20 * time.Millisecond)
-		cancel()
-	}()
-	start := time.Now()
-	// Lambda 1 → the full 32-query schedule would take ~30s of arrivals.
-	_, err = mix.Drive(ctx, DriveConfig{Clients: 2, Queries: 32, Lambda: 1, Seed: 9},
-		func(context.Context, int, *engine.Query) (int, bool, error) { return 1, false, nil })
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("got %v, want context.Canceled", err)
-	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("cancelled Drive took %v — arrival schedule was not interrupted", elapsed)
 	}
 }
