@@ -320,6 +320,36 @@ func BenchmarkExecShardedScaling(b *testing.B) {
 	}
 }
 
+// BenchmarkExecShardedAggCompletion runs DISTINCT and GROUP BY MAX over
+// destURL — about 22 k distinct keys in 88 k rows — on one switch and on
+// two: results that hold most of the key dictionary, so the master folds
+// the id-keyed partials and renders them in k rank ranges side by side.
+// The table's fingerprint column and key dictionary are built before the
+// timer starts, as a warm session has them.
+func BenchmarkExecShardedAggCompletion(b *testing.B) {
+	uv := buildUserVisits(b, 88_000)
+	for _, q := range []*cheetah.Query{
+		{Kind: cheetah.KindDistinct, Table: uv, DistinctCols: []string{"destURL"}},
+		{Kind: cheetah.KindGroupByMax, Table: uv, KeyCol: "destURL", AggCol: "adRevenue"},
+	} {
+		for _, k := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/k=%d", q.Kind, k), func(b *testing.B) {
+				opts := cheetah.ShardedOptions{Shards: k, Workers: 2, Seed: 1}
+				if _, err := cheetah.ExecSharded(q, opts); err != nil {
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := cheetah.ExecSharded(q, opts); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
 // The aggregation kinds, keyed on userAgent: 8 192 Zipfian string keys
 // behind a shared prefix, the shape on which the master's completion —
 // fingerprint table, late key rendering, key-only sort — is the cost.

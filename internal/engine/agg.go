@@ -38,7 +38,7 @@ func aggProgram(kind QueryKind, pruner prune.Pruner) bool {
 // all passes are unioned first.
 func (ps *pass) agg(p *partial) error {
 	q, t, pruner, seed, workers := ps.q, ps.q.Table, ps.pruner, ps.seed, ps.workers
-	p.reset(t)
+	p.reset()
 	vc := -1
 	if q.Kind != KindDistinct {
 		vc = t.Schema().MustIndex(q.AggCol)
@@ -73,7 +73,7 @@ func (ps *pass) agg(p *partial) error {
 		case KindDistinct:
 			absorb = func(cols [][]uint64, ids []uint64, j uint64) { p.absorbFirst(cols[0][j], int(ids[j])) }
 		case KindGroupByMax:
-			absorb = func(cols [][]uint64, ids []uint64, j uint64) { p.absorbMax(cols[0][j], int64(cols[1][j]), int(ids[j])) }
+			absorb = func(cols [][]uint64, ids []uint64, j uint64) { p.absorbMax(int64(cols[1][j]), int(ids[j])) }
 		case KindGroupBySum:
 			// A forwarded packet is one the program rewrote in place with
 			// the aggregate it evicted.
@@ -85,7 +85,7 @@ func (ps *pass) agg(p *partial) error {
 			if _, ok := pruner.(*prune.Having); !ok {
 				return fmt.Errorf("engine: having needs a *prune.Having, got %T", pruner)
 			}
-			absorb = func(cols [][]uint64, _ []uint64, j uint64) { p.slot(cols[0][j]) }
+			absorb = func(cols [][]uint64, _ []uint64, j uint64) { p.nominate(cols[0][j]) }
 		}
 		buf := getStreamBuf()
 		defer putStreamBuf(buf)
@@ -105,8 +105,8 @@ func (ps *pass) agg(p *partial) error {
 	ps.traffic = Traffic{EntriesSent: sent, Forwarded: fwd, MasterProcessed: fwd}
 	if gs, ok := pruner.(*prune.GroupBySum); ok && q.Kind == KindGroupBySum {
 		ps.traffic.Forwarded += drainSums(gs, p)
-		p.resolve(seed)
-		ps.traffic.MasterProcessed = len(p.ents)
+		p.resolve()
+		ps.traffic.MasterProcessed = len(p.fpEnts)
 	}
 	ps.keys = keysNote(p.hashedRows)
 	return nil

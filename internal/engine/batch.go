@@ -11,15 +11,12 @@ package engine
 // straight from the encoded columns where it can (late materialization):
 // they are collected branchlessly through preallocated index buffers
 // sized from the running prune rate, the aggregation kinds' are absorbed
-// by fingerprint into the kind's partial, and TOP N feeds forwarded
+// by key id into the kind's partial, and TOP N feeds forwarded
 // values into its heap without materializing a survivor list at all.
 //
 // Results, Traffic and Stats are bit-identical to the scalar path (the
 // equivalence suite in batch_equiv_test.go asserts it for every query
-// kind); the only semantic difference is that fingerprint-assisted
-// master completion merges fingerprint-colliding keys, which has the
-// same 1-δ guarantee (Theorem 4) as the fingerprinting the switch
-// already performs on the stream.
+// kind).
 
 import (
 	"runtime"
@@ -258,11 +255,14 @@ func (a colAcc) cell(r int) string {
 // keyColumn returns the key fingerprints of column c of t under seed, one
 // per row, and how many rows this call hashed: the table's memoised column
 // (table.KeyFingerprints), shared with every other reader of it, or — for
-// a handle the memo turns away — *scratch, filled by the same hasher. Read
-// it, never write it, and do not pool it: only *scratch is the caller's.
+// a handle the memo turns away, or that it serves badly (memoServes) —
+// *scratch, filled by the same hasher. Read it, never write it, and do not
+// pool it: only *scratch is the caller's.
 func keyColumn(t *table.Table, c int, seed uint64, scratch *[]uint64) (fps []uint64, hashed int) {
-	if fps, hashed, ok := t.KeyFingerprints(c, seed); ok {
-		return fps, hashed
+	if memoServes(t, t.KeyMemoStats(c, seed).Hashed) {
+		if fps, hashed, ok := t.KeyFingerprints(c, seed); ok {
+			return fps, hashed
+		}
 	}
 	*scratch = growU64(*scratch, t.NumRows())
 	t.HashKeys(c, seed, *scratch)
@@ -272,14 +272,28 @@ func keyColumn(t *table.Table, c int, seed uint64, scratch *[]uint64) (fps []uin
 // keyIDs returns the key ids of column c of t under seed, and how many
 // rows this call built: read off the table's dictionary (table.KeyIDs),
 // shared with every other reader of it, or — for a handle the dictionary
-// turns away — built into *scratch from fps, t's key fingerprints of the
-// column, by the dictionary's own build. Read the ids, never write them, and do not
-// pool them: only *scratch is the caller's.
+// turns away, or that it serves badly (memoServes) — built into *scratch
+// from fps, t's key fingerprints of the column, by the dictionary's own
+// build. Read the ids, never write them, and do not pool them: only
+// *scratch is the caller's.
 func keyIDs(t *table.Table, c int, seed uint64, fps []uint64, scratch *table.KeyIDScratch) (table.KeyIDs, int) {
-	if k, built, ok := t.KeyIDs(c, seed); ok {
-		return k, built
+	if memoServes(t, t.KeyMemoStats(c, seed).Rows) {
+		if k, built, ok := t.KeyIDs(c, seed); ok {
+			return k, built
+		}
 	}
 	return t.BuildKeyIDs(c, fps, scratch), t.NumRows()
+}
+
+// memoServes reports whether t should read a key memo that covers the
+// root's first covered rows: t lies inside them, or t is not small beside
+// them. A small handle past them — a subscription's delta — would extend
+// the memo by its own rows at the price of growing and copying it, and of
+// comparing each new key with an older row out of cache; it hashes and
+// compares its rows among themselves instead, and leaves the memos as
+// they were for the one-shots that read the whole table.
+func memoServes(t *table.Table, covered int) bool {
+	return t.RootOffset()+t.NumRows() <= covered || 4*t.NumRows() >= covered
 }
 
 // keysNote is what a traced pass says about the key fingerprints it read:

@@ -1,0 +1,152 @@
+package engine
+
+import (
+	"bufio"
+	"fmt"
+	"os"
+	"slices"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// collisionRun is one aggregation over a table whose fingerprint column
+// was forced to collide, run through the sharded executor.
+type collisionRun struct {
+	label   string // kind, key type, fingerprints, width
+	outcome string // Traffic and Stats
+	differs int    // keys whose row differs from ExecDirect's
+}
+
+// collisionRuns runs DISTINCT, GROUP BY MAX, GROUP BY SUM and HAVING at
+// k ∈ {1, 2, 3} over string and integer keys whose fingerprints are
+// forced (collidingFingerprints) by writing them into the table's
+// fingerprint column — what the switch streams, and what the key
+// dictionary preselects by, while its ids still compare the cells.
+func collisionRuns(t *testing.T) []collisionRun {
+	t.Helper()
+	const seed = 7
+	var runs []collisionRun
+	names := make([]string, 0, len(collidingFingerprints))
+	for name := range collidingFingerprints {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	for _, intKeys := range []bool{false, true} {
+		for _, fname := range names {
+			keys := seqKeys(600, 0, 37)
+			tb := joinKeyTable(t, intKeys, keys, nil)
+			fps, _, ok := tb.KeyFingerprints(0, seed)
+			if !ok {
+				t.Fatal("a fresh table turned its own fingerprint column away")
+			}
+			for r, k := range keys {
+				fps[r] = collidingFingerprints[fname](k)
+			}
+			for _, q := range []*Query{
+				{Kind: KindDistinct, Table: tb, DistinctCols: []string{"name"}},
+				{Kind: KindGroupByMax, Table: tb, KeyCol: "name", AggCol: "pay"},
+				{Kind: KindGroupBySum, Table: tb, KeyCol: "name", AggCol: "pay"},
+				{Kind: KindHaving, Table: tb, KeyCol: "name", AggCol: "pay", Threshold: 4800},
+			} {
+				want, err := ExecDirect(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, k := range []int{1, 2, 3} {
+					run, err := ExecSharded(q, ShardedOptions{Shards: k, Workers: 2, Seed: seed})
+					if err != nil {
+						t.Fatal(err)
+					}
+					runs = append(runs, collisionRun{
+						label:   fmt.Sprintf("%v int=%v fingerprints=%s k=%d", q.Kind, intKeys, fname, k),
+						outcome: fmt.Sprintf("traffic=%+v stats=%+v", run.Traffic, run.Stats),
+						differs: keysDiffering(want, run.Result),
+					})
+				}
+			}
+		}
+	}
+	return runs
+}
+
+// keysDiffering counts the keys — first cells — whose row is not the same
+// in a and b, a key missing from one side included.
+func keysDiffering(a, b *Result) int {
+	rows := func(r *Result) map[string]string {
+		m := make(map[string]string, len(r.Rows))
+		for _, row := range r.Rows {
+			m[row[0]] = strings.Join(row, "\x00")
+		}
+		return m
+	}
+	ra, rb := rows(a), rows(b)
+	n := 0
+	for k, v := range ra {
+		if rb[k] != v {
+			n++
+		}
+	}
+	for k := range rb {
+		if _, ok := ra[k]; !ok {
+			n++
+		}
+	}
+	return n
+}
+
+// TestAggCollisions: under fingerprint collisions the switch side is what
+// it was — Traffic and Stats equal, digit for digit, those recorded in
+// testdata/agg_collisions.golden with the fingerprint-keyed master that
+// preceded the id-keyed one — and the master can only move a Result toward
+// ExecDirect: each run's Result differs from ExecDirect's in no more keys
+// than the recorded run's did, HAVING's in none, and across the runs in
+// fewer.
+func TestAggCollisions(t *testing.T) {
+	f, err := os.Open("testdata/agg_collisions.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	golden := map[string]collisionRun{}
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		line := sc.Text()
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		label, rest, _ := strings.Cut(line, ": ")
+		outcome, differs, _ := strings.Cut(rest, " differs=")
+		n, err := strconv.Atoi(differs)
+		if err != nil {
+			t.Fatalf("golden line %q: %v", line, err)
+		}
+		golden[label] = collisionRun{label: label, outcome: outcome, differs: n}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	before, after := 0, 0
+	runs := collisionRuns(t)
+	if len(runs) != len(golden) {
+		t.Fatalf("%d runs, %d recorded", len(runs), len(golden))
+	}
+	for _, r := range runs {
+		g, ok := golden[r.label]
+		switch {
+		case !ok:
+			t.Fatalf("%s: not recorded", r.label)
+		case r.outcome != g.outcome:
+			t.Fatalf("%s: the switch side moved:\n got %s\nwant %s", r.label, r.outcome, g.outcome)
+		case r.differs > g.differs:
+			t.Fatalf("%s: differs from ExecDirect in %d keys, the fingerprint-keyed master in %d", r.label, r.differs, g.differs)
+		case strings.HasPrefix(r.label, "having") && r.differs != 0:
+			t.Fatalf("%s: HAVING differs from ExecDirect in %d keys", r.label, r.differs)
+		}
+		before, after = before+g.differs, after+r.differs
+	}
+	if after >= before {
+		t.Fatalf("keyed by id the runs differ from ExecDirect in %d keys, keyed by fingerprint in %d", after, before)
+	}
+	t.Logf("keys differing from ExecDirect over %d runs: %d keyed by fingerprint, %d keyed by id", len(runs), before, after)
+}

@@ -290,8 +290,8 @@ func filterExact(q *Query, pruner prune.Pruner) bool {
 
 // fusedDistinctScan streams every row's key fingerprint through the
 // cache matrix in worker-interleave order (partial.arrival); survivors
-// absorb into p, which keeps the first row of each fingerprint (later
-// duplicates only count as forwarded).
+// absorb into p, which keys them by the row's key id (later duplicates
+// only count as forwarded).
 func fusedDistinctScan(seed uint64, m *cache.Matrix, workers int, p *partial) (sent, fwd int) {
 	fps, order := p.hashKeys(seed), p.arrival(workers)
 	for i := range fps {
@@ -446,7 +446,7 @@ func fusedGroupByMaxScan(t *table.Table, vc int, seed uint64, g *prune.GroupBy, 
 			continue
 		}
 		fwd++
-		p.absorbMax(fp, v, r)
+		p.absorbMax(v, r)
 	}
 	return len(fps), fwd
 }
@@ -457,7 +457,7 @@ func fusedGroupByMaxScan(t *table.Table, vc int, seed uint64, g *prune.GroupBy, 
 // in-switch aggregation matrix in worker-interleave order; evicted
 // aggregates absorb into p, and every other entry was absorbed by the
 // switch (pruned). p.resolve reads the same fingerprint column again to
-// find the surviving fingerprints' keys after the drain.
+// find the surviving fingerprints' key ids after the drain.
 func fusedGroupBySumScan(t *table.Table, vc int, seed uint64, gs *prune.GroupBySum, workers int, p *partial) (sent, fwd int) {
 	fps, order := p.hashKeys(seed), p.arrival(workers)
 	vals := t.Int64Col(vc)
@@ -493,7 +493,7 @@ func fusedHavingPass1(t *table.Table, vc int, seed uint64, h *prune.Having, work
 			continue
 		}
 		fwd++
-		p.slot(fp)
+		p.nominate(fp)
 	}
 	return len(fps), fwd
 }

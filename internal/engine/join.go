@@ -58,7 +58,7 @@ func (s *joinSide) load(t *table.Table, kc int, seed uint64, withIDs bool) (hash
 // poolable reports whether s's scratch is within the pools' bound.
 func (s *joinSide) poolable() bool {
 	return poolable(cap(s.rows), cap(s.scratch), s.idScratch.Cap(), cap(s.keys.keys),
-		cap(s.keys.byID), cap(s.keys.byFP))
+		cap(s.keys.byID.slots), cap(s.keys.byFP))
 }
 
 // train adds the fingerprint of every row in spans to mem (a nil mem
@@ -183,46 +183,21 @@ type joinKey struct {
 	m   int32  // on the build side: the joined probe-side key's n, or 0
 }
 
-// idCount is one slot of joinKeys.byID: a key id + 1 (0: empty) and how
-// many survivors carry the key.
-type idCount struct{ id, n uint32 }
-
 // joinKeys counts one side's survivors per key: keys lists the distinct
-// keys in first-seen order; byID counts survivors per key id — open
-// addressing on the id itself, which is dense from 0, so over a whole
-// table the slots are all but direct-mapped — and, on the build side,
-// byFP finds keys (index + 1) by fingerprint. byFP may hold several keys
-// per fingerprint: two keys that share one sit on one probe run, told
-// apart by their cells.
+// keys in first-seen order; byID counts survivors per key id (the slot's
+// v); and, on the build side, byFP finds keys (index + 1) by fingerprint.
+// byFP may hold several keys per fingerprint: two keys that share one sit
+// on one probe run, told apart by their cells.
 type joinKeys struct {
 	keys      []joinKey
-	byID      []idCount // at most 3/4 full
-	byFP      []int32   // at most half full
-	fpIndexed bool      // byFP holds keys
-}
-
-// idSlot returns the slot of byID holding id + 1 — the table holds it.
-func (k *joinKeys) idSlot(id uint32) *idCount {
-	mask := uint32(len(k.byID) - 1)
-	h := (id + 1) & mask
-	for k.byID[h].id != id+1 {
-		h = (h + 1) & mask
-	}
-	return &k.byID[h]
+	byID      idTable
+	byFP      []int32 // at most half full
+	fpIndexed bool    // byFP holds keys
 }
 
 // reset empties k — slot by slot where its last keys took few slots.
 func (k *joinKeys) reset() {
-	switch {
-	case k.byID == nil:
-		k.byID = make([]idCount, fpTableMinSlots)
-	case 8*len(k.keys) >= len(k.byID):
-		clear(k.byID)
-	default:
-		for i := range k.keys {
-			*k.idSlot(k.keys[i].id) = idCount{}
-		}
-	}
+	k.byID.reset(func(i int) uint32 { return k.keys[i].id })
 	if k.fpIndexed {
 		if 8*len(k.keys) >= len(k.byFP) {
 			clear(k.byFP)
@@ -241,54 +216,27 @@ func (k *joinKeys) reset() {
 	k.keys = k.keys[:0]
 }
 
-// growIDs doubles byID; ids are distinct, so re-placing them needs no
-// comparison.
-func (k *joinKeys) growIDs() {
-	old := k.byID
-	k.byID = make([]idCount, 2*len(old))
-	mask := uint32(len(k.byID) - 1)
-	for _, s := range old {
-		if s.id == 0 {
-			continue
-		}
-		h := s.id & mask
-		for k.byID[h].id != 0 {
-			h = (h + 1) & mask
-		}
-		k.byID[h] = s
-	}
-}
-
 // tally fills k with s's survivors: per row one id lookup, no key byte.
 func (k *joinKeys) tally(s *joinSide) {
 	k.reset()
-	mask := uint32(len(k.byID) - 1)
 	for _, r := range s.rows {
-		id := s.ids[r] + 1
-		h := id & mask
-		for k.byID[h].id != id && k.byID[h].id != 0 {
-			h = (h + 1) & mask
+		id := s.ids[r]
+		sl := k.byID.find(id)
+		if sl == nil {
+			sl = k.byID.claim(id)
+			k.keys = append(k.keys, joinKey{id: id, row: int32(r)})
 		}
-		if sl := &k.byID[h]; sl.id != 0 {
-			sl.n++
-			continue
-		}
-		k.byID[h] = idCount{id: id, n: 1}
-		k.keys = append(k.keys, joinKey{id: id - 1, row: int32(r)})
-		if 4*len(k.keys) > 3*len(k.byID) {
-			k.growIDs()
-			mask = uint32(len(k.byID) - 1)
-		}
+		sl.v++
 	}
 	for i := range k.keys {
 		e := &k.keys[i]
-		e.fp, e.n = s.col[e.row], int32(k.idSlot(e.id).n)
+		e.fp, e.n = s.col[e.row], int32(k.byID.find(e.id).v)
 	}
 }
 
 // indexFPs fills byFP with k's keys.
 func (k *joinKeys) indexFPs() {
-	n := fpTableMinSlots
+	n := keyTableMinSlots
 	for n < 2*len(k.keys) {
 		n *= 2
 	}

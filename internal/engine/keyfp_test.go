@@ -328,8 +328,8 @@ func TestOraclesReadNoKeyMemo(t *testing.T) {
 	}
 	for i, x := range f.tables() {
 		for c := 0; c < x.NumCols(); c++ {
-			if n := x.KeyDictLen(c, seed); n != 0 {
-				t.Fatalf("table %d column %d: the oracles left a dictionary of %d keys", i, c, n)
+			if st := x.KeyMemoStats(c, seed); st.Rows != 0 {
+				t.Fatalf("table %d column %d: the oracles left a dictionary %+v", i, c, st)
 			}
 			if _, hashed, ok := x.KeyFingerprints(c, seed); !ok || hashed != x.NumRows() {
 				t.Fatalf("table %d column %d: %d of %d rows still to hash after the oracles ran", i, c, hashed, x.NumRows())
@@ -350,7 +350,7 @@ func TestPartialDropsTableColumn(t *testing.T) {
 		t.Fatal("a single-column partial reads the table's own column")
 	}
 	p.release()
-	if p.fps != nil || len(p.tables) > 0 && p.tables[0] != nil {
+	if p.fps != nil || p.ids != nil || p.t != nil {
 		t.Fatalf("released partial still holds the table's column (%d values) or the table", len(p.fps))
 	}
 	// A key spanning columns is the partial's own to hash and to pool.
@@ -439,12 +439,14 @@ func TestKeyDictConcurrentJoinHaving(t *testing.T) {
 	wg.Wait()
 }
 
-// TestRankedRenderGate: a render ranks its keys only when its result holds
-// at least a quarter of the dictionary as published, and weighs that
-// before extending anything — so a subscription's 256-row delta over a
-// large table keeps the radix sort and leaves the dictionary as it found
-// it, while a one-shot over the whole grown table extends and ranks it.
-// Every answer is ExecDirect's.
+// TestRankedRenderGate: every single-column aggregation keys its
+// partials by key ids, but what it reads them from depends on its rows. A
+// query over the table reads the table's memos, extending them over rows
+// appended since, and walks the dictionary's order when its result holds
+// at least a quarter of the keys; a 256-row delta view past the memos,
+// small beside them, hashes and compares its keys among its own rows and
+// leaves the memos — rows, keys and ranks — as they were. Every answer is
+// ExecDirect's.
 func TestRankedRenderGate(t *testing.T) {
 	const rows, seed = 4000, 7
 	tb := table.MustNew(table.Schema{{Name: "key", Type: table.String}, {Name: "val", Type: table.Int64}})
@@ -473,8 +475,10 @@ func TestRankedRenderGate(t *testing.T) {
 	distinct := func(x *table.Table) *Query {
 		return &Query{Kind: KindDistinct, Table: x, DistinctCols: []string{"key"}}
 	}
-	if note := exec(distinct(tb)); note != "ids: built 4000" || tb.KeyDictLen(0, seed) != rows {
-		t.Fatalf("cold DISTINCT over the table: merge noted %q, dictionary of %d keys", note, tb.KeyDictLen(0, seed))
+	memos := func() table.KeyMemoStats { return tb.KeyMemoStats(0, seed) }
+	cold := table.KeyMemoStats{Hashed: rows, Rows: rows, Keys: rows, Ranked: rows}
+	if note := exec(distinct(tb)); note != "ids: built 4000" || memos() != cold {
+		t.Fatalf("cold DISTINCT over the table: merge noted %q, memos %+v", note, memos())
 	}
 	for i := 0; i < 256; i++ {
 		if err := tb.AppendRow(fmt.Sprintf("late%03d", i%200), int64(i)); err != nil {
@@ -486,11 +490,12 @@ func TestRankedRenderGate(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, q := range []*Query{distinct(delta), {Kind: KindGroupByMax, Table: delta, KeyCol: "key", AggCol: "val"}} {
-		if note := exec(q); note != "" || tb.KeyDictLen(0, seed) != rows {
-			t.Fatalf("%v over the delta: merge noted %q, dictionary of %d keys; want no ids read and %d keys", q.Kind, note, tb.KeyDictLen(0, seed), rows)
+		if note := exec(q); note != "ids: built 256" || memos() != cold {
+			t.Fatalf("%v over the delta: merge noted %q, memos %+v; want its own 256 rows built and the memos untouched", q.Kind, note, memos())
 		}
 	}
-	if note := exec(distinct(tb)); note != "ids: built 256" || tb.KeyDictLen(0, seed) != rows+200 {
-		t.Fatalf("DISTINCT over the grown table: merge noted %q, dictionary of %d keys", note, tb.KeyDictLen(0, seed))
+	grown := table.KeyMemoStats{Hashed: rows + 256, Rows: rows + 256, Keys: rows + 200, Ranked: rows + 200}
+	if note := exec(distinct(tb)); note != "ids: built 256" || memos() != grown {
+		t.Fatalf("DISTINCT over the grown table: merge noted %q, memos %+v", note, memos())
 	}
 }

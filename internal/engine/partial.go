@@ -2,40 +2,60 @@ package engine
 
 // The master-side partial result of the four aggregation kinds —
 // DISTINCT, GROUP BY MAX, GROUP BY SUM, HAVING — and the only place
-// their completion is written. A partial is a set of entries keyed by
-// key fingerprint with three operations: absorb one survivor of the
-// switch, merge another partial, render the sorted Result. Every
-// executor feeds it: the fused loops and the batch sinks absorb, the
-// sharded path builds one partial per shard and merges them, and all of
-// them render the same way. Absorb and merge commute and associate up to
-// entry order, which render's sort erases, so any split of the survivors
-// over any number of partials, merged in any order, renders the same
-// Result.
+// their completion is written. A partial is a set of entries keyed by key
+// id with three operations: absorb one survivor of the switch, merge
+// another partial, render the sorted Result. Every executor feeds it: the
+// fused loops and the batch sinks absorb, the sharded path builds one
+// partial per shard, and all of them complete the same way. Absorb and
+// merge commute and associate up to entry order, which the completion's
+// order erases, so any split of the survivors over any number of
+// partials, merged in any order, renders the same Result.
 //
-// What an entry holds, per kind (val / representative row):
+// One id space per query. A query's key column is resolved once, on the
+// unsplit table (keyPartials): every row's fingerprint off the table's
+// memo and its key id off the table's dictionary (table.KeyIDs) — for a
+// subscription's small delta, among the delta's own rows (memoServes) —
+// and each shard's partial reads its rows' slices of both. So the k partials of a
+// sharded run share their ids, and an entry is an id and a value:
 //
-//	DISTINCT      —          / first survivor carrying the fingerprint
-//	GROUP BY MAX  maximum    / first survivor carrying the fingerprint
-//	GROUP BY SUM  sum        / resolved after the drain (resolve)
-//	HAVING        exact sum  / first row the second pass re-streamed
+//	DISTINCT      the key, absorbed by the survivor's row's id
+//	GROUP BY MAX  maximum, absorbed likewise
+//	GROUP BY SUM  sum: the switch hands the master (fingerprint, sum)
+//	              pairs with no row, kept by fingerprint until the drain
+//	              is over; resolve then keys each by the id of the first
+//	              row carrying its fingerprint
+//	HAVING        exact sum: the switch nominates fingerprints; the
+//	              second pass (sumCandidates) sums every row whose
+//	              fingerprint is a candidate into its own id's entry
 //
-// Keys are rendered late, from representative rows, so a key string is
-// touched once per result row and never per stream entry; and where the
-// table's key dictionary allows (table.KeyIDs), the rows are put in order
-// by the keys' ranks, not by comparing key bytes (orderKeys).
+// A multi-column DISTINCT has no dictionary: its entries stay keyed by
+// the tuple's fingerprint, with the first survivor's row.
 //
-// Exactness. DISTINCT, GROUP BY MAX and GROUP BY SUM identify a key with
-// its fingerprint, as the switch that pruned (or, for SUM, already
-// summed) the stream did: two keys sharing a fingerprint were merged
-// before the master saw them, and no master-side check can take that
-// back (Theorem 4's 1-δ guarantee covers it). HAVING's switch only
-// nominates candidates; the sums are the master's own, so its second
-// pass compares every row's key id with the entry's representative's and
-// keeps a key that merely shares a candidate's fingerprint apart
-// (spill) — HAVING stays exact under collisions.
+// Completion (completeAgg). When the result holds at least a quarter of
+// the dictionary's keys (ranked), k goroutines each walk a k-th of the
+// dictionary's canonical order, fold every partial's entry for each id of
+// their range and render their range's rows; ranks are global, so the
+// ranges concatenate into the answer with no key compared and nothing
+// merged. Below that — a small result over a large table — the partials
+// fold into the first, serially, and its key cells go through the radix
+// sort. Either way key cells are rendered late, from the dictionary, once
+// per result row.
+//
+// Exactness. The switch identifies a key with its fingerprint: two keys
+// sharing one may be pruned (DISTINCT, GROUP BY MAX) or summed (GROUP BY
+// SUM) as one before the master sees them, and Theorem 4's 1-δ guarantee
+// covers that. The master no longer adds to it. Keyed by id, it keeps
+// apart every pair of keys a survivor tells apart: a DISTINCT or GROUP BY
+// MAX survivor of either key is its own key's, and a GROUP BY SUM sum
+// resolved in two shards to two keys stays two rows — where a
+// fingerprint-keyed master merged them under one key. So an id-keyed
+// master can only move a Result toward ExecDirect. HAVING's switch only
+// nominates: the second pass re-streams every row of a candidate
+// fingerprint and sums it by id, so a key that merely shares a
+// candidate's fingerprint gets its own exact sum, and HAVING stays exact
+// under collisions.
 
 import (
-	"maps"
 	"strconv"
 	"sync"
 
@@ -44,113 +64,168 @@ import (
 	"cheetah/internal/table"
 )
 
-// fpSlot is one slot of an fpTable: a fingerprint and the index of its
-// entry.
-type fpSlot struct {
-	fp  uint64
-	ent int // entry index + 1; 0 marks an empty slot
+// keySlot is one slot of a keyTable: a key and what its owner keeps with
+// it — an entry index + 1, a count — which is never 0 once the slot is
+// taken: 0 marks an empty slot.
+type keySlot[K uint32 | uint64] struct {
+	key K
+	v   uint32
 }
 
-// fpTable indexes entries by key fingerprint: open addressing over a
-// power-of-two slot array with linear probing. Fingerprints are Mix64
-// outputs, so their low bits index the table directly. The entries live
-// with the owner (partial), which keeps the table at most half full by
-// calling grow.
-type fpTable struct {
-	slots []fpSlot
+// keyTable indexes keys — key ids, or fingerprints where the master has
+// no id — by open addressing over a power-of-two slot array with linear
+// probing, at most 3/4 full. A key's low bits place it: ids are dense from
+// 0, so over a table's ids the slots are all but direct-mapped, and
+// fingerprints are Mix64 outputs.
+type keyTable[K uint32 | uint64] struct {
+	slots []keySlot[K]
+	n     int // keys held
 }
 
-// fpTableMinSlots is the slot count a fresh table starts from.
-const fpTableMinSlots = 1 << 10
+// The key tables of the partial (by id, by fingerprint) and of JOIN's
+// survivor counts (by id).
+type (
+	idTable = keyTable[uint32]
+	fpTable = keyTable[uint64]
+)
 
-// reset empties the table, keeping its capacity. Probing needs at least
-// one slot, whatever left the slice empty.
-func (t *fpTable) reset() {
-	if len(t.slots) == 0 {
-		t.slots = make([]fpSlot, fpTableMinSlots)
+// keyTableMinSlots is the slot count a table starts from.
+const keyTableMinSlots = 1 << 10
+
+// claim takes an empty slot for key, which t does not hold; the caller
+// makes its v non-zero before the next claim. The pointer is good until
+// then.
+func (t *keyTable[K]) claim(key K) *keySlot[K] {
+	if 4*(t.n+1) > 3*len(t.slots) {
+		t.grow()
 	}
-	clear(t.slots)
+	mask := uint64(len(t.slots) - 1)
+	h := uint64(key) & mask
+	for t.slots[h].v != 0 {
+		h = (h + 1) & mask
+	}
+	t.n++
+	s := &t.slots[h]
+	s.key = key
+	return s
 }
 
-// grow doubles the slot array. Entries are distinct, so re-placing them
+// find returns the slot of key, nil when t holds none.
+func (t *keyTable[K]) find(key K) *keySlot[K] {
+	mask := uint64(len(t.slots) - 1)
+	for h := uint64(key) & mask; t.n > 0; h = (h + 1) & mask {
+		s := &t.slots[h]
+		if s.v == 0 {
+			return nil
+		}
+		if s.key == key {
+			return s
+		}
+	}
+	return nil
+}
+
+// grow doubles the slot array; keys are distinct, so re-placing them
 // needs no comparison.
-func (t *fpTable) grow() {
+func (t *keyTable[K]) grow() {
 	old := t.slots
-	t.slots = make([]fpSlot, 2*len(old))
+	t.slots = make([]keySlot[K], max(2*len(old), keyTableMinSlots))
 	mask := uint64(len(t.slots) - 1)
 	for _, s := range old {
-		if s.ent == 0 {
+		if s.v == 0 {
 			continue
 		}
-		h := s.fp & mask
-		for t.slots[h].ent != 0 {
+		h := uint64(s.key) & mask
+		for t.slots[h].v != 0 {
 			h = (h + 1) & mask
 		}
 		t.slots[h] = s
 	}
 }
 
-// find returns the entry (index + 1) of the first slot holding fp, 0
-// when there is none.
-func (t *fpTable) find(fp uint64) int {
-	mask := uint64(len(t.slots) - 1)
-	for h := fp & mask; ; h = (h + 1) & mask {
-		if s := &t.slots[h]; s.ent == 0 || s.fp == fp {
-			return s.ent
+// reset empties t; key(i) is the i-th of the keys it holds, in any order.
+// A table one large result grew is wiped key by key when they take few of
+// its slots, not as a whole on every small query after it.
+func (t *keyTable[K]) reset(key func(i int) K) {
+	if 8*t.n < len(t.slots) {
+		mask := uint64(len(t.slots) - 1)
+		for i := 0; i < t.n; i++ {
+			k := key(i)
+			h := uint64(k) & mask
+			for t.slots[h].v == 0 || t.slots[h].key != k {
+				h = (h + 1) & mask
+			}
+			t.slots[h] = keySlot[K]{}
 		}
+	} else {
+		clear(t.slots)
 	}
+	t.n = 0
 }
 
-// partialEnt is one fingerprint's entry. row < 0 means no representative
-// row yet.
-type partialEnt struct {
+// idEnt is one key's entry: its id and its value — GROUP BY MAX's
+// maximum, GROUP BY SUM's and HAVING's sum; DISTINCT's stays zero.
+type idEnt struct {
+	id  uint32
+	val int64
+}
+
+// fpEnt is one fingerprint's entry, where the master holds a fingerprint
+// and no key id: a multi-column DISTINCT key, with its first survivor's
+// row of t; a GROUP BY SUM sum before resolve, which gives it its first
+// row; a HAVING candidate. row < 0 means no row yet.
+type fpEnt struct {
 	fp  uint64
 	val int64
-	tbl int // index into partial.tables
 	row int
+	t   *table.Table
 }
 
-// partial is one kind's partial result over one table — or, after
-// merges, over several tables of one schema (a sharded table's shards).
+// partial is one kind's partial result over one table: a pass's shard, or
+// the whole table.
 type partial struct {
-	kind   QueryKind
-	cols   []int          // the key column(s), at the same index in every table
-	tables []*table.Table // what entries' representative rows point into
-	tab    fpTable
-	ents   []partialEnt
-	// spill holds HAVING's sums for keys whose fingerprint is another
-	// candidate's; nil until the first collision.
-	spill map[string]int64
-	// fps is the fingerprint column of tables[0] — fps[r] is row r's key
-	// fingerprint — once a pass has asked for it (hashKeys): the table's
-	// own memoised column, shared and read-only, or scratch when the table
-	// keeps none for this key (several columns, a handle its memo turns
-	// away). hashedRows is how many rows asking cost. seed is the latest
-	// seed asked with, which the dictionary is read under too.
+	kind QueryKind
+	cols []int        // the key column(s)
+	t    *table.Table // the pass's table
+	// The key column of t's rows: fps[r] and ids[r] are row r's
+	// fingerprint and key id, and dict the dictionary the ids come from —
+	// slices of the query's, resolved once (keyPartials). A multi-column
+	// key has fingerprints only, hashed per
+	// partial into scratch. hashedRows and idsBuilt are how many rows
+	// resolving hashed and built: the span notes.
 	fps        []uint64
+	ids        []uint32
+	dict       table.KeyIDs
 	hashed     bool
 	hashedRows int
-	seed       uint64
+	idsBuilt   int
 	scratch    []uint64
-	// ids[i] is tables[i]'s key ids (keyIDs), once HAVING's second pass or
-	// a ranked render asked; zero until then. A table the dictionary turns
-	// away builds into idScratch — tables[0] only. idsRead and idsBuilt say
-	// whether any asking happened and how many rows it built: the merge
-	// span's note.
-	ids       []table.KeyIDs
-	idScratch table.KeyIDScratch
-	idsRead   bool
-	idsBuilt  int
-	order     []int // arrival's scratch
-	// Render scratch: keys and their entry indices, sorted in lock-step,
-	// the value cells' digits with where each cell ends, and one slot per
-	// dictionary rank for the ranked placement.
+	idScratch  table.KeyIDScratch
+	byID       idTable
+	ents       []idEnt
+	byFP       fpTable
+	fpEnts     []fpEnt
+	// unresolved holds GROUP BY SUM sums no row of t resolved (a standing
+	// program drained state older than this table); each renders with an
+	// empty key.
+	unresolved []int64
+	order      []int // arrival's scratch
+	// The serial render's scratch: the radix sort and the entry indices it
+	// orders with the key cells; and the rows' (rowScratch), which the
+	// parallel completion lends to the rank range of p's shard.
 	sorter radix.Sorter
-	keys   []string
 	idx    []int32
+	rows   rowScratch
+}
+
+// rowScratch is the reusable memory of rendering GROUP BY rows: the key
+// cells and values in order before they are rows, and the values'
+// digits.
+type rowScratch struct {
+	cells  []string
+	vals   []int64
 	digits []byte
 	ends   []int
-	place  []int32
 }
 
 // partialPool's partials are allocated alone on their cache lines: the k
@@ -177,7 +252,7 @@ func poolable(caps ...int) bool {
 // newPartial returns an empty pooled partial of q's kind over q.Table.
 func newPartial(q *Query) *partial {
 	p := partialPool.Get().(*partial)
-	p.kind = q.Kind
+	p.kind, p.t = q.Kind, q.Table
 	names := q.DistinctCols
 	if q.Kind != KindDistinct {
 		names = []string{q.KeyCol}
@@ -186,33 +261,38 @@ func newPartial(q *Query) *partial {
 	for _, name := range names {
 		p.cols = append(p.cols, q.Table.Schema().MustIndex(name))
 	}
-	p.reset(q.Table)
+	p.reset()
 	return p
 }
 
-// reset empties p for a fresh pass over t — a failover redo starts
-// here. A table that one large result grew is wiped entry by entry when
-// few slots are occupied, not as a whole on every small query after it.
-func (p *partial) reset(t *table.Table) {
-	p.tables = append(p.tables[:0], t)
-	clear(p.ids)
-	p.ids = append(p.ids[:0], table.KeyIDs{})
-	if slots := p.tab.slots; 8*len(p.ents) < len(slots) {
-		mask := uint64(len(slots) - 1)
-		for i := range p.ents {
-			h := p.ents[i].fp & mask
-			for slots[h].ent != i+1 {
-				h = (h + 1) & mask
-			}
-			slots[h] = fpSlot{}
-		}
-	} else {
-		p.tab.reset()
+// keyPartials gives partials — over contiguous views of t, a query's
+// unsplit table — their rows' slices of t's key column, resolved once
+// under seed: the fingerprints off the table's memo and the ids off its
+// dictionary, or, for a handle they turn away, hashed and built into the
+// first partial's scratch. A multi-column key has none to resolve.
+func keyPartials(t *table.Table, partials []*partial, seed uint64) {
+	p0 := partials[0]
+	if len(p0.cols) != 1 {
+		return
 	}
+	fps, hashed := keyColumn(t, p0.cols[0], seed, &p0.scratch)
+	dict, built := keyIDs(t, p0.cols[0], seed, fps, &p0.idScratch)
+	for _, p := range partials {
+		lo := p.t.RootOffset() - t.RootOffset()
+		hi := lo + p.t.NumRows()
+		p.fps, p.ids, p.dict = fps[lo:hi:hi], dict.IDs[lo:hi:hi], dict
+		p.hashed, p.hashedRows, p.idsBuilt = true, hashed, built
+	}
+}
+
+// reset empties p's entries for a fresh pass over its table — a failover
+// redo starts here — keeping its key column.
+func (p *partial) reset() {
+	p.byID.reset(func(i int) uint32 { return p.ents[i].id })
 	p.ents = p.ents[:0]
-	p.spill = nil
-	p.fps, p.hashed, p.hashedRows = nil, false, 0
-	p.idsRead, p.idsBuilt = false, 0
+	p.byFP.reset(func(i int) uint64 { return p.fpEnts[i].fp })
+	p.fpEnts = p.fpEnts[:0]
+	p.unresolved = p.unresolved[:0]
 }
 
 // release returns p to the pool. Nothing rendered from p refers to its
@@ -220,50 +300,55 @@ func (p *partial) reset(t *table.Table) {
 // rows, its fingerprint column or its dictionary, so those references are
 // dropped, and a partial one huge query grew is dropped whole.
 func (p *partial) release() {
-	clear(p.tables)
-	clear(p.ids)
-	p.spill = nil
-	p.fps = nil
-	if !poolable(cap(p.cols), cap(p.tables), cap(p.tab.slots), cap(p.ents), cap(p.scratch), cap(p.ids),
-		p.idScratch.Cap(), cap(p.order), p.sorter.Cap(), cap(p.keys), cap(p.idx), cap(p.digits),
-		cap(p.ends), cap(p.place)) {
+	p.t, p.fps, p.ids, p.dict = nil, nil, nil, table.KeyIDs{}
+	p.hashed, p.hashedRows, p.idsBuilt = false, 0, 0
+	p.reset()
+	clear(p.fpEnts[:cap(p.fpEnts)])
+	if !poolable(cap(p.cols), cap(p.scratch), p.idScratch.Cap(), cap(p.byID.slots), cap(p.ents),
+		cap(p.byFP.slots), cap(p.fpEnts), cap(p.unresolved), cap(p.order), p.sorter.Cap(), cap(p.idx),
+		cap(p.rows.cells), cap(p.rows.vals), cap(p.rows.digits), cap(p.rows.ends)) {
 		*p = partial{}
 	}
 	partialPool.Put(p)
 }
 
-// slot returns fp's entry, adding an empty one (no row, zero val) when
-// the fingerprint is new. The pointer is good until the next slot call.
-func (p *partial) slot(fp uint64) *partialEnt {
-	if i := p.tab.find(fp); i != 0 {
-		return &p.ents[i-1]
+// idEnt returns id's entry, adding an empty one when the id is new
+// (fresh). The pointer is good until the next idEnt call.
+func (p *partial) idEnt(id uint32) (e *idEnt, fresh bool) {
+	if s := p.byID.find(id); s != nil {
+		return &p.ents[s.v-1], false
 	}
-	p.ents = append(p.ents, partialEnt{fp: fp, row: -1})
-	mask := uint64(len(p.tab.slots) - 1)
-	h := fp & mask
-	for p.tab.slots[h].ent != 0 {
-		h = (h + 1) & mask
-	}
-	p.tab.slots[h] = fpSlot{fp: fp, ent: len(p.ents)}
-	if 2*len(p.ents) > len(p.tab.slots) {
-		p.tab.grow()
-	}
-	return &p.ents[len(p.ents)-1]
+	p.ents = append(p.ents, idEnt{id: id})
+	p.byID.claim(id).v = uint32(len(p.ents))
+	return &p.ents[len(p.ents)-1], true
 }
 
-// absorbFirst is DISTINCT's absorb: the first survivor carrying a
-// fingerprint represents it.
-func (p *partial) absorbFirst(fp uint64, row int) {
-	if e := p.slot(fp); e.row < 0 {
-		e.row = row
+// fpEnt returns fp's entry, adding an empty one (no row, zero val) when
+// the fingerprint is new (fresh). The pointer is good until the next
+// fpEnt call.
+func (p *partial) fpEnt(fp uint64) (e *fpEnt, fresh bool) {
+	if s := p.byFP.find(fp); s != nil {
+		return &p.fpEnts[s.v-1], false
+	}
+	p.fpEnts = append(p.fpEnts, fpEnt{fp: fp, row: -1})
+	p.byFP.claim(fp).v = uint32(len(p.fpEnts))
+	return &p.fpEnts[len(p.fpEnts)-1], true
+}
+
+// absorbFirst is DISTINCT's absorb: forwarded row r, fingerprinted fp,
+// names its key — by id, or, for a multi-column key, by the fingerprint,
+// whose first survivor represents it.
+func (p *partial) absorbFirst(fp uint64, r int) {
+	if len(p.cols) == 1 {
+		p.idEnt(p.ids[r])
+	} else if e, fresh := p.fpEnt(fp); fresh {
+		e.row, e.t = r, p.t
 	}
 }
 
-// absorbMax is GROUP BY MAX's absorb.
-func (p *partial) absorbMax(fp uint64, v int64, row int) {
-	if e := p.slot(fp); e.row < 0 {
-		e.row, e.val = row, v
-	} else if v > e.val {
+// absorbMax is GROUP BY MAX's absorb of forwarded row r's value v.
+func (p *partial) absorbMax(v int64, r int) {
+	if e, fresh := p.idEnt(p.ids[r]); fresh || v > e.val {
 		e.val = v
 	}
 }
@@ -271,60 +356,43 @@ func (p *partial) absorbMax(fp uint64, v int64, row int) {
 // absorbSum is GROUP BY SUM's absorb: v is an evicted or drained partial
 // aggregate of the key fingerprinted fp. The packet carries no row — the
 // switch summed many — so the entry's key waits for resolve.
-func (p *partial) absorbSum(fp uint64, v int64) { p.slot(fp).val += v }
+func (p *partial) absorbSum(fp uint64, v int64) {
+	e, _ := p.fpEnt(fp)
+	e.val += v
+}
 
-// hashKeys returns the fingerprint column of tables[0], fetching it on the
-// pass's first call: a single key column's is the table's to keep
-// (keyColumn) — hashed once per table, not per query, and read here; a
-// multi-column key has no column to memoise on and is hashed per query, in
-// one tight loop that no stream loop's branches stall. The scans of both
-// streams start from it, and resolve and sumCandidates read it again.
+// nominate is HAVING's absorb: fp is a candidate.
+func (p *partial) nominate(fp uint64) { p.fpEnt(fp) }
+
+// hashKeys returns the fingerprint column of p's table, resolving it on
+// the pass's first call when keyPartials has not: a single key column's
+// fingerprints and ids are the table's to keep — hashed and built once
+// per table, not per query, and read here; a multi-column key
+// has no column to memoise on and is hashed per query, in one tight loop
+// that no stream loop's branches stall. The scans of both streams start
+// from it, and resolve and sumCandidates read it again.
 func (p *partial) hashKeys(seed uint64) []uint64 {
-	p.seed = seed
 	if p.hashed {
 		return p.fps
 	}
-	p.hashed = true
-	t := p.tables[0]
 	if len(p.cols) == 1 {
-		p.fps, p.hashedRows = keyColumn(t, p.cols[0], seed, &p.scratch)
-	} else {
-		p.scratch = growU64(p.scratch, t.NumRows())
-		accs := make([]colAcc, len(p.cols))
-		for i, c := range p.cols {
-			accs[i] = accessorFor(t, c)
-		}
-		for r := range p.scratch {
-			p.scratch[r] = fingerprintAccs(accs, r, seed)
-		}
-		p.fps, p.hashedRows = p.scratch, t.NumRows()
+		keyPartials(p.t, []*partial{p}, seed)
+		return p.fps
 	}
+	p.hashed = true
+	p.scratch = growU64(p.scratch, p.t.NumRows())
+	accs := make([]colAcc, len(p.cols))
+	for i, c := range p.cols {
+		accs[i] = accessorFor(p.t, c)
+	}
+	for r := range p.scratch {
+		p.scratch[r] = fingerprintAccs(accs, r, seed)
+	}
+	p.fps, p.hashedRows = p.scratch, p.t.NumRows()
 	return p.fps
 }
 
-// keyIDs returns tables[i]'s key ids under the seed the pass hashed with,
-// asking the table on first use (single key column only). Only tables[0],
-// the pass's own table, may build into scratch when the dictionary turns
-// it away; a table a merge brought in is read off the dictionary or not
-// at all (ok false).
-func (p *partial) keyIDs(i int) (k table.KeyIDs, ok bool) {
-	if k = p.ids[i]; !k.IsZero() {
-		return k, true
-	}
-	t, c := p.tables[i], p.cols[0]
-	k, built, ok := t.KeyIDs(c, p.seed)
-	if !ok {
-		if i != 0 {
-			return table.KeyIDs{}, false
-		}
-		k, built = t.BuildKeyIDs(c, p.hashKeys(p.seed), &p.idScratch), t.NumRows()
-	}
-	p.ids[i], p.idsRead = k, true
-	p.idsBuilt += built
-	return k, true
-}
-
-// arrival returns the rows of tables[0] in the order their entries reach
+// arrival returns the rows of p's table in the order their entries reach
 // the switch — partitions stream concurrently, so entries arrive
 // round-robin across the workers' partitions, exactly interleave's and
 // batchPass's schedule — or nil for one worker, whose arrival order is
@@ -333,7 +401,7 @@ func (p *partial) arrival(workers int) []int {
 	if workers <= 1 {
 		return nil
 	}
-	n := p.tables[0].NumRows()
+	n := p.t.NumRows()
 	if cap(p.order) < n {
 		p.order = make([]int, n)
 	}
@@ -348,349 +416,313 @@ func (p *partial) arrival(workers int) []int {
 	return order
 }
 
-// resolve gives every entry still without a representative row the first
-// row of tables[0] whose key has the entry's fingerprint — GROUP BY
-// SUM's late key lookup, run once after the drain over the handful of
-// fingerprints that survived instead of once per stream entry. It stops
-// at the row that resolves the last one. An entry no row resolves (a
-// standing program drained state older than this table) renders an empty
-// key.
-func (p *partial) resolve(seed uint64) {
-	missing := 0
-	for i := range p.ents {
-		if p.ents[i].row < 0 {
-			missing++
+// resolve keys GROUP BY SUM's drained sums by id: each takes the id of the
+// first row carrying its fingerprint — the late key lookup, run once after
+// the drain over the handful of fingerprints that survived instead of once
+// per stream entry, stopping at the row that resolves the last one. Equal
+// keys have equal fingerprints, so no two sums resolve to one id. A sum no
+// row resolves goes to unresolved.
+func (p *partial) resolve() {
+	missing := len(p.fpEnts)
+	for r, fp := range p.fps {
+		if missing == 0 {
+			break
+		}
+		if c := p.byFP.find(fp); c != nil && p.fpEnts[c.v-1].row < 0 {
+			fe := &p.fpEnts[c.v-1]
+			fe.row = r
+			e, _ := p.idEnt(p.ids[r])
+			e.val += fe.val
+			missing--
 		}
 	}
-	if missing == 0 {
-		return
-	}
-	for r, fp := range p.hashKeys(seed) {
-		if i := p.tab.find(fp); i != 0 && p.ents[i-1].row < 0 {
-			p.ents[i-1].row = r
-			if missing--; missing == 0 {
-				return
-			}
+	for _, fe := range p.fpEnts {
+		if fe.row < 0 {
+			p.unresolved = append(p.unresolved, fe.val)
 		}
 	}
 }
 
-// sumCandidates is HAVING's exact second pass over tables[0]: the rows
+// sumCandidates is HAVING's exact second pass over p's table: the rows
 // whose key fingerprint is a candidate's re-stream, and each adds its
 // value to its key's sum. It returns how many re-streamed. A candidate's
-// first row becomes its representative; a later row whose key id differs
-// from the representative's shares only the fingerprint and is summed
-// apart — the dictionary compared the cells once, when the table's rows
-// got their ids, so no key byte is read here. No pruner state is touched,
-// so plain row order gives the sums and counts any arrival order would.
-// Without candidates — most of a subscription's small deltas — nothing
-// re-streams and the dictionary is not touched.
-func (p *partial) sumCandidates(vc int, seed uint64) (resent int) {
-	if len(p.ents) == 0 {
+// first row becomes its representative, and the rows of its key sum into
+// the candidate; a later row whose key id differs from the
+// representative's shares only the fingerprint and sums into its own id's
+// entry — the dictionary compared the cells once, when the table's rows
+// got their ids, so no key byte is read here. The candidates' sums then
+// join their representatives' ids. No pruner state is touched, so plain
+// row order gives the sums and counts any arrival order would. Without
+// candidates — most of a subscription's small deltas — nothing re-streams.
+func (p *partial) sumCandidates(vc int) (resent int) {
+	if len(p.fpEnts) == 0 {
 		return 0
 	}
-	t := p.tables[0]
-	fps := p.hashKeys(seed)
-	k, _ := p.keyIDs(0)
-	ids, vals := k.IDs, t.Int64Col(vc)
-	for r, fp := range fps {
-		i := p.tab.find(fp)
-		if i == 0 {
+	vals := p.t.Int64Col(vc)
+	for r, fp := range p.fps {
+		s := p.byFP.find(fp)
+		if s == nil {
 			continue
 		}
 		resent++
-		e := &p.ents[i-1]
-		switch {
-		case e.row < 0:
-			e.row, e.val = r, vals[r]
-		case ids[r] == ids[e.row]:
-			e.val += vals[r]
+		switch c := &p.fpEnts[s.v-1]; {
+		case c.row < 0:
+			c.row, c.val = r, vals[r]
+		case p.ids[r] == p.ids[c.row]:
+			c.val += vals[r]
 		default:
-			p.spillAdd(cellString(t, p.cols[0], r), vals[r])
+			e, _ := p.idEnt(p.ids[r])
+			e.val += vals[r]
+		}
+	}
+	for _, c := range p.fpEnts {
+		if c.row >= 0 {
+			e, _ := p.idEnt(p.ids[c.row])
+			e.val += c.val
 		}
 	}
 	return resent
 }
 
-func (p *partial) spillAdd(key string, v int64) {
-	if p.spill == nil {
-		p.spill = map[string]int64{}
+// unionCandidates adds o's HAVING candidates to p's.
+func (p *partial) unionCandidates(o *partial) {
+	for i := range o.fpEnts {
+		p.nominate(o.fpEnts[i].fp)
 	}
-	p.spill[key] += v
 }
 
-// copyCandidates makes p's entries a copy of g's — every shard starts
-// HAVING's second pass from the union of all shards' candidates — and
-// keeps p's own table and fingerprint column.
+// copyCandidates makes p's candidates a copy of g's — every shard starts
+// HAVING's second pass from the union of all shards' candidates.
 func (p *partial) copyCandidates(g *partial) {
-	p.tab.slots = append(p.tab.slots[:0], g.tab.slots...)
-	p.ents = append(p.ents[:0], g.ents...)
+	p.byFP.slots, p.byFP.n = append(p.byFP.slots[:0], g.byFP.slots...), g.byFP.n
+	p.fpEnts = append(p.fpEnts[:0], g.fpEnts...)
 }
 
-// sameKey reports whether entry e of p and entry oe of o hold one key:
-// by id when both tables' ids come from one dictionary — shards are views
-// of one root — and by the cells otherwise.
-func (p *partial) sameKey(e *partialEnt, o *partial, oe *partialEnt) bool {
-	if a, b := p.ids[e.tbl], o.ids[oe.tbl]; a.SameDict(b) {
-		return a.IDs[e.row] == b.IDs[oe.row]
-	}
-	a, b, c := p.tables[e.tbl], o.tables[oe.tbl], p.cols[0]
-	if a.ColumnType(c) == table.String {
-		return a.StringAt(c, e.row) == b.StringAt(c, oe.row)
-	}
-	return a.Int64At(c, e.row) == b.Int64At(c, oe.row)
-}
-
-// merge folds o into p; o is left untouched. An entry new to p brings
-// its representative row along (the first partial to name a fingerprint
-// keeps it: any row of the same key renders the same).
+// merge folds o into p, both over one query's id space; o is left
+// untouched. A multi-column key new to p brings its representative row
+// along (the first partial to name a fingerprint keeps it: any row of the
+// same key renders the same).
 func (p *partial) merge(o *partial) {
-	base := len(p.tables)
-	p.tables = append(p.tables, o.tables...)
-	p.ids = append(p.ids, o.ids...)
-	for i := range o.ents {
-		oe := &o.ents[i]
-		e := p.slot(oe.fp)
-		fresh := e.row < 0
-		if fresh && oe.row >= 0 {
-			e.tbl, e.row = base+oe.tbl, oe.row
-		}
-		switch p.kind {
-		case KindGroupByMax:
-			if fresh || oe.val > e.val {
-				e.val = oe.val
-			}
-		case KindGroupBySum:
+	if o.dict.Len() > p.dict.Len() {
+		p.dict = o.dict // the view reaching furthest renders every id
+	}
+	for _, oe := range o.ents {
+		e, fresh := p.idEnt(oe.id)
+		if p.kind != KindGroupByMax {
 			e.val += oe.val
-		case KindHaving:
-			// A rowless entry is a bare candidate: its sum is still zero.
-			if fresh || oe.row < 0 || p.sameKey(e, o, oe) {
-				e.val += oe.val
-			} else {
-				p.spillAdd(cellString(o.tables[oe.tbl], p.cols[0], oe.row), oe.val)
+		} else if fresh || oe.val > e.val {
+			e.val = oe.val
+		}
+	}
+	if len(p.cols) > 1 {
+		for _, oe := range o.fpEnts {
+			if e, fresh := p.fpEnt(oe.fp); fresh {
+				e.row, e.t = oe.row, oe.t
 			}
 		}
 	}
-	for k, v := range o.spill {
-		p.spillAdd(k, v)
-	}
+	p.unresolved = append(p.unresolved, o.unresolved...)
 }
 
-// key renders entry e's key cell in column c.
-func (p *partial) key(e *partialEnt, c int) string {
-	if e.row < 0 {
-		return ""
-	}
-	return cellString(p.tables[e.tbl], c, e.row)
-}
+// grouped reports whether kind's rows carry a value cell beside the key.
+func grouped(kind QueryKind) bool { return kind == KindGroupByMax || kind == KindGroupBySum }
 
-// rankedOrder puts idx — entries of p, each with a representative row —
-// into the canonical order of their keys by the dictionary's ranks
-// (placeByRank). That costs O(dictionary + entries), so it is taken only
-// when the entries are at least a quarter of the dictionary's keys —
-// weighed against the dictionary as published, before anything is
-// extended or ranked, so that a small result over a large table (a
-// subscription's 256-row delta) keeps the radix sort and never touches
-// the dictionary — and more than the radix sort leaves to its insertion
-// sort, which a dictionary would not beat. ok reports whether idx was
-// ordered; nul whether a ranked key contains NUL.
-func (p *partial) rankedOrder(idx []int32) (ok, nul bool) {
-	if len(p.cols) != 1 || !p.hashed || len(idx) < radix.MinSize ||
-		4*len(idx) < p.tables[0].KeyDictLen(p.cols[0], p.seed) {
-		return false, false
-	}
-	return p.placeByRank(idx)
-}
-
-// placeByRank orders idx by rank: one slot per rank, each entry dropped
-// into its key's, then one pass over the slots — no key byte touched.
-// Every entry's table must read its ids from one dictionary; ok is false,
-// and idx untouched, when one does not.
-func (p *partial) placeByRank(idx []int32) (ok, nul bool) {
-	if len(idx) == 0 {
-		return true, false
-	}
-	var dict table.KeyIDs
-	for _, j := range idx {
-		e := &p.ents[j]
-		k, ok := p.keyIDs(e.tbl)
-		if !ok || e.row < 0 || !dict.IsZero() && !k.SameDict(dict) {
-			return false, false
-		}
-		if dict.IsZero() || k.Len() > dict.Len() {
-			dict = k // the ids reaching furthest: its ranks cover every id
-		}
-	}
-	rank, nul := dict.Ranks()
-	if cap(p.place) < len(rank) {
-		p.place = make([]int32, len(rank))
-	}
-	place := p.place[:len(rank)]
-	clear(place)
-	for _, j := range idx {
-		e := &p.ents[j]
-		place[rank[p.ids[e.tbl].IDs[e.row]]] = j + 1
-	}
-	w := 0
-	for _, j := range place {
-		if j != 0 {
-			idx[w], w = j-1, w+1
-		}
-	}
-	return true, nul
-}
-
-// orderKeys renders the key cells of entries idx (single key column) into
-// keys and puts both into the canonical order of the keys: by rank when
-// rankedOrder can, by the radix sort otherwise. exact reports whether, as
-// the first cells of rows, the keys are also in Result.Sort's order
-// whatever the other cells hold (keyOrderExact) — which needs no key byte
-// when no ranked key holds NUL. Entries still without a row render empty
-// keys in no particular order, and exact is false.
-func (p *partial) orderKeys(idx []int32, keys []string) (exact bool) {
-	resolved := true
-	for _, j := range idx {
-		resolved = resolved && p.ents[j].row >= 0
-	}
-	ranked, nul := false, false
-	if resolved {
-		ranked, nul = p.rankedOrder(idx)
-	}
-	for i, j := range idx {
-		keys[i] = p.key(&p.ents[j], p.cols[0])
-	}
-	switch {
-	case !resolved:
-		return false
-	case ranked && !nul:
-		return true
-	case !ranked:
-		p.sorter.Sort(keys, idx)
-	}
-	return keyOrderExact(keys)
-}
-
-// anyEntry accepts every entry.
-func anyEntry(*partialEnt) bool { return true }
-
-// entries returns p.idx filled with the indices of the entries keep
-// accepts.
-func (p *partial) entries(keep func(e *partialEnt) bool) []int32 {
-	idx := p.idx[:0]
-	for i := range p.ents {
-		if keep(&p.ents[i]) {
-			idx = append(idx, int32(i))
-		}
-	}
-	p.idx = idx
-	return idx
-}
-
-// render returns the kind's Result over p's entries, in Result.Sort's
-// order, holding no reference to p.
-func (p *partial) render(q *Query) *Result {
-	switch p.kind {
+// aggResult returns q's Result over rows, whose keys are in the canonical
+// order, sorting them when, as rows, they are not in Result.Sort's order
+// too (keyOrderExact; one-cell rows always are).
+func aggResult(q *Query, rows [][]string) *Result {
+	res := &Result{Columns: []string{q.KeyCol}, Rows: rows}
+	switch q.Kind {
 	case KindDistinct:
-		res := &Result{Columns: append([]string(nil), q.DistinctCols...)}
-		if len(p.cols) == 1 {
-			idx := p.entries(anyEntry)
-			cells := make([]string, len(idx))
-			p.orderKeys(idx, cells)
-			res.Rows = singleCellRows(cells)
-			return res
-		}
-		nc := len(p.cols)
-		res.Rows = make([][]string, len(p.ents))
-		backing := make([]string, len(p.ents)*nc)
-		for i := range p.ents {
-			row := backing[i*nc : (i+1)*nc : (i+1)*nc]
-			for k, c := range p.cols {
-				row[k] = p.key(&p.ents[i], c)
-			}
-			res.Rows[i] = row
-		}
-		res.Sort()
-		return res
-	case KindHaving:
-		var cells []string
-		if p.spill == nil {
-			idx := p.entries(func(e *partialEnt) bool { return e.row >= 0 && e.val > q.Threshold })
-			cells = make([]string, len(idx))
-			p.orderKeys(idx, cells)
-		} else {
-			// Fingerprints collided, and merges may have left one key's sum
-			// part in an entry and part spilt: total by key string.
-			totals := maps.Clone(p.spill)
-			for i := range p.ents {
-				if e := &p.ents[i]; e.row >= 0 {
-					totals[p.key(e, p.cols[0])] += e.val
-				}
-			}
-			for k, v := range totals {
-				if v > q.Threshold {
-					cells = append(cells, k)
-				}
-			}
-			p.sorter.Sort(cells, nil)
-		}
-		return &Result{Columns: []string{q.KeyCol}, Rows: singleCellRows(cells)}
+		res.Columns = append([]string(nil), q.DistinctCols...)
 	case KindGroupByMax:
-		return p.renderKeyed(q, "max(")
-	default:
-		return p.renderKeyed(q, "sum(")
+		res.Columns = append(res.Columns, "max("+q.AggCol+")")
+	case KindGroupBySum:
+		res.Columns = append(res.Columns, "sum("+q.AggCol+")")
 	}
-}
-
-// renderKeyed renders GROUP BY's (key, aggregate) rows. The keys are
-// unique, so the rows' canonical order is the keys' order: keys and entry
-// indices are put in order together (orderKeys), and the rows are then
-// built in place, in order — two cells each in one backing array, every
-// value cell a slice of one digit string. Key order and Result.Sort
-// disagree in one case only: Result.Sort compares "\x00"-joined rows once
-// a cell contains NUL, and a key followed by NUL is another key's prefix
-// (keyOrderExact). That, and unresolved entries sharing the empty key,
-// sort through Result.Sort itself.
-func (p *partial) renderKeyed(q *Query, agg string) *Result {
-	n := len(p.ents)
-	if cap(p.keys) < n {
-		p.keys, p.ends = make([]string, n), make([]int, n)
-	}
-	keys, ends := p.keys[:n], p.ends[:n]
-	idx := p.entries(anyEntry)
-	exact := p.orderKeys(idx, keys)
-	digits := p.digits[:0]
-	for i, j := range idx {
-		digits = strconv.AppendInt(digits, p.ents[j].val, 10)
-		ends[i] = len(digits)
-	}
-	p.digits = digits
-	vals := string(digits)
-	rows := make([][]string, n)
-	backing := make([]string, 2*n)
-	lo := 0
-	for i := range rows {
-		row := backing[2*i : 2*i+2 : 2*i+2]
-		row[0], row[1] = keys[i], vals[lo:ends[i]]
-		rows[i], lo = row, ends[i]
-	}
-	clear(keys) // the pooled scratch must not pin the tables' strings
-	res := &Result{Columns: []string{q.KeyCol, agg + q.AggCol + ")"}, Rows: rows}
-	if !exact {
+	if grouped(q.Kind) && !keyOrderExact(rows) {
 		res.Sort()
 	}
 	return res
 }
 
-// keyOrderExact reports whether sorted, unique keys are also in the order
-// of their "\x00"-joined rows whatever the other cells hold. They are
-// unless some key is another key followed by NUL: then the separator
-// ties with that NUL and the next cell decides. In sorted order such a
-// pair has the shorter key first and nothing but keys of that shape
-// between them, so checking neighbours finds it — at the cost of a byte,
-// and only where a key is longer than its predecessor.
-func keyOrderExact(keys []string) bool {
-	for i := 1; i < len(keys); i++ {
-		a, b := keys[i-1], keys[i]
+// aggRows fills rows, one per key, with the rows of keys given in order:
+// cells[i] alone, which the row then shares, or — grouped — beside
+// vals[i], two cells a row in one backing array and every value cell a
+// slice of one digit string. Grouped, cells and vals are scratch, kept in
+// sc with its digits for the next render.
+func aggRows(grouped bool, rows [][]string, cells []string, vals []int64, sc *rowScratch) {
+	if !grouped {
+		for i := range rows {
+			rows[i] = cells[i : i+1 : i+1]
+		}
+		return
+	}
+	digits, ends := sc.digits[:0], sc.ends[:0]
+	for _, v := range vals {
+		digits = strconv.AppendInt(digits, v, 10)
+		ends = append(ends, len(digits))
+	}
+	all := string(digits)
+	backing := make([]string, 2*len(rows))
+	lo := 0
+	for i := range rows {
+		row := backing[2*i : 2*i+2 : 2*i+2]
+		row[0], row[1] = cells[i], all[lo:ends[i]]
+		rows[i], lo = row, ends[i]
+	}
+	clear(cells) // the pooled scratch must not pin the tables' strings
+	sc.cells, sc.vals, sc.digits, sc.ends = cells[:0], vals[:0], digits, ends
+}
+
+// ranked reports whether the completion walks the dictionary's order
+// (completeRanked): it costs O(dictionary), so only a result holding at
+// least a quarter of the dictionary's keys — judged by the largest
+// partial, a lower bound of the union — takes it, and only one of more
+// keys than the radix sort leaves to its insertion sort, which no
+// dictionary beats. (A subscription's delta reads a dictionary of its own
+// rows, not the table's: see memoServes.)
+func ranked(partials []*partial) bool {
+	n := 0
+	for _, p := range partials {
+		if len(p.cols) != 1 || len(p.unresolved) > 0 {
+			return false
+		}
+		n = max(n, len(p.ents))
+	}
+	return n >= radix.MinSize && 4*n >= partials[0].dict.Len()
+}
+
+// rankRangeMin is the fewest ids a rank range walks on a goroutine of its
+// own: a small result — a subscription's delta — is walked in one.
+const rankRangeMin = 1 << 10
+
+// completeRanked is the completion of a ranked result: shard s walks ids
+// [s·R/k, (s+1)·R/k) of the dictionary's canonical order, folds every
+// partial's entry for each (fold) and renders its range's rows into the
+// same range of one row slice; the ranges are in order, so the master
+// only closes the gaps between them.
+func completeRanked(q *Query, partials []*partial) (*Result, error) {
+	dict := partials[0].dict
+	order, _ := dict.Order()
+	g := grouped(q.Kind)
+	k := min(len(partials), max(1, len(order)/rankRangeMin))
+	rows, ends := make([][]string, len(order)), make([]int, k)
+	err := forEachShard(k, func(s int) error {
+		lo := s * len(order) / k
+		ids := order[lo : (s+1)*len(order)/k]
+		sc := &partials[s].rows
+		cells, vals := sc.cells[:0], sc.vals[:0]
+		if !g {
+			cells = make([]string, 0, len(ids)) // the rows' own
+		}
+		for _, id := range ids {
+			if v, ok := fold(q, partials, id); ok {
+				cells = append(cells, dict.Cell(id))
+				if g {
+					vals = append(vals, v)
+				}
+			}
+		}
+		ends[s] = lo + len(cells)
+		aggRows(g, rows[lo:ends[s]], cells, vals, sc)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	n := ends[0]
+	for s := 1; s < k; s++ {
+		n += copy(rows[n:], rows[s*len(order)/k:ends[s]])
+	}
+	return aggResult(q, rows[:n:n]), nil
+}
+
+// fold combines every partial's entry for id — the maximum, the sum, or
+// for DISTINCT the key alone. ok is false when no partial holds id, or
+// when a HAVING sum does not pass the threshold.
+func fold(q *Query, partials []*partial, id uint32) (v int64, ok bool) {
+	for _, p := range partials {
+		s := p.byID.find(id)
+		if s == nil {
+			continue
+		}
+		switch e := p.ents[s.v-1].val; {
+		case !ok:
+			v, ok = e, true
+		case q.Kind != KindGroupByMax:
+			v += e
+		case e > v:
+			v = e
+		}
+	}
+	return v, ok && (q.Kind != KindHaving || v > q.Threshold)
+}
+
+// render is the serial completion, over p's entries after every other
+// partial merged into it: the key cells of the entries the kind keeps
+// are rendered from the dictionary and radix-sorted with their entries'
+// indices, and the rows are built in that order. A multi-column key's
+// rows render from their representative rows and sort whole.
+func (p *partial) render(q *Query) *Result {
+	if len(p.cols) > 1 {
+		nc := len(p.cols)
+		rows := make([][]string, len(p.fpEnts))
+		backing := make([]string, len(p.fpEnts)*nc)
+		for i, e := range p.fpEnts {
+			row := backing[i*nc : (i+1)*nc : (i+1)*nc]
+			for k, c := range p.cols {
+				row[k] = cellString(e.t, c, e.row)
+			}
+			rows[i] = row
+		}
+		res := &Result{Columns: append([]string(nil), q.DistinctCols...), Rows: rows}
+		res.Sort()
+		return res
+	}
+	idx := p.idx[:0]
+	for i := range p.ents {
+		if q.Kind != KindHaving || p.ents[i].val > q.Threshold {
+			idx = append(idx, int32(i))
+		}
+	}
+	p.idx = idx
+	g := grouped(q.Kind)
+	cells, vals := p.rows.cells[:0], p.rows.vals[:0]
+	if !g {
+		cells = make([]string, 0, len(idx)) // the rows' own
+	}
+	for _, j := range idx {
+		cells = append(cells, p.dict.Cell(p.ents[j].id))
+	}
+	p.sorter.Sort(cells, idx)
+	if g {
+		for _, j := range idx {
+			vals = append(vals, p.ents[j].val)
+		}
+		for _, v := range p.unresolved {
+			cells, vals = append(cells, ""), append(vals, v)
+		}
+	}
+	rows := make([][]string, len(cells))
+	aggRows(g, rows, cells, vals, &p.rows)
+	res := aggResult(q, rows)
+	if len(p.unresolved) > 0 {
+		res.Sort()
+	}
+	return res
+}
+
+// keyOrderExact reports whether rows whose first cells are sorted, unique
+// keys are also in the order of their "\x00"-joined rows whatever the
+// other cells hold. They are unless some key is another key followed by
+// NUL: then the separator ties with that NUL and the next cell decides. In
+// sorted order such a pair has the shorter key first and nothing but keys
+// of that shape between them, so checking neighbours finds it — at the
+// cost of a byte, and only where a key is longer than its predecessor.
+func keyOrderExact(rows [][]string) bool {
+	for i := 1; i < len(rows); i++ {
+		a, b := rows[i-1][0], rows[i][0]
 		if len(b) > len(a) && b[len(a)] == 0 && b[:len(a)] == a {
 			return false
 		}

@@ -5,6 +5,9 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -117,7 +120,7 @@ func withAggEdges(queries map[string]*Query) map[string]*Query {
 // key and sums; the others absorb each row, GROUP BY SUM resolving its
 // keys afterwards.
 func absorbAll(q *Query, p *partial, seed uint64) {
-	t := p.tables[0]
+	t := p.t
 	fps := p.hashKeys(seed)
 	vc := -1
 	if q.Kind != KindDistinct {
@@ -128,26 +131,104 @@ func absorbAll(q *Query, p *partial, seed uint64) {
 		case KindDistinct:
 			p.absorbFirst(fp, r)
 		case KindGroupByMax:
-			p.absorbMax(fp, t.Int64At(vc, r), r)
+			p.absorbMax(t.Int64At(vc, r), r)
 		case KindGroupBySum:
 			p.absorbSum(fp, t.Int64At(vc, r))
 		case KindHaving:
-			p.slot(fp)
+			p.nominate(fp)
 		}
 	}
 	switch q.Kind {
 	case KindGroupBySum:
-		p.resolve(seed)
+		p.resolve()
 	case KindHaving:
-		p.sumCandidates(vc, seed)
+		p.sumCandidates(vc)
 	}
 }
 
-// TestPartialMonoid: for every aggregation kind, splitting a table's
-// rows at random into k parts, absorbing each part into its own partial
-// and merging the partials in a random order renders what one partial
-// over the whole table renders, which is ExecDirect's answer — absorb
-// and merge form a commutative monoid and agree with the oracle.
+// viewPartials returns a partial over each view [cuts[i], cuts[i+1]) of
+// q.Table, keyed as the sharded executor keys its shards' (keyPartials),
+// every row absorbed (absorbAll).
+func viewPartials(t *testing.T, q *Query, cuts []int, seed uint64) []*partial {
+	t.Helper()
+	partials := make([]*partial, len(cuts)-1)
+	for i := range partials {
+		v, err := q.Table.View(cuts[i], cuts[i+1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		qv := *q
+		qv.Table = v
+		partials[i] = newPartial(&qv)
+	}
+	keyPartials(q.Table, partials, seed)
+	for _, p := range partials {
+		absorbAll(q, p, seed)
+	}
+	return partials
+}
+
+// checkCompletions completes q from k view partials both ways a
+// completion can — the parallel walk of the dictionary's order, whatever
+// the ranked gate would say, and the serial fold into one partial, as a
+// left fold and as a fold of two halves over partials shuffled by rng —
+// and requires want each time.
+func checkCompletions(t *testing.T, label string, q *Query, want *Result, k int, rng *rand.Rand) {
+	t.Helper()
+	n := q.Table.NumRows()
+	cuts := []int{0, n}
+	for i := 1; i < k; i++ {
+		cuts = append(cuts, rng.Intn(n+1))
+	}
+	slices.Sort(cuts)
+	partials := viewPartials(t, q, cuts, 9)
+	defer func() {
+		for _, p := range partials {
+			p.release()
+		}
+	}()
+	if len(partials[0].cols) == 1 {
+		got, err := completeRanked(q, partials)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(want) {
+			t.Fatalf("%s k=%d: ranked completion diverges from ExecDirect\nwant:\n%s\ngot:\n%s", label, k, want, got)
+		}
+	}
+	rng.Shuffle(k, func(a, b int) { partials[a], partials[b] = partials[b], partials[a] })
+	// The same partials, untouched by being merged, serve both folds; the
+	// accumulators are partials over the whole table.
+	var accs []*partial
+	defer func() {
+		for _, p := range accs {
+			p.release()
+		}
+	}()
+	fold := func(ps []*partial) *partial {
+		acc := newPartial(q)
+		accs = append(accs, acc)
+		keyPartials(q.Table, []*partial{acc}, 9)
+		for _, p := range ps {
+			acc.merge(p)
+		}
+		return acc
+	}
+	left := fold(partials)
+	halves := fold([]*partial{fold(partials[k/2:]), fold(partials[:k/2])})
+	for name, m := range map[string]*partial{"left fold": left, "halves": halves} {
+		if got := m.render(q); !got.Equal(want) {
+			t.Fatalf("%s k=%d %s: merged partials diverge from ExecDirect\nwant:\n%s\ngot:\n%s", label, k, name, want, got)
+		}
+	}
+}
+
+// TestPartialMonoid: for every aggregation kind, cutting a table's rows at
+// random into k contiguous parts, absorbing each part into its own
+// partial and completing them — by the parallel walk of the dictionary's
+// order, or by merging them in a random order — renders what one partial
+// over the whole table renders, which is ExecDirect's answer: absorb and
+// merge form a commutative monoid and agree with the oracle.
 func TestPartialMonoid(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	queries := withAggEdges(equivQueries(equivTable(t, 3000, 0x51), equivTable(t, 10, 0x52)))
@@ -168,56 +249,135 @@ func TestPartialMonoid(t *testing.T) {
 		}
 		whole.release()
 		for _, k := range []int{1, 2, 7} {
-			// Deal the rows to k part tables at random.
-			parts := make([][]int, k)
-			for r := 0; r < q.Table.NumRows(); r++ {
-				i := rng.Intn(k)
-				parts[i] = append(parts[i], r)
-			}
-			partials := make([]*partial, k)
-			for i, rows := range parts {
-				pt := table.MustNew(q.Table.Schema())
-				if err := pt.AppendRowsFrom(q.Table, rows); err != nil {
-					t.Fatal(err)
-				}
-				qp := *q
-				qp.Table = pt
-				partials[i] = newPartial(&qp)
-				absorbAll(&qp, partials[i], 9)
-			}
-			rng.Shuffle(k, func(a, b int) { partials[a], partials[b] = partials[b], partials[a] })
-			// Merge as a left fold and as a fold of two halves: the same
-			// partials, untouched by being merged, serve both.
-			fold := func(ps []*partial) *partial {
-				acc := newPartial(q)
-				for _, p := range ps {
-					acc.merge(p)
-				}
-				return acc
-			}
-			left := fold(partials)
-			halves := fold([]*partial{fold(partials[k/2:]), fold(partials[:k/2])})
-			for label, m := range map[string]*partial{"left fold": left, "halves": halves} {
-				if got := m.render(q); !got.Equal(want) {
-					t.Fatalf("%s k=%d %s: merged partials diverge from ExecDirect\nwant:\n%s\ngot:\n%s", name, k, label, want, got)
+			checkCompletions(t, name, q, want, k, rng)
+		}
+	}
+}
+
+// encodeAggCase spells c as FuzzAggCompletion's input: rows separated by
+// ',', each key=summand, integer keys in decimal.
+func encodeAggCase(c aggEdgeCase) (data []byte, ints bool, threshold int64) {
+	for i, v := range c.vals {
+		if i > 0 {
+			data = append(data, ',')
+		}
+		if c.ints != nil {
+			data = strconv.AppendInt(data, c.ints[i], 10)
+		} else {
+			data = append(data, c.keys[i]...)
+		}
+		data = append(append(data, '='), strconv.FormatInt(v, 10)...)
+	}
+	return data, c.ints != nil, c.threshold
+}
+
+// decodeAggCase reads any bytes as encodeAggCase spells a case: a row
+// without '=' sums its length; with ints, a key that is no decimal folds
+// its bytes into an integer, the empty key standing for math.MinInt64.
+func decodeAggCase(data []byte, ints bool, threshold int64) aggEdgeCase {
+	c := aggEdgeCase{name: "fuzz", threshold: threshold}
+	if len(data) == 0 {
+		return c
+	}
+	for _, row := range strings.Split(string(data), ",") {
+		key, val, found := strings.Cut(row, "=")
+		v, err := strconv.ParseInt(val, 10, 64)
+		if !found || err != nil {
+			v = int64(len(row))
+		}
+		c.vals = append(c.vals, v)
+		if !ints {
+			c.keys = append(c.keys, key)
+			continue
+		}
+		n, err := strconv.ParseInt(key, 10, 64)
+		if err != nil {
+			n = math.MinInt64
+			if key != "" {
+				n = 0
+				for _, b := range []byte(key) {
+					n = n*131 + int64(b) - 96
 				}
 			}
 		}
+		c.ints = append(c.ints, n)
 	}
+	return c
+}
+
+// FuzzAggCompletion drives the four aggregation kinds over generated
+// single-column key multisets — empty, one row, all duplicates, NUL and
+// prefix keys, int64 extremes — through the sharded executor at k ∈ {1, 2,
+// 3, 7}, k past the distinct keys included, so that some rank ranges are
+// empty. The handles follow a table's life: a prefix, which publishes the
+// dictionary over it; a view past its end, which the dictionary turns
+// away; a delta it is extended over; the whole table, whose results sit
+// above the ranked gate once they are large enough; a small tail below
+// it. Every Result is ExecDirect's, and over the whole table both
+// completions — the parallel walk of the dictionary's order and the
+// serial fold — are driven directly too. TestPartialMonoid's cases are the
+// corpus seeds.
+func FuzzAggCompletion(f *testing.F) {
+	for _, c := range aggEdgeCases() {
+		data, ints, threshold := encodeAggCase(c)
+		f.Add(data, ints, threshold)
+	}
+	// Over MinSize keys in the small tail, a quarter of the dictionary or
+	// less: the serial completion's radix sort with keys enough to bucket.
+	var many []byte
+	for i := 0; i < 1200; i++ {
+		many = fmt.Appendf(many, ",u%04d=%d", (i*7)%1200, i%5-2)
+	}
+	f.Add(many[1:], false, int64(0))
+	f.Fuzz(func(t *testing.T, data []byte, ints bool, threshold int64) {
+		if len(data) > 1<<13 {
+			return
+		}
+		c := decodeAggCase(data, ints, threshold)
+		tb := c.table()
+		n := tb.NumRows()
+		h := n / 2
+		rng := rand.New(rand.NewSource(int64(len(data))))
+		views := [][2]int{{0, h}, {min(h+1, n), n}, {h, n}, {0, n}, {n - n/8, n}}
+		for _, vw := range views {
+			v, err := tb.View(vw[0], vw[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, q := range []*Query{
+				{Kind: KindDistinct, Table: v, DistinctCols: []string{"key"}},
+				{Kind: KindGroupByMax, Table: v, KeyCol: "key", AggCol: "val"},
+				{Kind: KindGroupBySum, Table: v, KeyCol: "key", AggCol: "val"},
+				{Kind: KindHaving, Table: v, KeyCol: "key", AggCol: "val", Threshold: threshold},
+			} {
+				want, err := ExecDirect(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, k := range []int{1, 2, 3, 7} {
+					label := fmt.Sprintf("%v over rows [%d, %d) of %d at k=%d", q.Kind, vw[0], vw[1], n, k)
+					run, err := ExecSharded(q, ShardedOptions{Shards: k, Workers: 2, Seed: 9})
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					if !run.Result.Equal(want) {
+						t.Fatalf("%s diverges from ExecDirect\nwant:\n%s\ngot:\n%s", label, want, run.Result)
+					}
+					if vw == [2]int{0, n} {
+						checkCompletions(t, label, q, want, k, rng)
+					}
+				}
+			}
+		}
+	})
 }
 
 // TestHavingCollisions hands HAVING's second pass fingerprints that
 // collide — all equal, pairwise equal, equal in their low bits, honest —
 // on one partial and across merged shard partials, and requires
 // execHaving's answer each time: a fingerprint only nominates, the key
-// cells decide whose sum a row joins.
+// ids decide whose sum a row joins.
 func TestHavingCollisions(t *testing.T) {
-	fingerprints := map[string]func(key int) uint64{
-		"all-equal": func(int) uint64 { return 7 },
-		"pairwise":  func(key int) uint64 { return hashutil.Mix64(uint64(key / 2)) },
-		"low-bits":  func(key int) uint64 { return uint64(key+1) << 40 },
-		"honest":    func(key int) uint64 { return hashutil.Mix64(uint64(key)) },
-	}
 	for _, intKeys := range []bool{false, true} {
 		keys := seqKeys(600, 0, 37)
 		tb := joinKeyTable(t, intKeys, keys, nil)
@@ -229,9 +389,9 @@ func TestHavingCollisions(t *testing.T) {
 		if len(want.Rows) == 0 || len(want.Rows) == 37 {
 			t.Fatalf("threshold selects %d of 37 keys; the test is vacuous", len(want.Rows))
 		}
-		for fname, fp := range fingerprints {
+		for fname, fp := range collidingFingerprints {
 			// forced returns a partial over rows [lo, hi) of tb whose
-			// hash-once column holds the forced fingerprints, every one of
+			// fingerprint column holds the forced fingerprints, every one of
 			// them a candidate, summed.
 			forced := func(lo, hi int) *partial {
 				v, err := tb.View(lo, hi)
@@ -241,12 +401,13 @@ func TestHavingCollisions(t *testing.T) {
 				qv := *q
 				qv.Table = v
 				p := newPartial(&qv)
-				p.fps, p.hashed = p.fps[:0], true
+				p.hashKeys(0)
+				p.fps = make([]uint64, 0, hi-lo)
 				for _, k := range keys[lo:hi] {
 					p.fps = append(p.fps, fp(k))
-					p.slot(fp(k))
+					p.nominate(fp(k))
 				}
-				p.sumCandidates(1, 0)
+				p.sumCandidates(1)
 				return p
 			}
 			whole := forced(0, len(keys))
@@ -261,6 +422,15 @@ func TestHavingCollisions(t *testing.T) {
 			}
 		}
 	}
+}
+
+// collidingFingerprints force a fingerprint per key: all equal, pairwise
+// equal, equal in their low bits (one probe run), honest.
+var collidingFingerprints = map[string]func(key int) uint64{
+	"all-equal": func(int) uint64 { return 7 },
+	"pairwise":  func(key int) uint64 { return hashutil.Mix64(uint64(key / 2)) },
+	"low-bits":  func(key int) uint64 { return uint64(key+1) << 40 },
+	"honest":    func(key int) uint64 { return hashutil.Mix64(uint64(key)) },
 }
 
 // sliceFields calls f with every slice field of the struct v, through
@@ -331,12 +501,15 @@ func TestPooledScratchBounded(t *testing.T) {
 
 // TestFpTableResetEmptySlots: a pooled partial can come back with an
 // empty but non-nil slot slice (TestPooledScratchBounded pools exactly
-// that), and reset must still leave slots to probe — a probe of zero
-// slots indexes out of range.
+// that), and its key tables must still reset, probe and take keys — a
+// probe of zero slots indexes out of range.
 func TestFpTableResetEmptySlots(t *testing.T) {
-	tab := fpTable{slots: make([]fpSlot, 0, 8)}
-	tab.reset()
-	if len(tab.slots) == 0 || tab.find(42) != 0 {
-		t.Fatalf("reset left %d slots", len(tab.slots))
+	tab := fpTable{slots: make([]keySlot[uint64], 0, 8)}
+	tab.reset(nil)
+	if tab.find(42) != nil {
+		t.Fatal("an empty table finds a key")
+	}
+	if s := tab.claim(42); s.key != 42 {
+		t.Fatalf("an empty table took no slot for a new key (%d slots)", len(tab.slots))
 	}
 }

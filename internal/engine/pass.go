@@ -347,22 +347,23 @@ func (ps *pass) joinRows() ([][]string, error) {
 	return completeJoin(ps.q, sc)
 }
 
-// completeAgg is the aggregation kinds' completion: the partials merge —
-// by fingerprint, which is seed-consistent across passes — into the first,
-// which renders. HAVING inserts a barrier: the passes' candidates are
-// unioned before any pass sums, because a key's sum may cross the query's
-// threshold only in aggregate; then every pass re-streams the union's
-// rows for exact sums (§4.3's partial second pass), accounting the
-// re-streamed entries to its own traffic, and the sums merge. note is the
-// merge span's: where the key ids HAVING's second pass and a ranked render
-// read came from (idsNote), empty when nothing read any. err is a second
-// pass's panic (forEachShard).
+// completeAgg is the aggregation kinds' completion. HAVING inserts a
+// barrier: the passes' candidates are unioned before any pass sums,
+// because a key's sum may cross the query's threshold only in aggregate;
+// then every pass re-streams the union's rows for exact sums (§4.3's
+// partial second pass), accounting the re-streamed entries to its own
+// traffic. The partials, keyed by the query's key ids, then complete: a
+// ranked result by k parallel walks of the dictionary's order
+// (completeRanked), anything else by folding every partial into the first,
+// which renders. note is the merge span's: where the key ids came from
+// (idsNote), empty for a multi-column key, which has none. err is a
+// panic of a second pass or of a walk (forEachShard).
 func completeAgg(q *Query, passes []*pass, partials []*partial) (res *Result, note string, err error) {
 	g := partials[0]
-	for _, p := range partials[1:] {
-		g.merge(p)
-	}
 	if q.Kind == KindHaving {
+		for _, p := range partials[1:] {
+			g.unionCandidates(p)
+		}
 		for _, p := range partials[1:] {
 			p.copyCandidates(g)
 		}
@@ -371,7 +372,7 @@ func completeAgg(q *Query, passes []*pass, partials []*partial) (res *Result, no
 		// pass's dataplane, and no switch can die under it.
 		err = forEachShard(len(passes), func(s int) error {
 			tr := &passes[s].traffic
-			tr.SecondPassSent = partials[s].sumCandidates(vc, passes[s].seed)
+			tr.SecondPassSent = partials[s].sumCandidates(vc)
 			tr.EntriesSent += tr.SecondPassSent
 			tr.MasterProcessed = tr.SecondPassSent
 			return nil
@@ -379,19 +380,18 @@ func completeAgg(q *Query, passes []*pass, partials []*partial) (res *Result, no
 		if err != nil {
 			return nil, "", err
 		}
-		for _, p := range partials[1:] {
-			g.merge(p)
-		}
 	}
-	res = g.render(q)
-	read, built := false, 0
-	for _, p := range partials {
-		read, built = read || p.idsRead, built+p.idsBuilt
+	if len(g.cols) == 1 {
+		note = idsNote(g.idsBuilt)
 	}
-	if read {
-		note = idsNote(built)
+	if ranked(partials) {
+		res, err = completeRanked(q, partials)
+		return res, note, err
 	}
-	return res, note, nil
+	for _, p := range partials[1:] {
+		g.merge(p)
+	}
+	return g.render(q), note, nil
 }
 
 // execPasses runs every shard's pass and completes q from their parts.
@@ -469,6 +469,7 @@ func execPasses(q *Query, execs []*shardExec, opts ShardedOptions) (res *Result,
 			partials[s] = newPartial(ps.q)
 			defer partials[s].release()
 		}
+		keyPartials(q.Table, partials, opts.Seed)
 		err = scatter(func(s int) error { return passes[s].agg(partials[s]) })
 		if err == nil {
 			res, mergeNote, err = completeAgg(q, passes, partials)

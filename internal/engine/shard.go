@@ -23,9 +23,11 @@ package engine
 //   - TOP N: every global top-N value is in its shard's local top N, so
 //     per-shard N-heaps followed by a tightened global N-heap re-check
 //     lose nothing.
-//   - DISTINCT / GROUP BY: partials (partial.go) merge by the
-//     worker-computed fingerprint, which is seed-consistent across
-//     shards; merging is dedupe / max / sum respectively.
+//   - DISTINCT / GROUP BY: the shards' partials (partial.go) are keyed by
+//     one id space — the query's key ids, resolved once on the unsplit
+//     table — so they fold by id: dedupe / max / sum respectively, in k
+//     parallel ranges of the key dictionary's order when the result holds
+//     a good share of it.
 //   - HAVING: a key with global sum S > T has some shard with local sum
 //     ≥ ⌈S/k⌉ > ⌊T/k⌋, so per-shard sketches thresholded at ⌊T/k⌋
 //     surface every true positive; the global second pass re-computes
@@ -101,9 +103,9 @@ type ShardedOptions struct {
 	// the stream it took, fused or chunked, with where its key
 	// fingerprints came from (keysNote) and, for JOIN, its key ids
 	// (idsNote) — plus a failover span per discarded attempt and one merge
-	// span for the master's completion, noted with where the key ids
-	// HAVING's second pass or a ranked render read came from, into the
-	// query's lifecycle trace: the span scheme of every pruned run, in
+	// span for the master's completion, noted, for the aggregation kinds,
+	// with where the query's key ids came from, into the query's lifecycle
+	// trace: the span scheme of every pruned run, in
 	// process or leased, at every width. Span recording is mutex-guarded,
 	// so concurrent shard goroutines may share the trace. Tracing observes
 	// only — results, traffic and stats are unchanged.

@@ -181,10 +181,10 @@ func FuzzResultSortOrder(f *testing.F) {
 }
 
 // checkRankedOrder puts the keys of a one-key-column table holding cells
-// (unique, all of one type) in order the two ways a partial does — by the
-// key dictionary's ranks (placeByRank) and through the whole GROUP BY
-// render, which takes whichever way its result's size calls for — and
-// checks both against the legacy definition, on the rendered cells.
+// (unique, all of one type) in order the ways a partial does — the key
+// dictionary's order, and the GROUP BY completions that walk it
+// (completeRanked) or radix-sort the cells (render) — and checks each
+// against the legacy definition, on the rendered cells.
 func checkRankedOrder(t *testing.T, typ table.Type, cells []any) {
 	t.Helper()
 	tb := table.MustNew(table.Schema{{Name: "key", Type: typ}, {Name: "val", Type: table.Int64}})
@@ -199,26 +199,26 @@ func checkRankedOrder(t *testing.T, typ table.Type, cells []any) {
 	q := &Query{Kind: KindGroupByMax, Table: tb, KeyCol: "key", AggCol: "val"}
 	p := newPartial(q)
 	defer p.release()
-	for r, fp := range p.hashKeys(5) {
-		p.absorbMax(fp, tb.Int64At(1, r), r)
-	}
-	if len(p.ents) != len(cells) {
-		t.Skipf("%d unique keys share %d fingerprints", len(cells), len(p.ents))
-	}
-	idx := p.entries(anyEntry)
-	if ok, _ := p.placeByRank(idx); !ok {
-		t.Fatal("one table's entries could not be ranked")
-	}
+	absorbAll(q, p, 5)
 	want := make([]string, len(rows))
 	for i, r := range rows {
 		want[i] = r[0]
 	}
 	sort.Strings(want)
-	for i, j := range idx {
-		if got := p.key(&p.ents[j], 0); got != want[i] {
+	order, _ := p.dict.Order()
+	if len(order) != len(want) {
+		t.Fatalf("%v keys: the dictionary orders %d ids, the table holds %d keys", typ, len(order), len(want))
+	}
+	for i, id := range order {
+		if got := p.dict.Cell(id); got != want[i] {
 			t.Fatalf("%v keys: rank %d is %q, the rendered order has %q", typ, i, got, want[i])
 		}
 	}
+	ranked, err := completeRanked(q, []*partial{p})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkCanonicalOrder(t, fmt.Sprintf("%v ranked GROUP BY completion", typ), ranked.Rows, rows)
 	checkCanonicalOrder(t, fmt.Sprintf("%v GROUP BY render", typ), p.render(q).Rows, rows)
 }
 
@@ -262,7 +262,7 @@ func FuzzKeySortOrder(f *testing.F) {
 			}
 			got.Rows[i] = rows[j]
 		}
-		if !keyOrderExact(keys) {
+		if !keyOrderExact(got.Rows) {
 			got.Sort()
 		}
 		for i, want := range legacySortKeys(rows) {

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"cheetah/internal/obs"
-	"cheetah/internal/radix"
 	"cheetah/internal/switchsim"
 )
 
@@ -164,10 +163,9 @@ func isNote(note, what, verb string) bool {
 	return note == what+": memo" || strings.HasPrefix(note, what+": "+verb+" ")
 }
 
-// idsReadAt says where a run over q may read key ids: JOIN's pass, on
-// both sides; the merge of HAVING (its second pass) and of a single-column
-// DISTINCT or GROUP BY (its ranked render, which the result's size may
-// decline); nowhere else.
+// idsReadAt says where a run over q reads key ids: JOIN's pass, on both
+// sides; the merge of a single-column aggregation, whose partials are keyed
+// by the ids resolved once per query; nowhere else.
 func idsReadAt(q *Query) (pass, merge bool) {
 	switch q.Kind {
 	case KindJoin:
@@ -298,16 +296,6 @@ func TestTraceSpansPerPath(t *testing.T) {
 				continue
 			}
 			idsInPass, idsInMerge := idsReadAt(q)
-			if q.Kind != KindHaving {
-				// A render ranks only results the radix sort would not
-				// settle by insertion sort alone; HAVING's second pass
-				// always reads ids.
-				direct, err := ExecDirect(q)
-				if err != nil {
-					t.Fatal(err)
-				}
-				idsInMerge = idsInMerge && len(direct.Rows) >= radix.MinSize
-			}
 			type notes struct{ shard, merge string }
 			cold := notes{shard: "keys: hashed " + strconv.Itoa(keyRows)}
 			warm := notes{shard: "keys: memo"}

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -514,5 +515,54 @@ func TestDisconnectDropsQueuedQuery(t *testing.T) {
 	}
 	if got := srv.Stats().Admitted; got != admitted {
 		t.Fatalf("Admitted went %d → %d: the abandoned query was admitted", admitted, got)
+	}
+}
+
+// TestQueryPanicContained: a query that panics on its goroutine — here in
+// the operator's slow-query logger, which runs there after execution —
+// answers with an internal Error frame and counts in query_panics, and the
+// same connection answers its next query.
+func TestQueryPanicContained(t *testing.T) {
+	mix, err := multitenant.NewMix(multitenant.MixConfig{VisitRows: 500, RankRows: 250, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var panicked atomic.Bool
+	srv, err := Listen("127.0.0.1:0", Options{
+		Tables:             map[string]*table.Table{"visits": mix.Visits},
+		Primary:            "visits",
+		Plan:               plan.Options{Switches: 1, Seed: 11},
+		SlowQueryThreshold: time.Nanosecond,
+		SlowQueryLog: func(string, ...any) {
+			if !panicked.Swap(true) {
+				panic("logger failed")
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cl := dialMix(t, srv, "t")
+	ctx := context.Background()
+	q := mix.Query(2)
+	_, err = cl.QueryEngine(ctx, q, "visits", "", QueryOptions{})
+	var se *ServerError
+	if !errors.As(err, &se) || se.Code != wire.CodeInternal {
+		t.Fatalf("a panicking query answered %v, want an internal error", err)
+	}
+	if n := srv.Metrics().Counter("query_panics", "kind", q.Kind.String()).Get(); n != 1 {
+		t.Fatalf("query_panics{kind=%q} is %d, want 1", q.Kind, n)
+	}
+	got, err := cl.QueryEngine(ctx, q, "visits", "", QueryOptions{})
+	if err != nil {
+		t.Fatalf("the connection's next query: %v", err)
+	}
+	want, err := engine.ExecDirect(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !want.Equal(got) {
+		t.Fatalf("the connection's next query diverges from ExecDirect")
 	}
 }

@@ -565,7 +565,11 @@ func (c *conn) bindQuery(spec *wire.QuerySpec) (*engine.Query, error) {
 
 // handleQuery runs one one-shot query on its own goroutine through the
 // shared fabric's QoS admission and answers with a Result or Error
-// frame. During a drain the answer is an immediate retryable error.
+// frame. During a drain the answer is an immediate retryable error. A
+// panic anywhere on that goroutine — bind, admission and execution,
+// encode — costs the query, not the process: it answers with an internal
+// Error frame and counts in query_panics, by kind ("unbound" before the
+// spec bound), and the connection serves on.
 func (c *conn) handleQuery(req *wire.QueryReq) {
 	if !c.srv.beginRequest() {
 		c.writeError(req.ID, wire.CodeRetryable, "server is draining")
@@ -573,11 +577,19 @@ func (c *conn) handleQuery(req *wire.QueryReq) {
 	}
 	go func() {
 		defer c.srv.inflight.Done()
+		kind := "unbound"
+		defer func() {
+			if r := recover(); r != nil {
+				c.srv.metrics.Counter("query_panics", "kind", kind).Incr(1)
+				c.writeError(req.ID, wire.CodeInternal, fmt.Sprintf("query panicked: %v", r))
+			}
+		}()
 		q, err := c.bindQuery(&req.Spec)
 		if err != nil {
 			c.writeError(req.ID, wire.CodeInvalid, err.Error())
 			return
 		}
+		kind = q.Kind.String()
 		qos := serve.QoS{Tenant: c.tenant, Priority: int(req.Priority)}
 		if req.DeadlineMicros != 0 {
 			qos.Deadline = time.Now().Add(time.Duration(req.DeadlineMicros) * time.Microsecond)

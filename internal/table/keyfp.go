@@ -12,8 +12,11 @@ package table
 // whose rows start at or before the memo's end hashes what is missing and
 // publishes the longer column. Committed rows are never rewritten, so a
 // published prefix is immutable; an append only leaves the memo short, and
-// the next reader — a one-shot query's snapshot, a subscription's
-// 256-row delta view — hashes just the new rows, once, for everyone.
+// the next reader that extends it — a one-shot query's snapshot — hashes
+// just the new rows, once, for everyone. (The engine does not ask on
+// behalf of a handle that is small beside the memo and reaches past it, a
+// subscription's 256-row delta view: it hashes the delta into scratch
+// instead of growing the memo by it; KeyMemoStats is what it weighs.)
 //
 // Who does not. A handle whose rows start past the memo's end (shard 1 of
 // a cold table, a delta view over a column nobody has read in full) gets

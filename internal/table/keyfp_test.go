@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"cheetah/internal/hashutil"
 )
@@ -245,11 +246,11 @@ func (s *fpSchedule) checkIDs(c int, seed uint64) {
 		if d == nil {
 			continue
 		}
-		held := 4*cap(d.ids) + 4*cap(d.first) + 8*len(d.lin.index.slots)
+		held := 4*cap(d.ids) + 4*cap(d.first) + int(unsafe.Sizeof(dictSlot{}))*len(d.lin.index.slots)
 		if r := d.lin.ranks.Load(); r != nil {
-			held += 4*cap(r.order) + 4*cap(r.rank)
+			held += 4 * cap(r.order)
 		}
-		if bound := 4*root.NumRows() + root.NumRows()/2 + 48*len(d.first) + 512; held > bound {
+		if bound := 4*root.NumRows() + root.NumRows()/2 + 48*len(d.first) + 768; held > bound {
 			t.Fatalf("col %d: dictionary of %d keys over %d rows holds %d bytes, bound %d", c, len(d.first), root.NumRows(), held, bound)
 		}
 	}
@@ -289,14 +290,21 @@ func keyIDsError(h *Table, c int, k KeyIDs) error {
 	if k.Len() == 0 {
 		return nil
 	}
-	rank, nul := k.Ranks()
-	byRank := make([]int, k.Len())
-	for i := range byRank {
-		byRank[i] = i
+	order, nul := k.Order()
+	var byRank []uint32
+	for _, id := range order {
+		if int(id) < k.Len() {
+			byRank = append(byRank, id)
+		}
 	}
-	slices.SortFunc(byRank, func(a, b int) int { return int(rank[a]) - int(rank[b]) })
+	if len(byRank) != k.Len() {
+		return fmt.Errorf("order lists %d of the %d ids below Len", len(byRank), k.Len())
+	}
 	anyNUL := false
 	for i, id := range byRank {
+		if cell := rendered(col, int(k.first[id])); cell != k.Cell(id) {
+			return fmt.Errorf("id %d: Cell renders %q, its first row holds %q", id, k.Cell(id), cell)
+		}
 		cell := rendered(col, int(k.first[id]))
 		anyNUL = anyNUL || slices.Contains([]byte(cell), 0)
 		if i > 0 && rendered(col, int(k.first[byRank[i-1]])) >= cell {

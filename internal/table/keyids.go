@@ -18,22 +18,25 @@ package table
 //     comparison, against the id's first row, decides. That comparison is
 //     paid once per row per table, not once per row per query. Only the
 //     extender touches the index, under the root's lock.
-//   - ranks, computed when a reader first asks: each id's position in the
-//     canonical order of the keys (byte-wise by rendered cell — the order
-//     Result.Sort gives a one-column result). A reader places entries by
-//     rank in one pass over the ranks instead of sorting key strings.
+//   - ranks, computed when a reader first asks: the ids in the canonical
+//     order of the keys (byte-wise by rendered cell — the order
+//     Result.Sort gives a one-column result). A reader walks its keys in
+//     that order instead of sorting key strings.
 //
 // Who does not read it. A handle whose rows start past the dictionary's
 // end, or that was made before the root's latest reorder, is turned away
 // and builds a dictionary of its own rows alone into scratch (BuildKeyIDs)
 // — the same build over the same kind of storage, so there is one code
-// path; such ids are comparable only among themselves.
+// path; such ids are comparable only among themselves. The engine builds
+// so too for a handle that is small beside the dictionary and reaches past
+// it (a subscription's delta): its keys compare among its own rows, in
+// cache, instead of with older rows of theirs, out of it.
 //
 // Bounds. ids is 4 bytes per row (plus an eighth of growing room while
 // the table is appended to); first, the index and the ranks together are
-// at most 48 bytes per distinct key, half a kilobyte of minimum index
-// aside. So a column's dictionary holds at most 4.5 bytes per row plus 48
-// per key, and goes with the table.
+// at most 48 bytes per distinct key, three quarters of a kilobyte of
+// minimum index aside. So a column's dictionary holds at most 4.5 bytes
+// per row plus 48 per key, and goes with the table.
 
 import (
 	"bytes"
@@ -94,8 +97,10 @@ func (d *keyDict) view(t *Table, c, lo, hi int) KeyIDs {
 }
 
 // dictSlot is one slot of a dictIndex: the high half of a key's
-// fingerprint, which also places it, and the key's id + 1 (0: empty).
-type dictSlot struct{ tag, ent uint32 }
+// fingerprint, which also places it, the key's id + 1 (0: empty), and the
+// latest row seen carrying the key — the one a new row's cell is compared
+// with: just appended, it is likelier in cache than the key's first row.
+type dictSlot struct{ tag, ent, row uint32 }
 
 // dictIndex finds the id of a key from its fingerprint: open addressing
 // with linear probing, at most 3/4 full. A fingerprint only preselects;
@@ -116,8 +121,8 @@ func (c *column) same(a, b int) bool {
 // fingerprint — their ids, appended to ids, and appends to first the row
 // of every id it creates. Equal cells have equal fingerprints, so a row
 // whose key is already known meets that key's slot on its probe run and
-// is confirmed by one cell comparison; two keys that merely share a
-// fingerprint stay two ids.
+// is confirmed by one cell comparison, with the slot's latest row; two
+// keys that merely share a fingerprint stay two ids.
 func (x *dictIndex) add(col *column, fps []uint64, from int, ids, first []uint32) ([]uint32, []uint32) {
 	if x.slots == nil {
 		x.slots = make([]dictSlot, dictIndexMinSlots)
@@ -131,15 +136,16 @@ func (x *dictIndex) add(col *column, fps []uint64, from int, ids, first []uint32
 			if s.ent == 0 {
 				id := uint32(len(first))
 				ids, first = append(ids, id), append(first, uint32(r))
-				*s = dictSlot{tag: tag, ent: id + 1}
+				*s = dictSlot{tag: tag, ent: id + 1, row: uint32(r)}
 				if 4*len(first) > 3*len(x.slots) {
 					x.grow()
 					mask = uint32(len(x.slots) - 1)
 				}
 				break
 			}
-			if s.tag == tag && col.same(int(first[s.ent-1]), r) {
+			if s.tag == tag && col.same(int(s.row), r) {
 				ids = append(ids, s.ent-1)
+				s.row = uint32(r)
 				break
 			}
 		}
@@ -166,23 +172,23 @@ func (x *dictIndex) grow() {
 }
 
 // keyRanks orders ids canonically: order lists them byte-wise by rendered
-// cell, and rank[id] is id's position in order.
+// cell.
 type keyRanks struct {
-	order, rank []uint32
-	nul         bool // some ranked key contains a NUL byte
+	order []uint32
+	nul   bool // some ranked key contains a NUL byte
 }
 
 // ranks returns ranks covering at least k's ids — the lineage's latest,
 // or new ones extending them.
 func (k KeyIDs) ranks() *keyRanks {
 	lin, n := k.lin, len(k.first)
-	if r := lin.ranks.Load(); r != nil && len(r.rank) >= n {
+	if r := lin.ranks.Load(); r != nil && len(r.order) >= n {
 		return r
 	}
 	lin.mu.Lock()
 	defer lin.mu.Unlock()
 	old := lin.ranks.Load()
-	if old != nil && len(old.rank) >= n {
+	if old != nil && len(old.order) >= n {
 		return old
 	}
 	r := k.rankFrom(old)
@@ -231,11 +237,7 @@ func (k KeyIDs) rankFrom(old *keyRanks) *keyRanks {
 		prev = prev[at:]
 	}
 	order = append(order, prev...)
-	rank := make([]uint32, n)
-	for i, id := range order {
-		rank[id] = uint32(i)
-	}
-	return &keyRanks{order: order, rank: rank, nul: nul}
+	return &keyRanks{order: order, nul: nul}
 }
 
 // compare orders ids a and b by their keys' rendered cells.
@@ -257,8 +259,9 @@ func compareRendered(a, b int64) int {
 
 // KeyIDs is a handle's rows' key ids, read off a key dictionary: IDs[r] is
 // the id of row r's cell, and two rows hold equal cells exactly when their
-// ids are equal — rows of two handles too, when SameDict says their ids
-// come from one dictionary. The zero KeyIDs holds none.
+// ids are equal — rows of two handles too, when their ids come from one
+// dictionary: the memo of one root column, at one reorder epoch, under
+// one seed. The zero KeyIDs holds none.
 type KeyIDs struct {
 	IDs []uint32 // shared with every other reader: read, never write
 	lin *dictLineage
@@ -270,25 +273,28 @@ type KeyIDs struct {
 	col   column
 }
 
-// IsZero reports whether k holds no ids.
-func (k KeyIDs) IsZero() bool { return k.lin == nil }
-
 // Len is the number of keys of the dictionary born in the rows up to the
 // end of k's: every id in IDs is below it.
 func (k KeyIDs) Len() int { return len(k.first) }
 
-// SameDict reports whether k's and o's ids come from one dictionary —
-// the memo of one root column, at one reorder epoch, under one seed — and
-// so may be compared with each other.
-func (k KeyIDs) SameDict(o KeyIDs) bool { return k.lin != nil && k.lin == o.lin }
-
-// Ranks returns every id's position in the canonical order of the keys —
-// byte-wise by rendered cell — for at least the ids below Len, and
-// whether a ranked key contains NUL. It ranks, once per dictionary, what
-// no reader ranked yet. The slice is shared: read, never write.
-func (k KeyIDs) Ranks() (rank []uint32, nul bool) {
+// Order returns ids in the canonical order of their keys — byte-wise by
+// rendered cell — covering at least the ids below Len (ids past it, which
+// another reader's rows brought, may be listed too), and whether a ranked
+// key contains NUL. It ranks, once per dictionary, what no reader ranked
+// yet. The slice is shared: read, never write.
+func (k KeyIDs) Order() (order []uint32, nul bool) {
 	r := k.ranks()
-	return r.rank, r.nul
+	return r.order, r.nul
+}
+
+// Cell renders the key cell of id, an id below Len, from the row that
+// first carried it: what every row carrying id holds.
+func (k KeyIDs) Cell(id uint32) string {
+	r := k.first[id]
+	if k.col.typ == String {
+		return k.col.strs[r]
+	}
+	return strconv.FormatInt(k.col.ints[r], 10)
 }
 
 // colPrefix returns column c over root rows [0, hi), its header clamped.
@@ -366,18 +372,28 @@ func (t *Table) KeyIDs(c int, seed uint64) (k KeyIDs, built int, ok bool) {
 	return nd.view(t, c, lo, hi), hi - from, true
 }
 
-// KeyDictLen returns how many keys the dictionary of column c under seed
-// that t may read holds as published — 0 when there is none — building,
-// extending and ranking nothing: what a reader weighs before it asks.
-func (t *Table) KeyDictLen(c int, seed uint64) int {
+// KeyMemoStats describes the memos of one key column as published: the
+// root rows the fingerprint column covers (Hashed) and the dictionary
+// covers (Rows), the keys the dictionary holds and how many of those its
+// ranks order.
+type KeyMemoStats struct{ Hashed, Rows, Keys, Ranked int }
+
+// KeyMemoStats returns what the memos of column c under seed that t may
+// read hold — zeros where there are none — building, extending and
+// ranking nothing: what a reader weighs before it asks.
+func (t *Table) KeyMemoStats(c int, seed uint64) KeyMemoStats {
 	root := t.root()
 	if !t.sameOrder(root) {
-		return 0
+		return KeyMemoStats{}
 	}
+	st := KeyMemoStats{Hashed: len(root.keyFPs[c].Load().prefix(t.epoch, seed))}
 	if d := root.keyDicts[c].Load().valid(t.epoch, seed); d != nil {
-		return len(d.first)
+		st.Rows, st.Keys = len(d.ids), len(d.first)
+		if r := d.lin.ranks.Load(); r != nil {
+			st.Ranked = len(r.order)
+		}
 	}
-	return 0
+	return st
 }
 
 // KeyIDScratch is the storage of a dictionary of one handle's rows
