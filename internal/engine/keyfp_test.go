@@ -328,8 +328,8 @@ func TestOraclesReadNoKeyMemo(t *testing.T) {
 	}
 	for i, x := range f.tables() {
 		for c := 0; c < x.NumCols(); c++ {
-			if st := x.KeyMemoStats(c, seed); st.Rows != 0 {
-				t.Fatalf("table %d column %d: the oracles left a dictionary %+v", i, c, st)
+			if st := x.KeyMemoStats(c, seed); st.IDs != 0 {
+				t.Fatalf("table %d column %d: the oracles left a dictionary over %d rows", i, c, st.IDs)
 			}
 			if _, hashed, ok := x.KeyFingerprints(c, seed); !ok || hashed != x.NumRows() {
 				t.Fatalf("table %d column %d: %d of %d rows still to hash after the oracles ran", i, c, hashed, x.NumRows())
@@ -444,9 +444,9 @@ func TestKeyDictConcurrentJoinHaving(t *testing.T) {
 // query over the table reads the table's memos, extending them over rows
 // appended since, and walks the dictionary's order when its result holds
 // at least a quarter of the keys; a 256-row delta view past the memos,
-// small beside them, hashes and compares its keys among its own rows and
-// leaves the memos — rows, keys and ranks — as they were. Every answer is
-// ExecDirect's.
+// small beside them, hashes and compares its keys among its own rows —
+// the order it walks is of its own keys — and leaves the memos covering
+// the rows they covered. Every answer is ExecDirect's.
 func TestRankedRenderGate(t *testing.T) {
 	const rows, seed = 4000, 7
 	tb := table.MustNew(table.Schema{{Name: "key", Type: table.String}, {Name: "val", Type: table.Int64}})
@@ -455,7 +455,9 @@ func TestRankedRenderGate(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	exec := func(q *Query) (mergeNote string) {
+	// exec runs q and returns its merge span's note, and whether its
+	// completion walks the dictionary's order.
+	exec := func(q *Query) (mergeNote string, walks bool) {
 		t.Helper()
 		want, err := ExecDirect(q)
 		if err != nil {
@@ -470,15 +472,18 @@ func TestRankedRenderGate(t *testing.T) {
 		if !run.Result.Equal(want) {
 			t.Fatalf("%v over %d rows diverges from ExecDirect", q.Kind, q.Table.NumRows())
 		}
-		return stagesOf(tr)[obs.StageMerge][0].Note
+		p := newPartial(q)
+		defer p.release()
+		absorbAll(q, p, seed)
+		return stagesOf(tr)[obs.StageMerge][0].Note, ranked([]*partial{p})
 	}
 	distinct := func(x *table.Table) *Query {
 		return &Query{Kind: KindDistinct, Table: x, DistinctCols: []string{"key"}}
 	}
 	memos := func() table.KeyMemoStats { return tb.KeyMemoStats(0, seed) }
-	cold := table.KeyMemoStats{Hashed: rows, Rows: rows, Keys: rows, Ranked: rows}
-	if note := exec(distinct(tb)); note != "ids: built 4000" || memos() != cold {
-		t.Fatalf("cold DISTINCT over the table: merge noted %q, memos %+v", note, memos())
+	cold := table.KeyMemoStats{Hashed: rows, IDs: rows}
+	if note, walks := exec(distinct(tb)); note != "ids: built 4000" || !walks || memos() != cold {
+		t.Fatalf("cold DISTINCT over the table: merge noted %q, walks the order %v, memos %+v", note, walks, memos())
 	}
 	for i := 0; i < 256; i++ {
 		if err := tb.AppendRow(fmt.Sprintf("late%03d", i%200), int64(i)); err != nil {
@@ -490,12 +495,12 @@ func TestRankedRenderGate(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, q := range []*Query{distinct(delta), {Kind: KindGroupByMax, Table: delta, KeyCol: "key", AggCol: "val"}} {
-		if note := exec(q); note != "ids: built 256" || memos() != cold {
+		if note, _ := exec(q); note != "ids: built 256" || memos() != cold {
 			t.Fatalf("%v over the delta: merge noted %q, memos %+v; want its own 256 rows built and the memos untouched", q.Kind, note, memos())
 		}
 	}
-	grown := table.KeyMemoStats{Hashed: rows + 256, Rows: rows + 256, Keys: rows + 200, Ranked: rows + 200}
-	if note := exec(distinct(tb)); note != "ids: built 256" || memos() != grown {
-		t.Fatalf("DISTINCT over the grown table: merge noted %q, memos %+v", note, memos())
+	grown := table.KeyMemoStats{Hashed: rows + 256, IDs: rows + 256}
+	if note, walks := exec(distinct(tb)); note != "ids: built 256" || !walks || memos() != grown {
+		t.Fatalf("DISTINCT over the grown table: merge noted %q, walks the order %v, memos %+v", note, walks, memos())
 	}
 }

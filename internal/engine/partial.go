@@ -15,8 +15,9 @@ package engine
 // unsplit table (keyPartials): every row's fingerprint off the table's
 // memo and its key id off the table's dictionary (table.KeyIDs) — for a
 // subscription's small delta, among the delta's own rows (memoServes) —
-// and each shard's partial reads its rows' slices of both. So the k partials of a
-// sharded run share their ids, and an entry is an id and a value:
+// and each shard's partial reads its rows' slices of both. So the k
+// partials of a sharded run share their ids, and an entry is an id and a
+// value:
 //
 //	DISTINCT      the key, absorbed by the survivor's row's id
 //	GROUP BY MAX  maximum, absorbed likewise
@@ -190,9 +191,9 @@ type partial struct {
 	// The key column of t's rows: fps[r] and ids[r] are row r's
 	// fingerprint and key id, and dict the dictionary the ids come from —
 	// slices of the query's, resolved once (keyPartials). A multi-column
-	// key has fingerprints only, hashed per
-	// partial into scratch. hashedRows and idsBuilt are how many rows
-	// resolving hashed and built: the span notes.
+	// key has fingerprints only, hashed per partial into scratch.
+	// hashedRows and idsBuilt are how many of its rows resolving hashed
+	// and built: the span notes.
 	fps        []uint64
 	ids        []uint32
 	dict       table.KeyIDs
@@ -269,7 +270,11 @@ func newPartial(q *Query) *partial {
 // unsplit table — their rows' slices of t's key column, resolved once
 // under seed: the fingerprints off the table's memo and the ids off its
 // dictionary, or, for a handle they turn away, hashed and built into the
-// first partial's scratch. A multi-column key has none to resolve.
+// first partial's scratch. Each partial counts, for the span notes, the
+// rows of its own that resolving hashed and built — a memo extends over
+// the rows past its end and scratch holds all of t's, so those are t's
+// last rows — and the counts add up to the query's. A multi-column key
+// has none to resolve.
 func keyPartials(t *table.Table, partials []*partial, seed uint64) {
 	p0 := partials[0]
 	if len(p0.cols) != 1 {
@@ -277,11 +282,13 @@ func keyPartials(t *table.Table, partials []*partial, seed uint64) {
 	}
 	fps, hashed := keyColumn(t, p0.cols[0], seed, &p0.scratch)
 	dict, built := keyIDs(t, p0.cols[0], seed, fps, &p0.idScratch)
+	n := t.NumRows()
 	for _, p := range partials {
 		lo := p.t.RootOffset() - t.RootOffset()
 		hi := lo + p.t.NumRows()
 		p.fps, p.ids, p.dict = fps[lo:hi:hi], dict.IDs[lo:hi:hi], dict
-		p.hashed, p.hashedRows, p.idsBuilt = true, hashed, built
+		p.hashed = true
+		p.hashedRows, p.idsBuilt = max(0, hi-max(lo, n-hashed)), max(0, hi-max(lo, n-built))
 	}
 }
 

@@ -120,6 +120,13 @@ func withAggEdges(queries map[string]*Query) map[string]*Query {
 // key and sums; the others absorb each row, GROUP BY SUM resolving its
 // keys afterwards.
 func absorbAll(q *Query, p *partial, seed uint64) {
+	absorbRows(q, p, seed, nil)
+	finishAbsorb(q, p)
+}
+
+// absorbRows feeds p the rows of its table that own accepts (all, when it
+// is nil), HAVING nominating their keys.
+func absorbRows(q *Query, p *partial, seed uint64, own func(r int) bool) {
 	t := p.t
 	fps := p.hashKeys(seed)
 	vc := -1
@@ -127,6 +134,9 @@ func absorbAll(q *Query, p *partial, seed uint64) {
 		vc = t.Schema().MustIndex(q.AggCol)
 	}
 	for r := 0; r < t.NumRows(); r++ {
+		if own != nil && !own(r) {
+			continue
+		}
 		switch fp := fps[r]; q.Kind {
 		case KindDistinct:
 			p.absorbFirst(fp, r)
@@ -138,20 +148,31 @@ func absorbAll(q *Query, p *partial, seed uint64) {
 			p.nominate(fp)
 		}
 	}
+}
+
+// finishAbsorb ends p's stream: GROUP BY SUM resolves its sums, HAVING's
+// second pass sums its candidates over p's table.
+func finishAbsorb(q *Query, p *partial) {
 	switch q.Kind {
 	case KindGroupBySum:
 		p.resolve()
 	case KindHaving:
-		p.sumCandidates(vc)
+		p.sumCandidates(q.Table.Schema().MustIndex(q.AggCol))
 	}
 }
 
-// viewPartials returns a partial over each view [cuts[i], cuts[i+1]) of
-// q.Table, keyed as the sharded executor keys its shards' (keyPartials),
-// every row absorbed (absorbAll).
-func viewPartials(t *testing.T, q *Query, cuts []int, seed uint64) []*partial {
+// cutPartials returns a partial over each of k contiguous views of
+// q.Table, cut at random, keyed as the sharded executor keys its shards'
+// (keyPartials), every row absorbed (absorbAll).
+func cutPartials(t *testing.T, q *Query, k int, rng *rand.Rand, seed uint64) []*partial {
 	t.Helper()
-	partials := make([]*partial, len(cuts)-1)
+	n := q.Table.NumRows()
+	cuts := []int{0, n}
+	for i := 1; i < k; i++ {
+		cuts = append(cuts, rng.Intn(n+1))
+	}
+	slices.Sort(cuts)
+	partials := make([]*partial, k)
 	for i := range partials {
 		v, err := q.Table.View(cuts[i], cuts[i+1])
 		if err != nil {
@@ -168,20 +189,57 @@ func viewPartials(t *testing.T, q *Query, cuts []int, seed uint64) []*partial {
 	return partials
 }
 
-// checkCompletions completes q from k view partials both ways a
-// completion can — the parallel walk of the dictionary's order, whatever
-// the ranked gate would say, and the serial fold into one partial, as a
-// left fold and as a fold of two halves over partials shuffled by rng —
-// and requires want each time.
+// dealtPartials returns k partials over the whole of q.Table, keyed by one
+// keyPartials call, that share its rows out at random: each row is
+// absorbed into one partial, so no partial's rows are contiguous. HAVING's
+// second pass sums a table's rows, not a partial's, so the dealt
+// candidates are unioned, as completeAgg unions them, and the first
+// partial sums them over the table alone.
+func dealtPartials(q *Query, k int, rng *rand.Rand, seed uint64) []*partial {
+	partials := make([]*partial, k)
+	for i := range partials {
+		partials[i] = newPartial(q)
+	}
+	keyPartials(q.Table, partials, seed)
+	owner := make([]int, q.Table.NumRows())
+	for r := range owner {
+		owner[r] = rng.Intn(k)
+	}
+	for i, p := range partials {
+		absorbRows(q, p, seed, func(r int) bool { return owner[r] == i })
+	}
+	g := partials[0]
+	if q.Kind == KindHaving {
+		for _, p := range partials[1:] {
+			g.unionCandidates(p)
+			p.reset()
+		}
+		finishAbsorb(q, g)
+		return partials
+	}
+	for _, p := range partials {
+		finishAbsorb(q, p)
+	}
+	return partials
+}
+
+// checkCompletions completes q from k partials — cut into contiguous views
+// and dealt at random over the whole table — both ways a completion can:
+// the parallel walk of the dictionary's order, whatever the ranked gate
+// would say, and the serial fold into one partial, as a left fold and as a
+// fold of two halves over partials shuffled by rng. It requires want each
+// time.
 func checkCompletions(t *testing.T, label string, q *Query, want *Result, k int, rng *rand.Rand) {
 	t.Helper()
-	n := q.Table.NumRows()
-	cuts := []int{0, n}
-	for i := 1; i < k; i++ {
-		cuts = append(cuts, rng.Intn(n+1))
-	}
-	slices.Sort(cuts)
-	partials := viewPartials(t, q, cuts, 9)
+	checkCompletionsOf(t, label+" cut", q, want, cutPartials(t, q, k, rng, 9), rng)
+	checkCompletionsOf(t, label+" dealt", q, want, dealtPartials(q, k, rng, 9), rng)
+}
+
+// checkCompletionsOf is checkCompletions over given partials, which it
+// releases.
+func checkCompletionsOf(t *testing.T, label string, q *Query, want *Result, partials []*partial, rng *rand.Rand) {
+	t.Helper()
+	k := len(partials)
 	defer func() {
 		for _, p := range partials {
 			p.release()
@@ -223,12 +281,13 @@ func checkCompletions(t *testing.T, label string, q *Query, want *Result, k int,
 	}
 }
 
-// TestPartialMonoid: for every aggregation kind, cutting a table's rows at
-// random into k contiguous parts, absorbing each part into its own
-// partial and completing them — by the parallel walk of the dictionary's
-// order, or by merging them in a random order — renders what one partial
-// over the whole table renders, which is ExecDirect's answer: absorb and
-// merge form a commutative monoid and agree with the oracle.
+// TestPartialMonoid: for every aggregation kind, splitting a table's rows
+// at random over k partials — cut into contiguous parts, or dealt row by
+// row — absorbing each part into its own partial and completing them — by
+// the parallel walk of the dictionary's order, or by merging them in a
+// random order — renders what one partial over the whole table renders,
+// which is ExecDirect's answer: absorb and merge form a commutative monoid
+// and agree with the oracle.
 func TestPartialMonoid(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	queries := withAggEdges(equivQueries(equivTable(t, 3000, 0x51), equivTable(t, 10, 0x52)))

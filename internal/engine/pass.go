@@ -382,7 +382,11 @@ func completeAgg(q *Query, passes []*pass, partials []*partial) (res *Result, no
 		}
 	}
 	if len(g.cols) == 1 {
-		note = idsNote(g.idsBuilt)
+		built := 0
+		for _, p := range partials {
+			built += p.idsBuilt
+		}
+		note = idsNote(built)
 	}
 	if ranked(partials) {
 		res, err = completeRanked(q, partials)
@@ -469,8 +473,16 @@ func execPasses(q *Query, execs []*shardExec, opts ShardedOptions) (res *Result,
 			partials[s] = newPartial(ps.q)
 			defer partials[s].release()
 		}
-		keyPartials(q.Table, partials, opts.Seed)
-		err = scatter(func(s int) error { return passes[s].agg(partials[s]) })
+		// The key column is resolved once, before the passes stream: under
+		// the shards' spans, which opened before the split, and under
+		// shard 0's panic containment.
+		err = runShard(0, func(int) error {
+			keyPartials(q.Table, partials, opts.Seed)
+			return nil
+		})
+		if err == nil {
+			err = scatter(func(s int) error { return passes[s].agg(partials[s]) })
+		}
 		if err == nil {
 			res, mergeNote, err = completeAgg(q, passes, partials)
 		}

@@ -283,43 +283,82 @@ func TestTraceSpansPerPath(t *testing.T) {
 	}
 	// The keys and ids notes explain a slow first query: cold tables hash
 	// every key row once and give every key row its id once, whichever
-	// stream runs, and the same query again reads both off the table —
-	// unless the key spans columns, which is hashed per query and has no
-	// dictionary. JOIN reads ids in its pass, the aggregation kinds in the
-	// master's completion.
+	// stream runs and at whatever width — each shard's note counts the rows
+	// of its own, so the shards' notes add up to the query's, never k times
+	// it — and the same query again reads both off the table, unless the
+	// key spans columns, which is hashed per query and has no dictionary.
+	// JOIN reads ids in its pass, the aggregation kinds in the master's
+	// completion.
 	for _, noFuse := range []bool{false, true} {
-		for name := range equivQueries(tb, rt) {
-			// Tables no query has read yet.
-			q := equivQueries(equivTable(t, 3000, 0x111), equivTable(t, 900, 0x222))[name]
-			keyRows, memoised := keyRowsOf(q)
-			if keyRows == 0 {
-				continue
-			}
-			idsInPass, idsInMerge := idsReadAt(q)
-			type notes struct{ shard, merge string }
-			cold := notes{shard: "keys: hashed " + strconv.Itoa(keyRows)}
-			warm := notes{shard: "keys: memo"}
-			switch {
-			case !memoised:
-				warm = cold
-			case idsInPass:
-				cold.shard += "; ids: built " + strconv.Itoa(keyRows)
-				warm.shard += "; ids: memo"
-			case idsInMerge:
-				cold.merge, warm.merge = "ids: built "+strconv.Itoa(keyRows), "ids: memo"
-			}
-			for run, want := range []notes{cold, warm} {
-				tr := obs.New()
-				if _, err := ExecCheetah(q, CheetahOptions{Workers: 2, Seed: 7, NoFuse: noFuse, Trace: tr}); err != nil {
-					t.Fatalf("%s: %v", name, err)
+		for _, k := range []int{1, 3} {
+			for name := range equivQueries(tb, rt) {
+				// Tables no query has read yet.
+				q := equivQueries(equivTable(t, 3000, 0x111), equivTable(t, 900, 0x222))[name]
+				keyRows, memoised := keyRowsOf(q)
+				if keyRows == 0 {
+					continue
 				}
-				st := stagesOf(tr)
-				tr.Release()
-				_, shard, _ := strings.Cut(st[obs.StageShard][0].Note, "; ")
-				if got := (notes{shard, st[obs.StageMerge][0].Note}); got != want {
-					t.Fatalf("%s noFuse=%v run %d: noted %+v, want %+v", name, noFuse, run, got, want)
+				idsInPass, idsInMerge := idsReadAt(q)
+				type notes struct{ shard, merge string }
+				cold := notes{shard: "keys: hashed " + strconv.Itoa(keyRows)}
+				warm := notes{shard: "keys: memo"}
+				switch {
+				case !memoised:
+					warm = cold
+				case idsInPass:
+					cold.shard += "; ids: built " + strconv.Itoa(keyRows)
+					warm.shard += "; ids: memo"
+				case idsInMerge:
+					cold.merge, warm.merge = "ids: built "+strconv.Itoa(keyRows), "ids: memo"
+				}
+				for run, want := range []notes{cold, warm} {
+					tr := obs.New()
+					var err error
+					if k == 1 {
+						_, err = ExecCheetah(q, CheetahOptions{Workers: 2, Seed: 7, NoFuse: noFuse, Trace: tr})
+					} else {
+						_, err = ExecSharded(q, ShardedOptions{Shards: k, Workers: 2, Seed: 7, NoFuse: noFuse, Trace: tr})
+					}
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					st := stagesOf(tr)
+					tr.Release()
+					if got := (notes{addNotes(st[obs.StageShard]), st[obs.StageMerge][0].Note}); got != want {
+						t.Fatalf("%s noFuse=%v k=%d run %d: noted %+v, want %+v", name, noFuse, k, run, got, want)
+					}
 				}
 			}
 		}
 	}
+}
+
+// addNotes adds up the key parts of shard spans' notes — "keys: …" and
+// "ids: …" after the stream — into one: "<what>: <verb> <Σn>" when some
+// shard did the work, "<what>: memo" when none did.
+func addNotes(shards []obs.Span) string {
+	var whats []string
+	sums, verbs := map[string]int{}, map[string]string{}
+	for _, s := range shards {
+		_, rest, _ := strings.Cut(s.Note, "; ")
+		for i, part := range strings.Split(rest, "; ") {
+			what, how, _ := strings.Cut(part, ": ")
+			if i == len(whats) {
+				whats = append(whats, what)
+			}
+			if verb, n, found := strings.Cut(how, " "); found {
+				v, _ := strconv.Atoi(n)
+				sums[what] += v
+				verbs[what] = verb
+			}
+		}
+	}
+	for i, what := range whats {
+		if verb, ok := verbs[what]; ok {
+			whats[i] = what + ": " + verb + " " + strconv.Itoa(sums[what])
+		} else {
+			whats[i] = what + ": memo"
+		}
+	}
+	return strings.Join(whats, "; ")
 }

@@ -8,7 +8,6 @@ import (
 	"strconv"
 	"sync"
 	"testing"
-	"unsafe"
 
 	"cheetah/internal/hashutil"
 )
@@ -246,11 +245,11 @@ func (s *fpSchedule) checkIDs(c int, seed uint64) {
 		if d == nil {
 			continue
 		}
-		held := 4*cap(d.ids) + 4*cap(d.first) + int(unsafe.Sizeof(dictSlot{}))*len(d.lin.index.slots)
+		held := 4*cap(d.ids) + 4*cap(d.first) + 8*len(d.lin.index.slots)
 		if r := d.lin.ranks.Load(); r != nil {
 			held += 4 * cap(r.order)
 		}
-		if bound := 4*root.NumRows() + root.NumRows()/2 + 48*len(d.first) + 768; held > bound {
+		if bound := 4*root.NumRows() + root.NumRows()/2 + 48*len(d.first) + 512; held > bound {
 			t.Fatalf("col %d: dictionary of %d keys over %d rows holds %d bytes, bound %d", c, len(d.first), root.NumRows(), held, bound)
 		}
 	}

@@ -34,9 +34,9 @@ package table
 //
 // Bounds. ids is 4 bytes per row (plus an eighth of growing room while
 // the table is appended to); first, the index and the ranks together are
-// at most 48 bytes per distinct key, three quarters of a kilobyte of
-// minimum index aside. So a column's dictionary holds at most 4.5 bytes
-// per row plus 48 per key, and goes with the table.
+// at most 48 bytes per distinct key, half a kilobyte of minimum index
+// aside. So a column's dictionary holds at most 4.5 bytes per row plus 48
+// per key, and goes with the table.
 
 import (
 	"bytes"
@@ -97,10 +97,8 @@ func (d *keyDict) view(t *Table, c, lo, hi int) KeyIDs {
 }
 
 // dictSlot is one slot of a dictIndex: the high half of a key's
-// fingerprint, which also places it, the key's id + 1 (0: empty), and the
-// latest row seen carrying the key — the one a new row's cell is compared
-// with: just appended, it is likelier in cache than the key's first row.
-type dictSlot struct{ tag, ent, row uint32 }
+// fingerprint, which also places it, and the key's id + 1 (0: empty).
+type dictSlot struct{ tag, ent uint32 }
 
 // dictIndex finds the id of a key from its fingerprint: open addressing
 // with linear probing, at most 3/4 full. A fingerprint only preselects;
@@ -121,8 +119,8 @@ func (c *column) same(a, b int) bool {
 // fingerprint — their ids, appended to ids, and appends to first the row
 // of every id it creates. Equal cells have equal fingerprints, so a row
 // whose key is already known meets that key's slot on its probe run and
-// is confirmed by one cell comparison, with the slot's latest row; two
-// keys that merely share a fingerprint stay two ids.
+// is confirmed by one cell comparison; two keys that merely share a
+// fingerprint stay two ids.
 func (x *dictIndex) add(col *column, fps []uint64, from int, ids, first []uint32) ([]uint32, []uint32) {
 	if x.slots == nil {
 		x.slots = make([]dictSlot, dictIndexMinSlots)
@@ -136,16 +134,15 @@ func (x *dictIndex) add(col *column, fps []uint64, from int, ids, first []uint32
 			if s.ent == 0 {
 				id := uint32(len(first))
 				ids, first = append(ids, id), append(first, uint32(r))
-				*s = dictSlot{tag: tag, ent: id + 1, row: uint32(r)}
+				*s = dictSlot{tag: tag, ent: id + 1}
 				if 4*len(first) > 3*len(x.slots) {
 					x.grow()
 					mask = uint32(len(x.slots) - 1)
 				}
 				break
 			}
-			if s.tag == tag && col.same(int(s.row), r) {
+			if s.tag == tag && col.same(int(first[s.ent-1]), r) {
 				ids = append(ids, s.ent-1)
-				s.row = uint32(r)
 				break
 			}
 		}
@@ -372,28 +369,22 @@ func (t *Table) KeyIDs(c int, seed uint64) (k KeyIDs, built int, ok bool) {
 	return nd.view(t, c, lo, hi), hi - from, true
 }
 
-// KeyMemoStats describes the memos of one key column as published: the
-// root rows the fingerprint column covers (Hashed) and the dictionary
-// covers (Rows), the keys the dictionary holds and how many of those its
-// ranks order.
-type KeyMemoStats struct{ Hashed, Rows, Keys, Ranked int }
+// KeyMemoStats is how many root rows the memos of one key column cover,
+// as published: the fingerprint column (Hashed) and the dictionary (IDs).
+type KeyMemoStats struct{ Hashed, IDs int }
 
 // KeyMemoStats returns what the memos of column c under seed that t may
-// read hold — zeros where there are none — building, extending and
-// ranking nothing: what a reader weighs before it asks.
+// read cover — zeros where there are none — building and extending
+// nothing: what a reader weighs before it asks.
 func (t *Table) KeyMemoStats(c int, seed uint64) KeyMemoStats {
 	root := t.root()
 	if !t.sameOrder(root) {
 		return KeyMemoStats{}
 	}
-	st := KeyMemoStats{Hashed: len(root.keyFPs[c].Load().prefix(t.epoch, seed))}
-	if d := root.keyDicts[c].Load().valid(t.epoch, seed); d != nil {
-		st.Rows, st.Keys = len(d.ids), len(d.first)
-		if r := d.lin.ranks.Load(); r != nil {
-			st.Ranked = len(r.order)
-		}
+	return KeyMemoStats{
+		Hashed: len(root.keyFPs[c].Load().prefix(t.epoch, seed)),
+		IDs:    root.keyDicts[c].Load().valid(t.epoch, seed).rows(),
 	}
-	return st
 }
 
 // KeyIDScratch is the storage of a dictionary of one handle's rows
