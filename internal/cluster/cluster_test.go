@@ -271,7 +271,7 @@ func TestRackMarksWhatTheMasterReceived(t *testing.T) {
 			got := make([]switchsim.Decision, n)
 			want := make([]switchsim.Decision, n)
 			r.ProcessBatch(b, got)
-			twin.(switchsim.BatchProgram).ProcessBatch(b, want)
+			switchsim.ProcessBatchOf(twin, b, want)
 			sent += n
 			for j := range got {
 				if want[j] == switchsim.Forward && got[j] != switchsim.Forward {

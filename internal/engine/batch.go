@@ -2,12 +2,14 @@ package engine
 
 // This file implements the chunked pipeline — what a pass (pass.go,
 // agg.go) streams through when it may not drive its program directly
-// (NoFuse, a third-party program, a dataplane that withholds it). The
-// scalar path (cheetah.go) dispatches one closure call and one
-// Program.Process per entry; here each CWorker encodes its partition into
-// reusable column-major batch buffers, a round-robin scatter reproduces
-// the exact arrival order of interleave, and the switch program runs its
-// native batch loop over whole chunks. The pass consumes survivors
+// (NoFuse, a third-party program, a dataplane that withholds it: a rack,
+// a lease with a fault injector armed). The scalar path (cheetah.go)
+// dispatches one closure call and one Program.Process per entry; here
+// each CWorker encodes its partition into reusable column-major batch
+// buffers, a round-robin scatter reproduces the exact arrival order of
+// interleave, and each chunk crosses the dataplane in one call — whose
+// switch runs the program's Process per entry (switchsim.ProcessBatchOf),
+// the one statement of its verdict. The pass consumes survivors
 // straight from the encoded columns where it can (late materialization):
 // they are collected branchlessly through preallocated index buffers
 // sized from the running prune rate, the aggregation kinds' are absorbed

@@ -164,6 +164,9 @@ func execCheetah(q *Query, opts CheetahOptions) (*CheetahRun, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
+	if err := MixedJoinKeys(q); err != nil {
+		return nil, err
+	}
 	if opts.Workers <= 0 {
 		opts.Workers = 1
 	}

@@ -1,12 +1,12 @@
 package engine
 
 // This file holds the fused loops — the scan kernels a pass (pass.go,
-// agg.go) runs when it may drive its program directly. The chunked
-// pipeline (batch.go) is already columnar, but it still round-trips every
-// chunk through three materialized passes (encode into stream buffers →
-// BatchProgram.ProcessBatch filling a Decision slice → compact
-// survivors), with an interface dispatch per chunk and the pruner's
-// per-entry state transition hidden behind it. Here each query kind is
+// agg.go) runs when it may drive its program directly: the fast path of
+// every gated front door. The chunked pipeline (batch.go) round-trips
+// every chunk through three materialized passes (encode into stream
+// buffers → the dataplane filling a Decision slice, one Process call per
+// entry → compact survivors), with the pruner's per-entry state
+// transition behind an interface call. Here each query kind is
 // one monomorphic loop instead: the loop reads table columns directly,
 // inlines the pruner's core state transition through the concrete type's
 // Fused* entry points (prune/fused.go), and consumes survivors in place —
@@ -107,8 +107,8 @@ func predPasses(v int64, op prune.CmpOp, c int64) bool {
 }
 
 // evalIntPred sweeps one raw int64 wire column, OR-ing bit into the
-// bit-vector of every passing row — Filter.ProcessBatch's per-predicate
-// loop reading the table column directly.
+// bit-vector of every passing row — Filter.Process's predicate bits,
+// one predicate at a time, reading the table column directly.
 func evalIntPred(bits []uint32, col []int64, pr *prune.Predicate, bit uint32) {
 	if pr.Precomputed {
 		for j, v := range col {
@@ -315,16 +315,17 @@ func fusedDistinctScan(seed uint64, m *cache.Matrix, workers int, p *partial) (s
 // matrix, feeding survivors straight into the master's N-heap. The row
 // choice comes from the counter-indexed RNG stream
 // (prune.FusedRandState): the per-entry draw is Mix64 of a running
-// counter — no loop-carried dependency — and the prune test is the
-// min-cache fast path of RandTopN.ProcessBatch with the steady-state
-// splice specialized to InsertFull. Two sanctioned liberties beyond the
-// batched path's: the scan runs in plain row order rather than
-// worker-interleave (the row draw is value-independent, so any
-// deterministic entry↔counter pairing gives the same uniform-row
+// counter — no loop-carried dependency — and the prune test reads the
+// matrix's per-row minimum cache (one load, not a register-row walk),
+// running the splice, specialized to InsertFull in the steady state, only
+// for an entry that may displace a cached value. Two sanctioned
+// liberties beyond the chunked path's: the scan runs in plain row order
+// rather than worker-interleave (the row draw is value-independent, so
+// any deterministic entry↔counter pairing gives the same uniform-row
 // guarantee — this pruner's decisions already deviate from the scalar
-// oracle by design), and the worker count does not influence the
-// stream at all, so fused TOP N traffic is reproducible across worker
-// counts too.
+// oracle by design), and the worker count does not influence the stream
+// at all, so fused TOP N traffic is reproducible across worker counts
+// too.
 func fusedTopNRandSpan(ints []int64, lo, hi int, p *prune.RandTopN,
 	h int64Heap, topN int) (_ int64Heap, sent, fwd int) {
 	n := hi - lo

@@ -14,8 +14,9 @@ package engine
 // (pass.join), fused or chunked, single-switch or per shard, and reads
 // nothing of either table but its key column — which is why a sharded
 // JOIN's shards carry only that (shardTables); execJoin, the
-// plain string-keyed join, stays what ExecDirect runs, what the tests
-// compare against, and what joins keys of two column types.
+// plain string-keyed join, stays what ExecDirect runs and what the tests
+// compare against. Keys of two column types never meet on the switch
+// (MixedJoinKeys), so no pruned path takes them.
 
 import (
 	"slices"
@@ -41,17 +42,13 @@ type joinSide struct {
 	keys      joinKeys
 }
 
-// load fetches the side's fingerprint column for a pass over t — and,
-// when withIDs, its key ids — and returns how many rows that hashed and
-// built.
-func (s *joinSide) load(t *table.Table, kc int, seed uint64, withIDs bool) (hashed, built int) {
+// load fetches the side's fingerprint column and key ids for a pass over
+// t and returns how many rows that hashed and built.
+func (s *joinSide) load(t *table.Table, kc int, seed uint64) (hashed, built int) {
 	s.col, hashed = keyColumn(t, kc, seed, &s.scratch)
-	s.ids = nil
-	if withIDs {
-		var k table.KeyIDs
-		k, built = keyIDs(t, kc, seed, s.col, &s.idScratch)
-		s.ids = k.IDs
-	}
+	var k table.KeyIDs
+	k, built = keyIDs(t, kc, seed, s.col, &s.idScratch)
+	s.ids = k.IDs
 	return hashed, built
 }
 
@@ -102,20 +99,14 @@ type joinScratch struct {
 
 var joinScratchPool = sync.Pool{New: func() any { return new(joinScratch) }}
 
-// load fetches both sides' fingerprint columns for a pass over q's table
-// pair — and their key ids, which completeJoin reads when the keys are of
-// one type — and returns the pass's keysNote (and idsNote).
+// load fetches both sides' fingerprint columns and key ids for a pass over
+// q's table pair and returns the pass's keysNote and idsNote.
 func (sc *joinScratch) load(q *Query, seed uint64) (note string) {
 	lc := q.Table.Schema().MustIndex(q.LeftKey)
 	rc := q.Right.Schema().MustIndex(q.RightKey)
-	withIDs := q.Table.ColumnType(lc) == q.Right.ColumnType(rc)
-	lh, lb := sc.left.load(q.Table, lc, seed, withIDs)
-	rh, rb := sc.right.load(q.Right, rc, seed, withIDs)
-	note = keysNote(lh + rh)
-	if withIDs {
-		note += "; " + idsNote(lb+rb)
-	}
-	return note
+	lh, lb := sc.left.load(q.Table, lc, seed)
+	rh, rb := sc.right.load(q.Right, rc, seed)
+	return keysNote(lh+rh) + "; " + idsNote(lb+rb)
 }
 
 // release returns sc to the pool without the tables' columns and ids,
@@ -264,18 +255,9 @@ func (k *joinKeys) indexFPs() {
 // first-seen order; pair counts are products, so the roles do not show in
 // the answer (and when that list comes from a key-ordered table — a
 // dimension table — the rows come out in order and the sort is one pass).
-func completeJoin(q *Query, sc *joinScratch) ([][]string, error) {
+func completeJoin(q *Query, sc *joinScratch) [][]string {
 	lc := q.Table.Schema().MustIndex(q.LeftKey)
 	rc := q.Right.Schema().MustIndex(q.RightKey)
-	if q.Table.ColumnType(lc) != q.Right.ColumnType(rc) {
-		// Keys of different types meet only through their rendered text,
-		// which is execJoin's business.
-		res, err := execJoin(q, sc.left.rows, sc.right.rows)
-		if err != nil {
-			return nil, err
-		}
-		return res.Rows, nil
-	}
 	build, probe := &sc.left, &sc.right
 	bc, pc := accessorFor(q.Table, lc), accessorFor(q.Right, rc)
 	if len(probe.rows) < len(build.rows) {
@@ -307,7 +289,7 @@ func completeJoin(q *Query, sc *joinScratch) ([][]string, error) {
 		row[0], row[1] = bc.cell(int(e.row)), strconv.Itoa(int(e.n)*int(e.m))
 		rows = append(rows, row)
 	}
-	return rows, nil
+	return rows
 }
 
 // joinPart is one pass's completed join: completeJoin's rows in the

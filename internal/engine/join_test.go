@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"cheetah/internal/hashutil"
@@ -140,10 +141,7 @@ func TestCompleteJoinCollisions(t *testing.T) {
 				for _, k := range c.right {
 					sc.right.col = append(sc.right.col, fp(k))
 				}
-				rows, err := completeJoin(q, sc)
-				if err != nil {
-					t.Fatal(err)
-				}
+				rows := completeJoin(q, sc)
 				if got := joinResult(q, []joinPart{sortedJoinPart(rows)}); !got.Equal(want) {
 					t.Fatalf("%s int=%v fingerprints=%s: completeJoin diverges from execJoin\nwant:\n%s\ngot:\n%s",
 						c.name, intKeys, fname, want, got)
@@ -153,9 +151,12 @@ func TestCompleteJoinCollisions(t *testing.T) {
 	}
 }
 
-// TestCompleteJoinMixedKeyTypes: keys of different column types join
-// through their rendered text, which only execJoin implements.
-func TestCompleteJoinMixedKeyTypes(t *testing.T) {
+// TestMixedKeyJoinRejected: keys of different column types meet only
+// through their rendered cells, which ExecDirect joins; on the switch their
+// fingerprints never match, so every pruned path refuses the query — the
+// one-switch front door on each stream, the scalar reference and the
+// sharded run — instead of answering it wrong.
+func TestMixedKeyJoinRejected(t *testing.T) {
 	ints := joinKeyTable(t, true, seqKeys(50, 0, 10), nil)
 	strs := table.MustNew(table.Schema{{Name: "name", Type: table.String}})
 	for i := 0; i < 30; i++ {
@@ -164,19 +165,18 @@ func TestCompleteJoinMixedKeyTypes(t *testing.T) {
 		}
 	}
 	q := &Query{Kind: KindJoin, Table: ints, Right: strs, LeftKey: "name", RightKey: "name"}
-	want, err := execJoin(q, allRows(ints), allRows(strs))
-	if err != nil {
-		t.Fatal(err)
+	if want, err := ExecDirect(q); err != nil || len(want.Rows) == 0 {
+		t.Fatalf("ExecDirect: %v rows, err %v", want, err)
 	}
-	// The chunked pipeline's hand-over: survivor row ids.
-	sc := new(joinScratch)
-	sc.load(q, 3)
-	sc.left.rows, sc.right.rows = allRows(ints), allRows(strs)
-	rows, err := completeJoin(q, sc)
-	if err != nil {
-		t.Fatal(err)
+	runs := map[string]func() error{
+		"fused":   func() error { _, err := ExecCheetah(q, CheetahOptions{Seed: 3}); return err },
+		"chunked": func() error { _, err := ExecCheetah(q, CheetahOptions{Seed: 3, NoFuse: true}); return err },
+		"scalar":  func() error { _, err := ExecCheetah(q, CheetahOptions{Seed: 3, Scalar: true}); return err },
+		"k=2":     func() error { _, err := ExecSharded(q, ShardedOptions{Shards: 2, Seed: 3}); return err },
 	}
-	if got := joinResult(q, []joinPart{sortedJoinPart(rows)}); !got.Equal(want) || len(want.Rows) == 0 {
-		t.Fatalf("mixed key types diverge\nwant:\n%s\ngot:\n%s", want, got)
+	for name, run := range runs {
+		if err := run(); err == nil || !strings.Contains(err.Error(), "same-typed keys") {
+			t.Fatalf("%s: got %v, want the mixed-key refusal", name, err)
+		}
 	}
 }

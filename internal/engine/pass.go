@@ -335,7 +335,7 @@ func (ps *pass) joinRows() ([][]string, error) {
 	// program keeps the chunked pipeline).
 	if ps.fuse(j.Phase() == prune.PhaseBuild) {
 		ps.traffic, ps.skipped = fusedJoinPasses(ps.q, j, ps.skip, sc)
-		return completeJoin(ps.q, sc)
+		return completeJoin(ps.q, sc), nil
 	}
 	buf := getStreamBuf()
 	defer putStreamBuf(buf)
@@ -344,7 +344,7 @@ func (ps *pass) joinRows() ([][]string, error) {
 		return nil, err
 	}
 	ps.traffic, ps.skipped = tr, skipped
-	return completeJoin(ps.q, sc)
+	return completeJoin(ps.q, sc), nil
 }
 
 // completeAgg is the aggregation kinds' completion. HAVING inserts a

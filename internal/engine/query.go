@@ -268,6 +268,25 @@ func (q *Query) Validate() error {
 	return nil
 }
 
+// MixedJoinKeys returns why no switch can prune q when it is a valid JOIN
+// whose key columns have different types, and nil for every other query.
+// The switch's Bloom filters would see one side's Int64 fingerprints
+// (HashUint64) and the other's String fingerprints (HashString64), which
+// never meet, so every joinable row would be pruned. ExecDirect joins such
+// keys through their rendered cells; the pruned paths refuse them.
+func MixedJoinKeys(q *Query) error {
+	if q.Kind != KindJoin {
+		return nil
+	}
+	lt := q.Table.ColumnType(q.Table.Schema().MustIndex(q.LeftKey))
+	rt := q.Right.ColumnType(q.Right.Schema().MustIndex(q.RightKey))
+	if lt == rt {
+		return nil
+	}
+	return fmt.Errorf("engine: a pruned join needs same-typed keys, %q is %s and %q is %s",
+		q.LeftKey, lt, q.RightKey, rt)
+}
+
 // Result is a canonical query result: column names plus textual rows,
 // sorted for order-insensitive comparison.
 type Result struct {

@@ -159,12 +159,6 @@ func (s *ShardedRun) UnprunedFraction() float64 {
 // nothing to co-locate — splits into contiguous zero-copy views.
 func shardTables(q *Query, k int) (left, right []*table.Table, err error) {
 	if q.Kind == KindJoin && k > 1 {
-		ls, li := q.Table.Schema(), q.Table.Schema().Index(q.LeftKey)
-		rs, ri := q.Right.Schema(), q.Right.Schema().Index(q.RightKey)
-		if ls[li].Type != rs[ri].Type {
-			return nil, nil, fmt.Errorf("engine: sharded join needs same-typed keys, %q is %s and %q is %s",
-				q.LeftKey, ls[li].Type, q.RightKey, rs[ri].Type)
-		}
 		if left, err = q.Table.ShardKeys(q.LeftKey, k); err != nil {
 			return nil, nil, err
 		}
@@ -367,6 +361,9 @@ func ExecSharded(q *Query, opts ShardedOptions) (*ShardedRun, error) {
 
 func execSharded(q *Query, opts ShardedOptions) (*ShardedRun, error) {
 	if err := q.Validate(); err != nil {
+		return nil, err
+	}
+	if err := MixedJoinKeys(q); err != nil {
 		return nil, err
 	}
 	if opts.Shards <= 0 {

@@ -401,17 +401,18 @@ func TestShardedStatsGolden(t *testing.T) {
 }
 
 // panicPruner is a third-party program — the passes stream it through the
-// chunked pipeline — that panics at its second batch, mid-stream.
+// chunked pipeline, which calls Process per entry — that panics in its
+// 300th entry, mid-stream: past the first 256-entry chunk.
 type panicPruner struct {
 	prune.Pruner
-	batches int
+	entries int
 }
 
-func (p *panicPruner) ProcessBatch(b *switchsim.Batch, decisions []switchsim.Decision) {
-	if p.batches++; p.batches == 2 {
+func (p *panicPruner) Process(vals []uint64) switchsim.Decision {
+	if p.entries++; p.entries == 300 {
 		panic("test: program fault")
 	}
-	p.Pruner.(switchsim.BatchProgram).ProcessBatch(b, decisions)
+	return p.Pruner.Process(vals)
 }
 
 // TestShardPanicIsQueryError: a program that panics in a shard's pass

@@ -180,7 +180,8 @@ func idsReadAt(q *Query) (pass, merge bool) {
 
 // TestTraceSpansPerPath pins which spans each pruned path records — the
 // same ones: at every width, fused or chunked, exactly one shard span per
-// pass — labeled with its switch, noted with the stream it took and, for
+// pass — labeled with its switch, noted with the stream it took (fused for
+// every kind's default program, chunked only under NoFuse) and, for
 // the kinds that read key fingerprints and key ids, with where those came
 // from, carrying the pass's stream counts — and one merge span that starts
 // after the last pass ended, noted with where the ids the completion read
@@ -235,8 +236,10 @@ func TestTraceSpansPerPath(t *testing.T) {
 					}
 					stream, rest, _ := strings.Cut(s.Note, "; ")
 					keys, ids, _ := strings.Cut(rest, "; ")
-					if stream != "chunked" && (noFuse || stream != "fused") {
-						t.Fatalf("%s: shard %d noted %q", label, s.Switch, s.Note)
+					// Every default run takes the fused loops: a silent fall to
+					// the chunked stream costs a Process call per entry.
+					if want := map[bool]string{false: "fused", true: "chunked"}[noFuse]; stream != want {
+						t.Fatalf("%s: shard %d noted %q, want %s", label, s.Switch, s.Note, want)
 					}
 					if keyRows, _ := keyRowsOf(q); (keyRows > 0) != isNote(keys, "keys", "hashed") {
 						t.Fatalf("%s: shard %d reads %d rows of key fingerprints, noted %q", label, s.Switch, keyRows, s.Note)

@@ -235,7 +235,7 @@ func (s *Session) execPlanModes(ctx context.Context, p *Plan, tr *obs.Trace) (*E
 		// Direct execution is single-node: all rows on one machine — and
 		// its baseline is a single rack's workers, whatever the session's
 		// fabric width.
-		ex.Estimate = s.cost.SparkTime(q.Kind, []int{queryRows(q)}, len(res.Rows), false, s.opts.NICGbps)
+		ex.Estimate = engine.DefaultCostModel().SparkTime(q.Kind, []int{queryRows(q)}, len(res.Rows), false, nicGbps)
 		ex.SparkEstimate = s.sparkEstimate(q, len(res.Rows), 1)
 	case ModeCheetah, ModeCluster:
 		pruners, err := p.NewShardPruners()
@@ -369,7 +369,7 @@ func (s *Session) fill(ex *Execution, run *engine.ShardedRun) {
 	ex.Stats = run.Stats
 	ex.SkipStats = run.Skipped
 	ex.FailedOver = run.FailedOver
-	ex.Estimate = s.cost.CheetahTime(q.Kind, fabricBottleneck(run.Traffic, run.PerSwitch), s.opts.NICGbps)
+	ex.Estimate = engine.DefaultCostModel().CheetahTime(q.Kind, fabricBottleneck(run.Traffic, run.PerSwitch), nicGbps)
 	ex.SparkEstimate = s.sparkEstimate(q, len(run.Result.Rows), ex.Plan.Switches)
 }
 
@@ -477,5 +477,5 @@ func (s *Session) sparkEstimate(q *engine.Query, resultRows, switches int) engin
 			perWorker[i]++
 		}
 	}
-	return s.cost.SparkTime(q.Kind, perWorker, resultRows, false, s.opts.NICGbps)
+	return engine.DefaultCostModel().SparkTime(q.Kind, perWorker, resultRows, false, nicGbps)
 }

@@ -137,10 +137,11 @@ type candidate struct {
 // Plan inspects the query and the session's switch model, picks the
 // pruning algorithm, derives its parameters from the §5 formulas and
 // Table 2 defaults (sized per switch when the session runs a fabric),
-// and performs pipeline admission. Queries no program can serve — or
-// that exceed the model's resources in every derivable configuration —
-// plan as ModeDirect with an explanatory Reason; an invalid query is an
-// error, not a fallback.
+// and performs pipeline admission. Queries no program can serve — a JOIN
+// whose key columns differ in type (engine.MixedJoinKeys), or a query that
+// exceeds the model's resources in every derivable configuration — plan
+// as ModeDirect with an explanatory Reason; an invalid query is an error,
+// not a fallback.
 func (s *Session) Plan(q *engine.Query) (*Plan, error) {
 	return s.planFor(q, s.opts.Switches)
 }
@@ -161,6 +162,11 @@ func (s *Session) planFor(q *engine.Query, switches int) (*Plan, error) {
 		Workers:  s.opts.Workers,
 		Seed:     s.opts.Seed,
 		Switches: switches,
+	}
+	if err := engine.MixedJoinKeys(q); err != nil {
+		p.Reason = "no switch can prune it: " + strings.TrimPrefix(err.Error(), "engine: ")
+		s.planSkip(p)
+		return p, nil
 	}
 	var rejections []string
 	for _, c := range s.candidates(q, switches) {
@@ -256,7 +262,7 @@ func offRack(k engine.QueryKind) string {
 // full N per switch — each shard must surface its local top N for the
 // global re-check.
 func (s *Session) candidates(q *engine.Query, switches int) []candidate {
-	seed, delta := s.opts.Seed, s.opts.Delta
+	seed := s.opts.Seed
 	if switches <= 0 {
 		switches = 1
 	}
@@ -278,23 +284,23 @@ func (s *Session) candidates(q *engine.Query, switches int) []candidate {
 		// A global top-N value lives in exactly one shard, so each of the
 		// k independent per-switch programs gets δ/k — the union bound
 		// keeps the fabric-wide miss probability within the session's δ.
-		delta := delta / float64(switches)
+		perSwitch := delta / float64(switches)
 		var cands []candidate
-		if cfg, err := prune.PlannedRandTopNConfig(q.N, delta, seed); err == nil {
+		if cfg, err := prune.PlannedRandTopNConfig(q.N, perSwitch, seed); err == nil {
 			cands = append(cands, candidate{
 				desc: fmt.Sprintf("randomized top-n d=%d w=%d via OptimalTopNRows(N=%d, δ=%g)",
-					cfg.Rows, cfg.Cols, q.N, delta),
+					cfg.Rows, cfg.Cols, q.N, perSwitch),
 				make: func() (prune.Pruner, error) { return prune.NewRandTopN(cfg) },
 			})
 		}
 		// The fixed-d legacy shape is only sound while Theorem 2's
 		// premise d ≥ N·e/ln(1/δ) holds; past that the deterministic
 		// thresholds are the principled fallback.
-		if w, err := prune.TopNColumnsFor(4096, q.N, delta); err == nil {
+		if w, err := prune.TopNColumnsFor(4096, q.N, perSwitch); err == nil {
 			legacy := prune.RandTopNConfig{N: q.N, Rows: 4096, Cols: w, Seed: seed}
 			cands = append(cands, candidate{
 				desc: fmt.Sprintf("randomized top-n d=%d w=%d via TopNColumnsFor(N=%d, δ=%g)",
-					legacy.Rows, legacy.Cols, q.N, delta),
+					legacy.Rows, legacy.Cols, q.N, perSwitch),
 				make: func() (prune.Pruner, error) { return prune.NewRandTopN(legacy) },
 			})
 		}

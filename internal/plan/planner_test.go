@@ -8,6 +8,7 @@ import (
 
 	"cheetah/internal/engine"
 	"cheetah/internal/prune"
+	"cheetah/internal/serve"
 	"cheetah/internal/switchsim"
 	"cheetah/internal/table"
 	"cheetah/internal/workload"
@@ -259,6 +260,90 @@ func TestPlannerTinyModelFallsBackToDirect(t *testing.T) {
 	}
 }
 
+// TestPlannerMixedKeyJoinRunsDirect: a JOIN of an Int64 key with a String
+// key, which no switch can prune (their fingerprints never meet), plans as
+// an explained direct query at every width, and every front door — Exec at
+// one and two switches, SubmitQoS, a subscription — answers it as ExecDirect
+// does, through the rendered cells.
+func TestPlannerMixedKeyJoinRunsDirect(t *testing.T) {
+	ctx := streamCtx(t)
+	ints := table.MustNew(table.Schema{{Name: "k", Type: table.Int64}})
+	strs := table.MustNew(table.Schema{{Name: "name", Type: table.String}})
+	for i := 0; i < 100; i++ {
+		if err := ints.AppendRow(int64(i % 40)); err != nil {
+			t.Fatal(err)
+		}
+		if err := strs.AppendRow(fmt.Sprint(i * 7 % 50)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := engine.ExecDirect(&engine.Query{Kind: engine.KindJoin, Table: ints, Right: strs, LeftKey: "k", RightKey: "name"})
+	if err != nil || len(want.Rows) == 0 {
+		t.Fatalf("ExecDirect: %v, err %v", want, err)
+	}
+	for _, k := range []int{1, 2} {
+		s, err := Open(ints, Options{Workers: 2, Seed: 7, Switches: k})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		b := s.Select().Join(strs, "k", "name")
+		p, err := b.Plan()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Mode != ModeDirect || !strings.Contains(p.Reason, "same-typed keys") {
+			t.Fatalf("k=%d: mode=%v reason=%q, want an explained direct plan", k, p.Mode, p.Reason)
+		}
+		q, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ex, err := s.Exec(ctx, q)
+		if err != nil || !want.Equal(ex.Result) {
+			t.Fatalf("k=%d Exec: %v, err %v; want\n%v", k, ex, err, want)
+		}
+		sv, err := s.Serve(ctx, ServeOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ex, err = sv.SubmitQoS(ctx, q, serve.QoS{Tenant: "t"})
+		sv.Close()
+		if err != nil || !want.Equal(ex.Result) {
+			t.Fatalf("k=%d SubmitQoS: %v, err %v; want\n%v", k, ex, err, want)
+		}
+
+		target, err := table.New(ints.Schema())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds, err := Open(target, Options{Workers: 2, Seed: 7, Switches: k})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ds.Close()
+		st, err := ds.Stream(ctx, StreamOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sq, err := ds.Select().Join(strs, "k", "name").Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sub, err := st.Subscribe(ctx, sq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		appendInChunks(t, st, ints, 30)
+		if err := sub.Flush(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if got, _ := sub.Results(); sub.Plan().Mode != ModeDirect || !want.Equal(got) {
+			t.Fatalf("k=%d subscription (%v): %v; want\n%v", k, sub.Plan().Mode, got, want)
+		}
+	}
+}
+
 // TestPlannerClusterRouting: UseCluster routes the kinds the rack can
 // carry over the network path and keeps the others in-process, each with
 // its own reason.
@@ -350,7 +435,7 @@ func TestOpenValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := s.Options()
-	if o.Model.Name != "tofino" || o.Workers != 1 || o.Delta != 1e-4 || o.NICGbps != 10 {
+	if o.Model.Name != "tofino" || o.Workers != 1 || o.Switches != 1 {
 		t.Fatalf("defaults not filled: %+v", o)
 	}
 }

@@ -17,16 +17,22 @@ import (
 	"sync"
 	"time"
 
-	"cheetah/internal/engine"
 	"cheetah/internal/obs"
 	"cheetah/internal/stats"
 	"cheetah/internal/switchsim"
 	"cheetah/internal/table"
 )
 
+// Every session plans randomized pruners for a failure probability of
+// delta (TOP N's Theorem 2/3 configuration) and estimates completion times
+// with engine.DefaultCostModel over a NIC of nicGbps.
+const (
+	delta   = 1e-4
+	nicGbps = 10
+)
+
 // Options configures a session. The zero value selects the paper's
-// defaults: a Tofino-class switch, one CWorker, in-process transport,
-// δ = 1e-4 for randomized guarantees, and a 10G NIC for cost estimates.
+// defaults: a Tofino-class switch, one CWorker and in-process transport.
 type Options struct {
 	// Model is the switch hardware the planner admission-checks against.
 	// The zero value selects switchsim.Tofino().
@@ -42,9 +48,6 @@ type Options struct {
 	Switches int
 	// Seed drives fingerprinting and randomized pruner defaults.
 	Seed uint64
-	// Delta is the failure probability budget δ for randomized pruners
-	// (TOP N's Theorem 2/3 configuration); ≤ 0 selects 1e-4.
-	Delta float64
 	// UseCluster makes Exec send every switch's entries over the simulated
 	// lossy network with the §7.2 reliability protocol — one rack of
 	// Workers flows per switch — instead of handing them to the program in
@@ -60,11 +63,6 @@ type Options struct {
 	LossRate float64
 	// RTO overrides the rack's retransmission timeout (UseCluster only).
 	RTO time.Duration
-	// NICGbps is the NIC speed assumed by completion-time estimates;
-	// ≤ 0 selects 10.
-	NICGbps float64
-	// CostModel overrides the calibrated completion-time model.
-	CostModel *engine.CostModel
 	// DisableSkipping turns storage-side block skipping off. By default
 	// Open builds a block skip index (per-column zone maps + Bloom
 	// filters) over the session table, and eligible plans (WHERE, TOP N,
@@ -99,7 +97,6 @@ type Options struct {
 type Session struct {
 	table *table.Table
 	opts  Options
-	cost  engine.CostModel
 
 	// mu guards the open serving/streaming handles Close must drain.
 	mu       sync.Mutex
@@ -124,16 +121,6 @@ func Open(t *table.Table, opts Options) (*Session, error) {
 	if opts.Switches <= 0 {
 		opts.Switches = 1
 	}
-	if opts.Delta <= 0 {
-		opts.Delta = 1e-4
-	}
-	if opts.NICGbps <= 0 {
-		opts.NICGbps = 10
-	}
-	cost := engine.DefaultCostModel()
-	if opts.CostModel != nil {
-		cost = *opts.CostModel
-	}
 	if !opts.DisableSkipping && t.SkipIndex() == nil && t.RootOffset() == 0 {
 		// Best effort: a session over a view (RootOffset ≠ 0, or a
 		// zero-offset view whose root owns the data) inherits whatever
@@ -143,7 +130,6 @@ func Open(t *table.Table, opts Options) (*Session, error) {
 	return &Session{
 		table:    t,
 		opts:     opts,
-		cost:     cost,
 		children: make(map[interface{ Close() }]struct{}),
 	}, nil
 }

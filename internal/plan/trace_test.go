@@ -8,6 +8,7 @@ import (
 
 	"cheetah/internal/obs"
 	"cheetah/internal/prune"
+	"cheetah/internal/serve"
 	"cheetah/internal/table"
 	"cheetah/internal/workload"
 )
@@ -260,6 +261,103 @@ func TestSubmitQoSTrace(t *testing.T) {
 	}
 	if out := ex.ExplainAnalyze(); !strings.Contains(out, "admit") {
 		t.Fatalf("ExplainAnalyze missing admit:\n%s", out)
+	}
+}
+
+// fusedShards reports how tr's shard spans depart from the premise of the
+// gated paths — at least one, and every one noted fused — or "" when they
+// do not: a silent fall to the chunked stream costs a Process call per
+// entry.
+func fusedShards(tr *obs.Trace) string {
+	n := 0
+	for _, sp := range tr.Spans() {
+		if sp.Stage != obs.StageShard {
+			continue
+		}
+		if n++; !strings.HasPrefix(sp.Note, "fused") {
+			return fmt.Sprintf("shard span on switch %d noted %q, want fused", sp.Switch, sp.Note)
+		}
+	}
+	if n == 0 {
+		return "no shard span"
+	}
+	return ""
+}
+
+// TestGatedPathsRunFused pins the premise that the gated front doors run
+// the fused loops: every kind submitted with SubmitQoS to a healthy fabric,
+// and one delta each of a FILTER-count, DISTINCT, TOP N and HAVING
+// subscription, records only shard spans noted fused.
+func TestGatedPathsRunFused(t *testing.T) {
+	ctx := streamCtx(t)
+	for _, c := range traceKindCases(t, Options{Workers: 2, Seed: 7, Switches: 2}) {
+		q, err := c.b.Build()
+		if err != nil {
+			t.Fatalf("%s: %v", c.label, err)
+		}
+		sv, err := c.s.Serve(ctx, ServeOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ex, err := sv.SubmitQoS(ctx, q, serve.QoS{Tenant: "t", Priority: 1})
+		sv.Close()
+		if err != nil {
+			t.Fatalf("%s: SubmitQoS: %v", c.label, err)
+		}
+		if ex.Plan.Mode != ModeCheetah {
+			t.Fatalf("%s: served as %v (%s)", c.label, ex.Plan.Mode, ex.Plan.Reason)
+		}
+		if bad := fusedShards(ex.Trace()); bad != "" {
+			t.Fatalf("%s: SubmitQoS: %s:\n%s", c.label, bad, ex.Trace())
+		}
+	}
+
+	uv, err := workload.UserVisits(workload.DefaultUserVisits(1600, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	target, err := table.New(uv.Schema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(target, Options{Workers: 2, Seed: 7, Switches: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	st, err := s.Stream(ctx, StreamOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	subs := map[string]*Subscription{}
+	for label, b := range map[string]*Builder{
+		"filter-count": s.Select().Where("adRevenue", prune.OpGT, 300_000).Count(),
+		"distinct":     s.Select().Distinct("userAgent"),
+		"topn":         s.Select().TopN("adRevenue", 100),
+		"having":       s.Select().GroupBySum("languageCode", "adRevenue").Having(500_000),
+	} {
+		q, err := b.Build()
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if subs[label], err = st.Subscribe(ctx, q); err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		defer subs[label].Close()
+	}
+	if err := st.AppendBatch(uv); err != nil {
+		t.Fatal(err)
+	}
+	for label, sub := range subs {
+		if err := sub.Flush(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if sub.Plan().Mode != ModeCheetah || sub.Trace() == nil {
+			t.Fatalf("%s: subscription %v (%s), trace %v", label, sub.Plan().Mode, sub.Plan().Reason, sub.Trace())
+		}
+		if bad := fusedShards(sub.Trace()); bad != "" {
+			t.Fatalf("%s: delta: %s:\n%s", label, bad, sub.Trace())
+		}
 	}
 }
 

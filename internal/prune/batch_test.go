@@ -43,8 +43,9 @@ func runScalar(p Pruner, cols [][]uint64, n int) []switchsim.Decision {
 	return dec
 }
 
-// runBatch feeds the same stream through ProcessBatch in uneven chunks
-// so chunk-boundary state carry-over is exercised.
+// runBatch feeds the same stream through the chunk driver,
+// switchsim.ProcessBatchOf, in uneven chunks, so its gather and the
+// program's state carry-over across chunk boundaries are exercised.
 func runBatch(p Pruner, cols [][]uint64, n int) []switchsim.Decision {
 	dec := make([]switchsim.Decision, n)
 	chunks := []int{1, 7, 64, 1000, n} // cumulative boundaries, clamped
@@ -208,9 +209,10 @@ func TestBatchMatchesScalarSkyline(t *testing.T) {
 	}
 }
 
-// TestBatchGroupBySumRewrite checks the in-place packet rewriting
-// contract: forwarded slots must carry the same evicted aggregates that
-// ProcessEmit returns, and absorbed state must drain identically.
+// TestBatchGroupBySumRewrite checks the chunk driver's in-place packet
+// rewriting for an Emitter: forwarded slots must carry the same evicted
+// aggregates that ProcessEmit returns, and absorbed state must drain
+// identically.
 func TestBatchGroupBySumRewrite(t *testing.T) {
 	mk := func() *GroupBySum {
 		g, err := NewGroupBySum(GroupBySumConfig{Rows: 16, Cols: 2, Seed: 0xe1})
@@ -239,7 +241,7 @@ func TestBatchGroupBySumRewrite(t *testing.T) {
 
 	colsB := [][]uint64{append([]uint64(nil), cols[0]...), append([]uint64(nil), cols[1]...)}
 	decB := make([]switchsim.Decision, n)
-	b.ProcessBatch(&switchsim.Batch{Cols: colsB, N: n}, decB)
+	switchsim.ProcessBatchOf(b, &switchsim.Batch{Cols: colsB, N: n}, decB)
 	var gotEmits []emitted
 	for j := 0; j < n; j++ {
 		if dec[j] != decB[j] {

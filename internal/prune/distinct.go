@@ -106,25 +106,6 @@ func (p *Distinct) Process(vals []uint64) switchsim.Decision {
 	return switchsim.Forward
 }
 
-// ProcessBatch implements switchsim.BatchProgram: one tight sweep over
-// the key column with the matrix pointer and statistics hoisted out of
-// the loop.
-func (p *Distinct) ProcessBatch(b *switchsim.Batch, decisions []switchsim.Decision) {
-	m := p.matrix
-	pruned := uint64(0)
-	col := b.Cols[0][:b.N]
-	for j, v := range col {
-		if m.Insert(v) {
-			decisions[j] = switchsim.Prune
-			pruned++
-		} else {
-			decisions[j] = switchsim.Forward
-		}
-	}
-	p.stats.Processed += uint64(len(col))
-	p.stats.Pruned += pruned
-}
-
 // Reset implements switchsim.Program.
 func (p *Distinct) Reset() {
 	p.matrix.Reset()

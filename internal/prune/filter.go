@@ -104,7 +104,6 @@ type FilterConfig struct {
 type Filter struct {
 	cfg   FilterConfig
 	tt    *boolexpr.TruthTable
-	idx   []uint32 // batch scratch: per-entry predicate bit-vectors
 	stats Stats
 }
 
@@ -171,86 +170,6 @@ func (p *Filter) Process(vals []uint64) switchsim.Decision {
 		return switchsim.Prune
 	}
 	return switchsim.Forward
-}
-
-// ProcessBatch implements switchsim.BatchProgram. The evaluation is
-// column-at-a-time: each predicate sweeps its value column once, OR-ing
-// its metadata bit into a per-entry bit-vector, and a final sweep looks
-// the vectors up in the truth table — the same stage-parallel structure
-// the hardware uses, with the operator dispatch hoisted out of the
-// per-entry loop.
-func (p *Filter) ProcessBatch(b *switchsim.Batch, decisions []switchsim.Decision) {
-	n := b.N
-	if cap(p.idx) < n {
-		p.idx = cacheline.Make[uint32](n)
-	}
-	idx := p.idx[:n]
-	for j := range idx {
-		idx[j] = 0
-	}
-	for i := range p.cfg.Predicates {
-		pr := &p.cfg.Predicates[i]
-		col := b.Cols[pr.ValIdx][:n]
-		bit := uint32(1) << uint(i)
-		if pr.Precomputed {
-			for j, v := range col {
-				if v != 0 {
-					idx[j] |= bit
-				}
-			}
-			continue
-		}
-		c := pr.Const
-		switch pr.Op {
-		case OpGT:
-			for j, v := range col {
-				if int64(v) > c {
-					idx[j] |= bit
-				}
-			}
-		case OpGE:
-			for j, v := range col {
-				if int64(v) >= c {
-					idx[j] |= bit
-				}
-			}
-		case OpLT:
-			for j, v := range col {
-				if int64(v) < c {
-					idx[j] |= bit
-				}
-			}
-		case OpLE:
-			for j, v := range col {
-				if int64(v) <= c {
-					idx[j] |= bit
-				}
-			}
-		case OpEQ:
-			for j, v := range col {
-				if int64(v) == c {
-					idx[j] |= bit
-				}
-			}
-		case OpNE:
-			for j, v := range col {
-				if int64(v) != c {
-					idx[j] |= bit
-				}
-			}
-		}
-	}
-	pruned := uint64(0)
-	for j, v := range idx {
-		if p.tt.Lookup(v) {
-			decisions[j] = switchsim.Forward
-		} else {
-			decisions[j] = switchsim.Prune
-			pruned++
-		}
-	}
-	p.stats.Processed += uint64(n)
-	p.stats.Pruned += pruned
 }
 
 // Reset implements switchsim.Program. Filtering is stateless, so only

@@ -1,24 +1,25 @@
 package prune
 
 // This file is the pruner side of the engine's fused execution loops
-// (engine/fuse.go). The batched path dispatches one interface
-// ProcessBatch call per chunk and round-trips a Decision slice between
-// encode and collect; the fused path instead compiles one monomorphic
-// loop per query kind that reads table columns directly and needs, per
-// entry, only the pruner's core state transition — no interface call,
-// no stats update, no Decision materialization.
+// (engine/fuse.go). Every pruner states its verdict once: the chunked
+// stream (switchsim.ProcessBatchOf) calls Process per entry, and the fused
+// path compiles one monomorphic loop per query kind that reads table
+// columns directly and needs, per entry, only the pruner's core state
+// transition — no interface call, no stats update, no Decision
+// materialization. The Fused* entry points expose that transition: either
+// the state itself (Filter's truth table, the cache matrices, JOIN's
+// filters), whose operations are what Process applies, or the transition
+// as a method that Process wraps with its stats update (DetTopN and
+// Having's FusedOffer here, Skyline's FusedOffer, GroupBySum's FusedAdd).
 //
-// The contract mirrors BatchProgram's: each Fused* entry point performs
-// exactly the per-entry state transition and verdict of Process, minus
-// the statistics, which the engine accumulates in loop-local counters
-// and deposits once per pass through AddStats. A pruner's Stats() after
-// a fused pass equal those after the equivalent Process sequence. The
-// one sanctioned deviation is RandTopN's RNG (see FusedRandState): the
-// fused path draws row choices from a counter-indexed stream rather
-// than the scalar path's serial chain, so its prune decisions differ
-// from the scalar oracle while final query Results stay bit-identical
-// (master-side completion is exact for TOP N regardless of which
-// entries were pruned).
+// The engine accumulates the statistics in loop-local counters and
+// deposits them once per pass through AddStats, so a pruner's Stats()
+// after a fused pass equal those after the equivalent Process sequence.
+// The one sanctioned deviation is RandTopN's RNG (see FusedRandState): the
+// fused path draws row choices from a counter-indexed stream rather than
+// Process's serial chain, so its prune decisions differ from the scalar
+// oracle while final query Results stay bit-identical (master-side
+// completion is exact for TOP N regardless of which entries were pruned).
 
 import (
 	"cheetah/internal/boolexpr"
@@ -99,8 +100,11 @@ func (p *GroupBy) FusedMatrix() (m *cache.KeyedMax, min bool) {
 	return p.matrix, p.cfg.Min
 }
 
-// FusedOffer is Process without the stats update: it returns true when
-// the entry is pruned. The threshold state machine is identical.
+// FusedOffer is DetTopN's state machine — Process is it plus the stats
+// update — and returns true when the entry is pruned. The switch learns
+// t0, the minimum of the first N entries (everything below it is then
+// prunable), counts each later entry against every threshold it clears,
+// and advances the pruning point when a higher threshold has N entries.
 func (p *DetTopN) FusedOffer(v int64) bool {
 	if p.warmSeen < int64(p.cfg.N) {
 		p.warmSeen++
@@ -119,7 +123,7 @@ func (p *DetTopN) FusedOffer(v int64) bool {
 				p.cur = i
 			}
 		} else {
-			break
+			break // thresholds are increasing
 		}
 	}
 	return p.cur >= 0 && v < p.threshold(p.cur)
@@ -153,9 +157,11 @@ func (p *RandTopN) FusedRandState(n int) (m *cache.RollingMin, d uint64, base, p
 	return p.matrix, uint64(p.cfg.Rows), p.cfg.Seed ^ 0x6d6f746f726f6c61, pos0
 }
 
-// FusedOffer is Process without the stats update: it returns true when
-// the entry is pruned. Negative SUM summands forward untouched, exactly
-// as in Process (they are not pruned and not counted as pruned).
+// FusedOffer is Having's verdict — Process is it plus the stats update —
+// and returns true when the entry is pruned. Negative SUM summands would
+// break Count-Min's one-sided guarantee, so they forward untouched (not
+// pruned, and the sketch is not updated): correctness is preserved and
+// only the pruning rate suffers.
 func (p *Having) FusedOffer(key uint64, v int64) bool {
 	inc := int64(1)
 	if p.cfg.Agg == HavingSum {

@@ -81,30 +81,6 @@ func (p *GroupBy) Process(vals []uint64) switchsim.Decision {
 	return switchsim.Forward
 }
 
-// ProcessBatch implements switchsim.BatchProgram: a fused sweep over the
-// key and value columns with the MIN negation and matrix pointer hoisted.
-func (p *GroupBy) ProcessBatch(b *switchsim.Batch, decisions []switchsim.Decision) {
-	keys := b.Cols[0][:b.N]
-	vals := b.Cols[1][:b.N]
-	m := p.matrix
-	neg := p.cfg.Min
-	pruned := uint64(0)
-	for j, key := range keys {
-		v := int64(vals[j])
-		if neg {
-			v = -v
-		}
-		if m.Offer(key, v) {
-			decisions[j] = switchsim.Prune
-			pruned++
-		} else {
-			decisions[j] = switchsim.Forward
-		}
-	}
-	p.stats.Processed += uint64(len(keys))
-	p.stats.Pruned += pruned
-}
-
 // Reset implements switchsim.Program.
 func (p *GroupBy) Reset() {
 	p.matrix.Reset()

@@ -14,17 +14,6 @@ type Drainer interface {
 	Drain() [][]uint64
 }
 
-// Emitter is implemented by pruners that rewrite packets in flight: the
-// entry that arrived is absorbed into switch state and the packet leaves
-// carrying different values (an evicted aggregate, as in §6's in-switch
-// SUM). The engine calls ProcessEmit instead of Process when available.
-type Emitter interface {
-	// ProcessEmit handles one entry. When the returned decision is
-	// Forward, out holds the values the forwarded packet carries (which
-	// may differ from vals). out is only valid until the next call.
-	ProcessEmit(vals []uint64) (d switchsim.Decision, out []uint64)
-}
-
 // GroupBySumConfig configures the SUM GROUP BY offload used for the
 // BigData benchmark's query B (§6): the switch keeps d×w (key, partial
 // sum) pairs; entries matching a cached key are absorbed (summed and
@@ -87,17 +76,17 @@ func (p *GroupBySum) Profile() switchsim.Profile {
 	}
 }
 
-// Process implements switchsim.Program for callers unaware of emission:
-// evictions are conservatively forwarded carrying the *arriving* entry
-// (losing the absorption benefit but never correctness). Prefer
-// ProcessEmit.
+// Process implements switchsim.Program: ProcessEmit's verdict without
+// the packet it rewrites. A caller that forwards the arriving entry on an
+// eviction counts its value twice and loses the evicted aggregate, so
+// switchsim.ProcessBatchOf calls ProcessEmit instead.
 func (p *GroupBySum) Process(vals []uint64) switchsim.Decision {
 	d, _ := p.ProcessEmit(vals)
 	return d
 }
 
-// ProcessEmit implements Emitter. vals[0] is the (fingerprinted) group
-// key, vals[1] the summand as int64.
+// ProcessEmit implements switchsim.Emitter. vals[0] is the
+// (fingerprinted) group key, vals[1] the summand as int64.
 func (p *GroupBySum) ProcessEmit(vals []uint64) (switchsim.Decision, []uint64) {
 	p.stats.Processed++
 	ek, es, evicted := p.FusedAdd(vals[0], int64(vals[1]))
@@ -148,26 +137,6 @@ func (p *GroupBySum) FusedAdd(key uint64, v int64) (evKey uint64, evSum int64, e
 	return evKey, evSum, true
 }
 
-// ProcessBatch implements switchsim.BatchProgram with the batch's packet
-// rewriting contract: an absorbed entry is marked Prune; an eviction is
-// marked Forward and the entry's key and value columns are overwritten
-// in place with the displaced (key, partial sum) aggregate, modeling the
-// rewritten packet the master receives. Callers needing the original
-// values must read them before processing.
-func (p *GroupBySum) ProcessBatch(b *switchsim.Batch, decisions []switchsim.Decision) {
-	keys := b.Cols[0][:b.N]
-	sums := b.Cols[1][:b.N]
-	var scratch [2]uint64
-	for j := range keys {
-		scratch[0], scratch[1] = keys[j], sums[j]
-		d, out := p.ProcessEmit(scratch[:])
-		decisions[j] = d
-		if d == switchsim.Forward {
-			keys[j], sums[j] = out[0], out[1]
-		}
-	}
-}
-
 // Drain implements Drainer: the cached partial sums leave the switch as
 // (key, sum) pairs at end-of-stream.
 func (p *GroupBySum) Drain() [][]uint64 {
@@ -209,8 +178,8 @@ func (p *GroupBySum) Reset() {
 func (p *GroupBySum) Stats() Stats { return p.stats }
 
 var (
-	_ Pruner  = (*GroupBySum)(nil)
-	_ Emitter = (*GroupBySum)(nil)
-	_ Drainer = (*GroupBySum)(nil)
-	_ Drainer = (*Skyline)(nil)
+	_ Pruner            = (*GroupBySum)(nil)
+	_ switchsim.Emitter = (*GroupBySum)(nil)
+	_ Drainer           = (*GroupBySum)(nil)
+	_ Drainer           = (*Skyline)(nil)
 )

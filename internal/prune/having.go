@@ -97,63 +97,15 @@ func (p *Having) Profile() switchsim.Profile {
 }
 
 // Process implements switchsim.Program. vals[0] is the (fingerprinted)
-// group key; vals[1] is the summand for SUM (ignored for COUNT).
+// group key and vals[1] the summand, which COUNT ignores: every HAVING
+// packet carries both.
 func (p *Having) Process(vals []uint64) switchsim.Decision {
 	p.stats.Processed++
-	inc := int64(1)
-	if p.cfg.Agg == HavingSum {
-		inc = int64(vals[1])
-		if inc < 0 {
-			// Negative summands would break the one-sided guarantee;
-			// forward them untouched so correctness is preserved and only
-			// pruning rate suffers.
-			return switchsim.Forward
-		}
-	}
-	est := p.cms.Add(vals[0], inc)
-	if est <= p.cfg.Threshold {
+	if p.FusedOffer(vals[0], int64(vals[1])) {
 		p.stats.Pruned++
 		return switchsim.Prune
 	}
 	return switchsim.Forward
-}
-
-// ProcessBatch implements switchsim.BatchProgram with the aggregate
-// dispatch lifted out of the loop: COUNT sweeps with a constant
-// increment, SUM with the value column (negative summands forwarded
-// untouched as in Process).
-func (p *Having) ProcessBatch(b *switchsim.Batch, decisions []switchsim.Decision) {
-	keys := b.Cols[0][:b.N]
-	cms := p.cms
-	thr := p.cfg.Threshold
-	pruned := uint64(0)
-	if p.cfg.Agg == HavingCount {
-		for j, key := range keys {
-			if cms.Add(key, 1) <= thr {
-				decisions[j] = switchsim.Prune
-				pruned++
-			} else {
-				decisions[j] = switchsim.Forward
-			}
-		}
-	} else {
-		vals := b.Cols[1][:b.N]
-		for j, key := range keys {
-			inc := int64(vals[j])
-			if inc < 0 {
-				decisions[j] = switchsim.Forward
-				continue
-			}
-			if cms.Add(key, inc) <= thr {
-				decisions[j] = switchsim.Prune
-				pruned++
-			} else {
-				decisions[j] = switchsim.Forward
-			}
-		}
-	}
-	p.stats.Processed += uint64(len(keys))
-	p.stats.Pruned += pruned
 }
 
 // Reset implements switchsim.Program.

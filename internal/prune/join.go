@@ -190,61 +190,6 @@ func (p *Join) Process(vals []uint64) switchsim.Decision {
 	return switchsim.Forward
 }
 
-// ProcessBatch implements switchsim.BatchProgram. The phase only changes
-// through StartProbe between passes, so it is hoisted into a per-phase
-// loop; the side column is still read per entry because symmetric
-// streams may interleave both tables.
-func (p *Join) ProcessBatch(b *switchsim.Batch, decisions []switchsim.Decision) {
-	sides := b.Cols[0][:b.N]
-	keys := b.Cols[1][:b.N]
-	pruned := uint64(0)
-	switch {
-	case p.phase == PhaseBuild && p.cfg.Asymmetric:
-		fa := p.fa
-		for j, key := range keys {
-			fa.Add(key)
-			decisions[j] = switchsim.Forward
-		}
-	case p.phase == PhaseBuild:
-		fa, fb := p.fa, p.fb
-		for j, key := range keys {
-			if JoinSide(sides[j]) == SideA {
-				fa.Add(key)
-			} else {
-				fb.Add(key)
-			}
-			decisions[j] = switchsim.Prune
-		}
-		pruned = uint64(len(keys))
-	case p.cfg.Asymmetric:
-		fa := p.fa
-		for j, key := range keys {
-			if fa.Contains(key) {
-				decisions[j] = switchsim.Forward
-			} else {
-				decisions[j] = switchsim.Prune
-				pruned++
-			}
-		}
-	default:
-		fa, fb := p.fa, p.fb
-		for j, key := range keys {
-			other := fb
-			if JoinSide(sides[j]) == SideB {
-				other = fa
-			}
-			if other.Contains(key) {
-				decisions[j] = switchsim.Forward
-			} else {
-				decisions[j] = switchsim.Prune
-				pruned++
-			}
-		}
-	}
-	p.stats.Processed += uint64(len(keys))
-	p.stats.Pruned += pruned
-}
-
 // Reset implements switchsim.Program.
 func (p *Join) Reset() {
 	p.fa.Reset()

@@ -4,6 +4,9 @@
 // declares its Table 2 resource profile and makes a per-entry
 // prune/forward decision using only operations the PISA datapath
 // supports: hashing, comparisons, register reads/writes, table lookups.
+// That decision is stated once, in Process, which the chunked stream
+// (switchsim.ProcessBatchOf) calls per entry; fused.go exposes the same
+// state transition to the engine's fused loops.
 //
 // The package also provides the paper's configuration formulas
 // (Theorem 2's matrix-column count, the Lambert-W-guided optimal row
@@ -71,21 +74,6 @@ type Pruner interface {
 // DefaultALUsPerStage is the per-stage stateful ALU count assumed when a
 // profile formula divides work across stages (the "A" of Table 2).
 const DefaultALUsPerStage = 10
-
-// Every shipped pruner implements the batched fast path; the engine's
-// batch pipeline falls back to per-entry Process only for third-party
-// programs.
-var (
-	_ switchsim.BatchProgram = (*Filter)(nil)
-	_ switchsim.BatchProgram = (*Distinct)(nil)
-	_ switchsim.BatchProgram = (*DetTopN)(nil)
-	_ switchsim.BatchProgram = (*RandTopN)(nil)
-	_ switchsim.BatchProgram = (*GroupBy)(nil)
-	_ switchsim.BatchProgram = (*GroupBySum)(nil)
-	_ switchsim.BatchProgram = (*Having)(nil)
-	_ switchsim.BatchProgram = (*Join)(nil)
-	_ switchsim.BatchProgram = (*Skyline)(nil)
-)
 
 // ceilDiv returns ⌈a/b⌉ for positive b.
 func ceilDiv(a, b int) int { return (a + b - 1) / b }

@@ -72,7 +72,6 @@ type Skyline struct {
 	fill    int
 	carry   []uint64 // scratch: the packet's current point
 	carryID uint64
-	gather  []uint64 // batch scratch: one entry's gathered values
 	stats   Stats
 }
 
@@ -265,24 +264,6 @@ func (p *Skyline) FusedOffer(vals []uint64) (pruned bool) {
 		}
 	}
 	return marked
-}
-
-// ProcessBatch implements switchsim.BatchProgram. SKYLINE's per-entry
-// work is a full sweep of the stored points, so the batch win is the
-// hoisted gather scratch and decision loop rather than a columnar inner
-// loop; semantics are exactly sequential Process calls.
-func (p *Skyline) ProcessBatch(b *switchsim.Batch, decisions []switchsim.Decision) {
-	width := len(b.Cols)
-	if cap(p.gather) < width {
-		p.gather = cacheline.Make[uint64](width)
-	}
-	vals := p.gather[:width]
-	for j := 0; j < b.N; j++ {
-		for i, c := range b.Cols {
-			vals[i] = c[j]
-		}
-		decisions[j] = p.Process(vals)
-	}
 }
 
 // Reset implements switchsim.Program.

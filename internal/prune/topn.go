@@ -97,78 +97,11 @@ func (p *DetTopN) threshold(i int) int64 {
 // a two's-complement int64.
 func (p *DetTopN) Process(vals []uint64) switchsim.Decision {
 	p.stats.Processed++
-	v := int64(vals[0])
-	if p.warmSeen < int64(p.cfg.N) {
-		// Warm-up: maintain the rolling minimum of the first N entries.
-		p.warmSeen++
-		if v < p.t0 {
-			p.t0 = v
-		}
-		if p.warmSeen == int64(p.cfg.N) {
-			p.cur = 0 // t0 is live: everything below it is prunable
-		}
-		return switchsim.Forward
-	}
-	// Count the entry against every threshold it clears and advance the
-	// pruning point when a higher threshold accumulates N entries.
-	for i := 0; i < p.cfg.Thresholds; i++ {
-		if v >= p.threshold(i) {
-			p.counts[i]++
-			if i > p.cur && p.counts[i] >= int64(p.cfg.N) {
-				p.cur = i
-			}
-		} else {
-			break // thresholds are increasing
-		}
-	}
-	if p.cur >= 0 && v < p.threshold(p.cur) {
+	if p.FusedOffer(int64(vals[0])) {
 		p.stats.Pruned++
 		return switchsim.Prune
 	}
 	return switchsim.Forward
-}
-
-// ProcessBatch implements switchsim.BatchProgram. After warm-up the
-// common case is a two-comparison verdict against the live threshold, so
-// the loop keeps the warm-up test first and otherwise mirrors Process
-// with the config loads hoisted.
-func (p *DetTopN) ProcessBatch(b *switchsim.Batch, decisions []switchsim.Decision) {
-	col := b.Cols[0][:b.N]
-	n := int64(p.cfg.N)
-	w := p.cfg.Thresholds
-	pruned := uint64(0)
-	for j, raw := range col {
-		v := int64(raw)
-		if p.warmSeen < n {
-			p.warmSeen++
-			if v < p.t0 {
-				p.t0 = v
-			}
-			if p.warmSeen == n {
-				p.cur = 0
-			}
-			decisions[j] = switchsim.Forward
-			continue
-		}
-		for i := 0; i < w; i++ {
-			if v >= p.threshold(i) {
-				p.counts[i]++
-				if i > p.cur && p.counts[i] >= n {
-					p.cur = i
-				}
-			} else {
-				break
-			}
-		}
-		if p.cur >= 0 && v < p.threshold(p.cur) {
-			decisions[j] = switchsim.Prune
-			pruned++
-		} else {
-			decisions[j] = switchsim.Forward
-		}
-	}
-	p.stats.Processed += uint64(len(col))
-	p.stats.Pruned += pruned
 }
 
 // Reset implements switchsim.Program.
@@ -256,52 +189,6 @@ func (p *RandTopN) Process(vals []uint64) switchsim.Decision {
 		return switchsim.Prune
 	}
 	return switchsim.Forward
-}
-
-// ProcessBatch implements switchsim.BatchProgram. The hot path prunes
-// against the matrix's per-row minimum cache — one load from a small
-// array instead of a register-row walk — and only entries that might
-// displace a cached value run the splice; the RNG chain (the loop's
-// serial dependency) advances through a register.
-func (p *RandTopN) ProcessBatch(b *switchsim.Batch, decisions []switchsim.Decision) {
-	col := b.Cols[0][:b.N]
-	m := p.matrix
-	mins := m.Mins()
-	rng := p.rng
-	d := uint64(p.cfg.Rows)
-	pruned := uint64(0)
-	for j, raw := range col {
-		rng = hashutil.SplitMix64(rng)
-		row := int(hashutil.ReduceFull(rng, d))
-		v := int64(raw)
-		if v <= mins[row] {
-			// The sentinel value cannot distinguish a filling row from
-			// a full row whose minimum it equals; confirm fullness on
-			// that rare path only.
-			if v != cache.MinSentinel {
-				decisions[j] = switchsim.Prune
-				pruned++
-				continue
-			}
-			if _, full := m.FullMin(row); full {
-				decisions[j] = switchsim.Prune
-				pruned++
-				continue
-			}
-		}
-		// The splice can no longer prune (the row is not full, or the
-		// value displaces something); Offer still runs for the state
-		// update and its verdict is kept for exactness.
-		if m.Offer(row, v) {
-			decisions[j] = switchsim.Prune
-			pruned++
-		} else {
-			decisions[j] = switchsim.Forward
-		}
-	}
-	p.rng = rng
-	p.stats.Processed += uint64(len(col))
-	p.stats.Pruned += pruned
 }
 
 // Reset implements switchsim.Program.

@@ -3,13 +3,14 @@ package switchsim
 import "sync"
 
 // This file adds the batched dataplane interface. The per-entry Process
-// call models one packet crossing the pipeline; simulating at that
-// granularity costs an interface dispatch, a slice header and a stats
-// update per entry, which dominates runtime at paper-scale streams. A
-// Batch carries a block of entries in column-major order so programs can
-// run tight per-column loops with configuration and statistics hoisted
-// out of the inner loop, while the per-entry *semantics* (state updates
-// in arrival order) stay exactly those of repeated Process calls.
+// call models one packet crossing the pipeline; a Batch carries a block
+// of entries in column-major order, so a dataplane hands a whole chunk
+// across one call (a lease's flow lookup, a rack's send) instead of one
+// per entry. A program states its verdict once, in Process: ProcessBatchOf
+// is the one chunk driver, gathering each entry and calling Process in
+// arrival order, so the per-entry semantics are exactly those of repeated
+// Process calls by construction. The engine's fast path is not here but in
+// its fused loops, which drive the shipped pruners' state directly.
 
 // Batch is a column-major block of entries flowing through the pipeline.
 // Cols[i][j] holds value i of entry j — the same values, in the same
@@ -19,8 +20,7 @@ import "sync"
 // row id, the late-materialization handle riding through its swaps —
 // and programs simply never index it.
 //
-// Programs with in-flight packet rewriting (switchsim's Emitter-style
-// aggregation) may overwrite a forwarded entry's column values in place:
+// An Emitter may overwrite a forwarded entry's column values in place:
 // the batch models the packets *after* the pipeline, so a rewritten slot
 // holds what the forwarded packet carries toward the master.
 type Batch struct {
@@ -28,43 +28,56 @@ type Batch struct {
 	N    int
 }
 
-// BatchProgram is the fast-path extension of Program: ProcessBatch must
-// make exactly the same per-entry decisions, state transitions and
-// statistics updates as calling Process on entries 0..N-1 in order,
-// writing each verdict to decisions[j]. decisions has length ≥ N.
-type BatchProgram interface {
-	Program
-	ProcessBatch(b *Batch, decisions []Decision)
+// Emitter is implemented by programs that rewrite packets in flight: the
+// entry that arrived is absorbed into switch state and the packet leaves
+// carrying different values (an evicted aggregate, as in §6's in-switch
+// SUM). ProcessBatchOf calls ProcessEmit instead of Process when a
+// program has it.
+type Emitter interface {
+	// ProcessEmit handles one entry. When the returned decision is
+	// Forward, out holds the values the forwarded packet carries (which
+	// may differ from vals, and are never more). out is only valid until
+	// the next call.
+	ProcessEmit(vals []uint64) (d Decision, out []uint64)
 }
 
-// gatherPool recycles the scalar fallback's per-entry gather slice;
-// allocating it per call shows up at paper scale when a third-party
-// Program streams millions of chunk-sized batches.
+// gatherPool recycles the per-entry gather slice; allocating it per call
+// shows up at paper scale when a program streams millions of chunk-sized
+// batches.
 var gatherPool = sync.Pool{New: func() any {
 	s := make([]uint64, 0, 16)
 	return &s
 }}
 
-// ProcessBatchOf runs prog over the batch, using the native batch loop
-// when prog implements BatchProgram and falling back to a per-entry
-// gather + Process loop otherwise, so third-party Programs keep working
-// unchanged behind the batched engine.
+// ProcessBatchOf runs prog over the batch: each entry's values are
+// gathered and handed to Process, in order, and its verdict written to
+// decisions[j] (decisions has length ≥ N). For an Emitter it calls
+// ProcessEmit instead and writes a forwarded entry's rewritten values back
+// into the batch columns, so the batch holds the packets the master
+// receives; a caller needing the original values reads them first.
 func ProcessBatchOf(prog Program, b *Batch, decisions []Decision) {
-	if bp, ok := prog.(BatchProgram); ok {
-		bp.ProcessBatch(b, decisions)
-		return
-	}
 	vp := gatherPool.Get().(*[]uint64)
 	vals := *vp
 	if cap(vals) < len(b.Cols) {
 		vals = make([]uint64, len(b.Cols))
 	}
 	vals = vals[:len(b.Cols)]
+	em, emits := prog.(Emitter)
 	for j := 0; j < b.N; j++ {
 		for i, c := range b.Cols {
 			vals[i] = c[j]
 		}
-		decisions[j] = prog.Process(vals)
+		if !emits {
+			decisions[j] = prog.Process(vals)
+			continue
+		}
+		d, out := em.ProcessEmit(vals)
+		decisions[j] = d
+		if d == Forward {
+			for i, v := range out {
+				b.Cols[i][j] = v
+			}
+		}
 	}
 	*vp = vals
 	gatherPool.Put(vp)

@@ -2,12 +2,9 @@ package switchsim
 
 import "testing"
 
-// parityProgram prunes entries whose first value is odd; it counts calls
-// so tests can tell the scalar and batch paths apart.
-type parityProgram struct {
-	scalarCalls int
-	batchCalls  int
-}
+// parityProgram prunes entries whose first value is odd; it counts its
+// Process calls.
+type parityProgram struct{ scalarCalls int }
 
 func (p *parityProgram) Profile() Profile { return Profile{Name: "parity", Stages: 1} }
 func (p *parityProgram) Reset()           {}
@@ -19,18 +16,23 @@ func (p *parityProgram) Process(vals []uint64) Decision {
 	return Forward
 }
 
-// batchParityProgram adds a native batch loop.
-type batchParityProgram struct{ parityProgram }
+// summingEmitter absorbs entries whose first value is a multiple of 6 and
+// forwards every other one rewritten to (running total, entry's second
+// value · 10): a packet that leaves carrying other values than it arrived
+// with. Its Process must never run under ProcessBatchOf.
+type summingEmitter struct {
+	parityProgram
+	total uint64
+	out   []uint64
+}
 
-func (p *batchParityProgram) ProcessBatch(b *Batch, decisions []Decision) {
-	p.batchCalls++
-	for j, v := range b.Cols[0][:b.N] {
-		if v%2 == 1 {
-			decisions[j] = Prune
-		} else {
-			decisions[j] = Forward
-		}
+func (e *summingEmitter) ProcessEmit(vals []uint64) (Decision, []uint64) {
+	e.total += vals[0]
+	if vals[0]%6 == 0 {
+		return Prune, nil
 	}
+	e.out = append(e.out[:0], e.total, vals[1]*10)
+	return Forward, e.out
 }
 
 func testBatch(n int) (*Batch, []Decision) {
@@ -61,20 +63,27 @@ func TestProcessBatchOfScalarFallback(t *testing.T) {
 	}
 }
 
-func TestProcessBatchOfNativePath(t *testing.T) {
+// TestProcessBatchOfEmitter: the chunk driver hands an Emitter's entries
+// to ProcessEmit in order, keeps its verdicts, and writes each forwarded
+// entry's rewritten values back into the batch columns, leaving pruned
+// slots as they arrived.
+func TestProcessBatchOfEmitter(t *testing.T) {
 	b, dec := testBatch(64)
-	p := &batchParityProgram{}
-	ProcessBatchOf(p, b, dec)
-	if p.batchCalls != 1 || p.scalarCalls != 0 {
-		t.Fatalf("native path: batchCalls=%d scalarCalls=%d, want 1/0", p.batchCalls, p.scalarCalls)
+	e := &summingEmitter{}
+	ProcessBatchOf(e, b, dec)
+	if e.scalarCalls != 0 {
+		t.Fatalf("emitter took %d Process calls, want ProcessEmit only", e.scalarCalls)
 	}
+	total := uint64(0)
 	for j := 0; j < b.N; j++ {
-		want := Forward
-		if b.Cols[0][j]%2 == 1 {
-			want = Prune
+		v := uint64(j * 3)
+		total += v
+		want, cells := Forward, [2]uint64{total, uint64(j) * 10}
+		if v%6 == 0 {
+			want, cells = Prune, [2]uint64{v, uint64(j)}
 		}
-		if dec[j] != want {
-			t.Fatalf("entry %d: got %v, want %v", j, dec[j], want)
+		if dec[j] != want || b.Cols[0][j] != cells[0] || b.Cols[1][j] != cells[1] {
+			t.Fatalf("entry %d: got %v (%d, %d), want %v %v", j, dec[j], b.Cols[0][j], b.Cols[1][j], want, cells)
 		}
 	}
 }

@@ -10,7 +10,7 @@ func TestFailedPipelineForwardsEverything(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := &batchParityProgram{}
+	p := &parityProgram{}
 	if err := pl.Install(1, p); err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestFaultInjectorKillsBetweenBatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pl.Install(7, &batchParityProgram{}); err != nil {
+	if err := pl.Install(7, &parityProgram{}); err != nil {
 		t.Fatal(err)
 	}
 	var seen []int
@@ -101,10 +101,10 @@ func TestFaultInjectorScopedToArmedFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pl.Install(1, &batchParityProgram{}); err != nil {
+	if err := pl.Install(1, &parityProgram{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := pl.Install(2, &batchParityProgram{}); err != nil {
+	if err := pl.Install(2, &parityProgram{}); err != nil {
 		t.Fatal(err)
 	}
 	pl.SetFaultInjector(func(flowID uint32, batch int) bool { return flowID == 1 })
