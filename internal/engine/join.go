@@ -19,7 +19,6 @@ package engine
 // (MixedJoinKeys), so no pruned path takes them.
 
 import (
-	"slices"
 	"strconv"
 	"sync"
 
@@ -292,42 +291,14 @@ func completeJoin(q *Query, sc *joinScratch) [][]string {
 	return rows
 }
 
-// joinPart is one pass's completed join: completeJoin's rows in the
-// canonical result order, sorted where they were produced — in the
-// shard's own goroutine when there are several.
-type joinPart struct {
-	rows [][]string
-	// keyed: a cell contains NUL, so the order is the joined-key one
-	// (sortRows), which merging cell by cell can contradict.
-	keyed bool
-}
-
-// sortedJoinPart sorts completeJoin's rows into a part.
-func sortedJoinPart(rows [][]string) joinPart {
-	return joinPart{rows: rows, keyed: sortRows(rows)}
-}
-
-// joinResult merges the passes' parts into the sorted JOIN result.
-// Matching keys are co-located in one pass's table pair, so the parts'
-// keys are disjoint and the sorted runs merge k-way, one comparison per
-// row at two shards where a sort of the concatenation pays log n; one
-// part merges to itself. Only when a part took the joined-key order is
-// the concatenation sorted whole instead.
-func joinResult(q *Query, parts []joinPart) *Result {
-	res := &Result{Columns: []string{q.LeftKey, "pairs"}}
-	runs := make([][][]string, len(parts))
-	keyed := false
-	for i, p := range parts {
-		runs[i] = p.rows
-		keyed = keyed || p.keyed
-	}
-	if keyed && len(parts) > 1 {
-		res.Rows = slices.Concat(runs...)
-		res.Sort()
-		return res
-	}
-	res.Rows = mergeSortedRows(runs)
-	return res
+// joinResult merges the passes' rows, each sorted where it was produced —
+// in the shard's own goroutine when there are several — into the sorted
+// JOIN result. Matching keys are co-located in one pass's table pair, so
+// the runs' keys are disjoint and they merge k-way, one comparison per
+// row at two shards where a sort of the concatenation pays log n; one run
+// merges to itself.
+func joinResult(q *Query, runs [][][]string) *Result {
+	return &Result{Columns: []string{q.LeftKey, "pairs"}, Rows: mergeSortedRows(runs)}
 }
 
 // batchJoinPasses is fusedJoinPasses on the chunked pipeline — the same

@@ -142,7 +142,8 @@ func TestCompleteJoinCollisions(t *testing.T) {
 					sc.right.col = append(sc.right.col, fp(k))
 				}
 				rows := completeJoin(q, sc)
-				if got := joinResult(q, []joinPart{sortedJoinPart(rows)}); !got.Equal(want) {
+				sortRows(rows)
+				if got := joinResult(q, [][][]string{rows}); !got.Equal(want) {
 					t.Fatalf("%s int=%v fingerprints=%s: completeJoin diverges from execJoin\nwant:\n%s\ngot:\n%s",
 						c.name, intKeys, fname, want, got)
 				}

@@ -312,12 +312,13 @@ func completeTopN(q *Query, heaps []int64Heap) *Result {
 // share the program's Bloom state, so this whole sequence is also the
 // failover retry unit: a switch that dies anywhere inside it invalidates
 // the filter, never just one pass.
-func (ps *pass) join() (joinPart, error) {
+func (ps *pass) join() ([][]string, error) {
 	rows, err := ps.joinRows()
 	if err != nil {
-		return joinPart{}, err
+		return nil, err
 	}
-	return sortedJoinPart(rows), nil
+	sortRows(rows)
+	return rows, nil
 }
 
 // joinRows runs the pass's join to completeJoin's unsorted rows.
@@ -459,13 +460,13 @@ func execPasses(q *Query, execs []*shardExec, opts ShardedOptions) (res *Result,
 		// Matching keys are co-located in one pass's table pair (the
 		// driver hash-shards both sides on the keys), so per-pass joins are
 		// disjoint sorted runs and compose by one merge.
-		parts := make([]joinPart, len(passes))
+		runs := make([][][]string, len(passes))
 		err = scatter(func(s int) (err error) {
-			parts[s], err = passes[s].join()
+			runs[s], err = passes[s].join()
 			return err
 		})
 		if err == nil {
-			res = joinResult(q, parts)
+			res = joinResult(q, runs)
 		}
 	default: // DISTINCT, GROUP BY MAX, GROUP BY SUM, HAVING
 		partials := make([]*partial, len(passes))

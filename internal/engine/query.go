@@ -294,13 +294,12 @@ type Result struct {
 	Rows    [][]string
 }
 
-// Sort puts the rows into the canonical order, ascending by the
-// "\x00"-joined row key, which makes results comparable. It is the one
-// result sort: the ExecDirect oracle, every engine completion and the
-// stream mergers' snapshots call it. No key is built per comparison —
-// rows compare cell by cell, which is the same order while no cell
-// contains NUL, and only a result with a NUL inside a cell pays for
-// joined keys, built once per row (see sortRows).
+// Sort puts the rows into the canonical order, CompareRows': ascending by
+// the "\x00"-joined row key, rows of one key cell by cell, which makes
+// results comparable. It is the one result sort, which the ExecDirect
+// oracle and every engine completion call; JOIN's run merge, the stream
+// mergers and subscription change sets keep rows in its order. No key is
+// built per comparison.
 func (r *Result) Sort() { sortRows(r.Rows) }
 
 // Equal reports whether two sorted results match exactly.

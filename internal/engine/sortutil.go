@@ -1,65 +1,151 @@
 package engine
 
 import (
+	"errors"
 	"slices"
-	"sort"
 	"strings"
 )
 
-// compareRows orders rows cell by cell, a shorter row first when one is
-// a prefix of the other. While no cell contains NUL that is exactly the
-// order of the "\x00"-joined row keys (a cell that is a proper prefix of
-// its counterpart meets the separator or the key's end, and both sort
-// below any cell byte), so Result.Sort uses it without building a key
-// per comparison.
-func compareRows(a, b []string) int {
-	for k := 0; k < len(a) && k < len(b); k++ {
-		if c := strings.Compare(a[k], b[k]); c != 0 {
-			return c
+// CompareRows orders rows canonically: by their "\x00"-joined keys, and
+// rows whose keys are equal but whose cells differ (["a\x00b"] beside
+// ["a", "b"]) cell by cell, so that only equal rows compare equal and every
+// arrangement of one multiset sorts to the same slice. No key is built:
+// rows compare cell by cell, a shorter row first when one is a prefix of
+// the other, which is the joined-key order except where a cell that is a
+// proper prefix of its counterpart meets a NUL in the longer cell — there
+// the separator ties with the NUL, and only then are the remaining cells
+// joined and compared as keys.
+func CompareRows(a, b []string) int {
+	n := min(len(a), len(b))
+	if n == 0 {
+		// An empty row's key is "", as is a row of one empty cell's.
+		return joinedCompare(a, b)
+	}
+	for k := 0; k < n; k++ {
+		x, y := a[k], b[k]
+		c := strings.Compare(x, y)
+		if c == 0 {
+			continue
 		}
+		// The shorter cell sorts first unless the longer one continues
+		// with NUL where the shorter row continues with a separator.
+		if c < 0 && len(x) < len(y) && y[len(x)] == 0 && k < len(a)-1 && y[:len(x)] == x ||
+			c > 0 && len(y) < len(x) && x[len(y)] == 0 && k < len(b)-1 && x[:len(y)] == y {
+			return joinedCompare(a[k:], b[k:])
+		}
+		return c
 	}
 	return len(a) - len(b)
 }
 
-// keyedRows sorts rows by their precomputed "\x00"-joined keys — the
-// canonical order spelled out, for results where a cell contains the
-// separator and cell-wise comparison can disagree with it.
-type keyedRows struct {
-	keys []string
-	rows [][]string
-}
-
-func (k keyedRows) Len() int           { return len(k.rows) }
-func (k keyedRows) Less(i, j int) bool { return k.keys[i] < k.keys[j] }
-func (k keyedRows) Swap(i, j int) {
-	k.keys[i], k.keys[j] = k.keys[j], k.keys[i]
-	k.rows[i], k.rows[j] = k.rows[j], k.rows[i]
+// joinedCompare compares rows by their joined keys, and rows of equal keys
+// cell by cell.
+func joinedCompare(a, b []string) int {
+	if c := strings.Compare(strings.Join(a, "\x00"), strings.Join(b, "\x00")); c != 0 {
+		return c
+	}
+	return slices.Compare(a, b)
 }
 
 // sortRows puts rows into the canonical result order (see Result.Sort),
-// in place and without allocating unless a cell contains NUL. It reports
-// whether one did, i.e. whether the order is the joined-key one.
-func sortRows(rows [][]string) (keyed bool) {
-	for _, row := range rows {
-		for _, cell := range row {
-			if strings.IndexByte(cell, 0) >= 0 {
-				keys := make([]string, len(rows))
-				for i, r := range rows {
-					keys[i] = strings.Join(r, "\x00")
-				}
-				sort.Sort(keyedRows{keys, rows})
-				return true
-			}
-		}
-	}
-	slices.SortFunc(rows, compareRows)
-	return false
+// in place and without allocating.
+func sortRows(rows [][]string) { slices.SortFunc(rows, CompareRows) }
+
+// sameRow reports whether a and b are the same []string — one backing
+// array, one length — which a standing result's rows stay while their
+// values do.
+func sameRow(a, b []string) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
-// mergeSortedRows k-way merges runs that are each in compareRows order
-// into one slice in that order, consuming runs; rows that compare equal
-// keep their runs' order. One run merges to itself. The head scan is
-// linear in the number of runs — a switch count, so a handful.
+// DiffRows returns the change set that turns from into to, both in
+// canonical order: the rows from loses and the rows to gains, in canonical
+// order, duplicates counted. The walk is linear; a row that is the same
+// []string on both sides is passed over without a comparison.
+func DiffRows(from, to [][]string) (removed, added [][]string) {
+	i, j := 0, 0
+	for i < len(from) && j < len(to) {
+		if sameRow(from[i], to[j]) {
+			i, j = i+1, j+1
+			continue
+		}
+		switch c := CompareRows(from[i], to[j]); {
+		case c == 0:
+			i, j = i+1, j+1
+		case c < 0:
+			removed = append(removed, from[i])
+			i++
+		default:
+			added = append(added, to[j])
+			j++
+		}
+	}
+	removed = append(removed, from[i:]...)
+	added = append(added, to[j:]...)
+	return removed, added
+}
+
+// ErrChangeSet rejects a change set that does not apply to its base.
+var ErrChangeSet = errors.New("engine: change set does not apply to its base")
+
+// MergeRows applies a change set to base, all three in canonical order:
+// the result is base without removed (each must be in base) and with
+// added, in canonical order, in a new slice that shares base's rows. The
+// change is searched for, not walked to, so a small change to a large base
+// costs its own rows' binary searches and one copy of the base's row
+// pointers.
+func MergeRows(base, removed, added [][]string) ([][]string, error) {
+	if len(removed) > len(base) {
+		return nil, ErrChangeSet
+	}
+	out := make([][]string, 0, len(base)-len(removed)+len(added))
+	pos, i, j := 0, 0, 0
+	var last []string
+	for i < len(removed) || j < len(added) {
+		// The next change in canonical order, a removal first on a tie.
+		remove := j == len(added) || i < len(removed) && CompareRows(removed[i], added[j]) <= 0
+		var row []string
+		if remove {
+			row = removed[i]
+		} else {
+			row = added[j]
+		}
+		if (i > 0 || j > 0) && CompareRows(last, row) > 0 {
+			return nil, ErrChangeSet
+		}
+		last = row
+		rest := base[pos:]
+		if remove {
+			at, found := slices.BinarySearchFunc(rest, row, CompareRows)
+			if !found {
+				return nil, ErrChangeSet
+			}
+			out = append(out, rest[:at]...)
+			pos += at + 1
+			i++
+			continue
+		}
+		at, _ := slices.BinarySearchFunc(rest, row, after)
+		out = append(append(out, rest[:at]...), row)
+		pos += at
+		j++
+	}
+	return append(out, base[pos:]...), nil
+}
+
+// after compares a row with a target as if the target sorted after its
+// equals, so that a binary search for the target lands past their run.
+func after(row, target []string) int {
+	if CompareRows(row, target) <= 0 {
+		return -1
+	}
+	return 1
+}
+
+// mergeSortedRows k-way merges runs that are each in canonical order into
+// one slice in that order, consuming runs. One run merges to itself. The
+// head scan is linear in the number of runs — a switch count, so a
+// handful.
 func mergeSortedRows(runs [][][]string) [][]string {
 	if len(runs) == 1 {
 		return runs[0]
@@ -72,7 +158,7 @@ func mergeSortedRows(runs [][][]string) [][]string {
 	for len(out) < total {
 		best := -1
 		for i, run := range runs {
-			if len(run) > 0 && (best < 0 || compareRows(run[0], runs[best][0]) < 0) {
+			if len(run) > 0 && (best < 0 || CompareRows(run[0], runs[best][0]) < 0) {
 				best = i
 			}
 		}

@@ -1,9 +1,12 @@
 package engine
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -105,8 +108,7 @@ func fuzzRows(data []byte, width uint8, ragged bool, prefix string) [][]string {
 }
 
 // checkRunsMerge deals rows into k runs, sorts each the way a JOIN pass
-// sorts its part and merges them the way joinResult does — cell-wise k-way
-// merge, the whole-result sort when a run met a NUL cell — and checks the
+// sorts its rows and merges them the way joinResult does, and checks the
 // outcome against the legacy definition like checkCanonicalSort: the merge
 // of sorted runs is Result.Sort of their concatenation.
 func checkRunsMerge(t *testing.T, rows [][]string, k int) {
@@ -115,11 +117,10 @@ func checkRunsMerge(t *testing.T, rows [][]string, k int) {
 	for i, r := range rows {
 		runs[i%k] = append(runs[i%k], r)
 	}
-	parts := make([]joinPart, k)
-	for i, run := range runs {
-		parts[i] = sortedJoinPart(run)
+	for _, run := range runs {
+		sortRows(run)
 	}
-	checkCanonicalOrder(t, fmt.Sprintf("merge of %d runs", k), joinResult(&Query{LeftKey: "k"}, parts).Rows, rows)
+	checkCanonicalOrder(t, fmt.Sprintf("merge of %d runs", k), joinResult(&Query{LeftKey: "k"}, runs).Rows, rows)
 }
 
 // sortOrderSeeds are FuzzResultSortOrder's corpus shapes: plain cells, NUL
@@ -161,11 +162,35 @@ func TestSortedRunsMergeMatchesResultSort(t *testing.T) {
 	}
 }
 
-// FuzzResultSortOrder pins Result.Sort — cell-wise comparison and the
-// NUL-cell fallback — to the legacy definition of the canonical order
-// on generated rows: NUL cells, empty cells, ragged rows, long shared
-// prefixes, one to three columns. The same rows, dealt into sorted runs
-// and merged (checkRunsMerge), must land in that order too.
+// checkCompareRows pins CompareRows to strings.Compare of the joined keys
+// on every pair of the first rows: the same sign wherever the keys
+// differ, 0 where they are equal exactly when the rows are, and the
+// opposite sign with the arguments swapped.
+func checkCompareRows(t *testing.T, rows [][]string) {
+	t.Helper()
+	rows = rows[:min(len(rows), 40)]
+	for _, a := range rows {
+		for _, b := range rows {
+			got := cmp.Compare(CompareRows(a, b), 0)
+			want := strings.Compare(strings.Join(a, "\x00"), strings.Join(b, "\x00"))
+			switch {
+			case want != 0 && got != want:
+				t.Fatalf("CompareRows(%q, %q) is %d, the joined keys compare %d", a, b, got, want)
+			case want == 0 && (got == 0) != slices.Equal(a, b):
+				t.Fatalf("CompareRows(%q, %q) is %d, the rows share one joined key", a, b, got)
+			case cmp.Compare(CompareRows(b, a), 0) != -got:
+				t.Fatalf("CompareRows(%q, %q) is %d, swapped %d", a, b, got, CompareRows(b, a))
+			}
+		}
+	}
+}
+
+// FuzzResultSortOrder pins the canonical order on generated rows — NUL
+// cells, empty cells, ragged rows, long shared prefixes, one to three
+// columns: CompareRows against strings.Compare of the joined keys,
+// Result.Sort against the legacy definition (and one arrangement of the
+// rows against another), and the same rows dealt into sorted runs and
+// merged (checkRunsMerge).
 func FuzzResultSortOrder(f *testing.F) {
 	for _, s := range sortOrderSeeds {
 		f.Add(s.data, s.width, s.ragged, s.prefix)
@@ -175,9 +200,91 @@ func FuzzResultSortOrder(f *testing.F) {
 			return
 		}
 		rows := fuzzRows(data, width, ragged, strings.Repeat("p", int(prefix%64)))
+		checkCompareRows(t, rows)
 		checkCanonicalSort(t, rows)
+		rev := slices.Clone(rows)
+		slices.Reverse(rev)
+		sortRows(rev)
+		sorted := slices.Clone(rows)
+		sortRows(sorted)
+		if !slices.EqualFunc(sorted, rev, slices.Equal[[]string]) {
+			t.Fatalf("one multiset sorts two ways:\n%q\n%q", sorted, rev)
+		}
 		checkRunsMerge(t, rows, 2+int(width>>2)%6)
 	})
+}
+
+// checkChangeSet diffs a against b, both in canonical order, and merges
+// the change back into a: both change lists must be canonical, their
+// sizes must add up, and the merge must give b exactly.
+func checkChangeSet(t *testing.T, a, b [][]string) {
+	t.Helper()
+	removed, added := DiffRows(a, b)
+	if !slices.IsSortedFunc(removed, CompareRows) || !slices.IsSortedFunc(added, CompareRows) {
+		t.Fatalf("the diff of %q into %q is out of order: -%q +%q", a, b, removed, added)
+	}
+	if len(a)-len(removed)+len(added) != len(b) {
+		t.Fatalf("the diff of %q into %q: -%d +%d rows", a, b, len(removed), len(added))
+	}
+	got, err := MergeRows(a, removed, added)
+	if err != nil {
+		t.Fatalf("merging the diff of %q into %q: %v", a, b, err)
+	}
+	if !slices.EqualFunc(got, b, slices.Equal[[]string]) {
+		t.Fatalf("%q merged with its diff to %q gives %q", a, b, got)
+	}
+}
+
+// FuzzRowsChangeSet pins the change sets a subscription's updates carry
+// and its standing mergers apply: for a and b in canonical order — NUL
+// and empty cells, duplicates, rows shared by both as the same []string,
+// which the diff passes over by identity — merging a with DiffRows(a, b)
+// gives b, and the other way round.
+func FuzzRowsChangeSet(f *testing.F) {
+	f.Add([]byte("b,a;a,b;a,a"), []byte("a,a;c,d"), uint8(2), uint8(0), uint8(3))
+	f.Add([]byte("a\x00,b;a,\x00b;a;a\x00"), []byte("a\x00b;a;;"), uint8(0), uint8(0), uint8(5))
+	f.Add([]byte("x;x;x;y"), []byte("x;y;y"), uint8(0), uint8(20), uint8(1))
+	f.Add([]byte(""), []byte("k,1;k,1;k\x00,1"), uint8(1), uint8(0), uint8(7))
+	f.Fuzz(func(t *testing.T, da, db []byte, width, prefix, keep uint8) {
+		if len(da)+len(db) > 1<<12 {
+			return
+		}
+		p := strings.Repeat("p", int(prefix%64))
+		a := fuzzRows(da, width, false, p)
+		sortRows(a)
+		// b keeps some of a's rows and adds its own.
+		var b [][]string
+		for i, row := range a {
+			if (i+int(keep))%3 != 0 {
+				b = append(b, row)
+			}
+		}
+		b = append(b, fuzzRows(db, width, false, p)...)
+		sortRows(b)
+		checkChangeSet(t, a, b)
+		checkChangeSet(t, b, a)
+	})
+}
+
+// TestMergeRowsRejects: a change set that removes a row its base lacks,
+// removes more rows than the base holds, or lists rows out of canonical
+// order does not apply.
+func TestMergeRowsRejects(t *testing.T) {
+	base := [][]string{{"a"}, {"b"}, {"c"}}
+	for _, c := range []struct {
+		name           string
+		removed, added [][]string
+	}{
+		{"absent", [][]string{{"bb"}}, nil},
+		{"twice", [][]string{{"b"}, {"b"}}, nil},
+		{"more than the base", [][]string{{"a"}, {"b"}, {"c"}, {"d"}}, nil},
+		{"removed out of order", [][]string{{"c"}, {"a"}}, nil},
+		{"added out of order", nil, [][]string{{"d"}, {"0"}}},
+	} {
+		if _, err := MergeRows(base, c.removed, c.added); !errors.Is(err, ErrChangeSet) {
+			t.Errorf("%s: MergeRows answered %v, want ErrChangeSet", c.name, err)
+		}
+	}
 }
 
 // checkRankedOrder puts the keys of a one-key-column table holding cells

@@ -287,6 +287,11 @@ type ClientSub struct {
 
 	updates chan *wire.UpdateMsg
 	once    sync.Once
+
+	// rows is the standing result the server's change sets apply to and
+	// ver its version; only the read loop touches them.
+	rows [][]string
+	ver  uint64
 }
 
 // SubscribeOptions configures a subscription.
@@ -336,8 +341,11 @@ func (cl *Client) Subscribe(ctx context.Context, spec wire.QuerySpec, opts Subsc
 	return sub, nil
 }
 
-// Updates returns the subscription's update channel. It closes when the
-// subscription or connection closes. Updates are latest-wins: a slow
+// Updates returns the subscription's update channel. Each update holds
+// the whole standing result at its Version, rebuilt from the server's
+// change set (Base 0, nothing Removed); its rows are shared with later
+// rebuilds, so read them and do not modify them. The channel closes when
+// the subscription or connection closes. Updates are latest-wins: a slow
 // consumer sees the newest standing result, not every intermediate one.
 func (s *ClientSub) Updates() <-chan *wire.UpdateMsg { return s.updates }
 
@@ -379,6 +387,22 @@ func (s *ClientSub) deliver(u *wire.UpdateMsg) {
 			}
 		}
 	}
+}
+
+// apply rebuilds the whole standing result from one change set. A change
+// against another version than the one held, or one that does not apply
+// to it, means the two ends disagree, and the caller fails the connection.
+func (s *ClientSub) apply(u *wire.UpdateMsg) (*wire.UpdateMsg, error) {
+	if u.Base != s.ver {
+		return nil, fmt.Errorf("netserve: subscription %d: the update to version %d is against version %d, the client holds %d",
+			s.id, u.Version, u.Base, s.ver)
+	}
+	rows, err := engine.MergeRows(s.rows, u.Removed, u.Rows)
+	if err != nil {
+		return nil, fmt.Errorf("netserve: subscription %d: the update to version %d: %w", s.id, u.Version, err)
+	}
+	s.rows, s.ver = rows, u.Version
+	return &wire.UpdateMsg{ID: u.ID, Version: u.Version, Columns: u.Columns, Rows: rows}, nil
 }
 
 // fail tears the client down with a terminal error: every pending call
@@ -471,9 +495,15 @@ func (cl *Client) readLoop() {
 			cl.mu.Lock()
 			sub := cl.subs[m.ID]
 			cl.mu.Unlock()
-			if sub != nil {
-				sub.deliver(&m)
+			if sub == nil {
+				continue
 			}
+			full, err := sub.apply(&m)
+			if err != nil {
+				cl.fail(err)
+				return
+			}
+			sub.deliver(full)
 		case wire.FrameError:
 			var m wire.ErrorMsg
 			if err := m.DecodeBody(body); err != nil {

@@ -19,10 +19,13 @@
 //     serve.QoS — so the fabric's admission, quotas and deadline
 //     shedding apply to network clients exactly as to in-process ones.
 //   - Per-subscription credit-based send windows: the server only
-//     pushes a FrameUpdate while the subscription has credits; updates
+//     pushes a FrameUpdate while the subscription has credits; results
 //     arriving with the window exhausted coalesce latest-wins (matching
 //     stream.Subscription's own Updates contract), so a slow client
-//     throttles its own subscription without stalling the fabric.
+//     throttles its own subscription without stalling the fabric. An
+//     update is a change set against the result last sent — the one the
+//     client holds — so it costs what changed, and coalescing needs no
+//     merging.
 //   - Graceful drain: Shutdown stops accepting, fails new work with a
 //     retryable error (clients may reconnect elsewhere), waits for
 //     in-flight queries, closes subscriptions (each gets a final
@@ -366,18 +369,27 @@ type conn struct {
 	closed bool
 }
 
-// subState is one standing subscription's server-side send window.
+// subState is one standing subscription's server-side send window and
+// the result its client holds.
 type subState struct {
-	sub *plan.Subscription
+	sub  *plan.Subscription
+	kind string // the query kind, update_frames' and update_bytes' label
 
+	// mu serialises the subscription's sends (sendUpdate) and guards the
+	// fields below.
 	mu      sync.Mutex
 	credits uint32
-	// pending is the newest update that arrived while the window was
+	// pending is the newest result that arrived while the window was
 	// exhausted (latest wins — intermediate standing results are
 	// skippable by construction, the subscription's own Updates channel
-	// has the same contract).
-	pending *wire.UpdateMsg
-	closed  bool
+	// has the same contract); its change set is diffed when it is sent.
+	pending    *engine.Result
+	pendingVer uint64
+	// sent is the rows of the last result sent — the one the client
+	// holds — and sentVer its version: the base of the next change set
+	// (nil and 0 before the first).
+	sent    [][]string
+	sentVer uint64
 }
 
 func (c *conn) writeFrame(t wire.FrameType, body []byte) error {
@@ -721,7 +733,7 @@ func (c *conn) handleSubscribe(req *wire.SubscribeReq) {
 	if credits == 0 {
 		credits = 1
 	}
-	st := &subState{sub: sub, credits: credits}
+	st := &subState{sub: sub, kind: q.Kind.String(), credits: credits}
 	c.mu.Lock()
 	if c.closed || c.subs[req.ID] != nil {
 		c.mu.Unlock()
@@ -740,36 +752,24 @@ func (c *conn) handleSubscribe(req *wire.SubscribeReq) {
 	}()
 }
 
-// forward consumes the subscription's update channel and pushes
-// standing-result refreshes while the send window has credits. The
-// channel closes when the subscription does (unsubscribe, disconnect,
-// or drain), ending the forwarder.
+// forward consumes the subscription's update channel and sends each
+// refreshed standing result (sendUpdate). The channel closes when the
+// subscription does (unsubscribe, disconnect, or drain), ending the
+// forwarder.
 func (c *conn) forward(id uint64, st *subState) {
 	for range st.sub.Updates() {
 		res, ver := st.sub.Results()
 		if res == nil {
 			continue
 		}
-		u := &wire.UpdateMsg{ID: id, Version: ver, Columns: res.Columns, Rows: res.Rows}
-		st.mu.Lock()
-		if st.credits == 0 {
-			st.pending = u // latest wins while the window is exhausted
-			st.mu.Unlock()
-			// A stall: the client's window is the bottleneck, not the
-			// fabric — the series a slow consumer shows up in.
-			c.srv.metrics.Counter("credit_stalls").Incr(1)
-			continue
-		}
-		st.credits--
-		st.mu.Unlock()
-		if c.writeFrame(wire.FrameUpdate, u.EncodeBody(nil)) != nil {
+		if c.sendUpdate(id, st, res, ver, 0) != nil {
 			return
 		}
 	}
 }
 
-// handleCredit replenishes a subscription's send window and flushes the
-// coalesced pending update, if any.
+// handleCredit replenishes a subscription's send window and sends the
+// coalesced pending result, if any.
 func (c *conn) handleCredit(cr *wire.CreditMsg) {
 	c.mu.Lock()
 	st := c.subs[cr.ID]
@@ -777,15 +777,47 @@ func (c *conn) handleCredit(cr *wire.CreditMsg) {
 	if st == nil || cr.N == 0 {
 		return
 	}
+	_ = c.sendUpdate(cr.ID, st, nil, 0, cr.N)
+}
+
+// sendUpdate is the one way a subscription's updates leave. It adds credit
+// to the send window and takes res at version ver, or the pending result
+// when res is nil. While the window is open it writes the change set that
+// turns the result the client holds into it; with the window shut the
+// result waits in pending, replacing an older one. st.mu is held across
+// the diff and the write, so one subscription's sends never interleave,
+// and a result older than the one sent is dropped: every change set
+// applies to the base its predecessor left.
+func (c *conn) sendUpdate(id uint64, st *subState, res *engine.Result, ver uint64, credit uint32) error {
 	st.mu.Lock()
-	st.credits += cr.N
-	u := st.pending
-	if u != nil {
-		st.pending = nil
-		st.credits--
+	defer st.mu.Unlock()
+	st.credits += credit
+	if res == nil {
+		if res, ver = st.pending, st.pendingVer; res == nil {
+			return nil
+		}
 	}
-	st.mu.Unlock()
-	if u != nil {
-		_ = c.writeFrame(wire.FrameUpdate, u.EncodeBody(nil))
+	if ver < st.sentVer {
+		return nil
 	}
+	if st.credits == 0 {
+		st.pending, st.pendingVer = res, ver
+		// A stall: the client's window is the bottleneck, not the
+		// fabric — the series a slow consumer shows up in.
+		c.srv.metrics.Counter("credit_stalls").Incr(1)
+		return nil
+	}
+	st.credits--
+	st.pending = nil
+	removed, added := engine.DiffRows(st.sent, res.Rows)
+	u := wire.UpdateMsg{ID: id, Version: ver, Base: st.sentVer, Columns: res.Columns, Removed: removed, Rows: added}
+	body := u.EncodeBody(nil)
+	if err := c.writeFrame(wire.FrameUpdate, body); err != nil {
+		return err
+	}
+	st.sent, st.sentVer = res.Rows, ver
+	// The frame's bytes: its length prefix and type byte, then the body.
+	c.srv.metrics.Counter("update_bytes", "kind", st.kind).Incr(uint64(5 + len(body)))
+	c.srv.metrics.Counter("update_frames", "kind", st.kind).Incr(1)
+	return nil
 }

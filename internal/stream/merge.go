@@ -8,6 +8,18 @@ package stream
 // by ExecDirect, the batched pipeline, ExecSharded, or a fabric lease,
 // because all of them render the same canonical rows.
 //
+// A standing result that grows with the data — FILTER's rows, DISTINCT,
+// GROUP BY MAX / SUM, HAVING, JOIN — is kept in canonical order
+// (standing): absorb records the rows a delta retires and adds, and a
+// snapshot sorts only the rows added since the last one and applies the
+// change to that snapshot's rows with engine.MergeRows, the routine a
+// remote client rebuilds its copy with. So absorb stays O(delta), a
+// snapshot is pointer work over the standing rows, an unchanged merger
+// returns its previous result, and a row whose value did not change keeps
+// its []string, which a server's change set passes over by identity. TOP
+// N and SKYLINE, bounded by N and by the frontier, render afresh
+// (sortedCopy).
+//
 // Why each merge is exact:
 //
 //   - FILTER: matching is per-row, so the full result is the bag union
@@ -26,13 +38,15 @@ package stream
 //     rendered. The candidates-only output of the sketch path cannot
 //     be merged incrementally — a below-threshold key would be lost.
 //   - JOIN: with a static right side, per-key pair counts are linear in
-//     the left rows: pairs(A∪B ⋈ R) = pairs(A⋈R) + pairs(B⋈R).
+//     the left rows: pairs(A∪B ⋈ R) = pairs(A⋈R) + pairs(B⋈R), a per-key
+//     sum like GROUP BY SUM's.
 //   - SKYLINE: skyline(A ∪ B) = skyline(skyline(A) ∪ skyline(B)); the
 //     standing frontier is dominance-re-checked against each delta's
 //     skyline. Points never resurface once dominated.
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -48,7 +62,8 @@ type merger interface {
 	absorb(*engine.Result) error
 	// snapshot renders the standing result, bit-identical to a
 	// from-scratch run over everything absorbed. The returned value is
-	// immutable (fresh rows each call).
+	// immutable: a later snapshot is another Result, which may share its
+	// rows.
 	snapshot() *engine.Result
 }
 
@@ -64,28 +79,29 @@ func newMerger(q *engine.Query) (merger, error) {
 		for i, d := range q.Table.Schema() {
 			names[i] = d.Name
 		}
-		return &bagMerger{cols: names}, nil
+		return &bagMerger{standing{cols: names}}, nil
 	case engine.KindDistinct:
-		return &setMerger{cols: append([]string(nil), q.DistinctCols...)}, nil
+		return &setMerger{standing: standing{cols: append([]string(nil), q.DistinctCols...)}}, nil
 	case engine.KindTopN:
 		return &topNMerger{cols: []string{q.OrderCol}, n: q.N}, nil
 	case engine.KindGroupByMax:
-		return &keyAggMerger{cols: []string{q.KeyCol, "max(" + q.AggCol + ")"}, sum: false}, nil
+		return &keyAggMerger{standing: standing{cols: []string{q.KeyCol, "max(" + q.AggCol + ")"}}}, nil
 	case engine.KindGroupBySum:
-		return &keyAggMerger{cols: []string{q.KeyCol, "sum(" + q.AggCol + ")"}, sum: true}, nil
+		return sumMerger(q), nil
 	case engine.KindHaving:
-		return &havingMerger{
-			keyAggMerger: keyAggMerger{cols: []string{q.KeyCol, "sum(" + q.AggCol + ")"}, sum: true},
-			outCols:      []string{q.KeyCol},
-			threshold:    q.Threshold,
-		}, nil
+		return &keyAggMerger{standing: standing{cols: []string{q.KeyCol}}, sum: true, having: true, threshold: q.Threshold}, nil
 	case engine.KindJoin:
-		return &joinMerger{cols: []string{q.LeftKey, "pairs"}}, nil
+		return &keyAggMerger{standing: standing{cols: []string{q.LeftKey, "pairs"}}, sum: true}, nil
 	case engine.KindSkyline:
 		return &skylineMerger{cols: append([]string(nil), q.SkylineCols...), dims: len(q.SkylineCols)}, nil
 	default:
 		return nil, fmt.Errorf("stream: no incremental merge for %v", q.Kind)
 	}
+}
+
+// sumMerger is GROUP BY SUM's merger, and HAVING's per pane.
+func sumMerger(q *engine.Query) *keyAggMerger {
+	return &keyAggMerger{standing: standing{cols: []string{q.KeyCol, "sum(" + q.AggCol + ")"}}, sum: true}
 }
 
 // paneMerger builds the per-pane accumulator for windowed
@@ -94,7 +110,7 @@ func newMerger(q *engine.Query) (merger, error) {
 // per pane).
 func paneMerger(q *engine.Query) (merger, error) {
 	if q.Kind == engine.KindHaving {
-		return &keyAggMerger{cols: []string{q.KeyCol, "sum(" + q.AggCol + ")"}, sum: true}, nil
+		return sumMerger(q), nil
 	}
 	return newMerger(q)
 }
@@ -121,11 +137,45 @@ func parseInt64(s string) (int64, error) {
 }
 
 // sortedCopy renders the rows as a Result in the canonical sorted
-// order (fresh backing, safe to hand out).
+// order (fresh backing, safe to hand out): the render of the mergers
+// whose standing rows are bounded.
 func sortedCopy(cols []string, rows [][]string) *engine.Result {
 	res := &engine.Result{Columns: cols, Rows: rows}
 	res.Sort()
 	return res
+}
+
+// standing is a standing result kept in canonical order: the last
+// snapshot, and the rows retired from it and added since.
+type standing struct {
+	cols           []string
+	res            *engine.Result // the last snapshot; nil before the first
+	removed, added [][]string
+}
+
+// render applies the change since the last snapshot — only the retired
+// and added rows are sorted, the standing ones move by pointer — and
+// returns the new snapshot, or the last one when nothing changed.
+func (s *standing) render() *engine.Result {
+	if s.res != nil && len(s.removed) == 0 && len(s.added) == 0 {
+		return s.res
+	}
+	var base [][]string
+	if s.res != nil {
+		base = s.res.Rows
+	}
+	slices.SortFunc(s.removed, engine.CompareRows)
+	slices.SortFunc(s.added, engine.CompareRows)
+	rows, err := engine.MergeRows(base, s.removed, s.added)
+	if err != nil {
+		// A merger retires only rows its last snapshot rendered.
+		panic(fmt.Sprintf("stream: standing change does not apply to its snapshot: %v", err))
+	}
+	s.res = &engine.Result{Columns: s.cols, Rows: rows}
+	clear(s.removed)
+	clear(s.added)
+	s.removed, s.added = s.removed[:0], s.added[:0]
+	return s.res
 }
 
 // --- FILTER -----------------------------------------------------------
@@ -152,29 +202,23 @@ func (m *countMerger) snapshot() *engine.Result {
 
 // bagMerger serves FILTER: the standing result is the bag union of
 // per-delta matching rows.
-type bagMerger struct {
-	cols []string
-	rows [][]string
-}
+type bagMerger struct{ standing }
 
 func (m *bagMerger) absorb(r *engine.Result) error {
-	m.rows = append(m.rows, r.Rows...)
+	m.added = append(m.added, r.Rows...)
 	return nil
 }
 
-func (m *bagMerger) snapshot() *engine.Result {
-	return sortedCopy(m.cols, append([][]string(nil), m.rows...))
-}
+func (m *bagMerger) snapshot() *engine.Result { return m.render() }
 
 // --- DISTINCT ---------------------------------------------------------
 
 // setMerger serves DISTINCT: a fingerprint set over the rendered value
 // tuples (the exact tuple key — collisions on the canonical rendering
-// are equality).
+// are equality); a tuple seen for the first time is added.
 type setMerger struct {
-	cols []string
+	standing
 	seen map[string]struct{}
-	rows [][]string
 }
 
 func (m *setMerger) absorb(r *engine.Result) error {
@@ -187,14 +231,12 @@ func (m *setMerger) absorb(r *engine.Result) error {
 			continue
 		}
 		m.seen[k] = struct{}{}
-		m.rows = append(m.rows, row)
+		m.added = append(m.added, row)
 	}
 	return nil
 }
 
-func (m *setMerger) snapshot() *engine.Result {
-	return sortedCopy(m.cols, append([][]string(nil), m.rows...))
-}
+func (m *setMerger) snapshot() *engine.Result { return m.render() }
 
 // --- TOP N ------------------------------------------------------------
 
@@ -268,91 +310,91 @@ func (m *topNMerger) snapshot() *engine.Result {
 	return sortedCopy(m.cols, rows)
 }
 
-// --- GROUP BY MAX / SUM (and HAVING's aggregate map) ------------------
+// --- GROUP BY MAX / SUM, HAVING, JOIN ---------------------------------
 
-// keyAggMerger serves GROUP BY: a standing key → aggregate map merged
-// by max or sum.
+// keyAggMerger serves GROUP BY MAX / SUM and JOIN (pair counts sum per
+// key): a standing key → aggregate map merged by max or sum, one (key,
+// aggregate) row per key. For HAVING it keeps the full sum map and
+// renders a key alone, while its sum passes the threshold.
 type keyAggMerger struct {
-	cols []string
-	sum  bool
-	aggs map[string]int64
+	standing
+	sum       bool
+	having    bool
+	threshold int64
+	index     map[string]int32 // key → ents
+	ents      []aggEntry
+	touched   []int32 // ents absorbed into since the last snapshot
+}
+
+// aggEntry is one key's aggregate, and the row the last snapshot
+// rendered for it (nil if none) with the aggregate that row shows.
+type aggEntry struct {
+	key      string
+	v, shown int64
+	row      []string
+	touched  bool
 }
 
 func (m *keyAggMerger) absorb(r *engine.Result) error {
-	if m.aggs == nil {
-		m.aggs = make(map[string]int64, 4*len(r.Rows))
+	if m.index == nil {
+		m.index = make(map[string]int32, 4*len(r.Rows))
 	}
 	for _, row := range r.Rows {
 		v, err := parseInt64(row[1])
 		if err != nil {
 			return err
 		}
-		cur, ok := m.aggs[row[0]]
+		i, ok := m.index[row[0]]
+		if !ok {
+			i = int32(len(m.ents))
+			m.index[row[0]] = i
+			m.ents = append(m.ents, aggEntry{key: row[0], v: v})
+		}
+		e := &m.ents[i]
 		switch {
+		case !ok:
 		case m.sum:
-			m.aggs[row[0]] = cur + v
-		case !ok || v > cur:
-			m.aggs[row[0]] = v
+			e.v += v
+		case v > e.v:
+			e.v = v
+		default:
+			continue // a maximum that did not rise
+		}
+		if !e.touched {
+			e.touched = true
+			m.touched = append(m.touched, i)
 		}
 	}
 	return nil
 }
 
+// snapshot retires the rows of the keys whose rendering changed, adds
+// their new rows, and applies that change.
 func (m *keyAggMerger) snapshot() *engine.Result {
-	rows := make([][]string, 0, len(m.aggs))
-	for k, v := range m.aggs {
-		rows = append(rows, []string{k, strconv.FormatInt(v, 10)})
-	}
-	return sortedCopy(m.cols, rows)
-}
-
-// havingMerger serves HAVING: the full aggregate map of keyAggMerger
-// with the threshold applied when the standing result is rendered.
-type havingMerger struct {
-	keyAggMerger
-	outCols   []string
-	threshold int64
-}
-
-func (m *havingMerger) snapshot() *engine.Result {
-	rows := make([][]string, 0, len(m.aggs))
-	for k, v := range m.aggs {
-		if v > m.threshold {
-			rows = append(rows, []string{k})
+	for _, i := range m.touched {
+		e := &m.ents[i]
+		e.touched = false
+		show := !m.having || e.v > m.threshold
+		if e.row != nil && show && (m.having || e.shown == e.v) {
+			continue // its row stands
 		}
-	}
-	return sortedCopy(m.outCols, rows)
-}
-
-// --- JOIN -------------------------------------------------------------
-
-// joinMerger serves JOIN against a static right side: per-key pair
-// counts add across left-side deltas.
-type joinMerger struct {
-	cols  []string
-	pairs map[string]int64
-}
-
-func (m *joinMerger) absorb(r *engine.Result) error {
-	if m.pairs == nil {
-		m.pairs = make(map[string]int64, 4*len(r.Rows))
-	}
-	for _, row := range r.Rows {
-		v, err := parseInt64(row[1])
-		if err != nil {
-			return err
+		if e.row != nil {
+			m.removed = append(m.removed, e.row)
+			e.row = nil
 		}
-		m.pairs[row[0]] += v
+		if !show {
+			continue
+		}
+		if m.having {
+			e.row = []string{e.key}
+		} else {
+			e.row = []string{e.key, strconv.FormatInt(e.v, 10)}
+		}
+		e.shown = e.v
+		m.added = append(m.added, e.row)
 	}
-	return nil
-}
-
-func (m *joinMerger) snapshot() *engine.Result {
-	rows := make([][]string, 0, len(m.pairs))
-	for k, v := range m.pairs {
-		rows = append(rows, []string{k, strconv.FormatInt(v, 10)})
-	}
-	return sortedCopy(m.cols, rows)
+	m.touched = m.touched[:0]
+	return m.render()
 }
 
 // --- SKYLINE ----------------------------------------------------------

@@ -33,9 +33,11 @@ func mustEqual(t *testing.T, ctx string, got, want *engine.Result) {
 }
 
 // schedules enumerates the delta schedules of the property suite: one
-// big batch, many small batches, and small batches with a second
-// subscription registered mid-stream.
-var schedules = []string{"one-big", "many-small", "interleaved"}
+// big batch, many small batches, the same with the standing result
+// rendered after every step (each snapshot then applies a small change
+// to the last), and small batches with a second subscription registered
+// mid-stream.
+var schedules = []string{"one-big", "many-small", "rendered", "interleaved"}
 
 // runSchedule drives rows of src into the ingestor per the schedule,
 // stepping subscription(s) between appends, and returns every live
@@ -66,7 +68,7 @@ func runSchedule(t *testing.T, in *Ingestor, src *table.Table, schedule string,
 	case "one-big":
 		appendRange(0, n)
 		stepAll()
-	case "many-small":
+	case "many-small", "rendered":
 		const chunk = 97
 		for lo := 0; lo < n; lo += chunk {
 			hi := lo + chunk
@@ -75,6 +77,11 @@ func runSchedule(t *testing.T, in *Ingestor, src *table.Table, schedule string,
 			}
 			appendRange(lo, hi)
 			stepAll()
+			if schedule == "rendered" {
+				for _, s := range subs {
+					s.Results()
+				}
+			}
 		}
 	case "interleaved":
 		appendRange(0, n/2)

@@ -31,7 +31,7 @@ import (
 
 // ProtoVersion is the wire protocol version carried in the handshake.
 // A server refuses a Hello whose version it does not speak.
-const ProtoVersion uint16 = 1
+const ProtoVersion uint16 = 2
 
 // MaxFrameLen caps one frame's encoded size (type byte + body). The
 // limit bounds reader allocation against hostile length prefixes; 16
@@ -900,7 +900,12 @@ func (r *ResultMsg) DecodeBody(b []byte) error {
 // appendResult serializes a canonical result: columns, then rows of
 // exactly len(columns) cells each.
 func appendResult(b []byte, cols []string, rows [][]string) []byte {
-	b = appendStrings(b, cols)
+	return appendRows(appendStrings(b, cols), rows)
+}
+
+// appendRows serializes rows as wide as the columns sent before them: a
+// count, then every cell.
+func appendRows(b []byte, rows [][]string) []byte {
 	b = binary.AppendUvarint(b, uint64(len(rows)))
 	for _, row := range rows {
 		for _, cell := range row {
@@ -912,32 +917,29 @@ func appendResult(b []byte, cols []string, rows [][]string) []byte {
 
 func (d *decoder) result() ([]string, [][]string) {
 	cols := d.strs()
+	return cols, d.rows(len(cols))
+}
+
+// rows reads a count of rows of width cells each; without columns no row
+// is admitted.
+func (d *decoder) rows(width int) [][]string {
 	n := d.count(1)
-	if d.err != nil {
-		return cols, nil
+	if d.err != nil || n == 0 {
+		return nil
 	}
-	if len(cols) == 0 {
-		if n != 0 {
-			d.fail()
-		}
-		return cols, nil
-	}
-	if n == 0 {
-		return cols, nil
-	}
-	if uint64(n)*uint64(len(cols)) > uint64(len(d.b))+1 {
+	if width == 0 || uint64(n)*uint64(width) > uint64(len(d.b))+1 {
 		d.fail()
-		return cols, nil
+		return nil
 	}
 	rows := make([][]string, n)
 	for i := range rows {
-		row := make([]string, len(cols))
+		row := make([]string, width)
 		for j := range row {
 			row[j] = d.str()
 		}
 		rows[i] = row
 	}
-	return cols, rows
+	return rows
 }
 
 // ---- streaming ----
@@ -1148,22 +1150,33 @@ func (s *SubscribedMsg) DecodeBody(b []byte) error {
 	return d.done()
 }
 
-// UpdateMsg pushes a subscription's refreshed standing result. Updates
-// coalesce server-side (latest wins) while the client's send window is
-// exhausted.
+// UpdateMsg pushes a change to a subscription's standing result: the rows
+// the result at version Base loses (Removed) and gains (Rows), each list in
+// canonical order, which turn it into the result at Version. The server
+// diffs against the result it last sent, so the change applies to the one
+// the client holds; a subscription's first update has Base 0 and adds
+// every row. Updates coalesce server-side (latest wins) while the client's
+// send window is exhausted.
 type UpdateMsg struct {
 	ID uint64
 	// Version is the committed row prefix the result covers.
 	Version uint64
+	// Base is the version of the result the change applies to.
+	Base    uint64
 	Columns []string
-	Rows    [][]string
+	// Removed are the rows the result at Base loses.
+	Removed [][]string
+	// Rows are the rows it gains.
+	Rows [][]string
 }
 
 // EncodeBody serializes the update body.
 func (u *UpdateMsg) EncodeBody(b []byte) []byte {
 	b = binary.BigEndian.AppendUint64(b, u.ID)
 	b = binary.BigEndian.AppendUint64(b, u.Version)
-	return appendResult(b, u.Columns, u.Rows)
+	b = binary.BigEndian.AppendUint64(b, u.Base)
+	b = appendStrings(b, u.Columns)
+	return appendRows(appendRows(b, u.Removed), u.Rows)
 }
 
 // DecodeBody parses an update body.
@@ -1171,7 +1184,10 @@ func (u *UpdateMsg) DecodeBody(b []byte) error {
 	d := decoder{b: b}
 	u.ID = d.u64()
 	u.Version = d.u64()
-	u.Columns, u.Rows = d.result()
+	u.Base = d.u64()
+	u.Columns = d.strs()
+	u.Removed = d.rows(len(u.Columns))
+	u.Rows = d.rows(len(u.Columns))
 	return d.done()
 }
 

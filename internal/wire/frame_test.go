@@ -95,7 +95,10 @@ func TestFrameRoundTrips(t *testing.T) {
 		{"appended", &AppendedMsg{ID: 3, Version: 77}, &AppendedMsg{}},
 		{"subscribe", &SubscribeReq{ID: 5, Window: 100, Slide: 50, Credits: 4, Spec: sampleSpec()}, &SubscribeReq{}},
 		{"subscribed", &SubscribedMsg{ID: 5, Direct: true}, &SubscribedMsg{}},
-		{"update", &UpdateMsg{ID: 5, Version: 640, Columns: []string{"c"}, Rows: [][]string{{"x"}}}, &UpdateMsg{}},
+		{"update", &UpdateMsg{ID: 5, Version: 640, Base: 512, Columns: []string{"k", "v"},
+			Removed: [][]string{{"a", "1"}, {"a\x00", ""}}, Rows: [][]string{{"b", "2"}}}, &UpdateMsg{}},
+		{"update-first", &UpdateMsg{ID: 5, Version: 64, Columns: []string{"c"}, Rows: [][]string{{"x"}}}, &UpdateMsg{}},
+		{"update-empty", &UpdateMsg{ID: 5, Version: 70, Base: 64, Columns: []string{"c"}}, &UpdateMsg{}},
 		{"credit", &CreditMsg{ID: 5, N: 3}, &CreditMsg{}},
 		{"unsubscribe", &UnsubscribeMsg{ID: 5}, &UnsubscribeMsg{}},
 	}

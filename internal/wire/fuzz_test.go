@@ -71,6 +71,12 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add(uint8(FrameSubscribe), (&SubscribeReq{ID: 1, Credits: 2, Spec: spec}).EncodeBody(nil))
 	f.Add(uint8(FrameSubscribed), (&SubscribedMsg{ID: 1}).EncodeBody(nil))
 	f.Add(uint8(FrameUpdate), (&UpdateMsg{ID: 1, Version: 9, Columns: []string{"a"}, Rows: [][]string{{"1"}}}).EncodeBody(nil))
+	// Change sets: rows retired and added against a base, NUL and empty
+	// cells; an empty change; a change that only retires.
+	f.Add(uint8(FrameUpdate), (&UpdateMsg{ID: 2, Version: 12, Base: 9, Columns: []string{"k", "v"},
+		Removed: [][]string{{"a", "1"}, {"a\x00", ""}}, Rows: [][]string{{"", "3"}, {"b", "4"}}}).EncodeBody(nil))
+	f.Add(uint8(FrameUpdate), (&UpdateMsg{ID: 3, Version: 4, Base: 4, Columns: []string{"k"}}).EncodeBody(nil))
+	f.Add(uint8(FrameUpdate), (&UpdateMsg{ID: 4, Version: 7, Base: 3, Columns: []string{"k"}, Removed: [][]string{{"x"}}}).EncodeBody(nil))
 	f.Add(uint8(FrameCredit), (&CreditMsg{ID: 1, N: 1}).EncodeBody(nil))
 	f.Add(uint8(FrameUnsubscribe), (&UnsubscribeMsg{ID: 1}).EncodeBody(nil))
 	f.Add(uint8(FrameGoodbye), (&GoodbyeMsg{Reason: "r"}).EncodeBody(nil))
