@@ -186,8 +186,9 @@ type (
 	// the server binds it against its served catalog. Build one from an
 	// engine query with WireSpecOf.
 	WireSpec = wire.QuerySpec
-	// WireUpdate is one pushed subscription refresh: the new standing
-	// result plus its committed stream version.
+	// WireUpdate is one subscription refresh as NetSub.Updates delivers
+	// it: the whole standing result, rebuilt from the server's change
+	// set, plus its committed stream version.
 	WireUpdate = wire.UpdateMsg
 	// WireResult is one query answer over the wire: rows plus the
 	// server-side wall clock and compact stage-trace summary
