@@ -273,8 +273,9 @@ func (s *Subscription) step() (int, error) {
 
 // absorbSpan executes rows [lo, hi) of the snapshot as one delta and
 // folds the result into m. The executor gets a lazy view of m's current
-// state (stateMu is already held here, and merger snapshots take no
-// locks, so the closure is safe for the duration of the call): for
+// state (stateMu is already held here, and the closure renders it once,
+// so the shards that re-place their programs may call it concurrently
+// for the duration of the call): for
 // unwindowed subscriptions that is the full standing result, which
 // §7.2 re-placement warms fresh programs from; for windowed ones it is
 // only the current pane — per-pane state must not prune across window
@@ -300,7 +301,14 @@ func (s *Subscription) execDelta(dq *engine.Query, m merger) (res *engine.Result
 			err = fmt.Errorf("stream: delta exec panicked: %v\n%s", r, debug.Stack())
 		}
 	}()
-	return s.exec(dq, m.snapshot)
+	// A snapshot applies the merger's pending change, so concurrent
+	// callers share one render; nothing is absorbed until exec returns.
+	var once sync.Once
+	var standing *engine.Result
+	return s.exec(dq, func() *engine.Result {
+		once.Do(func() { standing = m.snapshot() })
+		return standing
+	})
 }
 
 // absorbWindowed splits the delta at pane boundaries: each pane-aligned
