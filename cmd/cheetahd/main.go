@@ -206,10 +206,10 @@ func run(args []string, stop <-chan os.Signal, ready func(addr, metricsAddr stri
 
 // serveObs starts the observability HTTP listener: GET /metrics dumps
 // the server's shared registry in Prometheus text exposition format,
-// GET /healthz answers 200 while the fabric can place queries (503
-// once draining or every switch is down), and -pprof mounts the
-// standard net/http/pprof handlers under /debug/pprof/. It returns the
-// listener's bound address.
+// GET /healthz answers 200 while every fabric can place queries (503
+// once draining or every switch of one fabric is down), and -pprof
+// mounts the standard net/http/pprof handlers under /debug/pprof/. It
+// returns the listener's bound address.
 func serveObs(srv *netserve.Server, addr string, withPprof bool) (*http.Server, string, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {

@@ -13,9 +13,9 @@
 //  2. The whole fabric dies. Submissions degrade to exact direct
 //     execution until a hot-added switch brings pruning back.
 //  3. The switch hosting a continuous query's standing program dies
-//     between deltas. The subscription re-places onto the least-loaded
-//     survivor — warm-rebuilt from the standing result for the
-//     monotone kinds — and its standing result never diverges.
+//     between deltas. The subscription re-places a fresh program onto
+//     the least-loaded survivor, and its standing result never
+//     diverges.
 package main
 
 import (

@@ -14,11 +14,11 @@ import (
 	"cheetah/internal/table"
 )
 
-// TestKeyFingerprintOneDefinition pins the three statements of a
-// single-column key fingerprint to one value per cell: the table's
-// fingerprint column (what every pruned pass reads), the scalar
-// reference's fingerprintRow, and warm rebuild's warmFingerprint over the
-// rendered cell — on the cells where one of them is likeliest to slip.
+// TestKeyFingerprintOneDefinition pins the statements of a single-column
+// key fingerprint to one value per cell: the table's fingerprint column
+// (what every pruned pass reads), HashKeys, the multi-column arm and the
+// scalar reference's fingerprintRow — on the cells where one of them is
+// likeliest to slip.
 func TestKeyFingerprintOneDefinition(t *testing.T) {
 	tb := table.MustNew(table.Schema{{Name: "s", Type: table.String}, {Name: "i", Type: table.Int64}})
 	cells := []struct {
@@ -46,14 +46,10 @@ func TestKeyFingerprintOneDefinition(t *testing.T) {
 			tb.HashKeys(c, seed, hashed)
 			for r := range cells {
 				want := fingerprintRow(tb, []int{c}, r, seed)
-				warm, err := warmFingerprint([]table.Type{typ}, []string{cellString(tb, c, r)}, seed)
-				if err != nil {
-					t.Fatal(err)
-				}
 				accs := fingerprintAccs([]colAcc{accessorFor(tb, c)}, r, seed)
-				if col[r] != want || hashed[r] != want || warm != want || accs != want {
-					t.Fatalf("seed %#x %v cell %q: column %#x, HashKeys %#x, warm %#x, multi-column arm %#x, fingerprintRow %#x",
-						seed, typ, cellString(tb, c, r), col[r], hashed[r], warm, accs, want)
+				if col[r] != want || hashed[r] != want || accs != want {
+					t.Fatalf("seed %#x %v cell %q: column %#x, HashKeys %#x, multi-column arm %#x, fingerprintRow %#x",
+						seed, typ, cellString(tb, c, r), col[r], hashed[r], accs, want)
 				}
 			}
 		}

@@ -7,7 +7,6 @@ import (
 
 	"cheetah/internal/prune"
 	"cheetah/internal/switchsim"
-	"cheetah/internal/table"
 )
 
 var errSwitchDead = errors.New("test: switch dead")
@@ -202,89 +201,5 @@ func TestShardedFailoverExhaustionDegrades(t *testing.T) {
 	}
 	if attempts != 2*maxFailoverAttempts {
 		t.Fatalf("failover attempts = %d, want %d (cap per shard)", attempts, 2*maxFailoverAttempts)
-	}
-}
-
-// TestWarmFingerprintMatchesRow pins the warm-rebuild hash to the live
-// fingerprint: rendering a cell and re-hashing it must be bit-identical
-// to fingerprintRow on the original column values.
-func TestWarmFingerprintMatchesRow(t *testing.T) {
-	tb := equivTable(t, 300, 0x77)
-	cols := []int{tb.Schema().MustIndex("group"), tb.Schema().MustIndex("val")}
-	types := []table.Type{table.String, table.Int64}
-	for _, seed := range []uint64{1, 0xfeed} {
-		for r := 0; r < tb.NumRows(); r++ {
-			cells := []string{cellString(tb, cols[0], r), cellString(tb, cols[1], r)}
-			got, err := warmFingerprint(types, cells, seed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want := fingerprintRow(tb, cols, r, seed); got != want {
-				t.Fatalf("row %d seed %#x: warm fingerprint %#x != live %#x", r, seed, got, want)
-			}
-		}
-	}
-}
-
-// TestWarmPruner checks the warm rebuild per kind: supported kinds
-// re-arm pruning for already-reported values, unsupported kinds refuse.
-func TestWarmPruner(t *testing.T) {
-	tb := equivTable(t, 2000, 0x99)
-	rt := equivTable(t, 400, 0x88)
-	const seed = 0xfeed
-
-	// DISTINCT: after warming from the standing result, every row of the
-	// table carries an already-seen fingerprint and must prune.
-	q := &Query{Kind: KindDistinct, Table: tb, DistinctCols: []string{"name"}}
-	standing, err := ExecDirect(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := DefaultPruner(q, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warmed, err := WarmPruner(q, seed, standing, p)
-	if err != nil || !warmed {
-		t.Fatalf("distinct warm rebuild: warmed=%v err=%v", warmed, err)
-	}
-	// Every row's value is already reported, so a warmed program should
-	// prune the bulk of them. Not all: the register matrix is lossy
-	// (collision evictions), and forwarding a seen value is conservative
-	// — the master's dedupe absorbs it — so the bar is re-armed pruning,
-	// not perfection.
-	nc := tb.Schema().MustIndex("name")
-	pruned := 0
-	for r := 0; r < tb.NumRows(); r++ {
-		fp := fingerprintRow(tb, []int{nc}, r, seed)
-		if p.Process([]uint64{fp}) == switchsim.Prune {
-			pruned++
-		}
-	}
-	if pruned < tb.NumRows()/2 {
-		t.Fatalf("warmed distinct program pruned only %d of %d already-reported rows", pruned, tb.NumRows())
-	}
-
-	// Supported / refused kinds.
-	for name, q := range equivQueries(tb, rt) {
-		res, err := ExecDirect(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := defaultShardPruner(q, 1, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		warmed, err := WarmPruner(q, seed, res, p)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		want := q.Kind == KindDistinct || q.Kind == KindGroupByMax || q.Kind == KindTopN
-		if q.Kind == KindFilter {
-			want = false
-		}
-		if warmed != want {
-			t.Fatalf("%s: warmed=%v, want %v", name, warmed, want)
-		}
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"cheetah/internal/fabric"
 	"cheetah/internal/obs"
 	"cheetah/internal/plan"
 	"cheetah/internal/stats"
@@ -153,21 +154,26 @@ func TestWireTraceDisabled(t *testing.T) {
 	}
 }
 
-// TestHealthyTracksFabric pins Healthy() to the fabric's failure
-// state: all switches failed → unhealthy; one restored → healthy.
+// TestHealthyTracksFabric pins Healthy() to the failure state of each
+// fabric the server opened, serving and streaming: all of one fabric's
+// switches failed → unhealthy; one restored → healthy.
 func TestHealthyTracksFabric(t *testing.T) {
-	srv, _ := testServer(t, false, 500)
-	fab := srv.Serving().Fabric()
-	for i := 0; i < fab.Size(); i++ {
-		fab.Fail(i)
-	}
-	if srv.Healthy() {
-		t.Fatal("all switches failed but server reports healthy")
-	}
-	if err := fab.Restore(0); err != nil {
-		t.Fatal(err)
-	}
-	if !srv.Healthy() {
-		t.Fatal("restored switch but server reports unhealthy")
+	srv, _ := testServer(t, true, 500)
+	for name, fab := range map[string]*fabric.Fabric{
+		"serving":   srv.Serving().Fabric(),
+		"streaming": srv.Streaming().Fabric(),
+	} {
+		for i := 0; i < fab.Size(); i++ {
+			fab.Fail(i)
+		}
+		if srv.Healthy() {
+			t.Fatalf("every %s switch failed but server reports healthy", name)
+		}
+		if err := fab.Restore(0); err != nil {
+			t.Fatal(err)
+		}
+		if !srv.Healthy() {
+			t.Fatalf("restored a %s switch but server reports unhealthy", name)
+		}
 	}
 }

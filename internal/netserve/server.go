@@ -205,23 +205,18 @@ func (s *Server) Stats() serve.Counters { return s.serving.Stats() }
 func (s *Server) Metrics() *stats.Registry { return s.metrics }
 
 // Healthy reports whether the server can currently do useful work: not
-// draining, and at least one fabric switch alive (an all-dead fabric
-// still answers exactly via the direct fallback, but /healthz should
-// say the deployment is degraded).
+// draining, and at least one switch alive in the serving fabric and in
+// the streaming fabric when streaming is on (an all-dead fabric still
+// answers exactly via the master-side backstop, but /healthz should say
+// the deployment is degraded).
 func (s *Server) Healthy() bool {
 	s.mu.Lock()
 	down := s.draining || s.closed
 	s.mu.Unlock()
-	if down {
+	if down || len(s.serving.Fabric().Healthy()) == 0 {
 		return false
 	}
-	fab := s.serving.Fabric()
-	for i := 0; i < fab.Size(); i++ {
-		if !fab.Server(i).Failed() {
-			return true
-		}
-	}
-	return false
+	return s.strm == nil || len(s.strm.Fabric().Healthy()) > 0
 }
 
 func (s *Server) acceptLoop() {

@@ -338,10 +338,10 @@ func TestChaosServedUnderLoad(t *testing.T) {
 // TestChaosStreamingPlaced drives single-switch subscriptions of every
 // kind through the full failure lifecycle: the placed switch dies with
 // no survivor (deltas finish on the exact master-side backstop, one at a
-// time), a hot-added switch picks the program up (warm for the monotone
-// kinds), a second death re-places it onto the restored original, and a
-// death in the middle of a delta with no survivor is ridden out until
-// the switch is restored. The standing result equals a from-scratch run
+// time), a hot-added switch picks up a fresh cold program, a second
+// death re-places it onto the restored original, and a death in the
+// middle of a delta with no survivor is ridden out until the switch is
+// restored. The standing result equals a from-scratch run
 // at every step.
 func TestChaosStreamingPlaced(t *testing.T) {
 	mix := chaosMix(t, 2)

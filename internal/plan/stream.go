@@ -33,13 +33,14 @@ package plan
 // leased Session.run, so a standing program whose switch is found dead
 // before a delta, or dies in the middle of one (that pass is discarded
 // and redone: register state absorbed by a drained program dies with the
-// switch), is re-placed by the subscription's replace hook on the
-// least-loaded survivor, warm-rebuilt from the standing result for the
-// monotone kinds (engine.WarmPruner). When no switch can host the
-// program right now, the engine finishes that delta on its master-side
-// backstop — exact, unpruned by any standing state — and the next delta
-// retries the re-placement; continuous-query results stay bit-identical
-// to a from-scratch run throughout.
+// switch), is re-placed cold by the subscription's replace method on the
+// least-loaded survivor, like a served query's failover: a fresh program
+// re-learns its prune state from the deltas that follow. When no switch
+// can host the program right now, the engine finishes that delta on its
+// master-side backstop — exact, unpruned by any standing state — and the
+// next delta retries the re-placement; continuous-query results stay
+// bit-identical to a from-scratch run throughout. A delta's execution
+// reads only the delta's rows, never the standing result.
 
 import (
 	"context"
@@ -188,11 +189,11 @@ func (ss *Subscription) Trace() *obs.Trace {
 // exec is the subscription's stream.DeltaExec. Every delta runs under
 // its own trace: a top-level delta span brackets the whole execution
 // (redos included) and the completed trace publishes via Trace.
-func (ss *Subscription) exec(dq *engine.Query, standing func() *engine.Result) (*engine.Result, error) {
+func (ss *Subscription) exec(dq *engine.Query) (*engine.Result, error) {
 	clock := engine.StartClock()
 	tr := ss.st.s.newTrace()
 	tm := tr.Begin(obs.StageDelta, -1)
-	res, err := ss.delta(dq, standing, tr)
+	res, err := ss.delta(dq, tr)
 	if err != nil {
 		tm.EndNote("error: " + err.Error())
 	} else {
@@ -315,15 +316,10 @@ func (st *Streaming) subscribe(ctx context.Context, q *engine.Query, window, sli
 	if q == nil {
 		return nil, fmt.Errorf("plan: Subscribe needs a query")
 	}
-	// HAVING deltas aggregate full per-key sums (GROUP BY SUM program);
-	// the threshold applies at the standing result.
-	pq := q
-	if q.Kind == engine.KindHaving {
-		cp := *q
-		cp.Kind = engine.KindGroupBySum
-		pq = &cp
-	}
-	p, err := st.s.planFor(pq, st.s.opts.Switches)
+	// Plan what every delta runs: HAVING deltas aggregate full per-key
+	// sums (GROUP BY SUM program); the threshold applies at the standing
+	// result.
+	p, err := st.s.planFor(stream.DeltaQuery(q, q.Table), st.s.opts.Switches)
 	if err != nil {
 		return nil, err
 	}
@@ -387,46 +383,13 @@ func (ss *Subscription) admit(ctx context.Context) error {
 
 // delta executes one committed batch: exactly (direct) for an unpruned
 // subscription, as a leased Session.run over the standing programs
-// otherwise. Its replace hook gives a dead seat a fresh instance of the
-// plan's program, warm-rebuilt from the standing result (an unwindowed
-// standing result is a faithful summary of everything the lost register
-// state could prune with; windowed programs reset every delta anyway)
-// and admitted non-blocking — a standing query must move now or ride the
-// engine's backstop for this delta, never queue behind other queries.
-func (ss *Subscription) delta(dq *engine.Query, standing func() *engine.Result, tr *obs.Trace) (*engine.Result, error) {
-	st, p := ss.st, ss.plan
+// otherwise, with replace as the run's hook for a dead seat.
+func (ss *Subscription) delta(dq *engine.Query, tr *obs.Trace) (*engine.Result, error) {
+	p := ss.plan
 	if p.Mode == ModeDirect {
 		res, skipped, err := direct(dq, p, tr)
 		ss.account(engine.Traffic{}, skipped)
 		return res, err
-	}
-	// The hook runs on the engine's per-shard goroutines; distinct shards
-	// re-place concurrently, so the subscription's lists update under
-	// ss.mu.
-	replace := func(shard, _ int) (prune.Pruner, engine.BatchDataplane, error) {
-		pruner, err := p.NewPruner()
-		if err != nil {
-			return nil, nil, err
-		}
-		if !ss.windowed {
-			if _, err := engine.WarmPruner(dq, p.Seed, standing(), pruner); err != nil {
-				return nil, nil, err
-			}
-		}
-		placement, err := st.fab.TryAdmit(pruner)
-		if err != nil {
-			return nil, nil, err
-		}
-		ss.mu.Lock()
-		old := ss.placements[shard]
-		ss.placements[shard], ss.pruners[shard] = placement, pruner
-		ss.replaced++
-		ss.mu.Unlock()
-		// Retire the dead placement: the failed switch's counters record
-		// the migration and the (already revoked) lease releases.
-		st.fab.Server(old.Switch).NoteReplaced(old.Tenant())
-		old.Release()
-		return pruner, placement, nil
 	}
 	ss.mu.Lock()
 	pruners := slices.Clone(ss.pruners)
@@ -436,12 +399,39 @@ func (ss *Subscription) delta(dq *engine.Query, standing func() *engine.Result, 
 	}
 	ss.mu.Unlock()
 	resetForDelta(pruners, ss.windowed)
-	run, err := st.s.run(dq, p, pruners, flows, replace, tr)
+	run, err := ss.st.s.run(dq, p, pruners, flows, ss.replace, tr)
 	if err != nil {
 		return nil, err
 	}
 	ss.account(run.Traffic, run.Skipped)
 	return run.Result, nil
+}
+
+// replace gives a dead seat a fresh, cold instance of the plan's program,
+// admitted non-blocking — a standing query must move now or ride the
+// engine's backstop for this delta, never queue behind other queries. It
+// runs on the engine's per-shard goroutines; distinct shards re-place
+// concurrently, so the subscription's lists update under ss.mu.
+func (ss *Subscription) replace(shard, _ int) (prune.Pruner, engine.BatchDataplane, error) {
+	fab := ss.st.fab
+	pruner, err := ss.plan.NewPruner()
+	if err != nil {
+		return nil, nil, err
+	}
+	placement, err := fab.TryAdmit(pruner)
+	if err != nil {
+		return nil, nil, err
+	}
+	ss.mu.Lock()
+	old := ss.placements[shard]
+	ss.placements[shard], ss.pruners[shard] = placement, pruner
+	ss.replaced++
+	ss.mu.Unlock()
+	// Retire the dead placement: the failed switch's counters record the
+	// migration and the (already revoked) lease releases.
+	fab.Server(old.Switch).NoteReplaced(old.Tenant())
+	old.Release()
+	return pruner, placement, nil
 }
 
 // resetForDelta clears switch state before a delta execution where

@@ -298,7 +298,7 @@ func (in *Ingestor) Close() {
 // DirectExec is the default delta executor: exact single-node execution
 // of the delta query. It keeps the merge layer testable — and usable —
 // without any switch in the loop.
-func DirectExec(dq *engine.Query, _ func() *engine.Result) (*engine.Result, error) {
+func DirectExec(dq *engine.Query) (*engine.Result, error) {
 	return engine.ExecDirect(dq)
 }
 

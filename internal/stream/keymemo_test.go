@@ -33,7 +33,7 @@ func TestSubscriptionsShareKeyMemoUnderAppends(t *testing.T) {
 	}
 	defer in.Close()
 	const seed = 9
-	pruned := func(dq *engine.Query, _ func() *engine.Result) (*engine.Result, error) {
+	pruned := func(dq *engine.Query) (*engine.Result, error) {
 		run, err := engine.ExecCheetah(dq, engine.CheetahOptions{Workers: 2, Seed: seed})
 		if err != nil {
 			return nil, err
@@ -149,7 +149,7 @@ func TestDeltaColdCost(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	pruned := func(dq *engine.Query, _ func() *engine.Result) (*engine.Result, error) {
+	pruned := func(dq *engine.Query) (*engine.Result, error) {
 		run, err := engine.ExecCheetah(dq, engine.CheetahOptions{Workers: 2, Seed: seed})
 		if err != nil {
 			return nil, err

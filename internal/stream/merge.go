@@ -115,10 +115,12 @@ func paneMerger(q *engine.Query) (merger, error) {
 	return newMerger(q)
 }
 
-// deltaQuery derives the query executed against one delta table: the
+// DeltaQuery derives the query executed against one delta table: the
 // delta substitutes the source table, and HAVING aggregates as GROUP BY
-// SUM (full per-key partial sums; see the HAVING note above).
-func deltaQuery(q *engine.Query, delta *table.Table) *engine.Query {
+// SUM (full per-key partial sums; see the HAVING note above). It is the
+// one statement of what a subscription's deltas run, so the planning
+// layer plans the same query.
+func DeltaQuery(q *engine.Query, delta *table.Table) *engine.Query {
 	qd := *q
 	qd.Table = delta
 	if qd.Kind == engine.KindHaving {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -112,7 +113,7 @@ func TestIncrementalEquivalence(t *testing.T) {
 	execs := map[string]func(seed uint64) DeltaExec{
 		"direct": func(uint64) DeltaExec { return DirectExec },
 		"cheetah": func(seed uint64) DeltaExec {
-			return func(dq *engine.Query, _ func() *engine.Result) (*engine.Result, error) {
+			return func(dq *engine.Query) (*engine.Result, error) {
 				run, err := engine.ExecCheetah(dq, engine.CheetahOptions{Workers: 2, Seed: seed})
 				if err != nil {
 					return nil, err
@@ -402,7 +403,7 @@ func TestFailedSubscriptionLeavesBacklog(t *testing.T) {
 	defer in.Close()
 	q := &engine.Query{Kind: engine.KindTopN, Table: tb, OrderCol: "v", N: 2}
 	boom := fmt.Errorf("executor broke")
-	sub, err := in.Subscribe(q, SubOptions{Exec: func(*engine.Query, func() *engine.Result) (*engine.Result, error) {
+	sub, err := in.Subscribe(q, SubOptions{Exec: func(*engine.Query) (*engine.Result, error) {
 		return nil, boom
 	}})
 	if err != nil {
@@ -448,7 +449,7 @@ func TestDeltaPanicFailsOnlyItsSubscription(t *testing.T) {
 			}
 			defer in.Close()
 			q := &engine.Query{Kind: engine.KindTopN, Table: tb, OrderCol: "v", N: 2}
-			bad, err := in.Subscribe(q, SubOptions{NoPump: noPump, Exec: func(*engine.Query, func() *engine.Result) (*engine.Result, error) {
+			bad, err := in.Subscribe(q, SubOptions{NoPump: noPump, Exec: func(*engine.Query) (*engine.Result, error) {
 				panic("delta exec broke")
 			}})
 			if err != nil {
@@ -583,5 +584,127 @@ func TestConcurrentAppendersRace(t *testing.T) {
 	}
 	if got, want := res.Rows[len(res.Rows)-1][0], fmt.Sprint(appenders*rowsEach-1); got != want {
 		t.Fatalf("top value = %s, want %s", got, want)
+	}
+}
+
+// TestResultsDuringDelta pins that a delta's execution holds nothing
+// Results waits on: while the executor is blocked inside the second
+// delta, the first render of the first delta's standing result (for a
+// windowed subscription, its last fired window) returns at once — with
+// the pump driving the deltas and with Step driving them on another
+// goroutine.
+func TestResultsDuringDelta(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		noPump bool
+		window int
+	}{
+		{"pumped", false, 0},
+		{"manual", true, 0},
+		{"pumped-windowed", false, 4},
+		{"manual-windowed", true, 4},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			tb := table.MustNew(table.Schema{{Name: "v", Type: table.Int64}})
+			in, err := NewIngestor(tb, Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer in.Close()
+			entered, release := make(chan struct{}), make(chan struct{})
+			var calls atomic.Int32
+			exec := func(dq *engine.Query) (*engine.Result, error) {
+				if calls.Add(1) == 2 {
+					close(entered)
+					<-release
+				}
+				return engine.ExecDirect(dq)
+			}
+			q := &engine.Query{Kind: engine.KindTopN, Table: tb, OrderCol: "v", N: 2}
+			sub, err := in.Subscribe(q, SubOptions{Exec: exec, NoPump: c.noPump, Window: c.window, Slide: c.window})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sub.Close()
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			// Each batch commits atomically, so each is one delta (and,
+			// windowed, one whole pane).
+			appendBatch := func(vals ...int64) {
+				t.Helper()
+				b := newEmptyLike(t, tb)
+				for _, v := range vals {
+					if err := b.AppendRow(v); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := in.AppendBatch(b); err != nil {
+					t.Fatal(err)
+				}
+			}
+			stepped := make(chan error, 1)
+			drive := func() {
+				if c.noPump {
+					go func() {
+						_, err := sub.Step()
+						stepped <- err
+					}()
+				}
+			}
+			settle := func(version uint64) {
+				t.Helper()
+				if c.noPump {
+					if err := <-stepped; err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := sub.Wait(ctx, version); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			// topTwo checks a standing result against TOP 2 of a batch.
+			topTwo := func(when string, res *engine.Result, ver, wantVer uint64, a, b string) {
+				t.Helper()
+				if ver != wantVer || len(res.Rows) != 2 || res.Rows[0][0] != a || res.Rows[1][0] != b {
+					t.Errorf("%s: version %d rows %v, want %d [[%s] [%s]]", when, ver, res.Rows, wantVer, a, b)
+				}
+			}
+
+			// The first delta is absorbed but not rendered yet: Results
+			// must render it while the second delta runs.
+			appendBatch(10, 11, 12, 13)
+			drive()
+			settle(4)
+			appendBatch(20, 21, 22, 23)
+			drive()
+			select {
+			case <-entered:
+			case <-ctx.Done():
+				t.Fatal("the second delta never reached the executor")
+			}
+			type standing struct {
+				res *engine.Result
+				ver uint64
+			}
+			got := make(chan standing, 1)
+			go func() {
+				res, ver := sub.Results()
+				got <- standing{res, ver}
+			}()
+			select {
+			case g := <-got:
+				topTwo("during the second delta", g.res, g.ver, 4, "12", "13")
+			case <-time.After(time.Second):
+				t.Errorf("Results waited for the delta in flight")
+				close(release)
+				<-got
+				return
+			}
+			close(release)
+			settle(8)
+			res, ver := sub.Results()
+			topTwo("after the second delta", res, ver, 8, "22", "23")
+		})
 	}
 }

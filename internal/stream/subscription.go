@@ -10,20 +10,16 @@ import (
 	"cheetah/internal/table"
 )
 
-// DeltaExec executes one fully-formed delta query (the delta table is
-// already substituted in, and HAVING is rewritten to GROUP BY SUM) and
-// returns its canonical result. The planning layer injects an executor
-// that streams the delta through a held switch program; the default is
-// exact direct execution.
-//
-// standing lazily renders the current standing merge state (the result
-// of everything absorbed so far). Executors that re-place a dead
-// switch's program use it to warm-rebuild prune state (§7.2 recovery);
-// most executors never call it. It is only valid for the duration of
-// the call — it reads state the stream layer guards, so it must not be
-// retained, and Subscription methods (Results, Step, Close) must not be
-// called from inside a DeltaExec.
-type DeltaExec func(dq *engine.Query, standing func() *engine.Result) (*engine.Result, error)
+// DeltaExec executes one fully-formed delta query (DeltaQuery: the delta
+// table is already substituted in, and HAVING is rewritten to GROUP BY
+// SUM) and returns its canonical result. The planning layer injects an
+// executor that streams the delta through a held switch program; the
+// default is exact direct execution. A delta's result is a function of
+// its rows alone: the executor sees no standing state, and runs while
+// Results keeps serving the previous delta's standing result.
+// Subscription methods (Step, Close) must not be called from inside a
+// DeltaExec.
+type DeltaExec func(dq *engine.Query) (*engine.Result, error)
 
 // SubOptions shapes one subscription.
 type SubOptions struct {
@@ -70,8 +66,9 @@ type Subscription struct {
 	pumpEnd chan struct{}
 	updates chan Update
 
-	// stateMu guards the merge state (m / win) and stateVer: the pump
-	// mutates them outside the ingestor lock, Results reads them.
+	// stateMu guards the merge state (m / win) and stateVer: step applies
+	// a whole delta under one hold, after its executions, and Results
+	// reads them.
 	stateMu  sync.Mutex
 	stateVer uint64
 
@@ -214,8 +211,9 @@ func (s *Subscription) Step() (int, error) {
 }
 
 // step coalesces everything committed past the processed offset into
-// one delta, runs it through the executor and the merge state, then
-// publishes the advance.
+// one delta, runs it through the executor, folds the results into the
+// merge state, then publishes the advance. The executions hold no lock
+// Results takes: only the fold holds stateMu, once per delta.
 func (s *Subscription) step() (int, error) {
 	s.stepMu.Lock()
 	defer s.stepMu.Unlock()
@@ -244,16 +242,12 @@ func (s *Subscription) step() (int, error) {
 		return 0, s.fail(err)
 	}
 
-	s.stateMu.Lock()
-	if s.win != nil {
-		err = s.absorbWindowed(snap, lo, hi)
-	} else {
-		err = s.absorbSpan(snap, lo, hi, s.m)
-	}
+	spans, err := s.execute(snap, lo, hi)
 	if err == nil {
-		s.stateVer = hi
+		s.stateMu.Lock()
+		err = s.apply(spans, hi)
+		s.stateMu.Unlock()
 	}
-	s.stateMu.Unlock()
 	if err != nil {
 		return 0, s.fail(err)
 	}
@@ -271,75 +265,91 @@ func (s *Subscription) step() (int, error) {
 	return int(hi - lo), nil
 }
 
-// absorbSpan executes rows [lo, hi) of the snapshot as one delta and
-// folds the result into m. The executor gets a lazy view of m's current
-// state (stateMu is already held here, and the closure renders it once,
-// so the shards that re-place their programs may call it concurrently
-// for the duration of the call): for
-// unwindowed subscriptions that is the full standing result, which
-// §7.2 re-placement warms fresh programs from; for windowed ones it is
-// only the current pane — per-pane state must not prune across window
-// boundaries, and the planning layer never warms windowed programs.
-func (s *Subscription) absorbSpan(snap *table.Table, lo, hi uint64, m merger) error {
-	delta, err := snap.View(int(lo), int(hi))
-	if err != nil {
-		return err
+// span is one executed piece of a delta: the result of the rows up to
+// hi.
+type span struct {
+	res *engine.Result
+	hi  uint64
+}
+
+// execute runs rows [lo, hi) of the snapshot through the executor: as
+// one delta, or for a windowed subscription as one delta per pane-aligned
+// piece, since a pane's partial must not mix rows of two panes.
+func (s *Subscription) execute(snap *table.Table, lo, hi uint64) ([]span, error) {
+	var spans []span
+	for a := lo; a < hi; {
+		b := hi
+		if s.win != nil {
+			slide := uint64(s.win.slide)
+			b = min(hi, a-a%slide+slide) // next pane boundary
+		}
+		delta, err := snap.View(int(a), int(b))
+		if err != nil {
+			return nil, err
+		}
+		res, err := s.execDelta(DeltaQuery(s.q, delta))
+		if err != nil {
+			return nil, err
+		}
+		spans = append(spans, span{res: res, hi: b})
+		a = b
 	}
-	res, err := s.execDelta(deltaQuery(s.q, delta), m)
-	if err != nil {
-		return err
-	}
-	return m.absorb(res)
+	return spans, nil
 }
 
 // execDelta runs the executor on one delta with a panic turned into the
 // delta's error, stack included: a panicking executor fails its own
 // subscription (step's fail path), not the pump's process.
-func (s *Subscription) execDelta(dq *engine.Query, m merger) (res *engine.Result, err error) {
+func (s *Subscription) execDelta(dq *engine.Query) (res *engine.Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("stream: delta exec panicked: %v\n%s", r, debug.Stack())
 		}
 	}()
-	// A snapshot applies the merger's pending change, so concurrent
-	// callers share one render; nothing is absorbed until exec returns.
-	var once sync.Once
-	var standing *engine.Result
-	return s.exec(dq, func() *engine.Result {
-		once.Do(func() { standing = m.snapshot() })
-		return standing
-	})
+	return s.exec(dq)
 }
 
-// absorbWindowed splits the delta at pane boundaries: each pane-aligned
-// sub-span executes separately into the current pane, and every
-// completed pane slides the window — the oldest pane's contribution is
-// retracted by falling out of the fold.
-func (s *Subscription) absorbWindowed(snap *table.Table, lo, hi uint64) error {
-	w := s.win
-	for a := lo; a < hi; {
-		b := a - a%uint64(w.slide) + uint64(w.slide) // next pane boundary
-		if b > hi {
-			b = hi
+// apply folds one delta's executed spans into the merge state and
+// advances stateVer to hi. The caller holds stateMu, so Results sees the
+// standing state before or after a whole delta, never between the panes
+// of one.
+func (s *Subscription) apply(spans []span, hi uint64) error {
+	for _, sp := range spans {
+		var err error
+		if s.win != nil {
+			err = s.win.absorb(s.q, sp)
+		} else {
+			err = s.m.absorb(sp.res)
 		}
-		if err := s.absorbSpan(snap, a, b, w.cur); err != nil {
+		if err != nil {
 			return err
 		}
-		if b%uint64(w.slide) == 0 {
-			// Pane complete: freeze its partial, slide the window.
-			w.done = append(w.done, w.cur.snapshot())
-			if len(w.done) > w.panes {
-				w.done = w.done[1:]
-			}
-			w.firedHi = b
-			cur, err := paneMerger(s.q)
-			if err != nil {
-				return err
-			}
-			w.cur = cur
-		}
-		a = b
 	}
+	s.stateVer = hi
+	return nil
+}
+
+// absorb folds one pane-aligned span into the current pane; a span that
+// completes the pane slides the window — the oldest pane's contribution
+// is retracted by falling out of the fold.
+func (w *windowState) absorb(q *engine.Query, sp span) error {
+	if err := w.cur.absorb(sp.res); err != nil {
+		return err
+	}
+	if sp.hi%uint64(w.slide) != 0 {
+		return nil
+	}
+	// Pane complete: freeze its partial, slide the window.
+	w.done = append(w.done, w.cur.snapshot())
+	if len(w.done) > w.panes {
+		w.done = w.done[1:]
+	}
+	w.firedHi = sp.hi
+	cur, err := paneMerger(q)
+	if err != nil {
+		return err
+	}
+	w.cur = cur
 	return nil
 }
 

@@ -58,8 +58,8 @@ func (m *keyFPs) prefix(epoch, seed uint64) []uint64 {
 
 // hashKeys writes the key fingerprints of col's rows [lo, hi) to
 // dst[:hi-lo]. It is the definition of a single-column key fingerprint —
-// the engine's scalar reference (fingerprintRow) and warm rebuild compute
-// the same value per cell and a test pins the three together.
+// the engine's scalar reference (fingerprintRow) computes the same value
+// per cell and a test pins the two together.
 func hashKeys(dst []uint64, col *column, lo, hi int, seed uint64) {
 	h0 := seed ^ 0xfeedface
 	switch col.typ {
