@@ -262,12 +262,18 @@ func (s *Session) execPlanModes(ctx context.Context, p *Plan, tr *obs.Trace) (*E
 		}
 		s.fill(ex, run)
 		// All of the plan's programs are identically configured, so one
-		// pipeline's occupancy — rack 0's, or a dedicated-pipeline model —
+		// pipeline's occupancy — rack 0's, or a dedicated switch's —
 		// covers every switch.
 		if rep != nil {
 			ex.ClusterReport, ex.PipelineUtil = rep, rep.Util
 		} else {
-			ex.PipelineUtil = dedicatedUtil(p.Model, pruners[0])
+			ex.PipelineUtil = p.Model.Utilization(p.Profile)
+		}
+		// The run is read and its racks closed: the programs are done
+		// with, and go back to the free list unless a failed switch or a
+		// broken rack link touched them.
+		if run.FailedOver == 0 && run.Degraded == 0 {
+			s.free.give(p, pruners)
 		}
 		if p.Switches > 1 {
 			ex.PerSwitch = make([]SwitchReport, p.Switches)
@@ -435,20 +441,6 @@ func fabricBottleneck(total engine.Traffic, perSwitch []engine.Traffic) engine.T
 		}
 	}
 	return t
-}
-
-// dedicatedUtil models the pipeline occupancy of an exclusively-owned
-// switch running just this query's program — the non-serving executions'
-// per-query utilization report.
-func dedicatedUtil(m switchsim.Model, prog switchsim.Program) switchsim.Utilization {
-	pl, err := switchsim.NewPipeline(m)
-	if err != nil {
-		return switchsim.Utilization{}
-	}
-	if err := pl.Install(1, prog); err != nil {
-		return switchsim.Utilization{}
-	}
-	return pl.Utilization()
 }
 
 // queryRows counts the rows a query touches across its input tables.

@@ -71,17 +71,23 @@ type Plan struct {
 	Reason string
 
 	factory func() (prune.Pruner, error)
-	// probe is the instance built for admission checking; its state is
-	// untouched, so the first execution consumes it instead of paying
-	// the construction cost (join Bloom filters are megabytes) twice.
+	// key is the program's config, its key in the session's free list
+	// (nil: not pooled), and free that list.
+	key  any
+	free *programs
+	// probe is the instance admission checked, taken from the free list
+	// or built; its state is untouched, so the first execution consumes
+	// it instead of paying the construction cost (join Bloom filters are
+	// megabytes) twice.
 	mu    sync.Mutex
 	probe prune.Pruner
 }
 
 // NewPruner returns an instance of the planned pruning program with
-// clean switch state: the admission probe on the first call, a fresh
-// build thereafter. Each execution gets its own instance, so one plan
-// can run many times (and concurrently).
+// clean switch state: the admission probe on the first call, a Reset
+// program from the session's free list, else a build, thereafter. Each
+// execution gets its own instance, so one plan can run many times (and
+// concurrently).
 func (p *Plan) NewPruner() (prune.Pruner, error) {
 	p.mu.Lock()
 	if pr := p.probe; pr != nil {
@@ -90,6 +96,9 @@ func (p *Plan) NewPruner() (prune.Pruner, error) {
 		return pr, nil
 	}
 	p.mu.Unlock()
+	if pr := p.free.take(p.key); pr != nil {
+		return pr, nil
+	}
 	if p.factory == nil {
 		return nil, fmt.Errorf("plan: %v plan has no pruning program", p.Mode)
 	}
@@ -100,8 +109,8 @@ func (p *Plan) NewPruner() (prune.Pruner, error) {
 // with clean state — the per-switch sizing already derived by the
 // planner (per-shard Bloom filters, per-shard HAVING thresholds). Each
 // instance comes from NewPruner, so the first call consumes the
-// planner's state-untouched admission probe instead of paying its
-// construction cost twice.
+// planner's state-untouched admission probe, and the others are Reset
+// programs from the session's free list, else builds.
 func (p *Plan) NewShardPruners() ([]prune.Pruner, error) {
 	n := p.Switches
 	if n <= 0 {
@@ -127,10 +136,16 @@ func (p *Plan) String() string {
 		p.Query.Kind, p.Mode, p.PrunerName, p.Guarantee, p.Reason)
 }
 
-// candidate is one pruning program the planner may pick: a constructor
-// plus the parameter-derivation note that lands in Plan.Reason.
+// candidate is one pruning program the planner may pick: a constructor,
+// the parameter-derivation note that lands in Plan.Reason, and key, the
+// comparable config the constructor builds from — the program's key in
+// the session's free list. FILTER and deterministic TOP N leave key nil:
+// their programs are a truth table and a few counters, cheaper to build
+// than to list (FILTER's config holds predicate slices besides), and
+// deterministic TOP N's N arrives from the wire.
 type candidate struct {
 	desc string
+	key  any
 	make func() (prune.Pruner, error)
 }
 
@@ -170,10 +185,13 @@ func (s *Session) planFor(q *engine.Query, switches int) (*Plan, error) {
 	}
 	var rejections []string
 	for _, c := range s.candidates(q, switches) {
-		pruner, err := c.make()
-		if err != nil {
-			rejections = append(rejections, fmt.Sprintf("%s: %v", c.desc, err))
-			continue
+		pruner := s.free.take(c.key)
+		if pruner == nil {
+			var err error
+			if pruner, err = c.make(); err != nil {
+				rejections = append(rejections, fmt.Sprintf("%s: %v", c.desc, err))
+				continue
+			}
 		}
 		prof := pruner.Profile()
 		if err := s.opts.Model.Admits(prof); err != nil {
@@ -186,6 +204,7 @@ func (s *Session) planFor(q *engine.Query, switches int) (*Plan, error) {
 		p.Profile = prof
 		p.Reason = c.desc
 		p.factory = c.make
+		p.key, p.free = c.key, &s.free
 		p.probe = pruner
 		break
 	}
@@ -278,6 +297,7 @@ func (s *Session) candidates(q *engine.Query, switches int) []candidate {
 		return []candidate{{
 			desc: fmt.Sprintf("distinct cache d=%d w=%d %v over %d-bit fingerprints (Table 2)",
 				cfg.Rows, cfg.Cols, cfg.Policy, cfg.FingerprintBits),
+			key:  cfg,
 			make: func() (prune.Pruner, error) { return prune.NewDistinct(cfg) },
 		}}
 	case engine.KindTopN:
@@ -290,6 +310,7 @@ func (s *Session) candidates(q *engine.Query, switches int) []candidate {
 			cands = append(cands, candidate{
 				desc: fmt.Sprintf("randomized top-n d=%d w=%d via OptimalTopNRows(N=%d, δ=%g)",
 					cfg.Rows, cfg.Cols, q.N, perSwitch),
+				key:  cfg,
 				make: func() (prune.Pruner, error) { return prune.NewRandTopN(cfg) },
 			})
 		}
@@ -301,6 +322,7 @@ func (s *Session) candidates(q *engine.Query, switches int) []candidate {
 			cands = append(cands, candidate{
 				desc: fmt.Sprintf("randomized top-n d=%d w=%d via TopNColumnsFor(N=%d, δ=%g)",
 					legacy.Rows, legacy.Cols, q.N, perSwitch),
+				key:  legacy,
 				make: func() (prune.Pruner, error) { return prune.NewRandTopN(legacy) },
 			})
 		}
@@ -314,12 +336,14 @@ func (s *Session) candidates(q *engine.Query, switches int) []candidate {
 		cfg := prune.DefaultGroupByConfig(seed)
 		return []candidate{{
 			desc: fmt.Sprintf("group-by rolling-max matrix d=%d w=%d (Table 2)", cfg.Rows, cfg.Cols),
+			key:  cfg,
 			make: func() (prune.Pruner, error) { return prune.NewGroupBy(cfg) },
 		}}
 	case engine.KindGroupBySum:
 		cfg := prune.DefaultGroupBySumConfig(seed)
 		return []candidate{{
 			desc: fmt.Sprintf("in-switch sum aggregation d=%d w=%d (§6)", cfg.Rows, cfg.Cols),
+			key:  cfg,
 			make: func() (prune.Pruner, error) { return prune.NewGroupBySum(cfg) },
 		}}
 	case engine.KindHaving:
@@ -333,6 +357,7 @@ func (s *Session) candidates(q *engine.Query, switches int) []candidate {
 		}
 		return []candidate{{
 			desc: desc,
+			key:  cfg,
 			make: func() (prune.Pruner, error) { return prune.NewHaving(cfg) },
 		}}
 	case engine.KindJoin:
@@ -353,6 +378,7 @@ func (s *Session) candidates(q *engine.Query, switches int) []candidate {
 			return []candidate{{
 				desc: fmt.Sprintf("asymmetric bloom join M=%s H=%d per switch (small left side %d≪%d, §4.3)",
 					switchsim.FormatBits(2*asym.FilterBits), asym.Hashes, left, right),
+				key:  asym,
 				make: func() (prune.Pruner, error) { return prune.NewJoin(asym) },
 			}}
 		}
@@ -361,6 +387,7 @@ func (s *Session) candidates(q *engine.Query, switches int) []candidate {
 		return []candidate{{
 			desc: fmt.Sprintf("two-pass bloom join M=%s H=%d sized for %d keys per switch (Table 2)",
 				switchsim.FormatBits(2*cfg.FilterBits), cfg.Hashes, keys),
+			key:  cfg,
 			make: func() (prune.Pruner, error) { return prune.NewJoin(cfg) },
 		}}
 	case engine.KindSkyline:
@@ -368,6 +395,7 @@ func (s *Session) candidates(q *engine.Query, switches int) []candidate {
 		return []candidate{{
 			desc: fmt.Sprintf("skyline %s heuristic, w=%d stored points, D=%d (§4.4)",
 				cfg.Heuristic, cfg.Points, cfg.Dims),
+			key:  cfg,
 			make: func() (prune.Pruner, error) { return prune.NewSkyline(cfg) },
 		}}
 	}

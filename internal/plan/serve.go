@@ -210,12 +210,21 @@ func (sv *Serving) SubmitQoS(ctx context.Context, q *engine.Query, qos serve.QoS
 		return npr, npl, nil
 	}
 	run, err := sv.s.run(q, p, []prune.Pruner{pruner}, []engine.BatchDataplane{placement}, replace, tr)
-	// Uninstalling is not the caller's wait: the lease the run ended on
-	// releases after the report, and its Wall, are complete.
-	defer placement.Release()
 	if err == nil {
 		err = refused
 	}
+	// Uninstalling is not the caller's wait: the lease the run ended on
+	// releases after the report, and its Wall, are complete. Then the
+	// program goes back to the session's free list, unless the run failed
+	// or a dead switch touched it (a failover, a degraded finish, or a
+	// lease revoked after the run).
+	defer func() {
+		reuse := err == nil && run.FailedOver == 0 && run.Degraded == 0 && placement.Err() == nil
+		placement.Release()
+		if reuse {
+			sv.s.free.give(p, []prune.Pruner{pruner})
+		}
+	}()
 	if err != nil {
 		tr.Release()
 		return nil, err

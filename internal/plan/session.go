@@ -97,6 +97,8 @@ type Options struct {
 type Session struct {
 	table *table.Table
 	opts  Options
+	// free is the session's free list of idle, Reset switch programs.
+	free programs
 
 	// mu guards the open serving/streaming handles Close must drain.
 	mu       sync.Mutex
@@ -130,6 +132,7 @@ func Open(t *table.Table, opts Options) (*Session, error) {
 	return &Session{
 		table:    t,
 		opts:     opts,
+		free:     programs{bound: opts.Model.TotalSRAMBits()},
 		children: make(map[interface{ Close() }]struct{}),
 	}, nil
 }

@@ -236,16 +236,49 @@ func NewPipeline(m Model) (*Pipeline, error) {
 	if m.Stages <= ReservedStages {
 		return nil, fmt.Errorf("switchsim: model %q has %d stages, needs > %d", m.Name, m.Stages, ReservedStages)
 	}
-	recirc := m.Recirculation
-	if recirc < 1 {
-		recirc = 1
-	}
 	return &Pipeline{
 		model:       m,
-		stages:      make([]stageUse, (m.Stages-ReservedStages)*recirc),
+		stages:      make([]stageUse, m.usableStages()),
 		byFlow:      make(map[uint32]*Placement),
 		reservedTop: ReservedStages,
 	}, nil
+}
+
+// usableStages is the physical stages a pipeline of the model packs
+// programs onto: the unreserved stages of every recirculation pass.
+func (m Model) usableStages() int {
+	return (m.Stages - ReservedStages) * max(m.Recirculation, 1)
+}
+
+// perStage spreads p's demand evenly over its logical stages: the ALUs
+// and SRAM bits each of them takes on its physical stage.
+func perStage(p Profile) (alus, sramBits int) {
+	return ceilDiv(p.ALUs, p.Stages), ceilDiv(p.SRAMBits, p.Stages)
+}
+
+// Utilization is the occupancy of an otherwise empty switch of the model
+// running one program with profile p, which the model admits (Admits):
+// what a new pipeline's Utilization reports after installing it, without
+// building one. On an empty switch the in-order packing lands logical
+// stage j on physical stage j.
+func (m Model) Utilization(p Profile) Utilization {
+	stages := m.usableStages()
+	alus, sram := perStage(p)
+	u := Utilization{
+		StagesTotal:  stages,
+		ALUsUsed:     p.Stages * alus,
+		ALUsTotal:    stages * m.ALUsPerStage,
+		SRAMBitsUsed: p.Stages * sram,
+		SRAMBitsCap:  stages * m.SRAMPerStageBits,
+		TCAMUsed:     p.TCAMEntries,
+		TCAMTotal:    m.TCAMEntries,
+		MetaUsed:     p.MetadataBits,
+		MetaTotal:    m.MetadataBits,
+	}
+	if alus > 0 || sram > 0 {
+		u.StagesUsed = p.Stages
+	}
+	return u
 }
 
 // Model returns the pipeline's hardware model.
@@ -318,9 +351,7 @@ func (pl *Pipeline) placeProfile(p Profile) (phys []int, perStageALUs, perStageS
 		return nil, 0, 0, fmt.Errorf("switchsim: %s needs %d metadata bits, %d free",
 			p.Name, p.MetadataBits, pl.model.MetadataBits-pl.metaUsed)
 	}
-	// Spread demand evenly over the program's logical stages.
-	perStageALUs = ceilDiv(p.ALUs, p.Stages)
-	perStageSRAM = ceilDiv(p.SRAMBits, p.Stages)
+	perStageALUs, perStageSRAM = perStage(p)
 	if perStageALUs > pl.model.ALUsPerStage {
 		return nil, 0, 0, fmt.Errorf("switchsim: %s needs %d ALUs in one stage, model has %d",
 			p.Name, perStageALUs, pl.model.ALUsPerStage)
@@ -421,8 +452,7 @@ func (pl *Pipeline) Uninstall(flowID uint32) error {
 		return fmt.Errorf("switchsim: flow %d has no program", flowID)
 	}
 	p := plc.Program.Profile()
-	perStageALUs := ceilDiv(p.ALUs, p.Stages)
-	perStageSRAM := ceilDiv(p.SRAMBits, p.Stages)
+	perStageALUs, perStageSRAM := perStage(p)
 	for _, s := range plc.PhysicalStage {
 		pl.stages[s].alus -= perStageALUs
 		pl.stages[s].sramBits -= perStageSRAM

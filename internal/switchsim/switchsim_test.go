@@ -270,6 +270,34 @@ func TestUtilizationAndString(t *testing.T) {
 	}
 }
 
+// TestModelUtilizationMatchesInstall pins Model.Utilization, the
+// occupancy of a dedicated switch computed from a profile, to what an
+// empty pipeline reports after installing that profile.
+func TestModelUtilizationMatchesInstall(t *testing.T) {
+	noRecirc := Tofino()
+	noRecirc.Recirculation = 0
+	for _, m := range []Model{Tofino(), Tofino2(), noRecirc} {
+		for _, p := range []Profile{
+			{Name: "matrix", Stages: 8, ALUs: 8, SRAMBits: 4096 * 8 * 64, MetadataBits: 160},
+			{Name: "uneven", Stages: 3, ALUs: 7, SRAMBits: 1000, TCAMEntries: 128, MetadataBits: 72},
+			{Name: "shared", Stages: 2, ALUs: 3, SRAMBits: 1 << 22, SharedStageMemory: true},
+			{Name: "empty", Stages: 4},
+			{Name: "long", Stages: m.usableStages(), ALUs: 1},
+		} {
+			pl, err := NewPipeline(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := pl.Install(1, &fakeProgram{prof: p}); err != nil {
+				t.Fatalf("%s on %s: %v", p.Name, m.Name, err)
+			}
+			if got, want := m.Utilization(p), pl.Utilization(); got != want {
+				t.Fatalf("%s on %s: Model.Utilization %+v, installed %+v", p.Name, m.Name, got, want)
+			}
+		}
+	}
+}
+
 func TestDecisionString(t *testing.T) {
 	if Forward.String() != "forward" || Prune.String() != "prune" {
 		t.Fatal("decision strings")

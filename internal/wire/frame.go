@@ -22,6 +22,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
+	"sync"
 
 	"cheetah/internal/boolexpr"
 	"cheetah/internal/engine"
@@ -129,23 +131,33 @@ var (
 	ErrBadFrame = errors.New("wire: malformed frame body")
 )
 
-// WriteFrame writes one `length | type | body` frame.
+// WriteFrame writes one `length | type | body` frame with a single Write
+// of header and body, so a TCP connection with Nagle off sends one
+// segment per frame, not two. The frame is assembled in a pooled buffer:
+// a vectored write (net.Buffers) would avoid that copy, but Go's
+// race detector orders a socket write before the peer's read only
+// through write(2), not writev(2), and callers' tests read server state
+// on the strength of that order.
 func WriteFrame(w io.Writer, t FrameType, body []byte) error {
 	if 1+len(body) > MaxFrameLen {
 		return ErrFrameTooLarge
 	}
-	var hdr [5]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(1+len(body)))
-	hdr[4] = byte(t)
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
+	bp, _ := framePool.Get().(*[]byte)
+	if bp == nil {
+		bp = new([]byte)
 	}
-	if len(body) == 0 {
-		return nil
-	}
-	_, err := w.Write(body)
+	frame := binary.BigEndian.AppendUint32((*bp)[:0], uint32(1+len(body)))
+	frame = append(append(frame, byte(t)), body...)
+	_, err := w.Write(frame)
+	*bp = frame
+	framePool.Put(bp)
 	return err
 }
+
+// framePool recycles WriteFrame's buffers; like any sync.Pool it lets go
+// of them across garbage collections, so one large frame does not pin
+// its buffer.
+var framePool sync.Pool
 
 // ReadFrame reads one frame, allocating at most MaxFrameLen for the
 // body. io.EOF surfaces unchanged on a clean close before the length
@@ -848,8 +860,13 @@ type ResultMsg struct {
 	Trace []TraceStage
 }
 
-// EncodeBody serializes the result body.
+// EncodeBody serializes the result body, growing b once to the body's
+// size.
 func (r *ResultMsg) EncodeBody(b []byte) []byte {
+	if n := len(b) + 8 + 1 + 4*binary.MaxVarintLen64 + resultLen(r.Columns, r.Rows) +
+		binary.MaxVarintLen64 + len(r.Trace)*(1+3*binary.MaxVarintLen64); cap(b) < n {
+		b = append(make([]byte, 0, n), b...)
+	}
 	b = binary.BigEndian.AppendUint64(b, r.ID)
 	b = append(b, r.Mode)
 	b = binary.AppendUvarint(b, r.EntriesSent)
@@ -901,6 +918,29 @@ func (r *ResultMsg) DecodeBody(b []byte) error {
 // exactly len(columns) cells each.
 func appendResult(b []byte, cols []string, rows [][]string) []byte {
 	return appendRows(appendStrings(b, cols), rows)
+}
+
+// resultLen is the size appendResult gives cols and rows.
+func resultLen(cols []string, rows [][]string) int {
+	n := uvarintLen(uint64(len(cols))) + cellsLen(cols) + uvarintLen(uint64(len(rows)))
+	for _, row := range rows {
+		n += cellsLen(row)
+	}
+	return n
+}
+
+// cellsLen is the size appendString gives each of ss.
+func cellsLen(ss []string) int {
+	n := 0
+	for _, s := range ss {
+		n += uvarintLen(uint64(len(s))) + len(s)
+	}
+	return n
+}
+
+// uvarintLen is the size binary.AppendUvarint gives v.
+func uvarintLen(v uint64) int {
+	return (bits.Len64(v|1) + 6) / 7
 }
 
 // appendRows serializes rows as wide as the columns sent before them: a

@@ -3,8 +3,11 @@ package wire
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
+	"net"
 	"reflect"
+	"strings"
 	"testing"
 
 	"cheetah/internal/boolexpr"
@@ -287,6 +290,52 @@ func TestReadWriteFrame(t *testing.T) {
 	// Zero-length frames are malformed (no type byte).
 	if _, _, err := ReadFrame(bytes.NewReader([]byte{0, 0, 0, 0})); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("zero-length: %v", err)
+	}
+}
+
+// TestResultFrameOneBuffer pins ResultMsg.EncodeBody to one allocation —
+// the buffer is sized from the rows before anything is appended — and
+// WriteFrame's single header+body write to arrive whole over TCP, empty
+// bodies included.
+func TestResultFrameOneBuffer(t *testing.T) {
+	res := &ResultMsg{ID: 3, Mode: 1, EntriesSent: 1 << 40, Forwarded: 300, Columns: []string{"k", "v"},
+		Trace: []TraceStage{{Stage: 6, Nanos: 1 << 33, Entries: 9, Forwarded: 1}}}
+	for i := 0; i < 3000; i++ {
+		res.Rows = append(res.Rows, []string{strings.Repeat("k", i%200), fmt.Sprint(i * i)})
+	}
+	if n := testing.AllocsPerRun(20, func() { res.EncodeBody(nil) }); n != 1 {
+		t.Fatalf("EncodeBody(nil) made %v allocations, want 1", n)
+	}
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		c, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		_ = WriteFrame(c, FrameResult, res.EncodeBody(nil))
+		_ = WriteFrame(c, FramePing, nil)
+	}()
+	c, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ft, body, err := ReadFrame(c)
+	if err != nil || ft != FrameResult {
+		t.Fatalf("result frame: %v %v", ft, err)
+	}
+	var got ResultMsg
+	if err := got.DecodeBody(body); err != nil || !reflect.DeepEqual(&got, res) {
+		t.Fatalf("result over TCP: %v, equal %v", err, reflect.DeepEqual(&got, res))
+	}
+	if ft, body, err = ReadFrame(c); err != nil || ft != FramePing || len(body) != 0 {
+		t.Fatalf("empty frame: %v %d bytes %v", ft, len(body), err)
 	}
 }
 
