@@ -205,7 +205,8 @@ func run(args []string, stop <-chan os.Signal, ready func(addr, metricsAddr stri
 }
 
 // serveObs starts the observability HTTP listener: GET /metrics dumps
-// the server's shared registry in Prometheus text exposition format,
+// the server's shared registry in Prometheus text exposition format
+// (with each catalog table's derived bytes read at the scrape),
 // GET /healthz answers 200 while every fabric can place queries (503
 // once draining or every switch of one fabric is down), and -pprof
 // mounts the standard net/http/pprof handlers under /debug/pprof/. It
@@ -218,7 +219,7 @@ func serveObs(srv *netserve.Server, addr string, withPprof bool) (*http.Server, 
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = srv.Metrics().WritePrometheus(w)
+		_ = srv.WriteMetrics(w)
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		if srv.Healthy() {

@@ -88,8 +88,14 @@ func TestDaemonChurnScrapeDrain(t *testing.T) {
 	}
 	wg.Wait()
 
-	if metrics := scrape(t, "http://"+a.metrics+"/metrics"); !strings.Contains("\n"+metrics, "\ncheetah_") {
+	metrics := scrape(t, "http://"+a.metrics+"/metrics")
+	if !strings.Contains("\n"+metrics, "\ncheetah_") {
 		t.Errorf("/metrics has no cheetah_ series:\n%s", metrics)
+	}
+	for _, name := range []string{"visits", "rankings"} {
+		if series := fmt.Sprintf("\ncheetah_table_derived_bytes{table=%q} ", name); !strings.Contains(metrics, series) {
+			t.Errorf("/metrics lacks%s", series)
+		}
 	}
 	scrape(t, "http://"+a.metrics+"/healthz")
 

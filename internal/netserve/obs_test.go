@@ -7,6 +7,7 @@ package netserve
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -97,6 +98,21 @@ func TestWireTraceAndMetrics(t *testing.T) {
 		h := reg.Histogram("query_latency", "kind", kind)
 		if h.Count() == 0 || h.Sum() <= 0 {
 			t.Fatalf("query_latency{kind=%s} is empty", kind)
+		}
+	}
+	// Each catalog table's derived bytes, read at the scrape: at least
+	// the skip index the session built on the primary.
+	var expo strings.Builder
+	if err := srv.WriteMetrics(&expo); err != nil {
+		t.Fatal(err)
+	}
+	for name, tb := range map[string]*table.Table{"visits": mix.Visits, "rankings": mix.Rankings} {
+		n := tb.DerivedBytes().Total()
+		if series := fmt.Sprintf("cheetah_table_derived_bytes{table=%q} %d\n", name, n); !strings.Contains(expo.String(), series) {
+			t.Errorf("/metrics lacks %q", series)
+		}
+		if name == "visits" && n == 0 {
+			t.Error("the primary's skip index is not accounted")
 		}
 	}
 	if n := reg.Total("slow_queries"); n == 0 {

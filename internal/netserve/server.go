@@ -40,6 +40,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"sync"
@@ -203,6 +204,17 @@ func (s *Server) Stats() serve.Counters { return s.serving.Stats() }
 // query-latency histograms, credit stalls — the series /metrics
 // exposes.
 func (s *Server) Metrics() *stats.Registry { return s.metrics }
+
+// WriteMetrics writes the registry in the Prometheus text format after
+// setting table_derived_bytes{table} to each catalog table's
+// DerivedBytes: the account is read at scrape time, so no query or
+// append pays for it.
+func (s *Server) WriteMetrics(w io.Writer) error {
+	for name, t := range s.tables {
+		s.metrics.Gauge("table_derived_bytes", "table", name).Set(int64(t.DerivedBytes().Total()))
+	}
+	return s.metrics.WritePrometheus(w)
+}
 
 // Healthy reports whether the server can currently do useful work: not
 // draining, and at least one switch alive in the serving fabric and in

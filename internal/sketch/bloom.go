@@ -15,6 +15,7 @@ package sketch
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"cheetah/internal/cacheline"
 	"cheetah/internal/hashutil"
@@ -33,20 +34,51 @@ type Bloom struct {
 // NewBloom creates a Bloom filter with sizeBits bits (rounded up to a
 // multiple of 64) and h hash functions.
 func NewBloom(sizeBits int, h int, seed uint64) (*Bloom, error) {
-	if sizeBits <= 0 {
-		return nil, fmt.Errorf("sketch: bloom size %d must be positive", sizeBits)
-	}
 	if h <= 0 {
 		return nil, fmt.Errorf("sketch: bloom hash count %d must be positive", h)
+	}
+	return NewBloomOf(sizeBits, hashutil.NewFamily(h, seed))
+}
+
+// NewBloomOf creates a Bloom filter with sizeBits bits (rounded up to a
+// multiple of 64) hashing through family, which it shares rather than
+// copies: filters of one size built from one family set the same bits for
+// the same keys, and a caller that keeps many of them pays for the family
+// once.
+func NewBloomOf(sizeBits int, family *hashutil.Family) (*Bloom, error) {
+	if sizeBits <= 0 {
+		return nil, fmt.Errorf("sketch: bloom size %d must be positive", sizeBits)
 	}
 	words := (sizeBits + 63) / 64
 	b := cacheline.New[Bloom]()
 	*b = Bloom{
 		bits:   cacheline.Make[uint64](words),
 		mBits:  uint64(words) * 64,
-		family: hashutil.NewFamily(h, seed),
+		family: family,
 	}
 	return b, nil
+}
+
+// Clone returns a copy of b that owns a copy of its bits and shares its
+// hash family, which nothing writes after construction: adding to the
+// clone leaves b as it was.
+func (b *Bloom) Clone() *Bloom {
+	c := cacheline.New[Bloom]()
+	*c = Bloom{
+		bits:   cacheline.Make[uint64](len(b.bits)),
+		mBits:  b.mBits,
+		family: b.family,
+		count:  b.count,
+	}
+	copy(c.bits, b.bits)
+	return c
+}
+
+// Equal reports whether b and o are the same filter: equal size, hash
+// functions, Add count and bits.
+func (b *Bloom) Equal(o *Bloom) bool {
+	return b.mBits == o.mBits && b.count == o.count &&
+		slices.Equal(b.family.Mixed(), o.family.Mixed()) && slices.Equal(b.bits, o.bits)
 }
 
 // Add inserts key into the filter.

@@ -474,3 +474,41 @@ func BenchmarkCountMinAdd(b *testing.B) {
 		cm.Add(uint64(i%4096), 1)
 	}
 }
+
+// TestBloomClone: a clone starts equal to its source, shares its hash
+// family, and grows apart from it without writing it.
+func TestBloomClone(t *testing.T) {
+	b, _ := NewBloom(1024, 3, 5)
+	for k := uint64(0); k < 40; k++ {
+		b.Add(k)
+	}
+	c := b.Clone()
+	if !c.Equal(b) || c.family != b.family {
+		t.Fatal("clone differs from its source or copied the family")
+	}
+	frozen := b.Clone()
+	for k := uint64(1000); k < 1040; k++ {
+		c.Add(k)
+	}
+	if !b.Equal(frozen) {
+		t.Fatal("adding to a clone wrote its source")
+	}
+	// The clone holds what a filter fed every key in another order holds.
+	want, _ := NewBloomOf(1024, b.family)
+	for k := uint64(1039); k >= 1000; k-- {
+		want.Add(k)
+	}
+	for k := uint64(0); k < 40; k++ {
+		want.Add(k)
+	}
+	if !c.Equal(want) {
+		t.Fatal("clone + adds differs from one build over the same keys")
+	}
+	other, _ := NewBloom(1024, 3, 6)
+	for k := uint64(0); k < 40; k++ {
+		other.Add(k)
+	}
+	if other.Equal(frozen) || frozen.Equal(c) {
+		t.Fatal("Equal ignores the seed or the bits")
+	}
+}

@@ -129,8 +129,9 @@ func (in *Ingestor) Snapshot() (*table.Table, uint64, error) {
 	// Extend the skip index over rows appended since the last snapshot
 	// before the snapshot captures the index pointer. Amortizing the
 	// refresh onto the read path (rather than every commit) keeps
-	// appends O(row); the refresh itself is O(tail block + new rows)
-	// and only the in.mu holder reads tail column data, so it is
+	// appends O(row); the refresh itself is O(rows appended) — it
+	// copies the tail block's summary on write and folds in the new rows
+	// alone — and only the in.mu holder reads tail column data, so it is
 	// serialized against commits.
 	in.t.RefreshSkipIndex()
 	snap, err := in.t.SnapshotPrefix(int(in.rows))

@@ -234,7 +234,9 @@ func (s *Subscription) step() (int, error) {
 	}
 	// Extend the skip index over the rows this delta covers before the
 	// snapshot captures the index pointer (same amortization as
-	// Ingestor.Snapshot; in.mu serializes the refresh against commits).
+	// Ingestor.Snapshot). It costs O(rows appended), so commits and the
+	// other subscriptions, which in.mu serializes it against, wait for
+	// the new rows' summaries alone.
 	s.in.t.RefreshSkipIndex()
 	snap, err := s.in.t.SnapshotPrefix(int(hi))
 	s.in.mu.Unlock()

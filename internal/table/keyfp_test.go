@@ -493,9 +493,13 @@ func TestKeyFingerprintExtensionKeepsOldReaders(t *testing.T) {
 // race detector: one appender commits 256-row batches under a lock while
 // readers snapshot under the same lock and then, outside it, ask the
 // snapshot and a delta view of it for the same columns' fingerprints, key
-// ids and ranks.
+// ids and ranks, and for the snapshot's co-partition and the root's
+// derived bytes while the appender refreshes the skip index.
 func TestKeyFingerprintConcurrentAppend(t *testing.T) {
 	tb := testTable(t, 512)
+	if err := tb.BuildSkipIndex(64); err != nil {
+		t.Fatal(err)
+	}
 	var mu sync.Mutex // the ingestor's: commits and snapshots
 	const batches, readers = 24, 4
 	done := make(chan struct{})
@@ -550,6 +554,14 @@ func TestKeyFingerprintConcurrentAppend(t *testing.T) {
 						return
 					}
 				}
+				if _, err := snap.ShardKeys("name", 2); err != nil {
+					t.Error(err)
+					return
+				}
+				if d := tb.DerivedBytes(); d.Skip == 0 || d.KeyShards == 0 {
+					t.Errorf("reader %d: derived bytes %+v miss the skip index or the co-partition", g, d)
+					return
+				}
 			}
 		}(g)
 	}
@@ -561,6 +573,7 @@ func TestKeyFingerprintConcurrentAppend(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		tb.RefreshSkipIndex()
 		mu.Unlock()
 	}
 	close(done)

@@ -107,6 +107,16 @@ type dictIndex struct{ slots []dictSlot }
 
 const dictIndexMinSlots = 64
 
+// dictIndexSlots is how many slots an index of keys keys has: the least
+// power of two from dictIndexMinSlots that keeps it at most 3/4 full.
+func dictIndexSlots(keys int) int {
+	n := dictIndexMinSlots
+	for 3*n < 4*keys {
+		n *= 2
+	}
+	return n
+}
+
 // same reports whether rows a and b of c hold equal cells.
 func (c *column) same(a, b int) bool {
 	if c.typ == String {
@@ -406,10 +416,7 @@ func (t *Table) BuildKeyIDs(c int, fps []uint64, s *KeyIDScratch) KeyIDs {
 		panic(fmt.Sprintf("table: BuildKeyIDs from %d fingerprints, table has %d rows", len(fps), t.n))
 	}
 	// At most 3/4 full whatever the keys, so the index never grows.
-	n := dictIndexMinSlots
-	for 3*n < 4*t.n {
-		n *= 2
-	}
+	n := dictIndexSlots(t.n)
 	if cap(s.slots) < n {
 		s.slots = make([]dictSlot, n)
 	} else {

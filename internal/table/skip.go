@@ -7,10 +7,14 @@ package table
 // in the style of Provenance-based Data Skipping.
 //
 // The index is immutable once published: extending it after appends
-// builds a NEW SkipIndex sharing the sealed (full) block metas and
-// rebuilding only the tail, so a snapshot that captured an older index
-// pointer keeps reading it without synchronization — the same
-// copy-on-write discipline SnapshotPrefix applies to column headers.
+// builds a NEW SkipIndex that shares the sealed (full) block metas,
+// replaces a partial tail by a copy extended over the appended rows, and
+// builds the blocks past it — so a refresh costs O(rows appended), and a
+// snapshot that captured an older index pointer keeps reading it without
+// synchronization: the same copy-on-write discipline SnapshotPrefix
+// applies to column headers. A zone map folds rows in any order and a
+// Bloom's bits are an OR of its keys', so the extended index is the one
+// BuildSkipIndex would build over the same rows, bit for bit.
 //
 // Staleness is safe in both directions, which is what makes the
 // ingestor integration cheap. An index covering MORE rows than a view
@@ -23,6 +27,8 @@ package table
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"cheetah/internal/hashutil"
 	"cheetah/internal/sketch"
@@ -34,9 +40,13 @@ import (
 // storage, small enough that a selective predicate skips at fine grain.
 const DefaultBlockRows = 4096
 
-// bloomSeed salts the per-column block Blooms. Fixed so rebuilding a
-// tail block reproduces the same structure for the same rows.
-const bloomSeed = 0x5eedb10c
+// bloomSeed salts the per-column block Blooms, and bloomHashes is how
+// many hash functions each uses. Fixed so that an index refreshed over
+// appends and one built over the same rows are the same structure.
+const (
+	bloomSeed   = 0x5eedb10c
+	bloomHashes = 3
+)
 
 // BlockMeta summarizes one block of rows: per-column min/max for Int64
 // columns and a per-column Bloom filter (Int64 values keyed directly,
@@ -88,6 +98,10 @@ type SkipIndex struct {
 	blockRows int
 	rows      int
 	blocks    []*BlockMeta
+	// fams[c] is the hash family of column c's Blooms, one per column for
+	// the index and every index refreshed from it: a block's Bloom costs
+	// its bits alone.
+	fams []*hashutil.Family
 }
 
 // BlockRows returns the index's block size in rows.
@@ -127,75 +141,104 @@ func (t *Table) BuildSkipIndex(blockRows int) error {
 	if blockRows <= 0 {
 		blockRows = DefaultBlockRows
 	}
-	ix := &SkipIndex{blockRows: blockRows, rows: t.n}
+	ix := &SkipIndex{blockRows: blockRows, rows: t.n, fams: make([]*hashutil.Family, len(t.cols))}
+	for c := range ix.fams {
+		ix.fams[c] = hashutil.NewFamily(bloomHashes, bloomSeed^uint64(c))
+	}
 	for lo := 0; lo < t.n; lo += blockRows {
-		hi := min(lo+blockRows, t.n)
-		ix.blocks = append(ix.blocks, t.buildBlock(lo, hi, blockRows))
+		ix.blocks = append(ix.blocks, t.buildBlock(ix, lo, min(lo+blockRows, t.n)))
 	}
 	t.skip.Store(ix)
 	return nil
 }
 
 // RefreshSkipIndex extends the skip index over rows appended since the
-// last build/refresh. Sealed (full) block metas are shared with the
-// previous index; only the tail block is rebuilt, so the cost is
-// O(blockRows + new rows) and previously captured snapshots keep their
-// old index untouched. A no-op when the table has no index, is a view,
-// or is already fully covered.
+// last build/refresh, in O(rows appended): sealed (full) block metas are
+// shared with the previous index, a partial tail is copied on write — its
+// zone maps and Blooms copied, then fed the appended rows alone — and
+// only the blocks past it are built. The previous index, its tail
+// included, is never written, so snapshots that captured it keep reading
+// exactly what they captured. A no-op when the table has no index, is a
+// view, or is already fully covered.
 func (t *Table) RefreshSkipIndex() {
 	ix := t.skip.Load()
 	if t.parent != nil || ix == nil || ix.rows == t.n {
 		return
 	}
-	nx := &SkipIndex{blockRows: ix.blockRows, rows: t.n}
-	sealed := ix.rows / ix.blockRows
-	nx.blocks = make([]*BlockMeta, 0, (t.n+ix.blockRows-1)/ix.blockRows)
-	nx.blocks = append(nx.blocks, ix.blocks[:sealed]...)
-	for lo := sealed * ix.blockRows; lo < t.n; lo += ix.blockRows {
-		hi := min(lo+ix.blockRows, t.n)
-		nx.blocks = append(nx.blocks, t.buildBlock(lo, hi, ix.blockRows))
+	br := ix.blockRows
+	nx := &SkipIndex{blockRows: br, rows: t.n, fams: ix.fams}
+	nx.blocks = make([]*BlockMeta, len(ix.blocks), (t.n+br-1)/br)
+	copy(nx.blocks, ix.blocks)
+	lo := len(ix.blocks) * br // the first row no block has room for
+	if ix.rows < lo {
+		tail := len(nx.blocks) - 1
+		nx.blocks[tail] = ix.blocks[tail].extend(t, ix.rows, min(lo, t.n))
+	}
+	for ; lo < t.n; lo += br {
+		nx.blocks = append(nx.blocks, t.buildBlock(nx, lo, min(lo+br, t.n)))
 	}
 	t.skip.Store(nx)
 }
 
-// buildBlock summarizes root rows [lo, hi) of every column. Bloom size
-// follows the block capacity (~8 bits per row, 3 hash functions) with a
-// small floor so tiny test blocks keep a usable false-positive rate.
-func (t *Table) buildBlock(lo, hi, blockRows int) *BlockMeta {
+// buildBlock summarizes root rows [lo, hi) of every column into a new
+// block of ix. Bloom size follows the block capacity (~8 bits per row,
+// bloomHashes hash functions) with a small floor so tiny test blocks keep
+// a usable false-positive rate.
+func (t *Table) buildBlock(ix *SkipIndex, lo, hi int) *BlockMeta {
 	m := &BlockMeta{
 		rows:   hi - lo,
 		mins:   make([]int64, len(t.cols)),
 		maxs:   make([]int64, len(t.cols)),
 		blooms: make([]*sketch.Bloom, len(t.cols)),
 	}
-	bits := max(8*blockRows, 64)
+	bits := max(8*ix.blockRows, 64)
 	for c, col := range t.cols {
-		b, err := sketch.NewBloom(bits, 3, bloomSeed^uint64(c))
+		b, err := sketch.NewBloomOf(bits, ix.fams[c])
 		if err != nil {
-			// Size and hash count are statically valid; an error here
-			// would be a programming bug, not a data condition.
+			// The size is statically valid; an error here would be a
+			// programming bug, not a data condition.
 			panic(fmt.Sprintf("table: block bloom: %v", err))
 		}
 		m.blooms[c] = b
-		switch col.typ {
-		case Int64:
-			vals := col.ints[lo:hi]
-			mn, mx := vals[0], vals[0]
-			for _, v := range vals {
-				if v < mn {
-					mn = v
-				}
-				if v > mx {
-					mx = v
-				}
-				b.Add(uint64(v))
-			}
-			m.mins[c], m.maxs[c] = mn, mx
-		case String:
-			for _, s := range col.strs[lo:hi] {
-				b.Add(hashutil.HashString64(s, bloomSeed))
-			}
+		if col.typ == Int64 {
+			m.mins[c], m.maxs[c] = math.MaxInt64, math.MinInt64
 		}
+		m.fold(c, col, lo, hi)
 	}
 	return m
+}
+
+// extend returns a copy of m that also summarizes root rows [lo, hi),
+// the rows appended past m's. m is not written.
+func (m *BlockMeta) extend(t *Table, lo, hi int) *BlockMeta {
+	nm := &BlockMeta{
+		rows:   m.rows + hi - lo,
+		mins:   slices.Clone(m.mins),
+		maxs:   slices.Clone(m.maxs),
+		blooms: make([]*sketch.Bloom, len(m.blooms)),
+	}
+	for c, col := range t.cols {
+		nm.blooms[c] = m.blooms[c].Clone()
+		nm.fold(c, col, lo, hi)
+	}
+	return nm
+}
+
+// fold adds root rows [lo, hi) of column c to m's zone map and Bloom of
+// it. Only a block no index has published yet may be folded into.
+func (m *BlockMeta) fold(c int, col *column, lo, hi int) {
+	b := m.blooms[c]
+	switch col.typ {
+	case Int64:
+		mn, mx := m.mins[c], m.maxs[c]
+		for _, v := range col.ints[lo:hi] {
+			mn, mx = min(mn, v), max(mx, v)
+			b.Add(uint64(v))
+		}
+		m.mins[c], m.maxs[c] = mn, mx
+	case String:
+		for _, s := range col.strs[lo:hi] {
+			b.Add(hashutil.HashString64(s, bloomSeed))
+		}
+	}
 }

@@ -37,6 +37,7 @@
 // The last two are contiguous-only: a handle whose rows start past what
 // the root has derived is turned away and derives its own rows into
 // scratch, so that no reader pays for rows it does not read.
+// DerivedBytes (derived.go) accounts what the four hold.
 package table
 
 import (
