@@ -262,13 +262,14 @@ const (
 // NewTable creates an empty table with the given schema.
 func NewTable(s Schema) (*Table, error) { return table.New(s) }
 
-// Storage-side data skipping: sessions build a block skip index (per-
-// column zone maps + Bloom filters over fixed-size row blocks) on their
-// table at Open, and WHERE/TOP N/JOIN plans skip blocks the metadata
-// proves irrelevant before any row is read or encoded — bit-identical
-// results, reported via Execution.SkipStats and the Explain output.
-// Opt out with SessionOptions.DisableSkipping; tune the block size with
-// SessionOptions.SkipBlockRows.
+// Storage-side data skipping belongs to the table: its block skip index
+// (per-column zone maps + Bloom filters over fixed-size row blocks) lets
+// WHERE/TOP N/JOIN plans skip blocks the metadata proves irrelevant
+// before any row is read or encoded — bit-identical results, reported via
+// Execution.SkipStats and the Explain output. Open keeps the index a
+// table carries and builds one of 4 096-row blocks on a table without; a
+// caller who wants another block size calls Table.BuildSkipIndex first
+// (for a JOIN's right table too).
 type (
 	// SkipIndex is a table's block skip metadata, built with
 	// Table.BuildSkipIndex and extended by Table.RefreshSkipIndex.
@@ -278,10 +279,6 @@ type (
 	// subscription via StreamSubscription.Skipped.
 	SkipStats = engine.SkipStats
 )
-
-// DefaultSkipBlockRows is the skip-index block size used when
-// SessionOptions.SkipBlockRows is unset.
-const DefaultSkipBlockRows = table.DefaultBlockRows
 
 // Queries and execution.
 type (
@@ -295,12 +292,10 @@ type (
 	Result = engine.Result
 	// CheetahOptions configures the pruned execution path.
 	CheetahOptions = engine.CheetahOptions
-	// CheetahRun reports a pruned execution's result and traffic.
-	CheetahRun = engine.CheetahRun
 	// ShardedOptions configures the multi-switch scatter/gather path.
 	ShardedOptions = engine.ShardedOptions
-	// ShardedRun reports a scatter/gather execution (aggregate plus
-	// per-switch traffic).
+	// ShardedRun reports a pruned execution (aggregate plus per-switch
+	// traffic): ExecSharded's, and ExecCheetah's at one switch.
 	ShardedRun = engine.ShardedRun
 	// CostModel converts traffic into completion-time estimates.
 	CostModel = engine.CostModel
@@ -343,7 +338,7 @@ func ExecDirect(q *Query) (*Result, error) { return engine.ExecDirect(q) }
 // Deprecated: prefer the session API (Open + DB.Exec); use ExecCheetah
 // directly only to pin a hand-constructed pruner or the legacy scalar
 // path.
-func ExecCheetah(q *Query, opts CheetahOptions) (*CheetahRun, error) {
+func ExecCheetah(q *Query, opts CheetahOptions) (*ShardedRun, error) {
 	return engine.ExecCheetah(q, opts)
 }
 

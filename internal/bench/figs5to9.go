@@ -22,7 +22,7 @@ type fig5Workload struct {
 	label   string
 	kind    engine.QueryKind
 	workers int
-	run     func(o Options) (*engine.CheetahRun, int, error) // run → (traffic, paper-scale rows)
+	run     func(o Options) (*engine.ShardedRun, int, error) // run → (traffic, paper-scale rows)
 }
 
 // buildTables constructs the scaled benchmark tables once per invocation.

@@ -513,6 +513,18 @@ func (s *survivorSet) add(fwd []uint64, chunkN int) {
 
 // --- the master's N-heap ------------------------------------------------
 
+// TopN folds vals into h, a min-heap holding the top n values seen so far,
+// and returns the heap: topN(A ∪ B) = topN(topN(A) ∪ B) as multisets, so
+// the k-shard completion (completeTopN) and a subscription's standing TOP
+// N (stream) fold their parts through it. TopNResult renders the heap.
+func TopN(n int, h, vals []int64) []int64 {
+	hp := int64Heap(h)
+	for _, v := range vals {
+		hp.offer(v, n)
+	}
+	return hp
+}
+
 // push adds v to the heap (sift-up), replicating container/heap.Push for
 // the master's int64 N-heap without the interface boxing.
 func (h *int64Heap) push(v int64) {

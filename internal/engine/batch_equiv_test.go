@@ -161,7 +161,7 @@ func TestBatchAsymmetricJoin(t *testing.T) {
 	rt := equivTable(t, 4000, 0x22)
 	q := &Query{Kind: KindJoin, Table: tb, Right: rt, LeftKey: "name", RightKey: "name"}
 	for _, workers := range []int{1, 5} {
-		mk := func() (a, b *CheetahRun, err error) {
+		mk := func() (a, b *ShardedRun, err error) {
 			pa, err := newTestJoinPruner(true, 7)
 			if err != nil {
 				return nil, nil, err
@@ -202,7 +202,7 @@ func TestBatchJoinEdgeCases(t *testing.T) {
 			}
 			for _, asym := range []bool{false, true} {
 				label := fmt.Sprintf("%s int=%v asym=%v", c.name, intKeys, asym)
-				run := func(opts CheetahOptions) *CheetahRun {
+				run := func(opts CheetahOptions) *ShardedRun {
 					p, err := newTestJoinPruner(asym, 7)
 					if err != nil {
 						t.Fatal(err)

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"time"
 
 	"cheetah/internal/hashutil"
 	"cheetah/internal/obs"
@@ -25,7 +24,9 @@ type CheetahOptions struct {
 	// Scalar forces the legacy per-row execution path (one closure call
 	// and one Program.Process per entry). The default is the pruned
 	// executor (pass.go); the scalar path is kept frozen as the
-	// equivalence-test reference and benchmark baseline.
+	// equivalence-test reference and benchmark baseline. It runs the
+	// program the default would (Pruner, else DefaultPruner) and reports
+	// a ShardedRun with one PerSwitch entry.
 	Scalar bool
 	// Skip enables storage-side block skipping (skip.go) for kinds with
 	// a sound block bound (FILTER, TOP N, JOIN) when the table carries a
@@ -103,37 +104,13 @@ type Traffic struct {
 	MasterProcessed int
 }
 
-// CheetahRun is the outcome of a pruned execution.
-type CheetahRun struct {
-	Result  *Result
-	Traffic Traffic
-	Stats   prune.Stats
-	// PrunerName records which algorithm ran on the switch.
-	PrunerName string
-	// Skipped reports the block-skipping work (zero unless
-	// CheetahOptions.Skip was set and the table carries a skip index).
-	Skipped SkipStats
-	// Wall is the execution's total wall time, captured once in
-	// ExecCheetah around the whole run (see Stopwatch) — identical
-	// semantics on the scalar, batched and fused paths.
-	Wall time.Duration
-}
-
-// UnprunedFraction is Forwarded/EntriesSent, Figures 10–11's metric.
-func (c *CheetahRun) UnprunedFraction() float64 {
-	if c.Traffic.EntriesSent == 0 {
-		return 0
-	}
-	return float64(c.Traffic.Forwarded) / float64(c.Traffic.EntriesSent)
-}
-
 // ExecCheetah runs the query along the Cheetah path: partition the table
 // across CWorkers, stream the relevant columns through the (simulated)
 // switch pruner, and complete the query at the master on the survivors
 // via late materialization (row ids travel in the packets). Unless
 // opts.Scalar asks for the per-row reference, that is ExecSharded at one
-// shard.
-func ExecCheetah(q *Query, opts CheetahOptions) (*CheetahRun, error) {
+// shard, and the run is its report.
+func ExecCheetah(q *Query, opts CheetahOptions) (*ShardedRun, error) {
 	clock := StartClock()
 	run, err := execCheetah(q, opts)
 	if run != nil {
@@ -145,7 +122,7 @@ func ExecCheetah(q *Query, opts CheetahOptions) (*CheetahRun, error) {
 	return run, err
 }
 
-func execCheetah(q *Query, opts CheetahOptions) (*CheetahRun, error) {
+func execCheetah(q *Query, opts CheetahOptions) (*ShardedRun, error) {
 	if !opts.Scalar {
 		// The pruned run at one switch is the sharded run at one shard
 		// (shard.go): this is its adapter, not a second driver.
@@ -154,12 +131,7 @@ func execCheetah(q *Query, opts CheetahOptions) (*CheetahRun, error) {
 		if opts.Pruner != nil {
 			so.Pruners = []prune.Pruner{opts.Pruner}
 		}
-		one, err := execSharded(q, so)
-		if err != nil {
-			return nil, err
-		}
-		return &CheetahRun{Result: one.Result, Traffic: one.Traffic, Stats: one.Stats,
-			PrunerName: one.PrunerName, Skipped: one.Skipped}, nil
+		return execSharded(q, so)
 	}
 	if err := q.Validate(); err != nil {
 		return nil, err
@@ -173,26 +145,42 @@ func execCheetah(q *Query, opts CheetahOptions) (*CheetahRun, error) {
 	if opts.Skip {
 		return nil, fmt.Errorf("engine: block skipping requires the batched path, not Scalar")
 	}
+	pruner := opts.Pruner
+	if pruner == nil {
+		p, err := DefaultPruner(q, opts.Seed)
+		if err != nil {
+			return nil, err
+		}
+		pruner = p
+	}
+	var body func(*Query, CheetahOptions, prune.Pruner) (*ShardedRun, error)
 	switch q.Kind {
 	case KindFilter:
-		return cheetahFilter(q, opts)
+		body = cheetahFilter
 	case KindDistinct:
-		return cheetahDistinct(q, opts)
+		body = cheetahDistinct
 	case KindTopN:
-		return cheetahTopN(q, opts)
+		body = cheetahTopN
 	case KindGroupByMax:
-		return cheetahGroupByMax(q, opts)
+		body = cheetahGroupByMax
 	case KindGroupBySum:
-		return cheetahGroupBySum(q, opts)
+		body = cheetahGroupBySum
 	case KindHaving:
-		return cheetahHaving(q, opts)
+		body = cheetahHaving
 	case KindJoin:
-		return cheetahJoin(q, opts)
+		body = cheetahJoin
 	case KindSkyline:
-		return cheetahSkyline(q, opts)
+		body = cheetahSkyline
 	default:
 		return nil, fmt.Errorf("engine: unknown kind %v", q.Kind)
 	}
+	run, err := body(q, opts, pruner)
+	if err != nil {
+		return nil, err
+	}
+	// One switch: its traffic is the run's.
+	run.PerSwitch = []Traffic{run.Traffic}
+	return run, nil
 }
 
 // interleave yields global row indices of t in the order the switch sees
@@ -258,31 +246,14 @@ func completeOnRows(q *Query, rows []int) (*Result, error) {
 	}
 }
 
-func cheetahFilter(q *Query, opts CheetahOptions) (*CheetahRun, error) {
-	// Build the switch program: supported predicates run on the switch;
-	// LIKE predicates are precomputed by the CWorker and shipped as bits
-	// (§4.1), so the full formula is evaluable in the dataplane.
+func cheetahFilter(q *Query, opts CheetahOptions, pruner prune.Pruner) (*ShardedRun, error) {
+	// Supported predicates run on the switch; LIKE predicates are
+	// precomputed by the CWorker and shipped as bits (§4.1).
 	cols := make([]int, len(q.Predicates))
-	sPreds := make([]prune.Predicate, len(q.Predicates))
 	for i, p := range q.Predicates {
 		cols[i] = q.Table.Schema().MustIndex(p.Col)
-		if p.SwitchSupported() {
-			sPreds[i] = prune.Predicate{ValIdx: i, Op: p.Op, Const: p.Const}
-		} else {
-			sPreds[i] = prune.Predicate{ValIdx: i, Precomputed: true}
-		}
 	}
-	var pruner prune.Pruner
-	if opts.Pruner != nil {
-		pruner = opts.Pruner
-	} else {
-		f, err := prune.NewFilter(prune.FilterConfig{Predicates: sPreds, Formula: q.Formula})
-		if err != nil {
-			return nil, err
-		}
-		pruner = f
-	}
-	run := &CheetahRun{PrunerName: pruner.Name()}
+	run := &ShardedRun{PrunerName: pruner.Name()}
 	vals := make([]uint64, len(q.Predicates))
 	var survivors []int
 	interleave(q.Table, opts.Workers, func(r int) {
@@ -312,22 +283,12 @@ func cheetahFilter(q *Query, opts CheetahOptions) (*CheetahRun, error) {
 	return run, nil
 }
 
-func cheetahDistinct(q *Query, opts CheetahOptions) (*CheetahRun, error) {
-	var pruner prune.Pruner
-	if opts.Pruner != nil {
-		pruner = opts.Pruner
-	} else {
-		d, err := prune.NewDistinct(prune.DefaultDistinctConfig(opts.Seed))
-		if err != nil {
-			return nil, err
-		}
-		pruner = d
-	}
+func cheetahDistinct(q *Query, opts CheetahOptions, pruner prune.Pruner) (*ShardedRun, error) {
 	cols := make([]int, len(q.DistinctCols))
 	for i, c := range q.DistinctCols {
 		cols[i] = q.Table.Schema().MustIndex(c)
 	}
-	run := &CheetahRun{PrunerName: pruner.Name()}
+	run := &ShardedRun{PrunerName: pruner.Name()}
 	vals := make([]uint64, 1)
 	var survivors []int
 	interleave(q.Table, opts.Workers, func(r int) {
@@ -348,21 +309,9 @@ func cheetahDistinct(q *Query, opts CheetahOptions) (*CheetahRun, error) {
 	return run, nil
 }
 
-func cheetahTopN(q *Query, opts CheetahOptions) (*CheetahRun, error) {
-	var pruner prune.Pruner
-	if opts.Pruner != nil {
-		pruner = opts.Pruner
-	} else {
-		// Default: the randomized matrix with the theorem configuration
-		// for δ = 1e-4 at d = 4096 rows.
-		r, err := prune.NewRandTopN(prune.LegacyRandTopNConfig(q.N, 1e-4, opts.Seed))
-		if err != nil {
-			return nil, err
-		}
-		pruner = r
-	}
+func cheetahTopN(q *Query, opts CheetahOptions, pruner prune.Pruner) (*ShardedRun, error) {
 	col := q.Table.Schema().MustIndex(q.OrderCol)
-	run := &CheetahRun{PrunerName: pruner.Name()}
+	run := &ShardedRun{PrunerName: pruner.Name()}
 	vals := make([]uint64, 1)
 	var survivors []int
 	interleave(q.Table, opts.Workers, func(r int) {
@@ -383,20 +332,10 @@ func cheetahTopN(q *Query, opts CheetahOptions) (*CheetahRun, error) {
 	return run, nil
 }
 
-func cheetahGroupByMax(q *Query, opts CheetahOptions) (*CheetahRun, error) {
-	var pruner prune.Pruner
-	if opts.Pruner != nil {
-		pruner = opts.Pruner
-	} else {
-		g, err := prune.NewGroupBy(prune.DefaultGroupByConfig(opts.Seed))
-		if err != nil {
-			return nil, err
-		}
-		pruner = g
-	}
+func cheetahGroupByMax(q *Query, opts CheetahOptions, pruner prune.Pruner) (*ShardedRun, error) {
 	kc := q.Table.Schema().MustIndex(q.KeyCol)
 	vc := q.Table.Schema().MustIndex(q.AggCol)
-	run := &CheetahRun{PrunerName: pruner.Name()}
+	run := &ShardedRun{PrunerName: pruner.Name()}
 	vals := make([]uint64, 2)
 	var survivors []int
 	interleave(q.Table, opts.Workers, func(r int) {
@@ -418,24 +357,14 @@ func cheetahGroupByMax(q *Query, opts CheetahOptions) (*CheetahRun, error) {
 	return run, nil
 }
 
-func cheetahGroupBySum(q *Query, opts CheetahOptions) (*CheetahRun, error) {
-	var pruner *prune.GroupBySum
-	if opts.Pruner != nil {
-		gs, ok := opts.Pruner.(*prune.GroupBySum)
-		if !ok {
-			return nil, fmt.Errorf("engine: group-by-sum needs a *prune.GroupBySum, got %T", opts.Pruner)
-		}
-		pruner = gs
-	} else {
-		gs, err := prune.NewGroupBySum(prune.DefaultGroupBySumConfig(opts.Seed))
-		if err != nil {
-			return nil, err
-		}
-		pruner = gs
+func cheetahGroupBySum(q *Query, opts CheetahOptions, p prune.Pruner) (*ShardedRun, error) {
+	pruner, ok := p.(*prune.GroupBySum)
+	if !ok {
+		return nil, fmt.Errorf("engine: group-by-sum needs a *prune.GroupBySum, got %T", p)
 	}
 	kc := q.Table.Schema().MustIndex(q.KeyCol)
 	vc := q.Table.Schema().MustIndex(q.AggCol)
-	run := &CheetahRun{PrunerName: pruner.Name()}
+	run := &ShardedRun{PrunerName: pruner.Name()}
 	// The master accumulates (fingerprint → partial sum); fingerprints
 	// resolve back to key strings via the CWorkers' key dictionaries
 	// (late materialization).
@@ -470,24 +399,14 @@ func cheetahGroupBySum(q *Query, opts CheetahOptions) (*CheetahRun, error) {
 	return run, nil
 }
 
-func cheetahHaving(q *Query, opts CheetahOptions) (*CheetahRun, error) {
-	var pruner *prune.Having
-	if opts.Pruner != nil {
-		h, ok := opts.Pruner.(*prune.Having)
-		if !ok {
-			return nil, fmt.Errorf("engine: having needs a *prune.Having, got %T", opts.Pruner)
-		}
-		pruner = h
-	} else {
-		h, err := prune.NewHaving(prune.DefaultHavingConfig(q.Threshold, opts.Seed))
-		if err != nil {
-			return nil, err
-		}
-		pruner = h
+func cheetahHaving(q *Query, opts CheetahOptions, p prune.Pruner) (*ShardedRun, error) {
+	pruner, ok := p.(*prune.Having)
+	if !ok {
+		return nil, fmt.Errorf("engine: having needs a *prune.Having, got %T", p)
 	}
 	kc := q.Table.Schema().MustIndex(q.KeyCol)
 	vc := q.Table.Schema().MustIndex(q.AggCol)
-	run := &CheetahRun{PrunerName: pruner.Name()}
+	run := &ShardedRun{PrunerName: pruner.Name()}
 	// Pass 1: stream everything through the sketch; the master collects
 	// candidate key fingerprints.
 	candidates := map[uint64]bool{}
@@ -528,24 +447,14 @@ func cheetahHaving(q *Query, opts CheetahOptions) (*CheetahRun, error) {
 	return run, nil
 }
 
-func cheetahJoin(q *Query, opts CheetahOptions) (*CheetahRun, error) {
-	var pruner *prune.Join
-	if opts.Pruner != nil {
-		j, ok := opts.Pruner.(*prune.Join)
-		if !ok {
-			return nil, fmt.Errorf("engine: join needs a *prune.Join, got %T", opts.Pruner)
-		}
-		pruner = j
-	} else {
-		j, err := prune.NewJoin(prune.DefaultJoinConfig(opts.Seed))
-		if err != nil {
-			return nil, err
-		}
-		pruner = j
+func cheetahJoin(q *Query, opts CheetahOptions, p prune.Pruner) (*ShardedRun, error) {
+	pruner, ok := p.(*prune.Join)
+	if !ok {
+		return nil, fmt.Errorf("engine: join needs a *prune.Join, got %T", p)
 	}
 	lc := q.Table.Schema().MustIndex(q.LeftKey)
 	rc := q.Right.Schema().MustIndex(q.RightKey)
-	run := &CheetahRun{PrunerName: pruner.Name()}
+	run := &ShardedRun{PrunerName: pruner.Name()}
 	vals := make([]uint64, 2)
 	var leftRows, rightRows []int
 	if pruner.Asymmetric() {
@@ -627,26 +536,16 @@ func cheetahJoin(q *Query, opts CheetahOptions) (*CheetahRun, error) {
 	return run, nil
 }
 
-func cheetahSkyline(q *Query, opts CheetahOptions) (*CheetahRun, error) {
-	var pruner *prune.Skyline
-	if opts.Pruner != nil {
-		s, ok := opts.Pruner.(*prune.Skyline)
-		if !ok {
-			return nil, fmt.Errorf("engine: skyline needs a *prune.Skyline, got %T", opts.Pruner)
-		}
-		pruner = s
-	} else {
-		s, err := prune.NewSkyline(prune.DefaultSkylineConfig(len(q.SkylineCols)))
-		if err != nil {
-			return nil, err
-		}
-		pruner = s
+func cheetahSkyline(q *Query, opts CheetahOptions, p prune.Pruner) (*ShardedRun, error) {
+	pruner, ok := p.(*prune.Skyline)
+	if !ok {
+		return nil, fmt.Errorf("engine: skyline needs a *prune.Skyline, got %T", p)
 	}
 	cols := make([]int, len(q.SkylineCols))
 	for i, c := range q.SkylineCols {
 		cols[i] = q.Table.Schema().MustIndex(c)
 	}
-	run := &CheetahRun{PrunerName: pruner.Name()}
+	run := &ShardedRun{PrunerName: pruner.Name()}
 	vals := make([]uint64, len(cols)+1)
 	var survivors []int
 	interleave(q.Table, opts.Workers, func(r int) {

@@ -6,8 +6,9 @@ import (
 	"cheetah/internal/prune"
 )
 
-// DefaultPruner builds a kind's default single-switch program, matching
-// ExecCheetah's defaults.
+// DefaultPruner builds a kind's default single-switch program: the one
+// ExecCheetah runs, on the scalar reference as on the pruned executor,
+// unless CheetahOptions.Pruner pins another.
 func DefaultPruner(q *Query, seed uint64) (prune.Pruner, error) {
 	return defaultShardPruner(q, 1, seed)
 }

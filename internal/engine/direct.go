@@ -2,7 +2,9 @@ package engine
 
 import (
 	"container/heap"
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -112,9 +114,8 @@ func filterResult(q *Query, count int, rows [][]string) *Result {
 
 // execDistinct returns the distinct value tuples of the requested columns.
 // A repeated tuple costs one map lookup: a single column is keyed on the
-// cell itself, several on their "\x00"-terminated concatenation built in
-// a reused buffer, and a row is allocated only the first time its key is
-// seen.
+// cell itself, several on their AppendKeyCell encoding built in a reused
+// buffer, and a row is allocated only the first time its key is seen.
 func execDistinct(q *Query, t *table.Table, rows []int) (*Result, error) {
 	cols := make([]int, len(q.DistinctCols))
 	for i, c := range q.DistinctCols {
@@ -134,7 +135,7 @@ func execDistinct(q *Query, t *table.Table, rows []int) (*Result, error) {
 		}
 		key = key[:0]
 		for _, c := range cols {
-			key = append(append(key, cellString(t, c, r)...), 0)
+			key = AppendKeyCell(key, cellString(t, c, r))
 		}
 		if _, dup := seen[string(key)]; dup {
 			continue
@@ -148,6 +149,14 @@ func execDistinct(q *Query, t *table.Table, rows []int) (*Result, error) {
 	}
 	res.Sort()
 	return res, nil
+}
+
+// AppendKeyCell appends one cell of a multi-column tuple key: its length,
+// then its bytes. Two tuples share a key only when their cells are equal,
+// which a separator byte cannot promise once a cell may hold that byte
+// (["a\x00b", "c"] and ["a", "b\x00c"] join to the same string).
+func AppendKeyCell(key []byte, cell string) []byte {
+	return append(binary.AppendUvarint(key, uint64(len(cell))), cell...)
 }
 
 // int64Heap is a min-heap used by execTopN.
@@ -174,13 +183,13 @@ func execTopN(q *Query, t *table.Table, rows []int) (*Result, error) {
 			heap.Fix(h, 0)
 		}
 	}
-	return topNResult(q, *h), nil
+	return TopNResult(q, *h), nil
 }
 
-// topNResult renders the master heap's values as the sorted TOP N
+// TopNResult renders the master heap's values as the sorted TOP N
 // result. Only the canonical (textual) order is observable, so the
 // values are formatted straight from the heap and sorted once.
-func topNResult(q *Query, vals []int64) *Result {
+func TopNResult(q *Query, vals []int64) *Result {
 	cells := make([]string, len(vals))
 	for i, v := range vals {
 		cells[i] = strconv.FormatInt(v, 10)
@@ -278,16 +287,19 @@ func execSkyline(q *Query, t *table.Table, rows []int) (*Result, error) {
 	// Collect distinct points first: the skyline is a set of points.
 	type pt struct {
 		coords []int64
+		sum    float64
 	}
 	seen := map[string]pt{}
 	for _, r := range rows {
 		coords := make([]int64, len(cols))
 		key := ""
+		sum := 0.0
 		for i, c := range cols {
 			coords[i] = t.Int64At(c, r)
 			key += strconv.FormatInt(coords[i], 10) + "\x00"
+			sum += float64(coords[i])
 		}
-		seen[key] = pt{coords: coords}
+		seen[key] = pt{coords: coords, sum: sum}
 	}
 	points := make([]pt, 0, len(seen))
 	for _, p := range seen {
@@ -295,16 +307,15 @@ func execSkyline(q *Query, t *table.Table, rows []int) (*Result, error) {
 	}
 	// Sort by descending coordinate sum so dominators come early; then an
 	// O(n·s) sweep against the accepted skyline keeps it near-linear for
-	// realistic data.
+	// realistic data. The sums are float64, which cannot overflow at the
+	// int64 extremes and still never rank a point above its dominator
+	// (conversion and rounded addition are monotone); a dominator that
+	// ties on the sum is first in descending lexicographic order.
 	sort.Slice(points, func(i, j int) bool {
-		si, sj := int64(0), int64(0)
-		for _, v := range points[i].coords {
-			si += v
+		if points[i].sum != points[j].sum {
+			return points[i].sum > points[j].sum
 		}
-		for _, v := range points[j].coords {
-			sj += v
-		}
-		return si > sj
+		return slices.Compare(points[i].coords, points[j].coords) > 0
 	})
 	var sky []pt
 	for _, p := range points {

@@ -218,7 +218,7 @@ func TestFusedJoinEdgeCases(t *testing.T) {
 			for _, asym := range []bool{false, true} {
 				for _, skip := range []bool{false, true} {
 					label := fmt.Sprintf("%s int=%v asym=%v skip=%v", c.name, intKeys, asym, skip)
-					run := func(noFuse bool) *CheetahRun {
+					run := func(noFuse bool) *ShardedRun {
 						p, err := newTestJoinPruner(asym, 7)
 						if err != nil {
 							t.Fatal(err)

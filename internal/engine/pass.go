@@ -298,11 +298,9 @@ func (ps *pass) topN() (h int64Heap, err error) {
 func completeTopN(q *Query, heaps []int64Heap) *Result {
 	g := heaps[0]
 	for _, h := range heaps[1:] {
-		for _, v := range h {
-			g.offer(v, q.N)
-		}
+		g = TopN(q.N, g, h)
 	}
-	return topNResult(q, g)
+	return TopNResult(q, g)
 }
 
 // join is JOIN's pass: the whole Bloom join of the pass's table pair —

@@ -112,7 +112,8 @@ type ShardedOptions struct {
 	Trace *obs.Trace
 }
 
-// ShardedRun is the outcome of a scatter/gather execution.
+// ShardedRun is the outcome of a pruned execution: a scatter/gather one,
+// or ExecCheetah's at one switch.
 type ShardedRun struct {
 	Result *Result
 	// Traffic aggregates all switches: every field, MasterProcessed
@@ -138,8 +139,9 @@ type ShardedRun struct {
 	// Options.Skip was set and shards carried skip metadata).
 	Skipped SkipStats
 	// Wall is the execution's total wall time, captured once in
-	// ExecSharded around the whole run (see Stopwatch) — it covers every
-	// shard pass including failover redos, never a single attempt.
+	// ExecSharded or ExecCheetah around the whole run (see Stopwatch) —
+	// it covers every shard pass including failover redos, never a single
+	// attempt.
 	Wall time.Duration
 }
 

@@ -36,7 +36,6 @@ package engine
 // staleness costs skips, never correctness.
 
 import (
-	"container/heap"
 	"strings"
 
 	"cheetah/internal/prune"
@@ -363,19 +362,12 @@ func execTopNSkip(q *Query, t *table.Table) (*Result, SkipStats, error) {
 	col := t.Schema().MustIndex(q.OrderCol)
 	var st SkipStats
 	h := &int64Heap{}
-	heap.Init(h)
 	topNSpanScan(t, col, q.N, h, &st, func(lo, hi int) {
 		for r := lo; r < hi; r++ {
-			v := t.Int64At(col, r)
-			if h.Len() < q.N {
-				heap.Push(h, v)
-			} else if v > (*h)[0] {
-				(*h)[0] = v
-				heap.Fix(h, 0)
-			}
+			h.offer(t.Int64At(col, r), q.N)
 		}
 	})
-	return topNResult(q, *h), st, nil
+	return TopNResult(q, *h), st, nil
 }
 
 // ExecDirectSkip is ExecDirect with block skipping: bit-identical

@@ -27,22 +27,18 @@ func TestWallUnifiedAcrossPaths(t *testing.T) {
 	tb := equivTable(t, 3000, 0x5eed)
 	rt := equivTable(t, 900, 0x0dd)
 	for name, q := range equivQueries(tb, rt) {
-		paths := map[string]func() (interface{ wall() int64 }, error){
-			"scalar": func() (interface{ wall() int64 }, error) {
-				r, err := ExecCheetah(q, CheetahOptions{Workers: 2, Seed: 7, Scalar: true})
-				return cheetahWall{r}, err
+		paths := map[string]func() (*ShardedRun, error){
+			"scalar": func() (*ShardedRun, error) {
+				return ExecCheetah(q, CheetahOptions{Workers: 2, Seed: 7, Scalar: true})
 			},
-			"batched": func() (interface{ wall() int64 }, error) {
-				r, err := ExecCheetah(q, CheetahOptions{Workers: 2, Seed: 7, NoFuse: true})
-				return cheetahWall{r}, err
+			"batched": func() (*ShardedRun, error) {
+				return ExecCheetah(q, CheetahOptions{Workers: 2, Seed: 7, NoFuse: true})
 			},
-			"fused": func() (interface{ wall() int64 }, error) {
-				r, err := ExecCheetah(q, CheetahOptions{Workers: 2, Seed: 7})
-				return cheetahWall{r}, err
+			"fused": func() (*ShardedRun, error) {
+				return ExecCheetah(q, CheetahOptions{Workers: 2, Seed: 7})
 			},
-			"sharded": func() (interface{ wall() int64 }, error) {
-				r, err := ExecSharded(q, ShardedOptions{Shards: 3, Workers: 2, Seed: 7})
-				return shardedWall{r}, err
+			"sharded": func() (*ShardedRun, error) {
+				return ExecSharded(q, ShardedOptions{Shards: 3, Workers: 2, Seed: 7})
 			},
 		}
 		for path, run := range paths {
@@ -50,20 +46,12 @@ func TestWallUnifiedAcrossPaths(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: %v", name, path, err)
 			}
-			if r.wall() <= 0 {
+			if r.Wall <= 0 {
 				t.Fatalf("%s/%s: Wall not captured", name, path)
 			}
 		}
 	}
 }
-
-type cheetahWall struct{ r *CheetahRun }
-
-func (w cheetahWall) wall() int64 { return int64(w.r.Wall) }
-
-type shardedWall struct{ r *ShardedRun }
-
-func (w shardedWall) wall() int64 { return int64(w.r.Wall) }
 
 // TestWallCoversFailoverRetries pins that a shard redone after a
 // mid-stream switch death reports one Wall covering all attempts — the

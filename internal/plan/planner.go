@@ -180,7 +180,7 @@ func (s *Session) planFor(q *engine.Query, switches int) (*Plan, error) {
 	}
 	if err := engine.MixedJoinKeys(q); err != nil {
 		p.Reason = "no switch can prune it: " + strings.TrimPrefix(err.Error(), "engine: ")
-		s.planSkip(p)
+		planSkip(p)
 		return p, nil
 	}
 	var rejections []string
@@ -211,7 +211,7 @@ func (s *Session) planFor(q *engine.Query, switches int) (*Plan, error) {
 	if p.Mode == ModeDirect {
 		p.Reason = fmt.Sprintf("no pruning program fits %s: %s",
 			s.opts.Model.Name, strings.Join(rejections, "; "))
-		s.planSkip(p)
+		planSkip(p)
 		return p, nil
 	}
 	if switches > 1 {
@@ -224,7 +224,7 @@ func (s *Session) planFor(q *engine.Query, switches int) (*Plan, error) {
 			p.Reason += "; " + why + ", running in-process"
 		}
 	}
-	s.planSkip(p)
+	planSkip(p)
 	return p, nil
 }
 
@@ -232,23 +232,21 @@ func (s *Session) planFor(q *engine.Query, switches int) (*Plan, error) {
 // WHERE, TOP N and JOIN derive block-level bounds (the other kinds need
 // every row's exact value). A JOIN additionally wants an index on the
 // probe (right) table — the session only indexed its own table at Open,
-// so build one here on first use.
-func (s *Session) planSkip(p *Plan) {
-	if s.opts.DisableSkipping {
-		return
-	}
+// so build one here on first use, at the default block size unless the
+// caller built it first.
+func planSkip(p *Plan) {
 	q := p.Query
 	switch q.Kind {
 	case engine.KindFilter, engine.KindTopN:
 		if q.Table.SkipIndex() == nil && q.Table.RootOffset() == 0 {
 			// Session.Plan accepts hand-built queries over tables other
 			// than the session's; index them on first use too.
-			_ = q.Table.BuildSkipIndex(s.opts.SkipBlockRows)
+			_ = q.Table.BuildSkipIndex(0)
 		}
 		p.Skip = q.Table.SkipIndex() != nil
 	case engine.KindJoin:
 		if q.Right.SkipIndex() == nil && q.Right.RootOffset() == 0 {
-			_ = q.Right.BuildSkipIndex(s.opts.SkipBlockRows)
+			_ = q.Right.BuildSkipIndex(0)
 		}
 		p.Skip = q.Right.SkipIndex() != nil
 	}

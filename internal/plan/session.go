@@ -63,17 +63,6 @@ type Options struct {
 	LossRate float64
 	// RTO overrides the rack's retransmission timeout (UseCluster only).
 	RTO time.Duration
-	// DisableSkipping turns storage-side block skipping off. By default
-	// Open builds a block skip index (per-column zone maps + Bloom
-	// filters) over the session table, and eligible plans (WHERE, TOP N,
-	// JOIN) skip blocks the metadata proves irrelevant before any row is
-	// read or encoded. Skipping never changes results — every plan stays
-	// bit-identical to an unskipped direct execution — so the knob exists
-	// for measurement, not correctness.
-	DisableSkipping bool
-	// SkipBlockRows is the skip-index block size in rows; ≤ 0 selects
-	// table.DefaultBlockRows.
-	SkipBlockRows int
 	// Metrics, when non-nil, is the operational-metrics registry the
 	// session's serving and streaming fabrics record into (admission
 	// counters, queue-depth/active-lease gauges, admission-wait and
@@ -123,11 +112,14 @@ func Open(t *table.Table, opts Options) (*Session, error) {
 	if opts.Switches <= 0 {
 		opts.Switches = 1
 	}
-	if !opts.DisableSkipping && t.SkipIndex() == nil && t.RootOffset() == 0 {
-		// Best effort: a session over a view (RootOffset ≠ 0, or a
-		// zero-offset view whose root owns the data) inherits whatever
-		// index its root carries; BuildSkipIndex rejects views.
-		_ = t.BuildSkipIndex(opts.SkipBlockRows)
+	if t.SkipIndex() == nil && t.RootOffset() == 0 {
+		// Storage-side block skipping is the table's: Open keeps the index
+		// the table carries (built with t.BuildSkipIndex at any block
+		// size), else builds one at the default size. Skipping never
+		// changes results. Best effort: a session over a view (RootOffset
+		// ≠ 0, or a zero-offset view whose root owns the data) inherits
+		// whatever index its root carries; BuildSkipIndex rejects views.
+		_ = t.BuildSkipIndex(0)
 	}
 	return &Session{
 		table:    t,

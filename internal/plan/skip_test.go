@@ -21,13 +21,17 @@ func TestExecutionSkipStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := Open(uv, Options{Workers: 3, Seed: 7, SkipBlockRows: 512})
+	if err := uv.BuildSkipIndex(512); err != nil {
+		t.Fatal(err)
+	}
+	ix := uv.SkipIndex()
+	s, err := Open(uv, Options{Workers: 3, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if uv.SkipIndex() == nil {
-		t.Fatal("Open did not build a skip index on the session table")
+	if uv.SkipIndex() != ix {
+		t.Fatal("Open replaced the skip index the table carried")
 	}
 
 	q, err := s.Select().Where("adRevenue", prune.OpGT, 300_000).Build()
@@ -57,30 +61,6 @@ func TestExecutionSkipStats(t *testing.T) {
 	}
 }
 
-// TestDisableSkipping pins the opt-out: no index is built, no plan
-// skips, results are unchanged.
-func TestDisableSkipping(t *testing.T) {
-	uv, err := workload.UserVisits(workload.DefaultUserVisits(5_000, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := Open(uv, Options{Workers: 2, Seed: 1, DisableSkipping: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if uv.SkipIndex() != nil {
-		t.Fatal("DisableSkipping still built an index")
-	}
-	ex, err := s.Select().Where("adRevenue", prune.OpGT, 300_000).Exec(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ex.Plan.Skip || ex.SkipStats != (engine.SkipStats{}) {
-		t.Fatalf("disabled session still skipped: %+v", ex.SkipStats)
-	}
-}
-
 // TestStreamingSkipStats pins skip accounting through a subscription:
 // mid-subscription appends grow the tail block, the index refreshes on
 // the snapshot path, deltas skip, and the standing result matches a
@@ -94,7 +74,10 @@ func TestStreamingSkipStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := Open(target, Options{Workers: 2, Seed: 9, SkipBlockRows: 256})
+	if err := target.BuildSkipIndex(256); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(target, Options{Workers: 2, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +149,12 @@ func TestServedSkipStats(t *testing.T) {
 		}
 	}
 	ctx := context.Background()
-	opts := Options{Workers: 2, Seed: 7, SkipBlockRows: 256}
+	for _, tbl := range []*table.Table{tb, small} {
+		if err := tbl.BuildSkipIndex(256); err != nil {
+			t.Fatal(err)
+		}
+	}
+	opts := Options{Workers: 2, Seed: 7}
 	db, err := Open(tb, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -167,10 +167,12 @@ func (p *Skyline) score(pt []uint64) uint64 {
 	return aph.SumScore(pt)
 }
 
-// dominates reports whether a dominates b in all dimensions.
+// dominates reports whether a dominates b in all dimensions. Coordinates
+// are Int64 cells carried as their two's-complement bits, so they compare
+// signed: as unsigned, a -1 would dominate every non-negative point.
 func dominates(a, b []uint64) bool {
 	for i := range a {
-		if b[i] > a[i] {
+		if int64(b[i]) > int64(a[i]) {
 			return false
 		}
 	}
@@ -233,7 +235,7 @@ func (p *Skyline) FusedOffer(vals []uint64) (pruned bool) {
 	}
 	copy(p.carry, vals[:p.cfg.Dims])
 	p.carryID = id
-	marked := false
+	marked, stored := false, false
 	for i := 0; i < p.cfg.Points; i++ {
 		if i >= p.fill {
 			// Empty slot: store the carried point. The packet now carries
@@ -255,7 +257,7 @@ func (p *Skyline) FusedOffer(vals []uint64) (pruned bool) {
 			// not inherit a prune mark earned by the point that displaced
 			// it. Dominance marks below only ever apply to the current
 			// carried point, so clear the mark on swap.
-			marked = false
+			marked, stored = false, true
 		} else if !marked && dominates(p.pts[i], p.carry) {
 			// The carried point is dominated by a stored point: mark it;
 			// the drop happens at the end of the pipeline (§4.4: "the
@@ -263,7 +265,12 @@ func (p *Skyline) FusedOffer(vals []uint64) (pruned bool) {
 			marked = true
 		}
 	}
-	return marked
+	// The mark drops the point the packet carries at the end, which is
+	// the entry only if the entry was never stored. A stored entry is
+	// forwarded like one stored in an empty slot: it leaves the switch
+	// only when evicted, as the carried point of a later packet, so the
+	// master must already hold it.
+	return marked && !stored
 }
 
 // Reset implements switchsim.Program.

@@ -1,6 +1,7 @@
 package prune
 
 import (
+	"slices"
 	"testing"
 
 	"cheetah/internal/hashutil"
@@ -101,7 +102,7 @@ func TestSkylineBaselineCorrectness(t *testing.T) { testSkylineCorrectness(t, Sk
 // sweepSkyline is §4.4's pipeline sweep written literally — every stage
 // compares the carried score, swaps or marks, for every entry — with no
 // shortcut, as the reference Skyline's decisions and stored points must
-// equal.
+// equal. The mark drops the entry only if the sweep never stored it.
 type sweepSkyline struct {
 	score  func([]uint64) uint64
 	w      int
@@ -112,7 +113,7 @@ type sweepSkyline struct {
 func (r *sweepSkyline) prune(vals []uint64) bool {
 	carry := append([]uint64(nil), vals...)
 	cs := r.score(carry)
-	marked := false
+	marked, stored := false, false
 	for i := 0; i < r.w; i++ {
 		if i == len(r.pts) {
 			r.pts, r.scores = append(r.pts, carry), append(r.scores, cs)
@@ -121,12 +122,49 @@ func (r *sweepSkyline) prune(vals []uint64) bool {
 		if cs > r.scores[i] {
 			r.pts[i], carry = carry, r.pts[i]
 			r.scores[i], cs = cs, r.scores[i]
-			marked = false
+			marked, stored = false, true
 		} else if !marked && dominates(r.pts[i], carry) {
 			marked = true
 		}
 	}
-	return marked
+	return marked && !stored
+}
+
+// TestSkylineLosesNoPoint pins two ways a skyline point was lost: an
+// entry stored in place of a point that a stored duplicate then marked was
+// dropped, and evicted later without the master ever seeing it; and
+// coordinates compared unsigned let (-1, -1) dominate every non-negative
+// point.
+func TestSkylineLosesNoPoint(t *testing.T) {
+	for _, c := range []struct {
+		w   int
+		pts [][2]int64
+	}{
+		{2, [][2]int64{{1, 1}, {1, 1}, {0, 3}, {2, 2}, {4, 1}}},
+		{1, [][2]int64{{-1, -1}, {5, 5}}},
+	} {
+		p, err := NewSkyline(SkylineConfig{Dims: 2, Points: c.w, Heuristic: SkylineSum})
+		if err != nil {
+			t.Fatal(err)
+		}
+		received := map[[2]int64]bool{}
+		for _, pt := range c.pts {
+			if p.Process([]uint64{uint64(pt[0]), uint64(pt[1])}) == switchsim.Forward {
+				received[pt] = true
+			}
+		}
+		for _, pt := range p.StoredPoints() {
+			received[[2]int64{int64(pt[0]), int64(pt[1])}] = true
+		}
+		for _, pt := range c.pts {
+			onSkyline := !slices.ContainsFunc(c.pts, func(q [2]int64) bool {
+				return q != pt && q[0] >= pt[0] && q[1] >= pt[1]
+			})
+			if onSkyline && !received[pt] {
+				t.Errorf("w=%d %v: skyline point %v lost", c.w, c.pts, pt)
+			}
+		}
+	}
 }
 
 // TestSkylineMatchesSweep: Process (the entry that displaces nothing skips

@@ -17,8 +17,8 @@ package stream
 // snapshot is pointer work over the standing rows, an unchanged merger
 // returns its previous result, and a row whose value did not change keeps
 // its []string, which a server's change set passes over by identity. TOP
-// N and SKYLINE, bounded by N and by the frontier, render afresh
-// (sortedCopy).
+// N and SKYLINE, bounded by N and by the frontier, fold through the engine
+// and render afresh.
 //
 // Why each merge is exact:
 //
@@ -28,8 +28,10 @@ package stream
 //     tuple's first global occurrence is in some delta, whose result
 //     contains it even when a standing switch cache suppressed rows
 //     duplicated from earlier deltas.
-//   - TOP N: topN(A ∪ B) = topN(topN(A) ∪ topN(B)) as multisets, so a
-//     standing N-heap absorbs each delta's local top N.
+//   - TOP N: topN(A ∪ B) = topN(topN(A) ∪ topN(B)) as multisets, so the
+//     standing N-heap absorbs each delta's local top N through
+//     engine.TopN, the fold of the k-shard completion, and renders with
+//     engine.TopNResult.
 //   - GROUP BY MAX / SUM: per-key max/sum merge per-delta partials;
 //     both operators are associative and commutative over row bags.
 //   - HAVING: keys can cross the threshold only in aggregate, so the
@@ -40,16 +42,15 @@ package stream
 //   - JOIN: with a static right side, per-key pair counts are linear in
 //     the left rows: pairs(A∪B ⋈ R) = pairs(A⋈R) + pairs(B⋈R), a per-key
 //     sum like GROUP BY SUM's.
-//   - SKYLINE: skyline(A ∪ B) = skyline(skyline(A) ∪ skyline(B)); the
-//     standing frontier is dominance-re-checked against each delta's
-//     skyline. Points never resurface once dominated.
+//   - SKYLINE: skyline(A ∪ B) = skyline(skyline(A) ∪ skyline(B)), so
+//     the standing frontier is the query itself — engine.ExecDirect — run
+//     over a table of the frontier's and the delta's points. Points never
+//     resurface once dominated.
 
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strconv"
-	"strings"
 
 	"cheetah/internal/engine"
 	"cheetah/internal/table"
@@ -83,7 +84,7 @@ func newMerger(q *engine.Query) (merger, error) {
 	case engine.KindDistinct:
 		return &setMerger{standing: standing{cols: append([]string(nil), q.DistinctCols...)}}, nil
 	case engine.KindTopN:
-		return &topNMerger{cols: []string{q.OrderCol}, n: q.N}, nil
+		return &topNMerger{q: q}, nil
 	case engine.KindGroupByMax:
 		return &keyAggMerger{standing: standing{cols: []string{q.KeyCol, "max(" + q.AggCol + ")"}}}, nil
 	case engine.KindGroupBySum:
@@ -93,7 +94,7 @@ func newMerger(q *engine.Query) (merger, error) {
 	case engine.KindJoin:
 		return &keyAggMerger{standing: standing{cols: []string{q.LeftKey, "pairs"}}, sum: true}, nil
 	case engine.KindSkyline:
-		return &skylineMerger{cols: append([]string(nil), q.SkylineCols...), dims: len(q.SkylineCols)}, nil
+		return newSkylineMerger(q), nil
 	default:
 		return nil, fmt.Errorf("stream: no incremental merge for %v", q.Kind)
 	}
@@ -136,15 +137,6 @@ func parseInt64(s string) (int64, error) {
 		return 0, fmt.Errorf("stream: malformed integer cell %q: %v", s, err)
 	}
 	return v, nil
-}
-
-// sortedCopy renders the rows as a Result in the canonical sorted
-// order (fresh backing, safe to hand out): the render of the mergers
-// whose standing rows are bounded.
-func sortedCopy(cols []string, rows [][]string) *engine.Result {
-	res := &engine.Result{Columns: cols, Rows: rows}
-	res.Sort()
-	return res
 }
 
 // standing is a standing result kept in canonical order: the last
@@ -215,12 +207,13 @@ func (m *bagMerger) snapshot() *engine.Result { return m.render() }
 
 // --- DISTINCT ---------------------------------------------------------
 
-// setMerger serves DISTINCT: a fingerprint set over the rendered value
-// tuples (the exact tuple key — collisions on the canonical rendering
-// are equality); a tuple seen for the first time is added.
+// setMerger serves DISTINCT: a set of the rendered value tuples, keyed
+// on the cell of a one-column tuple and on the cells' engine.AppendKeyCell
+// encoding otherwise; a tuple seen for the first time is added.
 type setMerger struct {
 	standing
 	seen map[string]struct{}
+	key  []byte
 }
 
 func (m *setMerger) absorb(r *engine.Result) error {
@@ -228,7 +221,14 @@ func (m *setMerger) absorb(r *engine.Result) error {
 		m.seen = make(map[string]struct{}, 4*len(r.Rows))
 	}
 	for _, row := range r.Rows {
-		k := strings.Join(row, "\x00")
+		k := row[0]
+		if len(row) > 1 {
+			m.key = m.key[:0]
+			for _, cell := range row {
+				m.key = engine.AppendKeyCell(m.key, cell)
+			}
+			k = string(m.key)
+		}
 		if _, ok := m.seen[k]; ok {
 			continue
 		}
@@ -242,75 +242,28 @@ func (m *setMerger) snapshot() *engine.Result { return m.render() }
 
 // --- TOP N ------------------------------------------------------------
 
-// topNMerger serves TOP N: a standing N-min-heap absorbs each delta's
-// local top N.
+// topNMerger serves TOP N: the standing N-heap folds each delta's local
+// top N through engine.TopN.
 type topNMerger struct {
-	cols []string
-	n    int
-	heap []int64 // min-heap of the current top N
+	q    *engine.Query
+	heap []int64
+	vals []int64 // the delta's values, reused
 }
 
 func (m *topNMerger) absorb(r *engine.Result) error {
+	m.vals = m.vals[:0]
 	for _, row := range r.Rows {
 		v, err := parseInt64(row[0])
 		if err != nil {
 			return err
 		}
-		m.offer(v)
+		m.vals = append(m.vals, v)
 	}
+	m.heap = engine.TopN(m.q.N, m.heap, m.vals)
 	return nil
 }
 
-func (m *topNMerger) offer(v int64) {
-	h := m.heap
-	if len(h) < m.n {
-		// Sift-up.
-		h = append(h, v)
-		j := len(h) - 1
-		for j > 0 {
-			p := (j - 1) / 2
-			if h[p] <= h[j] {
-				break
-			}
-			h[p], h[j] = h[j], h[p]
-			j = p
-		}
-		m.heap = h
-		return
-	}
-	if m.n == 0 || v <= h[0] {
-		return
-	}
-	// Replace the root and sift-down.
-	h[0] = v
-	j := 0
-	for {
-		l, r := 2*j+1, 2*j+2
-		small := j
-		if l < len(h) && h[l] < h[small] {
-			small = l
-		}
-		if r < len(h) && h[r] < h[small] {
-			small = r
-		}
-		if small == j {
-			return
-		}
-		h[j], h[small] = h[small], h[j]
-		j = small
-	}
-}
-
-func (m *topNMerger) snapshot() *engine.Result {
-	// Heap order is irrelevant: sortedCopy renders the canonical
-	// lexicographic order, same as the from-scratch executor's final
-	// Result.Sort.
-	rows := make([][]string, len(m.heap))
-	for i, v := range m.heap {
-		rows[i] = []string{strconv.FormatInt(v, 10)}
-	}
-	return sortedCopy(m.cols, rows)
-}
+func (m *topNMerger) snapshot() *engine.Result { return engine.TopNResult(m.q, m.heap) }
 
 // --- GROUP BY MAX / SUM, HAVING, JOIN ---------------------------------
 
@@ -401,96 +354,61 @@ func (m *keyAggMerger) snapshot() *engine.Result {
 
 // --- SKYLINE ----------------------------------------------------------
 
-// skylineMerger serves SKYLINE: the standing Pareto frontier is
-// dominance-re-checked against each delta's skyline points.
+// skylineMerger serves SKYLINE: each delta's points and the standing
+// frontier's are loaded into a table of the query's dimensions, and the
+// query run over it is the new frontier.
 type skylineMerger struct {
-	cols     []string
-	dims     int
-	frontier [][]int64
+	q      engine.Query // the subscription's query; Table is the fold's
+	schema table.Schema // SkylineCols without repeats, all Int64
+	col    []int        // SkylineCols position → schema column
+	res    *engine.Result
+}
+
+func newSkylineMerger(q *engine.Query) *skylineMerger {
+	m := &skylineMerger{q: *q, col: make([]int, len(q.SkylineCols))}
+	for i, c := range q.SkylineCols {
+		j := m.schema.Index(c)
+		if j < 0 {
+			j = len(m.schema)
+			m.schema = append(m.schema, table.ColumnDef{Name: c, Type: table.Int64})
+		}
+		m.col[i] = j
+	}
+	m.res = &engine.Result{Columns: append([]string(nil), q.SkylineCols...)}
+	return m
 }
 
 func (m *skylineMerger) absorb(r *engine.Result) error {
 	if len(r.Rows) == 0 {
 		return nil
 	}
-	// Parse the delta's skyline points and dedupe against the frontier
-	// (both are distinct-point sets; equal points are one point).
-	seen := make(map[string]struct{}, len(m.frontier)+len(r.Rows))
-	pts := make([][]int64, 0, len(m.frontier)+len(r.Rows))
-	add := func(p []int64) {
-		var b strings.Builder
-		for _, v := range p {
-			b.WriteString(strconv.FormatInt(v, 10))
-			b.WriteByte(0)
-		}
-		k := b.String()
-		if _, ok := seen[k]; ok {
-			return
-		}
-		seen[k] = struct{}{}
-		pts = append(pts, p)
+	t, err := table.New(m.schema)
+	if err != nil {
+		return err
 	}
-	for _, p := range m.frontier {
-		add(p)
-	}
-	for _, row := range r.Rows {
-		p := make([]int64, m.dims)
-		for i, cell := range row {
-			v, err := parseInt64(cell)
-			if err != nil {
+	t.Grow(len(m.res.Rows) + len(r.Rows))
+	pt := make([]int64, len(m.schema))
+	for _, rows := range [][][]string{m.res.Rows, r.Rows} {
+		for _, row := range rows {
+			for i, cell := range row {
+				v, err := parseInt64(cell)
+				if err != nil {
+					return err
+				}
+				pt[m.col[i]] = v
+			}
+			if err := t.AppendInt64Row(pt...); err != nil {
 				return err
 			}
-			p[i] = v
-		}
-		add(p)
-	}
-	// Re-check dominance over the union: descending coordinate-sum
-	// order makes the accepted-set sweep exact (a dominator's sum is
-	// never smaller, and equal-sum dominance implies equality).
-	sort.Slice(pts, func(i, j int) bool {
-		var si, sj int64
-		for _, v := range pts[i] {
-			si += v
-		}
-		for _, v := range pts[j] {
-			sj += v
-		}
-		return si > sj
-	})
-	m.frontier = m.frontier[:0]
-	for _, p := range pts {
-		dominated := false
-		for _, s := range m.frontier {
-			if dominates(s, p) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			m.frontier = append(m.frontier, p)
 		}
 	}
+	m.q.Table = t
+	res, err := engine.ExecDirect(&m.q)
+	if err != nil {
+		return err
+	}
+	m.res = res
 	return nil
 }
 
-// dominates reports a ≥ b in every dimension (maximization).
-func dominates(a, b []int64) bool {
-	for i := range a {
-		if b[i] > a[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func (m *skylineMerger) snapshot() *engine.Result {
-	rows := make([][]string, len(m.frontier))
-	for i, p := range m.frontier {
-		row := make([]string, len(p))
-		for j, v := range p {
-			row[j] = strconv.FormatInt(v, 10)
-		}
-		rows[i] = row
-	}
-	return sortedCopy(m.cols, rows)
-}
+func (m *skylineMerger) snapshot() *engine.Result { return m.res }
