@@ -85,24 +85,20 @@ const (
 func Open(t *Table, opts SessionOptions) (*DB, error) { return plan.Open(t, opts) }
 
 // The concurrent serving layer (§5's multi-query switch sharing) and
-// the multi-switch fabric: with SessionOptions.Switches > 1, Exec
-// shards each query across N pipelines (scatter/gather with an exact
-// two-level merge — see Execution.PerSwitch) and Serve places whole
-// concurrent queries on the least-loaded switch.
+// the multi-switch fabric. Every session owns one fabric of
+// SessionOptions.Switches switches. With Switches > 1, Exec shards each
+// query across them (scatter/gather with an exact two-level merge — see
+// Execution.PerSwitch). Any number of goroutines may call DB.Submit or
+// DB.SubmitQoS concurrently: each query is placed whole on the
+// least-loaded switch, admitted into its shared pipeline under its own
+// QueryID, waits FIFO when every switch is full, and falls back to exact
+// direct execution when it can never fit (or SessionOptions.QueueLimit
+// sheds it). The standing programs of DB.Stream's subscriptions sit on
+// the same switches.
 type (
-	// Serving is a live multi-query serving handle over the session's
-	// switch fabric, opened with DB.Serve. Any number of goroutines may
-	// call Submit concurrently; each query is placed on the least-loaded
-	// switch, admitted into its shared pipeline under its own QueryID,
-	// waits FIFO when every switch is full, and falls back to exact
-	// direct execution when it can never fit (or the queue limit sheds
-	// it).
-	Serving = plan.Serving
 	// SwitchReport is one fabric switch's share of a scatter/gather
 	// execution (per-shard traffic + pipeline occupancy).
 	SwitchReport = plan.SwitchReport
-	// ServeOptions configures a serving handle (queue limit).
-	ServeOptions = plan.ServeOptions
 	// ServeCounters are the serving layer's cumulative admission
 	// statistics (admitted, waited, oversized, shed, revoked, failed-
 	// over, re-placed, deadline-missed, active, queued).
@@ -110,11 +106,11 @@ type (
 	// QoS carries one submission's quality-of-service terms: tenant
 	// identity (per-tenant quotas), admission priority, and an optional
 	// queueing deadline past which the query is shed. Zero value =
-	// best-effort. Pass to Serving.SubmitQoS.
+	// best-effort. Pass to DB.SubmitQoS.
 	QoS = serve.QoS
-	// Fabric is a serving or streaming handle's switch fleet, reached
-	// via Serving.Fabric / Streaming.Fabric: failure lifecycle
-	// (Fail/Restore/Add), per-switch servers, counters, and occupancy.
+	// Fabric is a session's switch fleet, reached via DB.Fabric:
+	// failure lifecycle (Fail/Restore/Add), per-switch servers,
+	// counters (Total sums them), and occupancy.
 	Fabric = fabric.Fabric
 	// Utilization summarizes switch pipeline occupancy (also surfaced
 	// per query in Execution.PipelineUtil).
@@ -131,11 +127,11 @@ type (
 // row-count windows for the aggregate kinds.
 type (
 	// Streaming is a live streaming handle over the session's table,
-	// opened with DB.Stream: an append log plus a switch fabric hosting
-	// the standing programs of its continuous queries.
+	// opened with DB.Stream: an append log plus the continuous queries
+	// whose standing programs it holds on the session's fabric.
 	Streaming = plan.Streaming
 	// StreamOptions configures a streaming handle (backlog bound,
-	// block-vs-shed backpressure, placement queue limit).
+	// block-vs-shed backpressure).
 	StreamOptions = plan.StreamOptions
 	// StreamSubscription is one registered continuous query: poll
 	// Results or receive Updates; Close releases its standing program.

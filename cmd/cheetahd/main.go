@@ -15,7 +15,11 @@
 // The served catalog is the multi-tenant mix ("visits" + "rankings",
 // the paper's table sizes divided by -scale); -rows/-rank-rows override
 // the sizes directly. Streaming over "visits" is always on:
-// -backlog/-shed set the ingestor's backpressure policy.
+// -backlog/-shed set the ingestor's backpressure policy. One-shot
+// queries and standing subscriptions share one fabric of -switches
+// switches; -queue-limit caps each switch's admission queue and
+// -tenant-quota each tenant's one-shot leases per switch (standing
+// programs count toward no quota).
 //
 // Connector topology comes from repeatable flags: each -source spec
 // (e.g. "gen:rows=100000,batch=256,rate=5000") pumps rows into the
@@ -123,9 +127,9 @@ func run(args []string, stop <-chan os.Signal, ready func(addr, metricsAddr stri
 	srv, err := netserve.Listen(*listen, netserve.Options{
 		Tables:  map[string]*table.Table{"visits": mix.Visits, "rankings": mix.Rankings},
 		Primary: "visits",
-		Plan:    plan.Options{Switches: *switches, Workers: *workers, Seed: *seed},
-		Serve:   plan.ServeOptions{QueueLimit: *queueLimit, TenantQuota: *tenantQuota},
-		Stream:  &plan.StreamOptions{Backlog: *backlog, Shed: *shed, QueueLimit: *queueLimit},
+		Plan: plan.Options{Switches: *switches, Workers: *workers, Seed: *seed,
+			QueueLimit: *queueLimit, TenantQuota: *tenantQuota},
+		Stream: &plan.StreamOptions{Backlog: *backlog, Shed: *shed},
 
 		SlowQueryThreshold: *slowQuery,
 	})
@@ -207,8 +211,8 @@ func run(args []string, stop <-chan os.Signal, ready func(addr, metricsAddr stri
 // serveObs starts the observability HTTP listener: GET /metrics dumps
 // the server's shared registry in Prometheus text exposition format
 // (with each catalog table's derived bytes read at the scrape),
-// GET /healthz answers 200 while every fabric can place queries (503
-// once draining or every switch of one fabric is down), and -pprof
+// GET /healthz answers 200 while the fabric can place queries (503
+// once draining or every switch is down), and -pprof
 // mounts the standard net/http/pprof handlers under /debug/pprof/. It
 // returns the listener's bound address.
 func serveObs(srv *netserve.Server, addr string, withPprof bool) (*http.Server, string, error) {

@@ -43,12 +43,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sv, err := db.Serve(context.Background(), cheetah.ServeOptions{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer sv.Close()
-	fab := sv.Fabric()
+	fab := db.Fabric()
 	ctx := context.Background()
 	query := func() *cheetah.Query {
 		return &cheetah.Query{Kind: cheetah.KindDistinct, Table: uv, DistinctCols: []string{"userAgent"}}
@@ -60,7 +55,7 @@ func main() {
 	// switch 1 with a fresh program.
 	fmt.Println("== mid-query switch death → failover ==")
 	fab.Server(0).Pipeline().SetFaultInjector(func(uint32, int) bool { return true })
-	ex, err := sv.SubmitQoS(ctx, query(), cheetah.QoS{Tenant: "acme", Priority: 1})
+	ex, err := db.SubmitQoS(ctx, query(), cheetah.QoS{Tenant: "acme", Priority: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -72,7 +67,7 @@ func main() {
 	for i := 0; i < fab.Size(); i++ {
 		fab.Fail(i)
 	}
-	ex, err = sv.Submit(ctx, query())
+	ex, err = db.Submit(ctx, query())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -83,7 +78,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ex, err = sv.Submit(ctx, query())
+	ex, err = db.Submit(ctx, query())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -96,7 +91,7 @@ func main() {
 			}
 		}
 	}
-	st := sv.Stats()
+	st := db.Fabric().Total()
 	fmt.Printf("fabric counters: admitted=%d failed_over=%d revoked=%d shed=%d\n",
 		st.Admitted, st.FailedOver, st.Revoked, st.Shed)
 
@@ -134,8 +129,8 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("standing program on switch %d; killing it and hot-adding a spare\n", sub.Switch())
-	stream.Fabric().Fail(sub.Switch())
-	if _, err := stream.Fabric().Add(); err != nil {
+	sdb.Fabric().Fail(sub.Switch())
+	if _, err := sdb.Fabric().Add(); err != nil {
 		log.Fatal(err)
 	}
 	rest, err := uv.View(half, uv.NumRows())

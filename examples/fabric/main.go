@@ -85,12 +85,7 @@ func main() {
 
 	// Serving across the fabric: concurrent queries are placed whole on
 	// the least-loaded switch instead of being sharded.
-	sv, err := db.Serve(context.Background(), cheetah.ServeOptions{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer sv.Close()
-	fmt.Printf("\n== serving placement across %d switches ==\n", sv.Switches())
+	fmt.Printf("\n== serving placement across %d switches ==\n", db.Fabric().Size())
 	for _, b := range []*cheetah.QueryBuilder{
 		db.Select().Distinct("userAgent"),
 		db.Select().GroupByMax("countryCode", "adRevenue"),
@@ -100,12 +95,12 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		ex, err := sv.Submit(context.Background(), q)
+		ex, err := db.Submit(context.Background(), q)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("%-12s → switch %d, queryid %d, %d rows\n",
 			q.Kind, ex.Switch, ex.QueryID, len(ex.Result.Rows))
 	}
-	fmt.Printf("fabric admissions: %+v\n", sv.Stats())
+	fmt.Printf("fabric admissions: %+v\n", db.Fabric().Total())
 }

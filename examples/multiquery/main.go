@@ -4,7 +4,7 @@
 // fit the model); the pipeline's admission control packs them onto
 // shared stages and the example prints the occupancy map. The second
 // half lets the serving layer do the same for real executions: four
-// goroutine clients Submit through one db.Serve handle and the switch
+// goroutine clients Submit through the session's fabric and the switch
 // multiplexes their traffic by QueryID.
 package main
 
@@ -78,16 +78,11 @@ func main() {
 	}
 
 	// The serving layer automates all of the above for live traffic:
-	// db.Serve owns the shared pipeline, and concurrent Submit calls
-	// are admitted (FIFO when full), multiplexed by QueryID, executed
-	// end-to-end and uninstalled on completion.
-	fmt.Println("\n--- concurrent clients via db.Serve ---")
+	// the session's fabric owns the shared pipeline, and concurrent
+	// db.Submit calls are admitted (FIFO when full), multiplexed by
+	// QueryID, executed end-to-end and uninstalled on completion.
+	fmt.Println("\n--- concurrent clients via db.Submit ---")
 	ctx := context.Background()
-	sv, err := db.Serve(ctx, cheetah.ServeOptions{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer sv.Close()
 	var wg sync.WaitGroup
 	results := make([]string, len(builders))
 	for i, b := range builders {
@@ -98,7 +93,7 @@ func main() {
 		wg.Add(1)
 		go func(i int, q *cheetah.Query) {
 			defer wg.Done()
-			ex, err := sv.Submit(ctx, q)
+			ex, err := db.Submit(ctx, q)
 			if err != nil {
 				results[i] = fmt.Sprintf("client %d: %v", i, err)
 				return
@@ -111,5 +106,5 @@ func main() {
 	for _, r := range results {
 		fmt.Println(r)
 	}
-	fmt.Printf("serving stats: %+v\n", sv.Stats())
+	fmt.Printf("serving stats: %+v\n", db.Fabric().Total())
 }

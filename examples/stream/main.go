@@ -122,10 +122,7 @@ func main() {
 	fmt.Printf("standing == from-scratch: %v\n", ex.Result.Equal(got))
 
 	// Backpressure and occupancy gauges.
-	var active int
-	for _, c := range st.Stats() {
-		active += c.Active
-	}
+	active := db.Fabric().Total().Active
 	ist := st.Ingest().Stats()
 	fmt.Printf("ingest: %d rows committed, %d standing queries, backlog %d, %d switch program(s) held\n",
 		ist.Rows, ist.Subscriptions, ist.Backlog, active)

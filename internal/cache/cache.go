@@ -88,9 +88,6 @@ func (m *Matrix) Rows() int { return m.d }
 // Cols returns the number of columns (stages) per row.
 func (m *Matrix) Cols() int { return m.w }
 
-// PolicyKind returns the replacement policy.
-func (m *Matrix) PolicyKind() Policy { return m.policy }
-
 // RowOf returns the row index value maps to: HashUint64(value, seed)
 // reduced to d, with the seed's mixing done once at construction.
 func (m *Matrix) RowOf(value uint64) int {

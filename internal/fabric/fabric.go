@@ -53,8 +53,8 @@ type Options struct {
 	// QueueLimit caps each switch's admission wait queue (0 =
 	// unbounded); admissions beyond every queue's cap shed load.
 	QueueLimit int
-	// TenantQuota caps any one tenant's concurrently active leases per
-	// switch (0 = unlimited); see serve.Options.TenantQuota.
+	// TenantQuota caps any one tenant's concurrently active QoS leases
+	// per switch (0 = unlimited); see serve.Options.TenantQuota.
 	TenantQuota int
 	// Metrics, when non-nil, is the registry every switch's serving
 	// layer records into — pass one registry to aggregate several
@@ -145,6 +145,15 @@ func (f *Fabric) Stats() []serve.Counters {
 		out[i] = s.Stats()
 	}
 	return out
+}
+
+// Total returns the serving counters summed across the switches.
+func (f *Fabric) Total() serve.Counters {
+	var total serve.Counters
+	for _, s := range f.snapshot() {
+		total.Add(s.Stats())
+	}
+	return total
 }
 
 // Utilization returns each switch's pipeline occupancy, indexed by
@@ -241,16 +250,19 @@ func sortedBy(stats []serve.Counters, less func(a, b serve.Counters) bool) []int
 	return order
 }
 
-// Admit places one query's program on the fabric with default QoS. See
-// AdmitQoS.
+// Admit places one query's program on the fabric with default QoS,
+// outside every tenant's quota (serve.Server.Admit). See AdmitQoS.
 func (f *Fabric) Admit(ctx context.Context, prog switchsim.Program) (*Placement, error) {
-	return f.AdmitQoS(ctx, prog, serve.QoS{})
+	return f.admit(prog,
+		func(s *serve.Server) (*serve.Lease, error) { return s.TryAdmit(prog) },
+		func(s *serve.Server) (*serve.Lease, error) { return s.Admit(ctx, prog) })
 }
 
 // TryAdmit places prog on the least-loaded healthy switch without
-// blocking, with default QoS. See TryAdmitQoS.
+// blocking, with default QoS, outside every tenant's quota
+// (serve.Server.TryAdmit). See TryAdmitQoS.
 func (f *Fabric) TryAdmit(prog switchsim.Program) (*Placement, error) {
-	return f.TryAdmitQoS(prog, serve.QoS{})
+	return f.tryAdmit(prog, func(s *serve.Server) (*serve.Lease, error) { return s.TryAdmit(prog) })
 }
 
 // TryAdmitQoS places one query's program on the fabric without
@@ -263,6 +275,12 @@ func (f *Fabric) TryAdmit(prog switchsim.Program) (*Placement, error) {
 // immediately or fall back to exact execution, never wait in a queue
 // behind other queries.
 func (f *Fabric) TryAdmitQoS(prog switchsim.Program, qos serve.QoS) (*Placement, error) {
+	return f.tryAdmit(prog, func(s *serve.Server) (*serve.Lease, error) { return s.TryAdmitQoS(prog, qos) })
+}
+
+// tryAdmit is the TryAdmitQoS sweep, with try as each switch's
+// non-blocking admission of prog.
+func (f *Fabric) tryAdmit(prog switchsim.Program, try func(*serve.Server) (*serve.Lease, error)) (*Placement, error) {
 	if prog == nil {
 		return nil, fmt.Errorf("fabric: Admit needs a program")
 	}
@@ -280,7 +298,7 @@ func (f *Fabric) TryAdmitQoS(prog switchsim.Program, qos serve.QoS) (*Placement,
 		}
 		return a.Queued < b.Queued
 	}) {
-		l, err := servers[i].TryAdmitQoS(prog, qos)
+		l, err := try(servers[i])
 		if err == nil {
 			return &Placement{Lease: l, Switch: i}, nil
 		}
@@ -309,7 +327,15 @@ func (f *Fabric) TryAdmitQoS(prog switchsim.Program, qos serve.QoS) (*Placement,
 // its cap; serve.ErrFailed only when every switch is dead — the
 // caller's cue to run the query exactly without pruning (§7.2).
 func (f *Fabric) AdmitQoS(ctx context.Context, prog switchsim.Program, qos serve.QoS) (*Placement, error) {
-	if p, err := f.TryAdmitQoS(prog, qos); err == nil || !errors.Is(err, serve.ErrBusy) {
+	return f.admit(prog,
+		func(s *serve.Server) (*serve.Lease, error) { return s.TryAdmitQoS(prog, qos) },
+		func(s *serve.Server) (*serve.Lease, error) { return s.AdmitQoS(ctx, prog, qos) })
+}
+
+// admit is the AdmitQoS sweep, with try and wait as each switch's
+// non-blocking and queueing admissions of prog.
+func (f *Fabric) admit(prog switchsim.Program, try, wait func(*serve.Server) (*serve.Lease, error)) (*Placement, error) {
+	if p, err := f.tryAdmit(prog, try); err == nil || !errors.Is(err, serve.ErrBusy) {
 		return p, err
 	}
 	servers := f.snapshot()
@@ -327,7 +353,7 @@ func (f *Fabric) AdmitQoS(ctx context.Context, prog switchsim.Program, qos serve
 		}
 		return a.Active < b.Active
 	}) {
-		l, err := servers[i].AdmitQoS(ctx, prog, qos)
+		l, err := wait(servers[i])
 		if err == nil {
 			return &Placement{Lease: l, Switch: i}, nil
 		}
@@ -350,7 +376,8 @@ func (f *Fabric) AdmitQoS(ctx context.Context, prog switchsim.Program, qos serve
 // mid-sequence is dropped from the rotation and the shard retries on
 // the survivors. On any terminal failure the already-granted leases are
 // released, so a partially admitted scatter never leaks programs. When
-// no switch is healthy, fails with serve.ErrFailed.
+// no switch is healthy, fails with serve.ErrFailed. Like Admit, the
+// leases count toward no tenant's quota.
 func (f *Fabric) AdmitShards(ctx context.Context, progs []switchsim.Program) ([]*Placement, error) {
 	if len(progs) == 0 {
 		return nil, fmt.Errorf("fabric: AdmitShards needs at least one program")

@@ -471,7 +471,7 @@ func TestDisconnectDropsQueuedQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fab := srv.Serving().Fabric()
+	fab := srv.Session().Fabric()
 	for {
 		prog, err := p.NewPruner()
 		if err != nil {

@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"cheetah/internal/fabric"
 	"cheetah/internal/obs"
 	"cheetah/internal/plan"
 	"cheetah/internal/stats"
@@ -170,26 +169,61 @@ func TestWireTraceDisabled(t *testing.T) {
 	}
 }
 
-// TestHealthyTracksFabric pins Healthy() to the failure state of each
-// fabric the server opened, serving and streaming: all of one fabric's
-// switches failed → unhealthy; one restored → healthy.
+// TestHealthyTracksFabric pins Healthy() to the failure state of the
+// session's one fabric, which serves queries and hosts standing programs
+// alike: every switch failed → unhealthy; one restored → healthy.
 func TestHealthyTracksFabric(t *testing.T) {
 	srv, _ := testServer(t, true, 500)
-	for name, fab := range map[string]*fabric.Fabric{
-		"serving":   srv.Serving().Fabric(),
-		"streaming": srv.Streaming().Fabric(),
-	} {
-		for i := 0; i < fab.Size(); i++ {
-			fab.Fail(i)
-		}
-		if srv.Healthy() {
-			t.Fatalf("every %s switch failed but server reports healthy", name)
-		}
-		if err := fab.Restore(0); err != nil {
+	fab := srv.Session().Fabric()
+	for i := 0; i < fab.Size(); i++ {
+		fab.Fail(i)
+	}
+	if srv.Healthy() {
+		t.Fatal("every switch failed but server reports healthy")
+	}
+	if err := fab.Restore(0); err != nil {
+		t.Fatal(err)
+	}
+	if !srv.Healthy() {
+		t.Fatal("restored a switch but server reports unhealthy")
+	}
+}
+
+// TestActiveLeasesMetricMatchesFabric pins /metrics' per-switch lease
+// gauge to the switch it names: with one subscription's standing
+// programs held and one-shot queries run after it, active_leases{switch}
+// reads each switch's count of active leases, standing ones included.
+// One fabric writes each series, so no writer can overwrite another's.
+func TestActiveLeasesMetricMatchesFabric(t *testing.T) {
+	srv, mix := testServer(t, true, 1000)
+	cl := dialMix(t, srv, "tenant-0")
+	ctx := context.Background()
+	spec, err := wire.SpecOf(mix.Query(1), "visits", "") // DISTINCT
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.Subscribe(ctx, *spec, SubscribeOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		q := mix.Query(i)
+		if _, err := cl.QueryEngine(ctx, q, "visits", rightName(q), QueryOptions{}); err != nil {
 			t.Fatal(err)
 		}
-		if !srv.Healthy() {
-			t.Fatalf("restored a %s switch but server reports unhealthy", name)
+	}
+	var expo strings.Builder
+	if err := srv.WriteMetrics(&expo); err != nil {
+		t.Fatal(err)
+	}
+	standing := 0
+	for i, c := range srv.Session().Fabric().Stats() {
+		standing += c.Active
+		series := fmt.Sprintf("cheetah_active_leases{switch=\"%d\"} %d\n", i, c.Active)
+		if !strings.Contains(expo.String(), series) {
+			t.Errorf("/metrics lacks %q", strings.TrimSpace(series))
 		}
+	}
+	if standing == 0 {
+		t.Fatal("the subscription holds no lease on the fabric")
 	}
 }

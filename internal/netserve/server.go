@@ -9,12 +9,12 @@
 //
 // The server's moving parts:
 //
-//   - One plan.Session per server, opened over the primary table, with
-//     one Serving handle (one-shot queries through the QoS admission)
-//     and optionally one Streaming handle (appends + continuous
-//     queries) sharing the session.
+//   - One plan.Session per server, opened over the primary table: its
+//     one switch fabric admits the one-shot queries (Session.SubmitQoS)
+//     and the standing programs of the optional Streaming handle
+//     (appends + continuous queries) alike.
 //   - One goroutine per connection reading frames; each query runs on
-//     its own goroutine through Serving.SubmitQoS with the connection's
+//     its own goroutine through Session.SubmitQoS with the connection's
 //     tenant identity and the request's priority/deadline mapped to
 //     serve.QoS — so the fabric's admission, quotas and deadline
 //     shedding apply to network clients exactly as to in-process ones.
@@ -60,15 +60,12 @@ type Options struct {
 	// Tables is the served catalog: every table a client query may name.
 	// It must contain Primary.
 	Tables map[string]*table.Table
-	// Primary names the session's table — the one Serving plans against
+	// Primary names the session's table — the one queries plan against
 	// and Streaming appends to.
 	Primary string
 	// Plan configures the shared session (fabric width, switch model,
-	// workers, seed).
+	// admission queue limit and tenant quota, workers, seed).
 	Plan plan.Options
-	// Serve configures the one-shot admission (queue limit, tenant
-	// quota).
-	Serve plan.ServeOptions
 	// Stream, when non-nil, enables appends and subscriptions over the
 	// primary table with the given backlog/shed policy.
 	Stream *plan.StreamOptions
@@ -91,7 +88,6 @@ type Options struct {
 type Server struct {
 	ln      net.Listener
 	sess    *plan.Session
-	serving *plan.Serving
 	strm    *plan.Streaming // nil when streaming is disabled
 	tables  map[string]*table.Table
 	primary string
@@ -125,7 +121,7 @@ func Serve(ln net.Listener, opts Options) (*Server, error) {
 	if opts.SlowQueryLog == nil {
 		opts.SlowQueryLog = log.Printf
 	}
-	// One registry across every layer: the fabrics' admission series,
+	// One registry across every layer: the fabric's admission series,
 	// the serving gauges/histograms and the server's own query metrics
 	// all land in the registry /metrics exposes.
 	if opts.Plan.Metrics == nil {
@@ -133,11 +129,6 @@ func Serve(ln net.Listener, opts Options) (*Server, error) {
 	}
 	sess, err := plan.Open(primary, opts.Plan)
 	if err != nil {
-		return nil, err
-	}
-	serving, err := sess.Serve(context.Background(), opts.Serve)
-	if err != nil {
-		sess.Close()
 		return nil, err
 	}
 	var strm *plan.Streaming
@@ -155,7 +146,6 @@ func Serve(ln net.Listener, opts Options) (*Server, error) {
 	s := &Server{
 		ln:      ln,
 		sess:    sess,
-		serving: serving,
 		strm:    strm,
 		tables:  tables,
 		primary: opts.Primary,
@@ -190,14 +180,12 @@ func (s *Server) Addr() net.Addr { return s.ln.Addr() }
 // Session returns the server's shared session.
 func (s *Server) Session() *plan.Session { return s.sess }
 
-// Serving returns the one-shot admission handle (for stats).
-func (s *Server) Serving() *plan.Serving { return s.serving }
-
 // Streaming returns the streaming handle, or nil when disabled.
 func (s *Server) Streaming() *plan.Streaming { return s.strm }
 
-// Stats returns the cumulative admission counters across the fabric.
-func (s *Server) Stats() serve.Counters { return s.serving.Stats() }
+// Stats returns the cumulative admission counters summed across the
+// session's fabric, standing programs' leases included.
+func (s *Server) Stats() serve.Counters { return s.sess.Fabric().Total() }
 
 // Metrics returns the server's operational-metrics registry: fabric
 // admission counters, queue/lease gauges, admission-wait and
@@ -217,18 +205,14 @@ func (s *Server) WriteMetrics(w io.Writer) error {
 }
 
 // Healthy reports whether the server can currently do useful work: not
-// draining, and at least one switch alive in the serving fabric and in
-// the streaming fabric when streaming is on (an all-dead fabric still
-// answers exactly via the master-side backstop, but /healthz should say
-// the deployment is degraded).
+// draining, and at least one switch of the session's fabric alive (an
+// all-dead fabric still answers exactly via the master-side backstop,
+// but /healthz should say the deployment is degraded).
 func (s *Server) Healthy() bool {
 	s.mu.Lock()
 	down := s.draining || s.closed
 	s.mu.Unlock()
-	if down || len(s.serving.Fabric().Healthy()) == 0 {
-		return false
-	}
-	return s.strm == nil || len(s.strm.Fabric().Healthy()) > 0
+	return !down && len(s.sess.Fabric().Healthy()) > 0
 }
 
 func (s *Server) acceptLoop() {
@@ -310,8 +294,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		for _, c := range conns {
 			c.shutdown("server shutting down")
 		}
-		// Session.Close drains the serving/streaming children: queued
-		// admissions fail over, leases release.
+		// Session.Close drains the streaming handle, then closes the
+		// fabric: leases release, queued admissions fail over.
 		s.sess.Close()
 		for _, c := range conns {
 			c.nc.Close()
@@ -479,7 +463,7 @@ func (c *conn) handshake() error {
 	c.tenant = h.Tenant
 	w := wire.Welcome{
 		Version:  wire.ProtoVersion,
-		Switches: uint32(c.srv.serving.Switches()),
+		Switches: uint32(c.srv.sess.Fabric().Size()),
 	}
 	for name, t := range c.srv.tables {
 		w.Tables = append(w.Tables, wire.TableDef{Name: name, Schema: t.Schema()})
@@ -613,7 +597,7 @@ func (c *conn) handleQuery(req *wire.QueryReq) {
 		if req.DeadlineMicros != 0 {
 			qos.Deadline = time.Now().Add(time.Duration(req.DeadlineMicros) * time.Microsecond)
 		}
-		ex, err := c.srv.serving.SubmitQoS(c.ctx, q, qos)
+		ex, err := c.srv.sess.SubmitQoS(c.ctx, q, qos)
 		if err != nil {
 			code := wire.CodeInternal
 			if errors.Is(err, serve.ErrDeadline) || errors.Is(err, serve.ErrBusy) {

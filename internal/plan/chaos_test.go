@@ -99,12 +99,7 @@ func TestChaosServed(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer db.Close()
-			sv, err := db.Serve(context.Background(), ServeOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer sv.Close()
-			fab := sv.Fabric()
+			fab := db.Fabric()
 			want := chaosWant(t, mix, kind, mix.Visits.NumRows())
 
 			// One switch dies mid-query: whichever pipeline sees the
@@ -116,7 +111,7 @@ func TestChaosServed(t *testing.T) {
 					return killed.CompareAndSwap(false, true)
 				})
 			}
-			ex, err := sv.Submit(context.Background(), q)
+			ex, err := db.Submit(context.Background(), q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -129,7 +124,7 @@ func TestChaosServed(t *testing.T) {
 			if ex.FailedOver < 1 {
 				t.Fatalf("FailedOver = %d, want >= 1 (injector killed the placed switch)", ex.FailedOver)
 			}
-			if got := sv.Stats().FailedOver; got < 1 {
+			if got := db.Fabric().Total().FailedOver; got < 1 {
 				t.Fatalf("fabric FailedOver counter = %d, want >= 1", got)
 			}
 
@@ -141,7 +136,7 @@ func TestChaosServed(t *testing.T) {
 					}
 				}
 			}
-			ex, err = sv.Submit(context.Background(), q)
+			ex, err = db.Submit(context.Background(), q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -154,7 +149,7 @@ func TestChaosServed(t *testing.T) {
 			for i := 0; i < fab.Size(); i++ {
 				fab.Fail(i)
 			}
-			ex, err = sv.Submit(context.Background(), q)
+			ex, err = db.Submit(context.Background(), q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -171,7 +166,7 @@ func TestChaosServed(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ex, err = sv.Submit(context.Background(), q)
+			ex, err = db.Submit(context.Background(), q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -192,13 +187,8 @@ func TestChaosServed(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer db1.Close()
-			sv1, err := db1.Serve(context.Background(), ServeOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer sv1.Close()
-			sv1.Fabric().Server(0).Pipeline().SetFaultInjector(func(uint32, int) bool { return true })
-			ex, err = sv1.Submit(context.Background(), q)
+			db1.Fabric().Server(0).Pipeline().SetFaultInjector(func(uint32, int) bool { return true })
+			ex, err = db1.Submit(context.Background(), q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -208,27 +198,22 @@ func TestChaosServed(t *testing.T) {
 			if !want.Equal(ex.Result) {
 				t.Fatalf("no-survivor result diverged\n got: %v\nwant: %v", ex.Result, want)
 			}
-			if ex.FailedOver < 1 || sv1.Stats().FailedOver < 1 {
-				t.Fatalf("no-survivor submit: FailedOver=%d, fabric counter=%d, want both >= 1", ex.FailedOver, sv1.Stats().FailedOver)
+			if ex.FailedOver < 1 || db1.Fabric().Total().FailedOver < 1 {
+				t.Fatalf("no-survivor submit: FailedOver=%d, fabric counter=%d, want both >= 1", ex.FailedOver, db1.Fabric().Total().FailedOver)
 			}
-			assertFabricDrained(t, sv1.Fabric())
+			assertFabricDrained(t, db1.Fabric())
 
 			// A deadline on re-admission is still an error: the placed
 			// switch dies mid-query, the survivor is quota-blocked for the
 			// query's tenant, and the deadline expires in its queue — the
 			// Submit fails with ErrDeadline instead of degrading, and
 			// nothing leaks.
-			db2, err := Open(mix.Visits, Options{Workers: 2, Seed: 1, Switches: 2})
+			db2, err := Open(mix.Visits, Options{Workers: 2, Seed: 1, Switches: 2, TenantQuota: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer db2.Close()
-			sv2, err := db2.Serve(context.Background(), ServeOptions{TenantQuota: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer sv2.Close()
-			fab2 := sv2.Fabric()
+			fab2 := db2.Fabric()
 			blocker, err := prune.NewDistinct(prune.DefaultDistinctConfig(1))
 			if err != nil {
 				t.Fatal(err)
@@ -238,11 +223,11 @@ func TestChaosServed(t *testing.T) {
 				t.Fatal(err)
 			}
 			fab2.Server(0).Pipeline().SetFaultInjector(func(uint32, int) bool { return true })
-			_, err = sv2.SubmitQoS(context.Background(), q, serve.QoS{Tenant: "t", Deadline: time.Now().Add(30 * time.Millisecond)})
+			_, err = db2.SubmitQoS(context.Background(), q, serve.QoS{Tenant: "t", Deadline: time.Now().Add(30 * time.Millisecond)})
 			if !errors.Is(err, serve.ErrDeadline) {
 				t.Fatalf("deadline on re-admission: err = %v, want serve.ErrDeadline", err)
 			}
-			if got := sv2.Stats().FailedOver; got < 1 {
+			if got := fab2.Total().FailedOver; got < 1 {
 				t.Fatalf("deadline on re-admission: fabric FailedOver counter = %d, want >= 1", got)
 			}
 			held.Release()
@@ -266,12 +251,7 @@ func TestChaosServedUnderLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	sv, err := db.Serve(context.Background(), ServeOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sv.Close()
-	fab := sv.Fabric()
+	fab := db.Fabric()
 
 	// A victim dies at the next batch that crosses it, so its death always
 	// lands in the middle of some query's stream; one whose injector never
@@ -311,7 +291,7 @@ func TestChaosServedUnderLoad(t *testing.T) {
 			for i := range jobs {
 				q := mix.Query(i)
 				tick()
-				ex, err := sv.SubmitQoS(context.Background(), q, serve.QoS{Tenant: mix.Tenant(i), Priority: mix.Priority(i)})
+				ex, err := db.SubmitQoS(context.Background(), q, serve.QoS{Tenant: mix.Tenant(i), Priority: mix.Priority(i)})
 				if err != nil {
 					t.Errorf("query %d (%v): %v", i, q.Kind, err)
 					continue
@@ -363,7 +343,7 @@ func TestChaosStreamingPlaced(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer st.Close()
-			fab := st.Fabric()
+			fab := db.Fabric()
 			q := *base
 			q.Table = target
 			sub, err := st.Subscribe(ctx, &q)
@@ -470,7 +450,7 @@ func TestChaosStreamingSharded(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer st.Close()
-			fab := st.Fabric()
+			fab := db.Fabric()
 			q := *base
 			q.Table = target
 			sub, err := st.Subscribe(ctx, &q)

@@ -5,7 +5,7 @@ package plan
 // TestSessionCloseDuringSubmit). The contract under test, documented on
 // Session.Close:
 //
-//   - Serving.SubmitQoS racing Close never hangs and never returns a
+//   - SubmitQoS racing Close never hangs and never returns a
 //     wrong result: it completes exactly (direct fallback included) or
 //     fails with a QoS shed (serve.ErrDeadline) it could have returned
 //     anyway.
@@ -50,11 +50,7 @@ func TestSessionCloseRaceQoSAndAppend(t *testing.T) {
 			t.Fatal(err)
 		}
 		ctx := streamCtx(t)
-		db, err := Open(live, Options{Workers: 1, Seed: uint64(round), Switches: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sv, err := db.Serve(ctx, ServeOptions{TenantQuota: 2})
+		db, err := Open(live, Options{Workers: 1, Seed: uint64(round), Switches: 2, TenantQuota: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,7 +92,7 @@ func TestSessionCloseRaceQoSAndAppend(t *testing.T) {
 						// closing fabric is allowed, a hang is not.
 						qos.Deadline = time.Now().Add(50 * time.Millisecond)
 					}
-					ex, err := sv.SubmitQoS(ctx, &q, qos)
+					ex, err := db.SubmitQoS(ctx, &q, qos)
 					if err != nil {
 						if errors.Is(err, serve.ErrDeadline) {
 							continue // deadline shed: dropped, not degraded

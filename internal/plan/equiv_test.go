@@ -102,7 +102,7 @@ func TestExecEquivalenceAllKinds(t *testing.T) {
 }
 
 // TestFrontDoorsAgree drives every kind through the three front doors —
-// Session.Exec, Serving.Submit, and a subscription fed by chunked appends
+// Session.Exec, Session.Submit, and a subscription fed by chunked appends
 // — at fabric widths 1 and 2, in process and with UseCluster: all run the
 // one pruned driver (Session.run) and all equal ExecDirect. UseCluster
 // sends Exec's entries through one rack per switch (GROUP BY SUM aside),
@@ -134,12 +134,7 @@ func testFrontDoorsAgree(t *testing.T, ctx context.Context, opts Options) {
 		if err != nil {
 			t.Fatalf("%s: Exec: %v", label, err)
 		}
-		sv, err := c.s.Serve(ctx, ServeOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		served, err := sv.Submit(ctx, q)
-		sv.Close()
+		served, err := c.s.Submit(ctx, q)
 		if err != nil {
 			t.Fatalf("%s: Submit: %v", label, err)
 		}

@@ -37,14 +37,14 @@ type Execution struct {
 	// ClusterReport is non-nil only for ModeCluster.
 	ClusterReport *cluster.Report
 	// QueryID is the flow id the serving layer assigned this execution
-	// (the §5 Cheetah-header query id); 0 outside a Serving handle.
+	// (the §5 Cheetah-header query id); 0 outside SubmitQoS.
 	QueryID uint32
 	// Switch is the fabric switch index a served query was placed on;
 	// meaningful only when QueryID is non-zero.
 	Switch int
 	// PerSwitch reports each switch's traffic and occupancy for a
 	// scatter/gather execution (Switches > 1 in the plan), and each
-	// fabric switch's serving counters for a served (Serving.Submit)
+	// fabric switch's serving counters for a served (SubmitQoS)
 	// execution; nil for plain single-switch and direct runs.
 	PerSwitch []SwitchReport
 	// FailedOver counts how many times this execution was redone on a
@@ -52,7 +52,7 @@ type Execution struct {
 	// failover); only served executions fail over.
 	FailedOver int
 	// PipelineUtil is the switch occupancy attributed to this query: the
-	// shared pipeline's snapshot at admission under a Serving handle, a
+	// shared pipeline's snapshot at admission under SubmitQoS, a
 	// dedicated pipeline's occupancy otherwise. Zero for ModeDirect.
 	PipelineUtil switchsim.Utilization
 	// Estimate is the modelled completion time of the path that ran.

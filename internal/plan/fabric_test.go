@@ -1,7 +1,7 @@
 package plan
 
 // Tests for the multi-switch session paths: Exec's scatter/gather
-// across Options.Switches pipelines, and Serve's placement of whole
+// across Options.Switches pipelines, and SubmitQoS's placement of whole
 // queries on the least-loaded switch.
 
 import (
@@ -199,13 +199,8 @@ func TestServeFabricPlacement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sv, err := db.Serve(context.Background(), ServeOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sv.Close()
-	if sv.Switches() != 4 {
-		t.Fatalf("fabric width %d, want 4", sv.Switches())
+	if db.Fabric().Size() != 4 {
+		t.Fatalf("fabric width %d, want 4", db.Fabric().Size())
 	}
 
 	builders := []*Builder{
@@ -232,7 +227,7 @@ func TestServeFabricPlacement(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				ex, err := sv.Submit(context.Background(), q)
+				ex, err := db.Submit(context.Background(), q)
 				if err != nil {
 					t.Errorf("submit: %v", err)
 					return
@@ -263,14 +258,14 @@ func TestServeFabricPlacement(t *testing.T) {
 			t.Fatalf("placement outside the fabric: %v", seenSwitch)
 		}
 	}
-	st := sv.Stats()
+	st := db.Fabric().Total()
 	if st.Admitted != uint64(rounds*len(builders)) {
 		t.Fatalf("aggregate Admitted = %d, want %d", st.Admitted, rounds*len(builders))
 	}
 	if st.Active != 0 || st.Queued != 0 {
 		t.Fatalf("leftover load: %+v", st)
 	}
-	per := sv.StatsPerSwitch()
+	per := db.Fabric().Stats()
 	if len(per) != 4 {
 		t.Fatalf("%d per-switch counters, want 4", len(per))
 	}
@@ -281,10 +276,8 @@ func TestServeFabricPlacement(t *testing.T) {
 	if sum != st.Admitted {
 		t.Fatalf("per-switch counters sum to %d, aggregate says %d", sum, st.Admitted)
 	}
-	if got := len(sv.UtilizationPerSwitch()); got != 4 {
+	if got := len(db.Fabric().Utilization()); got != 4 {
 		t.Fatalf("%d per-switch utilizations, want 4", got)
 	}
-	if u := sv.Utilization(); u.ALUsUsed != 0 {
-		t.Fatalf("fabric not drained: %v", u)
-	}
+	assertFabricDrained(t, db.Fabric())
 }

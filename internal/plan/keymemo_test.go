@@ -85,11 +85,7 @@ func TestKeyMemoAcrossFrontDoors(t *testing.T) {
 			if k != 1 {
 				continue
 			}
-			sv, err := c.s.Serve(ctx, ServeOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ex, err := sv.Submit(ctx, q)
+			ex, err := c.s.Submit(ctx, q)
 			if err != nil {
 				t.Fatalf("%s served: %v", label, err)
 			}
@@ -99,7 +95,6 @@ func TestKeyMemoAcrossFrontDoors(t *testing.T) {
 			if notes := keyNotes(ex); len(notes) != 1 || notes[0] != "keys: memo" {
 				t.Fatalf("%s: the served run's shard noted %q", label, notes)
 			}
-			sv.Close()
 		}
 	}
 }

@@ -303,12 +303,7 @@ func TestPlannerMixedKeyJoinRunsDirect(t *testing.T) {
 		if err != nil || !want.Equal(ex.Result) {
 			t.Fatalf("k=%d Exec: %v, err %v; want\n%v", k, ex, err, want)
 		}
-		sv, err := s.Serve(ctx, ServeOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ex, err = sv.SubmitQoS(ctx, q, serve.QoS{Tenant: "t"})
-		sv.Close()
+		ex, err = s.SubmitQoS(ctx, q, serve.QoS{Tenant: "t"})
 		if err != nil || !want.Equal(ex.Result) {
 			t.Fatalf("k=%d SubmitQoS: %v, err %v; want\n%v", k, ex, err, want)
 		}

@@ -105,15 +105,10 @@ func servedReuse(t *testing.T, mix *multitenant.Mix, q *engine.Query, want *engi
 		t.Fatal(err)
 	}
 	defer db.Close()
-	sv, err := db.Serve(context.Background(), plan.ServeOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sv.Close()
 	ctx := context.Background()
 	var cold *plan.Execution
 	for run := 0; run < 3; run++ {
-		ex, err := sv.SubmitQoS(ctx, q, serve.QoS{Tenant: "t"})
+		ex, err := db.SubmitQoS(ctx, q, serve.QoS{Tenant: "t"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,13 +126,13 @@ func servedReuse(t *testing.T, mix *multitenant.Mix, q *engine.Query, want *engi
 	// query fails over, and neither the program the dead switch touched
 	// nor its replacement goes back to the list.
 	var killed atomic.Bool
-	fab := sv.Fabric()
+	fab := db.Fabric()
 	for i := 0; i < fab.Size(); i++ {
 		fab.Server(i).Pipeline().SetFaultInjector(func(uint32, int) bool {
 			return killed.CompareAndSwap(false, true)
 		})
 	}
-	ex, err := sv.SubmitQoS(ctx, q, serve.QoS{Tenant: "t"})
+	ex, err := db.SubmitQoS(ctx, q, serve.QoS{Tenant: "t"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +151,7 @@ func servedReuse(t *testing.T, mix *multitenant.Mix, q *engine.Query, want *engi
 			}
 		}
 	}
-	ex, err = sv.SubmitQoS(ctx, q, serve.QoS{Tenant: "t"})
+	ex, err = db.SubmitQoS(ctx, q, serve.QoS{Tenant: "t"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,17 +229,12 @@ func floodTopN(t *testing.T, mix *multitenant.Mix) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	sv, err := db.Serve(context.Background(), plan.ServeOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sv.Close()
 	bound := model.TotalSRAMBits()
 	ctx := context.Background()
 	const flood = 200
 	for n := 50; n < 50+flood; n++ {
 		q := &engine.Query{Kind: engine.KindTopN, Table: mix.Visits, OrderCol: "adRevenue", N: n}
-		ex, err := sv.SubmitQoS(ctx, q, serve.QoS{})
+		ex, err := db.SubmitQoS(ctx, q, serve.QoS{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -265,7 +255,7 @@ func floodTopN(t *testing.T, mix *multitenant.Mix) {
 		t.Fatal(err)
 	}
 	for run := 0; run < 2; run++ {
-		ex, err := sv.SubmitQoS(ctx, gq, serve.QoS{})
+		ex, err := db.SubmitQoS(ctx, gq, serve.QoS{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -295,11 +285,6 @@ func warmServedAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	sv, err := db.Serve(context.Background(), plan.ServeOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sv.Close()
 	for _, c := range []struct {
 		q     *engine.Query
 		bound uint64
@@ -308,7 +293,7 @@ func warmServedAlloc(t *testing.T) {
 		{mix.Query(3), 192 << 10}, // GROUP BY MAX
 	} {
 		submit := func() {
-			if _, err := sv.SubmitQoS(context.Background(), c.q, serve.QoS{}); err != nil {
+			if _, err := db.SubmitQoS(context.Background(), c.q, serve.QoS{}); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -27,11 +27,6 @@ func TestServeConcurrentEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sv, err := db.Serve(context.Background(), ServeOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer sv.Close()
 
 			const clients = 8
 			const total = 3 * multitenant.NumKinds
@@ -50,7 +45,7 @@ func TestServeConcurrentEquivalence(t *testing.T) {
 					defer wg.Done()
 					for i := range jobs {
 						q := mix.Query(i)
-						ex, err := sv.Submit(context.Background(), q)
+						ex, err := db.Submit(context.Background(), q)
 						if err != nil {
 							t.Errorf("query %d (%s): %v", i, q.Kind, err)
 							continue
@@ -78,12 +73,7 @@ func TestServeConcurrentEquivalence(t *testing.T) {
 			if !sawQueryIDs {
 				t.Fatal("no query executed through the shared pipeline")
 			}
-			if st := sv.Stats(); st.Active != 0 || st.Queued != 0 {
-				t.Fatalf("serving handle not drained: %+v", st)
-			}
-			if u := sv.Utilization(); u.ALUsUsed != 0 {
-				t.Fatalf("shared pipeline not empty after serving: %v", u)
-			}
+			assertFabricDrained(t, db.Fabric())
 		})
 	}
 }
@@ -109,13 +99,8 @@ func TestServeOversizedFallsBackDirect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sv, err := db.Serve(context.Background(), ServeOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sv.Close()
 	q := mix.Query(1) // DISTINCT
-	ex, err := sv.Submit(context.Background(), q)
+	ex, err := db.Submit(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,16 +130,11 @@ func TestServeRewritesClusterPlans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sv, err := db.Serve(context.Background(), ServeOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sv.Close()
 	q := mix.Query(1) // DISTINCT: single-pass, so Plan() picks ModeCluster
 	if p, err := db.Plan(q); err != nil || p.Mode != ModeCluster {
 		t.Fatalf("precondition: Plan mode = %v, err = %v, want cluster", p.Mode, err)
 	}
-	ex, err := sv.Submit(context.Background(), q)
+	ex, err := db.Submit(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,15 +164,9 @@ func TestServeClosedFallsBackDirect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	sv, err := db.Serve(ctx, ServeOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cancel()   // context cancellation closes the handle (async) ...
-	sv.Close() // ... and Close is idempotent, making the test deterministic
+	db.Close()
 	q := mix.Query(2)
-	ex, err := sv.Submit(context.Background(), q)
+	ex, err := db.Submit(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}

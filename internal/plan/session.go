@@ -17,6 +17,7 @@ import (
 	"sync"
 	"time"
 
+	"cheetah/internal/fabric"
 	"cheetah/internal/obs"
 	"cheetah/internal/stats"
 	"cheetah/internal/switchsim"
@@ -40,12 +41,22 @@ type Options struct {
 	// Workers is the CWorker (partition) count; ≤ 0 selects 1. With
 	// multiple switches it is the per-shard worker count.
 	Workers int
-	// Switches is the execution fabric's switch count; ≤ 0 selects 1.
-	// With more than one switch, Exec shards the query across the fabric
-	// (scatter/gather with a two-level merge) and Serve places whole
-	// queries on the least-loaded switch — the paper's rack-scale
-	// deployment, one ToR switch per rack.
+	// Switches is the session fabric's switch count; ≤ 0 selects 1.
+	// With more than one switch, Exec shards the query across that many
+	// switches (scatter/gather with a two-level merge) and SubmitQoS
+	// places whole queries on the least-loaded one — the paper's
+	// rack-scale deployment, one ToR switch per rack.
 	Switches int
+	// QueueLimit caps each fabric switch's admission wait queue (0 =
+	// unbounded). Submissions arriving past the cap fall back to exact
+	// direct execution instead of queueing — load shedding, not an error.
+	QueueLimit int
+	// TenantQuota caps any one tenant's concurrently active one-shot
+	// leases per switch (0 = unlimited). Quota-blocked submissions wait
+	// without blocking other tenants' admissions. Standing programs count
+	// toward no tenant's quota: they hold their switch for the life of
+	// their subscription.
+	TenantQuota int
 	// Seed drives fingerprinting and randomized pruner defaults.
 	Seed uint64
 	// UseCluster makes Exec send every switch's entries over the simulated
@@ -54,7 +65,7 @@ type Options struct {
 	// process; planning, skipping, completion and spans are unchanged. GROUP
 	// BY SUM stays in process, with a note in the plan's Reason: its
 	// program rewrites packets (the evicted aggregate) while the §7.2
-	// switch forwards the bytes it received. Serve and Stream run in
+	// switch forwards the bytes it received. SubmitQoS and Stream run in
 	// process whatever this says.
 	UseCluster bool
 	// LossRate injects packet loss on every rack link (UseCluster only). A
@@ -64,10 +75,10 @@ type Options struct {
 	// RTO overrides the rack's retransmission timeout (UseCluster only).
 	RTO time.Duration
 	// Metrics, when non-nil, is the operational-metrics registry the
-	// session's serving and streaming fabrics record into (admission
-	// counters, queue-depth/active-lease gauges, admission-wait and
-	// delta-latency histograms). Nil gives each fabric a private
-	// registry, reachable via its Fabric().Metrics().
+	// session's fabric records into (admission counters, queue-depth/
+	// active-lease gauges, admission-wait and delta-latency histograms).
+	// Nil gives the fabric a private registry, reachable via
+	// Fabric().Metrics().
 	Metrics *stats.Registry
 	// DisableTracing turns query lifecycle tracing off. By default every
 	// Exec/Submit/delta execution carries an obs.Trace collecting
@@ -81,21 +92,24 @@ type Options struct {
 }
 
 // Session is an open database handle: a table plus the planning context
-// every query compiled through it shares. Sessions are cheap; open one
-// per table.
+// every query compiled through it shares, and the one switch fabric its
+// served queries (SubmitQoS) and standing programs (Stream) share — §5's
+// multi-query switch sharing. Sessions are cheap; open one per table.
 type Session struct {
 	table *table.Table
 	opts  Options
+	fab   *fabric.Fabric
 	// free is the session's free list of idle, Reset switch programs.
 	free programs
 
-	// mu guards the open serving/streaming handles Close must drain.
-	mu       sync.Mutex
-	children map[interface{ Close() }]struct{}
-	closed   bool
+	// mu guards the open streaming handles Close must drain.
+	mu      sync.Mutex
+	streams map[*Streaming]struct{}
+	closed  bool
 }
 
-// Open validates opts, fills defaults and returns a session over t.
+// Open validates opts, fills defaults, builds the session's fabric and
+// returns a session over t.
 func Open(t *table.Table, opts Options) (*Session, error) {
 	if t == nil {
 		return nil, fmt.Errorf("plan: Open needs a table")
@@ -121,41 +135,52 @@ func Open(t *table.Table, opts Options) (*Session, error) {
 		// whatever index its root carries; BuildSkipIndex rejects views.
 		_ = t.BuildSkipIndex(0)
 	}
+	fab, err := fabric.New(fabric.Options{
+		Switches:    opts.Switches,
+		Model:       opts.Model,
+		QueueLimit:  opts.QueueLimit,
+		TenantQuota: opts.TenantQuota,
+		Metrics:     opts.Metrics,
+	})
+	if err != nil {
+		return nil, err
+	}
 	return &Session{
-		table:    t,
-		opts:     opts,
-		free:     programs{bound: opts.Model.TotalSRAMBits()},
-		children: make(map[interface{ Close() }]struct{}),
+		table:   t,
+		opts:    opts,
+		fab:     fab,
+		free:    programs{bound: opts.Model.TotalSRAMBits()},
+		streams: make(map[*Streaming]struct{}),
 	}, nil
 }
 
-// addChild registers an open serving/streaming handle for Close to
-// drain; it fails once the session is closed.
-func (s *Session) addChild(c interface{ Close() }) error {
+// addStream registers an open streaming handle for Close to drain; it
+// fails once the session is closed.
+func (s *Session) addStream(st *Streaming) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return fmt.Errorf("plan: session is closed")
 	}
-	s.children[c] = struct{}{}
+	s.streams[st] = struct{}{}
 	return nil
 }
 
-// removeChild deregisters a handle that closed on its own.
-func (s *Session) removeChild(c interface{ Close() }) {
+// removeStream deregisters a handle that closed on its own.
+func (s *Session) removeStream(st *Streaming) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	delete(s.children, c)
+	delete(s.streams, st)
 }
 
-// Close shuts the session's serving and streaming handles down:
-// registered subscriptions drain their in-flight delta and release
-// their switch programs, queued admissions fail over to direct
+// Close shuts the session's streaming handles down — registered
+// subscriptions drain their in-flight delta and release their switch
+// programs — and then the fabric: queued admissions fail over to direct
 // execution, and in-flight Submits complete (a Submit racing Close
 // falls back to exact direct execution — never an error). One-shot
 // Exec/Plan calls keep working on the closed session; Close is about
-// the long-lived handles. Idempotent: extra Closes are no-ops, and
-// concurrent Closes are safe.
+// the fabric and the long-lived handles. Idempotent: extra Closes are
+// no-ops, and concurrent Closes are safe.
 //
 // The error contract for callers racing Close, by path:
 //
@@ -166,7 +191,7 @@ func (s *Session) removeChild(c interface{ Close() }) {
 //     all. Streaming.Subscribe fails with a closed-handle error before
 //     registering anything. Network front ends (internal/netserve) map
 //     exactly these to their retryable wire error code during a drain.
-//   - NEVER AN ERROR: Serving.Submit/SubmitQoS racing Close does not
+//   - NEVER AN ERROR: Submit/SubmitQoS racing Close does not
 //     fail because of the close — serve.ErrClosed triggers the exact
 //     direct fallback, so the caller gets a correct result either way.
 //     The only errors a close-racing SubmitQoS surfaces are the ones
@@ -185,15 +210,16 @@ func (s *Session) Close() {
 		return
 	}
 	s.closed = true
-	kids := make([]interface{ Close() }, 0, len(s.children))
-	for c := range s.children {
-		kids = append(kids, c)
+	streams := make([]*Streaming, 0, len(s.streams))
+	for st := range s.streams {
+		streams = append(streams, st)
 	}
-	s.children = make(map[interface{ Close() }]struct{})
+	s.streams = make(map[*Streaming]struct{})
 	s.mu.Unlock()
-	for _, c := range kids {
-		c.Close()
+	for _, st := range streams {
+		st.Close()
 	}
+	s.fab.Close()
 }
 
 // newTrace starts a lifecycle trace for one execution, or returns the
@@ -211,6 +237,11 @@ func (s *Session) Table() *table.Table { return s.table }
 
 // Model returns the switch model the session plans against.
 func (s *Session) Model() switchsim.Model { return s.opts.Model }
+
+// Fabric returns the session's switch fabric, for failure-lifecycle
+// control (Fail/Restore/Add), per-switch access, admission counters and
+// occupancy. Served queries and standing programs share it.
+func (s *Session) Fabric() *fabric.Fabric { return s.fab }
 
 // Options returns the resolved session options (defaults filled in).
 func (s *Session) Options() Options { return s.opts }

@@ -186,12 +186,7 @@ func TestServedSkipStats(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: Exec: %v", c.label, err)
 		}
-		sv, err := c.s.Serve(ctx, ServeOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		served, err := sv.Submit(ctx, q)
-		sv.Close()
+		served, err := c.s.Submit(ctx, q)
 		if err != nil {
 			t.Fatalf("%s: Submit: %v", c.label, err)
 		}

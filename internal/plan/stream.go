@@ -7,11 +7,11 @@ package plan
 // incremental merge state) and the execution substrate: Subscribe plans
 // the delta program exactly like Exec would — same candidates, same
 // per-switch sizing at the session's fabric width — then admits it on
-// the fabric through the existing serve admission and holds the
-// lease(s) for the subscription's lifetime, so the standing program
-// keeps its switch state across deltas (the DISTINCT cache, TOP N
-// minima and GROUP BY maxima it warms on early deltas keep pruning the
-// later ones). Each committed delta batch then runs through the batched
+// the session's fabric, the one SubmitQoS places served queries on, and
+// holds the lease(s) for the subscription's lifetime, so the standing
+// program keeps its switch state across deltas (the DISTINCT cache, TOP
+// N minima and GROUP BY maxima it warms on early deltas keep pruning
+// the later ones). Each committed delta batch then runs through the batched
 // engine — engine.ExecSharded across the fabric when Switches > 1 —
 // against only the delta, and the result folds into the standing
 // result.
@@ -52,7 +52,6 @@ import (
 	"cheetah/internal/fabric"
 	"cheetah/internal/obs"
 	"cheetah/internal/prune"
-	"cheetah/internal/serve"
 	"cheetah/internal/stream"
 	"cheetah/internal/switchsim"
 	"cheetah/internal/table"
@@ -66,18 +65,15 @@ type StreamOptions struct {
 	// Shed makes over-backlog appends fail fast with stream.ErrBacklog
 	// instead of blocking until subscriptions drain.
 	Shed bool
-	// QueueLimit caps each switch's admission wait queue for continuous
-	// query placement (0 = unbounded).
-	QueueLimit int
 }
 
 // Streaming is a live streaming handle over the session's table: an
-// append log plus a switch fabric hosting the standing programs of its
-// continuous queries. All methods are safe for concurrent use.
+// append log plus the continuous queries whose standing programs it
+// holds on the session's fabric. All methods are safe for concurrent
+// use.
 type Streaming struct {
 	s   *Session
 	ing *stream.Ingestor
-	fab *fabric.Fabric
 
 	mu     sync.Mutex
 	subs   map[*Subscription]struct{}
@@ -97,18 +93,8 @@ func (s *Session) Stream(ctx context.Context, opts StreamOptions) (*Streaming, e
 	if err != nil {
 		return nil, err
 	}
-	fab, err := fabric.New(fabric.Options{
-		Switches:   s.opts.Switches,
-		Model:      s.opts.Model,
-		QueueLimit: opts.QueueLimit,
-		Metrics:    s.opts.Metrics,
-	})
-	if err != nil {
-		return nil, err
-	}
-	st := &Streaming{s: s, ing: ing, fab: fab, subs: make(map[*Subscription]struct{})}
-	if err := s.addChild(st); err != nil {
-		fab.Close()
+	st := &Streaming{s: s, ing: ing, subs: make(map[*Subscription]struct{})}
+	if err := s.addStream(st); err != nil {
 		ing.Close()
 		return nil, err
 	}
@@ -133,14 +119,6 @@ func (st *Streaming) AppendBatch(src *table.Table) error { return st.ing.AppendB
 
 // Version returns the committed row count (the snapshot version).
 func (st *Streaming) Version() uint64 { return st.ing.Version() }
-
-// Stats returns each switch's admission counters — the standing-
-// program occupancy of the fabric, indexed by switch.
-func (st *Streaming) Stats() []serve.Counters { return st.fab.Stats() }
-
-// Fabric returns the streaming handle's switch fabric, for failure-
-// lifecycle control (Fail/Restore/Add) and per-switch access.
-func (st *Streaming) Fabric() *fabric.Fabric { return st.fab }
 
 // Subscription is one continuous query registered through the session:
 // the stream-layer subscription plus its plan and held switch
@@ -201,7 +179,7 @@ func (ss *Subscription) exec(dq *engine.Query) (*engine.Result, error) {
 	}
 	// Delta freshness: how long a committed batch took to fold into
 	// the standing result (redos and failover re-placements included).
-	ss.st.fab.Metrics().Histogram("delta_latency").Observe(clock.Elapsed().Nanoseconds())
+	ss.st.s.fab.Metrics().Histogram("delta_latency").Observe(clock.Elapsed().Nanoseconds())
 	ss.mu.Lock()
 	ss.lastTrace = tr
 	ss.mu.Unlock()
@@ -284,12 +262,12 @@ func (ss *Subscription) Close() {
 
 // Subscribe registers q as a continuous query: the planner picks and
 // sizes the pruning program (per switch at the session's fabric
-// width), the fabric admits it — a standing program holds its switch
-// state across deltas — and every committed delta batch executes
-// incrementally into a standing result that always equals a
-// from-scratch run over the full committed prefix. Queries no switch
-// can host (and placements shed by the queue limit) run their deltas
-// as exact direct executions.
+// width), the session's fabric admits it — a standing program holds its
+// switch state across deltas, and counts toward no tenant's quota — and
+// every committed delta batch executes incrementally into a standing
+// result that always equals a from-scratch run over the full committed
+// prefix. Queries no switch can host (and placements shed by the queue
+// limit) run their deltas as exact direct executions.
 func (st *Streaming) Subscribe(ctx context.Context, q *engine.Query) (*Subscription, error) {
 	return st.subscribe(ctx, q, 0, 0)
 }
@@ -369,7 +347,7 @@ func (ss *Subscription) admit(ctx context.Context) error {
 	for i, pr := range pruners {
 		progs[i] = pr
 	}
-	placements, err := ss.st.fab.AdmitShards(ctx, progs)
+	placements, err := ss.st.s.fab.AdmitShards(ctx, progs)
 	if err != nil {
 		if !fallbackServing(err) {
 			return err
@@ -413,7 +391,7 @@ func (ss *Subscription) delta(dq *engine.Query, tr *obs.Trace) (*engine.Result, 
 // runs on the engine's per-shard goroutines; distinct shards re-place
 // concurrently, so the subscription's lists update under ss.mu.
 func (ss *Subscription) replace(shard, _ int) (prune.Pruner, engine.BatchDataplane, error) {
-	fab := ss.st.fab
+	fab := ss.st.s.fab
 	pruner, err := ss.plan.NewPruner()
 	if err != nil {
 		return nil, nil, err
@@ -449,8 +427,9 @@ func resetForDelta(pruners []prune.Pruner, windowed bool) {
 }
 
 // Close shuts the streaming handle down: appends and new subscriptions
-// fail, every continuous query drains its in-flight delta and releases
-// its standing program, and the fabric closes. Idempotent.
+// fail, and every continuous query drains its in-flight delta and
+// releases its standing program. The session's fabric stays open.
+// Idempotent.
 func (st *Streaming) Close() {
 	st.once.Do(func() {
 		st.mu.Lock()
@@ -464,7 +443,6 @@ func (st *Streaming) Close() {
 		for _, ss := range subs {
 			ss.Close()
 		}
-		st.fab.Close()
-		st.s.removeChild(st)
+		st.s.removeStream(st)
 	})
 }

@@ -115,7 +115,7 @@ func TestStreamSubscriptionEquivalence(t *testing.T) {
 					}
 					// The standing program holds switch resources until Close.
 					active := 0
-					for _, c := range st.Stats() {
+					for _, c := range db.Fabric().Stats() {
 						active += c.Active
 					}
 					if wantActive := 1; switches > 1 {
@@ -127,7 +127,7 @@ func TestStreamSubscriptionEquivalence(t *testing.T) {
 					}
 					sub.Close()
 					active = 0
-					for _, c := range st.Stats() {
+					for _, c := range db.Fabric().Stats() {
 						active += c.Active
 					}
 					if active != 0 {
@@ -229,7 +229,7 @@ func TestStreamConcurrentAppenders(t *testing.T) {
 		}
 	}
 	active := func() (n int) {
-		for _, c := range st.Stats() {
+		for _, c := range db.Fabric().Stats() {
 			n += c.Active
 		}
 		return n
@@ -357,7 +357,7 @@ func TestStreamOversizedFallsBackDirect(t *testing.T) {
 
 // TestSessionCloseIdempotentAndDrains pins the Close contract: double
 // Close is a no-op, and Close drains streaming subscriptions (leases
-// released, appends rejected) and serving handles.
+// released, appends rejected) and closes the fabric.
 func TestSessionCloseIdempotentAndDrains(t *testing.T) {
 	mix, err := multitenant.NewMix(multitenant.MixConfig{VisitRows: 500, RankRows: 200, Seed: 5})
 	if err != nil {
@@ -373,10 +373,6 @@ func TestSessionCloseIdempotentAndDrains(t *testing.T) {
 		t.Fatal(err)
 	}
 	st, err := db.Stream(ctx, StreamOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sv, err := db.Serve(ctx, ServeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,7 +396,7 @@ func TestSessionCloseIdempotentAndDrains(t *testing.T) {
 	if _, err := st.Subscribe(ctx, &q); err == nil {
 		t.Fatal("subscribe after session Close should fail")
 	}
-	for _, c := range st.Stats() {
+	for _, c := range db.Fabric().Stats() {
 		if c.Active != 0 {
 			t.Fatalf("leases still active after session Close: %+v", c)
 		}
@@ -414,8 +410,8 @@ func TestSessionCloseIdempotentAndDrains(t *testing.T) {
 	if !want.Equal(res) {
 		t.Fatal("standing result lost on Close")
 	}
-	// A submit on the closed serving handle falls back to direct.
-	ex, err := sv.Submit(ctx, mix.Query(2))
+	// A submit on the closed fabric falls back to direct.
+	ex, err := db.Submit(ctx, mix.Query(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,9 +425,6 @@ func TestSessionCloseIdempotentAndDrains(t *testing.T) {
 	// Opening new handles on the closed session fails.
 	if _, err := db.Stream(ctx, StreamOptions{}); err == nil {
 		t.Fatal("Stream on a closed session should fail")
-	}
-	if _, err := db.Serve(ctx, ServeOptions{}); err == nil {
-		t.Fatal("Serve on a closed session should fail")
 	}
 }
 
@@ -448,10 +441,6 @@ func TestSessionCloseDuringSubmit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sv, err := db.Serve(ctx, ServeOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	const clients, perClient = 6, 10
 	var wg sync.WaitGroup
 	wg.Add(clients)
@@ -460,7 +449,7 @@ func TestSessionCloseDuringSubmit(t *testing.T) {
 		go func(c int) {
 			defer wg.Done()
 			for i := 0; i < perClient; i++ {
-				if _, err := sv.Submit(ctx, mix.Query(c*perClient+i)); err != nil {
+				if _, err := db.Submit(ctx, mix.Query(c*perClient+i)); err != nil {
 					errs <- fmt.Errorf("client %d query %d: %w", c, i, err)
 					return
 				}

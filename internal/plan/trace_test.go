@@ -233,16 +233,11 @@ func TestSubmitQoSTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	sv, err := s.Serve(ctx, ServeOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sv.Close()
 	q, err := s.Select().Where("adRevenue", prune.OpGT, 300_000).Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex, err := sv.Submit(ctx, q)
+	ex, err := s.Submit(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,12 +290,7 @@ func TestGatedPathsRunFused(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.label, err)
 		}
-		sv, err := c.s.Serve(ctx, ServeOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ex, err := sv.SubmitQoS(ctx, q, serve.QoS{Tenant: "t", Priority: 1})
-		sv.Close()
+		ex, err := c.s.SubmitQoS(ctx, q, serve.QoS{Tenant: "t", Priority: 1})
 		if err != nil {
 			t.Fatalf("%s: SubmitQoS: %v", c.label, err)
 		}
@@ -386,12 +376,7 @@ func TestSpansInsideWall(t *testing.T) {
 			if bad := prunedScheme(local, opts.Switches); bad != "" {
 				t.Errorf("%s: Exec trace: %s:\n%s", label, bad, local.Trace())
 			}
-			sv, err := c.s.Serve(ctx, ServeOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			served, err := sv.Submit(ctx, q)
-			sv.Close()
+			served, err := c.s.Submit(ctx, q)
 			if err != nil {
 				t.Fatalf("%s: Submit: %v", label, err)
 			}

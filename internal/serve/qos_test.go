@@ -103,7 +103,8 @@ func TestTryAdmitRespectsQueuePriority(t *testing.T) {
 }
 
 // TestTenantQuota: a tenant at its quota queues without blocking other
-// tenants, and unblocks when its own lease releases.
+// tenants, and unblocks when its own lease releases; QoS-less leases
+// count toward no quota.
 func TestTenantQuota(t *testing.T) {
 	s, err := New(Options{Model: smallModel(), TenantQuota: 1})
 	if err != nil {
@@ -135,6 +136,18 @@ func TestTenantQuota(t *testing.T) {
 	}
 	r.lease.Release()
 	b1.Release()
+	// A QoS-less lease counts toward no tenant's quota: with one held, the
+	// default tenant's QoS admission still runs.
+	held, err := s.Admit(context.Background(), prog(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := s.TryAdmitQoS(prog(1), QoS{})
+	if err != nil {
+		t.Fatalf("default tenant blocked by a QoS-less lease: %v", err)
+	}
+	d.Release()
+	held.Release()
 	if st := s.Stats(); st.Active != 0 || st.Queued != 0 {
 		t.Fatalf("stats after drain: %+v", st)
 	}

@@ -18,7 +18,12 @@
 // instead of building an unbounded backlog), and requests whose QoS
 // deadline passes while queued (ErrDeadline). Per-tenant quotas bound
 // any one tenant's concurrently active leases without letting a
-// quota-blocked request stall other tenants' admissions.
+// quota-blocked request stall other tenants' admissions. They bound the
+// QoS admissions (AdmitQoS, TryAdmitQoS) only: Admit and TryAdmit take
+// no QoS, and their leases count toward no tenant's quota. That is the
+// shape of a standing program, which holds its switch for as long as
+// its subscription lives and would otherwise keep its own tenant's
+// later admissions waiting.
 //
 // The server also models the switch's failure lifecycle (§7.2): Fail
 // marks the switch dead — active leases are revoked (their Release
@@ -78,9 +83,9 @@ type Options struct {
 	// QueueLimit caps the admission wait queue; 0 means unbounded.
 	// Admissions beyond the cap fail fast with ErrQueueFull.
 	QueueLimit int
-	// TenantQuota caps any one tenant's concurrently active leases on
-	// this switch; 0 means unlimited. Quota-blocked admissions queue
-	// without stalling other tenants.
+	// TenantQuota caps any one tenant's concurrently active QoS leases
+	// (AdmitQoS, TryAdmitQoS) on this switch; 0 means unlimited.
+	// Quota-blocked admissions queue without stalling other tenants.
 	TenantQuota int
 	// Metrics, when non-nil, receives the per-switch/per-tenant
 	// operational counters (admitted/shed/revoked/deadline_missed/
@@ -141,6 +146,7 @@ type admitResult struct {
 type waiter struct {
 	prog  switchsim.Program
 	qos   QoS
+	quota bool             // counts toward qos.Tenant's quota (a QoS admission)
 	ready chan admitResult // buffered; receives the outcome exactly once
 }
 
@@ -257,9 +263,9 @@ func (s *Server) observeWait(start time.Time) {
 }
 
 // Admit installs prog into the shared pipeline under a fresh QueryID
-// with default QoS. See AdmitQoS.
+// with default QoS, outside every tenant's quota. See AdmitQoS.
 func (s *Server) Admit(ctx context.Context, prog switchsim.Program) (*Lease, error) {
-	return s.AdmitQoS(ctx, prog, QoS{})
+	return s.admit(ctx, prog, QoS{}, false)
 }
 
 // AdmitQoS installs prog into the shared pipeline under a fresh QueryID
@@ -271,6 +277,12 @@ func (s *Server) Admit(ctx context.Context, prog switchsim.Program) (*Lease, err
 // is configured, admissions beyond it fail with ErrQueueFull; a failed
 // switch rejects everything with ErrFailed.
 func (s *Server) AdmitQoS(ctx context.Context, prog switchsim.Program, qos QoS) (*Lease, error) {
+	return s.admit(ctx, prog, qos, true)
+}
+
+// admit is AdmitQoS, with quota saying whether the lease counts toward
+// qos.Tenant's quota.
+func (s *Server) admit(ctx context.Context, prog switchsim.Program, qos QoS, quota bool) (*Lease, error) {
 	if err := validateProgram(prog); err != nil {
 		return nil, err
 	}
@@ -283,8 +295,8 @@ func (s *Server) AdmitQoS(ctx context.Context, prog switchsim.Program, qos QoS) 
 	// Queue fairness: admit immediately only when no eligible waiter of
 	// equal or higher priority would be overtaken, and the tenant is
 	// under quota.
-	if !s.blockedByQueueLocked(qos.Priority) && !s.tenantAtQuotaLocked(qos.Tenant) {
-		if l, err := s.installLocked(prog, qos.Tenant); err == nil {
+	if !s.blockedByQueueLocked(qos.Priority) && !s.atQuotaLocked(qos.Tenant, quota) {
+		if l, err := s.installLocked(prog, qos.Tenant, quota); err == nil {
 			s.mu.Unlock()
 			s.observeWait(start)
 			return l, nil
@@ -296,7 +308,7 @@ func (s *Server) AdmitQoS(ctx context.Context, prog switchsim.Program, qos QoS) 
 		s.mu.Unlock()
 		return nil, ErrQueueFull
 	}
-	w := &waiter{prog: prog, qos: qos, ready: make(chan admitResult, 1)}
+	w := &waiter{prog: prog, qos: qos, quota: quota, ready: make(chan admitResult, 1)}
 	s.waiters = append(s.waiters, w)
 	s.counters.Waited++
 	s.occupancyLocked()
@@ -383,10 +395,11 @@ func (s *Server) admitPrologueLocked(prog switchsim.Program) error {
 	return nil
 }
 
-// tenantAtQuotaLocked reports whether tenant holds its full quota of
-// active leases. Callers hold s.mu.
-func (s *Server) tenantAtQuotaLocked(tenant string) bool {
-	return s.tenantQuota > 0 && s.tenantActive[tenant] >= s.tenantQuota
+// atQuotaLocked reports whether an admission that counts toward
+// tenant's quota (quota) must wait because tenant holds its full quota
+// of active leases. Callers hold s.mu.
+func (s *Server) atQuotaLocked(tenant string, quota bool) bool {
+	return quota && s.tenantQuota > 0 && s.tenantActive[tenant] >= s.tenantQuota
 }
 
 // blockedByQueueLocked reports whether an arriving admission at pri
@@ -395,7 +408,7 @@ func (s *Server) tenantAtQuotaLocked(tenant string) bool {
 // Callers hold s.mu.
 func (s *Server) blockedByQueueLocked(pri int) bool {
 	for _, w := range s.waiters {
-		if w.qos.Priority >= pri && !s.tenantAtQuotaLocked(w.qos.Tenant) {
+		if w.qos.Priority >= pri && !s.atQuotaLocked(w.qos.Tenant, w.quota) {
 			return true
 		}
 	}
@@ -403,9 +416,9 @@ func (s *Server) blockedByQueueLocked(pri int) bool {
 }
 
 // TryAdmit is the non-blocking admission used by fabric placement, with
-// default QoS. See TryAdmitQoS.
+// default QoS, outside every tenant's quota. See TryAdmitQoS.
 func (s *Server) TryAdmit(prog switchsim.Program) (*Lease, error) {
-	return s.TryAdmitQoS(prog, QoS{})
+	return s.tryAdmit(prog, QoS{}, false)
 }
 
 // TryAdmitQoS grants a lease only when the program can be installed
@@ -415,6 +428,11 @@ func (s *Server) TryAdmit(prog switchsim.Program) (*Lease, error) {
 // closed server, ErrFailed on a failed switch, and ErrBusy when
 // admission would have to wait (including tenant-quota exhaustion).
 func (s *Server) TryAdmitQoS(prog switchsim.Program, qos QoS) (*Lease, error) {
+	return s.tryAdmit(prog, qos, true)
+}
+
+// tryAdmit is TryAdmitQoS, with quota as in admit.
+func (s *Server) tryAdmit(prog switchsim.Program, qos QoS, quota bool) (*Lease, error) {
 	if err := validateProgram(prog); err != nil {
 		return nil, err
 	}
@@ -426,10 +444,10 @@ func (s *Server) TryAdmitQoS(prog switchsim.Program, qos QoS) (*Lease, error) {
 	if s.blockedByQueueLocked(qos.Priority) {
 		return nil, ErrBusy
 	}
-	if s.tenantAtQuotaLocked(qos.Tenant) {
+	if s.atQuotaLocked(qos.Tenant, quota) {
 		return nil, fmt.Errorf("%w: tenant %q at quota (%d active)", ErrBusy, qos.Tenant, s.tenantQuota)
 	}
-	l, err := s.installLocked(prog, qos.Tenant)
+	l, err := s.installLocked(prog, qos.Tenant, quota)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBusy, err)
 	}
@@ -437,8 +455,9 @@ func (s *Server) TryAdmitQoS(prog switchsim.Program, qos QoS) (*Lease, error) {
 }
 
 // installLocked packs prog into the pipeline under a fresh flow id and
-// records the lease. Callers hold s.mu.
-func (s *Server) installLocked(prog switchsim.Program, tenant string) (*Lease, error) {
+// records the lease, counted toward tenant's quota when quota is set.
+// Callers hold s.mu.
+func (s *Server) installLocked(prog switchsim.Program, tenant string, quota bool) (*Lease, error) {
 	flowID := s.nextFlow
 	for {
 		if _, taken := s.active[flowID]; !taken && flowID != 0 {
@@ -450,9 +469,11 @@ func (s *Server) installLocked(prog switchsim.Program, tenant string) (*Lease, e
 		return nil, err
 	}
 	s.nextFlow = flowID + 1
-	l := &Lease{s: s, pipe: s.pipe, flowID: flowID, prog: prog, tenant: tenant, util: s.pipe.Utilization()}
+	l := &Lease{s: s, pipe: s.pipe, flowID: flowID, prog: prog, tenant: tenant, quota: quota, util: s.pipe.Utilization()}
 	s.active[flowID] = l
-	s.tenantActive[tenant]++
+	if quota {
+		s.tenantActive[tenant]++
+	}
 	s.counters.Admitted++
 	s.bumpLocked("admitted", tenant)
 	s.occupancyLocked()
@@ -497,9 +518,11 @@ func (s *Server) release(l *Lease) {
 		panic(fmt.Sprintf("serve: uninstall flow %d: %v", l.flowID, err))
 	}
 	delete(s.active, l.flowID)
-	s.tenantActive[l.tenant]--
-	if s.tenantActive[l.tenant] <= 0 {
-		delete(s.tenantActive, l.tenant)
+	if l.quota {
+		s.tenantActive[l.tenant]--
+		if s.tenantActive[l.tenant] <= 0 {
+			delete(s.tenantActive, l.tenant)
+		}
 	}
 	s.admitWaitersLocked()
 	s.occupancyLocked()
@@ -511,7 +534,7 @@ func (s *Server) release(l *Lease) {
 func (s *Server) bestWaiterLocked() int {
 	best := -1
 	for i, w := range s.waiters {
-		if s.tenantAtQuotaLocked(w.qos.Tenant) {
+		if s.atQuotaLocked(w.qos.Tenant, w.quota) {
 			continue
 		}
 		if best == -1 || w.qos.Priority > s.waiters[best].qos.Priority {
@@ -534,7 +557,7 @@ func (s *Server) admitWaitersLocked() {
 			return
 		}
 		w := s.waiters[i]
-		l, err := s.installLocked(w.prog, w.qos.Tenant)
+		l, err := s.installLocked(w.prog, w.qos.Tenant, w.quota)
 		if err != nil {
 			return
 		}
@@ -658,6 +681,7 @@ type Lease struct {
 	flowID uint32
 	prog   switchsim.Program
 	tenant string
+	quota  bool // counts toward tenant's quota
 	util   switchsim.Utilization
 	once   sync.Once
 	// revoked is guarded by s.mu: set when the switch fails.

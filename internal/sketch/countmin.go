@@ -86,12 +86,6 @@ func (cm *CountMin) Estimate(key uint64) int64 {
 	return est
 }
 
-// Depth returns the number of rows.
-func (cm *CountMin) Depth() int { return cm.depth }
-
-// Width returns counters per row.
-func (cm *CountMin) Width() int { return cm.width }
-
 // Reset zeroes all counters.
 func (cm *CountMin) Reset() {
 	for i := range cm.counters {

@@ -474,16 +474,6 @@ func (pl *Pipeline) Uninstall(flowID uint32) error {
 	return nil
 }
 
-// FlowInstalled reports whether flowID currently has a program — the
-// control-plane pre-flight for callers installing into a shared
-// pipeline under an externally chosen flow id.
-func (pl *Pipeline) FlowInstalled(flowID uint32) bool {
-	pl.mu.RLock()
-	defer pl.mu.RUnlock()
-	_, ok := pl.byFlow[flowID]
-	return ok
-}
-
 // Process runs the program bound to flowID over one entry. Unknown flows
 // are forwarded untouched — the switch stays transparent to traffic it has
 // no rules for (§3: "fully compatible with other network functions").

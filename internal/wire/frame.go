@@ -401,7 +401,7 @@ type TableDef struct {
 type Welcome struct {
 	// Version is the protocol version the connection will speak.
 	Version uint16
-	// Switches is the serving fabric's width (informational).
+	// Switches is the session fabric's width (informational).
 	Switches uint32
 	// Tables lists the tables queries may bind by name.
 	Tables []TableDef

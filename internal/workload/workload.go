@@ -221,24 +221,6 @@ func Points2D(m int, maxX, maxY uint64, seed uint64) [][]uint64 {
 	return pts
 }
 
-// ZipfPoints2D generates m heavy-tailed 2-D points: most coordinates are
-// small with occasional large values (Zipf-shaped), so the Pareto front
-// is carried by a few strong points — the regime where SKYLINE's
-// replacement heuristics shine and arbitrary baseline points do not.
-func ZipfPoints2D(m int, maxX, maxY uint64, skew float64, seed uint64) [][]uint64 {
-	if skew <= 1 {
-		skew = 1.1
-	}
-	rng := rand.New(rand.NewSource(int64(seed) | 1))
-	zx := rand.NewZipf(rng, skew, 1, maxX-1)
-	zy := rand.NewZipf(rng, skew, 1, maxY-1)
-	pts := make([][]uint64, m)
-	for i := range pts {
-		pts[i] = []uint64{zx.Uint64(), zy.Uint64()}
-	}
-	return pts
-}
-
 // CorrelatedPoints2D generates m points on a noisy diagonal band:
 // y ≈ x·(maxY/maxX) + noise. Correlated dimensions with very different
 // ranges mirror the benchmark's (pageRank, avgDuration) skyline inputs
