@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"strconv"
 
 	"cheetah/internal/hashutil"
 	"cheetah/internal/obs"
@@ -21,9 +22,10 @@ type CheetahOptions struct {
 	Pruner prune.Pruner
 	// Seed drives fingerprinting and any randomized pruner defaults.
 	Seed uint64
-	// Scalar forces the legacy per-row execution path (one closure call
-	// and one Program.Process per entry). The default is the pruned
-	// executor (pass.go); the scalar path is kept frozen as the
+	// Scalar forces the per-entry reference path (execScalar: one loop
+	// for every kind, one Program.Process call per entry, completion by
+	// the direct executor over the forwarded rows). The default is the
+	// pruned executor (pass.go); the scalar path is kept as the
 	// equivalence-test reference and benchmark baseline. It runs the
 	// program the default would (Pruner, else DefaultPruner) and reports
 	// a ShardedRun with one PerSwitch entry.
@@ -33,7 +35,7 @@ type CheetahOptions struct {
 	// skip index (table.BuildSkipIndex). Results stay bit-identical to
 	// ExecDirect; skipped blocks are never encoded, so Traffic shrinks.
 	// Batched path only; combining Skip with Scalar is an error — the
-	// scalar path is the frozen equivalence oracle.
+	// scalar path is the equivalence reference.
 	Skip bool
 	// NoFuse opts out of the fused execution loops (fuse.go) and keeps
 	// the chunked batch pipeline. The fused loops are the default when the
@@ -47,8 +49,8 @@ type CheetahOptions struct {
 	// the pass, noted fused or chunked, and one merge span for the
 	// master's completion, like every pruned run (ShardedOptions.Trace) —
 	// into the query's lifecycle trace. Tracing observes only: it never
-	// changes results, traffic or stats. The scalar path — the frozen
-	// equivalence oracle — is never traced.
+	// changes results, traffic or stats. The scalar path — the
+	// equivalence reference — is never traced.
 	Trace *obs.Trace
 }
 
@@ -153,33 +155,194 @@ func execCheetah(q *Query, opts CheetahOptions) (*ShardedRun, error) {
 		}
 		pruner = p
 	}
-	var body func(*Query, CheetahOptions, prune.Pruner) (*ShardedRun, error)
+	return execScalar(q, opts, pruner)
+}
+
+// execScalar is the per-entry reference: the one loop every kind shares
+// (stream) sends each entry of the kind's stream, in interleave order, to
+// the program in its own Process call, and the master keeps what the
+// switch forwards and completes it through the direct executor (execRows)
+// — the paper's master "runs the same query but on the pruned data". Each
+// kind states only its encoding and what the master keeps of a forward.
+func execScalar(q *Query, opts CheetahOptions, pruner prune.Pruner) (*ShardedRun, error) {
+	run := &ShardedRun{PrunerName: pruner.Name()}
+	tr := &run.Traffic
+	em, emits := pruner.(switchsim.Emitter)
+	// stream sends every row of t, encoded into width header values, to
+	// the switch and hands each forwarded packet — the entry's values, or
+	// the aggregate an Emitter rewrote them into — to onForward.
+	stream := func(t *table.Table, width int, encode func(vals []uint64, r int), onForward func(r int, pkt []uint64)) {
+		vals := make([]uint64, width)
+		interleave(t, opts.Workers, func(r int) {
+			encode(vals, r)
+			tr.EntriesSent++
+			d, pkt := switchsim.Forward, vals
+			if emits {
+				d, pkt = em.ProcessEmit(vals)
+			} else {
+				d = pruner.Process(vals)
+			}
+			if d == switchsim.Forward {
+				tr.Forwarded++
+				onForward(r, pkt)
+			}
+		})
+	}
+	// rows (and right, a JOIN's right side) are the forwarded rows the
+	// master completes on (late materialization: row ids ride along).
+	var rows, right []int
+	keep := func(r int, _ []uint64) { rows = append(rows, r) }
+	t, schema := q.Table, q.Table.Schema()
+	var kc []int                         // a GROUP BY or HAVING key column, as fingerprintRow takes it
+	var keyed func(vals []uint64, r int) // its entry: the key's fingerprint, then the value
+	if q.Kind == KindGroupByMax || q.Kind == KindGroupBySum || q.Kind == KindHaving {
+		kc = []int{schema.MustIndex(q.KeyCol)}
+		vc := schema.MustIndex(q.AggCol)
+		keyed = func(vals []uint64, r int) {
+			vals[0] = fingerprintRow(t, kc, r, opts.Seed)
+			vals[1] = uint64(t.Int64At(vc, r))
+		}
+	}
 	switch q.Kind {
 	case KindFilter:
-		body = cheetahFilter
+		// Supported predicates run on the switch; LIKE predicates are
+		// precomputed by the CWorker and shipped as bits (§4.1).
+		cols := make([]int, len(q.Predicates))
+		for i, p := range q.Predicates {
+			cols[i] = schema.MustIndex(p.Col)
+		}
+		stream(t, len(cols), func(vals []uint64, r int) {
+			for i, p := range q.Predicates {
+				switch {
+				case p.SwitchSupported():
+					vals[i] = uint64(t.Int64At(cols[i], r))
+				case p.Eval(t, cols[i], r):
+					vals[i] = 1
+				default:
+					vals[i] = 0
+				}
+			}
+		}, keep)
 	case KindDistinct:
-		body = cheetahDistinct
+		cols := make([]int, len(q.DistinctCols))
+		for i, c := range q.DistinctCols {
+			cols[i] = schema.MustIndex(c)
+		}
+		stream(t, 1, func(vals []uint64, r int) { vals[0] = fingerprintRow(t, cols, r, opts.Seed) }, keep)
 	case KindTopN:
-		body = cheetahTopN
+		col := schema.MustIndex(q.OrderCol)
+		stream(t, 1, func(vals []uint64, r int) { vals[0] = uint64(t.Int64At(col, r)) }, keep)
 	case KindGroupByMax:
-		body = cheetahGroupByMax
+		stream(t, 2, keyed, keep)
 	case KindGroupBySum:
-		body = cheetahGroupBySum
+		gbs, ok := pruner.(*prune.GroupBySum)
+		if !ok {
+			return nil, fmt.Errorf("engine: group-by-sum needs a *prune.GroupBySum, got %T", pruner)
+		}
+		// The switch forwards aggregates, not rows: the master accumulates
+		// (fingerprint → partial sum), and fingerprints resolve back to key
+		// strings via the CWorkers' key dictionaries.
+		sums := map[uint64]int64{}
+		fpToKey := map[uint64]string{}
+		stream(t, 2, func(vals []uint64, r int) {
+			keyed(vals, r)
+			if _, ok := fpToKey[vals[0]]; !ok {
+				fpToKey[vals[0]] = cellString(t, kc[0], r)
+			}
+		}, func(_ int, pkt []uint64) { sums[pkt[0]] += int64(pkt[1]) })
+		for _, e := range gbs.Drain() {
+			tr.Forwarded++
+			sums[e[0]] += int64(e[1])
+		}
+		res := &Result{Columns: ResultColumns(q)}
+		for fp, v := range sums {
+			res.Rows = append(res.Rows, []string{fpToKey[fp], strconv.FormatInt(v, 10)})
+		}
+		res.Sort()
+		run.Result = res
+		tr.MasterProcessed = len(sums)
 	case KindHaving:
-		body = cheetahHaving
+		if _, ok := pruner.(*prune.Having); !ok {
+			return nil, fmt.Errorf("engine: having needs a *prune.Having, got %T", pruner)
+		}
+		// Pass 1: everything streams through the sketch; the master
+		// collects candidate key fingerprints. Pass 2 (partial): workers
+		// re-stream only the candidate keys' entries, and the master's
+		// exact sums drop the false positives (§4.3).
+		candidates := map[uint64]bool{}
+		stream(t, 2, keyed, func(_ int, pkt []uint64) { candidates[pkt[0]] = true })
+		interleave(t, opts.Workers, func(r int) {
+			if candidates[fingerprintRow(t, kc, r, opts.Seed)] {
+				rows = append(rows, r)
+			}
+		})
+		tr.EntriesSent += len(rows)
+		tr.SecondPassSent = len(rows)
 	case KindJoin:
-		body = cheetahJoin
+		jp, ok := pruner.(*prune.Join)
+		if !ok {
+			return nil, fmt.Errorf("engine: join needs a *prune.Join, got %T", pruner)
+		}
+		side := func(tb *table.Table, s prune.JoinSide, col string) func([]uint64, int) {
+			key := []int{tb.Schema().MustIndex(col)}
+			return func(vals []uint64, r int) {
+				vals[0] = uint64(s)
+				vals[1] = fingerprintRow(tb, key, r, opts.Seed)
+			}
+		}
+		a, b := side(t, prune.SideA, q.LeftKey), side(q.Right, prune.SideB, q.RightKey)
+		if jp.Asymmetric() {
+			// §4.3's small-table optimization: side A streams once,
+			// unpruned, while its filter trains; side B is pruned against it.
+			stream(t, 2, a, keep)
+			jp.StartProbe()
+		} else {
+			// Pass 1: the key columns of both tables build the filters
+			// (§4.3's input column optimization); these packets terminate
+			// at the switch. Pass 2: full entries, pruned by the other
+			// side's filter.
+			drop := func(int, []uint64) {}
+			stream(t, 2, a, drop)
+			stream(q.Right, 2, b, drop)
+			jp.StartProbe()
+			stream(t, 2, a, keep)
+		}
+		stream(q.Right, 2, b, func(r int, _ []uint64) { right = append(right, r) })
 	case KindSkyline:
-		body = cheetahSkyline
+		sp, ok := pruner.(*prune.Skyline)
+		if !ok {
+			return nil, fmt.Errorf("engine: skyline needs a *prune.Skyline, got %T", pruner)
+		}
+		cols := make([]int, len(q.SkylineCols))
+		for i, c := range q.SkylineCols {
+			cols[i] = schema.MustIndex(c)
+		}
+		stream(t, len(cols)+1, func(vals []uint64, r int) {
+			for i, c := range cols {
+				vals[i] = uint64(t.Int64At(c, r))
+			}
+			vals[len(cols)] = uint64(r)
+		}, keep)
+		// Control-plane drain of the stored points at FIN: the entry ids
+		// rode along through swaps, so the master late-materializes them.
+		for _, e := range sp.Drain() {
+			tr.Forwarded++
+			rows = append(rows, int(e[len(cols)]))
+		}
 	default:
 		return nil, fmt.Errorf("engine: unknown kind %v", q.Kind)
 	}
-	run, err := body(q, opts, pruner)
-	if err != nil {
-		return nil, err
+	if run.Result == nil {
+		res, err := execRows(q, rows, right)
+		if err != nil {
+			return nil, err
+		}
+		run.Result = res
+		tr.MasterProcessed = len(rows) + len(right)
 	}
+	run.Stats = pruner.Stats()
 	// One switch: its traffic is the run's.
-	run.PerSwitch = []Traffic{run.Traffic}
+	run.PerSwitch = []Traffic{*tr}
 	return run, nil
 }
 
@@ -225,358 +388,4 @@ func fingerprintRow(t *table.Table, cols []int, r int, seed uint64) uint64 {
 		h = hashutil.Mix64(h ^ cell)
 	}
 	return h
-}
-
-// completeOnRows runs the master-side completion: the direct executor
-// restricted to the surviving rows.
-func completeOnRows(q *Query, rows []int) (*Result, error) {
-	switch q.Kind {
-	case KindFilter:
-		return execFilter(q, q.Table, rows)
-	case KindDistinct:
-		return execDistinct(q, q.Table, rows)
-	case KindTopN:
-		return execTopN(q, q.Table, rows)
-	case KindGroupByMax:
-		return execGroupByMax(q, q.Table, rows)
-	case KindSkyline:
-		return execSkyline(q, q.Table, rows)
-	default:
-		return nil, fmt.Errorf("engine: no row completion for %v", q.Kind)
-	}
-}
-
-func cheetahFilter(q *Query, opts CheetahOptions, pruner prune.Pruner) (*ShardedRun, error) {
-	// Supported predicates run on the switch; LIKE predicates are
-	// precomputed by the CWorker and shipped as bits (§4.1).
-	cols := make([]int, len(q.Predicates))
-	for i, p := range q.Predicates {
-		cols[i] = q.Table.Schema().MustIndex(p.Col)
-	}
-	run := &ShardedRun{PrunerName: pruner.Name()}
-	vals := make([]uint64, len(q.Predicates))
-	var survivors []int
-	interleave(q.Table, opts.Workers, func(r int) {
-		for i := range q.Predicates {
-			p := q.Predicates[i]
-			if p.SwitchSupported() {
-				vals[i] = uint64(q.Table.Int64At(cols[i], r))
-			} else if p.Eval(q.Table, cols[i], r) {
-				vals[i] = 1
-			} else {
-				vals[i] = 0
-			}
-		}
-		run.Traffic.EntriesSent++
-		if pruner.Process(vals) == switchsim.Forward {
-			run.Traffic.Forwarded++
-			survivors = append(survivors, r)
-		}
-	})
-	res, err := completeOnRows(q, survivors)
-	if err != nil {
-		return nil, err
-	}
-	run.Result = res
-	run.Traffic.MasterProcessed = len(survivors)
-	run.Stats = pruner.Stats()
-	return run, nil
-}
-
-func cheetahDistinct(q *Query, opts CheetahOptions, pruner prune.Pruner) (*ShardedRun, error) {
-	cols := make([]int, len(q.DistinctCols))
-	for i, c := range q.DistinctCols {
-		cols[i] = q.Table.Schema().MustIndex(c)
-	}
-	run := &ShardedRun{PrunerName: pruner.Name()}
-	vals := make([]uint64, 1)
-	var survivors []int
-	interleave(q.Table, opts.Workers, func(r int) {
-		vals[0] = fingerprintRow(q.Table, cols, r, opts.Seed)
-		run.Traffic.EntriesSent++
-		if pruner.Process(vals) == switchsim.Forward {
-			run.Traffic.Forwarded++
-			survivors = append(survivors, r)
-		}
-	})
-	res, err := completeOnRows(q, survivors)
-	if err != nil {
-		return nil, err
-	}
-	run.Result = res
-	run.Traffic.MasterProcessed = len(survivors)
-	run.Stats = pruner.Stats()
-	return run, nil
-}
-
-func cheetahTopN(q *Query, opts CheetahOptions, pruner prune.Pruner) (*ShardedRun, error) {
-	col := q.Table.Schema().MustIndex(q.OrderCol)
-	run := &ShardedRun{PrunerName: pruner.Name()}
-	vals := make([]uint64, 1)
-	var survivors []int
-	interleave(q.Table, opts.Workers, func(r int) {
-		vals[0] = uint64(q.Table.Int64At(col, r))
-		run.Traffic.EntriesSent++
-		if pruner.Process(vals) == switchsim.Forward {
-			run.Traffic.Forwarded++
-			survivors = append(survivors, r)
-		}
-	})
-	res, err := completeOnRows(q, survivors)
-	if err != nil {
-		return nil, err
-	}
-	run.Result = res
-	run.Traffic.MasterProcessed = len(survivors)
-	run.Stats = pruner.Stats()
-	return run, nil
-}
-
-func cheetahGroupByMax(q *Query, opts CheetahOptions, pruner prune.Pruner) (*ShardedRun, error) {
-	kc := q.Table.Schema().MustIndex(q.KeyCol)
-	vc := q.Table.Schema().MustIndex(q.AggCol)
-	run := &ShardedRun{PrunerName: pruner.Name()}
-	vals := make([]uint64, 2)
-	var survivors []int
-	interleave(q.Table, opts.Workers, func(r int) {
-		vals[0] = fingerprintRow(q.Table, []int{kc}, r, opts.Seed)
-		vals[1] = uint64(q.Table.Int64At(vc, r))
-		run.Traffic.EntriesSent++
-		if pruner.Process(vals) == switchsim.Forward {
-			run.Traffic.Forwarded++
-			survivors = append(survivors, r)
-		}
-	})
-	res, err := completeOnRows(q, survivors)
-	if err != nil {
-		return nil, err
-	}
-	run.Result = res
-	run.Traffic.MasterProcessed = len(survivors)
-	run.Stats = pruner.Stats()
-	return run, nil
-}
-
-func cheetahGroupBySum(q *Query, opts CheetahOptions, p prune.Pruner) (*ShardedRun, error) {
-	pruner, ok := p.(*prune.GroupBySum)
-	if !ok {
-		return nil, fmt.Errorf("engine: group-by-sum needs a *prune.GroupBySum, got %T", p)
-	}
-	kc := q.Table.Schema().MustIndex(q.KeyCol)
-	vc := q.Table.Schema().MustIndex(q.AggCol)
-	run := &ShardedRun{PrunerName: pruner.Name()}
-	// The master accumulates (fingerprint → partial sum); fingerprints
-	// resolve back to key strings via the CWorkers' key dictionaries
-	// (late materialization).
-	sums := map[uint64]int64{}
-	fpToKey := map[uint64]string{}
-	vals := make([]uint64, 2)
-	interleave(q.Table, opts.Workers, func(r int) {
-		fp := fingerprintRow(q.Table, []int{kc}, r, opts.Seed)
-		if _, ok := fpToKey[fp]; !ok {
-			fpToKey[fp] = cellString(q.Table, kc, r)
-		}
-		vals[0] = fp
-		vals[1] = uint64(q.Table.Int64At(vc, r))
-		run.Traffic.EntriesSent++
-		if d, out := pruner.ProcessEmit(vals); d == switchsim.Forward {
-			run.Traffic.Forwarded++
-			sums[out[0]] += int64(out[1])
-		}
-	})
-	for _, e := range pruner.Drain() {
-		run.Traffic.Forwarded++
-		sums[e[0]] += int64(e[1])
-	}
-	res := &Result{Columns: []string{q.KeyCol, "sum(" + q.AggCol + ")"}}
-	for fp, v := range sums {
-		res.Rows = append(res.Rows, []string{fpToKey[fp], fmtInt(v)})
-	}
-	res.Sort()
-	run.Result = res
-	run.Traffic.MasterProcessed = len(sums)
-	run.Stats = pruner.Stats()
-	return run, nil
-}
-
-func cheetahHaving(q *Query, opts CheetahOptions, p prune.Pruner) (*ShardedRun, error) {
-	pruner, ok := p.(*prune.Having)
-	if !ok {
-		return nil, fmt.Errorf("engine: having needs a *prune.Having, got %T", p)
-	}
-	kc := q.Table.Schema().MustIndex(q.KeyCol)
-	vc := q.Table.Schema().MustIndex(q.AggCol)
-	run := &ShardedRun{PrunerName: pruner.Name()}
-	// Pass 1: stream everything through the sketch; the master collects
-	// candidate key fingerprints.
-	candidates := map[uint64]bool{}
-	vals := make([]uint64, 2)
-	interleave(q.Table, opts.Workers, func(r int) {
-		fp := fingerprintRow(q.Table, []int{kc}, r, opts.Seed)
-		vals[0] = fp
-		vals[1] = uint64(q.Table.Int64At(vc, r))
-		run.Traffic.EntriesSent++
-		if pruner.Process(vals) == switchsim.Forward {
-			run.Traffic.Forwarded++
-			candidates[fp] = true
-		}
-	})
-	// Pass 2 (partial): workers re-stream only the candidate keys'
-	// entries; the master computes exact sums and drops false positives
-	// (§4.3).
-	sums := map[string]int64{}
-	interleave(q.Table, opts.Workers, func(r int) {
-		fp := fingerprintRow(q.Table, []int{kc}, r, opts.Seed)
-		if !candidates[fp] {
-			return
-		}
-		run.Traffic.EntriesSent++
-		run.Traffic.SecondPassSent++
-		sums[cellString(q.Table, kc, r)] += q.Table.Int64At(vc, r)
-	})
-	res := &Result{Columns: []string{q.KeyCol}}
-	for k, v := range sums {
-		if v > q.Threshold {
-			res.Rows = append(res.Rows, []string{k})
-		}
-	}
-	res.Sort()
-	run.Result = res
-	run.Traffic.MasterProcessed = run.Traffic.SecondPassSent
-	run.Stats = pruner.Stats()
-	return run, nil
-}
-
-func cheetahJoin(q *Query, opts CheetahOptions, p prune.Pruner) (*ShardedRun, error) {
-	pruner, ok := p.(*prune.Join)
-	if !ok {
-		return nil, fmt.Errorf("engine: join needs a *prune.Join, got %T", p)
-	}
-	lc := q.Table.Schema().MustIndex(q.LeftKey)
-	rc := q.Right.Schema().MustIndex(q.RightKey)
-	run := &ShardedRun{PrunerName: pruner.Name()}
-	vals := make([]uint64, 2)
-	var leftRows, rightRows []int
-	if pruner.Asymmetric() {
-		// §4.3's small-table optimization: stream side A once, unpruned,
-		// while its filter trains; then prune side B against it.
-		interleave(q.Table, opts.Workers, func(r int) {
-			vals[0] = uint64(prune.SideA)
-			vals[1] = fingerprintRow(q.Table, []int{lc}, r, opts.Seed)
-			run.Traffic.EntriesSent++
-			if pruner.Process(vals) == switchsim.Forward {
-				run.Traffic.Forwarded++
-				leftRows = append(leftRows, r)
-			}
-		})
-		pruner.StartProbe()
-		interleave(q.Right, opts.Workers, func(r int) {
-			vals[0] = uint64(prune.SideB)
-			vals[1] = fingerprintRow(q.Right, []int{rc}, r, opts.Seed)
-			run.Traffic.EntriesSent++
-			if pruner.Process(vals) == switchsim.Forward {
-				run.Traffic.Forwarded++
-				rightRows = append(rightRows, r)
-			}
-		})
-		res, err := execJoin(q, leftRows, rightRows)
-		if err != nil {
-			return nil, err
-		}
-		run.Result = res
-		run.Traffic.MasterProcessed = len(leftRows) + len(rightRows)
-		run.Stats = pruner.Stats()
-		return run, nil
-	}
-	// Pass 1: key columns of both tables build the filters (§4.3's input
-	// column optimization). These packets terminate at the switch.
-	interleave(q.Table, opts.Workers, func(r int) {
-		vals[0] = uint64(prune.SideA)
-		vals[1] = fingerprintRow(q.Table, []int{lc}, r, opts.Seed)
-		run.Traffic.EntriesSent++
-		if pruner.Process(vals) == switchsim.Forward {
-			run.Traffic.Forwarded++
-		}
-	})
-	interleave(q.Right, opts.Workers, func(r int) {
-		vals[0] = uint64(prune.SideB)
-		vals[1] = fingerprintRow(q.Right, []int{rc}, r, opts.Seed)
-		run.Traffic.EntriesSent++
-		if pruner.Process(vals) == switchsim.Forward {
-			run.Traffic.Forwarded++
-		}
-	})
-	// Pass 2: full entries, pruned by the other side's filter.
-	pruner.StartProbe()
-	interleave(q.Table, opts.Workers, func(r int) {
-		vals[0] = uint64(prune.SideA)
-		vals[1] = fingerprintRow(q.Table, []int{lc}, r, opts.Seed)
-		run.Traffic.EntriesSent++
-		if pruner.Process(vals) == switchsim.Forward {
-			run.Traffic.Forwarded++
-			leftRows = append(leftRows, r)
-		}
-	})
-	interleave(q.Right, opts.Workers, func(r int) {
-		vals[0] = uint64(prune.SideB)
-		vals[1] = fingerprintRow(q.Right, []int{rc}, r, opts.Seed)
-		run.Traffic.EntriesSent++
-		if pruner.Process(vals) == switchsim.Forward {
-			run.Traffic.Forwarded++
-			rightRows = append(rightRows, r)
-		}
-	})
-	res, err := execJoin(q, leftRows, rightRows)
-	if err != nil {
-		return nil, err
-	}
-	run.Result = res
-	run.Traffic.MasterProcessed = len(leftRows) + len(rightRows)
-	run.Stats = pruner.Stats()
-	return run, nil
-}
-
-func cheetahSkyline(q *Query, opts CheetahOptions, p prune.Pruner) (*ShardedRun, error) {
-	pruner, ok := p.(*prune.Skyline)
-	if !ok {
-		return nil, fmt.Errorf("engine: skyline needs a *prune.Skyline, got %T", p)
-	}
-	cols := make([]int, len(q.SkylineCols))
-	for i, c := range q.SkylineCols {
-		cols[i] = q.Table.Schema().MustIndex(c)
-	}
-	run := &ShardedRun{PrunerName: pruner.Name()}
-	vals := make([]uint64, len(cols)+1)
-	var survivors []int
-	interleave(q.Table, opts.Workers, func(r int) {
-		for i, c := range cols {
-			vals[i] = uint64(q.Table.Int64At(c, r))
-		}
-		vals[len(cols)] = uint64(r)
-		run.Traffic.EntriesSent++
-		if pruner.Process(vals) == switchsim.Forward {
-			run.Traffic.Forwarded++
-			survivors = append(survivors, r)
-		}
-	})
-	// Control-plane drain of the stored points at FIN: the entry ids
-	// rode along through swaps, so the master late-materializes them.
-	for _, e := range pruner.Drain() {
-		run.Traffic.Forwarded++
-		survivors = append(survivors, int(e[len(cols)]))
-	}
-	res, err := completeOnRows(q, survivors)
-	if err != nil {
-		return nil, err
-	}
-	run.Result = res
-	run.Traffic.MasterProcessed = len(survivors)
-	run.Stats = pruner.Stats()
-	return run, nil
-}
-
-// fmtInt is strconv.FormatInt(v, 10) with a shorter name for call sites
-// in this file.
-func fmtInt(v int64) string {
-	return fmt.Sprintf("%d", v)
 }

@@ -13,29 +13,40 @@ import (
 )
 
 // ExecDirect runs the query exactly on a single node — the ground truth
-// both execution paths must reproduce, and the completion step the master
-// applies to pruned data.
+// both execution paths must reproduce.
 func ExecDirect(q *Query) (*Result, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
+	var right []int
+	if q.Kind == KindJoin {
+		right = allRows(q.Right)
+	}
+	return execRows(q, allRows(q.Table), right)
+}
+
+// execRows is the direct executor restricted to rows of q.Table (and, for
+// a JOIN, right of q.Right): ExecDirect over every row, and the master's
+// completion over the rows the switch forwarded (completeSurvivors, the
+// scalar reference).
+func execRows(q *Query, rows, right []int) (*Result, error) {
 	switch q.Kind {
 	case KindFilter:
-		return execFilter(q, q.Table, allRows(q.Table))
+		return execFilter(q, q.Table, rows)
 	case KindDistinct:
-		return execDistinct(q, q.Table, allRows(q.Table))
+		return execDistinct(q, q.Table, rows)
 	case KindTopN:
-		return execTopN(q, q.Table, allRows(q.Table))
+		return execTopN(q, q.Table, rows)
 	case KindGroupByMax:
-		return execGroupByMax(q, q.Table, allRows(q.Table))
+		return execGroupByMax(q, q.Table, rows)
 	case KindGroupBySum:
-		return execGroupBySum(q, q.Table, allRows(q.Table))
+		return execGroupBySum(q, q.Table, rows)
 	case KindHaving:
-		return execHaving(q, q.Table, allRows(q.Table))
+		return execHaving(q, q.Table, rows)
 	case KindJoin:
-		return execJoin(q, allRows(q.Table), allRows(q.Right))
+		return execJoin(q, rows, right)
 	case KindSkyline:
-		return execSkyline(q, q.Table, allRows(q.Table))
+		return execSkyline(q, q.Table, rows)
 	default:
 		return nil, fmt.Errorf("engine: unknown kind %v", q.Kind)
 	}

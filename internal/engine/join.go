@@ -298,7 +298,7 @@ func completeJoin(q *Query, sc *joinScratch) [][]string {
 // row at two shards where a sort of the concatenation pays log n; one run
 // merges to itself.
 func joinResult(q *Query, runs [][][]string) *Result {
-	return &Result{Columns: []string{q.LeftKey, "pairs"}, Rows: mergeSortedRows(runs)}
+	return &Result{Columns: ResultColumns(q), Rows: mergeSortedRows(runs)}
 }
 
 // batchJoinPasses is fusedJoinPasses on the chunked pipeline — the same

@@ -538,15 +538,7 @@ func grouped(kind QueryKind) bool { return kind == KindGroupByMax || kind == Kin
 // order, sorting them when, as rows, they are not in Result.Sort's order
 // too (keyOrderExact; one-cell rows always are).
 func aggResult(q *Query, rows [][]string) *Result {
-	res := &Result{Columns: []string{q.KeyCol}, Rows: rows}
-	switch q.Kind {
-	case KindDistinct:
-		res.Columns = append([]string(nil), q.DistinctCols...)
-	case KindGroupByMax:
-		res.Columns = append(res.Columns, "max("+q.AggCol+")")
-	case KindGroupBySum:
-		res.Columns = append(res.Columns, "sum("+q.AggCol+")")
-	}
+	res := &Result{Columns: ResultColumns(q), Rows: rows}
 	if grouped(q.Kind) && !keyOrderExact(rows) {
 		res.Sort()
 	}
@@ -683,7 +675,7 @@ func (p *partial) render(q *Query) *Result {
 			}
 			rows[i] = row
 		}
-		res := &Result{Columns: append([]string(nil), q.DistinctCols...), Rows: rows}
+		res := &Result{Columns: ResultColumns(q), Rows: rows}
 		res.Sort()
 		return res
 	}

@@ -221,7 +221,7 @@ func completeSurvivors(q *Query, passes []*pass, parts [][]int, exact bool) (*Re
 		return filterResult(q, count, rows), nil
 	}
 	if len(passes) == 1 {
-		return completeOnRows(passes[0].q, parts[0])
+		return execRows(passes[0].q, parts[0], nil)
 	}
 	g, err := gatherSurvivors(passes, parts)
 	if err != nil {
@@ -229,7 +229,7 @@ func completeSurvivors(q *Query, passes []*pass, parts [][]int, exact bool) (*Re
 	}
 	qg := *q
 	qg.Table = g
-	return completeOnRows(&qg, allRows(g))
+	return execRows(&qg, allRows(g), nil)
 }
 
 // topN is TOP N's pass: forwarded values feed an N-heap straight from the

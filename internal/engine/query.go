@@ -9,6 +9,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"cheetah/internal/boolexpr"
@@ -294,6 +295,42 @@ type Result struct {
 	Rows    [][]string
 }
 
+// ResultColumns returns the header of q's result: every column of the
+// table for FILTER (one "count" column for COUNT(*)), the selected columns
+// for DISTINCT and SKYLINE, the ORDER BY column for TOP N, the key beside
+// max(...) or sum(...) for GROUP BY, the key alone for HAVING, and the
+// left key beside "pairs" for JOIN. Every pruned completion and standing
+// merger heads its result with it; the direct executor states its own
+// headers, as the oracle they are checked against.
+func ResultColumns(q *Query) []string {
+	switch q.Kind {
+	case KindFilter:
+		if q.CountOnly {
+			return []string{"count"}
+		}
+		names := make([]string, q.Table.NumCols())
+		for i, d := range q.Table.Schema() {
+			names[i] = d.Name
+		}
+		return names
+	case KindDistinct:
+		return slices.Clone(q.DistinctCols)
+	case KindTopN:
+		return []string{q.OrderCol}
+	case KindGroupByMax:
+		return []string{q.KeyCol, "max(" + q.AggCol + ")"}
+	case KindGroupBySum:
+		return []string{q.KeyCol, "sum(" + q.AggCol + ")"}
+	case KindHaving:
+		return []string{q.KeyCol}
+	case KindJoin:
+		return []string{q.LeftKey, "pairs"}
+	case KindSkyline:
+		return slices.Clone(q.SkylineCols)
+	}
+	return nil
+}
+
 // Sort puts the rows into the canonical order, CompareRows': ascending by
 // the "\x00"-joined row key, rows of one key cell by cell, which makes
 // results comparable. It is the one result sort, which the ExecDirect
@@ -302,9 +339,10 @@ type Result struct {
 // built per comparison.
 func (r *Result) Sort() { sortRows(r.Rows) }
 
-// Equal reports whether two sorted results match exactly.
+// Equal reports whether two sorted results match exactly, headers and
+// rows.
 func (r *Result) Equal(o *Result) bool {
-	if o == nil || len(r.Rows) != len(o.Rows) {
+	if o == nil || !slices.Equal(r.Columns, o.Columns) || len(r.Rows) != len(o.Rows) {
 		return false
 	}
 	for i := range r.Rows {

@@ -342,8 +342,10 @@ func TestShardedNilPrunerRejected(t *testing.T) {
 // the fused loops and the chunked pipeline, to the numbers the programs
 // reported when they still counted every entry in their own fields: the
 // fused loops now count in locals and deposit once per span (AddStats),
-// and nothing may be lost on the way. groupby-sum-evicting runs a matrix
-// small enough that aggregates are evicted mid-stream.
+// and nothing may be lost on the way. A scalar arm pins the per-entry
+// reference's one-switch Traffic and Stats on the same queries.
+// groupby-sum-evicting runs a matrix small enough that aggregates are
+// evicted mid-stream.
 func TestShardedStatsGolden(t *testing.T) {
 	tb := equivTable(t, 5000, 0x5eed)
 	rt := equivTable(t, 1777, 0x0dd)
@@ -378,16 +380,20 @@ func TestShardedStatsGolden(t *testing.T) {
 		{"skyline", true, prune.Stats{Processed: 5000, Pruned: 4819}, []Traffic{{2500, 104, 0, 104}, {2500, 97, 0, 97}}},
 		{"topn", true, prune.Stats{Processed: 5000, Pruned: 5}, []Traffic{{2500, 2498, 0, 2498}, {2500, 2497, 0, 2497}}},
 	}
+	evicting := func(name string) prune.Pruner {
+		if name != "groupby-sum-evicting" {
+			return nil
+		}
+		p, err := prune.NewGroupBySum(prune.GroupBySumConfig{Rows: 2, Cols: 4, Seed: 0xfeed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
 	for _, g := range golden {
 		opts := ShardedOptions{Shards: 2, Workers: 3, Seed: 0xfeed, NoFuse: g.noFuse}
-		if g.name == "groupby-sum-evicting" {
-			for range opts.Shards {
-				p, err := prune.NewGroupBySum(prune.GroupBySumConfig{Rows: 2, Cols: 4, Seed: 0xfeed})
-				if err != nil {
-					t.Fatal(err)
-				}
-				opts.Pruners = append(opts.Pruners, p)
-			}
+		if p := evicting(g.name); p != nil {
+			opts.Pruners = []prune.Pruner{p, evicting(g.name)}
 		}
 		run, err := ExecSharded(queries[g.name], opts)
 		if err != nil {
@@ -396,6 +402,38 @@ func TestShardedStatsGolden(t *testing.T) {
 		if run.Stats != g.stats || fmt.Sprint(run.PerSwitch) != fmt.Sprint(g.perSwitch) {
 			t.Errorf("%s noFuse=%v: stats %+v per switch %v, want %+v %v",
 				g.name, g.noFuse, run.Stats, run.PerSwitch, g.stats, g.perSwitch)
+		}
+	}
+	// The scalar reference at one switch, on the same queries: its
+	// Traffic and Stats are what the equivalence suites compare the
+	// chunked and fused passes against, so no rewrite of its loop may
+	// move them.
+	scalar := []struct {
+		name    string
+		stats   prune.Stats
+		traffic Traffic
+	}{
+		{"distinct-multi", prune.Stats{Processed: 5000, Pruned: 276}, Traffic{5000, 4724, 0, 4724}},
+		{"distinct-string", prune.Stats{Processed: 5000, Pruned: 4450}, Traffic{5000, 550, 0, 550}},
+		{"filter", prune.Stats{Processed: 5000, Pruned: 0}, Traffic{5000, 5000, 0, 5000}},
+		{"filter-count", prune.Stats{Processed: 5000, Pruned: 2957}, Traffic{5000, 2043, 0, 2043}},
+		{"groupby-max", prune.Stats{Processed: 5000, Pruned: 4804}, Traffic{5000, 196, 0, 196}},
+		{"groupby-sum", prune.Stats{Processed: 5000, Pruned: 5000}, Traffic{5000, 37, 0, 37}},
+		{"groupby-sum-evicting", prune.Stats{Processed: 5000, Pruned: 1036}, Traffic{5000, 3972, 0, 37}},
+		{"having", prune.Stats{Processed: 5000, Pruned: 1803}, Traffic{9926, 3197, 4926, 4926}},
+		{"join", prune.Stats{Processed: 13554, Pruned: 6934}, Traffic{13554, 6620, 0, 6620}},
+		{"skyline", prune.Stats{Processed: 5000, Pruned: 4883}, Traffic{5000, 127, 0, 127}},
+		{"topn", prune.Stats{Processed: 5000, Pruned: 71}, Traffic{5000, 4929, 0, 4929}},
+	}
+	for _, g := range scalar {
+		opts := CheetahOptions{Workers: 3, Seed: 0xfeed, Scalar: true, Pruner: evicting(g.name)}
+		run, err := ExecCheetah(queries[g.name], opts)
+		if err != nil {
+			t.Fatalf("%s scalar: %v", g.name, err)
+		}
+		if run.Stats != g.stats || fmt.Sprint(run.PerSwitch) != fmt.Sprint([]Traffic{g.traffic}) {
+			t.Errorf("%s scalar: stats %+v per switch %v, want %+v [%v]",
+				g.name, run.Stats, run.PerSwitch, g.stats, g.traffic)
 		}
 	}
 }

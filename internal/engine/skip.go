@@ -292,7 +292,7 @@ func joinRightSpans(left *table.Table, lc int, right *table.Table, rc int) ([]sp
 
 // offsetIDs wraps a segment view's encoder so the row ids it emits are
 // in the parent table's coordinates (the master's late materialization
-// and completeOnRows index the original q.Table).
+// and execRows index the original q.Table).
 func offsetIDs(enc partEncoder, base uint64) partEncoder {
 	if base == 0 {
 		return enc

@@ -120,7 +120,7 @@ func checkRunsMerge(t *testing.T, rows [][]string, k int) {
 	for _, run := range runs {
 		sortRows(run)
 	}
-	checkCanonicalOrder(t, fmt.Sprintf("merge of %d runs", k), joinResult(&Query{LeftKey: "k"}, runs).Rows, rows)
+	checkCanonicalOrder(t, fmt.Sprintf("merge of %d runs", k), joinResult(&Query{Kind: KindJoin, LeftKey: "k"}, runs).Rows, rows)
 }
 
 // sortOrderSeeds are FuzzResultSortOrder's corpus shapes: plain cells, NUL

@@ -56,11 +56,6 @@ type Options struct {
 	// TenantQuota caps any one tenant's concurrently active QoS leases
 	// per switch (0 = unlimited); see serve.Options.TenantQuota.
 	TenantQuota int
-	// Metrics, when non-nil, is the registry every switch's serving
-	// layer records into — pass one registry to aggregate several
-	// fabrics (or a whole server) into a single exposition endpoint.
-	// Nil creates a fabric-private registry.
-	Metrics *stats.Registry
 }
 
 // Fabric owns N per-switch serving layers. All methods are safe for
@@ -82,14 +77,11 @@ func New(opts Options) (*Fabric, error) {
 	if opts.Model.Stages == 0 {
 		opts.Model = switchsim.Tofino()
 	}
-	if opts.Metrics == nil {
-		opts.Metrics = stats.NewRegistry()
-	}
 	f := &Fabric{
 		model:       opts.Model,
 		queueLimit:  opts.QueueLimit,
 		tenantQuota: opts.TenantQuota,
-		metrics:     opts.Metrics,
+		metrics:     stats.NewRegistry(),
 	}
 	for i := 0; i < opts.Switches; i++ {
 		srv, err := f.newServer(i)

@@ -15,7 +15,6 @@ import (
 
 	"cheetah/internal/obs"
 	"cheetah/internal/plan"
-	"cheetah/internal/stats"
 	"cheetah/internal/table"
 	"cheetah/internal/wire"
 	"cheetah/internal/workload/multitenant"
@@ -30,14 +29,12 @@ func TestWireTraceAndMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := stats.NewRegistry()
 	var mu sync.Mutex
 	var slowLines []string
 	srv, err := Listen("127.0.0.1:0", Options{
 		Tables:             map[string]*table.Table{"visits": mix.Visits, "rankings": mix.Rankings},
 		Primary:            "visits",
 		Plan:               plan.Options{Switches: 2, Seed: 11},
-		Metrics:            reg,
 		SlowQueryThreshold: time.Nanosecond,
 		SlowQueryLog: func(format string, args ...any) {
 			mu.Lock()
@@ -49,8 +46,9 @@ func TestWireTraceAndMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
-	if srv.Metrics() != reg {
-		t.Fatal("server did not adopt the caller's registry")
+	reg := srv.Metrics()
+	if reg != srv.Session().Fabric().Metrics() {
+		t.Fatal("srv.Metrics() is not the session fabric's registry")
 	}
 	if !srv.Healthy() {
 		t.Fatal("fresh server reports unhealthy")

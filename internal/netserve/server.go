@@ -69,12 +69,6 @@ type Options struct {
 	// Stream, when non-nil, enables appends and subscriptions over the
 	// primary table with the given backlog/shed policy.
 	Stream *plan.StreamOptions
-	// Metrics, when non-nil, is the registry every layer of the server
-	// records into (fabric admission counters and gauges, query-latency
-	// histograms, credit stalls) — the registry cheetahd's /metrics
-	// endpoint exposes. Nil creates a server-private registry, reachable
-	// via Server.Metrics.
-	Metrics *stats.Registry
 	// SlowQueryThreshold, when > 0, counts and logs every query whose
 	// measured wall clock meets it.
 	SlowQueryThreshold time.Duration
@@ -115,17 +109,8 @@ func Serve(ln net.Listener, opts Options) (*Server, error) {
 	if opts.Primary == "" || primary == nil {
 		return nil, fmt.Errorf("netserve: Options.Tables must contain Primary (%q)", opts.Primary)
 	}
-	if opts.Metrics == nil {
-		opts.Metrics = stats.NewRegistry()
-	}
 	if opts.SlowQueryLog == nil {
 		opts.SlowQueryLog = log.Printf
-	}
-	// One registry across every layer: the fabric's admission series,
-	// the serving gauges/histograms and the server's own query metrics
-	// all land in the registry /metrics exposes.
-	if opts.Plan.Metrics == nil {
-		opts.Plan.Metrics = opts.Metrics
 	}
 	sess, err := plan.Open(primary, opts.Plan)
 	if err != nil {
@@ -149,7 +134,7 @@ func Serve(ln net.Listener, opts Options) (*Server, error) {
 		strm:    strm,
 		tables:  tables,
 		primary: opts.Primary,
-		metrics: opts.Metrics,
+		metrics: sess.Fabric().Metrics(),
 		slowAt:  opts.SlowQueryThreshold,
 		slowLog: opts.SlowQueryLog,
 		conns:   make(map[*conn]struct{}),
@@ -187,10 +172,10 @@ func (s *Server) Streaming() *plan.Streaming { return s.strm }
 // session's fabric, standing programs' leases included.
 func (s *Server) Stats() serve.Counters { return s.sess.Fabric().Total() }
 
-// Metrics returns the server's operational-metrics registry: fabric
-// admission counters, queue/lease gauges, admission-wait and
-// query-latency histograms, credit stalls — the series /metrics
-// exposes.
+// Metrics returns the server's operational-metrics registry, the
+// session fabric's: one registry across every layer — fabric admission
+// counters, queue/lease gauges, admission-wait and query-latency
+// histograms, credit stalls — the series /metrics exposes.
 func (s *Server) Metrics() *stats.Registry { return s.metrics }
 
 // WriteMetrics writes the registry in the Prometheus text format after

@@ -19,7 +19,6 @@ import (
 
 	"cheetah/internal/fabric"
 	"cheetah/internal/obs"
-	"cheetah/internal/stats"
 	"cheetah/internal/switchsim"
 	"cheetah/internal/table"
 )
@@ -74,12 +73,6 @@ type Options struct {
 	LossRate float64
 	// RTO overrides the rack's retransmission timeout (UseCluster only).
 	RTO time.Duration
-	// Metrics, when non-nil, is the operational-metrics registry the
-	// session's fabric records into (admission counters, queue-depth/
-	// active-lease gauges, admission-wait and delta-latency histograms).
-	// Nil gives the fabric a private registry, reachable via
-	// Fabric().Metrics().
-	Metrics *stats.Registry
 	// DisableTracing turns query lifecycle tracing off. By default every
 	// Exec/Submit/delta execution carries an obs.Trace collecting
 	// per-stage spans (plan, admission, skip, one shard span per switch
@@ -140,7 +133,6 @@ func Open(t *table.Table, opts Options) (*Session, error) {
 		Model:       opts.Model,
 		QueueLimit:  opts.QueueLimit,
 		TenantQuota: opts.TenantQuota,
-		Metrics:     opts.Metrics,
 	})
 	if err != nil {
 		return nil, err

@@ -71,28 +71,25 @@ type merger interface {
 // newMerger builds the standing-state merger for q. For windowed
 // subscriptions it is also the final fold over pane snapshots.
 func newMerger(q *engine.Query) (merger, error) {
+	cols := engine.ResultColumns(q)
 	switch q.Kind {
 	case engine.KindFilter:
 		if q.CountOnly {
-			return &countMerger{}, nil
+			return &countMerger{cols: cols}, nil
 		}
-		names := make([]string, q.Table.NumCols())
-		for i, d := range q.Table.Schema() {
-			names[i] = d.Name
-		}
-		return &bagMerger{standing{cols: names}}, nil
+		return &bagMerger{standing{cols: cols}}, nil
 	case engine.KindDistinct:
-		return &setMerger{standing: standing{cols: append([]string(nil), q.DistinctCols...)}}, nil
+		return &setMerger{standing: standing{cols: cols}}, nil
 	case engine.KindTopN:
 		return &topNMerger{q: q}, nil
 	case engine.KindGroupByMax:
-		return &keyAggMerger{standing: standing{cols: []string{q.KeyCol, "max(" + q.AggCol + ")"}}}, nil
+		return &keyAggMerger{standing: standing{cols: cols}}, nil
 	case engine.KindGroupBySum:
 		return sumMerger(q), nil
 	case engine.KindHaving:
-		return &keyAggMerger{standing: standing{cols: []string{q.KeyCol}}, sum: true, having: true, threshold: q.Threshold}, nil
+		return &keyAggMerger{standing: standing{cols: cols}, sum: true, having: true, threshold: q.Threshold}, nil
 	case engine.KindJoin:
-		return &keyAggMerger{standing: standing{cols: []string{q.LeftKey, "pairs"}}, sum: true}, nil
+		return &keyAggMerger{standing: standing{cols: cols}, sum: true}, nil
 	case engine.KindSkyline:
 		return newSkylineMerger(q), nil
 	default:
@@ -100,9 +97,10 @@ func newMerger(q *engine.Query) (merger, error) {
 	}
 }
 
-// sumMerger is GROUP BY SUM's merger, and HAVING's per pane.
+// sumMerger is GROUP BY SUM's merger, and HAVING's per pane: a pane is
+// headed like the delta results it folds, key and sum.
 func sumMerger(q *engine.Query) *keyAggMerger {
-	return &keyAggMerger{standing: standing{cols: []string{q.KeyCol, "sum(" + q.AggCol + ")"}}, sum: true}
+	return &keyAggMerger{standing: standing{cols: engine.ResultColumns(DeltaQuery(q, q.Table))}, sum: true}
 }
 
 // paneMerger builds the per-pane accumulator for windowed
@@ -176,7 +174,10 @@ func (s *standing) render() *engine.Result {
 
 // countMerger serves SELECT COUNT(*): the standing count is the sum of
 // delta counts.
-type countMerger struct{ count int64 }
+type countMerger struct {
+	cols  []string
+	count int64
+}
 
 func (m *countMerger) absorb(r *engine.Result) error {
 	if len(r.Rows) != 1 || len(r.Rows[0]) != 1 {
@@ -191,7 +192,7 @@ func (m *countMerger) absorb(r *engine.Result) error {
 }
 
 func (m *countMerger) snapshot() *engine.Result {
-	return &engine.Result{Columns: []string{"count"}, Rows: [][]string{{strconv.FormatInt(m.count, 10)}}}
+	return &engine.Result{Columns: m.cols, Rows: [][]string{{strconv.FormatInt(m.count, 10)}}}
 }
 
 // bagMerger serves FILTER: the standing result is the bag union of
@@ -374,7 +375,7 @@ func newSkylineMerger(q *engine.Query) *skylineMerger {
 		}
 		m.col[i] = j
 	}
-	m.res = &engine.Result{Columns: append([]string(nil), q.SkylineCols...)}
+	m.res = &engine.Result{Columns: engine.ResultColumns(q)}
 	return m
 }
 
