@@ -237,23 +237,6 @@ func accessorFor(t *table.Table, c int) colAcc {
 	return colAcc{ints: t.Int64Col(c)}
 }
 
-// same reports whether row r of a and row o of b, a column of a's type,
-// hold equal cells.
-func (a colAcc) same(r int, b colAcc, o int) bool {
-	if a.isStr {
-		return a.strs[r] == b.strs[o]
-	}
-	return a.ints[r] == b.ints[o]
-}
-
-// cell renders row r's cell, as cellString does.
-func (a colAcc) cell(r int) string {
-	if a.isStr {
-		return a.strs[r]
-	}
-	return strconv.FormatInt(a.ints[r], 10)
-}
-
 // keyColumn returns the key fingerprints of column c of t under seed, one
 // per row, and how many rows this call hashed: the table's memoised column
 // (table.KeyFingerprints), shared with every other reader of it, or — for

@@ -8,21 +8,26 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"cheetah/internal/table"
 )
 
-// collisionRun is one aggregation over a table whose fingerprint column
-// was forced to collide, run through the sharded executor.
+// collisionRun is one aggregation or JOIN over tables whose fingerprint
+// columns were forced to collide, run through the sharded executor.
 type collisionRun struct {
 	label   string // kind, key type, fingerprints, width
 	outcome string // Traffic and Stats
 	differs int    // keys whose row differs from ExecDirect's
 }
 
-// collisionRuns runs DISTINCT, GROUP BY MAX, GROUP BY SUM and HAVING at
-// k ∈ {1, 2, 3} over string and integer keys whose fingerprints are
-// forced (collidingFingerprints) by writing them into the table's
-// fingerprint column — what the switch streams, and what the key
-// dictionary preselects by, while its ids still compare the cells.
+// collisionRuns runs DISTINCT, GROUP BY MAX, GROUP BY SUM, HAVING and
+// JOIN at k ∈ {1, 2, 3} over string and integer keys whose fingerprints
+// are forced (collidingFingerprints) by writing them into the tables'
+// fingerprint columns — what the switch streams, what the key dictionary
+// preselects by and what JOIN's key map probes the other side's
+// dictionary with, while ids and map still compare the cells. A sharded
+// JOIN scatters on the tables' key-only co-partition (table.ShardKeys),
+// whose shards are tables of their own: their columns are forced too.
 func collisionRuns(t *testing.T) []collisionRun {
 	t.Helper()
 	const seed = 7
@@ -34,26 +39,35 @@ func collisionRuns(t *testing.T) []collisionRun {
 	slices.Sort(names)
 	for _, intKeys := range []bool{false, true} {
 		for _, fname := range names {
-			keys := seqKeys(600, 0, 37)
-			tb := joinKeyTable(t, intKeys, keys, nil)
-			fps, _, ok := tb.KeyFingerprints(0, seed)
-			if !ok {
-				t.Fatal("a fresh table turned its own fingerprint column away")
-			}
-			for r, k := range keys {
-				fps[r] = collidingFingerprints[fname](k)
-			}
+			fp := collidingFingerprints[fname]
+			tb := joinKeyTable(t, intKeys, seqKeys(600, 0, 37), nil)
+			rt := joinKeyTable(t, intKeys, seqKeys(400, 20, 50), nil)
+			forceKeyFingerprints(t, tb, seed, fp)
+			forceKeyFingerprints(t, rt, seed, fp)
 			for _, q := range []*Query{
 				{Kind: KindDistinct, Table: tb, DistinctCols: []string{"name"}},
 				{Kind: KindGroupByMax, Table: tb, KeyCol: "name", AggCol: "pay"},
 				{Kind: KindGroupBySum, Table: tb, KeyCol: "name", AggCol: "pay"},
 				{Kind: KindHaving, Table: tb, KeyCol: "name", AggCol: "pay", Threshold: 4800},
+				{Kind: KindJoin, Table: tb, Right: rt, LeftKey: "name", RightKey: "name"},
 			} {
 				want, err := ExecDirect(q)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for _, k := range []int{1, 2, 3} {
+					for _, side := range []*table.Table{q.Table, q.Right} {
+						if q.Kind != KindJoin || k == 1 {
+							break
+						}
+						shards, err := side.ShardKeys("name", k)
+						if err != nil {
+							t.Fatal(err)
+						}
+						for _, sh := range shards {
+							forceKeyFingerprints(t, sh, seed, fp)
+						}
+					}
 					run, err := ExecSharded(q, ShardedOptions{Shards: k, Workers: 2, Seed: seed})
 					if err != nil {
 						t.Fatal(err)
@@ -68,6 +82,19 @@ func collisionRuns(t *testing.T) []collisionRun {
 		}
 	}
 	return runs
+}
+
+// forceKeyFingerprints forces fp(key) on every row of tb, key the number
+// joinKeyTable spelled the row's cell from.
+func forceKeyFingerprints(t *testing.T, tb *table.Table, seed uint64, fp func(key int) uint64) {
+	t.Helper()
+	forceFingerprints(t, tb, seed, func(r int) uint64 {
+		if tb.ColumnType(0) == table.String {
+			key, _ := strconv.Atoi(strings.TrimPrefix(tb.StringAt(0, r), "user"))
+			return fp(key)
+		}
+		return fp(int(tb.Int64At(0, r)))
+	})
 }
 
 // keysDiffering counts the keys — first cells — whose row is not the same
@@ -100,8 +127,8 @@ func keysDiffering(a, b *Result) int {
 // testdata/agg_collisions.golden with the fingerprint-keyed master that
 // preceded the id-keyed one — and the master can only move a Result toward
 // ExecDirect: each run's Result differs from ExecDirect's in no more keys
-// than the recorded run's did, HAVING's in none, and across the runs in
-// fewer.
+// than the recorded run's did, HAVING's and JOIN's in none, and across the
+// runs in fewer.
 func TestAggCollisions(t *testing.T) {
 	f, err := os.Open("testdata/agg_collisions.golden")
 	if err != nil {
@@ -140,8 +167,8 @@ func TestAggCollisions(t *testing.T) {
 			t.Fatalf("%s: the switch side moved:\n got %s\nwant %s", r.label, r.outcome, g.outcome)
 		case r.differs > g.differs:
 			t.Fatalf("%s: differs from ExecDirect in %d keys, the fingerprint-keyed master in %d", r.label, r.differs, g.differs)
-		case strings.HasPrefix(r.label, "having") && r.differs != 0:
-			t.Fatalf("%s: HAVING differs from ExecDirect in %d keys", r.label, r.differs)
+		case (strings.HasPrefix(r.label, "having") || strings.HasPrefix(r.label, "join")) && r.differs != 0:
+			t.Fatalf("%s: differs from ExecDirect in %d keys", r.label, r.differs)
 		}
 		before, after = before+g.differs, after+r.differs
 	}

@@ -4,16 +4,17 @@ package engine
 // a pass before it has hashed: each side's key fingerprints are a column
 // the table keeps (table.KeyFingerprints), the build pass trains on it,
 // the probe pass tests it, and survivor row ids reach the master. The
-// master reads no key byte per survivor either: each side's table keeps a
-// key dictionary too (table.KeyIDs), so the master counts each side's
-// survivors per key id, matches the two sides' distinct keys on their
-// fingerprints, and confirms every fingerprint match with one comparison
-// of the two key cells — so two keys that collide on a fingerprint stay
-// two keys and the answer is exact, at one comparison per distinct joined
-// key. One completion (completeJoin) serves the one JOIN pass
-// (pass.join), fused or chunked, single-switch or per shard, and reads
-// nothing of either table but its key column — which is why a sharded
-// JOIN's shards carry only that (shardTables); execJoin, the
+// master matches no key per query either: each side's table keeps a key
+// dictionary (table.KeyIDs), and the left one keeps the map from the right
+// side's key ids to its own (KeyIDs.Map) — built once per pair of
+// dictionaries, by fingerprint plus one cell comparison per key, so two
+// keys that collide on a fingerprint stay two keys and the answer is
+// exact. So the master counts each side's survivors per key id and joins
+// the counts through the map: integer work, reading key cells only to
+// render the joined keys. One completion (completeJoin) serves the one
+// JOIN pass (pass.join), fused or chunked, single-switch or per shard, and
+// reads nothing of either table but its key column — which is why a
+// sharded JOIN's shards carry only that (shardTables); execJoin, the
 // plain string-keyed join, stays what ExecDirect runs and what the tests
 // compare against. Keys of two column types never meet on the switch
 // (MixedJoinKeys), so no pruned path takes them.
@@ -30,31 +31,43 @@ import (
 
 // joinSide is one JOIN input: on the worker side col, its key column's
 // fingerprints by row — the table's memoised column or scratch (keyColumn)
-// — and ids, its key ids by row (keyIDs); on the master side rows, what
-// survived the switch, and keys, those rows counted per key.
+// — and keys, its key ids (keyIDs); on the master side rows, what
+// survived the switch, and counts, those rows counted per key id.
 type joinSide struct {
 	rows      []int
 	col       []uint64 // shared with the table: read-only, dropped before pooling
 	scratch   []uint64
-	ids       []uint32 // likewise: the table's dictionary, or idScratch
+	keys      table.KeyIDs // likewise: the table's dictionary, or idScratch
 	idScratch table.KeyIDScratch
-	keys      joinKeys
+	counts    []int32
 }
 
 // load fetches the side's fingerprint column and key ids for a pass over
 // t and returns how many rows that hashed and built.
 func (s *joinSide) load(t *table.Table, kc int, seed uint64) (hashed, built int) {
 	s.col, hashed = keyColumn(t, kc, seed, &s.scratch)
-	var k table.KeyIDs
-	k, built = keyIDs(t, kc, seed, s.col, &s.idScratch)
-	s.ids = k.IDs
+	s.keys, built = keyIDs(t, kc, seed, s.col, &s.idScratch)
 	return hashed, built
 }
 
 // poolable reports whether s's scratch is within the pools' bound.
 func (s *joinSide) poolable() bool {
-	return poolable(cap(s.rows), cap(s.scratch), s.idScratch.Cap(), cap(s.keys.keys),
-		cap(s.keys.byID.slots), cap(s.keys.byFP))
+	return poolable(cap(s.rows), cap(s.scratch), s.idScratch.Cap(), cap(s.counts))
+}
+
+// count returns s's survivors counted per key id, in counts grown to the
+// side's dictionary and zeroed first.
+func (s *joinSide) count() []int32 {
+	n := s.keys.Len()
+	if cap(s.counts) < n {
+		s.counts = make([]int32, n)
+	}
+	s.counts = s.counts[:n]
+	clear(s.counts)
+	for _, r := range s.rows {
+		s.counts[s.keys.IDs[r]]++
+	}
+	return s.counts
 }
 
 // train adds the fingerprint of every row in spans to mem (a nil mem
@@ -91,30 +104,51 @@ func (s *joinSide) probe(spans []span, mem sketch.Membership) (sent, fwd int) {
 }
 
 // joinScratch is the pooled state of one pruned JOIN: both sides'
-// buffers, the master's per-key counts included.
+// buffers, the master's per-key counts included, and the key map from the
+// right side's ids to the left's — the left dictionary's, or built into
+// xmapScratch.
 type joinScratch struct {
 	left, right joinSide
+	xmap        table.KeyMap
+	xmapScratch table.KeyMapScratch
 }
 
 var joinScratchPool = sync.Pool{New: func() any { return new(joinScratch) }}
 
-// load fetches both sides' fingerprint columns and key ids for a pass over
-// q's table pair and returns the pass's keysNote and idsNote.
+// load fetches both sides' fingerprint columns and key ids, and the key
+// map between them, for a pass over q's table pair and returns the pass's
+// keysNote, idsNote and xmapNote.
 func (sc *joinScratch) load(q *Query, seed uint64) (note string) {
 	lc := q.Table.Schema().MustIndex(q.LeftKey)
 	rc := q.Right.Schema().MustIndex(q.RightKey)
 	lh, lb := sc.left.load(q.Table, lc, seed)
 	rh, rb := sc.right.load(q.Right, rc, seed)
-	return keysNote(lh+rh) + "; " + idsNote(lb+rb)
+	var probed int
+	var cold bool
+	sc.xmap, probed, cold = sc.left.keys.Map(sc.right.keys, &sc.xmapScratch)
+	return keysNote(lh+rh) + "; " + idsNote(lb+rb) + "; " + xmapNote(probed, cold)
 }
 
-// release returns sc to the pool without the tables' columns and ids,
-// which the pool must not pin — and drops it whole when one huge JOIN
+// xmapNote is idsNote for the key map: whether the pass found it on the
+// left dictionary, extended it by n ids or built it over n.
+func xmapNote(probed int, cold bool) string {
+	switch {
+	case cold:
+		return "xmap: built " + strconv.Itoa(probed)
+	case probed > 0:
+		return "xmap: extended " + strconv.Itoa(probed)
+	}
+	return "xmap: memo"
+}
+
+// release returns sc to the pool without the tables' columns, ids and key
+// map, which the pool must not pin — and drops it whole when one huge JOIN
 // grew its scratch past the pools' bound.
 func (sc *joinScratch) release() {
 	sc.left.col, sc.right.col = nil, nil
-	sc.left.ids, sc.right.ids = nil, nil
-	if !sc.left.poolable() || !sc.right.poolable() {
+	sc.left.keys, sc.right.keys = table.KeyIDs{}, table.KeyIDs{}
+	sc.xmap = table.KeyMap{}
+	if !sc.left.poolable() || !sc.right.poolable() || !poolable(sc.xmapScratch.Cap()) {
 		*sc = joinScratch{}
 	}
 	joinScratchPool.Put(sc)
@@ -164,129 +198,40 @@ func fusedJoinPasses(q *Query, j *prune.Join, skip bool, sc *joinScratch) (tr Tr
 	return tr, skipped
 }
 
-// joinKey is one distinct key among a side's survivors.
-type joinKey struct {
-	fp  uint64 // the key's fingerprint
-	id  uint32 // the key's id in the side's table
-	row int32  // the first survivor with the key
-	n   int32  // survivors with the key
-	m   int32  // on the build side: the joined probe-side key's n, or 0
-}
-
-// joinKeys counts one side's survivors per key: keys lists the distinct
-// keys in first-seen order; byID counts survivors per key id (the slot's
-// v); and, on the build side, byFP finds keys (index + 1) by fingerprint.
-// byFP may hold several keys per fingerprint: two keys that share one sit
-// on one probe run, told apart by their cells.
-type joinKeys struct {
-	keys      []joinKey
-	byID      idTable
-	byFP      []int32 // at most half full
-	fpIndexed bool    // byFP holds keys
-}
-
-// reset empties k — slot by slot where its last keys took few slots.
-func (k *joinKeys) reset() {
-	k.byID.reset(func(i int) uint32 { return k.keys[i].id })
-	if k.fpIndexed {
-		if 8*len(k.keys) >= len(k.byFP) {
-			clear(k.byFP)
-		} else {
-			mask := uint64(len(k.byFP) - 1)
-			for i := range k.keys {
-				h := k.keys[i].fp & mask
-				for k.byFP[h] != int32(i+1) {
-					h = (h + 1) & mask
-				}
-				k.byFP[h] = 0
-			}
-		}
-		k.fpIndexed = false
-	}
-	k.keys = k.keys[:0]
-}
-
-// tally fills k with s's survivors: per row one id lookup, no key byte.
-func (k *joinKeys) tally(s *joinSide) {
-	k.reset()
-	for _, r := range s.rows {
-		id := s.ids[r]
-		sl := k.byID.find(id)
-		if sl == nil {
-			sl = k.byID.claim(id)
-			k.keys = append(k.keys, joinKey{id: id, row: int32(r)})
-		}
-		sl.v++
-	}
-	for i := range k.keys {
-		e := &k.keys[i]
-		e.fp, e.n = s.col[e.row], int32(k.byID.find(e.id).v)
-	}
-}
-
-// indexFPs fills byFP with k's keys.
-func (k *joinKeys) indexFPs() {
-	n := keyTableMinSlots
-	for n < 2*len(k.keys) {
-		n *= 2
-	}
-	if len(k.byFP) < n {
-		k.byFP = make([]int32, n) // a larger one is empty, and serves
-	}
-	k.fpIndexed = true
-	mask := uint64(len(k.byFP) - 1)
-	for i := range k.keys {
-		h := k.keys[i].fp & mask
-		for k.byFP[h] != 0 {
-			h = (h + 1) & mask
-		}
-		k.byFP[h] = int32(i + 1)
-	}
-}
-
 // completeJoin is the master's completion of every pruned JOIN: it joins
 // sc's two survivor lists and returns execJoin's rows — (key, pair count)
 // per joined key — unsorted; pass.join sorts them into its part. Each
-// side's survivors are counted per key id; the build side's distinct keys
-// are indexed by fingerprint, and each probe-side key that meets one is
-// confirmed by comparing the two cells once. As a hash join does, it
-// builds on the shorter survivor list and emits in that list's
-// first-seen order; pair counts are products, so the roles do not show in
-// the answer (and when that list comes from a key-ordered table — a
-// dimension table — the rows come out in order and the sort is one pass).
-func completeJoin(q *Query, sc *joinScratch) [][]string {
-	lc := q.Table.Schema().MustIndex(q.LeftKey)
-	rc := q.Right.Schema().MustIndex(q.RightKey)
-	build, probe := &sc.left, &sc.right
-	bc, pc := accessorFor(q.Table, lc), accessorFor(q.Right, rc)
-	if len(probe.rows) < len(build.rows) {
-		build, probe, bc, pc = probe, build, pc, bc
-	}
-	build.keys.tally(build)
-	probe.keys.tally(probe)
-	bk := &build.keys
-	bk.indexFPs()
-	mask := uint64(len(bk.byFP) - 1)
+// side's survivors are counted per key id, and the right side's distinct
+// keys, in first-seen order, meet their left counts through the key map:
+// no fingerprint, no key comparison, and a key cell read only to render a
+// joined key. Pair counts are products, so the sides' roles do not show in
+// the answer (and when the right side is a key-ordered dimension table the
+// rows come out in order and the sort is one pass).
+func completeJoin(sc *joinScratch) [][]string {
+	lc, rc := sc.left.count(), sc.right.count()
+	r := &sc.right
 	joined := 0
-	for _, pk := range probe.keys.keys {
-		for h := pk.fp & mask; bk.byFP[h] != 0; h = (h + 1) & mask {
-			if e := &bk.keys[bk.byFP[h]-1]; e.fp == pk.fp && bc.same(int(e.row), pc, int(pk.row)) {
-				e.m = pk.n
-				joined++
-				break
-			}
+	for rid, n := range rc {
+		if n == 0 {
+			continue
+		}
+		if lid, ok := sc.xmap.Left(uint32(rid)); ok && lc[lid] > 0 {
+			joined++
 		}
 	}
 	rows := make([][]string, 0, joined)
 	backing := make([]string, 2*joined)
-	for i := range bk.keys {
-		e := &bk.keys[i]
-		if e.m == 0 {
+	for _, row := range r.rows {
+		rid := r.keys.IDs[row]
+		n := rc[rid]
+		lid, ok := sc.xmap.Left(rid)
+		if n == 0 || !ok || lc[lid] == 0 {
 			continue
 		}
-		row := backing[2*len(rows) : 2*len(rows)+2 : 2*len(rows)+2]
-		row[0], row[1] = bc.cell(int(e.row)), strconv.Itoa(int(e.n)*int(e.m))
-		rows = append(rows, row)
+		rc[rid] = 0 // rendered: later survivors with the key skip it
+		cells := backing[2*len(rows) : 2*len(rows)+2 : 2*len(rows)+2]
+		cells[0], cells[1] = r.keys.Cell(rid), strconv.Itoa(int(lc[lid])*int(n))
+		rows = append(rows, cells)
 	}
 	return rows
 }

@@ -112,8 +112,10 @@ func joinEdgeQuery(t *testing.T, c joinEdgeCase, intKeys bool) *Query {
 // TestCompleteJoinCollisions hands completeJoin fingerprints that
 // collide — all equal, pairwise equal, and honest — and requires
 // execJoin's answer each time: the fingerprint may only preselect, the
-// key cells decide. The key ids are the tables' own, so keys that share a
-// forced fingerprint are distinct keys to them, as they must be.
+// key cells decide. The fingerprints are forced into both tables'
+// fingerprint columns before anything reads them, so the key
+// dictionaries and the key map between them are built from them: keys
+// that share a forced fingerprint stay distinct keys, as they must.
 func TestCompleteJoinCollisions(t *testing.T) {
 	fingerprints := map[string]func(key int) uint64{
 		"all-equal": func(int) uint64 { return 7 },
@@ -123,25 +125,20 @@ func TestCompleteJoinCollisions(t *testing.T) {
 	}
 	for _, intKeys := range []bool{false, true} {
 		for _, c := range joinEdgeCases() {
-			q := joinEdgeQuery(t, c, intKeys)
-			left, right := allRows(q.Table), allRows(q.Right)
-			want, err := execJoin(q, left, right)
-			if err != nil {
-				t.Fatal(err)
-			}
 			for fname, fp := range fingerprints {
+				q := joinEdgeQuery(t, c, intKeys)
+				left, right := allRows(q.Table), allRows(q.Right)
+				want, err := execJoin(q, left, right)
+				if err != nil {
+					t.Fatal(err)
+				}
+				forceFingerprints(t, q.Table, 3, func(r int) uint64 { return fp(c.left[r]) })
+				forceFingerprints(t, q.Right, 3, func(r int) uint64 { return fp(c.right[r]) })
 				sc := new(joinScratch)
 				sc.load(q, 3)
+				// Every row survives.
 				sc.left.rows, sc.right.rows = left, right
-				// Every row survives, and carries the forced fingerprint.
-				sc.left.col, sc.right.col = nil, nil
-				for _, k := range c.left {
-					sc.left.col = append(sc.left.col, fp(k))
-				}
-				for _, k := range c.right {
-					sc.right.col = append(sc.right.col, fp(k))
-				}
-				rows := completeJoin(q, sc)
+				rows := completeJoin(sc)
 				sortRows(rows)
 				if got := joinResult(q, [][][]string{rows}); !got.Equal(want) {
 					t.Fatalf("%s int=%v fingerprints=%s: completeJoin diverges from execJoin\nwant:\n%s\ngot:\n%s",
@@ -149,6 +146,20 @@ func TestCompleteJoinCollisions(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// forceFingerprints writes fp(r) into row r of tb's fingerprint column
+// of its first column under seed — what the switch streams, and what the
+// key dictionary and the key map are built by.
+func forceFingerprints(t *testing.T, tb *table.Table, seed uint64, fp func(r int) uint64) {
+	t.Helper()
+	fps, _, ok := tb.KeyFingerprints(0, seed)
+	if !ok {
+		t.Fatal("a fresh table turned its own fingerprint column away")
+	}
+	for r := range fps {
+		fps[r] = fp(r)
 	}
 }
 
@@ -178,6 +189,67 @@ func TestMixedKeyJoinRejected(t *testing.T) {
 	for name, run := range runs {
 		if err := run(); err == nil || !strings.Contains(err.Error(), "same-typed keys") {
 			t.Fatalf("%s: got %v, want the mixed-key refusal", name, err)
+		}
+	}
+}
+
+// TestJoinWithinOneRoot joins key columns that share a root: a table with
+// itself on one column (one dictionary, so the key map is the identity),
+// two columns of one table (two dictionaries of one root, whose extenders
+// share its lock), and a SnapshotPrefix with its root and the reverse
+// (one dictionary read through handles of two lengths) — before and after
+// an append that brings new keys, so the snapshot lags the map its root
+// has extended. Each run, cold and warm, one switch and two, must equal
+// ExecDirect.
+func TestJoinWithinOneRoot(t *testing.T) {
+	tb := table.MustNew(table.Schema{
+		{Name: "a", Type: table.String}, {Name: "b", Type: table.String},
+		{Name: "x", Type: table.Int64}, {Name: "y", Type: table.Int64},
+	})
+	appendRows := func(from, n int) {
+		for i := from; i < from+n; i++ {
+			g := i / 700 // the append's rows bring keys of their own too
+			if err := tb.AppendRow(fmt.Sprintf("k%d", i%41+30*g), fmt.Sprintf("k%d", (i*3)%53+20+30*g),
+				int64(i%29+20*g), int64((i*5)%37+10+20*g)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	appendRows(0, 700)
+	snap, err := tb.SnapshotPrefix(300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := map[string]*Query{
+		"self-string":   {Kind: KindJoin, Table: tb, Right: tb, LeftKey: "a", RightKey: "a"},
+		"self-int":      {Kind: KindJoin, Table: tb, Right: tb, LeftKey: "x", RightKey: "x"},
+		"two-string":    {Kind: KindJoin, Table: tb, Right: tb, LeftKey: "a", RightKey: "b"},
+		"two-int":       {Kind: KindJoin, Table: tb, Right: tb, LeftKey: "y", RightKey: "x"},
+		"snapshot-root": {Kind: KindJoin, Table: snap, Right: tb, LeftKey: "a", RightKey: "a"},
+		"root-snapshot": {Kind: KindJoin, Table: tb, Right: snap, LeftKey: "b", RightKey: "a"},
+		"snapshot-self": {Kind: KindJoin, Table: snap, Right: snap, LeftKey: "x", RightKey: "y"},
+	}
+	for _, phase := range []string{"cold", "warm", "after append"} {
+		if phase == "after append" {
+			appendRows(700, 400)
+		}
+		for name, q := range queries {
+			want, err := ExecDirect(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(want.Rows) == 0 {
+				t.Fatalf("%s: ExecDirect joins nothing", name)
+			}
+			for _, k := range []int{1, 2} {
+				run, err := ExecSharded(q, ShardedOptions{Shards: k, Workers: 2, Seed: 5})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !run.Result.Equal(want) {
+					t.Fatalf("%s %s k=%d: diverges from ExecDirect\nwant:\n%s\ngot:\n%s", name, phase, k, want, run.Result)
+				}
+			}
 		}
 	}
 }

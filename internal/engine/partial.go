@@ -83,8 +83,7 @@ type keyTable[K uint32 | uint64] struct {
 	n     int // keys held
 }
 
-// The key tables of the partial (by id, by fingerprint) and of JOIN's
-// survivor counts (by id).
+// The key tables of the partial: by id, by fingerprint.
 type (
 	idTable = keyTable[uint32]
 	fpTable = keyTable[uint64]

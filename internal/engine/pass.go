@@ -334,7 +334,7 @@ func (ps *pass) joinRows() ([][]string, error) {
 	// program keeps the chunked pipeline).
 	if ps.fuse(j.Phase() == prune.PhaseBuild) {
 		ps.traffic, ps.skipped = fusedJoinPasses(ps.q, j, ps.skip, sc)
-		return completeJoin(ps.q, sc), nil
+		return completeJoin(sc), nil
 	}
 	buf := getStreamBuf()
 	defer putStreamBuf(buf)
@@ -343,7 +343,7 @@ func (ps *pass) joinRows() ([][]string, error) {
 		return nil, err
 	}
 	ps.traffic, ps.skipped = tr, skipped
-	return completeJoin(ps.q, sc), nil
+	return completeJoin(sc), nil
 }
 
 // completeAgg is the aggregation kinds' completion. HAVING inserts a

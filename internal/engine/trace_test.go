@@ -223,7 +223,8 @@ func TestTraceSpansPerPath(t *testing.T) {
 						t.Fatalf("%s: merge starts at %v, before shard %d ended at %v", label, merge.Start, s.Switch, s.Start+s.Dur)
 					}
 					stream, rest, _ := strings.Cut(s.Note, "; ")
-					keys, ids, _ := strings.Cut(rest, "; ")
+					keys, rest, _ := strings.Cut(rest, "; ")
+					ids, xmap, _ := strings.Cut(rest, "; ")
 					// Every default run takes the fused loops: a silent fall to
 					// the chunked stream costs a Process call per entry.
 					if want := map[bool]string{false: "fused", true: "chunked"}[noFuse]; stream != want {
@@ -232,7 +233,8 @@ func TestTraceSpansPerPath(t *testing.T) {
 					if keyRows, _ := keyRowsOf(q); (keyRows > 0) != isNote(keys, "keys", "hashed") {
 						t.Fatalf("%s: shard %d reads %d rows of key fingerprints, noted %q", label, s.Switch, keyRows, s.Note)
 					}
-					if idsInPass != isNote(ids, "ids", "built") {
+					if idsInPass != isNote(ids, "ids", "built") ||
+						idsInPass != (isNote(xmap, "xmap", "built") || isNote(xmap, "xmap", "extended")) {
 						t.Fatalf("%s: shard %d noted %q", label, s.Switch, s.Note)
 					}
 				}
@@ -279,7 +281,8 @@ func TestTraceSpansPerPath(t *testing.T) {
 	// it — and the same query again reads both off the table, unless the
 	// key spans columns, which is hashed per query and has no dictionary.
 	// JOIN reads ids in its pass, the aggregation kinds in the master's
-	// completion.
+	// completion; JOIN's pass then notes its key map, built over the fewer
+	// keys of each shard's pair on the cold run and read on the warm one.
 	for _, noFuse := range []bool{false, true} {
 		for _, k := range []int{1, 3} {
 			for name := range equivQueries(tb, rt) {
@@ -315,7 +318,16 @@ func TestTraceSpansPerPath(t *testing.T) {
 					}
 					st := stagesOf(tr)
 					tr.Release()
-					if got := (notes{addNotes(st[obs.StageShard]), st[obs.StageMerge][0].Note}); got != want {
+					got := notes{addNotes(st[obs.StageShard]), st[obs.StageMerge][0].Note}
+					if idsInPass {
+						i := strings.LastIndex(got.shard, "; ")
+						xmap := got.shard[i+2:]
+						if got.shard = got.shard[:i]; run == 0 && !strings.HasPrefix(xmap, "xmap: built ") ||
+							run == 1 && xmap != "xmap: memo" {
+							t.Fatalf("%s noFuse=%v k=%d run %d: key map noted %q", name, noFuse, k, run, xmap)
+						}
+					}
+					if got != want {
 						t.Fatalf("%s noFuse=%v k=%d run %d: noted %+v, want %+v", name, noFuse, k, run, got, want)
 					}
 				}
@@ -324,8 +336,8 @@ func TestTraceSpansPerPath(t *testing.T) {
 	}
 }
 
-// addNotes adds up the key parts of shard spans' notes — "keys: …" and
-// "ids: …" after the stream — into one: "<what>: <verb> <Σn>" when some
+// addNotes adds up the key parts of shard spans' notes — "keys: …",
+// "ids: …" and "xmap: …" after the stream — into one: "<what>: <verb> <Σn>" when some
 // shard did the work, "<what>: memo" when none did.
 func addNotes(shards []obs.Span) string {
 	var whats []string

@@ -7,12 +7,15 @@ package table
 type DerivedBytes struct {
 	Skip            int // zone maps and Bloom bits of the skip index's blocks
 	KeyFingerprints int // fingerprint columns, growing room included
-	KeyIDs          int // dictionaries: ids, first rows, index slots, ranks
+	KeyIDs          int // dictionaries: ids, first rows, tags, index slots, ranks
+	KeyMaps         int // the key maps the dictionaries keep to a JOIN partner's
 	KeyShards       int // the memoised co-partition's key columns
 }
 
 // Total sums the parts.
-func (d DerivedBytes) Total() int { return d.Skip + d.KeyFingerprints + d.KeyIDs + d.KeyShards }
+func (d DerivedBytes) Total() int {
+	return d.Skip + d.KeyFingerprints + d.KeyIDs + d.KeyMaps + d.KeyShards
+}
 
 // DerivedBytes accounts the derived structures of t's root as published.
 // It reads only the atomic slots and what they hold, which nothing
@@ -36,9 +39,12 @@ func (t *Table) DerivedBytes() DerivedBytes {
 		if k := root.keyDicts[c].Load(); k != nil {
 			// The index belongs to the extender; its size follows from the
 			// keys this version holds.
-			d.KeyIDs += 4*(cap(k.ids)+cap(k.first)) + 8*dictIndexSlots(len(k.first))
+			d.KeyIDs += 4*(cap(k.ids)+cap(k.first)+cap(k.tags)) + 8*dictIndexSlots(len(k.first))
 			if r := k.lin.ranks.Load(); r != nil {
 				d.KeyIDs += 4 * cap(r.order)
+			}
+			if x := k.lin.xmap.Load(); x != nil {
+				d.KeyMaps += 4 * cap(x.toLeft)
 			}
 		}
 	}

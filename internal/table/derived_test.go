@@ -3,7 +3,7 @@ package table
 import "testing"
 
 // TestDerivedBytes follows one root's account through an index build, a
-// keyed query, a co-partition, an append and a reorder.
+// keyed query, a JOIN's key map, a co-partition, an append and a reorder.
 func TestDerivedBytes(t *testing.T) {
 	const rows, br, seed = 400, 64, 7
 	tb := testTable(t, rows) // id Int64, name String (7 keys), score Int64
@@ -21,7 +21,9 @@ func TestDerivedBytes(t *testing.T) {
 	}
 
 	// A keyed query over name: one fingerprint and one id per row, a first
-	// row per key, the minimum index, and the ranks once ordered.
+	// row and a tag per key, the minimum index, and the ranks once ordered;
+	// then a JOIN of name with another table's: 4 B per right key, kept on
+	// this, the left, dictionary.
 	if _, _, ok := tb.KeyFingerprints(1, seed); !ok {
 		t.Fatal("root refused its own fingerprints")
 	}
@@ -30,9 +32,18 @@ func TestDerivedBytes(t *testing.T) {
 		t.Fatalf("dictionary: ok=%v keys=%d", ok, k.Len())
 	}
 	k.Order()
-	firstCap := cap(tb.keyDicts[1].Load().first)
+	right := testTable(t, 50)
+	rk, _, _ := right.KeyIDs(1, seed)
+	if _, probed, cold := k.Map(rk, nil); probed == 0 || !cold {
+		t.Fatalf("first key map: probed %d cold %v", probed, cold)
+	}
+	if right.DerivedBytes().KeyMaps != 0 {
+		t.Fatal("the right table accounts the key map its partner keeps")
+	}
+	keyCap := cap(tb.keyDicts[1].Load().first) + cap(tb.keyDicts[1].Load().tags)
 	want.KeyFingerprints = 8 * rows
-	want.KeyIDs = 4*rows + 4*firstCap + 8*dictIndexSlots(7) + 4*7
+	want.KeyIDs = 4*rows + 4*keyCap + 8*dictIndexSlots(7) + 4*7
+	want.KeyMaps = 4 * rk.Len()
 	if _, err := tb.ShardKeys("name", 2); err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +76,8 @@ func TestDerivedBytes(t *testing.T) {
 	want = DerivedBytes{
 		Skip:            8 * perBlock,
 		KeyFingerprints: 8 * grown,
-		KeyIDs:          4*grown + 4*firstCap + 8*dictIndexSlots(7) + 4*7,
+		KeyIDs:          4*grown + 4*keyCap + 8*dictIndexSlots(7) + 4*7,
+		KeyMaps:         4 * rk.Len(),
 		KeyShards:       16 * 500,
 	}
 	if d := tb.DerivedBytes(); d != want {

@@ -245,7 +245,7 @@ func (s *fpSchedule) checkIDs(c int, seed uint64) {
 		if d == nil {
 			continue
 		}
-		held := 4*cap(d.ids) + 4*cap(d.first) + 8*len(d.lin.index.slots)
+		held := 4*cap(d.ids) + 4*cap(d.first) + 4*cap(d.tags) + 8*len(d.lin.index.slots)
 		if r := d.lin.ranks.Load(); r != nil {
 			held += 4 * cap(r.order)
 		}

@@ -12,7 +12,9 @@ package table
 //   - ids[r]: row r's key id. Equal ids ⇔ equal cells, for both column
 //     types, so a reader groups, counts and matches rows by a 32-bit
 //     integer instead of by the key's bytes.
-//   - first[id]: the row that first carried id.
+//   - first[id]: the row that first carried id, and tags[id], the high
+//     half of its key's fingerprint: where the index placed it, and what
+//     another dictionary's index is probed with (the key map, keymap.go).
 //   - the fingerprint → id index a build probes: each new row's
 //     fingerprint finds the ids whose keys might be its own, and one cell
 //     comparison, against the id's first row, decides. That comparison is
@@ -33,10 +35,12 @@ package table
 // cache, instead of with older rows of theirs, out of it.
 //
 // Bounds. ids is 4 bytes per row (plus an eighth of growing room while
-// the table is appended to); first, the index and the ranks together are
-// at most 48 bytes per distinct key, half a kilobyte of minimum index
-// aside. So a column's dictionary holds at most 4.5 bytes per row plus 48
-// per key, and goes with the table.
+// the table is appended to); first, tags, the index and the ranks
+// together are at most 48 bytes per distinct key, half a kilobyte of
+// minimum index aside. So a column's dictionary holds at most 4.5 bytes
+// per row plus 48 per key, and goes with the table. The key map a JOIN
+// keeps on the left column's dictionary (keymap.go) adds 4 bytes per
+// right key, an eighth of growing room included while either side grows.
 
 import (
 	"bytes"
@@ -59,16 +63,27 @@ type keyDict struct {
 	lin         *dictLineage
 	ids         []uint32
 	first       []uint32 // increasing: ids are given in row order
+	tags        []uint32
 }
 
 // dictLineage is what every version of one build shares: the identity
 // that makes ids read from two versions comparable, the index only the
-// extender touches, and the latest ranks anyone asked for.
+// extender touches, the latest ranks anyone asked for, and the key map
+// to the latest right partner of a JOIN (keymap.go).
 type dictLineage struct {
 	index dictIndex
-	mu    sync.Mutex // serialises rankers
+	// guard is the lock the extender holds over index: the root's, or nil
+	// for a scratch build, which only its builder reads. seq names a
+	// root's lineage to the key maps that point at it without pinning it.
+	guard *sync.Mutex
+	seq   uint64
+	mu    sync.Mutex // serialises rankers and key-map extenders
 	ranks atomic.Pointer[keyRanks]
+	xmap  atomic.Pointer[keyMap]
 }
+
+// lineages numbers the roots' dictionary lineages.
+var lineages atomic.Uint64
 
 // valid returns d if a handle at epoch, reading under seed, may use it.
 func (d *keyDict) valid(epoch, seed uint64) *keyDict {
@@ -93,7 +108,7 @@ func (d *keyDict) view(t *Table, c, lo, hi int) KeyIDs {
 		// Another handle took d further: t sees the ids born below hi.
 		first = first[:sort.Search(len(first), func(i int) bool { return int(first[i]) >= hi })]
 	}
-	return KeyIDs{IDs: d.ids[lo:hi:hi], lin: d.lin, first: first, col: t.colPrefix(c, hi)}
+	return KeyIDs{IDs: d.ids[lo:hi:hi], lin: d.lin, first: first, tags: d.tags[:len(first)], col: t.colPrefix(c, hi)}
 }
 
 // dictSlot is one slot of a dictIndex: the high half of a key's
@@ -126,12 +141,12 @@ func (c *column) same(a, b int) bool {
 }
 
 // add gives rows [from, from+len(fps)) of col — fps[i] is row from+i's key
-// fingerprint — their ids, appended to ids, and appends to first the row
-// of every id it creates. Equal cells have equal fingerprints, so a row
-// whose key is already known meets that key's slot on its probe run and
-// is confirmed by one cell comparison; two keys that merely share a
-// fingerprint stay two ids.
-func (x *dictIndex) add(col *column, fps []uint64, from int, ids, first []uint32) ([]uint32, []uint32) {
+// fingerprint — their ids, appended to ids, and appends to first and tags
+// the row and the tag of every id it creates. Equal cells have equal
+// fingerprints, so a row whose key is already known meets that key's slot
+// on its probe run and is confirmed by one cell comparison; two keys that
+// merely share a fingerprint stay two ids.
+func (x *dictIndex) add(col *column, fps []uint64, from int, ids, first, tags []uint32) ([]uint32, []uint32, []uint32) {
 	if x.slots == nil {
 		x.slots = make([]dictSlot, dictIndexMinSlots)
 	}
@@ -143,7 +158,7 @@ func (x *dictIndex) add(col *column, fps []uint64, from int, ids, first []uint32
 			s := &x.slots[h]
 			if s.ent == 0 {
 				id := uint32(len(first))
-				ids, first = append(ids, id), append(first, uint32(r))
+				ids, first, tags = append(ids, id), append(first, uint32(r)), append(tags, tag)
 				*s = dictSlot{tag: tag, ent: id + 1}
 				if 4*len(first) > 3*len(x.slots) {
 					x.grow()
@@ -157,7 +172,7 @@ func (x *dictIndex) add(col *column, fps []uint64, from int, ids, first []uint32
 			}
 		}
 	}
-	return ids, first
+	return ids, first, tags
 }
 
 // grow doubles the slot array; ids are distinct, so re-placing them needs
@@ -272,12 +287,13 @@ func compareRendered(a, b int64) int {
 type KeyIDs struct {
 	IDs []uint32 // shared with every other reader: read, never write
 	lin *dictLineage
-	// first[id] for the ids below Len, and col, the handle's key column
-	// over the rows they were born in: what ranking reads. Both are the
-	// handle's to hold, not the dictionary's, so a published dictionary
-	// pins no column storage an append has since moved.
-	first []uint32
-	col   column
+	// first[id] and tags[id] for the ids below Len, and col, the handle's
+	// key column over the rows they were born in: what ranking and the key
+	// map read. They are the handle's to hold, not the dictionary's, so a
+	// published dictionary pins no column storage an append has since
+	// moved.
+	first, tags []uint32
+	col         column
 }
 
 // Len is the number of keys of the dictionary born in the rows up to the
@@ -349,9 +365,11 @@ func (t *Table) KeyIDs(c int, seed uint64) (k KeyIDs, built int, ok bool) {
 		return KeyIDs{}, 0, false
 	}
 	from := d.rows()
-	nd := &keyDict{epoch: t.epoch, seed: seed, lin: new(dictLineage)}
+	nd := &keyDict{epoch: t.epoch, seed: seed}
 	if d != nil {
-		nd.lin, nd.ids, nd.first = d.lin, d.ids, d.first
+		nd.lin, nd.ids, nd.first, nd.tags = d.lin, d.ids, d.first, d.tags
+	} else {
+		nd.lin = &dictLineage{guard: &root.fpMu, seq: lineages.Add(1)}
 	}
 	if cap(nd.ids) < hi {
 		// Sized exactly on a first build; room to grow once it has to move.
@@ -374,7 +392,7 @@ func (t *Table) KeyIDs(c int, seed uint64) (k KeyIDs, built int, ok bool) {
 		hashKeys(fps, t.cols[c], from, hi, seed)
 	}
 	col := t.colPrefix(c, hi)
-	nd.ids, nd.first = nd.lin.index.add(&col, fps, from, nd.ids[:from], nd.first)
+	nd.ids, nd.first, nd.tags = nd.lin.index.add(&col, fps, from, nd.ids[:from], nd.first, nd.tags)
 	slot.Store(nd)
 	return nd.view(t, c, lo, hi), hi - from, true
 }
@@ -400,12 +418,12 @@ func (t *Table) KeyMemoStats(c int, seed uint64) KeyMemoStats {
 // KeyIDScratch is the storage of a dictionary of one handle's rows
 // (BuildKeyIDs), reused from one build to the next.
 type KeyIDScratch struct {
-	ids, first []uint32
-	slots      []dictSlot
+	ids, first, tags []uint32
+	slots            []dictSlot
 }
 
 // Cap returns the largest capacity s holds, in elements.
-func (s *KeyIDScratch) Cap() int { return max(cap(s.ids), cap(s.first), cap(s.slots)) }
+func (s *KeyIDScratch) Cap() int { return max(cap(s.ids), cap(s.first), cap(s.tags), cap(s.slots)) }
 
 // BuildKeyIDs builds a dictionary of t's own rows of column c into s and
 // returns their ids — what a handle KeyIDs turns away reads instead.
@@ -427,7 +445,7 @@ func (t *Table) BuildKeyIDs(c int, fps []uint64, s *KeyIDScratch) KeyIDs {
 		s.ids = make([]uint32, 0, t.n)
 	}
 	k := KeyIDs{lin: &dictLineage{index: dictIndex{slots: s.slots}}, col: t.colPrefix(c, t.off+t.n)}
-	s.ids, s.first = k.lin.index.add(&k.col, fps, t.off, s.ids[:0], s.first[:0])
-	k.IDs, k.first = s.ids, s.first
+	s.ids, s.first, s.tags = k.lin.index.add(&k.col, fps, t.off, s.ids[:0], s.first[:0], s.tags[:0])
+	k.IDs, k.first, k.tags = s.ids, s.first, s.tags
 	return k
 }
