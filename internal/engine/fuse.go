@@ -17,8 +17,8 @@ package engine
 // the exact arrival order of the chunked and scalar paths (the
 // round-robin worker interleave — see rrStarts), drives the same state
 // transitions, and deposits the same Stats via AddStats, so Results,
-// Traffic and Stats are bit-identical to the chunked pipeline — with two
-// deliberate relaxations, both invisible in Results:
+// Traffic and Stats are bit-identical to the chunked pipeline — with three
+// deliberate relaxations, all invisible in Results:
 //
 //   - Stateless or order-insensitive passes (FILTER's predicate sweeps,
 //     JOIN's Bloom build/probe, HAVING's exact second pass, and the
@@ -30,6 +30,11 @@ package engine
 //     chain, so its prune decisions — and hence Traffic/Stats — differ
 //     from the scalar oracle, while final Results stay bit-identical
 //     (the master's heap completion is exact on whatever survives).
+//   - JOIN's Bloom build and probe touch each key id once: Add is
+//     idempotent on the bits and Contains reads only, so training a
+//     side's distinct keys (counted as its entries) and probing each once
+//     leave the filters and every row's verdict as one call per entry
+//     would.
 //
 // Gating is the pass's (pass.fuse): the loops only run when the pass can
 // own the program for the whole stream. Anything else — a third-party

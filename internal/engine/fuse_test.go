@@ -202,47 +202,6 @@ func TestFusedCustomPrunerFilter(t *testing.T) {
 	}
 }
 
-// TestFusedJoinEdgeCases drives the fused JOIN (train and probe passes, then
-// the fingerprint completion) over the degenerate input shapes, with
-// the symmetric and the asymmetric program and Skip on and off: Results
-// equal ExecDirect, Traffic, Stats and skip counts equal the batched
-// path's.
-func TestFusedJoinEdgeCases(t *testing.T) {
-	for _, intKeys := range []bool{false, true} {
-		for _, c := range joinEdgeCases() {
-			q := joinEdgeQuery(t, c, intKeys)
-			direct, err := ExecDirect(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, asym := range []bool{false, true} {
-				for _, skip := range []bool{false, true} {
-					label := fmt.Sprintf("%s int=%v asym=%v skip=%v", c.name, intKeys, asym, skip)
-					run := func(noFuse bool) *ShardedRun {
-						p, err := newTestJoinPruner(asym, 7)
-						if err != nil {
-							t.Fatal(err)
-						}
-						r, err := ExecCheetah(q, CheetahOptions{Workers: 3, Seed: 7, Pruner: p, Skip: skip, NoFuse: noFuse})
-						if err != nil {
-							t.Fatalf("%s noFuse=%v: %v", label, noFuse, err)
-						}
-						return r
-					}
-					fused, batch := run(false), run(true)
-					if !fused.Result.Equal(direct) {
-						t.Fatalf("%s: fused join wrong vs direct\ndirect:\n%s\nfused:\n%s", label, direct, fused.Result)
-					}
-					if fused.Traffic != batch.Traffic || fused.Stats != batch.Stats || fused.Skipped != batch.Skipped {
-						t.Fatalf("%s: fused and batched accounting diverge\nbatch: %+v %+v %+v\nfused: %+v %+v %+v",
-							label, batch.Traffic, batch.Stats, batch.Skipped, fused.Traffic, fused.Stats, fused.Skipped)
-					}
-				}
-			}
-		}
-	}
-}
-
 // exactnessFilters returns caller-built switch programs for q (two
 // comparison predicates under AND) by name, with whether each one is the
 // query's exact filter.

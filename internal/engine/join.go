@@ -2,9 +2,16 @@ package engine
 
 // JOIN's way through the pruned executors. The worker side hashes no key
 // a pass before it has hashed: each side's key fingerprints are a column
-// the table keeps (table.KeyFingerprints), the build pass trains on it,
-// the probe pass tests it, and survivor row ids reach the master. The
-// master matches no key per query either: each side's table keeps a key
+// the table keeps (table.KeyFingerprints), and survivor row ids reach the
+// master. The fused passes test each key once, not each row: a side's
+// rows are gathered to its distinct key ids (gather), the build pass
+// trains the filter on their fingerprints in one batched call
+// (sketch.Membership.AddMany), and the probe pass tests them in another
+// (ContainsMany), then keeps the rows whose key id tested positive — exact,
+// because equal key ids are equal keys, Add is idempotent on the bits and
+// Contains reads only (fuse.go's third relaxation); the chunked passes
+// (batchJoinPasses) still stream one Process call per entry. The master
+// matches no key per query either: each side's table keeps a key
 // dictionary (table.KeyIDs), and the left one keeps the map from the right
 // side's key ids to its own (KeyIDs.Map) — built once per pair of
 // dictionaries, by fingerprint plus one cell comparison per key, so two
@@ -31,8 +38,11 @@ import (
 
 // joinSide is one JOIN input: on the worker side col, its key column's
 // fingerprints by row — the table's memoised column or scratch (keyColumn)
-// — and keys, its key ids (keyIDs); on the master side rows, what
-// survived the switch, and counts, those rows counted per key id.
+// — and keys, its key ids (keyIDs); for the fused passes, fps and fpIDs,
+// the distinct keys of the rows they stream (gather), with seen, a byte
+// per key id, and in, the probe's verdict per distinct key, all for the
+// rows of spans; on the master side rows, what survived the switch, and
+// counts, those rows counted per key id.
 type joinSide struct {
 	rows      []int
 	col       []uint64 // shared with the table: read-only, dropped before pooling
@@ -40,6 +50,12 @@ type joinSide struct {
 	keys      table.KeyIDs // likewise: the table's dictionary, or idScratch
 	idScratch table.KeyIDScratch
 	counts    []int32
+	seen      []bool // false but at fpIDs: forget clears those
+	fps       []uint64
+	fpIDs     []uint32
+	in        []bool
+	spans     []span // the rows gathered
+	entries   int    // their number
 }
 
 // load fetches the side's fingerprint column and key ids for a pass over
@@ -52,7 +68,8 @@ func (s *joinSide) load(t *table.Table, kc int, seed uint64) (hashed, built int)
 
 // poolable reports whether s's scratch is within the pools' bound.
 func (s *joinSide) poolable() bool {
-	return poolable(cap(s.rows), cap(s.scratch), s.idScratch.Cap(), cap(s.counts))
+	return poolable(cap(s.rows), cap(s.scratch), s.idScratch.Cap(), cap(s.counts),
+		cap(s.seen), cap(s.fps), cap(s.fpIDs), cap(s.in))
 }
 
 // count returns s's survivors counted per key id, in counts grown to the
@@ -70,37 +87,86 @@ func (s *joinSide) count() []int32 {
 	return s.counts
 }
 
-// train adds the fingerprint of every row in spans to mem (a nil mem
-// trains nothing: the rows still stream). Bloom Add is commutative, so
-// plain row order suffices.
-func (s *joinSide) train(spans []span, mem sketch.Membership) (sent int) {
+// gather lists the distinct keys of the rows in spans — each key id's
+// fingerprint and id, in first-seen order — and marks their ids in seen,
+// and keeps spans: the side's train and probe stream those rows. A key id
+// is a key, so testing each one once is exact: Add is idempotent on a
+// filter's bits, and Contains reads only.
+func (s *joinSide) gather(spans []span) {
+	s.forget()
+	s.spans = spans
+	if n := s.keys.Len(); cap(s.seen) < n {
+		s.seen = make([]bool, n)
+	} else {
+		s.seen = s.seen[:n]
+	}
+	seen, ids := s.seen, s.keys.IDs
 	for _, sp := range spans {
-		sent += sp.hi - sp.lo
-		if mem == nil {
-			continue
-		}
-		for _, fp := range s.col[sp.lo:sp.hi] {
-			mem.Add(fp)
+		s.entries += sp.hi - sp.lo
+		for r := sp.lo; r < sp.hi; r++ {
+			if id := ids[r]; !seen[id] {
+				// Listed before it is marked: forget clears every mark.
+				s.fps = append(s.fps, s.col[r])
+				s.fpIDs = append(s.fpIDs, id)
+				seen[id] = true
+			}
 		}
 	}
-	return sent
 }
 
-// probe keeps the rows of spans whose fingerprint tests positive in mem
-// (every row when mem is nil — the asymmetric build side, which forwards
-// unpruned). Contains does not mutate, so plain row order suffices.
-func (s *joinSide) probe(spans []span, mem sketch.Membership) (sent, fwd int) {
+// forget clears the marks gather and probe left in seen — O(the keys
+// gathered), not O(the dictionary), so a small view of a big root pays for
+// its own keys — and empties the lists and the spans.
+func (s *joinSide) forget() {
+	for _, id := range s.fpIDs {
+		s.seen[id] = false
+	}
+	s.fps, s.fpIDs, s.spans, s.entries = s.fps[:0], s.fpIDs[:0], nil, 0
+}
+
+// train adds the gathered keys to mem, as many Adds as rows were gathered
+// (a nil mem trains nothing: the rows still stream), and returns that
+// number.
+func (s *joinSide) train(mem sketch.Membership) (sent int) {
+	if mem != nil {
+		mem.AddMany(s.fps, s.entries)
+	}
+	return s.entries
+}
+
+// probe keeps the gathered rows whose key tests positive in mem (every
+// row when mem is nil — the asymmetric build side, which forwards
+// unpruned): one test per gathered key, its verdict kept at the key's id
+// in seen, then one pass over the rows' ids.
+func (s *joinSide) probe(mem sketch.Membership) (sent, fwd int) {
 	rows := s.rows[:0]
-	for _, sp := range spans {
-		sent += sp.hi - sp.lo
+	if mem == nil {
+		for _, sp := range s.spans {
+			for r := sp.lo; r < sp.hi; r++ {
+				rows = append(rows, r)
+			}
+		}
+		s.rows = rows
+		return s.entries, len(rows)
+	}
+	if cap(s.in) < len(s.fps) {
+		s.in = make([]bool, len(s.fps))
+	}
+	s.in = s.in[:len(s.fps)]
+	mem.ContainsMany(s.fps, s.in)
+	seen, ids := s.seen, s.keys.IDs
+	for i, id := range s.fpIDs {
+		seen[id] = s.in[i]
+	}
+	for _, sp := range s.spans {
 		for r := sp.lo; r < sp.hi; r++ {
-			if mem == nil || mem.Contains(s.col[r]) {
+			if seen[ids[r]] {
 				rows = append(rows, r)
 			}
 		}
 	}
 	s.rows = rows
-	return sent, len(rows)
+	return s.entries, len(rows)
 }
 
 // joinScratch is the pooled state of one pruned JOIN: both sides'
@@ -145,6 +211,8 @@ func xmapNote(probed int, cold bool) string {
 // map, which the pool must not pin — and drops it whole when one huge JOIN
 // grew its scratch past the pools' bound.
 func (sc *joinScratch) release() {
+	sc.left.forget()
+	sc.right.forget()
 	sc.left.col, sc.right.col = nil, nil
 	sc.left.keys, sc.right.keys = table.KeyIDs{}, table.KeyIDs{}
 	sc.xmap = table.KeyMap{}
@@ -163,31 +231,32 @@ func (sc *joinScratch) release() {
 func fusedJoinPasses(q *Query, j *prune.Join, skip bool, sc *joinScratch) (tr Traffic, skipped SkipStats) {
 	lc := q.Table.Schema().MustIndex(q.LeftKey)
 	rc := q.Right.Schema().MustIndex(q.RightKey)
-	leftSpans := fullSpans(q.Table)
 	rightSpans := fullSpans(q.Right)
 	if skip {
 		rightSpans, skipped = joinRightSpans(q.Table, lc, q.Right, rc)
 	}
+	sc.left.gather(fullSpans(q.Table))
+	sc.right.gather(rightSpans)
 	fa, fb := j.FusedFilters()
 	var sent, fl, fr, pruned int
 	if j.Asymmetric() {
 		// §4.3's small-table optimization: side A streams once, unpruned,
 		// while its filter trains; only side B is pruned against it.
-		sc.left.train(leftSpans, fa)
-		sent, fl = sc.left.probe(leftSpans, nil)
+		sc.left.train(fa)
+		sent, fl = sc.left.probe(nil)
 		j.StartProbe()
 		var s int
-		s, fr = sc.right.probe(rightSpans, fa)
+		s, fr = sc.right.probe(fa)
 		sent += s
 		pruned = s - fr
 	} else {
 		// Build-pass packets terminate at the switch: all pruned.
-		pruned = sc.left.train(leftSpans, fa)
-		pruned += sc.right.train(rightSpans, fb)
+		pruned = sc.left.train(fa)
+		pruned += sc.right.train(fb)
 		j.StartProbe()
 		var sl, sr int
-		sl, fl = sc.left.probe(leftSpans, fb)
-		sr, fr = sc.right.probe(rightSpans, fa)
+		sl, fl = sc.left.probe(fb)
+		sr, fr = sc.right.probe(fa)
 		sent = pruned + sl + sr
 		pruned += sl - fl + sr - fr
 	}

@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"cheetah/internal/hashutil"
+	"cheetah/internal/prune"
+	"cheetah/internal/sketch"
 	"cheetah/internal/table"
 )
 
@@ -248,6 +250,74 @@ func TestJoinWithinOneRoot(t *testing.T) {
 				}
 				if !run.Result.Equal(want) {
 					t.Fatalf("%s %s k=%d: diverges from ExecDirect\nwant:\n%s\ngot:\n%s", name, phase, k, want, run.Result)
+				}
+			}
+		}
+	}
+}
+
+// TestJoinFusedMatchesChunked pins the fused JOIN passes, which train and
+// probe each key id once, to the chunked pipeline, which streams one
+// Process call per entry: symmetric and asymmetric programs, Skip on and
+// off, string and integer keys, the degenerate shapes of joinEdgeCases and
+// duplicate-heavy, all-unique and one-row sides, at one switch and two.
+// Both Results equal ExecDirect; Traffic, Stats and skip counts are equal;
+// and each switch's two filters end Equal — the same bits and the same
+// Count, one Add per entry trained — so a pass that trains the wrong keys
+// or miscounts its entries fails here.
+func TestJoinFusedMatchesChunked(t *testing.T) {
+	shapes := append(joinEdgeCases(),
+		joinEdgeCase{name: "duplicate-heavy", left: seqKeys(2000, 0, 40), right: seqKeys(1500, 10, 50)},
+		joinEdgeCase{name: "all-unique", left: seqKeys(900, 0, 900), right: seqKeys(1100, 300, 1100)},
+		joinEdgeCase{name: "one-row-left", left: []int{7}, right: seqKeys(300, 0, 60)},
+		joinEdgeCase{name: "one-row-right", left: seqKeys(300, 0, 60), right: []int{7}},
+	)
+	for _, intKeys := range []bool{false, true} {
+		for _, c := range shapes {
+			q := joinEdgeQuery(t, c, intKeys)
+			direct, err := ExecDirect(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, asym := range []bool{false, true} {
+				for _, skip := range []bool{false, true} {
+					for _, k := range []int{1, 2} {
+						label := fmt.Sprintf("%s int=%v asym=%v skip=%v k=%d", c.name, intKeys, asym, skip, k)
+						run := func(noFuse bool) (*ShardedRun, []*prune.Join) {
+							progs := make([]*prune.Join, k)
+							pruners := make([]prune.Pruner, k)
+							for s := range progs {
+								if progs[s], err = newTestJoinPruner(asym, 7); err != nil {
+									t.Fatal(err)
+								}
+								pruners[s] = progs[s]
+							}
+							r, err := ExecSharded(q, ShardedOptions{
+								Shards: k, Workers: 3, Seed: 7, Pruners: pruners, Skip: skip, NoFuse: noFuse,
+							})
+							if err != nil {
+								t.Fatalf("%s noFuse=%v: %v", label, noFuse, err)
+							}
+							if !r.Result.Equal(direct) {
+								t.Fatalf("%s noFuse=%v: wrong vs direct\ndirect:\n%s\ngot:\n%s", label, noFuse, direct, r.Result)
+							}
+							return r, progs
+						}
+						fused, fusedProgs := run(false)
+						chunked, chunkedProgs := run(true)
+						if fused.Traffic != chunked.Traffic || fused.Stats != chunked.Stats || fused.Skipped != chunked.Skipped {
+							t.Fatalf("%s: accounting diverges\nchunked: %+v %+v %+v\nfused:   %+v %+v %+v", label,
+								chunked.Traffic, chunked.Stats, chunked.Skipped, fused.Traffic, fused.Stats, fused.Skipped)
+						}
+						for s := range fusedProgs {
+							fa, fb := fusedProgs[s].FusedFilters()
+							ca, cb := chunkedProgs[s].FusedFilters()
+							if !fa.(*sketch.Bloom).Equal(ca.(*sketch.Bloom)) || !fb.(*sketch.Bloom).Equal(cb.(*sketch.Bloom)) {
+								t.Fatalf("%s switch %d: filters differ (counts fused %d/%d, chunked %d/%d)",
+									label, s, fa.Count(), fb.Count(), ca.Count(), cb.Count())
+							}
+						}
+					}
 				}
 			}
 		}

@@ -15,6 +15,7 @@ package sketch
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"cheetah/internal/cacheline"
@@ -83,18 +84,23 @@ func (b *Bloom) Equal(o *Bloom) bool {
 
 // Add inserts key into the filter.
 func (b *Bloom) Add(key uint64) {
-	for i := 0; i < b.family.Size(); i++ {
-		p := hashutil.ReduceFull(b.family.Uint64(i, key), b.mBits)
+	b.set(key)
+	b.count++
+}
+
+// set sets key's bits.
+func (b *Bloom) set(key uint64) {
+	for _, m := range b.family.Mixed() {
+		p := hashutil.ReduceFull(hashutil.Mix64(key^m), b.mBits)
 		b.bits[p>>6] |= 1 << (p & 63)
 	}
-	b.count++
 }
 
 // Contains reports whether key may have been added. False means the key
 // was definitely never added (no false negatives).
 func (b *Bloom) Contains(key uint64) bool {
-	for i := 0; i < b.family.Size(); i++ {
-		p := hashutil.ReduceFull(b.family.Uint64(i, key), b.mBits)
+	for _, m := range b.family.Mixed() {
+		p := hashutil.ReduceFull(hashutil.Mix64(key^m), b.mBits)
 		if b.bits[p>>6]&(1<<(p&63)) == 0 {
 			return false
 		}
@@ -102,7 +108,24 @@ func (b *Bloom) Contains(key uint64) bool {
 	return true
 }
 
-// Count returns the number of Add calls.
+// AddMany implements Membership.
+func (b *Bloom) AddMany(keys []uint64, entries int) {
+	for _, k := range keys {
+		b.set(k)
+	}
+	b.count += entries
+}
+
+// ContainsMany implements Membership.
+func (b *Bloom) ContainsMany(keys []uint64, in []bool) {
+	in = in[:len(keys)]
+	for i, k := range keys {
+		in[i] = b.Contains(k)
+	}
+}
+
+// Count returns the number of entries added: one per Add, and entries
+// per AddMany.
 func (b *Bloom) Count() int { return b.count }
 
 // SizeBits returns the filter capacity in bits.
@@ -113,7 +136,7 @@ func (b *Bloom) SizeBits() int { return int(b.mBits) }
 func (b *Bloom) FillRatio() float64 {
 	set := 0
 	for _, w := range b.bits {
-		set += popcount64(w)
+		set += bits.OnesCount64(w)
 	}
 	return float64(set) / float64(b.mBits)
 }
@@ -194,7 +217,25 @@ func (rb *RegisterBloom) Contains(key uint64) bool {
 	return rb.words[w]&m == m
 }
 
-// Count returns the number of Add calls.
+// AddMany implements Membership.
+func (rb *RegisterBloom) AddMany(keys []uint64, entries int) {
+	for _, k := range keys {
+		w, m := rb.mask(k)
+		rb.words[w] |= m
+	}
+	rb.count += entries
+}
+
+// ContainsMany implements Membership.
+func (rb *RegisterBloom) ContainsMany(keys []uint64, in []bool) {
+	in = in[:len(keys)]
+	for i, k := range keys {
+		in[i] = rb.Contains(k)
+	}
+}
+
+// Count returns the number of entries added: one per Add, and entries
+// per AddMany.
 func (rb *RegisterBloom) Count() int { return rb.count }
 
 // SizeBits returns the capacity in bits.
@@ -214,6 +255,15 @@ func (rb *RegisterBloom) Reset() {
 type Membership interface {
 	Add(key uint64)
 	Contains(key uint64) bool
+	// AddMany inserts keys, which stand for entries entries: the bits
+	// are those of an Add per key, and Count grows by entries. Adding a
+	// key again sets no bit, so a caller that has deduplicated its
+	// entries' keys passes their number; AddMany(keys, len(keys)) is a
+	// loop of Add.
+	AddMany(keys []uint64, entries int)
+	// ContainsMany sets in[i] to Contains(keys[i]) for every key; in is
+	// at least as long as keys.
+	ContainsMany(keys []uint64, in []bool)
 	Count() int
 	SizeBits() int
 	Reset()
@@ -223,12 +273,3 @@ var (
 	_ Membership = (*Bloom)(nil)
 	_ Membership = (*RegisterBloom)(nil)
 )
-
-func popcount64(x uint64) int {
-	n := 0
-	for x != 0 {
-		x &= x - 1
-		n++
-	}
-	return n
-}

@@ -453,6 +453,41 @@ func BenchmarkBloomContains(b *testing.B) {
 	_ = sink
 }
 
+// BenchmarkBloomAddMany is BenchmarkBloomAdd through AddMany, 4 096 keys
+// a call: ns/op is per key.
+func BenchmarkBloomAddMany(b *testing.B) {
+	bf, _ := NewBloom(1<<20, 3, 1)
+	keys := make([]uint64, 4096)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i += len(keys) {
+		n := min(len(keys), b.N-i)
+		for j := range keys[:n] {
+			keys[j] = uint64(i + j)
+		}
+		bf.AddMany(keys[:n], n)
+	}
+}
+
+// BenchmarkBloomContainsMany is BenchmarkBloomContains through
+// ContainsMany, 4 096 keys a call: ns/op is per key.
+func BenchmarkBloomContainsMany(b *testing.B) {
+	bf, _ := NewBloom(1<<20, 3, 1)
+	for i := uint64(0); i < 1<<16; i++ {
+		bf.Add(i)
+	}
+	keys := make([]uint64, 4096)
+	in := make([]bool, len(keys))
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i += len(keys) {
+		n := min(len(keys), b.N-i)
+		for j := range keys[:n] {
+			keys[j] = uint64(i + j)
+		}
+		bf.ContainsMany(keys[:n], in)
+	}
+}
+
 func BenchmarkRegisterBloomContains(b *testing.B) {
 	rb, _ := NewRegisterBloom(1<<20, 3, 1)
 	for i := uint64(0); i < 1<<16; i++ {
