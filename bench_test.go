@@ -153,9 +153,8 @@ func buildUserVisits(b *testing.B, rows int) *cheetah.Table {
 }
 
 // benchExecCheetah runs q through ExecCheetah with the given path and
-// reports entries/s; the fused (default), batch (NoFuse) and scalar
-// variants of each benchmark share it so the speedup criteria are
-// measurable in one build. Every iteration takes a new seed, so for the
+// reports entries/s; the fused (default) and batch (NoFuse) variants of
+// each benchmark share it so the two paths are measurable in one build. Every iteration takes a new seed, so for the
 // keyed kinds it is the cold query — the table's fingerprint column is
 // hashed again under each seed; BenchmarkKeyedKindsWarm is the warm one.
 func benchExecCheetah(b *testing.B, q *cheetah.Query, rows int, opts cheetah.CheetahOptions) {
@@ -203,10 +202,6 @@ func BenchmarkExecCheetahDistinct100kBatch(b *testing.B) {
 	benchExecCheetah(b, distinct100kQuery(b), 100_000, cheetah.CheetahOptions{NoFuse: true})
 }
 
-func BenchmarkExecCheetahDistinct100kScalar(b *testing.B) {
-	benchExecCheetah(b, distinct100kQuery(b), 100_000, cheetah.CheetahOptions{Scalar: true})
-}
-
 func BenchmarkExecCheetahTopN100k(b *testing.B) {
 	benchExecCheetah(b, topN100kQuery(b), 100_000, cheetah.CheetahOptions{})
 }
@@ -215,20 +210,12 @@ func BenchmarkExecCheetahTopN100kBatch(b *testing.B) {
 	benchExecCheetah(b, topN100kQuery(b), 100_000, cheetah.CheetahOptions{NoFuse: true})
 }
 
-func BenchmarkExecCheetahTopN100kScalar(b *testing.B) {
-	benchExecCheetah(b, topN100kQuery(b), 100_000, cheetah.CheetahOptions{Scalar: true})
-}
-
 func BenchmarkExecCheetahFilter100k(b *testing.B) {
 	benchExecCheetah(b, filter100kQuery(b), 100_000, cheetah.CheetahOptions{})
 }
 
 func BenchmarkExecCheetahFilter100kBatch(b *testing.B) {
 	benchExecCheetah(b, filter100kQuery(b), 100_000, cheetah.CheetahOptions{NoFuse: true})
-}
-
-func BenchmarkExecCheetahFilter100kScalar(b *testing.B) {
-	benchExecCheetah(b, filter100kQuery(b), 100_000, cheetah.CheetahOptions{Scalar: true})
 }
 
 func BenchmarkExecDirectDistinct100k(b *testing.B) {

@@ -36,7 +36,6 @@ package cheetah
 import (
 	"cheetah/internal/cache"
 	"cheetah/internal/cluster"
-	"cheetah/internal/connector"
 	"cheetah/internal/engine"
 	"cheetah/internal/fabric"
 	"cheetah/internal/netserve"
@@ -188,19 +187,13 @@ type (
 	WireUpdate = wire.UpdateMsg
 	// WireResult is one query answer over the wire: rows plus the
 	// server-side wall clock and compact stage-trace summary
-	// (NetClient.Query returns it; render the summary with
-	// FormatNetTrace).
+	// (NetClient.Query returns it).
 	WireResult = wire.ResultMsg
 )
 
 // WireSpecOf derives a wire query spec from a locally-built query, with
 // the served names standing in for its table pointers.
 var WireSpecOf = wire.SpecOf
-
-// FormatNetTrace renders a wire result's server-side stage summary —
-// one line per lifecycle stage with duration and entry counts. Empty
-// when the server disabled tracing.
-var FormatNetTrace = netserve.FormatTrace
 
 // ListenNet starts a wire-protocol server on addr ("host:0" picks a
 // free port).
@@ -211,32 +204,6 @@ func ListenNet(addr string, opts ServerOptions) (*Server, error) {
 // DialNet connects to a wire-protocol server as the given tenant.
 func DialNet(addr, tenant string) (*NetClient, error) {
 	return netserve.Dial(addr, tenant)
-}
-
-// Connectors: pluggable Source→Ingestor feeds and Subscription→Sink
-// fan-outs, wired by spec strings ("gen:rows=100000,batch=256",
-// "log:path=-") through a registry — how cheetahd builds streaming
-// topology from flags.
-type (
-	// ConnectorSource produces row batches for a streaming feed.
-	ConnectorSource = connector.Source
-	// ConnectorSink consumes standing-result refreshes from a pipe.
-	ConnectorSink = connector.Sink
-	// ConnectorRegistry maps spec names to source/sink builders.
-	ConnectorRegistry = connector.Registry
-	// ConnectorRuntime owns running feeds and pipes over one Streaming
-	// handle; Close stops them all.
-	ConnectorRuntime = connector.Runtime
-)
-
-// DefaultConnectors returns the built-in connector registry (gen and
-// csv sources; log and null sinks).
-func DefaultConnectors() *connector.Registry { return connector.DefaultRegistry() }
-
-// NewConnectorRuntime creates a connector runtime over a streaming
-// handle.
-func NewConnectorRuntime(st *Streaming) (*ConnectorRuntime, error) {
-	return connector.NewRuntime(st)
 }
 
 // Tables and schemas.
@@ -332,8 +299,7 @@ func ExecDirect(q *Query) (*Result, error) { return engine.ExecDirect(q) }
 // relevant columns, the simulated switch prunes, the master completes.
 //
 // Deprecated: prefer the session API (Open + DB.Exec); use ExecCheetah
-// directly only to pin a hand-constructed pruner or the legacy scalar
-// path.
+// directly only to pin a hand-constructed pruner.
 func ExecCheetah(q *Query, opts CheetahOptions) (*ShardedRun, error) {
 	return engine.ExecCheetah(q, opts)
 }
@@ -405,14 +371,6 @@ var (
 	NewJoin       = prune.NewJoin
 	NewHaving     = prune.NewHaving
 	NewSkyline    = prune.NewSkyline
-)
-
-// Configuration formulas from §5.
-var (
-	// TopNColumnsFor computes Theorem 2's matrix-column count.
-	TopNColumnsFor = prune.TopNColumnsFor
-	// OptimalTopNRows jointly optimizes the TOP N matrix dimensions.
-	OptimalTopNRows = prune.OptimalTopNRows
 )
 
 // Switch hardware models.

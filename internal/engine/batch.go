@@ -3,11 +3,12 @@ package engine
 // This file implements the chunked pipeline — what a pass (pass.go,
 // agg.go) streams through when it may not drive its program directly
 // (NoFuse, a third-party program, a dataplane that withholds it: a rack,
-// a lease with a fault injector armed). The scalar path (cheetah.go)
-// dispatches one closure call and one Program.Process per entry; here
-// each CWorker encodes its partition into reusable column-major batch
-// buffers, a round-robin scatter reproduces the exact arrival order of
-// interleave, and each chunk crosses the dataplane in one call — whose
+// a lease with a fault injector armed). The scalar reference
+// (scalar_ref_test.go) dispatches one closure call and one
+// Program.Process per entry; here each CWorker encodes its partition
+// into reusable column-major batch buffers, a round-robin scatter
+// reproduces the exact arrival order of the reference's interleave, and
+// each chunk crosses the dataplane in one call — whose
 // switch runs the program's Process per entry (switchsim.ProcessBatchOf),
 // the one statement of its verdict. The pass consumes survivors
 // straight from the encoded columns where it can (late materialization):
@@ -16,9 +17,9 @@ package engine
 // by key id into the kind's partial, and TOP N feeds forwarded
 // values into its heap without materializing a survivor list at all.
 //
-// Results, Traffic and Stats are bit-identical to the scalar path (the
-// equivalence suite in batch_equiv_test.go asserts it for every query
-// kind).
+// Results, Traffic and Stats are bit-identical to the scalar reference
+// (the equivalence suite in batch_equiv_test.go asserts it for every
+// query kind).
 
 import (
 	"runtime"
@@ -310,9 +311,10 @@ func idsNote(built int) string {
 	return "ids: built " + strconv.Itoa(built)
 }
 
-// fingerprintAccs is fingerprintRow over hoisted accessors — the
-// multi-column arm, hashed per query (partial.hashKeys); it must stay
-// bit-identical to fingerprintRow.
+// fingerprintAccs is the scalar reference's fingerprintRow
+// (scalar_ref_test.go) over hoisted accessors — the multi-column arm,
+// hashed per query (partial.hashKeys); it must stay bit-identical to
+// fingerprintRow.
 func fingerprintAccs(accs []colAcc, r int, seed uint64) uint64 {
 	h := seed ^ 0xfeedface
 	for i := range accs {

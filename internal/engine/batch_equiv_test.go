@@ -97,7 +97,7 @@ func TestBatchMatchesScalarExec(t *testing.T) {
 	for name, q := range queries {
 		for _, workers := range []int{1, 2, 3, 5, 8} {
 			for _, seed := range []uint64{1, 0xfeed} {
-				scalar, err := ExecCheetah(q, CheetahOptions{Workers: workers, Seed: seed, Scalar: true})
+				scalar, err := scalarRef(q, CheetahOptions{Workers: workers, Seed: seed})
 				if err != nil {
 					t.Fatalf("%s w=%d seed=%d scalar: %v", name, workers, seed, err)
 				}
@@ -133,22 +133,44 @@ func TestBatchMatchesScalarExec(t *testing.T) {
 }
 
 // TestBatchTinyTables exercises the scatter's degenerate layouts: empty
-// tables, fewer rows than workers, and single rows.
+// tables, fewer rows than workers, and single rows — and the multi-column
+// DISTINCT key's NUL case: ["a\x00b", "c"] and ["a", "b\x00c"] join to
+// one string around a NUL separator, yet are two tuples.
 func TestBatchTinyTables(t *testing.T) {
+	queries := map[string]*Query{}
 	for _, rows := range []int{0, 1, 2, 3, 7} {
 		tb := equivTable(t, rows, 0x11)
-		q := &Query{Kind: KindDistinct, Table: tb, DistinctCols: []string{"name"}}
+		queries[fmt.Sprintf("rows=%d", rows)] = &Query{Kind: KindDistinct, Table: tb, DistinctCols: []string{"name"}}
+	}
+	nul := table.MustNew(table.Schema{{Name: "s", Type: table.String}, {Name: "t", Type: table.String}})
+	for _, r := range [][2]string{{"a\x00b", "c"}, {"a", "b\x00c"}} {
+		if err := nul.AppendRow(r[0], r[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	queries["nul-tuples"] = &Query{Kind: KindDistinct, Table: nul, DistinctCols: []string{"s", "t"}}
+	for name, q := range queries {
+		want, err := ExecDirect(q)
+		if err != nil {
+			t.Fatalf("%s direct: %v", name, err)
+		}
+		if name == "nul-tuples" && len(want.Rows) != 2 {
+			t.Fatalf("nul-tuples direct: %d tuples, want 2: %q", len(want.Rows), want.Rows)
+		}
 		for _, workers := range []int{1, 4, 16} {
-			scalar, err := ExecCheetah(q, CheetahOptions{Workers: workers, Seed: 3, Scalar: true})
+			scalar, err := scalarRef(q, CheetahOptions{Workers: workers, Seed: 3})
 			if err != nil {
-				t.Fatalf("rows=%d w=%d scalar: %v", rows, workers, err)
+				t.Fatalf("%s w=%d scalar: %v", name, workers, err)
 			}
 			batch, err := ExecCheetah(q, CheetahOptions{Workers: workers, Seed: 3, NoFuse: true})
 			if err != nil {
-				t.Fatalf("rows=%d w=%d batch: %v", rows, workers, err)
+				t.Fatalf("%s w=%d batch: %v", name, workers, err)
 			}
 			if batch.Traffic != scalar.Traffic || !batch.Result.Equal(scalar.Result) {
-				t.Fatalf("rows=%d w=%d: diverges (traffic %+v vs %+v)", rows, workers, scalar.Traffic, batch.Traffic)
+				t.Fatalf("%s w=%d: diverges (traffic %+v vs %+v)", name, workers, scalar.Traffic, batch.Traffic)
+			}
+			if !scalar.Result.Equal(want) {
+				t.Fatalf("%s w=%d: scalar reference wrong vs direct\ndirect:\n%s\nscalar:\n%s", name, workers, want, scalar.Result)
 			}
 		}
 	}
@@ -170,7 +192,7 @@ func TestBatchAsymmetricJoin(t *testing.T) {
 			if err != nil {
 				return nil, nil, err
 			}
-			a, err = ExecCheetah(q, CheetahOptions{Workers: workers, Seed: 7, Scalar: true, Pruner: pa})
+			a, err = scalarRef(q, CheetahOptions{Workers: workers, Seed: 7, Pruner: pa})
 			if err != nil {
 				return nil, nil, err
 			}
@@ -202,26 +224,26 @@ func TestBatchJoinEdgeCases(t *testing.T) {
 			}
 			for _, asym := range []bool{false, true} {
 				label := fmt.Sprintf("%s int=%v asym=%v", c.name, intKeys, asym)
-				run := func(opts CheetahOptions) *ShardedRun {
+				run := func(exec func(*Query, CheetahOptions) (*ShardedRun, error), opts CheetahOptions) *ShardedRun {
 					p, err := newTestJoinPruner(asym, 7)
 					if err != nil {
 						t.Fatal(err)
 					}
 					opts.Workers, opts.Seed, opts.Pruner = 3, 7, p
-					r, err := ExecCheetah(q, opts)
+					r, err := exec(q, opts)
 					if err != nil {
 						t.Fatalf("%s %+v: %v", label, opts, err)
 					}
 					return r
 				}
-				scalar, batch := run(CheetahOptions{Scalar: true}), run(CheetahOptions{NoFuse: true})
+				scalar, batch := run(scalarRef, CheetahOptions{}), run(ExecCheetah, CheetahOptions{NoFuse: true})
 				if batch.Traffic != scalar.Traffic || batch.Stats != scalar.Stats || !batch.Result.Equal(scalar.Result) {
 					t.Fatalf("%s: batch diverges from scalar: traffic %+v vs %+v", label, scalar.Traffic, batch.Traffic)
 				}
 				if !batch.Result.Equal(direct) {
 					t.Fatalf("%s: batch join wrong vs direct\ndirect:\n%s\nbatch:\n%s", label, direct, batch.Result)
 				}
-				if skip := run(CheetahOptions{NoFuse: true, Skip: true}); !skip.Result.Equal(direct) {
+				if skip := run(ExecCheetah, CheetahOptions{NoFuse: true, Skip: true}); !skip.Result.Equal(direct) {
 					t.Fatalf("%s: batch join with skipping wrong vs direct\ndirect:\n%s\nbatch:\n%s", label, direct, skip.Result)
 				}
 			}
@@ -240,7 +262,7 @@ func TestBatchMultiChunk(t *testing.T) {
 	rt := equivTable(t, 1777, 0x42)
 	for name, q := range withAggEdges(equivQueries(tb, rt)) {
 		for _, workers := range []int{1, 5, 7} {
-			scalar, err := ExecCheetah(q, CheetahOptions{Workers: workers, Seed: 11, Scalar: true})
+			scalar, err := scalarRef(q, CheetahOptions{Workers: workers, Seed: 11})
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
@@ -268,7 +290,7 @@ func TestBatchParallelEncode(t *testing.T) {
 	rt := equivTable(t, 1777, 0x52)
 	for name, q := range equivQueries(tb, rt) {
 		for _, workers := range []int{2, 5} {
-			scalar, err := ExecCheetah(q, CheetahOptions{Workers: workers, Seed: 13, Scalar: true})
+			scalar, err := scalarRef(q, CheetahOptions{Workers: workers, Seed: 13})
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
@@ -311,7 +333,7 @@ func TestBatchCustomPrunerFilterExactCompletion(t *testing.T) {
 			}
 			return f
 		}
-		scalar, err := ExecCheetah(q, CheetahOptions{Workers: 3, Seed: 5, Scalar: true, Pruner: mk()})
+		scalar, err := scalarRef(q, CheetahOptions{Workers: 3, Seed: 5, Pruner: mk()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -345,7 +367,7 @@ func TestBatchChunkBoundaryOrder(t *testing.T) {
 	tb := equivTable(t, 5003, 0x31)
 	q := &Query{Kind: KindTopN, Table: tb, OrderCol: "score", N: 25}
 	for _, workers := range []int{2, 3, 5, 7, 11} {
-		scalar, err := ExecCheetah(q, CheetahOptions{Workers: workers, Seed: 9, Scalar: true})
+		scalar, err := scalarRef(q, CheetahOptions{Workers: workers, Seed: 9})
 		if err != nil {
 			t.Fatal(err)
 		}

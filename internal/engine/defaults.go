@@ -7,8 +7,8 @@ import (
 )
 
 // DefaultPruner builds a kind's default single-switch program: the one
-// ExecCheetah runs, on the scalar reference as on the pruned executor,
-// unless CheetahOptions.Pruner pins another.
+// ExecCheetah runs, and the tests' scalar reference (scalar_ref_test.go)
+// too, unless CheetahOptions.Pruner pins another.
 func DefaultPruner(q *Query, seed uint64) (prune.Pruner, error) {
 	return defaultShardPruner(q, 1, seed)
 }

@@ -27,8 +27,8 @@ func ExecDirect(q *Query) (*Result, error) {
 
 // execRows is the direct executor restricted to rows of q.Table (and, for
 // a JOIN, right of q.Right): ExecDirect over every row, and the master's
-// completion over the rows the switch forwarded (completeSurvivors, the
-// scalar reference).
+// completion over the rows the switch forwarded (completeSurvivors, and
+// the tests' scalar reference).
 func execRows(q *Query, rows, right []int) (*Result, error) {
 	switch q.Kind {
 	case KindFilter:

@@ -185,7 +185,7 @@ func TestMixedKeyJoinRejected(t *testing.T) {
 	runs := map[string]func() error{
 		"fused":   func() error { _, err := ExecCheetah(q, CheetahOptions{Seed: 3}); return err },
 		"chunked": func() error { _, err := ExecCheetah(q, CheetahOptions{Seed: 3, NoFuse: true}); return err },
-		"scalar":  func() error { _, err := ExecCheetah(q, CheetahOptions{Seed: 3, Scalar: true}); return err },
+		"scalar":  func() error { _, err := scalarRef(q, CheetahOptions{Seed: 3}); return err },
 		"k=2":     func() error { _, err := ExecSharded(q, ShardedOptions{Shards: 2, Seed: 3}); return err },
 	}
 	for name, run := range runs {

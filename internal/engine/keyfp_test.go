@@ -284,7 +284,7 @@ func TestKeyMemoReaders(t *testing.T) {
 							}
 						}
 						if k == 1 && !skip && (sameStreams || noFuse) {
-							scalar, err := ExecCheetah(q, CheetahOptions{Workers: 3, Seed: seed, Scalar: true})
+							scalar, err := scalarRef(q, CheetahOptions{Workers: 3, Seed: seed})
 							if err != nil {
 								t.Fatal(err)
 							}
@@ -318,7 +318,7 @@ func TestOraclesReadNoKeyMemo(t *testing.T) {
 		if _, _, err := ExecDirectSkip(q); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if _, err := ExecCheetah(q, CheetahOptions{Workers: 3, Seed: seed, Scalar: true}); err != nil {
+		if _, err := scalarRef(q, CheetahOptions{Workers: 3, Seed: seed}); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 	}

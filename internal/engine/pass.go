@@ -50,7 +50,7 @@ type pass struct {
 	// empty for the kinds that read none.
 	keys string
 	// traffic.MasterProcessed is what the master touches to complete this
-	// pass's part, defined by the scalar reference (cheetah.go): the
+	// pass's part, defined by the scalar reference (scalar_ref_test.go): the
 	// forwarded entries, but GROUP BY SUM's distinct forwarded keys and
 	// HAVING's re-streamed second pass.
 	traffic Traffic

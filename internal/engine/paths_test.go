@@ -154,7 +154,7 @@ func FuzzPathsAgree(f *testing.F) {
 				exec func() (*ShardedRun, error)
 			}{
 				{"scalar", func() (*ShardedRun, error) {
-					return ExecCheetah(q, CheetahOptions{Workers: workers, Seed: 5, Scalar: true})
+					return scalarRef(q, CheetahOptions{Workers: workers, Seed: 5})
 				}},
 				{"chunked", func() (*ShardedRun, error) {
 					return ExecCheetah(q, CheetahOptions{Workers: workers, Seed: 5, NoFuse: true})

@@ -426,8 +426,8 @@ func TestShardedStatsGolden(t *testing.T) {
 		{"topn", prune.Stats{Processed: 5000, Pruned: 71}, Traffic{5000, 4929, 0, 4929}},
 	}
 	for _, g := range scalar {
-		opts := CheetahOptions{Workers: 3, Seed: 0xfeed, Scalar: true, Pruner: evicting(g.name)}
-		run, err := ExecCheetah(queries[g.name], opts)
+		opts := CheetahOptions{Workers: 3, Seed: 0xfeed, Pruner: evicting(g.name)}
+		run, err := scalarRef(queries[g.name], opts)
 		if err != nil {
 			t.Fatalf("%s scalar: %v", g.name, err)
 		}

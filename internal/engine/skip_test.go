@@ -163,18 +163,6 @@ func TestSkipActuallySkips(t *testing.T) {
 	}
 }
 
-// TestSkipScalarRejected pins that the scalar legacy path refuses the
-// Skip option instead of silently ignoring it.
-func TestSkipScalarRejected(t *testing.T) {
-	tb := equivTable(t, 100, 1)
-	q := &Query{
-		Kind: KindTopN, Table: tb, OrderCol: "score", N: 5,
-	}
-	if _, err := ExecCheetah(q, CheetahOptions{Workers: 1, Scalar: true, Skip: true}); err == nil {
-		t.Fatal("Scalar+Skip accepted, want error")
-	}
-}
-
 // TestSkipPropertyAppendInterleave is the property test: under a random
 // interleaving of appends and queries (refreshing the index between
 // some, not all, batches so stale-index spans stay exercised), every

@@ -13,7 +13,7 @@ package engine
 import "time"
 
 // Stopwatch is the engine's one wall-clock source. Every execution
-// path — direct, scalar and pruned at any width — captures its wall time
+// path — direct and pruned at any width — captures its wall time
 // through StartClock/Elapsed so the numbers are comparable across paths
 // and cover a whole call including internal failover redos, never a
 // single attempt.

@@ -28,9 +28,6 @@ func TestWallUnifiedAcrossPaths(t *testing.T) {
 	rt := equivTable(t, 900, 0x0dd)
 	for name, q := range equivQueries(tb, rt) {
 		paths := map[string]func() (*ShardedRun, error){
-			"scalar": func() (*ShardedRun, error) {
-				return ExecCheetah(q, CheetahOptions{Workers: 2, Seed: 7, Scalar: true})
-			},
 			"batched": func() (*ShardedRun, error) {
 				return ExecCheetah(q, CheetahOptions{Workers: 2, Seed: 7, NoFuse: true})
 			},

@@ -182,7 +182,7 @@ func TestDistinctNULTuples(t *testing.T) {
 		},
 	}
 	for name, opts := range map[string]engine.CheetahOptions{
-		"cheetah": {}, "cheetah-nofuse": {NoFuse: true}, "cheetah-scalar": {Scalar: true},
+		"cheetah": {}, "cheetah-nofuse": {NoFuse: true},
 	} {
 		paths[name] = func() (*engine.Result, error) {
 			opts.Workers, opts.Seed = 2, 3
