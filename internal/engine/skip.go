@@ -311,15 +311,9 @@ func offsetIDs(enc partEncoder, base uint64) partEncoder {
 }
 
 // spanPass streams each span of t through batchPass as its own segment
-// (zero-copy views, ids rebased to t's coordinates). The single
-// full-table span — the no-skipping case — takes the exact legacy path,
-// byte for byte.
+// (zero-copy views, ids rebased to t's coordinates).
 func spanPass(t *table.Table, spans []span, workers, width int, needIDs bool, buf *streamBuf,
 	encFor func(*table.Table) partEncoder, dp BatchDataplane, sink batchSink) error {
-	if len(spans) == 1 && spans[0].lo == 0 && spans[0].hi == t.NumRows() {
-		batchPass(t.NumRows(), workers, width, needIDs, buf, encFor(t), dp, sink)
-		return nil
-	}
 	for _, sp := range spans {
 		v, err := t.View(sp.lo, sp.hi)
 		if err != nil {

@@ -13,12 +13,10 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"strings"
 	"sync"
 	"time"
 
 	"cheetah/internal/engine"
-	"cheetah/internal/obs"
 	"cheetah/internal/table"
 	"cheetah/internal/wire"
 )
@@ -209,26 +207,6 @@ func (cl *Client) Query(ctx context.Context, spec wire.QuerySpec, opts QueryOpti
 		return nil, err
 	}
 	return r.result, nil
-}
-
-// FormatTrace renders a result's server-side stage summary — the
-// compact form of the execution's lifecycle trace that travels in the
-// Result frame — one "stage  duration  entries->forwarded" line per
-// stage, in lifecycle order. Empty when the server disabled tracing.
-func FormatTrace(res *wire.ResultMsg) string {
-	if res == nil || len(res.Trace) == 0 {
-		return ""
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "server wall %s\n", time.Duration(res.WallNanos).Round(time.Microsecond))
-	for _, st := range res.Trace {
-		fmt.Fprintf(&b, "  %-8s %10s", obs.Stage(st.Stage), time.Duration(st.Nanos).Round(time.Microsecond))
-		if st.Entries > 0 || st.Forwarded > 0 {
-			fmt.Fprintf(&b, "  %d->%d", st.Entries, st.Forwarded)
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
 }
 
 // QueryEngine is Query for a locally-built engine.Query: the spec is

@@ -20,6 +20,26 @@ import (
 	"cheetah/internal/workload/multitenant"
 )
 
+// FormatTrace renders a result's server-side stage summary — the
+// compact form of the execution's lifecycle trace that travels in the
+// Result frame — one "stage  duration  entries->forwarded" line per
+// stage, in lifecycle order. Empty when the server disabled tracing.
+func FormatTrace(res *wire.ResultMsg) string {
+	if res == nil || len(res.Trace) == 0 {
+		return ""
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "server wall %s\n", time.Duration(res.WallNanos).Round(time.Microsecond))
+	for _, st := range res.Trace {
+		fmt.Fprintf(&b, "  %-8s %10s", obs.Stage(st.Stage), time.Duration(st.Nanos).Round(time.Microsecond))
+		if st.Entries > 0 || st.Forwarded > 0 {
+			fmt.Fprintf(&b, "  %d->%d", st.Entries, st.Forwarded)
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
 // TestWireTraceAndMetrics runs all 8 kinds over TCP and checks each
 // result carries the server-side wall clock and stage summary, the
 // shared registry accumulates per-kind latency histograms, and the

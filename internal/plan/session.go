@@ -95,10 +95,11 @@ type Session struct {
 	// free is the session's free list of idle, Reset switch programs.
 	free programs
 
-	// mu guards the open streaming handles Close must drain.
-	mu      sync.Mutex
-	streams map[*Streaming]struct{}
-	closed  bool
+	// mu guards the open streaming handle Close must drain. A table has
+	// one append log, so a session has at most one handle open at a time.
+	mu     sync.Mutex
+	stream *Streaming
+	closed bool
 }
 
 // Open validates opts, fills defaults, builds the session's fabric and
@@ -138,34 +139,14 @@ func Open(t *table.Table, opts Options) (*Session, error) {
 		return nil, err
 	}
 	return &Session{
-		table:   t,
-		opts:    opts,
-		fab:     fab,
-		free:    programs{bound: opts.Model.TotalSRAMBits()},
-		streams: make(map[*Streaming]struct{}),
+		table: t,
+		opts:  opts,
+		fab:   fab,
+		free:  programs{bound: opts.Model.TotalSRAMBits()},
 	}, nil
 }
 
-// addStream registers an open streaming handle for Close to drain; it
-// fails once the session is closed.
-func (s *Session) addStream(st *Streaming) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return fmt.Errorf("plan: session is closed")
-	}
-	s.streams[st] = struct{}{}
-	return nil
-}
-
-// removeStream deregisters a handle that closed on its own.
-func (s *Session) removeStream(st *Streaming) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.streams, st)
-}
-
-// Close shuts the session's streaming handles down — registered
+// Close shuts the session's streaming handle down — its
 // subscriptions drain their in-flight delta and release their switch
 // programs — and then the fabric: queued admissions fail over to direct
 // execution, and in-flight Submits complete (a Submit racing Close
@@ -202,13 +183,9 @@ func (s *Session) Close() {
 		return
 	}
 	s.closed = true
-	streams := make([]*Streaming, 0, len(s.streams))
-	for st := range s.streams {
-		streams = append(streams, st)
-	}
-	s.streams = make(map[*Streaming]struct{})
+	st := s.stream
 	s.mu.Unlock()
-	for _, st := range streams {
+	if st != nil {
 		st.Close()
 	}
 	s.fab.Close()

@@ -84,20 +84,28 @@ type Streaming struct {
 // Stream opens the session's table as a streaming source. The handle
 // closes when ctx is done (or on Close); appends and new subscriptions
 // then fail, standing subscriptions drain and release their programs.
+// The handle's ingestor owns the table's appends, so a session has one
+// open handle: Stream fails while another is open, and a handle opened
+// after it closes starts from every row the earlier one committed.
 func (s *Session) Stream(ctx context.Context, opts StreamOptions) (*Streaming, error) {
 	pol := stream.Block
 	if opts.Shed {
 		pol = stream.Shed
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return nil, fmt.Errorf("plan: session is closed")
+	}
+	if s.stream != nil {
+		return nil, fmt.Errorf("plan: the session already has an open streaming handle; close it first")
 	}
 	ing, err := stream.NewIngestor(s.table, stream.Config{Backlog: opts.Backlog, OnFull: pol})
 	if err != nil {
 		return nil, err
 	}
 	st := &Streaming{s: s, ing: ing, subs: make(map[*Subscription]struct{})}
-	if err := s.addStream(st); err != nil {
-		ing.Close()
-		return nil, err
-	}
+	s.stream = st
 	if ctx != nil {
 		context.AfterFunc(ctx, st.Close)
 	}
@@ -443,6 +451,8 @@ func (st *Streaming) Close() {
 		for _, ss := range subs {
 			ss.Close()
 		}
-		st.s.removeStream(st)
+		st.s.mu.Lock()
+		st.s.stream = nil
+		st.s.mu.Unlock()
 	})
 }

@@ -428,6 +428,64 @@ func TestSessionCloseIdempotentAndDrains(t *testing.T) {
 	}
 }
 
+// TestStreamOneHandlePerSession pins that a session's table has one
+// append log: a second Stream on a session whose handle is open fails,
+// and once that handle closes a new one opens, and its subscription
+// covers the rows the first handle appended.
+func TestStreamOneHandlePerSession(t *testing.T) {
+	ctx := streamCtx(t)
+	target := table.MustNew(table.Schema{{Name: "v", Type: table.Int64}})
+	db, err := Open(target, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	first, err := db.Stream(ctx, StreamOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(0); i < 10; i++ {
+		if err := first.Append(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := db.Stream(ctx, StreamOptions{}); err == nil {
+		t.Fatal("a second Stream on a session with an open handle should fail")
+	}
+	first.Close()
+
+	second, err := db.Stream(ctx, StreamOptions{})
+	if err != nil {
+		t.Fatalf("Stream after the open handle closed: %v", err)
+	}
+	defer second.Close()
+	q, err := db.Select().TopN("v", 3).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, err := second.Subscribe(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := second.Append(int64(10)); err != nil {
+		t.Fatal(err)
+	}
+	if err := sub.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	res, ver := sub.Results()
+	if ver != 11 {
+		t.Fatalf("version = %d, want 11 (10 rows of the first handle, 1 of the second)", ver)
+	}
+	want, err := engine.ExecDirect(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !want.Equal(res) {
+		t.Fatalf("standing top-3 = %v, want %v", res.Rows, want.Rows)
+	}
+}
+
 // TestSessionCloseDuringSubmit pins the race the satellite calls out:
 // concurrent Submits racing Session.Close must complete cleanly (pruned
 // or direct-fallback), never error or leak.

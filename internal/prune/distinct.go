@@ -36,7 +36,7 @@ type DistinctConfig struct {
 type Distinct struct {
 	cfg    DistinctConfig
 	matrix *cache.Matrix
-	stats  Stats
+	tally
 }
 
 // NewDistinct builds the pruner.
@@ -111,9 +111,6 @@ func (p *Distinct) Reset() {
 	p.matrix.Reset()
 	p.stats = Stats{}
 }
-
-// Stats implements Pruner.
-func (p *Distinct) Stats() Stats { return p.stats }
 
 // ExpectedDistinctPruneFraction is Theorem 1's lower bound on the
 // expected fraction of duplicate entries pruned on a random-order stream

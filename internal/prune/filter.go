@@ -102,9 +102,9 @@ type FilterConfig struct {
 // and the bit-vector indexes a truth table that yields the prune/forward
 // verdict (§4.1).
 type Filter struct {
-	cfg   FilterConfig
-	tt    *boolexpr.TruthTable
-	stats Stats
+	cfg FilterConfig
+	tt  *boolexpr.TruthTable
+	tally
 }
 
 // NewFilter builds the pruner, compiling the formula to its truth table.
@@ -175,6 +175,3 @@ func (p *Filter) Process(vals []uint64) switchsim.Decision {
 // Reset implements switchsim.Program. Filtering is stateless, so only
 // the statistics clear.
 func (p *Filter) Reset() { p.stats = Stats{} }
-
-// Stats implements Pruner.
-func (p *Filter) Stats() Stats { return p.stats }

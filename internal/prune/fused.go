@@ -13,8 +13,9 @@ package prune
 // Having's FusedOffer here, Skyline's FusedOffer, GroupBySum's FusedAdd).
 //
 // The engine accumulates the statistics in loop-local counters and
-// deposits them once per pass through AddStats, so a pruner's Stats()
-// after a fused pass equal those after the equivalent Process sequence.
+// deposits them once per pass through the program's tally (AddStats), so
+// its Stats() after a fused pass equal those after the equivalent
+// Process sequence.
 // The one sanctioned deviation is RandTopN's RNG (see FusedRandState): the
 // fused path draws row choices from a counter-indexed stream rather than
 // Process's serial chain, so its prune decisions differ from the scalar
@@ -26,60 +27,6 @@ import (
 	"cheetah/internal/cache"
 	"cheetah/internal/sketch"
 )
-
-// AddStats deposits a fused pass's locally accumulated counters.
-func (p *Filter) AddStats(processed, pruned uint64) {
-	p.stats.Processed += processed
-	p.stats.Pruned += pruned
-}
-
-// AddStats deposits a fused pass's locally accumulated counters.
-func (p *Distinct) AddStats(processed, pruned uint64) {
-	p.stats.Processed += processed
-	p.stats.Pruned += pruned
-}
-
-// AddStats deposits a fused pass's locally accumulated counters.
-func (p *GroupBy) AddStats(processed, pruned uint64) {
-	p.stats.Processed += processed
-	p.stats.Pruned += pruned
-}
-
-// AddStats deposits a fused pass's locally accumulated counters.
-func (p *DetTopN) AddStats(processed, pruned uint64) {
-	p.stats.Processed += processed
-	p.stats.Pruned += pruned
-}
-
-// AddStats deposits a fused pass's locally accumulated counters.
-func (p *RandTopN) AddStats(processed, pruned uint64) {
-	p.stats.Processed += processed
-	p.stats.Pruned += pruned
-}
-
-// AddStats deposits a fused pass's locally accumulated counters.
-func (p *Having) AddStats(processed, pruned uint64) {
-	p.stats.Processed += processed
-	p.stats.Pruned += pruned
-}
-
-// AddStats deposits a fused pass's locally accumulated counters.
-func (p *Join) AddStats(processed, pruned uint64) {
-	p.stats.Processed += processed
-	p.stats.Pruned += pruned
-}
-
-// AddStats deposits a fused pass's locally accumulated counters.
-func (p *GroupBySum) AddStats(processed, pruned uint64) {
-	p.stats.Processed += processed
-	p.stats.Pruned += pruned
-}
-
-// AddStats deposits a fused pass's locally accumulated counters.
-func (p *Skyline) AddStats(processed, pruned uint64) {
-	p.stats.Processed += processed
-	p.stats.Pruned += pruned
-}
 
 // FusedSpec exposes the compiled predicate list and truth table so the
 // fused FILTER loop can evaluate the formula straight off the table

@@ -26,7 +26,7 @@ type GroupByConfig struct {
 type GroupBy struct {
 	cfg    GroupByConfig
 	matrix *cache.KeyedMax
-	stats  Stats
+	tally
 }
 
 // NewGroupBy builds the pruner.
@@ -86,6 +86,3 @@ func (p *GroupBy) Reset() {
 	p.matrix.Reset()
 	p.stats = Stats{}
 }
-
-// Stats implements Pruner.
-func (p *GroupBy) Stats() Stats { return p.stats }

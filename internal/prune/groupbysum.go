@@ -37,7 +37,7 @@ type GroupBySum struct {
 	sums    []int64
 	used    []bool
 	emit    []uint64 // scratch for the emitted (key, sum) pair
-	stats   Stats
+	tally
 }
 
 // NewGroupBySum builds the pruner.
@@ -173,9 +173,6 @@ func (p *GroupBySum) Reset() {
 	}
 	p.stats = Stats{}
 }
-
-// Stats implements Pruner.
-func (p *GroupBySum) Stats() Stats { return p.stats }
 
 var (
 	_ Pruner            = (*GroupBySum)(nil)

@@ -52,9 +52,9 @@ type HavingConfig struct {
 // superset of the output keys and completes the query with a partial
 // second pass (§4.3) to compute exact aggregates.
 type Having struct {
-	cfg   HavingConfig
-	cms   *sketch.CountMin
-	stats Stats
+	cfg HavingConfig
+	cms *sketch.CountMin
+	tally
 }
 
 // NewHaving builds the pruner.
@@ -113,9 +113,6 @@ func (p *Having) Reset() {
 	p.cms.Reset()
 	p.stats = Stats{}
 }
-
-// Stats implements Pruner.
-func (p *Having) Stats() Stats { return p.stats }
 
 // Estimate exposes the sketch estimate for a key; the master-side second
 // pass uses it in tests to cross-check the one-sided property.

@@ -75,7 +75,7 @@ type Join struct {
 	fa    sketch.Membership
 	fb    sketch.Membership
 	phase JoinPhase
-	stats Stats
+	tally
 }
 
 // NewJoin builds the pruner in PhaseBuild.
@@ -197,6 +197,3 @@ func (p *Join) Reset() {
 	p.phase = PhaseBuild
 	p.stats = Stats{}
 }
-
-// Stats implements Pruner.
-func (p *Join) Stats() Stats { return p.stats }

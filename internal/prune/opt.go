@@ -10,27 +10,35 @@ import (
 // must forward every entry that could still affect the output given the
 // prefix seen so far.
 
+// optRef is what the OPT references share: their traffic tally, a name,
+// the Deterministic guarantee (each is an exact oracle) and a nominal
+// profile — OPT is resource-unconstrained and never installed on a
+// pipeline.
+type optRef struct {
+	tally
+	name string
+}
+
+// Name implements Pruner.
+func (r *optRef) Name() string { return r.name }
+
+// Guarantee implements Pruner.
+func (r *optRef) Guarantee() Guarantee { return Deterministic }
+
+// Profile implements switchsim.Program.
+func (r *optRef) Profile() switchsim.Profile {
+	return switchsim.Profile{Name: r.name, Stages: 1}
+}
+
 // OptDistinct forwards exactly the first occurrence of each value.
 type OptDistinct struct {
-	seen  map[uint64]struct{}
-	stats Stats
+	seen map[uint64]struct{}
+	optRef
 }
 
 // NewOptDistinct builds the reference stream.
 func NewOptDistinct() *OptDistinct {
-	return &OptDistinct{seen: make(map[uint64]struct{})}
-}
-
-// Name implements Pruner.
-func (p *OptDistinct) Name() string { return "opt-distinct" }
-
-// Guarantee implements Pruner.
-func (p *OptDistinct) Guarantee() Guarantee { return Deterministic }
-
-// Profile implements switchsim.Program; OPT is resource-unconstrained and
-// reports a nominal profile (it is never installed on a pipeline).
-func (p *OptDistinct) Profile() switchsim.Profile {
-	return switchsim.Profile{Name: p.Name(), Stages: 1}
+	return &OptDistinct{optRef: optRef{name: "opt-distinct"}, seen: make(map[uint64]struct{})}
 }
 
 // Process implements switchsim.Program.
@@ -50,15 +58,12 @@ func (p *OptDistinct) Reset() {
 	p.stats = Stats{}
 }
 
-// Stats implements Pruner.
-func (p *OptDistinct) Stats() Stats { return p.stats }
-
 // OptTopN forwards an entry iff it ranks among the top N of the prefix
 // seen so far (any correct one-pass algorithm must forward those).
 type OptTopN struct {
-	n     int
-	heap  []int64 // min-heap of the current top-N
-	stats Stats
+	n    int
+	heap []int64 // min-heap of the current top-N
+	optRef
 }
 
 // NewOptTopN builds the reference stream.
@@ -66,18 +71,7 @@ func NewOptTopN(n int) *OptTopN {
 	if n < 1 {
 		n = 1
 	}
-	return &OptTopN{n: n, heap: make([]int64, 0, n)}
-}
-
-// Name implements Pruner.
-func (p *OptTopN) Name() string { return "opt-topn" }
-
-// Guarantee implements Pruner.
-func (p *OptTopN) Guarantee() Guarantee { return Deterministic }
-
-// Profile implements switchsim.Program.
-func (p *OptTopN) Profile() switchsim.Profile {
-	return switchsim.Profile{Name: p.Name(), Stages: 1}
+	return &OptTopN{optRef: optRef{name: "opt-topn"}, n: n, heap: make([]int64, 0, n)}
 }
 
 // Process implements switchsim.Program.
@@ -135,14 +129,11 @@ func (p *OptTopN) Reset() {
 	p.stats = Stats{}
 }
 
-// Stats implements Pruner.
-func (p *OptTopN) Stats() Stats { return p.stats }
-
 // OptSkyline forwards an entry iff no previously seen point dominates it.
 type OptSkyline struct {
 	dims   int
 	points [][]uint64 // current skyline of the prefix
-	stats  Stats
+	optRef
 }
 
 // NewOptSkyline builds the reference stream.
@@ -150,18 +141,7 @@ func NewOptSkyline(dims int) *OptSkyline {
 	if dims < 1 {
 		dims = 1
 	}
-	return &OptSkyline{dims: dims}
-}
-
-// Name implements Pruner.
-func (p *OptSkyline) Name() string { return "opt-skyline" }
-
-// Guarantee implements Pruner.
-func (p *OptSkyline) Guarantee() Guarantee { return Deterministic }
-
-// Profile implements switchsim.Program.
-func (p *OptSkyline) Profile() switchsim.Profile {
-	return switchsim.Profile{Name: p.Name(), Stages: 1}
+	return &OptSkyline{optRef: optRef{name: "opt-skyline"}, dims: dims}
 }
 
 // Process implements switchsim.Program.
@@ -192,29 +172,15 @@ func (p *OptSkyline) Reset() {
 	p.stats = Stats{}
 }
 
-// Stats implements Pruner.
-func (p *OptSkyline) Stats() Stats { return p.stats }
-
 // OptGroupBy forwards an entry iff it strictly improves its key's max.
 type OptGroupBy struct {
-	best  map[uint64]int64
-	stats Stats
+	best map[uint64]int64
+	optRef
 }
 
 // NewOptGroupBy builds the reference stream.
 func NewOptGroupBy() *OptGroupBy {
-	return &OptGroupBy{best: make(map[uint64]int64)}
-}
-
-// Name implements Pruner.
-func (p *OptGroupBy) Name() string { return "opt-groupby" }
-
-// Guarantee implements Pruner.
-func (p *OptGroupBy) Guarantee() Guarantee { return Deterministic }
-
-// Profile implements switchsim.Program.
-func (p *OptGroupBy) Profile() switchsim.Profile {
-	return switchsim.Profile{Name: p.Name(), Stages: 1}
+	return &OptGroupBy{optRef: optRef{name: "opt-groupby"}, best: make(map[uint64]int64)}
 }
 
 // Process implements switchsim.Program.
@@ -235,32 +201,18 @@ func (p *OptGroupBy) Reset() {
 	p.stats = Stats{}
 }
 
-// Stats implements Pruner.
-func (p *OptGroupBy) Stats() Stats { return p.stats }
-
 // OptJoin knows both tables' exact key sets (an exact two-pass oracle):
 // during the probe pass it forwards an entry iff the other side truly
 // contains the key.
 type OptJoin struct {
 	a, b  map[uint64]struct{}
 	probe bool
-	stats Stats
+	optRef
 }
 
 // NewOptJoin builds the reference stream.
 func NewOptJoin() *OptJoin {
-	return &OptJoin{a: map[uint64]struct{}{}, b: map[uint64]struct{}{}}
-}
-
-// Name implements Pruner.
-func (p *OptJoin) Name() string { return "opt-join" }
-
-// Guarantee implements Pruner.
-func (p *OptJoin) Guarantee() Guarantee { return Deterministic }
-
-// Profile implements switchsim.Program.
-func (p *OptJoin) Profile() switchsim.Profile {
-	return switchsim.Profile{Name: p.Name(), Stages: 1}
+	return &OptJoin{optRef: optRef{name: "opt-join"}, a: map[uint64]struct{}{}, b: map[uint64]struct{}{}}
 }
 
 // StartProbe moves to the probe pass.
@@ -298,32 +250,18 @@ func (p *OptJoin) Reset() {
 	p.stats = Stats{}
 }
 
-// Stats implements Pruner.
-func (p *OptJoin) Stats() Stats { return p.stats }
-
 // OptHaving keeps exact per-key aggregates (an exact Count-Min) and
 // forwards an entry only while its key's running aggregate has just
 // crossed the threshold or beyond.
 type OptHaving struct {
 	threshold int64
 	sums      map[uint64]int64
-	stats     Stats
+	optRef
 }
 
 // NewOptHaving builds the reference stream for HAVING SUM > c.
 func NewOptHaving(threshold int64) *OptHaving {
-	return &OptHaving{threshold: threshold, sums: make(map[uint64]int64)}
-}
-
-// Name implements Pruner.
-func (p *OptHaving) Name() string { return "opt-having" }
-
-// Guarantee implements Pruner.
-func (p *OptHaving) Guarantee() Guarantee { return Deterministic }
-
-// Profile implements switchsim.Program.
-func (p *OptHaving) Profile() switchsim.Profile {
-	return switchsim.Profile{Name: p.Name(), Stages: 1}
+	return &OptHaving{optRef: optRef{name: "opt-having"}, threshold: threshold, sums: make(map[uint64]int64)}
 }
 
 // Process implements switchsim.Program: vals[0] key, vals[1] summand.
@@ -343,9 +281,6 @@ func (p *OptHaving) Reset() {
 	p.sums = make(map[uint64]int64)
 	p.stats = Stats{}
 }
-
-// Stats implements Pruner.
-func (p *OptHaving) Stats() Stats { return p.stats }
 
 // Compile-time interface checks for every pruner in the package.
 var (

@@ -6,7 +6,8 @@
 // supports: hashing, comparisons, register reads/writes, table lookups.
 // That decision is stated once, in Process, which the chunked stream
 // (switchsim.ProcessBatchOf) calls per entry; fused.go exposes the same
-// state transition to the engine's fused loops.
+// state transition to the engine's fused loops. Every program keeps its
+// traffic counters in one embedded tally.
 //
 // The package also provides the paper's configuration formulas
 // (Theorem 2's matrix-column count, the Lambert-W-guided optimal row
@@ -61,6 +62,20 @@ func (s Stats) UnprunedRate() float64 {
 		return 0
 	}
 	return float64(s.Forwarded()) / float64(s.Processed)
+}
+
+// tally is the traffic counter every program embeds: Process counts
+// into p.stats, Reset zeroes it, and the engine's fused loops deposit a
+// pass's loop-local counts through AddStats (fused.go).
+type tally struct{ stats Stats }
+
+// Stats implements Pruner.
+func (t *tally) Stats() Stats { return t.stats }
+
+// AddStats deposits a fused pass's locally accumulated counters.
+func (t *tally) AddStats(processed, pruned uint64) {
+	t.stats.Processed += processed
+	t.stats.Pruned += pruned
 }
 
 // Pruner is a switch pruning program with traffic statistics.

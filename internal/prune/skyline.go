@@ -72,7 +72,7 @@ type Skyline struct {
 	fill    int
 	carry   []uint64 // scratch: the packet's current point
 	carryID uint64
-	stats   Stats
+	tally
 }
 
 // NewSkyline builds the pruner.
@@ -278,9 +278,6 @@ func (p *Skyline) Reset() {
 	p.fill = 0
 	p.stats = Stats{}
 }
-
-// Stats implements Pruner.
-func (p *Skyline) Stats() Stats { return p.stats }
 
 // StoredPoints returns copies of the points currently cached on the
 // switch. With the swap discipline every arriving point is either

@@ -35,7 +35,7 @@ type DetTopN struct {
 	t0       int64
 	counts   []int64 // entries seen ≥ t_i
 	cur      int     // highest i with counts[i] ≥ N, or -1 during warm-up
-	stats    Stats
+	tally
 }
 
 // NewDetTopN builds the pruner.
@@ -115,9 +115,6 @@ func (p *DetTopN) Reset() {
 	p.stats = Stats{}
 }
 
-// Stats implements Pruner.
-func (p *DetTopN) Stats() Stats { return p.stats }
-
 // RandTopNConfig configures the randomized TOP N pruner (§5, Example #7).
 type RandTopNConfig struct {
 	// N is the requested result size.
@@ -141,7 +138,7 @@ type RandTopN struct {
 	// path (fused.go); the scalar chain above and this counter are
 	// independent streams.
 	fusedPos uint64
-	stats    Stats
+	tally
 }
 
 // NewRandTopN builds the pruner.
@@ -198,9 +195,6 @@ func (p *RandTopN) Reset() {
 	p.fusedPos = 0
 	p.stats = Stats{}
 }
-
-// Stats implements Pruner.
-func (p *RandTopN) Stats() Stats { return p.stats }
 
 // TopNColumnsFor computes Theorem 2's matrix-column count
 //

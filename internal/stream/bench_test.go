@@ -13,7 +13,7 @@ var standingSink *engine.Result
 
 // BenchmarkDistinctStandingResults holds a DISTINCT standing result of
 // 16 500 user-agent-shaped rows. Each iteration appends a 256-row delta
-// carrying 12 new agents and steps the subscription outside the timer,
+// carrying 12 new agents and flushes the subscription outside the timer,
 // then times Results() alone — the render a remote update pays before
 // its change set is diffed.
 func BenchmarkDistinctStandingResults(b *testing.B) {
@@ -35,13 +35,11 @@ func BenchmarkDistinctStandingResults(b *testing.B) {
 	}
 	defer in.Close()
 	q := &engine.Query{Kind: engine.KindDistinct, Table: tb, DistinctCols: []string{"agent"}}
-	sub, err := in.Subscribe(q, SubOptions{NoPump: true})
+	sub, err := in.Subscribe(q, SubOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := sub.Step(); err != nil {
-		b.Fatal(err)
-	}
+	flush(b, sub)
 	sub.Results()
 	next := standingRows
 	b.ReportAllocs()
@@ -61,9 +59,7 @@ func BenchmarkDistinctStandingResults(b *testing.B) {
 		if err := in.AppendBatch(delta); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := sub.Step(); err != nil {
-			b.Fatal(err)
-		}
+		flush(b, sub)
 		b.StartTimer()
 		standingSink, _ = sub.Results()
 	}

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"slices"
@@ -86,7 +87,7 @@ func foldExec(sel uint8, seed uint64) DeltaExec {
 
 // FuzzStandingMatchesDirect pins the folds a standing result is kept
 // with — TOP N's N-heap, SKYLINE's re-run over the frontier, DISTINCT's
-// tuple set — to the oracle: after every Step over a fuzzed schedule of
+// tuple set — to the oracle: after every delta of a fuzzed schedule of
 // 0-40-row batches, Results equals ExecDirect over the rows it covers
 // (the whole prefix, or the fired window's rows).
 func FuzzStandingMatchesDirect(f *testing.F) {
@@ -122,7 +123,7 @@ func FuzzStandingMatchesDirect(f *testing.F) {
 		}
 		defer in.Close()
 		q.Table = target
-		sub, err := in.Subscribe(&q, SubOptions{Exec: foldExec(exec, uint64(n)), Window: window, Slide: slide, NoPump: true})
+		sub, err := in.Subscribe(&q, SubOptions{Exec: foldExec(exec, uint64(n)), Window: window, Slide: slide})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,9 +143,7 @@ func FuzzStandingMatchesDirect(f *testing.F) {
 					t.Fatal(err)
 				}
 			}
-			if _, err := sub.Step(); err != nil {
-				t.Fatal(err)
-			}
+			flush(t, sub)
 			wlo, whi := uint64(0), uint64(hi)
 			if window > 0 {
 				wlo, whi = sub.WindowBounds()
@@ -202,7 +201,7 @@ func TestDistinctNULTuples(t *testing.T) {
 			defer in.Close()
 			qs := q
 			qs.Table = in.t
-			sub, err := in.Subscribe(&qs, SubOptions{NoPump: true})
+			sub, err := in.Subscribe(&qs, SubOptions{})
 			if err != nil {
 				return nil, err
 			}
@@ -214,7 +213,7 @@ func TestDistinctNULTuples(t *testing.T) {
 				if err := in.AppendBatch(v); err != nil {
 					return nil, err
 				}
-				if _, err := sub.Step(); err != nil {
+				if err := sub.Flush(context.Background()); err != nil {
 					return nil, err
 				}
 			}

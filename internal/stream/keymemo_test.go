@@ -157,7 +157,7 @@ func TestDeltaColdCost(t *testing.T) {
 		return run.Result, nil
 	}
 	q := &engine.Query{Kind: engine.KindDistinct, Table: target, DistinctCols: []string{"userAgent"}}
-	sub, err := in.Subscribe(q, SubOptions{Exec: pruned, NoPump: true})
+	sub, err := in.Subscribe(q, SubOptions{Exec: pruned})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,8 +165,9 @@ func TestDeltaColdCost(t *testing.T) {
 	c := target.Schema().MustIndex("userAgent")
 	step := func(want int) table.KeyMemoStats {
 		t.Helper()
-		if n, err := sub.Step(); err != nil || n != want {
-			t.Fatalf("delta of %d rows (err %v), want %d", n, err, want)
+		flush(t, sub)
+		if u := <-sub.Updates(); u.Rows != want {
+			t.Fatalf("delta of %d rows, want %d", u.Rows, want)
 		}
 		return target.KeyMemoStats(c, seed)
 	}

@@ -33,26 +33,47 @@ func mustEqual(t *testing.T, ctx string, got, want *engine.Result) {
 	}
 }
 
+// flush waits until sub's pump has folded every committed row. The test
+// is the only appender, so the rows appended since the previous flush
+// are one delta.
+func flush(t testing.TB, sub *Subscription) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := sub.Flush(ctx); err != nil {
+		t.Fatalf("flush: %v", err)
+	}
+}
+
+// gate is a DeltaExec that holds every delta back until release: the
+// backpressure tests keep a subscription's backlog standing with it.
+func gate() (exec DeltaExec, release func()) {
+	ch := make(chan struct{})
+	var once sync.Once
+	return func(dq *engine.Query) (*engine.Result, error) {
+		<-ch
+		return DirectExec(dq)
+	}, func() { once.Do(func() { close(ch) }) }
+}
+
 // schedules enumerates the delta schedules of the property suite: one
 // big batch, many small batches, the same with the standing result
-// rendered after every step (each snapshot then applies a small change
+// rendered after every delta (each snapshot then applies a small change
 // to the last), and small batches with a second subscription registered
 // mid-stream.
 var schedules = []string{"one-big", "many-small", "rendered", "interleaved"}
 
 // runSchedule drives rows of src into the ingestor per the schedule,
-// stepping subscription(s) between appends, and returns every live
-// subscription (the interleaved schedule registers a second one
-// mid-stream via subscribe).
+// flushing the subscription(s) after each append so that every batch is
+// one delta, and returns every live subscription (the interleaved
+// schedule registers a second one mid-stream via subscribe).
 func runSchedule(t *testing.T, in *Ingestor, src *table.Table, schedule string,
 	sub *Subscription, subscribe func() *Subscription) []*Subscription {
 	t.Helper()
 	subs := []*Subscription{sub}
-	stepAll := func() {
+	flushAll := func() {
 		for _, s := range subs {
-			if _, err := s.Step(); err != nil {
-				t.Fatalf("step: %v", err)
-			}
+			flush(t, s)
 		}
 	}
 	n := src.NumRows()
@@ -68,7 +89,7 @@ func runSchedule(t *testing.T, in *Ingestor, src *table.Table, schedule string,
 	switch schedule {
 	case "one-big":
 		appendRange(0, n)
-		stepAll()
+		flushAll()
 	case "many-small", "rendered":
 		const chunk = 97
 		for lo := 0; lo < n; lo += chunk {
@@ -77,7 +98,7 @@ func runSchedule(t *testing.T, in *Ingestor, src *table.Table, schedule string,
 				hi = n
 			}
 			appendRange(lo, hi)
-			stepAll()
+			flushAll()
 			if schedule == "rendered" {
 				for _, s := range subs {
 					s.Results()
@@ -86,9 +107,10 @@ func runSchedule(t *testing.T, in *Ingestor, src *table.Table, schedule string,
 		}
 	case "interleaved":
 		appendRange(0, n/2)
-		stepAll()
+		flushAll()
 		late := subscribe()
 		subs = append(subs, late)
+		flush(t, late) // its catch-up over the committed prefix is one delta
 		const chunk = 61
 		for lo := n / 2; lo < n; lo += chunk {
 			hi := lo + chunk
@@ -96,7 +118,7 @@ func runSchedule(t *testing.T, in *Ingestor, src *table.Table, schedule string,
 				hi = n
 			}
 			appendRange(lo, hi)
-			stepAll()
+			flushAll()
 		}
 	default:
 		t.Fatalf("unknown schedule %q", schedule)
@@ -141,7 +163,7 @@ func TestIncrementalEquivalence(t *testing.T) {
 						q := *mix.Query(kind)
 						q.Table = target
 						subscribe := func() *Subscription {
-							s, err := in.Subscribe(&q, SubOptions{Exec: mkExec(seed), NoPump: true})
+							s, err := in.Subscribe(&q, SubOptions{Exec: mkExec(seed)})
 							if err != nil {
 								t.Fatal(err)
 							}
@@ -233,7 +255,9 @@ func TestBackpressureShed(t *testing.T) {
 	}
 	defer in.Close()
 	q := &engine.Query{Kind: engine.KindTopN, Table: tb, OrderCol: "v", N: 3}
-	sub, err := in.Subscribe(q, SubOptions{NoPump: true})
+	exec, release := gate()
+	defer release()
+	sub, err := in.Subscribe(q, SubOptions{Exec: exec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,9 +273,8 @@ func TestBackpressureShed(t *testing.T) {
 		t.Fatalf("stats = %+v", st)
 	}
 	// Draining frees capacity; the shed rows were never committed.
-	if _, err := sub.Step(); err != nil {
-		t.Fatal(err)
-	}
+	release()
+	flush(t, sub)
 	if err := in.Append(int64(99)); err != nil {
 		t.Fatalf("append after drain: %v", err)
 	}
@@ -278,8 +301,9 @@ func TestBackpressureBlocks(t *testing.T) {
 	}
 	defer in.Close()
 	q := &engine.Query{Kind: engine.KindTopN, Table: tb, OrderCol: "v", N: 2}
-	sub, err := in.Subscribe(q, SubOptions{NoPump: true})
-	if err != nil {
+	exec, release := gate()
+	defer release()
+	if _, err := in.Subscribe(q, SubOptions{Exec: exec}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
@@ -294,9 +318,7 @@ func TestBackpressureBlocks(t *testing.T) {
 		t.Fatalf("append should have blocked, returned %v", err)
 	case <-time.After(20 * time.Millisecond):
 	}
-	if _, err := sub.Step(); err != nil {
-		t.Fatal(err)
-	}
+	release()
 	select {
 	case err := <-unblocked:
 		if err != nil {
@@ -341,10 +363,6 @@ func TestPumpedSubscriptionAndUpdates(t *testing.T) {
 		if res.Rows[i][0] != w[0] {
 			t.Fatalf("rows = %v, want %v", res.Rows, want)
 		}
-	}
-	// Step is rejected on a pumped subscription.
-	if _, err := sub.Step(); err == nil {
-		t.Fatal("Step on a pumped subscription should fail")
 	}
 	// The updates channel carries the latest advance and closes on Close.
 	select {
@@ -435,100 +453,52 @@ func TestFailedSubscriptionLeavesBacklog(t *testing.T) {
 }
 
 // TestDeltaPanicFailsOnlyItsSubscription pins that a panicking delta
-// executor costs its own subscription, not the process, pumped or
-// stepped: the panic becomes the delta's terminal error (value and
-// stack), the failed subscription leaves the backlog accounting, and a
-// second subscription on the same ingestor stays exact.
+// executor costs its own subscription, not the process: the panic
+// becomes the delta's terminal error (value and stack), the failed
+// subscription leaves the backlog accounting, and a second subscription
+// on the same ingestor stays exact.
 func TestDeltaPanicFailsOnlyItsSubscription(t *testing.T) {
-	for _, noPump := range []bool{false, true} {
-		t.Run(fmt.Sprintf("NoPump=%v", noPump), func(t *testing.T) {
-			tb := table.MustNew(table.Schema{{Name: "v", Type: table.Int64}})
-			in, err := NewIngestor(tb, Config{Backlog: 64, OnFull: Shed})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer in.Close()
-			q := &engine.Query{Kind: engine.KindTopN, Table: tb, OrderCol: "v", N: 2}
-			bad, err := in.Subscribe(q, SubOptions{NoPump: noPump, Exec: func(*engine.Query) (*engine.Result, error) {
-				panic("delta exec broke")
-			}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			good, err := in.Subscribe(q, SubOptions{NoPump: noPump})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := in.Append(int64(1)); err != nil {
-				t.Fatal(err)
-			}
-			if noPump {
-				if _, err := bad.Step(); err == nil {
-					t.Fatal("Step over a panicking executor returned no error")
-				}
-			} else {
-				for range bad.Updates() { // the pump fails and closes updates
-				}
-			}
-			if err := bad.Err(); err == nil || !strings.Contains(err.Error(), "delta exec broke") ||
-				!strings.Contains(err.Error(), "goroutine ") {
-				t.Fatalf("Err() = %v, want the panic value and its stack", err)
-			}
-			for i := 2; i <= 40; i++ {
-				if err := in.Append(int64(i)); err != nil {
-					t.Fatalf("append %d after the panic: %v", i, err)
-				}
-			}
-			if noPump {
-				if _, err := good.Step(); err != nil {
-					t.Fatal(err)
-				}
-			} else {
-				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-				defer cancel()
-				if err := good.Flush(ctx); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if st := in.Stats(); st.Subscriptions != 1 || st.Backlog != 0 {
-				t.Fatalf("ingestor stats %+v, want only the healthy subscription, caught up", st)
-			}
-			want, err := engine.ExecDirect(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, _ := good.Results()
-			mustEqual(t, "healthy subscription beside a panicking one", got, want)
-		})
+	tb := table.MustNew(table.Schema{{Name: "v", Type: table.Int64}})
+	in, err := NewIngestor(tb, Config{Backlog: 64, OnFull: Shed})
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-// TestManualStepCloseRace pins that Close racing an in-flight Step on
-// a NoPump subscription never panics (publish vs channel close).
-func TestManualStepCloseRace(t *testing.T) {
-	for i := 0; i < 50; i++ {
-		tb := table.MustNew(table.Schema{{Name: "v", Type: table.Int64}})
-		in, err := NewIngestor(tb, Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		q := &engine.Query{Kind: engine.KindTopN, Table: tb, OrderCol: "v", N: 2}
-		sub, err := in.Subscribe(q, SubOptions{NoPump: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for r := 0; r < 8; r++ {
-			if err := in.Append(int64(r)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		var wg sync.WaitGroup
-		wg.Add(2)
-		go func() { defer wg.Done(); sub.Step() }() //nolint:errcheck
-		go func() { defer wg.Done(); sub.Close() }()
-		wg.Wait()
-		in.Close()
+	defer in.Close()
+	q := &engine.Query{Kind: engine.KindTopN, Table: tb, OrderCol: "v", N: 2}
+	bad, err := in.Subscribe(q, SubOptions{Exec: func(*engine.Query) (*engine.Result, error) {
+		panic("delta exec broke")
+	}})
+	if err != nil {
+		t.Fatal(err)
 	}
+	good, err := in.Subscribe(q, SubOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := in.Append(int64(1)); err != nil {
+		t.Fatal(err)
+	}
+	for range bad.Updates() { // the pump fails and closes updates
+	}
+	if err := bad.Err(); err == nil || !strings.Contains(err.Error(), "delta exec broke") ||
+		!strings.Contains(err.Error(), "goroutine ") {
+		t.Fatalf("Err() = %v, want the panic value and its stack", err)
+	}
+	for i := 2; i <= 40; i++ {
+		if err := in.Append(int64(i)); err != nil {
+			t.Fatalf("append %d after the panic: %v", i, err)
+		}
+	}
+	flush(t, good)
+	if st := in.Stats(); st.Subscriptions != 1 || st.Backlog != 0 {
+		t.Fatalf("ingestor stats %+v, want only the healthy subscription, caught up", st)
+	}
+	want, err := engine.ExecDirect(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ := good.Results()
+	mustEqual(t, "healthy subscription beside a panicking one", got, want)
 }
 
 // TestConcurrentAppendersRace exercises the writer/reader paths the
@@ -590,19 +560,14 @@ func TestConcurrentAppendersRace(t *testing.T) {
 // TestResultsDuringDelta pins that a delta's execution holds nothing
 // Results waits on: while the executor is blocked inside the second
 // delta, the first render of the first delta's standing result (for a
-// windowed subscription, its last fired window) returns at once — with
-// the pump driving the deltas and with Step driving them on another
-// goroutine.
+// windowed subscription, its last fired window) returns at once.
 func TestResultsDuringDelta(t *testing.T) {
 	for _, c := range []struct {
 		name   string
-		noPump bool
 		window int
 	}{
-		{"pumped", false, 0},
-		{"manual", true, 0},
-		{"pumped-windowed", false, 4},
-		{"manual-windowed", true, 4},
+		{"pumped", 0},
+		{"pumped-windowed", 4},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			tb := table.MustNew(table.Schema{{Name: "v", Type: table.Int64}})
@@ -621,7 +586,7 @@ func TestResultsDuringDelta(t *testing.T) {
 				return engine.ExecDirect(dq)
 			}
 			q := &engine.Query{Kind: engine.KindTopN, Table: tb, OrderCol: "v", N: 2}
-			sub, err := in.Subscribe(q, SubOptions{Exec: exec, NoPump: c.noPump, Window: c.window, Slide: c.window})
+			sub, err := in.Subscribe(q, SubOptions{Exec: exec, Window: c.window, Slide: c.window})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -642,22 +607,8 @@ func TestResultsDuringDelta(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			stepped := make(chan error, 1)
-			drive := func() {
-				if c.noPump {
-					go func() {
-						_, err := sub.Step()
-						stepped <- err
-					}()
-				}
-			}
 			settle := func(version uint64) {
 				t.Helper()
-				if c.noPump {
-					if err := <-stepped; err != nil {
-						t.Fatal(err)
-					}
-				}
 				if err := sub.Wait(ctx, version); err != nil {
 					t.Fatal(err)
 				}
@@ -674,10 +625,8 @@ func TestResultsDuringDelta(t *testing.T) {
 			// The first delta is absorbed but not rendered yet: Results
 			// must render it while the second delta runs.
 			appendBatch(10, 11, 12, 13)
-			drive()
 			settle(4)
 			appendBatch(20, 21, 22, 23)
-			drive()
 			select {
 			case <-entered:
 			case <-ctx.Done():

@@ -17,8 +17,7 @@ import (
 // default is exact direct execution. A delta's result is a function of
 // its rows alone: the executor sees no standing state, and runs while
 // Results keeps serving the previous delta's standing result.
-// Subscription methods (Step, Close) must not be called from inside a
-// DeltaExec.
+// Subscription.Close must not be called from inside a DeltaExec.
 type DeltaExec func(dq *engine.Query) (*engine.Result, error)
 
 // SubOptions shapes one subscription.
@@ -32,10 +31,6 @@ type SubOptions struct {
 	// window. Window must be a positive multiple of Slide, and windowing
 	// applies to the aggregate kinds (TOP N, GROUP BY MAX/SUM, HAVING).
 	Window, Slide int
-	// NoPump disables the background pump; deltas are processed only by
-	// explicit Step calls. Deterministic delta schedules — the property
-	// suites — use this.
-	NoPump bool
 }
 
 // Update is one subscription progress notification.
@@ -62,7 +57,6 @@ type Subscription struct {
 
 	notify  chan struct{}
 	done    chan struct{}
-	pumped  bool
 	pumpEnd chan struct{}
 	updates chan Update
 
@@ -83,10 +77,6 @@ type Subscription struct {
 	resultVer uint64
 	dirty     bool
 
-	// stepMu serializes step with Close for manual (NoPump)
-	// subscriptions, where no pump handshake protects the updates
-	// channel from an in-flight Step's publish.
-	stepMu      sync.Mutex
 	closeOnce   sync.Once
 	updatesOnce sync.Once
 }
@@ -112,7 +102,6 @@ func newSubscription(in *Ingestor, q *engine.Query, opts SubOptions) (*Subscript
 		done:    make(chan struct{}),
 		pumpEnd: make(chan struct{}),
 		updates: make(chan Update, 1),
-		pumped:  !opts.NoPump,
 		dirty:   true,
 	}
 	if opts.Window != 0 || opts.Slide != 0 {
@@ -155,14 +144,8 @@ func validateWindow(q *engine.Query, window, slide int) error {
 	}
 }
 
-// start launches the background pump unless the subscription is manual.
+// start launches the background pump, the subscription's one driver.
 func (s *Subscription) start() {
-	if !s.pumped {
-		close(s.pumpEnd)
-		// A manual subscription may already be behind a committed
-		// prefix; the first Step picks it up.
-		return
-	}
 	go s.pump()
 	s.wake() // catch up over the already-committed prefix
 }
@@ -198,25 +181,11 @@ func (s *Subscription) pump() {
 	}
 }
 
-// Step processes the pending delta (all rows committed since the last
-// processed version) synchronously and reports its size. Manual
-// (NoPump) subscriptions are driven exclusively through Step; calling
-// it on a pumped subscription is an error (two drivers would race the
-// merge state).
-func (s *Subscription) Step() (int, error) {
-	if s.pumped {
-		return 0, fmt.Errorf("stream: Step on a pumped subscription (use NoPump for manual draining)")
-	}
-	return s.step()
-}
-
 // step coalesces everything committed past the processed offset into
 // one delta, runs it through the executor, folds the results into the
 // merge state, then publishes the advance. The executions hold no lock
 // Results takes: only the fold holds stateMu, once per delta.
 func (s *Subscription) step() (int, error) {
-	s.stepMu.Lock()
-	defer s.stepMu.Unlock()
 	s.in.mu.Lock()
 	if s.subClosed {
 		s.in.mu.Unlock()
@@ -494,11 +463,6 @@ func (s *Subscription) Close() {
 		s.in.mu.Unlock()
 		close(s.done)
 		<-s.pumpEnd
-		// Manual subscriptions have no pump handshake: close under
-		// stepMu so an in-flight Step finishes its publish first (later
-		// Steps bail on subClosed before publishing).
-		s.stepMu.Lock()
 		s.updatesOnce.Do(func() { close(s.updates) })
-		s.stepMu.Unlock()
 	})
 }

@@ -56,7 +56,7 @@ func TestWindowedEquivalence(t *testing.T) {
 				q := *base
 				q.Table = target
 				sub, err := in.Subscribe(&q, SubOptions{
-					Window: shape.window, Slide: shape.slide, NoPump: true,
+					Window: shape.window, Slide: shape.slide,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -76,9 +76,7 @@ func TestWindowedEquivalence(t *testing.T) {
 					if err := in.AppendBatch(v); err != nil {
 						t.Fatal(err)
 					}
-					if _, err := sub.Step(); err != nil {
-						t.Fatal(err)
-					}
+					flush(t, sub)
 					wlo, whi := sub.WindowBounds()
 					got, ver := sub.Results()
 					if whi == 0 {
@@ -116,15 +114,15 @@ func TestWindowValidation(t *testing.T) {
 	defer in.Close()
 	agg := &engine.Query{Kind: engine.KindGroupBySum, Table: tb, KeyCol: "k", AggCol: "v"}
 	for _, bad := range []struct{ w, s int }{{0, 5}, {5, 0}, {-2, 2}, {10, 3}} {
-		if _, err := in.Subscribe(agg, SubOptions{Window: bad.w, Slide: bad.s, NoPump: true}); err == nil {
+		if _, err := in.Subscribe(agg, SubOptions{Window: bad.w, Slide: bad.s}); err == nil {
 			t.Fatalf("window %d/%d should be rejected", bad.w, bad.s)
 		}
 	}
 	distinct := &engine.Query{Kind: engine.KindDistinct, Table: tb, DistinctCols: []string{"k"}}
-	if _, err := in.Subscribe(distinct, SubOptions{Window: 10, Slide: 5, NoPump: true}); err == nil {
+	if _, err := in.Subscribe(distinct, SubOptions{Window: 10, Slide: 5}); err == nil {
 		t.Fatal("windowed DISTINCT should be rejected (aggregate kinds only)")
 	}
-	ok, err := in.Subscribe(agg, SubOptions{Window: 10, Slide: 5, NoPump: true})
+	ok, err := in.Subscribe(agg, SubOptions{Window: 10, Slide: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,15 +142,9 @@ func TestWindowRetraction(t *testing.T) {
 	}
 	defer in.Close()
 	q := &engine.Query{Kind: engine.KindGroupBySum, Table: tb, KeyCol: "k", AggCol: "v"}
-	sub, err := in.Subscribe(q, SubOptions{Window: 4, Slide: 2, NoPump: true})
+	sub, err := in.Subscribe(q, SubOptions{Window: 4, Slide: 2})
 	if err != nil {
 		t.Fatal(err)
-	}
-	step := func() {
-		t.Helper()
-		if _, err := sub.Step(); err != nil {
-			t.Fatal(err)
-		}
 	}
 	// Window covers 4 rows sliding by 2: "old" fills rows 0-3, then
 	// "new" rows push it out entirely.
@@ -161,7 +153,7 @@ func TestWindowRetraction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	step()
+	flush(t, sub)
 	res, _ := sub.Results()
 	if len(res.Rows) != 1 || res.Rows[0][0] != "old" || res.Rows[0][1] != "40" {
 		t.Fatalf("full window = %v, want old=40", res.Rows)
@@ -171,7 +163,7 @@ func TestWindowRetraction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	step()
+	flush(t, sub)
 	res, _ = sub.Results()
 	if len(res.Rows) != 1 || res.Rows[0][0] != "new" || res.Rows[0][1] != "4" {
 		t.Fatalf("slid window = %v, want new=4 (old fully retracted)", res.Rows)
