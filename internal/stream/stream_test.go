@@ -458,47 +458,51 @@ func TestFailedSubscriptionLeavesBacklog(t *testing.T) {
 // subscription leaves the backlog accounting, and a second subscription
 // on the same ingestor stays exact.
 func TestDeltaPanicFailsOnlyItsSubscription(t *testing.T) {
-	tb := table.MustNew(table.Schema{{Name: "v", Type: table.Int64}})
-	in, err := NewIngestor(tb, Config{Backlog: 64, OnFull: Shed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer in.Close()
-	q := &engine.Query{Kind: engine.KindTopN, Table: tb, OrderCol: "v", N: 2}
-	bad, err := in.Subscribe(q, SubOptions{Exec: func(*engine.Query) (*engine.Result, error) {
-		panic("delta exec broke")
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	good, err := in.Subscribe(q, SubOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := in.Append(int64(1)); err != nil {
-		t.Fatal(err)
-	}
-	for range bad.Updates() { // the pump fails and closes updates
-	}
-	if err := bad.Err(); err == nil || !strings.Contains(err.Error(), "delta exec broke") ||
-		!strings.Contains(err.Error(), "goroutine ") {
-		t.Fatalf("Err() = %v, want the panic value and its stack", err)
-	}
-	for i := 2; i <= 40; i++ {
-		if err := in.Append(int64(i)); err != nil {
-			t.Fatalf("append %d after the panic: %v", i, err)
+	// The subtest name dates from when a manual driver stood beside the
+	// pump; the pump is now the only driver, and this is its arm.
+	t.Run("NoPump=false", func(t *testing.T) {
+		tb := table.MustNew(table.Schema{{Name: "v", Type: table.Int64}})
+		in, err := NewIngestor(tb, Config{Backlog: 64, OnFull: Shed})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	flush(t, good)
-	if st := in.Stats(); st.Subscriptions != 1 || st.Backlog != 0 {
-		t.Fatalf("ingestor stats %+v, want only the healthy subscription, caught up", st)
-	}
-	want, err := engine.ExecDirect(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _ := good.Results()
-	mustEqual(t, "healthy subscription beside a panicking one", got, want)
+		defer in.Close()
+		q := &engine.Query{Kind: engine.KindTopN, Table: tb, OrderCol: "v", N: 2}
+		bad, err := in.Subscribe(q, SubOptions{Exec: func(*engine.Query) (*engine.Result, error) {
+			panic("delta exec broke")
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		good, err := in.Subscribe(q, SubOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := in.Append(int64(1)); err != nil {
+			t.Fatal(err)
+		}
+		for range bad.Updates() { // the pump fails and closes updates
+		}
+		if err := bad.Err(); err == nil || !strings.Contains(err.Error(), "delta exec broke") ||
+			!strings.Contains(err.Error(), "goroutine ") {
+			t.Fatalf("Err() = %v, want the panic value and its stack", err)
+		}
+		for i := 2; i <= 40; i++ {
+			if err := in.Append(int64(i)); err != nil {
+				t.Fatalf("append %d after the panic: %v", i, err)
+			}
+		}
+		flush(t, good)
+		if st := in.Stats(); st.Subscriptions != 1 || st.Backlog != 0 {
+			t.Fatalf("ingestor stats %+v, want only the healthy subscription, caught up", st)
+		}
+		want, err := engine.ExecDirect(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _ := good.Results()
+		mustEqual(t, "healthy subscription beside a panicking one", got, want)
+	})
 }
 
 // TestConcurrentAppendersRace exercises the writer/reader paths the
