@@ -9,28 +9,39 @@ package engine
 // (sketch.Membership.AddMany), and the probe pass tests them in another
 // (ContainsMany), then keeps the rows whose key id tested positive — exact,
 // because equal key ids are equal keys, Add is idempotent on the bits and
-// Contains reads only (fuse.go's third relaxation); the chunked passes
-// (batchJoinPasses) still stream one Process call per entry. The master
-// matches no key per query either: each side's table keeps a key
-// dictionary (table.KeyIDs), and the left one keeps the map from the right
-// side's key ids to its own (KeyIDs.Map) — built once per pair of
-// dictionaries, by fingerprint plus one cell comparison per key, so two
-// keys that collide on a fingerprint stay two keys and the answer is
-// exact. So the master counts each side's survivors per key id and joins
-// the counts through the map: integer work, reading key cells only to
-// render the joined keys. One completion (completeJoin) serves the one
-// JOIN pass (pass.join), fused or chunked, single-switch or per shard, and
-// reads nothing of either table but its key column — which is why a
-// sharded JOIN's shards carry only that (shardTables); execJoin, the
-// plain string-keyed join, stays what ExecDirect runs and what the tests
-// compare against. Keys of two column types never meet on the switch
-// (MixedJoinKeys), so no pruned path takes them.
+// Contains reads only (fuse.go's third relaxation). A side whose
+// dictionary gives every row a key of its own (KeyIDs.Distinct — a
+// dimension table's key) has nothing to gather: its spans' fingerprints
+// train and probe as they lie. The chunked passes (batchJoinPasses) still
+// stream one Process call per entry. The master matches no key per query
+// either: each side's table keeps a key dictionary (table.KeyIDs), and the
+// left one keeps the map from the right side's key ids to its own
+// (KeyIDs.Map) — built once per pair of dictionaries, by fingerprint plus
+// one cell comparison per key, so two keys that collide on a fingerprint
+// stay two keys and the answer is exact. So a pass counts each side's
+// survivors per key id and joins the counts through the map (pairCounts):
+// integer work, reading no key cell.
+//
+// The pair counts meet in one array, indexed by the query's right key ids
+// — the right handle's own, resolved once before the passes (resolve); at
+// one shard they are the pass's right ids — and the completion
+// (completeJoin) renders the joined keys in that dictionary's canonical
+// order (KeyIDs.Order), in parallel rank ranges when the result holds a
+// good share of it, like the aggregation kinds' ranked completion: no pass
+// sorts and no rows merge. A sharded JOIN's shards are key-only tables
+// (shardTables, table.ShardKeys) whose rows name the rows they came from
+// (SourceRows), so a pass writes each joined key at the id of its source
+// row; matching keys are co-located, so the passes write disjoint entries.
+// execJoin, the plain string-keyed join, stays what ExecDirect runs and
+// what the tests compare against. Keys of two column types never meet on
+// the switch (MixedJoinKeys), so no pruned path takes them.
 
 import (
 	"strconv"
 	"sync"
 
 	"cheetah/internal/prune"
+	"cheetah/internal/radix"
 	"cheetah/internal/sketch"
 	"cheetah/internal/switchsim"
 	"cheetah/internal/table"
@@ -40,9 +51,9 @@ import (
 // fingerprints by row — the table's memoised column or scratch (keyColumn)
 // — and keys, its key ids (keyIDs); for the fused passes, fps and fpIDs,
 // the distinct keys of the rows they stream (gather), with seen, a byte
-// per key id, and in, the probe's verdict per distinct key, all for the
-// rows of spans; on the master side rows, what survived the switch, and
-// counts, those rows counted per key id.
+// per key id, and in, the probe's verdict per distinct key (per row of a
+// span when distinct), all for the rows of spans; on the master side rows,
+// what survived the switch, and counts, those rows counted per key id.
 type joinSide struct {
 	rows      []int
 	col       []uint64 // shared with the table: read-only, dropped before pooling
@@ -56,6 +67,7 @@ type joinSide struct {
 	in        []bool
 	spans     []span // the rows gathered
 	entries   int    // their number
+	distinct  bool   // every row its own key: the spans stream as they lie
 }
 
 // load fetches the side's fingerprint column and key ids for a pass over
@@ -91,10 +103,18 @@ func (s *joinSide) count() []int32 {
 // fingerprint and id, in first-seen order — and marks their ids in seen,
 // and keeps spans: the side's train and probe stream those rows. A key id
 // is a key, so testing each one once is exact: Add is idempotent on a
-// filter's bits, and Contains reads only.
+// filter's bits, and Contains reads only. When the side's dictionary
+// gives every row its own key, the spans' rows are their distinct keys
+// already, and nothing is listed.
 func (s *joinSide) gather(spans []span) {
 	s.forget()
 	s.spans = spans
+	for _, sp := range spans {
+		s.entries += sp.hi - sp.lo
+	}
+	if s.distinct = s.keys.Distinct(); s.distinct {
+		return
+	}
 	if n := s.keys.Len(); cap(s.seen) < n {
 		s.seen = make([]bool, n)
 	} else {
@@ -102,7 +122,6 @@ func (s *joinSide) gather(spans []span) {
 	}
 	seen, ids := s.seen, s.keys.IDs
 	for _, sp := range spans {
-		s.entries += sp.hi - sp.lo
 		for r := sp.lo; r < sp.hi; r++ {
 			if id := ids[r]; !seen[id] {
 				// Listed before it is marked: forget clears every mark.
@@ -121,26 +140,42 @@ func (s *joinSide) forget() {
 	for _, id := range s.fpIDs {
 		s.seen[id] = false
 	}
-	s.fps, s.fpIDs, s.spans, s.entries = s.fps[:0], s.fpIDs[:0], nil, 0
+	s.fps, s.fpIDs, s.spans, s.entries, s.distinct = s.fps[:0], s.fpIDs[:0], nil, 0, false
 }
 
 // train adds the gathered keys to mem, as many Adds as rows were gathered
 // (a nil mem trains nothing: the rows still stream), and returns that
 // number.
 func (s *joinSide) train(mem sketch.Membership) (sent int) {
-	if mem != nil {
+	switch {
+	case mem == nil:
+	case s.distinct:
+		for _, sp := range s.spans {
+			mem.AddMany(s.col[sp.lo:sp.hi], sp.hi-sp.lo)
+		}
+	default:
 		mem.AddMany(s.fps, s.entries)
 	}
 	return s.entries
 }
 
+// verdicts returns s.in grown to n.
+func (s *joinSide) verdicts(n int) []bool {
+	if cap(s.in) < n {
+		s.in = make([]bool, n)
+	}
+	return s.in[:n]
+}
+
 // probe keeps the gathered rows whose key tests positive in mem (every
 // row when mem is nil — the asymmetric build side, which forwards
 // unpruned): one test per gathered key, its verdict kept at the key's id
-// in seen, then one pass over the rows' ids.
+// in seen, then one pass over the rows' ids — or, distinct, one test per
+// row of each span, kept where it holds.
 func (s *joinSide) probe(mem sketch.Membership) (sent, fwd int) {
 	rows := s.rows[:0]
-	if mem == nil {
+	switch {
+	case mem == nil:
 		for _, sp := range s.spans {
 			for r := sp.lo; r < sp.hi; r++ {
 				rows = append(rows, r)
@@ -148,15 +183,24 @@ func (s *joinSide) probe(mem sketch.Membership) (sent, fwd int) {
 		}
 		s.rows = rows
 		return s.entries, len(rows)
+	case s.distinct:
+		for _, sp := range s.spans {
+			in := s.verdicts(sp.hi - sp.lo)
+			mem.ContainsMany(s.col[sp.lo:sp.hi], in)
+			for i, ok := range in {
+				if ok {
+					rows = append(rows, sp.lo+i)
+				}
+			}
+		}
+		s.rows = rows
+		return s.entries, len(rows)
 	}
-	if cap(s.in) < len(s.fps) {
-		s.in = make([]bool, len(s.fps))
-	}
-	s.in = s.in[:len(s.fps)]
-	mem.ContainsMany(s.fps, s.in)
+	in := s.verdicts(len(s.fps))
+	mem.ContainsMany(s.fps, in)
 	seen, ids := s.seen, s.keys.IDs
 	for i, id := range s.fpIDs {
-		seen[id] = s.in[i]
+		seen[id] = in[i]
 	}
 	for _, sp := range s.spans {
 		for r := sp.lo; r < sp.hi; r++ {
@@ -169,14 +213,28 @@ func (s *joinSide) probe(mem sketch.Membership) (sent, fwd int) {
 	return s.entries, len(rows)
 }
 
-// joinScratch is the pooled state of one pruned JOIN: both sides'
-// buffers, the master's per-key counts included, and the key map from the
-// right side's ids to the left's — the left dictionary's, or built into
-// xmapScratch.
+// joinScratch is the pooled state of one pruned JOIN pass: both sides'
+// buffers, the per-key counts included, the key map from the right side's
+// ids to the left's — the left dictionary's, or built into xmapScratch —
+// and joined, the ids at which the pass wrote pair counts. One scratch is
+// also the query's (top): the one pass's at one shard, the master's own
+// above, whose right side then holds the unsharded right handle's ids
+// (resolve). Its pairs holds each joined key's pair count at the key's id
+// among those, and is zero everywhere else — and everywhere while pooled:
+// the completion zeroes each entry it renders, and a scratch released
+// dirty (a query that failed or panicked past the passes' first write) is
+// cleared. rows, sorter and idx are the completion's: a rank range's rows,
+// and a small result's sort.
 type joinScratch struct {
 	left, right joinSide
 	xmap        table.KeyMap
 	xmapScratch table.KeyMapScratch
+	joined      []uint32
+	pairs       []int64
+	dirty       bool
+	rows        rowScratch
+	sorter      radix.Sorter
+	idx         []int32
 }
 
 var joinScratchPool = sync.Pool{New: func() any { return new(joinScratch) }}
@@ -207,16 +265,49 @@ func xmapNote(probed int, cold bool) string {
 	return "xmap: memo"
 }
 
+// resolve gives sc, the query's scratch of a sharded JOIN, the unsharded
+// right handle's key ids — off its table's dictionary, or built when the
+// dictionary turns the handle away — and sizes pairs to them. It returns
+// the merge span's idsNote.
+func (sc *joinScratch) resolve(q *Query, seed uint64) string {
+	t, rc := q.Right, q.Right.Schema().MustIndex(q.RightKey)
+	built, ok := 0, false
+	if memoServes(t, t.KeyMemoStats(rc, seed).IDs) {
+		// No pass streams these rows: their fingerprints stay unhashed
+		// unless the dictionary needs them.
+		sc.right.keys, built, ok = t.KeyIDs(rc, seed)
+	}
+	if !ok {
+		_, built = sc.right.load(t, rc, seed)
+	}
+	sc.usePairs(sc.right.keys.Len())
+	return idsNote(built)
+}
+
+// usePairs sizes pairs to n ids. Entries come zero, pooled or new.
+func (sc *joinScratch) usePairs(n int) {
+	if cap(sc.pairs) < n {
+		sc.pairs = make([]int64, n)
+	}
+	sc.pairs = sc.pairs[:n]
+}
+
 // release returns sc to the pool without the tables' columns, ids and key
-// map, which the pool must not pin — and drops it whole when one huge JOIN
-// grew its scratch past the pools' bound.
+// map, which the pool must not pin, and with its pairs zero — and drops it
+// whole when one huge JOIN grew its scratch past the pools' bound.
 func (sc *joinScratch) release() {
 	sc.left.forget()
 	sc.right.forget()
 	sc.left.col, sc.right.col = nil, nil
 	sc.left.keys, sc.right.keys = table.KeyIDs{}, table.KeyIDs{}
 	sc.xmap = table.KeyMap{}
-	if !sc.left.poolable() || !sc.right.poolable() || !poolable(sc.xmapScratch.Cap()) {
+	sc.joined = sc.joined[:0]
+	if sc.dirty {
+		clear(sc.pairs)
+		sc.dirty = false
+	}
+	if !sc.left.poolable() || !sc.right.poolable() || !poolable(append(sc.rows.caps(),
+		sc.xmapScratch.Cap(), cap(sc.joined), cap(sc.pairs), sc.sorter.Cap(), cap(sc.idx))...) {
 		*sc = joinScratch{}
 	}
 	joinScratchPool.Put(sc)
@@ -267,52 +358,114 @@ func fusedJoinPasses(q *Query, j *prune.Join, skip bool, sc *joinScratch) (tr Tr
 	return tr, skipped
 }
 
-// completeJoin is the master's completion of every pruned JOIN: it joins
-// sc's two survivor lists and returns execJoin's rows — (key, pair count)
-// per joined key — unsorted; pass.join sorts them into its part. Each
-// side's survivors are counted per key id, and the right side's distinct
-// keys, in first-seen order, meet their left counts through the key map:
-// no fingerprint, no key comparison, and a key cell read only to render a
-// joined key. Pair counts are products, so the sides' roles do not show in
-// the answer (and when the right side is a key-ordered dimension table the
-// rows come out in order and the sort is one pass).
-func completeJoin(sc *joinScratch) [][]string {
+// pairCounts joins sc's two survivor lists into top's pairs: each side's
+// survivors are counted per key id, and each of the right side's distinct
+// keys meets its left count through the key map — no fingerprint, no key
+// comparison — and writes the product at its id among the query's right
+// ids, which it lists in joined. src is the pass's right table's
+// SourceRows: a key shard's rows name their rows of the unsharded handle,
+// whose ids top resolved; at one shard src is nil, sc is top, and the
+// pass's right ids are the query's. Pair counts are products, so the
+// sides' roles do not show in the answer. A failover redo overwrites what
+// its discarded attempt wrote: that attempt could only join keys that are
+// on both sides, and the redo joins every one of those.
+func (sc *joinScratch) pairCounts(top *joinScratch, src []uint32) {
 	lc, rc := sc.left.count(), sc.right.count()
 	r := &sc.right
-	joined := 0
-	for rid, n := range rc {
-		if n == 0 {
-			continue
-		}
-		if lid, ok := sc.xmap.Left(uint32(rid)); ok && lc[lid] > 0 {
-			joined++
-		}
+	if src == nil {
+		top.usePairs(r.keys.Len())
 	}
-	rows := make([][]string, 0, joined)
-	backing := make([]string, 2*joined)
+	pairs, ids := top.pairs, top.right.keys.IDs
+	sc.joined = sc.joined[:0]
 	for _, row := range r.rows {
 		rid := r.keys.IDs[row]
 		n := rc[rid]
-		lid, ok := sc.xmap.Left(rid)
-		if n == 0 || !ok || lc[lid] == 0 {
+		if n == 0 {
 			continue
 		}
-		rc[rid] = 0 // rendered: later survivors with the key skip it
-		cells := backing[2*len(rows) : 2*len(rows)+2 : 2*len(rows)+2]
-		cells[0], cells[1] = r.keys.Cell(rid), strconv.Itoa(int(lc[lid])*int(n))
-		rows = append(rows, cells)
+		rc[rid] = 0 // counted: later survivors with the key skip it
+		lid, ok := sc.xmap.Left(rid)
+		if !ok || lc[lid] == 0 {
+			continue
+		}
+		id := rid
+		if src != nil {
+			id = ids[src[row]]
+		}
+		pairs[id] = int64(lc[lid]) * int64(n)
+		sc.joined = append(sc.joined, id)
 	}
-	return rows
 }
 
-// joinResult merges the passes' rows, each sorted where it was produced —
-// in the shard's own goroutine when there are several — into the sorted
-// JOIN result. Matching keys are co-located in one pass's table pair, so
-// the runs' keys are disjoint and they merge k-way, one comparison per
-// row at two shards where a sort of the concatenation pays log n; one run
-// merges to itself.
-func joinResult(q *Query, runs [][][]string) *Result {
-	return &Result{Columns: ResultColumns(q), Rows: mergeSortedRows(runs)}
+// completeJoin is the completion of every pruned JOIN: the (key, pair
+// count) rows of the keys the passes (scs) joined into top's pairs, in the
+// canonical order of the query's right dictionary, each entry zeroed as
+// it renders. A result holding a good share of the dictionary — ranked's
+// gate — walks its order in parallel rank ranges (rankedRows); a smaller
+// one, a subscription's delta say, radix-sorts its own keys' cells
+// (sortJoined) instead of walking the whole dictionary. No row is
+// compared, but rows whose keys include a key followed by NUL sort whole
+// (aggResult).
+func completeJoin(q *Query, top *joinScratch, scs []*joinScratch) (*Result, error) {
+	dict, pairs := top.right.keys, top.pairs
+	joined := 0
+	for _, sc := range scs {
+		joined += len(sc.joined)
+	}
+	rows, nul := [][]string(nil), true
+	if joined < radix.MinSize || 4*joined < len(pairs) {
+		rows = top.sortJoined(scs)
+	} else {
+		var order []uint32
+		order, nul = dict.Order()
+		rs := make([]*rowScratch, min(len(scs), max(1, len(order)/rankRangeMin)))
+		for s := range rs {
+			rs[s] = &scs[s].rows
+		}
+		var err error
+		rows, err = rankedRows(dict, order, true, rs, func(ids, keep []uint32, vals []int64) ([]uint32, []int64) {
+			for _, id := range ids {
+				if int(id) < len(pairs) && pairs[id] != 0 {
+					keep, vals = append(keep, id), append(vals, pairs[id])
+					pairs[id] = 0
+				}
+			}
+			return keep, vals
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	top.dirty = false
+	return aggResult(q, rows, nul), nil
+}
+
+// sortJoined renders the keys scs joined into top's pairs, zeroing their
+// entries: their cells rendered from the query's right dictionary and
+// radix-sorted with their indices, and the rows built in that order.
+func (top *joinScratch) sortJoined(scs []*joinScratch) [][]string {
+	ids := top.joined
+	if top != scs[0] {
+		for _, sc := range scs {
+			ids = append(ids, sc.joined...)
+		}
+		top.joined = ids
+	}
+	cells, idx := top.rows.cells[:0], top.idx[:0]
+	for i, id := range ids {
+		cells, idx = append(cells, top.right.keys.Cell(id)), append(idx, int32(i))
+	}
+	top.sorter.Sort(cells, idx)
+	vals := top.rows.vals[:0]
+	for _, i := range idx {
+		id := ids[i]
+		vals = append(vals, top.pairs[id])
+		top.pairs[id] = 0
+	}
+	top.idx = idx
+	rows := make([][]string, len(cells))
+	aggRows(true, rows, cells, vals, &top.rows)
+	return rows
 }
 
 // batchJoinPasses is fusedJoinPasses on the chunked pipeline — the same

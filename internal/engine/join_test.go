@@ -8,6 +8,7 @@ import (
 
 	"cheetah/internal/hashutil"
 	"cheetah/internal/prune"
+	"cheetah/internal/radix"
 	"cheetah/internal/sketch"
 	"cheetah/internal/table"
 )
@@ -61,10 +62,10 @@ type joinEdgeCase struct {
 // joinEdgeCases are the shapes where a completion is likeliest to slip:
 // an empty side, no common key, every row on one key, the planner's
 // asymmetric shape (left·8 ≤ right) — and string keys whose canonical
-// order is where a merge of per-shard sorted runs can go wrong: the empty
-// key, keys that are prefixes of one another, and NUL inside keys, where
-// the canonical (joined-key) order is not the cell-wise one ("a\x00"
-// sorts before "a" once the pair count follows it).
+// order is where a completion that renders in key order can go wrong: the
+// empty key, keys that are prefixes of one another, and NUL inside keys,
+// where the canonical (joined-key) order is not the cell-wise one
+// ("a\x00" sorts before "a" once the pair count follows it).
 func joinEdgeCases() []joinEdgeCase {
 	return []joinEdgeCase{
 		{name: "empty-left", right: seqKeys(300, 0, 40)},
@@ -87,7 +88,7 @@ func joinEdgeCases() []joinEdgeCase {
 }
 
 // nulAmong spells n keys of which exactly one contains NUL, so that at
-// several shards most sorted runs are cell-wise and one is not.
+// several shards most shards' keys are cell-wise and one shard's are not.
 func nulAmong(n int) []string {
 	words := make([]string, n)
 	for i := range words {
@@ -111,9 +112,9 @@ func joinEdgeQuery(t *testing.T, c joinEdgeCase, intKeys bool) *Query {
 	}
 }
 
-// TestCompleteJoinCollisions hands completeJoin fingerprints that
-// collide — all equal, pairwise equal, and honest — and requires
-// execJoin's answer each time: the fingerprint may only preselect, the
+// TestCompleteJoinCollisions hands a one-shard pass's pair counts
+// (pairCounts) and completeJoin fingerprints that collide — all equal,
+// pairwise equal, and honest — and requires execJoin's answer each time: the fingerprint may only preselect, the
 // key cells decide. The fingerprints are forced into both tables'
 // fingerprint columns before anything reads them, so the key
 // dictionaries and the key map between them are built from them: keys
@@ -140,9 +141,12 @@ func TestCompleteJoinCollisions(t *testing.T) {
 				sc.load(q, 3)
 				// Every row survives.
 				sc.left.rows, sc.right.rows = left, right
-				rows := completeJoin(sc)
-				sortRows(rows)
-				if got := joinResult(q, [][][]string{rows}); !got.Equal(want) {
+				sc.pairCounts(sc, nil)
+				got, err := completeJoin(q, sc, []*joinScratch{sc})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !got.Equal(want) {
 					t.Fatalf("%s int=%v fingerprints=%s: completeJoin diverges from execJoin\nwant:\n%s\ngot:\n%s",
 						c.name, intKeys, fname, want, got)
 				}
@@ -318,6 +322,127 @@ func TestJoinFusedMatchesChunked(t *testing.T) {
 							}
 						}
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestJoinRankOrderNULKeys joins keys whose rank order — the right
+// dictionary's, byte-wise by cell: "a" < "a\x00" < "a\x000" — is not the
+// rows' canonical order: ("a\x00", n) and ("a\x000", n) sort before
+// ("a", n), whose separator meets their NUL and '0'. So the completion
+// must fall back to sorting the rows whole, at every shard count, fused
+// and chunked, on both of its paths: alone the three keys are a small
+// result, which sorts its cells; padded with keys joined on both sides
+// they are a ranked one, which walks the dictionary's order.
+func TestJoinRankOrderNULKeys(t *testing.T) {
+	words := []string{"a", "a\x000", "a\x00"}
+	// Pair counts 3·2, 1·3, 2·1: no two rows agree on a count either.
+	left := []int{0, 0, 0, 1, 2, 2}
+	right := []int{0, 1, 1, 2, 1, 0}
+	for _, pad := range []int{0, 2 * radix.MinSize} {
+		ws, l, r := append([]string(nil), words...), append([]int(nil), left...), append([]int(nil), right...)
+		for i := 0; i < pad; i++ {
+			ws = append(ws, fmt.Sprintf("k%03d", i))
+			l, r = append(l, len(ws)-1), append(r, len(ws)-1)
+		}
+		q := joinEdgeQuery(t, joinEdgeCase{left: l, right: r, words: ws}, false)
+		want, err := ExecDirect(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want.Rows) != len(ws) || want.Rows[0][0] != "a\x00" {
+			t.Fatalf("pad=%d: ExecDirect gives %q", pad, want.Rows[:3])
+		}
+		for _, noFuse := range []bool{false, true} {
+			for _, k := range []int{1, 2, 3} {
+				run, err := ExecSharded(q, ShardedOptions{Shards: k, Workers: 2, Seed: 9, NoFuse: noFuse})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !run.Result.Equal(want) {
+					t.Fatalf("pad=%d noFuse=%v k=%d: diverges from ExecDirect\nwant:\n%q\ngot:\n%q",
+						pad, noFuse, k, want.Rows, run.Result.Rows)
+				}
+			}
+		}
+	}
+}
+
+// TestJoinFailureLeavesNoCounts: a sharded JOIN that fails after a pass
+// wrote its pair counts into the pooled array leaves none of them behind.
+// The failing query joins every right key, one shard writes its half and
+// the other fails; the next query, on the same right table and the same
+// pool, joins a quarter of the keys and walks the whole dictionary, so a
+// stale count would come out as a row ExecDirect does not have.
+func TestJoinFailureLeavesNoCounts(t *testing.T) {
+	const keys = 4 * radix.MinSize
+	all, quarter := seqKeys(keys, 0, keys), seqKeys(keys/4, 0, keys/4)
+	right := joinKeyTable(t, false, all, nil)
+	failing := &Query{Kind: KindJoin, Table: joinKeyTable(t, false, all, nil), Right: right, LeftKey: "name", RightKey: "name"}
+	exact := &Query{Kind: KindJoin, Table: joinKeyTable(t, false, quarter, nil), Right: right, LeftKey: "name", RightKey: "name"}
+	want, err := ExecDirect(exact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		pruners := make([]prune.Pruner, 2)
+		for s := range pruners {
+			if pruners[s], err = defaultShardPruner(failing, 2, 3); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Not a *prune.Join: shard 1's pass fails, shard 0's completes.
+		pruners[1] = &panicPruner{Pruner: pruners[1]}
+		if _, err := ExecSharded(failing, ShardedOptions{Shards: 2, Seed: 3, Pruners: pruners}); err == nil {
+			t.Fatal("a JOIN whose shard runs no join program succeeded")
+		}
+		run, err := ExecSharded(exact, ShardedOptions{Shards: 2, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !run.Result.Equal(want) {
+			t.Fatalf("run %d after a failed JOIN: %d rows, ExecDirect has %d\ngot:\n%s", i, len(run.Result.Rows), len(want.Rows), run.Result)
+		}
+	}
+}
+
+// TestShardedJoinUnmemoisedRight: a sharded JOIN finds its shards' keys
+// among the ids of the right handle it was given — through the rows they
+// came from, in that handle's coordinates — also where the handle is a
+// view that starts past its root's first row, or a snapshot its root has
+// since grown past: handles whose ids and source rows are not the root's.
+func TestShardedJoinUnmemoisedRight(t *testing.T) {
+	root := joinKeyTable(t, false, seqKeys(900, 0, 300), nil)
+	view, err := root.View(137, 820)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := root.SnapshotPrefix(600)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 200; i++ {
+		if err := root.AppendRow(fmt.Sprintf("late%03d", i%50), int64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	left := joinKeyTable(t, false, seqKeys(700, 100, 260), nil)
+	for name, right := range map[string]*table.Table{"view": view, "snapshot": snap} {
+		q := &Query{Kind: KindJoin, Table: left, Right: right, LeftKey: "name", RightKey: "name"}
+		want, err := ExecDirect(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range []int{2, 3} {
+			for run := 0; run < 2; run++ { // cold, then whatever the tables kept
+				got, err := ExecSharded(q, ShardedOptions{Shards: k, Workers: 2, Seed: 11})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !got.Result.Equal(want) {
+					t.Fatalf("%s k=%d run %d: diverges from ExecDirect\nwant:\n%s\ngot:\n%s", name, k, run, want, got.Result)
 				}
 			}
 		}

@@ -34,10 +34,10 @@ package engine
 //
 // Completion (completeAgg). When the result holds at least a quarter of
 // the dictionary's keys (ranked), k goroutines each walk a k-th of the
-// dictionary's canonical order, fold every partial's entry for each id of
-// their range and render their range's rows; ranks are global, so the
-// ranges concatenate into the answer with no key compared and nothing
-// merged. Below that — a small result over a large table — the partials
+// dictionary's canonical order and fold every partial's entry for each id
+// of their range, then each renders a k-th of the rows (rankedRows); ranks
+// are global, so the ranges concatenate into the answer with no key
+// compared and nothing merged. Below that — a small result over a large table — the partials
 // fold into the first, serially, and its key cells go through the radix
 // sort. Either way key cells are rendered late, from the dictionary, once
 // per result row.
@@ -218,14 +218,22 @@ type partial struct {
 	rows   rowScratch
 }
 
-// rowScratch is the reusable memory of rendering GROUP BY rows: the key
-// cells and values in order before they are rows, and the values'
-// digits.
+// rowScratch is the reusable memory of rendering keyed rows: a rank
+// range's kept ids and their values (rankedRows), the key cells and
+// values of the rows one renderer builds, in order, before they are rows,
+// and the values' digits.
 type rowScratch struct {
+	ids    []uint32
+	kept   []int64
 	cells  []string
 	vals   []int64
 	digits []byte
 	ends   []int
+}
+
+// caps lists the capacities of sc's slices, for poolable.
+func (sc *rowScratch) caps() []int {
+	return []int{cap(sc.ids), cap(sc.kept), cap(sc.cells), cap(sc.vals), cap(sc.digits), cap(sc.ends)}
 }
 
 // partialPool's partials are allocated alone on their cache lines: the k
@@ -310,9 +318,9 @@ func (p *partial) release() {
 	p.hashed, p.hashedRows, p.idsBuilt = false, 0, 0
 	p.reset()
 	clear(p.fpEnts[:cap(p.fpEnts)])
-	if !poolable(cap(p.cols), cap(p.scratch), p.idScratch.Cap(), cap(p.byID.slots), cap(p.ents),
-		cap(p.byFP.slots), cap(p.fpEnts), cap(p.unresolved), cap(p.order), p.sorter.Cap(), cap(p.idx),
-		cap(p.rows.cells), cap(p.rows.vals), cap(p.rows.digits), cap(p.rows.ends)) {
+	if !poolable(append(p.rows.caps(), cap(p.cols), cap(p.scratch), p.idScratch.Cap(), cap(p.byID.slots),
+		cap(p.ents), cap(p.byFP.slots), cap(p.fpEnts), cap(p.unresolved), cap(p.order), p.sorter.Cap(),
+		cap(p.idx))...) {
 		*p = partial{}
 	}
 	partialPool.Put(p)
@@ -530,15 +538,19 @@ func (p *partial) merge(o *partial) {
 	p.unresolved = append(p.unresolved, o.unresolved...)
 }
 
-// grouped reports whether kind's rows carry a value cell beside the key.
-func grouped(kind QueryKind) bool { return kind == KindGroupByMax || kind == KindGroupBySum }
+// grouped reports whether kind's rows carry a value cell beside the key:
+// GROUP BY's aggregate, JOIN's pair count.
+func grouped(kind QueryKind) bool {
+	return kind == KindGroupByMax || kind == KindGroupBySum || kind == KindJoin
+}
 
 // aggResult returns q's Result over rows, whose keys are in the canonical
 // order, sorting them when, as rows, they are not in Result.Sort's order
-// too (keyOrderExact; one-cell rows always are).
-func aggResult(q *Query, rows [][]string) *Result {
+// too (keyOrderExact; one-cell rows always are, and so are rows of which
+// no key contains NUL: nul false).
+func aggResult(q *Query, rows [][]string, nul bool) *Result {
 	res := &Result{Columns: ResultColumns(q), Rows: rows}
-	if grouped(q.Kind) && !keyOrderExact(rows) {
+	if grouped(q.Kind) && nul && !keyOrderExact(rows) {
 		res.Sort()
 	}
 	return res
@@ -595,45 +607,82 @@ func ranked(partials []*partial) bool {
 // own: a small result — a subscription's delta — is walked in one.
 const rankRangeMin = 1 << 10
 
-// completeRanked is the completion of a ranked result: shard s walks ids
-// [s·R/k, (s+1)·R/k) of the dictionary's canonical order, folds every
-// partial's entry for each (fold) and renders its range's rows into the
-// same range of one row slice; the ranges are in order, so the master
-// only closes the gaps between them.
+// completeRanked is the completion of a ranked result: rankedRows over
+// the dictionary's order, each range folding every partial's entry for
+// each id of its own (fold).
 func completeRanked(q *Query, partials []*partial) (*Result, error) {
 	dict := partials[0].dict
-	order, _ := dict.Order()
+	order, nul := dict.Order()
 	g := grouped(q.Kind)
-	k := min(len(partials), max(1, len(order)/rankRangeMin))
-	rows, ends := make([][]string, len(order)), make([]int, k)
-	err := forEachShard(k, func(s int) error {
-		lo := s * len(order) / k
-		ids := order[lo : (s+1)*len(order)/k]
-		sc := &partials[s].rows
-		cells, vals := sc.cells[:0], sc.vals[:0]
-		if !g {
-			cells = make([]string, 0, len(ids)) // the rows' own
-		}
+	rs := make([]*rowScratch, min(len(partials), max(1, len(order)/rankRangeMin)))
+	for s := range rs {
+		rs[s] = &partials[s].rows
+	}
+	rows, err := rankedRows(dict, order, g, rs, func(ids, keep []uint32, vals []int64) ([]uint32, []int64) {
 		for _, id := range ids {
 			if v, ok := fold(q, partials, id); ok {
-				cells = append(cells, dict.Cell(id))
+				keep = append(keep, id)
 				if g {
 					vals = append(vals, v)
 				}
 			}
 		}
-		ends[s] = lo + len(cells)
-		aggRows(g, rows[lo:ends[s]], cells, vals, sc)
+		return keep, vals
+	})
+	if err != nil {
+		return nil, err
+	}
+	return aggResult(q, rows, nul), nil
+}
+
+// rankedRows renders a ranked completion's rows in len(rs) parallel
+// steps, twice over. First step s takes the s-th k-th of order — ids in
+// the canonical order of their keys — and collect appends to the ids (and,
+// grouped, the values) it is handed those of its ids the result holds, in
+// order, into rs[s]. Ranks are global, so those lists concatenate into the
+// answer's keys with no key compared and nothing merged. Then step j
+// renders the j-th k-th of the rows so listed — however the result's keys
+// fall in the dictionary, each step renders as many — at its offset of
+// one row slice: key cells from dict (KeyIDs.Cell), values from one digit
+// string (aggRows), with rs[j] as its scratch. err is a panic of a step
+// (forEachShard).
+func rankedRows(dict table.KeyIDs, order []uint32, g bool, rs []*rowScratch,
+	collect func(ids, keep []uint32, vals []int64) ([]uint32, []int64)) ([][]string, error) {
+	k := len(rs)
+	err := forEachShard(k, func(s int) error {
+		sc := rs[s]
+		sc.ids, sc.kept = collect(order[s*len(order)/k:(s+1)*len(order)/k], sc.ids[:0], sc.kept[:0])
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	n := ends[0]
-	for s := 1; s < k; s++ {
-		n += copy(rows[n:], rows[s*len(order)/k:ends[s]])
+	offs := make([]int, k+1)
+	for s, sc := range rs {
+		offs[s+1] = offs[s] + len(sc.ids)
 	}
-	return aggResult(q, rows[:n:n]), nil
+	n := offs[k]
+	rows := make([][]string, n)
+	steps := min(k, max(1, n/rankRangeMin))
+	err = forEachShard(steps, func(j int) error {
+		lo, hi := j*n/steps, (j+1)*n/steps
+		sc := rs[j]
+		cells, vals := sc.cells[:0], sc.vals[:0]
+		if !g {
+			cells = make([]string, 0, hi-lo) // the rows' own
+		}
+		for s, from := range rs {
+			for i := max(lo, offs[s]); i < min(hi, offs[s+1]); i++ {
+				cells = append(cells, dict.Cell(from.ids[i-offs[s]]))
+				if g {
+					vals = append(vals, from.kept[i-offs[s]])
+				}
+			}
+		}
+		aggRows(g, rows[lo:hi], cells, vals, sc)
+		return nil
+	})
+	return rows, err
 }
 
 // fold combines every partial's entry for id — the maximum, the sum, or
@@ -704,7 +753,7 @@ func (p *partial) render(q *Query) *Result {
 	}
 	rows := make([][]string, len(cells))
 	aggRows(g, rows, cells, vals, &p.rows)
-	res := aggResult(q, rows)
+	res := aggResult(q, rows, true)
 	if len(p.unresolved) > 0 {
 		res.Sort()
 	}

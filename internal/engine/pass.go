@@ -11,7 +11,8 @@ package engine
 //	family               pass       part                   completion
 //	FILTER, SKYLINE      survivors  surviving row ids      completeSurvivors
 //	TOP N                topN       N-heap                 completeTopN
-//	JOIN                 join       sorted joined rows     joinResult
+//	JOIN                 join       pair counts by the     completeJoin
+//	                                query's right key ids
 //	DISTINCT, GROUP BY   agg        partial (partial.go)   completeAgg
 //	MAX/SUM, HAVING      (agg.go)
 //
@@ -304,29 +305,17 @@ func completeTopN(q *Query, heaps []int64Heap) *Result {
 }
 
 // join is JOIN's pass: the whole Bloom join of the pass's table pair —
-// build, switchover, probe — completed to (key, pair count) rows and
-// sorted here, in the pass's own goroutine, so that k shards sort k runs
-// side by side and the master only merges them. The build and probe passes
-// share the program's Bloom state, so this whole sequence is also the
-// failover retry unit: a switch that dies anywhere inside it invalidates
-// the filter, never just one pass.
-func (ps *pass) join() ([][]string, error) {
-	rows, err := ps.joinRows()
-	if err != nil {
-		return nil, err
-	}
-	sortRows(rows)
-	return rows, nil
-}
-
-// joinRows runs the pass's join to completeJoin's unsorted rows.
-func (ps *pass) joinRows() ([][]string, error) {
+// build, switchover, probe — in sc, and its joined keys' pair counts
+// written into top's pairs (pairCounts), where the completion reads them
+// in key order. The build and probe passes share the program's Bloom
+// state, so this whole sequence is also the failover retry unit: a switch
+// that dies anywhere inside it invalidates the filter, never just one
+// pass.
+func (ps *pass) join(sc, top *joinScratch) error {
 	j, ok := ps.pruner.(*prune.Join)
 	if !ok {
-		return nil, fmt.Errorf("engine: join needs a *prune.Join, got %T", ps.pruner)
+		return fmt.Errorf("engine: join needs a *prune.Join, got %T", ps.pruner)
 	}
-	sc := joinScratchPool.Get().(*joinScratch)
-	defer sc.release()
 	ps.keys = sc.load(ps.q, ps.seed)
 	// fusedJoinPasses hard-codes which filter each pass trains or probes,
 	// which only matches the chunked passes — they consult the live phase —
@@ -334,16 +323,17 @@ func (ps *pass) joinRows() ([][]string, error) {
 	// program keeps the chunked pipeline).
 	if ps.fuse(j.Phase() == prune.PhaseBuild) {
 		ps.traffic, ps.skipped = fusedJoinPasses(ps.q, j, ps.skip, sc)
-		return completeJoin(sc), nil
+	} else {
+		buf := getStreamBuf()
+		defer putStreamBuf(buf)
+		tr, skipped, err := batchJoinPasses(ps.q, j, ps.dp, ps.workers, ps.skip, buf, sc)
+		if err != nil {
+			return err
+		}
+		ps.traffic, ps.skipped = tr, skipped
 	}
-	buf := getStreamBuf()
-	defer putStreamBuf(buf)
-	tr, skipped, err := batchJoinPasses(ps.q, j, ps.dp, ps.workers, ps.skip, buf, sc)
-	if err != nil {
-		return nil, err
-	}
-	ps.traffic, ps.skipped = tr, skipped
-	return completeJoin(sc), nil
+	sc.pairCounts(top, ps.q.Right.SourceRows())
+	return nil
 }
 
 // completeAgg is the aggregation kinds' completion. HAVING inserts a
@@ -456,15 +446,32 @@ func execPasses(q *Query, execs []*shardExec, opts ShardedOptions) (res *Result,
 		}
 	case KindJoin:
 		// Matching keys are co-located in one pass's table pair (the
-		// driver hash-shards both sides on the keys), so per-pass joins are
-		// disjoint sorted runs and compose by one merge.
-		runs := make([][][]string, len(passes))
-		err = scatter(func(s int) (err error) {
-			runs[s], err = passes[s].join()
-			return err
-		})
+		// driver hash-shards both sides on the keys), so the passes join
+		// disjoint keys and write disjoint entries of the query's pair
+		// counts, indexed by the query's right key ids: at one shard the
+		// pass's own, above it the unsharded right handle's, resolved once
+		// before the passes stream (like keyPartials) and noted on the
+		// merge span.
+		scs := make([]*joinScratch, len(passes))
+		for s := range scs {
+			scs[s] = joinScratchPool.Get().(*joinScratch)
+			defer scs[s].release()
+		}
+		top := scs[0]
+		if len(passes) > 1 {
+			top = joinScratchPool.Get().(*joinScratch)
+			defer top.release()
+			err = runShard(0, func(int) error {
+				mergeNote = top.resolve(q, opts.Seed)
+				return nil
+			})
+		}
 		if err == nil {
-			res = joinResult(q, runs)
+			top.dirty = true
+			err = scatter(func(s int) error { return passes[s].join(scs[s], top) })
+		}
+		if err == nil {
+			res, err = completeJoin(q, top, scs)
 		}
 	default: // DISTINCT, GROUP BY MAX, GROUP BY SUM, HAVING
 		partials := make([]*partial, len(passes))

@@ -36,10 +36,12 @@ package engine
 //     guarantee shape as §4.3's partial second pass).
 //   - JOIN: the executor hash-shards both tables on the join keys, so
 //     matching keys are co-located and per-switch Bloom joins are
-//     disjoint: each shard sorts its own rows and the master merges the
-//     sorted runs. The shards carry the key column only — all a JOIN pass
-//     and its completion read — and an unchanged table hands back the
-//     co-partition it built last time (table.ShardKeys).
+//     disjoint: each shard writes its keys' pair counts at their ids
+//     among the unsharded right handle's, found through the rows its
+//     shard rows came from, and the master renders them in that
+//     dictionary's order. The shards carry the key column only — all a
+//     JOIN pass reads — and their source rows, and an unchanged table
+//     hands back the co-partition it built last time (table.ShardKeys).
 
 import (
 	"fmt"
@@ -103,8 +105,9 @@ type ShardedOptions struct {
 	// the stream it took, fused or chunked, with where its key
 	// fingerprints came from (keysNote) and, for JOIN, its key ids
 	// (idsNote) — plus a failover span per discarded attempt and one merge
-	// span for the master's completion, noted, for the aggregation kinds,
-	// with where the query's key ids came from, into the query's lifecycle
+	// span for the master's completion, noted, for the aggregation kinds
+	// and a JOIN of more than one shard, with where the query's key ids
+	// came from, into the query's lifecycle
 	// trace: the span scheme of every pruned run, in
 	// process or leased, at every width. Span recording is mutex-guarded,
 	// so concurrent shard goroutines may share the trace. Tracing observes

@@ -142,32 +142,6 @@ func after(row, target []string) int {
 	return 1
 }
 
-// mergeSortedRows k-way merges runs that are each in canonical order into
-// one slice in that order, consuming runs. One run merges to itself. The
-// head scan is linear in the number of runs — a switch count, so a
-// handful.
-func mergeSortedRows(runs [][][]string) [][]string {
-	if len(runs) == 1 {
-		return runs[0]
-	}
-	total := 0
-	for _, run := range runs {
-		total += len(run)
-	}
-	out := make([][]string, 0, total)
-	for len(out) < total {
-		best := -1
-		for i, run := range runs {
-			if len(run) > 0 && (best < 0 || CompareRows(run[0], runs[best][0]) < 0) {
-				best = i
-			}
-		}
-		out = append(out, runs[best][0])
-		runs[best] = runs[best][1:]
-	}
-	return out
-}
-
 // singleCellRows wraps already-sorted cell values as single-column
 // result rows backed by one allocation.
 func singleCellRows(cells []string) [][]string {

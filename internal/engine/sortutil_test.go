@@ -107,22 +107,6 @@ func fuzzRows(data []byte, width uint8, ragged bool, prefix string) [][]string {
 	return rows
 }
 
-// checkRunsMerge deals rows into k runs, sorts each the way a JOIN pass
-// sorts its rows and merges them the way joinResult does, and checks the
-// outcome against the legacy definition like checkCanonicalSort: the merge
-// of sorted runs is Result.Sort of their concatenation.
-func checkRunsMerge(t *testing.T, rows [][]string, k int) {
-	t.Helper()
-	runs := make([][][]string, k)
-	for i, r := range rows {
-		runs[i%k] = append(runs[i%k], r)
-	}
-	for _, run := range runs {
-		sortRows(run)
-	}
-	checkCanonicalOrder(t, fmt.Sprintf("merge of %d runs", k), joinResult(&Query{Kind: KindJoin, LeftKey: "k"}, runs).Rows, rows)
-}
-
 // sortOrderSeeds are FuzzResultSortOrder's corpus shapes: plain cells, NUL
 // cells against their prefixes, empty and ragged rows, numeric cells of
 // unequal length behind a long shared prefix, rows one cell short.
@@ -138,28 +122,6 @@ var sortOrderSeeds = []struct {
 	{[]byte("3,1,2,10,1,,02"), 0, false, 40},
 	{[]byte("k1,7;k0,9;k1,3;k0"), 2, true, 17},
 	{[]byte("a,1;a\x00,1;a\x00b,1;ab,1;,1;b,1;\x00,1"), 1, false, 0},
-}
-
-// TestSortedRunsMergeMatchesResultSort: over the fuzz corpus's shapes and
-// over JOIN-shaped rows (unique key, count), the k-way merge of sorted
-// runs is Result.Sort of the concatenation, at every run count — one run
-// and more runs than rows included.
-func TestSortedRunsMergeMatchesResultSort(t *testing.T) {
-	shapes := make([][][]string, 0, len(sortOrderSeeds)+1)
-	for _, s := range sortOrderSeeds {
-		shapes = append(shapes, fuzzRows(s.data, s.width, s.ragged, strings.Repeat("p", int(s.prefix%64))))
-	}
-	rng := rand.New(rand.NewSource(21))
-	joined := make([][]string, 500)
-	for i := range joined {
-		joined[i] = []string{fmt.Sprintf("user%04d", rng.Intn(1<<20)), fmt.Sprint(rng.Intn(300))}
-	}
-	shapes = append(shapes, joined, nil)
-	for _, rows := range shapes {
-		for _, k := range []int{1, 2, 3, 4, 7, 16} {
-			checkRunsMerge(t, rows, k)
-		}
-	}
 }
 
 // checkCompareRows pins CompareRows to strings.Compare of the joined keys
@@ -189,8 +151,7 @@ func checkCompareRows(t *testing.T, rows [][]string) {
 // cells, empty cells, ragged rows, long shared prefixes, one to three
 // columns: CompareRows against strings.Compare of the joined keys,
 // Result.Sort against the legacy definition (and one arrangement of the
-// rows against another), and the same rows dealt into sorted runs and
-// merged (checkRunsMerge).
+// rows against another).
 func FuzzResultSortOrder(f *testing.F) {
 	for _, s := range sortOrderSeeds {
 		f.Add(s.data, s.width, s.ragged, s.prefix)
@@ -210,7 +171,6 @@ func FuzzResultSortOrder(f *testing.F) {
 		if !slices.EqualFunc(sorted, rev, slices.Equal[[]string]) {
 			t.Fatalf("one multiset sorts two ways:\n%q\n%q", sorted, rev)
 		}
-		checkRunsMerge(t, rows, 2+int(width>>2)%6)
 	})
 }
 

@@ -148,13 +148,15 @@ func isNote(note, what, verb string) bool {
 	return note == what+": memo" || strings.HasPrefix(note, what+": "+verb+" ")
 }
 
-// idsReadAt says where a run over q reads key ids: JOIN's pass, on both
-// sides; the merge of a single-column aggregation, whose partials are keyed
-// by the ids resolved once per query; nowhere else.
-func idsReadAt(q *Query) (pass, merge bool) {
+// idsReadAt says where a run over q at k shards reads key ids: JOIN's
+// pass, on both sides, and above one shard its merge too, whose pair
+// counts are keyed by the unsharded right handle's ids, resolved once per
+// query; the merge of a single-column aggregation, whose partials are
+// keyed by the ids resolved once per query; nowhere else.
+func idsReadAt(q *Query, k int) (pass, merge bool) {
 	switch q.Kind {
 	case KindJoin:
-		return true, false
+		return true, k > 1
 	case KindDistinct:
 		return false, len(q.DistinctCols) == 1
 	case KindGroupByMax, KindGroupBySum, KindHaving:
@@ -205,7 +207,7 @@ func TestTraceSpansPerPath(t *testing.T) {
 					t.Fatalf("%s: want %d shard spans + one merge and nothing else; got:\n%s", label, k, tr)
 				}
 				merge := st[obs.StageMerge][0]
-				idsInPass, idsInMerge := idsReadAt(q)
+				idsInPass, idsInMerge := idsReadAt(q, k)
 				if merge.Note != "" && !isNote(merge.Note, "ids", "built") || q.Kind == KindHaving && merge.Note == "" ||
 					!idsInMerge && merge.Note != "" {
 					t.Fatalf("%s: merge noted %q", label, merge.Note)
@@ -279,7 +281,10 @@ func TestTraceSpansPerPath(t *testing.T) {
 	// key spans columns, which is hashed per query and has no dictionary.
 	// JOIN reads ids in its pass, the aggregation kinds in the master's
 	// completion; JOIN's pass then notes its key map, built over the fewer
-	// keys of each shard's pair on the cold run and read on the warm one.
+	// keys of each shard's pair on the cold run and read on the warm one,
+	// and a sharded JOIN's merge notes the right handle's ids, which the
+	// master resolves on the unsharded table (its shards' own are the
+	// passes').
 	for _, noFuse := range []bool{false, true} {
 		for _, k := range []int{1, 3} {
 			for name := range equivQueries(tb, rt) {
@@ -289,7 +294,7 @@ func TestTraceSpansPerPath(t *testing.T) {
 				if keyRows == 0 {
 					continue
 				}
-				idsInPass, idsInMerge := idsReadAt(q)
+				idsInPass, idsInMerge := idsReadAt(q, k)
 				type notes struct{ shard, merge string }
 				cold := notes{shard: "keys: hashed " + strconv.Itoa(keyRows)}
 				warm := notes{shard: "keys: memo"}
@@ -299,6 +304,9 @@ func TestTraceSpansPerPath(t *testing.T) {
 				case idsInPass:
 					cold.shard += "; ids: built " + strconv.Itoa(keyRows)
 					warm.shard += "; ids: memo"
+					if idsInMerge {
+						cold.merge, warm.merge = "ids: built "+strconv.Itoa(q.Right.NumRows()), "ids: memo"
+					}
 				case idsInMerge:
 					cold.merge, warm.merge = "ids: built "+strconv.Itoa(keyRows), "ids: memo"
 				}

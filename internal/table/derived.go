@@ -9,7 +9,7 @@ type DerivedBytes struct {
 	KeyFingerprints int // fingerprint columns, growing room included
 	KeyIDs          int // dictionaries: ids, first rows, tags, index slots, ranks
 	KeyMaps         int // the key maps the dictionaries keep to a JOIN partner's
-	KeyShards       int // the memoised co-partition's key columns
+	KeyShards       int // the memoised co-partition's key columns and source rows
 }
 
 // Total sums the parts.
@@ -53,6 +53,7 @@ func (t *Table) DerivedBytes() DerivedBytes {
 			for _, col := range sh.cols {
 				d.KeyShards += 8*cap(col.ints) + 16*cap(col.strs)
 			}
+			d.KeyShards += 4 * cap(sh.src)
 		}
 	}
 	return d

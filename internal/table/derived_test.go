@@ -47,7 +47,8 @@ func TestDerivedBytes(t *testing.T) {
 	if _, err := tb.ShardKeys("name", 2); err != nil {
 		t.Fatal(err)
 	}
-	want.KeyShards = 16 * rows // a string header per row, the bytes shared
+	// A string header and a source row per row, the bytes shared.
+	want.KeyShards = (16 + 4) * rows
 	if d := tb.DerivedBytes(); d != want {
 		t.Fatalf("after a keyed query: %+v, want %+v", d, want)
 	}
@@ -78,7 +79,7 @@ func TestDerivedBytes(t *testing.T) {
 		KeyFingerprints: 8 * grown,
 		KeyIDs:          4*grown + 4*keyCap + 8*dictIndexSlots(7) + 4*7,
 		KeyMaps:         4 * rk.Len(),
-		KeyShards:       16 * 500,
+		KeyShards:       (16 + 4) * 500,
 	}
 	if d := tb.DerivedBytes(); d != want {
 		t.Fatalf("after an append: %+v, want %+v", d, want)

@@ -655,3 +655,62 @@ func TestCompareRendered(t *testing.T) {
 		}
 	}
 }
+
+// TestKeyIDsDistinct: a dictionary reports its rows distinct exactly when
+// every row it covers started a key — over root rows [0, end of the
+// handle) for a memo's handle, over its own rows for a scratch build — so
+// a handle whose rows repeat a key is never called distinct, even when it
+// has as many rows as its dictionary has ids.
+func TestKeyIDsDistinct(t *testing.T) {
+	const seed = 5
+	tb := MustNew(Schema{{Name: "s", Type: String}, {Name: "i", Type: Int64}})
+	// Rows 0–99 unique in both columns; rows 100–101 repeat row 99's
+	// string and row 98's integer.
+	for r := 0; r < 100; r++ {
+		if err := tb.AppendRow(fmt.Sprintf("k%03d", r), int64(r)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, r := range []int{99, 98} {
+		if err := tb.AppendRow(fmt.Sprintf("k%03d", r), int64(r)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	handle := func(lo, hi int) *Table {
+		v, err := tb.View(lo, hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	cases := []struct {
+		name string
+		t    *Table
+		want bool
+	}{
+		{"unique prefix", handle(0, 100), true},
+		{"unique view past row 0", handle(40, 100), true},
+		{"empty view", handle(50, 50), true},
+		{"repeats", handle(0, 102), false},
+		// 2 rows, 1 key of its own rows, yet root rows [0, 101) hold 100
+		// keys: the memo's dictionary covers more than the view.
+		{"repeating view", handle(99, 101), false},
+	}
+	for _, c := range cases {
+		for col := 0; col < 2; col++ {
+			fps := make([]uint64, c.t.NumRows())
+			c.t.HashKeys(col, seed, fps)
+			scratch := c.t.BuildKeyIDs(col, fps, new(KeyIDScratch))
+			if got := scratch.Distinct(); got != c.want {
+				t.Errorf("%s col %d: scratch build Distinct %v, want %v", c.name, col, got, c.want)
+			}
+			k, _, ok := c.t.KeyIDs(col, seed)
+			if !ok {
+				t.Fatalf("%s col %d: the dictionary turned the handle away", c.name, col)
+			}
+			if got := k.Distinct(); got != c.want {
+				t.Errorf("%s col %d: memo Distinct %v, want %v", c.name, col, got, c.want)
+			}
+		}
+	}
+}

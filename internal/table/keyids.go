@@ -300,6 +300,17 @@ type KeyIDs struct {
 // end of k's: every id in IDs is below it.
 func (k KeyIDs) Len() int { return len(k.first) }
 
+// Distinct reports whether every row the dictionary covers — root rows
+// [0, end of k's rows), or a scratch build's own — started a key of its
+// own: a column of unique keys, like a dimension table's key. Then k's
+// rows carry distinct ids too. first lists the covered rows that started
+// a key, increasing from the first covered row, so they are all of them
+// exactly when there are as many as covered rows.
+func (k KeyIDs) Distinct() bool {
+	n := len(k.first)
+	return n == 0 || n == k.col.len()-int(k.first[0])
+}
+
 // Order returns ids in the canonical order of their keys — byte-wise by
 // rendered cell — covering at least the ids below Len (ids past it, which
 // another reader's rows brought, may be listed too), and whether a ranked
@@ -318,6 +329,14 @@ func (k KeyIDs) Cell(id uint32) string {
 		return k.col.strs[r]
 	}
 	return strconv.FormatInt(k.col.ints[r], 10)
+}
+
+// len is the number of rows c holds.
+func (c *column) len() int {
+	if c.typ == String {
+		return len(c.strs)
+	}
+	return len(c.ints)
 }
 
 // colPrefix returns column c over root rows [0, hi), its header clamped.

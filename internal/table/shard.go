@@ -15,11 +15,14 @@ package table
 // is deterministic — the same table, column and k always produce the
 // same shards.
 //
-// A JOIN's scatter needs less than that: its passes and its completion
-// read the key column only. ShardKeys shards the one-column projection —
-// same placement, same in-shard row order as ShardBy — and a table that
-// is not a view remembers its latest co-partition, so a repeated JOIN
-// over unchanged inputs re-hashes and copies nothing.
+// A JOIN's scatter needs less than that: its passes read the key column
+// only. ShardKeys shards the one-column projection — same placement, same
+// in-shard row order as ShardBy — and records for each shard row the row
+// it came from (SourceRows), which is how a JOIN's completion finds a
+// shard's keys among the ids of the unsharded table's dictionary and
+// renders them in that dictionary's order. A table that is not a view
+// remembers its latest co-partition, source rows included, so a repeated
+// JOIN over unchanged inputs re-hashes and copies nothing.
 
 import (
 	"fmt"
@@ -126,8 +129,9 @@ func (t *Table) ShardByRange(col string, k int) ([]*Table, error) {
 
 // ShardKeys hash-shards the table's projection on the named column: k
 // one-column tables whose shard s holds, in the table's row order, the
-// keys of exactly the rows ShardBy(col, k) places in shard s. The strings
-// themselves stay shared with the table; only their headers are copied.
+// keys of exactly the rows ShardBy(col, k) places in shard s, and whose
+// SourceRows name those rows. The strings themselves stay shared with the
+// table; only their headers are copied.
 //
 // The root keeps the latest result in one slot beside its skip index, and
 // any handle that starts at the root's first row — the table itself, a
@@ -153,15 +157,31 @@ func (t *Table) ShardKeys(col string, k int) ([]*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	shards, err := keys.ShardBy(col, k)
+	assign, err := keys.shardAssignments(0, k)
 	if err != nil {
 		return nil, err
+	}
+	shards, err := keys.buildShards(assign, k)
+	if err != nil {
+		return nil, err
+	}
+	for _, sh := range shards {
+		sh.src = make([]uint32, 0, sh.n)
+	}
+	for r, s := range assign {
+		shards[s].src = append(shards[s].src, uint32(r))
 	}
 	if memo {
 		root.keyShards.Store(&keyShards{epoch: t.epoch, rows: t.n, col: ci, k: k, shards: shards})
 	}
 	return shards, nil
 }
+
+// SourceRows returns, for a key shard (ShardKeys), the row of the handle
+// it was sharded from that each of its rows came from — increasing, and
+// in that handle's coordinates, not its root's; nil for any other table,
+// views of a shard included. The slice is shared: read, never write.
+func (t *Table) SourceRows() []uint32 { return t.src }
 
 // buildShards materializes k shard tables from per-row assignments: each
 // shard column is allocated once at its final size and filled in one

@@ -310,6 +310,27 @@ func assertKeyShards(t *testing.T, label string, src *Table, col string, got []*
 				t.Fatalf("%s shard %d row %d: key %q, ShardBy has %q", label, s, r, g[r], w[r])
 			}
 		}
+		// Each shard row names the row of src it came from: increasing,
+		// in src's coordinates, holding the same key.
+		srcRows := sh.SourceRows()
+		if len(srcRows) != len(g) {
+			t.Fatalf("%s shard %d: %d source rows for %d rows", label, s, len(srcRows), len(g))
+		}
+		ci := src.Schema().Index(col)
+		for r, from := range srcRows {
+			if r > 0 && from <= srcRows[r-1] {
+				t.Fatalf("%s shard %d row %d: source row %d after %d", label, s, r, from, srcRows[r-1])
+			}
+			if int(from) >= src.NumRows() {
+				t.Fatalf("%s shard %d row %d: source row %d past the %d rows", label, s, r, from, src.NumRows())
+			}
+			if got, want := sh.ValueAt(0, r), src.ValueAt(ci, int(from)); got != want {
+				t.Fatalf("%s shard %d row %d: key %v, source row %d holds %v", label, s, r, got, from, want)
+			}
+		}
+	}
+	if src.SourceRows() != nil {
+		t.Fatalf("%s: a table that is not a key shard has source rows", label)
 	}
 }
 

@@ -169,6 +169,10 @@ type Table struct {
 	keyFPs   []atomic.Pointer[keyFPs]
 	keyDicts []atomic.Pointer[keyDict]
 	fpMu     sync.Mutex
+	// src is, on a key shard (ShardKeys), the row of the handle it was
+	// sharded from that each of its rows came from; nil on any other
+	// table. Immutable once the shard is returned.
+	src []uint32
 }
 
 // root returns the table that owns t's storage and derived structures: t
