@@ -22,16 +22,16 @@ package engine
 // survivors per key id and joins the counts through the map (pairCounts):
 // integer work, reading no key cell.
 //
-// The pair counts meet in one array, indexed by the query's right key ids
-// — the right handle's own, resolved once before the passes (resolve); at
-// one shard they are the pass's right ids — and the completion
-// (completeJoin) renders the joined keys in that dictionary's canonical
-// order (KeyIDs.Order), in parallel rank ranges when the result holds a
-// good share of it, like the aggregation kinds' ranked completion: no pass
-// sorts and no rows merge. A sharded JOIN's shards are key-only tables
-// (shardTables, table.ShardKeys) whose rows name the rows they came from
-// (SourceRows), so a pass writes each joined key at the id of its source
-// row; matching keys are co-located, so the passes write disjoint entries.
+// The pair counts meet in one array (joinPairs), indexed by the query's
+// right key ids — the right handle's own, resolved once before the passes
+// (resolve); at one shard they are the pass's right ids — and the
+// completion (completeJoin) renders the joined keys in that dictionary's
+// canonical order (KeyIDs.Order), in parallel rank ranges like the
+// aggregation kinds' ranked completion: no pass sorts and no rows merge.
+// A sharded JOIN's shards are key-only tables (shardTables,
+// table.ShardKeys) whose rows name the rows they came from (SourceRows),
+// so a pass writes each joined key at the id of its source row; matching
+// keys are co-located, so the passes write disjoint entries.
 // execJoin, the plain string-keyed join, stays what ExecDirect runs and
 // what the tests compare against. Keys of two column types never meet on
 // the switch (MixedJoinKeys), so no pruned path takes them.
@@ -41,7 +41,6 @@ import (
 	"sync"
 
 	"cheetah/internal/prune"
-	"cheetah/internal/radix"
 	"cheetah/internal/sketch"
 	"cheetah/internal/switchsim"
 	"cheetah/internal/table"
@@ -216,25 +215,12 @@ func (s *joinSide) probe(mem sketch.Membership) (sent, fwd int) {
 // joinScratch is the pooled state of one pruned JOIN pass: both sides'
 // buffers, the per-key counts included, the key map from the right side's
 // ids to the left's — the left dictionary's, or built into xmapScratch —
-// and joined, the ids at which the pass wrote pair counts. One scratch is
-// also the query's (top): the one pass's at one shard, the master's own
-// above, whose right side then holds the unsharded right handle's ids
-// (resolve). Its pairs holds each joined key's pair count at the key's id
-// among those, and is zero everywhere else — and everywhere while pooled:
-// the completion zeroes each entry it renders, and a scratch released
-// dirty (a query that failed or panicked past the passes' first write) is
-// cleared. rows, sorter and idx are the completion's: a rank range's rows,
-// and a small result's sort.
+// and rows, the completion's scratch for one rank range's rows.
 type joinScratch struct {
 	left, right joinSide
 	xmap        table.KeyMap
 	xmapScratch table.KeyMapScratch
-	joined      []uint32
-	pairs       []int64
-	dirty       bool
 	rows        rowScratch
-	sorter      radix.Sorter
-	idx         []int32
 }
 
 var joinScratchPool = sync.Pool{New: func() any { return new(joinScratch) }}
@@ -265,52 +251,82 @@ func xmapNote(probed int, cold bool) string {
 	return "xmap: memo"
 }
 
-// resolve gives sc, the query's scratch of a sharded JOIN, the unsharded
-// right handle's key ids — off its table's dictionary, or built when the
-// dictionary turns the handle away — and sizes pairs to them. It returns
-// the merge span's idsNote.
-func (sc *joinScratch) resolve(q *Query, seed uint64) string {
-	t, rc := q.Right, q.Right.Schema().MustIndex(q.RightKey)
-	built, ok := 0, false
-	if memoServes(t, t.KeyMemoStats(rc, seed).IDs) {
-		// No pass streams these rows: their fingerprints stay unhashed
-		// unless the dictionary needs them.
-		sc.right.keys, built, ok = t.KeyIDs(rc, seed)
-	}
-	if !ok {
-		_, built = sc.right.load(t, rc, seed)
-	}
-	sc.usePairs(sc.right.keys.Len())
-	return idsNote(built)
-}
-
-// usePairs sizes pairs to n ids. Entries come zero, pooled or new.
-func (sc *joinScratch) usePairs(n int) {
-	if cap(sc.pairs) < n {
-		sc.pairs = make([]int64, n)
-	}
-	sc.pairs = sc.pairs[:n]
-}
-
 // release returns sc to the pool without the tables' columns, ids and key
-// map, which the pool must not pin, and with its pairs zero — and drops it
-// whole when one huge JOIN grew its scratch past the pools' bound.
+// map, which the pool must not pin — and drops it whole when one huge JOIN
+// grew its scratch past the pools' bound.
 func (sc *joinScratch) release() {
 	sc.left.forget()
 	sc.right.forget()
 	sc.left.col, sc.right.col = nil, nil
 	sc.left.keys, sc.right.keys = table.KeyIDs{}, table.KeyIDs{}
 	sc.xmap = table.KeyMap{}
-	sc.joined = sc.joined[:0]
-	if sc.dirty {
-		clear(sc.pairs)
-		sc.dirty = false
-	}
-	if !sc.left.poolable() || !sc.right.poolable() || !poolable(append(sc.rows.caps(),
-		sc.xmapScratch.Cap(), cap(sc.joined), cap(sc.pairs), sc.sorter.Cap(), cap(sc.idx))...) {
+	if !sc.left.poolable() || !sc.right.poolable() || !poolable(append(sc.rows.caps(), sc.xmapScratch.Cap())...) {
 		*sc = joinScratch{}
 	}
 	joinScratchPool.Put(sc)
+}
+
+// joinPairs is a pruned JOIN query's pair counts: pairs holds each joined
+// key's count at the key's id among keys, the query's right key ids, and
+// is zero everywhere else — and everywhere while pooled: the completion
+// zeroes each entry it renders, and one released dirty (a query that
+// failed or panicked past the passes' first write) is cleared. At one
+// shard keys are the pass's right ids (pairCounts); above it the
+// unsharded right handle's, resolved before the passes (resolve) off its
+// table's dictionary, or built into fps and idScratch.
+type joinPairs struct {
+	keys      table.KeyIDs // the table's dictionary, or idScratch: dropped before pooling
+	fps       []uint64
+	idScratch table.KeyIDScratch
+	pairs     []int64
+	dirty     bool
+}
+
+var joinPairsPool = sync.Pool{New: func() any { return new(joinPairs) }}
+
+// resolve gives jp the unsharded right handle's key ids — off its table's
+// dictionary, or built when the dictionary turns the handle away — and
+// sizes pairs to them. It returns the merge span's idsNote.
+func (jp *joinPairs) resolve(q *Query, seed uint64) string {
+	t, rc := q.Right, q.Right.Schema().MustIndex(q.RightKey)
+	built, ok := 0, false
+	if memoServes(t, t.KeyMemoStats(rc, seed).IDs) {
+		// No pass streams these rows: their fingerprints stay unhashed
+		// unless the dictionary needs them.
+		jp.keys, built, ok = t.KeyIDs(rc, seed)
+	}
+	if !ok {
+		col, _ := keyColumn(t, rc, seed, &jp.fps)
+		jp.keys, built = keyIDs(t, rc, seed, col, &jp.idScratch)
+	}
+	jp.use(jp.keys)
+	return idsNote(built)
+}
+
+// use makes keys jp's ids and sizes pairs to them. Entries come zero,
+// pooled or new.
+func (jp *joinPairs) use(keys table.KeyIDs) {
+	jp.keys = keys
+	if n := keys.Len(); cap(jp.pairs) < n {
+		jp.pairs = make([]int64, n)
+	} else {
+		jp.pairs = jp.pairs[:n]
+	}
+}
+
+// release returns jp to the pool without the ids, which the pool must not
+// pin, and with its pairs zero — and drops it whole when one huge JOIN
+// grew its scratch past the pools' bound.
+func (jp *joinPairs) release() {
+	jp.keys = table.KeyIDs{}
+	if jp.dirty {
+		clear(jp.pairs)
+		jp.dirty = false
+	}
+	if !poolable(cap(jp.fps), jp.idScratch.Cap(), cap(jp.pairs)) {
+		*jp = joinPairs{}
+	}
+	joinPairsPool.Put(jp)
 }
 
 // fusedJoinPasses runs the whole Bloom join of q's table pair on j —
@@ -358,25 +374,23 @@ func fusedJoinPasses(q *Query, j *prune.Join, skip bool, sc *joinScratch) (tr Tr
 	return tr, skipped
 }
 
-// pairCounts joins sc's two survivor lists into top's pairs: each side's
+// pairCounts joins sc's two survivor lists into jp's pairs: each side's
 // survivors are counted per key id, and each of the right side's distinct
 // keys meets its left count through the key map — no fingerprint, no key
 // comparison — and writes the product at its id among the query's right
-// ids, which it lists in joined. src is the pass's right table's
-// SourceRows: a key shard's rows name their rows of the unsharded handle,
-// whose ids top resolved; at one shard src is nil, sc is top, and the
-// pass's right ids are the query's. Pair counts are products, so the
-// sides' roles do not show in the answer. A failover redo overwrites what
-// its discarded attempt wrote: that attempt could only join keys that are
-// on both sides, and the redo joins every one of those.
-func (sc *joinScratch) pairCounts(top *joinScratch, src []uint32) {
+// ids. src is the pass's right table's SourceRows: a key shard's rows name
+// their rows of the unsharded handle, whose ids jp resolved; at one shard
+// src is nil and the pass's right ids become the query's. Pair counts are
+// products, so the sides' roles do not show in the answer. A failover redo
+// overwrites what its discarded attempt wrote: that attempt could only
+// join keys that are on both sides, and the redo joins every one of those.
+func (sc *joinScratch) pairCounts(jp *joinPairs, src []uint32) {
 	lc, rc := sc.left.count(), sc.right.count()
 	r := &sc.right
 	if src == nil {
-		top.usePairs(r.keys.Len())
+		jp.use(r.keys)
 	}
-	pairs, ids := top.pairs, top.right.keys.IDs
-	sc.joined = sc.joined[:0]
+	pairs, ids := jp.pairs, jp.keys.IDs
 	for _, row := range r.rows {
 		rid := r.keys.IDs[row]
 		n := rc[rid]
@@ -393,79 +407,36 @@ func (sc *joinScratch) pairCounts(top *joinScratch, src []uint32) {
 			id = ids[src[row]]
 		}
 		pairs[id] = int64(lc[lid]) * int64(n)
-		sc.joined = append(sc.joined, id)
 	}
 }
 
 // completeJoin is the completion of every pruned JOIN: the (key, pair
-// count) rows of the keys the passes (scs) joined into top's pairs, in the
-// canonical order of the query's right dictionary, each entry zeroed as
-// it renders. A result holding a good share of the dictionary — ranked's
-// gate — walks its order in parallel rank ranges (rankedRows); a smaller
-// one, a subscription's delta say, radix-sorts its own keys' cells
-// (sortJoined) instead of walking the whole dictionary. No row is
-// compared, but rows whose keys include a key followed by NUL sort whole
-// (aggResult).
-func completeJoin(q *Query, top *joinScratch, scs []*joinScratch) (*Result, error) {
-	dict, pairs := top.right.keys, top.pairs
-	joined := 0
-	for _, sc := range scs {
-		joined += len(sc.joined)
+// count) rows of the keys the passes (scs) joined into jp's pairs, in the
+// canonical order of the query's right dictionary — its order walked in
+// parallel rank ranges (rankedRows, with each pass's row scratch), each
+// entry zeroed as it renders. No row is compared, but rows whose keys
+// include a key followed by NUL sort whole (aggResult).
+func completeJoin(q *Query, jp *joinPairs, scs []*joinScratch) (*Result, error) {
+	dict, pairs := jp.keys, jp.pairs
+	order, nul := dict.Order()
+	rs := make([]*rowScratch, min(len(scs), max(1, len(order)/rankRangeMin)))
+	for s := range rs {
+		rs[s] = &scs[s].rows
 	}
-	rows, nul := [][]string(nil), true
-	if joined < radix.MinSize || 4*joined < len(pairs) {
-		rows = top.sortJoined(scs)
-	} else {
-		var order []uint32
-		order, nul = dict.Order()
-		rs := make([]*rowScratch, min(len(scs), max(1, len(order)/rankRangeMin)))
-		for s := range rs {
-			rs[s] = &scs[s].rows
-		}
-		var err error
-		rows, err = rankedRows(dict, order, true, rs, func(ids, keep []uint32, vals []int64) ([]uint32, []int64) {
-			for _, id := range ids {
-				if int(id) < len(pairs) && pairs[id] != 0 {
-					keep, vals = append(keep, id), append(vals, pairs[id])
-					pairs[id] = 0
-				}
+	rows, err := rankedRows(dict, order, true, rs, func(ids, keep []uint32, vals []int64) ([]uint32, []int64) {
+		for _, id := range ids {
+			if int(id) < len(pairs) && pairs[id] != 0 {
+				keep, vals = append(keep, id), append(vals, pairs[id])
+				pairs[id] = 0
 			}
-			return keep, vals
-		})
-		if err != nil {
-			return nil, err
 		}
+		return keep, vals
+	})
+	if err != nil {
+		return nil, err
 	}
-	top.dirty = false
+	jp.dirty = false
 	return aggResult(q, rows, nul), nil
-}
-
-// sortJoined renders the keys scs joined into top's pairs, zeroing their
-// entries: their cells rendered from the query's right dictionary and
-// radix-sorted with their indices, and the rows built in that order.
-func (top *joinScratch) sortJoined(scs []*joinScratch) [][]string {
-	ids := top.joined
-	if top != scs[0] {
-		for _, sc := range scs {
-			ids = append(ids, sc.joined...)
-		}
-		top.joined = ids
-	}
-	cells, idx := top.rows.cells[:0], top.idx[:0]
-	for i, id := range ids {
-		cells, idx = append(cells, top.right.keys.Cell(id)), append(idx, int32(i))
-	}
-	top.sorter.Sort(cells, idx)
-	vals := top.rows.vals[:0]
-	for _, i := range idx {
-		id := ids[i]
-		vals = append(vals, top.pairs[id])
-		top.pairs[id] = 0
-	}
-	top.idx = idx
-	rows := make([][]string, len(cells))
-	aggRows(true, rows, cells, vals, &top.rows)
-	return rows
 }
 
 // batchJoinPasses is fusedJoinPasses on the chunked pipeline — the same

@@ -8,7 +8,6 @@ import (
 
 	"cheetah/internal/hashutil"
 	"cheetah/internal/prune"
-	"cheetah/internal/radix"
 	"cheetah/internal/sketch"
 	"cheetah/internal/table"
 )
@@ -141,8 +140,9 @@ func TestCompleteJoinCollisions(t *testing.T) {
 				sc.load(q, 3)
 				// Every row survives.
 				sc.left.rows, sc.right.rows = left, right
-				sc.pairCounts(sc, nil)
-				got, err := completeJoin(q, sc, []*joinScratch{sc})
+				jp := new(joinPairs)
+				sc.pairCounts(jp, nil)
+				got, err := completeJoin(q, jp, []*joinScratch{sc})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -333,15 +333,15 @@ func TestJoinFusedMatchesChunked(t *testing.T) {
 // rows' canonical order: ("a\x00", n) and ("a\x000", n) sort before
 // ("a", n), whose separator meets their NUL and '0'. So the completion
 // must fall back to sorting the rows whole, at every shard count, fused
-// and chunked, on both of its paths: alone the three keys are a small
-// result, which sorts its cells; padded with keys joined on both sides
-// they are a ranked one, which walks the dictionary's order.
+// and chunked: alone, where the dictionary's order is walked in one rank
+// range, and padded with keys joined on both sides, where it is split
+// between ranges.
 func TestJoinRankOrderNULKeys(t *testing.T) {
 	words := []string{"a", "a\x000", "a\x00"}
 	// Pair counts 3·2, 1·3, 2·1: no two rows agree on a count either.
 	left := []int{0, 0, 0, 1, 2, 2}
 	right := []int{0, 1, 1, 2, 1, 0}
-	for _, pad := range []int{0, 2 * radix.MinSize} {
+	for _, pad := range []int{0, 2 * rankRangeMin} {
 		ws, l, r := append([]string(nil), words...), append([]int(nil), left...), append([]int(nil), right...)
 		for i := 0; i < pad; i++ {
 			ws = append(ws, fmt.Sprintf("k%03d", i))
@@ -377,7 +377,7 @@ func TestJoinRankOrderNULKeys(t *testing.T) {
 // pool, joins a quarter of the keys and walks the whole dictionary, so a
 // stale count would come out as a row ExecDirect does not have.
 func TestJoinFailureLeavesNoCounts(t *testing.T) {
-	const keys = 4 * radix.MinSize
+	const keys = 2 * rankRangeMin
 	all, quarter := seqKeys(keys, 0, keys), seqKeys(keys/4, 0, keys/4)
 	right := joinKeyTable(t, false, all, nil)
 	failing := &Query{Kind: KindJoin, Table: joinKeyTable(t, false, all, nil), Right: right, LeftKey: "name", RightKey: "name"}

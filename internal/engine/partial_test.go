@@ -508,29 +508,39 @@ func sliceFields(v reflect.Value, path string, f func(path string, s reflect.Val
 	}
 }
 
-// TestPooledScratchBounded: the two pooled completions — a partial and a
-// JOIN's scratch — never go back to their pool holding a slice past
-// poolMax, whichever of their slices one query grew (every slice field
-// is tried, nested ones included, so a field added later is covered too);
-// and an object within the bound keeps its scratch.
+// TestPooledScratchBounded: the pooled completion state — a partial, a
+// JOIN pass's scratch and a JOIN query's pair counts — never goes back to
+// its pool holding a slice past poolMax, whichever of its slices one query
+// grew (every slice field is tried, nested ones included, so a field added
+// later is covered too); and an object within the bound keeps its scratch.
 func TestPooledScratchBounded(t *testing.T) {
 	defer func(n int) { poolMax = n }(poolMax)
 	poolMax = 8
-	pooled := map[string]func() (obj any, release func()){
-		"partial": func() (any, func()) {
+	// Each with the fewest slice fields the walk must find in it: fewer
+	// means sliceFields missed some.
+	pooled := map[string]struct {
+		fields int
+		mk     func() (obj any, release func())
+	}{
+		"partial": {8, func() (any, func()) {
 			p := new(partial)
 			return p, p.release
-		},
-		"joinScratch": func() (any, func()) {
+		}},
+		"joinScratch": {8, func() (any, func()) {
 			sc := new(joinScratch)
 			return sc, sc.release
-		},
+		}},
+		"joinPairs": {6, func() (any, func()) {
+			jp := new(joinPairs)
+			return jp, jp.release
+		}},
 	}
-	for name, mk := range pooled {
+	for name, pc := range pooled {
+		mk := pc.mk
 		obj, _ := mk()
 		var fields []string
 		sliceFields(reflect.ValueOf(obj).Elem(), name, func(path string, _ reflect.Value) { fields = append(fields, path) })
-		if len(fields) < 8 {
+		if len(fields) < pc.fields {
 			t.Fatalf("%s: found only %d slice fields: %v", name, len(fields), fields)
 		}
 		for _, grown := range append(fields, "") {

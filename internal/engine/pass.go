@@ -306,12 +306,12 @@ func completeTopN(q *Query, heaps []int64Heap) *Result {
 
 // join is JOIN's pass: the whole Bloom join of the pass's table pair —
 // build, switchover, probe — in sc, and its joined keys' pair counts
-// written into top's pairs (pairCounts), where the completion reads them
+// written into the query's (pairCounts), where the completion reads them
 // in key order. The build and probe passes share the program's Bloom
 // state, so this whole sequence is also the failover retry unit: a switch
 // that dies anywhere inside it invalidates the filter, never just one
 // pass.
-func (ps *pass) join(sc, top *joinScratch) error {
+func (ps *pass) join(sc *joinScratch, jp *joinPairs) error {
 	j, ok := ps.pruner.(*prune.Join)
 	if !ok {
 		return fmt.Errorf("engine: join needs a *prune.Join, got %T", ps.pruner)
@@ -332,7 +332,7 @@ func (ps *pass) join(sc, top *joinScratch) error {
 		}
 		ps.traffic, ps.skipped = tr, skipped
 	}
-	sc.pairCounts(top, ps.q.Right.SourceRows())
+	sc.pairCounts(jp, ps.q.Right.SourceRows())
 	return nil
 }
 
@@ -457,21 +457,20 @@ func execPasses(q *Query, execs []*shardExec, opts ShardedOptions) (res *Result,
 			scs[s] = joinScratchPool.Get().(*joinScratch)
 			defer scs[s].release()
 		}
-		top := scs[0]
+		jp := joinPairsPool.Get().(*joinPairs)
+		defer jp.release()
 		if len(passes) > 1 {
-			top = joinScratchPool.Get().(*joinScratch)
-			defer top.release()
 			err = runShard(0, func(int) error {
-				mergeNote = top.resolve(q, opts.Seed)
+				mergeNote = jp.resolve(q, opts.Seed)
 				return nil
 			})
 		}
 		if err == nil {
-			top.dirty = true
-			err = scatter(func(s int) error { return passes[s].join(scs[s], top) })
+			jp.dirty = true
+			err = scatter(func(s int) error { return passes[s].join(scs[s], jp) })
 		}
 		if err == nil {
-			res, err = completeJoin(q, top, scs)
+			res, err = completeJoin(q, jp, scs)
 		}
 	default: // DISTINCT, GROUP BY MAX, GROUP BY SUM, HAVING
 		partials := make([]*partial, len(passes))
