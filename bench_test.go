@@ -249,9 +249,9 @@ func BenchmarkExecCheetahJoin100kBatch(b *testing.B) {
 }
 
 // BenchmarkExecShardedJoin100k is the same join scattered over two
-// switches: key-only shards memoised on the tables after the first
-// iteration, each shard's pair counts written at the right table's key
-// ids, rendered by the master in that dictionary's order.
+// switches: key shards (lists of rows) memoised on the tables after the
+// first iteration, each shard's pair counts written at the right table's
+// key ids, rendered by the master in that dictionary's order.
 func BenchmarkExecShardedJoin100k(b *testing.B) {
 	q := join100kQuery(b)
 	b.ReportAllocs()

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"cheetah/internal/obs"
 	"cheetah/internal/table"
 )
 
@@ -56,22 +57,19 @@ func collisionRuns(t *testing.T) []collisionRun {
 					t.Fatal(err)
 				}
 				for _, k := range []int{1, 2, 3} {
-					for _, side := range []*table.Table{q.Table, q.Right} {
-						if q.Kind != KindJoin || k == 1 {
-							break
-						}
-						shards, err := side.ShardKeys("name", k)
-						if err != nil {
-							t.Fatal(err)
-						}
-						for _, sh := range shards {
-							forceKeyFingerprints(t, sh, seed, fp)
-						}
-					}
-					run, err := ExecSharded(q, ShardedOptions{Shards: k, Workers: 2, Seed: seed})
+					tr := obs.New()
+					run, err := ExecSharded(q, ShardedOptions{Shards: k, Workers: 2, Seed: seed, Trace: tr})
 					if err != nil {
 						t.Fatal(err)
 					}
+					// Every pass read the forced columns: a pass that hashed
+					// its keys itself would stream honest fingerprints.
+					for _, sp := range stagesOf(tr)[obs.StageShard] {
+						if !strings.Contains(sp.Note, "keys: memo") {
+							t.Fatalf("%v k=%d: shard %d noted %q", q.Kind, k, sp.Switch, sp.Note)
+						}
+					}
+					tr.Release()
 					runs = append(runs, collisionRun{
 						label:   fmt.Sprintf("%v int=%v fingerprints=%s k=%d", q.Kind, intKeys, fname, k),
 						outcome: fmt.Sprintf("traffic=%+v stats=%+v", run.Traffic, run.Stats),

@@ -22,21 +22,25 @@ package engine
 // survivors per key id and joins the counts through the map (pairCounts):
 // integer work, reading no key cell.
 //
-// The pair counts meet in one array (joinPairs), indexed by the query's
-// right key ids — the right handle's own, resolved once before the passes
-// (resolve); at one shard they are the pass's right ids — and the
-// completion (completeJoin) renders the joined keys in that dictionary's
-// canonical order (KeyIDs.Order), in parallel rank ranges like the
-// aggregation kinds' ranked completion: no pass sorts and no rows merge.
-// A sharded JOIN's shards are key-only tables (shardTables,
-// table.ShardKeys) whose rows name the rows they came from (SourceRows),
-// so a pass writes each joined key at the id of its source row; matching
-// keys are co-located, so the passes write disjoint entries.
+// Every pass of a query reads one id space: both sides' fingerprint
+// columns and key ids and the key map between them are loaded once, before
+// the passes (joinPairs.load, like keyPartials), at every shard count. A
+// sharded JOIN's pass streams its key shards — the increasing lists of the
+// rows of each unsharded handle that hash to it (table.ShardKeys) — as
+// those rows' fingerprints and ids, gathered contiguous and kept beside
+// the lists (table.KeyShardColumns): positions, which it streams as a
+// one-shard pass streams rows. The pair counts meet in one array
+// (joinPairs), indexed by the right handle's key ids, and the completion
+// (completeJoin) renders the joined keys in that dictionary's canonical
+// order (KeyIDs.Order), in parallel rank ranges like the aggregation
+// kinds' ranked completion: no pass sorts and no rows merge. Matching keys
+// are co-located, so the passes write disjoint entries.
 // execJoin, the plain string-keyed join, stays what ExecDirect runs and
 // what the tests compare against. Keys of two column types never meet on
 // the switch (MixedJoinKeys), so no pruned path takes them.
 
 import (
+	"slices"
 	"strconv"
 	"sync"
 
@@ -46,41 +50,45 @@ import (
 	"cheetah/internal/table"
 )
 
-// joinSide is one JOIN input: on the worker side col, its key column's
-// fingerprints by row — the table's memoised column or scratch (keyColumn)
-// — and keys, its key ids (keyIDs); for the fused passes, fps and fpIDs,
-// the distinct keys of the rows they stream (gather), with seen, a byte
-// per key id, and in, the probe's verdict per distinct key (per row of a
-// span when distinct), all for the rows of spans; on the master side rows,
-// what survived the switch, and counts, those rows counted per key id.
+// joinSide is one JOIN input as one pass streams it, by position: col and
+// ids, the fingerprints and key ids of its rows — the handle's by row, or
+// its key shard's rows' (use) — and keys, the handle's dictionary; for the
+// fused passes, fps and fpIDs, the distinct keys of the positions they
+// stream (gather), with seen, a byte per key id, and in, the probe's
+// verdict per distinct key (per position of a span when distinct), all
+// for the positions of spans; on the master side rows, the positions that
+// survived the switch, and counts, those counted per key id.
 type joinSide struct {
-	rows      []int
-	col       []uint64 // shared with the table: read-only, dropped before pooling
-	scratch   []uint64
-	keys      table.KeyIDs // likewise: the table's dictionary, or idScratch
-	idScratch table.KeyIDScratch
-	counts    []int32
-	seen      []bool // false but at fpIDs: forget clears those
-	fps       []uint64
-	fpIDs     []uint32
-	in        []bool
-	spans     []span // the rows gathered
-	entries   int    // their number
-	distinct  bool   // every row its own key: the spans stream as they lie
+	rows     []int
+	col      []uint64     // the query's: read-only, dropped before pooling
+	ids      []uint32     // likewise
+	keys     table.KeyIDs // likewise
+	counts   []int32
+	seen     []bool // false but at fpIDs: forget clears those
+	fps      []uint64
+	fpIDs    []uint32
+	in       []bool
+	spans    []span // the positions gathered
+	entries  int    // their number
+	distinct bool   // every row its own key: the spans stream as they lie
 }
 
-// load fetches the side's fingerprint column and key ids for a pass over
-// t and returns how many rows that hashed and built.
-func (s *joinSide) load(t *table.Table, kc int, seed uint64) (hashed, built int) {
-	s.col, hashed = keyColumn(t, kc, seed, &s.scratch)
-	s.keys, built = keyIDs(t, kc, seed, s.col, &s.idScratch)
-	return hashed, built
+// use points s at pass p's rows of the query's key column k: every row of
+// the handle, or in a sharded JOIN its key shard's, whose keys are
+// gathered contiguous (joinKeys.shard) — so the passes stream positions.
+func (s *joinSide) use(k *joinKeys, p int) {
+	s.col, s.ids, s.keys = k.col, k.ids.IDs, k.ids
+	if k.rows != nil {
+		s.col, s.ids = k.fps[p], k.sids[p]
+	}
 }
+
+// whole is the one span of all of s's positions.
+func (s *joinSide) whole() []span { return []span{{0, len(s.ids)}} }
 
 // poolable reports whether s's scratch is within the pools' bound.
 func (s *joinSide) poolable() bool {
-	return poolable(cap(s.rows), cap(s.scratch), s.idScratch.Cap(), cap(s.counts),
-		cap(s.seen), cap(s.fps), cap(s.fpIDs), cap(s.in))
+	return poolable(cap(s.rows), cap(s.counts), cap(s.seen), cap(s.fps), cap(s.fpIDs), cap(s.in))
 }
 
 // count returns s's survivors counted per key id, in counts grown to the
@@ -93,18 +101,18 @@ func (s *joinSide) count() []int32 {
 	s.counts = s.counts[:n]
 	clear(s.counts)
 	for _, r := range s.rows {
-		s.counts[s.keys.IDs[r]]++
+		s.counts[s.ids[r]]++
 	}
 	return s.counts
 }
 
-// gather lists the distinct keys of the rows in spans — each key id's
-// fingerprint and id, in first-seen order — and marks their ids in seen,
-// and keeps spans: the side's train and probe stream those rows. A key id
-// is a key, so testing each one once is exact: Add is idempotent on a
-// filter's bits, and Contains reads only. When the side's dictionary
-// gives every row its own key, the spans' rows are their distinct keys
-// already, and nothing is listed.
+// gather lists the distinct keys of the positions in spans — each key
+// id's fingerprint and id, in first-seen order — and marks their ids in
+// seen, and keeps spans: the side's train and probe stream those
+// positions. A key id is a key, so testing each one once is exact: Add is
+// idempotent on a filter's bits, and Contains reads only. When the side's
+// dictionary gives every row its own key, the positions are their
+// distinct keys already, and nothing is listed.
 func (s *joinSide) gather(spans []span) {
 	s.forget()
 	s.spans = spans
@@ -119,7 +127,7 @@ func (s *joinSide) gather(spans []span) {
 	} else {
 		s.seen = s.seen[:n]
 	}
-	seen, ids := s.seen, s.keys.IDs
+	seen, ids := s.seen, s.ids
 	for _, sp := range spans {
 		for r := sp.lo; r < sp.hi; r++ {
 			if id := ids[r]; !seen[id] {
@@ -142,9 +150,9 @@ func (s *joinSide) forget() {
 	s.fps, s.fpIDs, s.spans, s.entries, s.distinct = s.fps[:0], s.fpIDs[:0], nil, 0, false
 }
 
-// train adds the gathered keys to mem, as many Adds as rows were gathered
-// (a nil mem trains nothing: the rows still stream), and returns that
-// number.
+// train adds the gathered keys to mem, as many Adds as positions were
+// gathered (a nil mem trains nothing: the rows still stream), and returns
+// that number.
 func (s *joinSide) train(mem sketch.Membership) (sent int) {
 	switch {
 	case mem == nil:
@@ -166,11 +174,11 @@ func (s *joinSide) verdicts(n int) []bool {
 	return s.in[:n]
 }
 
-// probe keeps the gathered rows whose key tests positive in mem (every
-// row when mem is nil — the asymmetric build side, which forwards
+// probe keeps the gathered positions whose key tests positive in mem
+// (every one when mem is nil — the asymmetric build side, which forwards
 // unpruned): one test per gathered key, its verdict kept at the key's id
-// in seen, then one pass over the rows' ids — or, distinct, one test per
-// row of each span, kept where it holds.
+// in seen, then one pass over the positions' ids — or, distinct, one test
+// per position of each span, kept where it holds.
 func (s *joinSide) probe(mem sketch.Membership) (sent, fwd int) {
 	rows := s.rows[:0]
 	switch {
@@ -197,7 +205,7 @@ func (s *joinSide) probe(mem sketch.Membership) (sent, fwd int) {
 	}
 	in := s.verdicts(len(s.fps))
 	mem.ContainsMany(s.fps, in)
-	seen, ids := s.seen, s.keys.IDs
+	seen, ids := s.seen, s.ids
 	for i, id := range s.fpIDs {
 		seen[id] = in[i]
 	}
@@ -213,33 +221,76 @@ func (s *joinSide) probe(mem sketch.Membership) (sent, fwd int) {
 }
 
 // joinScratch is the pooled state of one pruned JOIN pass: both sides'
-// buffers, the per-key counts included, the key map from the right side's
-// ids to the left's — the left dictionary's, or built into xmapScratch —
-// and rows, the completion's scratch for one rank range's rows.
+// buffers, the per-key counts included, and rows, the completion's scratch
+// for one rank range's rows.
 type joinScratch struct {
 	left, right joinSide
-	xmap        table.KeyMap
-	xmapScratch table.KeyMapScratch
 	rows        rowScratch
 }
 
 var joinScratchPool = sync.Pool{New: func() any { return new(joinScratch) }}
 
-// load fetches both sides' fingerprint columns and key ids, and the key
-// map between them, for a pass over q's table pair and returns the pass's
-// keysNote, idsNote and xmapNote.
-func (sc *joinScratch) load(q *Query, seed uint64) (note string) {
-	lc := q.Table.Schema().MustIndex(q.LeftKey)
-	rc := q.Right.Schema().MustIndex(q.RightKey)
-	lh, lb := sc.left.load(q.Table, lc, seed)
-	rh, rb := sc.right.load(q.Right, rc, seed)
-	var probed int
-	var cold bool
-	sc.xmap, probed, cold = sc.left.keys.Map(sc.right.keys, &sc.xmapScratch)
-	return keysNote(lh+rh) + "; " + idsNote(lb+rb) + "; " + xmapNote(probed, cold)
+// release returns sc to the pool without the query's columns and ids,
+// which the pool must not pin — and drops it whole when one huge JOIN grew
+// its scratch past the pools' bound.
+func (sc *joinScratch) release() {
+	for _, s := range []*joinSide{&sc.left, &sc.right} {
+		s.forget()
+		s.col, s.ids, s.keys = nil, nil, table.KeyIDs{}
+	}
+	if !sc.left.poolable() || !sc.right.poolable() || !poolable(sc.rows.caps()...) {
+		*sc = joinScratch{}
+	}
+	joinScratchPool.Put(sc)
 }
 
-// xmapNote is idsNote for the key map: whether the pass found it on the
+// joinKeys is one JOIN input's key column as every pass of a query reads
+// it: col, its fingerprints by row — the table's memoised column or
+// scratch (keyColumn) — and ids, its key ids (keyIDs), with how many of
+// the handle's rows loading them hashed and built; in a sharded JOIN also
+// its key shards, rows, and their rows' fingerprints and ids, fps and sids.
+type joinKeys struct {
+	col           []uint64 // shared with the table: read-only, dropped before pooling
+	scratch       []uint64
+	ids           table.KeyIDs // likewise: the table's dictionary, or idScratch
+	idScratch     table.KeyIDScratch
+	hashed, built int
+	rows          [][]uint32 // likewise, the last three
+	fps           [][]uint64
+	sids          [][]uint32
+}
+
+// load fetches the fingerprint column and key ids of column col of t.
+func (k *joinKeys) load(t *table.Table, col string, seed uint64) {
+	c := t.Schema().MustIndex(col)
+	k.col, k.hashed = keyColumn(t, c, seed, &k.scratch)
+	k.ids, k.built = keyIDs(t, c, seed, k.col, &k.idScratch)
+}
+
+// shard splits the handle t into its n key shards (table.ShardKeys) and
+// gives each its rows' fingerprints and ids, contiguous
+// (table.KeyShardColumns): what its pass streams.
+func (k *joinKeys) shard(t *table.Table, col string, n int, seed uint64) (err error) {
+	if k.rows, err = t.ShardKeys(col, n); err == nil {
+		k.fps, k.sids = t.KeyShardColumns(k.rows, seed, k.col, k.ids.IDs)
+	}
+	return err
+}
+
+// tail returns how many of pass p's rows, of the handle's n, loading
+// hashed and built: the handle's last ones — of a key shard, an increasing
+// list, its last ones too.
+func (k *joinKeys) tail(n, p int) (hashed, built int) {
+	if k.rows == nil {
+		return k.hashed, k.built
+	}
+	rows := k.rows[p]
+	h, _ := slices.BinarySearch(rows, uint32(n-k.hashed))
+	b, _ := slices.BinarySearch(rows, uint32(n-k.built))
+	return len(rows) - h, len(rows) - b
+}
+
+// xmapNote is idsNote for the key map: whether the query found it on the
 // left dictionary, extended it by n ids or built it over n.
 func xmapNote(probed int, cold bool) string {
 	switch {
@@ -251,79 +302,73 @@ func xmapNote(probed int, cold bool) string {
 	return "xmap: memo"
 }
 
-// release returns sc to the pool without the tables' columns, ids and key
-// map, which the pool must not pin — and drops it whole when one huge JOIN
-// grew its scratch past the pools' bound.
-func (sc *joinScratch) release() {
-	sc.left.forget()
-	sc.right.forget()
-	sc.left.col, sc.right.col = nil, nil
-	sc.left.keys, sc.right.keys = table.KeyIDs{}, table.KeyIDs{}
-	sc.xmap = table.KeyMap{}
-	if !sc.left.poolable() || !sc.right.poolable() || !poolable(append(sc.rows.caps(), sc.xmapScratch.Cap())...) {
-		*sc = joinScratch{}
-	}
-	joinScratchPool.Put(sc)
-}
-
-// joinPairs is a pruned JOIN query's pair counts: pairs holds each joined
-// key's count at the key's id among keys, the query's right key ids, and
-// is zero everywhere else — and everywhere while pooled: the completion
-// zeroes each entry it renders, and one released dirty (a query that
-// failed or panicked past the passes' first write) is cleared. At one
-// shard keys are the pass's right ids (pairCounts); above it the
-// unsharded right handle's, resolved before the passes (resolve) off its
-// table's dictionary, or built into fps and idScratch.
+// joinPairs is a pruned JOIN query's one id space, which every pass reads
+// — both sides' key columns and ids and the key map from the right ids to
+// the left's (the left dictionary's, or built into xmapScratch), loaded
+// once before the passes — and pairs, each joined key's count at its
+// right id, zero everywhere else — and everywhere while pooled: the
+// completion zeroes each entry it renders, and one released dirty (a query
+// that failed or panicked past the passes' first write) is cleared.
 type joinPairs struct {
-	keys      table.KeyIDs // the table's dictionary, or idScratch: dropped before pooling
-	fps       []uint64
-	idScratch table.KeyIDScratch
-	pairs     []int64
-	dirty     bool
+	left, right joinKeys
+	xmap        table.KeyMap
+	xmapScratch table.KeyMapScratch
+	xmapNote    string
+	pairs       []int64
+	dirty       bool
 }
 
 var joinPairsPool = sync.Pool{New: func() any { return new(joinPairs) }}
 
-// resolve gives jp the unsharded right handle's key ids — off its table's
-// dictionary, or built when the dictionary turns the handle away — and
-// sizes pairs to them. It returns the merge span's idsNote.
-func (jp *joinPairs) resolve(q *Query, seed uint64) string {
-	t, rc := q.Right, q.Right.Schema().MustIndex(q.RightKey)
-	built, ok := 0, false
-	if memoServes(t, t.KeyMemoStats(rc, seed).IDs) {
-		// No pass streams these rows: their fingerprints stay unhashed
-		// unless the dictionary needs them.
-		jp.keys, built, ok = t.KeyIDs(rc, seed)
-	}
-	if !ok {
-		col, _ := keyColumn(t, rc, seed, &jp.fps)
-		jp.keys, built = keyIDs(t, rc, seed, col, &jp.idScratch)
-	}
-	jp.use(jp.keys)
-	return idsNote(built)
-}
-
-// use makes keys jp's ids and sizes pairs to them. Entries come zero,
-// pooled or new.
-func (jp *joinPairs) use(keys table.KeyIDs) {
-	jp.keys = keys
-	if n := keys.Len(); cap(jp.pairs) < n {
+// load fetches q's key columns, ids and key map — and, over more than one
+// shard, both sides' key shards — and sizes pairs to the right ids.
+// Entries come zero, pooled or new.
+func (jp *joinPairs) load(q *Query, seed uint64, shards int) error {
+	jp.left.load(q.Table, q.LeftKey, seed)
+	jp.right.load(q.Right, q.RightKey, seed)
+	m, probed, cold := jp.left.ids.Map(jp.right.ids, &jp.xmapScratch)
+	jp.xmap, jp.xmapNote = m, xmapNote(probed, cold)
+	if n := jp.right.ids.Len(); cap(jp.pairs) < n {
 		jp.pairs = make([]int64, n)
 	} else {
 		jp.pairs = jp.pairs[:n]
 	}
+	if shards == 1 {
+		return nil
+	}
+	if err := jp.left.shard(q.Table, q.LeftKey, shards, seed); err != nil {
+		return err
+	}
+	return jp.right.shard(q.Right, q.RightKey, shards, seed)
 }
 
-// release returns jp to the pool without the ids, which the pool must not
-// pin, and with its pairs zero — and drops it whole when one huge JOIN
-// grew its scratch past the pools' bound.
+// note is pass p's shard note: the rows of its own that load hashed and
+// built (keysNote, idsNote), so that the passes' notes add up to the
+// query's, and the key map's (xmapNote), which the first pass carries.
+func (jp *joinPairs) note(q *Query, p int) string {
+	lh, lb := jp.left.tail(q.Table.NumRows(), p)
+	rh, rb := jp.right.tail(q.Right.NumRows(), p)
+	xmap := xmapNote(0, false)
+	if p == 0 {
+		xmap = jp.xmapNote
+	}
+	return keysNote(lh+rh) + "; " + idsNote(lb+rb) + "; " + xmap
+}
+
+// release returns jp to the pool without the columns, ids and key map,
+// which the pool must not pin, and with its pairs zero — and drops it
+// whole when one huge JOIN grew its scratch past the pools' bound.
 func (jp *joinPairs) release() {
-	jp.keys = table.KeyIDs{}
+	for _, k := range []*joinKeys{&jp.left, &jp.right} {
+		k.col, k.ids, k.rows, k.fps, k.sids = nil, table.KeyIDs{}, nil, nil, nil
+	}
+	jp.xmap = table.KeyMap{}
 	if jp.dirty {
 		clear(jp.pairs)
 		jp.dirty = false
 	}
-	if !poolable(cap(jp.fps), jp.idScratch.Cap(), cap(jp.pairs)) {
+	if !poolable(cap(jp.left.scratch), jp.left.idScratch.Cap(), cap(jp.right.scratch), jp.right.idScratch.Cap(),
+		jp.xmapScratch.Cap(), cap(jp.pairs)) {
 		*jp = joinPairs{}
 	}
 	joinPairsPool.Put(jp)
@@ -336,13 +381,11 @@ func (jp *joinPairs) release() {
 // build phase: the loops hard-code which filter each pass trains or
 // probes.
 func fusedJoinPasses(q *Query, j *prune.Join, skip bool, sc *joinScratch) (tr Traffic, skipped SkipStats) {
-	lc := q.Table.Schema().MustIndex(q.LeftKey)
-	rc := q.Right.Schema().MustIndex(q.RightKey)
-	rightSpans := fullSpans(q.Right)
+	rightSpans := sc.right.whole()
 	if skip {
-		rightSpans, skipped = joinRightSpans(q.Table, lc, q.Right, rc)
+		rightSpans, skipped = joinRightSpans(q)
 	}
-	sc.left.gather(fullSpans(q.Table))
+	sc.left.gather(sc.left.whole())
 	sc.right.gather(rightSpans)
 	fa, fb := j.FusedFilters()
 	var sent, fl, fr, pruned int
@@ -377,36 +420,31 @@ func fusedJoinPasses(q *Query, j *prune.Join, skip bool, sc *joinScratch) (tr Tr
 // pairCounts joins sc's two survivor lists into jp's pairs: each side's
 // survivors are counted per key id, and each of the right side's distinct
 // keys meets its left count through the key map — no fingerprint, no key
-// comparison — and writes the product at its id among the query's right
-// ids. src is the pass's right table's SourceRows: a key shard's rows name
-// their rows of the unsharded handle, whose ids jp resolved; at one shard
-// src is nil and the pass's right ids become the query's. Pair counts are
-// products, so the sides' roles do not show in the answer. A failover redo
+// comparison — and writes the product at its id. Pair counts are products,
+// so the sides' roles do not show in the answer. A failover redo
 // overwrites what its discarded attempt wrote: that attempt could only
 // join keys that are on both sides, and the redo joins every one of those.
-func (sc *joinScratch) pairCounts(jp *joinPairs, src []uint32) {
-	lc, rc := sc.left.count(), sc.right.count()
-	r := &sc.right
-	if src == nil {
-		jp.use(r.keys)
+func (sc *joinScratch) pairCounts(jp *joinPairs) {
+	lc := sc.left.count()
+	var rc []int32 // nil when every right row is its own key: counted once
+	if !sc.right.keys.Distinct() {
+		rc = sc.right.count()
 	}
-	pairs, ids := jp.pairs, jp.keys.IDs
-	for _, row := range r.rows {
-		rid := r.keys.IDs[row]
-		n := rc[rid]
-		if n == 0 {
-			continue
+	pairs, ids := jp.pairs, sc.right.ids
+	for _, row := range sc.right.rows {
+		rid := ids[row]
+		n := int32(1)
+		if rc != nil {
+			if n = rc[rid]; n == 0 {
+				continue
+			}
+			rc[rid] = 0 // counted: later survivors with the key skip it
 		}
-		rc[rid] = 0 // counted: later survivors with the key skip it
-		lid, ok := sc.xmap.Left(rid)
+		lid, ok := jp.xmap.Left(rid)
 		if !ok || lc[lid] == 0 {
 			continue
 		}
-		id := rid
-		if src != nil {
-			id = ids[src[row]]
-		}
-		pairs[id] = int64(lc[lid]) * int64(n)
+		pairs[rid] = int64(lc[lid]) * int64(n)
 	}
 }
 
@@ -417,7 +455,7 @@ func (sc *joinScratch) pairCounts(jp *joinPairs, src []uint32) {
 // entry zeroed as it renders. No row is compared, but rows whose keys
 // include a key followed by NUL sort whole (aggResult).
 func completeJoin(q *Query, jp *joinPairs, scs []*joinScratch) (*Result, error) {
-	dict, pairs := jp.keys, jp.pairs
+	dict, pairs := jp.right.ids, jp.pairs
 	order, nul := dict.Order()
 	rs := make([]*rowScratch, min(len(scs), max(1, len(order)/rankRangeMin)))
 	for s := range rs {
@@ -444,71 +482,59 @@ func completeJoin(q *Query, jp *joinPairs, scs []*joinScratch) (*Result, error) 
 // consult j's live phase — for dataplanes that withhold direct program
 // access. It leaves both sides' survivors in sc, like the fused passes.
 func batchJoinPasses(q *Query, j *prune.Join, dp BatchDataplane, workers int, skip bool,
-	buf *streamBuf, sc *joinScratch) (tr Traffic, skipped SkipStats, err error) {
-	lc := q.Table.Schema().MustIndex(q.LeftKey)
-	rc := q.Right.Schema().MustIndex(q.RightKey)
+	buf *streamBuf, sc *joinScratch) (tr Traffic, skipped SkipStats) {
 	// Probe-side block skipping (skip.go): a right block where every
 	// distinct left key tests Bloom-negative holds no joinable row.
 	// Every right pass — including the symmetric build pass — uses the
 	// same spans: a key that would train the B-side filter out of a
 	// skipped block cannot exist on the left, so no left row loses its
 	// forward, and the master's completion stays exact.
-	leftSpans := fullSpans(q.Table)
-	rightSpans := fullSpans(q.Right)
+	leftSpans, rightSpans := sc.left.whole(), sc.right.whole()
 	if skip {
-		rightSpans, skipped = joinRightSpans(q.Table, lc, q.Right, rc)
+		rightSpans, skipped = joinRightSpans(q)
 	}
-	// A span streams as a view of its table (spanPass), and its packets
-	// carry the view's rows of the table's fingerprint column.
-	encFor := func(t *table.Table, s *joinSide, side prune.JoinSide) func(*table.Table) partEncoder {
-		return func(v *table.Table) partEncoder {
-			lo := v.RootOffset() - t.RootOffset()
-			return encSide(s.col[lo:lo+v.NumRows()], side)
-		}
-	}
-	encAFor := encFor(q.Table, &sc.left, prune.SideA)
-	encBFor := encFor(q.Right, &sc.right, prune.SideB)
-	// pass streams one side; a nil sv is a build pass, which counts
-	// forwards without collecting.
-	pass := func(t *table.Table, spans []span, encFor func(*table.Table) partEncoder, sv *survivorSet) {
-		if err != nil {
-			return
-		}
+	// pass streams one side, each span as a segment whose packets carry the
+	// span's fingerprints and whose ids are positions; a nil sv is a build
+	// pass, which counts forwards without collecting.
+	pass := func(s *joinSide, side prune.JoinSide, spans []span, sv *survivorSet) {
 		if sv != nil {
-			sv.remaining = t.NumRows()
+			sv.remaining = len(s.ids)
 		}
-		err = spanPass(t, spans, workers, 2, sv != nil, buf, encFor, dp,
-			func(b *switchsim.Batch, dec []switchsim.Decision, ids []uint64) {
-				tr.EntriesSent += b.N
-				if sv == nil {
-					tr.Forwarded += forwardedIn(dec[:b.N])
-					return
-				}
-				fwd := buf.compactForwarded(ids, dec, b.N)
-				tr.Forwarded += len(fwd)
-				sv.add(fwd, b.N)
-			})
+		for _, sp := range spans {
+			enc := encSide(s.col[sp.lo:sp.hi], side)
+			if sv != nil {
+				enc = offsetIDs(enc, uint64(sp.lo))
+			}
+			batchPass(sp.hi-sp.lo, workers, 2, sv != nil, buf, enc, dp,
+				func(b *switchsim.Batch, dec []switchsim.Decision, ids []uint64) {
+					tr.EntriesSent += b.N
+					if sv == nil {
+						tr.Forwarded += forwardedIn(dec[:b.N])
+						return
+					}
+					fwd := buf.compactForwarded(ids, dec, b.N)
+					tr.Forwarded += len(fwd)
+					sv.add(fwd, b.N)
+				})
+		}
 	}
 	var l, r survivorSet
 	if j.Asymmetric() {
 		// §4.3's small-table optimization: side A streams once, unpruned,
 		// while its filter trains; then side B is pruned against it.
-		pass(q.Table, leftSpans, encAFor, &l)
+		pass(&sc.left, prune.SideA, leftSpans, &l)
 		j.StartProbe()
-		pass(q.Right, rightSpans, encBFor, &r)
+		pass(&sc.right, prune.SideB, rightSpans, &r)
 	} else {
 		// Pass 1: both key columns build the filters; packets terminate
 		// at the switch. Pass 2: full entries, pruned by the other side.
-		pass(q.Table, leftSpans, encAFor, nil)
-		pass(q.Right, rightSpans, encBFor, nil)
+		pass(&sc.left, prune.SideA, leftSpans, nil)
+		pass(&sc.right, prune.SideB, rightSpans, nil)
 		j.StartProbe()
-		pass(q.Table, leftSpans, encAFor, &l)
-		pass(q.Right, rightSpans, encBFor, &r)
-	}
-	if err != nil {
-		return tr, skipped, err
+		pass(&sc.left, prune.SideA, leftSpans, &l)
+		pass(&sc.right, prune.SideB, rightSpans, &r)
 	}
 	tr.MasterProcessed = len(l.rows) + len(r.rows)
 	sc.left.rows, sc.right.rows = l.rows, r.rows
-	return tr, skipped, nil
+	return tr, skipped
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"cheetah/internal/hashutil"
+	"cheetah/internal/obs"
 	"cheetah/internal/prune"
 	"cheetah/internal/sketch"
 	"cheetah/internal/table"
@@ -136,12 +137,16 @@ func TestCompleteJoinCollisions(t *testing.T) {
 				}
 				forceFingerprints(t, q.Table, 3, func(r int) uint64 { return fp(c.left[r]) })
 				forceFingerprints(t, q.Right, 3, func(r int) uint64 { return fp(c.right[r]) })
+				jp := new(joinPairs)
+				if err := jp.load(q, 3, 1); err != nil {
+					t.Fatal(err)
+				}
 				sc := new(joinScratch)
-				sc.load(q, 3)
+				sc.left.use(&jp.left, 0)
+				sc.right.use(&jp.right, 0)
 				// Every row survives.
 				sc.left.rows, sc.right.rows = left, right
-				jp := new(joinPairs)
-				sc.pairCounts(jp, nil)
+				sc.pairCounts(jp)
 				got, err := completeJoin(q, jp, []*joinScratch{sc})
 				if err != nil {
 					t.Fatal(err)
@@ -444,6 +449,87 @@ func TestShardedJoinUnmemoisedRight(t *testing.T) {
 				if !got.Result.Equal(want) {
 					t.Fatalf("%s k=%d run %d: diverges from ExecDirect\nwant:\n%s\ngot:\n%s", name, k, run, want, got.Result)
 				}
+			}
+		}
+	}
+}
+
+// TestShardedJoinOneIDSpace: a JOIN's passes read one id space at every
+// shard count — the tables' fingerprint columns, key ids and key map — so a
+// JOIN at two and three shards right after one at one shard over the same
+// fresh tables hashes no key, builds no id and no key map: every shard
+// notes memo for all three, and the merge notes nothing; the cold run at
+// one shard hashed and built every key row once (at three shards
+// TestTraceSpansPerPath adds the shards' cold notes up) — on the fused and
+// the chunked passes.
+func TestShardedJoinOneIDSpace(t *testing.T) {
+	const warm = "keys: memo; ids: memo; xmap: memo"
+	for _, noFuse := range []bool{false, true} {
+		q := equivQueries(equivTable(t, 3000, 0x331), equivTable(t, 900, 0x332))["join"]
+		want, err := ExecDirect(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keyRows := q.Table.NumRows() + q.Right.NumRows()
+		for i, k := range []int{1, 2, 3, 3} {
+			tr := obs.New()
+			run, err := ExecSharded(q, ShardedOptions{Shards: k, Workers: 2, Seed: 7, NoFuse: noFuse, Trace: tr})
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := stagesOf(tr)
+			tr.Release()
+			label := fmt.Sprintf("noFuse=%v run %d k=%d", noFuse, i, k)
+			if !run.Result.Equal(want) {
+				t.Fatalf("%s: diverges from ExecDirect", label)
+			}
+			if merge := st[obs.StageMerge][0].Note; merge != "" {
+				t.Fatalf("%s: merge noted %q", label, merge)
+			}
+			got := addNotes(st[obs.StageShard])
+			if i == 0 {
+				cold := fmt.Sprintf("keys: hashed %d; ids: built %d; xmap: built ", keyRows, keyRows)
+				if !strings.HasPrefix(got, cold) {
+					t.Fatalf("%s: noted %q, want %q…", label, got, cold)
+				}
+				continue
+			}
+			for _, sp := range st[obs.StageShard] {
+				if _, keys, _ := strings.Cut(sp.Note, "; "); keys != warm {
+					t.Fatalf("%s: shard %d noted %q, want %q", label, sp.Switch, sp.Note, warm)
+				}
+			}
+		}
+	}
+}
+
+// TestShardedJoinDerivedBytes: what a sharded JOIN keeps beside what a
+// one-shard JOIN does is its co-partition — the row lists and their rows'
+// fingerprints and key ids — and DerivedBytes sees all of it: after a
+// JOIN at two shards each root accounts exactly its bytes after a JOIN at
+// one plus 4 + 8 + 4 B a row in KeyShards; at three shards the one slot is
+// replaced, at the same size.
+func TestShardedJoinDerivedBytes(t *testing.T) {
+	q := equivQueries(equivTable(t, 3000, 0x341), equivTable(t, 900, 0x342))["join"]
+	roots := []*table.Table{q.Table, q.Right}
+	var base []table.DerivedBytes
+	for _, k := range []int{1, 2, 3} {
+		if _, err := ExecSharded(q, ShardedOptions{Shards: k, Workers: 2, Seed: 7}); err != nil {
+			t.Fatal(err)
+		}
+		for i, root := range roots {
+			got := root.DerivedBytes()
+			if k == 1 {
+				if got.KeyShards != 0 || got.KeyFingerprints == 0 || got.KeyIDs == 0 {
+					t.Fatalf("root %d after a one-shard JOIN: %+v", i, got)
+				}
+				base = append(base, got)
+				continue
+			}
+			want := base[i]
+			want.KeyShards = (4 + 8 + 4) * root.NumRows()
+			if got != want {
+				t.Fatalf("root %d after a JOIN at k=%d: %+v, want %+v", i, k, got, want)
 			}
 		}
 	}

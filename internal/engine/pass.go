@@ -38,7 +38,7 @@ import (
 // pass is one table (pair) streaming through one program on one
 // dataplane, and the traffic and skipping that run accounted for.
 type pass struct {
-	q       *Query // the pass's own query: a shard's tables stand in for the whole
+	q       *Query // the pass's own query: a shard's view stands in for the whole table
 	pruner  prune.Pruner
 	dp      BatchDataplane
 	workers int
@@ -47,8 +47,8 @@ type pass struct {
 	noFuse  bool
 	fused   bool // the latest run took the fused loops
 	// keys is the latest run's keysNote — whether its key fingerprints came
-	// off the table or were hashed first, and for JOIN its idsNote likewise;
-	// empty for the kinds that read none.
+	// off the table or were hashed first, and for JOIN its idsNote and
+	// xmapNote likewise; empty for the kinds that read none.
 	keys string
 	// traffic.MasterProcessed is what the master touches to complete this
 	// pass's part, defined by the scalar reference (scalar_ref_test.go): the
@@ -304,35 +304,37 @@ func completeTopN(q *Query, heaps []int64Heap) *Result {
 	return TopNResult(q, g)
 }
 
-// join is JOIN's pass: the whole Bloom join of the pass's table pair —
-// build, switchover, probe — in sc, and its joined keys' pair counts
-// written into the query's (pairCounts), where the completion reads them
-// in key order. The build and probe passes share the program's Bloom
-// state, so this whole sequence is also the failover retry unit: a switch
-// that dies anywhere inside it invalidates the filter, never just one
-// pass.
-func (ps *pass) join(sc *joinScratch, jp *joinPairs) error {
+// join is JOIN's pass p: the whole Bloom join of the pass's rows of the
+// query's table pair — every row, or its key shards' — build, switchover,
+// probe — in sc, over the key columns and ids the query loaded into jp,
+// and its joined keys' pair counts written into jp (pairCounts), where the
+// completion reads them in key order. The build and probe passes share
+// the program's Bloom state, so this whole sequence is also the failover
+// retry unit: a switch that dies anywhere inside it invalidates the
+// filter, never just one pass.
+func (ps *pass) join(sc *joinScratch, jp *joinPairs, p int) error {
 	j, ok := ps.pruner.(*prune.Join)
 	if !ok {
 		return fmt.Errorf("engine: join needs a *prune.Join, got %T", ps.pruner)
 	}
-	ps.keys = sc.load(ps.q, ps.seed)
+	ps.keys = jp.note(ps.q, p)
+	sc.left.use(&jp.left, p)
+	sc.right.use(&jp.right, p)
+	// Blocks skip only where the right side streams whole: a key shard's
+	// rows lie scattered over them.
+	skip := ps.skip && jp.right.rows == nil
 	// fusedJoinPasses hard-codes which filter each pass trains or probes,
 	// which only matches the chunked passes — they consult the live phase —
 	// when the program starts in its build phase (a mid-phase standing
 	// program keeps the chunked pipeline).
 	if ps.fuse(j.Phase() == prune.PhaseBuild) {
-		ps.traffic, ps.skipped = fusedJoinPasses(ps.q, j, ps.skip, sc)
+		ps.traffic, ps.skipped = fusedJoinPasses(ps.q, j, skip, sc)
 	} else {
 		buf := getStreamBuf()
 		defer putStreamBuf(buf)
-		tr, skipped, err := batchJoinPasses(ps.q, j, ps.dp, ps.workers, ps.skip, buf, sc)
-		if err != nil {
-			return err
-		}
-		ps.traffic, ps.skipped = tr, skipped
+		ps.traffic, ps.skipped = batchJoinPasses(ps.q, j, ps.dp, ps.workers, skip, buf, sc)
 	}
-	sc.pairCounts(jp, ps.q.Right.SourceRows())
+	sc.pairCounts(jp)
 	return nil
 }
 
@@ -445,13 +447,11 @@ func execPasses(q *Query, execs []*shardExec, opts ShardedOptions) (res *Result,
 			res = completeTopN(q, heaps)
 		}
 	case KindJoin:
-		// Matching keys are co-located in one pass's table pair (the
-		// driver hash-shards both sides on the keys), so the passes join
-		// disjoint keys and write disjoint entries of the query's pair
-		// counts, indexed by the query's right key ids: at one shard the
-		// pass's own, above it the unsharded right handle's, resolved once
-		// before the passes stream (like keyPartials) and noted on the
-		// merge span.
+		// Matching keys are co-located in one pass's key shards, so the
+		// passes write disjoint entries of the pair counts. The query's id
+		// space and key shards are loaded once, before the passes stream,
+		// like keyPartials: under the shards' spans and shard 0's panic
+		// containment.
 		scs := make([]*joinScratch, len(passes))
 		for s := range scs {
 			scs[s] = joinScratchPool.Get().(*joinScratch)
@@ -459,15 +459,10 @@ func execPasses(q *Query, execs []*shardExec, opts ShardedOptions) (res *Result,
 		}
 		jp := joinPairsPool.Get().(*joinPairs)
 		defer jp.release()
-		if len(passes) > 1 {
-			err = runShard(0, func(int) error {
-				mergeNote = jp.resolve(q, opts.Seed)
-				return nil
-			})
-		}
+		err = runShard(0, func(int) error { return jp.load(q, opts.Seed, len(passes)) })
 		if err == nil {
 			jp.dirty = true
-			err = scatter(func(s int) error { return passes[s].join(scs[s], jp) })
+			err = scatter(func(s int) error { return passes[s].join(scs[s], jp, s) })
 		}
 		if err == nil {
 			res, err = completeJoin(q, jp, scs)

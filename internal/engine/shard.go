@@ -36,12 +36,12 @@ package engine
 //     guarantee shape as §4.3's partial second pass).
 //   - JOIN: the executor hash-shards both tables on the join keys, so
 //     matching keys are co-located and per-switch Bloom joins are
-//     disjoint: each shard writes its keys' pair counts at their ids
-//     among the unsharded right handle's, found through the rows its
-//     shard rows came from, and the master renders them in that
-//     dictionary's order. The shards carry the key column only — all a
-//     JOIN pass reads — and their source rows, and an unchanged table
-//     hands back the co-partition it built last time (table.ShardKeys).
+//     disjoint: each shard writes its keys' pair counts at their right
+//     ids, and the master renders them in that dictionary's order. A
+//     key shard is a list of its table's rows (table.ShardKeys) whose
+//     key fingerprints and ids — the ones a one-shard JOIN reads — an
+//     unchanged table keeps gathered beside it (table.KeyShardColumns)
+//     from the last query.
 
 import (
 	"fmt"
@@ -92,8 +92,8 @@ type ShardedOptions struct {
 	// Skip enables storage-side block skipping on each shard (skip.go)
 	// for kinds with a sound block bound (FILTER, TOP N, JOIN). Shards
 	// that are contiguous views of an indexed table inherit its skip
-	// index; JOIN's key-only hash shards are tables without one and
-	// simply scan. Results stay bit-identical to ExecDirect.
+	// index; JOIN's key shards lie scattered over its blocks and simply
+	// scan. Results stay bit-identical to ExecDirect.
 	Skip bool
 	// NoFuse opts shards out of the fused compiled loops (fuse.go) and
 	// back onto the chunked batch pipeline, mirroring
@@ -104,14 +104,14 @@ type ShardedOptions struct {
 	// Trace, when non-nil, collects one span per shard pass — noted with
 	// the stream it took, fused or chunked, with where its key
 	// fingerprints came from (keysNote) and, for JOIN, its key ids
-	// (idsNote) — plus a failover span per discarded attempt and one merge
-	// span for the master's completion, noted, for the aggregation kinds
-	// and a JOIN of more than one shard, with where the query's key ids
-	// came from, into the query's lifecycle
-	// trace: the span scheme of every pruned run, in
-	// process or leased, at every width. Span recording is mutex-guarded,
-	// so concurrent shard goroutines may share the trace. Tracing observes
-	// only — results, traffic and stats are unchanged.
+	// (idsNote) and key map (xmapNote) — plus a failover span per
+	// discarded attempt and one merge span for the master's completion,
+	// noted, for the aggregation kinds, with where the query's key ids
+	// came from, into the query's lifecycle trace: the span scheme of
+	// every pruned run, in process or leased, at every width. Span
+	// recording is mutex-guarded, so concurrent shard goroutines may share
+	// the trace. Tracing observes only — results, traffic and stats are
+	// unchanged.
 	Trace *obs.Trace
 }
 
@@ -154,29 +154,6 @@ func (s *ShardedRun) UnprunedFraction() float64 {
 		return 0
 	}
 	return float64(s.Traffic.Forwarded) / float64(s.Traffic.EntriesSent)
-}
-
-// shardTables splits the query's input tables into k shards. JOIN's
-// sides are hash-sharded on their keys, so that matching keys are
-// co-located: the shards hold the key column alone and are shared
-// read-only between the queries that find them memoised on the table
-// (table.ShardKeys). Everything else — and a one-shard JOIN, which has
-// nothing to co-locate — splits into contiguous zero-copy views.
-func shardTables(q *Query, k int) (left, right []*table.Table, err error) {
-	if q.Kind == KindJoin && k > 1 {
-		if left, err = q.Table.ShardKeys(q.LeftKey, k); err != nil {
-			return nil, nil, err
-		}
-		right, err = q.Right.ShardKeys(q.RightKey, k)
-		return left, right, err
-	}
-	if left, err = q.Table.Partition(k); err != nil {
-		return nil, nil, err
-	}
-	if q.Kind == KindJoin {
-		right, err = q.Right.Partition(k)
-	}
-	return left, right, err
 }
 
 // shardExec is one shard's pass plus its failover bookkeeping.
@@ -314,24 +291,27 @@ func runShard(s int, f func(s int) error) (err error) {
 	return f(s)
 }
 
-// newShardExecs shards the tables and builds each shard's context. The
-// shards' spans open before the split, so that a split which rebuilds
-// column storage (a JOIN co-partition the table had not memoised) is time
-// under the shard spans, not under none.
-func newShardExecs(q *Query, opts ShardedOptions) ([]*shardExec, error) {
-	execs := make([]*shardExec, opts.Shards)
+// newShardExecs splits the table and builds each shard's context. The
+// shards' spans open first, so that what the shards set up before they
+// stream — a JOIN's key columns and co-partition too (joinPairs.load) — is
+// time under them, not under none.
+func newShardExecs(q *Query, opts ShardedOptions) (execs []*shardExec, err error) {
+	execs = make([]*shardExec, opts.Shards)
 	for s := range execs {
 		execs[s] = &shardExec{idx: s, tm: opts.Trace.Begin(obs.StageShard, s)}
 	}
-	left, right, err := shardTables(q, opts.Shards)
-	if err != nil {
-		return nil, err
+	// A JOIN's passes read the unsharded handles, through key shards the
+	// query loads with its key columns (joinPairs.load).
+	var views []*table.Table
+	if q.Kind != KindJoin {
+		if views, err = q.Table.Partition(opts.Shards); err != nil {
+			return nil, err
+		}
 	}
 	for s, se := range execs {
 		qs := *q
-		qs.Table = left[s]
-		if right != nil {
-			qs.Right = right[s]
+		if views != nil {
+			qs.Table = views[s]
 		}
 		se.pass = pass{q: &qs, workers: opts.Workers, seed: opts.Seed, skip: opts.Skip, noFuse: opts.NoFuse}
 		if opts.Pruners != nil {

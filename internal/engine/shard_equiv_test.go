@@ -160,7 +160,7 @@ func TestShardedJoinEdgeCases(t *testing.T) {
 	}
 }
 
-// TestShardedJoinMemoFollowsMutations: a sharded JOIN leaves its key-only
+// TestShardedJoinMemoFollowsMutations: a sharded JOIN leaves its key
 // co-partition memoised on both inputs (table.ShardKeys), and the next one
 // must not be answered from it once an input changed. Between two runs one
 // input is appended to, shuffled or sorted: the second run equals
@@ -173,7 +173,7 @@ func TestShardedJoinMemoFollowsMutations(t *testing.T) {
 		tb := equivTable(t, 1500, 0x71)
 		rt := equivTable(t, 600, 0x72)
 		q := equivQueries(tb, rt)["join"]
-		run := func(label string) (left, right []*table.Table) {
+		run := func(label string) (left, right [][]uint32) {
 			t.Helper()
 			direct, err := ExecDirect(q)
 			if err != nil {

@@ -195,7 +195,7 @@ const joinSkipMaxKeys = 4096
 // every probe block before the distinct-key set is built at all.
 const joinSkipProbeKeys = 256
 
-// joinRightSpans derives the probe-side (right) scan spans of a JOIN:
+// joinRightSpans derives the probe-side (right) scan spans of JOIN q:
 // a right block is skipped when every distinct build-side (left) key
 // tests negative in the block's key Bloom — no joinable row can be
 // there. Returns the full table when the right table has no index, the
@@ -204,7 +204,9 @@ const joinSkipProbeKeys = 256
 // build keys already hits every block (the common join: nothing can be
 // skipped, and on an 8 k-row table building that set costs half as much
 // as the join itself).
-func joinRightSpans(left *table.Table, lc int, right *table.Table, rc int) ([]span, SkipStats) {
+func joinRightSpans(q *Query) ([]span, SkipStats) {
+	left, right := q.Table, q.Right
+	lc, rc := left.Schema().MustIndex(q.LeftKey), right.Schema().MustIndex(q.RightKey)
 	if right.SkipIndex() == nil || left.ColumnType(lc) != right.ColumnType(rc) {
 		return fullSpans(right), SkipStats{}
 	}
@@ -384,9 +386,7 @@ func ExecDirectSkip(q *Query) (*Result, SkipStats, error) {
 	case KindTopN:
 		return execTopNSkip(q, q.Table)
 	case KindJoin:
-		lc := q.Table.Schema().MustIndex(q.LeftKey)
-		rc := q.Right.Schema().MustIndex(q.RightKey)
-		spans, st := joinRightSpans(q.Table, lc, q.Right, rc)
+		spans, st := joinRightSpans(q)
 		res, err := execJoin(q, allRows(q.Table), spanRows(spans))
 		return res, st, err
 	default:

@@ -148,15 +148,14 @@ func isNote(note, what, verb string) bool {
 	return note == what+": memo" || strings.HasPrefix(note, what+": "+verb+" ")
 }
 
-// idsReadAt says where a run over q at k shards reads key ids: JOIN's
-// pass, on both sides, and above one shard its merge too, whose pair
-// counts are keyed by the unsharded right handle's ids, resolved once per
-// query; the merge of a single-column aggregation, whose partials are
-// keyed by the ids resolved once per query; nowhere else.
-func idsReadAt(q *Query, k int) (pass, merge bool) {
+// idsReadAt says where a run over q reads key ids, at every shard count:
+// JOIN's pass, on both sides, whose pair counts are keyed by the right
+// handle's ids; the merge of a single-column aggregation, whose partials
+// are keyed by the ids resolved once per query; nowhere else.
+func idsReadAt(q *Query) (pass, merge bool) {
 	switch q.Kind {
 	case KindJoin:
-		return true, k > 1
+		return true, false
 	case KindDistinct:
 		return false, len(q.DistinctCols) == 1
 	case KindGroupByMax, KindGroupBySum, KindHaving:
@@ -207,7 +206,7 @@ func TestTraceSpansPerPath(t *testing.T) {
 					t.Fatalf("%s: want %d shard spans + one merge and nothing else; got:\n%s", label, k, tr)
 				}
 				merge := st[obs.StageMerge][0]
-				idsInPass, idsInMerge := idsReadAt(q, k)
+				idsInPass, idsInMerge := idsReadAt(q)
 				if merge.Note != "" && !isNote(merge.Note, "ids", "built") || q.Kind == KindHaving && merge.Note == "" ||
 					!idsInMerge && merge.Note != "" {
 					t.Fatalf("%s: merge noted %q", label, merge.Note)
@@ -280,11 +279,8 @@ func TestTraceSpansPerPath(t *testing.T) {
 	// it — and the same query again reads both off the table, unless the
 	// key spans columns, which is hashed per query and has no dictionary.
 	// JOIN reads ids in its pass, the aggregation kinds in the master's
-	// completion; JOIN's pass then notes its key map, built over the fewer
-	// keys of each shard's pair on the cold run and read on the warm one,
-	// and a sharded JOIN's merge notes the right handle's ids, which the
-	// master resolves on the unsharded table (its shards' own are the
-	// passes').
+	// completion; JOIN's first pass then notes the query's key map, built
+	// on the cold run and read on the warm one.
 	for _, noFuse := range []bool{false, true} {
 		for _, k := range []int{1, 3} {
 			for name := range equivQueries(tb, rt) {
@@ -294,7 +290,7 @@ func TestTraceSpansPerPath(t *testing.T) {
 				if keyRows == 0 {
 					continue
 				}
-				idsInPass, idsInMerge := idsReadAt(q, k)
+				idsInPass, idsInMerge := idsReadAt(q)
 				type notes struct{ shard, merge string }
 				cold := notes{shard: "keys: hashed " + strconv.Itoa(keyRows)}
 				warm := notes{shard: "keys: memo"}
@@ -304,9 +300,6 @@ func TestTraceSpansPerPath(t *testing.T) {
 				case idsInPass:
 					cold.shard += "; ids: built " + strconv.Itoa(keyRows)
 					warm.shard += "; ids: memo"
-					if idsInMerge {
-						cold.merge, warm.merge = "ids: built "+strconv.Itoa(q.Right.NumRows()), "ids: memo"
-					}
 				case idsInMerge:
 					cold.merge, warm.merge = "ids: built "+strconv.Itoa(keyRows), "ids: memo"
 				}

@@ -109,7 +109,7 @@ func TestExecShardedEquivalence(t *testing.T) {
 }
 
 // TestExecShardedJoinConcurrent: concurrent JOINs on one multi-switch
-// session share the inputs' memoised key-only co-partition (table.ShardKeys)
+// session share the inputs' memoised key co-partition (table.ShardKeys)
 // read-only — the first ones race to build it, the rest hit it — and every
 // one of them returns ExecDirect's result. Run under -race.
 func TestExecShardedJoinConcurrent(t *testing.T) {

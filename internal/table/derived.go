@@ -9,7 +9,7 @@ type DerivedBytes struct {
 	KeyFingerprints int // fingerprint columns, growing room included
 	KeyIDs          int // dictionaries: ids, first rows, tags, index slots, ranks
 	KeyMaps         int // the key maps the dictionaries keep to a JOIN partner's
-	KeyShards       int // the memoised co-partition's key columns and source rows
+	KeyShards       int // the memoised co-partition's row lists and their key columns
 }
 
 // Total sums the parts.
@@ -49,11 +49,13 @@ func (t *Table) DerivedBytes() DerivedBytes {
 		}
 	}
 	if m := root.keyShards.Load(); m != nil {
-		for _, sh := range m.shards {
-			for _, col := range sh.cols {
-				d.KeyShards += 8*cap(col.ints) + 16*cap(col.strs)
+		for _, rows := range m.shards {
+			d.KeyShards += 4 * cap(rows)
+		}
+		if c := m.keys.Load(); c != nil {
+			for s := range c.fps {
+				d.KeyShards += 8*cap(c.fps[s]) + 4*cap(c.ids[s])
 			}
-			d.KeyShards += 4 * cap(sh.src)
 		}
 	}
 	return d

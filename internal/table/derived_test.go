@@ -1,6 +1,9 @@
 package table
 
-import "testing"
+import (
+	"sync"
+	"testing"
+)
 
 // TestDerivedBytes follows one root's account through an index build, a
 // keyed query, a JOIN's key map, a co-partition, an append and a reorder.
@@ -47,8 +50,8 @@ func TestDerivedBytes(t *testing.T) {
 	if _, err := tb.ShardKeys("name", 2); err != nil {
 		t.Fatal(err)
 	}
-	// A string header and a source row per row, the bytes shared.
-	want.KeyShards = (16 + 4) * rows
+	// A row number per row.
+	want.KeyShards = 4 * rows
 	if d := tb.DerivedBytes(); d != want {
 		t.Fatalf("after a keyed query: %+v, want %+v", d, want)
 	}
@@ -79,7 +82,7 @@ func TestDerivedBytes(t *testing.T) {
 		KeyFingerprints: 8 * grown,
 		KeyIDs:          4*grown + 4*keyCap + 8*dictIndexSlots(7) + 4*7,
 		KeyMaps:         4 * rk.Len(),
-		KeyShards:       (16 + 4) * 500,
+		KeyShards:       4 * 500,
 	}
 	if d := tb.DerivedBytes(); d != want {
 		t.Fatalf("after an append: %+v, want %+v", d, want)
@@ -91,4 +94,68 @@ func TestDerivedBytes(t *testing.T) {
 	if d := tb.DerivedBytes(); d != (DerivedBytes{}) {
 		t.Fatalf("after Shuffle: %+v, want nothing", d)
 	}
+}
+
+// TestKeyShardsConcurrentDerivedBytes: goroutines alternate one root's
+// memoised co-partition between k = 2 and k = 3, and gather its key
+// columns, through the table and a snapshot of it, while others read
+// DerivedBytes, which promises to be safe beside queries. Every
+// co-partition handed out lists every row once, and the account only ever
+// sees a whole one: none, 4 B a row, or 16 with its key columns.
+func TestKeyShardsConcurrentDerivedBytes(t *testing.T) {
+	const rows, rounds = 3000, 200
+	tb := testTable(t, rows)
+	snap, err := tb.SnapshotPrefix(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			h := []*Table{tb, snap}[g%2]
+			fps, _, ok := h.KeyFingerprints(1, 7)
+			dict, _, ok2 := h.KeyIDs(1, 7)
+			if !ok || !ok2 {
+				t.Errorf("writer %d: the root refused its key memos", g)
+				return
+			}
+			for i := 0; i < rounds; i++ {
+				k := 2 + (g+i)%2
+				shards, err := h.ShardKeys("name", k)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				f, _ := h.KeyShardColumns(shards, 7, fps, dict.IDs)
+				n := 0
+				for s, l := range shards {
+					n += len(l)
+					if len(f[s]) != len(l) {
+						t.Errorf("writer %d: %d fingerprints for %d rows", g, len(f[s]), len(l))
+						return
+					}
+				}
+				if len(shards) != k || n != rows {
+					t.Errorf("writer %d: %d lists of %d rows, want %d of %d", g, len(shards), n, k, rows)
+					return
+				}
+			}
+		}(g)
+	}
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				d := tb.DerivedBytes()
+				if ks := d.KeyShards; ks != 0 && ks != 4*rows && ks != 16*rows {
+					t.Errorf("reader %d: co-partition of %d B, want 0, %d or %d", g, ks, 4*rows, 16*rows)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

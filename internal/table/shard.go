@@ -16,29 +16,40 @@ package table
 // same shards.
 //
 // A JOIN's scatter needs less than that: its passes read the key column
-// only. ShardKeys shards the one-column projection — same placement, same
-// in-shard row order as ShardBy — and records for each shard row the row
-// it came from (SourceRows), which is how a JOIN's completion finds a
-// shard's keys among the ids of the unsharded table's dictionary and
-// renders them in that dictionary's order. A table that is not a view
-// remembers its latest co-partition, source rows included, so a repeated
-// JOIN over unchanged inputs re-hashes and copies nothing.
+// only, and read it off the table's own fingerprint column and key ids.
+// ShardKeys therefore copies no cell: a key shard is the increasing list
+// of the rows ShardBy would place in it (4 B a row), and KeyShardColumns
+// gathers those rows' fingerprints and key ids into contiguous columns
+// (12 B a row), which is what a pass streams. A table that is not a view
+// remembers its latest co-partition and its columns, so a repeated JOIN
+// over unchanged inputs hashes, gathers and allocates nothing.
 
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"cheetah/internal/hashutil"
 )
 
-// keyShards is a root's memoised key-only co-partition (ShardKeys) of its
+// keyShards is a root's memoised key co-partition (ShardKeys) of its
 // first rows rows as they stood at reorder epoch epoch: immutable once
-// published, and true of those rows for as long as the epoch lasts.
+// published, and true of those rows for as long as the epoch lasts; keys
+// holds the lists' key columns under the latest seed (KeyShardColumns).
 type keyShards struct {
 	epoch  uint64
 	rows   int
 	col, k int
-	shards []*Table
+	shards [][]uint32
+	keys   atomic.Pointer[shardKeys]
+}
+
+// shardKeys is a key co-partition's rows' key fingerprints and key ids
+// under seed, list by list in the lists' order. Immutable once published.
+type shardKeys struct {
+	seed uint64
+	fps  [][]uint64
+	ids  [][]uint32
 }
 
 // shardSeed fixes the hash-sharding placement function. It is a package
@@ -127,21 +138,20 @@ func (t *Table) ShardByRange(col string, k int) ([]*Table, error) {
 	return t.buildShards(assign, k)
 }
 
-// ShardKeys hash-shards the table's projection on the named column: k
-// one-column tables whose shard s holds, in the table's row order, the
-// keys of exactly the rows ShardBy(col, k) places in shard s, and whose
-// SourceRows name those rows. The strings themselves stay shared with the
-// table; only their headers are copied.
+// ShardKeys hash-shards the table's rows on the named column without
+// copying a cell: shard s is the increasing list of the rows, in the
+// table's coordinates, that ShardBy(col, k) places in shard s. The k
+// lists share one array of 4 B a row.
 //
 // The root keeps the latest result in one slot beside its skip index, and
 // any handle that starts at the root's first row — the table itself, a
-// SnapshotPrefix of it — gets it back, the same slice, shared read-only
+// SnapshotPrefix of it — gets it back, the same slices, shared read-only
 // between callers, while the handle covers exactly the rows it was built
 // over and the root has not been reordered since (the table's one validity
 // rule; table.go). An append moves the row count, a reorder the epoch, and
 // another column or k replaces the slot. A view that starts further in
 // shards per call.
-func (t *Table) ShardKeys(col string, k int) ([]*Table, error) {
+func (t *Table) ShardKeys(col string, k int) ([][]uint32, error) {
 	ci := t.schema.Index(col)
 	if ci < 0 {
 		return nil, fmt.Errorf("table: unknown shard column %q", col)
@@ -153,23 +163,21 @@ func (t *Table) ShardKeys(col string, k int) ([]*Table, error) {
 			return m.shards, nil
 		}
 	}
-	keys, err := t.Project(col)
+	assign, err := t.shardAssignments(ci, k)
 	if err != nil {
 		return nil, err
 	}
-	assign, err := keys.shardAssignments(0, k)
-	if err != nil {
-		return nil, err
+	counts := make([]int, k)
+	for _, s := range assign {
+		counts[s]++
 	}
-	shards, err := keys.buildShards(assign, k)
-	if err != nil {
-		return nil, err
-	}
-	for _, sh := range shards {
-		sh.src = make([]uint32, 0, sh.n)
+	rows := make([]uint32, t.n)
+	shards := make([][]uint32, k)
+	for s, n := range counts {
+		shards[s], rows = rows[:0:n], rows[n:]
 	}
 	for r, s := range assign {
-		shards[s].src = append(shards[s].src, uint32(r))
+		shards[s] = append(shards[s], uint32(r))
 	}
 	if memo {
 		root.keyShards.Store(&keyShards{epoch: t.epoch, rows: t.n, col: ci, k: k, shards: shards})
@@ -177,11 +185,34 @@ func (t *Table) ShardKeys(col string, k int) ([]*Table, error) {
 	return shards, nil
 }
 
-// SourceRows returns, for a key shard (ShardKeys), the row of the handle
-// it was sharded from that each of its rows came from — increasing, and
-// in that handle's coordinates, not its root's; nil for any other table,
-// views of a shard included. The slice is shared: read, never write.
-func (t *Table) SourceRows() []uint32 { return t.src }
+// KeyShardColumns returns, for each list of shards — a co-partition
+// ShardKeys returned for t — its rows' entries of fps and ids, t's key
+// fingerprints and key ids of the shard column under seed, in the list's
+// order: a key shard's keys, contiguous. Beside a co-partition it keeps,
+// the root keeps them too, for the latest seed (12 B a row), so that a
+// repeated JOIN gathers nothing; any other is gathered per call.
+func (t *Table) KeyShardColumns(shards [][]uint32, seed uint64, fps []uint64, ids []uint32) ([][]uint64, [][]uint32) {
+	m := t.root().keyShards.Load()
+	kept := m != nil && len(shards) > 0 && &m.shards[0] == &shards[0]
+	if kept {
+		if c := m.keys.Load(); c != nil && c.seed == seed {
+			return c.fps, c.ids
+		}
+	}
+	c := &shardKeys{seed: seed, fps: make([][]uint64, len(shards)), ids: make([][]uint32, len(shards))}
+	allFPs, allIDs := make([]uint64, t.n), make([]uint32, t.n)
+	for s, rows := range shards {
+		n := len(rows)
+		c.fps[s], c.ids[s], allFPs, allIDs = allFPs[:n:n], allIDs[:n:n], allFPs[n:], allIDs[n:]
+		for i, r := range rows {
+			c.fps[s][i], c.ids[s][i] = fps[r], ids[r]
+		}
+	}
+	if kept {
+		m.keys.Store(c)
+	}
+	return c.fps, c.ids
+}
 
 // buildShards materializes k shard tables from per-row assignments: each
 // shard column is allocated once at its final size and filled in one

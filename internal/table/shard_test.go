@@ -285,58 +285,46 @@ func TestAppendRowsFrom(t *testing.T) {
 	}
 }
 
-// assertKeyShards checks ShardKeys' contract against ShardBy: shard s is
-// the one-column projection of ShardBy's shard s, row for row.
-func assertKeyShards(t *testing.T, label string, src *Table, col string, got []*Table) {
+// assertKeyShards checks ShardKeys' contract against ShardBy: list s names,
+// increasing and in src's coordinates, exactly the rows of src that
+// ShardBy places in shard s — row for row the shard's rows, in order, and
+// every row of src in one list.
+func assertKeyShards(t *testing.T, label string, src *Table, col string, got [][]uint32) {
 	t.Helper()
 	want, err := src.ShardBy(col, len(got))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for s, sh := range got {
-		if sc := sh.Schema(); len(sc) != 1 || sc[0] != src.Schema()[src.Schema().Index(col)] {
-			t.Fatalf("%s shard %d: schema %v, want only %q", label, s, sc, col)
+	listed := make([]bool, src.NumRows())
+	for s, rows := range got {
+		if len(rows) != want[s].NumRows() {
+			t.Fatalf("%s shard %d: %d rows, ShardBy places %d", label, s, len(rows), want[s].NumRows())
 		}
-		keys, err := want[s].Project(col)
-		if err != nil {
-			t.Fatal(err)
-		}
-		g, w := rowStrings(sh), rowStrings(keys)
-		if len(g) != len(w) {
-			t.Fatalf("%s shard %d: %d rows, ShardBy places %d", label, s, len(g), len(w))
-		}
-		for r := range g {
-			if g[r] != w[r] {
-				t.Fatalf("%s shard %d row %d: key %q, ShardBy has %q", label, s, r, g[r], w[r])
+		for i, r := range rows {
+			if i > 0 && r <= rows[i-1] {
+				t.Fatalf("%s shard %d row %d: source row %d after %d", label, s, i, r, rows[i-1])
 			}
-		}
-		// Each shard row names the row of src it came from: increasing,
-		// in src's coordinates, holding the same key.
-		srcRows := sh.SourceRows()
-		if len(srcRows) != len(g) {
-			t.Fatalf("%s shard %d: %d source rows for %d rows", label, s, len(srcRows), len(g))
-		}
-		ci := src.Schema().Index(col)
-		for r, from := range srcRows {
-			if r > 0 && from <= srcRows[r-1] {
-				t.Fatalf("%s shard %d row %d: source row %d after %d", label, s, r, from, srcRows[r-1])
+			if int(r) >= src.NumRows() || listed[r] {
+				t.Fatalf("%s shard %d row %d: source row %d past the %d rows or listed twice", label, s, i, r, src.NumRows())
 			}
-			if int(from) >= src.NumRows() {
-				t.Fatalf("%s shard %d row %d: source row %d past the %d rows", label, s, r, from, src.NumRows())
-			}
-			if got, want := sh.ValueAt(0, r), src.ValueAt(ci, int(from)); got != want {
-				t.Fatalf("%s shard %d row %d: key %v, source row %d holds %v", label, s, r, got, from, want)
+			listed[r] = true
+			for c := range src.Schema() {
+				if g, w := src.ValueAt(c, int(r)), want[s].ValueAt(c, i); g != w {
+					t.Fatalf("%s shard %d row %d: source row %d holds %v in column %d, ShardBy's row %v", label, s, i, r, g, c, w)
+				}
 			}
 		}
 	}
-	if src.SourceRows() != nil {
-		t.Fatalf("%s: a table that is not a key shard has source rows", label)
+	for r, ok := range listed {
+		if !ok {
+			t.Fatalf("%s: row %d in no list", label, r)
+		}
 	}
 }
 
-// TestShardKeysMatchesShardBy: key-only shards carry the same placement
-// and in-shard row order as ShardBy, from a table, a view and a snapshot,
-// memoised or not, more shards than rows included.
+// TestShardKeysMatchesShardBy: key shards list the rows ShardBy places in
+// each shard, in its order, from a table, a view past row 0 and a
+// snapshot, memoised or not, more shards than rows included.
 func TestShardKeysMatchesShardBy(t *testing.T) {
 	tbl := testTable(t, 300)
 	view, err := tbl.View(17, 230)
@@ -523,4 +511,74 @@ func TestShardKeysHandlesShareRootMemo(t *testing.T) {
 		t.Fatal("a pre-reorder snapshot read or replaced the reordered root's co-partition")
 	}
 	assertKeyShards(t, "pre-reorder snapshot", snap, "name", stale)
+}
+
+// TestKeyShardColumns: each list's key columns hold, in the list's order,
+// its rows' fingerprints and ids; a co-partition the root keeps keeps them
+// for the latest seed — the same slices on a repeat, new ones, kept, for
+// another seed — and a co-partition it does not keep (a replaced one, an
+// inner view's) is gathered per call, leaving the root's as it was.
+func TestKeyShardColumns(t *testing.T) {
+	tbl := testTable(t, 300)
+	columns := func(h *Table, shards [][]uint32, seed uint64) ([][]uint64, [][]uint32) {
+		t.Helper()
+		fps, _, ok := h.KeyFingerprints(1, seed)
+		if !ok {
+			fps = make([]uint64, h.NumRows())
+			h.HashKeys(1, seed, fps)
+		}
+		dict, _, ok := h.KeyIDs(1, seed)
+		if !ok {
+			dict = h.BuildKeyIDs(1, fps, new(KeyIDScratch))
+		}
+		f, g := h.KeyShardColumns(shards, seed, fps, dict.IDs)
+		for s, rows := range shards {
+			if len(f[s]) != len(rows) || len(g[s]) != len(rows) {
+				t.Fatalf("shard %d: %d fingerprints and %d ids for %d rows", s, len(f[s]), len(g[s]), len(rows))
+			}
+			for i, r := range rows {
+				if f[s][i] != fps[r] || g[s][i] != dict.IDs[r] {
+					t.Fatalf("shard %d position %d: (%#x, %d), row %d holds (%#x, %d)", s, i, f[s][i], g[s][i], r, fps[r], dict.IDs[r])
+				}
+			}
+		}
+		return f, g
+	}
+	shards, err := tbl.ShardKeys("name", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, _ := columns(tbl, shards, 7)
+	if again, _ := columns(tbl, shards, 7); &again[0] != &f[0] {
+		t.Fatal("a kept co-partition's columns were gathered again")
+	}
+	if d := tbl.DerivedBytes().KeyShards; d != (4+8+4)*tbl.NumRows() {
+		t.Fatalf("co-partition with its columns accounts %d B, want %d", d, 16*tbl.NumRows())
+	}
+	other, _ := columns(tbl, shards, 8)
+	if &other[0] == &f[0] || tbl.keyShards.Load().keys.Load().seed != 8 {
+		t.Fatal("another seed did not replace the kept columns")
+	}
+	kept := tbl.keyShards.Load().keys.Load()
+	if _, err := tbl.ShardKeys("name", 2); err != nil {
+		t.Fatal(err)
+	}
+	slot := tbl.keyShards.Load()
+	a, _ := columns(tbl, shards, 8) // the replaced co-partition's lists
+	b, _ := columns(tbl, shards, 8)
+	if &a[0] == &b[0] || &a[0] == &kept.fps[0] || tbl.keyShards.Load() != slot || slot.keys.Load() != nil {
+		t.Fatal("a replaced co-partition's columns were kept, or touched the root's")
+	}
+	inner, err := tbl.View(17, 230)
+	if err != nil {
+		t.Fatal(err)
+	}
+	innerShards, err := inner.ShardKeys("name", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	columns(inner, innerShards, 7)
+	if tbl.keyShards.Load() != slot || slot.keys.Load() != nil {
+		t.Fatal("an inner view's columns touched the root's slot")
+	}
 }

@@ -22,8 +22,8 @@
 //     extended over appended rows by RefreshSkipIndex. The engine consults
 //     it to prove whole blocks irrelevant to a query — storage-side
 //     skipping that composes with the switch's in-flight pruning.
-//   - the key-only hash co-partition of a sharded JOIN (ShardKeys;
-//     shard.go), valid for the rows it was built over.
+//   - the hash co-partition of a sharded JOIN's key column and its key
+//     columns (ShardKeys, KeyShardColumns; shard.go), valid for its rows.
 //   - one key-fingerprint column per column (KeyFingerprints; keyfp.go):
 //     what a CWorker sends the switch in place of a wide key, hashed once
 //     per row for every query, handle and shard that reads the column, and
@@ -155,11 +155,11 @@ type Table struct {
 	// both directions (skip.go), unlike every other Table field, which
 	// needs external synchronization against mutation.
 	skip atomic.Pointer[SkipIndex]
-	// keyShards memoises, on a root, the latest key-only hash co-partition
-	// (ShardKeys; shard.go) of a prefix of its rows. The slot is atomic and
-	// what it holds immutable, so concurrent queries may read and replace
-	// it; an entry is checked against the handle's rows and epoch before it
-	// is used.
+	// keyShards memoises, on a root, the latest co-partition of a key
+	// column (ShardKeys; shard.go) of a prefix of its rows. The slot is
+	// atomic and what it holds immutable, so concurrent queries may read and
+	// replace it; an entry is checked against the handle's rows and epoch
+	// before it is used.
 	keyShards atomic.Pointer[keyShards]
 	// keyFPs and keyDicts hold, on a root, one slot per column for the
 	// column's memoised key fingerprints (keyfp.go) and key dictionary
@@ -169,10 +169,6 @@ type Table struct {
 	keyFPs   []atomic.Pointer[keyFPs]
 	keyDicts []atomic.Pointer[keyDict]
 	fpMu     sync.Mutex
-	// src is, on a key shard (ShardKeys), the row of the handle it was
-	// sharded from that each of its rows came from; nil on any other
-	// table. Immutable once the shard is returned.
-	src []uint32
 }
 
 // root returns the table that owns t's storage and derived structures: t
@@ -427,37 +423,6 @@ func (t *Table) Partition(k int) ([]*Table, error) {
 		parts = append(parts, v)
 	}
 	return parts, nil
-}
-
-// Project returns a new table (copying only slice headers for the view
-// range, not data, when the table is not a view; otherwise copying data)
-// containing the named columns in order.
-func (t *Table) Project(names ...string) (*Table, error) {
-	defs := make(Schema, 0, len(names))
-	idx := make([]int, 0, len(names))
-	for _, nm := range names {
-		i := t.schema.Index(nm)
-		if i < 0 {
-			return nil, fmt.Errorf("table: unknown column %q", nm)
-		}
-		defs = append(defs, t.schema[i])
-		idx = append(idx, i)
-	}
-	out := &Table{schema: defs, n: t.n}
-	out.initDerived()
-	out.cols = make([]*column, len(idx))
-	for j, i := range idx {
-		src := t.cols[i]
-		dst := &column{typ: src.typ}
-		switch src.typ {
-		case Int64:
-			dst.ints = src.ints[t.off : t.off+t.n]
-		case String:
-			dst.strs = src.strs[t.off : t.off+t.n]
-		}
-		out.cols[j] = dst
-	}
-	return out, nil
 }
 
 // SortByInt64 sorts the table in place by the named Int64 column,

@@ -192,23 +192,6 @@ func TestPartitionCoversAllRowsProperty(t *testing.T) {
 	}
 }
 
-func TestProject(t *testing.T) {
-	tbl := productsTable(t)
-	p, err := tbl.Project("price", "name")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.NumCols() != 2 || p.NumRows() != 4 {
-		t.Fatalf("projected dims %dx%d", p.NumRows(), p.NumCols())
-	}
-	if p.Int64At(0, 1) != 7 || p.StringAt(1, 1) != "Pizza" {
-		t.Fatal("projection columns wrong")
-	}
-	if _, err := tbl.Project("ghost"); err == nil {
-		t.Fatal("unknown column accepted")
-	}
-}
-
 func TestSortByInt64(t *testing.T) {
 	tbl := productsTable(t)
 	if err := tbl.SortByInt64("price"); err != nil {
