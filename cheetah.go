@@ -310,7 +310,8 @@ func ExecCheetah(q *Query, opts CheetahOptions) (*ShardedRun, error) {
 // master's two-level merge reproduces ExecDirect exactly. Prefer the
 // session API (Open with SessionOptions.Switches + DB.Exec), which
 // additionally sizes one program per switch; call ExecSharded directly
-// to pin per-switch pruners, flows, or a shard strategy.
+// to pin the per-switch pruners and the flows their batches cross
+// (ShardedOptions.Pruners, Flows).
 func ExecSharded(q *Query, opts ShardedOptions) (*ShardedRun, error) {
 	return engine.ExecSharded(q, opts)
 }

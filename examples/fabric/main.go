@@ -7,8 +7,8 @@
 // the master runs the two-level merge (shard-local partials, then a
 // global combine) that reproduces exact single-node results.
 //
-// The example also shows the storage half directly: hash and range
-// sharding of a table, and how shard sizes balance.
+// The example also shows the storage half directly: the key shards a
+// 4-switch JOIN places on each switch, and how their sizes balance.
 package main
 
 import (
@@ -28,19 +28,21 @@ func main() {
 	}
 	rk := workload.Rankings(20_000, 2)
 
-	// Storage half: content-based sharding beyond contiguous Partition.
-	fmt.Println("== table sharding ==")
-	hashShards, err := uv.ShardBy("countryCode", 4)
+	// Storage half: a sharded JOIN splits both tables by a hash of their
+	// key cells, so matching keys meet on one switch. A key shard copies
+	// no cell: it is the list of a table's rows placed on that switch.
+	fmt.Println("== JOIN key shards ==")
+	left, err := uv.ShardKeys("destURL", 4)
 	if err != nil {
 		log.Fatal(err)
 	}
-	rangeShards, err := uv.ShardByRange("adRevenue", 4)
+	right, err := rk.ShardKeys("pageURL", 4)
 	if err != nil {
 		log.Fatal(err)
 	}
-	for i := range hashShards {
-		fmt.Printf("shard %d: hash(countryCode)=%6d rows   range(adRevenue)=%6d rows\n",
-			i, hashShards[i].NumRows(), rangeShards[i].NumRows())
+	for i := range left {
+		fmt.Printf("switch %d: UserVisits.destURL=%6d rows   Rankings.pageURL=%6d rows\n",
+			i, len(left[i]), len(right[i]))
 	}
 
 	// Execution half: a 4-switch fabric session. Every Exec scatters the

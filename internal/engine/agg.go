@@ -11,7 +11,6 @@ import (
 	"fmt"
 
 	"cheetah/internal/prune"
-	"cheetah/internal/switchsim"
 )
 
 // aggProgram reports whether pruner is the shipped program of the
@@ -62,43 +61,32 @@ func (ps *pass) agg(p *partial) error {
 	} else {
 		// The chunked pipeline: packets are (fingerprint) or (fingerprint,
 		// value) columns, the fingerprints copied from the same column the
-		// fused scans read; absorb sees each chunk's forwarded indices.
+		// fused scans read; keep absorbs each forwarded entry.
 		fps := p.hashKeys(seed)
 		enc, width := encFingerprint(fps), 1
 		if vc >= 0 {
 			enc, width = encKeyVal(fps, t.Int64Col(vc)), 2
 		}
-		var absorb func(cols [][]uint64, ids []uint64, j uint64)
+		var keep func(cols [][]uint64, j, row int)
 		switch q.Kind {
 		case KindDistinct:
-			absorb = func(cols [][]uint64, ids []uint64, j uint64) { p.absorbFirst(cols[0][j], int(ids[j])) }
+			keep = func(c [][]uint64, j, row int) { p.absorbFirst(c[0][j], row) }
 		case KindGroupByMax:
-			absorb = func(cols [][]uint64, ids []uint64, j uint64) { p.absorbMax(int64(cols[1][j]), int(ids[j])) }
+			keep = func(c [][]uint64, j, row int) { p.absorbMax(int64(c[1][j]), row) }
 		case KindGroupBySum:
 			// A forwarded packet is one the program rewrote in place with
 			// the aggregate it evicted.
 			if _, ok := pruner.(*prune.GroupBySum); !ok {
 				return fmt.Errorf("engine: group-by-sum needs a *prune.GroupBySum, got %T", pruner)
 			}
-			absorb = func(cols [][]uint64, _ []uint64, j uint64) { p.absorbSum(cols[0][j], int64(cols[1][j])) }
+			keep = func(c [][]uint64, j, _ int) { p.absorbSum(c[0][j], int64(c[1][j])) }
 		case KindHaving:
 			if _, ok := pruner.(*prune.Having); !ok {
 				return fmt.Errorf("engine: having needs a *prune.Having, got %T", pruner)
 			}
-			absorb = func(cols [][]uint64, _ []uint64, j uint64) { p.nominate(cols[0][j]) }
+			keep = func(c [][]uint64, j, _ int) { p.nominate(c[0][j]) }
 		}
-		buf := getStreamBuf()
-		defer putStreamBuf(buf)
-		needIDs := q.Kind == KindDistinct || q.Kind == KindGroupByMax
-		batchPass(t.NumRows(), workers, width, needIDs, buf, enc, ps.dp,
-			func(b *switchsim.Batch, dec []switchsim.Decision, ids []uint64) {
-				sent += b.N
-				idx := buf.compactIndices(dec, b.N)
-				fwd += len(idx)
-				for _, j := range idx {
-					absorb(b.Cols, ids, j)
-				}
-			})
+		sent, fwd = batchPass(fullSpans(t), workers, width, enc, ps.dp, keep)
 	}
 	// The master touches every forwarded entry — of GROUP BY SUM, whose
 	// end-of-stream drain counts as forwarded too, every distinct key.

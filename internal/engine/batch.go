@@ -1,28 +1,29 @@
 package engine
 
 // This file implements the chunked pipeline — what a pass (pass.go,
-// agg.go) streams through when it may not drive its program directly
-// (NoFuse, a third-party program, a dataplane that withholds it: a rack,
-// a lease with a fault injector armed). The scalar reference
-// (scalar_ref_test.go) dispatches one closure call and one
-// Program.Process per entry; here each CWorker encodes its partition
-// into reusable column-major batch buffers, a round-robin scatter
-// reproduces the exact arrival order of the reference's interleave, and
-// each chunk crosses the dataplane in one call — whose
-// switch runs the program's Process per entry (switchsim.ProcessBatchOf),
-// the one statement of its verdict. The pass consumes survivors
-// straight from the encoded columns where it can (late materialization):
-// they are collected branchlessly through preallocated index buffers
-// sized from the running prune rate, the aggregation kinds' are absorbed
-// by key id into the kind's partial, and TOP N feeds forwarded
-// values into its heap without materializing a survivor list at all.
+// agg.go, join.go) streams through when it may not drive its program
+// directly (NoFuse, a third-party program, a dataplane that withholds it:
+// a rack, a lease with a fault injector armed). It is the worker→switch
+// boundary and nothing more: batchPass lists the positions of the pass's
+// spans in the order their entries reach the switch (rrCycles), a chunk
+// at a time; the kind's encoder gathers each position's header values
+// into column-major batch buffers; the chunk crosses the dataplane in
+// one ProcessBatch call, whose switch runs the program's Process per
+// entry (switchsim.ProcessBatchOf), the one statement of its verdict; and
+// the pass keeps each forwarded entry by its position.
+//
+// It runs serially on the calling goroutine and keeps no speed machinery
+// of its own. The fused loops (fuse.go) are the fast path, and tests keep
+// every gated front door on them (TestTraceSpansPerPath,
+// TestGatedPathsRunFused), so this pipeline serves racks, chaos runs,
+// third-party programs and NoFuse, where what counts is that the same
+// entries cross the boundary in the same order and the same batches.
 //
 // Results, Traffic and Stats are bit-identical to the scalar reference
-// (the equivalence suite in batch_equiv_test.go asserts it for every
-// query kind).
+// (batch_equiv_test.go asserts it for every query kind, and
+// TestBatchStream pins the positions and batch lengths themselves).
 
 import (
-	"runtime"
 	"strconv"
 	"sync"
 
@@ -32,58 +33,30 @@ import (
 	"cheetah/internal/table"
 )
 
-// The branchless survivor compaction below indexes by the numeric value
-// of a Decision; these declarations fail to compile if the dataplane
-// constants ever move.
-var (
-	_ = [1]struct{}{}[switchsim.Forward] // Forward must be 0
-	_ = [1]struct{}{}[switchsim.Prune-1] // Prune must be 1
-)
-
 // chunkEntries caps one batch so stream buffers stay memory-bounded at
-// paper scale and cache-resident across the encode → process → collect
-// sweeps. It is a variable only so tests can force multi-chunk streams
-// on small tables.
+// paper scale. It is a variable only so tests can force multi-chunk
+// streams on small tables.
 var chunkEntries = 1 << 18
 
-// parallelEncodeMin is the chunk size below which the per-worker encode
-// runs inline; goroutine handoff costs more than it saves on tiny
-// chunks. A variable only so tests can force the concurrent branch on
-// small tables.
-var parallelEncodeMin = 8192
-
-// encodeInParallel gates the per-chunk worker goroutines: concurrent
-// encoding only pays when the runtime has real parallelism.
-var encodeInParallel = runtime.NumCPU() > 1
-
-// streamBuf holds the reusable buffers of one pass: the pruner-visible
-// value columns, the engine-side row-id column, the decision vector and
-// a compaction scratch.
+// streamBuf holds the reusable buffers of one chunk: its positions, the
+// pruner-visible value columns and the decision vector.
 type streamBuf struct {
-	all []([]uint64)
-	ids []uint64
-	dec []switchsim.Decision
-	tmp []uint64
+	rows []int
+	cols [][]uint64
+	dec  []switchsim.Decision
 }
 
 var streamBufPool = sync.Pool{New: func() any { return new(streamBuf) }}
 
-func getStreamBuf() *streamBuf  { return streamBufPool.Get().(*streamBuf) }
-func putStreamBuf(b *streamBuf) { streamBufPool.Put(b) }
-
 // columns returns width columns of length n, reusing prior capacity.
 func (b *streamBuf) columns(width, n int) [][]uint64 {
-	for len(b.all) < width {
-		b.all = append(b.all, nil)
+	for len(b.cols) < width {
+		b.cols = append(b.cols, nil)
 	}
-	for i := 0; i < width; i++ {
-		if cap(b.all[i]) < n {
-			b.all[i] = make([]uint64, n)
-		} else {
-			b.all[i] = b.all[i][:n]
-		}
+	for i := range width {
+		b.cols[i] = growU64(b.cols[i], n)
 	}
-	return b.all[:width:width]
+	return b.cols[:width:width]
 }
 
 func growU64(s []uint64, n int) []uint64 {
@@ -93,133 +66,75 @@ func growU64(s []uint64, n int) []uint64 {
 	return s[:n]
 }
 
-// batchSink consumes one processed chunk: the pruner-visible batch, the
-// per-entry decisions, and the row ids of the chunk's entries (nil when
-// the pass ran without ids).
-type batchSink func(b *switchsim.Batch, dec []switchsim.Decision, ids []uint64)
+// encoder writes the header values of the entries at positions rows
+// into dst, column-major: dst[c][j] is header value c of rows[j].
+type encoder func(dst [][]uint64, rows []int)
 
-// partEncoder encodes rows [lo, hi) of its table into dst (and ids when
-// non-nil) at positions pos0, pos0+stride, pos0+2·stride, … .
-type partEncoder func(dst [][]uint64, ids []uint64, lo, hi, pos0, stride int)
+// rrCycles appends to order the positions that round-robin cycles
+// [k0, k1) send over the worker partitions starts (rrStarts): cycle k
+// visits position starts[w]+k of every partition w that long, in worker
+// order. Partitions differ in length by one at most, so every cycle but
+// the last, partial one sends one entry per worker. It is the arrival
+// order of the chunked pipeline and of the fused aggregation scans
+// (partial.arrival); the scalar reference states it on its own
+// (interleave).
+func rrCycles(order, starts []int, k0, k1 int) []int {
+	for k := k0; k < k1; k++ {
+		for w := 0; w+1 < len(starts); w++ {
+			if r := starts[w] + k; r < starts[w+1] {
+				order = append(order, r)
+			}
+		}
+	}
+	return order
+}
 
-// batchPass streams the n rows of a table through the dataplane in the
-// exact arrival order of interleave: workers encode their partitions
-// concurrently, scattering values into the merged round-robin stream;
-// each chunk is then processed (when dp is non-nil) and handed to
-// sink. dp is a flow-scoped handle — the execution's own program on the
-// exclusive path, the shared pipeline's per-flow mux when serving.
-func batchPass(n, workers, width int, needIDs bool, buf *streamBuf, enc partEncoder,
-	dp BatchDataplane, sink batchSink) {
-	if n == 0 {
-		return
-	}
-	if workers <= 0 {
-		workers = 1
-	}
-	// Partition boundaries identical to table.Partition / interleave.
-	starts := make([]int, workers+1)
-	for i := 0; i <= workers; i++ {
-		starts[i] = i * n / workers
-	}
-	// Partitions have size s or s+1; in cycle k < s every worker emits
-	// one entry (stream position k·workers + w), and in the final
-	// partial cycle only the larger partitions emit, in worker order.
-	s := n / workers
-	bigBefore := make([]int, workers+1)
-	for w := 0; w < workers; w++ {
-		bigBefore[w+1] = bigBefore[w] + (starts[w+1] - starts[w] - s)
-	}
-	nBig := bigBefore[workers]
-
-	cyclesPer := chunkEntries / workers
-	if cyclesPer < 1 {
-		cyclesPer = 1
-	}
-	for c0 := 0; ; c0 += cyclesPer {
-		c1 := c0 + cyclesPer
-		last := false
-		if c1 >= s {
-			c1 = s
-			last = true
-		}
-		m := (c1 - c0) * workers
-		if last {
-			m += nBig
-		}
-		if m == 0 {
-			break
-		}
-		cols := buf.columns(width, m)
-		var ids []uint64
-		if needIDs {
-			buf.ids = growU64(buf.ids, m)
-			ids = buf.ids
-		}
-		tailBase := (c1 - c0) * workers
-		encodeChunk := func(w int) {
-			if lo, hi := starts[w]+c0, starts[w]+c1; hi > lo {
-				enc(cols, ids, lo, hi, w, workers)
+// batchPass streams the positions of spans through dp and returns how
+// many entries it sent and how many dp forwarded. Each span is its own
+// segment, partitioned over workers and sent in arrival order (rrCycles)
+// in chunks of ⌊chunkEntries/workers⌋ whole round-robin cycles (at least
+// one), the partial final cycle riding in the segment's last chunk — the
+// batches a rack carries and a fault injector counts. enc encodes a
+// chunk's width header columns; keep, when non-nil, sees each forwarded
+// entry — the chunk's columns after processing, the entry's index in
+// them and its position. dp is a flow-scoped handle: the execution's own
+// program on the exclusive path, the shared pipeline's per-flow mux when
+// serving, a rack.
+func batchPass(spans []span, workers, width int, enc encoder, dp BatchDataplane,
+	keep func(cols [][]uint64, j, row int)) (sent, fwd int) {
+	workers = max(workers, 1)
+	per := max(chunkEntries/workers, 1) // cycles per chunk
+	buf := streamBufPool.Get().(*streamBuf)
+	defer streamBufPool.Put(buf)
+	for _, sp := range spans {
+		n := sp.hi - sp.lo
+		starts, full := rrStarts(sp.lo, n, workers), n/workers
+		for k, last := 0, n == 0; !last; k += per {
+			end := k + per
+			if last = end >= full; last {
+				end = full + 1 // and the partial cycle, if any
 			}
-			if last && starts[w+1]-starts[w] > s {
-				r := starts[w] + s
-				enc(cols, ids, r, r+1, tailBase+bigBefore[w], 1)
+			buf.rows = rrCycles(buf.rows[:0], starts, k, end)
+			rows, m := buf.rows, len(buf.rows)
+			b := &switchsim.Batch{Cols: buf.columns(width, m), N: m}
+			enc(b.Cols, rows)
+			if cap(buf.dec) < m {
+				buf.dec = make([]switchsim.Decision, m)
 			}
-		}
-		if encodeInParallel && workers > 1 && m >= parallelEncodeMin {
-			var wg sync.WaitGroup
-			wg.Add(workers)
-			for w := 0; w < workers; w++ {
-				go func(w int) {
-					defer wg.Done()
-					encodeChunk(w)
-				}(w)
-			}
-			wg.Wait()
-		} else {
-			for w := 0; w < workers; w++ {
-				encodeChunk(w)
-			}
-		}
-		b := &switchsim.Batch{Cols: cols, N: m}
-		if cap(buf.dec) < m {
-			buf.dec = make([]switchsim.Decision, m)
-		}
-		dec := buf.dec[:m]
-		if dp != nil {
+			dec := buf.dec[:m]
 			dp.ProcessBatch(b, dec)
+			sent += m
+			for j, d := range dec {
+				if d == switchsim.Forward {
+					fwd++
+					if keep != nil {
+						keep(b.Cols, j, rows[j])
+					}
+				}
+			}
 		}
-		sink(b, dec, ids)
-		if last {
-			break
-		}
 	}
-}
-
-// compactForwarded writes, for every forwarded entry j of the chunk,
-// src[j] into buf.tmp, branchlessly (random forward/prune patterns
-// mispredict a conditional append), and returns the compacted slice.
-func (b *streamBuf) compactForwarded(src []uint64, dec []switchsim.Decision, n int) []uint64 {
-	b.tmp = growU64(b.tmp, n)
-	tmp := b.tmp
-	k := 0
-	for j := 0; j < n; j++ {
-		tmp[k] = src[j]
-		k += 1 - int(dec[j])
-	}
-	return tmp[:k]
-}
-
-// compactIndices is compactForwarded for chunk-local indices, for sinks
-// that need several columns of each survivor.
-func (b *streamBuf) compactIndices(dec []switchsim.Decision, n int) []uint64 {
-	b.tmp = growU64(b.tmp, n)
-	tmp := b.tmp
-	k := 0
-	for j := 0; j < n; j++ {
-		tmp[k] = uint64(j)
-		k += 1 - int(dec[j])
-	}
-	return tmp[:k]
+	return sent, fwd
 }
 
 // --- per-kind encoders -------------------------------------------------
@@ -329,106 +244,70 @@ func fingerprintAccs(accs []colAcc, r int, seed uint64) uint64 {
 	return h
 }
 
-// encFingerprint encodes dst[0] = fps[r], the row's key fingerprint read
-// from its table's fingerprint column (keyColumn, partial.hashKeys).
-func encFingerprint(fps []uint64) partEncoder {
-	return func(dst [][]uint64, ids []uint64, lo, hi, pos0, stride int) {
-		out := dst[0]
-		p := pos0
-		for _, fp := range fps[lo:hi] {
-			out[p] = fp
-			p += stride
+// encFingerprint encodes dst[0] = fps[r], the position's key fingerprint
+// read from its table's fingerprint column (keyColumn, partial.hashKeys).
+func encFingerprint(fps []uint64) encoder {
+	return func(dst [][]uint64, rows []int) {
+		for j, r := range rows {
+			dst[0][j] = fps[r]
 		}
-		fillIDs(ids, lo, hi, pos0, stride)
 	}
 }
 
-// fillIDs writes the row-id scatter of one span; a nil ids means the
-// pass does not need row ids.
-func fillIDs(ids []uint64, lo, hi, pos0, stride int) {
-	if ids == nil {
-		return
-	}
-	p := pos0
-	for r := lo; r < hi; r++ {
-		ids[p] = uint64(r)
-		p += stride
-	}
-}
-
-// encInt64 encodes dst[0] = uint64(column value).
-func encInt64(t *table.Table, col int) partEncoder {
-	ints := t.Int64Col(col)
-	return func(dst [][]uint64, ids []uint64, lo, hi, pos0, stride int) {
-		out := dst[0]
-		p := pos0
-		for r := lo; r < hi; r++ {
-			out[p] = uint64(ints[r])
-			p += stride
+// encInt64 encodes dst[0] = uint64(column value) — the TOP N packet.
+func encInt64(ints []int64) encoder {
+	return func(dst [][]uint64, rows []int) {
+		for j, r := range rows {
+			dst[0][j] = uint64(ints[r])
 		}
-		fillIDs(ids, lo, hi, pos0, stride)
 	}
 }
 
 // encKeyVal encodes dst[0] = fingerprint(key), dst[1] = uint64(value) —
 // the GROUP BY / HAVING packet layout.
-func encKeyVal(fps []uint64, vals []int64) partEncoder {
-	fpEnc := encFingerprint(fps)
-	return func(dst [][]uint64, ids []uint64, lo, hi, pos0, stride int) {
-		fpEnc(dst[:1], ids, lo, hi, pos0, stride)
-		out := dst[1]
-		p := pos0
-		for r := lo; r < hi; r++ {
-			out[p] = uint64(vals[r])
-			p += stride
+func encKeyVal(fps []uint64, vals []int64) encoder {
+	return func(dst [][]uint64, rows []int) {
+		for j, r := range rows {
+			dst[0][j], dst[1][j] = fps[r], uint64(vals[r])
 		}
 	}
 }
 
 // encSide encodes dst[0] = side marker, dst[1] = fingerprint(key) — the
 // join packet layout.
-func encSide(fps []uint64, side prune.JoinSide) partEncoder {
-	fpEnc := encFingerprint(fps)
-	return func(dst [][]uint64, ids []uint64, lo, hi, pos0, stride int) {
-		sides := dst[0]
-		sv := uint64(side)
-		p := pos0
-		for r := lo; r < hi; r++ {
-			sides[p] = sv
-			p += stride
+func encSide(fps []uint64, side prune.JoinSide) encoder {
+	return func(dst [][]uint64, rows []int) {
+		for j, r := range rows {
+			dst[0][j], dst[1][j] = uint64(side), fps[r]
 		}
-		fpEnc(dst[1:2], nil, lo, hi, pos0, stride)
-		fillIDs(ids, lo, hi, pos0, stride)
 	}
 }
 
 // encCols64 encodes dst[i] = uint64(cols[i] value) for D columns and
-// dst[D] = row id — the skyline packet layout, where the id is a real
-// header value riding through swaps.
-func encCols64(t *table.Table, cols []int) partEncoder {
+// dst[D] = the row's position — the skyline packet layout, where the id
+// is a real header value riding through swaps.
+func encCols64(t *table.Table, cols []int) encoder {
 	ints := make([][]int64, len(cols))
 	for i, c := range cols {
 		ints[i] = t.Int64Col(c)
 	}
-	return func(dst [][]uint64, ids []uint64, lo, hi, pos0, stride int) {
+	return func(dst [][]uint64, rows []int) {
 		for i, src := range ints {
-			out := dst[i]
-			p := pos0
-			for r := lo; r < hi; r++ {
-				out[p] = uint64(src[r])
-				p += stride
+			for j, r := range rows {
+				dst[i][j] = uint64(src[r])
 			}
 		}
-		fillIDs(dst[len(ints)], lo, hi, pos0, stride)
+		for j, r := range rows {
+			dst[len(ints)][j] = uint64(r)
+		}
 	}
 }
 
-// encFilter encodes one column per predicate (the raw value for
-// switch-evaluable comparisons, the worker-precomputed bit for LIKE),
-// sweeping column-at-a-time. t is the table (or segment view) being
-// encoded; preds and cols are the query's predicates and their column
-// indexes in t's schema.
-func encFilter(t *table.Table, preds []FilterPred, cols []int) partEncoder {
+// encFilter encodes one column per predicate: the raw value for
+// switch-evaluable comparisons, the worker-precomputed bit for LIKE.
+// preds and cols are the query's predicates and their column indexes in
+// t's schema.
+func encFilter(t *table.Table, preds []FilterPred, cols []int) encoder {
 	type predEnc struct {
 		ints []int64
 		strs []string
@@ -442,57 +321,18 @@ func encFilter(t *table.Table, preds []FilterPred, cols []int) partEncoder {
 			pes[i] = predEnc{strs: t.StringCol(cols[i]), like: p.Like}
 		}
 	}
-	return func(dst [][]uint64, ids []uint64, lo, hi, pos0, stride int) {
-		for i := range pes {
-			out := dst[i]
-			if pes[i].like == "" {
-				src := pes[i].ints
-				p := pos0
-				for r := lo; r < hi; r++ {
-					out[p] = uint64(src[r])
-					p += stride
-				}
-			} else {
-				src, pat := pes[i].strs, pes[i].like
-				p := pos0
-				for r := lo; r < hi; r++ {
-					if MatchLike(src[r], pat) {
-						out[p] = 1
-					} else {
-						out[p] = 0
-					}
-					p += stride
+	return func(dst [][]uint64, rows []int) {
+		for i, pe := range pes {
+			for j, r := range rows {
+				if pe.like == "" {
+					dst[i][j] = uint64(pe.ints[r])
+				} else if MatchLike(pe.strs[r], pe.like) {
+					dst[i][j] = 1
+				} else {
+					dst[i][j] = 0
 				}
 			}
 		}
-		fillIDs(ids, lo, hi, pos0, stride)
-	}
-}
-
-// --- survivor collection ----------------------------------------------
-
-// survivorSet accumulates forwarded row ids across chunks, growing its
-// buffer from the observed unpruned rate instead of append's doubling.
-type survivorSet struct {
-	rows      []int
-	seen      int // entries processed so far
-	remaining int // entries still to come, for rate projection
-}
-
-// add appends the compacted forwarded ids of one chunk that covered
-// chunkN entries.
-func (s *survivorSet) add(fwd []uint64, chunkN int) {
-	s.seen += chunkN
-	s.remaining -= chunkN
-	if need := len(s.rows) + len(fwd); need > cap(s.rows) {
-		projected := need + int(float64(s.remaining)*float64(need)/float64(s.seen))
-		projected += projected / 8 // headroom against rate drift
-		grown := make([]int, len(s.rows), projected)
-		copy(grown, s.rows)
-		s.rows = grown
-	}
-	for _, id := range fwd {
-		s.rows = append(s.rows, int(id))
 	}
 }
 

@@ -2,10 +2,12 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"cheetah/internal/boolexpr"
 	"cheetah/internal/prune"
+	"cheetah/internal/switchsim"
 	"cheetah/internal/table"
 )
 
@@ -132,7 +134,7 @@ func TestBatchMatchesScalarExec(t *testing.T) {
 	}
 }
 
-// TestBatchTinyTables exercises the scatter's degenerate layouts: empty
+// TestBatchTinyTables exercises the stream's degenerate layouts: empty
 // tables, fewer rows than workers, and single rows — and the multi-column
 // DISTINCT key's NUL case: ["a\x00b", "c"] and ["a", "b\x00c"] join to
 // one string around a NUL separator, yet are two tuples.
@@ -278,28 +280,98 @@ func TestBatchMultiChunk(t *testing.T) {
 	}
 }
 
-// TestBatchParallelEncode forces the concurrent per-worker encode
-// branch (normally gated on chunk size and real CPU parallelism) and
-// checks the scattered stream still reproduces interleave order for
-// every kind.
-func TestBatchParallelEncode(t *testing.T) {
-	oldMin, oldGate := parallelEncodeMin, encodeInParallel
-	parallelEncodeMin, encodeInParallel = 1, true
-	defer func() { parallelEncodeMin, encodeInParallel = oldMin, oldGate }()
-	tb := equivTable(t, 5003, 0x51)
-	rt := equivTable(t, 1777, 0x52)
-	for name, q := range equivQueries(tb, rt) {
-		for _, workers := range []int{2, 5} {
-			scalar, err := scalarRef(q, CheetahOptions{Workers: workers, Seed: 13})
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			batch, err := ExecCheetah(q, CheetahOptions{Workers: workers, Seed: 13, NoFuse: true})
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			if batch.Traffic != scalar.Traffic || batch.Stats != scalar.Stats || !batch.Result.Equal(scalar.Result) {
-				t.Fatalf("%s w=%d parallel encode diverges: traffic %+v vs %+v", name, workers, scalar.Traffic, batch.Traffic)
+// streamRecorder is a BatchDataplane that records the positions of every
+// batch it is sent — batchStreamEnc writes them into column 0 — and
+// forwards the positions that are not multiples of three.
+type streamRecorder struct{ batches [][]int }
+
+func (d *streamRecorder) ProcessBatch(b *switchsim.Batch, dec []switchsim.Decision) {
+	rows := make([]int, b.N)
+	for j := range rows {
+		rows[j] = int(b.Cols[0][j])
+		dec[j] = switchsim.Forward
+		if rows[j]%3 == 0 {
+			dec[j] = switchsim.Prune
+		}
+	}
+	d.batches = append(d.batches, rows)
+}
+
+func batchStreamEnc(dst [][]uint64, rows []int) {
+	for j, r := range rows {
+		dst[0][j] = uint64(r)
+	}
+}
+
+// TestBatchStream pins the chunked pipeline's stream itself. Each span is
+// its own segment: its positions arrive in the scalar reference's
+// interleave order over the span, in batches of whole round-robin cycles
+// — ⌊chunkEntries/workers⌋ of them, at least one — with the partial final
+// cycle in the segment's last batch; and keep sees exactly the forwarded
+// entries, in stream order, at their index in the batch.
+func TestBatchStream(t *testing.T) {
+	defer func(n int) { chunkEntries = n }(chunkEntries)
+	tb := table.MustNew(table.Schema{{Name: "v", Type: table.Int64}})
+	for r := 0; r < 5003; r++ {
+		if err := tb.AppendRow(int64(r)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, chunk := range []int{256, chunkEntries} {
+		chunkEntries = chunk
+		for _, w := range []int{1, 2, 3, 5, 7, 11} {
+			for _, n := range []int{0, 1, w - 1, w, w + 1, 5003} {
+				a := min(1, n)
+				b := max(a, n/2)
+				for _, spans := range [][]span{{{0, n}}, {{a, b}, {min(b+1, n), n}}} {
+					label := fmt.Sprintf("chunk=%d w=%d n=%d spans=%v", chunk, w, n, spans)
+					var wantRows []int
+					var wantLens []int
+					for _, sp := range spans {
+						v, err := tb.View(sp.lo, sp.hi)
+						if err != nil {
+							t.Fatal(err)
+						}
+						interleave(v, w, func(r int) { wantRows = append(wantRows, sp.lo+r) })
+						m := sp.hi - sp.lo
+						if m == 0 {
+							continue
+						}
+						cycles := max(1, chunk/w) // in a batch
+						batches := max(1, (m/w+cycles-1)/cycles)
+						for range batches - 1 {
+							wantLens = append(wantLens, cycles*w)
+						}
+						wantLens = append(wantLens, m-(batches-1)*cycles*w)
+					}
+					dp := &streamRecorder{}
+					var kept []int
+					sent, fwd := batchPass(spans, w, 1, batchStreamEnc, dp, func(cols [][]uint64, j, row int) {
+						if cols[0][j] != uint64(row) {
+							t.Fatalf("%s: keep got row %d at index %d, the batch holds %d", label, row, j, cols[0][j])
+						}
+						kept = append(kept, row)
+					})
+					var gotRows, gotLens, wantKept []int
+					for _, rows := range dp.batches {
+						gotRows = append(gotRows, rows...)
+						gotLens = append(gotLens, len(rows))
+					}
+					for _, r := range gotRows {
+						if r%3 != 0 {
+							wantKept = append(wantKept, r)
+						}
+					}
+					if !slices.Equal(gotRows, wantRows) {
+						t.Fatalf("%s: positions %v, want interleave's %v", label, gotRows, wantRows)
+					}
+					if !slices.Equal(gotLens, wantLens) {
+						t.Fatalf("%s: batch lengths %v, want %v", label, gotLens, wantLens)
+					}
+					if !slices.Equal(kept, wantKept) || sent != len(wantRows) || fwd != len(wantKept) {
+						t.Fatalf("%s: sent %d forwarded %d kept %v, want %d, %d, %v", label, sent, fwd, kept, len(wantRows), len(wantKept), wantKept)
+					}
+				}
 			}
 		}
 	}

@@ -5,7 +5,7 @@ package engine
 // every gated front door. The chunked pipeline (batch.go) round-trips
 // every chunk through three materialized passes (encode into stream
 // buffers → the dataplane filling a Decision slice, one Process call per
-// entry → compact survivors), with the pruner's per-entry state
+// entry → keep survivors), with the pruner's per-entry state
 // transition behind an interface call. Here each query kind is
 // one monomorphic loop instead: the loop reads table columns directly,
 // inlines the pruner's core state transition through the concrete type's
@@ -53,8 +53,9 @@ import (
 
 // rrStarts returns the worker partition boundaries of rows
 // [lo, lo+n): partition w is [starts[w], starts[w+1]), identical to
-// table.Partition / interleave / batchPass. The fused loops replay the
-// round-robin arrival order with
+// table.Partition and interleave. Entries arrive round-robin over them,
+// one per live partition per cycle, in worker order (rrCycles); the
+// fused loops that do not list that order replay it with
 //
 //	for k, done := 0, 0; done < n; k++ {
 //	    for w := 0; w < workers; w++ {
@@ -64,9 +65,6 @@ import (
 //	        ... entry r ...
 //	    }
 //	}
-//
-// — cycle k visits every still-live partition in worker order, which is
-// exactly interleave's schedule.
 func rrStarts(lo, n, workers int) []int {
 	starts := make([]int, workers+1)
 	for i := 0; i <= workers; i++ {

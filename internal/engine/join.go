@@ -46,7 +46,6 @@ import (
 
 	"cheetah/internal/prune"
 	"cheetah/internal/sketch"
-	"cheetah/internal/switchsim"
 	"cheetah/internal/table"
 )
 
@@ -482,7 +481,7 @@ func completeJoin(q *Query, jp *joinPairs, scs []*joinScratch) (*Result, error) 
 // consult j's live phase — for dataplanes that withhold direct program
 // access. It leaves both sides' survivors in sc, like the fused passes.
 func batchJoinPasses(q *Query, j *prune.Join, dp BatchDataplane, workers int, skip bool,
-	buf *streamBuf, sc *joinScratch) (tr Traffic, skipped SkipStats) {
+	sc *joinScratch) (tr Traffic, skipped SkipStats) {
 	// Probe-side block skipping (skip.go): a right block where every
 	// distinct left key tests Bloom-negative holds no joinable row.
 	// Every right pass — including the symmetric build pass — uses the
@@ -493,48 +492,34 @@ func batchJoinPasses(q *Query, j *prune.Join, dp BatchDataplane, workers int, sk
 	if skip {
 		rightSpans, skipped = joinRightSpans(q)
 	}
-	// pass streams one side, each span as a segment whose packets carry the
-	// span's fingerprints and whose ids are positions; a nil sv is a build
-	// pass, which counts forwards without collecting.
-	pass := func(s *joinSide, side prune.JoinSide, spans []span, sv *survivorSet) {
-		if sv != nil {
-			sv.remaining = len(s.ids)
+	// pass streams the positions of one side's spans, its packets carrying
+	// their fingerprints, and collects the survivors in s.rows; a build
+	// pass counts forwards without collecting them.
+	pass := func(s *joinSide, side prune.JoinSide, spans []span, collect bool) {
+		var keep func([][]uint64, int, int)
+		if collect {
+			s.rows = s.rows[:0]
+			keep = func(_ [][]uint64, _, row int) { s.rows = append(s.rows, row) }
 		}
-		for _, sp := range spans {
-			enc := encSide(s.col[sp.lo:sp.hi], side)
-			if sv != nil {
-				enc = offsetIDs(enc, uint64(sp.lo))
-			}
-			batchPass(sp.hi-sp.lo, workers, 2, sv != nil, buf, enc, dp,
-				func(b *switchsim.Batch, dec []switchsim.Decision, ids []uint64) {
-					tr.EntriesSent += b.N
-					if sv == nil {
-						tr.Forwarded += forwardedIn(dec[:b.N])
-						return
-					}
-					fwd := buf.compactForwarded(ids, dec, b.N)
-					tr.Forwarded += len(fwd)
-					sv.add(fwd, b.N)
-				})
-		}
+		sent, fwd := batchPass(spans, workers, 2, encSide(s.col, side), dp, keep)
+		tr.EntriesSent += sent
+		tr.Forwarded += fwd
 	}
-	var l, r survivorSet
 	if j.Asymmetric() {
 		// §4.3's small-table optimization: side A streams once, unpruned,
 		// while its filter trains; then side B is pruned against it.
-		pass(&sc.left, prune.SideA, leftSpans, &l)
+		pass(&sc.left, prune.SideA, leftSpans, true)
 		j.StartProbe()
-		pass(&sc.right, prune.SideB, rightSpans, &r)
+		pass(&sc.right, prune.SideB, rightSpans, true)
 	} else {
 		// Pass 1: both key columns build the filters; packets terminate
 		// at the switch. Pass 2: full entries, pruned by the other side.
-		pass(&sc.left, prune.SideA, leftSpans, nil)
-		pass(&sc.right, prune.SideB, rightSpans, nil)
+		pass(&sc.left, prune.SideA, leftSpans, false)
+		pass(&sc.right, prune.SideB, rightSpans, false)
 		j.StartProbe()
-		pass(&sc.left, prune.SideA, leftSpans, &l)
-		pass(&sc.right, prune.SideB, rightSpans, &r)
+		pass(&sc.left, prune.SideA, leftSpans, true)
+		pass(&sc.right, prune.SideB, rightSpans, true)
 	}
-	tr.MasterProcessed = len(l.rows) + len(r.rows)
-	sc.left.rows, sc.right.rows = l.rows, r.rows
+	tr.MasterProcessed = len(sc.left.rows) + len(sc.right.rows)
 	return tr, skipped
 }

@@ -57,6 +57,7 @@ package engine
 // under collisions.
 
 import (
+	"slices"
 	"strconv"
 	"sync"
 
@@ -408,26 +409,16 @@ func (p *partial) hashKeys(seed uint64) []uint64 {
 
 // arrival returns the rows of p's table in the order their entries reach
 // the switch — partitions stream concurrently, so entries arrive
-// round-robin across the workers' partitions, exactly interleave's and
-// batchPass's schedule — or nil for one worker, whose arrival order is
-// the row order. The fused aggregation scans replay it as one flat loop.
+// round-robin across the workers' partitions (rrCycles), as in the
+// chunked pipeline — or nil for one worker, whose arrival order is the
+// row order. The fused aggregation scans replay it as one flat loop.
 func (p *partial) arrival(workers int) []int {
 	if workers <= 1 {
 		return nil
 	}
 	n := p.t.NumRows()
-	if cap(p.order) < n {
-		p.order = make([]int, n)
-	}
-	order, starts := p.order[:0], rrStarts(0, n, workers)
-	for k := 0; len(order) < n; k++ {
-		for w := 0; w < workers; w++ {
-			if r := starts[w] + k; r < starts[w+1] {
-				order = append(order, r)
-			}
-		}
-	}
-	return order
+	p.order = rrCycles(slices.Grow(p.order[:0], n), rrStarts(0, n, workers), 0, n/workers+1)
+	return p.order
 }
 
 // resolve keys GROUP BY SUM's drained sums by id: each takes the id of the

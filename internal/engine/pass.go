@@ -81,15 +81,6 @@ func (ps *pass) grants() bool {
 	return ok && fp.FusedProgram() == switchsim.Program(ps.pruner)
 }
 
-// forwardedIn counts the chunk's forwarded entries, branchlessly.
-func forwardedIn(dec []switchsim.Decision) int {
-	n := len(dec)
-	for _, d := range dec {
-		n -= int(d)
-	}
-	return n
-}
-
 // survivors is FILTER's and SKYLINE's pass: it returns the surviving row
 // ids in the pass's own table's coordinates, SKYLINE's control-plane drain
 // included. With countOnly — an exact FILTER count — it collects none:
@@ -132,36 +123,19 @@ func (ps *pass) survivors(countOnly bool) (rows []int, err error) {
 	}
 	if !ps.fused {
 		// The chunked pipeline. FILTER's packets carry the predicate
-		// columns and the engine keeps the row ids beside them; SKYLINE's
-		// entry id is a real header value — the last column — riding
-		// through the program's swaps.
-		width, needIDs := len(cols), !countOnly
-		encFor := func(v *table.Table) partEncoder { return encFilter(v, q.Predicates, cols) }
-		if q.Kind == KindSkyline {
-			width, needIDs = len(cols)+1, false
-			encFor = func(v *table.Table) partEncoder { return encCols64(v, cols) }
+		// columns, and its survivors are their positions; SKYLINE's entry
+		// id is a real header value — the last column — riding through the
+		// program's swaps.
+		enc, width := encFilter(t, q.Predicates, cols), len(cols)
+		keep := func(_ [][]uint64, _, row int) { rows = append(rows, row) }
+		switch {
+		case q.Kind == KindSkyline:
+			enc, width = encCols64(t, cols), len(cols)+1
+			keep = func(c [][]uint64, j, _ int) { rows = append(rows, int(c[len(cols)][j])) }
+		case countOnly:
+			keep = nil
 		}
-		buf := getStreamBuf()
-		defer putStreamBuf(buf)
-		sv := survivorSet{remaining: t.NumRows()}
-		err = spanPass(t, spans, ps.workers, width, needIDs, buf, encFor, ps.dp,
-			func(b *switchsim.Batch, dec []switchsim.Decision, ids []uint64) {
-				tr.EntriesSent += b.N
-				if countOnly {
-					tr.Forwarded += forwardedIn(dec[:b.N])
-					return
-				}
-				if ids == nil {
-					ids = b.Cols[width-1]
-				}
-				fwd := buf.compactForwarded(ids, dec, b.N)
-				tr.Forwarded += len(fwd)
-				sv.add(fwd, b.N)
-			})
-		if err != nil {
-			return nil, err
-		}
-		rows = sv.rows
+		tr.EntriesSent, tr.Forwarded = batchPass(spans, ps.workers, width, enc, ps.dp, keep)
 	}
 	if q.Kind == KindSkyline {
 		// Control-plane drain of the stored points at FIN: their ids rode
@@ -239,17 +213,16 @@ func completeSurvivors(q *Query, passes []*pass, parts [][]int, exact bool) (*Re
 // full, a block whose max ≤ h[0] cannot change the pass's top N, which is
 // all a completion consumes from it, and the bound tightens between
 // spans.
-func (ps *pass) topN() (h int64Heap, err error) {
+func (ps *pass) topN() int64Heap {
 	q, t, tr := ps.q, ps.q.Table, &ps.traffic
 	col := t.Schema().MustIndex(q.OrderCol)
-	h = make(int64Heap, 0, q.N)
-	var scan func(lo, hi int)
+	ints := t.Int64Col(col)
+	h := make(int64Heap, 0, q.N)
+	var scan func(lo, hi int) (sent, fwd int)
 	rnd, isRnd := ps.pruner.(*prune.RandTopN)
 	det, isDet := ps.pruner.(*prune.DetTopN)
 	if ps.fuse(isRnd || isDet) {
-		ints := t.Int64Col(col)
-		scan = func(lo, hi int) {
-			var sent, fwd int
+		scan = func(lo, hi int) (sent, fwd int) {
 			if isRnd {
 				h, sent, fwd = fusedTopNRandSpan(ints, lo, hi, rnd, h, q.N)
 				rnd.AddStats(uint64(sent), uint64(sent-fwd))
@@ -257,40 +230,26 @@ func (ps *pass) topN() (h int64Heap, err error) {
 				h, sent, fwd = fusedTopNDetSpan(ints, lo, hi, ps.workers, det, h, q.N)
 				det.AddStats(uint64(sent), uint64(sent-fwd))
 			}
-			tr.EntriesSent += sent
-			tr.Forwarded += fwd
+			return sent, fwd
 		}
 	} else {
-		buf := getStreamBuf()
-		defer putStreamBuf(buf)
-		sink := func(b *switchsim.Batch, dec []switchsim.Decision, _ []uint64) {
-			tr.EntriesSent += b.N
-			fwd := buf.compactForwarded(b.Cols[0], dec, b.N)
-			tr.Forwarded += len(fwd)
-			for _, raw := range fwd {
-				h.offer(int64(raw), q.N)
-			}
+		enc, keep := encInt64(ints), func(c [][]uint64, j, _ int) { h.offer(int64(c[0][j]), q.N) }
+		scan = func(lo, hi int) (int, int) {
+			return batchPass([]span{{lo, hi}}, ps.workers, 1, enc, ps.dp, keep)
 		}
-		scan = func(lo, hi int) {
-			if err != nil {
-				return
-			}
-			v := t
-			if hi-lo != t.NumRows() {
-				if v, err = t.View(lo, hi); err != nil {
-					return
-				}
-			}
-			batchPass(v.NumRows(), ps.workers, 1, false, buf, encInt64(v, col), ps.dp, sink)
-		}
+	}
+	stream := func(lo, hi int) {
+		sent, fwd := scan(lo, hi)
+		tr.EntriesSent += sent
+		tr.Forwarded += fwd
 	}
 	if ps.skip && t.SkipIndex() != nil {
-		topNSpanScan(t, col, q.N, &h, &ps.skipped, scan)
+		topNSpanScan(t, col, q.N, &h, &ps.skipped, stream)
 	} else {
-		scan(0, t.NumRows())
+		stream(0, t.NumRows())
 	}
 	tr.MasterProcessed = tr.Forwarded
-	return h, err
+	return h
 }
 
 // completeTopN is TOP N's completion: every global top-N value is in its
@@ -330,9 +289,7 @@ func (ps *pass) join(sc *joinScratch, jp *joinPairs, p int) error {
 	if ps.fuse(j.Phase() == prune.PhaseBuild) {
 		ps.traffic, ps.skipped = fusedJoinPasses(ps.q, j, skip, sc)
 	} else {
-		buf := getStreamBuf()
-		defer putStreamBuf(buf)
-		ps.traffic, ps.skipped = batchJoinPasses(ps.q, j, ps.dp, ps.workers, skip, buf, sc)
+		ps.traffic, ps.skipped = batchJoinPasses(ps.q, j, ps.dp, ps.workers, skip, sc)
 	}
 	sc.pairCounts(jp)
 	return nil
@@ -439,9 +396,9 @@ func execPasses(q *Query, execs []*shardExec, opts ShardedOptions) (res *Result,
 		}
 	case KindTopN:
 		heaps := make([]int64Heap, len(passes))
-		err = scatter(func(s int) (err error) {
-			heaps[s], err = passes[s].topN()
-			return err
+		err = scatter(func(s int) error {
+			heaps[s] = passes[s].topN()
+			return nil
 		})
 		if err == nil {
 			res = completeTopN(q, heaps)

@@ -100,7 +100,7 @@ func forEachBlockSpan(t *table.Table, fn func(lo, hi int, meta *table.BlockMeta)
 }
 
 // appendSpan appends [lo, hi), merging with the previous span when
-// adjacent so an unskippable run streams as one batchPass.
+// adjacent so an unskippable run streams as one segment (batchPass).
 func appendSpan(spans []span, lo, hi int) []span {
 	if k := len(spans); k > 0 && spans[k-1].hi == lo {
 		spans[k-1].hi = hi
@@ -290,44 +290,6 @@ func joinRightSpans(q *Query) ([]span, SkipStats) {
 		spans = appendSpan(spans, lo, hi)
 	})
 	return spans, st
-}
-
-// offsetIDs wraps a segment view's encoder so the row ids it emits are
-// in the parent table's coordinates (the master's late materialization
-// and execRows index the original q.Table).
-func offsetIDs(enc partEncoder, base uint64) partEncoder {
-	if base == 0 {
-		return enc
-	}
-	return func(dst [][]uint64, ids []uint64, lo, hi, pos0, stride int) {
-		enc(dst, ids, lo, hi, pos0, stride)
-		if ids == nil {
-			return
-		}
-		p := pos0
-		for r := lo; r < hi; r++ {
-			ids[p] += base
-			p += stride
-		}
-	}
-}
-
-// spanPass streams each span of t through batchPass as its own segment
-// (zero-copy views, ids rebased to t's coordinates).
-func spanPass(t *table.Table, spans []span, workers, width int, needIDs bool, buf *streamBuf,
-	encFor func(*table.Table) partEncoder, dp BatchDataplane, sink batchSink) error {
-	for _, sp := range spans {
-		v, err := t.View(sp.lo, sp.hi)
-		if err != nil {
-			return err
-		}
-		enc := encFor(v)
-		if needIDs {
-			enc = offsetIDs(enc, uint64(sp.lo))
-		}
-		batchPass(v.NumRows(), workers, width, needIDs, buf, enc, dp, sink)
-	}
-	return nil
 }
 
 // topNSpanScan drives a TOP N scan over t's blocks with the running

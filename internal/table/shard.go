@@ -1,32 +1,21 @@
 package table
 
-// Sharding splits a table by *content* rather than by position: each row
-// is routed to one of k shards by its value in a shard column. This is
-// the storage half of the multi-switch fabric — the paper's deployment
-// has each rack's ToR switch pruning its own workers' streams, so a
-// table sharded across racks determines which switch sees which rows.
-// Contiguous Partition stays the single-switch (and per-shard CWorker)
-// split; ShardBy adds hash placement (co-locating equal keys, the
-// property JOIN scatter/gather needs) and ShardByRange adds
-// order-preserving range placement.
-//
-// Unlike Partition's zero-copy views, shards are real tables: rows are
-// scattered, so the column storage must be rebuilt per shard. Sharding
-// is deterministic — the same table, column and k always produce the
-// same shards.
-//
-// A JOIN's scatter needs less than that: its passes read the key column
-// only, and read it off the table's own fingerprint column and key ids.
-// ShardKeys therefore copies no cell: a key shard is the increasing list
-// of the rows ShardBy would place in it (4 B a row), and KeyShardColumns
-// gathers those rows' fingerprints and key ids into contiguous columns
-// (12 B a row), which is what a pass streams. A table that is not a view
-// remembers its latest co-partition and its columns, so a repeated JOIN
-// over unchanged inputs hashes, gathers and allocates nothing.
+// A JOIN over k switches splits both tables by *content* rather than by
+// position: each row is routed to one of k shards by a hash of its key
+// cell, so equal keys — on either side of the join — meet on one switch.
+// The passes read the key column only, and read it off the table's own
+// fingerprint column and key ids. ShardKeys therefore copies no cell: a
+// key shard is the increasing list of the rows the hash places in it
+// (4 B a row), and KeyShardColumns gathers those rows' fingerprints and
+// key ids into contiguous columns (12 B a row), which is what a pass
+// streams. Placement is deterministic — the same table, column and k
+// always give the same lists — and a table that is not a view remembers
+// its latest co-partition and its columns, so a repeated JOIN over
+// unchanged inputs hashes, gathers and allocates nothing. Contiguous
+// Partition stays the split of every other kind.
 
 import (
 	"fmt"
-	"sort"
 	"sync/atomic"
 
 	"cheetah/internal/hashutil"
@@ -58,24 +47,8 @@ type shardKeys struct {
 // query triggered the sharding.
 const shardSeed = 0x5ca77e12c0ffee42
 
-// ShardBy splits the table into k shards by hashing the named column:
-// row r lands in shard hash(value) mod k. Equal values always land in
-// the same shard, so two tables hash-sharded on same-typed key columns
-// co-locate their matching keys shard-for-shard. k may exceed the row
-// count (the excess shards are empty); k ≤ 0 is an error.
-func (t *Table) ShardBy(col string, k int) ([]*Table, error) {
-	ci := t.schema.Index(col)
-	if ci < 0 {
-		return nil, fmt.Errorf("table: unknown shard column %q", col)
-	}
-	assign, err := t.shardAssignments(ci, k)
-	if err != nil {
-		return nil, err
-	}
-	return t.buildShards(assign, k)
-}
-
-// shardAssignments computes each row's hash-shard index.
+// shardAssignments computes each row's hash-shard index: hash(value)
+// mod k.
 func (t *Table) shardAssignments(ci, k int) ([]int, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("table: shard count %d must be positive", k)
@@ -96,52 +69,13 @@ func (t *Table) shardAssignments(ci, k int) ([]int, error) {
 	return assign, nil
 }
 
-// ShardByRange splits the table into k shards by value ranges of the
-// named Int64 column: boundaries are the column's k-quantiles, so the
-// shards cover contiguous, non-overlapping value ranges of near-equal
-// row count (heavily duplicated values can still skew shard sizes —
-// equal values never split across shards). k may exceed the row count;
-// k ≤ 0 and non-Int64 columns are errors.
-func (t *Table) ShardByRange(col string, k int) ([]*Table, error) {
-	ci := t.schema.Index(col)
-	if ci < 0 {
-		return nil, fmt.Errorf("table: unknown shard column %q", col)
-	}
-	if k <= 0 {
-		return nil, fmt.Errorf("table: shard count %d must be positive", k)
-	}
-	if t.cols[ci].typ != Int64 {
-		return nil, fmt.Errorf("table: range-shard column %q is %v, need int64", col, t.cols[ci].typ)
-	}
-	vals := t.Int64Col(ci)
-	sorted := append([]int64(nil), vals...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	// Upper (inclusive) bound of shards 0..k-2; the last shard is
-	// unbounded. Quantile boundaries on the sorted column give near-equal
-	// shard sizes for distinct-heavy columns.
-	bounds := make([]int64, k-1)
-	for i := range bounds {
-		hi := (i + 1) * t.n / k
-		if hi >= t.n {
-			hi = t.n - 1
-		}
-		if t.n == 0 {
-			bounds[i] = 0
-			continue
-		}
-		bounds[i] = sorted[hi]
-	}
-	assign := make([]int, t.n)
-	for r, v := range vals {
-		assign[r] = sort.Search(len(bounds), func(i int) bool { return v <= bounds[i] })
-	}
-	return t.buildShards(assign, k)
-}
-
 // ShardKeys hash-shards the table's rows on the named column without
 // copying a cell: shard s is the increasing list of the rows, in the
-// table's coordinates, that ShardBy(col, k) places in shard s. The k
-// lists share one array of 4 B a row.
+// table's coordinates, whose cell hashes to s (shardAssignments). Equal
+// values land in the same shard, so two tables sharded on same-typed key
+// columns co-locate their matching keys list for list. The k lists share
+// one array of 4 B a row; k may exceed the row count (the excess lists
+// are empty), and k ≤ 0 is an error.
 //
 // The root keeps the latest result in one slot beside its skip index, and
 // any handle that starts at the root's first row — the table itself, a
@@ -212,53 +146,4 @@ func (t *Table) KeyShardColumns(shards [][]uint32, seed uint64, fps []uint64, id
 		m.keys.Store(c)
 	}
 	return c.fps, c.ids
-}
-
-// buildShards materializes k shard tables from per-row assignments: each
-// shard column is allocated once at its final size and filled in one
-// sweep of the source column (scatter).
-func (t *Table) buildShards(assign []int, k int) ([]*Table, error) {
-	counts := make([]int, k)
-	for _, s := range assign {
-		counts[s]++
-	}
-	shards := make([]*Table, k)
-	for s := range shards {
-		sh, err := New(t.schema)
-		if err != nil {
-			return nil, err
-		}
-		sh.n = counts[s]
-		shards[s] = sh
-	}
-	for c, src := range t.cols {
-		switch src.typ {
-		case Int64:
-			for s, vals := range scatter(src.ints[t.off:t.off+t.n], assign, counts) {
-				shards[s].cols[c].ints = vals
-			}
-		case String:
-			for s, vals := range scatter(src.strs[t.off:t.off+t.n], assign, counts) {
-				shards[s].cols[c].strs = vals
-			}
-		}
-	}
-	return shards, nil
-}
-
-// scatter deals vals[r] to slice assign[r] of the result, in order;
-// counts[s] is how many land in slice s. Each slice is written through
-// its own cursor into storage sized up front.
-func scatter[T any](vals []T, assign, counts []int) [][]T {
-	dst := make([][]T, len(counts))
-	for s, n := range counts {
-		dst[s] = make([]T, n)
-	}
-	next := make([]int, len(counts))
-	for r, v := range vals {
-		s := assign[r]
-		dst[s][next[s]] = v
-		next[s]++
-	}
-	return dst
 }

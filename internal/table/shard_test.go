@@ -62,6 +62,34 @@ func assertMultisetEqual(t *testing.T, orig *Table, shards []*Table) {
 	}
 }
 
+// ShardBy is the reference ShardKeys is held to: it splits the table into
+// k shard tables, row r in shard hash(value) mod k (shardAssignments),
+// each shard's rows in table order.
+func (t *Table) ShardBy(col string, k int) ([]*Table, error) {
+	ci := t.schema.Index(col)
+	if ci < 0 {
+		return nil, fmt.Errorf("table: unknown shard column %q", col)
+	}
+	assign, err := t.shardAssignments(ci, k)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([][]int, k)
+	for r, s := range assign {
+		rows[s] = append(rows[s], r)
+	}
+	shards := make([]*Table, k)
+	for s := range shards {
+		if shards[s], err = New(t.schema); err == nil {
+			err = shards[s].AppendRowsFrom(t, rows[s])
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	return shards, nil
+}
+
 func TestShardByReassemblesMultiset(t *testing.T) {
 	tbl := testTable(t, 500)
 	for _, k := range []int{1, 2, 4, 7, 16} {
@@ -74,41 +102,6 @@ func TestShardByReassemblesMultiset(t *testing.T) {
 				t.Fatalf("ShardBy(%q, %d) returned %d shards", col, k, len(shards))
 			}
 			assertMultisetEqual(t, tbl, shards)
-		}
-	}
-}
-
-func TestShardByRangeReassemblesMultiset(t *testing.T) {
-	tbl := testTable(t, 500)
-	for _, k := range []int{1, 2, 4, 7} {
-		shards, err := tbl.ShardByRange("score", k)
-		if err != nil {
-			t.Fatalf("ShardByRange(%d): %v", k, err)
-		}
-		assertMultisetEqual(t, tbl, shards)
-		// Range property: shard i's max ≤ shard j's min for i < j — with
-		// ties allowed at the boundary value only when the boundary value
-		// stays within one shard (equal values never split).
-		var prevMax int64
-		havePrev := false
-		for _, sh := range shards {
-			if sh.NumRows() == 0 {
-				continue
-			}
-			vals := sh.Int64Col(sh.Schema().MustIndex("score"))
-			mn, mx := vals[0], vals[0]
-			for _, v := range vals {
-				if v < mn {
-					mn = v
-				}
-				if v > mx {
-					mx = v
-				}
-			}
-			if havePrev && mn <= prevMax {
-				t.Fatalf("range shards overlap: min %d ≤ previous max %d", mn, prevMax)
-			}
-			prevMax, havePrev = mx, true
 		}
 	}
 }
@@ -142,16 +135,12 @@ func TestShardEdgeCases(t *testing.T) {
 		if _, err := tbl.ShardBy("id", k); err == nil {
 			t.Fatalf("ShardBy(%d): want error", k)
 		}
-		if _, err := tbl.ShardByRange("id", k); err == nil {
-			t.Fatalf("ShardByRange(%d): want error", k)
-		}
 	}
 
 	// k > rows: every flavour yields k splits, some empty.
 	for name, split := range map[string]func(int) ([]*Table, error){
-		"Partition":    tbl.Partition,
-		"ShardBy":      func(k int) ([]*Table, error) { return tbl.ShardBy("id", k) },
-		"ShardByRange": func(k int) ([]*Table, error) { return tbl.ShardByRange("id", k) },
+		"Partition": tbl.Partition,
+		"ShardBy":   func(k int) ([]*Table, error) { return tbl.ShardBy("id", k) },
 	} {
 		parts, err := split(10)
 		if err != nil {
@@ -166,9 +155,8 @@ func TestShardEdgeCases(t *testing.T) {
 	// Empty table: k empty splits, no error.
 	empty := MustNew(tbl.Schema())
 	for name, split := range map[string]func(int) ([]*Table, error){
-		"Partition":    empty.Partition,
-		"ShardBy":      func(k int) ([]*Table, error) { return empty.ShardBy("id", k) },
-		"ShardByRange": func(k int) ([]*Table, error) { return empty.ShardByRange("id", k) },
+		"Partition": empty.Partition,
+		"ShardBy":   func(k int) ([]*Table, error) { return empty.ShardBy("id", k) },
 	} {
 		parts, err := split(4)
 		if err != nil {
@@ -184,15 +172,9 @@ func TestShardEdgeCases(t *testing.T) {
 		}
 	}
 
-	// Unknown / mistyped columns error descriptively.
+	// An unknown column errors.
 	if _, err := tbl.ShardBy("nope", 2); err == nil {
 		t.Fatal("ShardBy(unknown column): want error")
-	}
-	if _, err := tbl.ShardByRange("name", 2); err == nil {
-		t.Fatal("ShardByRange(string column): want error")
-	}
-	if _, err := tbl.ShardByRange("nope", 2); err == nil {
-		t.Fatal("ShardByRange(unknown column): want error")
 	}
 }
 
