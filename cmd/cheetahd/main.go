@@ -153,14 +153,13 @@ func run(args []string, stop <-chan os.Signal, ready func(addr, metricsAddr stri
 
 	// Connector topology: sources pump into the served table, pipes
 	// hold continuous queries fanning into sinks.
-	reg := connector.DefaultRegistry()
 	rt, err := connector.NewRuntime(srv.Streaming())
 	if err != nil {
 		return err
 	}
 	ctx := context.Background()
 	for _, spec := range sources {
-		src, err := reg.OpenSource(spec)
+		src, err := connector.OpenSource(spec)
 		if err != nil {
 			return err
 		}
@@ -170,7 +169,7 @@ func run(args []string, stop <-chan os.Signal, ready func(addr, metricsAddr stri
 		fmt.Printf("cheetahd: source %q feeding visits\n", spec)
 	}
 	for _, spec := range pipes {
-		q, sink, err := buildPipe(reg, mix, spec)
+		q, sink, err := buildPipe(mix, spec)
 		if err != nil {
 			return err
 		}
@@ -252,7 +251,7 @@ func serveObs(srv *netserve.Server, addr string, withPprof bool) (*http.Server, 
 // query over the mix's visits table plus its sink. KIND is one of the
 // eight mix kinds by name; the query shape is the mix's canonical one
 // for that kind.
-func buildPipe(reg *connector.Registry, mix *multitenant.Mix, spec string) (*engine.Query, connector.Sink, error) {
+func buildPipe(mix *multitenant.Mix, spec string) (*engine.Query, connector.Sink, error) {
 	kinds := map[string]int{
 		"filter": 0, "distinct": 1, "topn": 2, "groupbymax": 3,
 		"groupbysum": 4, "having": 5, "join": 6, "skyline": 7,
@@ -285,7 +284,7 @@ func buildPipe(reg *connector.Registry, mix *multitenant.Mix, spec string) (*eng
 	if sinkSpec == "" {
 		return nil, nil, fmt.Errorf("-pipe needs sink=, got %q", spec)
 	}
-	sink, err := reg.OpenSink(sinkSpec)
+	sink, err := connector.OpenSink(sinkSpec)
 	if err != nil {
 		return nil, nil, err
 	}

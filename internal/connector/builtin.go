@@ -1,8 +1,8 @@
 package connector
 
 // Built-in connectors: the generator and CSV sources, the log and null
-// sinks. DefaultRegistry registers all four; cheetahd exposes them via
-// -source/-pipe flags.
+// sinks. OpenSource and OpenSink build them from specs; cheetahd exposes
+// them via -source/-pipe flags.
 
 import (
 	"context"
@@ -18,19 +18,6 @@ import (
 	"cheetah/internal/hashutil"
 	"cheetah/internal/table"
 )
-
-// DefaultRegistry returns a registry with the built-in connectors:
-// sources "gen" (synthetic rows; args rows, batch, rate, seed) and
-// "csv" (args path, batch, loop); sinks "log" (args path, "-" =
-// stdout) and "null".
-func DefaultRegistry() *Registry {
-	r := NewRegistry()
-	r.RegisterSource("gen", newGenSource)
-	r.RegisterSource("csv", newCSVSource)
-	r.RegisterSink("log", newLogSink)
-	r.RegisterSink("null", func(map[string]string) (Sink, error) { return nullSink{}, nil })
-	return r
-}
 
 // genSource synthesizes deterministic rows for any schema: Int64
 // columns draw bounded values, String columns draw from a small

@@ -1,15 +1,15 @@
 // Package connector is the fabric's external I/O runtime: Sources pump
 // rows from outside readers into the streaming ingestor (batched, with
 // backpressure mapped onto the ingestor's Block/Shed policies), and
-// Sinks fan continuous-query results out of subscriptions. A Registry
-// names source/sink constructors so cheetahd can wire a topology from
-// flags ("gen:rows=1000,rate=500" → the generator source feeding the
-// served table) without compiling connectors in.
+// Sinks fan continuous-query results out of subscriptions. OpenSource and
+// OpenSink build the built-in connectors from spec strings, so cheetahd
+// can wire a topology from flags ("gen:rows=1000,rate=500" → the
+// generator source feeding the served table).
 //
-// The shape follows the stream-processor connector idiom (a benthos-
-// style input/output registry), kept deliberately tiny: a Source is a
-// batch iterator, a Sink is a result consumer, and the Runtime owns the
-// goroutines between them and the session's streaming handle.
+// The shape follows the stream-processor connector idiom, kept
+// deliberately tiny: a Source is a batch iterator, a Sink is a result
+// consumer, and the Runtime owns the goroutines between them and the
+// session's streaming handle.
 package connector
 
 import (
@@ -17,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -49,66 +48,6 @@ type Sink interface {
 	Close() error
 }
 
-// BuildSource constructs a source from parsed spec arguments.
-type BuildSource func(args map[string]string) (Source, error)
-
-// BuildSink constructs a sink from parsed spec arguments.
-type BuildSink func(args map[string]string) (Sink, error)
-
-// Registry names connector constructors.
-type Registry struct {
-	mu      sync.Mutex
-	sources map[string]BuildSource
-	sinks   map[string]BuildSink
-}
-
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{
-		sources: make(map[string]BuildSource),
-		sinks:   make(map[string]BuildSink),
-	}
-}
-
-// RegisterSource names a source constructor. Re-registering a name
-// replaces it.
-func (r *Registry) RegisterSource(name string, build BuildSource) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.sources[name] = build
-}
-
-// RegisterSink names a sink constructor.
-func (r *Registry) RegisterSink(name string, build BuildSink) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.sinks[name] = build
-}
-
-// Sources lists the registered source names, sorted.
-func (r *Registry) Sources() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.sources))
-	for n := range r.sources {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Sinks lists the registered sink names, sorted.
-func (r *Registry) Sinks() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.sinks))
-	for n := range r.sinks {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // ParseSpec splits a "name:key=val,key=val" connector spec.
 func ParseSpec(spec string) (name string, args map[string]string, err error) {
 	name, rest, _ := strings.Cut(spec, ":")
@@ -129,34 +68,36 @@ func ParseSpec(spec string) (name string, args map[string]string, err error) {
 	return name, args, nil
 }
 
-// OpenSource builds the source a spec names.
-func (r *Registry) OpenSource(spec string) (Source, error) {
+// OpenSource builds the built-in source a spec names: "gen" (synthetic
+// rows; args rows, batch, rate, seed) or "csv" (args path, batch, loop).
+func OpenSource(spec string) (Source, error) {
 	name, args, err := ParseSpec(spec)
 	if err != nil {
 		return nil, err
 	}
-	r.mu.Lock()
-	build := r.sources[name]
-	r.mu.Unlock()
-	if build == nil {
-		return nil, fmt.Errorf("connector: unknown source %q (have %s)", name, strings.Join(r.Sources(), ", "))
+	switch name {
+	case "gen":
+		return newGenSource(args)
+	case "csv":
+		return newCSVSource(args)
 	}
-	return build(args)
+	return nil, fmt.Errorf("connector: unknown source %q (have csv, gen)", name)
 }
 
-// OpenSink builds the sink a spec names.
-func (r *Registry) OpenSink(spec string) (Sink, error) {
+// OpenSink builds the built-in sink a spec names: "log" (args path, "-" =
+// stdout, and tag) or "null".
+func OpenSink(spec string) (Sink, error) {
 	name, args, err := ParseSpec(spec)
 	if err != nil {
 		return nil, err
 	}
-	r.mu.Lock()
-	build := r.sinks[name]
-	r.mu.Unlock()
-	if build == nil {
-		return nil, fmt.Errorf("connector: unknown sink %q (have %s)", name, strings.Join(r.Sinks(), ", "))
+	switch name {
+	case "log":
+		return newLogSink(args)
+	case "null":
+		return nullSink{}, nil
 	}
-	return build(args)
+	return nil, fmt.Errorf("connector: unknown sink %q (have log, null)", name)
 }
 
 // Runtime owns the pump goroutines between connectors and one

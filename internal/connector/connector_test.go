@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -44,8 +45,7 @@ func TestFeedAndPipe(t *testing.T) {
 	}
 	defer rt.Close()
 
-	reg := DefaultRegistry()
-	src, err := reg.OpenSource("gen:rows=1000,batch=100,seed=5")
+	src, err := OpenSource("gen:rows=1000,batch=100,seed=5")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestFeedShedBackpressure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, err := DefaultRegistry().OpenSource("gen:rows=500,batch=50")
+	src, err := OpenSource("gen:rows=500,batch=50")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestCSVSource(t *testing.T) {
 	w.Flush()
 	f.Close()
 
-	src, err := DefaultRegistry().OpenSource("csv:path=" + path + ",batch=4")
+	src, err := OpenSource("csv:path=" + path + ",batch=4")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,22 +176,22 @@ func TestCSVSource(t *testing.T) {
 	}
 }
 
-// TestRegistrySpecs covers spec parsing and unknown-name errors.
-func TestRegistrySpecs(t *testing.T) {
-	reg := DefaultRegistry()
-	if _, err := reg.OpenSource("nope:x=1"); err == nil {
-		t.Fatal("unknown source accepted")
+// TestConnectorSpecs covers spec parsing and unknown-name errors, which
+// list the built-in names.
+func TestConnectorSpecs(t *testing.T) {
+	if _, err := OpenSource("nope:x=1"); err == nil || !strings.Contains(err.Error(), "(have csv, gen)") {
+		t.Fatalf("unknown source: %v", err)
 	}
-	if _, err := reg.OpenSink("nope"); err == nil {
-		t.Fatal("unknown sink accepted")
+	if _, err := OpenSink("nope"); err == nil || !strings.Contains(err.Error(), "(have log, null)") {
+		t.Fatalf("unknown sink: %v", err)
 	}
-	if _, err := reg.OpenSource("gen:rows"); err == nil {
+	if _, err := OpenSource("gen:rows"); err == nil {
 		t.Fatal("malformed arg accepted")
 	}
-	if _, err := reg.OpenSource("gen:batch=zero"); err == nil {
+	if _, err := OpenSource("gen:batch=zero"); err == nil {
 		t.Fatal("non-integer arg accepted")
 	}
-	sink, err := reg.OpenSink("null")
+	sink, err := OpenSink("null")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestRegistrySpecs(t *testing.T) {
 		t.Fatal(err)
 	}
 	logPath := filepath.Join(t.TempDir(), "updates.log")
-	ls, err := reg.OpenSink("log:path=" + logPath + ",tag=q1")
+	ls, err := OpenSink("log:path=" + logPath + ",tag=q1")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,10 +34,15 @@ func aggProgram(kind QueryKind, pruner prune.Pruner) bool {
 // survivor is absorbed, GROUP BY SUM's switch state is drained and its
 // keys resolved, and HAVING's candidates are marked — its second pass
 // (partial.sumCandidates) is the completion's, because the candidates of
-// all passes are unioned first.
+// all passes are unioned first. A GROUP BY SUM program sums only the
+// pass's rows: sums it held before the pass — a caller's program that ran
+// before — are thrown away, so every sum resolves to a row of the table.
 func (ps *pass) agg(p *partial) error {
 	q, t, pruner, seed, workers := ps.q, ps.q.Table, ps.pruner, ps.seed, ps.workers
 	p.reset()
+	if gs, ok := pruner.(*prune.GroupBySum); ok {
+		gs.DrainTo(func(uint64, int64) {})
+	}
 	vc := -1
 	if q.Kind != KindDistinct {
 		vc = t.Schema().MustIndex(q.AggCol)

@@ -86,29 +86,6 @@ var filterBitsPool = sync.Pool{New: func() any {
 	return &s
 }}
 
-// predPasses is Predicate.Eval's comparison with the value hoisted —
-// used to precompute, for a LIKE wire column, which of its two values
-// {0, 1} passes a non-precomputed predicate over it (a degenerate shape
-// a caller-built pruner can request; kept for exact parity).
-func predPasses(v int64, op prune.CmpOp, c int64) bool {
-	switch op {
-	case prune.OpGT:
-		return v > c
-	case prune.OpGE:
-		return v >= c
-	case prune.OpLT:
-		return v < c
-	case prune.OpLE:
-		return v <= c
-	case prune.OpEQ:
-		return v == c
-	case prune.OpNE:
-		return v != c
-	default:
-		return false
-	}
-}
-
 // evalIntPred sweeps one raw int64 wire column, OR-ing bit into the
 // bit-vector of every passing row — Filter.Process's predicate bits,
 // one predicate at a time, reading the table column directly.
@@ -168,8 +145,8 @@ func evalIntPred(bits []uint32, col []int64, pr *prune.Predicate, bit uint32) {
 func evalLikePred(bits []uint32, col []string, like string, pr *prune.Predicate, bit uint32) {
 	hitSets, missSets := true, false
 	if !pr.Precomputed {
-		hitSets = predPasses(1, pr.Op, pr.Const)
-		missSets = predPasses(0, pr.Op, pr.Const)
+		hitSets = pr.Op.Holds(1, pr.Const)
+		missSets = pr.Op.Holds(0, pr.Const)
 	}
 	for j := range col {
 		if MatchLike(col[j], like) {

@@ -202,6 +202,60 @@ func TestFusedCustomPrunerFilter(t *testing.T) {
 	}
 }
 
+// TestFusedComparisonOnLikeColumn: a caller-built filter may compare a
+// LIKE column's wire value — its 0/1 match bit — instead of reading it as
+// a precomputed bit. Every operator against 0 and against 1 forwards the
+// same rows fused as chunked, and the master's re-check gives ExecDirect's
+// rows: the switch ORs the comparison with the query's other predicate,
+// so it forwards a superset of what the query's AND accepts.
+func TestFusedComparisonOnLikeColumn(t *testing.T) {
+	tb := equivTable(t, 3000, 0x61)
+	q := &Query{
+		Kind:  KindFilter,
+		Table: tb,
+		Predicates: []FilterPred{
+			{Col: "name", Like: "user0%"},
+			{Col: "val", Op: prune.OpLT, Const: 500},
+		},
+		Formula: boolexpr.And{boolexpr.Leaf{V: 0}, boolexpr.Leaf{V: 1}},
+	}
+	want, err := ExecDirect(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range []prune.CmpOp{prune.OpGT, prune.OpGE, prune.OpLT, prune.OpLE, prune.OpEQ, prune.OpNE} {
+		for _, c := range []int64{0, 1} {
+			mk := func() prune.Pruner {
+				f, err := prune.NewFilter(prune.FilterConfig{
+					Predicates: []prune.Predicate{{ValIdx: 0, Op: op, Const: c}, {ValIdx: 1, Op: prune.OpLT, Const: 500}},
+					Formula:    boolexpr.Or{boolexpr.Leaf{V: 0}, boolexpr.Leaf{V: 1}},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return f
+			}
+			fused, err := ExecCheetah(q, CheetahOptions{Workers: 3, Seed: 5, Pruner: mk()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			batch, err := ExecCheetah(q, CheetahOptions{Workers: 3, Seed: 5, Pruner: mk(), NoFuse: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fused.Traffic != batch.Traffic || fused.Stats != batch.Stats {
+				t.Fatalf("bit %v %d: fused and chunked diverge\nbatch: %+v %+v\nfused: %+v %+v",
+					op, c, batch.Traffic, batch.Stats, fused.Traffic, fused.Stats)
+			}
+			for path, run := range map[string]*ShardedRun{"fused": fused, "chunked": batch} {
+				if !run.Result.Equal(want) {
+					t.Fatalf("bit %v %d %s: diverges from ExecDirect\nwant:\n%s\ngot:\n%s", op, c, path, want, run.Result)
+				}
+			}
+		}
+	}
+}
+
 // exactnessFilters returns caller-built switch programs for q (two
 // comparison predicates under AND) by name, with whether each one is the
 // query's exact filter.

@@ -451,11 +451,11 @@ func (sc *joinScratch) pairCounts(jp *joinPairs) {
 // count) rows of the keys the passes (scs) joined into jp's pairs, in the
 // canonical order of the query's right dictionary — its order walked in
 // parallel rank ranges (rankedRows, with each pass's row scratch), each
-// entry zeroed as it renders. No row is compared, but rows whose keys
-// include a key followed by NUL sort whole (aggResult).
+// entry zeroed as it renders. The rows are built in their final order: no
+// row is compared.
 func completeJoin(q *Query, jp *joinPairs, scs []*joinScratch) (*Result, error) {
 	dict, pairs := jp.right.ids, jp.pairs
-	order, nul := dict.Order()
+	order := dict.Order()
 	rs := make([]*rowScratch, min(len(scs), max(1, len(order)/rankRangeMin)))
 	for s := range rs {
 		rs[s] = &scs[s].rows
@@ -473,7 +473,7 @@ func completeJoin(q *Query, jp *joinPairs, scs []*joinScratch) (*Result, error) 
 		return nil, err
 	}
 	jp.dirty = false
-	return aggResult(q, rows, nul), nil
+	return &Result{Columns: ResultColumns(q), Rows: rows}, nil
 }
 
 // batchJoinPasses is fusedJoinPasses on the chunked pipeline — the same

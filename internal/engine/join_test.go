@@ -333,14 +333,13 @@ func TestJoinFusedMatchesChunked(t *testing.T) {
 	}
 }
 
-// TestJoinRankOrderNULKeys joins keys whose rank order — the right
-// dictionary's, byte-wise by cell: "a" < "a\x00" < "a\x000" — is not the
-// rows' canonical order: ("a\x00", n) and ("a\x000", n) sort before
-// ("a", n), whose separator meets their NUL and '0'. So the completion
-// must fall back to sorting the rows whole, at every shard count, fused
-// and chunked: alone, where the dictionary's order is walked in one rank
-// range, and padded with keys joined on both sides, where it is split
-// between ranges.
+// TestJoinRankOrderNULKeys joins keys that are other keys followed by NUL
+// — "a" < "a\x00" < "a\x000" in the right dictionary's rank order,
+// byte-wise by cell — and checks that the rows come out in that rank
+// order as the completion builds them, which is the canonical order, at
+// every shard count, fused and chunked: alone, where the dictionary's
+// order is walked in one rank range, and padded with keys joined on both
+// sides, where it is split between ranges.
 func TestJoinRankOrderNULKeys(t *testing.T) {
 	words := []string{"a", "a\x000", "a\x00"}
 	// Pair counts 3·2, 1·3, 2·1: no two rows agree on a count either.
@@ -357,7 +356,7 @@ func TestJoinRankOrderNULKeys(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(want.Rows) != len(ws) || want.Rows[0][0] != "a\x00" {
+		if len(want.Rows) != len(ws) || want.Rows[0][0] != "a" || want.Rows[1][0] != "a\x00" {
 			t.Fatalf("pad=%d: ExecDirect gives %q", pad, want.Rows[:3])
 		}
 		for _, noFuse := range []bool{false, true} {
@@ -369,6 +368,11 @@ func TestJoinRankOrderNULKeys(t *testing.T) {
 				if !run.Result.Equal(want) {
 					t.Fatalf("pad=%d noFuse=%v k=%d: diverges from ExecDirect\nwant:\n%q\ngot:\n%q",
 						pad, noFuse, k, want.Rows, run.Result.Rows)
+				}
+				for i, row := range run.Result.Rows[1:] {
+					if prev := run.Result.Rows[i][0]; prev >= row[0] {
+						t.Fatalf("pad=%d noFuse=%v k=%d: key %q follows %q out of rank order", pad, noFuse, k, row[0], prev)
+					}
 				}
 			}
 		}

@@ -24,7 +24,8 @@ package engine
 //	GROUP BY SUM  sum: the switch hands the master (fingerprint, sum)
 //	              pairs with no row, kept by fingerprint until the drain
 //	              is over; resolve then keys each by the id of the first
-//	              row carrying its fingerprint
+//	              row carrying its fingerprint — every pair has one, as
+//	              the pass's program holds no sums older than the pass
 //	HAVING        exact sum: the switch nominates fingerprints; the
 //	              second pass (sumCandidates) sums every row whose
 //	              fingerprint is a candidate into its own id's entry
@@ -40,7 +41,9 @@ package engine
 // compared and nothing merged. Below that — a small result over a large table — the partials
 // fold into the first, serially, and its key cells go through the radix
 // sort. Either way key cells are rendered late, from the dictionary, once
-// per result row.
+// per result row, and the rows are built in their final order: one unique
+// key cell first, so byte-wise key order is CompareRows' order, and no
+// row is compared after they are built.
 //
 // Exactness. The switch identifies a key with its fingerprint: two keys
 // sharing one may be pruned (DISTINCT, GROUP BY MAX) or summed (GROUP BY
@@ -206,10 +209,6 @@ type partial struct {
 	ents       []idEnt
 	byFP       fpTable
 	fpEnts     []fpEnt
-	// unresolved holds GROUP BY SUM sums no row of t resolved (a standing
-	// program drained state older than this table); each renders with an
-	// empty key.
-	unresolved []int64
 	order      []int // arrival's scratch
 	// The serial render's scratch: the radix sort and the entry indices it
 	// orders with the key cells; and the rows' (rowScratch), which the
@@ -307,7 +306,6 @@ func (p *partial) reset() {
 	p.ents = p.ents[:0]
 	p.byFP.reset(func(i int) uint64 { return p.fpEnts[i].fp })
 	p.fpEnts = p.fpEnts[:0]
-	p.unresolved = p.unresolved[:0]
 }
 
 // release returns p to the pool. Nothing rendered from p refers to its
@@ -320,7 +318,7 @@ func (p *partial) release() {
 	p.reset()
 	clear(p.fpEnts[:cap(p.fpEnts)])
 	if !poolable(append(p.rows.caps(), cap(p.cols), cap(p.scratch), p.idScratch.Cap(), cap(p.byID.slots),
-		cap(p.ents), cap(p.byFP.slots), cap(p.fpEnts), cap(p.unresolved), cap(p.order), p.sorter.Cap(),
+		cap(p.ents), cap(p.byFP.slots), cap(p.fpEnts), cap(p.order), p.sorter.Cap(),
 		cap(p.idx))...) {
 		*p = partial{}
 	}
@@ -425,8 +423,9 @@ func (p *partial) arrival(workers int) []int {
 // first row carrying its fingerprint — the late key lookup, run once after
 // the drain over the handful of fingerprints that survived instead of once
 // per stream entry, stopping at the row that resolves the last one. Equal
-// keys have equal fingerprints, so no two sums resolve to one id. A sum no
-// row resolves goes to unresolved.
+// keys have equal fingerprints, so no two sums resolve to one id. Every
+// sum was summed from the pass's own rows (pass.agg), so a row resolves
+// each.
 func (p *partial) resolve() {
 	missing := len(p.fpEnts)
 	for r, fp := range p.fps {
@@ -439,11 +438,6 @@ func (p *partial) resolve() {
 			e, _ := p.idEnt(p.ids[r])
 			e.val += fe.val
 			missing--
-		}
-	}
-	for _, fe := range p.fpEnts {
-		if fe.row < 0 {
-			p.unresolved = append(p.unresolved, fe.val)
 		}
 	}
 }
@@ -526,25 +520,12 @@ func (p *partial) merge(o *partial) {
 			}
 		}
 	}
-	p.unresolved = append(p.unresolved, o.unresolved...)
 }
 
 // grouped reports whether kind's rows carry a value cell beside the key:
 // GROUP BY's aggregate, JOIN's pair count.
 func grouped(kind QueryKind) bool {
 	return kind == KindGroupByMax || kind == KindGroupBySum || kind == KindJoin
-}
-
-// aggResult returns q's Result over rows, whose keys are in the canonical
-// order, sorting them when, as rows, they are not in Result.Sort's order
-// too (keyOrderExact; one-cell rows always are, and so are rows of which
-// no key contains NUL: nul false).
-func aggResult(q *Query, rows [][]string, nul bool) *Result {
-	res := &Result{Columns: ResultColumns(q), Rows: rows}
-	if grouped(q.Kind) && nul && !keyOrderExact(rows) {
-		res.Sort()
-	}
-	return res
 }
 
 // aggRows fills rows, one per key, with the rows of keys given in order:
@@ -586,7 +567,7 @@ func aggRows(grouped bool, rows [][]string, cells []string, vals []int64, sc *ro
 func ranked(partials []*partial) bool {
 	n := 0
 	for _, p := range partials {
-		if len(p.cols) != 1 || len(p.unresolved) > 0 {
+		if len(p.cols) != 1 {
 			return false
 		}
 		n = max(n, len(p.ents))
@@ -603,7 +584,7 @@ const rankRangeMin = 1 << 10
 // each id of its own (fold).
 func completeRanked(q *Query, partials []*partial) (*Result, error) {
 	dict := partials[0].dict
-	order, nul := dict.Order()
+	order := dict.Order()
 	g := grouped(q.Kind)
 	rs := make([]*rowScratch, min(len(partials), max(1, len(order)/rankRangeMin)))
 	for s := range rs {
@@ -623,7 +604,7 @@ func completeRanked(q *Query, partials []*partial) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return aggResult(q, rows, nul), nil
+	return &Result{Columns: ResultColumns(q), Rows: rows}, nil
 }
 
 // rankedRows renders a ranked completion's rows in len(rs) parallel
@@ -700,8 +681,9 @@ func fold(q *Query, partials []*partial, id uint32) (v int64, ok bool) {
 // render is the serial completion, over p's entries after every other
 // partial merged into it: the key cells of the entries the kind keeps
 // are rendered from the dictionary and radix-sorted with their entries'
-// indices, and the rows are built in that order. A multi-column key's
-// rows render from their representative rows and sort whole.
+// indices, and the rows are built in that order, which is final. A
+// multi-column key's rows render from their representative rows and sort
+// whole.
 func (p *partial) render(q *Query) *Result {
 	if len(p.cols) > 1 {
 		nc := len(p.cols)
@@ -738,32 +720,8 @@ func (p *partial) render(q *Query) *Result {
 		for _, j := range idx {
 			vals = append(vals, p.ents[j].val)
 		}
-		for _, v := range p.unresolved {
-			cells, vals = append(cells, ""), append(vals, v)
-		}
 	}
 	rows := make([][]string, len(cells))
 	aggRows(g, rows, cells, vals, &p.rows)
-	res := aggResult(q, rows, true)
-	if len(p.unresolved) > 0 {
-		res.Sort()
-	}
-	return res
-}
-
-// keyOrderExact reports whether rows whose first cells are sorted, unique
-// keys are also in the order of their "\x00"-joined rows whatever the
-// other cells hold. They are unless some key is another key followed by
-// NUL: then the separator ties with that NUL and the next cell decides. In
-// sorted order such a pair has the shorter key first and nothing but keys
-// of that shape between them, so checking neighbours finds it — at the
-// cost of a byte, and only where a key is longer than its predecessor.
-func keyOrderExact(rows [][]string) bool {
-	for i := 1; i < len(rows); i++ {
-		a, b := rows[i-1][0], rows[i][0]
-		if len(b) > len(a) && b[len(a)] == 0 && b[:len(a)] == a {
-			return false
-		}
-	}
-	return true
+	return &Result{Columns: ResultColumns(q), Rows: rows}
 }

@@ -12,6 +12,7 @@ import (
 	"unsafe"
 
 	"cheetah/internal/hashutil"
+	"cheetah/internal/prune"
 	"cheetah/internal/table"
 )
 
@@ -410,6 +411,15 @@ func FuzzAggCompletion(f *testing.F) {
 				{Kind: KindHaving, Table: v, KeyCol: "key", AggCol: "val", Threshold: threshold},
 			} {
 				want, err := ExecDirect(q)
+				if q.Threshold < 0 {
+					// Validation refuses a negative HAVING threshold: both
+					// executors must.
+					_, serr := ExecSharded(q, ShardedOptions{Shards: 2, Seed: 9})
+					if err == nil || serr == nil {
+						t.Fatalf("threshold %d: ExecDirect answered %v, ExecSharded %v", q.Threshold, err, serr)
+					}
+					continue
+				}
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -478,6 +488,50 @@ func TestHavingCollisions(t *testing.T) {
 			merged.merge(forced(255, len(keys)))
 			if got := merged.render(q); !got.Equal(want) {
 				t.Fatalf("int=%v fingerprints=%s: merged HAVING partials diverge from execHaving\nwant:\n%s\ngot:\n%s", intKeys, fname, want, got)
+			}
+		}
+	}
+}
+
+// TestGroupBySumPinnedHeldSums runs GROUP BY SUM on pinned programs that
+// already hold sums — for fingerprints no row carries, and one for a key
+// of the table — through ExecCheetah, fused and chunked, and ExecSharded
+// at k = 2: a pass sums only its own rows, so no sum renders under an
+// empty key or joins a key's total, and the Result is ExecDirect's.
+func TestGroupBySumPinnedHeldSums(t *testing.T) {
+	const seed = 5
+	tb := joinKeyTable(t, false, seqKeys(600, 0, 37), nil)
+	q := &Query{Kind: KindGroupBySum, Table: tb, KeyCol: "name", AggCol: "pay"}
+	want, err := ExecDirect(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fps := make([]uint64, tb.NumRows())
+	tb.HashKeys(0, seed, fps)
+	held := func() prune.Pruner {
+		pr, err := defaultShardPruner(q, 1, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, fp := range []uint64{1, 2, 3, fps[0]} {
+			pr.(*prune.GroupBySum).FusedAdd(fp, int64(1000*(i+1)))
+		}
+		return pr
+	}
+	for _, noFuse := range []bool{false, true} {
+		one, err := ExecCheetah(q, CheetahOptions{Workers: 2, Seed: seed, NoFuse: noFuse, Pruner: held()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		two, err := ExecSharded(q, ShardedOptions{Shards: 2, Workers: 2, Seed: seed, NoFuse: noFuse,
+			Pruners: []prune.Pruner{held(), held()}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, got := range []*Result{one.Result, two.Result} {
+			if !got.Equal(want) {
+				t.Fatalf("noFuse=%v k=%d: %d rows, ExecDirect has %d\nwant:\n%s\ngot:\n%s",
+					noFuse, k+1, len(got.Rows), len(want.Rows), want, got)
 			}
 		}
 	}

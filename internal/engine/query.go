@@ -117,23 +117,7 @@ func (p FilterPred) Eval(t *table.Table, col int, r int) bool {
 	if p.Like != "" {
 		return MatchLike(t.StringAt(col, r), p.Like)
 	}
-	v := t.Int64At(col, r)
-	switch p.Op {
-	case prune.OpGT:
-		return v > p.Const
-	case prune.OpGE:
-		return v >= p.Const
-	case prune.OpLT:
-		return v < p.Const
-	case prune.OpLE:
-		return v <= p.Const
-	case prune.OpEQ:
-		return v == p.Const
-	case prune.OpNE:
-		return v != p.Const
-	default:
-		return false
-	}
+	return p.Op.Holds(t.Int64At(col, r), p.Const)
 }
 
 // Query is a declarative query spec consumed by both execution paths.
@@ -331,12 +315,12 @@ func ResultColumns(q *Query) []string {
 	return nil
 }
 
-// Sort puts the rows into the canonical order, CompareRows': ascending by
-// the "\x00"-joined row key, rows of one key cell by cell, which makes
-// results comparable. It is the one result sort, which the ExecDirect
-// oracle and every engine completion call; JOIN's run merge, the stream
-// mergers and subscription change sets keep rows in its order. No key is
-// built per comparison.
+// Sort puts the rows into the canonical order, CompareRows': cell by
+// cell, which makes results comparable. It is the one result sort: the
+// ExecDirect oracle calls it, and so do the completions that have no
+// dictionary to walk — FILTER, SKYLINE, multi-column DISTINCT. The keyed
+// completions build their rows in its order and never call it; the stream
+// mergers and subscription change sets keep rows in its order.
 func (r *Result) Sort() { sortRows(r.Rows) }
 
 // Equal reports whether two sorted results match exactly, headers and

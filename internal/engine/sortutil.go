@@ -6,45 +6,21 @@ import (
 	"strings"
 )
 
-// CompareRows orders rows canonically: by their "\x00"-joined keys, and
-// rows whose keys are equal but whose cells differ (["a\x00b"] beside
-// ["a", "b"]) cell by cell, so that only equal rows compare equal and every
-// arrangement of one multiset sorts to the same slice. No key is built:
-// rows compare cell by cell, a shorter row first when one is a prefix of
-// the other, which is the joined-key order except where a cell that is a
-// proper prefix of its counterpart meets a NUL in the longer cell — there
-// the separator ties with the NUL, and only then are the remaining cells
-// joined and compared as keys.
+// CompareRows orders rows canonically: cell by cell, each cell byte-wise,
+// a row that is a prefix of another first: slices.Compare's order, with
+// one strings.Compare a cell where slices.Compare's cmp.Compare may make two.
+// Only equal rows compare equal, so every arrangement of one multiset
+// sorts to the same slice. A keyed completion's rows — one unique key
+// cell, then values — are in this order when their key cells are sorted
+// byte-wise, so a completion that walks its dictionary's rank order needs
+// no sort.
 func CompareRows(a, b []string) int {
-	n := min(len(a), len(b))
-	if n == 0 {
-		// An empty row's key is "", as is a row of one empty cell's.
-		return joinedCompare(a, b)
-	}
-	for k := 0; k < n; k++ {
-		x, y := a[k], b[k]
-		c := strings.Compare(x, y)
-		if c == 0 {
-			continue
+	for i := range min(len(a), len(b)) {
+		if c := strings.Compare(a[i], b[i]); c != 0 {
+			return c
 		}
-		// The shorter cell sorts first unless the longer one continues
-		// with NUL where the shorter row continues with a separator.
-		if c < 0 && len(x) < len(y) && y[len(x)] == 0 && k < len(a)-1 && y[:len(x)] == x ||
-			c > 0 && len(y) < len(x) && x[len(y)] == 0 && k < len(b)-1 && x[:len(y)] == y {
-			return joinedCompare(a[k:], b[k:])
-		}
-		return c
 	}
 	return len(a) - len(b)
-}
-
-// joinedCompare compares rows by their joined keys, and rows of equal keys
-// cell by cell.
-func joinedCompare(a, b []string) int {
-	if c := strings.Compare(strings.Join(a, "\x00"), strings.Join(b, "\x00")); c != 0 {
-		return c
-	}
-	return slices.Compare(a, b)
 }
 
 // sortRows puts rows into the canonical result order (see Result.Sort),

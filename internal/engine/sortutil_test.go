@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -16,22 +15,18 @@ import (
 	"cheetah/internal/table"
 )
 
-// legacySortKeys is the canonical order's definition: the row keys —
-// cells joined with "\x00" — in ascending order. Rows with equal keys
-// (possible only with a NUL inside a cell, or between an empty row and
-// a row of one empty cell) may come out in either order, so two sorts
-// agree when their key sequences do.
-func legacySortKeys(rows [][]string) []string {
-	keys := make([]string, len(rows))
-	for i, r := range rows {
-		keys[i] = strings.Join(r, "\x00")
-	}
-	sort.Strings(keys)
-	return keys
+// legacySortKeys is the canonical order's definition: rows compared cell
+// by cell, each cell byte-wise, a prefix first (slices.Compare), in
+// ascending order. Only equal rows compare equal, so the sorted rows are
+// one sequence.
+func legacySortKeys(rows [][]string) [][]string {
+	sorted := slices.Clone(rows)
+	slices.SortFunc(sorted, slices.Compare[[]string])
+	return sorted
 }
 
 // checkCanonicalSort sorts a copy of rows with Result.Sort and checks
-// the outcome against the legacy definition.
+// the outcome against the definition.
 func checkCanonicalSort(t *testing.T, rows [][]string) {
 	t.Helper()
 	res := &Result{Rows: append([][]string(nil), rows...)}
@@ -39,27 +34,15 @@ func checkCanonicalSort(t *testing.T, rows [][]string) {
 	checkCanonicalOrder(t, "Result.Sort", res.Rows, rows)
 }
 
-// checkCanonicalOrder checks that got is rows in the legacy definition's
-// order: same key sequence, same multiset of rows.
+// checkCanonicalOrder checks that got is rows in the definition's order.
 func checkCanonicalOrder(t *testing.T, how string, got, rows [][]string) {
 	t.Helper()
 	if len(got) != len(rows) {
 		t.Fatalf("%s: %d rows became %d", how, len(rows), len(got))
 	}
-	want := legacySortKeys(rows)
-	left := map[string]int{}
-	for _, r := range rows {
-		left[fmt.Sprintf("%q", r)]++
-	}
-	for i, r := range got {
-		if key := strings.Join(r, "\x00"); key != want[i] {
-			t.Fatalf("%s: row %d: key %q, legacy order has %q", how, i, key, want[i])
-		}
-		left[fmt.Sprintf("%q", r)]--
-	}
-	for r, n := range left {
-		if n != 0 {
-			t.Fatalf("%s: row %s: count off by %d", how, r, n)
+	for i, want := range legacySortKeys(rows) {
+		if !slices.Equal(got[i], want) {
+			t.Fatalf("%s: row %d: %q, the canonical order has %q", how, i, got[i], want)
 		}
 	}
 }
@@ -124,34 +107,10 @@ var sortOrderSeeds = []struct {
 	{[]byte("a,1;a\x00,1;a\x00b,1;ab,1;,1;b,1;\x00,1"), 1, false, 0},
 }
 
-// checkCompareRows pins CompareRows to strings.Compare of the joined keys
-// on every pair of the first rows: the same sign wherever the keys
-// differ, 0 where they are equal exactly when the rows are, and the
-// opposite sign with the arguments swapped.
-func checkCompareRows(t *testing.T, rows [][]string) {
-	t.Helper()
-	rows = rows[:min(len(rows), 40)]
-	for _, a := range rows {
-		for _, b := range rows {
-			got := cmp.Compare(CompareRows(a, b), 0)
-			want := strings.Compare(strings.Join(a, "\x00"), strings.Join(b, "\x00"))
-			switch {
-			case want != 0 && got != want:
-				t.Fatalf("CompareRows(%q, %q) is %d, the joined keys compare %d", a, b, got, want)
-			case want == 0 && (got == 0) != slices.Equal(a, b):
-				t.Fatalf("CompareRows(%q, %q) is %d, the rows share one joined key", a, b, got)
-			case cmp.Compare(CompareRows(b, a), 0) != -got:
-				t.Fatalf("CompareRows(%q, %q) is %d, swapped %d", a, b, got, CompareRows(b, a))
-			}
-		}
-	}
-}
-
 // FuzzResultSortOrder pins the canonical order on generated rows — NUL
 // cells, empty cells, ragged rows, long shared prefixes, one to three
-// columns: CompareRows against strings.Compare of the joined keys,
-// Result.Sort against the legacy definition (and one arrangement of the
-// rows against another).
+// columns: Result.Sort against slices.Compare's order (and one
+// arrangement of the rows against another).
 func FuzzResultSortOrder(f *testing.F) {
 	for _, s := range sortOrderSeeds {
 		f.Add(s.data, s.width, s.ragged, s.prefix)
@@ -161,7 +120,6 @@ func FuzzResultSortOrder(f *testing.F) {
 			return
 		}
 		rows := fuzzRows(data, width, ragged, strings.Repeat("p", int(prefix%64)))
-		checkCompareRows(t, rows)
 		checkCanonicalSort(t, rows)
 		rev := slices.Clone(rows)
 		slices.Reverse(rev)
@@ -250,8 +208,8 @@ func TestMergeRowsRejects(t *testing.T) {
 // checkRankedOrder puts the keys of a one-key-column table holding cells
 // (unique, all of one type) in order the ways a partial does — the key
 // dictionary's order, and the GROUP BY completions that walk it
-// (completeRanked) or radix-sort the cells (render) — and checks each
-// against the legacy definition, on the rendered cells.
+// (completeRanked) or radix-sort the cells (render), neither sorting rows
+// — and checks each against the canonical order, on the rendered cells.
 func checkRankedOrder(t *testing.T, typ table.Type, cells []any) {
 	t.Helper()
 	tb := table.MustNew(table.Schema{{Name: "key", Type: typ}, {Name: "val", Type: table.Int64}})
@@ -272,7 +230,7 @@ func checkRankedOrder(t *testing.T, typ table.Type, cells []any) {
 		want[i] = r[0]
 	}
 	sort.Strings(want)
-	order, _ := p.dict.Order()
+	order := p.dict.Order()
 	if len(order) != len(want) {
 		t.Fatalf("%v keys: the dictionary orders %d ids, the table holds %d keys", typ, len(order), len(want))
 	}
@@ -290,14 +248,14 @@ func checkRankedOrder(t *testing.T, typ table.Type, cells []any) {
 }
 
 // FuzzKeySortOrder pins the key-only order GROUP BY results are built
-// in to Result.Sort on generated rows of a unique key and one or two
-// value cells: NUL in keys and values, the empty key, keys that are
+// in to the canonical order on generated rows of a unique key and one or
+// two value cells: NUL in keys and values, the empty key, keys that are
 // prefixes of one another, long shared prefixes. Both ways a partial
-// orders keys are driven: the radix sort of the keys with their row
-// indices (keyOrderExact, Result.Sort when that says no), and the key
-// dictionary's ranks (checkRankedOrder) — over the keys as strings, and
-// over integers derived from them, whose rendered order is not their
-// numeric one, math.MinInt64 included.
+// orders keys are driven, and neither may need a sort of its rows: the
+// radix sort of the keys with their row indices, and the key dictionary's
+// ranks (checkRankedOrder) — over the keys as strings, and over integers
+// derived from them, whose rendered order is not their numeric one,
+// math.MinInt64 included.
 func FuzzKeySortOrder(f *testing.F) {
 	f.Add([]byte("b,1;a,2;ab,3;,4"), uint8(0), uint8(0))
 	f.Add([]byte("a,z;a\x00,y;a\x00b,x;\x00,w"), uint8(0), uint8(0))
@@ -322,21 +280,14 @@ func FuzzKeySortOrder(f *testing.F) {
 			keys[i], idx[i] = row[0], int32(i)
 		}
 		new(radix.Sorter).Sort(keys, idx)
-		got := &Result{Rows: make([][]string, len(rows))}
+		got := make([][]string, len(rows))
 		for i, j := range idx {
 			if rows[j][0] != keys[i] {
 				t.Fatalf("index %d sits beside key %q, belongs to %q", j, keys[i], rows[j][0])
 			}
-			got.Rows[i] = rows[j]
+			got[i] = rows[j]
 		}
-		if !keyOrderExact(got.Rows) {
-			got.Sort()
-		}
-		for i, want := range legacySortKeys(rows) {
-			if key := strings.Join(got.Rows[i], "\x00"); key != want {
-				t.Fatalf("row %d: key %q, legacy order has %q", i, key, want)
-			}
-		}
+		checkCanonicalOrder(t, "radix-sorted keys", got, rows)
 		strs := make([]any, len(rows))
 		ints := []any{}
 		seenInt := map[int64]bool{}

@@ -10,6 +10,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -430,6 +431,35 @@ func TestPingAndBadFrame(t *testing.T) {
 			t.Fatal("protocol violation not surfaced")
 		case <-time.After(5 * time.Millisecond):
 		}
+	}
+}
+
+// TestHelloVersionRefused: a Hello at a protocol version the server does
+// not speak gets an Error frame that names both versions, and no Welcome.
+func TestHelloVersionRefused(t *testing.T) {
+	srv, _ := testServer(t, false, 500)
+	nc, err := net.Dial("tcp", srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	if err := nc.SetDeadline(time.Now().Add(10 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	old := wire.ProtoVersion - 1
+	if err := wire.WriteFrame(nc, wire.FrameHello, (&wire.Hello{Version: old, Tenant: "t"}).EncodeBody(nil)); err != nil {
+		t.Fatal(err)
+	}
+	ft, body, err := wire.ReadFrame(nc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var e wire.ErrorMsg
+	if ft != wire.FrameError || e.DecodeBody(body) != nil {
+		t.Fatalf("a version-%d Hello got a %v frame", old, ft)
+	}
+	if want := fmt.Sprintf("protocol version %d not supported (want %d)", old, wire.ProtoVersion); e.Msg != want {
+		t.Fatalf("the refusal says %q, want %q", e.Msg, want)
 	}
 }
 

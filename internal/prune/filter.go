@@ -46,6 +46,25 @@ func (o CmpOp) String() string {
 	}
 }
 
+// Holds reports whether v ⟨o⟩ c; an unknown operator holds for nothing.
+func (o CmpOp) Holds(v, c int64) bool {
+	switch o {
+	case OpGT:
+		return v > c
+	case OpGE:
+		return v >= c
+	case OpLT:
+		return v < c
+	case OpLE:
+		return v <= c
+	case OpEQ:
+		return v == c
+	case OpNE:
+		return v != c
+	}
+	return false
+}
+
 // Predicate is one basic predicate of a WHERE clause, in one of two
 // forms:
 //
@@ -67,23 +86,7 @@ func (p Predicate) Eval(vals []uint64) bool {
 	if p.Precomputed {
 		return vals[p.ValIdx] != 0
 	}
-	v := int64(vals[p.ValIdx])
-	switch p.Op {
-	case OpGT:
-		return v > p.Const
-	case OpGE:
-		return v >= p.Const
-	case OpLT:
-		return v < p.Const
-	case OpLE:
-		return v <= p.Const
-	case OpEQ:
-		return v == p.Const
-	case OpNE:
-		return v != p.Const
-	default:
-		return false
-	}
+	return p.Op.Holds(int64(vals[p.ValIdx]), p.Const)
 }
 
 // FilterConfig configures the filtering pruner.

@@ -36,6 +36,7 @@ type GroupBySum struct {
 	keys    []uint64
 	sums    []int64
 	used    []bool
+	held    int      // slots in use
 	emit    []uint64 // scratch for the emitted (key, sum) pair
 	tally
 }
@@ -125,6 +126,7 @@ func (p *GroupBySum) FusedAdd(key uint64, v int64) (evKey uint64, evSum int64, e
 	}
 	if free >= 0 {
 		used[free], keys[free], sums[free] = true, key, v
+		p.held++
 		return 0, 0, false
 	}
 	// Row full: evict the first slot (rolling replacement), forwarding
@@ -140,14 +142,8 @@ func (p *GroupBySum) FusedAdd(key uint64, v int64) (evKey uint64, evSum int64, e
 // Drain implements Drainer: the cached partial sums leave the switch as
 // (key, sum) pairs at end-of-stream.
 func (p *GroupBySum) Drain() [][]uint64 {
-	n := 0
-	for _, u := range p.used {
-		if u {
-			n++
-		}
-	}
-	out := make([][]uint64, 0, n)
-	backing := make([]uint64, 0, 2*n)
+	out := make([][]uint64, 0, p.held)
+	backing := make([]uint64, 0, 2*p.held)
 	p.DrainTo(func(key uint64, sum int64) {
 		backing = append(backing, key, uint64(sum))
 		out = append(out, backing[len(backing)-2:len(backing):len(backing)])
@@ -156,21 +152,28 @@ func (p *GroupBySum) Drain() [][]uint64 {
 }
 
 // DrainTo is Drain handing each pair to emit, for callers that fold the
-// pairs and have no use for a slice per slot.
+// pairs and have no use for a slice per slot. It stops at the last held
+// slot, so draining an empty program reads none.
 func (p *GroupBySum) DrainTo(emit func(key uint64, sum int64)) {
+	if p.held == 0 {
+		return
+	}
 	for i, u := range p.used {
-		if u {
-			emit(p.keys[i], p.sums[i])
-			p.used[i] = false
+		if !u {
+			continue
+		}
+		emit(p.keys[i], p.sums[i])
+		p.used[i] = false
+		if p.held--; p.held == 0 {
+			return
 		}
 	}
 }
 
 // Reset implements switchsim.Program.
 func (p *GroupBySum) Reset() {
-	for i := range p.used {
-		p.used[i] = false
-	}
+	clear(p.used)
+	p.held = 0
 	p.stats = Stats{}
 }
 

@@ -181,12 +181,12 @@ func TestDeltaColdCost(t *testing.T) {
 	if !ok || built != 0 {
 		t.Fatalf("the caught-up dictionary turned the table away (%v) or built %d rows", !ok, built)
 	}
-	ranked, _ := dict.Order()
+	ranked := dict.Order()
 	appendRows(rows, rows+batch)
 	if delta := step(batch); delta != (table.KeyMemoStats{Hashed: rows, IDs: rows}) {
 		t.Fatalf("a %d-row delta took the memos to cover %+v", batch, delta)
 	}
-	if now, _ := dict.Order(); len(now) != len(ranked) {
+	if now := dict.Order(); len(now) != len(ranked) {
 		t.Fatalf("a %d-row delta ranked %d keys", batch, len(now)-len(ranked))
 	}
 	all := *q

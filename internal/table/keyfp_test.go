@@ -1,7 +1,6 @@
 package table
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -289,7 +288,7 @@ func keyIDsError(h *Table, c int, k KeyIDs) error {
 	if k.Len() == 0 {
 		return nil
 	}
-	order, nul := k.Order()
+	order := k.Order()
 	var byRank []uint32
 	for _, id := range order {
 		if int(id) < k.Len() {
@@ -299,19 +298,14 @@ func keyIDsError(h *Table, c int, k KeyIDs) error {
 	if len(byRank) != k.Len() {
 		return fmt.Errorf("order lists %d of the %d ids below Len", len(byRank), k.Len())
 	}
-	anyNUL := false
 	for i, id := range byRank {
 		if cell := rendered(col, int(k.first[id])); cell != k.Cell(id) {
 			return fmt.Errorf("id %d: Cell renders %q, its first row holds %q", id, k.Cell(id), cell)
 		}
 		cell := rendered(col, int(k.first[id]))
-		anyNUL = anyNUL || slices.Contains([]byte(cell), 0)
 		if i > 0 && rendered(col, int(k.first[byRank[i-1]])) >= cell {
 			return fmt.Errorf("ranks put %q before %q", rendered(col, int(k.first[byRank[i-1]])), cell)
 		}
-	}
-	if anyNUL && !nul {
-		return errors.New("a ranked key holds NUL, ranks say none does")
 	}
 	return nil
 }

@@ -197,7 +197,6 @@ func (x *dictIndex) grow() {
 // cell.
 type keyRanks struct {
 	order []uint32
-	nul   bool // some ranked key contains a NUL byte
 }
 
 // ranks returns ranks covering at least k's ids — the lineage's latest,
@@ -225,9 +224,8 @@ func (k KeyIDs) ranks() *keyRanks {
 // a handful of comparisons per key and one linear pass.
 func (k KeyIDs) rankFrom(old *keyRanks) *keyRanks {
 	var prev []uint32
-	nul := false
 	if old != nil {
-		prev, nul = old.order, old.nul
+		prev = old.order
 	}
 	n := len(k.first)
 	keys, fresh := make([]string, n-len(prev)), make([]int32, n-len(prev))
@@ -238,7 +236,6 @@ func (k KeyIDs) rankFrom(old *keyRanks) *keyRanks {
 		r := k.first[fresh[i]]
 		if k.col.typ == String {
 			keys[i] = k.col.strs[r]
-			nul = nul || strings.IndexByte(keys[i], 0) >= 0
 		} else {
 			digits = strconv.AppendInt(digits, k.col.ints[r], 10)
 			ends = append(ends, len(digits))
@@ -259,7 +256,7 @@ func (k KeyIDs) rankFrom(old *keyRanks) *keyRanks {
 		prev = prev[at:]
 	}
 	order = append(order, prev...)
-	return &keyRanks{order: order, nul: nul}
+	return &keyRanks{order: order}
 }
 
 // compare orders ids a and b by their keys' rendered cells.
@@ -313,13 +310,10 @@ func (k KeyIDs) Distinct() bool {
 
 // Order returns ids in the canonical order of their keys — byte-wise by
 // rendered cell — covering at least the ids below Len (ids past it, which
-// another reader's rows brought, may be listed too), and whether a ranked
-// key contains NUL. It ranks, once per dictionary, what no reader ranked
-// yet. The slice is shared: read, never write.
-func (k KeyIDs) Order() (order []uint32, nul bool) {
-	r := k.ranks()
-	return r.order, r.nul
-}
+// another reader's rows brought, may be listed too). It ranks, once per
+// dictionary, what no reader ranked yet. The slice is shared: read, never
+// write.
+func (k KeyIDs) Order() []uint32 { return k.ranks().order }
 
 // Cell renders the key cell of id, an id below Len, from the row that
 // first carried it: what every row carrying id holds.

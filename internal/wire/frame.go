@@ -32,8 +32,10 @@ import (
 )
 
 // ProtoVersion is the wire protocol version carried in the handshake.
-// A server refuses a Hello whose version it does not speak.
-const ProtoVersion uint16 = 2
+// A server refuses a Hello whose version it does not speak. Version 3
+// orders rows cell by cell (engine.CompareRows), where 2 ordered them by
+// their NUL-joined keys.
+const ProtoVersion uint16 = 3
 
 // MaxFrameLen caps one frame's encoded size (type byte + body). The
 // limit bounds reader allocation against hostile length prefixes; 16
@@ -1192,7 +1194,8 @@ func (s *SubscribedMsg) DecodeBody(b []byte) error {
 
 // UpdateMsg pushes a change to a subscription's standing result: the rows
 // the result at version Base loses (Removed) and gains (Rows), each list in
-// canonical order, which turn it into the result at Version. The server
+// canonical order — cell by cell, engine.CompareRows', which is part of
+// protocol 3 — which turn it into the result at Version. The server
 // diffs against the result it last sent, so the change applies to the one
 // the client holds; a subscription's first update has Base 0 and adds
 // every row. Updates coalesce server-side (latest wins) while the client's
