@@ -42,6 +42,7 @@ package table
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -212,6 +213,50 @@ func MustNew(schema Schema) *Table {
 		panic(err)
 	}
 	return t
+}
+
+// ColumnData is one column's values for FromColumns: Ints for an Int64
+// column, Strs for a String column.
+type ColumnData struct {
+	Type Type
+	Ints []int64
+	Strs []string
+}
+
+// FromColumns makes a table of rows rows from whole columns in schema
+// order. It adopts the slices rather than copying them, so the caller must
+// not write to them after; each must have its column's type and rows
+// values. The table's Version is rows, as after rows AppendRow calls.
+func FromColumns(schema Schema, rows int, cols []ColumnData) (*Table, error) {
+	if len(cols) != len(schema) {
+		return nil, fmt.Errorf("table: FromColumns got %d columns, schema has %d", len(cols), len(schema))
+	}
+	t, err := New(schema)
+	if err != nil {
+		return nil, err
+	}
+	for i, cd := range cols {
+		c := t.cols[i]
+		if cd.Type != c.typ {
+			return nil, fmt.Errorf("table: column %q is %v, got %v", schema[i].Name, c.typ, cd.Type)
+		}
+		n := len(cd.Ints)
+		if c.typ == String {
+			n = len(cd.Strs)
+		}
+		if n != rows {
+			return nil, fmt.Errorf("table: column %q has %d values for %d rows", schema[i].Name, n, rows)
+		}
+		// Clipped, so the table's first append copies instead of writing
+		// past the caller's values.
+		if c.typ == Int64 {
+			c.ints = slices.Clip(cd.Ints)
+		} else {
+			c.strs = slices.Clip(cd.Strs)
+		}
+	}
+	t.n, t.version = rows, uint64(rows)
+	return t, nil
 }
 
 // Schema returns the table's schema. The caller must not modify it.

@@ -288,6 +288,50 @@ func TestAppendRowFrom(t *testing.T) {
 	}
 }
 
+// TestFromColumns pins the adopting constructor to the table AppendRow
+// builds, Version included, and to refusing a column of the wrong type or
+// length.
+func TestFromColumns(t *testing.T) {
+	want := productsTable(t)
+	names := []string{"Burger", "Pizza", "Fries", "Jello"}
+	prices := make([]int64, 4, 8)
+	copy(prices, []int64{4, 7, 2, 5})
+	got, err := FromColumns(productsSchema(), 4, []ColumnData{
+		{Type: String, Strs: names},
+		{Type: String, Strs: []string{"McCheetah", "Papizza", "McCheetah", "JellyFish"}},
+		{Type: Int64, Ints: prices},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.NumRows() != 4 || got.Version() != want.Version() {
+		t.Fatalf("rows %d version %d, want 4 and %d", got.NumRows(), got.Version(), want.Version())
+	}
+	for r := 0; r < 4; r++ {
+		for c := 0; c < 3; c++ {
+			if got.ValueAt(c, r) != want.ValueAt(c, r) {
+				t.Fatalf("cell (%d,%d) %v, want %v", c, r, got.ValueAt(c, r), want.ValueAt(c, r))
+			}
+		}
+	}
+	// An append after adoption writes no further into the caller's array.
+	if err := got.AppendRow("Tea", "Leaf", int64(1)); err != nil {
+		t.Fatal(err)
+	}
+	if prices[:5][4] != 0 || got.Int64At(2, 4) != 1 {
+		t.Fatal("an append wrote into the adopted column's spare capacity")
+	}
+	for _, bad := range [][]ColumnData{
+		{{Type: String, Strs: names}, {Type: String, Strs: names}},
+		{{Type: String, Strs: names}, {Type: String, Strs: names}, {Type: String, Strs: names}},
+		{{Type: String, Strs: names}, {Type: String, Strs: names[:3]}, {Type: Int64, Ints: prices[:4]}},
+	} {
+		if _, err := FromColumns(productsSchema(), 4, bad); err == nil {
+			t.Fatalf("FromColumns accepted %+v", bad)
+		}
+	}
+}
+
 func TestGrowPreservesData(t *testing.T) {
 	tbl := productsTable(t)
 	tbl.Grow(1000)

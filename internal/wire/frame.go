@@ -221,9 +221,13 @@ func (c ErrCode) String() string {
 
 // decoder walks a frame body; the first decode error sticks and every
 // later read returns zero values, so message decoders can read all
-// fields and check err once.
+// fields and check err once. Reads only ever advance b from its front.
 type decoder struct {
-	b   []byte
+	b []byte
+	// s is the one copy of the body that every decoded string is a slice
+	// of, made by the first non-empty str from the bytes left then. It
+	// ends where b ends, so b's next byte is s[len(s)-len(b)].
+	s   string
 	err error
 }
 
@@ -317,6 +321,9 @@ func (d *decoder) count(min int) int {
 	return int(n)
 }
 
+// str reads a length-prefixed string as a slice of the body's one copy,
+// so a frame's cells cost no allocation each, and the caller may reuse
+// the bytes it decoded from: no string aliases them.
 func (d *decoder) str() string {
 	n := d.uvarint()
 	if d.err != nil {
@@ -326,9 +333,15 @@ func (d *decoder) str() string {
 		d.fail()
 		return ""
 	}
-	s := string(d.b[:n])
+	if n == 0 {
+		return ""
+	}
+	if d.s == "" {
+		d.s = string(d.b)
+	}
+	at := len(d.s) - len(d.b)
 	d.b = d.b[n:]
-	return s
+	return d.s[at : at+int(n)]
 }
 
 // done rejects trailing bytes: a valid body is consumed exactly.
@@ -963,7 +976,8 @@ func (d *decoder) result() ([]string, [][]string) {
 }
 
 // rows reads a count of rows of width cells each; without columns no row
-// is admitted.
+// is admitted. The rows are views of one cell array, each clipped to its
+// width so that appending to one row cannot overwrite the next.
 func (d *decoder) rows(width int) [][]string {
 	n := d.count(1)
 	if d.err != nil || n == 0 {
@@ -973,25 +987,23 @@ func (d *decoder) rows(width int) [][]string {
 		d.fail()
 		return nil
 	}
+	cells := make([]string, n*width)
+	for i := range cells {
+		cells[i] = d.str()
+	}
 	rows := make([][]string, n)
 	for i := range rows {
-		row := make([]string, width)
-		for j := range row {
-			row[j] = d.str()
-		}
-		rows[i] = row
+		rows[i] = cells[i*width : (i+1)*width : (i+1)*width]
 	}
 	return rows
 }
 
 // ---- streaming ----
 
-// ColData is one append-batch column in schema order.
-type ColData struct {
-	Type table.Type
-	Ints []int64
-	Strs []string
-}
+// ColData is one append-batch column in schema order: Ints for an Int64
+// column, Strs for a String column. It is the table's own column type, so
+// a batch hands its decoded columns to table.FromColumns as they are.
+type ColData = table.ColumnData
 
 // AppendReq streams one batch of rows into the server's primary table.
 // Columns are self-describing (type + values); the server validates
@@ -1011,9 +1023,7 @@ func AppendBatchOf(id uint64, src *table.Table) *AppendReq {
 		case table.Int64:
 			cd.Ints = append(cd.Ints, src.Int64Col(c)...)
 		case table.String:
-			for r2 := 0; r2 < src.NumRows(); r2++ {
-				cd.Strs = append(cd.Strs, src.StringAt(c, r2))
-			}
+			cd.Strs = append(cd.Strs, src.StringCol(c)...)
 		}
 		r.Cols = append(r.Cols, cd)
 	}
@@ -1021,14 +1031,11 @@ func AppendBatchOf(id uint64, src *table.Table) *AppendReq {
 }
 
 // Batch materializes the request as a table with the given schema,
-// validating arity and types.
+// validating arity and types. The table adopts the request's columns, so
+// the request must not be changed after.
 func (a *AppendReq) Batch(schema table.Schema) (*table.Table, error) {
 	if len(a.Cols) != len(schema) {
 		return nil, fmt.Errorf("wire: append batch has %d columns, schema has %d", len(a.Cols), len(schema))
-	}
-	t, err := table.New(schema)
-	if err != nil {
-		return nil, err
 	}
 	for i, cd := range a.Cols {
 		if cd.Type != schema[i].Type {
@@ -1042,21 +1049,7 @@ func (a *AppendReq) Batch(schema table.Schema) (*table.Table, error) {
 			return nil, fmt.Errorf("wire: append column %q has %d values for %d rows", schema[i].Name, n, a.Rows)
 		}
 	}
-	t.Grow(a.Rows)
-	row := make([]any, len(schema))
-	for r := 0; r < a.Rows; r++ {
-		for c, cd := range a.Cols {
-			if cd.Type == table.Int64 {
-				row[c] = cd.Ints[r]
-			} else {
-				row[c] = cd.Strs[r]
-			}
-		}
-		if err := t.AppendRow(row...); err != nil {
-			return nil, err
-		}
-	}
-	return t, nil
+	return table.FromColumns(schema, a.Rows, a.Cols)
 }
 
 // EncodeBody serializes the append body.

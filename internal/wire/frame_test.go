@@ -339,6 +339,90 @@ func TestResultFrameOneBuffer(t *testing.T) {
 	}
 }
 
+// TestResultDecodeAllocs pins ResultMsg.DecodeBody to a fixed number of
+// allocations, whatever the row count: one copy of the body that every
+// cell is a slice of, the columns, one cell array and one row-header array.
+func TestResultDecodeAllocs(t *testing.T) {
+	allocs := func(rows int) float64 {
+		res := &ResultMsg{ID: 3, Columns: []string{"k", "v"}}
+		for i := 0; i < rows; i++ {
+			res.Rows = append(res.Rows, []string{fmt.Sprint("key", i), fmt.Sprint(i * i)})
+		}
+		body := res.EncodeBody(nil)
+		var got ResultMsg
+		return testing.AllocsPerRun(20, func() {
+			if err := got.DecodeBody(body); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(300), allocs(3000)
+	if small != large || large > 4 {
+		t.Fatalf("DecodeBody made %v allocations for 300 rows and %v for 3000, want the same and at most 4", small, large)
+	}
+}
+
+// TestAppendBatchAllocs pins decoding an append body and adopting it as a
+// table to allocations per column, not per row or cell.
+func TestAppendBatchAllocs(t *testing.T) {
+	const cols = 9
+	var schema table.Schema
+	for c := 0; c < cols; c++ {
+		typ := table.Int64
+		if c%3 == 0 {
+			typ = table.String
+		}
+		schema = append(schema, table.ColumnDef{Name: fmt.Sprint("c", c), Type: typ})
+	}
+	allocs := func(rows int) float64 {
+		src := table.MustNew(schema)
+		row := make([]any, cols)
+		for r := 0; r < rows; r++ {
+			for c := range row {
+				if schema[c].Type == table.String {
+					row[c] = fmt.Sprint("cell", r%37, c)
+				} else {
+					row[c] = int64(r * c)
+				}
+			}
+			if err := src.AppendRow(row...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		body := AppendBatchOf(1, src).EncodeBody(nil)
+		return testing.AllocsPerRun(20, func() {
+			var req AppendReq
+			if err := req.DecodeBody(body); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := req.Batch(schema); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(256), allocs(2048)
+	if small != large || large > 5*cols {
+		t.Fatalf("decode and Batch made %v allocations at 256 rows and %v at 2048 over %d columns, want the same and at most %d",
+			small, large, cols, 5*cols)
+	}
+}
+
+// TestDecodedRowsApart pins decoded rows as disjoint views of their cell
+// array: growing one row copies it and leaves the next row whole.
+func TestDecodedRowsApart(t *testing.T) {
+	in := &UpdateMsg{ID: 1, Version: 2, Columns: []string{"k", "v"},
+		Removed: [][]string{{"r", "0"}}, Rows: [][]string{{"a", "1"}, {"b", "2"}}}
+	var got UpdateMsg
+	if err := got.DecodeBody(in.EncodeBody(nil)); err != nil {
+		t.Fatal(err)
+	}
+	_ = append(got.Rows[0], "x")
+	_ = append(got.Removed[0], "y")
+	if !reflect.DeepEqual(&got, in) {
+		t.Fatalf("appending to a decoded row changed its neighbours:\n got %+v\nwant %+v", got, in)
+	}
+}
+
 // TestDecodeFormulaBudget pins the node-count bound against deep
 // hostile formulas.
 func TestDecodeFormulaBudget(t *testing.T) {
