@@ -232,8 +232,8 @@ func (r *RollingMin) InsertFull(row int, value int64) {
 		// The literal hardware rolling swap, branch-free: each stage keeps
 		// the larger of (register, carried value) and passes the smaller
 		// on; min/max compile to conditional moves, so the randomly placed
-		// insertions never mispredict. w=4 is LegacyRandTopNConfig's
-		// column count, making this the steady-state TOP N path — and
+		// insertions never mispredict. w=4 is Table 2's TOP N column
+		// count, making this the steady-state TOP N path — and
 		// keeping it straight-line keeps InsertFull inlinable into the
 		// fused scan loops.
 		base := row * 4

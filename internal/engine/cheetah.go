@@ -11,7 +11,7 @@ type CheetahOptions struct {
 	// Workers is the number of CWorkers (data partitions). Paper testbed:
 	// 5 for Big Data, 1 for TPC-H.
 	Workers int
-	// Pruner overrides the default pruner built for the query kind.
+	// Pruner overrides the kind table's default program (DefaultPruner).
 	// For KindJoin it must be a *prune.Join; for KindSkyline a
 	// *prune.Skyline; etc.
 	Pruner prune.Pruner

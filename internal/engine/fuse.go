@@ -234,7 +234,7 @@ func fusedFilterScan(t *table.Table, preds []FilterPred, cols []int, f *prune.Fi
 // filterExact reports whether pruner forwards exactly the rows q's
 // formula accepts, so that the switch verdict needs no master recheck:
 // it must be a *prune.Filter whose compiled predicates and truth table
-// equal what DefaultPruner compiles from the query. Any other program —
+// equal what newFilter compiles from the query. Any other program —
 // different constants, a weaker formula, a foreign type — may forward
 // false positives (pruning is best-effort by design) and keeps the exact
 // master completion.
@@ -243,11 +243,11 @@ func filterExact(q *Query, pruner prune.Pruner) bool {
 	if !ok {
 		return false
 	}
-	d, err := DefaultPruner(q, 0)
+	d, err := newFilter(q)
 	if err != nil {
 		return false
 	}
-	wantPreds, wantTT := d.(*prune.Filter).FusedSpec()
+	wantPreds, wantTT := d.FusedSpec()
 	preds, tt := f.FusedSpec()
 	if len(preds) != len(wantPreds) {
 		return false

@@ -432,7 +432,7 @@ func TestFusedTopNDeterminism(t *testing.T) {
 // standing program consumes one contiguous stream across passes
 // (deltas), and Reset rewinds it with the rest of the pruner state.
 func TestFusedRandStatePosition(t *testing.T) {
-	p, err := prune.NewRandTopN(prune.LegacyRandTopNConfig(10, 1e-4, 99))
+	p, err := prune.NewRandTopN(prune.RandTopNConfig{N: 10, Rows: 4096, Cols: 2, Seed: 99})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,30 +39,6 @@ const (
 	KindSkyline
 )
 
-// String renders the kind.
-func (k QueryKind) String() string {
-	switch k {
-	case KindFilter:
-		return "filter"
-	case KindDistinct:
-		return "distinct"
-	case KindTopN:
-		return "topn"
-	case KindGroupByMax:
-		return "groupby-max"
-	case KindGroupBySum:
-		return "groupby-sum"
-	case KindHaving:
-		return "having"
-	case KindJoin:
-		return "join"
-	case KindSkyline:
-		return "skyline"
-	default:
-		return fmt.Sprintf("kind(%d)", uint8(k))
-	}
-}
-
 // FilterPred is one WHERE predicate over a named column: either a numeric
 // comparison the switch can evaluate, or a LIKE pattern it cannot (the
 // CWorker precomputes those, §4.1).
@@ -151,108 +127,6 @@ type Query struct {
 	SkylineCols []string
 }
 
-// Validate checks the spec against its table schemas.
-func (q *Query) Validate() error {
-	if q.Table == nil {
-		return fmt.Errorf("engine: query needs a table")
-	}
-	s := q.Table.Schema()
-	need := func(col string) error {
-		if s.Index(col) < 0 {
-			return fmt.Errorf("engine: unknown column %q", col)
-		}
-		return nil
-	}
-	// needTyped additionally checks the column's type: the encode path
-	// reads Int64 columns with Int64At (a String column would panic
-	// there) and LIKE patterns only apply to String columns.
-	needTyped := func(col string, want table.Type, role string) error {
-		i := s.Index(col)
-		if i < 0 {
-			return fmt.Errorf("engine: unknown column %q", col)
-		}
-		if s[i].Type != want {
-			return fmt.Errorf("engine: %s column %q is %s, need %s", role, col, s[i].Type, want)
-		}
-		return nil
-	}
-	switch q.Kind {
-	case KindFilter:
-		if len(q.Predicates) == 0 || q.Formula == nil {
-			return fmt.Errorf("engine: filter query needs predicates and a formula")
-		}
-		for _, p := range q.Predicates {
-			if p.Like != "" {
-				if err := needTyped(p.Col, table.String, "LIKE"); err != nil {
-					return err
-				}
-			} else if err := needTyped(p.Col, table.Int64, "comparison"); err != nil {
-				return err
-			}
-		}
-		for _, v := range boolexpr.Vars(q.Formula) {
-			if v < 0 || v >= len(q.Predicates) {
-				return fmt.Errorf("engine: formula references predicate %d of %d", v, len(q.Predicates))
-			}
-		}
-	case KindDistinct:
-		if len(q.DistinctCols) == 0 {
-			return fmt.Errorf("engine: distinct query needs columns")
-		}
-		for _, c := range q.DistinctCols {
-			if err := need(c); err != nil {
-				return err
-			}
-		}
-	case KindTopN:
-		if q.N <= 0 {
-			return fmt.Errorf("engine: top-n needs N > 0")
-		}
-		if err := needTyped(q.OrderCol, table.Int64, "ORDER BY"); err != nil {
-			return err
-		}
-	case KindGroupByMax, KindGroupBySum:
-		if err := need(q.KeyCol); err != nil {
-			return err
-		}
-		if err := needTyped(q.AggCol, table.Int64, "aggregate"); err != nil {
-			return err
-		}
-	case KindHaving:
-		if err := need(q.KeyCol); err != nil {
-			return err
-		}
-		if err := needTyped(q.AggCol, table.Int64, "aggregate"); err != nil {
-			return err
-		}
-		if q.Threshold < 0 {
-			return fmt.Errorf("engine: having threshold must be non-negative")
-		}
-	case KindJoin:
-		if q.Right == nil {
-			return fmt.Errorf("engine: join needs a right table")
-		}
-		if err := need(q.LeftKey); err != nil {
-			return err
-		}
-		if q.Right.Schema().Index(q.RightKey) < 0 {
-			return fmt.Errorf("engine: unknown right column %q", q.RightKey)
-		}
-	case KindSkyline:
-		if len(q.SkylineCols) < 2 {
-			return fmt.Errorf("engine: skyline needs at least two dimensions")
-		}
-		for _, c := range q.SkylineCols {
-			if err := needTyped(c, table.Int64, "skyline"); err != nil {
-				return err
-			}
-		}
-	default:
-		return fmt.Errorf("engine: unknown query kind %d", q.Kind)
-	}
-	return nil
-}
-
 // MixedJoinKeys returns why no switch can prune q when it is a valid JOIN
 // whose key columns have different types, and nil for every other query.
 // The switch's Bloom filters would see one side's Int64 fingerprints
@@ -277,42 +151,6 @@ func MixedJoinKeys(q *Query) error {
 type Result struct {
 	Columns []string
 	Rows    [][]string
-}
-
-// ResultColumns returns the header of q's result: every column of the
-// table for FILTER (one "count" column for COUNT(*)), the selected columns
-// for DISTINCT and SKYLINE, the ORDER BY column for TOP N, the key beside
-// max(...) or sum(...) for GROUP BY, the key alone for HAVING, and the
-// left key beside "pairs" for JOIN. Every pruned completion and standing
-// merger heads its result with it; the direct executor states its own
-// headers, as the oracle they are checked against.
-func ResultColumns(q *Query) []string {
-	switch q.Kind {
-	case KindFilter:
-		if q.CountOnly {
-			return []string{"count"}
-		}
-		names := make([]string, q.Table.NumCols())
-		for i, d := range q.Table.Schema() {
-			names[i] = d.Name
-		}
-		return names
-	case KindDistinct:
-		return slices.Clone(q.DistinctCols)
-	case KindTopN:
-		return []string{q.OrderCol}
-	case KindGroupByMax:
-		return []string{q.KeyCol, "max(" + q.AggCol + ")"}
-	case KindGroupBySum:
-		return []string{q.KeyCol, "sum(" + q.AggCol + ")"}
-	case KindHaving:
-		return []string{q.KeyCol}
-	case KindJoin:
-		return []string{q.LeftKey, "pairs"}
-	case KindSkyline:
-		return slices.Clone(q.SkylineCols)
-	}
-	return nil
 }
 
 // Sort puts the rows into the canonical order, CompareRows': cell by

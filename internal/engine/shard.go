@@ -65,9 +65,9 @@ type ShardedOptions struct {
 	Seed uint64
 	// Pruners, when non-nil, supplies one program per shard (len must
 	// equal Shards) — the planner's per-switch sizing. Defaults are the
-	// single-switch configurations (defaultShardPruner), with HAVING's
-	// sketch threshold tightened to ⌊threshold/Shards⌋ and randomized TOP
-	// N's δ to δ/Shards.
+	// kind table's (defaultShardPruner), sized for one of Shards switches:
+	// HAVING's sketch threshold ⌊threshold/Shards⌋, randomized TOP N's
+	// δ/Shards.
 	Pruners []prune.Pruner
 	// Flows, when non-nil, routes shard i's batches through Flows[i] (a
 	// flow-scoped handle on shard i's shared pipeline, or a whole rack

@@ -316,8 +316,8 @@ func topNSpanScan(t *table.Table, col, n int, h *int64Heap, st *SkipStats, scan 
 // output (the heap's final multiset is order-independent, and a skipped
 // block's values are all ≤ the running h[0], which execTopN's
 // replace-on-strictly-greater rule ignores anyway).
-func execTopNSkip(q *Query, t *table.Table) (*Result, SkipStats, error) {
-	col := t.Schema().MustIndex(q.OrderCol)
+func execTopNSkip(q *Query) (*Result, SkipStats, error) {
+	t, col := q.Table, q.Table.Schema().MustIndex(q.OrderCol)
 	var st SkipStats
 	h := &int64Heap{}
 	topNSpanScan(t, col, q.N, h, &st, func(lo, hi int) {
@@ -336,23 +336,29 @@ func ExecDirectSkip(q *Query) (*Result, SkipStats, error) {
 	if err := q.Validate(); err != nil {
 		return nil, SkipStats{}, err
 	}
-	switch q.Kind {
-	case KindFilter:
-		cols := make([]int, len(q.Predicates))
-		for i, p := range q.Predicates {
-			cols[i] = q.Table.Schema().MustIndex(p.Col)
-		}
-		spans, st := filterSpans(q, q.Table, cols)
-		res, err := execFilter(q, q.Table, spanRows(spans))
-		return res, st, err
-	case KindTopN:
-		return execTopNSkip(q, q.Table)
-	case KindJoin:
-		spans, st := joinRightSpans(q)
-		res, err := execJoin(q, allRows(q.Table), spanRows(spans))
-		return res, st, err
-	default:
-		res, err := ExecDirect(q)
-		return res, SkipStats{}, err
+	if f := kinds[q.Kind].directSkip; f != nil {
+		return f(q)
 	}
+	res, err := ExecDirect(q)
+	return res, SkipStats{}, err
+}
+
+// execFilterSkip is execFilter over the spans the formula's block bound
+// keeps.
+func execFilterSkip(q *Query) (*Result, SkipStats, error) {
+	cols := make([]int, len(q.Predicates))
+	for i, p := range q.Predicates {
+		cols[i] = q.Table.Schema().MustIndex(p.Col)
+	}
+	spans, st := filterSpans(q, q.Table, cols)
+	res, err := execFilter(q, q.Table, spanRows(spans))
+	return res, st, err
+}
+
+// execJoinSkip is execJoin over the probe-side spans whose key Blooms can
+// hold a build-side key.
+func execJoinSkip(q *Query) (*Result, SkipStats, error) {
+	spans, st := joinRightSpans(q)
+	res, err := execJoin(q, allRows(q.Table), spanRows(spans))
+	return res, st, err
 }

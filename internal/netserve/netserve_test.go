@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -431,6 +432,34 @@ func TestPingAndBadFrame(t *testing.T) {
 			t.Fatal("protocol violation not surfaced")
 		case <-time.After(5 * time.Millisecond):
 		}
+	}
+}
+
+// TestUnknownKindRefused: a Query frame whose kind byte is past the
+// engine's kind table gets an invalid-request Error frame, not a contained
+// panic, and the same connection then answers a valid query exactly.
+func TestUnknownKindRefused(t *testing.T) {
+	srv, mix := testServer(t, false, 500)
+	cl := dialMix(t, srv, "t")
+	ctx := context.Background()
+	_, err := cl.Query(ctx, wire.QuerySpec{Kind: 255, Table: "visits"}, QueryOptions{})
+	var se *ServerError
+	if !errors.As(err, &se) || se.Code != wire.CodeInvalid || !strings.Contains(se.Msg, "unknown query kind") {
+		t.Fatalf("kind 255 got %v, want an invalid-request unknown query kind error", err)
+	}
+	q := mix.Query(0)
+	want, err := engine.ExecDirect(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := cl.QueryEngine(ctx, q, "visits", rightName(q), QueryOptions{})
+	if err != nil {
+		t.Fatalf("valid query after the refusal: %v", err)
+	}
+	want.Sort()
+	got.Sort()
+	if !want.Equal(got) {
+		t.Fatalf("valid query after the refusal diverges:\nwant %v\ngot  %v", want, got)
 	}
 }
 

@@ -235,7 +235,7 @@ func (s *Session) execPlanModes(ctx context.Context, p *Plan, tr *obs.Trace) (*E
 		// Direct execution is single-node: all rows on one machine — and
 		// its baseline is a single rack's workers, whatever the session's
 		// fabric width.
-		ex.Estimate = engine.DefaultCostModel().SparkTime(q.Kind, []int{queryRows(q)}, len(res.Rows), false, nicGbps)
+		ex.Estimate = costModel.SparkTime(q.Kind, []int{queryRows(q)}, len(res.Rows), false, nicGbps)
 		ex.SparkEstimate = s.sparkEstimate(q, len(res.Rows), 1)
 	case ModeCheetah, ModeCluster:
 		pruners, err := p.NewShardPruners()
@@ -375,7 +375,7 @@ func (s *Session) fill(ex *Execution, run *engine.ShardedRun) {
 	ex.Stats = run.Stats
 	ex.SkipStats = run.Skipped
 	ex.FailedOver = run.FailedOver
-	ex.Estimate = engine.DefaultCostModel().CheetahTime(q.Kind, fabricBottleneck(run.Traffic, run.PerSwitch), nicGbps)
+	ex.Estimate = costModel.CheetahTime(q.Kind, fabricBottleneck(run.Traffic, run.PerSwitch), nicGbps)
 	ex.SparkEstimate = s.sparkEstimate(q, len(run.Result.Rows), ex.Plan.Switches)
 }
 
@@ -469,5 +469,5 @@ func (s *Session) sparkEstimate(q *engine.Query, resultRows, switches int) engin
 			perWorker[i]++
 		}
 	}
-	return engine.DefaultCostModel().SparkTime(q.Kind, perWorker, resultRows, false, nicGbps)
+	return costModel.SparkTime(q.Kind, perWorker, resultRows, false, nicGbps)
 }

@@ -16,7 +16,7 @@ import (
 // takes one runs exactly as on a new instance.
 //
 // Programs are keyed by the comparable prune config they were built from
-// (candidate.key). The list holds at most one switch of the session's
+// (engine.Program.Key). The list holds at most one switch of the session's
 // Model: the idle programs' SRAM sums to at most Stages ×
 // SRAMPerStageBits, and a hand-back past that drops the oldest idle
 // programs, so configurations arriving from the wire (TOP N's N, HAVING's
@@ -61,7 +61,7 @@ func (l *programs) take(key any) prune.Pruner {
 // oldest idle programs while the list's SRAM exceeds its bound.
 func (l *programs) give(p *Plan, progs []prune.Pruner) {
 	bits := p.Profile.SRAMBits
-	if p.key == nil || bits > l.bound {
+	if p.prog.Key == nil || bits > l.bound {
 		return // not pooled, or larger than the whole list
 	}
 	for _, pr := range progs {
@@ -70,7 +70,7 @@ func (l *programs) give(p *Plan, progs []prune.Pruner) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for _, pr := range progs {
-		l.idle = append(l.idle, idleProgram{key: p.key, bits: bits, prog: pr})
+		l.idle = append(l.idle, idleProgram{key: p.prog.Key, bits: bits, prog: pr})
 		l.bits += bits
 	}
 	drop := 0

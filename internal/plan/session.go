@@ -17,19 +17,18 @@ import (
 	"sync"
 	"time"
 
+	"cheetah/internal/engine"
 	"cheetah/internal/fabric"
 	"cheetah/internal/obs"
 	"cheetah/internal/switchsim"
 	"cheetah/internal/table"
 )
 
-// Every session plans randomized pruners for a failure probability of
-// delta (TOP N's Theorem 2/3 configuration) and estimates completion times
-// with engine.DefaultCostModel over a NIC of nicGbps.
-const (
-	delta   = 1e-4
-	nicGbps = 10
-)
+// Every session estimates completion times with costModel, built once and
+// only read, over a NIC of nicGbps.
+const nicGbps = 10
+
+var costModel = engine.DefaultCostModel()
 
 // Options configures a session. The zero value selects the paper's
 // defaults: a Tofino-class switch, one CWorker and in-process transport.

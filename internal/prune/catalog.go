@@ -7,9 +7,9 @@ import (
 )
 
 // This file is the algorithm catalog: the paper-default configuration of
-// every pruner (Table 2's rows plus §5's worked examples), factored out
-// so the engine's legacy defaults and the planner derive parameters from
-// one place instead of scattering literals.
+// every pruner (Table 2's rows plus §5's worked examples), the
+// configurations the engine's kind table (engine/kinds.go) lists as each
+// kind's programs.
 
 // DefaultDistinctConfig is Table 2's DISTINCT row: a 4096×2 LRU cache
 // matrix over 64-bit CWorker fingerprints (Example #8).
@@ -80,26 +80,4 @@ func DefaultSkylineConfig(dims int) SkylineConfig {
 // thresholds above the warm-up minimum.
 func DefaultDetTopNConfig(n int) DetTopNConfig {
 	return DetTopNConfig{N: n, Thresholds: 4}
-}
-
-// LegacyRandTopNConfig is the engine's historical TOP N default: a fixed
-// d=4096 matrix with Theorem 2's column count for δ (falling back to
-// Table 2's w=4 when the theorem premise fails). The planner prefers
-// PlannedRandTopNConfig, which optimizes d as well.
-func LegacyRandTopNConfig(n int, delta float64, seed uint64) RandTopNConfig {
-	w, err := TopNColumnsFor(4096, n, delta)
-	if err != nil {
-		w = 4
-	}
-	return RandTopNConfig{N: n, Rows: 4096, Cols: w, Seed: seed}
-}
-
-// PlannedRandTopNConfig derives the jointly optimized (d, w) matrix for
-// TOP N at failure probability delta via §5's Lambert-W minimization.
-func PlannedRandTopNConfig(n int, delta float64, seed uint64) (RandTopNConfig, error) {
-	d, w, err := OptimalTopNRows(n, delta)
-	if err != nil {
-		return RandTopNConfig{}, err
-	}
-	return RandTopNConfig{N: n, Rows: d, Cols: w, Seed: seed}, nil
 }

@@ -84,12 +84,10 @@ func newMerger(q *engine.Query) (merger, error) {
 		return &topNMerger{q: q}, nil
 	case engine.KindGroupByMax:
 		return &keyAggMerger{standing: standing{cols: cols}}, nil
-	case engine.KindGroupBySum:
-		return sumMerger(q), nil
+	case engine.KindGroupBySum, engine.KindJoin:
+		return &keyAggMerger{standing: standing{cols: cols}, sum: true}, nil
 	case engine.KindHaving:
 		return &keyAggMerger{standing: standing{cols: cols}, sum: true, having: true, threshold: q.Threshold}, nil
-	case engine.KindJoin:
-		return &keyAggMerger{standing: standing{cols: cols}, sum: true}, nil
 	case engine.KindSkyline:
 		return newSkylineMerger(q), nil
 	default:
@@ -97,34 +95,22 @@ func newMerger(q *engine.Query) (merger, error) {
 	}
 }
 
-// sumMerger is GROUP BY SUM's merger, and HAVING's per pane: a pane is
-// headed like the delta results it folds, key and sum.
-func sumMerger(q *engine.Query) *keyAggMerger {
-	return &keyAggMerger{standing: standing{cols: engine.ResultColumns(DeltaQuery(q, q.Table))}, sum: true}
-}
-
 // paneMerger builds the per-pane accumulator for windowed
-// subscriptions. It differs from newMerger only for HAVING, whose panes
-// must keep raw sums (the threshold applies to the whole window, not
-// per pane).
+// subscriptions: a pane folds delta results, so it merges like the delta
+// query — for HAVING, raw per-key sums (the threshold applies to the whole
+// window, not per pane).
 func paneMerger(q *engine.Query) (merger, error) {
-	if q.Kind == engine.KindHaving {
-		return sumMerger(q), nil
-	}
-	return newMerger(q)
+	return newMerger(DeltaQuery(q, q.Table))
 }
 
-// DeltaQuery derives the query executed against one delta table: the
-// delta substitutes the source table, and HAVING aggregates as GROUP BY
-// SUM (full per-key partial sums; see the HAVING note above). It is the
-// one statement of what a subscription's deltas run, so the planning
-// layer plans the same query.
+// DeltaQuery derives the query executed against one delta table: the delta
+// substitutes the source table, and the query runs as its DeltaKind (see
+// the HAVING note above). It is the one statement of what a
+// subscription's deltas run, so the planning layer plans the same query.
 func DeltaQuery(q *engine.Query, delta *table.Table) *engine.Query {
 	qd := *q
 	qd.Table = delta
-	if qd.Kind == engine.KindHaving {
-		qd.Kind = engine.KindGroupBySum
-	}
+	qd.Kind = q.Kind.DeltaKind()
 	return &qd
 }
 

@@ -136,12 +136,10 @@ func validateWindow(q *engine.Query, window, slide int) error {
 	if window%slide != 0 {
 		return fmt.Errorf("stream: window %d must be a multiple of slide %d (pane-aligned retraction)", window, slide)
 	}
-	switch q.Kind {
-	case engine.KindTopN, engine.KindGroupByMax, engine.KindGroupBySum, engine.KindHaving:
-		return nil
-	default:
+	if !q.Kind.Windowed() {
 		return fmt.Errorf("stream: %v does not support windows (windowed variants cover the aggregate kinds)", q.Kind)
 	}
+	return nil
 }
 
 // start launches the background pump, the subscription's one driver.

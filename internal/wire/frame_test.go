@@ -252,6 +252,23 @@ func TestSpecBindEquivalence(t *testing.T) {
 	}
 }
 
+// TestBindUnknownKind: a kind byte past the engine's kind table, decoded
+// from a Query frame, binds to an "unknown query kind" error, not a panic.
+func TestBindUnknownKind(t *testing.T) {
+	tables := map[string]*table.Table{"t": table.MustNew(table.Schema{{Name: "v", Type: table.Int64}})}
+	for _, kind := range []uint8{8, 255} {
+		body := (&QueryReq{ID: 1, Spec: QuerySpec{Kind: kind, Table: "t"}}).EncodeBody(nil)
+		var req QueryReq
+		if err := req.DecodeBody(body); err != nil {
+			t.Fatalf("kind %d: decode: %v", kind, err)
+		}
+		q, err := req.Spec.Bind(tables)
+		if err == nil || !strings.Contains(err.Error(), "unknown query kind") {
+			t.Fatalf("kind %d: Bind = %v, %v; want an unknown query kind error", kind, q, err)
+		}
+	}
+}
+
 // TestReadWriteFrame pins the stream framing: sequential frames,
 // oversized rejection, clean EOF vs truncation.
 func TestReadWriteFrame(t *testing.T) {
