@@ -41,7 +41,6 @@ import (
 	"cheetah/internal/netserve"
 	"cheetah/internal/plan"
 	"cheetah/internal/prune"
-	"cheetah/internal/serve"
 	"cheetah/internal/stream"
 	"cheetah/internal/switchsim"
 	"cheetah/internal/table"
@@ -83,8 +82,8 @@ const (
 // control of pruner construction and execution paths.
 func Open(t *Table, opts SessionOptions) (*DB, error) { return plan.Open(t, opts) }
 
-// The concurrent serving layer (§5's multi-query switch sharing) and
-// the multi-switch fabric. Every session owns one fabric of
+// The concurrent serving layer (§5's multi-query switch sharing): the
+// multi-switch fabric. Every session owns one fabric of
 // SessionOptions.Switches switches. With Switches > 1, Exec shards each
 // query across them (scatter/gather with an exact two-level merge — see
 // Execution.PerSwitch). Any number of goroutines may call DB.Submit or
@@ -98,17 +97,17 @@ type (
 	// SwitchReport is one fabric switch's share of a scatter/gather
 	// execution (per-shard traffic + pipeline occupancy).
 	SwitchReport = plan.SwitchReport
-	// ServeCounters are the serving layer's cumulative admission
-	// statistics (admitted, waited, oversized, shed, revoked, failed-
-	// over, re-placed, deadline-missed, active, queued).
-	ServeCounters = serve.Counters
+	// ServeCounters are the fabric's cumulative admission statistics
+	// (admitted, waited, oversized, shed, revoked, failed-over,
+	// re-placed, deadline-missed, active, queued).
+	ServeCounters = fabric.Counters
 	// QoS carries one submission's quality-of-service terms: tenant
 	// identity (per-tenant quotas), admission priority, and an optional
 	// queueing deadline past which the query is shed. Zero value =
 	// best-effort. Pass to DB.SubmitQoS.
-	QoS = serve.QoS
+	QoS = fabric.QoS
 	// Fabric is a session's switch fleet, reached via DB.Fabric:
-	// failure lifecycle (Fail/Restore/Add), per-switch servers,
+	// failure lifecycle (Fail/Restore/Add), per-switch pipelines,
 	// counters (Total sums them), and occupancy.
 	Fabric = fabric.Fabric
 	// Utilization summarizes switch pipeline occupancy (also surfaced

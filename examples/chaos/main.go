@@ -54,7 +54,7 @@ func main() {
 	// so the query's first attempt dies mid-stream and fails over to
 	// switch 1 with a fresh program.
 	fmt.Println("== mid-query switch death → failover ==")
-	fab.Server(0).Pipeline().SetFaultInjector(func(uint32, int) bool { return true })
+	fab.Pipeline(0).SetFaultInjector(func(uint32, int) bool { return true })
 	ex, err := db.SubmitQoS(ctx, query(), cheetah.QoS{Tenant: "acme", Priority: 1})
 	if err != nil {
 		log.Fatal(err)

@@ -39,7 +39,7 @@ type CheetahOptions struct {
 }
 
 // BatchDataplane processes one batch of entries for an already-admitted
-// query flow. serve.Lease implements it by routing through the shared
+// query flow. fabric.Lease implements it by routing through the shared
 // pipeline's per-flow program table (ShardedOptions.Flows), cluster.Rack
 // by sending the entries over a lossy network through the §7.2 protocol;
 // the engine's default implementation simply runs the execution's own
@@ -54,7 +54,7 @@ type BatchDataplane interface {
 // dataplane stays safe to call — it forwards everything — but any pass
 // that crossed the death may have lost program state the completion
 // depends on (§7.2), so executions check Err after each pass and redo
-// the work through a replacement. serve.Lease and cluster.Rack implement
+// the work through a replacement. fabric.Lease and cluster.Rack implement
 // it.
 type HealthDataplane interface {
 	BatchDataplane

@@ -71,7 +71,7 @@ func (ps *pass) fuse(ok bool) bool {
 // grants reports whether the dataplane offers the very program the pass
 // holds through the FusedProgram probe — which also vouches that what it
 // forwards is exactly what that program decides. The exclusive
-// progDataplane always does; a serve.Lease does only while its pipeline
+// progDataplane always does; a fabric.Lease does only while its pipeline
 // is healthy and no fault injector is armed (chaos runs keep the chunked
 // per-batch kill semantics), and never for a program other than the one
 // installed for the flow; a cluster.Rack, which forwards a superset, never

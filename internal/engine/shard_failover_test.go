@@ -12,7 +12,7 @@ import (
 var errSwitchDead = errors.New("test: switch dead")
 
 // pipeDP adapts one real pipeline flow to HealthDataplane, the shape
-// serve.Lease has in production.
+// fabric.Lease has in production.
 type pipeDP struct {
 	pl     *switchsim.Pipeline
 	flowID uint32

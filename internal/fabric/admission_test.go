@@ -1,4 +1,4 @@
-package serve
+package fabric
 
 import (
 	"context"
@@ -11,49 +11,27 @@ import (
 	"cheetah/internal/switchsim"
 )
 
-// stubProg is a minimal program with a configurable footprint.
-type stubProg struct{ prof switchsim.Profile }
-
-func (p stubProg) Profile() switchsim.Profile               { return p.prof }
-func (p stubProg) Process(vals []uint64) switchsim.Decision { return switchsim.Forward }
-func (p stubProg) Reset()                                   {}
-
-// smallModel is a switch tight enough to force queueing with a handful
-// of queries: 3 reserved + 3 usable stages, no recirculation.
-func smallModel() switchsim.Model {
-	return switchsim.Model{
-		Name:             "tiny",
-		Stages:           6,
-		ALUsPerStage:     4,
-		SRAMPerStageBits: 1 << 20,
-		TCAMEntries:      1000,
-		MetadataBits:     512,
-		Recirculation:    1,
+// one unwraps the lease of a one-program admission.
+func one(leases []*Lease, err error) (*Lease, error) {
+	if err != nil {
+		return nil, err
 	}
-}
-
-// prog returns a stub consuming `stages` full stages' worth of ALUs.
-func prog(stages int) stubProg {
-	return stubProg{prof: switchsim.Profile{
-		Name:   "stub",
-		Stages: stages,
-		ALUs:   4 * stages, // all ALUs of each stage
-	}}
+	return leases[0], nil
 }
 
 func TestAdmitReleaseRoundTrip(t *testing.T) {
-	s, err := New(Options{Model: smallModel()})
+	s, err := New(Options{Model: tinyModel()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := s.Admit(context.Background(), prog(2))
+	l, err := one(s.Admit(context.Background(), Request{Prog: prog(2), Wait: true, Standing: true}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if l.QueryID() == 0 {
 		t.Fatal("lease has zero QueryID")
 	}
-	if u := s.Utilization(); u.ALUsUsed != 8 {
+	if u := s.Utilization()[0]; u.ALUsUsed != 8 {
 		t.Fatalf("utilization after admit = %v, want 8 ALUs", u)
 	}
 	if u := l.Utilization(); u.ALUsUsed != 8 {
@@ -61,37 +39,37 @@ func TestAdmitReleaseRoundTrip(t *testing.T) {
 	}
 	l.Release()
 	l.Release() // idempotent
-	if u := s.Utilization(); u.ALUsUsed != 0 {
+	if u := s.Utilization()[0]; u.ALUsUsed != 0 {
 		t.Fatalf("utilization after release = %v, want empty", u)
 	}
-	st := s.Stats()
+	st := s.Total()
 	if st.Admitted != 1 || st.Active != 0 || st.Queued != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
 }
 
 func TestOversizedBypass(t *testing.T) {
-	s, err := New(Options{Model: smallModel()})
+	s, err := New(Options{Model: tinyModel()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// 4 logical stages cannot fit a 3-usable-stage switch, ever.
-	_, err = s.Admit(context.Background(), prog(4))
+	_, err = one(s.Admit(context.Background(), Request{Prog: prog(4), Wait: true, Standing: true}))
 	if !errors.Is(err, ErrNeverFits) {
 		t.Fatalf("err = %v, want ErrNeverFits", err)
 	}
-	if st := s.Stats(); st.Oversized != 1 || st.Queued != 0 {
+	if st := s.Total(); st.Oversized != 1 || st.Queued != 0 {
 		t.Fatalf("oversized admission must not queue: %+v", st)
 	}
 }
 
 func TestFIFOAdmissionOrder(t *testing.T) {
-	s, err := New(Options{Model: smallModel()})
+	s, err := New(Options{Model: tinyModel()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Fill the switch completely.
-	full, err := s.Admit(context.Background(), prog(3))
+	full, err := one(s.Admit(context.Background(), Request{Prog: prog(3), Wait: true, Standing: true}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +84,7 @@ func TestFIFOAdmissionOrder(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			l, err := s.Admit(context.Background(), prog(3))
+			l, err := one(s.Admit(context.Background(), Request{Prog: prog(3), Wait: true, Standing: true}))
 			if err != nil {
 				t.Errorf("waiter %d: %v", i, err)
 				return
@@ -119,7 +97,7 @@ func TestFIFOAdmissionOrder(t *testing.T) {
 		// Give goroutine i time to join the queue before i+1 does, so
 		// the FIFO order under test is the launch order.
 		for {
-			if s.Stats().Queued > i {
+			if s.Total().Queued > i {
 				break
 			}
 			time.Sleep(time.Millisecond)
@@ -138,11 +116,11 @@ func TestFIFOAdmissionOrder(t *testing.T) {
 }
 
 func TestQueueLimitSheds(t *testing.T) {
-	s, err := New(Options{Model: smallModel(), QueueLimit: 1})
+	s, err := New(Options{Model: tinyModel(), QueueLimit: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := s.Admit(context.Background(), prog(3))
+	full, err := one(s.Admit(context.Background(), Request{Prog: prog(3), Wait: true, Standing: true}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,13 +129,13 @@ func TestQueueLimitSheds(t *testing.T) {
 	go func() {
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
-		_, err := s.Admit(ctx, prog(1)) // occupies the single queue slot
+		_, err := one(s.Admit(ctx, Request{Prog: prog(1), Wait: true, Standing: true})) // occupies the single queue slot
 		errCh <- err
 	}()
-	for s.Stats().Queued == 0 {
+	for s.Total().Queued == 0 {
 		time.Sleep(time.Millisecond)
 	}
-	if _, err := s.Admit(context.Background(), prog(1)); !errors.Is(err, ErrQueueFull) {
+	if _, err := one(s.Admit(context.Background(), Request{Prog: prog(1), Wait: true, Standing: true})); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("err = %v, want ErrQueueFull", err)
 	}
 	full.Release()
@@ -167,33 +145,33 @@ func TestQueueLimitSheds(t *testing.T) {
 }
 
 func TestAdmitContextCancel(t *testing.T) {
-	s, err := New(Options{Model: smallModel()})
+	s, err := New(Options{Model: tinyModel()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := s.Admit(context.Background(), prog(3))
+	full, err := one(s.Admit(context.Background(), Request{Prog: prog(3), Wait: true, Standing: true}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	errCh := make(chan error, 1)
 	go func() {
-		_, err := s.Admit(ctx, prog(1))
+		_, err := one(s.Admit(ctx, Request{Prog: prog(1), Wait: true, Standing: true}))
 		errCh <- err
 	}()
-	for s.Stats().Queued == 0 {
+	for s.Total().Queued == 0 {
 		time.Sleep(time.Millisecond)
 	}
 	cancel()
 	if err := <-errCh; !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if st := s.Stats(); st.Queued != 0 {
+	if st := s.Total(); st.Queued != 0 {
 		t.Fatalf("cancelled waiter still queued: %+v", st)
 	}
 	full.Release()
 	// The switch must be fully usable afterwards.
-	l, err := s.Admit(context.Background(), prog(3))
+	l, err := one(s.Admit(context.Background(), Request{Prog: prog(3), Wait: true, Standing: true}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,27 +179,27 @@ func TestAdmitContextCancel(t *testing.T) {
 }
 
 func TestCloseFailsWaiters(t *testing.T) {
-	s, err := New(Options{Model: smallModel()})
+	s, err := New(Options{Model: tinyModel()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := s.Admit(context.Background(), prog(3))
+	full, err := one(s.Admit(context.Background(), Request{Prog: prog(3), Wait: true, Standing: true}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	errCh := make(chan error, 1)
 	go func() {
-		_, err := s.Admit(context.Background(), prog(1))
+		_, err := one(s.Admit(context.Background(), Request{Prog: prog(1), Wait: true, Standing: true}))
 		errCh <- err
 	}()
-	for s.Stats().Queued == 0 {
+	for s.Total().Queued == 0 {
 		time.Sleep(time.Millisecond)
 	}
 	s.Close()
 	if err := <-errCh; !errors.Is(err, ErrClosed) {
 		t.Fatalf("queued admission after Close: err = %v, want ErrClosed", err)
 	}
-	if _, err := s.Admit(context.Background(), prog(1)); !errors.Is(err, ErrClosed) {
+	if _, err := one(s.Admit(context.Background(), Request{Prog: prog(1), Wait: true, Standing: true})); !errors.Is(err, ErrClosed) {
 		t.Fatalf("new admission after Close: err = %v, want ErrClosed", err)
 	}
 	full.Release() // releasing an active lease after Close must not panic
@@ -234,7 +212,7 @@ func TestCloseFailsWaiters(t *testing.T) {
 // waiters, an empty switch — once every client is done.
 func TestAdmissionChurnProperty(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3, 4, 5} {
-		s, err := New(Options{Model: smallModel()})
+		s, err := New(Options{Model: tinyModel()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -256,7 +234,7 @@ func TestAdmissionChurnProperty(t *testing.T) {
 					// 1–4 stages: mostly admissible, sometimes oversized
 					// (4 stages never fits), occasionally instant-fit.
 					st := 1 + rng.Intn(4)
-					l, err := s.Admit(context.Background(), prog(st))
+					l, err := one(s.Admit(context.Background(), Request{Prog: prog(st), Wait: true, Standing: true}))
 					if err != nil {
 						if st >= 4 && errors.Is(err, ErrNeverFits) {
 							continue // expected bypass
@@ -270,7 +248,7 @@ func TestAdmissionChurnProperty(t *testing.T) {
 					}
 					held[l.QueryID()] = true
 					mu.Unlock()
-					if u := s.Utilization(); u.ALUsUsed > aluCap || u.StagesUsed > u.StagesTotal {
+					if u := s.Utilization()[0]; u.ALUsUsed > aluCap || u.StagesUsed > u.StagesTotal {
 						t.Errorf("stage budget exceeded: %v", u)
 					}
 					if rng.Intn(4) == 0 {
@@ -284,11 +262,11 @@ func TestAdmissionChurnProperty(t *testing.T) {
 			}(c)
 		}
 		wg.Wait()
-		st := s.Stats()
+		st := s.Total()
 		if st.Queued != 0 || st.Active != 0 {
 			t.Fatalf("seed %d: queue not drained: %+v", seed, st)
 		}
-		if u := s.Utilization(); u.ALUsUsed != 0 || u.SRAMBitsUsed != 0 || u.StagesUsed != 0 {
+		if u := s.Utilization()[0]; u.ALUsUsed != 0 || u.SRAMBitsUsed != 0 || u.StagesUsed != 0 {
 			t.Fatalf("seed %d: switch not empty after churn: %v", seed, u)
 		}
 	}

@@ -11,7 +11,6 @@ import (
 	"cheetah/internal/boolexpr"
 	"cheetah/internal/engine"
 	"cheetah/internal/prune"
-	"cheetah/internal/serve"
 	"cheetah/internal/switchsim"
 	"cheetah/internal/table"
 )
@@ -49,9 +48,9 @@ func TestAdmitSpreadsLeastLoaded(t *testing.T) {
 	}
 	defer f.Close()
 	seen := map[int]int{}
-	var leases []*Placement
+	var leases []*Lease
 	for i := 0; i < 3; i++ {
-		p, err := f.Admit(context.Background(), prog(1))
+		p, err := one(f.Admit(context.Background(), Request{Prog: prog(1), Wait: true, Standing: true}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,11 +76,11 @@ func TestAdmitFallsBackToLeastContendedQueue(t *testing.T) {
 	}
 	defer f.Close()
 	// Fill both switches completely.
-	a, err := f.Admit(context.Background(), prog(3))
+	a, err := one(f.Admit(context.Background(), Request{Prog: prog(3), Wait: true, Standing: true}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := f.Admit(context.Background(), prog(3))
+	b, err := one(f.Admit(context.Background(), Request{Prog: prog(3), Wait: true, Standing: true}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,9 +88,9 @@ func TestAdmitFallsBackToLeastContendedQueue(t *testing.T) {
 		t.Fatalf("both full-switch programs on switch %d", a.Switch)
 	}
 	// Next admission must queue; releasing a switch should grant it.
-	done := make(chan *Placement, 1)
+	done := make(chan *Lease, 1)
 	go func() {
-		p, err := f.Admit(context.Background(), prog(3))
+		p, err := one(f.Admit(context.Background(), Request{Prog: prog(3), Wait: true, Standing: true}))
 		if err != nil {
 			t.Error(err)
 			done <- nil
@@ -139,12 +138,12 @@ func TestAdmitNeverFitsAndClosed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Admit(context.Background(), prog(4)); !errors.Is(err, serve.ErrNeverFits) {
+	if _, err := one(f.Admit(context.Background(), Request{Prog: prog(4), Wait: true, Standing: true})); !errors.Is(err, ErrNeverFits) {
 		t.Fatalf("oversized program: got %v, want ErrNeverFits", err)
 	}
 	f.Close()
 	f.Close() // idempotent
-	if _, err := f.Admit(context.Background(), prog(1)); !errors.Is(err, serve.ErrClosed) {
+	if _, err := one(f.Admit(context.Background(), Request{Prog: prog(1), Wait: true, Standing: true})); !errors.Is(err, ErrClosed) {
 		t.Fatalf("closed fabric: got %v, want ErrClosed", err)
 	}
 }
@@ -157,8 +156,8 @@ func TestAdmitShardsRollbackOnFailure(t *testing.T) {
 	defer f.Close()
 	// Program 1 can never fit, so the scatter fails after switch 0's
 	// grant — which must be rolled back.
-	_, err = f.AdmitShards(context.Background(), []switchsim.Program{prog(1), prog(4), prog(1)})
-	if !errors.Is(err, serve.ErrNeverFits) {
+	_, err = f.Admit(context.Background(), Request{Shards: []switchsim.Program{prog(1), prog(4), prog(1)}, Wait: true, Standing: true})
+	if !errors.Is(err, ErrNeverFits) {
 		t.Fatalf("got %v, want ErrNeverFits", err)
 	}
 	for i, u := range f.Utilization() {
@@ -167,11 +166,11 @@ func TestAdmitShardsRollbackOnFailure(t *testing.T) {
 		}
 	}
 	// More programs than switches errors descriptively.
-	if _, err := f.AdmitShards(context.Background(), []switchsim.Program{prog(1), prog(1), prog(1), prog(1)}); err == nil {
+	if _, err := f.Admit(context.Background(), Request{Shards: []switchsim.Program{prog(1), prog(1), prog(1), prog(1)}, Wait: true, Standing: true}); err == nil {
 		t.Fatal("program/switch count overflow: want error")
 	}
 	// Fewer shards than switches is fine: round-robin from switch 0.
-	narrow, err := f.AdmitShards(context.Background(), []switchsim.Program{prog(1)})
+	narrow, err := f.Admit(context.Background(), Request{Shards: []switchsim.Program{prog(1)}, Wait: true, Standing: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +179,7 @@ func TestAdmitShardsRollbackOnFailure(t *testing.T) {
 	}
 	narrow[0].Release()
 	// A full scatter admits one program per switch.
-	leases, err := f.AdmitShards(context.Background(), []switchsim.Program{prog(1), prog(1), prog(1)})
+	leases, err := f.Admit(context.Background(), Request{Shards: []switchsim.Program{prog(1), prog(1), prog(1)}, Wait: true, Standing: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,25 +203,26 @@ func TestAdmitShardsRollbackOnSwitchFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	// Fill switch 1 so the scatter's second shard has to queue there.
-	blocker, err := f.Server(1).TryAdmit(prog(3))
+	// Fill switch 1, pinned through its own admission, so the scatter's
+	// second shard has to queue there.
+	blocker, err := f.switches[1].admit(context.Background(), prog(3), QoS{}, true, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	errc := make(chan error, 1)
 	go func() {
-		_, err := f.AdmitShards(context.Background(), []switchsim.Program{prog(1), prog(1)})
+		_, err := f.Admit(context.Background(), Request{Shards: []switchsim.Program{prog(1), prog(1)}, Wait: true, Standing: true})
 		errc <- err
 	}()
-	for f.Server(1).Stats().Queued == 0 {
+	for f.Stats()[1].Queued == 0 {
 		time.Sleep(time.Millisecond)
 	}
 	// Kill switch 0 first (revoking shard 0's already-granted lease),
 	// then switch 1: the queued shard fails, no survivors remain, and
-	// AdmitShards must give up and roll back.
+	// the scatter must give up and roll back.
 	f.Fail(0)
 	f.Fail(1)
-	if err := <-errc; !errors.Is(err, serve.ErrFailed) {
+	if err := <-errc; !errors.Is(err, ErrFailed) {
 		t.Fatalf("scatter across a dead fabric: got %v, want ErrFailed", err)
 	}
 	st := f.Stats()
@@ -237,7 +237,7 @@ func TestAdmitShardsRollbackOnSwitchFailure(t *testing.T) {
 	if err := f.Restore(1); err != nil {
 		t.Fatal(err)
 	}
-	placements, err := f.AdmitShards(context.Background(), []switchsim.Program{prog(1), prog(1)})
+	placements, err := f.Admit(context.Background(), Request{Shards: []switchsim.Program{prog(1), prog(1)}, Wait: true, Standing: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func TestFabricFailureLifecycle(t *testing.T) {
 		t.Fatalf("Healthy() = %v, want [0 2]", got)
 	}
 	for i := 0; i < 4; i++ {
-		p, err := f.Admit(context.Background(), prog(1))
+		p, err := one(f.Admit(context.Background(), Request{Prog: prog(1), Wait: true, Standing: true}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -277,13 +277,13 @@ func TestFabricFailureLifecycle(t *testing.T) {
 	}
 	f.Fail(0)
 	f.Fail(2)
-	if _, err := f.Admit(context.Background(), prog(1)); !errors.Is(err, serve.ErrFailed) {
+	if _, err := one(f.Admit(context.Background(), Request{Prog: prog(1), Wait: true, Standing: true})); !errors.Is(err, ErrFailed) {
 		t.Fatalf("fully dead fabric: got %v, want ErrFailed", err)
 	}
 	if err := f.Restore(1); err != nil {
 		t.Fatal(err)
 	}
-	p, err := f.Admit(context.Background(), prog(1))
+	p, err := one(f.Admit(context.Background(), Request{Prog: prog(1), Wait: true, Standing: true}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,11 +299,11 @@ func TestFabricFailureLifecycle(t *testing.T) {
 		t.Fatalf("Add() = %d (size %d), want index 3 of 4", idx, f.Size())
 	}
 	// Occupy the restored switch so the fresh one is least-loaded.
-	hold, err := f.Admit(context.Background(), prog(1))
+	hold, err := one(f.Admit(context.Background(), Request{Prog: prog(1), Wait: true, Standing: true}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err = f.Admit(context.Background(), prog(1))
+	p, err = one(f.Admit(context.Background(), Request{Prog: prog(1), Wait: true, Standing: true}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +331,7 @@ func TestFabricConcurrentChurn(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
-				p, err := f.Admit(context.Background(), prog(1+(g+i)%3))
+				p, err := one(f.Admit(context.Background(), Request{Prog: prog(1 + (g+i)%3), Wait: true, Standing: true}))
 				if err != nil {
 					t.Errorf("admit: %v", err)
 					return
@@ -360,7 +360,7 @@ func TestFabricConcurrentChurn(t *testing.T) {
 
 // TestScatterGatherThroughFabricLeases wires the full multi-switch
 // dataplane: per-shard programs are admitted into real pipelines via
-// AdmitShards and the engine executes each shard through its lease —
+// one scatter Admit and the engine executes each shard through its lease —
 // the result must still be exactly ExecDirect's.
 func TestScatterGatherThroughFabricLeases(t *testing.T) {
 	tb := table.MustNew(table.Schema{
@@ -405,7 +405,7 @@ func TestScatterGatherThroughFabricLeases(t *testing.T) {
 			pruners[i] = p
 			progs[i] = p
 		}
-		leases, err := f.AdmitShards(context.Background(), progs)
+		leases, err := f.Admit(context.Background(), Request{Shards: progs, Wait: true, Standing: true})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -19,8 +19,8 @@ import (
 	"time"
 
 	"cheetah/internal/engine"
+	"cheetah/internal/fabric"
 	"cheetah/internal/plan"
-	"cheetah/internal/serve"
 	"cheetah/internal/table"
 	"cheetah/internal/wire"
 	"cheetah/internal/workload/multitenant"
@@ -536,14 +536,14 @@ func TestDisconnectDropsQueuedQuery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pl, err := fab.TryAdmit(prog)
-		if errors.Is(err, serve.ErrBusy) {
+		pl, err := fab.Admit(context.Background(), fabric.Request{Prog: prog, Standing: true})
+		if errors.Is(err, fabric.ErrBusy) {
 			break
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(pl.Release)
+		t.Cleanup(pl[0].Release)
 	}
 	admitted := srv.Stats().Admitted
 

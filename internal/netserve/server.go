@@ -16,7 +16,7 @@
 //   - One goroutine per connection reading frames; each query runs on
 //     its own goroutine through Session.SubmitQoS with the connection's
 //     tenant identity and the request's priority/deadline mapped to
-//     serve.QoS — so the fabric's admission, quotas and deadline
+//     fabric.QoS — so the fabric's admission, quotas and deadline
 //     shedding apply to network clients exactly as to in-process ones.
 //   - Per-subscription credit-based send windows: the server only
 //     pushes a FrameUpdate while the subscription has credits; results
@@ -47,8 +47,8 @@ import (
 	"time"
 
 	"cheetah/internal/engine"
+	"cheetah/internal/fabric"
 	"cheetah/internal/plan"
-	"cheetah/internal/serve"
 	"cheetah/internal/stats"
 	"cheetah/internal/stream"
 	"cheetah/internal/table"
@@ -170,7 +170,7 @@ func (s *Server) Streaming() *plan.Streaming { return s.strm }
 
 // Stats returns the cumulative admission counters summed across the
 // session's fabric, standing programs' leases included.
-func (s *Server) Stats() serve.Counters { return s.sess.Fabric().Total() }
+func (s *Server) Stats() fabric.Counters { return s.sess.Fabric().Total() }
 
 // Metrics returns the server's operational-metrics registry, the
 // session fabric's: one registry across every layer — fabric admission
@@ -578,14 +578,14 @@ func (c *conn) handleQuery(req *wire.QueryReq) {
 			return
 		}
 		kind = q.Kind.String()
-		qos := serve.QoS{Tenant: c.tenant, Priority: int(req.Priority)}
+		qos := fabric.QoS{Tenant: c.tenant, Priority: int(req.Priority)}
 		if req.DeadlineMicros != 0 {
 			qos.Deadline = time.Now().Add(time.Duration(req.DeadlineMicros) * time.Microsecond)
 		}
 		ex, err := c.srv.sess.SubmitQoS(c.ctx, q, qos)
 		if err != nil {
 			code := wire.CodeInternal
-			if errors.Is(err, serve.ErrDeadline) || errors.Is(err, serve.ErrBusy) {
+			if errors.Is(err, fabric.ErrDeadline) || errors.Is(err, fabric.ErrBusy) {
 				code = wire.CodeRetryable
 			}
 			c.srv.metrics.Counter("query_errors", "kind", q.Kind.String()).Incr(1)

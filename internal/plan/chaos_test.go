@@ -22,7 +22,6 @@ import (
 	"cheetah/internal/engine"
 	"cheetah/internal/fabric"
 	"cheetah/internal/prune"
-	"cheetah/internal/serve"
 	"cheetah/internal/switchsim"
 	"cheetah/internal/table"
 	"cheetah/internal/workload/multitenant"
@@ -107,7 +106,7 @@ func TestChaosServed(t *testing.T) {
 			// to the survivor and still be exact.
 			var killed atomic.Bool
 			for i := 0; i < fab.Size(); i++ {
-				fab.Server(i).Pipeline().SetFaultInjector(func(uint32, int) bool {
+				fab.Pipeline(i).SetFaultInjector(func(uint32, int) bool {
 					return killed.CompareAndSwap(false, true)
 				})
 			}
@@ -187,7 +186,7 @@ func TestChaosServed(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer db1.Close()
-			db1.Fabric().Server(0).Pipeline().SetFaultInjector(func(uint32, int) bool { return true })
+			db1.Fabric().Pipeline(0).SetFaultInjector(func(uint32, int) bool { return true })
 			ex, err = db1.Submit(context.Background(), q)
 			if err != nil {
 				t.Fatal(err)
@@ -218,14 +217,29 @@ func TestChaosServed(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			held, err := fab2.Server(1).AdmitQoS(context.Background(), blocker, serve.QoS{Tenant: "t"})
+			// Least-loaded placement pins the lease to switch 1: a standing
+			// filler takes switch 0 first and leaves once the lease is held.
+			filler, err := prune.NewDistinct(prune.DefaultDistinctConfig(1))
 			if err != nil {
 				t.Fatal(err)
 			}
-			fab2.Server(0).Pipeline().SetFaultInjector(func(uint32, int) bool { return true })
-			_, err = db2.SubmitQoS(context.Background(), q, serve.QoS{Tenant: "t", Deadline: time.Now().Add(30 * time.Millisecond)})
-			if !errors.Is(err, serve.ErrDeadline) {
-				t.Fatalf("deadline on re-admission: err = %v, want serve.ErrDeadline", err)
+			fill, err := fab2.Admit(context.Background(), fabric.Request{Prog: filler, Standing: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			leases, err := fab2.Admit(context.Background(), fabric.Request{Prog: blocker, QoS: fabric.QoS{Tenant: "t"}, Wait: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			fill[0].Release()
+			held := leases[0]
+			if fill[0].Switch != 0 || held.Switch != 1 {
+				t.Fatalf("filler on switch %d, held lease on switch %d, want 0 and 1", fill[0].Switch, held.Switch)
+			}
+			fab2.Pipeline(0).SetFaultInjector(func(uint32, int) bool { return true })
+			_, err = db2.SubmitQoS(context.Background(), q, fabric.QoS{Tenant: "t", Deadline: time.Now().Add(30 * time.Millisecond)})
+			if !errors.Is(err, fabric.ErrDeadline) {
+				t.Fatalf("deadline on re-admission: err = %v, want fabric.ErrDeadline", err)
 			}
 			if got := fab2.Total().FailedOver; got < 1 {
 				t.Fatalf("deadline on re-admission: fabric FailedOver counter = %d, want >= 1", got)
@@ -265,14 +279,14 @@ func TestChaosServedUnderLoad(t *testing.T) {
 			return
 		}
 		if victim >= 0 {
-			fab.Server(victim).Pipeline().SetFaultInjector(nil)
+			fab.Pipeline(victim).SetFaultInjector(nil)
 			if err := fab.Restore(victim); err != nil {
 				t.Error(err)
 			}
 		}
 		victim = (victim + 1) % fab.Size()
 		var died atomic.Bool
-		fab.Server(victim).Pipeline().SetFaultInjector(func(uint32, int) bool {
+		fab.Pipeline(victim).SetFaultInjector(func(uint32, int) bool {
 			return died.CompareAndSwap(false, true)
 		})
 	}
@@ -291,7 +305,7 @@ func TestChaosServedUnderLoad(t *testing.T) {
 			for i := range jobs {
 				q := mix.Query(i)
 				tick()
-				ex, err := db.SubmitQoS(context.Background(), q, serve.QoS{Tenant: mix.Tenant(i), Priority: mix.Priority(i)})
+				ex, err := db.SubmitQoS(context.Background(), q, fabric.QoS{Tenant: mix.Tenant(i), Priority: mix.Priority(i)})
 				if err != nil {
 					t.Errorf("query %d (%v): %v", i, q.Kind, err)
 					continue
@@ -403,7 +417,7 @@ func TestChaosStreamingPlaced(t *testing.T) {
 			// The last live switch dies in the middle of a delta: with no
 			// survivor that delta (and every one until capacity returns)
 			// finishes on the engine's master-side backstop, exact.
-			fab.Server(0).Pipeline().SetFaultInjector(func(uint32, int) bool { return true })
+			fab.Pipeline(0).SetFaultInjector(func(uint32, int) bool { return true })
 			appendTo(marks[3], marks[4])
 			if sub.Replaced() != 2 {
 				t.Fatalf("Replaced = %d after a mid-delta death with no survivor, want 2", sub.Replaced())
@@ -537,7 +551,7 @@ func TestChaosOneShotSharded(t *testing.T) {
 			for i, pr := range pruners {
 				progs[i] = pr
 			}
-			placements, err := fab.AdmitShards(context.Background(), progs)
+			placements, err := fab.Admit(context.Background(), fabric.Request{Shards: progs, Wait: true, Standing: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -547,7 +561,7 @@ func TestChaosOneShotSharded(t *testing.T) {
 			}
 			// Switch 0 dies at the first batch that reaches it.
 			var killed atomic.Bool
-			fab.Server(0).Pipeline().SetFaultInjector(func(uint32, int) bool {
+			fab.Pipeline(0).SetFaultInjector(func(uint32, int) bool {
 				return killed.CompareAndSwap(false, true)
 			})
 			var mu sync.Mutex
@@ -556,10 +570,11 @@ func TestChaosOneShotSharded(t *testing.T) {
 				if err != nil {
 					return nil, nil, err
 				}
-				npl, err := fab.TryAdmit(npr)
+				leases, err := fab.Admit(context.Background(), fabric.Request{Prog: npr, Standing: true})
 				if err != nil {
 					return nil, nil, err
 				}
+				npl := leases[0]
 				mu.Lock()
 				old := placements[shard]
 				placements[shard] = npl

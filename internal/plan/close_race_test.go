@@ -7,7 +7,7 @@ package plan
 //
 //   - SubmitQoS racing Close never hangs and never returns a
 //     wrong result: it completes exactly (direct fallback included) or
-//     fails with a QoS shed (serve.ErrDeadline) it could have returned
+//     fails with a QoS shed (fabric.ErrDeadline) it could have returned
 //     anyway.
 //   - Streaming.Append racing Close either commits atomically before
 //     the ingestor closes or fails with stream.ErrClosed — the
@@ -27,7 +27,7 @@ import (
 	"time"
 
 	"cheetah/internal/engine"
-	"cheetah/internal/serve"
+	"cheetah/internal/fabric"
 	"cheetah/internal/stream"
 	"cheetah/internal/table"
 	"cheetah/internal/workload/multitenant"
@@ -86,7 +86,7 @@ func TestSessionCloseRaceQoSAndAppend(t *testing.T) {
 					}
 					q := *mix.Query(idx)
 					q.Table = snap
-					qos := serve.QoS{Tenant: mix.Tenant(idx), Priority: mix.Priority(idx)}
+					qos := fabric.QoS{Tenant: mix.Tenant(idx), Priority: mix.Priority(idx)}
 					if i%4 == 3 {
 						// Some submissions carry deadlines: a shed on a
 						// closing fabric is allowed, a hang is not.
@@ -94,7 +94,7 @@ func TestSessionCloseRaceQoSAndAppend(t *testing.T) {
 					}
 					ex, err := db.SubmitQoS(ctx, &q, qos)
 					if err != nil {
-						if errors.Is(err, serve.ErrDeadline) {
+						if errors.Is(err, fabric.ErrDeadline) {
 							continue // deadline shed: dropped, not degraded
 						}
 						errs <- fmt.Errorf("submitter %d query %d: %v", c, i, err)

@@ -9,9 +9,9 @@ import (
 
 	"cheetah/internal/cluster"
 	"cheetah/internal/engine"
+	"cheetah/internal/fabric"
 	"cheetah/internal/obs"
 	"cheetah/internal/prune"
-	"cheetah/internal/serve"
 	"cheetah/internal/switchsim"
 )
 
@@ -83,7 +83,7 @@ func (e *Execution) Trace() *obs.Trace { return e.trace }
 type SwitchReport struct {
 	Traffic engine.Traffic
 	Util    switchsim.Utilization
-	Serve   serve.Counters
+	Serve   fabric.Counters
 }
 
 // UnprunedFraction is Forwarded/EntriesSent, Figures 10–11's metric; it
@@ -309,15 +309,15 @@ func direct(q *engine.Query, p *Plan, tr *obs.Trace) (res *engine.Result, skippe
 
 // fallbackServing reports whether a fabric admission failure means "run
 // exactly, without the switch" (§7.2: the servers keep results exact on
-// their own — serve.ErrFailed is a fully dead fabric) rather than "fail
+// their own — fabric.ErrFailed is a fully dead fabric) rather than "fail
 // the call". Deadline misses are deliberately NOT in the list: a
 // deadline-shed query is dropped, not silently retried on the slower
 // path its deadline already couldn't afford.
 func fallbackServing(err error) bool {
-	return errors.Is(err, serve.ErrNeverFits) ||
-		errors.Is(err, serve.ErrQueueFull) ||
-		errors.Is(err, serve.ErrClosed) ||
-		errors.Is(err, serve.ErrFailed)
+	return errors.Is(err, fabric.ErrNeverFits) ||
+		errors.Is(err, fabric.ErrQueueFull) ||
+		errors.Is(err, fabric.ErrClosed) ||
+		errors.Is(err, fabric.ErrFailed)
 }
 
 // fallbackPlan is the exact direct plan a front door degrades to when the

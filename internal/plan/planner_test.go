@@ -7,8 +7,8 @@ import (
 	"testing"
 
 	"cheetah/internal/engine"
+	"cheetah/internal/fabric"
 	"cheetah/internal/prune"
-	"cheetah/internal/serve"
 	"cheetah/internal/switchsim"
 	"cheetah/internal/table"
 	"cheetah/internal/workload"
@@ -303,7 +303,7 @@ func TestPlannerMixedKeyJoinRunsDirect(t *testing.T) {
 		if err != nil || !want.Equal(ex.Result) {
 			t.Fatalf("k=%d Exec: %v, err %v; want\n%v", k, ex, err, want)
 		}
-		ex, err = s.SubmitQoS(ctx, q, serve.QoS{Tenant: "t"})
+		ex, err = s.SubmitQoS(ctx, q, fabric.QoS{Tenant: "t"})
 		if err != nil || !want.Equal(ex.Result) {
 			t.Fatalf("k=%d SubmitQoS: %v, err %v; want\n%v", k, ex, err, want)
 		}

@@ -14,9 +14,9 @@ import (
 	"testing"
 
 	"cheetah/internal/engine"
+	"cheetah/internal/fabric"
 	"cheetah/internal/netserve"
 	"cheetah/internal/plan"
-	"cheetah/internal/serve"
 	"cheetah/internal/switchsim"
 	"cheetah/internal/table"
 	"cheetah/internal/wire"
@@ -108,7 +108,7 @@ func servedReuse(t *testing.T, mix *multitenant.Mix, q *engine.Query, want *engi
 	ctx := context.Background()
 	var cold *plan.Execution
 	for run := 0; run < 3; run++ {
-		ex, err := db.SubmitQoS(ctx, q, serve.QoS{Tenant: "t"})
+		ex, err := db.SubmitQoS(ctx, q, fabric.QoS{Tenant: "t"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,11 +128,11 @@ func servedReuse(t *testing.T, mix *multitenant.Mix, q *engine.Query, want *engi
 	var killed atomic.Bool
 	fab := db.Fabric()
 	for i := 0; i < fab.Size(); i++ {
-		fab.Server(i).Pipeline().SetFaultInjector(func(uint32, int) bool {
+		fab.Pipeline(i).SetFaultInjector(func(uint32, int) bool {
 			return killed.CompareAndSwap(false, true)
 		})
 	}
-	ex, err := db.SubmitQoS(ctx, q, serve.QoS{Tenant: "t"})
+	ex, err := db.SubmitQoS(ctx, q, fabric.QoS{Tenant: "t"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,14 +144,14 @@ func servedReuse(t *testing.T, mix *multitenant.Mix, q *engine.Query, want *engi
 		t.Fatalf("killed switch: %d programs went back to the list, want none", len(after))
 	}
 	for i := 0; i < fab.Size(); i++ {
-		fab.Server(i).Pipeline().SetFaultInjector(nil)
+		fab.Pipeline(i).SetFaultInjector(nil)
 		if fab.Failed(i) {
 			if err := fab.Restore(i); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	ex, err = db.SubmitQoS(ctx, q, serve.QoS{Tenant: "t"})
+	ex, err = db.SubmitQoS(ctx, q, fabric.QoS{Tenant: "t"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func floodTopN(t *testing.T, mix *multitenant.Mix) {
 	const flood = 200
 	for n := 50; n < 50+flood; n++ {
 		q := &engine.Query{Kind: engine.KindTopN, Table: mix.Visits, OrderCol: "adRevenue", N: n}
-		ex, err := db.SubmitQoS(ctx, q, serve.QoS{})
+		ex, err := db.SubmitQoS(ctx, q, fabric.QoS{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -255,7 +255,7 @@ func floodTopN(t *testing.T, mix *multitenant.Mix) {
 		t.Fatal(err)
 	}
 	for run := 0; run < 2; run++ {
-		ex, err := db.SubmitQoS(ctx, gq, serve.QoS{})
+		ex, err := db.SubmitQoS(ctx, gq, fabric.QoS{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -293,7 +293,7 @@ func warmServedAlloc(t *testing.T) {
 		{mix.Query(3), 192 << 10}, // GROUP BY MAX
 	} {
 		submit := func() {
-			if _, err := db.SubmitQoS(context.Background(), c.q, serve.QoS{}); err != nil {
+			if _, err := db.SubmitQoS(context.Background(), c.q, fabric.QoS{}); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -4,11 +4,11 @@ package plan
 // plans + admits + executes one query through the session's switch
 // fabric, for any number of concurrent clients. It is the layer between
 // the fluent builder (one query at a time) and internal/fabric
-// (placement) + internal/serve (admission and QueryID multiplexing):
-// SubmitQoS reuses the planner unchanged — at fabric width 1, since a
-// served query runs whole on the switch it is placed on — then swaps
-// the execution's exclusive pipeline ownership for a flow-scoped lease
-// on the least-loaded switch. The fabric is the one Stream's standing
+// (placement, admission and QueryID multiplexing): SubmitQoS reuses
+// the planner unchanged — at fabric width 1, since a served query runs
+// whole on the switch it is placed on — then swaps the execution's
+// exclusive pipeline ownership for a flow-scoped lease on the
+// least-loaded switch. The fabric is the one Stream's standing
 // programs sit on, so served queries share switches with them.
 
 import (
@@ -19,13 +19,12 @@ import (
 	"cheetah/internal/fabric"
 	"cheetah/internal/obs"
 	"cheetah/internal/prune"
-	"cheetah/internal/serve"
 )
 
 // Submit plans and executes q through the session's fabric with default
 // QoS. See SubmitQoS.
 func (s *Session) Submit(ctx context.Context, q *engine.Query) (*Execution, error) {
-	return s.SubmitQoS(ctx, q, serve.QoS{})
+	return s.SubmitQoS(ctx, q, fabric.QoS{})
 }
 
 // SubmitQoS plans and executes q through the session's fabric under the
@@ -37,7 +36,7 @@ func (s *Session) Submit(ctx context.Context, q *engine.Query) (*Execution, erro
 // direct, as does a query submitted after Close. Within a queue,
 // higher-priority submissions admit first; a tenant at its quota waits
 // without blocking others; a submission whose qos.Deadline passes while
-// queued fails with serve.ErrDeadline (deadline-based shedding — the
+// queued fails with fabric.ErrDeadline (deadline-based shedding — the
 // query is dropped, not degraded). If the placed switch dies mid-query
 // the pass is discarded and redone on a replacement switch admitted
 // under the same QoS (Session.run; capped, then finished on the
@@ -45,7 +44,7 @@ func (s *Session) Submit(ctx context.Context, q *engine.Query) (*Execution, erro
 // a failure. Concurrent submissions multiplex their batches through
 // per-query programs selected by QueryID on their placed switch, beside
 // the standing programs of the session's subscriptions.
-func (s *Session) SubmitQoS(ctx context.Context, q *engine.Query, qos serve.QoS) (*Execution, error) {
+func (s *Session) SubmitQoS(ctx context.Context, q *engine.Query, qos fabric.QoS) (*Execution, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -72,7 +71,7 @@ func (s *Session) SubmitQoS(ctx context.Context, q *engine.Query, qos serve.QoS)
 		p.Reason += "; serving executes in-process (cluster transport has no multiplexed path)"
 	}
 	var pruner prune.Pruner
-	var placement *fabric.Placement
+	var placement *fabric.Lease
 	if p.Mode == ModeCheetah {
 		if placement, pruner, err = s.admit(ctx, p, qos, 0, tr); err != nil {
 			if !fallbackServing(err) {
@@ -88,17 +87,16 @@ func (s *Session) SubmitQoS(ctx context.Context, q *engine.Query, qos serve.QoS)
 	if p.Mode == ModeDirect {
 		return s.execPlan(ctx, p, tr, clock)
 	}
-	// The placed switch died under the query: its counters record the
-	// failover, the revoked lease releases, and a fresh program — the
-	// dead switch's register state is unrecoverable, so the redone pass
-	// replays the whole stream through clean state (§7.2) — is admitted
-	// under the same ctx and QoS. A refusal the fallback predicate lists
+	// The placed switch died under the query: the revoked lease retires
+	// (its switch's counters record the failover), and a fresh program —
+	// the dead switch's register state is unrecoverable, so the redone
+	// pass replays the whole stream through clean state (§7.2) — is
+	// admitted under the same ctx and QoS. A refusal the fallback predicate lists
 	// leaves the engine's master-side backstop to finish the query; any
 	// other (a missed deadline, a cancelled ctx) fails the Submit.
 	var refused error
 	replace := func(_, attempt int) (prune.Pruner, engine.BatchDataplane, error) {
-		s.fab.Server(placement.Switch).NoteFailedOver(qos.Tenant)
-		placement.Release()
+		placement.Retire()
 		npl, npr, err := s.admit(ctx, p, qos, attempt, tr)
 		if err != nil {
 			if !fallbackServing(err) {
@@ -148,19 +146,20 @@ func (s *Session) SubmitQoS(ctx context.Context, q *engine.Query, qos serve.QoS)
 // admit takes one seat for p's program under the query's QoS — a fresh
 // program instance per admission — and records the admission (attempt 0)
 // or re-admission as an admit span carrying the placed switch.
-func (s *Session) admit(ctx context.Context, p *Plan, qos serve.QoS, attempt int, tr *obs.Trace) (*fabric.Placement, prune.Pruner, error) {
+func (s *Session) admit(ctx context.Context, p *Plan, qos fabric.QoS, attempt int, tr *obs.Trace) (*fabric.Lease, prune.Pruner, error) {
 	pruner, err := p.NewPruner()
 	if err != nil {
 		return nil, nil, err
 	}
 	span := obs.Span{Stage: obs.StageAdmit, Switch: -1, Attempt: attempt, Start: tr.Elapsed()}
-	placement, err := s.fab.AdmitQoS(ctx, pruner, qos)
+	leases, err := s.fab.Admit(ctx, fabric.Request{Prog: pruner, QoS: qos, Wait: true})
 	span.Dur = tr.Elapsed() - span.Start
 	if err != nil {
 		span.Note = fmt.Sprintf("not admitted: %v", err)
 		tr.Add(span)
 		return nil, nil, err
 	}
+	placement := leases[0]
 	span.Switch = placement.Switch
 	tr.Add(span)
 	tr.SetQueryID(placement.QueryID())

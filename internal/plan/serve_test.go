@@ -2,6 +2,7 @@ package plan
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -172,5 +173,39 @@ func TestServeClosedFallsBackDirect(t *testing.T) {
 	}
 	if ex.Plan.Mode != ModeDirect {
 		t.Fatalf("mode after close = %v (%s), want direct", ex.Plan.Mode, ex.Plan.Reason)
+	}
+}
+
+// TestSubmitCancelledContextRefused: a context cancelled before Submit is
+// refused at admission, as the direct path refuses it, whatever the
+// plan's mode: every kind's pruned plan returns context.Canceled and
+// takes no lease.
+func TestSubmitCancelledContextRefused(t *testing.T) {
+	mix, err := multitenant.NewMix(multitenant.MixConfig{VisitRows: 2000, RankRows: 1500, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := Open(mix.Visits, Options{Workers: 2, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for i := 0; i < multitenant.NumKinds; i++ {
+		q := mix.Query(i)
+		p, err := db.Plan(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Mode != ModeCheetah {
+			t.Fatalf("%s: plan mode = %v (%s), want a pruned plan", q.Kind, p.Mode, p.Reason)
+		}
+		if _, err := db.Submit(ctx, q); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: Submit with a cancelled context: err = %v, want context.Canceled", q.Kind, err)
+		}
+	}
+	if got := db.Fabric().Total(); got.Active != 0 || got.Admitted != 0 {
+		t.Fatalf("fabric after cancelled submits: %+v, want nothing admitted", got)
 	}
 }

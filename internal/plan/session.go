@@ -164,11 +164,11 @@ func Open(t *table.Table, opts Options) (*Session, error) {
 //     registering anything. Network front ends (internal/netserve) map
 //     exactly these to their retryable wire error code during a drain.
 //   - NEVER AN ERROR: Submit/SubmitQoS racing Close does not
-//     fail because of the close — serve.ErrClosed triggers the exact
+//     fail because of the close — fabric.ErrClosed triggers the exact
 //     direct fallback, so the caller gets a correct result either way.
 //     The only errors a close-racing SubmitQoS surfaces are the ones
 //     its QoS could produce anyway, and of those only
-//     serve.ErrDeadline (deadline-based shedding: the query is
+//     fabric.ErrDeadline (deadline-based shedding: the query is
 //     dropped, not degraded — retry with a fresh deadline if still
 //     wanted).
 //   - TERMINAL (retrying cannot help): query validation errors and

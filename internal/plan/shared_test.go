@@ -7,11 +7,12 @@ package plan
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"cheetah/internal/engine"
+	"cheetah/internal/fabric"
 	"cheetah/internal/prune"
-	"cheetah/internal/serve"
 	"cheetah/internal/table"
 )
 
@@ -57,7 +58,7 @@ func TestStandingProgramsOutsideQuota(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tenant := range []string{"", "a"} {
-		ex, err := db.SubmitQoS(ctx, q, serve.QoS{Tenant: tenant})
+		ex, err := db.SubmitQoS(ctx, q, fabric.QoS{Tenant: tenant})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,13 +80,13 @@ func TestStandingProgramsOutsideQuota(t *testing.T) {
 		}
 		return pr
 	}
-	held, err := fab.TryAdmitQoS(prog(), serve.QoS{Tenant: "a"})
+	held, err := fab.Admit(ctx, fabric.Request{Prog: prog(), QoS: fabric.QoS{Tenant: "a"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer held.Release()
-	if _, err := fab.TryAdmitQoS(prog(), serve.QoS{Tenant: "a"}); !errors.Is(err, serve.ErrBusy) {
-		t.Fatalf("second one-shot lease of a tenant at quota: err = %v, want serve.ErrBusy", err)
+	defer held[0].Release()
+	if _, err := fab.Admit(ctx, fabric.Request{Prog: prog(), QoS: fabric.QoS{Tenant: "a"}}); !errors.Is(err, fabric.ErrBusy) {
+		t.Fatalf("second one-shot lease of a tenant at quota: err = %v, want fabric.ErrBusy", err)
 	}
 }
 
@@ -148,7 +149,7 @@ func TestSharedFabricSwitchDeath(t *testing.T) {
 			appendTo(0, half)
 
 			if midQuery {
-				fab.Server(0).Pipeline().SetFaultInjector(func(uint32, int) bool { return true })
+				fab.Pipeline(0).SetFaultInjector(func(uint32, int) bool { return true })
 			} else {
 				fab.Fail(0)
 			}
@@ -172,6 +173,25 @@ func TestSharedFabricSwitchDeath(t *testing.T) {
 			appendTo(half, mix.Visits.NumRows())
 			if sub.Replaced() < 1 {
 				t.Fatalf("Replaced = %d after its switch died, want >= 1", sub.Replaced())
+			}
+			// The dead switch's counters and metric series record the
+			// retired leases: the standing program's re-placement on both
+			// arms, the served query's failover on the mid-query one.
+			total := fab.Total()
+			if total.Replaced < 1 {
+				t.Fatalf("fabric Replaced = %d, want >= 1", total.Replaced)
+			}
+			if midQuery && total.FailedOver < 1 {
+				t.Fatalf("fabric FailedOver = %d, want >= 1", total.FailedOver)
+			}
+			var replaced0 uint64
+			for key, v := range fab.Metrics().SnapshotMap() {
+				if strings.HasPrefix(key, "replaced{switch=0,") {
+					replaced0 += v
+				}
+			}
+			if replaced0 < 1 {
+				t.Fatalf(`replaced{switch="0"} = %d, want >= 1: %v`, replaced0, fab.Metrics().SnapshotMap())
 			}
 			sub.Close()
 			assertFabricDrained(t, fab)

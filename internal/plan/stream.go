@@ -148,7 +148,7 @@ type Subscription struct {
 	// (unpruned) subscription; pruners[i] is the program installed under
 	// placements[i]. Entries move between switches when re-placement
 	// routes around a failed switch.
-	placements []*fabric.Placement
+	placements []*fabric.Lease
 	pruners    []prune.Pruner
 	replaced   int
 	traffic    engine.Traffic
@@ -355,7 +355,7 @@ func (ss *Subscription) admit(ctx context.Context) error {
 	for i, pr := range pruners {
 		progs[i] = pr
 	}
-	placements, err := ss.st.s.fab.AdmitShards(ctx, progs)
+	placements, err := ss.st.s.fab.Admit(ctx, fabric.Request{Shards: progs, Wait: true, Standing: true})
 	if err != nil {
 		if !fallbackServing(err) {
 			return err
@@ -399,15 +399,15 @@ func (ss *Subscription) delta(dq *engine.Query, tr *obs.Trace) (*engine.Result, 
 // runs on the engine's per-shard goroutines; distinct shards re-place
 // concurrently, so the subscription's lists update under ss.mu.
 func (ss *Subscription) replace(shard, _ int) (prune.Pruner, engine.BatchDataplane, error) {
-	fab := ss.st.s.fab
 	pruner, err := ss.plan.NewPruner()
 	if err != nil {
 		return nil, nil, err
 	}
-	placement, err := fab.TryAdmit(pruner)
+	leases, err := ss.st.s.fab.Admit(context.Background(), fabric.Request{Prog: pruner, Standing: true})
 	if err != nil {
 		return nil, nil, err
 	}
+	placement := leases[0]
 	ss.mu.Lock()
 	old := ss.placements[shard]
 	ss.placements[shard], ss.pruners[shard] = placement, pruner
@@ -415,8 +415,7 @@ func (ss *Subscription) replace(shard, _ int) (prune.Pruner, engine.BatchDatapla
 	ss.mu.Unlock()
 	// Retire the dead placement: the failed switch's counters record the
 	// migration and the (already revoked) lease releases.
-	fab.Server(old.Switch).NoteReplaced(old.Tenant())
-	old.Release()
+	old.Retire()
 	return pruner, placement, nil
 }
 

@@ -6,9 +6,9 @@ import (
 	"strings"
 	"testing"
 
+	"cheetah/internal/fabric"
 	"cheetah/internal/obs"
 	"cheetah/internal/prune"
-	"cheetah/internal/serve"
 	"cheetah/internal/table"
 	"cheetah/internal/workload"
 )
@@ -290,7 +290,7 @@ func TestGatedPathsRunFused(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.label, err)
 		}
-		ex, err := c.s.SubmitQoS(ctx, q, serve.QoS{Tenant: "t", Priority: 1})
+		ex, err := c.s.SubmitQoS(ctx, q, fabric.QoS{Tenant: "t", Priority: 1})
 		if err != nil {
 			t.Fatalf("%s: SubmitQoS: %v", c.label, err)
 		}

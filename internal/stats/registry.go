@@ -11,9 +11,9 @@ package stats
 //   - Histogram: fixed-bucket latency distribution (admission wait,
 //     query latency) with p50/p90/p99 estimation — see metrics.go.
 //
-// The serving layer counts admissions, sheds, revocations and deadline
-// misses per switch and per tenant through one shared Registry; the
-// fabric adds failover and re-placement events; netserve observes
+// The fabric counts admissions, sheds, revocations, deadline misses,
+// failovers and re-placements per switch and per tenant through one
+// shared Registry; netserve observes
 // query latency and credit-window stalls; benches, tests and the
 // /metrics exposition (expo.go) read it back as deterministic sorted
 // snapshots keyed "name{k=v,...}".

@@ -812,7 +812,7 @@ func (d *decoder) spec() QuerySpec {
 type QueryReq struct {
 	// ID correlates the response; client-chosen, unique per connection.
 	ID uint64
-	// Priority is the admission priority (serve.QoS.Priority).
+	// Priority is the admission priority (fabric.QoS.Priority).
 	Priority int32
 	// DeadlineMicros, when non-zero, is a relative admission deadline in
 	// microseconds from server receipt (travels as a duration — absolute
